@@ -94,6 +94,8 @@ class Label:
     # -- set algebra (registry-free; see rules.py for compound-aware) --
     def union(self, other: "Label | Iterable[int]") -> "Label":
         """Return a new label containing the tags of both."""
+        if other is self:           # interned: equal labels are identical
+            return self
         other_tags = other.tags if isinstance(other, Label) else frozenset(other)
         if other_tags <= self._tags:
             return self

@@ -45,15 +45,18 @@ class RuleCounters(CounterGroup):
     hot-path predicates — including memo hits and plain-subset fast
     paths — because what the paper's Query-by-Label cost is made of is
     the per-tuple call itself (section 7.1).  The batched executor's
-    label-run amortization collapses one call per tuple into one call
-    per distinct label per batch, and the fig6 benchmark reads these
-    counters to prove it.  ``rows_suppressed`` counts tuples the scans
-    rejected under the Label Confinement Rule — the quantity the IFC
-    audit trail (:mod:`repro.db.metrics`) attributes per statement;
-    it is incremented at the rejection sites in
-    :mod:`repro.db.physical`, not here, because under the batched
-    label-run memo a suppression does not always correspond to a
-    ``covers`` call.  Counters are global (labels and registries are
+    label routine (``repro.db.physical._label_filter``) collapses one
+    call per tuple into one call per distinct label per batch —
+    ``strip`` included: under a declassifying view each distinct
+    *stored* label of a batch is stripped once and its stripped form
+    checked once — and the fig6 benchmark reads these counters to
+    prove it.  ``rows_suppressed`` counts tuples the scans rejected
+    under the Label Confinement Rule — the quantity the IFC audit
+    trail (:mod:`repro.db.metrics`) attributes per statement; it is
+    incremented in :mod:`repro.db.physical`, not here — once per
+    batch, by the number of tuples the verdict map dropped — because
+    a suppression does not correspond to a ``covers`` call.
+    Counters are global (labels and registries are
     process-wide too) but accumulate per thread
     (:class:`~repro.core.counters.CounterGroup`), so concurrent
     statements cannot contaminate each other's deltas; measurements

@@ -21,6 +21,7 @@ registry through the execution context.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import Label
@@ -943,9 +944,9 @@ def compile_batch(compiler: "ExprCompiler", node: Expr) -> Callable:
     :class:`~repro.db.physical.RowBatch` at once, returning one value
     per row.  The kernels are **column-at-a-time**: leaves pull whole
     column arrays (``batch.column(i)`` — zero-copy on a columnar batch
-    with no selection) and the common predicate shapes (comparisons,
-    ``AND``, ``IS NULL``) combine those arrays element-wise, so a
-    predicate only ever touches the columns it reads.  Everything else
+    with no selection) and the common shapes (comparisons, arithmetic,
+    ``AND``, ``IS NULL``) combine those arrays element-wise, so an
+    expression only ever touches the columns it reads.  Everything else
     falls back to mapping the ordinary row closure from
     :meth:`ExprCompiler.compile` over ``batch.values`` (widening the
     batch), so batch compilation can never change semantics — only the
@@ -980,36 +981,52 @@ def compile_batch(compiler: "ExprCompiler", node: Expr) -> Callable:
             return lambda batch, ctx: [v is not None
                                        for v in operand(batch, ctx)]
         return lambda batch, ctx: [v is None for v in operand(batch, ctx)]
-    if isinstance(node, Compare):
-        fn = _CMP_FUNCS[node.op]
+    if isinstance(node, (Compare, BinOp)):
+        fn = (_CMP_FUNCS if isinstance(node, Compare)
+              else _BIN_FUNCS)[node.op]
         left = compile_batch(compiler, node.left)
+        if isinstance(node.right, (Literal, Param)):
+            # Column-versus-constant, the common predicate shape: one
+            # pass over the column, no second array to zip against.
+            constant = compiler.compile(node.right)
+            def against_constant(batch, ctx):
+                column = left(batch, ctx)
+                rv = constant([], ctx)
+                if rv is None:
+                    return [None] * len(column)
+                return [None if lv is None else fn(lv, rv)
+                        for lv in column]
+            return against_constant
         right = compile_batch(compiler, node.right)
-        def compare(batch, ctx):
+        def elementwise(batch, ctx):
             return [None if lv is None or rv is None else fn(lv, rv)
                     for lv, rv in zip(left(batch, ctx), right(batch, ctx))]
-        return compare
+        return elementwise
     if isinstance(node, And):
         parts = [compile_batch(compiler, item) for item in node.items]
         def conjunction(batch, ctx):
             n = len(batch)
-            result: list = [True] * n
-            alive = list(range(n))
+            alive = range(n)              # not yet FALSE, in row order
+            unknown: set = set()          # alive rows that saw a NULL
             for part in parts:
                 if not alive:
                     break
                 sub = batch if len(alive) == n else batch.select(alive)
                 vals = part(sub, ctx)
-                survivors = []
-                for j, i in enumerate(alive):
-                    value = vals[j]
-                    if value is None:
-                        result[i] = None
-                        survivors.append(i)    # a later FALSE still wins
-                    elif not value:
-                        result[i] = False
-                    else:
-                        survivors.append(i)
-                alive = survivors
+                if all(vals):
+                    continue
+                if None in vals:          # a later FALSE still wins
+                    unknown.update(i for i, v in zip(alive, vals)
+                                   if v is None)
+                    alive = [i for i, v in zip(alive, vals)
+                             if v or v is None]
+                else:
+                    alive = list(compress(alive, vals))
+            result: list = [False] * n
+            for i in alive:
+                result[i] = True
+            for i in unknown.intersection(alive):
+                result[i] = None
             return result
         return conjunction
     row_fn = compiler.compile(node)

@@ -475,13 +475,15 @@ class OpStats:
     wall seconds, and inclusive counter deltas (one slot per recorder
     cell)."""
 
-    __slots__ = ("rows", "batches", "seconds", "counters")
+    __slots__ = ("rows", "batches", "seconds", "counters", "label_stats")
 
     def __init__(self, ncells: int):
         self.rows = 0
         self.batches = 0
         self.seconds = 0.0
         self.counters = [0] * ncells
+        #: Scans only: ``[candidate chunks, distinct labels checked]``.
+        self.label_stats: Optional[List[int]] = None
 
 
 class OpProbe:
@@ -581,6 +583,10 @@ class PlanRecorder:
                 setattr(clone, attr, self.instrument(child))
         stats = OpStats(len(self.cells))
         self._stats[id(plan)] = (plan, stats)
+        if isinstance(clone, _physical.Scan):
+            # The label routine tallies [chunks, distinct labels] on
+            # the private clone (see Scan.label_stats).
+            clone.label_stats = stats.label_stats = [0, 0]
         return OpProbe(clone, stats, self.read)
 
     def stats_of(self, plan) -> Optional[OpStats]:
@@ -644,7 +650,23 @@ class PlanRecorder:
             if stats.batches:
                 actual += " batches=%d" % stats.batches
             actual += " time=%.3fms" % (stats.seconds * 1000.0)
-            actual += self._format_counters(self._exclusive(plan))
+            exclusive = self._exclusive(plan)
+            actual += self._format_counters(exclusive)
+            if stats.label_stats is not None and stats.seconds:
+                # Every scan line shows what Query by Label did: rows
+                # it suppressed (zero included — the generic counters
+                # omit zeros) and, batched, how many distinct labels a
+                # chunk made it check.  Not for a scan whose probe was
+                # never pulled: it ran in a Gather's forked workers,
+                # whose counters land on the Gather line and whose
+                # tally never reaches this process.
+                if not exclusive[self.cells.index(
+                        ("labels", "rows_suppressed"))]:
+                    actual += " suppressed=0"
+                chunks, labels = stats.label_stats
+                if plan.batch_size:
+                    actual += " labels/batch=%.1f" % (
+                        labels / chunks if chunks else 0.0)
             line += "  (%s)" % actual
         lines = [line]
         for child in _physical._children(plan):

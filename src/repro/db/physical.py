@@ -20,20 +20,24 @@ to genuinely per-tuple checks.  Either interface adapts to the other —
 ``batches()`` — so batch-native and row-native operators compose
 freely and cursors (:mod:`repro.db.session`) keep working unchanged.
 
-Batching exists because the per-tuple scan cost is dominated by three
-amortizable steps (the paper's Query-by-Label overhead, section 7.1):
+The batched path is **set-at-a-time from heap to result**: the per-tuple
+Query-by-Label cost (section 7.1) is paid per *distinct label per
+batch*, and nothing above the scan widens a columnar batch to rows.
 
-* **label runs** — labels are interned and heap neighbours overwhelmingly
-  share them, so a scan batch groups candidate versions by label
-  *identity* and runs ``strip``/``covers`` once per distinct label per
-  batch (a per-batch memo dict) instead of once per tuple;
-* **MVCC fast path** — when every version in a batch has ``xmax``
-  unset and an ``xmin`` below the snapshot horizon
-  (:meth:`~repro.db.transactions.TransactionManager.committed_horizon`),
-  the whole batch is visible and per-row ``visible()`` is skipped;
-* **page runs** — buffer-cache accounting is charged per consecutive
-  (table, page) run via :meth:`~repro.db.storage.Table.touch_run`,
-  with counters identical to per-version ``touch``.
+* **scan** — a candidate chunk is charged to the buffer cache by page
+  run (:meth:`~repro.db.storage.Table.touch_versions`), MVCC-filtered
+  by one bound check where possible (:func:`_visible_versions`), and
+  label-filtered by :func:`_label_filter` — the one routine behind
+  ``Scan.batches``, ``Scan.versions`` and the ``IndexLoopJoin`` probe:
+  ``strip``/``covers`` once per distinct label, the rest of the chunk
+  kept or dropped through that verdict map at C speed.  The scan
+  predicate then runs column-at-a-time over the label survivors only;
+* **folds** — aggregation, DISTINCT, sorting and the joins read
+  :class:`RowBatch` columns directly: keys and arguments are
+  batch-compiled, accumulators are resolved per function at plan time,
+  and label unions skip on interned identity.  A row is built only to
+  be held in a hash build, spooled to a spill file, or handed to the
+  cursor.
 
 Label enforcement itself never moves: both executors decide visibility
 in the scan, below every optimization and batching decision.
@@ -57,7 +61,9 @@ attached by the planner during lowering and rendered by ``EXPLAIN``.
 from __future__ import annotations
 
 import heapq
-from itertools import chain, islice
+from functools import reduce
+from itertools import chain, compress, count, islice, repeat
+from operator import add as _add, gt as _gt, itemgetter, lt as _lt
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import CounterGroup
@@ -87,9 +93,10 @@ class ExecCounters(CounterGroup):
     proof of projection pushdown: a scan projecting 2 of N columns
     materializes ``2 × rows`` cells, batch-size invariant.
     ``rows_widened`` counts rows rebuilt to row-major form from a
-    columnar batch (the :attr:`RowBatch.values` compatibility shim);
-    a well-pushed pipeline widens each output row at most once, at the
-    cursor boundary.
+    columnar batch (:attr:`RowBatch.values`).  No batched operator
+    widens its input — folds and joins read columns — so a statement
+    widens each output row at most once, at the cursor drain (and a
+    :class:`Gather` worker once more, for the wire).
     """
 
     FIELDS = ("columns_materialized", "rows_widened")
@@ -127,8 +134,12 @@ class RowBatch:
 
     :attr:`values` is a lazy property: on a columnar batch the first
     access widens the batch back to row-major (counted in
-    ``EXEC_COUNTERS.rows_widened``) and caches the result, so a
-    row-native consumer pays the conversion exactly once per batch.
+    ``EXEC_COUNTERS.rows_widened``) and caches the result.  Its
+    consumers are the cursor drain and the row-at-a-time shims
+    (``Plan._drain``); batched operators read :meth:`column` instead.
+    Row-major batches also arrive from row producers — finalized
+    groups, merged sort runs, a ``Gather`` pipe — whose rows may be
+    tuples: nothing mutates or concatenates a batch's rows in place.
     """
 
     __slots__ = ("labels", "ilabels", "_rows", "_columns", "_sel")
@@ -260,42 +271,37 @@ class RowBatch:
         rows = self._rows
         return RowBatch([rows[i] for i in keep], out_labels, out_ilabels)
 
-    def rows(self) -> Iterator[ExecRow]:
-        return zip(self.values, self.labels, self.ilabels)
-
-
-def _unspool_seq(partition):
-    """Undo :class:`Distinct`'s seq-in-values spool encoding: yields
-    ``(seq, key, row)`` from a GroupSpill partition whose rows were
-    spooled as ``[seq] + values``."""
-    for key, (values, label, ilabel) in partition:
-        yield values[0], key, (values[1:], label, ilabel)
-
-
-def _row_source(child, batch_size: int, ctx) -> Iterator[ExecRow]:
-    """Row view of a child for blocking operators (Sort, Aggregate,
-    Distinct): consume batches when the tree is batched — the whole
-    input is materialized into operator state anyway, so there is
-    nothing to gain from keeping it columnar — else plain rows."""
-    if batch_size:
-        for batch in child.batches(ctx):
-            yield from zip(batch.values, batch.labels, batch.ilabels)
-    else:
-        yield from child.rows(ctx)
-
 
 def _chunked(iterator, size: int):
     """Chunk an iterator into lists of up to ``size``."""
-    chunk: list = []
-    append = chunk.append
-    for item in iterator:
-        append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-            append = chunk.append
-    if chunk:
+    iterator = iter(iterator)
+    while True:
+        chunk = list(islice(iterator, size))
+        if not chunk:
+            return
         yield chunk
+
+
+def _row_batches(rows, size: int) -> Iterator[RowBatch]:
+    """Row-major batches of up to ``size`` from ``(values, label,
+    ilabel)`` rows — how a row-producing source (the row-at-a-time
+    interface, finalized groups, a merge of spilled runs) feeds batch
+    consumers."""
+    for chunk in _chunked(rows, size):
+        values, labels, ilabels = zip(*chunk)
+        yield RowBatch(list(values), list(labels), list(ilabels))
+
+
+def _batch_rows(batch: RowBatch) -> Iterator[ExecRow]:
+    """``(values, label, ilabel)`` per row of a batch, the value tuples
+    zipped straight from its columns at C speed — how the joins hold a
+    build side and spool a probe row without widening the batch."""
+    if batch._rows is not None:
+        values = map(tuple, batch._rows)
+    else:
+        columns = [batch.column(i) for i in range(batch.width)]
+        values = zip(*columns) if columns else repeat(())
+    return zip(values, batch.labels, batch.ilabels)
 
 
 class ExecContext:
@@ -362,25 +368,20 @@ class Plan:
     #: Optimizer-estimated external-sort runs (0 = the sort is expected
     #: to run fully in memory); rendered by EXPLAIN as ``runs=N``.
     est_runs: int = 0
+    #: ``{attribute: thunk}`` left by the planner at lowering: the
+    #: node's batch-compiled expression forms (its ``batch_*``
+    #: attributes, None until then).  :func:`stamp_batch_size` builds
+    #: them on the nodes it stamps batched and drops the thunks, so a
+    #: plan that stays on the row path never compiles or keeps them.
+    deferred_batch_forms: Optional[Dict[str, Callable]] = None
 
     def rows(self, ctx: ExecContext) -> Iterator[ExecRow]:
         raise NotImplementedError
 
     def batches(self, ctx: ExecContext) -> Iterator[RowBatch]:
         """Default/fallback: chunk the row-at-a-time output."""
-        size = self.batch_size or DEFAULT_BATCH_SIZE
-        values: list = []
-        labels: list = []
-        ilabels: list = []
-        for row_values, label, ilabel in self.rows(ctx):
-            values.append(row_values)
-            labels.append(label)
-            ilabels.append(ilabel)
-            if len(values) >= size:
-                yield RowBatch(values, labels, ilabels)
-                values, labels, ilabels = [], [], []
-        if values:
-            yield RowBatch(values, labels, ilabels)
+        return _row_batches(self.rows(ctx),
+                            self.batch_size or DEFAULT_BATCH_SIZE)
 
     def _drain(self, ctx: ExecContext) -> Iterator[ExecRow]:
         """Row view of the batch-native output (compatibility shim)."""
@@ -393,27 +394,6 @@ class SingleRow(Plan):
 
     def rows(self, ctx):
         yield [], EMPTY_LABEL, EMPTY_LABEL
-
-
-def _touch_page_runs(table: Table, chunk: list) -> None:
-    """Charge buffer-cache accounting for a candidate chunk by page run.
-
-    Equivalent, counter for counter, to calling ``table.touch(version)``
-    on every version in order (heap neighbours share pages, so a batch
-    collapses to a handful of runs)."""
-    run_page = -1
-    run_len = 0
-    for version in chunk:
-        page_id = version.page_id
-        if page_id == run_page:
-            run_len += 1
-        else:
-            if run_len:
-                table.touch_run(run_page, run_len)
-            run_page = page_id
-            run_len = 1
-    if run_len:
-        table.touch_run(run_page, run_len)
 
 
 def _visible_versions(chunk: list, txn, txn_manager) -> list:
@@ -440,13 +420,8 @@ def _visible_versions(chunk: list, txn, txn_manager) -> list:
     snapshot-invisible version (regression:
     ``tests/test_spill.py::test_spilled_hash_join_sees_statement_snapshot``).
     """
-    hi_xmin = 0
-    for version in chunk:
-        if version.xmax is not None:
-            break
-        if version.xmin > hi_xmin:
-            hi_xmin = version.xmin
-    else:
+    if [version.xmax for version in chunk].count(None) == len(chunk):
+        hi_xmin = max([version.xmin for version in chunk], default=0)
         snapshot = txn.snapshot
         if (hi_xmin < snapshot.xmax
                 and (snapshot.min_in_progress is None
@@ -455,6 +430,45 @@ def _visible_versions(chunk: list, txn, txn_manager) -> list:
             return chunk
     visible = txn_manager.visible
     return [version for version in chunk if visible(version, txn)]
+
+
+def _label_filter(ctx: "ExecContext", versions: list, declass: Label,
+                  memo: Tuple[dict, dict]) -> Tuple[list, list]:
+    """Query by Label over one chunk of MVCC-visible versions: returns
+    the covered versions and the labels they emit.
+
+    The one label routine of the batched path.  ``memo`` is the
+    caller's ``(verdicts, stripped)`` pair of dicts keyed on the stored
+    label: each *distinct* label of the chunk costs one ``covers`` —
+    after one ``strip`` under a declassifying view, whose rows emit the
+    stripped label — and every tuple is then kept or dropped through
+    that verdict map by ``map``/``compress``, whatever the layout of
+    labels in the heap.  ``rows_suppressed`` is bumped once, by the
+    number dropped.
+    """
+    labels = [version.label for version in versions]
+    if not ctx.ifc_enabled:
+        return versions, labels
+    verdicts, stripped = memo
+    registry = ctx.registry
+    read_label = ctx.read_label
+    hidden = False
+    for label in set(labels):
+        ok = verdicts.get(label)
+        if ok is None:
+            emitted = label
+            if declass:
+                emitted = stripped[label] = strip(registry, label, declass)
+            ok = verdicts[label] = covers(registry, emitted, read_label)
+        hidden = hidden or not ok
+    if hidden:
+        flags = list(map(verdicts.__getitem__, labels))
+        versions = list(compress(versions, flags))
+        RULE_COUNTERS.rows_suppressed += len(labels) - len(versions)
+        labels = list(compress(labels, flags))
+    if declass:
+        labels = list(map(stripped.__getitem__, labels))
+    return versions, labels
 
 
 def _audit_declassify(ctx: ExecContext, view_grants) -> None:
@@ -483,9 +497,11 @@ class Scan(Plan):
     columns (no ``_label``, no subqueries — see
     :func:`repro.db.expressions.reads_columns_only`): it is evaluated
     directly against the stored value tuple, so rejected rows never pay
-    the ``list(...) + [label]`` output-row copy.  Predicate-free paths
-    skip the copy wherever the row itself is not the output
-    (``versions()``), and build it exactly once where it is (``rows()``).
+    the ``list(...) + [label]`` output-row copy.  ``batch_predicate`` is
+    the same predicate batch-compiled
+    (:func:`repro.db.expressions.compile_batch`); the batched paths
+    evaluate it column-at-a-time over the tuples that survived MVCC
+    *and* the label check — never over a suppressed one.
 
     ``needed`` is the projection the optimizer pushed down: the sorted
     tuple of stored-column positions anything above this scan reads
@@ -497,6 +513,11 @@ class Scan(Plan):
     row-at-a-time paths (``rows()`` for the naive executor,
     ``versions()`` for DML xmax stamping) always build full-width rows.
     """
+
+    #: EXPLAIN ANALYZE's per-scan ``[chunks, distinct labels]`` tally,
+    #: set on the recorder's private clone of the node only.
+    label_stats: Optional[list] = None
+    batch_predicate: Optional[Callable] = None
 
     def __init__(self, table: Table, predicate: Optional[Callable],
                  declass: Label, view_grants: List[Tuple[ViewDef, Label]],
@@ -537,13 +558,40 @@ class Scan(Plan):
                 size, part=ctx.scan_range)
         return _chunked(self._candidates(ctx), size)
 
-    def _check_predicate(self, predicate, version, label, ctx) -> bool:
-        """Row-shape predicate check used by the batched paths."""
-        if self.predicate_on_values:
-            return bool(predicate(version.values, ctx))
-        values = list(version.values)
-        values.append(label)
-        return bool(predicate(values, ctx))
+    def _visible_chunks(self, ctx: ExecContext):
+        """The batched scan core, shared by :meth:`batches` and
+        :meth:`versions`: per candidate chunk, yields the versions that
+        are MVCC-visible, label-covered and pass the predicate, with
+        their stored value tuples and emitted labels."""
+        session = ctx.session
+        txn = session.transaction
+        txn_manager = session.db.txn_manager
+        table = self.table
+        declass = self.declass
+        predicate = self.batch_predicate
+        on_values = self.predicate_on_values
+        stats = self.label_stats
+        for chunk in self._candidate_chunks(ctx, self.batch_size):
+            table.touch_versions(chunk)
+            memo: Tuple[dict, dict] = ({}, {})
+            kept, labels = _label_filter(
+                ctx, _visible_versions(chunk, txn, txn_manager), declass,
+                memo)
+            if stats is not None:
+                stats[0] += 1
+                stats[1] += len(memo[0])
+            tuples = [version.values for version in kept]
+            if predicate is not None and kept:
+                rows = tuples if on_values else [
+                    [*values, label] for values, label in zip(tuples, labels)]
+                # Integrity labels are not part of the predicate row.
+                flags = predicate(RowBatch(rows, labels, labels), ctx)
+                if not all(flags):
+                    kept = list(compress(kept, flags))
+                    tuples = list(compress(tuples, flags))
+                    labels = list(compress(labels, flags))
+            if kept:
+                yield kept, tuples, labels
 
     def versions(self, ctx: ExecContext):
         """Target-row enumeration for UPDATE/DELETE: yields the physical
@@ -556,10 +604,13 @@ class Scan(Plan):
         (section 4.2) happens in the session on each yielded version.
         DML targets are base tables, never views, so no
         declassification applies here.  With a non-zero ``batch_size``
-        the enumeration runs batch-at-a-time: page-run touch
-        accounting, the whole-batch MVCC fast path, and one ``covers``
-        per distinct label per batch.
+        the enumeration is the batched scan core
+        (:meth:`_visible_chunks`).
         """
+        if self.batch_size:
+            for kept, _tuples, _labels in self._visible_chunks(ctx):
+                yield from kept
+            return
         session = ctx.session
         txn = session.transaction
         txn_manager = session.db.txn_manager
@@ -568,27 +619,6 @@ class Scan(Plan):
         registry = ctx.registry
         read_label = ctx.read_label
         check_labels = ctx.ifc_enabled
-        size = self.batch_size
-        if size:
-            for chunk in self._candidate_chunks(ctx, size):
-                _touch_page_runs(table, chunk)
-                live = _visible_versions(chunk, txn, txn_manager)
-                memo: Dict[Label, bool] = {}
-                for version in live:
-                    if check_labels:
-                        label = version.label
-                        ok = memo.get(label)
-                        if ok is None:
-                            ok = covers(registry, label, read_label)
-                            memo[label] = ok
-                        if not ok:
-                            RULE_COUNTERS.rows_suppressed += 1
-                            continue
-                    if predicate is not None and not self._check_predicate(
-                            predicate, version, version.label, ctx):
-                        continue
-                    yield version
-            return
         on_values = self.predicate_on_values
         for version in self._candidates(ctx):
             table.touch(version)
@@ -653,86 +683,32 @@ class Scan(Plan):
             yield values, label, version.ilabel
 
     def batches(self, ctx):
-        """Batch-native scan: the two big per-tuple amortizations.
+        """Batch-native scan: :meth:`_visible_chunks`, then columnar
+        materialization.
 
-        Candidates arrive in chunks; each chunk is charged to the
-        buffer cache by page run, MVCC-filtered batch-wise, and
-        label-filtered through a per-batch memo keyed on the interned
-        label object — ``covers`` runs once per *distinct* label per
-        batch instead of once per tuple.  Declassifying views take the
-        per-row path (each row's emitted label is its *stripped* label,
-        so the uniform-label shortcut does not apply), where the
-        globally memoized ``strip``/``covers`` still serve them.
-
-        Output is **columnar**: surviving versions are collected first,
-        then only the ``needed`` stored columns are materialized into
-        per-column arrays (``EXEC_COUNTERS.columns_materialized``
-        counts the copied cells), with the emitted labels doubling as
-        the ``_label`` pseudo-column.  Predicates still evaluate
-        against the stored tuple, before any materialization.
+        Only the ``needed`` stored columns of the surviving tuples are
+        copied into per-column arrays (``EXEC_COUNTERS.
+        columns_materialized`` counts the copied cells), with the
+        emitted labels doubling as the ``_label`` pseudo-column.
         """
         if not self.batch_size:
             yield from Plan.batches(self, ctx)
             return
         if ctx.ifc_enabled and self.view_grants:
             self._check_view_authority(ctx)
-        session = ctx.session
-        txn = session.transaction
-        txn_manager = session.db.txn_manager
         table = self.table
-        predicate = self.predicate
-        registry = ctx.registry
-        read_label = ctx.read_label
-        declass = self.declass
-        check_labels = ctx.ifc_enabled
-        size = self.batch_size
         ncols = len(table.schema.column_names)
         positions = (range(ncols) if self.needed is None else self.needed)
-        # Label-run batching applies when every emitted label is the
-        # stored label (no declassification): one covers() per distinct
-        # interned label per batch.  Declassifying views take the
-        # per-row path (the emitted label is the *stripped* one), where
-        # the globally memoized strip/covers still serve them.
-        run_memo = check_labels and not declass
-        for chunk in self._candidate_chunks(ctx, size):
-            _touch_page_runs(table, chunk)
-            live = _visible_versions(chunk, txn, txn_manager)
-            kept: list = []
-            out_labels: list = []
-            out_ilabels: list = []
-            memo: Dict[Label, bool] = {}
-            for version in live:
-                label = version.label
-                if run_memo:
-                    ok = memo.get(label)
-                    if ok is None:
-                        ok = covers(registry, label, read_label)
-                        memo[label] = ok
-                    if not ok:
-                        RULE_COUNTERS.rows_suppressed += 1
-                        continue
-                elif check_labels:
-                    if declass:
-                        label = strip(registry, label, declass)
-                    if not covers(registry, label, read_label):
-                        RULE_COUNTERS.rows_suppressed += 1
-                        continue
-                if predicate is not None and not self._check_predicate(
-                        predicate, version, label, ctx):
-                    continue
-                kept.append(version)
-                out_labels.append(label)
-                out_ilabels.append(version.ilabel)
-            if not kept:
-                continue
+        for kept, tuples, labels in self._visible_chunks(ctx):
             columns: list = [None] * (ncols + 1)
             for p, col in zip(positions, table.materialize_columns(
-                    kept, positions)):
+                    tuples, positions)):
                 columns[p] = col
-            columns[ncols] = out_labels       # the _label pseudo-column
+            columns[ncols] = labels           # the _label pseudo-column
             EXEC_COUNTERS.columns_materialized += \
                 len(positions) * len(kept)
-            yield RowBatch.from_columns(columns, out_labels, out_ilabels)
+            yield RowBatch.from_columns(
+                columns, labels, [version.ilabel for version in kept])
 
 
 class IndexScan(Scan):
@@ -811,11 +787,11 @@ class Filter(Plan):
     form (:func:`repro.db.expressions.compile_batch`) used when the
     node executes batch-at-a-time."""
 
-    def __init__(self, child: Plan, predicate: Callable,
-                 batch_predicate: Optional[Callable] = None):
+    batch_predicate: Optional[Callable] = None
+
+    def __init__(self, child: Plan, predicate: Callable):
         self.child = child
         self.predicate = predicate
-        self.batch_predicate = batch_predicate
 
     def rows(self, ctx):
         if self.batch_size:
@@ -830,15 +806,11 @@ class Filter(Plan):
         if not self.batch_size:
             yield from Plan.batches(self, ctx)
             return
-        predicate = self.predicate
         batch_predicate = self.batch_predicate
         for batch in self.child.batches(ctx):
-            if batch_predicate is not None:
-                # Column-at-a-time evaluation: touches only the columns
-                # the predicate reads.
-                flags = batch_predicate(batch, ctx)
-            else:
-                flags = [predicate(row, ctx) for row in batch.values]
+            # Column-at-a-time evaluation: touches only the columns the
+            # predicate reads.
+            flags = batch_predicate(batch, ctx)
             if all(flags):
                 yield batch
                 continue
@@ -849,24 +821,105 @@ class Filter(Plan):
                 yield batch.select(keep)
 
 
+def _gather_join(left: RowBatch, li: list, rrows: list) -> RowBatch:
+    """The columnar join of left rows ``li`` with right rows ``rrows``
+    (``(values, label, ilabel)`` triples, pairwise)."""
+    rvalues, rlabels, rilabels = zip(*rrows)
+    columns = [None if col is None else [col[i] for i in li]
+               for col in left.columns()]
+    columns.extend(map(list, zip(*rvalues)))
+    def joined(own, other):     # the union, skipped on interned identity
+        return [a if a is b else a.union(b)
+                for a, b in zip([own[i] for i in li], other)]
+    return RowBatch.from_columns(columns, joined(left.labels, rlabels),
+                                 joined(left.ilabels, rilabels))
+
+
+def _join_batch(ctx, left: RowBatch, li: list, rrows: list,
+                residual: Optional[Callable], null_row, owed,
+                skip) -> Optional[RowBatch]:
+    """Finish one slice of a left batch: ``li[k]``/``rrows[k]`` are its
+    candidate pairs (left row index, right row) in left-row order.  The
+    batch-compiled ``residual`` is evaluated once over the combined
+    batch; for a LEFT join (``null_row`` set) every ``owed`` left row
+    left without a match — and not in ``skip`` — is NULL-extended in
+    place, so rows come out in exactly the order the row-at-a-time
+    executor emits them.  Returns None for no output.
+    """
+    out = None
+    if li and residual is not None:
+        out = _gather_join(left, li, rrows)
+        keep = [k for k, flag in enumerate(residual(out, ctx)) if flag]
+        if len(keep) < len(li):
+            li = [li[k] for k in keep]
+            rrows = [rrows[k] for k in keep]
+            out = out.select(keep)
+    if null_row is not None:
+        missing = set(owed).difference(li, skip)
+        if missing:
+            li = li + sorted(missing)
+            rrows = rrows + [null_row] * len(missing)
+            order = sorted(range(len(li)), key=li.__getitem__)   # stable
+            li = [li[k] for k in order]
+            rrows = [rrows[k] for k in order]
+            out = None
+    if not li:
+        return None
+    return out if out is not None else _gather_join(left, li, rrows)
+
+
+def _join_batches(ctx, left: RowBatch, found, size: int,
+                  residual: Optional[Callable],
+                  null_row=None) -> Iterator[RowBatch]:
+    """One left batch's join output, column-native: the shared tail of
+    every batched join.  ``found`` yields each left row's candidate
+    right rows (None: the row was spooled for the partition phase).
+    Pairs are flushed (:func:`_join_batch`) at the first left-row
+    boundary past ``size``, so an output batch — and the memory a
+    ``LIMIT`` above can leave unread — is bounded by ``size`` plus one
+    row's fanout, however skewed the key.
+    """
+    li, rrows, skip, lo, last = [], [], [], 0, len(left)
+    for i, matches in enumerate(found, 1):
+        if matches is None:
+            skip.append(i - 1)
+        elif matches:
+            li.extend(repeat(i - 1, len(matches)))
+            rrows.extend(matches)
+        if len(li) >= size or i == last:
+            out = _join_batch(ctx, left, li, rrows, residual, null_row,
+                              range(lo, i), skip)
+            if out is not None:
+                yield out
+            li, rrows, skip, lo = [], [], [], i
+
+
+def _null_row(kind: str, right_width: int):
+    """The all-NULL right row a LEFT join extends unmatched rows with
+    (None for inner joins)."""
+    if kind != "left":
+        return None
+    return (None,) * right_width, EMPTY_LABEL, EMPTY_LABEL
+
+
 class NestedLoopJoin(Plan):
     """Generic join; materializes the right side once per execution.
 
     ``batch_on`` is the batch-compiled form of the join predicate
     (:func:`repro.db.expressions.compile_batch`): in batch mode the
-    predicate is evaluated over the whole materialized inner side per
-    outer row — one closure call instead of one per inner row — which
-    is where a non-equi join spends its time.
+    cross product of a slice of outer rows with the materialized inner
+    side is built as one columnar batch and the predicate evaluated
+    over it in one call (:func:`_join_batches`).
     """
 
+    batch_on: Optional[Callable] = None
+
     def __init__(self, left: Plan, right: Plan, kind: str,
-                 on: Optional[Callable], right_width: int,
-                 batch_on: Optional[Callable] = None):
+                 on: Optional[Callable], right_width: int):
         self.left = left
         self.right = right
         self.kind = kind
         self.on = on
-        self.batch_on = batch_on
         self.right_width = right_width
 
     def rows(self, ctx):
@@ -893,51 +946,13 @@ class NestedLoopJoin(Plan):
         if not self.batch_size:
             yield from Plan.batches(self, ctx)
             return
-        # rows() on the right child adapts whichever interface it
-        # implements, so this materialization matches row mode exactly.
-        right_rows = list(self.right.rows(ctx))
-        on = self.on
-        batch_on = self.batch_on
-        outer = self.kind == "left"
-        pad = [None] * self.right_width
-        size = self.batch_size
-        no_labels = [None] * len(right_rows)
-        out_values: list = []
-        out_labels: list = []
-        out_ilabels: list = []
+        right_rows = [row for batch in self.right.batches(ctx)
+                      for row in _batch_rows(batch)]
+        null_row = _null_row(self.kind, self.right_width)
         for batch in self.left.batches(ctx):
-            llabels = batch.labels
-            lilabels = batch.ilabels
-            for i, lvalues in enumerate(batch.values):
-                llabel = llabels[i]
-                lilabel = lilabels[i]
-                combined_rows = [lvalues + rvalues
-                                 for rvalues, _rl, _ril in right_rows]
-                if on is None:
-                    flags = None                 # cross join: all match
-                elif batch_on is not None:
-                    flags = batch_on(RowBatch(combined_rows, no_labels,
-                                              no_labels), ctx)
-                else:
-                    flags = [on(row, ctx) for row in combined_rows]
-                matched = False
-                for j, combined in enumerate(combined_rows):
-                    if flags is not None and not flags[j]:
-                        continue
-                    matched = True
-                    _rvalues, rlabel, rilabel = right_rows[j]
-                    out_values.append(combined)
-                    out_labels.append(llabel.union(rlabel))
-                    out_ilabels.append(lilabel.union(rilabel))
-                if outer and not matched:
-                    out_values.append(lvalues + pad)
-                    out_labels.append(llabel)
-                    out_ilabels.append(lilabel)
-                if len(out_values) >= size:
-                    yield RowBatch(out_values, out_labels, out_ilabels)
-                    out_values, out_labels, out_ilabels = [], [], []
-        if out_values:
-            yield RowBatch(out_values, out_labels, out_ilabels)
+            yield from _join_batches(
+                ctx, batch, repeat(right_rows, len(batch)),
+                self.batch_size, self.batch_on, null_row)
 
 
 class IndexLoopJoin(Plan):
@@ -947,15 +962,19 @@ class IndexLoopJoin(Plan):
     time), so they are evaluated against the left row padded to full
     width.  Residual ON conditions are applied to the combined row.
 
-    **Batch mode** collects a batch of outer rows, dedupes their probe
-    keys (sorted when the key type allows, for index locality), and
-    probes the index **once per distinct key per batch** — visibility,
-    label checks, and buffer-cache touches are charged once per
-    candidate version per *probe*, not per duplicate outer row, so a
-    duplicate-heavy foreign key stops multiplying the per-probe costs.
-    Joined rows are emitted in outer-row order, exactly as row mode
-    would have.
+    **Batch mode** computes the probe keys of a batch of outer rows
+    column-at-a-time (``batch_key_fns``), dedupes them (sorted when the
+    key type allows, for index locality), and probes the index **once
+    per distinct key per batch** — visibility, label checks
+    (:func:`_label_filter`, one memo per outer batch) and buffer-cache
+    touches are charged once per candidate version per *probe*, not per
+    duplicate outer row, so a duplicate-heavy foreign key stops
+    multiplying the per-probe costs.  Joined rows come out in
+    outer-row order, exactly as in row mode (:func:`_join_batches`).
     """
+
+    batch_key_fns: Optional[List[Callable]] = None
+    batch_residual: Optional[Callable] = None
 
     def __init__(self, left: Plan, table: Table, index,
                  key_fns: List[Callable], residual: Optional[Callable],
@@ -980,41 +999,18 @@ class IndexLoopJoin(Plan):
                         "declassifying view %r lost authority" % view.name)
 
     def _probe(self, ctx, key, txn, txn_manager,
-               label_memo: Optional[Dict[Label, bool]]) -> list:
+               memo: Tuple[dict, dict]) -> list:
         """One index probe: the visible, label-covered inner rows for
-        ``key``.  ``label_memo`` is the per-batch covers() memo (None
-        under declassification, where each row's emitted label is its
-        stripped label and the global strip/covers memos serve)."""
+        ``key``, as ``(values, label, ilabel)`` with the emitted label
+        appended as the ``_label`` pseudo-column."""
         table = self.table
-        registry = ctx.registry
-        read_label = ctx.read_label
-        declass = self.declass
-        check_labels = ctx.ifc_enabled
-        matches = []
-        for version in table.versions_for_tids(self.index.lookup(key)):
-            table.touch(version)
-            if not txn_manager.visible(version, txn):
-                continue
-            label = version.label
-            if check_labels:
-                if label_memo is not None:
-                    ok = label_memo.get(label)
-                    if ok is None:
-                        ok = covers(registry, label, read_label)
-                        label_memo[label] = ok
-                    if not ok:
-                        RULE_COUNTERS.rows_suppressed += 1
-                        continue
-                else:
-                    if declass:
-                        label = strip(registry, label, declass)
-                    if not covers(registry, label, read_label):
-                        RULE_COUNTERS.rows_suppressed += 1
-                        continue
-            rvalues = list(version.values)
-            rvalues.append(label)
-            matches.append((rvalues, label, version.ilabel))
-        return matches
+        candidates = list(table.versions_for_tids(self.index.lookup(key)))
+        table.touch_versions(candidates)
+        kept, labels = _label_filter(
+            ctx, _visible_versions(candidates, txn, txn_manager),
+            self.declass, memo)
+        return [((*version.values, label), label, version.ilabel)
+                for version, label in zip(kept, labels)]
 
     def batches(self, ctx):
         if not self.batch_size:
@@ -1025,62 +1021,23 @@ class IndexLoopJoin(Plan):
         session = ctx.session
         txn = session.transaction
         txn_manager = session.db.txn_manager
-        residual = self.residual
-        outer = self.kind == "left"
-        pad = [None] * self.right_width
-        key_fns = self.key_fns
-        size = self.batch_size
-        use_memo = ctx.ifc_enabled and not self.declass
-        out_values: list = []
-        out_labels: list = []
-        out_ilabels: list = []
+        null_row = _null_row(self.kind, self.right_width)
         for batch in self.left.batches(ctx):
-            keys: list = []
-            distinct: dict = {}
-            for lvalues in batch.values:
-                probe_row = lvalues + pad
-                key = tuple(fn(probe_row, ctx) for fn in key_fns)
-                if any(k is None for k in key):
-                    keys.append(None)
-                else:
-                    keys.append(key)
-                    distinct[key] = None
-            ordered = list(distinct)
+            keys = list(zip(*[fn(batch, ctx) for fn in self.batch_key_fns]))
+            matches_of = dict.fromkeys(key for key in keys
+                                       if None not in key)
+            ordered = list(matches_of)
             try:
                 ordered.sort()
             except TypeError:
                 pass                  # incomparable key mix: keep order
-            label_memo: Optional[Dict[Label, bool]] = \
-                {} if use_memo else None
+            memo: Tuple[dict, dict] = ({}, {})
             for key in ordered:
-                distinct[key] = self._probe(ctx, key, txn, txn_manager,
-                                            label_memo)
-            llabels = batch.labels
-            lilabels = batch.ilabels
-            for i, lvalues in enumerate(batch.values):
-                llabel = llabels[i]
-                lilabel = lilabels[i]
-                key = keys[i]
-                matched = False
-                if key is not None:
-                    for rvalues, rlabel, rilabel in distinct[key]:
-                        combined = lvalues + rvalues
-                        if residual is not None \
-                                and not residual(combined, ctx):
-                            continue
-                        matched = True
-                        out_values.append(combined)
-                        out_labels.append(llabel.union(rlabel))
-                        out_ilabels.append(lilabel.union(rilabel))
-                if outer and not matched:
-                    out_values.append(lvalues + pad)
-                    out_labels.append(llabel)
-                    out_ilabels.append(lilabel)
-                if len(out_values) >= size:
-                    yield RowBatch(out_values, out_labels, out_ilabels)
-                    out_values, out_labels, out_ilabels = [], [], []
-        if out_values:
-            yield RowBatch(out_values, out_labels, out_ilabels)
+                matches_of[key] = self._probe(ctx, key, txn, txn_manager,
+                                              memo)
+            yield from _join_batches(
+                ctx, batch, map(matches_of.get, keys, repeat(())),
+                self.batch_size, self.batch_residual, null_row)
 
     def rows(self, ctx):
         if self.batch_size:
@@ -1205,19 +1162,7 @@ class Gather(Plan):
         if gang is None:
             yield from self.child.batches(ctx)
             return
-        size = self.batch_size
-        values: list = []
-        labels: list = []
-        ilabels: list = []
-        for v, label, ilabel in gang:
-            values.append(v)
-            labels.append(label)
-            ilabels.append(ilabel)
-            if len(values) >= size:
-                yield RowBatch(values, labels, ilabels)
-                values, labels, ilabels = [], [], []
-        if values:
-            yield RowBatch(values, labels, ilabels)
+        yield from _row_batches(gang, self.batch_size)
 
 
 class HashJoin(Plan):
@@ -1244,6 +1189,10 @@ class HashJoin(Plan):
     #: partition range independently; gathering in range order keeps
     #: the serial output order.
     workers: int = 0
+    #: Batch-compiled keys, each over its own side's batch.
+    left_batch_key_fns: Optional[List[Callable]] = None
+    right_batch_key_fns: Optional[List[Callable]] = None
+    batch_residual: Optional[Callable] = None
 
     def __init__(self, left: Plan, right: Plan, left_key_fns: List[Callable],
                  right_key_fns: List[Callable], residual: Optional[Callable],
@@ -1257,44 +1206,45 @@ class HashJoin(Plan):
         self.right_width = right_width
         self.left_width = left_width
 
+    def _keyed_build_rows(self, ctx):
+        """``(key, row)`` for every right-side row: batch mode zips the
+        key columns against rows taken straight from the batch's
+        columns, row mode evaluates the key closures per row."""
+        if self.batch_size:
+            for batch in self.right.batches(ctx):
+                keys = zip(*[fn(batch, ctx)
+                             for fn in self.right_batch_key_fns])
+                yield from zip(keys, _batch_rows(batch))
+            return
+        pad_left = [None] * self.left_width
+        right_key_fns = self.right_key_fns
+        for row in self.right.rows(ctx):
+            probe = pad_left + row[0]
+            yield tuple(fn(probe, ctx) for fn in right_key_fns), row
+
     def _build(self, ctx):
         """Hash the right side under the byte budget.
 
         Returns ``(buckets, spill)``: ``spill`` is None while the build
         fits in memory, otherwise a
         :class:`~repro.db.spill.SpilledHashBuild` that absorbed every
-        build row (and ``buckets`` is empty).  Batch mode consumes
-        whole batches so the build loop is a flat pass over
-        materialized lists rather than a per-row generator chain.
+        build row (and ``buckets`` is empty).
         """
         budget = ctx.work_mem
         buckets: Dict[tuple, list] = {}
         setdefault = buckets.setdefault
-        pad_left = [None] * self.left_width
-        right_key_fns = self.right_key_fns
         spill = None
         mem = 0
-        if self.batch_size:
-            def source():
-                for batch in self.right.batches(ctx):
-                    yield from zip(batch.values, batch.labels,
-                                   batch.ilabels)
-        else:
-            def source():
-                return self.right.rows(ctx)
         try:
-            for row in source():
-                rvalues = row[0]
-                probe = pad_left + rvalues
-                key = tuple(fn(probe, ctx) for fn in right_key_fns)
-                if any(k is None for k in key):
+            for key, row in self._keyed_build_rows(ctx):
+                if None in key:
                     continue
                 if spill is not None:
                     spill.add_build(key, row)
                     continue
                 setdefault(key, []).append(row)
                 if budget:
-                    mem += estimate_row_bytes(rvalues, row[1]) \
+                    mem += estimate_row_bytes(row[0], row[1]) \
                         + BUCKET_ENTRY_BYTES
                     if mem > budget:
                         spill = SpilledHashBuild(budget)
@@ -1313,13 +1263,14 @@ class HashJoin(Plan):
         residual = self.residual
         matched = False
         for rvalues, rlabel, rilabel in matches:
-            combined = lvalues + rvalues
+            # Batch mode holds and spools rows as tuples.
+            combined = [*lvalues, *rvalues]
             if residual is not None and not residual(combined, ctx):
                 continue
             matched = True
             yield (combined, llabel.union(rlabel), lilabel.union(rilabel))
         if self.kind == "left" and not matched:
-            yield lvalues + pad, llabel, lilabel
+            yield [*lvalues, *pad], llabel, lilabel
 
     def _partition_rows(self, ctx, spill, lo, hi):
         """Joined output of partitions ``[lo, hi)`` — the per-partition
@@ -1405,128 +1356,199 @@ class HashJoin(Plan):
             yield from Plan.batches(self, ctx)
             return
         buckets, spill = self._build(ctx)
-        residual = self.residual
-        outer = self.kind == "left"
-        pad = [None] * self.right_width
-        left_key_fns = self.left_key_fns
-        size = self.batch_size
-        out_values: list = []
-        out_labels: list = []
-        out_ilabels: list = []
-        empty = ()
+        null_row = _null_row(self.kind, self.right_width)
         try:
             for batch in self.left.batches(ctx):
-                llabels = batch.labels
-                lilabels = batch.ilabels
-                for i, lvalues in enumerate(batch.values):
-                    llabel = llabels[i]
-                    lilabel = lilabels[i]
-                    probe = lvalues + pad
-                    key = tuple(fn(probe, ctx) for fn in left_key_fns)
-                    matched = False
-                    if not any(k is None for k in key):
-                        if spill is None:
-                            matches = buckets.get(key, empty)
-                        else:
-                            matches = spill.probe(key, (lvalues, llabel,
-                                                        lilabel))
-                            if matches is None:
-                                # Spooled for the partition phase.
-                                continue
-                        # Mirrors _join_matches, inlined: this loop
-                        # appends straight into the output batch on the
-                        # hot path.
-                        for rvalues, rlabel, rilabel in matches:
-                            combined = lvalues + rvalues
-                            if residual is not None \
-                                    and not residual(combined, ctx):
-                                continue
-                            matched = True
-                            out_values.append(combined)
-                            out_labels.append(llabel.union(rlabel))
-                            out_ilabels.append(lilabel.union(rilabel))
-                    if outer and not matched:
-                        out_values.append(lvalues + pad)
-                        out_labels.append(llabel)
-                        out_ilabels.append(lilabel)
-                    if len(out_values) >= size:
-                        yield RowBatch(out_values, out_labels,
-                                       out_ilabels)
-                        out_values, out_labels, out_ilabels = [], [], []
+                keys = zip(*[fn(batch, ctx)
+                             for fn in self.left_batch_key_fns])
+                if spill is None:
+                    # A key holding a NULL was never built: it misses.
+                    found = map(buckets.get, keys, repeat(()))
+                else:
+                    found = (() if None in key else spill.probe(key, row)
+                             for key, row in zip(keys, _batch_rows(batch)))
+                yield from _join_batches(
+                    ctx, batch, found, self.batch_size,
+                    self.batch_residual, null_row)
             if spill is not None:
-                for values, label, ilabel in self._spilled_rows(ctx,
-                                                                spill):
-                    out_values.append(values)
-                    out_labels.append(label)
-                    out_ilabels.append(ilabel)
-                    if len(out_values) >= size:
-                        yield RowBatch(out_values, out_labels,
-                                       out_ilabels)
-                        out_values, out_labels, out_ilabels = [], [], []
+                yield from _row_batches(self._spilled_rows(ctx, spill),
+                                        self.batch_size)
         finally:
             # Mid-iteration error or abandoned iterator: release the
             # partition spools deterministically (close is idempotent).
             if spill is not None:
                 spill.close()
-        if out_values:
-            yield RowBatch(out_values, out_labels, out_ilabels)
+
+
+class _Count:
+    """COUNT: the non-NULL arguments seen (``COUNT(*)`` feeds
+    :data:`_STAR` for every row)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+    def add(self, value) -> None:
+        if value is not None:
+            self.n += 1
+
+    def add_column(self, column: list) -> None:
+        self.n += len(column) - column.count(None)
+
+    def result(self):
+        return self.n
+
+
+class _Sum:
+    """SUM, and AVG (``mean`` set): a left fold with ``+`` in input
+    order — ``reduce`` over a column is that same fold at C speed, so
+    results (and errors) are identical to adding row by row."""
+
+    __slots__ = ("n", "total", "mean")
+
+    def __init__(self, mean: bool):
+        self.n = 0
+        self.total = None
+        self.mean = mean
+
+    def add(self, value) -> None:
+        if value is not None:
+            self.total = value if not self.n else self.total + value
+            self.n += 1
+
+    def add_column(self, column: list) -> None:
+        if None in column:
+            column = [v for v in column if v is not None]
+        if column:
+            self.total = reduce(_add, column) if not self.n \
+                else reduce(_add, column, self.total)
+            self.n += len(column)
+
+    def result(self):
+        if self.mean:
+            return None if not self.n else self.total / self.n
+        return self.total
+
+
+class _Best:
+    """MIN/MAX: ``pick`` is ``min``/``max``, ``beats`` the matching
+    strict comparison; ties keep the value seen first."""
+
+    __slots__ = ("best", "pick", "beats")
+
+    def __init__(self, pick: Callable, beats: Callable):
+        self.best = None
+        self.pick = pick
+        self.beats = beats
+
+    def add(self, value) -> None:
+        if value is not None and (self.best is None
+                                  or self.beats(value, self.best)):
+            self.best = value
+
+    def add_column(self, column: list) -> None:
+        if None in column:
+            column = [v for v in column if v is not None]
+        if column:
+            self.add(self.pick(column))
+
+    def result(self):
+        return self.best
+
+
+class _DistinctValues:
+    """``AGG(DISTINCT x)``: forwards each distinct non-NULL value
+    once, in first-seen order."""
+
+    __slots__ = ("seen", "inner")
+
+    def __init__(self, inner):
+        self.seen: set = set()
+        self.inner = inner
+
+    def add(self, value) -> None:
+        if value is not None and value not in self.seen:
+            self.seen.add(value)
+            self.inner.add(value)
+
+    def add_column(self, column: list) -> None:
+        fresh = [v for v in dict.fromkeys(column)
+                 if v is not None and v not in self.seen]
+        self.seen.update(fresh)
+        self.inner.add_column(fresh)
+
+    def result(self):
+        return self.inner.result()
+
+
+#: Accumulator factory per aggregate function.
+_ACCUMULATORS: Dict[str, Callable] = {
+    "COUNT": _Count,
+    "SUM": lambda: _Sum(False),
+    "AVG": lambda: _Sum(True),
+    "MIN": lambda: _Best(min, _lt),
+    "MAX": lambda: _Best(max, _gt),
+}
+
+#: The argument every row feeds a ``COUNT(*)`` (any non-NULL constant
+#: that survives the spill codec).
+_STAR = True
 
 
 class AggSpec:
-    """One aggregate computation: function, argument, distinct flag."""
+    """One aggregate computation: function, argument, distinct flag.
 
-    __slots__ = ("func", "arg_fn", "distinct")
+    ``arg_fn`` is the row form of the argument (None for ``COUNT(*)``;
+    the batch-compiled forms live on the node); ``make`` — resolved
+    here, once per plan — builds the accumulator for one group.
+    """
+
+    __slots__ = ("func", "arg_fn", "distinct", "make")
 
     def __init__(self, func: str, arg_fn: Optional[Callable], distinct: bool):
         self.func = func
         self.arg_fn = arg_fn
         self.distinct = distinct
+        make = _ACCUMULATORS[func]
+        self.make = make if not (distinct and arg_fn is not None) \
+            else lambda: _DistinctValues(make())
 
 
-class _AggState:
-    """Accumulator for one aggregate within one group."""
+class _GroupTable:
+    """Resident group state of one fold level under the ``work_mem``
+    budget, shared by aggregation and DISTINCT.
 
-    __slots__ = ("func", "distinct", "seen", "count", "total", "best")
+    ``groups`` maps key → state in first-seen order (a dict keeps
+    it).  Once admitting one more group would overflow, ``spill`` is
+    opened and every *new* key is the caller's to spool; resident
+    groups keep absorbing their rows.
+    """
 
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.distinct = distinct
-        self.seen = set() if distinct else None
-        self.count = 0
-        self.total = None
-        self.best = None
+    __slots__ = ("groups", "budget", "depth", "mem", "spill")
 
-    def add(self, value) -> None:
-        if self.func == "COUNT" and value is _STAR:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.distinct:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        if self.func in ("SUM", "AVG"):
-            self.total = value if self.total is None else self.total + value
-        elif self.func == "MIN":
-            if self.best is None or value < self.best:
-                self.best = value
-        elif self.func == "MAX":
-            if self.best is None or value > self.best:
-                self.best = value
+    def __init__(self, budget: int, depth: int):
+        self.groups: dict = {}
+        self.budget = budget
+        self.depth = depth
+        self.mem = 0
+        self.spill: Optional[GroupSpill] = None
 
-    def result(self):
-        if self.func == "COUNT":
-            return self.count
-        if self.func == "SUM":
-            return self.total
-        if self.func == "AVG":
-            return None if self.count == 0 else self.total / self.count
-        return self.best
+    def admit(self, values, label: Optional[Label], overhead: int) -> bool:
+        """Charge one new group of ``values`` to the budget; False when
+        the key must be spooled to :attr:`spill` instead."""
+        if self.spill is None and self.budget:
+            cost = estimate_row_bytes(values, label) + overhead
+            if (self.mem + cost > self.budget and self.groups
+                    and self.depth < MAX_RECURSION):
+                self.spill = GroupSpill(salt=self.depth, depth=self.depth)
+            else:
+                self.mem += cost
+        return self.spill is None
 
-
-_STAR = object()
+    def close(self) -> None:
+        if self.spill is not None:
+            self.spill.close()
 
 
 class AggregateNode(Plan):
@@ -1534,6 +1556,16 @@ class AggregateNode(Plan):
 
     Output rows are ``group_key_values + aggregate_results``; downstream
     expressions were rewritten by the planner to slot references.
+
+    **One fold, three sources.**  :meth:`_fold` consumes ``(key, args,
+    label, ilabel)`` — the group key, one argument value per aggregate,
+    the row's labels — which is all aggregation needs of a row.  Row
+    mode computes them with the row closures; batch mode zips them out
+    of the batch-compiled key and argument *columns* (no row is ever
+    built); a spilled partition replays exactly those tuples.  A
+    group's labels skip the union while the incoming label is the
+    interned one it already holds.  A **global** aggregate in batch
+    mode has no per-row loop at all (:meth:`_fold_columns`).
 
     **Memory bound (grace hash aggregation).**  Group state is charged
     against ``ctx.work_mem`` as groups are created (key bytes + one
@@ -1557,6 +1589,10 @@ class AggregateNode(Plan):
     #: no cross-worker combine step is ever needed.
     workers: int = 0
 
+    batch_group_fns: Optional[List[Callable]] = None
+    #: One per spec: the batch-compiled argument (None for ``COUNT(*)``).
+    batch_arg_fns: Optional[List[Optional[Callable]]] = None
+
     def __init__(self, child: Plan, group_fns: List[Callable],
                  specs: List[AggSpec], global_agg: bool):
         self.child = child
@@ -1565,59 +1601,61 @@ class AggregateNode(Plan):
         self.global_agg = global_agg
 
     def _fold(self, ctx, source, depth: int):
-        """Fold ``(key, row)`` pairs into per-group state, grace-
-        spilling new groups past the budget; yields result rows."""
-        budget = 0 if self.global_agg else ctx.work_mem
-        groups: Dict[tuple, list] = {}
-        labels: Dict[tuple, Label] = {}
-        ilabels: Dict[tuple, Label] = {}
-        order: List[tuple] = []
+        """Fold ``(key, args, label, ilabel)`` tuples into per-group
+        state — ``[label, ilabel, accumulators]`` — grace-spilling new
+        groups past the budget; yields result rows."""
+        table = _GroupTable(0 if self.global_agg else ctx.work_mem, depth)
+        groups = table.groups
         specs = self.specs
-        entry_bytes = AGG_STATE_BYTES * len(specs) + BUCKET_ENTRY_BYTES
-        spill = None
-        mem = 0
+        overhead = AGG_STATE_BYTES * len(specs) + BUCKET_ENTRY_BYTES
         try:
-            for key, (values, label, ilabel) in source:
-                states = groups.get(key)
-                if states is None:
-                    if spill is None and budget:
-                        cost = estimate_row_bytes(key) + entry_bytes
-                        if (mem + cost > budget and order
-                                and depth < MAX_RECURSION):
-                            spill = GroupSpill(salt=depth, depth=depth)
-                        else:
-                            mem += cost
-                    if spill is not None:
-                        spill.add(key, (values, label, ilabel))
+            for key, args, label, ilabel in source:
+                group = groups.get(key)
+                if group is None:
+                    if not table.admit(key, None, overhead):
+                        table.spill.add(key, (args, label, ilabel))
                         continue
-                    states = [_AggState(s.func, s.distinct) for s in specs]
-                    groups[key] = states
-                    labels[key] = label
-                    ilabels[key] = ilabel
-                    order.append(key)
+                    group = groups[key] = [label, ilabel,
+                                           [s.make() for s in specs]]
                 else:
-                    labels[key] = labels[key].union(label)
-                    ilabels[key] = ilabels[key].union(ilabel)
-                for spec, state in zip(specs, states):
-                    if spec.arg_fn is None:
-                        state.add(_STAR)
-                    else:
-                        state.add(spec.arg_fn(values, ctx))
+                    if label is not group[0]:
+                        group[0] = group[0].union(label)
+                    if ilabel is not group[1]:
+                        group[1] = group[1].union(ilabel)
+                for accumulator, value in zip(group[2], args):
+                    accumulator.add(value)
             if not groups and self.global_agg:
-                states = [_AggState(s.func, s.distinct) for s in specs]
-                yield ([] + [s.result() for s in states], EMPTY_LABEL,
-                       EMPTY_LABEL)
-                return
-            for key in order:
-                yield (list(key) + [s.result() for s in groups[key]],
-                       labels[key], ilabels[key])
-            if spill is not None:
-                yield from self._spilled_groups(ctx, spill, depth)
+                groups[()] = [EMPTY_LABEL, EMPTY_LABEL,
+                              [s.make() for s in specs]]
+            for key, (label, ilabel, accumulators) in groups.items():
+                yield ([*key, *[a.result() for a in accumulators]],
+                       label, ilabel)
+            if table.spill is not None:
+                yield from self._spilled_groups(ctx, table.spill, depth)
         finally:
             # An accumulator TypeError (or an abandoned iterator) must
             # not leak the partition spools; close is idempotent.
-            if spill is not None:
-                spill.close()
+            table.close()
+
+    def _fold_columns(self, ctx):
+        """Batch-mode global aggregate: every accumulator folds the
+        whole argument column (``COUNT(*)`` is the batch length) and
+        labels union once per distinct label per batch."""
+        accumulators = [s.make() for s in self.specs]
+        label = ilabel = EMPTY_LABEL
+        for batch in self.child.batches(ctx):
+            for held in set(batch.labels):
+                label = label.union(held)
+            for held in set(batch.ilabels):
+                ilabel = ilabel.union(held)
+            for accumulator, column in zip(accumulators,
+                                           self._arg_columns(batch, ctx)):
+                accumulator.add_column(column)
+        yield [a.result() for a in accumulators], label, ilabel
+
+    def _arg_columns(self, batch: RowBatch, ctx) -> List[list]:
+        return [[_STAR] * len(batch) if fn is None else fn(batch, ctx)
+                for fn in self.batch_arg_fns]
 
     def _partition_rows(self, ctx, spill, lo, hi, depth):
         """Finalized result rows of spill partitions ``[lo, hi)`` — the
@@ -1625,7 +1663,8 @@ class AggregateNode(Plan):
         parallel gang (identical code, identical counters)."""
         for spool in spill.spools[lo:hi]:
             if spool.count:
-                yield from self._fold(ctx, spool.rows(), depth + 1)
+                replay = ((key, *row) for key, row in spool.rows())
+                yield from self._fold(ctx, replay, depth + 1)
             else:
                 spool.close()
 
@@ -1651,13 +1690,27 @@ class AggregateNode(Plan):
             return self._partition_rows(ctx, spill, lo, hi, depth)
         return task
 
-    def _grouped(self, ctx):
-        group_fns = self.group_fns
+    def _keyed(self, ctx):
+        """The fold's input, from rows or straight from columns."""
+        specs = self.specs
+        if not self.batch_size:
+            group_fns = self.group_fns
+            for values, label, ilabel in self.child.rows(ctx):
+                yield (tuple(fn(values, ctx) for fn in group_fns),
+                       [_STAR if s.arg_fn is None else s.arg_fn(values, ctx)
+                        for s in specs], label, ilabel)
+            return
+        for batch in self.child.batches(ctx):
+            keys = [fn(batch, ctx) for fn in self.batch_group_fns]
+            args = self._arg_columns(batch, ctx)
+            yield from zip(zip(*keys) if keys else repeat(()),
+                           zip(*args) if args else repeat(()),
+                           batch.labels, batch.ilabels)
 
-        def keyed():
-            for row in _row_source(self.child, self.batch_size, ctx):
-                yield tuple(fn(row[0], ctx) for fn in group_fns), row
-        return self._fold(ctx, keyed(), 0)
+    def _grouped(self, ctx):
+        if self.global_agg and self.batch_size:
+            return self._fold_columns(ctx)
+        return self._fold(ctx, self._keyed(ctx), 0)
 
     def rows(self, ctx):
         if self.batch_size:
@@ -1667,12 +1720,8 @@ class AggregateNode(Plan):
 
     def batches(self, ctx):
         if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        for chunk in _chunked(self._grouped(ctx), self.batch_size):
-            yield RowBatch([row[0] for row in chunk],
-                           [row[1] for row in chunk],
-                           [row[2] for row in chunk])
+            return Plan.batches(self, ctx)
+        return _row_batches(self._grouped(ctx), self.batch_size)
 
 
 class Project(Plan):
@@ -1682,11 +1731,11 @@ class Project(Plan):
     output batch's columns (no per-row zip-back; widening to row-major
     happens lazily, at the first row-native consumer)."""
 
-    def __init__(self, child: Plan, fns: List[Callable],
-                 batch_fns: Optional[List[Callable]] = None):
+    batch_fns: Optional[List[Callable]] = None
+
+    def __init__(self, child: Plan, fns: List[Callable]):
         self.child = child
         self.fns = fns
-        self.batch_fns = batch_fns
 
     def rows(self, ctx):
         if self.batch_size:
@@ -1700,16 +1749,11 @@ class Project(Plan):
         if not self.batch_size:
             yield from Plan.batches(self, ctx)
             return
-        fns = self.fns
         batch_fns = self.batch_fns
         for batch in self.child.batches(ctx):
-            if batch_fns is not None:
-                columns = [fn(batch, ctx) for fn in batch_fns]
-                yield RowBatch.from_columns(columns, batch.labels,
-                                            batch.ilabels)
-                continue
-            out = [[fn(row, ctx) for fn in fns] for row in batch.values]
-            yield RowBatch(out, batch.labels, batch.ilabels)
+            yield RowBatch.from_columns(
+                [fn(batch, ctx) for fn in batch_fns], batch.labels,
+                batch.ilabels)
 
 
 class _MixedKey:
@@ -1776,7 +1820,7 @@ class Sort(Plan):
     survive), then all runs k-way merge through a heap in a single
     pass — the merge holds one row per run, never the input.
     Unbounded (``work_mem=0``, the naive/reference executor) sorts
-    fully in memory, as before.
+    fully in memory.
 
     **Mixed-type keys.**  Sorting tries the natural per-column key
     ``(value is None, value)`` first; if the column mixes incomparable
@@ -1787,6 +1831,8 @@ class Sort(Plan):
     orders agree, so naturally-sorted runs are correctly ordered under
     it even when *different* runs hold incomparable types.
     """
+
+    batch_key_fns: Optional[List[Callable]] = None
 
     def __init__(self, child: Plan, key_fns: List[Callable],
                  descending: List[bool]):
@@ -1824,13 +1870,10 @@ class Sort(Plan):
             return self._sort_chunk(chunk, ctx, True)
         return chunk, mixed
 
-    def _input(self, ctx) -> Iterator[ExecRow]:
-        return _row_source(self.child, self.batch_size, ctx)
-
     def _sorted(self, ctx, source=None):
         """All input rows in order: one in-memory sort when the input
         fits ``ctx.work_mem`` (or no budget is set), else spooled
-        sorted runs merged by :meth:`_merge`."""
+        sorted runs merged by a heap."""
         budget = ctx.work_mem
         chunk: list = []
         mem = 0
@@ -1838,7 +1881,7 @@ class Sort(Plan):
         mixed = False
         try:
             for row in (source if source is not None
-                        else self._input(ctx)):
+                        else self.child.rows(ctx)):
                 chunk.append(row)
                 if budget:
                     mem += estimate_row_bytes(row[0], row[1])
@@ -1872,20 +1915,122 @@ class Sort(Plan):
                 runs.close()
         return merged()
 
+    def _order(self, key_columns: list, mixed: bool, top: Optional[int]):
+        """The stable ORDER BY permutation of buffered rows from their
+        key *columns* (the best ``top`` only, when given): the same
+        composite as :meth:`_key`, built a column at a time — a NULL-free
+        ascending column is its own key.  Returns ``(order, mixed)``,
+        ``mixed`` latched like :meth:`_sort_chunk`."""
+        parts = []
+        for column, desc in zip(key_columns, self.descending):
+            if mixed:
+                part = [(v is None, _MixedKey(v)) for v in column]
+            elif desc or None in column:
+                part = [(v is None, v) for v in column]
+            else:
+                part = column
+            parts.append([_Desc(p) for p in part] if desc else part)
+        keys = parts[0] if len(parts) == 1 else list(zip(*parts))
+        try:
+            if top is None:
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+            else:
+                order = heapq.nsmallest(top, range(len(keys)),
+                                        key=keys.__getitem__)
+        except TypeError:
+            if mixed:
+                raise
+            return self._order(key_columns, True, top)
+        return order, mixed
+
+    def _bounds(self, ctx) -> Tuple[int, Optional[int]]:
+        """``(offset, stop)`` of the sorted rows to emit (all of them)."""
+        return 0, None
+
+    def _sorted_columns(self, ctx, offset: int, stop: Optional[int]):
+        """Batch mode: rows ``[offset, stop)`` of the sorted input, as
+        batches, without building a row in memory.
+
+        The input is buffered as columns — values, the two label
+        columns, then the batch-compiled key columns — ordered by
+        permutation (:meth:`_order`) and emitted by gathering each
+        column.  A ``stop`` bound cuts the buffer back to the best
+        ``stop`` rows whenever it doubles, so a small LIMIT never holds
+        the input.  Under a budget (and when a heap of ``stop`` rows
+        could not fit it) arriving rows are byte-estimated; the batch
+        that takes the input past the budget turns the sort external:
+        the buffered columns and the rest of the input are replayed as
+        rows through :meth:`_sorted`, which cuts, spools and merges its
+        runs exactly as row mode does.
+        """
+        if stop is not None and stop <= 0:
+            return
+        budget = ctx.work_mem
+        size = self.batch_size
+        top = stop
+        buffer: Optional[list] = None
+        width = mem = 0
+        mixed = False
+        batches = self.child.batches(ctx)
+        for batch in batches:
+            if not len(batch):
+                continue
+            incoming = [batch.column(i) for i in range(batch.width)]
+            incoming += [batch.labels, batch.ilabels]
+            incoming += [fn(batch, ctx) for fn in self.batch_key_fns]
+            if buffer is None:
+                width = batch.width
+                buffer = [list(column) for column in incoming]
+                if top and budget and top * estimate_row_bytes(
+                        [column[0] for column in buffer[:width]],
+                        batch.labels[0]) > budget:
+                    top = None            # the heap cannot fit: full sort
+            else:
+                for held, column in zip(buffer, incoming):
+                    held.extend(column)
+            if top:
+                if len(buffer[width]) > 2 * top + size:
+                    order, mixed = self._order(buffer[width + 2:], mixed,
+                                               top)
+                    buffer = [[column[i] for i in order]
+                              for column in buffer]
+            elif budget:
+                mem += sum([estimate_row_bytes(values, label)
+                            for values, label in zip(
+                                zip(*incoming[:width]), batch.labels)])
+                if mem > budget:
+                    replay = chain(
+                        zip(zip(*buffer[:width]), buffer[width],
+                            buffer[width + 1]),
+                        chain.from_iterable(map(_batch_rows, batches)))
+                    yield from _row_batches(
+                        islice(iter(self._sorted(ctx, replay)), offset,
+                               stop), size)
+                    return
+        if buffer is None:
+            return
+        order, mixed = self._order(buffer[width + 2:], mixed, top)
+        order = order[offset:stop]
+        emit = buffer[:width + 2]
+        for lo in range(0, len(order), size):
+            chunk = order[lo:lo + size]
+            *columns, labels, ilabels = [[column[i] for i in chunk]
+                                         for column in emit]
+            yield RowBatch.from_columns(columns, labels, ilabels)
+
     def _result(self, ctx):
+        """Row mode: the ordered rows."""
         return self._sorted(ctx)
 
     def rows(self, ctx):
+        if self.batch_size:
+            return self._drain(ctx)
         return iter(self._result(ctx))
 
     def batches(self, ctx):
         if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        for chunk in _chunked(self._result(ctx), self.batch_size):
-            yield RowBatch([row[0] for row in chunk],
-                           [row[1] for row in chunk],
-                           [row[2] for row in chunk])
+            return Plan.batches(self, ctx)
+        return self._sorted_columns(ctx, *self._bounds(ctx))
 
 
 class TopN(Sort):
@@ -1895,15 +2040,14 @@ class TopN(Sort):
     (``heapq.nsmallest`` — stable, so ties keep arrival order exactly
     like the stable full sort), then discards the offset prefix.  A
     small limit thus never materializes, sorts, or spills the full
-    input.  Heap keys always use the mixed-type-tolerant composite
-    (one failed comparison mid-stream could not be retried — the input
-    is not resumable).
+    input.  Row mode's heap keys always use the mixed-type-tolerant
+    composite (its input cannot be replayed after a failed comparison);
+    batch mode is ``Sort._sorted_columns`` under :meth:`_bounds`.
 
     Fallbacks preserve Sort+Limit semantics exactly: a NULL limit
     degenerates to the (possibly external) full sort with an offset
-    skip, and when the heap itself could not fit ``work_mem`` (limit
-    within a constant of the input is the classic case) the operator
-    external-sorts instead of holding an over-budget heap.
+    skip, and when the heap itself could not fit ``work_mem`` the
+    operator external-sorts instead of holding an over-budget heap.
     """
 
     def __init__(self, child: Plan, key_fns: List[Callable],
@@ -1913,15 +2057,18 @@ class TopN(Sort):
         self.limit_fn = limit_fn
         self.offset_fn = offset_fn
 
-    def _result(self, ctx):
+    def _bounds(self, ctx):
         limit = self.limit_fn([], ctx) if self.limit_fn else None
         offset = (self.offset_fn([], ctx) if self.offset_fn else 0) or 0
-        if limit is None:
+        return offset, None if limit is None else limit + offset
+
+    def _result(self, ctx):
+        offset, n = self._bounds(ctx)
+        if n is None:
             return islice(iter(self._sorted(ctx)), offset, None)
-        n = limit + offset
         if n <= 0:
             return iter(())
-        source = self._input(ctx)
+        source = self.child.rows(ctx)
         first = next(source, None)
         if first is None:
             return iter(())
@@ -1934,18 +2081,24 @@ class TopN(Sort):
         return iter(top[offset:])
 
 
+def _unspool_seq(partition):
+    """Undo :class:`Distinct`'s seq-in-values spool encoding: yields
+    ``(seq, key, label, ilabel)`` from a GroupSpill partition whose
+    rows were spooled as ``(seq, *values)``."""
+    for key, (values, label, ilabel) in partition:
+        yield values[0], key, label, ilabel
+
+
 class Distinct(Plan):
     """DISTINCT: collapse duplicate value tuples.
 
     **Label union.**  Collapsing duplicates *reads* every one of them,
     so under the tuple-granularity label model a distinct result row
     carries the union of all collapsed rows' labels and ilabels — the
-    same semantics :class:`AggregateNode` applies to groups (an
-    earlier version kept the first-seen row's labels, silently
-    declassifying later duplicates).  That makes DISTINCT a blocking
-    operator: a late duplicate can still raise the label of an
-    already-seen tuple, so nothing is emitted until the input is
-    drained.
+    same semantics :class:`AggregateNode` applies to groups.  That
+    makes DISTINCT a blocking operator: a late duplicate can still
+    raise the label of an already-seen tuple, so nothing is emitted
+    until the input is drained.
 
     **Memory bound.**  Distinct state is group state with no
     accumulators; it grace-spills through :class:`GroupSpill` exactly
@@ -1966,62 +2119,54 @@ class Distinct(Plan):
         self.child = child
 
     def _fold(self, ctx, source, depth: int):
-        """Fold ``(seq, key, row)`` triples into distinct state;
-        yields ``(seq, values, label, ilabel)`` in ascending seq
-        (= global first-seen order)."""
-        budget = ctx.work_mem
-        rows_of: Dict[tuple, tuple] = {}
-        labels: Dict[tuple, Label] = {}
-        ilabels: Dict[tuple, Label] = {}
-        order: List[tuple] = []
-        spill = None
-        mem = 0
+        """Fold ``(seq, key, label, ilabel)`` — the key *is* the row,
+        as a tuple — into distinct state; yields ``(seq, values, label,
+        ilabel)`` in ascending seq (= global first-seen order)."""
+        table = _GroupTable(ctx.work_mem, depth)
+        groups = table.groups
         try:
-            for seq, key, (values, label, ilabel) in source:
-                held = labels.get(key)
+            for seq, key, label, ilabel in source:
+                held = groups.get(key)
                 if held is not None:
-                    labels[key] = held.union(label)
-                    ilabels[key] = ilabels[key].union(ilabel)
-                    continue
-                if spill is None and budget:
-                    cost = estimate_row_bytes(values, label) \
-                        + BUCKET_ENTRY_BYTES
-                    if (mem + cost > budget and order
-                            and depth < MAX_RECURSION):
-                        spill = GroupSpill(salt=depth, depth=depth)
-                    else:
-                        mem += cost
-                if spill is not None:
+                    if label is not held[0]:
+                        held[0] = held[0].union(label)
+                    if ilabel is not held[1]:
+                        held[1] = held[1].union(ilabel)
+                elif table.admit(key, label, BUCKET_ENTRY_BYTES):
+                    groups[key] = [label, ilabel, seq]
+                else:
                     # The seq rides in the spooled values (slot 0) so
                     # the labeled-row codec needs no side channel.
-                    spill.add(key, ([seq] + values, label, ilabel))
-                    continue
-                rows_of[key] = (seq, values)
-                labels[key] = label
-                ilabels[key] = ilabel
-                order.append(key)
+                    table.spill.add(key, ((seq, *key), label, ilabel))
             streams = []
-            if spill is not None:
+            if table.spill is not None:
                 streams = [self._fold(ctx, _unspool_seq(partition),
                                       depth + 1)
-                           for partition in spill.partitions()]
-            for key in order:
-                seq, values = rows_of[key]
-                yield seq, values, labels[key], ilabels[key]
-            yield from heapq.merge(*streams, key=lambda item: item[0])
+                           for partition in table.spill.partitions()]
+            for key, (label, ilabel, seq) in groups.items():
+                yield seq, list(key), label, ilabel
+            yield from heapq.merge(*streams, key=itemgetter(0))
         finally:
             # Mid-fold error or abandoned iterator: release the
             # partition spools deterministically (close is idempotent).
-            if spill is not None:
-                spill.close()
+            table.close()
+
+    def _keyed(self, ctx):
+        """The fold's input: batch mode zips the row tuples straight
+        out of the batch's columns."""
+        if not self.batch_size:
+            for seq, (values, label, ilabel) in enumerate(
+                    self.child.rows(ctx)):
+                yield seq, tuple(values), label, ilabel
+            return
+        seq = count()         # gaps are fine: only the order matters
+        for batch in self.child.batches(ctx):
+            columns = [batch.column(i) for i in range(batch.width)]
+            yield from zip(seq, zip(*columns), batch.labels, batch.ilabels)
 
     def _distinct(self, ctx):
-        def keyed():
-            source = _row_source(self.child, self.batch_size, ctx)
-            for seq, row in enumerate(source):
-                yield seq, tuple(row[0]), row
-        for _seq, values, label, ilabel in self._fold(ctx, keyed(), 0):
-            yield values, label, ilabel
+        return map(itemgetter(1, 2, 3),
+                   self._fold(ctx, self._keyed(ctx), 0))
 
     def rows(self, ctx):
         if self.batch_size:
@@ -2031,12 +2176,8 @@ class Distinct(Plan):
 
     def batches(self, ctx):
         if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        for chunk in _chunked(self._distinct(ctx), self.batch_size):
-            yield RowBatch([row[0] for row in chunk],
-                           [row[1] for row in chunk],
-                           [row[2] for row in chunk])
+            return Plan.batches(self, ctx)
+        return _row_batches(self._distinct(ctx), self.batch_size)
 
 
 class Limit(Plan):
@@ -2261,11 +2402,10 @@ def stamp_batch_size(plan: Plan, size: int) -> Plan:
     Mixing modes inside one tree is safe by construction:
     every operator adapts either interface to the other.  Subquery
     plans compiled into expression closures are stamped by their own
-    ``plan_select`` call, not this walk.
+    ``plan_select`` call, not this walk.  Nodes stamped batched get
+    their deferred batch-compiled forms built here
+    (:attr:`Plan.deferred_batch_forms`); the rest drop them.
     """
-    if not size:
-        return plan
-
     def visit(node: Plan) -> bool:
         child_batched = False
         for child in _children(node):
@@ -2283,7 +2423,15 @@ def stamp_batch_size(plan: Plan, size: int) -> Plan:
                 outer_est is None or outer_est >= BATCH_MIN_INDEX_ROWS)
         else:
             batched = child_batched
+        batched = batched and size > 0
         node.batch_size = size if batched else 0
+        forms = node.__dict__.pop("deferred_batch_forms", {})
+        if batched:
+            for name, build in forms.items():
+                setattr(node, name, build())
+            # A batched Scan/Filter reads "no batch form" as "no predicate".
+            assert (getattr(node, "predicate", None) is None
+                    or node.batch_predicate is not None), node
         return batched
 
     visit(plan)

@@ -127,10 +127,9 @@ class Planner:
                               EMPTY_LABEL, [])
         self.optimizer.optimize(query)
         prepared = self._lower(query)
-        if batched:
-            if self.workers >= 2:
-                prepared.plan = self._parallelize(prepared.plan)
-            stamp_batch_size(prepared.plan, self.batch_size)
+        if batched and self.workers >= 2:
+            prepared.plan = self._parallelize(prepared.plan)
+        stamp_batch_size(prepared.plan, self.batch_size if batched else 0)
         return prepared
 
     # -- parallel exchange insertion --------------------------------------
@@ -231,9 +230,9 @@ class Planner:
 
     def _filter(self, child: Plan, conjunct: ex.Expr,
                 compiler: ex.ExprCompiler) -> Plan:
-        plan = Filter(child, compiler.compile(conjunct),
-                      batch_predicate=ex.compile_batch(compiler, conjunct)
-                      if self.batch_size else None)
+        plan = self._defer_batch(
+            Filter(child, compiler.compile(conjunct)),
+            batch_predicate=lambda: ex.compile_batch(compiler, conjunct))
         plan.explain = "Filter (%s)" % ex.to_sql(conjunct)
         if child.est_rows is not None:
             plan.est_rows = child.est_rows * DEFAULT_SEL
@@ -266,6 +265,30 @@ class Planner:
         if len(conjuncts) == 1:
             return compiler.compile(conjuncts[0])
         return compiler.compile(ex.And(conjuncts))
+
+    def _defer_batch(self, node: Plan, **forms: Callable) -> Plan:
+        """Leave ``node`` the thunks that batch-compile its expressions
+        (``attribute=thunk``); :func:`stamp_batch_size` runs them only
+        if the node ends up executing batched, so a plan that stays on
+        the row path — every small index probe — never pays for, or
+        keeps, a batch form."""
+        if self.batch_size:
+            node.deferred_batch_forms = forms
+        return node
+
+    @staticmethod
+    def _batch_all(compiler: ex.ExprCompiler, nodes) -> Callable:
+        return lambda: [ex.compile_batch(compiler, node) for node in nodes]
+
+    @staticmethod
+    def _batch_conjunction(conjuncts: List[ex.Expr],
+                           compiler: ex.ExprCompiler) -> Callable:
+        """Thunk for :meth:`_conjunction`, batch-compiled."""
+        if not conjuncts:
+            return lambda: None
+        return lambda: ex.compile_batch(
+            compiler, conjuncts[0] if len(conjuncts) == 1
+            else ex.And(list(conjuncts)))
 
     @staticmethod
     def _on_values(conjuncts: List[ex.Expr]) -> bool:
@@ -312,6 +335,8 @@ class Planner:
                              predicate_on_values=self._on_values(
                                  access.residual),
                              needed=entry.needed)
+            self._defer_batch(plan, batch_predicate=self._batch_conjunction(
+                access.residual, local_compiler))
             plan.explain = "IndexScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._key_text(access.key_columns, access.key_exprs),
@@ -331,6 +356,8 @@ class Planner:
                                   predicate_on_values=self._on_values(
                                       access.residual),
                                   needed=entry.needed)
+            self._defer_batch(plan, batch_predicate=self._batch_conjunction(
+                access.residual, local_compiler))
             plan.explain = "IndexRangeScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._range_key_text(access),
@@ -342,6 +369,8 @@ class Planner:
         plan = Scan(entry.table, predicate, entry.declass, entry.view_grants,
                     predicate_on_values=self._on_values(conjuncts),
                     needed=entry.needed)
+        self._defer_batch(plan, batch_predicate=self._batch_conjunction(
+            conjuncts, local_compiler))
         plan.explain = "Scan %s%s" % (self._relation(entry),
                                       self._filter_text(conjuncts))
         return self._annotate(plan, entry.est_rows, entry.est_cost)
@@ -382,6 +411,11 @@ class Planner:
             plan = IndexLoopJoin(left, entry.table, choice.index, key_fns,
                                  residual, kind, entry.declass,
                                  entry.view_grants, entry.width)
+            self._defer_batch(
+                plan,
+                batch_key_fns=self._batch_all(compiler, choice.key_exprs),
+                batch_residual=self._batch_conjunction(choice.residual,
+                                                       compiler))
             plan.explain = "IndexLoopJoin (%s) %s using %s (%s)%s" % (
                 kind, self._relation(entry), choice.index.name,
                 self._key_text(choice.key_columns, choice.key_exprs),
@@ -395,6 +429,17 @@ class Planner:
             residual_fn = self._conjunction(choice.residual, compiler)
             plan = HashJoin(left, right_plan, left_key_fns, right_key_fns,
                             residual_fn, kind, entry.width, left_width)
+            # The right keys index the right child's own batch.
+            _scope, local_compiler = self._local_compiler(entry, scope)
+            self._defer_batch(
+                plan,
+                left_batch_key_fns=self._batch_all(compiler,
+                                                   choice.left_exprs),
+                right_batch_key_fns=self._batch_all(
+                    local_compiler, [ex.ColumnRef(c, entry.alias)
+                                     for c in choice.right_columns]),
+                batch_residual=self._batch_conjunction(choice.residual,
+                                                       compiler))
             plan.explain = "HashJoin (%s) on (%s)%s" % (
                 kind,
                 ", ".join("%s.%s = %s" % (entry.alias, col, ex.to_sql(e))
@@ -405,13 +450,9 @@ class Planner:
             plan.est_spill_partitions = choice.est_spill_partitions
             return self._annotate(plan, choice.est_rows, choice.est_cost)
         residual_fn = self._conjunction(choice.residual, compiler)
-        batch_on = None
-        if self.batch_size and choice.residual:
-            batch_on = ex.compile_batch(
-                compiler, choice.residual[0] if len(choice.residual) == 1
-                else ex.And(list(choice.residual)))
-        plan = NestedLoopJoin(left, right_plan, kind, residual_fn,
-                              entry.width, batch_on=batch_on)
+        plan = self._defer_batch(
+            NestedLoopJoin(left, right_plan, kind, residual_fn, entry.width),
+            batch_on=self._batch_conjunction(choice.residual, compiler))
         plan.explain = "NestedLoopJoin (%s)%s" % (
             kind, self._filter_text(choice.residual))
         plan.est_mem = choice.est_mem
@@ -467,13 +508,14 @@ class Planner:
         topn = None
         if select.order_by:
             key_fns = []
+            key_exprs = []
             descending = []
             order_texts = []
             for order_item in select.order_by:
                 expr = order_item.expr
                 resolved = self._resolve_order_expr(expr, items, names)
-                key_fns.append(order_compiler.compile(
-                    ex.rewrite(resolved, order_rewrite)))
+                key_exprs.append(ex.rewrite(resolved, order_rewrite))
+                key_fns.append(order_compiler.compile(key_exprs[-1]))
                 descending.append(order_item.descending)
                 order_texts.append(ex.to_sql(resolved)
                                    + (" DESC" if order_item.descending
@@ -490,6 +532,8 @@ class Planner:
             else:
                 sort = Sort(plan, key_fns, descending)
                 sort.explain = "Sort [%s]" % ", ".join(order_texts)
+            self._defer_batch(sort, batch_key_fns=self._batch_all(
+                order_compiler, key_exprs))
             self._passthrough(sort, plan)
             sort_width = (identity_width if identity_width is not None
                           else query.width)
@@ -507,9 +551,9 @@ class Planner:
                     and all(isinstance(e, ex.SlotRef) and e.slot == i
                             for i, e in enumerate(out_exprs)))
         if not identity:
-            batch_fns = [ex.compile_batch(out_compiler, expr)
-                         for expr in out_exprs] if self.batch_size else None
-            project = Project(plan, out_fns, batch_fns=batch_fns)
+            project = self._defer_batch(
+                Project(plan, out_fns),
+                batch_fns=self._batch_all(out_compiler, out_exprs))
             project.explain = "Project [%s]" % ", ".join(names)
             self._passthrough(project, plan)
             plan = project
@@ -637,8 +681,13 @@ class Planner:
             arg_fn = compiler.compile(agg.arg) if agg.arg is not None else None
             specs.append(AggSpec(agg.func, arg_fn, agg.distinct))
 
-        node = AggregateNode(plan, group_fns, specs,
-                             global_agg=not group_exprs)
+        node = self._defer_batch(
+            AggregateNode(plan, group_fns, specs, global_agg=not group_exprs),
+            batch_group_fns=self._batch_all(compiler, group_exprs),
+            batch_arg_fns=lambda: [
+                None if agg.arg is None
+                else ex.compile_batch(compiler, agg.arg)
+                for agg in aggregates])
         node.explain = "Aggregate [%s]%s" % (
             ", ".join(ex.to_sql(a) for a in aggregates),
             " group by [%s]" % ", ".join(ex.to_sql(g) for g in group_exprs)

@@ -53,8 +53,8 @@ MAX_RECURSION = 6
 #: tuple, hash-table share), on top of :func:`estimate_row_bytes`.
 BUCKET_ENTRY_BYTES = 96
 #: Estimated footprint of one per-group aggregate accumulator
-#: (``physical._AggState``: a slotted object plus a few boxed fields,
-#: or a distinct-tracking set seed).  Charged per aggregate spec per
+#: (``physical._Count``/``_Sum``/``_Best``: a slotted object plus a few
+#: boxed fields, or a distinct-tracking set seed).  Charged per aggregate spec per
 #: group by both the runtime budget check and the optimizer's
 #: grace-aggregation estimate, so they agree on what group state
 #: weighs.

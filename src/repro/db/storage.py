@@ -12,6 +12,7 @@ are dead to every possible snapshot.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.labels import EMPTY_LABEL, Label
@@ -98,13 +99,19 @@ class Table:
         """Charge a page access for examining this version."""
         self._buffer_cache.touch(self.name, version.page_id)
 
-    def touch_run(self, page_id: int, count: int) -> None:
-        """Charge ``count`` accesses to one page (a batch's page run).
+    def touch_versions(self, versions: List[TupleVersion]) -> None:
+        """Charge a candidate chunk to the buffer cache by page run.
 
-        Counter-for-counter identical to ``count`` :meth:`touch` calls
-        on consecutive versions of the same page — see
-        :meth:`~repro.db.pages.BufferCache.touch_run`."""
-        self._buffer_cache.touch_run(self.name, page_id, count)
+        Counter for counter identical to calling :meth:`touch` on every
+        version in order (heap neighbours share pages, so a batch
+        collapses to a handful of runs — see
+        :meth:`~repro.db.pages.BufferCache.touch_run`); the runs are
+        found by ``groupby`` over the page-id column, not a per-version
+        loop."""
+        touch_run = self._buffer_cache.touch_run
+        name = self.name
+        for page_id, run in groupby([v.page_id for v in versions]):
+            touch_run(name, page_id, len(list(run)))
 
     def append(self, values: Tuple, label: Label, ilabel: Label,
                xid: int) -> TupleVersion:
@@ -175,17 +182,16 @@ class Table:
             if chunk:
                 yield chunk
 
-    def materialize_columns(self, versions: List[TupleVersion],
-                            positions) -> List[list]:
+    @staticmethod
+    def materialize_columns(tuples: List[Tuple], positions) -> List[list]:
         """Copy out one value list per requested column position.
 
         The storage half of projection pushdown: a batched scan hands
-        in its surviving versions and gets back only the columns the
-        plan actually reads — stored tuples are never widened into
+        in its surviving stored tuples and gets back only the columns
+        the plan actually reads — stored tuples are never widened into
         full execution rows for columns nobody references.
         """
-        return [[version.values[p] for version in versions]
-                for p in positions]
+        return [[values[p] for values in tuples] for p in positions]
 
     def versions_for_tids(self, tids) -> Iterator[TupleVersion]:
         versions = self._versions
@@ -196,7 +202,7 @@ class Table:
 
     @property
     def version_count(self) -> int:
-        return sum(1 for v in self._versions if v is not None)
+        return self._heap_count
 
     @property
     def physical_slots(self) -> int:

@@ -8,8 +8,11 @@ shape and the per-tuple bookkeeping change.  These tests pin:
   operator zoo, at batch sizes that force awkward boundaries;
 * the label-run amortization: one ``covers`` per distinct label per
   batch (counted via per-statement metrics deltas,
-  ``Database.last_statement_metrics``), including the per-row
-  fallback under declassifying views;
+  ``Database.last_statement_metrics``), declassifying views included,
+  and the other scan counters exactly what the per-tuple executor
+  charges (mid-heap LIMIT and parallel chunk ranges included);
+* the column-native folds: aggregates, DISTINCT, sorts and joins never
+  widen their input (``rows_widened``);
 * the MVCC whole-batch fast path, and its mandatory fallback when a
   concurrent transaction is in flight or a version was deleted;
 * page-run buffer accounting (``touch_run``) producing counters
@@ -94,8 +97,9 @@ def test_label_run_batching_counts_one_covers_per_label_per_batch():
 
 
 def test_label_runs_under_declassifying_view():
-    """Declassification takes the per-row path but must agree with the
-    row-at-a-time executor on values *and* (stripped) labels."""
+    """Declassification goes through the same label routine and must
+    agree with the row-at-a-time executor on values *and* (stripped)
+    labels."""
     results = {}
     for mode, batch_size in (("batched", 8), ("row", 0)):
         authority = AuthorityState(idgen=SeededIdGenerator(99))
@@ -455,6 +459,71 @@ def test_aggregation_over_join_matches_row_mode_with_projection():
     assert _normalized(secret_bat, sql) == _normalized(secret_row, sql)
 
 
+def _skewed_join_stack(batch_size, indexed):
+    """``a`` (64 rows) and ``b`` (50 rows) share one join key: every
+    outer row matches all of ``b`` — fanout 50, well past a 16-row
+    batch.  ``indexed`` adds an index on ``b.k`` and 400 unique-key rows
+    that make it selective enough for an index-loop join."""
+    authority = AuthorityState(idgen=SeededIdGenerator(77))
+    db = Database(authority, seed=77, batch_size=batch_size, work_mem=0)
+    session = db.connect()
+    session.execute("CREATE TABLE a (id INT PRIMARY KEY, k INT, v INT)")
+    session.execute("CREATE TABLE b (id INT PRIMARY KEY, k INT, v INT)")
+    if indexed:
+        session.execute("CREATE INDEX b_k ON b (k)")
+        for i in range(100, 500):
+            session.execute("INSERT INTO b VALUES (?, ?, 0)", (i, i))
+    for i in range(64):
+        session.execute("INSERT INTO a VALUES (?, ?, ?)",
+                        (i, 1 if i % 8 else None, i % 5))
+    for i in range(50):
+        session.execute("INSERT INTO b VALUES (?, 1, ?)", (i, i % 7))
+    session.execute("ANALYZE")
+    return db, session
+
+
+def _join_actuals(session, sql):
+    """(operator, rows, batches) of the join, from EXPLAIN ANALYZE."""
+    import re
+    line = next(r[0] for r in session.execute("EXPLAIN ANALYZE " + sql)
+                if "Join" in r[0])
+    found = re.search(r"actual rows=(\d+) batches=(\d+)", line)
+    assert found, line
+    return line.split()[0], int(found.group(1)), int(found.group(2))
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_skewed_join_output_batches_are_bounded(indexed):
+    """A join flushes at the first outer-row boundary past batch_size —
+    never one batch of batch_size × fanout pairs — so a LIMIT above it
+    stops after one outer row's matches and peak memory does not scale
+    with the fanout.  Slicing must not change what a LEFT join with a
+    residual emits, or in which order."""
+    import tracemalloc
+    _db, batched = _skewed_join_stack(16, indexed)
+    _db, by_row = _skewed_join_stack(0, indexed)
+    join = "SELECT a.id, b.id FROM a JOIN b ON a.k = b.k"
+    operator, rows, batches = _join_actuals(batched, join)
+    assert operator == ("IndexLoopJoin" if indexed else "HashJoin")
+    # One batch per outer row, whichever side the planner made outer.
+    assert rows == 56 * 50 and batches in (56, 50)
+    # LIMIT 1: the first keyed outer row's matches and no more.
+    assert _join_actuals(batched, join + " LIMIT 1")[1:] \
+        == (rows // batches, 1)
+    tracemalloc.start()
+    assert len(batched.execute(join + " LIMIT 1").rows) == 1
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 512 * 1024, peak      # 2 800 held pairs cost ~1 MB
+    for sql in (join,
+                "SELECT a.id, b.id FROM a LEFT JOIN b "
+                "ON a.k = b.k AND b.v > a.v + 2",
+                "SELECT a.id, b.id FROM a LEFT JOIN b "
+                "ON a.k = b.k AND b.v > 99"):
+        assert [tuple(r) for r in batched.execute(sql).rows] \
+            == [tuple(r) for r in by_row.execute(sql).rows], sql
+
+
 def test_batches_widen_rows_exactly_once():
     """The no-double-copy pin: a batched pipeline (projected scan →
     projection) only rebuilds row-major lists at the cursor drain, so
@@ -481,3 +550,177 @@ def test_predicate_free_scan_skips_row_copy_for_dml_targets():
     assert count == expected
     assert _normalized(secret, "SELECT * FROM m") \
         == _normalized(secret_row, "SELECT * FROM m")
+
+
+# ---------------------------------------------------------------------------
+# Counter pins for the set-at-a-time path: the label routine and the
+# column-native folds may change how fast work is done, never how much
+# ---------------------------------------------------------------------------
+
+PIN_ROWS = 200
+PIN_BATCH = 16
+#: Row → tag index: runs of 6 over 8 tags, so a 16-row chunk holds 3–4
+#: runs and the runs straddle chunk boundaries.
+def PIN_TAG(i):
+    return (i // 6) % 8
+
+
+def _pin_stack(batch_size, **db_kwargs):
+    """200 rows under 8 tags; the reader holds the even-numbered four.
+    A 4-page buffer cache over 256-byte pages makes hits, misses and
+    evictions all move.  Serial unless a test asks for workers: a
+    forked worker charges its own copy of the buffer cache."""
+    db_kwargs.setdefault("workers", 0)
+    authority = AuthorityState(idgen=SeededIdGenerator(1212))
+    db = Database(authority, seed=1212, batch_size=batch_size,
+                  buffer_pages=4, io_penalty=0.25, page_size=256,
+                  **db_kwargs)
+    owner = authority.create_principal("owner")
+    tags = [authority.create_tag("pin-%d" % i, owner=owner.id)
+            for i in range(8)]
+    admin = db.connect(IFCProcess(authority, owner.id))
+    admin.execute("CREATE TABLE pin (id INT PRIMARY KEY, grp INT, v INT)")
+    writers = []
+    for tag in tags:
+        process = IFCProcess(authority, owner.id)
+        process.add_secrecy(tag.id)
+        writers.append(db.connect(process))
+    for i in range(PIN_ROWS):
+        writers[PIN_TAG(i)].execute("INSERT INTO pin VALUES (?, ?, ?)",
+                                    (i, i % 5, (i * 7) % 31))
+    admin.execute("ANALYZE")
+    reader = IFCProcess(authority, owner.id)
+    for tag in tags[::2]:
+        reader.add_secrecy(tag.id)
+    return db, db.connect(reader)
+
+
+def _pin_chunks(n_chunks=None):
+    """Per 16-row chunk: ``(distinct tags, visible rows, hidden rows)``."""
+    out = []
+    for start in range(0, PIN_ROWS, PIN_BATCH):
+        tags = [PIN_TAG(i) for i in range(start,
+                                          min(start + PIN_BATCH, PIN_ROWS))]
+        visible = sum(1 for t in tags if t % 2 == 0)
+        out.append((len(set(tags)), visible, len(tags) - visible))
+    return out[:n_chunks]
+
+
+def _pin_delta(db, session, sql, params=()):
+    db.buffer_cache.reset()
+    rows = session.execute(sql, params).rows
+    return rows, db.last_statement_metrics()
+
+
+def test_plain_scan_counts_are_sums_over_chunks():
+    """``covers_calls`` is Σ distinct labels per chunk — nothing else —
+    and suppression, materialized cells and buffer traffic are what the
+    per-tuple executor charges, tuple for tuple."""
+    chunks = _pin_chunks()
+    db, reader = _pin_stack(PIN_BATCH)
+    rows, delta = _pin_delta(db, reader, "SELECT id, v FROM pin")
+    assert len(rows) == sum(c[1] for c in chunks) == 102
+    assert delta["labels"] == {
+        "covers_calls": sum(c[0] for c in chunks), "strip_calls": 0,
+        "rows_suppressed": sum(c[2] for c in chunks)}
+    assert delta["exec"]["columns_materialized"] == 2 * len(rows)
+    # Row mode touches one version at a time: the reference for the
+    # page-run accounting, evictions and simulated I/O included.
+    row_db, row_reader = _pin_stack(0)
+    _rows, row_delta = _pin_delta(row_db, row_reader, "SELECT id, v FROM pin")
+    assert delta["buffer"] == row_delta["buffer"]
+    assert row_delta["labels"]["covers_calls"] == PIN_ROWS
+    assert row_delta["labels"]["rows_suppressed"] \
+        == delta["labels"]["rows_suppressed"]
+
+
+def test_limit_abandons_the_scan_after_whole_chunks():
+    """A LIMIT satisfied mid-heap stops the scan at a chunk boundary:
+    every counter covers exactly the chunks consumed."""
+    db, reader = _pin_stack(PIN_BATCH)
+    rows, delta = _pin_delta(db, reader, "SELECT id FROM pin LIMIT 12")
+    assert [r[0] for r in rows] == [i for i in range(PIN_ROWS)
+                                    if PIN_TAG(i) % 2 == 0][:12]
+    consumed = _pin_chunks(2)            # 10 visible, then 6 more
+    assert sum(c[1] for c in consumed[:1]) < 12 <= sum(c[1] for c in consumed)
+    assert delta["labels"]["covers_calls"] == sum(c[0] for c in consumed)
+    assert delta["labels"]["rows_suppressed"] == sum(c[2] for c in consumed)
+    assert delta["exec"]["columns_materialized"] \
+        == sum(c[1] for c in consumed)
+    assert delta["buffer"]["hits"] + delta["buffer"]["misses"] \
+        == 2 * PIN_BATCH
+
+
+def test_worker_chunk_ranges_count_like_the_serial_scan(monkeypatch):
+    """Inside a forked worker's chunk range the label routine sees the
+    same chunks the serial scan sees: merged totals are identical."""
+    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "64")
+    serial_db, serial_reader = _pin_stack(PIN_BATCH)
+    gang_db, gang_reader = _pin_stack(PIN_BATCH, workers=2)
+    sql = "SELECT id, v FROM pin WHERE v >= 3"
+    assert any("Gather" in r[0] for r in gang_reader.execute("EXPLAIN " + sql))
+    serial_rows, serial = _pin_delta(serial_db, serial_reader, sql)
+    gang_rows, gang = _pin_delta(gang_db, gang_reader, sql)
+    assert [tuple(r) for r in gang_rows] == [tuple(r) for r in serial_rows]
+    chunks = _pin_chunks()
+    assert serial["labels"]["covers_calls"] == sum(c[0] for c in chunks)
+    assert gang["labels"] == serial["labels"]
+    assert gang["exec"]["columns_materialized"] \
+        == serial["exec"]["columns_materialized"] == 2 * len(serial_rows)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT COUNT(*), SUM(v) FROM pin WHERE v >= 3 AND grp < 4",
+    "SELECT grp, COUNT(*), SUM(v), MIN(v) FROM pin GROUP BY grp",
+    "SELECT DISTINCT grp FROM pin WHERE v >= 3",
+])
+def test_folds_never_widen_their_input(sql):
+    """Aggregates and DISTINCT read the scan's columns directly: no
+    input row is rebuilt, and their own output is row-major already."""
+    db, reader = _pin_stack(PIN_BATCH)
+    row_db, row_reader = _pin_stack(0)
+    rows, delta = _pin_delta(db, reader, sql)
+    assert sorted(map(tuple, rows)) \
+        == sorted(map(tuple, row_reader.execute(sql).rows))
+    assert delta["exec"]["rows_widened"] == 0
+    assert delta["labels"]["covers_calls"] \
+        == sum(c[0] for c in _pin_chunks())
+
+
+def test_sort_and_join_widen_only_at_the_cursor():
+    db, reader = _pin_stack(PIN_BATCH, work_mem=0)
+    for sql in ("SELECT id, v FROM pin ORDER BY v DESC, id",
+                "SELECT a.id, b.id FROM pin a JOIN pin b ON b.v = a.v "
+                "WHERE a.grp = 1 AND b.grp = 2"):
+        rows, delta = _pin_delta(db, reader, sql)
+        assert len(rows) > 0
+        assert delta["exec"]["rows_widened"] == len(rows), sql
+
+
+def test_declassifying_view_strips_once_per_distinct_label_per_chunk():
+    """A declassifying view goes through the same label routine: one
+    ``strip`` and one ``covers`` per distinct *stored* label per chunk
+    (the old per-row path paid both per tuple)."""
+    authority = AuthorityState(idgen=SeededIdGenerator(99))
+    db = Database(authority, seed=99, batch_size=8)
+    clinic = authority.create_principal("clinic")
+    compound = authority.create_compound_tag("all_t", owner=clinic.id)
+    tags = [authority.create_tag("t%d" % i, owner=clinic.id,
+                                 compounds=(compound.id,))
+            for i in range(3)]
+    admin = db.connect(IFCProcess(authority, clinic.id))
+    admin.execute("CREATE TABLE p (id INT PRIMARY KEY, v INT)")
+    for i in range(30):
+        proc = IFCProcess(authority, clinic.id)
+        proc.add_secrecy(tags[(i // 4) % 3].id)          # runs of 4
+        db.connect(proc).execute("INSERT INTO p VALUES (?, ?)", (i, i % 5))
+    admin.execute("CREATE VIEW pv AS SELECT id, v FROM p "
+                  "WITH DECLASSIFYING (all_t)")
+    reader = db.connect(IFCProcess(authority, clinic.id))
+    assert len(reader.execute("SELECT * FROM pv").rows) == 30
+    distinct_per_chunk = sum(
+        len({(i // 4) % 3 for i in range(start, min(start + 8, 30))})
+        for start in range(0, 30, 8))
+    assert db.last_statement_metrics()["labels"] == {
+        "covers_calls": distinct_per_chunk,
+        "strip_calls": distinct_per_chunk, "rows_suppressed": 0}

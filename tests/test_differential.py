@@ -485,3 +485,118 @@ def test_differential_work_mem(work_mem, batch_size):
     _run_differential(SEED ^ 0x53A1 ^ work_mem ^ (batch_size or 0), 120,
                       batch_size=batch_size, work_mem=work_mem,
                       require_spill=(work_mem <= 1024))
+
+
+# ---------------------------------------------------------------------------
+# label layout × fold: the set-at-a-time executor against the reference
+# ---------------------------------------------------------------------------
+
+#: Row → secrecy-tag index.  The reader covers tags 0–7 of 16.
+LABEL_LAYOUTS = {
+    "uniform": lambda i: 0,                 # one label, one run
+    "alternating": lambda i: i % 16,        # run length 1, 16 labels
+    "straddling": lambda i: (i // 5) % 4,   # runs of 5 across batches of 7
+    "all_suppressed": lambda i: 15,         # nothing is visible
+}
+
+#: NULL-bearing (``x``) and mixed-type (``CASE``: INT or TEXT per row)
+#: aggregate arguments; the mixed ones must fail with the same error
+#: type in both universes where comparing or adding them fails.
+_MIXED = "CASE WHEN f.id % 2 = 0 THEN f.x ELSE f.t END"
+_AGGREGATES = ("COUNT(*), COUNT(f.x), COUNT(DISTINCT f.x), SUM(f.x), "
+               "AVG(f.x), MIN(f.x), MAX(f.x)")
+FOLD_QUERIES = (
+    "SELECT %s FROM f" % _AGGREGATES,
+    "SELECT %s FROM f WHERE f.x >= 3" % _AGGREGATES,
+    "SELECT COUNT(%s), COUNT(DISTINCT %s) FROM f" % (_MIXED, _MIXED),
+    "SELECT MIN(%s) FROM f" % _MIXED,
+    "SELECT MAX(%s) FROM f" % _MIXED,
+    "SELECT SUM(%s) FROM f" % _MIXED,
+    "SELECT f.g, %s FROM f GROUP BY f.g" % _AGGREGATES,
+    "SELECT f.g, f.k, %s FROM f GROUP BY f.g, f.k" % _AGGREGATES,
+    "SELECT f.g, MAX(%s) FROM f GROUP BY f.g" % _MIXED,
+    "SELECT DISTINCT f.g, f.x FROM f",
+    "SELECT DISTINCT f.g FROM f ORDER BY f.g",
+    "SELECT f.id, f.g FROM f ORDER BY f.g DESC, f.x, f.id",
+    "SELECT f.id FROM f ORDER BY f.g DESC, f.id LIMIT 5 OFFSET 3",
+    "SELECT f.id, f.x FROM f ORDER BY f.x, f.id LIMIT 4",
+    # g and w carry no index: hash joins, inner and LEFT, with residuals.
+    "SELECT f.id, d.name FROM f JOIN d ON d.w = f.g AND d.k < f.x",
+    "SELECT f.id, d.name FROM f LEFT JOIN d ON d.w = f.g AND d.k < f.x",
+    "SELECT d.name, COUNT(*), SUM(f.x) FROM f JOIN d ON d.w = f.g "
+    "GROUP BY d.name",
+)
+
+
+def _layout_universe(layout: str, *, naive: bool, batch_size):
+    """96 fact rows labelled by ``layout`` (every third one endorsed
+    with an integrity tag) and a 12-row dimension, half of it secret."""
+    authority = AuthorityState(idgen=SeededIdGenerator(4711))
+    kwargs = {"work_mem": 0} if naive else {"batch_size": batch_size}
+    db = Database(authority, naive_plans=naive, seed=4711, **kwargs)
+    owner = authority.create_principal("owner")
+    tags = [authority.create_tag("layout-%d" % i, owner=owner.id)
+            for i in range(16)]
+    endorsed = authority.create_tag("vetted", owner=owner.id,
+                                    kind="integrity")
+    admin = db.connect(IFCProcess(authority, owner.id))
+    admin.execute_script(
+        "CREATE TABLE f (id INT PRIMARY KEY, k INT, g INT, x INT, t TEXT);"
+        "CREATE TABLE d (k INT PRIMARY KEY, w INT, name TEXT);")
+    writers = {}
+    for i in range(96):
+        key = (LABEL_LAYOUTS[layout](i), i % 3 == 0)
+        if key not in writers:
+            process = IFCProcess(authority, owner.id)
+            process.add_secrecy(tags[key[0]].id)
+            if key[1]:
+                process.endorse(endorsed.id)
+            writers[key] = db.connect(process)
+        writers[key].execute(
+            "INSERT INTO f VALUES (?, ?, ?, ?, ?)",
+            (i, i % 3, i % 5, None if i % 7 == 0 else (i * 11) % 13,
+             "t%d" % (i % 4)))
+    secret = IFCProcess(authority, owner.id)
+    secret.add_secrecy(tags[1].id)
+    secret_writer = db.connect(secret)
+    for k in range(12):
+        (secret_writer if k % 2 else admin).execute(
+            "INSERT INTO d VALUES (?, ?, ?)", (k, k % 5, "dim-%d" % (k % 4)))
+    admin.execute("ANALYZE")
+    reader = IFCProcess(authority, owner.id)
+    for tag in tags[:8]:
+        reader.add_secrecy(tag.id)
+    return db.connect(reader)
+
+
+def _labeled_rows(session, sql):
+    """Execute through the physical layer so integrity labels — which
+    ``Row`` drops — are part of the comparison."""
+    db = session.db
+    try:
+        prepared = db.prepare_select(db.parse(sql), sql)
+        with session._autocommit():
+            rows = list(prepared.plan.rows(session._context(())))
+    except Exception as exc:                   # noqa: BLE001 — compared
+        return ("error", type(exc).__name__)
+    return ("rows", sorted(
+        ((tuple(values), tuple(sorted(label)), tuple(sorted(ilabel)))
+         for values, label, ilabel in rows), key=repr))
+
+
+@pytest.mark.parametrize("batch_size", [None, 7])
+@pytest.mark.parametrize("layout", sorted(LABEL_LAYOUTS))
+def test_label_layout_cross_fold(layout, batch_size):
+    """Every blocking operator of the batched path, over every label
+    layout the label routine treats differently: optimized ≡ naive on
+    rows, labels *and* integrity labels.  ``batch_size=None`` takes the
+    engine default, so the ``REPRO_BATCH_SIZE`` / ``REPRO_WORK_MEM`` /
+    ``REPRO_WORKERS`` CI legs re-run this matrix spilled and forked."""
+    optimized = _layout_universe(layout, naive=False, batch_size=batch_size)
+    reference = _layout_universe(layout, naive=True, batch_size=None)
+    for sql in FOLD_QUERIES:
+        got = _labeled_rows(optimized, sql)
+        want = _labeled_rows(reference, sql)
+        assert got == want, (layout, batch_size, sql, got, want)
+        if layout == "all_suppressed" and got[0] == "rows":
+            assert all(label == () for _v, label, _i in got[1]), sql

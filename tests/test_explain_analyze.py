@@ -38,6 +38,8 @@ def _parse_pairs(text):
             out[key] = float(value[:-2])          # strip "ms"
         elif key == "io":
             out[key] = value
+        elif key == "labels/batch":               # a ratio, not a count
+            out[key] = float(value)
         else:
             out[key] = int(value)
     return out
@@ -134,7 +136,10 @@ def test_per_operator_counters_sum_exactly_to_statement_totals():
     summed = {}
     for op in ops:
         for key, value in op.items():
-            if key in ("rows", "batches", "time", "io"):
+            # labels/batch is a per-scan ratio; a scan line prints
+            # suppressed=0 where the summary omits a zero counter.
+            if key in ("rows", "batches", "time", "io", "labels/batch") \
+                    or not value:
                 continue
             summed[key] = summed.get(key, 0) + value
     totals.pop("io", None)
@@ -205,3 +210,26 @@ def test_analyze_row_counts_per_operator_make_sense():
                for line, a in zip(lines, map(_actuals, lines)) if a}
     assert by_line["TopN"]["rows"] == 7
     assert by_line["Scan"]["rows"] == 40
+
+
+def test_every_scan_line_shows_suppression_and_label_diversity():
+    """Label diversity — the variable fig6 sweeps — is visible per
+    statement: every scan line carries ``suppressed=N`` (zero included)
+    and, when it ran batched, ``labels/batch`` = distinct labels the
+    label routine checked per candidate chunk."""
+    # 40 rows, every third one secret, batches of 10: each chunk mixes
+    # the two labels → 2.0 labels per batch.
+    _db, public, secret = _stack(10)
+    _lines, ops, _totals = _analyze(secret, "SELECT id FROM m WHERE v < 12")
+    scan = ops[-1]
+    assert scan["suppressed"] == 0 and scan["labels/batch"] == 2.0
+    assert scan["covers"] == 2 * 4              # the same sum, un-averaged
+    lines, ops, _totals = _analyze(public, "SELECT id FROM m WHERE v < 12")
+    scan = ops[-1]
+    assert scan["suppressed"] == 14 and scan["labels/batch"] == 2.0, lines
+    # Row-at-a-time scans have no batches to average over, but still
+    # report what they suppressed; index scans are scans too.
+    _db, public, _secret = _stack(0)
+    lines, ops, _totals = _analyze(public, "SELECT v FROM m WHERE id = 3")
+    assert "IndexScan" in lines[-3] and ops[-1]["suppressed"] == 1, lines
+    assert "labels/batch" not in ops[-1]

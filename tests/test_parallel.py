@@ -158,6 +158,20 @@ def test_explain_renders_gather_workers():
     assert "Scan t" in lines[gi + 1]
 
 
+def test_explain_analyze_gathered_scan_line_claims_no_label_figures():
+    """The scan under a forked Gather ran in the workers: what it
+    suppressed is on the Gather line (merged worker counters), and the
+    scan line must not print a zero it never measured."""
+    _db, session, _ = _stack(2, secret_every=5)
+    lines = [r[0] for r in session.execute(
+        "EXPLAIN ANALYZE SELECT id, x FROM t WHERE g = 5")]
+    gi = next(i for i, line in enumerate(lines) if "Gather" in line)
+    assert "suppressed=%d" % (N_ROWS // 5) in lines[gi], lines
+    assert "Scan t" in lines[gi + 1]
+    assert "suppressed=" not in lines[gi + 1], lines
+    assert "labels/batch=" not in lines[gi + 1], lines
+
+
 def test_index_scans_are_not_gathered():
     _db, session, _ = _stack(2)
     lines = _plan_lines(session, "SELECT x FROM t WHERE id = 17")

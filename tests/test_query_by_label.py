@@ -6,7 +6,9 @@ verbatim.
 
 import pytest
 
-from repro.core import IFCProcess, Label
+from repro.core import (AuthorityState, IFCProcess, Label,
+                        SeededIdGenerator)
+from repro.db import Database
 from repro.errors import IFCViolation
 
 
@@ -178,3 +180,96 @@ class TestBaselineMode:
         table = baseline_db.catalog.get_table("t")
         version = next(table.all_versions())
         assert len(version.label) == 0
+
+
+# ---------------------------------------------------------------------------
+# Noninterference of the batched scan's loop order: a predicate is
+# evaluated only on tuples that MVCC *and* the label check let through
+# ---------------------------------------------------------------------------
+
+#: ``(sql, params, error the poisoned row raises when it is visible)``.
+#: Row 1000 is the only one with ``amount = 7`` (the divisor hits zero)
+#: and the only one with a non-NULL ``note`` (TEXT compared with INT).
+POISON_STATEMENTS = (
+    ("SELECT id, amount FROM ledger WHERE 100 / (amount - ?) > 1", (7,),
+     ZeroDivisionError),
+    ("SELECT COUNT(*), SUM(amount) FROM ledger "
+     "WHERE 100 / (amount - ?) > 1", (7,), ZeroDivisionError),
+    ("SELECT id FROM ledger WHERE amount > 20 AND 100 / (amount - ?) > 1 "
+     "ORDER BY amount DESC, id LIMIT 5", (7,), None),   # AND short-circuits
+    ("UPDATE ledger SET amount = amount + 100 "
+     "WHERE 100 / (amount - ?) > 50", (7,), ZeroDivisionError),
+    ("SELECT id FROM ledger WHERE note > ?", (5,), TypeError),
+    ("SELECT grp, COUNT(*) FROM ledger WHERE note > ? GROUP BY grp", (5,),
+     TypeError),
+    ("DELETE FROM ledger WHERE note > ?", (5,), TypeError),
+)
+
+
+def _ledger(batch_size, workers, poison):
+    """150 rows under the reader's own label plus, per ``poison``:
+    ``None`` — nothing else; ``"hidden"`` — the poisoned row under a
+    tag the reader does not hold; ``"visible"`` — under the reader's."""
+    authority = AuthorityState(idgen=SeededIdGenerator(31))
+    db = Database(authority, seed=31, batch_size=batch_size,
+                  workers=workers)
+    owner = authority.create_principal("owner")
+    mine = authority.create_tag("mine", owner=owner.id)
+    theirs = authority.create_tag("theirs", owner=owner.id)
+    db.connect(IFCProcess(authority, owner.id)).execute(
+        "CREATE TABLE ledger (id INT PRIMARY KEY, grp INT, amount INT, "
+        "note TEXT)")
+    sessions = {}
+    for name, tag in (("mine", mine), ("theirs", theirs)):
+        process = IFCProcess(authority, owner.id)
+        process.add_secrecy(tag.id)
+        sessions[name] = db.connect(process)
+    for i in range(150):
+        if i == 70 and poison is not None:      # mid-heap, mid-batch
+            sessions["theirs" if poison == "hidden" else "mine"].execute(
+                "INSERT INTO ledger VALUES (1000, 0, 7, 'poison')")
+        sessions["mine"].execute(
+            "INSERT INTO ledger VALUES (?, ?, ?, NULL)",
+            (i, i % 4, 10 + i % 50))
+    db.connect(IFCProcess(authority, owner.id)).execute("ANALYZE")
+    return sessions["mine"]
+
+
+def _observe(session, sql, params):
+    try:
+        result = session.execute(sql, params)
+    except Exception as exc:                    # noqa: BLE001 — observed
+        return ("error", type(exc).__name__)
+    return ("ok", result.rowcount,
+            [(tuple(row), tuple(sorted(row.label))) for row in result.rows])
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("batch_size", [0, 1, 7, 1024])
+class TestPredicateNeverSeesSuppressedTuples:
+    @pytest.fixture(autouse=True)
+    def _low_fanout_floor(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "64")
+
+    def test_hidden_poison_row_is_unobservable(self, batch_size, workers):
+        """Rows, labels, rowcount and error type equal those of the
+        same database without the row: its label is not covered, so no
+        predicate may ever be evaluated on it."""
+        for sql, params, _error in POISON_STATEMENTS:
+            # Fresh pairs per statement: the DML ones change the table.
+            with_row = _ledger(batch_size, workers, "hidden")
+            without = _ledger(batch_size, workers, None)
+            assert _observe(with_row, sql, params) \
+                == _observe(without, sql, params), (sql, batch_size, workers)
+            assert _observe(with_row, sql, params)[0] == "ok"
+
+    def test_visible_poison_row_raises_everywhere(self, batch_size, workers):
+        """The dual: the same row under the reader's own label reaches
+        the predicate, in every executor configuration."""
+        for sql, params, error in POISON_STATEMENTS:
+            outcome = _observe(_ledger(batch_size, workers, "visible"),
+                               sql, params)
+            if error is None:
+                assert outcome[0] == "ok", (sql, outcome)
+            else:
+                assert outcome == ("error", error.__name__), (sql, outcome)
