@@ -136,6 +136,9 @@ class Database:
         if work_mem is None:
             work_mem = int(os.environ.get("REPRO_WORK_MEM", "0"))
         self.work_mem = max(0, int(work_mem))
+        #: Spill-file fault schedule (``faultinject.SpoolFaults``);
+        #: tests install one here, like a fault spec on the WAL.
+        self.spill_faults = None
         # Parallel worker-pool size: ``None`` defers to the
         # ``REPRO_WORKERS`` environment variable (CI runs a tier-1 job
         # at 2), then serial (0).  The planner inserts Gather exchange

@@ -1,4 +1,4 @@
-"""Fault injection for the durability subsystem.
+"""Fault injection for the durability subsystem and for spill files.
 
 Crash recovery that is merely *implemented* is recovery that silently
 rots; it has to be *proven* against every place a machine can die.  This
@@ -29,7 +29,15 @@ the file magic, so "write #N" is a stable, enumerable coordinate):
     acknowledge the commit (and truncate the unsynced tail — the
     "fsync-gate" discipline; see :class:`repro.db.wal.WriteAheadLog`).
 
-Specs come either from the ``REPRO_CRASH_POINT`` environment variable
+**Spill files** get a schedule of their own (:class:`SpoolFaults`):
+a memory-bounded operator's temp files are not durable state, so there
+is nothing to recover — the contract is that the *statement* fails
+with a typed :class:`~repro.errors.SpillError`, every descriptor is
+released, and the session carries on.  Its coordinates are blocks, the
+spool's unit of I/O: ``write:N`` fails the statement's ``N``-th block
+write with ``ENOSPC``, ``read:N`` its ``N``-th block read with ``EIO``.
+
+WAL specs come either from the ``REPRO_CRASH_POINT`` environment variable
 (the CI sweep) or programmatically via :meth:`FaultSpec.parse` (the
 in-process crash matrix).  After a crash fires, the wrapped file is
 dead: every further operation raises :class:`CrashError`, modelling a
@@ -39,6 +47,7 @@ disk for recovery to find, which is the point.
 
 from __future__ import annotations
 
+import errno
 import os
 from typing import Optional
 
@@ -171,3 +180,39 @@ class FaultyFile:
 
     def close(self) -> None:
         self._inner.close()
+
+
+class SpoolFaults:
+    """A counting, optionally-faulting schedule for spill-file blocks.
+
+    Install on a database (``db.spill_faults = SpoolFaults("write",
+    3)``): every :class:`~repro.db.spill.SpillFile` of its statements
+    reports each block it is about to write or read here.  With
+    ``mode=None`` it only counts — a sweep first does a clean run to
+    enumerate ``writes``/``reads``, then replays the statement once per
+    coordinate.  The fault fires once; the raised ``OSError`` takes the
+    path a real one would, so the operator surfaces it as
+    :class:`~repro.errors.SpillError`.
+    """
+
+    __slots__ = ("mode", "n", "writes", "reads")
+
+    def __init__(self, mode: Optional[str] = None, n: int = 0):
+        if mode not in (None, "write", "read"):
+            raise ValueError("unknown spool fault mode %r" % mode)
+        self.mode = mode
+        self.n = n
+        self.writes = 0          # block writes seen
+        self.reads = 0           # block reads seen
+
+    def block_write(self) -> None:
+        self.writes += 1
+        if self.mode == "write" and self.writes == self.n + 1:
+            raise OSError(errno.ENOSPC, "simulated full temp directory "
+                                        "(block write #%d)" % self.n)
+
+    def block_read(self) -> None:
+        self.reads += 1
+        if self.mode == "read" and self.reads == self.n + 1:
+            raise OSError(errno.EIO, "simulated I/O error "
+                                     "(block read #%d)" % self.n)

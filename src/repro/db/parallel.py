@@ -18,10 +18,11 @@ to be pickled or rebuilt.  The statement's snapshot is immutable for
 its whole lifetime, which is exactly what makes a copy-on-write clone
 of the heap a correct execution substrate.
 
-Rows travel back over a pipe in the labeled-row wire format
-(:func:`repro.db.spill.encode_labeled_row`): labels are re-interned on
-arrival, so a decoded row's label is *identical* to the live instance
-and every downstream identity-keyed memo keeps working.
+Batches travel back over a pipe in the spool's block form
+(:func:`repro.db.spill.encode_block`), one message per batch: columns
+stay columns, and labels are re-interned on arrival once per distinct
+label of the block, so a decoded label is *identical* to the live
+instance and every downstream identity-keyed memo keeps working.
 
 **Counter protocol.**  Each child resets the process-wide
 :class:`~repro.db.metrics.MetricsRegistry` right after the fork (its
@@ -49,11 +50,7 @@ import pickle
 from typing import Callable, Iterator, List, Tuple
 
 from . import metrics
-from .spill import decode_labeled_row, encode_labeled_row
-
-#: Rows per pipe message: large enough to amortize a pickle round-trip,
-#: small enough to keep the parent/worker pipeline streaming.
-CHUNK_ROWS = 256
+from .spill import decode_block, encode_block
 
 #: Plan-time cost floor for the exchange operator: forking a gang and
 #: shipping rows costs a few milliseconds, so the optimizer only
@@ -103,7 +100,7 @@ def _worker_main(conn, fn: Callable[[], Iterator]) -> None:
     """Child half of the gang protocol (runs in the forked process).
 
     Resets the inherited counter registry (pure-delta accounting),
-    streams ``fn()``'s rows back in encoded chunks, then sends the
+    streams ``fn()``'s batches back as encoded blocks, then sends the
     ``("done", snapshot)`` sentinel.  Exits with ``os._exit`` so the
     child never runs the parent's atexit hooks or flushes inherited
     buffered files (whose descriptors it shares with the parent).
@@ -111,14 +108,9 @@ def _worker_main(conn, fn: Callable[[], Iterator]) -> None:
     status = 0
     try:
         metrics.REGISTRY.reset()
-        buf: list = []
-        for values, label, ilabel in fn():
-            buf.append(encode_labeled_row(values, label, ilabel))
-            if len(buf) >= CHUNK_ROWS:
-                conn.send(("rows", buf))
-                buf = []
-        if buf:
-            conn.send(("rows", buf))
+        for batch in fn():
+            conn.send(("block", encode_block(
+                (), batch.columns(), batch.labels, batch.ilabels)))
         conn.send(("done", metrics.REGISTRY.snapshot()))
     except BaseException as exc:                # noqa: BLE001 — shipped
         try:
@@ -140,9 +132,10 @@ def _worker_main(conn, fn: Callable[[], Iterator]) -> None:
 
 
 def run_gang(tasks: List[Callable[[], Iterator]]) -> Iterator:
-    """Fork one worker per task; yield the decoded rows of task 0, then
-    task 1, … (serial order); merge every worker's counter snapshot
-    into the calling thread's registry.
+    """Fork one worker per task — a callable returning an iterator of
+    batches; yield the decoded blocks (:func:`repro.db.spill.
+    decode_block`) of task 0, then task 1, … (serial order); merge
+    every worker's counter snapshot into the calling thread's registry.
 
     The pipe gives natural backpressure: later workers compute ahead
     until their pipe buffer fills, then block until the parent drains
@@ -183,9 +176,8 @@ def run_gang(tasks: List[Callable[[], Iterator]]) -> Iterator:
                 except EOFError:
                     raise WorkerError(
                         "parallel worker exited without a result")
-                if kind == "rows":
-                    for encoded in payload:
-                        yield decode_labeled_row(encoded)
+                if kind == "block":
+                    yield decode_block(payload)
                 elif kind == "done":
                     metrics.REGISTRY.merge(payload)
                     break

@@ -61,8 +61,9 @@ attached by the planner during lowering and rendered by ``EXPLAIN``.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from functools import reduce
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add as _add, gt as _gt, itemgetter, lt as _lt
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -72,8 +73,8 @@ from ..core.rules import COUNTERS as RULE_COUNTERS, covers, strip
 from ..errors import AuthorityError
 from .catalog import ViewDef
 from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, GroupSpill,
-                    MAX_RECURSION, SortRuns, SpilledHashBuild,
-                    _join_partition, estimate_row_bytes)
+                    MAX_RECURSION, SortRuns, SpilledHashBuild, Spools,
+                    column_rows, estimate_batch_bytes, estimate_row_bytes)
 from .storage import Table
 
 ExecRow = Tuple[list, Label, Label]          # (values, label, ilabel)
@@ -292,6 +293,13 @@ def _row_batches(rows, size: int) -> Iterator[RowBatch]:
         yield RowBatch(list(values), list(labels), list(ilabels))
 
 
+def _block_batches(blocks) -> Iterator[RowBatch]:
+    """Batches out of decoded blocks (:func:`repro.db.spill.
+    decode_block`): what a spool or a worker's pipe hands back."""
+    for _key_columns, columns, labels, ilabels in blocks:
+        yield RowBatch.from_columns(columns, labels, ilabels)
+
+
 def _batch_rows(batch: RowBatch) -> Iterator[ExecRow]:
     """``(values, label, ilabel)`` per row of a batch, the value tuples
     zipped straight from its columns at C speed — how the joins hold a
@@ -309,7 +317,7 @@ class ExecContext:
 
     __slots__ = ("session", "params", "outer_stack", "read_label",
                  "read_ilabel", "principal", "registry", "authority",
-                 "ifc_enabled", "work_mem", "scan_range")
+                 "ifc_enabled", "work_mem", "_spools", "scan_range")
 
     def __init__(self, session, params: tuple, read_label: Label,
                  read_ilabel: Label, principal: Optional[int]):
@@ -327,11 +335,23 @@ class ExecContext:
         #: current ``work_mem`` — spilling is a runtime overflow
         #: reaction, not a plan property (the optimizer only *costs* it).
         self.work_mem = getattr(session.db, "work_mem", 0) or 0
+        self._spools: Optional[Spools] = None
         #: Set inside a forked parallel worker: the half-open *chunk*
         #: range ``(lo, hi)`` this worker's full scans must cover (see
         #: ``Table.all_versions_batched``).  Also the "am I a worker?"
         #: flag that keeps a worker from forking a nested gang.
         self.scan_range: Optional[Tuple[int, int]] = None
+
+    @property
+    def spools(self) -> Spools:
+        """What this statement's spill files share (made on the first
+        overflow: most statements never spill)."""
+        if self._spools is None:
+            db = self.session.db
+            self._spools = Spools(self.work_mem,
+                                  db.batch_size or DEFAULT_BATCH_SIZE,
+                                  db.spill_faults)
+        return self._spools
 
     def now(self) -> float:
         return self.session.db.clock()
@@ -1125,8 +1145,8 @@ class Gather(Plan):
         return node
 
     def _gang(self, ctx):
-        """Fork the gang; returns the merged row iterator, or None when
-        the heap splits into fewer than two ranges."""
+        """Fork the gang; returns the merged batch iterator, or None
+        when the heap splits into fewer than two ranges."""
         from . import parallel
         size = self.batch_size
         nchunks = -(-self._base_scan().table.physical_slots // size)
@@ -1138,11 +1158,10 @@ class Gather(Plan):
         def make(rng):
             def task():
                 ctx.scan_range = rng      # the child's COW copy only
-                for batch in child.batches(ctx):
-                    yield from zip(batch.values, batch.labels,
-                                   batch.ilabels)
+                return child.batches(ctx)
             return task
-        return parallel.run_gang([make(rng) for rng in ranges])
+        return _block_batches(
+            parallel.run_gang([make(rng) for rng in ranges]))
 
     def rows(self, ctx):
         if self.batch_size:
@@ -1162,7 +1181,7 @@ class Gather(Plan):
         if gang is None:
             yield from self.child.batches(ctx)
             return
-        yield from _row_batches(gang, self.batch_size)
+        yield from gang
 
 
 class HashJoin(Plan):
@@ -1206,21 +1225,44 @@ class HashJoin(Plan):
         self.right_width = right_width
         self.left_width = left_width
 
-    def _keyed_build_rows(self, ctx):
-        """``(key, row)`` for every right-side row: batch mode zips the
-        key columns against rows taken straight from the batch's
-        columns, row mode evaluates the key closures per row."""
+    def _keyed_build(self, ctx):
+        """The right side a chunk at a time, NULL keys dropped:
+        ``(keys, rows, weights)`` — parallel lists of key tuples and
+        ``(values, label, ilabel)`` rows, plus each row's bucket
+        footprint when a budget is set.  Batch mode zips keys and rows
+        straight out of the batch's columns and weighs them a column at
+        a time; row mode evaluates the closures per row."""
+        budget = ctx.work_mem
         if self.batch_size:
             for batch in self.right.batches(ctx):
-                keys = zip(*[fn(batch, ctx)
-                             for fn in self.right_batch_key_fns])
-                yield from zip(keys, _batch_rows(batch))
+                key_columns = [fn(batch, ctx)
+                               for fn in self.right_batch_key_fns]
+                if any(None in column for column in key_columns):
+                    keep = [i for i, key in enumerate(zip(*key_columns))
+                            if None not in key]
+                    batch = batch.select(keep)
+                    key_columns = [[column[i] for i in keep]
+                                   for column in key_columns]
+                columns = [batch.column(i) for i in range(batch.width)]
+                rows = zip(column_rows(columns, len(batch)), batch.labels,
+                           batch.ilabels)
+                yield (list(zip(*key_columns)), list(rows),
+                       estimate_batch_bytes(columns, batch.labels,
+                                            BUCKET_ENTRY_BYTES)
+                       if budget else None)
             return
         pad_left = [None] * self.left_width
         right_key_fns = self.right_key_fns
-        for row in self.right.rows(ctx):
-            probe = pad_left + row[0]
-            yield tuple(fn(probe, ctx) for fn in right_key_fns), row
+        for rows in _chunked(self.right.rows(ctx), DEFAULT_BATCH_SIZE):
+            keys = [tuple([fn(pad_left + row[0], ctx)
+                           for fn in right_key_fns]) for row in rows]
+            if any(None in key for key in keys):
+                rows = [row for key, row in zip(keys, rows)
+                        if None not in key]
+                keys = [key for key in keys if None not in key]
+            yield (keys, rows,
+                   [estimate_row_bytes(row[0], row[1]) + BUCKET_ENTRY_BYTES
+                    for row in rows] if budget else None)
 
     def _build(self, ctx):
         """Hash the right side under the byte budget.
@@ -1228,7 +1270,9 @@ class HashJoin(Plan):
         Returns ``(buckets, spill)``: ``spill`` is None while the build
         fits in memory, otherwise a
         :class:`~repro.db.spill.SpilledHashBuild` that absorbed every
-        build row (and ``buckets`` is empty).
+        build row (and ``buckets`` is empty).  The build overflows at
+        the row whose weight takes it past the budget — found in the
+        chunk's running totals, not by a per-row check.
         """
         budget = ctx.work_mem
         buckets: Dict[tuple, list] = {}
@@ -1236,20 +1280,25 @@ class HashJoin(Plan):
         spill = None
         mem = 0
         try:
-            for key, row in self._keyed_build_rows(ctx):
-                if None in key:
-                    continue
+            for keys, rows, weights in self._keyed_build(ctx):
                 if spill is not None:
-                    spill.add_build(key, row)
+                    spill.add_build(keys, rows)
                     continue
-                setdefault(key, []).append(row)
+                overflow = None
                 if budget:
-                    mem += estimate_row_bytes(row[0], row[1]) \
-                        + BUCKET_ENTRY_BYTES
+                    totals = list(accumulate(weights, initial=mem))
+                    mem = totals[-1]
                     if mem > budget:
-                        spill = SpilledHashBuild(budget)
-                        spill.take_buckets(buckets)
-                        buckets = {}
+                        overflow = bisect_right(totals, budget)
+                        rest = keys[overflow:], rows[overflow:]
+                        keys, rows = keys[:overflow], rows[:overflow]
+                for key, row in zip(keys, rows):
+                    setdefault(key, []).append(row)
+                if overflow is not None:
+                    spill = SpilledHashBuild(budget, ctx.spools)
+                    spill.take_buckets(buckets)
+                    buckets = {}
+                    spill.add_build(*rest)
         except BaseException:
             # The spill never reaches a caller who could close it.
             if spill is not None:
@@ -1258,12 +1307,12 @@ class HashJoin(Plan):
         return buckets, spill
 
     def _join_matches(self, lvalues, llabel, lilabel, matches, ctx, pad):
-        """Emit the joined rows for one probe row (shared by the
-        streaming and the spilled partition phases)."""
+        """Row mode: emit the joined rows for one probe row (shared by
+        the streaming and the spilled partition phases)."""
         residual = self.residual
         matched = False
         for rvalues, rlabel, rilabel in matches:
-            # Batch mode holds and spools rows as tuples.
+            # Spooled rows come back as tuples.
             combined = [*lvalues, *rvalues]
             if residual is not None and not residual(combined, ctx):
                 continue
@@ -1272,35 +1321,38 @@ class HashJoin(Plan):
         if self.kind == "left" and not matched:
             yield [*lvalues, *pad], llabel, lilabel
 
-    def _partition_rows(self, ctx, spill, lo, hi):
+    def _partition_batches(self, ctx, spill, lo, hi):
         """Joined output of partitions ``[lo, hi)`` — the per-partition
         work unit, shared verbatim by the serial loop and the parallel
-        gang so counter totals cannot depend on the worker count."""
+        gang so counter totals cannot depend on the worker count.  A
+        spooled probe block is a batch again: batch mode joins it with
+        the streaming phase's :func:`_join_batches`."""
+        size = self.batch_size
+        null_row = _null_row(self.kind, self.right_width)
         pad = [None] * self.right_width
-        for partition in spill.partitions[lo:hi]:
-            try:
-                for probe_row, matches in _join_partition(
-                        partition.build.rows(), partition.probe.rows(),
-                        spill.budget, spill.depth + 1):
-                    lvalues, llabel, lilabel = probe_row
-                    yield from self._join_matches(
-                        lvalues, llabel, lilabel, matches, ctx, pad)
-            finally:
-                partition.close()
+        for (key_columns, columns, labels, ilabels), buckets \
+                in spill.joined(lo, hi):
+            batch = RowBatch.from_columns(columns, labels, ilabels)
+            found = map(buckets.get, zip(*key_columns), repeat(()))
+            if size:
+                yield from _join_batches(ctx, batch, found, size,
+                                         self.batch_residual, null_row)
+            else:
+                yield from _row_batches(chain.from_iterable(
+                    self._join_matches(*row, matches, ctx, pad)
+                    for row, matches in zip(_batch_rows(batch), found)),
+                    DEFAULT_BATCH_SIZE)
 
-    def _spilled_rows(self, ctx, spill):
+    def _spilled_batches(self, ctx, spill):
         """Partition phase: join every spooled probe row.
 
         With ``workers`` configured (and not already inside a worker),
         the key-disjoint partitions fan out to a forked gang — each
         child inherits the spool descriptors, reads only its range,
-        and ships joined rows back through the labeled-row codec.
+        and ships joined batches back in the spool's block form.
         """
-        start = 0
-        if spill.resident is not None:
-            # Resident probes were answered online; nothing spooled.
-            spill.partitions[0].close()
-            start = 1
+        # Resident probes were answered online; nothing spooled.
+        start = 0 if spill.resident is None else 1
         total = len(spill.partitions)
         if self.workers >= 2 and total - start >= 2 \
                 and ctx.scan_range is None:
@@ -1308,15 +1360,14 @@ class HashJoin(Plan):
             if parallel.FORK_AVAILABLE:
                 ranges = parallel.split_ranges(start, total,
                                                self.workers)
-                yield from parallel.run_gang(
+                return _block_batches(parallel.run_gang(
                     [self._partition_task(ctx, spill, lo, hi)
-                     for lo, hi in ranges])
-                return
-        yield from self._partition_rows(ctx, spill, start, total)
+                     for lo, hi in ranges]))
+        return self._partition_batches(ctx, spill, 0, total)
 
     def _partition_task(self, ctx, spill, lo, hi):
         def task():
-            return self._partition_rows(ctx, spill, lo, hi)
+            return self._partition_batches(ctx, spill, lo, hi)
         return task
 
     def rows(self, ctx):
@@ -1337,13 +1388,16 @@ class HashJoin(Plan):
                 if spill is None:
                     matches = buckets.get(key, ())
                 else:
-                    matches = spill.probe(key, (lvalues, llabel, lilabel))
+                    (matches,) = spill.probe(
+                        [key], [(lvalues, llabel, lilabel)])
                     if matches is None:
                         continue      # spooled for the partition phase
                 yield from self._join_matches(lvalues, llabel, lilabel,
                                               matches, ctx, pad)
             if spill is not None:
-                yield from self._spilled_rows(ctx, spill)
+                for batch in self._spilled_batches(ctx, spill):
+                    yield from zip(batch.values, batch.labels,
+                                   batch.ilabels)
         finally:
             # A mid-iteration error (or an abandoned iterator) must not
             # leak the partition spools' descriptors; close is
@@ -1365,14 +1419,12 @@ class HashJoin(Plan):
                     # A key holding a NULL was never built: it misses.
                     found = map(buckets.get, keys, repeat(()))
                 else:
-                    found = (() if None in key else spill.probe(key, row)
-                             for key, row in zip(keys, _batch_rows(batch)))
+                    found = spill.probe(list(keys), _batch_rows(batch))
                 yield from _join_batches(
                     ctx, batch, found, self.batch_size,
                     self.batch_residual, null_row)
             if spill is not None:
-                yield from _row_batches(self._spilled_rows(ctx, spill),
-                                        self.batch_size)
+                yield from self._spilled_batches(ctx, spill)
         finally:
             # Mid-iteration error or abandoned iterator: release the
             # partition spools deterministically (close is idempotent).
@@ -1525,12 +1577,13 @@ class _GroupTable:
     groups keep absorbing their rows.
     """
 
-    __slots__ = ("groups", "budget", "depth", "mem", "spill")
+    __slots__ = ("groups", "budget", "depth", "ctx", "mem", "spill")
 
-    def __init__(self, budget: int, depth: int):
+    def __init__(self, ctx: ExecContext, budget: int, depth: int):
         self.groups: dict = {}
         self.budget = budget
         self.depth = depth
+        self.ctx = ctx
         self.mem = 0
         self.spill: Optional[GroupSpill] = None
 
@@ -1541,7 +1594,8 @@ class _GroupTable:
             cost = estimate_row_bytes(values, label) + overhead
             if (self.mem + cost > self.budget and self.groups
                     and self.depth < MAX_RECURSION):
-                self.spill = GroupSpill(salt=self.depth, depth=self.depth)
+                self.spill = GroupSpill(self.ctx.spools, salt=self.depth,
+                                        depth=self.depth)
             else:
                 self.mem += cost
         return self.spill is None
@@ -1604,7 +1658,8 @@ class AggregateNode(Plan):
         """Fold ``(key, args, label, ilabel)`` tuples into per-group
         state — ``[label, ilabel, accumulators]`` — grace-spilling new
         groups past the budget; yields result rows."""
-        table = _GroupTable(0 if self.global_agg else ctx.work_mem, depth)
+        table = _GroupTable(ctx, 0 if self.global_agg else ctx.work_mem,
+                            depth)
         groups = table.groups
         specs = self.specs
         overhead = AGG_STATE_BYTES * len(specs) + BUCKET_ENTRY_BYTES
@@ -1613,7 +1668,7 @@ class AggregateNode(Plan):
                 group = groups.get(key)
                 if group is None:
                     if not table.admit(key, None, overhead):
-                        table.spill.add(key, (args, label, ilabel))
+                        table.spill.add(key, args, label, ilabel)
                         continue
                     group = groups[key] = [label, ilabel,
                                            [s.make() for s in specs]]
@@ -1660,10 +1715,16 @@ class AggregateNode(Plan):
     def _partition_rows(self, ctx, spill, lo, hi, depth):
         """Finalized result rows of spill partitions ``[lo, hi)`` — the
         per-partition work unit shared by the serial loop and the
-        parallel gang (identical code, identical counters)."""
+        parallel gang (identical code, identical counters).  A
+        partition replays as the zipped key/argument columns of its
+        blocks, the form :meth:`_keyed` feeds the fold."""
         for spool in spill.spools[lo:hi]:
             if spool.count:
-                replay = ((key, *row) for key, row in spool.rows())
+                replay = chain.from_iterable(
+                    zip(column_rows(key_columns, len(labels)),
+                        column_rows(columns, len(labels)), labels, ilabels)
+                    for key_columns, columns, labels, ilabels
+                    in spool.blocks())
                 yield from self._fold(ctx, replay, depth + 1)
             else:
                 spool.close()
@@ -1679,15 +1740,19 @@ class AggregateNode(Plan):
             from . import parallel
             if parallel.FORK_AVAILABLE:
                 ranges = parallel.split_ranges(0, total, self.workers)
-                yield from parallel.run_gang(
-                    [self._group_task(ctx, spill, lo, hi, depth)
-                     for lo, hi in ranges])
+                for batch in _block_batches(parallel.run_gang(
+                        [self._group_task(ctx, spill, lo, hi, depth)
+                         for lo, hi in ranges])):
+                    yield from zip(batch.values, batch.labels,
+                                   batch.ilabels)
                 return
         yield from self._partition_rows(ctx, spill, 0, total, depth)
 
     def _group_task(self, ctx, spill, lo, hi, depth):
         def task():
-            return self._partition_rows(ctx, spill, lo, hi, depth)
+            return _row_batches(
+                self._partition_rows(ctx, spill, lo, hi, depth),
+                self.batch_size or DEFAULT_BATCH_SIZE)
         return task
 
     def _keyed(self, ctx):
@@ -1810,24 +1875,34 @@ class _Desc:
         return other.key == self.key
 
 
+#: Key-column type sets whose values all compare with each other, so a
+#: merge across runs may compare them plainly.
+_NULL_NUMERIC = frozenset((type(None), int, float, bool))
+_NULL_TEXT = frozenset((type(None), str))
+
+
 class Sort(Plan):
     """ORDER BY; NULLs sort last ascending, first descending.
 
     **Memory bound (external merge sort).**  Under ``ctx.work_mem``
     the input is consumed in byte-estimated chunks: each full chunk is
-    sorted in memory and spooled as one run through the labeled-row
-    codec (labels re-intern on reload, so the covers/strip memos
-    survive), then all runs k-way merge through a heap in a single
-    pass — the merge holds one row per run, never the input.
-    Unbounded (``work_mem=0``, the naive/reference executor) sorts
-    fully in memory.
+    ordered in memory and spooled as one run of columnar blocks that
+    carry the rows' sort keys (:class:`~repro.db.spill.SortRuns`;
+    labels re-intern on reload, so the covers/strip memos survive),
+    then all runs k-way merge through a heap in a single pass — the
+    merge holds one block per run, never the input, and compares the
+    stored keys instead of re-evaluating them.  Unbounded
+    (``work_mem=0``, the naive/reference executor) sorts fully in
+    memory.
 
     **Mixed-type keys.**  Sorting tries the natural per-column key
     ``(value is None, value)`` first; if the column mixes incomparable
     types (legal in untyped storage — ``DeterministicOrder`` already
     handles it) the chunk retries under :class:`_MixedKey`'s
-    type-tagged total order instead of raising.  Merges always use the
-    mixed-tolerant key: wherever values compare naturally the two
+    type-tagged total order instead of raising.  A merge compares
+    plainly only when no run needed the fallback *and* every key column
+    holds one family of comparable types across all runs; otherwise it
+    uses the tagged order — wherever values compare naturally the two
     orders agree, so naturally-sorted runs are correctly ordered under
     it even when *different* runs hold incomparable types.
     """
@@ -1871,9 +1946,10 @@ class Sort(Plan):
         return chunk, mixed
 
     def _sorted(self, ctx, source=None):
-        """All input rows in order: one in-memory sort when the input
-        fits ``ctx.work_mem`` (or no budget is set), else spooled
-        sorted runs merged by a heap."""
+        """Row mode: all input rows in order — one in-memory sort when
+        the input fits ``ctx.work_mem`` (or no budget is set), else
+        budget-sized chunks spooled as sorted runs (transposed into the
+        columnar run format) and merged by a heap."""
         budget = ctx.work_mem
         chunk: list = []
         mem = 0
@@ -1886,51 +1962,56 @@ class Sort(Plan):
                 if budget:
                     mem += estimate_row_bytes(row[0], row[1])
                     if mem > budget:
-                        chunk, mixed = self._sort_chunk(chunk, ctx, mixed)
-                        if runs is None:
-                            runs = SortRuns()
-                        runs.spool(chunk)
+                        runs = runs or SortRuns(ctx.spools,
+                                                len(self.key_fns))
+                        mixed = self._spool_rows(ctx, runs, chunk, mixed)
                         chunk = []
                         mem = 0
-            chunk, mixed = self._sort_chunk(chunk, ctx, mixed)
+            if runs is None:
+                return self._sort_chunk(chunk, ctx, mixed)[0]
+            if chunk:
+                mixed = self._spool_rows(ctx, runs, chunk, mixed)
         except BaseException:
             # The runs never reach the merge that would close them.
             if runs is not None:
                 runs.close()
             raise
-        if runs is None:
-            return chunk
-        if chunk:
-            runs.spool(chunk)
-        key = self._key(ctx, True)
+        return self._merged(runs, mixed)
 
-        def merged():
-            try:
-                yield from heapq.merge(
-                    *(run.labeled_rows() for run in runs.runs),
-                    key=lambda row: key(row[0]))
-            finally:
-                # A consumer that stops early (LIMIT above the sort) or
-                # dies mid-merge must not leak the run descriptors.
-                runs.close()
-        return merged()
+    def _spool_rows(self, ctx, runs: SortRuns, chunk: list, mixed: bool):
+        """Row mode's run: the chunk transposed to columns, its keys
+        evaluated once."""
+        values, labels, ilabels = zip(*chunk)
+        return self._spool_run(
+            runs, [*map(list, zip(*values)), labels, ilabels,
+                   *[[fn(row, ctx) for row in values]
+                     for fn in self.key_fns]],
+            len(values[0]), mixed)
 
-    def _order(self, key_columns: list, mixed: bool, top: Optional[int]):
-        """The stable ORDER BY permutation of buffered rows from their
-        key *columns* (the best ``top`` only, when given): the same
-        composite as :meth:`_key`, built a column at a time — a NULL-free
-        ascending column is its own key.  Returns ``(order, mixed)``,
-        ``mixed`` latched like :meth:`_sort_chunk`."""
+    def _composite(self, key_columns: list, mixed: bool, nullable: list):
+        """One comparable sort key per row from the key *columns*: the
+        same composite as :meth:`_key`, built a column at a time — a
+        ``(value is None, value)`` pair per column, except that an
+        ascending column with no NULL (``nullable``) is its own key."""
         parts = []
-        for column, desc in zip(key_columns, self.descending):
+        for column, desc, null in zip(key_columns, self.descending,
+                                      nullable):
             if mixed:
                 part = [(v is None, _MixedKey(v)) for v in column]
-            elif desc or None in column:
+            elif desc or null:
                 part = [(v is None, v) for v in column]
             else:
                 part = column
             parts.append([_Desc(p) for p in part] if desc else part)
-        keys = parts[0] if len(parts) == 1 else list(zip(*parts))
+        return parts[0] if len(parts) == 1 else list(zip(*parts))
+
+    def _order(self, key_columns: list, mixed: bool, top: Optional[int]):
+        """The stable ORDER BY permutation of buffered rows from their
+        key columns (the best ``top`` only, when given).  Returns
+        ``(order, mixed)``, ``mixed`` latched like
+        :meth:`_sort_chunk`."""
+        keys = self._composite(key_columns, mixed,
+                               [None in column for column in key_columns])
         try:
             if top is None:
                 order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -1942,6 +2023,56 @@ class Sort(Plan):
                 raise
             return self._order(key_columns, True, top)
         return order, mixed
+
+    def _spool_run(self, runs: SortRuns, buffer: list, width: int,
+                   mixed: bool) -> bool:
+        """Order the buffered columns (``width`` value columns, the two
+        label columns, then the key columns) and spool them as one run
+        of blocks, each carrying its rows' keys.  Returns ``mixed``."""
+        order, mixed = self._order(buffer[width + 2:], mixed, None)
+        run = runs.new_run(buffer[width + 2:])
+        first = order[0]
+        step = runs.spools.block_rows(estimate_row_bytes(
+            [column[first] for column in buffer[:width]],
+            buffer[width][first]))
+        for lo in range(0, len(order), step):
+            chunk = order[lo:lo + step]
+            block = [[column[i] for i in chunk] for column in buffer]
+            run.write_block(block[width + 2:], block[:width],
+                            block[width], block[width + 1])
+        return mixed
+
+    def _merged(self, runs: SortRuns, mixed: bool):
+        """K-way merge of the spooled runs on their stored keys, as
+        ``(values, label, ilabel)`` rows.  Keys compare plainly when
+        every run sorted naturally and each key column holds one family
+        of mutually comparable types across *all* runs; otherwise under
+        :class:`_MixedKey`, with which naturally sorted runs agree
+        wherever values compare.  Heap entries are ``(key, run,
+        position, row)``: ties resolve to the earlier run, then the
+        earlier row, so the merge is stable and never compares rows.
+        """
+        if not mixed:
+            mixed = not all(kinds <= _NULL_NUMERIC or kinds <= _NULL_TEXT
+                            for kinds in runs.key_types)
+        nullable = [type(None) in kinds for kinds in runs.key_types]
+
+        def entries(index, run):
+            positions = count()
+            for key_columns, columns, labels, ilabels in run.blocks():
+                yield from zip(
+                    self._composite(key_columns, mixed, nullable),
+                    repeat(index), positions,
+                    zip(column_rows(columns, len(labels)), labels, ilabels))
+
+        try:
+            yield from map(itemgetter(3), heapq.merge(
+                *[entries(index, run)
+                  for index, run in enumerate(runs.runs)]))
+        finally:
+            # A consumer that stops early (LIMIT above the sort) or
+            # dies mid-merge must not leak the run descriptors.
+            runs.close()
 
     def _bounds(self, ctx) -> Tuple[int, Optional[int]]:
         """``(offset, stop)`` of the sorted rows to emit (all of them)."""
@@ -1957,11 +2088,11 @@ class Sort(Plan):
         column.  A ``stop`` bound cuts the buffer back to the best
         ``stop`` rows whenever it doubles, so a small LIMIT never holds
         the input.  Under a budget (and when a heap of ``stop`` rows
-        could not fit it) arriving rows are byte-estimated; the batch
-        that takes the input past the budget turns the sort external:
-        the buffered columns and the rest of the input are replayed as
-        rows through :meth:`_sorted`, which cuts, spools and merges its
-        runs exactly as row mode does.
+        could not fit it) arriving rows are weighed a column at a time;
+        the buffer is cut at each row that takes it past the budget —
+        the row-mode run boundary — and the rows before the cut are
+        ordered and spooled as a run with their key columns
+        (:meth:`_spool_run`), the runs then merged on those keys.
         """
         if stop is not None and stop <= 0:
             return
@@ -1971,42 +2102,57 @@ class Sort(Plan):
         buffer: Optional[list] = None
         width = mem = 0
         mixed = False
-        batches = self.child.batches(ctx)
-        for batch in batches:
-            if not len(batch):
-                continue
-            incoming = [batch.column(i) for i in range(batch.width)]
-            incoming += [batch.labels, batch.ilabels]
-            incoming += [fn(batch, ctx) for fn in self.batch_key_fns]
-            if buffer is None:
-                width = batch.width
-                buffer = [list(column) for column in incoming]
-                if top and budget and top * estimate_row_bytes(
-                        [column[0] for column in buffer[:width]],
-                        batch.labels[0]) > budget:
-                    top = None            # the heap cannot fit: full sort
-            else:
-                for held, column in zip(buffer, incoming):
-                    held.extend(column)
-            if top:
-                if len(buffer[width]) > 2 * top + size:
-                    order, mixed = self._order(buffer[width + 2:], mixed,
-                                               top)
-                    buffer = [[column[i] for i in order]
-                              for column in buffer]
-            elif budget:
-                mem += sum([estimate_row_bytes(values, label)
-                            for values, label in zip(
-                                zip(*incoming[:width]), batch.labels)])
-                if mem > budget:
-                    replay = chain(
-                        zip(zip(*buffer[:width]), buffer[width],
-                            buffer[width + 1]),
-                        chain.from_iterable(map(_batch_rows, batches)))
-                    yield from _row_batches(
-                        islice(iter(self._sorted(ctx, replay)), offset,
-                               stop), size)
-                    return
+        runs = None
+        try:
+            for batch in self.child.batches(ctx):
+                if not len(batch):
+                    continue
+                incoming = [batch.column(i) for i in range(batch.width)]
+                incoming += [batch.labels, batch.ilabels]
+                incoming += [fn(batch, ctx) for fn in self.batch_key_fns]
+                if buffer is None:
+                    width = batch.width
+                    buffer = [list(column) for column in incoming]
+                    if top and budget and top * estimate_row_bytes(
+                            [column[0] for column in buffer[:width]],
+                            batch.labels[0]) > budget:
+                        top = None        # the heap cannot fit: full sort
+                else:
+                    for held, column in zip(buffer, incoming):
+                        held.extend(column)
+                if top:
+                    if len(buffer[width]) > 2 * top + size:
+                        order, mixed = self._order(buffer[width + 2:],
+                                                   mixed, top)
+                        buffer = [[column[i] for i in order]
+                                  for column in buffer]
+                elif budget:
+                    totals = list(accumulate(estimate_batch_bytes(
+                        incoming[:width], batch.labels), initial=mem))
+                    while totals[-1] > budget:
+                        # A run ends with the row that overflows.
+                        over = bisect_right(totals, budget)
+                        cut = len(buffer[width]) - len(totals) + 1 + over
+                        runs = runs or SortRuns(ctx.spools,
+                                                len(self.batch_key_fns))
+                        mixed = self._spool_run(
+                            runs, [column[:cut] for column in buffer],
+                            width, mixed)
+                        buffer = [column[cut:] for column in buffer]
+                        totals = [total - totals[over]
+                                  for total in totals[over:]]
+                    mem = totals[-1]
+            if runs is not None and buffer[width]:
+                mixed = self._spool_run(runs, buffer, width, mixed)
+        except BaseException:
+            # The runs never reach the merge that would close them.
+            if runs is not None:
+                runs.close()
+            raise
+        if runs is not None:
+            yield from _row_batches(
+                islice(self._merged(runs, mixed), offset, stop), size)
+            return
         if buffer is None:
             return
         order, mixed = self._order(buffer[width + 2:], mixed, top)
@@ -2081,12 +2227,12 @@ class TopN(Sort):
         return iter(top[offset:])
 
 
-def _unspool_seq(partition):
-    """Undo :class:`Distinct`'s seq-in-values spool encoding: yields
-    ``(seq, key, label, ilabel)`` from a GroupSpill partition whose
-    rows were spooled as ``(seq, *values)``."""
-    for key, (values, label, ilabel) in partition:
-        yield values[0], key, label, ilabel
+def _unspool_seq(blocks):
+    """Replay a :class:`Distinct` partition: ``(seq, key, label,
+    ilabel)`` from blocks spooled with the row as their key columns
+    and its arrival sequence as the one value column."""
+    for key_columns, (seqs,), labels, ilabels in blocks:
+        yield from zip(seqs, zip(*key_columns), labels, ilabels)
 
 
 class Distinct(Plan):
@@ -2122,7 +2268,7 @@ class Distinct(Plan):
         """Fold ``(seq, key, label, ilabel)`` — the key *is* the row,
         as a tuple — into distinct state; yields ``(seq, values, label,
         ilabel)`` in ascending seq (= global first-seen order)."""
-        table = _GroupTable(ctx.work_mem, depth)
+        table = _GroupTable(ctx, ctx.work_mem, depth)
         groups = table.groups
         try:
             for seq, key, label, ilabel in source:
@@ -2135,9 +2281,8 @@ class Distinct(Plan):
                 elif table.admit(key, label, BUCKET_ENTRY_BYTES):
                     groups[key] = [label, ilabel, seq]
                 else:
-                    # The seq rides in the spooled values (slot 0) so
-                    # the labeled-row codec needs no side channel.
-                    table.spill.add(key, ((seq, *key), label, ilabel))
+                    # The key columns are the row; the seq is its value.
+                    table.spill.add(key, (seq,), label, ilabel)
             streams = []
             if table.spill is not None:
                 streams = [self._fold(ctx, _unspool_seq(partition),
@@ -2145,7 +2290,7 @@ class Distinct(Plan):
                            for partition in table.spill.partitions()]
             for key, (label, ilabel, seq) in groups.items():
                 yield seq, list(key), label, ilabel
-            yield from heapq.merge(*streams, key=itemgetter(0))
+            yield from heapq.merge(*streams)       # seqs are unique
         finally:
             # Mid-fold error or abandoned iterator: release the
             # partition spools deterministically (close is idempotent).

@@ -1,4 +1,4 @@
-"""Spill files for memory-bounded (grace) hash joins.
+"""Spill files for the memory-bounded operators.
 
 The batched executor's :class:`~repro.db.physical.HashJoin` builds an
 in-memory hash table of its right input.  Under a ``work_mem`` budget
@@ -20,12 +20,21 @@ classic *hybrid grace* scheme this module implements the storage for:
   it; it is processed in memory over budget) or at
   :data:`MAX_RECURSION`.
 
-Rows are serialized with the labeled-row codec shared with the
-dump/restore tooling (:func:`encode_labeled_row`, which
-:mod:`repro.db.dump` also uses per tuple): labels are stored as plain
-tag tuples and re-enter the intern table on decode, so a reloaded
-label is *identical* (``is``) to the live one and the scan-level label
-memos keep working across a spill.
+**Blocks.**  A spool's unit is the block, not the row
+(:func:`encode_block`): the key columns (routing keys, or a sort run's
+key columns), the value columns, and the two label columns
+dictionary-coded against a small per-block label table — one pickle
+per block.  A block read back *is* a columnar batch plus its key
+columns, and its labels re-enter the intern table once per distinct
+label of the block, so a reloaded label is *identical* (``is``) to the
+live one and the scan-level label memos keep working across a spill.
+The same block form carries a parallel worker's batches over its pipe
+(:mod:`repro.db.parallel`).  Write buffers are sized out of the budget
+(:class:`Spools`): a statement's ``fanout`` open spools together
+buffer at most one partition's share of ``work_mem``, so at a budget
+of a few rows the blocks degenerate to one row.  The durable formats
+(:mod:`repro.db.wal`, :mod:`repro.db.dump`) keep the per-row
+:func:`encode_labeled_row`.
 
 Spilling never moves enforcement: every spooled row already passed the
 scan-level MVCC and Query-by-Label checks under the statement's
@@ -38,10 +47,12 @@ from __future__ import annotations
 
 import pickle
 import tempfile
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import CounterGroup
 from ..core.labels import Label
+from ..errors import SpillError
 
 #: Partitions per spill level (the grace-join fanout).
 SPILL_FANOUT = 8
@@ -68,8 +79,9 @@ class SpillStats(CounterGroup):
     recursion), ``repartitions`` recursive splits — both grace-join
     partitions and re-partitioned aggregation state — and
     ``partitions_created`` build spools that actually received rows;
-    bytes are accounted when a spool switches from writing to
-    reading.  ``sort_spills``/``sort_runs`` count external merge
+    ``rows_spilled`` and ``bytes_spilled`` are accounted as each block
+    reaches its temp file, so a spool closed unread still counts.
+    ``sort_spills``/``sort_runs`` count external merge
     sorts and the sorted runs they spooled; ``agg_spills``/
     ``agg_partitions`` the grace hash aggregations (and DISTINCTs)
     whose group state overflowed and the partitions that received
@@ -88,14 +100,15 @@ SPILL_STATS = SpillStats()
 
 
 # ---------------------------------------------------------------------------
-# the labeled-row codec (shared with db.dump)
+# the labeled-row codec (the durable formats: db.wal, db.dump)
 # ---------------------------------------------------------------------------
 
 def encode_labeled_row(values, label: Label, ilabel: Label) -> tuple:
     """Serialize one labeled row as ``(values, label_tags, ilabel_tags)``.
 
-    The same representation the label-preserving dump format stores per
-    tuple (:mod:`repro.db.dump`): labels flatten to plain tag tuples so
+    The representation the write-ahead log and the label-preserving
+    dump format store per tuple (:mod:`repro.db.wal`,
+    :mod:`repro.db.dump`): labels flatten to plain tag tuples so
     the payload is stable pickle regardless of intern-table state.
     """
     return values, tuple(label.tags), tuple(ilabel.tags)
@@ -109,6 +122,84 @@ def decode_labeled_row(record: tuple):
     return values, Label(label_tags), Label(ilabel_tags)
 
 
+# ---------------------------------------------------------------------------
+# the block codec (spools, and rows leaving a parallel worker)
+# ---------------------------------------------------------------------------
+
+def _distinct(labels):
+    """``(ids, by_id)``: the identity of every label of a column and
+    the distinct labels by identity — labels are interned, and ``id``
+    is C speed where a label's own hash is a Python method."""
+    ids = list(map(id, labels))
+    return ids, dict(zip(ids, labels))
+
+
+def _code_labels(labels, codes: Dict[int, int], tags: list):
+    """Dictionary-code one label column against the block's table
+    (``tags``, indexed through ``codes`` by label identity): a bare
+    code when the column holds one label, else one code per row."""
+    ids, by_id = _distinct(labels)
+    for ident, label in by_id.items():
+        if ident not in codes:
+            codes[ident] = len(tags)
+            tags.append(tuple(label.tags))
+    if len(by_id) == 1:
+        return codes[ids[0]]
+    column = list(map(codes.__getitem__, ids))
+    return bytes(column) if len(tags) <= 256 else column
+
+
+def encode_block(key_columns, columns, labels, ilabels) -> tuple:
+    """Serialize one block of labeled rows, column by column.
+
+    ``key_columns`` and ``columns`` are sequences of equally long
+    column sequences (a ``None`` value column was projected away and
+    stays ``None``).  The two label columns share one per-block table
+    of tag tuples — labels are interned, so coding them is a lookup by
+    identity — and the payload is stable pickle regardless of
+    intern-table state.
+    """
+    tags: list = []
+    codes: Dict[int, int] = {}
+    label_codes = _code_labels(labels, codes, tags)
+    ilabel_codes = _code_labels(ilabels, codes, tags)
+    return (tuple(map(tuple, key_columns)),
+            tuple([None if column is None else tuple(column)
+                   for column in columns]),
+            len(labels), tags, label_codes, ilabel_codes)
+
+
+def decode_block(record: tuple):
+    """Inverse of :func:`encode_block`: ``(key_columns, columns,
+    labels, ilabels)`` with every column a list.  Each distinct label
+    of the block re-enters the intern table once, so the decoded
+    labels are identical (``is``) to the live interned instances."""
+    key_columns, columns, n, tags, label_codes, ilabel_codes = record
+    table = [Label(tag_tuple) for tag_tuple in tags]
+
+    def column(codes):
+        if isinstance(codes, int):
+            return [table[codes]] * n
+        return list(map(table.__getitem__, codes))
+
+    return (list(map(list, key_columns)),
+            [None if held is None else list(held) for held in columns],
+            column(label_codes), column(ilabel_codes))
+
+
+def column_rows(columns, n: int):
+    """Row tuples zipped out of ``n``-row columns at C speed."""
+    return zip(*columns) if columns else repeat((), n)
+
+
+# ---------------------------------------------------------------------------
+# byte accounting
+# ---------------------------------------------------------------------------
+
+#: Footprint of the fixed-width value types, by exact type.
+_FIXED_BYTES = {type(None): 8, int: 28, float: 28, bool: 28}
+
+
 def estimate_value_bytes(value) -> int:
     """Approximate in-memory footprint of one column value — the
     per-value half of :func:`estimate_row_bytes`.  ANALYZE uses the
@@ -118,8 +209,9 @@ def estimate_value_bytes(value) -> int:
     checks agree on what a row weighs.  Note a projected-away column
     rides along as ``None`` at 8 bytes, which is why a narrow build
     side earns a real memory credit."""
-    if value is None:
-        return 8
+    fixed = _FIXED_BYTES.get(type(value))
+    if fixed is not None:
+        return fixed
     if isinstance(value, (int, float)):
         return 28
     if isinstance(value, str):
@@ -139,11 +231,51 @@ def estimate_row_bytes(values, label: Optional[Label] = None) -> int:
     model uses (section 8.3).
     """
     total = 64                               # the list + its pointer slots
+    fixed = _FIXED_BYTES.get
     for value in values:
-        total += estimate_value_bytes(value)
+        size = fixed(type(value))
+        if size is None:
+            size = 49 + len(value) if type(value) is str \
+                else estimate_value_bytes(value)
+        total += size
     if label is not None:
         total += 16 + 4 * len(label)
     return total
+
+
+def estimate_batch_bytes(columns, labels, extra: int = 0) -> List[int]:
+    """:func:`estimate_row_bytes` (plus ``extra``) for every row of a
+    columnar batch, a column at a time: a column of one fixed width
+    weighs by table lookup, strings by ``len``, labels by tag count
+    (once per distinct label).  Byte-identical, row for row, to the
+    per-row estimate.  ``labels`` is the batch's label column (always
+    charged, and what gives the row count)."""
+    n = len(labels)
+    if not n:
+        return []
+    fixed = 64 + extra
+    varying = []
+    ids, by_id = _distinct(labels)
+    sizes = {ident: 16 + 4 * len(label) for ident, label in by_id.items()}
+    if len(sizes) == 1:
+        fixed += sizes[ids[0]]
+    else:
+        varying.append(map(sizes.__getitem__, ids))
+    for column in columns:
+        if column is None:                   # projected away: NULLs
+            fixed += 8
+            continue
+        kinds = set(map(type, column))
+        widths = set(map(_FIXED_BYTES.get, kinds))
+        if len(widths) == 1 and None not in widths:
+            fixed += widths.pop()
+        elif kinds == {str}:
+            varying.append([49 + size for size in map(len, column)])
+        else:
+            varying.append(map(estimate_value_bytes, column))
+    if not varying:
+        return [fixed] * n
+    return [fixed + weight for weight in map(sum, zip(*varying))]
 
 
 def estimated_tuple_bytes(n_columns: int) -> int:
@@ -152,43 +284,131 @@ def estimated_tuple_bytes(n_columns: int) -> int:
     return 72 + 30 * n_columns
 
 
-class SpillFile:
-    """Append-only spool of pickled records on an anonymous temp file.
+# ---------------------------------------------------------------------------
+# spools
+# ---------------------------------------------------------------------------
 
-    Records are written with ``pickle`` (self-delimiting, so no length
-    framing is needed) and read back exactly once.  The backing
-    ``TemporaryFile`` is opened lazily on the first write — a grace
-    join creates ``2 × fanout`` spools per level and many (the hybrid
-    resident pair, lightly-hit partitions) are never written — and is
-    unlinked by the OS, so an abandoned spool cannot outlive the
-    process.
+class Spools:
+    """What one statement's spill files share: how big their write
+    buffers may grow, and the fault schedule.
+
+    The buffers are charged to the budget rather than configured: the
+    ``fanout`` spools a partitioner holds open share one partition's
+    worth of ``work_mem``, so one buffer gets ``work_mem / fanout²``
+    bytes — never more than a batch of rows, never less than one row
+    (at ``REPRO_WORK_MEM=1024`` every block is a single row).
+    ``faults`` is the fault-injection schedule
+    (:class:`repro.db.faultinject.SpoolFaults`), None outside tests.
     """
 
-    __slots__ = ("_file", "count", "_reading")
+    __slots__ = ("buffer_bytes", "max_rows", "faults")
 
-    def __init__(self):
+    def __init__(self, work_mem: int, batch_size: int, faults=None):
+        self.buffer_bytes = work_mem // (SPILL_FANOUT * SPILL_FANOUT)
+        self.max_rows = max(1, batch_size)
+        self.faults = faults
+
+    def block_rows(self, row_bytes: int) -> int:
+        """Rows per block for rows of about ``row_bytes``."""
+        return max(1, min(self.max_rows,
+                          self.buffer_bytes // max(1, row_bytes)))
+
+
+class SpillFile:
+    """Append-only spool of pickled blocks on an anonymous temp file.
+
+    Rows arrive one at a time (:meth:`append`, buffered and transposed
+    into a block every ``block_rows`` rows) or as ready columns
+    (:meth:`write_block`); :meth:`blocks` reads them back exactly once.
+    The backing ``TemporaryFile`` is opened lazily on the first block
+    — a grace join creates ``2 × fanout`` spools per level and many
+    (the hybrid resident pair, lightly-hit partitions) are never
+    written — unbuffered, since every block is one ``write`` (so a
+    full disk surfaces at the block that hit it), and is unlinked by
+    the OS, so an abandoned spool cannot outlive the process.  I/O
+    failures raise :class:`~repro.errors.SpillError`.
+    """
+
+    __slots__ = ("_spools", "_file", "_pending", "_block_rows", "_sizes",
+                 "_reading", "count")
+
+    def __init__(self, spools: Spools):
+        self._spools = spools
         self._file = None
-        self.count = 0
+        self._pending: list = []
+        self._block_rows = 0             # sized from the first row
+        self._sizes: List[int] = []      # bytes of each block written
         self._reading = False
+        #: Rows appended or written so far.
+        self.count = 0
 
-    def write(self, record) -> None:
-        assert not self._reading, "spill file already switched to reading"
-        if self._file is None:
-            self._file = tempfile.TemporaryFile(prefix="repro-spill-")
-        pickle.dump(record, self._file, pickle.HIGHEST_PROTOCOL)
+    def append(self, key: tuple, values, label: Label, ilabel: Label) -> None:
+        """Spool one keyed execution row."""
+        if not self.count:               # first row: size the buffer
+            self._block_rows = self._spools.block_rows(
+                estimate_row_bytes(values, label))
+        self._pending.append((key, values, label, ilabel))
         self.count += 1
-        SPILL_STATS.rows_spilled += 1
+        if len(self._pending) >= self._block_rows:
+            self._write_pending()
 
-    def records(self) -> Iterator:
-        """Yield every record in write order, then close the file."""
+    def _write_pending(self) -> None:
+        keys, values, labels, ilabels = zip(*self._pending)
+        self._pending = []
+        self._write(list(zip(*keys)), list(zip(*values)), labels, ilabels)
+
+    def write_block(self, key_columns, columns, labels, ilabels) -> None:
+        """Spool one block of ready columns (the sort-run path)."""
+        self._write(key_columns, columns, labels, ilabels)
+        self.count += len(labels)
+
+    def _write(self, key_columns, columns, labels, ilabels) -> None:
+        if self._reading:
+            raise SpillError("spill file already switched to reading")
+        data = pickle.dumps(
+            encode_block(key_columns, columns, labels, ilabels),
+            pickle.HIGHEST_PROTOCOL)
+        faults = self._spools.faults
+        try:
+            if self._file is None:
+                self._file = tempfile.TemporaryFile(prefix="repro-spill-",
+                                                    buffering=0)
+            if faults is not None:
+                faults.block_write()
+            written = self._file.write(data)
+        except OSError as exc:
+            raise SpillError("spill write failed: %s" % exc) from exc
+        if written != len(data):
+            raise SpillError("spill write failed: %d of %d bytes written"
+                             % (written, len(data)))
+        self._sizes.append(len(data))
+        SPILL_STATS.rows_spilled += len(labels)
+        SPILL_STATS.bytes_spilled += len(data)
+
+    def blocks(self) -> Iterator[tuple]:
+        """Yield every block as ``(key_columns, columns, labels,
+        ilabels)`` in write order — the partial tail block last — then
+        close the file."""
+        if self._pending:
+            self._write_pending()
         self._reading = True
         if self._file is None:
             return
-        SPILL_STATS.bytes_spilled += self._file.tell()
-        self._file.seek(0)
+        faults = self._spools.faults
         try:
-            for _ in range(self.count):
-                yield pickle.load(self._file)
+            for index, size in enumerate(self._sizes):
+                try:
+                    if not index:
+                        self._file.seek(0)
+                    if faults is not None:
+                        faults.block_read()
+                    data = self._file.read(size)
+                except OSError as exc:
+                    raise SpillError("spill read failed: %s" % exc) from exc
+                if len(data) != size:
+                    raise SpillError("spill read failed: %d of %d bytes "
+                                     "read" % (len(data), size))
+                yield decode_block(pickle.loads(data))
         finally:
             self._file.close()
 
@@ -196,40 +416,15 @@ class SpillFile:
         if self._file is not None:
             self._file.close()
 
-    # -- labeled execution rows (the join spools) ----------------------
-    def write_row(self, key: tuple, row) -> None:
-        """Spool one keyed ``(values, label, ilabel)`` execution row."""
-        values, label, ilabel = row
-        self.write((key,) + encode_labeled_row(values, label, ilabel))
-
-    def rows(self) -> Iterator[Tuple[tuple, tuple]]:
-        """Yield ``(key, (values, label, ilabel))`` in write order."""
-        for key, values, label_tags, ilabel_tags in self.records():
-            yield key, decode_labeled_row((values, label_tags,
-                                           ilabel_tags))
-
-    def write_labeled(self, row) -> None:
-        """Spool one keyless ``(values, label, ilabel)`` execution row
-        (the external-sort run format — order carries the information,
-        so no routing key is stored)."""
-        values, label, ilabel = row
-        self.write(encode_labeled_row(values, label, ilabel))
-
-    def labeled_rows(self) -> Iterator[tuple]:
-        """Yield ``(values, label, ilabel)`` triples in write order;
-        labels re-enter the intern table on decode."""
-        for record in self.records():
-            yield decode_labeled_row(record)
-
 
 class _Partition:
     """One grace partition: a build spool and a probe spool."""
 
     __slots__ = ("build", "probe")
 
-    def __init__(self):
-        self.build = SpillFile()
-        self.probe = SpillFile()
+    def __init__(self, spools: Spools):
+        self.build = SpillFile(spools)
+        self.probe = SpillFile(spools)
 
     def close(self) -> None:
         self.build.close()
@@ -239,24 +434,26 @@ class _Partition:
 class SpilledHashBuild:
     """Partitioned overflow state for one hash-join build side.
 
-    Rows are opaque to this class (the join layer passes
-    ``(values, label, ilabel)`` triples); only the key participates in
+    Both sides arrive a chunk at a time — parallel lists of keys and of
+    ``(values, label, ilabel)`` rows — and only the key participates in
     routing.  With ``keep_resident`` (the top level) partition 0 lives
     as an in-memory bucket dict so probes against it stream with no
     extra I/O; recursion levels disable it — their input is already a
     single partition's worth of rows.
     """
 
-    __slots__ = ("budget", "fanout", "salt", "depth", "partitions",
-                 "resident", "resident_bytes")
+    __slots__ = ("budget", "spools", "fanout", "salt", "depth",
+                 "partitions", "resident", "resident_bytes")
 
-    def __init__(self, budget: int, *, salt: int = 0, depth: int = 0,
-                 keep_resident: bool = True, fanout: int = SPILL_FANOUT):
+    def __init__(self, budget: int, spools: Spools, *, salt: int = 0,
+                 depth: int = 0, keep_resident: bool = True,
+                 fanout: int = SPILL_FANOUT):
         self.budget = budget
+        self.spools = spools
         self.fanout = fanout
         self.salt = salt
         self.depth = depth
-        self.partitions: List[_Partition] = [_Partition()
+        self.partitions: List[_Partition] = [_Partition(spools)
                                              for _ in range(fanout)]
         self.resident: Optional[Dict[tuple, list]] = \
             {} if keep_resident else None
@@ -264,45 +461,47 @@ class SpilledHashBuild:
         if depth == 0:
             SPILL_STATS.spills += 1
 
-    def route(self, key: tuple) -> int:
-        return hash((self.salt, key)) % self.fanout
-
-    @staticmethod
-    def _write_build(spool: SpillFile, key: tuple, row) -> None:
-        if spool.count == 0:
-            SPILL_STATS.partitions_created += 1
-        spool.write_row(key, row)
+    def route(self, keys) -> List[int]:
+        """The partition index of every key of a chunk."""
+        fanout = self.fanout
+        return [h % fanout
+                for h in map(hash, zip(repeat(self.salt), keys))]
 
     # -- build side ----------------------------------------------------
     def take_buckets(self, buckets: Dict[tuple, list]) -> None:
         """Migrate the in-memory buckets accumulated before overflow."""
-        for key, rows in buckets.items():
-            for row in rows:
-                self.add_build(key, row)
+        keys = [key for key, rows in buckets.items() for _ in rows]
+        self.add_build(keys, [row for rows in buckets.values()
+                              for row in rows])
 
-    def add_build(self, key: tuple, row) -> None:
-        index = self.route(key)
-        if index == 0 and self.resident is not None:
-            self.resident.setdefault(key, []).append(row)
-            self.resident_bytes += (estimate_row_bytes(row[0], row[1])
-                                    + BUCKET_ENTRY_BYTES)
-            if self.resident_bytes > self.budget:
-                # The hybrid partition alone overflows: demote it to a
-                # spool like the others (build phase only — by probe
-                # time the resident dict is frozen).
-                spool = self.partitions[0].build
-                for spilled_key, rows in self.resident.items():
-                    for spilled_row in rows:
-                        self._write_build(spool, spilled_key, spilled_row)
-                self.resident = None
-            return
-        self._write_build(self.partitions[index].build, key, row)
+    def add_build(self, keys, rows) -> None:
+        partitions = self.partitions
+        for index, key, row in zip(self.route(keys), keys, rows):
+            if index == 0 and self.resident is not None:
+                self._add_resident(key, row)
+                continue
+            spool = partitions[index].build
+            if not spool.count:
+                SPILL_STATS.partitions_created += 1
+            spool.append(key, *row)
+
+    def _add_resident(self, key: tuple, row) -> None:
+        self.resident.setdefault(key, []).append(row)
+        self.resident_bytes += (estimate_row_bytes(row[0], row[1])
+                                + BUCKET_ENTRY_BYTES)
+        if self.resident_bytes > self.budget:
+            # The hybrid partition alone overflows: demote it to a
+            # spool like the others (build phase only — by probe
+            # time the resident dict is frozen).
+            buckets, self.resident = self.resident, None
+            self.take_buckets(buckets)
 
     # -- probe side ----------------------------------------------------
-    def probe(self, key: tuple, row) -> Optional[list]:
-        """Immediate matches when ``key`` routes to the resident
-        partition (possibly ``[]`` — a definitive miss), else ``None``
-        after spooling the probe row for the partition phase.
+    def probe(self, keys, rows) -> list:
+        """Per probe row of a chunk: its immediate matches when the key
+        routes to the resident partition (possibly empty — a definitive
+        miss, as is a key holding a NULL), else ``None`` after spooling
+        the row for the partition phase.
 
         The build side is always complete before probing starts, so a
         partition whose build spool is empty is also a definitive miss
@@ -310,22 +509,33 @@ class SpilledHashBuild:
         recursion levels re-spool via :meth:`spool_probe`, where the
         row must surface in the partition phase regardless, for LEFT
         JOIN NULL extension.)"""
-        index = self.route(key)
-        if index == 0 and self.resident is not None:
-            return self.resident.get(key, [])
-        partition = self.partitions[index]
-        if partition.build.count == 0:
-            return []
-        partition.probe.write_row(key, row)
-        return None
+        resident = self.resident
+        partitions = self.partitions
+        found = []
+        for index, key, row in zip(self.route(keys), keys, rows):
+            if None in key:
+                found.append(())
+            elif index == 0 and resident is not None:
+                found.append(resident.get(key, ()))
+            elif not partitions[index].build.count:
+                found.append(())
+            else:
+                partitions[index].probe.append(key, *row)
+                found.append(None)
+        return found
 
-    def spool_probe(self, key: tuple, row) -> None:
-        self.partitions[self.route(key)].probe.write_row(key, row)
+    def spool_probe(self, keys, rows) -> None:
+        partitions = self.partitions
+        for index, key, row in zip(self.route(keys), keys, rows):
+            partitions[index].probe.append(key, *row)
 
     # -- partition phase ------------------------------------------------
-    def results(self) -> Iterator[Tuple[object, list]]:
-        """Yield ``(probe_row, build_matches)`` for every spooled probe
-        row, re-partitioning build sides that still exceed the budget.
+    def joined(self, lo: int = 0, hi: Optional[int] = None
+               ) -> Iterator[Tuple[tuple, Dict[tuple, list]]]:
+        """Join partitions ``[lo, hi)``: yields ``(probe_block,
+        buckets)`` — a spooled probe block and the build rows of its
+        partition by key — re-partitioning build sides that still
+        exceed the budget.
 
         Each partition's spools close as soon as that partition is
         done *or dies* (the inner ``finally``); consumers should still
@@ -333,17 +543,58 @@ class SpilledHashBuild:
         — so an exception raised between partitions, or an abandoned
         iterator, cannot leak the remaining descriptors.
         """
-        for index, partition in enumerate(self.partitions):
-            if index == 0 and self.resident is not None:
-                # Resident probes were answered online; nothing spooled.
-                partition.close()
-                continue
+        for index, partition in enumerate(self.partitions[lo:hi], lo):
             try:
-                yield from _join_partition(partition.build.rows(),
-                                           partition.probe.rows(),
-                                           self.budget, self.depth + 1)
+                # Resident probes were answered online; nothing spooled.
+                if index or self.resident is None:
+                    yield from self._join_partition(partition)
             finally:
                 partition.close()
+
+    def _join_partition(self, partition: _Partition):
+        """Join one partition's spooled build and probe blocks.
+
+        Loads the build side into buckets under the byte budget; if a
+        block leaves it over budget *and* holding more than one
+        distinct key *and* the recursion cap is not reached, the
+        partition is split again with a fresh salt (both sides
+        re-spooled) — otherwise it finishes in memory over budget,
+        which is the termination guarantee for all-equal-key
+        (unsplittable) partitions.
+        """
+        depth = self.depth + 1
+        buckets: Dict[tuple, list] = {}
+        mem = 0
+        child: Optional[SpilledHashBuild] = None
+        try:
+            for keys, rows, columns, labels in _keyed_rows(
+                    partition.build.blocks()):
+                if child is not None:
+                    child.add_build(keys, rows)
+                    continue
+                for key, row in zip(keys, rows):
+                    buckets.setdefault(key, []).append(row)
+                mem += sum(estimate_batch_bytes(columns, labels,
+                                                BUCKET_ENTRY_BYTES))
+                if (mem > self.budget and len(buckets) > 1
+                        and depth < MAX_RECURSION):
+                    child = SpilledHashBuild(
+                        self.budget, self.spools, salt=depth, depth=depth,
+                        keep_resident=False)
+                    child.take_buckets(buckets)
+                    buckets = {}
+                    SPILL_STATS.repartitions += 1
+            if child is None:
+                for block in partition.probe.blocks():
+                    yield block, buckets
+                return
+            for keys, rows, _columns, _labels in _keyed_rows(
+                    partition.probe.blocks()):
+                child.spool_probe(keys, rows)
+            yield from child.joined()
+        finally:
+            if child is not None:
+                child.close()
 
     def close(self) -> None:
         """Release every partition's temp files (idempotent)."""
@@ -351,70 +602,48 @@ class SpilledHashBuild:
             partition.close()
 
 
-def _join_partition(build_records, probe_records, budget: int,
-                    depth: int) -> Iterator[Tuple[object, list]]:
-    """Join one partition's spooled build and probe rows.
-
-    Loads the build side into buckets under the byte budget; if it
-    overflows *and* holds more than one distinct key *and* the
-    recursion cap is not reached, the partition is split again with a
-    fresh salt (both sides re-spooled) — otherwise it finishes in
-    memory over budget, which is the termination guarantee for
-    all-equal-key (unsplittable) partitions.
-    """
-    buckets: Dict[tuple, list] = {}
-    mem = 0
-    child: Optional[SpilledHashBuild] = None
-    for key, row in build_records:
-        if child is not None:
-            child.add_build(key, row)
-            continue
-        buckets.setdefault(key, []).append(row)
-        mem += estimate_row_bytes(row[0], row[1]) + BUCKET_ENTRY_BYTES
-        if (mem > budget and len(buckets) > 1 and depth < MAX_RECURSION):
-            child = SpilledHashBuild(budget, salt=depth, depth=depth,
-                                     keep_resident=False)
-            child.take_buckets(buckets)
-            buckets = {}
-            SPILL_STATS.repartitions += 1
-    if child is None:
-        empty: list = []
-        for key, row in probe_records:
-            yield row, buckets.get(key, empty)
-        return
-    try:
-        for key, row in probe_records:
-            child.spool_probe(key, row)
-        yield from child.results()
-    finally:
-        child.close()
+def _keyed_rows(blocks):
+    """``(keys, rows, columns, labels)`` per spooled block: the key
+    tuples and ``(values, label, ilabel)`` rows a partitioner routes,
+    zipped back out of the block's columns."""
+    for key_columns, columns, labels, ilabels in blocks:
+        n = len(labels)
+        yield (list(column_rows(key_columns, n)),
+               list(zip(column_rows(columns, n), labels, ilabels)),
+               columns, labels)
 
 
 class SortRuns:
     """Spooled sorted runs for one external merge sort.
 
-    Each run is a :class:`SpillFile` of keyless labeled rows
-    (:meth:`SpillFile.write_labeled`) in sorted order; the sort
-    operator k-way merges ``runs`` with a heap, so the merge fan-in is
-    unbounded — every run is merged in a single pass regardless of how
-    many the input produced.  Constructing the object marks the sort
-    as spilled (``sort_spills``); each spooled run bumps
-    ``sort_runs``.
+    Each run is a :class:`SpillFile` of blocks in sorted order whose
+    key columns are the rows' sort keys (:meth:`SpillFile.write_block`),
+    so the merge compares stored keys and never re-evaluates one; the
+    sort operator k-way merges ``runs`` with a heap, so the merge
+    fan-in is unbounded — every run is merged in a single pass
+    regardless of how many the input produced.  ``key_types`` collects,
+    per key column, every value type any run holds (what decides
+    whether the merge may compare keys plainly).  Constructing the
+    object marks the sort as spilled (``sort_spills``); each spooled
+    run bumps ``sort_runs``.
     """
 
-    __slots__ = ("runs",)
+    __slots__ = ("spools", "runs", "key_types")
 
-    def __init__(self):
+    def __init__(self, spools: Spools, n_keys: int):
+        self.spools = spools
         self.runs: List[SpillFile] = []
+        self.key_types: List[set] = [set() for _ in range(n_keys)]
         SPILL_STATS.sort_spills += 1
 
-    def spool(self, rows_in_order) -> None:
-        """Write one fully-sorted chunk of execution rows as a run."""
-        spool = SpillFile()
-        for row in rows_in_order:
-            spool.write_labeled(row)
-        self.runs.append(spool)
+    def new_run(self, key_columns) -> SpillFile:
+        """Open the next run, for rows with these key columns."""
+        for kinds, column in zip(self.key_types, key_columns):
+            kinds.update(map(type, column))
+        run = SpillFile(self.spools)
+        self.runs.append(run)
         SPILL_STATS.sort_runs += 1
+        return run
 
     def close(self) -> None:
         """Release every run's temp file (idempotent); the merge phase
@@ -442,27 +671,28 @@ class GroupSpill:
 
     __slots__ = ("salt", "spools")
 
-    def __init__(self, *, salt: int = 0, depth: int = 0,
+    def __init__(self, spools: Spools, *, salt: int = 0, depth: int = 0,
                  fanout: int = SPILL_FANOUT):
         self.salt = salt
-        self.spools: List[SpillFile] = [SpillFile() for _ in range(fanout)]
+        self.spools: List[SpillFile] = [SpillFile(spools)
+                                        for _ in range(fanout)]
         if depth == 0:
             SPILL_STATS.agg_spills += 1
         else:
             SPILL_STATS.repartitions += 1
 
-    def add(self, key: tuple, row) -> None:
+    def add(self, key: tuple, values, label: Label, ilabel: Label) -> None:
         spool = self.spools[hash((self.salt, key)) % len(self.spools)]
-        if spool.count == 0:
+        if not spool.count:
             SPILL_STATS.agg_partitions += 1
-        spool.write_row(key, row)
+        spool.append(key, values, label, ilabel)
 
-    def partitions(self) -> Iterator[Iterator[Tuple[tuple, tuple]]]:
-        """Yield one ``(key, row)`` iterator per non-empty partition;
-        empty spools are closed without counting."""
+    def partitions(self) -> Iterator[Iterator[tuple]]:
+        """Yield one block iterator per non-empty partition; empty
+        spools are closed without counting."""
         for spool in self.spools:
             if spool.count:
-                yield spool.rows()
+                yield spool.blocks()
             else:
                 spool.close()
 

@@ -104,6 +104,13 @@ class SerializationError(TransactionError):
     """Write-write conflict under snapshot isolation (first committer wins)."""
 
 
+class SpillError(DatabaseError):
+    """A memory-bounded operator could not write or read its spill file
+    (full temp directory, I/O error, or a spool written after it was
+    switched to reading).  The statement fails; its temp files are
+    released and the session stays usable."""
+
+
 # ---------------------------------------------------------------------------
 # Platform errors (repro.platform)
 # ---------------------------------------------------------------------------

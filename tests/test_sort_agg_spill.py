@@ -358,3 +358,121 @@ def test_snapshot_has_sort_and_agg_fields():
     for field in ("sort_spills", "sort_runs", "agg_spills",
                   "agg_partitions"):
         assert field in snap
+
+
+# ---------------------------------------------------------------------------
+# block-at-a-time spilling: budget × batch-size parity matrix
+# ---------------------------------------------------------------------------
+
+#: Rows per budget: enough to overflow it several times over, few
+#: enough that the 1 KiB sort's one-temp-file-per-run stays well under
+#: the descriptor limit.
+PARITY_ROWS = {1024: 300, 65536: 1500, 1 << 20: 7000}
+
+PARITY_QUERIES = (
+    # (sql, the statement fixes the result order)
+    # Hash joins: NULL keys on both sides never match; LEFT NULL-extends
+    # them and the unmatched keys.
+    ("SELECT a.id, b.id, b.w FROM a JOIN b ON a.k = b.k", False),
+    ("SELECT a.id, a.s, b.id FROM a LEFT JOIN b ON a.k = b.k "
+     "AND b.id > 3", False),
+    # Grace aggregation with DISTINCT accumulators.
+    ("SELECT g, COUNT(DISTINCT k), COUNT(*), SUM(v), MIN(s) FROM a "
+     "GROUP BY g", False),
+    # DISTINCT above the sort: first-seen order through the seq merge.
+    ("SELECT DISTINCT g, k FROM a ORDER BY g", True),
+    # DESC, NULLs, and ties that only arrival order breaks.
+    ("SELECT id, k, g FROM a ORDER BY k DESC, g", True),
+    ("SELECT id, g FROM a ORDER BY g", True),
+    # INT in the early runs, TEXT in the late ones.
+    ("SELECT id FROM a ORDER BY CASE WHEN id < HALF THEN id ELSE s END",
+     True),
+)
+
+
+def _parity_stack(work_mem, batch_size, n_rows):
+    authority = AuthorityState(idgen=SeededIdGenerator(47))
+    db = Database(authority, seed=47, work_mem=work_mem,
+                  batch_size=batch_size)
+    owner = authority.create_principal("owner").id
+    tags = [authority.create_tag("t%d" % i, owner=owner).id
+            for i in range(3)]
+    writers = []
+    for held in ((), tags[:1], tags[1:]):
+        process = IFCProcess(authority, owner)
+        for tag in held:
+            process.add_secrecy(tag)
+        writers.append(db.connect(process))
+    writers[0].execute("CREATE TABLE a (id INT PRIMARY KEY, k INT, g INT,"
+                       " s TEXT, v FLOAT)")
+    writers[0].execute("CREATE TABLE b (id INT PRIMARY KEY, k INT, w TEXT)")
+    rng = random.Random(n_rows)
+    keys = max(8, n_rows // 3)
+    for i in range(n_rows):
+        # Labels change every few rows, so blocks hold several.
+        writer = writers[(i // 5) % 3]
+        writer.execute(
+            "INSERT INTO a VALUES (?, ?, ?, ?, ?)",
+            (i, None if i % 11 == 0 else rng.randrange(keys),
+             rng.randrange(max(4, n_rows // 2)), "s-%05d" % rng.randrange(n_rows),
+             round(rng.uniform(0, 50), 2)))
+        writer.execute(
+            "INSERT INTO b VALUES (?, ?, ?)",
+            (i, None if i % 13 == 0 else rng.randrange(2 * keys),
+             "w-%d" % (i % 97)))
+    reader = IFCProcess(authority, owner)
+    for tag in tags:
+        reader.add_secrecy(tag)
+    session = db.connect(reader)
+    session.execute("ANALYZE")
+    return session
+
+
+def test_spill_parity_matrix():
+    """work_mem ∈ {1 KiB, 64 KiB, 1 MiB} × batch_size ∈ {1, 7, 1024}:
+    one-row blocks, multi-row blocks with partial tails, and blocks of
+    a hundred rows — every spilling operator must return the unbounded
+    executor's rows and labels (in its order, where the statement fixes
+    one), and must actually have spilled."""
+    for work_mem, n_rows in PARITY_ROWS.items():
+        queries = [(sql.replace("HALF", str(n_rows // 2)), ordered)
+                   for sql, ordered in PARITY_QUERIES]
+        reference = _parity_stack(0, None, n_rows)
+        expected = []
+        for sql, ordered in queries:
+            rows = _ordered(reference, sql)
+            expected.append(rows if ordered else sorted(rows, key=repr))
+        for batch_size in (1, 7, 1024):
+            session = _parity_stack(work_mem, batch_size, n_rows)
+            before = SPILL_STATS.snapshot()
+            for (sql, ordered), want in zip(queries, expected):
+                got = _ordered(session, sql)
+                if not ordered:
+                    got.sort(key=repr)
+                assert got == want, (work_mem, batch_size, sql)
+            after = SPILL_STATS.snapshot()
+            for field in ("spills", "agg_spills", "sort_spills"):
+                assert after[field] > before[field], \
+                    (work_mem, batch_size, field)
+
+
+def test_merge_compares_tagged_when_runs_disagree_on_key_types():
+    """Two runs, each sorted naturally — INT keys in one, TEXT in the
+    other, so neither latched ``mixed`` — must still merge: the stored
+    keys' type sets disagree, so the merge compares under the tagged
+    order (numbers before strings) instead of raising."""
+    from repro.core.labels import EMPTY_LABEL
+    from repro.db.physical import Sort
+    from repro.db.spill import SortRuns, Spools
+
+    sort = Sort(None, [None], [False])
+    runs = SortRuns(Spools(4096, 3), 1)
+    for keys in ([5, 1, 3, 1], ["b", "a", "c"]):
+        n = len(keys)
+        mixed = sort._spool_run(
+            runs, [list(range(n)), [EMPTY_LABEL] * n, [EMPTY_LABEL] * n,
+                   keys], 1, False)
+        assert mixed is False
+    merged = [values for values, _label, _ilabel in sort._merged(runs, False)]
+    # Run 0's rows by key (ties in arrival order), then run 1's.
+    assert merged == [(1,), (3,), (2,), (0,), (1,), (0,), (2,)]

@@ -4,11 +4,14 @@ Seeded-random "properties" in the style of tests/test_stats.py: each
 test draws many random inputs from a fixed seed and asserts invariants
 that must hold for *all* of them —
 
-* spool files round-trip arbitrary execution rows byte-exactly,
-  including ``None``, strings with newlines/quotes/unicode, floats,
-  and labels — and a label read back from a spill file is *identical*
-  (``is``) to the live interned instance, so the scan-level label
-  memos keep working across a spill;
+* the block codec and the spool files round-trip arbitrary execution
+  rows exactly, at every block size and with a partial tail block —
+  ``None``, strings with newlines/quotes/unicode, floats, and labels —
+  and a label read back from a spill file is *identical* (``is``) to
+  the live interned instance, so the scan-level label memos keep
+  working across a spill;
+* batch byte accounting equals the per-row estimate row for row, and
+  ANALYZE's measured widths agree with both;
 * partitioning is a function: every input row lands in exactly one
   partition, nothing is lost or duplicated, and a probe row meets
   exactly the build rows that share its key (cross-checked against a
@@ -24,23 +27,33 @@ that must hold for *all* of them —
 from __future__ import annotations
 
 import os
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
 from repro.core.labels import EMPTY_LABEL, Label
 from repro.db import Database
+from repro.db.faultinject import SpoolFaults
 from repro.db.spill import (
     MAX_RECURSION,
     SPILL_STATS,
     SpilledHashBuild,
     SpillFile,
+    Spools,
+    decode_block,
     decode_labeled_row,
+    encode_block,
     encode_labeled_row,
+    estimate_batch_bytes,
     estimate_row_bytes,
     estimate_spill_plan,
+    estimate_value_bytes,
 )
+from repro.errors import SpillError
 
 NASTY_STRINGS = (
     "", "plain", "with\nnewline", "with\ttab", "quote'and\"double",
@@ -87,72 +100,224 @@ def test_labeled_row_codec_round_trips_and_reinterns():
         assert out_ilabel is ilabel
 
 
-def test_spill_file_round_trips_random_rows():
-    rng = random.Random(0x5B12)
-    for _round in range(25):
-        spool = SpillFile()
-        rows = [(tuple(_random_values(rng)), _random_row(rng))
-                for _ in range(rng.randint(0, 60))]
-        for key, row in rows:
-            spool.write_row(key, row)
-        got = list(spool.rows())
-        assert len(got) == len(rows)
-        for (key, row), (got_key, got_row) in zip(rows, got):
-            assert got_key == key
-            assert got_row[0] == row[0]
-            assert got_row[1] is row[1]      # labels re-interned
-            assert got_row[2] is row[2]
-            # Labels *inside* the value list survive pickling too (the
-            # _label pseudo-column rides in the execution row).
-            for original, reloaded in zip(row[0], got_row[0]):
-                if isinstance(original, Label):
-                    assert reloaded is original
+# -- the block codec --------------------------------------------------------
+
+_LABELS = st.builds(Label, st.frozensets(st.integers(1, 40), max_size=4))
+_VALUES = st.one_of(st.none(), st.integers(-10**12, 10**12),
+                    st.floats(allow_nan=False), st.text(max_size=12), _LABELS)
+
+
+@st.composite
+def _blocks(draw):
+    """``(key_columns, columns, labels, ilabels)`` of one row count;
+    columns may be projected away (None) and label columns uniform."""
+    n = draw(st.integers(1, 40))
+    column = st.lists(_VALUES, min_size=n, max_size=n)
+    label_column = st.one_of(
+        st.lists(_LABELS, min_size=n, max_size=n),
+        _LABELS.map(lambda label: [label] * n))
+    return (draw(st.lists(column, max_size=2)),
+            draw(st.lists(st.one_of(st.none(), column), max_size=4)),
+            draw(label_column), draw(label_column))
+
+
+@given(_blocks())
+@settings(max_examples=150, deadline=None)
+def test_block_codec_round_trips_and_reinterns(block):
+    key_columns, columns, labels, ilabels = block
+    got_keys, got_columns, got_labels, got_ilabels = decode_block(
+        pickle.loads(pickle.dumps(encode_block(*block))))
+    assert got_keys == key_columns
+    assert got_columns == columns            # None stays projected away
+    for original, reloaded in zip(labels + ilabels,
+                                  got_labels + got_ilabels):
+        assert reloaded is original          # interned identity
+    # Labels *inside* a value column survive pickling too (the _label
+    # pseudo-column rides in the execution row).
+    for original, reloaded in zip(columns, got_columns):
+        for a, b in zip(original or (), reloaded or ()):
+            if isinstance(a, Label):
+                assert b is a
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 9)),
+                          st.tuples(_VALUES, _VALUES), _LABELS, _LABELS),
+                max_size=60),
+       st.integers(1, 17))
+@settings(max_examples=100, deadline=None)
+def test_spill_file_round_trips_at_every_block_size(rows, block_rows):
+    """Rows appended one at a time come back in order whatever the
+    block size: full blocks first, the partial tail block last."""
+    spools = Spools(0, block_rows)
+    spools.buffer_bytes = 1 << 30            # let max_rows decide
+    spool = SpillFile(spools)
+    before = SPILL_STATS.snapshot()
+    for row in rows:
+        spool.append(*row)
+    assert spool.count == len(rows)
+    got = []
+    sizes = []
+    for key_columns, columns, labels, ilabels in spool.blocks():
+        sizes.append(len(labels))
+        got.extend(zip(zip(*key_columns), zip(*columns), labels, ilabels))
+    assert sizes == ([block_rows] * (len(rows) // block_rows)
+                     + [len(rows) % block_rows] * bool(len(rows) % block_rows))
+    assert len(got) == len(rows)
+    for (key, values, label, ilabel), row in zip(got, rows):
+        assert (key, values) == row[:2]
+        assert label is row[2] and ilabel is row[3]
+    after = SPILL_STATS.snapshot()
+    assert after["rows_spilled"] - before["rows_spilled"] == len(rows)
+
+
+def test_block_rows_derive_from_the_budget():
+    """No knob: a write buffer gets ``work_mem / fanout²`` bytes, at
+    most a batch of rows and at least one — so the 1 KB CI leg spools
+    row by row, as before blocks existed."""
+    assert Spools(1024, 1024).block_rows(200) == 1
+    assert Spools(65536, 7).block_rows(200) == 5
+    assert Spools(65536, 7).block_rows(100) == 7
+    assert Spools(1 << 20, 1024).block_rows(160) == 102
+    assert Spools(1 << 30, 1024).block_rows(160) == 1024
+
+
+def test_spill_write_after_read_is_a_typed_error():
+    spool = SpillFile(Spools(1024, 4))
+    spool.append((1,), (1, "x"), EMPTY_LABEL, EMPTY_LABEL)
+    assert len(list(spool.blocks())) == 1
+    with pytest.raises(SpillError):
+        spool.append((2,), (2, "y"), EMPTY_LABEL, EMPTY_LABEL)
+
+
+# -- byte accounting ----------------------------------------------------------
+
+def test_batch_accounting_equals_per_row_estimates():
+    """``estimate_batch_bytes`` is ``estimate_row_bytes`` row for row —
+    for every column shape it special-cases and for ragged ones — and
+    the per-value half is what ANALYZE's ``avg_width`` averages."""
+    rng = random.Random(0x5B15)
+    shapes = (lambda: rng.randint(-10**9, 10**9),
+              lambda: rng.choice((1, 2.5, True)),
+              lambda: None,
+              lambda: rng.choice(NASTY_STRINGS),
+              lambda: _random_label(rng),
+              lambda: _random_values(rng)[0])        # ragged
+    for _round in range(60):
+        n = rng.randint(1, 50)
+        columns = [None if rng.random() < 0.15
+                   else [rng.choice(shapes)() for _ in range(n)]
+                   if rng.random() < 0.3
+                   else [shape() for _ in range(n)]
+                   for shape in (rng.choice(shapes)
+                                 for _ in range(rng.randint(0, 6)))]
+        labels = ([_random_label(rng)] * n if rng.random() < 0.4
+                  else [_random_label(rng) for _ in range(n)])
+        rows = zip(*[column or [None] * n for column in columns]) \
+            if columns else [()] * n
+        assert estimate_batch_bytes(columns, labels, 96) == [
+            estimate_row_bytes(values, label) + 96
+            for values, label in zip(rows, labels)]
+    assert estimate_batch_bytes([[1, 2]], []) == []
+
+
+def test_analyze_widths_agree_with_the_executor_accounting():
+    authority = AuthorityState(idgen=SeededIdGenerator(5))
+    db = Database(authority, seed=5)
+    session = db.connect()
+    session.execute("CREATE TABLE w (k INT PRIMARY KEY, t TEXT, f FLOAT)")
+    rows = [(i, "x" * (i % 9), None if i % 4 == 0 else i / 3)
+            for i in range(120)]
+    for row in rows:
+        session.execute("INSERT INTO w VALUES (?, ?, ?)", row)
+    session.execute("ANALYZE w")
+    stats = db.stats_manager.peek("w")
+    widths = [stats.columns[name].avg_width for name in ("k", "t", "f")]
+    for width, column in zip(widths, zip(*rows)):
+        assert width == pytest.approx(
+            sum(map(estimate_value_bytes, column)) / len(rows))
+    weights = estimate_batch_bytes([list(c) for c in zip(*rows)],
+                                   [EMPTY_LABEL] * len(rows))
+    assert sum(weights) / len(rows) == pytest.approx(64 + 16 + sum(widths))
+
+
+# -- the grace partitioner ----------------------------------------------------
+
+def _chunks(pairs, rng):
+    """Split ``(key, row)`` pairs into the ``(keys, rows)`` chunks the
+    partitioner takes, at random chunk sizes."""
+    pairs = list(pairs)
+    while pairs:
+        n = rng.randint(1, 40)
+        chunk, pairs = pairs[:n], pairs[n:]
+        yield [key for key, _ in chunk], [row for _, row in chunk]
+
+
+def _joined(spill):
+    """``(probe_row, matches)`` per spooled probe row."""
+    for (key_columns, columns, labels, ilabels), buckets in spill.joined():
+        rows = zip(zip(*columns), labels, ilabels)
+        for key, row in zip(zip(*key_columns), rows):
+            yield row, buckets.get(key, [])
 
 
 def test_every_row_lands_in_exactly_one_partition():
     rng = random.Random(0x5B13)
     for _round in range(10):
-        spill = SpilledHashBuild(budget=512, keep_resident=False)
+        spill = SpilledHashBuild(512, Spools(512, rng.choice((1, 7, 64))),
+                                 keep_resident=False)
         keys = [(rng.randint(0, 20),) for _ in range(300)]
-        for i, key in enumerate(keys):
-            # Routing is a pure function of the key.
-            assert spill.route(key) == spill.route(key)
-            spill.add_build(key, ([i], EMPTY_LABEL, EMPTY_LABEL))
+        # Routing is a pure function of the key.
+        assert spill.route(keys) == spill.route(keys)
+        assert all(0 <= index < spill.fanout for index in spill.route(keys))
+        for chunk_keys, rows in _chunks(
+                ((key, ([i], EMPTY_LABEL, EMPTY_LABEL))
+                 for i, key in enumerate(keys)), rng):
+            spill.add_build(chunk_keys, rows)
         counts = [p.build.count for p in spill.partitions]
         assert sum(counts) == len(keys)
-        # Same key, same partition: replay the routing.
-        for key in set(keys):
-            assert 0 <= spill.route(key) < spill.fanout
+        # Same key, same partition.
+        landed = {}
+        for index, partition in enumerate(spill.partitions):
+            for key_columns, _c, _l, _i in partition.build.blocks():
+                for key in zip(*key_columns):
+                    assert landed.setdefault(key, index) == index
+        spill.close()
 
 
 def test_spilled_join_matches_dict_join():
     """The partition machinery must produce exactly the matches a
     plain in-memory dict join would, for every probe row, across
-    random duplicate-heavy key distributions and tiny budgets (which
-    force recursive re-partitioning)."""
+    random duplicate-heavy key distributions, tiny budgets (which
+    force recursive re-partitioning) and block sizes from one row up
+    (64 KiB / batch 7 leaves partial tail blocks)."""
     rng = random.Random(0x5B14)
-    for _round in range(8):
-        budget = rng.choice((256, 1024, 4096))
-        build = [((rng.randint(0, 12),), _random_row(rng))
-                 for _ in range(rng.randint(50, 250))]
-        probe = [((rng.randint(0, 15),), _random_row(rng))
-                 for _ in range(rng.randint(20, 120))]
+    for _round in range(12):
+        budget = rng.choice((256, 1024, 4096, 65536))
+        def side(n_rows, n_keys, tag):
+            # One row width per side; slot 0 makes every row distinct.
+            width = rng.randint(1, 5)
+            return [((rng.randint(0, n_keys),),
+                     ((tag, i, *[_random_values(rng)[0]
+                                 for _ in range(width)]),
+                      _random_label(rng), _random_label(rng)))
+                    for i in range(n_rows)]
+        build = side(rng.randint(50, 250), 12, "b")
+        probe = side(rng.randint(20, 120), 15, "p")
         reference: dict = {}
         for key, row in build:
             reference.setdefault(key, []).append(row)
 
-        spill = SpilledHashBuild(budget=budget)
-        for key, row in build:
-            spill.add_build(key, row)
-        spooled = []
-        immediate = []
-        for key, row in probe:
-            matches = spill.probe(key, row)
-            if matches is None:
-                spooled.append((key, row))
-            else:
-                immediate.append((row, matches))
-        results = immediate + list(spill.results())
+        spill = SpilledHashBuild(budget, Spools(budget,
+                                                rng.choice((1, 7, 1024))))
+        for keys, rows in _chunks(build, rng):
+            spill.add_build(keys, rows)
+        results = []
+        for keys, rows in _chunks(probe, rng):
+            for row, matches in zip(rows, spill.probe(keys, rows)):
+                if matches is not None:
+                    results.append((row, matches))
+        results.extend(_joined(spill))
+        spill.close()
         # Every probe row surfaces exactly once...
         assert len(results) == len(probe)
         # ...with exactly the dict join's matches (order-insensitive).
@@ -169,13 +334,13 @@ def test_recursion_terminates_on_all_equal_keys():
     partitioner must detect that and finish in memory (over budget)
     instead of recursing forever."""
     before = SPILL_STATS.repartitions
-    spill = SpilledHashBuild(budget=256, keep_resident=False)
+    spill = SpilledHashBuild(256, Spools(256, 16), keep_resident=False)
     key = (7, "same")
     n = 500
-    for i in range(n):
-        spill.add_build(key, ([i, "payload"], EMPTY_LABEL, EMPTY_LABEL))
-    spill.spool_probe(key, (["probe"], EMPTY_LABEL, EMPTY_LABEL))
-    results = list(spill.results())
+    spill.add_build([key] * n, [((i, "payload"), EMPTY_LABEL, EMPTY_LABEL)
+                                for i in range(n)])
+    spill.spool_probe([key], [(("probe",), EMPTY_LABEL, EMPTY_LABEL)])
+    results = list(_joined(spill))
     assert len(results) == 1
     _row, matches = results[0]
     assert len(matches) == n
@@ -186,15 +351,14 @@ def test_recursion_terminates_on_all_equal_keys():
 def test_recursion_terminates_on_skewed_keys():
     """One dominant key plus a long tail: recursion isolates the heavy
     key and stops, returning complete matches for both."""
-    spill = SpilledHashBuild(budget=512, keep_resident=False)
-    for i in range(400):
-        spill.add_build((1,), ([i], EMPTY_LABEL, EMPTY_LABEL))
-    for i in range(40):
-        spill.add_build((1000 + i,), ([i], EMPTY_LABEL, EMPTY_LABEL))
-    spill.spool_probe((1,), (["hot"], EMPTY_LABEL, EMPTY_LABEL))
-    spill.spool_probe((1005,), (["cold"], EMPTY_LABEL, EMPTY_LABEL))
-    spill.spool_probe((9999,), (["miss"], EMPTY_LABEL, EMPTY_LABEL))
-    by_row = {row[0][0]: matches for row, matches in spill.results()}
+    spill = SpilledHashBuild(512, Spools(512, 16), keep_resident=False)
+    keys = [(1,)] * 400 + [(1000 + i,) for i in range(40)]
+    spill.add_build(keys, [((i,), EMPTY_LABEL, EMPTY_LABEL)
+                           for i in range(len(keys))])
+    spill.spool_probe([(1,), (1005,), (9999,)],
+                      [((name,), EMPTY_LABEL, EMPTY_LABEL)
+                       for name in ("hot", "cold", "miss")])
+    by_row = {row[0][0]: matches for row, matches in _joined(spill)}
     assert len(by_row["hot"]) == 400
     assert len(by_row["cold"]) == 1
     assert by_row["miss"] == []
@@ -434,3 +598,76 @@ def test_mid_sort_error_releases_run_descriptors():
         batches.throw(RuntimeError("boom"))
     assert _open_fds() == baseline
     session.rollback()
+
+
+def test_unread_spools_still_count_their_bytes(monkeypatch):
+    """Regression: ``bytes_spilled`` used to be added when a spool
+    flipped to reading, so partitions a ``LIMIT`` never reached
+    vanished from the statement's ``spill_bytes``.  Bytes count as
+    each block reaches its file: the statement reports exactly what
+    the temp files received."""
+    from repro.db import spill as spill_mod
+
+    written = []
+    real = spill_mod.tempfile.TemporaryFile
+
+    def counting(*args, **kwargs):
+        handle = real(*args, **kwargs)
+
+        class Tally:
+            def write(self, data):
+                written.append(len(data))
+                return handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(handle, name)
+        return Tally()
+
+    monkeypatch.setattr(spill_mod.tempfile, "TemporaryFile", counting)
+    db, session = _stack(2048, batch_size=16)
+    sql = JOIN_SQL + " LIMIT 1"
+    assert len(session.execute(sql).rows) == 1
+    metrics = db.last_statement_metrics()
+    assert sum(written) > 0
+    assert metrics["spill"]["bytes_spilled"] == sum(written)
+    (statement,) = [entry for query, entry
+                    in db.stats()["statements"].items() if "LIMIT" in query]
+    assert statement["spill_bytes"] == sum(written)
+
+
+FAULT_SWEEP = (
+    ("join", JOIN_SQL),
+    ("aggregate", "SELECT t, COUNT(*), SUM(g) FROM fact GROUP BY t"),
+    ("distinct", "SELECT DISTINCT g, t FROM fact"),
+    ("sort", "SELECT k, t FROM fact ORDER BY t, k"),
+)
+
+
+@pytest.mark.parametrize("name,sql", FAULT_SWEEP, ids=[n for n, _ in
+                                                       FAULT_SWEEP])
+def test_spill_io_faults_are_typed_and_release_everything(name, sql):
+    """ENOSPC on block write N / EIO on block read N, swept over the
+    statement's blocks: the statement fails with ``SpillError``, no
+    descriptor outlives it, and the same session then runs it to the
+    right answer."""
+    _db0, unbounded = _stack(0)
+    expected = _normalized(unbounded, sql)
+    db, session = _stack(4096, batch_size=16)
+    db.spill_faults = clean = SpoolFaults()
+    assert _normalized(session, sql) == expected
+    assert clean.writes > 1
+    if db.workers < 2:
+        assert clean.reads == clean.writes
+    # A gang's workers read their partitions against forked copies of
+    # the schedule: the parent then counts none, and read #0 fires in
+    # every worker.
+    baseline = _open_fds()
+    for mode, total in (("write", clean.writes),
+                        ("read", max(1, clean.reads))):
+        for n in sorted({0, 1, total // 3, total // 2, total - 1}):
+            db.spill_faults = SpoolFaults(mode, n)
+            with pytest.raises(SpillError):
+                session.execute(sql)
+            assert _open_fds() == baseline, (mode, n)
+            db.spill_faults = None
+            assert _normalized(session, sql) == expected, (mode, n)
