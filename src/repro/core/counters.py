@@ -12,10 +12,11 @@ other's counters to the wrong statement.
 shape the parallel executor uses between processes, applied between
 threads:
 
-* plain attribute reads/writes (``group.field``) go to a **per-thread**
-  slotted state object, so ``+=`` stays a linearizable read-modify-write
-  of thread-private storage and a statement bracket (two reads on the
-  executing thread) can only ever see its own thread's work;
+* plain attribute reads/writes (``group.field``) go — through one
+  property per field — to a **per-thread** slotted state object, so
+  ``+=`` stays a linearizable read-modify-write of thread-private
+  storage and a statement bracket (two reads on the executing thread)
+  can only ever see its own thread's work;
 * :meth:`totals` / :meth:`snapshot` sum the per-thread states (plus a
   base that absorbs the states of threads that have exited), so
   whole-process views — ``Database.stats()``, benchmark snapshots —
@@ -76,6 +77,14 @@ def _state_type_for(cls) -> type:
     return state_type
 
 
+def _thread_field(name: str) -> property:
+    """``group.<name>``, routed to the calling thread's state.  Every
+    hot path's ``COUNTERS.field += 1`` is one get and one set here."""
+    return property(
+        lambda group: getattr(group._local.state, name),
+        lambda group, value: setattr(group._local.state, name, value))
+
+
 class CounterGroup:
     """Base class for thread-aware counter families (see module doc)."""
 
@@ -84,29 +93,19 @@ class CounterGroup:
     #: Subset of FIELDS that are high-water gauges (max-combined).
     MAX_FIELDS: Tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for field in cls.FIELDS:
+            setattr(cls, field, _thread_field(field))
+
     def __init__(self):
         cls = type(self)
-        object.__setattr__(self, "_state_type", _state_type_for(cls))
-        object.__setattr__(self, "_lock", threading.Lock())
-        object.__setattr__(self, "_states", [])
-        object.__setattr__(self, "_base", dict.fromkeys(cls.FIELDS, 0))
-        object.__setattr__(self, "_local", _GroupLocal(self))
+        self._state_type = _state_type_for(cls)
+        self._lock = threading.Lock()
+        self._states: list = []
+        self._base = dict.fromkeys(cls.FIELDS, 0)
+        self._local = _GroupLocal(self)
         _ALL_GROUPS.append(weakref.ref(self))
-
-    # -- attribute access: thread-local ---------------------------------
-    def __getattr__(self, name):
-        # Only reached when normal lookup fails, i.e. for counter
-        # fields (internals live in the instance dict).
-        if name in type(self).FIELDS:
-            return getattr(self._local.state, name)
-        raise AttributeError("%s has no attribute %r"
-                             % (type(self).__name__, name))
-
-    def __setattr__(self, name, value):
-        if name in type(self).FIELDS:
-            setattr(self._local.state, name, value)
-        else:
-            object.__setattr__(self, name, value)
 
     # -- cross-thread views ---------------------------------------------
     def totals(self) -> Dict[str, int]:
@@ -178,7 +177,7 @@ def _reinit_locks_after_fork() -> None:
         if group is None:
             dead.append(ref)
             continue
-        object.__setattr__(group, "_lock", threading.Lock())
+        group._lock = threading.Lock()
     for ref in dead:
         _ALL_GROUPS.remove(ref)
 

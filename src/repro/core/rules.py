@@ -44,7 +44,7 @@ class RuleCounters(CounterGroup):
     ``covers_calls``/``strip_calls`` count *invocations* of the two
     hot-path predicates — including memo hits and plain-subset fast
     paths — because what the paper's Query-by-Label cost is made of is
-    the per-tuple call itself (section 7.1).  The batched executor's
+    the per-tuple call itself (section 7.1).  The set-at-a-time
     label routine (``repro.db.physical._label_filter``) collapses one
     call per tuple into one call per distinct label per batch —
     ``strip`` included: under a declassifying view each distinct

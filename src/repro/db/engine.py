@@ -118,15 +118,15 @@ class Database:
         self.buffer_cache = BufferCache(capacity=buffer_pages,
                                         io_penalty=io_penalty)
         self.stats_manager = StatsManager(self)
-        # Execution batch size: ``None`` defers to the REPRO_BATCH_SIZE
-        # environment variable (CI runs the whole suite at 1 to prove
-        # batch boundaries can't change results), then the built-in
-        # default; 0 pins row-at-a-time execution.  Naive mode always
-        # pins row-at-a-time (see Optimizer.exec_batch_size).
+        # Execution batch size — a chunk size, at least 1: ``None``
+        # defers to the REPRO_BATCH_SIZE environment variable (CI runs
+        # the whole suite at 1 to prove batch boundaries can't change
+        # results), then the built-in default.  Naive mode always runs
+        # at 1 (see Optimizer.exec_batch_size).
         if batch_size is None:
             batch_size = int(os.environ.get("REPRO_BATCH_SIZE",
                                             str(DEFAULT_BATCH_SIZE)))
-        self.batch_size = max(0, int(batch_size))
+        self.batch_size = max(1, int(batch_size))
         # Per-operator memory budget in bytes for memory-bounded
         # operators (hash-join builds): ``None`` defers to the
         # ``REPRO_WORK_MEM`` environment variable (CI runs a tier-1
@@ -141,14 +141,14 @@ class Database:
         self.spill_faults = None
         # Parallel worker-pool size: ``None`` defers to the
         # ``REPRO_WORKERS`` environment variable (CI runs a tier-1 job
-        # at 2), then serial (0).  The planner inserts Gather exchange
-        # operators above parallel-safe subtrees and hands the pool to
-        # spilling joins/aggregates; 0 and 1 both mean serial.
+        # at 2), then serial (0).  The planner hands the pool to hash
+        # joins and aggregates for their spilled-partition phase; 0 and
+        # 1 both mean serial.
         if workers is None:
             workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
         self.workers = max(0, int(workers))
         # ``naive_plans`` forces reference plans (full scans, nested
-        # loops, no pushdown, row-at-a-time execution) — the
+        # loops, no pushdown, one-row batches) — the
         # differential harness's known-good executor; see
         # Optimizer.naive.
         self.planner = Planner(self.catalog, self.authority.tags,

@@ -720,23 +720,24 @@ class ExprCompiler:
         raise CatalogError("unknown function %r" % node.name)
 
     # -- subqueries ----------------------------------------------------------
-    def _plan_subquery(self, select, *, scalar: bool):
+    def _plan_subquery(self, select):
+        """The subquery's plan, stamped to one-row batches: its
+        consumers pull one or two rows and stop — EXISTS at the first,
+        a scalar subquery at the second — and a full-size batch per
+        probe would throw that early exit away."""
         if self.planner is None:
             raise DatabaseError("subqueries are not supported here")
-        # Row-at-a-time on purpose: EXISTS/IN/scalar consumers pull one
-        # or two rows and stop; a batched subplan would materialize a
-        # whole RowBatch per probe (see Planner.plan_select).
-        prepared = self.planner.plan_select(select, outer_scope=self.scope,
-                                            batched=False)
-        return prepared.plan
+        from .physical import stamp_batch_size
+        prepared = self.planner.plan_select(select, outer_scope=self.scope)
+        return stamp_batch_size(prepared.plan, 1)
 
     def _c_exists(self, node: Exists):
-        plan = self._plan_subquery(node.select, scalar=False)
+        plan = self._plan_subquery(node.select)
         negated = node.negated
         def run(row, ctx):
             ctx.outer_stack.append(row)
             try:
-                for _ in plan.rows(ctx):
+                for _batch in plan.batches(ctx):
                     return not negated
                 return negated
             finally:
@@ -744,7 +745,7 @@ class ExprCompiler:
         return run
 
     def _c_inselect(self, node: InSelect):
-        plan = self._plan_subquery(node.select, scalar=False)
+        plan = self._plan_subquery(node.select)
         operand = self.compile(node.operand)
         negated = node.negated
         def run(row, ctx):
@@ -754,12 +755,12 @@ class ExprCompiler:
             ctx.outer_stack.append(row)
             try:
                 saw_null = False
-                for sub_values, _label, _ilabel in plan.rows(ctx):
-                    candidate = sub_values[0]
-                    if candidate is None:
-                        saw_null = True
-                    elif candidate == value:
-                        return not negated
+                for batch in plan.batches(ctx):
+                    for candidate in batch.column(0):
+                        if candidate is None:
+                            saw_null = True
+                        elif candidate == value:
+                            return not negated
                 if saw_null:
                     return None
                 return negated
@@ -768,19 +769,17 @@ class ExprCompiler:
         return run
 
     def _c_scalarselect(self, node: ScalarSelect):
-        plan = self._plan_subquery(node.select, scalar=True)
+        plan = self._plan_subquery(node.select)
         def run(row, ctx):
             ctx.outer_stack.append(row)
             try:
-                result = None
-                count = 0
-                for sub_values, _label, _ilabel in plan.rows(ctx):
-                    count += 1
-                    if count > 1:
+                found: list = []
+                for batch in plan.batches(ctx):
+                    found += batch.column(0)
+                    if len(found) > 1:
                         raise DatabaseError(
                             "scalar subquery returned more than one row")
-                    result = sub_values[0]
-                return result
+                return found[0] if found else None
             finally:
                 ctx.outer_stack.pop()
         return run
@@ -952,12 +951,12 @@ def compile_batch(compiler: "ExprCompiler", node: Expr) -> Callable:
     batch), so batch compilation can never change semantics — only the
     loop shape.
 
-    ``AND`` keeps the row compiler's short-circuit contract via a
+    ``AND`` keeps the scalar compiler's short-circuit contract via a
     selection mask: later conjuncts are evaluated only for rows still
     alive (not yet FALSE) by selecting the alive sub-batch — columnar
     batches compose the selection vector without copying column data —
     so an expression like ``x <> 0 AND 10 / x > 2`` raises for exactly
-    the rows the row-at-a-time executor would have raised for.
+    the rows the scalar closure would have raised for.
     """
     if isinstance(node, Literal):
         value = node.value

@@ -475,15 +475,15 @@ class OpStats:
     wall seconds, and inclusive counter deltas (one slot per recorder
     cell)."""
 
-    __slots__ = ("rows", "batches", "seconds", "counters", "label_stats")
+    __slots__ = ("rows", "batches", "seconds", "counters", "chunks_seen")
 
     def __init__(self, ncells: int):
         self.rows = 0
         self.batches = 0
         self.seconds = 0.0
         self.counters = [0] * ncells
-        #: Scans only: ``[candidate chunks, distinct labels checked]``.
-        self.label_stats: Optional[List[int]] = None
+        #: Scans only: ``[candidate chunks]`` (see Scan.chunks_seen).
+        self.chunks_seen: Optional[List[int]] = None
 
 
 class OpProbe:
@@ -503,10 +503,6 @@ class OpProbe:
         self.inner = inner
         self.stats = stats
         self.read = read
-
-    @property
-    def batch_size(self) -> int:
-        return self.inner.batch_size
 
     def _wrap(self, iterator, per_item: Callable[[OpStats, object], None]):
         stats = self.stats
@@ -531,11 +527,6 @@ class OpProbe:
                     counters[i] += after[i] - before[i]
             per_item(stats, item)
             yield item
-
-    def rows(self, ctx):
-        def count(stats, _row):
-            stats.rows += 1
-        return self._wrap(self.inner.rows(ctx), count)
 
     def batches(self, ctx):
         def count(stats, batch):
@@ -584,9 +575,9 @@ class PlanRecorder:
         stats = OpStats(len(self.cells))
         self._stats[id(plan)] = (plan, stats)
         if isinstance(clone, _physical.Scan):
-            # The label routine tallies [chunks, distinct labels] on
-            # the private clone (see Scan.label_stats).
-            clone.label_stats = stats.label_stats = [0, 0]
+            # The scan tallies its candidate chunks on the private
+            # clone (see Scan.chunks_seen).
+            clone.chunks_seen = stats.chunks_seen = [0]
         return OpProbe(clone, stats, self.read)
 
     def stats_of(self, plan) -> Optional[OpStats]:
@@ -652,21 +643,20 @@ class PlanRecorder:
             actual += " time=%.3fms" % (stats.seconds * 1000.0)
             exclusive = self._exclusive(plan)
             actual += self._format_counters(exclusive)
-            if stats.label_stats is not None and stats.seconds:
-                # Every scan line shows what Query by Label did: rows
-                # it suppressed (zero included — the generic counters
-                # omit zeros) and, batched, how many distinct labels a
-                # chunk made it check.  Not for a scan whose probe was
-                # never pulled: it ran in a Gather's forked workers,
-                # whose counters land on the Gather line and whose
-                # tally never reaches this process.
+            if stats.chunks_seen is not None and stats.seconds:
+                # Every scan line that ran shows what Query by Label
+                # did: rows it suppressed (zero included — the generic
+                # counters omit zeros) and how many label checks a
+                # candidate chunk cost it — its distinct labels
+                # set-at-a-time, its versions in the per-version loop.
                 if not exclusive[self.cells.index(
                         ("labels", "rows_suppressed"))]:
                     actual += " suppressed=0"
-                chunks, labels = stats.label_stats
-                if plan.batch_size:
-                    actual += " labels/batch=%.1f" % (
-                        labels / chunks if chunks else 0.0)
+                chunks = stats.chunks_seen[0]
+                checks = exclusive[self.cells.index(
+                    ("labels", "covers_calls"))]
+                actual += " labels/batch=%.1f" % (
+                    checks / chunks if chunks else 0.0)
             line += "  (%s)" % actual
         lines = [line]
         for child in _physical._children(plan):

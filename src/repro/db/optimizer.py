@@ -537,35 +537,26 @@ class Optimizer:
         Naive mode pins serial execution — the reference executor of
         the differential harness must stay a single-process per-tuple
         ground truth — and platforms without ``fork`` cannot run the
-        gang at all, so the planner never inserts exchange operators
-        it could not honour.
+        gang at all, so the planner never advertises a pool it could
+        not honour.
         """
         if self.naive or requested < 2:
             return 0
         from .parallel import FORK_AVAILABLE
         return requested if FORK_AVAILABLE else 0
 
-    def gather_workers(self, requested: int, row_estimate: float,
-                       min_rows: int) -> int:
-        """Cost gate for one exchange operator: forking a gang and
-        shipping rows back costs a few milliseconds, so a scan only
-        parallelizes when its candidate estimate amortizes the fan-out
-        (``min_rows``, from ``REPRO_PARALLEL_MIN_ROWS``)."""
-        if requested < 2 or row_estimate < min_rows:
-            return 0
-        return requested
-
     def exec_batch_size(self, requested: int) -> int:
         """Execution batch size for plans this optimizer produces.
 
-        Naive mode pins row-at-a-time execution (batch size 0): the
-        reference executor must drive one ``covers``/``visible`` check
-        per tuple so the differential harness cross-checks the batched
-        executor's amortizations — label-run memoization, the MVCC
-        batch fast path, page-run touch accounting — against per-tuple
-        ground truth, not against themselves.
+        Naive mode pins batch size 1: a one-version chunk always takes
+        the scan leaf's per-version loop, so the reference executor
+        drives one ``covers``/``visible``/``touch`` per tuple and the
+        differential harness cross-checks the set-at-a-time
+        amortizations — label-run memoization, the MVCC bound check,
+        page-run touch accounting — against per-tuple ground truth,
+        not against themselves.
         """
-        return 0 if self.naive else requested
+        return 1 if self.naive else requested
 
     def optimize_dml(self, query: LogicalDML) -> LogicalDML:
         """Annotate an UPDATE/DELETE target with its access path.

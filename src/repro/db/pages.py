@@ -118,8 +118,8 @@ class BufferCache:
         produced — a resident page yields ``count`` hits, an absent page
         one miss (with its I/O penalty) followed by ``count - 1`` hits,
         and at most one insertion/eviction — while doing a single dict
-        probe.  ``hit_rate()`` is therefore identical between the
-        batched and row-at-a-time executors.
+        probe.  ``hit_rate()`` is therefore identical whichever way
+        the scan leaf charges a chunk.
         """
         if count <= 0:
             return True

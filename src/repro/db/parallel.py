@@ -1,19 +1,16 @@
 """Fork-based worker gang: the process pool behind parallel execution.
 
-The execution layer parallelizes two shapes of work (see
-ARCHITECTURE.md, "Parallel execution"):
-
-* **partitioned scans** — the :class:`~repro.db.physical.Gather`
-  exchange operator splits a full heap scan into contiguous
-  batch-aligned chunk ranges and runs the scan subtree once per range;
-* **grace partitions** — a spilled hash join or hash aggregate hands
-  disjoint spill partitions to the gang, one contiguous partition
-  range per worker.
+The execution layer parallelizes one shape of work (see
+ARCHITECTURE.md, "Parallel execution"): **grace partitions** — a
+spilled hash join or hash aggregate hands disjoint spill partitions to
+the gang, one contiguous partition range per worker.  Plain heap
+scans stay serial: fork, codec and pipe cost more than the scan itself
+(0.45× serial on two cores, ``benchmarks/bench_parallel.py``).
 
 Workers are **forked**, never spawned: a child inherits the parent's
 address space — the catalog, the MVCC version arrays, the interned
 label table and the memoized ``covers``/``strip`` tables — at the
-instant the gather starts, so nothing about the plan or the data needs
+instant the gang starts, so nothing about the plan or the data needs
 to be pickled or rebuilt.  The statement's snapshot is immutable for
 its whole lifetime, which is exactly what makes a copy-on-write clone
 of the heap a correct execution substrate.
@@ -29,12 +26,12 @@ instance and every downstream identity-keyed memo keeps working.
 copy-on-write copy — the parent is unaffected), does its slice of the
 work, and ships its final ``REGISTRY.snapshot()`` as a pure delta with
 the end-of-stream sentinel.  The parent merges every delta through
-``REGISTRY.merge()``, which lands on the gathering statement's own
+``REGISTRY.merge()``, which lands on the coordinating statement's own
 thread-local counters — so the per-statement bracket sees exactly the
 sum of serial-equivalent work, with zero slack.
 
 **Ordering.**  Ranges are contiguous and workers drain in worker
-order, so the gathered row stream is exactly the serial row order.
+order, so the merged row stream is exactly the serial row order.
 
 **Error parity.**  A worker exception is pickled and re-raised in the
 parent (falling back to :class:`WorkerError` for unpicklable ones), so
@@ -51,12 +48,6 @@ from typing import Callable, Iterator, List, Tuple
 
 from . import metrics
 from .spill import decode_block, encode_block
-
-#: Plan-time cost floor for the exchange operator: forking a gang and
-#: shipping rows costs a few milliseconds, so the optimizer only
-#: parallelizes scans whose estimated candidate count clears this bar
-#: (``REPRO_PARALLEL_MIN_ROWS`` overrides; tests set it low).
-DEFAULT_MIN_ROWS = 2048
 
 
 def fork_available() -> bool:
@@ -80,9 +71,9 @@ class WorkerError(RuntimeError):
 def split_ranges(start: int, stop: int,
                  workers: int) -> List[Tuple[int, int]]:
     """Split ``[start, stop)`` into up to ``workers`` contiguous,
-    near-even, non-empty ranges — the unit assignment for both chunked
-    scans and spill partitions.  Contiguity is what makes gather order
-    equal serial order."""
+    near-even, non-empty ranges — the unit assignment of spill
+    partitions.  Contiguity is what makes gang order equal serial
+    order."""
     total = stop - start
     if total <= 0 or workers <= 0:
         return []

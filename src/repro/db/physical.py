@@ -9,38 +9,49 @@ confinement — is decided "at the layer that reads and writes tuples in
 tables", so nothing a higher layer does can surface a tuple the process
 may not see.
 
-**Batch-at-a-time execution.**  Operators expose two pull interfaces:
-``rows()`` (one ``(values, label, ilabel)`` triple at a time — the
-original executor, and still the reference semantics) and ``batches()``
-(:class:`RowBatch` objects of ~``batch_size`` rows).  The planner stamps
-``batch_size`` onto every node of an optimized plan; the naive planner
-leaves it at 0, pinning the differential harness's reference executor
-to genuinely per-tuple checks.  Either interface adapts to the other —
-``Plan.batches`` chunks ``rows()``, ``Plan._drain`` flattens
-``batches()`` — so batch-native and row-native operators compose
-freely and cursors (:mod:`repro.db.session`) keep working unchanged.
+**One operator protocol.**  Every operator implements ``batches()``
+and nothing else: it pulls :class:`RowBatch` objects of up to
+``batch_size`` rows from its children and yields batches.  Row ``i`` of
+a batch is the ``(values, label, ilabel)`` triple of the paper's tuple
+model; the cursor (:mod:`repro.db.session`), ``INSERT … SELECT`` and the
+expression subqueries drain batches like any other consumer.
+``batch_size`` is a chunk size, stamped tree-wide by the planner
+(:func:`stamp_batch_size`) and always at least 1 — it never selects a
+code path.
 
-The batched path is **set-at-a-time from heap to result**: the per-tuple
-Query-by-Label cost (section 7.1) is paid per *distinct label per
-batch*, and nothing above the scan widens a columnar batch to rows.
+The path is **set-at-a-time from heap to result**: nothing above the
+scan widens a columnar batch to rows.
 
-* **scan** — a candidate chunk is charged to the buffer cache by page
-  run (:meth:`~repro.db.storage.Table.touch_versions`), MVCC-filtered
-  by one bound check where possible (:func:`_visible_versions`), and
-  label-filtered by :func:`_label_filter` — the one routine behind
-  ``Scan.batches``, ``Scan.versions`` and the ``IndexLoopJoin`` probe:
-  ``strip``/``covers`` once per distinct label, the rest of the chunk
-  kept or dropped through that verdict map at C speed.  The scan
-  predicate then runs column-at-a-time over the label survivors only;
+* **scan** — the leaf decides visibility (:func:`_visible_chunk`, the
+  one routine behind ``Scan.batches``, ``Scan.versions`` and the
+  ``IndexLoopJoin`` probe).  It holds the executor's **one fork**,
+  chosen by the candidates actually found, never by an estimate or an
+  option: a chunk of fewer than :data:`SET_AT_A_TIME_MIN` versions runs
+  the per-version loop — ``touch``, ``visible()``, one
+  ``strip``/``covers`` per tuple, the paper's per-tuple ground truth —
+  and a larger one is charged to the buffer cache by page run
+  (:meth:`~repro.db.storage.Table.touch_versions`), MVCC-filtered by
+  one bound check where possible (:func:`_visible_versions`) and
+  label-filtered by :func:`_label_filter`: ``strip``/``covers`` once
+  per distinct label, the rest of the chunk kept or dropped through
+  that verdict map at C speed.  The scan predicate then runs
+  column-at-a-time over the label survivors only;
 * **folds** — aggregation, DISTINCT, sorting and the joins read
   :class:`RowBatch` columns directly: keys and arguments are
-  batch-compiled, accumulators are resolved per function at plan time,
-  and label unions skip on interned identity.  A row is built only to
-  be held in a hash build, spooled to a spill file, or handed to the
-  cursor.
+  batch-compiled (:func:`repro.db.expressions.compile_batch`),
+  accumulators are resolved per function at plan time, and label unions
+  skip on interned identity.  A row is built only to be held in a hash
+  build, spooled to a spill file, or handed to the cursor.
 
-Label enforcement itself never moves: both executors decide visibility
-in the scan, below every optimization and batching decision.
+**The reference executor** of the differential harness is these same
+operators at batch size 1 over naive plans
+(:meth:`~repro.db.optimizer.Optimizer.exec_batch_size`): one-version
+chunks always take the per-version loop, so the label-run memo, the
+MVCC bound check and the page-run accounting are checked against
+per-tuple ``covers``/``visible``/``touch``, not against themselves.
+
+Label enforcement itself never moves: visibility is decided in the
+scan, below every optimization and batching decision.
 
 Label flow through operators:
 
@@ -80,9 +91,18 @@ from .storage import Table
 ExecRow = Tuple[list, Label, Label]          # (values, label, ilabel)
 
 #: Rows per batch when no explicit size is configured (the engine reads
-#: ``REPRO_BATCH_SIZE`` and passes its own default through the planner;
-#: this constant only backs the chunking shim for unstamped nodes).
+#: ``REPRO_BATCH_SIZE`` and passes its own default through the planner).
 DEFAULT_BATCH_SIZE = 1024
+
+#: The leaf's fork (:func:`_visible_chunk`): a candidate chunk of at
+#: least this many versions is filtered set-at-a-time, a shorter one by
+#: the per-version loop.  The set routines cost a fixed handful of list
+#: passes per chunk whatever its length (~4 µs), which a one-row
+#: primary-key probe cannot amortize (1.6 µs in the loop) and a heap
+#: slice repays many times over; measured on all-visible chunks the
+#: two cross between 3 versions (4.1 vs 4.2 µs) and 4 (5.9 vs 4.3),
+#: and on chains of dead versions they tie at every length.
+SET_AT_A_TIME_MIN = 4
 
 
 class ExecCounters(CounterGroup):
@@ -94,10 +114,9 @@ class ExecCounters(CounterGroup):
     proof of projection pushdown: a scan projecting 2 of N columns
     materializes ``2 × rows`` cells, batch-size invariant.
     ``rows_widened`` counts rows rebuilt to row-major form from a
-    columnar batch (:attr:`RowBatch.values`).  No batched operator
+    columnar batch (:attr:`RowBatch.values`).  No operator
     widens its input — folds and joins read columns — so a statement
-    widens each output row at most once, at the cursor drain (and a
-    :class:`Gather` worker once more, for the wire).
+    widens each output row at most once, at the cursor drain.
     """
 
     FIELDS = ("columns_materialized", "rows_widened")
@@ -112,12 +131,12 @@ class RowBatch:
 
     Logically a batch is three parallel sequences: execution rows,
     interned secrecy :class:`Label` objects, and integrity labels — row
-    ``i`` is exactly the ``(values[i], labels[i], ilabels[i])`` triple
-    the row-at-a-time interface would have yielded.  Physically the
-    value side has two layouts:
+    ``i`` is the ``(values[i], labels[i], ilabels[i])`` triple of the
+    paper's tuple model.  Physically the value side has two layouts:
 
     * **row-major** (the :meth:`__init__` constructor): ``values`` is a
-      list of per-row lists — what row-native operators produce;
+      list of per-row lists — what row producers (finalized groups,
+      merged sort runs) hand over;
     * **columnar** (:meth:`from_columns`): one Python list *per
       column*, where a ``None`` column slot means the planner proved
       the column is never read (projection pushdown) and it was never
@@ -136,11 +155,10 @@ class RowBatch:
     :attr:`values` is a lazy property: on a columnar batch the first
     access widens the batch back to row-major (counted in
     ``EXEC_COUNTERS.rows_widened``) and caches the result.  Its
-    consumers are the cursor drain and the row-at-a-time shims
-    (``Plan._drain``); batched operators read :meth:`column` instead.
-    Row-major batches also arrive from row producers — finalized
-    groups, merged sort runs, a ``Gather`` pipe — whose rows may be
-    tuples: nothing mutates or concatenates a batch's rows in place.
+    consumers sit outside the operator tree (the cursor drain, the
+    expression subqueries); operators read :meth:`column` instead.
+    A row producer's rows may be tuples: nothing mutates or
+    concatenates a batch's rows in place.
     """
 
     __slots__ = ("labels", "ilabels", "_rows", "_columns", "_sel")
@@ -232,7 +250,7 @@ class RowBatch:
         EXEC_COUNTERS.rows_widened += n
         if not n:
             return []
-        if sel is None and all(col is not None for col in cols):
+        if sel is None and None not in cols:
             return [list(row) for row in zip(*cols)]
         width = len(cols)
         rows = [[None] * width for _ in range(n)]
@@ -283,11 +301,17 @@ def _chunked(iterator, size: int):
         yield chunk
 
 
+def _probe_chunks(table: Table, index, key: tuple, size: int) -> list:
+    """The candidate versions of one equality probe, in lists of up to
+    ``size``."""
+    versions = list(table.versions_for_tids(index.lookup(key)))
+    return [versions[lo:lo + size] for lo in range(0, len(versions), size)]
+
+
 def _row_batches(rows, size: int) -> Iterator[RowBatch]:
     """Row-major batches of up to ``size`` from ``(values, label,
-    ilabel)`` rows — how a row-producing source (the row-at-a-time
-    interface, finalized groups, a merge of spilled runs) feeds batch
-    consumers."""
+    ilabel)`` rows — how a row-producing source (finalized groups, a
+    merge of spilled runs) feeds batch consumers."""
     for chunk in _chunked(rows, size):
         values, labels, ilabels = zip(*chunk)
         yield RowBatch(list(values), list(labels), list(ilabels))
@@ -317,7 +341,8 @@ class ExecContext:
 
     __slots__ = ("session", "params", "outer_stack", "read_label",
                  "read_ilabel", "principal", "registry", "authority",
-                 "ifc_enabled", "work_mem", "_spools", "scan_range")
+                 "ifc_enabled", "work_mem", "_spools", "in_worker",
+                 "audited_views")
 
     def __init__(self, session, params: tuple, read_label: Label,
                  read_ilabel: Label, principal: Optional[int]):
@@ -336,11 +361,12 @@ class ExecContext:
         #: reaction, not a plan property (the optimizer only *costs* it).
         self.work_mem = getattr(session.db, "work_mem", 0) or 0
         self._spools: Optional[Spools] = None
-        #: Set inside a forked parallel worker: the half-open *chunk*
-        #: range ``(lo, hi)`` this worker's full scans must cover (see
-        #: ``Table.all_versions_batched``).  Also the "am I a worker?"
-        #: flag that keeps a worker from forking a nested gang.
-        self.scan_range: Optional[Tuple[int, int]] = None
+        #: Set inside a forked parallel worker, which must not fork a
+        #: nested gang.
+        self.in_worker = False
+        #: Names of the declassifying views this statement already
+        #: audited.
+        self.audited_views: set = set()
 
     @property
     def spools(self) -> Spools:
@@ -348,8 +374,7 @@ class ExecContext:
         overflow: most statements never spill)."""
         if self._spools is None:
             db = self.session.db
-            self._spools = Spools(self.work_mem,
-                                  db.batch_size or DEFAULT_BATCH_SIZE,
+            self._spools = Spools(self.work_mem, db.batch_size,
                                   db.spill_faults)
         return self._spools
 
@@ -358,14 +383,8 @@ class ExecContext:
 
 
 class Plan:
-    """Base class: a pull-based operator producing ExecRows.
-
-    Subclasses implement ``rows()`` (row-at-a-time) and may additionally
-    implement a batch-native ``batches()``.  A node executes batched iff
-    the planner stamped a non-zero ``batch_size`` on it; the two default
-    methods below adapt whichever interface a subclass implements to the
-    other one.
-    """
+    """Base class: a pull-based operator producing :class:`RowBatch`
+    objects through ``batches()`` — the only operator protocol."""
 
     #: One-line EXPLAIN annotation, attached by the planner at lowering.
     explain: Optional[str] = None
@@ -373,9 +392,9 @@ class Plan:
     #: attached by the planner at lowering and rendered by EXPLAIN.
     est_rows: Optional[float] = None
     est_cost: Optional[float] = None
-    #: Rows per batch; 0 pins row-at-a-time execution (naive/reference
-    #: plans).  Stamped tree-wide by the planner at lowering.
-    batch_size: int = 0
+    #: Rows per batch (at least 1): a chunk size only.  Stamped
+    #: tree-wide by the planner at lowering (:func:`stamp_batch_size`).
+    batch_size: int = DEFAULT_BATCH_SIZE
     #: Estimated peak operator memory in bytes (materializing operators
     #: only — join builds and inner materializations), attached by the
     #: planner and rendered by EXPLAIN.  Under a ``work_mem`` budget a
@@ -388,32 +407,16 @@ class Plan:
     #: Optimizer-estimated external-sort runs (0 = the sort is expected
     #: to run fully in memory); rendered by EXPLAIN as ``runs=N``.
     est_runs: int = 0
-    #: ``{attribute: thunk}`` left by the planner at lowering: the
-    #: node's batch-compiled expression forms (its ``batch_*``
-    #: attributes, None until then).  :func:`stamp_batch_size` builds
-    #: them on the nodes it stamps batched and drops the thunks, so a
-    #: plan that stays on the row path never compiles or keeps them.
-    deferred_batch_forms: Optional[Dict[str, Callable]] = None
-
-    def rows(self, ctx: ExecContext) -> Iterator[ExecRow]:
-        raise NotImplementedError
 
     def batches(self, ctx: ExecContext) -> Iterator[RowBatch]:
-        """Default/fallback: chunk the row-at-a-time output."""
-        return _row_batches(self.rows(ctx),
-                            self.batch_size or DEFAULT_BATCH_SIZE)
-
-    def _drain(self, ctx: ExecContext) -> Iterator[ExecRow]:
-        """Row view of the batch-native output (compatibility shim)."""
-        for batch in self.batches(ctx):
-            yield from zip(batch.values, batch.labels, batch.ilabels)
+        raise NotImplementedError
 
 
 class SingleRow(Plan):
     """SELECT without FROM: one empty input row."""
 
-    def rows(self, ctx):
-        yield [], EMPTY_LABEL, EMPTY_LABEL
+    def batches(self, ctx):
+        yield RowBatch([[]], [EMPTY_LABEL], [EMPTY_LABEL])
 
 
 def _visible_versions(chunk: list, txn, txn_manager) -> list:
@@ -457,7 +460,7 @@ def _label_filter(ctx: "ExecContext", versions: list, declass: Label,
     """Query by Label over one chunk of MVCC-visible versions: returns
     the covered versions and the labels they emit.
 
-    The one label routine of the batched path.  ``memo`` is the
+    The label routine of the set-at-a-time path.  ``memo`` is the
     caller's ``(verdicts, stripped)`` pair of dicts keyed on the stored
     label: each *distinct* label of the chunk costs one ``covers`` —
     after one ``strip`` under a declassifying view, whose rows emit the
@@ -491,16 +494,66 @@ def _label_filter(ctx: "ExecContext", versions: list, declass: Label,
     return versions, labels
 
 
-def _audit_declassify(ctx: ExecContext, view_grants) -> None:
-    """IFC audit hook: one ``declassify_view`` event per declassifying
-    view per execution, recorded right after its authority
-    re-validated (see :class:`repro.db.metrics.AuditLog`)."""
-    audit = getattr(ctx.session.db, "audit", None)
-    if audit is None:
-        return
+def _visible_chunk(ctx: ExecContext, table: Table, chunk: list,
+                   declass: Label, memo: Tuple[dict, dict]
+                   ) -> Tuple[list, list]:
+    """Visibility of one candidate chunk — buffer-cache charge, MVCC,
+    Query by Label: the visible versions and the labels they emit
+    (stripped of ``declass``).  Every tuple any operator reads comes
+    through here.
+
+    This is the executor's one fork, and it follows the chunk actually
+    found: :data:`SET_AT_A_TIME_MIN` versions or more go through the
+    set-at-a-time routines under the caller's label ``memo``; fewer run
+    the per-version loop, which consults no memo — one ``touch``, one
+    ``visible()`` and one ``strip``/``covers`` per tuple.  The two
+    agree on every output and every counter except how often ``covers``
+    and ``strip`` run.
+    """
+    session = ctx.session
+    txn = session.transaction
+    txn_manager = session.db.txn_manager
+    if len(chunk) >= SET_AT_A_TIME_MIN:
+        table.touch_versions(chunk)
+        return _label_filter(ctx, _visible_versions(chunk, txn, txn_manager),
+                             declass, memo)
+    kept, labels = [], []
+    registry = ctx.registry
+    read_label = ctx.read_label
+    check_labels = ctx.ifc_enabled
+    for version in chunk:
+        table.touch(version)
+        if not txn_manager.visible(version, txn):
+            continue
+        label = version.label
+        if check_labels:
+            if declass:
+                label = strip(registry, label, declass)
+            if not covers(registry, label, read_label):
+                RULE_COUNTERS.rows_suppressed += 1
+                continue
+        kept.append(version)
+        labels.append(label)
+    return kept, labels
+
+
+def _check_view_authority(ctx: ExecContext, view_grants) -> None:
+    """Re-validate, at execution time, the authority of every
+    declassifying view enclosing a scan or an index-join probe (it may
+    have been revoked since planning), and record the IFC audit trail's
+    one ``declassify_view`` event per view per statement (see
+    :class:`repro.db.metrics.AuditLog`)."""
+    audit = ctx.session.db.audit
     for view, tags in view_grants:
-        audit.record("declassify_view", view=view.name,
-                     tags=tuple(sorted(tags)))
+        for tag_id in tags:
+            if not ctx.authority.has_authority(view.principal, tag_id):
+                raise AuthorityError(
+                    "declassifying view %r lost authority for tag %d "
+                    "(revoked?)" % (view.name, tag_id))
+        if audit is not None and view.name not in ctx.audited_views:
+            ctx.audited_views.add(view.name)
+            audit.record("declassify_view", view=view.name,
+                         tags=tuple(sorted(tags)))
 
 
 class Scan(Plan):
@@ -513,31 +566,28 @@ class Scan(Plan):
     be covered by the process label — an invisible tuple stays invisible
     no matter what the query looks like.
 
-    ``predicate_on_values`` marks a predicate that references only real
-    columns (no ``_label``, no subqueries — see
-    :func:`repro.db.expressions.reads_columns_only`): it is evaluated
-    directly against the stored value tuple, so rejected rows never pay
-    the ``list(...) + [label]`` output-row copy.  ``batch_predicate`` is
-    the same predicate batch-compiled
-    (:func:`repro.db.expressions.compile_batch`); the batched paths
-    evaluate it column-at-a-time over the tuples that survived MVCC
-    *and* the label check — never over a suppressed one.
+    ``predicate`` is batch-compiled
+    (:func:`repro.db.expressions.compile_batch`) and evaluated
+    column-at-a-time over the tuples that survived MVCC *and* the label
+    check — never over a suppressed one.  ``predicate_on_values`` marks
+    a predicate that references only real columns (no ``_label``, no
+    subqueries — see :func:`repro.db.expressions.reads_columns_only`):
+    it is evaluated directly against the stored value tuples, so no
+    ``[*values, label]`` predicate row is ever built.
 
     ``needed`` is the projection the optimizer pushed down: the sorted
     tuple of stored-column positions anything above this scan reads
-    (``None`` = all of them).  The batched scan materializes *only*
-    those columns into its columnar output — the rest stay inside the
-    stored tuples and read as NULL — which is safe because the planner
-    proved no expression above the scan references them.  Predicates
-    pushed *into* the scan still see the full stored tuple, and the
-    row-at-a-time paths (``rows()`` for the naive executor,
-    ``versions()`` for DML xmax stamping) always build full-width rows.
+    (``None`` = all of them).  The scan materializes *only* those
+    columns into its columnar output — the rest stay inside the stored
+    tuples and read as NULL — which is safe because the planner proved
+    no expression above the scan references them.  Predicates pushed
+    *into* the scan still see the full stored tuple, and ``versions()``
+    (DML xmax stamping) yields the stored versions themselves.
     """
 
-    #: EXPLAIN ANALYZE's per-scan ``[chunks, distinct labels]`` tally,
-    #: set on the recorder's private clone of the node only.
-    label_stats: Optional[list] = None
-    batch_predicate: Optional[Callable] = None
+    #: EXPLAIN ANALYZE's per-scan candidate-chunk tally (a one-element
+    #: list), set on the recorder's private clone of the node only.
+    chunks_seen: Optional[list] = None
 
     def __init__(self, table: Table, predicate: Optional[Callable],
                  declass: Label, view_grants: List[Tuple[ViewDef, Label]],
@@ -555,155 +605,50 @@ class Scan(Plan):
             None if needed is None
             else [table.schema.column_names[p] for p in needed])
 
-    def _check_view_authority(self, ctx: ExecContext) -> None:
-        for view, tags in self.view_grants:
-            for tag_id in tags:
-                if not ctx.authority.has_authority(view.principal, tag_id):
-                    raise AuthorityError(
-                        "declassifying view %r lost authority for tag %d "
-                        "(revoked?)" % (view.name, tag_id))
-        _audit_declassify(ctx, self.view_grants)
+    def _candidate_chunks(self, ctx: ExecContext):
+        """Candidate versions in lists of up to ``batch_size``: here the
+        heap, sliced; the index scans override the access path."""
+        return self.table.all_versions_batched(self.batch_size)
 
-    def _candidates(self, ctx: ExecContext):
-        return self.table.all_versions()
-
-    def _candidate_chunks(self, ctx: ExecContext, size: int):
-        """Candidate versions in lists of ~``size`` (batch granularity)."""
-        if type(self)._candidates is Scan._candidates:
-            # Full heap scan: let the table slice its version array
-            # directly instead of chunking a per-version generator.
-            # Inside a parallel worker, take only this worker's
-            # contiguous chunk range — same boundaries as serial.
-            return self.table.all_versions_batched(
-                size, part=ctx.scan_range)
-        return _chunked(self._candidates(ctx), size)
-
-    def _visible_chunks(self, ctx: ExecContext):
-        """The batched scan core, shared by :meth:`batches` and
-        :meth:`versions`: per candidate chunk, yields the versions that
-        are MVCC-visible, label-covered and pass the predicate, with
-        their stored value tuples and emitted labels."""
-        session = ctx.session
-        txn = session.transaction
-        txn_manager = session.db.txn_manager
-        table = self.table
-        declass = self.declass
-        predicate = self.batch_predicate
-        on_values = self.predicate_on_values
-        stats = self.label_stats
-        for chunk in self._candidate_chunks(ctx, self.batch_size):
-            table.touch_versions(chunk)
-            memo: Tuple[dict, dict] = ({}, {})
-            kept, labels = _label_filter(
-                ctx, _visible_versions(chunk, txn, txn_manager), declass,
-                memo)
-            if stats is not None:
-                stats[0] += 1
-                stats[1] += len(memo[0])
-            tuples = [version.values for version in kept]
-            if predicate is not None and kept:
-                rows = tuples if on_values else [
-                    [*values, label] for values, label in zip(tuples, labels)]
-                # Integrity labels are not part of the predicate row.
-                flags = predicate(RowBatch(rows, labels, labels), ctx)
-                if not all(flags):
-                    kept = list(compress(kept, flags))
-                    tuples = list(compress(tuples, flags))
-                    labels = list(compress(labels, flags))
-            if kept:
-                yield kept, tuples, labels
+    def _visible(self, ctx: ExecContext, chunk: list):
+        """The scan core, shared by :meth:`batches` and
+        :meth:`versions`: the versions of one candidate chunk that are
+        visible (:func:`_visible_chunk`, one label memo per chunk) and
+        pass the predicate, with their stored value tuples and emitted
+        labels."""
+        kept, labels = _visible_chunk(ctx, self.table, chunk, self.declass,
+                                      ({}, {}))
+        if self.chunks_seen is not None:
+            self.chunks_seen[0] += 1
+        tuples = [version.values for version in kept]
+        predicate = self.predicate
+        if predicate is not None and kept:
+            rows = tuples if self.predicate_on_values else [
+                [*values, label] for values, label in zip(tuples, labels)]
+            # Integrity labels are not part of the predicate row.
+            flags = predicate(RowBatch(rows, labels, labels), ctx)
+            if not all(flags):
+                kept = list(compress(kept, flags))
+                tuples = list(compress(tuples, flags))
+                labels = list(compress(labels, flags))
+        return kept, tuples, labels
 
     def versions(self, ctx: ExecContext):
         """Target-row enumeration for UPDATE/DELETE: yields the physical
         tuple *versions* so the session can stamp ``xmax``.
 
-        Driven by the same access path as ``rows()`` (``_candidates``
-        is what ``IndexScan``/``IndexRangeScan`` override), with the
-        same MVCC and Query-by-Label visibility — an invisible tuple is
-        simply unaffected by DML.  The write-rule *equality* check
-        (section 4.2) happens in the session on each yielded version.
-        DML targets are base tables, never views, so no
-        declassification applies here.  With a non-zero ``batch_size``
-        the enumeration is the batched scan core
-        (:meth:`_visible_chunks`).
+        Driven by the same access path and the same scan core as
+        :meth:`batches`, with the same MVCC and Query-by-Label
+        visibility — an invisible tuple is simply unaffected by DML.
+        The write-rule *equality* check (section 4.2) happens in the
+        session on each yielded version.  DML targets are base tables,
+        never views, so no declassification applies here.
         """
-        if self.batch_size:
-            for kept, _tuples, _labels in self._visible_chunks(ctx):
-                yield from kept
-            return
-        session = ctx.session
-        txn = session.transaction
-        txn_manager = session.db.txn_manager
-        table = self.table
-        predicate = self.predicate
-        registry = ctx.registry
-        read_label = ctx.read_label
-        check_labels = ctx.ifc_enabled
-        on_values = self.predicate_on_values
-        for version in self._candidates(ctx):
-            table.touch(version)
-            if not txn_manager.visible(version, txn):
-                continue
-            if check_labels and not covers(registry, version.label,
-                                           read_label):
-                RULE_COUNTERS.rows_suppressed += 1
-                continue
-            if predicate is not None:
-                if on_values:
-                    if not predicate(version.values, ctx):
-                        continue
-                else:
-                    values = list(version.values)
-                    values.append(version.label)
-                    if not predicate(values, ctx):
-                        continue
-            yield version
-
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        if ctx.ifc_enabled and self.view_grants:
-            self._check_view_authority(ctx)
-        session = ctx.session
-        txn = session.transaction
-        txn_manager = session.db.txn_manager
-        table = self.table
-        predicate = self.predicate
-        on_values = self.predicate_on_values
-        registry = ctx.registry
-        read_label = ctx.read_label
-        declass = self.declass
-        check_labels = ctx.ifc_enabled
-        for version in self._candidates(ctx):
-            table.touch(version)
-            if not txn_manager.visible(version, txn):
-                continue
-            if check_labels:
-                label = version.label
-                if declass:
-                    label = strip(registry, label, declass)
-                if not covers(registry, label, read_label):
-                    RULE_COUNTERS.rows_suppressed += 1
-                    continue
-            else:
-                label = version.label
-            if predicate is not None and on_values:
-                # Label-free predicate: test the stored tuple directly;
-                # only survivors pay the output-row copy.
-                if not predicate(version.values, ctx):
-                    continue
-                values = list(version.values)
-                values.append(label)
-            else:
-                values = list(version.values)
-                values.append(label)
-                if predicate is not None and not predicate(values, ctx):
-                    continue
-            yield values, label, version.ilabel
+        for chunk in self._candidate_chunks(ctx):
+            yield from self._visible(ctx, chunk)[0]
 
     def batches(self, ctx):
-        """Batch-native scan: :meth:`_visible_chunks`, then columnar
+        """:meth:`_visible` per candidate chunk, then columnar
         materialization.
 
         Only the ``needed`` stored columns of the surviving tuples are
@@ -711,19 +656,17 @@ class Scan(Plan):
         columns_materialized`` counts the copied cells), with the
         emitted labels doubling as the ``_label`` pseudo-column.
         """
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
         if ctx.ifc_enabled and self.view_grants:
-            self._check_view_authority(ctx)
-        table = self.table
-        ncols = len(table.schema.column_names)
+            _check_view_authority(ctx, self.view_grants)
+        ncols = len(self.table.schema.columns)
         positions = (range(ncols) if self.needed is None else self.needed)
-        for kept, tuples, labels in self._visible_chunks(ctx):
+        for chunk in self._candidate_chunks(ctx):
+            kept, tuples, labels = self._visible(ctx, chunk)
+            if not kept:
+                continue
             columns: list = [None] * (ncols + 1)
-            for p, col in zip(positions, table.materialize_columns(
-                    tuples, positions)):
-                columns[p] = col
+            for p in positions:
+                columns[p] = [values[p] for values in tuples]
             columns[ncols] = labels           # the _label pseudo-column
             EXEC_COUNTERS.columns_materialized += \
                 len(positions) * len(kept)
@@ -744,11 +687,11 @@ class IndexScan(Scan):
         self.index = index
         self.key_fns = key_fns
 
-    def _candidates(self, ctx):
+    def _candidate_chunks(self, ctx):
         key = tuple(fn([], ctx) for fn in self.key_fns)
-        if any(k is None for k in key):
-            return iter(())
-        return self.table.versions_for_tids(self.index.lookup(key))
+        if None in key:
+            return ()
+        return _probe_chunks(self.table, self.index, key, self.batch_size)
 
 
 class IndexRangeScan(Scan):
@@ -777,16 +720,16 @@ class IndexRangeScan(Scan):
         self.include_low = include_low
         self.include_high = include_high
 
-    def _candidates(self, ctx):
+    def _candidate_chunks(self, ctx):
         prefix = tuple(fn([], ctx) for fn in self.eq_fns)
-        if any(k is None for k in prefix):
-            return iter(())
+        if None in prefix:
+            return ()
         low = prefix if prefix else None
         include_low = True
         if self.low_fn is not None:
             value = self.low_fn([], ctx)
             if value is None:
-                return iter(())
+                return ()
             low = prefix + (value,)
             include_low = self.include_low
         high = prefix if prefix else None
@@ -794,43 +737,29 @@ class IndexRangeScan(Scan):
         if self.high_fn is not None:
             value = self.high_fn([], ctx)
             if value is None:
-                return iter(())
+                return ()
             high = prefix + (value,)
             include_high = self.include_high
-        return self.table.versions_for_tids(
+        return _chunked(self.table.versions_for_tids(
             self.index.scan_range(low, high, include_low=include_low,
-                                  include_high=include_high))
+                                  include_high=include_high)),
+            self.batch_size)
 
 
 class Filter(Plan):
-    """Residual predicate; ``batch_predicate`` is the batch-compiled
-    form (:func:`repro.db.expressions.compile_batch`) used when the
-    node executes batch-at-a-time."""
-
-    batch_predicate: Optional[Callable] = None
+    """Residual predicate, batch-compiled
+    (:func:`repro.db.expressions.compile_batch`)."""
 
     def __init__(self, child: Plan, predicate: Callable):
         self.child = child
         self.predicate = predicate
 
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        predicate = self.predicate
-        for values, label, ilabel in self.child.rows(ctx):
-            if predicate(values, ctx):
-                yield values, label, ilabel
-
     def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        batch_predicate = self.batch_predicate
+        predicate = self.predicate
         for batch in self.child.batches(ctx):
             # Column-at-a-time evaluation: touches only the columns the
             # predicate reads.
-            flags = batch_predicate(batch, ctx)
+            flags = predicate(batch, ctx)
             if all(flags):
                 yield batch
                 continue
@@ -863,8 +792,8 @@ def _join_batch(ctx, left: RowBatch, li: list, rrows: list,
     batch-compiled ``residual`` is evaluated once over the combined
     batch; for a LEFT join (``null_row`` set) every ``owed`` left row
     left without a match — and not in ``skip`` — is NULL-extended in
-    place, so rows come out in exactly the order the row-at-a-time
-    executor emits them.  Returns None for no output.
+    place, so rows come out in left-row order whatever the batch size.
+    Returns None for no output.
     """
     out = None
     if li and residual is not None:
@@ -892,7 +821,7 @@ def _join_batches(ctx, left: RowBatch, found, size: int,
                   residual: Optional[Callable],
                   null_row=None) -> Iterator[RowBatch]:
     """One left batch's join output, column-native: the shared tail of
-    every batched join.  ``found`` yields each left row's candidate
+    every join.  ``found`` yields each left row's candidate
     right rows (None: the row was spooled for the partition phase).
     Pairs are flushed (:func:`_join_batch`) at the first left-row
     boundary past ``size``, so an output batch — and the memory a
@@ -925,14 +854,11 @@ def _null_row(kind: str, right_width: int):
 class NestedLoopJoin(Plan):
     """Generic join; materializes the right side once per execution.
 
-    ``batch_on`` is the batch-compiled form of the join predicate
-    (:func:`repro.db.expressions.compile_batch`): in batch mode the
-    cross product of a slice of outer rows with the materialized inner
-    side is built as one columnar batch and the predicate evaluated
-    over it in one call (:func:`_join_batches`).
+    ``on`` is the batch-compiled join predicate: the cross product of a
+    slice of outer rows with the materialized inner side is built as
+    one columnar batch and the predicate evaluated over it in one call
+    (:func:`_join_batches`).
     """
-
-    batch_on: Optional[Callable] = None
 
     def __init__(self, left: Plan, right: Plan, kind: str,
                  on: Optional[Callable], right_width: int):
@@ -942,59 +868,32 @@ class NestedLoopJoin(Plan):
         self.on = on
         self.right_width = right_width
 
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        right_rows = list(self.right.rows(ctx))
-        on = self.on
-        outer = self.kind == "left"
-        pad = [None] * self.right_width
-        for lvalues, llabel, lilabel in self.left.rows(ctx):
-            matched = False
-            for rvalues, rlabel, rilabel in right_rows:
-                combined = lvalues + rvalues
-                if on is not None and not on(combined, ctx):
-                    continue
-                matched = True
-                yield (combined, llabel.union(rlabel),
-                       lilabel.union(rilabel))
-            if outer and not matched:
-                yield lvalues + pad, llabel, lilabel
-
     def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
         right_rows = [row for batch in self.right.batches(ctx)
                       for row in _batch_rows(batch)]
         null_row = _null_row(self.kind, self.right_width)
         for batch in self.left.batches(ctx):
             yield from _join_batches(
                 ctx, batch, repeat(right_rows, len(batch)),
-                self.batch_size, self.batch_on, null_row)
+                self.batch_size, self.on, null_row)
 
 
 class IndexLoopJoin(Plan):
     """Join where the inner side is a base-table index lookup.
 
     The key functions reference only left-side columns (checked at plan
-    time), so they are evaluated against the left row padded to full
-    width.  Residual ON conditions are applied to the combined row.
+    time) and are batch-compiled over the outer batch, as is the
+    residual ON condition over the combined batch.
 
-    **Batch mode** computes the probe keys of a batch of outer rows
-    column-at-a-time (``batch_key_fns``), dedupes them (sorted when the
-    key type allows, for index locality), and probes the index **once
-    per distinct key per batch** — visibility, label checks
-    (:func:`_label_filter`, one memo per outer batch) and buffer-cache
-    touches are charged once per candidate version per *probe*, not per
-    duplicate outer row, so a duplicate-heavy foreign key stops
-    multiplying the per-probe costs.  Joined rows come out in
-    outer-row order, exactly as in row mode (:func:`_join_batches`).
+    The probe keys of a batch of outer rows are computed
+    column-at-a-time, deduped (sorted when the key type allows, for
+    index locality), and the index probed **once per distinct key per
+    batch** — visibility (:func:`_visible_chunk`, one label memo per
+    outer batch) and buffer-cache touches are charged once per
+    candidate version per *probe*, not per duplicate outer row, so a
+    duplicate-heavy foreign key stops multiplying the per-probe costs.
+    Joined rows come out in outer-row order (:func:`_join_batches`).
     """
-
-    batch_key_fns: Optional[List[Callable]] = None
-    batch_residual: Optional[Callable] = None
 
     def __init__(self, left: Plan, table: Table, index,
                  key_fns: List[Callable], residual: Optional[Callable],
@@ -1011,39 +910,25 @@ class IndexLoopJoin(Plan):
         self.view_grants = view_grants
         self.right_width = right_width
 
-    def _check_view_authority(self, ctx: ExecContext) -> None:
-        for view, tags in self.view_grants:
-            for tag_id in tags:
-                if not ctx.authority.has_authority(view.principal, tag_id):
-                    raise AuthorityError(
-                        "declassifying view %r lost authority" % view.name)
-
-    def _probe(self, ctx, key, txn, txn_manager,
-               memo: Tuple[dict, dict]) -> list:
+    def _probe(self, ctx, key, memo: Tuple[dict, dict]) -> list:
         """One index probe: the visible, label-covered inner rows for
         ``key``, as ``(values, label, ilabel)`` with the emitted label
         appended as the ``_label`` pseudo-column."""
         table = self.table
-        candidates = list(table.versions_for_tids(self.index.lookup(key)))
-        table.touch_versions(candidates)
-        kept, labels = _label_filter(
-            ctx, _visible_versions(candidates, txn, txn_manager),
-            self.declass, memo)
-        return [((*version.values, label), label, version.ilabel)
-                for version, label in zip(kept, labels)]
+        rows: list = []
+        for chunk in _probe_chunks(table, self.index, key, self.batch_size):
+            kept, labels = _visible_chunk(ctx, table, chunk, self.declass,
+                                          memo)
+            rows.extend(((*version.values, label), label, version.ilabel)
+                        for version, label in zip(kept, labels))
+        return rows
 
     def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
         if ctx.ifc_enabled and self.view_grants:
-            self._check_view_authority(ctx)
-        session = ctx.session
-        txn = session.transaction
-        txn_manager = session.db.txn_manager
+            _check_view_authority(ctx, self.view_grants)
         null_row = _null_row(self.kind, self.right_width)
         for batch in self.left.batches(ctx):
-            keys = list(zip(*[fn(batch, ctx) for fn in self.batch_key_fns]))
+            keys = list(zip(*[fn(batch, ctx) for fn in self.key_fns]))
             matches_of = dict.fromkeys(key for key in keys
                                        if None not in key)
             ordered = list(matches_of)
@@ -1053,135 +938,10 @@ class IndexLoopJoin(Plan):
                 pass                  # incomparable key mix: keep order
             memo: Tuple[dict, dict] = ({}, {})
             for key in ordered:
-                matches_of[key] = self._probe(ctx, key, txn, txn_manager,
-                                              memo)
+                matches_of[key] = self._probe(ctx, key, memo)
             yield from _join_batches(
                 ctx, batch, map(matches_of.get, keys, repeat(())),
-                self.batch_size, self.batch_residual, null_row)
-
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        if ctx.ifc_enabled and self.view_grants:
-            self._check_view_authority(ctx)
-        session = ctx.session
-        txn = session.transaction
-        txn_manager = session.db.txn_manager
-        table = self.table
-        registry = ctx.registry
-        read_label = ctx.read_label
-        declass = self.declass
-        check_labels = ctx.ifc_enabled
-        residual = self.residual
-        outer = self.kind == "left"
-        pad = [None] * self.right_width
-        key_fns = self.key_fns
-        for lvalues, llabel, lilabel in self.left.rows(ctx):
-            probe = lvalues + pad
-            key = tuple(fn(probe, ctx) for fn in key_fns)
-            matched = False
-            if not any(k is None for k in key):
-                for version in table.versions_for_tids(
-                        self.index.lookup(key)):
-                    table.touch(version)
-                    if not txn_manager.visible(version, txn):
-                        continue
-                    label = version.label
-                    if check_labels:
-                        if declass:
-                            label = strip(registry, label, declass)
-                        if not covers(registry, label, read_label):
-                            RULE_COUNTERS.rows_suppressed += 1
-                            continue
-                    rvalues = list(version.values)
-                    rvalues.append(label)
-                    combined = lvalues + rvalues
-                    if residual is not None and not residual(combined, ctx):
-                        continue
-                    matched = True
-                    yield (combined, llabel.union(label),
-                           lilabel.union(version.ilabel))
-            if outer and not matched:
-                yield lvalues + pad, llabel, lilabel
-
-
-class Gather(Plan):
-    """Exchange operator: run the child scan subtree on ``workers``
-    forked processes and merge their row streams.
-
-    The planner inserts this directly above a full heap scan it proved
-    **parallel-safe** (plain ``Scan`` access path, label-memo-only
-    predicate work, no declassifying views, no subqueries — see
-    ``Planner._parallelize``) and whose estimated candidate count
-    clears the optimizer's fan-out cost gate.  At execution time the
-    coordinator reads the heap length once, tiles the chunk domain
-    into contiguous ranges (``parallel.split_ranges``), and forks one
-    worker per range; each worker runs the *same* child subtree with
-    ``ctx.scan_range`` pinned to its range.  Chunk boundaries are
-    identical to the serial scan's, so the per-batch label memos — and
-    therefore the ``covers``/``strip`` counter totals merged back from
-    the workers — are plan-determined, not worker-count-determined.
-    Draining workers in range order makes the gathered stream exactly
-    the serial row order.
-
-    Degrades to a transparent pass-through whenever parallelism cannot
-    help or cannot run: row-at-a-time (naive) execution, a missing
-    ``fork``, a single-range heap, or already being inside a worker
-    (no nested gangs).
-    """
-
-    def __init__(self, child: Plan, workers: int):
-        self.child = child
-        self.workers = workers
-
-    def _base_scan(self) -> "Scan":
-        """The heap scan at the bottom of the gathered subtree (walks
-        through EXPLAIN ANALYZE's probe wrappers via ``inner``)."""
-        node = self.child
-        while not isinstance(node, Scan):
-            inner = getattr(node, "inner", None)
-            node = inner if inner is not None else node.child
-        return node
-
-    def _gang(self, ctx):
-        """Fork the gang; returns the merged batch iterator, or None
-        when the heap splits into fewer than two ranges."""
-        from . import parallel
-        size = self.batch_size
-        nchunks = -(-self._base_scan().table.physical_slots // size)
-        ranges = parallel.split_ranges(0, nchunks, self.workers)
-        if len(ranges) < 2:
-            return None
-        child = self.child
-
-        def make(rng):
-            def task():
-                ctx.scan_range = rng      # the child's COW copy only
-                return child.batches(ctx)
-            return task
-        return _block_batches(
-            parallel.run_gang([make(rng) for rng in ranges]))
-
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        yield from self.child.rows(ctx)
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        from . import parallel
-        gang = None
-        if (self.workers >= 2 and parallel.FORK_AVAILABLE
-                and ctx.scan_range is None):
-            gang = self._gang(ctx)
-        if gang is None:
-            yield from self.child.batches(ctx)
-            return
-        yield from gang
+                self.batch_size, self.residual, null_row)
 
 
 class HashJoin(Plan):
@@ -1208,61 +968,42 @@ class HashJoin(Plan):
     #: partition range independently; gathering in range order keeps
     #: the serial output order.
     workers: int = 0
-    #: Batch-compiled keys, each over its own side's batch.
-    left_batch_key_fns: Optional[List[Callable]] = None
-    right_batch_key_fns: Optional[List[Callable]] = None
-    batch_residual: Optional[Callable] = None
 
     def __init__(self, left: Plan, right: Plan, left_key_fns: List[Callable],
                  right_key_fns: List[Callable], residual: Optional[Callable],
-                 kind: str, right_width: int, left_width: int):
+                 kind: str, right_width: int):
         self.left = left
         self.right = right
+        #: Batch-compiled keys, each over its own side's batch; the
+        #: residual runs over the combined batch.
         self.left_key_fns = left_key_fns
         self.right_key_fns = right_key_fns
         self.residual = residual
         self.kind = kind
         self.right_width = right_width
-        self.left_width = left_width
 
     def _keyed_build(self, ctx):
-        """The right side a chunk at a time, NULL keys dropped:
+        """The right side a batch at a time, NULL keys dropped:
         ``(keys, rows, weights)`` — parallel lists of key tuples and
-        ``(values, label, ilabel)`` rows, plus each row's bucket
-        footprint when a budget is set.  Batch mode zips keys and rows
-        straight out of the batch's columns and weighs them a column at
-        a time; row mode evaluates the closures per row."""
+        ``(values, label, ilabel)`` rows zipped straight out of the
+        batch's columns, plus each row's bucket footprint (weighed a
+        column at a time) when a budget is set."""
         budget = ctx.work_mem
-        if self.batch_size:
-            for batch in self.right.batches(ctx):
-                key_columns = [fn(batch, ctx)
-                               for fn in self.right_batch_key_fns]
-                if any(None in column for column in key_columns):
-                    keep = [i for i, key in enumerate(zip(*key_columns))
-                            if None not in key]
-                    batch = batch.select(keep)
-                    key_columns = [[column[i] for i in keep]
-                                   for column in key_columns]
-                columns = [batch.column(i) for i in range(batch.width)]
-                rows = zip(column_rows(columns, len(batch)), batch.labels,
-                           batch.ilabels)
-                yield (list(zip(*key_columns)), list(rows),
-                       estimate_batch_bytes(columns, batch.labels,
-                                            BUCKET_ENTRY_BYTES)
-                       if budget else None)
-            return
-        pad_left = [None] * self.left_width
-        right_key_fns = self.right_key_fns
-        for rows in _chunked(self.right.rows(ctx), DEFAULT_BATCH_SIZE):
-            keys = [tuple([fn(pad_left + row[0], ctx)
-                           for fn in right_key_fns]) for row in rows]
-            if any(None in key for key in keys):
-                rows = [row for key, row in zip(keys, rows)
+        for batch in self.right.batches(ctx):
+            key_columns = [fn(batch, ctx) for fn in self.right_key_fns]
+            if any(None in column for column in key_columns):
+                keep = [i for i, key in enumerate(zip(*key_columns))
                         if None not in key]
-                keys = [key for key in keys if None not in key]
-            yield (keys, rows,
-                   [estimate_row_bytes(row[0], row[1]) + BUCKET_ENTRY_BYTES
-                    for row in rows] if budget else None)
+                batch = batch.select(keep)
+                key_columns = [[column[i] for i in keep]
+                               for column in key_columns]
+            columns = [batch.column(i) for i in range(batch.width)]
+            rows = zip(column_rows(columns, len(batch)), batch.labels,
+                       batch.ilabels)
+            yield (list(zip(*key_columns)), list(rows),
+                   estimate_batch_bytes(columns, batch.labels,
+                                        BUCKET_ENTRY_BYTES)
+                   if budget else None)
 
     def _build(self, ctx):
         """Hash the right side under the byte budget.
@@ -1306,42 +1047,19 @@ class HashJoin(Plan):
             raise
         return buckets, spill
 
-    def _join_matches(self, lvalues, llabel, lilabel, matches, ctx, pad):
-        """Row mode: emit the joined rows for one probe row (shared by
-        the streaming and the spilled partition phases)."""
-        residual = self.residual
-        matched = False
-        for rvalues, rlabel, rilabel in matches:
-            # Spooled rows come back as tuples.
-            combined = [*lvalues, *rvalues]
-            if residual is not None and not residual(combined, ctx):
-                continue
-            matched = True
-            yield (combined, llabel.union(rlabel), lilabel.union(rilabel))
-        if self.kind == "left" and not matched:
-            yield [*lvalues, *pad], llabel, lilabel
-
     def _partition_batches(self, ctx, spill, lo, hi):
         """Joined output of partitions ``[lo, hi)`` — the per-partition
         work unit, shared verbatim by the serial loop and the parallel
         gang so counter totals cannot depend on the worker count.  A
-        spooled probe block is a batch again: batch mode joins it with
-        the streaming phase's :func:`_join_batches`."""
-        size = self.batch_size
+        spooled probe block is a batch again, joined by the streaming
+        phase's :func:`_join_batches`."""
         null_row = _null_row(self.kind, self.right_width)
-        pad = [None] * self.right_width
         for (key_columns, columns, labels, ilabels), buckets \
                 in spill.joined(lo, hi):
-            batch = RowBatch.from_columns(columns, labels, ilabels)
-            found = map(buckets.get, zip(*key_columns), repeat(()))
-            if size:
-                yield from _join_batches(ctx, batch, found, size,
-                                         self.batch_residual, null_row)
-            else:
-                yield from _row_batches(chain.from_iterable(
-                    self._join_matches(*row, matches, ctx, pad)
-                    for row, matches in zip(_batch_rows(batch), found)),
-                    DEFAULT_BATCH_SIZE)
+            yield from _join_batches(
+                ctx, RowBatch.from_columns(columns, labels, ilabels),
+                map(buckets.get, zip(*key_columns), repeat(())),
+                self.batch_size, self.residual, null_row)
 
     def _spilled_batches(self, ctx, spill):
         """Partition phase: join every spooled probe row.
@@ -1355,7 +1073,7 @@ class HashJoin(Plan):
         start = 0 if spill.resident is None else 1
         total = len(spill.partitions)
         if self.workers >= 2 and total - start >= 2 \
-                and ctx.scan_range is None:
+                and not ctx.in_worker:
             from . import parallel
             if parallel.FORK_AVAILABLE:
                 ranges = parallel.split_ranges(start, total,
@@ -1367,62 +1085,24 @@ class HashJoin(Plan):
 
     def _partition_task(self, ctx, spill, lo, hi):
         def task():
+            ctx.in_worker = True          # the child's COW copy only
             return self._partition_batches(ctx, spill, lo, hi)
         return task
 
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        buckets, spill = self._build(ctx)
-        outer = self.kind == "left"
-        pad = [None] * self.right_width
-        try:
-            for lvalues, llabel, lilabel in self.left.rows(ctx):
-                probe = lvalues + pad
-                key = tuple(fn(probe, ctx) for fn in self.left_key_fns)
-                if any(k is None for k in key):
-                    if outer:
-                        yield lvalues + pad, llabel, lilabel
-                    continue
-                if spill is None:
-                    matches = buckets.get(key, ())
-                else:
-                    (matches,) = spill.probe(
-                        [key], [(lvalues, llabel, lilabel)])
-                    if matches is None:
-                        continue      # spooled for the partition phase
-                yield from self._join_matches(lvalues, llabel, lilabel,
-                                              matches, ctx, pad)
-            if spill is not None:
-                for batch in self._spilled_batches(ctx, spill):
-                    yield from zip(batch.values, batch.labels,
-                                   batch.ilabels)
-        finally:
-            # A mid-iteration error (or an abandoned iterator) must not
-            # leak the partition spools' descriptors; close is
-            # idempotent, so the clean-exhaustion path pays nothing.
-            if spill is not None:
-                spill.close()
-
     def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
         buckets, spill = self._build(ctx)
         null_row = _null_row(self.kind, self.right_width)
         try:
             for batch in self.left.batches(ctx):
-                keys = zip(*[fn(batch, ctx)
-                             for fn in self.left_batch_key_fns])
+                keys = zip(*[fn(batch, ctx) for fn in self.left_key_fns])
                 if spill is None:
                     # A key holding a NULL was never built: it misses.
                     found = map(buckets.get, keys, repeat(()))
                 else:
                     found = spill.probe(list(keys), _batch_rows(batch))
                 yield from _join_batches(
-                    ctx, batch, found, self.batch_size,
-                    self.batch_residual, null_row)
+                    ctx, batch, found, self.batch_size, self.residual,
+                    null_row)
             if spill is not None:
                 yield from self._spilled_batches(ctx, spill)
         finally:
@@ -1551,9 +1231,9 @@ _STAR = True
 class AggSpec:
     """One aggregate computation: function, argument, distinct flag.
 
-    ``arg_fn`` is the row form of the argument (None for ``COUNT(*)``;
-    the batch-compiled forms live on the node); ``make`` — resolved
-    here, once per plan — builds the accumulator for one group.
+    ``arg_fn`` is the batch-compiled argument (None for ``COUNT(*)``);
+    ``make`` — resolved here, once per plan — builds the accumulator
+    for one group.
     """
 
     __slots__ = ("func", "arg_fn", "distinct", "make")
@@ -1611,15 +1291,14 @@ class AggregateNode(Plan):
     Output rows are ``group_key_values + aggregate_results``; downstream
     expressions were rewritten by the planner to slot references.
 
-    **One fold, three sources.**  :meth:`_fold` consumes ``(key, args,
+    **One fold, two sources.**  :meth:`_fold` consumes ``(key, args,
     label, ilabel)`` — the group key, one argument value per aggregate,
-    the row's labels — which is all aggregation needs of a row.  Row
-    mode computes them with the row closures; batch mode zips them out
-    of the batch-compiled key and argument *columns* (no row is ever
-    built); a spilled partition replays exactly those tuples.  A
-    group's labels skip the union while the incoming label is the
-    interned one it already holds.  A **global** aggregate in batch
-    mode has no per-row loop at all (:meth:`_fold_columns`).
+    the row's labels — which is all aggregation needs of a row:
+    :meth:`_keyed` zips them out of the batch-compiled key and argument
+    *columns* (no row is ever built), and a spilled partition replays
+    exactly those tuples.  A group's labels skip the union while the
+    incoming label is the interned one it already holds.  A **global**
+    aggregate has no per-row loop at all (:meth:`_fold_columns`).
 
     **Memory bound (grace hash aggregation).**  Group state is charged
     against ``ctx.work_mem`` as groups are created (key bytes + one
@@ -1643,14 +1322,10 @@ class AggregateNode(Plan):
     #: no cross-worker combine step is ever needed.
     workers: int = 0
 
-    batch_group_fns: Optional[List[Callable]] = None
-    #: One per spec: the batch-compiled argument (None for ``COUNT(*)``).
-    batch_arg_fns: Optional[List[Optional[Callable]]] = None
-
     def __init__(self, child: Plan, group_fns: List[Callable],
                  specs: List[AggSpec], global_agg: bool):
         self.child = child
-        self.group_fns = group_fns
+        self.group_fns = group_fns           # batch-compiled
         self.specs = specs
         self.global_agg = global_agg
 
@@ -1693,7 +1368,7 @@ class AggregateNode(Plan):
             table.close()
 
     def _fold_columns(self, ctx):
-        """Batch-mode global aggregate: every accumulator folds the
+        """Global aggregate: every accumulator folds the
         whole argument column (``COUNT(*)`` is the batch length) and
         labels union once per distinct label per batch."""
         accumulators = [s.make() for s in self.specs]
@@ -1709,8 +1384,8 @@ class AggregateNode(Plan):
         yield [a.result() for a in accumulators], label, ilabel
 
     def _arg_columns(self, batch: RowBatch, ctx) -> List[list]:
-        return [[_STAR] * len(batch) if fn is None else fn(batch, ctx)
-                for fn in self.batch_arg_fns]
+        return [[_STAR] * len(batch) if spec.arg_fn is None
+                else spec.arg_fn(batch, ctx) for spec in self.specs]
 
     def _partition_rows(self, ctx, spill, lo, hi, depth):
         """Finalized result rows of spill partitions ``[lo, hi)`` — the
@@ -1736,7 +1411,7 @@ class AggregateNode(Plan):
         total = len(spill.spools)
         if depth == 0 and self.workers >= 2 \
                 and sum(1 for s in spill.spools if s.count) >= 2 \
-                and ctx.scan_range is None:
+                and not ctx.in_worker:
             from . import parallel
             if parallel.FORK_AVAILABLE:
                 ranges = parallel.split_ranges(0, total, self.workers)
@@ -1750,74 +1425,45 @@ class AggregateNode(Plan):
 
     def _group_task(self, ctx, spill, lo, hi, depth):
         def task():
+            ctx.in_worker = True          # the child's COW copy only
             return _row_batches(
                 self._partition_rows(ctx, spill, lo, hi, depth),
-                self.batch_size or DEFAULT_BATCH_SIZE)
+                self.batch_size)
         return task
 
     def _keyed(self, ctx):
-        """The fold's input, from rows or straight from columns."""
-        specs = self.specs
-        if not self.batch_size:
-            group_fns = self.group_fns
-            for values, label, ilabel in self.child.rows(ctx):
-                yield (tuple(fn(values, ctx) for fn in group_fns),
-                       [_STAR if s.arg_fn is None else s.arg_fn(values, ctx)
-                        for s in specs], label, ilabel)
-            return
+        """The fold's input, straight from columns."""
         for batch in self.child.batches(ctx):
-            keys = [fn(batch, ctx) for fn in self.batch_group_fns]
+            keys = [fn(batch, ctx) for fn in self.group_fns]
             args = self._arg_columns(batch, ctx)
             yield from zip(zip(*keys) if keys else repeat(()),
                            zip(*args) if args else repeat(()),
                            batch.labels, batch.ilabels)
 
-    def _grouped(self, ctx):
-        if self.global_agg and self.batch_size:
-            return self._fold_columns(ctx)
-        return self._fold(ctx, self._keyed(ctx), 0)
-
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        yield from self._grouped(ctx)
-
     def batches(self, ctx):
-        if not self.batch_size:
-            return Plan.batches(self, ctx)
-        return _row_batches(self._grouped(ctx), self.batch_size)
+        if self.global_agg:
+            rows = self._fold_columns(ctx)
+        else:
+            rows = self._fold(ctx, self._keyed(ctx), 0)
+        return _row_batches(rows, self.batch_size)
 
 
 class Project(Plan):
-    """Output projection; ``batch_fns`` are the batch-compiled column
-    evaluators (one per output column) used in batch mode — each runs
-    over the whole batch, columnar style, and the results *are* the
-    output batch's columns (no per-row zip-back; widening to row-major
-    happens lazily, at the first row-native consumer)."""
-
-    batch_fns: Optional[List[Callable]] = None
+    """Output projection: ``fns`` are the batch-compiled column
+    evaluators (one per output column) — each runs over the whole
+    batch, columnar style, and the results *are* the output batch's
+    columns (no per-row zip-back; widening to row-major happens lazily,
+    at the cursor)."""
 
     def __init__(self, child: Plan, fns: List[Callable]):
         self.child = child
         self.fns = fns
 
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        fns = self.fns
-        for values, label, ilabel in self.child.rows(ctx):
-            yield [fn(values, ctx) for fn in fns], label, ilabel
-
     def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        batch_fns = self.batch_fns
+        fns = self.fns
         for batch in self.child.batches(ctx):
             yield RowBatch.from_columns(
-                [fn(batch, ctx) for fn in batch_fns], batch.labels,
+                [fn(batch, ctx) for fn in fns], batch.labels,
                 batch.ilabels)
 
 
@@ -1892,8 +1538,7 @@ class Sort(Plan):
     then all runs k-way merge through a heap in a single pass — the
     merge holds one block per run, never the input, and compares the
     stored keys instead of re-evaluating them.  Unbounded
-    (``work_mem=0``, the naive/reference executor) sorts fully in
-    memory.
+    (``work_mem=0``) sorts fully in memory.
 
     **Mixed-type keys.**  Sorting tries the natural per-column key
     ``(value is None, value)`` first; if the column mixes incomparable
@@ -1907,92 +1552,19 @@ class Sort(Plan):
     it even when *different* runs hold incomparable types.
     """
 
-    batch_key_fns: Optional[List[Callable]] = None
-
     def __init__(self, child: Plan, key_fns: List[Callable],
                  descending: List[bool]):
         self.child = child
-        self.key_fns = key_fns
+        self.key_fns = key_fns               # batch-compiled
         self.descending = descending
 
-    def _key(self, ctx, mixed: bool) -> Callable:
-        """Composite key over row values: one ``(value is None, value)``
-        component per ORDER BY column — NULLs last ascending — wrapped
-        in :class:`_Desc` for DESC columns and (with ``mixed``) in
-        :class:`_MixedKey` for type-tolerant comparison."""
-        pairs = list(zip(self.key_fns, self.descending))
-
-        def key(values):
-            parts = []
-            for fn, desc in pairs:
-                value = fn(values, ctx)
-                part = (value is None,
-                        _MixedKey(value) if mixed else value)
-                parts.append(_Desc(part) if desc else part)
-            return tuple(parts)
-
-        return key
-
-    def _sort_chunk(self, chunk: list, ctx, mixed: bool):
-        """Sort one in-memory chunk; returns ``(chunk, mixed)`` with
-        ``mixed`` latched once any chunk needed the fallback."""
-        key = self._key(ctx, mixed)
-        try:
-            chunk.sort(key=lambda row: key(row[0]))
-        except TypeError:
-            if mixed:
-                raise
-            return self._sort_chunk(chunk, ctx, True)
-        return chunk, mixed
-
-    def _sorted(self, ctx, source=None):
-        """Row mode: all input rows in order — one in-memory sort when
-        the input fits ``ctx.work_mem`` (or no budget is set), else
-        budget-sized chunks spooled as sorted runs (transposed into the
-        columnar run format) and merged by a heap."""
-        budget = ctx.work_mem
-        chunk: list = []
-        mem = 0
-        runs = None
-        mixed = False
-        try:
-            for row in (source if source is not None
-                        else self.child.rows(ctx)):
-                chunk.append(row)
-                if budget:
-                    mem += estimate_row_bytes(row[0], row[1])
-                    if mem > budget:
-                        runs = runs or SortRuns(ctx.spools,
-                                                len(self.key_fns))
-                        mixed = self._spool_rows(ctx, runs, chunk, mixed)
-                        chunk = []
-                        mem = 0
-            if runs is None:
-                return self._sort_chunk(chunk, ctx, mixed)[0]
-            if chunk:
-                mixed = self._spool_rows(ctx, runs, chunk, mixed)
-        except BaseException:
-            # The runs never reach the merge that would close them.
-            if runs is not None:
-                runs.close()
-            raise
-        return self._merged(runs, mixed)
-
-    def _spool_rows(self, ctx, runs: SortRuns, chunk: list, mixed: bool):
-        """Row mode's run: the chunk transposed to columns, its keys
-        evaluated once."""
-        values, labels, ilabels = zip(*chunk)
-        return self._spool_run(
-            runs, [*map(list, zip(*values)), labels, ilabels,
-                   *[[fn(row, ctx) for row in values]
-                     for fn in self.key_fns]],
-            len(values[0]), mixed)
-
     def _composite(self, key_columns: list, mixed: bool, nullable: list):
-        """One comparable sort key per row from the key *columns*: the
-        same composite as :meth:`_key`, built a column at a time — a
-        ``(value is None, value)`` pair per column, except that an
-        ascending column with no NULL (``nullable``) is its own key."""
+        """One comparable sort key per row from the key *columns*: a
+        ``(value is None, value)`` pair per ORDER BY column — NULLs
+        last ascending — except that an ascending column with no NULL
+        (``nullable``) is its own key; wrapped in :class:`_Desc` for
+        DESC columns and (with ``mixed``) in :class:`_MixedKey` for
+        type-tolerant comparison."""
         parts = []
         for column, desc, null in zip(key_columns, self.descending,
                                       nullable):
@@ -2008,8 +1580,8 @@ class Sort(Plan):
     def _order(self, key_columns: list, mixed: bool, top: Optional[int]):
         """The stable ORDER BY permutation of buffered rows from their
         key columns (the best ``top`` only, when given).  Returns
-        ``(order, mixed)``, ``mixed`` latched like
-        :meth:`_sort_chunk`."""
+        ``(order, mixed)``, ``mixed`` latched once any call needed the
+        type-tolerant fallback."""
         keys = self._composite(key_columns, mixed,
                                [None in column for column in key_columns])
         try:
@@ -2079,8 +1651,8 @@ class Sort(Plan):
         return 0, None
 
     def _sorted_columns(self, ctx, offset: int, stop: Optional[int]):
-        """Batch mode: rows ``[offset, stop)`` of the sorted input, as
-        batches, without building a row in memory.
+        """Rows ``[offset, stop)`` of the sorted input, as batches,
+        without building a row in memory.
 
         The input is buffered as columns — values, the two label
         columns, then the batch-compiled key columns — ordered by
@@ -2089,10 +1661,10 @@ class Sort(Plan):
         ``stop`` rows whenever it doubles, so a small LIMIT never holds
         the input.  Under a budget (and when a heap of ``stop`` rows
         could not fit it) arriving rows are weighed a column at a time;
-        the buffer is cut at each row that takes it past the budget —
-        the row-mode run boundary — and the rows before the cut are
-        ordered and spooled as a run with their key columns
-        (:meth:`_spool_run`), the runs then merged on those keys.
+        the buffer is cut at each row that takes it past the budget,
+        and the rows before the cut are ordered and spooled as a run
+        with their key columns (:meth:`_spool_run`), the runs then
+        merged on those keys.
         """
         if stop is not None and stop <= 0:
             return
@@ -2109,7 +1681,7 @@ class Sort(Plan):
                     continue
                 incoming = [batch.column(i) for i in range(batch.width)]
                 incoming += [batch.labels, batch.ilabels]
-                incoming += [fn(batch, ctx) for fn in self.batch_key_fns]
+                incoming += [fn(batch, ctx) for fn in self.key_fns]
                 if buffer is None:
                     width = batch.width
                     buffer = [list(column) for column in incoming]
@@ -2134,7 +1706,7 @@ class Sort(Plan):
                         over = bisect_right(totals, budget)
                         cut = len(buffer[width]) - len(totals) + 1 + over
                         runs = runs or SortRuns(ctx.spools,
-                                                len(self.batch_key_fns))
+                                                len(self.key_fns))
                         mixed = self._spool_run(
                             runs, [column[:cut] for column in buffer],
                             width, mixed)
@@ -2164,18 +1736,7 @@ class Sort(Plan):
                                          for column in emit]
             yield RowBatch.from_columns(columns, labels, ilabels)
 
-    def _result(self, ctx):
-        """Row mode: the ordered rows."""
-        return self._sorted(ctx)
-
-    def rows(self, ctx):
-        if self.batch_size:
-            return self._drain(ctx)
-        return iter(self._result(ctx))
-
     def batches(self, ctx):
-        if not self.batch_size:
-            return Plan.batches(self, ctx)
         return self._sorted_columns(ctx, *self._bounds(ctx))
 
 
@@ -2186,9 +1747,7 @@ class TopN(Sort):
     (``heapq.nsmallest`` — stable, so ties keep arrival order exactly
     like the stable full sort), then discards the offset prefix.  A
     small limit thus never materializes, sorts, or spills the full
-    input.  Row mode's heap keys always use the mixed-type-tolerant
-    composite (its input cannot be replayed after a failed comparison);
-    batch mode is ``Sort._sorted_columns`` under :meth:`_bounds`.
+    input: this is ``Sort._sorted_columns`` under :meth:`_bounds`.
 
     Fallbacks preserve Sort+Limit semantics exactly: a NULL limit
     degenerates to the (possibly external) full sort with an offset
@@ -2207,24 +1766,6 @@ class TopN(Sort):
         limit = self.limit_fn([], ctx) if self.limit_fn else None
         offset = (self.offset_fn([], ctx) if self.offset_fn else 0) or 0
         return offset, None if limit is None else limit + offset
-
-    def _result(self, ctx):
-        offset, n = self._bounds(ctx)
-        if n is None:
-            return islice(iter(self._sorted(ctx)), offset, None)
-        if n <= 0:
-            return iter(())
-        source = self.child.rows(ctx)
-        first = next(source, None)
-        if first is None:
-            return iter(())
-        rewound = chain([first], source)
-        budget = ctx.work_mem
-        if budget and estimate_row_bytes(first[0], first[1]) * n > budget:
-            return islice(iter(self._sorted(ctx, rewound)), offset, n)
-        key = self._key(ctx, True)
-        top = heapq.nsmallest(n, rewound, key=lambda row: key(row[0]))
-        return iter(top[offset:])
 
 
 def _unspool_seq(blocks):
@@ -2297,32 +1838,17 @@ class Distinct(Plan):
             table.close()
 
     def _keyed(self, ctx):
-        """The fold's input: batch mode zips the row tuples straight
-        out of the batch's columns."""
-        if not self.batch_size:
-            for seq, (values, label, ilabel) in enumerate(
-                    self.child.rows(ctx)):
-                yield seq, tuple(values), label, ilabel
-            return
+        """The fold's input: the row tuples zipped straight out of the
+        batch's columns."""
         seq = count()         # gaps are fine: only the order matters
         for batch in self.child.batches(ctx):
             columns = [batch.column(i) for i in range(batch.width)]
             yield from zip(seq, zip(*columns), batch.labels, batch.ilabels)
 
-    def _distinct(self, ctx):
-        return map(itemgetter(1, 2, 3),
-                   self._fold(ctx, self._keyed(ctx), 0))
-
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        yield from self._distinct(ctx)
-
     def batches(self, ctx):
-        if not self.batch_size:
-            return Plan.batches(self, ctx)
-        return _row_batches(self._distinct(ctx), self.batch_size)
+        return _row_batches(
+            map(itemgetter(1, 2, 3), self._fold(ctx, self._keyed(ctx), 0)),
+            self.batch_size)
 
 
 class Limit(Plan):
@@ -2332,27 +1858,7 @@ class Limit(Plan):
         self.limit_fn = limit_fn
         self.offset_fn = offset_fn
 
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        limit = self.limit_fn([], ctx) if self.limit_fn else None
-        offset = self.offset_fn([], ctx) if self.offset_fn else 0
-        produced = 0
-        skipped = 0
-        for row in self.child.rows(ctx):
-            if skipped < (offset or 0):
-                skipped += 1
-                continue
-            if limit is not None and produced >= limit:
-                return
-            produced += 1
-            yield row
-
     def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
         limit = self.limit_fn([], ctx) if self.limit_fn else None
         offset = (self.offset_fn([], ctx) if self.offset_fn else 0) or 0
         skipped = 0
@@ -2394,11 +1900,12 @@ class DeterministicOrder(Plan):
     def __init__(self, child: Plan):
         self.child = child
 
-    def rows(self, ctx):
-        rows = list(self.child.rows(ctx))
+    def batches(self, ctx):
+        rows = [row for batch in self.child.batches(ctx)
+                for row in zip(batch.values, batch.labels, batch.ilabels)]
         rows.sort(key=lambda row: tuple(
             (v is None, str(type(v).__name__), str(v)) for v in row[0]))
-        return iter(rows)
+        return _row_batches(rows, self.batch_size)
 
 
 class ViewPlan(Plan):
@@ -2414,17 +1921,7 @@ class ViewPlan(Plan):
     def __init__(self, inner: Plan):
         self.inner = inner
 
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        for values, label, ilabel in self.inner.rows(ctx):
-            yield values + [label], label, ilabel
-
     def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
         for batch in self.inner.batches(ctx):
             # Columnar append: the label list *is* the _label column
             # (no per-row copy; projected-away inner columns stay
@@ -2472,20 +1969,14 @@ def _explain_line(plan: Plan) -> str:
     needed_names = getattr(plan, "needed_names", None)
     if needed_names is not None:
         line += "  cols=%s" % ",".join(needed_names)
-    # Mark batch-native execution: the stamp is tree-wide, but only
-    # operators with a batch implementation actually run vectorized
-    # (the rest adapt through the chunking shim).
-    if plan.batch_size and type(plan).batches is not Plan.batches:
-        line += "  batch=%d" % plan.batch_size
-    # Memory estimates for materializing operators: expected grace
-    # partitions (0 omitted — the build fits work_mem) and the peak
-    # resident bytes (per-partition share when spilling).
-    # Parallel fan-out: the Gather exchange operator always carries
-    # it; joins/aggregates advertise the pool their grace-partition
-    # phase would use if they spill.
+    # Parallel fan-out: joins/aggregates advertise the pool their
+    # grace-partition phase would use if they spill.
     workers = getattr(plan, "workers", 0)
     if workers >= 2:
         line += "  workers=%d" % workers
+    # Memory estimates for materializing operators: expected grace
+    # partitions (0 omitted — the build fits work_mem) and the peak
+    # resident bytes (per-partition share when spilling).
     if plan.est_spill_partitions:
         line += "  spill_partitions=%d" % plan.est_spill_partitions
     # External-sort runs the optimizer expects to spool (0 omitted —
@@ -2500,7 +1991,7 @@ def _explain_line(plan: Plan) -> str:
 def explain_plan(plan: Plan, indent: int = 0) -> List[str]:
     """Render a physical plan tree as indented one-line operator
     summaries, so the output always reflects the tree — and the
-    costing — that ``rows()`` would execute under."""
+    costing — that execution would run under."""
     lines = ["  " * indent + _explain_line(plan)]
     for child in _children(plan):
         lines.extend(explain_plan(child, indent + 1))
@@ -2518,68 +2009,14 @@ def _children(plan: Plan) -> List[Plan]:
     return [child] if child is not None else []
 
 
-#: Index-driven scans expecting fewer candidate rows than this floor
-#: stay row-at-a-time even inside a batched plan: a one-row primary-key
-#: probe cannot amortize the batch machinery (measured ~+25% per query
-#: below a handful of rows), while a full heap scan wins at every size
-#: because ``all_versions_batched`` slices the version array instead of
-#:  driving a per-version generator.  The optimizer's cardinality
-#: estimate decides — vectorization is a plan property, like any other
-#: access-path choice.
-BATCH_MIN_INDEX_ROWS = 32
-
-
 def stamp_batch_size(plan: Plan, size: int) -> Plan:
-    """Stamp ``batch_size`` over a plan tree (called at lowering).
-
-    A zero size leaves the tree row-at-a-time — the naive/reference
-    executor's mode, pinned by
-    :meth:`~repro.db.optimizer.Optimizer.exec_batch_size`.  Otherwise
-    the walk is estimate-driven, bottom-up: full heap scans always
-    batch, index scans batch when the optimizer expects at least
-    :data:`BATCH_MIN_INDEX_ROWS` candidate rows, and interior operators
-    batch iff something beneath them does (so a one-row probe query
-    stays entirely on the original row path, paying zero batch
-    overhead).  :class:`IndexLoopJoin` adds its own floor: its batch
-    win is the per-batch probe dedup, which needs at least
-    :data:`BATCH_MIN_INDEX_ROWS` *outer* rows to amortize — below that
-    the join stays on the row path even above a batching child.
-    Mixing modes inside one tree is safe by construction:
-    every operator adapts either interface to the other.  Subquery
-    plans compiled into expression closures are stamped by their own
-    ``plan_select`` call, not this walk.  Nodes stamped batched get
-    their deferred batch-compiled forms built here
-    (:attr:`Plan.deferred_batch_forms`); the rest drop them.
-    """
-    def visit(node: Plan) -> bool:
-        child_batched = False
-        for child in _children(node):
-            if visit(child):
-                child_batched = True
-        if isinstance(node, Scan):
-            if type(node) is Scan:
-                batched = True
-            else:
-                est = node.est_rows
-                batched = est is None or est >= BATCH_MIN_INDEX_ROWS
-        elif isinstance(node, IndexLoopJoin):
-            outer_est = node.left.est_rows
-            batched = child_batched and (
-                outer_est is None or outer_est >= BATCH_MIN_INDEX_ROWS)
-        else:
-            batched = child_batched
-        batched = batched and size > 0
-        node.batch_size = size if batched else 0
-        forms = node.__dict__.pop("deferred_batch_forms", {})
-        if batched:
-            for name, build in forms.items():
-                setattr(node, name, build())
-            # A batched Scan/Filter reads "no batch form" as "no predicate".
-            assert (getattr(node, "predicate", None) is None
-                    or node.batch_predicate is not None), node
-        return batched
-
-    visit(plan)
+    """Stamp one ``batch_size`` (at least 1) over a plan tree; called
+    at lowering.  Subquery plans compiled into expression closures are
+    not part of the tree: they are stamped (to 1) where they are
+    compiled."""
+    plan.batch_size = size
+    for child in _children(plan):
+        stamp_batch_size(child, size)
     return plan
 
 

@@ -20,7 +20,6 @@ layer that reads tuples, below every optimization decision.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.labels import EMPTY_LABEL
@@ -45,12 +44,12 @@ from .optimizer import (
 from .physical import (
     AggregateNode,
     AggSpec,
+    DEFAULT_BATCH_SIZE,
     DeterministicOrder,
     Distinct,
     ExecContext,
     ExecRow,
     Filter,
-    Gather,
     HashJoin,
     IndexLoopJoin,
     IndexRangeScan,
@@ -73,7 +72,7 @@ from .spill import estimated_tuple_bytes
 
 __all__ = [
     "AggregateNode", "AggSpec", "DeterministicOrder", "Distinct",
-    "ExecContext", "ExecRow", "Filter", "Gather", "HashJoin",
+    "ExecContext", "ExecRow", "Filter", "HashJoin",
     "IndexLoopJoin", "IndexRangeScan", "IndexScan", "Limit",
     "NestedLoopJoin", "Plan", "Planner", "PreparedDML",
     "PreparedSelect", "Project", "Scan", "SingleRow", "Sort", "TopN",
@@ -90,95 +89,30 @@ class Planner:
     """
 
     def __init__(self, catalog: Catalog, registry, stats=None,
-                 naive: bool = False, batch_size: int = 0,
+                 naive: bool = False, batch_size: int = DEFAULT_BATCH_SIZE,
                  work_mem: int = 0, workers: int = 0):
         self.catalog = catalog
         self.registry = registry
         self.optimizer = Optimizer(catalog, stats=stats, naive=naive,
                                    work_mem=work_mem)
         #: Execution batch size stamped onto lowered plans; the
-        #: optimizer pins it to 0 (row-at-a-time) in naive mode so the
-        #: differential harness's reference executor stays per-tuple.
+        #: optimizer pins it to 1 in naive mode so the differential
+        #: harness's reference executor stays per-tuple.
         self.batch_size = self.optimizer.exec_batch_size(batch_size)
-        #: Worker-pool size for parallel-safe subtrees (0 = serial;
-        #: naive mode and fork-less platforms pin 0).
+        #: Worker-pool size for spilled join/aggregate partitions (0 =
+        #: serial; naive mode and fork-less platforms pin 0).
         self.workers = self.optimizer.exec_workers(workers)
-        #: Fan-out cost floor, overridable for tests and small rigs.
-        try:
-            self.parallel_min_rows = int(
-                os.environ.get("REPRO_PARALLEL_MIN_ROWS", "") or 0)
-        except ValueError:
-            self.parallel_min_rows = 0
-        if self.parallel_min_rows <= 0:
-            from .parallel import DEFAULT_MIN_ROWS
-            self.parallel_min_rows = DEFAULT_MIN_ROWS
 
     # -- public entry points ----------------------------------------------
     def plan_select(self, select: ast.Select,
-                    outer_scope: Optional[ex.Scope] = None,
-                    batched: bool = True) -> PreparedSelect:
-        """Plan a SELECT.  ``batched=False`` skips the batch stamping:
-        expression-embedded subqueries (EXISTS, IN, scalar) pass it
-        because their consumers short-circuit — EXISTS stops at the
-        first row, a scalar subquery at the second — and draining a
-        whole RowBatch per probe would throw that away.
-        """
+                    outer_scope: Optional[ex.Scope] = None
+                    ) -> PreparedSelect:
         query = build_logical(select, self.catalog, outer_scope,
                               EMPTY_LABEL, [])
         self.optimizer.optimize(query)
         prepared = self._lower(query)
-        if batched and self.workers >= 2:
-            prepared.plan = self._parallelize(prepared.plan)
-        stamp_batch_size(prepared.plan, self.batch_size if batched else 0)
+        stamp_batch_size(prepared.plan, self.batch_size)
         return prepared
-
-    # -- parallel exchange insertion --------------------------------------
-    #: Child pointers the parallelizer rewires (the physical tree's
-    #: full child-attribute vocabulary).
-    _PARALLEL_CHILD_ATTRS = ("child", "left", "right", "inner")
-
-    def _parallel_safe_scan(self, scan: Scan) -> bool:
-        """Proof obligations for running a scan subtree in a forked
-        worker (see ARCHITECTURE.md, "Parallel execution"):
-
-        * plain full heap scan (``type is Scan``) — the only access
-          path with a partitionable chunk domain;
-        * predicate, if any, reads real columns only
-          (``predicate_on_values``) — in particular no subqueries, so
-          no nested statement execution inside a worker;
-        * no declassifying views: their authority re-validation and
-          audit-trail records must happen in the coordinator process
-          (a worker's audit rows would die with it).
-
-        Everything below the check is read-only against the MVCC
-        snapshot and the label rules' memo tables, both of which a
-        forked child inherits copy-on-write.
-        """
-        return ((scan.predicate is None or scan.predicate_on_values)
-                and not scan.view_grants
-                and not scan.declass)
-
-    def _parallelize(self, plan: Plan) -> Plan:
-        """Bottom-up exchange insertion: wrap parallel-safe full scans
-        whose candidate estimate clears the fan-out cost gate in a
-        :class:`Gather`, and hand the worker pool to hash joins and
-        aggregates for their grace-partition phases."""
-        for attr in self._PARALLEL_CHILD_ATTRS:
-            child = getattr(plan, attr, None)
-            if isinstance(child, Plan):
-                setattr(plan, attr, self._parallelize(child))
-        if isinstance(plan, (HashJoin, AggregateNode)):
-            plan.workers = self.workers
-        if type(plan) is Scan and self._parallel_safe_scan(plan):
-            workers = self.optimizer.gather_workers(
-                self.workers, plan.table.approx_rows,
-                self.parallel_min_rows)
-            if workers:
-                gather = Gather(plan, workers)
-                gather.est_rows = plan.est_rows
-                gather.est_cost = plan.est_cost
-                return gather
-        return plan
 
     def plan_dml(self, statement) -> PreparedDML:
         """Plan an UPDATE/DELETE through the same three layers as SELECT.
@@ -187,8 +121,8 @@ class Planner:
         access-path-selection → lowering pipeline (so equality probes,
         ``IndexRangeScan`` for range predicates, and stats-driven
         costing all apply), but execution pulls ``versions()`` instead
-        of ``rows()``: the session needs the physical tuple versions to
-        stamp ``xmax`` and to run the write-rule equality check.
+        of ``batches()``: the session needs the physical tuple versions
+        to stamp ``xmax`` and to run the write-rule equality check.
         """
         query = build_dml_logical(statement, self.catalog)
         self.optimizer.optimize_dml(query)
@@ -217,11 +151,8 @@ class Planner:
             return self._finish_select(query, plan, compiler)
 
         plan = self._lower_entry(query.entries[0], scope)
-        left_width = query.entries[0].width
-        for i in range(1, len(query.entries)):
-            entry = query.entries[i]
-            plan = self._lower_join(plan, left_width, entry, scope, compiler)
-            left_width += entry.width
+        for entry in query.entries[1:]:
+            plan = self._lower_join(plan, entry, scope, compiler)
             for conjunct in entry.post_filters:
                 plan = self._filter(plan, conjunct, compiler)
         for conjunct in query.residual_where:
@@ -230,9 +161,7 @@ class Planner:
 
     def _filter(self, child: Plan, conjunct: ex.Expr,
                 compiler: ex.ExprCompiler) -> Plan:
-        plan = self._defer_batch(
-            Filter(child, compiler.compile(conjunct)),
-            batch_predicate=lambda: ex.compile_batch(compiler, conjunct))
+        plan = Filter(child, ex.compile_batch(compiler, conjunct))
         plan.explain = "Filter (%s)" % ex.to_sql(conjunct)
         if child.est_rows is not None:
             plan.est_rows = child.est_rows * DEFAULT_SEL
@@ -258,37 +187,20 @@ class Planner:
         local_scope.add_table(entry.alias, entry.columns)
         return local_scope, self.compiler(local_scope)
 
-    def _conjunction(self, conjuncts: List[ex.Expr],
+    @staticmethod
+    def _conjunction(conjuncts: List[ex.Expr],
                      compiler: ex.ExprCompiler) -> Optional[Callable]:
+        """The conjuncts as one batch-compiled predicate (None for no
+        conjuncts)."""
         if not conjuncts:
             return None
-        if len(conjuncts) == 1:
-            return compiler.compile(conjuncts[0])
-        return compiler.compile(ex.And(conjuncts))
-
-    def _defer_batch(self, node: Plan, **forms: Callable) -> Plan:
-        """Leave ``node`` the thunks that batch-compile its expressions
-        (``attribute=thunk``); :func:`stamp_batch_size` runs them only
-        if the node ends up executing batched, so a plan that stays on
-        the row path — every small index probe — never pays for, or
-        keeps, a batch form."""
-        if self.batch_size:
-            node.deferred_batch_forms = forms
-        return node
-
-    @staticmethod
-    def _batch_all(compiler: ex.ExprCompiler, nodes) -> Callable:
-        return lambda: [ex.compile_batch(compiler, node) for node in nodes]
-
-    @staticmethod
-    def _batch_conjunction(conjuncts: List[ex.Expr],
-                           compiler: ex.ExprCompiler) -> Callable:
-        """Thunk for :meth:`_conjunction`, batch-compiled."""
-        if not conjuncts:
-            return lambda: None
-        return lambda: ex.compile_batch(
+        return ex.compile_batch(
             compiler, conjuncts[0] if len(conjuncts) == 1
             else ex.And(list(conjuncts)))
+
+    @staticmethod
+    def _batch_all(compiler: ex.ExprCompiler, nodes) -> List[Callable]:
+        return [ex.compile_batch(compiler, node) for node in nodes]
 
     @staticmethod
     def _on_values(conjuncts: List[ex.Expr]) -> bool:
@@ -296,8 +208,8 @@ class Planner:
 
         True when every conjunct references only real columns (no
         ``_label``, no subqueries), so the scan can evaluate it against
-        ``version.values`` and skip the output-row copy for rejected
-        rows — in every mode, and entirely on predicate-free paths.
+        the stored tuples and never build a ``[*values, label]``
+        predicate row.
         """
         return bool(conjuncts) and all(ex.reads_columns_only(c)
                                        for c in conjuncts)
@@ -335,8 +247,6 @@ class Planner:
                              predicate_on_values=self._on_values(
                                  access.residual),
                              needed=entry.needed)
-            self._defer_batch(plan, batch_predicate=self._batch_conjunction(
-                access.residual, local_compiler))
             plan.explain = "IndexScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._key_text(access.key_columns, access.key_exprs),
@@ -356,8 +266,6 @@ class Planner:
                                   predicate_on_values=self._on_values(
                                       access.residual),
                                   needed=entry.needed)
-            self._defer_batch(plan, batch_predicate=self._batch_conjunction(
-                access.residual, local_compiler))
             plan.explain = "IndexRangeScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._range_key_text(access),
@@ -369,8 +277,6 @@ class Planner:
         plan = Scan(entry.table, predicate, entry.declass, entry.view_grants,
                     predicate_on_values=self._on_values(conjuncts),
                     needed=entry.needed)
-        self._defer_batch(plan, batch_predicate=self._batch_conjunction(
-            conjuncts, local_compiler))
         plan.explain = "Scan %s%s" % (self._relation(entry),
                                       self._filter_text(conjuncts))
         return self._annotate(plan, entry.est_rows, entry.est_cost)
@@ -401,21 +307,16 @@ class Planner:
         return " filter (%s)" % " AND ".join(ex.to_sql(c)
                                              for c in conjuncts)
 
-    def _lower_join(self, left: Plan, left_width: int, entry: SourceEntry,
+    def _lower_join(self, left: Plan, entry: SourceEntry,
                     scope: ex.Scope, compiler: ex.ExprCompiler) -> Plan:
         choice = entry.join
         kind = entry.join_kind
         if isinstance(choice, IndexJoinChoice):
-            key_fns = [compiler.compile(e) for e in choice.key_exprs]
-            residual = self._conjunction(choice.residual, compiler)
-            plan = IndexLoopJoin(left, entry.table, choice.index, key_fns,
-                                 residual, kind, entry.declass,
-                                 entry.view_grants, entry.width)
-            self._defer_batch(
-                plan,
-                batch_key_fns=self._batch_all(compiler, choice.key_exprs),
-                batch_residual=self._batch_conjunction(choice.residual,
-                                                       compiler))
+            plan = IndexLoopJoin(
+                left, entry.table, choice.index,
+                self._batch_all(compiler, choice.key_exprs),
+                self._conjunction(choice.residual, compiler), kind,
+                entry.declass, entry.view_grants, entry.width)
             plan.explain = "IndexLoopJoin (%s) %s using %s (%s)%s" % (
                 kind, self._relation(entry), choice.index.name,
                 self._key_text(choice.key_columns, choice.key_exprs),
@@ -423,23 +324,17 @@ class Planner:
             return self._annotate(plan, choice.est_rows, choice.est_cost)
         right_plan = self._lower_entry(entry, scope)
         if isinstance(choice, HashJoinChoice):
-            left_key_fns = [compiler.compile(e) for e in choice.left_exprs]
-            right_key_fns = [compiler.compile(ex.ColumnRef(c, entry.alias))
-                             for c in choice.right_columns]
-            residual_fn = self._conjunction(choice.residual, compiler)
-            plan = HashJoin(left, right_plan, left_key_fns, right_key_fns,
-                            residual_fn, kind, entry.width, left_width)
             # The right keys index the right child's own batch.
             _scope, local_compiler = self._local_compiler(entry, scope)
-            self._defer_batch(
-                plan,
-                left_batch_key_fns=self._batch_all(compiler,
-                                                   choice.left_exprs),
-                right_batch_key_fns=self._batch_all(
-                    local_compiler, [ex.ColumnRef(c, entry.alias)
-                                     for c in choice.right_columns]),
-                batch_residual=self._batch_conjunction(choice.residual,
-                                                       compiler))
+            plan = HashJoin(
+                left, right_plan,
+                self._batch_all(compiler, choice.left_exprs),
+                self._batch_all(local_compiler,
+                                [ex.ColumnRef(c, entry.alias)
+                                 for c in choice.right_columns]),
+                self._conjunction(choice.residual, compiler), kind,
+                entry.width)
+            plan.workers = self.workers
             plan.explain = "HashJoin (%s) on (%s)%s" % (
                 kind,
                 ", ".join("%s.%s = %s" % (entry.alias, col, ex.to_sql(e))
@@ -449,10 +344,9 @@ class Planner:
             plan.est_mem = choice.est_mem
             plan.est_spill_partitions = choice.est_spill_partitions
             return self._annotate(plan, choice.est_rows, choice.est_cost)
-        residual_fn = self._conjunction(choice.residual, compiler)
-        plan = self._defer_batch(
-            NestedLoopJoin(left, right_plan, kind, residual_fn, entry.width),
-            batch_on=self._batch_conjunction(choice.residual, compiler))
+        plan = NestedLoopJoin(
+            left, right_plan, kind,
+            self._conjunction(choice.residual, compiler), entry.width)
         plan.explain = "NestedLoopJoin (%s)%s" % (
             kind, self._filter_text(choice.residual))
         plan.est_mem = choice.est_mem
@@ -477,7 +371,6 @@ class Planner:
             # (used below to recognize identity projections).
             identity_width = len(plan.group_fns) + len(plan.specs)
             out_exprs = [ex.rewrite(expr, rewrite_map) for expr, _ in items]
-            out_fns = [post_compiler.compile(expr) for expr in out_exprs]
             out_compiler = post_compiler
             if select.having is not None:
                 having = ex.rewrite(select.having, rewrite_map)
@@ -486,7 +379,6 @@ class Planner:
             order_rewrite = rewrite_map
         else:
             out_exprs = [expr for expr, _ in items]
-            out_fns = [compiler.compile(expr) for expr in out_exprs]
             out_compiler = compiler
             if select.having is not None:
                 raise DatabaseError("HAVING requires GROUP BY or aggregates")
@@ -507,7 +399,6 @@ class Planner:
         # the literal Sort + Limit pair.
         topn = None
         if select.order_by:
-            key_fns = []
             key_exprs = []
             descending = []
             order_texts = []
@@ -515,11 +406,11 @@ class Planner:
                 expr = order_item.expr
                 resolved = self._resolve_order_expr(expr, items, names)
                 key_exprs.append(ex.rewrite(resolved, order_rewrite))
-                key_fns.append(order_compiler.compile(key_exprs[-1]))
                 descending.append(order_item.descending)
                 order_texts.append(ex.to_sql(resolved)
                                    + (" DESC" if order_item.descending
                                       else ""))
+            key_fns = self._batch_all(order_compiler, key_exprs)
             if (select.limit is not None and not select.distinct
                     and not self.optimizer.naive):
                 limit_fn = compiler.compile(select.limit)
@@ -532,8 +423,6 @@ class Planner:
             else:
                 sort = Sort(plan, key_fns, descending)
                 sort.explain = "Sort [%s]" % ", ".join(order_texts)
-            self._defer_batch(sort, batch_key_fns=self._batch_all(
-                order_compiler, key_exprs))
             self._passthrough(sort, plan)
             sort_width = (identity_width if identity_width is not None
                           else query.width)
@@ -551,9 +440,8 @@ class Planner:
                     and all(isinstance(e, ex.SlotRef) and e.slot == i
                             for i, e in enumerate(out_exprs)))
         if not identity:
-            project = self._defer_batch(
-                Project(plan, out_fns),
-                batch_fns=self._batch_all(out_compiler, out_exprs))
+            project = Project(plan,
+                              self._batch_all(out_compiler, out_exprs))
             project.explain = "Project [%s]" % ", ".join(names)
             self._passthrough(project, plan)
             plan = project
@@ -675,19 +563,14 @@ class Planner:
         for order_item in select.order_by:
             ex.collect_aggregates(order_item.expr, aggregates)
 
-        group_fns = [compiler.compile(g) for g in group_exprs]
-        specs = []
-        for agg in aggregates:
-            arg_fn = compiler.compile(agg.arg) if agg.arg is not None else None
-            specs.append(AggSpec(agg.func, arg_fn, agg.distinct))
-
-        node = self._defer_batch(
-            AggregateNode(plan, group_fns, specs, global_agg=not group_exprs),
-            batch_group_fns=self._batch_all(compiler, group_exprs),
-            batch_arg_fns=lambda: [
-                None if agg.arg is None
-                else ex.compile_batch(compiler, agg.arg)
-                for agg in aggregates])
+        specs = [AggSpec(agg.func,
+                         None if agg.arg is None
+                         else ex.compile_batch(compiler, agg.arg),
+                         agg.distinct)
+                 for agg in aggregates]
+        node = AggregateNode(plan, self._batch_all(compiler, group_exprs),
+                             specs, global_agg=not group_exprs)
+        node.workers = self.workers
         node.explain = "Aggregate [%s]%s" % (
             ", ".join(ex.to_sql(a) for a in aggregates),
             " group by [%s]" % ", ".join(ex.to_sql(g) for g in group_exprs)

@@ -344,12 +344,8 @@ class Session:
             with self._autocommit():
                 ctx = self._context(params)
                 recorder.start()
-                if plan.batch_size:
-                    for _batch in plan.batches(ctx):
-                        pass
-                else:
-                    for _row in plan.rows(ctx):
-                        pass
+                for _batch in plan.batches(ctx):
+                    pass
                 recorder.finish()
             return recorder.render(prepared.plan)
         if isinstance(inner, (ast.Update, ast.Delete)):
@@ -388,17 +384,9 @@ class Session:
         with self._autocommit():
             ctx = self._context(params)
             columns = {name: i for i, name in enumerate(prepared.columns)}
-            if plan.batch_size:
-                # Batched plan: drain whole RowBatches from the root
-                # instead of pulling the per-row compatibility shim.
-                rows = []
-                extend = rows.extend
-                for batch in plan.batches(ctx):
-                    extend(Row(values, columns, label) for values, label
-                           in zip(batch.values, batch.labels))
-            else:
-                rows = [Row(values, columns, label)
-                        for values, label, _ilabel in plan.rows(ctx)]
+            rows = [Row(values, columns, label)
+                    for batch in plan.batches(ctx)
+                    for values, label in zip(batch.values, batch.labels)]
         return Result(list(prepared.columns), rows, len(rows))
 
     # -- INSERT -----------------------------------------------------------
@@ -412,13 +400,9 @@ class Session:
 
         source_rows: Iterable[Sequence]
         if prepared.select is not None:
-            select_plan = prepared.select.plan
-            if select_plan.batch_size:
-                source_rows = [values for batch in select_plan.batches(ctx)
-                               for values in batch.values]
-            else:
-                source_rows = [values for values, _l, _i
-                               in select_plan.rows(ctx)]
+            source_rows = [values
+                           for batch in prepared.select.plan.batches(ctx)
+                           for values in batch.values]
         else:
             source_rows = [[fn([], ctx) for fn in row]
                            for row in prepared.row_fns]

@@ -1,6 +1,6 @@
 """Spill files for the memory-bounded operators.
 
-The batched executor's :class:`~repro.db.physical.HashJoin` builds an
+The executor's :class:`~repro.db.physical.HashJoin` builds an
 in-memory hash table of its right input.  Under a ``work_mem`` budget
 (``Database(work_mem=…)`` / ``REPRO_WORK_MEM``) the build is
 byte-estimated as it grows; on overflow the join degrades to the

@@ -107,9 +107,12 @@ class Table:
         collapses to a handful of runs — see
         :meth:`~repro.db.pages.BufferCache.touch_run`); the runs are
         found by ``groupby`` over the page-id column, not a per-version
-        loop."""
+        loop.  An unbounded cache holds every page, so there the whole
+        chunk is one run of hits, however scattered its pages."""
         touch_run = self._buffer_cache.touch_run
         name = self.name
+        if self._buffer_cache.capacity is None:
+            return touch_run(name, 0, len(versions))
         for page_id, run in groupby([v.page_id for v in versions]):
             touch_run(name, page_id, len(list(run)))
 
@@ -139,41 +142,18 @@ class Table:
             if version is not None:
                 yield version
 
-    def all_versions_batched(self, size: int,
-                             part: Optional[Tuple[int, int]] = None,
+    def all_versions_batched(self, size: int
                              ) -> Iterator[List[TupleVersion]]:
         """Live heap versions in lists of up to ``size``.
 
-        The batch granularity of the vectorized scan: slicing the
-        version array and filtering the vacuumed holes in one list
-        comprehension is markedly cheaper than driving a per-version
-        generator, which is the point of batch-at-a-time execution.
-        The loop re-reads ``len()`` so versions appended mid-scan are
-        still reached, matching :meth:`all_versions` semantics.
-
-        ``part`` restricts the scan to the half-open **chunk** range
-        ``[lo, hi)`` — chunk ``k`` is exactly ``versions[k*size :
-        (k+1)*size]``, the same boundaries the unpartitioned scan
-        uses.  This is how a parallel worker takes its contiguous
-        slice of the heap: identical chunk boundaries mean the
-        per-batch label memos (and therefore the ``covers`` counter
-        totals) are independent of how many workers split the scan.
-        The coordinator computes the chunk ranges from a single
-        ``len()`` read before forking, so the ranges tile the heap
-        with no gap or overlap.
+        The batch granularity of the scan: slicing the version array
+        and filtering the vacuumed holes in one list comprehension is
+        markedly cheaper than driving a per-version generator, which is
+        the point of batch-at-a-time execution.  The loop re-reads
+        ``len()`` so versions appended mid-scan are still reached,
+        matching :meth:`all_versions` semantics.
         """
         versions = self._versions
-        if part is not None:
-            lo, hi = part
-            start = lo * size
-            stop = hi * size
-            while start < stop:
-                chunk = [v for v in versions[start:start + size]
-                         if v is not None]
-                start += size
-                if chunk:
-                    yield chunk
-            return
         start = 0
         while start < len(versions):
             chunk = [v for v in versions[start:start + size]
@@ -181,17 +161,6 @@ class Table:
             start += size
             if chunk:
                 yield chunk
-
-    @staticmethod
-    def materialize_columns(tuples: List[Tuple], positions) -> List[list]:
-        """Copy out one value list per requested column position.
-
-        The storage half of projection pushdown: a batched scan hands
-        in its surviving stored tuples and gets back only the columns
-        the plan actually reads — stored tuples are never widened into
-        full execution rows for columns nobody references.
-        """
-        return [[values[p] for values in tuples] for p in positions]
 
     def versions_for_tids(self, tids) -> Iterator[TupleVersion]:
         versions = self._versions
@@ -203,12 +172,6 @@ class Table:
     @property
     def version_count(self) -> int:
         return self._heap_count
-
-    @property
-    def physical_slots(self) -> int:
-        """Physical length of the version array, vacuumed holes
-        included — the chunk domain a partitioned scan tiles."""
-        return len(self._versions)
 
     @property
     def approx_rows(self) -> int:

@@ -40,7 +40,7 @@ class Snapshot:
         self.in_progress = in_progress    # xids live when snapshot was taken
         #: Smallest in-flight xid at snapshot time (None when none were):
         #: any xmin below it is definitely not in ``in_progress``, which
-        #: lets the batched executor's MVCC fast path avoid the set
+        #: lets the scan leaf's MVCC bound check avoid the set
         #: membership test per tuple (see ``committed_horizon``).
         self.min_in_progress = min(in_progress) if in_progress else None
 

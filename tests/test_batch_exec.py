@@ -1,23 +1,30 @@
-"""Batch-at-a-time executor: amortizations and batch-boundary safety.
+"""The one operator protocol: amortizations and batch-boundary safety.
 
-The vectorized executor (``Plan.batches`` / :class:`RowBatch` in
+Batch size (``Plan.batches`` / :class:`RowBatch` in
 :mod:`repro.db.physical`) must be *invisible* in results — only the loop
-shape and the per-tuple bookkeeping change.  These tests pin:
+shape and the per-tuple bookkeeping change.  The reference is the same
+executor at batch size 1, where every candidate chunk is one version
+and the scan leaf runs its per-version loop.  These tests pin:
 
-* result parity between batched and row-at-a-time execution across the
-  operator zoo, at batch sizes that force awkward boundaries;
+* that every operator speaks ``batches()`` and nothing else;
+* result parity with the size-1 reference across the operator zoo, at
+  batch sizes that force awkward boundaries;
+* the leaf's one fork: chosen by the candidates actually found, and
+  its two routines agreeing on everything but how often ``covers`` and
+  ``strip`` run;
 * the label-run amortization: one ``covers`` per distinct label per
   batch (counted via per-statement metrics deltas,
   ``Database.last_statement_metrics``), declassifying views included,
-  and the other scan counters exactly what the per-tuple executor
-  charges (mid-heap LIMIT and parallel chunk ranges included);
+  and the other scan counters exactly what the per-tuple loop charges
+  (mid-heap LIMIT included);
 * the column-native folds: aggregates, DISTINCT, sorts and joins never
   widen their input (``rows_widened``);
 * the MVCC whole-batch fast path, and its mandatory fallback when a
   concurrent transaction is in flight or a version was deleted;
 * page-run buffer accounting (``touch_run``) producing counters
   identical to per-version ``touch``;
-* the batch expression compiler's AND short-circuit contract.
+* the batch expression compiler's AND short-circuit contract;
+* expression subqueries keeping their early exit.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core.labels import EMPTY_LABEL
 from repro.db import Database
 from repro.db import expressions as ex
 from repro.db import physical
@@ -71,9 +79,34 @@ def _normalized(session, sql, params=()):
                   key=repr)
 
 
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 1024])
+def test_every_operator_speaks_batches_and_nothing_else():
+    """Every ``Plan`` subclass defines ``batches`` and none defines
+    ``rows``: there is no second protocol to adapt to."""
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+    plans = set(subclasses(physical.Plan))
+    assert {physical.Scan, physical.IndexLoopJoin, physical.SingleRow,
+            physical.DeterministicOrder, physical.TopN} <= plans
+    for cls in plans:
+        assert cls.batches is not physical.Plan.batches, cls
+        assert not hasattr(cls, "rows"), cls
+    assert not hasattr(physical.Plan, "rows")
+
+
+def test_batch_size_is_a_chunk_size_of_at_least_one():
+    db, _public, _secret, _ = _stack(0)
+    assert db.batch_size == 1
+    assert db.planner.plan_select(db.parse("SELECT * FROM m")) \
+        .plan.batch_size == 1
+    naive_db, _p, _s, _ = _stack(512, naive_plans=True)
+    assert naive_db.planner.batch_size == 1
+
+
+@pytest.mark.parametrize("batch_size", [2, 3, 1024])
 def test_batch_boundaries_cannot_change_results(batch_size):
-    _db_row, _pub_row, secret_row, _ = _stack(0)
+    _db_row, _pub_row, secret_row, _ = _stack(1)
     _db_bat, _pub_bat, secret_bat, _ = _stack(batch_size)
     for sql, params in QUERIES:
         assert _normalized(secret_bat, sql, params) \
@@ -83,12 +116,12 @@ def test_batch_boundaries_cannot_change_results(batch_size):
 def test_label_run_batching_counts_one_covers_per_label_per_batch():
     # 40 rows, two distinct interned labels (secret and empty), batch
     # size 20 → 2 batches × ≤2 labels = ≤4 covers calls, against 40 in
-    # row-at-a-time mode.
+    # the per-version loop of one-version chunks.
     _db, _public, secret, _tag = _stack(20)
     assert len(secret.execute("SELECT * FROM m").rows) == 40
     batched_calls = _db.last_statement_metrics()["labels"]["covers_calls"]
 
-    _db2, _public2, secret_row, _ = _stack(0)
+    _db2, _public2, secret_row, _ = _stack(1)
     assert len(secret_row.execute("SELECT * FROM m").rows) == 40
     row_calls = _db2.last_statement_metrics()["labels"]["covers_calls"]
 
@@ -98,10 +131,10 @@ def test_label_run_batching_counts_one_covers_per_label_per_batch():
 
 def test_label_runs_under_declassifying_view():
     """Declassification goes through the same label routine and must
-    agree with the row-at-a-time executor on values *and* (stripped)
+    agree with the size-1 reference on values *and* (stripped)
     labels."""
     results = {}
-    for mode, batch_size in (("batched", 8), ("row", 0)):
+    for mode, batch_size in (("batched", 8), ("row", 1)):
         authority = AuthorityState(idgen=SeededIdGenerator(99))
         db = Database(authority, seed=99, batch_size=batch_size)
         clinic = authority.create_principal("clinic")
@@ -183,13 +216,57 @@ def test_mvcc_fast_path_resumes_after_vacuum_reclaims_aborts():
     assert 998 not in rows and 997 in rows
 
 
-def test_subquery_plans_stay_row_at_a_time():
+def test_subquery_plans_run_at_batch_size_one():
     """EXISTS/IN/scalar consumers short-circuit, so expression-embedded
-    subquery plans are deliberately not batch-stamped."""
+    subquery plans are stamped to one-row batches."""
     db, public, _secret, _ = _stack(1024)
-    stmt = db.parse("SELECT * FROM m")
-    assert db.planner.plan_select(stmt).plan.batch_size == 1024
-    assert db.planner.plan_select(stmt, batched=False).plan.batch_size == 0
+    scope = ex.Scope()
+    scope.add_table("m", ["id", "grp", "v", "_label"])
+    compiler = db.planner.compiler(scope)
+    plan = compiler._plan_subquery(db.parse("SELECT id FROM m"))
+    assert plan.batch_size == 1 and plan.child.batch_size == 1
+    assert db.planner.plan_select(db.parse("SELECT * FROM m")) \
+        .plan.batch_size == 1024
+
+
+def _big_table(rows=10000):
+    authority = AuthorityState(idgen=SeededIdGenerator(5))
+    db = Database(authority, seed=5, page_size=256)
+    session = db.connect()
+    session.execute("CREATE TABLE big (id INT PRIMARY KEY, v INT)")
+    table = db.catalog.get_table("big")
+    with session.atomic():
+        for i in range(rows):
+            session.insert_row(table, (i, i % 7), EMPTY_LABEL)
+    return db, session
+
+
+def test_exists_over_a_big_table_stops_at_the_first_row():
+    """EXISTS pulls one one-row batch: O(1) pages touched, however
+    many rows the subquery could return."""
+    db, session = _big_table()
+    assert db.catalog.get_table("big").pages > 100
+    db.buffer_cache.reset()
+    rows = session.execute(
+        "SELECT 1 WHERE EXISTS (SELECT id FROM big WHERE v >= 0)").rows
+    assert len(rows) == 1
+    assert db.buffer_cache.stats.accesses <= 2
+    db.buffer_cache.reset()
+    assert session.execute("SELECT 1 WHERE 3 IN (SELECT id FROM big)").rows
+    assert db.buffer_cache.stats.accesses <= 8
+
+
+def test_scalar_subquery_raises_on_its_second_row():
+    from repro.errors import DatabaseError
+    db, session = _big_table(50)
+    assert session.execute(
+        "SELECT (SELECT v FROM big WHERE id = 9)").scalar() == 2
+    assert session.execute(
+        "SELECT (SELECT v FROM big WHERE id = -1)").scalar() is None
+    db.buffer_cache.reset()
+    with pytest.raises(DatabaseError, match="more than one row"):
+        session.execute("SELECT (SELECT v FROM big)")
+    assert db.buffer_cache.stats.accesses == 2
 
 
 def test_mvcc_fast_path_falls_back_after_delete():
@@ -229,7 +306,7 @@ def test_touch_run_counters_identical_to_per_version_touch():
 
 
 def test_batched_scan_buffer_stats_match_row_mode():
-    db_row, _p1, secret_row, _ = _stack(0, buffer_pages=4, io_penalty=0.25,
+    db_row, _p1, secret_row, _ = _stack(1, buffer_pages=4, io_penalty=0.25,
                                         page_size=256)
     db_bat, _p2, secret_bat, _ = _stack(16, buffer_pages=4, io_penalty=0.25,
                                         page_size=256)
@@ -239,31 +316,6 @@ def test_batched_scan_buffer_stats_match_row_mode():
     for field in ("hits", "misses", "evictions", "io_time"):
         assert getattr(db_bat.buffer_cache.stats, field) \
             == getattr(db_row.buffer_cache.stats, field), field
-
-
-def test_explain_shows_batch_annotation_only_when_batched():
-    _db, public, _secret, _ = _stack(512)
-    lines = [r[0] for r in public.execute("EXPLAIN SELECT * FROM m "
-                                          "WHERE v < 5")]
-    assert any("batch=512" in line for line in lines)
-    naive_db, naive_pub, _n, _ = _stack(None, naive_plans=True)
-    lines = [r[0] for r in naive_pub.execute("EXPLAIN SELECT * FROM m "
-                                             "WHERE v < 5")]
-    assert not any("batch=" in line for line in lines)
-
-
-def test_small_index_probes_stay_on_the_row_path():
-    """Vectorization is estimate-driven: a primary-key probe cannot
-    amortize the batch machinery, so its whole plan stays row-at-a-time
-    even in a batched database (stamp_batch_size / BATCH_MIN_INDEX_ROWS),
-    while a full scan of the same table batches."""
-    _db, public, _secret, _ = _stack(512)
-    probe = [r[0] for r in public.execute(
-        "EXPLAIN SELECT * FROM m WHERE id = 7")]
-    assert any("IndexScan" in line for line in probe)
-    assert not any("batch=" in line for line in probe)
-    full = [r[0] for r in public.execute("EXPLAIN SELECT * FROM m")]
-    assert any("batch=512" in line for line in full)
 
 
 def test_reads_columns_only_classifier():
@@ -321,11 +373,12 @@ def test_index_loop_join_dedups_probes_per_batch():
     """40 outer rows but only 4 distinct join keys: the batched probe
     must hit the index once per distinct key per batch, and must not
     double-count buffer-cache touches or Query-by-Label checks for the
-    duplicate outer keys — row mode pays all three per outer row."""
-    row_rows, row_lookups, row_touches, row_covers = _join_counters(0)
+    duplicate outer keys — one-row batches pay all three per outer
+    row."""
+    row_rows, row_lookups, row_touches, row_covers = _join_counters(1)
     bat_rows, bat_lookups, bat_touches, bat_covers = _join_counters(1024)
     assert [tuple(r) for r in bat_rows] == [tuple(r) for r in row_rows]
-    # Row mode: one probe per outer row; each probe yields the 10
+    # Size 1: one probe per outer row; each probe yields the 10
     # same-group candidates, each touched and label-checked.
     assert row_lookups == 40
     assert row_touches == 40 + 40 * 10       # outer scan + per-row probes
@@ -339,26 +392,140 @@ def test_index_loop_join_dedups_probes_per_batch():
     assert bat_covers < row_covers
 
 
-def test_index_loop_join_small_outer_stays_on_row_path():
-    """The outer side is estimated below BATCH_MIN_INDEX_ROWS: batch
-    probing cannot amortize, so the join pins the row path (per-row
-    probes) even though the outer scan itself batches."""
-    db, public, secret, _ = _stack(512, work_mem=0)
-    public.execute("CREATE TABLE tiny (id INT PRIMARY KEY, grp INT)")
-    for i in range(8):
-        public.execute("INSERT INTO tiny VALUES (?, ?)", (i, i % 4))
-    sql = "SELECT t.id, b.id FROM tiny t JOIN m b ON b.grp = t.grp"
-    plan_lines = [r[0] for r in secret.execute("EXPLAIN " + sql)]
-    join_line = next(line for line in plan_lines
-                     if "IndexLoopJoin" in line)
-    assert "batch=" not in join_line, join_line
-    scan_line = next(line for line in plan_lines if "Scan tiny" in line)
-    assert "batch=512" in scan_line, scan_line
-    # Counter pin: the row path probes once per outer row — duplicate
-    # keys are *not* deduped below the floor.
-    rows = secret.execute(sql).rows
-    assert db.last_statement_metrics()["index"]["lookups"] == 8
-    assert len(rows) == 8 * 10
+def _probe_stack(keys, late_keys=()):
+    """``t.k`` indexed, holding ``keys`` when ANALYZE runs and
+    ``late_keys`` only afterwards: the optimizer's per-key estimate
+    (rows / distinct keys, as of ANALYZE) against what a probe finds."""
+    authority = AuthorityState(idgen=SeededIdGenerator(808))
+    db = Database(authority, seed=808,
+                  batch_size=physical.DEFAULT_BATCH_SIZE)
+    session = db.connect()
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT)")
+    session.execute("CREATE INDEX t_k ON t (k)")
+    table = db.catalog.get_table("t")
+    with session.atomic():
+        for i, k in enumerate(keys):
+            session.insert_row(table, (i, k), EMPTY_LABEL)
+    session.execute("ANALYZE")
+    with session.atomic():
+        for i, k in enumerate(late_keys, len(keys)):
+            session.insert_row(table, (i, k), EMPTY_LABEL)
+    return db, session
+
+
+def _estimated_rows(session, sql):
+    import re
+    line = next(r[0] for r in session.execute("EXPLAIN " + sql)
+                if "IndexScan" in r[0])
+    return int(re.search(r"rows=(\d+)", line).group(1))
+
+
+def test_leaf_choice_follows_the_candidates_found_not_the_estimate():
+    """One plan, one estimate, two executions: the probe that finds 500
+    candidates filters them set-at-a-time (one ``covers`` for their one
+    label), the probe that finds a handful checks each (one ``covers``
+    per version) — whatever the optimizer expected."""
+    few = physical.SET_AT_A_TIME_MIN - 1
+    sql = "SELECT id FROM t WHERE k = ?"
+    # Estimated at one row per key, finding 500 (and a handful).
+    db, session = _probe_stack(
+        [1000 + i for i in range(1000)] + [7] * 500 + [8] * few)
+    assert _estimated_rows(session, sql) <= 2
+    assert len(session.execute(sql, (7,)).rows) == 500
+    assert db.last_statement_metrics()["labels"]["covers_calls"] == 1
+    assert len(session.execute(sql, (8,)).rows) == few
+    assert db.last_statement_metrics()["labels"]["covers_calls"] == few
+    # Estimated (stale) at 64 rows per key, finding a handful.
+    db, session = _probe_stack([i % 50 for i in range(3200)], [999] * few)
+    assert _estimated_rows(session, sql) >= 32
+    assert len(session.execute(sql, (999,)).rows) == few
+    assert db.last_statement_metrics()["labels"]["covers_calls"] == few
+
+
+LEAF_SIZES = [physical.SET_AT_A_TIME_MIN - 1, physical.SET_AT_A_TIME_MIN,
+              physical.SET_AT_A_TIME_MIN + 1]
+
+
+@pytest.mark.parametrize("n", LEAF_SIZES)
+def test_leaf_routines_agree_on_everything_but_label_check_counts(
+        n, monkeypatch):
+    """The per-version loop and the set-at-a-time routines, forced in
+    turn over the same ``n``-version chunks (heap slices and index
+    probes alike): same rows, same emitted labels — stripped under a
+    declassifying view — same suppression count, buffer traffic and
+    index lookups, with a concurrent writer's uncommitted row hidden
+    by both.  Only ``covers``/``strip`` may run more often."""
+    authority = AuthorityState(idgen=SeededIdGenerator(606))
+    db = Database(authority, seed=606, batch_size=n, buffer_pages=3,
+                  io_penalty=0.25, page_size=256)
+    clinic = authority.create_principal("clinic")
+    compound = authority.create_compound_tag("all_t", owner=clinic.id)
+    inside = [authority.create_tag("t%d" % i, owner=clinic.id,
+                                   compounds=(compound.id,))
+              for i in range(2)]
+    outside = authority.create_tag("other", owner=clinic.id)
+    admin = db.connect(IFCProcess(authority, clinic.id))
+    admin.execute("CREATE TABLE p (id INT PRIMARY KEY, k INT, v INT)")
+    admin.execute("CREATE INDEX p_k ON p (k)")
+    writers = []
+    for tag in inside + [outside]:
+        process = IFCProcess(authority, clinic.id)
+        process.add_secrecy(tag.id)
+        writers.append(db.connect(process))
+    for i in range(3 * n):
+        writers[i % 3].execute("INSERT INTO p VALUES (?, ?, ?)",
+                               (i, i // n, i % 5))
+    for i in range(100, 300):           # singleton keys: k is selective
+        writers[0].execute("INSERT INTO p VALUES (?, ?, 0)", (i, i))
+    admin.execute("ANALYZE")
+    # Predicates never cross a view boundary, so the index probe and
+    # the index join live inside declassifying view bodies.
+    admin.execute("CREATE VIEW probe AS SELECT id, v FROM p WHERE k = 1 "
+                  "WITH DECLASSIFYING (all_t)")
+    admin.execute("CREATE VIEW heap AS SELECT id, v FROM p "
+                  "WITH DECLASSIFYING (all_t)")
+    admin.execute("CREATE VIEW joined AS SELECT a.id, b.v FROM p a "
+                  "JOIN p b ON b.k = a.k WHERE a.id < 100 "
+                  "WITH DECLASSIFYING (all_t)")
+    pending = writers[0]
+    pending.begin()
+    pending.execute("INSERT INTO p VALUES (9999, 1, 0)")
+    reader = db.connect(IFCProcess(authority, clinic.id))
+    queries = ["SELECT * FROM probe", "SELECT * FROM heap",
+               "SELECT * FROM joined"]
+    for sql, operator in zip(queries, ("IndexScan", "Scan p",
+                                       "IndexLoopJoin")):
+        assert any(operator in r[0]
+                   for r in reader.execute("EXPLAIN " + sql)), sql
+
+    def run(sql):
+        db.buffer_cache.reset()
+        rows = _normalized(reader, sql)
+        delta = db.last_statement_metrics()
+        return rows, delta
+
+    for sql in queries:
+        monkeypatch.setattr(physical, "SET_AT_A_TIME_MIN", 10 ** 9)
+        loop_rows, loop = run(sql)
+        monkeypatch.setattr(physical, "SET_AT_A_TIME_MIN", 0)
+        set_rows, sets = run(sql)
+        assert loop_rows == set_rows, sql
+        assert all(label == () for _row, label in loop_rows)
+        assert 9999 not in [row[0] for row, _label in loop_rows]
+        assert loop["labels"]["rows_suppressed"] \
+            == sets["labels"]["rows_suppressed"] > 0
+        for group in ("buffer", "index", "exec"):
+            assert loop[group] == sets[group], (sql, group)
+        # The singleton keys repeat one label chunk after chunk, which
+        # only the per-version loop checks every time.
+        assert loop["labels"]["covers_calls"] \
+            >= sets["labels"]["covers_calls"]
+        if sql.endswith("heap"):
+            assert loop["labels"]["covers_calls"] \
+                > sets["labels"]["covers_calls"]
+        assert loop["labels"]["strip_calls"] \
+            == loop["labels"]["covers_calls"]
+    pending.rollback()
 
 
 def test_projection_pushdown_materializes_only_needed_columns():
@@ -398,9 +565,9 @@ def test_projection_pushdown_subquery_disables_pushdown():
 def test_projection_pushdown_under_declassifying_view():
     """Pushdown must reach the scan *below* a declassifying view
     without disturbing label stripping: values, stripped labels, and
-    the cell counter all agree with the full-width row executor."""
+    the cell counter all agree with the size-1 reference."""
     results = {}
-    for mode, batch_size in (("batched", 8), ("row", 0)):
+    for mode, batch_size in (("batched", 8), ("row", 1)):
         authority = AuthorityState(idgen=SeededIdGenerator(55))
         db = Database(authority, seed=55, batch_size=batch_size)
         clinic = authority.create_principal("clinic")
@@ -449,12 +616,12 @@ def test_dml_plans_never_project():
 
 
 def test_aggregation_over_join_matches_row_mode_with_projection():
-    """Aggregation above a join above two projected scans: the
-    column-at-a-time path must agree with row-at-a-time on groups,
-    aggregates, and labels."""
+    """Aggregation above a join above two projected scans: batch
+    size 16 must agree with size 1 on groups, aggregates, and
+    labels."""
     sql = ("SELECT a.grp, COUNT(*), SUM(b.v) FROM m a "
            "JOIN m b ON b.grp = a.grp GROUP BY a.grp")
-    _db_row, _p1, secret_row, _ = _stack(0)
+    _db_row, _p1, secret_row, _ = _stack(1)
     _db_bat, _p2, secret_bat, _ = _stack(16)
     assert _normalized(secret_bat, sql) == _normalized(secret_row, sql)
 
@@ -501,7 +668,7 @@ def test_skewed_join_output_batches_are_bounded(indexed):
     residual emits, or in which order."""
     import tracemalloc
     _db, batched = _skewed_join_stack(16, indexed)
-    _db, by_row = _skewed_join_stack(0, indexed)
+    _db, by_row = _skewed_join_stack(1, indexed)
     join = "SELECT a.id, b.id FROM a JOIN b ON a.k = b.k"
     operator, rows, batches = _join_actuals(batched, join)
     assert operator == ("IndexLoopJoin" if indexed else "HashJoin")
@@ -544,7 +711,7 @@ def test_predicate_free_scan_skips_row_copy_for_dml_targets():
     # Label-free predicate UPDATE through the batched path.
     count = secret.execute("UPDATE m SET v = v + 1 "
                            "WHERE grp = 1 AND id % 3 = 0").rowcount
-    reference_db, _pub, secret_row, _ = _stack(0)
+    reference_db, _pub, secret_row, _ = _stack(1)
     expected = secret_row.execute("UPDATE m SET v = v + 1 "
                                   "WHERE grp = 1 AND id % 3 = 0").rowcount
     assert count == expected
@@ -568,9 +735,7 @@ def PIN_TAG(i):
 def _pin_stack(batch_size, **db_kwargs):
     """200 rows under 8 tags; the reader holds the even-numbered four.
     A 4-page buffer cache over 256-byte pages makes hits, misses and
-    evictions all move.  Serial unless a test asks for workers: a
-    forked worker charges its own copy of the buffer cache."""
-    db_kwargs.setdefault("workers", 0)
+    evictions all move."""
     authority = AuthorityState(idgen=SeededIdGenerator(1212))
     db = Database(authority, seed=1212, batch_size=batch_size,
                   buffer_pages=4, io_penalty=0.25, page_size=256,
@@ -615,7 +780,7 @@ def _pin_delta(db, session, sql, params=()):
 def test_plain_scan_counts_are_sums_over_chunks():
     """``covers_calls`` is Σ distinct labels per chunk — nothing else —
     and suppression, materialized cells and buffer traffic are what the
-    per-tuple executor charges, tuple for tuple."""
+    per-version loop charges, tuple for tuple."""
     chunks = _pin_chunks()
     db, reader = _pin_stack(PIN_BATCH)
     rows, delta = _pin_delta(db, reader, "SELECT id, v FROM pin")
@@ -624,9 +789,9 @@ def test_plain_scan_counts_are_sums_over_chunks():
         "covers_calls": sum(c[0] for c in chunks), "strip_calls": 0,
         "rows_suppressed": sum(c[2] for c in chunks)}
     assert delta["exec"]["columns_materialized"] == 2 * len(rows)
-    # Row mode touches one version at a time: the reference for the
+    # Size 1 touches one version at a time: the reference for the
     # page-run accounting, evictions and simulated I/O included.
-    row_db, row_reader = _pin_stack(0)
+    row_db, row_reader = _pin_stack(1)
     _rows, row_delta = _pin_delta(row_db, row_reader, "SELECT id, v FROM pin")
     assert delta["buffer"] == row_delta["buffer"]
     assert row_delta["labels"]["covers_calls"] == PIN_ROWS
@@ -651,24 +816,6 @@ def test_limit_abandons_the_scan_after_whole_chunks():
         == 2 * PIN_BATCH
 
 
-def test_worker_chunk_ranges_count_like_the_serial_scan(monkeypatch):
-    """Inside a forked worker's chunk range the label routine sees the
-    same chunks the serial scan sees: merged totals are identical."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "64")
-    serial_db, serial_reader = _pin_stack(PIN_BATCH)
-    gang_db, gang_reader = _pin_stack(PIN_BATCH, workers=2)
-    sql = "SELECT id, v FROM pin WHERE v >= 3"
-    assert any("Gather" in r[0] for r in gang_reader.execute("EXPLAIN " + sql))
-    serial_rows, serial = _pin_delta(serial_db, serial_reader, sql)
-    gang_rows, gang = _pin_delta(gang_db, gang_reader, sql)
-    assert [tuple(r) for r in gang_rows] == [tuple(r) for r in serial_rows]
-    chunks = _pin_chunks()
-    assert serial["labels"]["covers_calls"] == sum(c[0] for c in chunks)
-    assert gang["labels"] == serial["labels"]
-    assert gang["exec"]["columns_materialized"] \
-        == serial["exec"]["columns_materialized"] == 2 * len(serial_rows)
-
-
 @pytest.mark.parametrize("sql", [
     "SELECT COUNT(*), SUM(v) FROM pin WHERE v >= 3 AND grp < 4",
     "SELECT grp, COUNT(*), SUM(v), MIN(v) FROM pin GROUP BY grp",
@@ -678,7 +825,7 @@ def test_folds_never_widen_their_input(sql):
     """Aggregates and DISTINCT read the scan's columns directly: no
     input row is rebuilt, and their own output is row-major already."""
     db, reader = _pin_stack(PIN_BATCH)
-    row_db, row_reader = _pin_stack(0)
+    row_db, row_reader = _pin_stack(1)
     rows, delta = _pin_delta(db, reader, sql)
     assert sorted(map(tuple, rows)) \
         == sorted(map(tuple, row_reader.execute(sql).rows))
@@ -724,3 +871,51 @@ def test_declassifying_view_strips_once_per_distinct_label_per_chunk():
     assert db.last_statement_metrics()["labels"] == {
         "covers_calls": distinct_per_chunk,
         "strip_calls": distinct_per_chunk, "rows_suppressed": 0}
+
+
+# ---------------------------------------------------------------------------
+# Consumers outside the operator tree drain batches too
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("batch_size", [1, 3, 1024])
+def test_consumers_outside_the_tree_drain_batches(batch_size):
+    """The cursor under ``deterministic_order``, ``INSERT … SELECT`` and
+    the IN / scalar subquery closures have no row protocol to fall back
+    on: each drains ``batches()``, whatever the chunk size."""
+    db, public, secret, _ = _stack(batch_size, deterministic_order=True)
+    ids = [r[0] for r in secret.execute("SELECT id FROM m WHERE grp = 1")]
+    assert ids == sorted(range(1, 40, 4), key=str)    # by value text
+    assert [tuple(r) for r in secret.execute("SELECT 1 + 1")] == [(2,)]
+    assert secret.execute("SELECT 1 WHERE 1 = 0").rows == []
+    public.execute("CREATE TABLE copy (id INT PRIMARY KEY, v INT)")
+    assert public.execute(
+        "INSERT INTO copy SELECT id, v FROM m WHERE grp = 2").rowcount \
+        == len(public.execute("SELECT id FROM m WHERE grp = 2").rows) > 0
+    # IN: a match, a miss, and the NULL that turns a miss into UNKNOWN.
+    public.execute("INSERT INTO copy VALUES (1000, NULL)")
+    assert _normalized(public, "SELECT id FROM copy WHERE id IN "
+                               "(SELECT id FROM m WHERE grp = 2)") \
+        == _normalized(public, "SELECT id FROM copy WHERE id < 1000")
+    assert public.execute("SELECT id FROM copy WHERE 999 NOT IN "
+                          "(SELECT v FROM copy)").rows == []
+    assert public.execute(
+        "SELECT (SELECT MAX(v) FROM copy WHERE id = c.id) FROM copy c "
+        "WHERE id = 1000").scalar() is None
+
+
+def test_stamp_reaches_every_node_through_views_and_joins():
+    db, public, _secret, _ = _stack(17)
+    public.execute("CREATE VIEW mv AS SELECT id, grp FROM m WHERE v > 2")
+    prepared = db.prepare_select(db.parse(
+        "SELECT a.id FROM mv a JOIN m b ON b.id = a.id "
+        "WHERE a.grp IN (SELECT grp FROM m) ORDER BY a.id LIMIT 3"), None)
+    seen = []
+
+    def walk(node):
+        seen.append(type(node).__name__)
+        assert node.batch_size == 17, node
+        for child in physical._children(node):
+            walk(child)
+
+    walk(prepared.plan)
+    assert {"ViewPlan", "IndexLoopJoin", "TopN"} <= set(seen), seen

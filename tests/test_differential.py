@@ -7,8 +7,11 @@ SELECT/UPDATE/DELETE/INSERT statements over small labeled tables:
   (equality probes, ``IndexRangeScan`` range scans), join strategies,
   pushdown, and stats-driven replanning all enabled;
 * the **reference** universe runs with ``Database(naive_plans=True)``:
-  forced full heap scans, nested-loop joins, no pushdown — the
-  slowest, most obviously correct interpretation of every statement.
+  forced full heap scans, nested-loop joins, no pushdown, and the same
+  operators at batch size 1 — every candidate chunk is one version, so
+  the scan leaf checks ``touch``/``visible``/``covers`` per tuple —
+  the slowest, most obviously correct interpretation of every
+  statement.
 
 After every statement both universes must agree on the outcome (result
 rows *and their labels* for SELECT, rowcount for DML, exception type on
@@ -69,7 +72,7 @@ class Universe:
     """One database plus a public (empty-label) and a secret session.
 
     ``batch_size`` (optimized universe only; the naive reference always
-    runs row-at-a-time) exercises the batched executor at arbitrary
+    runs at batch size 1) exercises the executor at arbitrary
     batch boundaries — ``None`` means the engine default / the
     ``REPRO_BATCH_SIZE`` environment override.
     """
@@ -370,6 +373,11 @@ def _run_differential(seed: int, n_statements: int,
     optimized = Universe(naive=False, batch_size=batch_size,
                          work_mem=work_mem, workers=workers)
     reference = Universe(naive=True, work_mem=0)
+    # The reference is per-tuple whatever REPRO_BATCH_SIZE says.
+    assert reference.db.planner.batch_size == 1, tag
+    assert reference.db.prepare_select(
+        reference.db.parse("SELECT * FROM readings"), None
+    ).plan.batch_size == 1, tag
     universes = (optimized, reference)
     _populate(universes, gen)
     assert optimized.state() == reference.state(), \
@@ -400,14 +408,6 @@ def _run_differential(seed: int, n_statements: int,
     # never have strayed from full scans.
     assert optimized_shapes & {IndexScan, IndexRangeScan}, optimized_shapes
     assert reference_shapes <= {Scan}, reference_shapes
-    # The workers legs must genuinely have planned parallel scans, or
-    # the matrix quietly degraded to serial-vs-naive and proved
-    # nothing about the gang.
-    if workers and workers >= 2:
-        plan = optimized.sessions["public"].execute(
-            "EXPLAIN SELECT * FROM readings")
-        assert any("Gather" in row[0] for row in plan), \
-            "%s workers=%d planned no Gather" % (tag, workers)
     # Under a tight budget the run must actually have exercised the
     # grace-spill machinery — hash joins, external sorts, AND grace
     # aggregation/distinct — or the work_mem matrix proves nothing.
@@ -434,7 +434,7 @@ def test_differential_batch_size_one():
     """Degenerate one-row batches: every batch boundary that can exist
     does exist, so any result that depends on where a batch ends (the
     label-run memo, the MVCC fast path, limit/offset slicing) diverges
-    from the row-at-a-time reference here."""
+    from the naive reference here."""
     _run_differential(SEED ^ 0xBA7C1, 150, batch_size=1)
 
 
@@ -445,26 +445,19 @@ def test_differential_batch_size_two():
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_differential_workers(workers, monkeypatch):
-    """The parallel-execution matrix leg: the same adversarial stream
-    with multi-core scans and per-partition join/aggregate gangs
-    enabled.  ``batch_size=32`` keeps the ~250-row tables wide enough
-    (several chunks) that the Gather really forks rather than
-    degrading to pass-through, and the low ``REPRO_PARALLEL_MIN_ROWS``
-    floor lets the optimizer parallelize test-sized tables.  Workers
-    may move label checks and suppression decisions into child
-    processes; rows, labels, rowcounts, and error types must still
-    match the naive serial reference statement-for-statement."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "32")
+def test_differential_workers(workers):
+    """The same adversarial stream with a worker pool configured.
+    Nothing spills here, so the pool must change nothing at all —
+    scans stay serial — at a batch size (32) that cuts the ~250-row
+    tables into several chunks."""
     _run_differential(SEED ^ 0x70C5 ^ workers, 150,
                       batch_size=32, workers=workers)
 
 
-def test_differential_workers_spilled(monkeypatch):
+def test_differential_workers_spilled():
     """Parallel grace partitions under a tight budget: spilled hash
     joins and aggregates fan their partitions out to the gang while
     the naive reference replays everything serially in memory."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "32")
     _run_differential(SEED ^ 0x70C5 ^ 0x53A1, 120, batch_size=32,
                       work_mem=1024, workers=2, require_spill=True)
 
@@ -573,11 +566,16 @@ def _labeled_rows(session, sql):
     """Execute through the physical layer so integrity labels — which
     ``Row`` drops — are part of the comparison."""
     db = session.db
+    prepared = db.prepare_select(db.parse(sql), sql)
     try:
-        prepared = db.prepare_select(db.parse(sql), sql)
         with session._autocommit():
-            rows = list(prepared.plan.rows(session._context(())))
-    except Exception as exc:                   # noqa: BLE001 — compared
+            rows = [row for batch in
+                    prepared.plan.batches(session._context(()))
+                    for row in zip(batch.values, batch.labels,
+                                   batch.ilabels)]
+    except ReproError as exc:
+        return ("error", type(exc).__name__)
+    except (TypeError, ZeroDivisionError) as exc:   # value errors compare
         return ("error", type(exc).__name__)
     return ("rows", sorted(
         ((tuple(values), tuple(sorted(label)), tuple(sorted(ilabel)))

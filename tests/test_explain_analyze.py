@@ -5,7 +5,7 @@ The contract under test (db/metrics.py ``PlanRecorder`` + the session's
 
 * the statement really executes — root-operator actual rows equal the
   row count the plain statement returns, across the differential
-  executors (optimized vs naive plans, batch sizes 1/default/row-mode);
+  executors (optimized vs naive plans, batch sizes 1/3/default);
 * per-operator counters are *exclusive* (self-only) and sum exactly to
   the statement-total line — execution is single-threaded and
   pull-based, so counter attribution has no slack, even when the plan
@@ -92,10 +92,10 @@ QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("variant", ["default", "batch1", "row", "naive"])
+@pytest.mark.parametrize("variant", ["default", "batch1", "batch3", "naive"])
 def test_root_actual_rows_match_the_real_result(variant):
     kwargs = {"default": {}, "batch1": {"batch_size": 1},
-              "row": {"batch_size": 0},
+              "batch3": {"batch_size": 3},
               "naive": {"naive_plans": True}}[variant]
     _db, _public, secret = _stack(**kwargs)
     for sql in QUERIES:
@@ -215,8 +215,9 @@ def test_analyze_row_counts_per_operator_make_sense():
 def test_every_scan_line_shows_suppression_and_label_diversity():
     """Label diversity — the variable fig6 sweeps — is visible per
     statement: every scan line carries ``suppressed=N`` (zero included)
-    and, when it ran batched, ``labels/batch`` = distinct labels the
-    label routine checked per candidate chunk."""
+    and ``labels/batch`` = label checks per candidate chunk (its
+    distinct labels set-at-a-time, its versions in the per-version
+    loop)."""
     # 40 rows, every third one secret, batches of 10: each chunk mixes
     # the two labels → 2.0 labels per batch.
     _db, public, secret = _stack(10)
@@ -227,9 +228,8 @@ def test_every_scan_line_shows_suppression_and_label_diversity():
     lines, ops, _totals = _analyze(public, "SELECT id FROM m WHERE v < 12")
     scan = ops[-1]
     assert scan["suppressed"] == 14 and scan["labels/batch"] == 2.0, lines
-    # Row-at-a-time scans have no batches to average over, but still
-    # report what they suppressed; index scans are scans too.
-    _db, public, _secret = _stack(0)
+    # Index scans are scans too: a one-candidate probe runs the
+    # per-version loop, one check for its one version.
     lines, ops, _totals = _analyze(public, "SELECT v FROM m WHERE id = 3")
     assert "IndexScan" in lines[-3] and ops[-1]["suppressed"] == 1, lines
-    assert "labels/batch" not in ops[-1]
+    assert ops[-1]["labels/batch"] == 1.0

@@ -24,7 +24,7 @@ import pytest
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
 from repro.core import rules
 from repro.db import Database, indexes, metrics, physical, spill
-from repro.errors import IFCViolation
+from repro.errors import AuthorityError, IFCViolation
 
 
 def _fresh(**kwargs):
@@ -225,6 +225,49 @@ def test_audit_declassify_view_records_view_and_tags():
     assert events
     assert events[-1]["view"] == "pv"
     assert tag.id in events[-1]["tags"]
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_audit_declassify_view_is_one_event_whatever_the_join(indexed):
+    """A declassifying view whose body joins two tables records one
+    ``declassify_view`` event per execution — whether the body runs as
+    a hash join (two scans, each re-validating the view's authority)
+    or as an index-loop join (one scan plus the probe side) — and a
+    revoked authority fails both shapes with the same message."""
+    authority = AuthorityState(idgen=SeededIdGenerator(31))
+    db = Database(authority, seed=31, audit_log=64)
+    clinic = authority.create_principal("clinic")
+    tag = authority.create_tag("patient", owner=clinic.id)
+    admin = db.connect(IFCProcess(authority, clinic.id))
+    admin.execute("CREATE TABLE p (id INT PRIMARY KEY, k INT)")
+    admin.execute("CREATE TABLE q (id INT PRIMARY KEY, k INT)")
+    if indexed:
+        admin.execute("CREATE INDEX q_k ON q (k)")
+    proc = IFCProcess(authority, clinic.id)
+    proc.add_secrecy(tag.id)
+    writer = db.connect(proc)
+    for i in range(40):
+        writer.execute("INSERT INTO p VALUES (?, ?)", (i, i))
+        writer.execute("INSERT INTO q VALUES (?, ?)", (i, i))
+    admin.execute("ANALYZE")
+    helper = authority.create_principal("helper")
+    authority.delegate(tag.id, clinic.id, helper.id)
+    db.connect(IFCProcess(authority, helper.id)).execute(
+        "CREATE VIEW pq AS SELECT p.id, q.id AS qid FROM p "
+        "JOIN q ON q.k = p.k WITH DECLASSIFYING (patient)")
+    reader = db.connect(IFCProcess(authority, clinic.id))
+    plan = [r[0] for r in reader.execute("EXPLAIN SELECT * FROM pq")]
+    assert any(("IndexLoopJoin" if indexed else "HashJoin") in line
+               for line in plan), plan
+    db.audit.reset()
+    assert len(reader.execute("SELECT * FROM pq").rows) == 40
+    assert [e["view"] for e in db.audit.of_kind("declassify_view")] == ["pq"]
+    # Once per statement, not once per database.
+    assert len(reader.execute("SELECT * FROM pq").rows) == 40
+    assert len(db.audit.of_kind("declassify_view")) == 2
+    authority.revoke(tag.id, clinic.id, helper.id)
+    with pytest.raises(AuthorityError, match="lost authority for tag"):
+        reader.execute("SELECT * FROM pq")
 
 
 def test_audit_write_denied_records_the_violation():

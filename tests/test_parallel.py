@@ -1,22 +1,15 @@
-"""Parallel execution (db/parallel.py + the Gather exchange operator).
+"""Parallel execution (db/parallel.py): the spilled-partition gang.
 
 The contract under test: turning workers on may only change *where*
 work runs, never what a statement returns, raises, or counts —
 
-* a gathered scan returns exactly the serial rows **in the serial
-  order** (contiguous chunk ranges drained in worker order);
-* the label-check counters (``covers``/``strip``/suppressions) merged
-  back from the workers equal the serial counts exactly: chunk
-  boundaries are plan-determined, not worker-count-determined;
 * a spilled hash join / hash aggregate fans its key-disjoint grace
-  partitions out to the gang and still produces the serial output
-  (and byte-identical spill counters);
+  partitions out to the gang and still produces the serial output in
+  the serial order (and byte-identical spill counters);
 * a worker exception re-raises in the coordinator with the same type
   the serial execution would raise;
-* the planner only parallelizes what it can prove safe: plain full
-  scans with column-only predicates — never index scans,
-  declassifying views, or subquery predicates — and EXPLAIN shows the
-  fan-out (``workers=N``).
+* scans are never parallelized, and EXPLAIN shows the fan-out
+  (``workers=N``) on the operators that would use it.
 """
 
 from __future__ import annotations
@@ -30,13 +23,7 @@ from repro.db.parallel import FORK_AVAILABLE, split_ranges
 pytestmark = pytest.mark.skipif(
     not FORK_AVAILABLE, reason="no fork on this platform")
 
-N_ROWS = 5000
-
-
-@pytest.fixture(autouse=True)
-def _low_fanout_floor(monkeypatch):
-    """Plan-time cost gate low enough for test-sized tables."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "64")
+N_ROWS = 900
 
 
 def _stack(workers, *, work_mem=0, batch_size=None, rows=N_ROWS,
@@ -66,11 +53,6 @@ def _rows(session, sql):
     return [tuple(r) for r in session.execute(sql).rows]
 
 
-def _select_delta(db, session, sql):
-    session.execute(sql)
-    return db.last_statement_metrics()
-
-
 # ---------------------------------------------------------------------------
 # range splitting
 # ---------------------------------------------------------------------------
@@ -87,134 +69,23 @@ def test_split_ranges_tile_contiguously():
 
 
 # ---------------------------------------------------------------------------
-# gathered scans
-# ---------------------------------------------------------------------------
-
-def test_parallel_scan_matches_serial_rows_and_order():
-    db0, s0, _ = _stack(0, secret_every=7)
-    db2, s2, _ = _stack(2, secret_every=7)
-    for sql in ("SELECT id, x FROM t",
-                "SELECT id, x FROM t WHERE g = 5",
-                "SELECT id FROM t WHERE x > 7000 ORDER BY id DESC"):
-        assert _rows(s0, sql) == _rows(s2, sql), sql
-
-
-def test_parallel_scan_label_counters_equal_serial():
-    """Merged worker counters land in the statement bracket with zero
-    slack, and the label-check totals are plan-determined: the same
-    chunk boundaries produce the same per-batch memo probes no matter
-    how many workers split the scan."""
-    db0, s0, _ = _stack(0, secret_every=7)
-    db2, s2, _ = _stack(2, secret_every=7)
-    db3, s3, _ = _stack(3, secret_every=7)
-    sql = "SELECT id, x FROM t WHERE g = 5"
-    serial = _select_delta(db0, s0, sql)
-    for db, session in ((db2, s2), (db3, s3)):
-        parallel = _select_delta(db, session, sql)
-        assert parallel["labels"] == serial["labels"]
-        assert parallel["rows"] == serial["rows"]
-
-
-def test_parallel_scan_suppression_counts_equal_serial():
-    """Query-by-Label suppression happens inside the workers; the
-    merged ``rows_suppressed`` must equal the serial count."""
-    db0, s0, _ = _stack(0, secret_every=5)
-    db2, s2, _ = _stack(2, secret_every=5)
-    sql = "SELECT id FROM t"
-    serial = _select_delta(db0, s0, sql)
-    parallel = _select_delta(db2, s2, sql)
-    assert serial["labels"]["rows_suppressed"] == N_ROWS // 5
-    assert parallel["labels"] == serial["labels"]
-    assert _rows(s0, sql) == _rows(s2, sql)
-
-
-def test_worker_error_reraises_with_serial_type():
-    db0, s0, _ = _stack(0)
-    db2, s2, _ = _stack(2)
-    for sql in ("SELECT id FROM t WHERE 100 / (x - 150) > 0",
-                "SELECT id FROM t WHERE x < note"):
-        with pytest.raises(Exception) as serial_exc:
-            s0.execute(sql)
-        with pytest.raises(Exception) as parallel_exc:
-            s2.execute(sql)
-        assert type(parallel_exc.value) is type(serial_exc.value), sql
-
-
-# ---------------------------------------------------------------------------
-# planner safety proof + EXPLAIN
+# planner + EXPLAIN
 # ---------------------------------------------------------------------------
 
 def _plan_lines(session, sql):
     return [r[0] for r in session.execute("EXPLAIN " + sql)]
 
 
-def test_explain_renders_gather_workers():
-    _db, session, _ = _stack(2)
-    lines = _plan_lines(session, "SELECT id, x FROM t WHERE g = 5")
-    gather = next(line for line in lines if "Gather" in line)
-    assert "workers=2" in gather
-    # The scan is the Gather's child (indented one level deeper).
-    gi = lines.index(gather)
-    assert "Scan t" in lines[gi + 1]
-
-
-def test_explain_analyze_gathered_scan_line_claims_no_label_figures():
-    """The scan under a forked Gather ran in the workers: what it
-    suppressed is on the Gather line (merged worker counters), and the
-    scan line must not print a zero it never measured."""
-    _db, session, _ = _stack(2, secret_every=5)
-    lines = [r[0] for r in session.execute(
-        "EXPLAIN ANALYZE SELECT id, x FROM t WHERE g = 5")]
-    gi = next(i for i, line in enumerate(lines) if "Gather" in line)
-    assert "suppressed=%d" % (N_ROWS // 5) in lines[gi], lines
-    assert "Scan t" in lines[gi + 1]
-    assert "suppressed=" not in lines[gi + 1], lines
-    assert "labels/batch=" not in lines[gi + 1], lines
-
-
-def test_index_scans_are_not_gathered():
-    _db, session, _ = _stack(2)
-    lines = _plan_lines(session, "SELECT x FROM t WHERE id = 17")
-    assert any("IndexScan" in line for line in lines)
-    assert not any("Gather" in line for line in lines)
-
-
-def test_subquery_predicates_stay_above_the_gather():
-    """A subquery predicate executes nested statements, so it may not
-    run inside a worker.  The planner strips it out of the scan into a
-    coordinator-side Filter; only the columns-only residue is
-    gathered."""
-    _db, session, _ = _stack(2)
-    lines = _plan_lines(
-        session,
-        "SELECT id FROM t WHERE x > (SELECT MIN(x) FROM t) AND id < 5")
-    filter_at = next(i for i, line in enumerate(lines)
-                     if "subquery" in line)
-    gather_at = next(i for i, line in enumerate(lines)
-                     if "Gather" in line)
-    assert filter_at < gather_at
-    # Nothing below the Gather mentions the subquery.
-    assert all("subquery" not in line for line in lines[gather_at:])
-
-
-def test_declassifying_views_are_not_gathered():
-    """View-authority audit records must be written by the
-    coordinator; a worker's audit rows would die with its process."""
-    db, session, tag = _stack(2, secret_every=3)
-    session.execute(
-        "CREATE VIEW leaky AS SELECT id, x FROM t "
-        "WITH DECLASSIFYING (secret)")
-    lines = _plan_lines(session, "SELECT id FROM leaky")
-    assert not any("Gather" in line for line in lines)
-
-
-def test_small_tables_stay_serial(monkeypatch):
-    """The optimizer's fan-out cost gate: under the row floor the
-    exchange does not pay for its fork."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "1000000")
-    _db, session, _ = _stack(2)
-    lines = _plan_lines(session, "SELECT id, x FROM t")
-    assert not any("Gather" in line for line in lines)
+def test_scans_are_never_parallelized():
+    """A gang over a plain heap scan lost to the serial scan once fork,
+    codec and pipe were paid (0.45x on two cores), so no exchange
+    operator exists: a scan plans the same with or without workers."""
+    _db0, s0, _ = _stack(0)
+    _db2, s2, _ = _stack(2)
+    for sql in ("SELECT id, x FROM t WHERE g = 5",
+                "SELECT x FROM t WHERE id = 17"):
+        assert _plan_lines(s2, sql) == _plan_lines(s0, sql)
+        assert not any("workers=" in line for line in _plan_lines(s2, sql))
 
 
 def test_naive_plans_stay_serial():
@@ -241,8 +112,8 @@ AGG_SQL = "SELECT g, COUNT(*), MIN(x), MAX(note) FROM t GROUP BY g"
 
 
 def test_parallel_spilled_join_matches_serial():
-    db0, s0, _ = _stack(0, work_mem=4096, rows=900)
-    db2, s2, _ = _stack(2, work_mem=4096, rows=900)
+    db0, s0, _ = _stack(0, work_mem=4096)
+    db2, s2, _ = _stack(2, work_mem=4096)
     serial = _rows(s0, JOIN_SQL)
     parallel = _rows(s2, JOIN_SQL)
     assert db0.last_statement_metrics()["spill"]["spills"] >= 1
@@ -253,8 +124,8 @@ def test_parallel_spilled_join_matches_serial():
 
 
 def test_parallel_spilled_aggregate_matches_serial():
-    db0, s0, _ = _stack(0, work_mem=1024, rows=900)
-    db2, s2, _ = _stack(2, work_mem=1024, rows=900)
+    db0, s0, _ = _stack(0, work_mem=1024)
+    db2, s2, _ = _stack(2, work_mem=1024)
     serial = _rows(s0, AGG_SQL)
     parallel = _rows(s2, AGG_SQL)
     assert db0.last_statement_metrics()["spill"]["agg_spills"] >= 1
@@ -264,7 +135,7 @@ def test_parallel_spilled_aggregate_matches_serial():
 
 
 def test_explain_renders_join_and_aggregate_workers():
-    _db, session, _ = _stack(2, work_mem=4096, rows=900)
+    _db, session, _ = _stack(2, work_mem=4096)
     join_lines = _plan_lines(session, JOIN_SQL)
     join = next(line for line in join_lines if "HashJoin" in line)
     assert "workers=2" in join
@@ -273,12 +144,64 @@ def test_explain_renders_join_and_aggregate_workers():
     assert "workers=2" in agg
 
 
-def test_gather_passthrough_without_fork(monkeypatch):
-    """With the gang unavailable at run time the exchange degrades to
-    a transparent pass-through — same rows, same order."""
+def test_worker_error_reraises_with_serial_type(monkeypatch):
+    """A SUM that meets a string in a spilled group fails inside a
+    partition worker (group 22 is first seen last, long after the
+    1 KB budget filled); the coordinator re-raises the worker's
+    exception with the type the serial partition loop raises."""
     from repro.db import parallel
-    db2, s2, _ = _stack(2)
-    sql = "SELECT id, x FROM t WHERE g = 5"
-    expected = _rows(s2, sql)
+    sql = ("SELECT g, SUM(CASE WHEN id = 712 THEN note ELSE x END) "
+           "FROM t GROUP BY g")
+    gangs = []
+    run_gang = parallel.run_gang
+
+    def recording(tasks):
+        gangs.append(len(tasks))
+        yield from run_gang(tasks)
+
+    monkeypatch.setattr(parallel, "run_gang", recording)
+    errors = []
+    for workers in (0, 2):
+        _db, session, _ = _stack(workers, work_mem=1024)
+        with pytest.raises(Exception) as raised:
+            session.execute(sql)
+        errors.append(type(raised.value))
+    assert errors[0] is errors[1] is TypeError
+    assert gangs == [2]                  # only the workers=2 run forked
+
+
+def test_spilled_join_runs_serially_without_fork(monkeypatch):
+    """With the gang unavailable at run time the partition phase runs
+    in the coordinator — same rows, same order."""
+    from repro.db import parallel
+    _db2, s2, _ = _stack(2, work_mem=4096)
+    expected = _rows(s2, JOIN_SQL)
     monkeypatch.setattr(parallel, "FORK_AVAILABLE", False)
-    assert _rows(s2, sql) == expected
+    monkeypatch.setattr(parallel, "run_gang", None)     # would raise
+    assert _rows(s2, JOIN_SQL) == expected
+
+
+def test_a_worker_never_forks_a_nested_gang(monkeypatch, tmp_path):
+    """A LEFT JOIN's residual subquery runs wherever its join pair is
+    formed — inside a partition worker for spooled probe rows — and
+    here it spills an aggregate of its own.  Only the coordinator may
+    fork: inside a worker the spilled groups fold serially."""
+    import os
+    from repro.db import parallel
+    log = tmp_path / "gangs"
+    run_gang = parallel.run_gang
+
+    def recording(tasks):
+        with open(log, "a") as handle:
+            handle.write("%d\n" % os.getpid())
+        yield from run_gang(tasks)
+
+    monkeypatch.setattr(parallel, "run_gang", recording)
+    sql = ("SELECT a.id, b.id FROM t a LEFT JOIN t b ON a.g = b.g "
+           "AND b.x <= (SELECT MAX(c.x) FROM t c WHERE c.id <= a.id + 200 "
+           "GROUP BY c.g ORDER BY 1 DESC LIMIT 1) WHERE a.id < 12")
+    _db0, s0, _ = _stack(0, work_mem=1024, rows=300)
+    _db2, s2, _ = _stack(2, work_mem=1024, rows=300)
+    assert _rows(s2, sql) == _rows(s0, sql)
+    pids = set(log.read_text().split())
+    assert pids == {str(os.getpid())}

@@ -324,7 +324,7 @@ EDGE_QUERIES = (
 
 
 def test_limit_offset_edges_row_batch_parity():
-    sessions = [_stack(0, naive=True),        # row-at-a-time reference
+    sessions = [_stack(0, naive=True),        # size-1 naive reference
                 _stack(0),                    # default batches
                 _stack(0, batch_size=1),      # every boundary exists
                 _stack(0, batch_size=8)]      # limits land on boundaries
