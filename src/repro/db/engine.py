@@ -99,10 +99,10 @@ class Database:
                  naive_plans: bool = False,
                  batch_size: Optional[int] = None,
                  work_mem: Optional[int] = None,
-                 slow_query_ms: Optional[float] = None,
-                 audit_log: Optional[int] = None,
+                 slow_query_ms: float = 0.0,
+                 audit_log: int = 0,
                  wal: Optional[str] = None,
-                 group_commit_ms: Optional[float] = None,
+                 group_commit_ms: float = 0.0,
                  workers: Optional[int] = None):
         if authority is None:
             idgen = SeededIdGenerator(seed) if seed is not None else None
@@ -187,33 +187,25 @@ class Database:
         self.metrics = REGISTRY
         self.statement_stats = StatementStats()
         # Slow-query threshold in milliseconds; 0 disables the log.
-        if slow_query_ms is None:
-            slow_query_ms = float(os.environ.get("REPRO_SLOW_QUERY_MS",
-                                                 "0"))
         self.slow_query_ms = max(0.0, float(slow_query_ms))
         self.slow_queries = SlowQueryLog()
         # IFC audit trail: opt-in ring buffer (capacity in events;
-        # 0/None disables).  Off by default — it records facts (e.g.
+        # 0 disables).  Off by default — it records facts (e.g.
         # suppressed-row counts) that must not flow back to confined
         # processes.
-        if audit_log is None:
-            audit_log = int(os.environ.get("REPRO_AUDIT_LOG", "0"))
         self.audit = AuditLog(audit_log) if audit_log else None
         # -- durability (db/wal.py) --------------------------------------
         # ``wal`` is a log file path; ``None`` defers to ``REPRO_WAL``,
         # which names a *directory* so every Database in the process
         # gets its own log.  ``group_commit_ms`` is the commit-delay
-        # window leaders wait for stragglers (``REPRO_GROUP_COMMIT_MS``;
-        # 0 = fsync per flush leader, still batching whatever is
-        # already queued).  Unset → no WAL, the seed behaviour.
+        # window leaders wait for stragglers (0 = fsync per flush
+        # leader, still batching whatever is already queued).  Unset →
+        # no WAL, the seed behaviour.
         if wal is None:
             wal_dir = os.environ.get("REPRO_WAL", "").strip()
             if wal_dir:
                 os.makedirs(wal_dir, exist_ok=True)
                 wal = wal_mod.auto_wal_path(wal_dir)
-        if group_commit_ms is None:
-            group_commit_ms = float(os.environ.get("REPRO_GROUP_COMMIT_MS",
-                                                   "0"))
         self.group_commit_ms = max(0.0, float(group_commit_ms))
         self.wal: Optional[wal_mod.WriteAheadLog] = None
         if isinstance(wal, wal_mod.WriteAheadLog):
@@ -243,10 +235,9 @@ class Database:
         self._metrics_cells: List[Tuple[str, str]] = []
         self._spill_bytes_cell = -1
         self._suppressed_cell = -1
-        self._norm_keys: Dict[str, str] = {}
         self._last_statement = None
-        # Statement collectors (statement_stats / slow_queries / audit /
-        # _norm_keys) are shared by every session on this database;
+        # Statement collectors (statement_stats / slow_queries / audit)
+        # are shared by every session on this database;
         # concurrent statements update them under this lock.  The
         # counter *reads* need no lock: they are per-thread
         # (core/counters.py), which is what makes the bracket deltas
@@ -787,9 +778,7 @@ class Database:
         elapsed = time.perf_counter() - started
         self._last_statement = (before, after, elapsed, rowcount)
         if sql is not None:
-            key = self._norm_keys.get(sql)
-            if key is None:
-                key = normalize_sql(sql)
+            key = normalize_sql(sql)
         else:
             # Programmatic statements (no SQL text) aggregate by shape.
             key = "<%s>" % type(statement).__name__
@@ -797,9 +786,6 @@ class Database:
         # the deltas are statement-exact even with concurrent sessions;
         # the shared collectors are the only cross-thread state left.
         with self._stats_lock:
-            if sql is not None and sql not in self._norm_keys \
-                    and len(self._norm_keys) < 4096:
-                self._norm_keys[sql] = key
             cell = self._spill_bytes_cell
             self.statement_stats.record(key, elapsed, rowcount,
                                         after[cell] - before[cell])

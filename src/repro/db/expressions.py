@@ -4,10 +4,28 @@ Expressions appear in WHERE/HAVING clauses, select lists, CHECK and label
 constraints, and view definitions.  The AST is built either by the SQL
 parser (:mod:`repro.sql.parser`) or programmatically.
 
-Compilation turns an AST into a Python closure ``fn(row, ctx) -> value``
-against a :class:`Scope` that maps column references to positions in the
-flattened execution row.  This keeps the per-row cost low enough for the
-TPC-C benchmark while staying an ordinary tree-walking design.
+**Shape.**  Every node class says once what its sub-expressions are:
+:meth:`Expr.children` lists them left to right and
+:meth:`Expr.rebuilt` makes the same node over new ones.  Every tree
+walk — here (:func:`walk`, :func:`contains_aggregate`,
+:func:`collect_aggregates`, :func:`reads_columns_only`,
+:func:`rewrite`), in the optimizer (constant folding) and in the
+logical layer (column and slot collection) — goes through those two
+methods; only :func:`to_sql` names node classes to reach their parts,
+because it prints each differently.  A subquery's ``Select`` is not a
+child: it is planned on its own.
+
+**Evaluation.**  :class:`ExprCompiler` turns an AST into a Python
+closure against a :class:`Scope` that maps column references to
+positions in the flattened execution row, in two forms: a *scalar*
+closure ``fn(row, ctx) -> value`` (:meth:`ExprCompiler.compile`) for
+the places that evaluate one row — index keys, LIMIT/OFFSET, INSERT
+VALUES, DML assignments, constraints, constant folding — and a *batch*
+closure ``fn(batch, ctx) -> list`` (:meth:`ExprCompiler.compile_batch`)
+for the physical operators, which evaluate a
+:class:`~repro.db.physical.RowBatch` a column at a time.  Both are
+dispatched per node class by the same compiler; a node class without a
+column kernel gets its scalar closure mapped over the batch's rows.
 
 SQL three-valued logic is approximated with ``None`` as UNKNOWN:
 comparisons involving NULL yield None, ``AND``/``OR`` propagate it, and
@@ -42,6 +60,17 @@ class Expr:
 
     def key(self) -> Tuple:
         raise NotImplementedError
+
+    def children(self) -> Sequence["Expr"]:
+        """The direct sub-expressions, left to right (the order they
+        are evaluated and printed in).  Leaves have none; a subquery's
+        ``Select`` AST is not a child."""
+        return ()
+
+    def rebuilt(self, children: Sequence["Expr"]) -> "Expr":
+        """This node over new children — as many, in the same order, as
+        :meth:`children` returns.  Everything else is carried over."""
+        return self
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self.key() == other.key()
@@ -109,6 +138,12 @@ class BinOp(Expr):
     def key(self):
         return ("bin", self.op, self.left.key(), self.right.key())
 
+    def children(self):
+        return (self.left, self.right)
+
+    def rebuilt(self, children):
+        return BinOp(self.op, *children)
+
 
 class Compare(Expr):
     __slots__ = ("op", "left", "right")
@@ -121,6 +156,12 @@ class Compare(Expr):
     def key(self):
         return ("cmp", self.op, self.left.key(), self.right.key())
 
+    def children(self):
+        return (self.left, self.right)
+
+    def rebuilt(self, children):
+        return Compare(self.op, *children)
+
 
 class And(Expr):
     __slots__ = ("items",)
@@ -130,6 +171,12 @@ class And(Expr):
 
     def key(self):
         return ("and",) + tuple(i.key() for i in self.items)
+
+    def children(self):
+        return self.items
+
+    def rebuilt(self, children):
+        return And(children)
 
 
 class Or(Expr):
@@ -141,6 +188,12 @@ class Or(Expr):
     def key(self):
         return ("or",) + tuple(i.key() for i in self.items)
 
+    def children(self):
+        return self.items
+
+    def rebuilt(self, children):
+        return Or(children)
+
 
 class Not(Expr):
     __slots__ = ("operand",)
@@ -150,6 +203,12 @@ class Not(Expr):
 
     def key(self):
         return ("not", self.operand.key())
+
+    def children(self):
+        return (self.operand,)
+
+    def rebuilt(self, children):
+        return Not(*children)
 
 
 class Neg(Expr):
@@ -161,6 +220,12 @@ class Neg(Expr):
     def key(self):
         return ("neg", self.operand.key())
 
+    def children(self):
+        return (self.operand,)
+
+    def rebuilt(self, children):
+        return Neg(*children)
+
 
 class IsNull(Expr):
     __slots__ = ("operand", "negated")
@@ -171,6 +236,12 @@ class IsNull(Expr):
 
     def key(self):
         return ("isnull", self.operand.key(), self.negated)
+
+    def children(self):
+        return (self.operand,)
+
+    def rebuilt(self, children):
+        return IsNull(*children, self.negated)
 
 
 class InList(Expr):
@@ -185,6 +256,12 @@ class InList(Expr):
     def key(self):
         return (("in", self.operand.key(), self.negated)
                 + tuple(i.key() for i in self.items))
+
+    def children(self):
+        return (self.operand, *self.items)
+
+    def rebuilt(self, children):
+        return InList(children[0], children[1:], self.negated)
 
 
 class Between(Expr):
@@ -201,6 +278,12 @@ class Between(Expr):
         return ("between", self.operand.key(), self.low.key(),
                 self.high.key(), self.negated)
 
+    def children(self):
+        return (self.operand, self.low, self.high)
+
+    def rebuilt(self, children):
+        return Between(*children, self.negated)
+
 
 class Like(Expr):
     __slots__ = ("operand", "pattern", "negated")
@@ -212,6 +295,12 @@ class Like(Expr):
 
     def key(self):
         return ("like", self.operand.key(), self.pattern.key(), self.negated)
+
+    def children(self):
+        return (self.operand, self.pattern)
+
+    def rebuilt(self, children):
+        return Like(*children, self.negated)
 
 
 class FuncCall(Expr):
@@ -225,6 +314,12 @@ class FuncCall(Expr):
 
     def key(self):
         return ("func", self.name) + tuple(a.key() for a in self.args)
+
+    def children(self):
+        return self.args
+
+    def rebuilt(self, children):
+        return FuncCall(self.name, children)
 
 
 class Aggregate(Expr):
@@ -244,6 +339,13 @@ class Aggregate(Expr):
                 self.arg.key() if self.arg is not None else None,
                 self.distinct)
 
+    def children(self):
+        return () if self.arg is None else (self.arg,)
+
+    def rebuilt(self, children):
+        return Aggregate(self.func, children[0] if children else None,
+                         self.distinct)
+
 
 class Case(Expr):
     __slots__ = ("whens", "default")
@@ -257,6 +359,18 @@ class Case(Expr):
         return (("case",)
                 + tuple((c.key(), v.key()) for c, v in self.whens)
                 + (self.default.key() if self.default else None,))
+
+    def children(self):
+        """cond, value, cond, value, …, then the ELSE branch if any."""
+        flat = [part for when in self.whens for part in when]
+        if self.default is not None:
+            flat.append(self.default)
+        return flat
+
+    def rebuilt(self, children):
+        n = 2 * len(self.whens)
+        return Case(zip(children[0:n:2], children[1:n:2]),
+                    children[n] if self.default is not None else None)
 
 
 class Exists(Expr):
@@ -284,6 +398,12 @@ class InSelect(Expr):
 
     def key(self):
         return ("insel", self.operand.key(), id(self.select), self.negated)
+
+    def children(self):
+        return (self.operand,)
+
+    def rebuilt(self, children):
+        return InSelect(*children, self.select, self.negated)
 
 
 class ScalarSelect(Expr):
@@ -486,7 +606,17 @@ _BIN_FUNCS = {
 
 
 class ExprCompiler:
-    """Compiles expression ASTs to closures against a scope.
+    """Compiles expression ASTs to closures against a scope, in two
+    forms with one dispatch: node class ``X`` is evaluated by
+    ``_c_x`` (scalar) and, where a column kernel exists, ``_b_x``
+    (batch).
+
+    * :meth:`compile` — ``fn(row, ctx) -> value`` for one row; what
+      index keys, LIMIT/OFFSET, INSERT VALUES, DML assignments,
+      CHECK/label constraints and constant folding evaluate.
+    * :meth:`compile_batch` — ``fn(batch, ctx) -> list``, one value
+      per row of a :class:`~repro.db.physical.RowBatch`; what every
+      physical operator evaluates.
 
     ``catalog`` (optional) resolves user-defined scalar functions;
     ``planner`` (optional) plans subquery expressions.  Both are injected
@@ -504,10 +634,30 @@ class ExprCompiler:
             raise DatabaseError("cannot compile expression %r" % (node,))
         return method(node)
 
+    def compile_batch(self, node: Expr) -> Callable:
+        """The kernels are **column-at-a-time**: leaves pull whole
+        column arrays (``batch.column(i)`` — zero-copy on a columnar
+        batch with no selection) and the common shapes (comparisons,
+        arithmetic, ``AND``, ``IS NULL``) combine those arrays
+        element-wise, so an expression only ever touches the columns
+        it reads.  A node class without a kernel maps its scalar
+        closure over ``batch.values`` (widening the batch) — here and
+        nowhere else — so the batch form can never change semantics,
+        only the loop shape."""
+        method = getattr(self, "_b_" + type(node).__name__.lower(), None)
+        if method is not None:
+            return method(node)
+        row_fn = self.compile(node)
+        return lambda batch, ctx: [row_fn(row, ctx) for row in batch.values]
+
     # -- leaves ----------------------------------------------------------
     def _c_literal(self, node: Literal):
         value = node.value
         return lambda row, ctx: value
+
+    def _b_literal(self, node: Literal):
+        value = node.value
+        return lambda batch, ctx: [value] * len(batch)
 
     def _c_param(self, node: Param):
         index = node.index
@@ -520,6 +670,10 @@ class ExprCompiler:
                     % (index + 1, len(ctx.params))) from None
         return run
 
+    def _b_param(self, node: Param):
+        row_fn = self._c_param(node)
+        return lambda batch, ctx: [row_fn([], ctx)] * len(batch)
+
     def _c_columnref(self, node: ColumnRef):
         depth, index = self.scope.resolve_depth(node.name, node.table)
         if depth == 0:
@@ -528,17 +682,28 @@ class ExprCompiler:
             return ctx.outer_stack[-depth][index]
         return run
 
-    def _c_slotref(self, node: SlotRef):
+    def _b_columnref(self, node: ColumnRef):
+        depth, index = self.scope.resolve_depth(node.name, node.table)
+        if depth == 0:
+            return lambda batch, ctx: batch.column(index)
+        def outer(batch, ctx):
+            return [ctx.outer_stack[-depth][index]] * len(batch)
+        return outer
+
+    def _c_slotref(self, node):
         index = node.slot
         return lambda row, ctx: row[index]
 
-    def _c_aggslotref(self, node: AggSlotRef):
+    def _b_slotref(self, node):
         index = node.slot
-        return lambda row, ctx: row[index]
+        return lambda batch, ctx: batch.column(index)
+
+    _c_aggslotref, _b_aggslotref = _c_slotref, _b_slotref
 
     # -- operators ---------------------------------------------------------
-    def _c_binop(self, node: BinOp):
-        fn = _BIN_FUNCS[node.op]
+    def _c_binop(self, node):
+        fn = (_CMP_FUNCS if isinstance(node, Compare)
+              else _BIN_FUNCS)[node.op]
         left = self.compile(node.left)
         right = self.compile(node.right)
         def run(row, ctx):
@@ -549,43 +714,79 @@ class ExprCompiler:
             return fn(lv, rv)
         return run
 
-    def _c_compare(self, node: Compare):
-        fn = _CMP_FUNCS[node.op]
-        left = self.compile(node.left)
-        right = self.compile(node.right)
-        def run(row, ctx):
-            lv = left(row, ctx)
-            rv = right(row, ctx)
-            if lv is None or rv is None:
-                return None
-            return fn(lv, rv)
-        return run
+    def _b_binop(self, node):
+        fn = (_CMP_FUNCS if isinstance(node, Compare)
+              else _BIN_FUNCS)[node.op]
+        left = self.compile_batch(node.left)
+        if isinstance(node.right, (Literal, Param)):
+            # Column-versus-constant, the common predicate shape: one
+            # pass over the column, no second array to zip against.
+            constant = self.compile(node.right)
+            def against_constant(batch, ctx):
+                column = left(batch, ctx)
+                rv = constant([], ctx)
+                if rv is None:
+                    return [None] * len(column)
+                return [None if lv is None else fn(lv, rv)
+                        for lv in column]
+            return against_constant
+        right = self.compile_batch(node.right)
+        def elementwise(batch, ctx):
+            return [None if lv is None or rv is None else fn(lv, rv)
+                    for lv, rv in zip(left(batch, ctx), right(batch, ctx))]
+        return elementwise
 
-    def _c_and(self, node: And):
+    _c_compare, _b_compare = _c_binop, _b_binop
+
+    def _c_and(self, node):
         parts = [self.compile(i) for i in node.items]
+        absorbing = isinstance(node, Or)    # OR stops at TRUE, AND at FALSE
         def run(row, ctx):
             saw_null = False
             for part in parts:
                 value = part(row, ctx)
                 if value is None:
                     saw_null = True
-                elif not value:
-                    return False
-            return None if saw_null else True
+                elif (not value) is not absorbing:
+                    return absorbing
+            return None if saw_null else not absorbing
         return run
 
-    def _c_or(self, node: Or):
-        parts = [self.compile(i) for i in node.items]
-        def run(row, ctx):
-            saw_null = False
+    _c_or = _c_and
+
+    def _b_and(self, node: And):
+        """Keeps the scalar form's short-circuit contract via a
+        selection mask: later conjuncts are evaluated only for rows
+        still alive (not yet FALSE) by selecting the alive sub-batch —
+        columnar batches compose the selection vector without copying
+        column data — so ``x <> 0 AND 10 / x > 2`` raises for exactly
+        the rows the scalar closure would have raised for."""
+        parts = [self.compile_batch(item) for item in node.items]
+        def conjunction(batch, ctx):
+            n = len(batch)
+            alive = range(n)              # not yet FALSE, in row order
+            unknown: set = set()          # alive rows that saw a NULL
             for part in parts:
-                value = part(row, ctx)
-                if value is None:
-                    saw_null = True
-                elif value:
-                    return True
-            return None if saw_null else False
-        return run
+                if not alive:
+                    break
+                sub = batch if len(alive) == n else batch.select(alive)
+                vals = part(sub, ctx)
+                if all(vals):
+                    continue
+                if None in vals:          # a later FALSE still wins
+                    unknown.update(i for i, v in zip(alive, vals)
+                                   if v is None)
+                    alive = [i for i, v in zip(alive, vals)
+                             if v or v is None]
+                else:
+                    alive = list(compress(alive, vals))
+            result: list = [False] * n
+            for i in alive:
+                result[i] = True
+            for i in unknown.intersection(alive):
+                result[i] = None
+            return result
+        return conjunction
 
     def _c_not(self, node: Not):
         operand = self.compile(node.operand)
@@ -608,6 +809,13 @@ class ExprCompiler:
         if node.negated:
             return lambda row, ctx: operand(row, ctx) is not None
         return lambda row, ctx: operand(row, ctx) is None
+
+    def _b_isnull(self, node: IsNull):
+        operand = self.compile_batch(node.operand)
+        if node.negated:
+            return lambda batch, ctx: [v is not None
+                                       for v in operand(batch, ctx)]
+        return lambda batch, ctx: [v is None for v in operand(batch, ctx)]
 
     def _c_inlist(self, node: InList):
         operand = self.compile(node.operand)
@@ -857,44 +1065,48 @@ def to_sql(node: Expr) -> str:
     return repr(node)
 
 
+# ---------------------------------------------------------------------------
+# Tree walks — all over Expr.children() / Expr.rebuilt()
+# ---------------------------------------------------------------------------
+
+#: Nodes that run a subquery.  Its ``Select`` is planned on its own and
+#: is not a child; correlated references inside it read the enclosing
+#: row through ``ctx.outer_stack``, so analyses that must know every
+#: column an expression can reach treat these nodes as opaque.
+SUBQUERY_NODES = (Exists, InSelect, ScalarSelect)
+_NEEDS_FULL_ROW = SUBQUERY_NODES + (Star,)
+
+
+def walk(node: Expr) -> List[Expr]:
+    """Every node of the tree, pre-order, children left to right."""
+    found = [node]
+    i = 0
+    while i < len(found):
+        children = found[i].children()
+        i += 1
+        if children:
+            found[i:i] = children       # right after their parent
+    return found
+
+
 def contains_aggregate(node: Expr) -> bool:
     """True if the expression tree contains an Aggregate node."""
-    if isinstance(node, Aggregate):
-        return True
-    for attr in getattr(node, "__slots__", ()):
-        child = getattr(node, attr)
-        if isinstance(child, Expr):
-            if contains_aggregate(child):
-                return True
-        elif isinstance(child, tuple):
-            for item in child:
-                if isinstance(item, Expr) and contains_aggregate(item):
-                    return True
-                if (isinstance(item, tuple) and len(item) == 2
-                        and all(isinstance(x, Expr) for x in item)):
-                    if any(contains_aggregate(x) for x in item):
-                        return True
+    for n in walk(node):
+        if isinstance(n, Aggregate):
+            return True
     return False
 
 
 def collect_aggregates(node: Expr, out: List[Aggregate]) -> None:
-    """Collect Aggregate nodes (deduplicated structurally) into ``out``."""
+    """Collect Aggregate nodes (deduplicated structurally) into ``out``,
+    in pre-order — their positions become the aggregate slots.  An
+    aggregate's own argument is not searched."""
     if isinstance(node, Aggregate):
         if node not in out:
             out.append(node)
         return
-    for attr in getattr(node, "__slots__", ()):
-        child = getattr(node, attr)
-        if isinstance(child, Expr):
-            collect_aggregates(child, out)
-        elif isinstance(child, tuple):
-            for item in child:
-                if isinstance(item, Expr):
-                    collect_aggregates(item, out)
-                elif (isinstance(item, tuple) and len(item) == 2):
-                    for x in item:
-                        if isinstance(x, Expr):
-                            collect_aggregates(x, out)
+    for child in node.children():
+        collect_aggregates(child, out)
 
 
 def reads_columns_only(node: Expr) -> bool:
@@ -910,126 +1122,13 @@ def reads_columns_only(node: Expr) -> bool:
     the row via ``ctx.outer_stack`` and could reach the label slot)
     disqualifies the expression.
     """
-    if isinstance(node, (Exists, InSelect, ScalarSelect, Star)):
-        return False
-    if isinstance(node, ColumnRef):
-        return node.name != "_label"
-    for attr in getattr(node, "__slots__", ()):
-        child = getattr(node, attr)
-        if isinstance(child, Expr):
-            if not reads_columns_only(child):
+    for n in walk(node):
+        if isinstance(n, ColumnRef):
+            if n.name == "_label":
                 return False
-        elif isinstance(child, tuple):
-            for item in child:
-                if isinstance(item, Expr):
-                    if not reads_columns_only(item):
-                        return False
-                elif isinstance(item, tuple):
-                    for x in item:
-                        if isinstance(x, Expr) and \
-                                not reads_columns_only(x):
-                            return False
+        elif isinstance(n, _NEEDS_FULL_ROW):
+            return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Batch compilation (vectorized executor)
-# ---------------------------------------------------------------------------
-
-def compile_batch(compiler: "ExprCompiler", node: Expr) -> Callable:
-    """Compile ``node`` to a *batch* closure ``fn(batch, ctx) -> list``.
-
-    The returned function evaluates the expression for every row of a
-    :class:`~repro.db.physical.RowBatch` at once, returning one value
-    per row.  The kernels are **column-at-a-time**: leaves pull whole
-    column arrays (``batch.column(i)`` — zero-copy on a columnar batch
-    with no selection) and the common shapes (comparisons, arithmetic,
-    ``AND``, ``IS NULL``) combine those arrays element-wise, so an
-    expression only ever touches the columns it reads.  Everything else
-    falls back to mapping the ordinary row closure from
-    :meth:`ExprCompiler.compile` over ``batch.values`` (widening the
-    batch), so batch compilation can never change semantics — only the
-    loop shape.
-
-    ``AND`` keeps the scalar compiler's short-circuit contract via a
-    selection mask: later conjuncts are evaluated only for rows still
-    alive (not yet FALSE) by selecting the alive sub-batch — columnar
-    batches compose the selection vector without copying column data —
-    so an expression like ``x <> 0 AND 10 / x > 2`` raises for exactly
-    the rows the scalar closure would have raised for.
-    """
-    if isinstance(node, Literal):
-        value = node.value
-        return lambda batch, ctx: [value] * len(batch)
-    if isinstance(node, Param):
-        row_fn = compiler.compile(node)
-        return lambda batch, ctx: [row_fn([], ctx)] * len(batch)
-    if isinstance(node, ColumnRef):
-        depth, index = compiler.scope.resolve_depth(node.name, node.table)
-        if depth == 0:
-            return lambda batch, ctx: batch.column(index)
-        def outer(batch, ctx, depth=depth, index=index):
-            return [ctx.outer_stack[-depth][index]] * len(batch)
-        return outer
-    if isinstance(node, (SlotRef, AggSlotRef)):
-        index = node.slot
-        return lambda batch, ctx: batch.column(index)
-    if isinstance(node, IsNull):
-        operand = compile_batch(compiler, node.operand)
-        if node.negated:
-            return lambda batch, ctx: [v is not None
-                                       for v in operand(batch, ctx)]
-        return lambda batch, ctx: [v is None for v in operand(batch, ctx)]
-    if isinstance(node, (Compare, BinOp)):
-        fn = (_CMP_FUNCS if isinstance(node, Compare)
-              else _BIN_FUNCS)[node.op]
-        left = compile_batch(compiler, node.left)
-        if isinstance(node.right, (Literal, Param)):
-            # Column-versus-constant, the common predicate shape: one
-            # pass over the column, no second array to zip against.
-            constant = compiler.compile(node.right)
-            def against_constant(batch, ctx):
-                column = left(batch, ctx)
-                rv = constant([], ctx)
-                if rv is None:
-                    return [None] * len(column)
-                return [None if lv is None else fn(lv, rv)
-                        for lv in column]
-            return against_constant
-        right = compile_batch(compiler, node.right)
-        def elementwise(batch, ctx):
-            return [None if lv is None or rv is None else fn(lv, rv)
-                    for lv, rv in zip(left(batch, ctx), right(batch, ctx))]
-        return elementwise
-    if isinstance(node, And):
-        parts = [compile_batch(compiler, item) for item in node.items]
-        def conjunction(batch, ctx):
-            n = len(batch)
-            alive = range(n)              # not yet FALSE, in row order
-            unknown: set = set()          # alive rows that saw a NULL
-            for part in parts:
-                if not alive:
-                    break
-                sub = batch if len(alive) == n else batch.select(alive)
-                vals = part(sub, ctx)
-                if all(vals):
-                    continue
-                if None in vals:          # a later FALSE still wins
-                    unknown.update(i for i, v in zip(alive, vals)
-                                   if v is None)
-                    alive = [i for i, v in zip(alive, vals)
-                             if v or v is None]
-                else:
-                    alive = list(compress(alive, vals))
-            result: list = [False] * n
-            for i in alive:
-                result[i] = True
-            for i in unknown.intersection(alive):
-                result[i] = None
-            return result
-        return conjunction
-    row_fn = compiler.compile(node)
-    return lambda batch, ctx: [row_fn(row, ctx) for row in batch.values]
 
 
 def rewrite(node: Expr, mapping: Dict[Expr, Expr]) -> Expr:
@@ -1040,42 +1139,8 @@ def rewrite(node: Expr, mapping: Dict[Expr, Expr]) -> Expr:
     """
     if node in mapping:
         return mapping[node]
-    if isinstance(node, (Literal, Param, ColumnRef, Star, SlotRef,
-                         AggSlotRef)):
-        return node
-    if isinstance(node, BinOp):
-        return BinOp(node.op, rewrite(node.left, mapping),
-                     rewrite(node.right, mapping))
-    if isinstance(node, Compare):
-        return Compare(node.op, rewrite(node.left, mapping),
-                       rewrite(node.right, mapping))
-    if isinstance(node, And):
-        return And([rewrite(i, mapping) for i in node.items])
-    if isinstance(node, Or):
-        return Or([rewrite(i, mapping) for i in node.items])
-    if isinstance(node, Not):
-        return Not(rewrite(node.operand, mapping))
-    if isinstance(node, Neg):
-        return Neg(rewrite(node.operand, mapping))
-    if isinstance(node, IsNull):
-        return IsNull(rewrite(node.operand, mapping), node.negated)
-    if isinstance(node, InList):
-        return InList(rewrite(node.operand, mapping),
-                      [rewrite(i, mapping) for i in node.items], node.negated)
-    if isinstance(node, Between):
-        return Between(rewrite(node.operand, mapping),
-                       rewrite(node.low, mapping),
-                       rewrite(node.high, mapping), node.negated)
-    if isinstance(node, Like):
-        return Like(rewrite(node.operand, mapping),
-                    rewrite(node.pattern, mapping), node.negated)
-    if isinstance(node, FuncCall):
-        return FuncCall(node.name, [rewrite(a, mapping) for a in node.args])
-    if isinstance(node, Case):
-        return Case([(rewrite(c, mapping), rewrite(v, mapping))
-                     for c, v in node.whens],
-                    rewrite(node.default, mapping) if node.default else None)
     if isinstance(node, Aggregate):
         raise DatabaseError(
             "aggregate %r used outside an aggregation context" % (node,))
-    return node
+    return node.rebuilt([rewrite(child, mapping)
+                         for child in node.children()])

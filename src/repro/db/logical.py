@@ -41,55 +41,26 @@ def split_conjuncts(node: Optional[ex.Expr]) -> List[ex.Expr]:
     return [node]
 
 
-def collect_columns(node: ex.Expr, out: List[ex.ColumnRef],
-                    opaque: List[bool]) -> None:
-    """Collect column references; mark opaque if subqueries are present."""
-    if isinstance(node, ex.ColumnRef):
-        out.append(node)
-        return
-    if isinstance(node, (ex.Exists, ex.InSelect, ex.ScalarSelect)):
-        opaque[0] = True
-        if isinstance(node, ex.InSelect):
-            collect_columns(node.operand, out, opaque)
-        return
-    for attr in getattr(node, "__slots__", ()):
-        child = getattr(node, attr)
-        if isinstance(child, ex.Expr):
-            collect_columns(child, out, opaque)
-        elif isinstance(child, tuple):
-            for item in child:
-                if isinstance(item, ex.Expr):
-                    collect_columns(item, out, opaque)
-                elif isinstance(item, tuple) and len(item) == 2:
-                    for x in item:
-                        if isinstance(x, ex.Expr):
-                            collect_columns(x, out, opaque)
+def collect_columns(node: ex.Expr) -> Tuple[List[ex.ColumnRef], bool]:
+    """``(column references, opaque)``: every column the expression
+    names itself, and whether it also runs a subquery — whose
+    correlated references can reach columns not in the list."""
+    refs: List[ex.ColumnRef] = []
+    opaque = False
+    for n in ex.walk(node):
+        if isinstance(n, ex.ColumnRef):
+            refs.append(n)
+        elif isinstance(n, ex.SUBQUERY_NODES):
+            opaque = True
+    return refs, opaque
 
 
-def collect_slots(node: ex.Expr, out: List[int]) -> None:
-    """Collect flat row positions read via :class:`~…expressions.SlotRef`
+def collect_slots(node: ex.Expr) -> List[int]:
+    """Flat row positions read via :class:`~…expressions.SlotRef`
     (``*`` expansion emits them, so projection analysis must see them
     alongside named column references).  Subquery interiors are skipped
     — :func:`collect_columns` already marks those opaque."""
-    if isinstance(node, ex.SlotRef):
-        out.append(node.slot)
-        return
-    if isinstance(node, (ex.Exists, ex.InSelect, ex.ScalarSelect)):
-        if isinstance(node, ex.InSelect):
-            collect_slots(node.operand, out)
-        return
-    for attr in getattr(node, "__slots__", ()):
-        child = getattr(node, attr)
-        if isinstance(child, ex.Expr):
-            collect_slots(child, out)
-        elif isinstance(child, tuple):
-            for item in child:
-                if isinstance(item, ex.Expr):
-                    collect_slots(item, out)
-                elif isinstance(item, tuple) and len(item) == 2:
-                    for x in item:
-                        if isinstance(x, ex.Expr):
-                            collect_slots(x, out)
+    return [n.slot for n in ex.walk(node) if isinstance(n, ex.SlotRef)]
 
 
 @dataclass

@@ -11,13 +11,13 @@ but gives them one namespace with:
 * ``snapshot()`` / ``reset()`` / ``merge()`` — the API a future
   parallel executor needs: each worker accumulates into its own
   registry and the coordinator merges the snapshots;
-* ``read()`` — a compiled flat-tuple reader (one ``LOAD_ATTR`` per
-  counter, built with :func:`compile_reader`) cheap enough to call
-  around *every* statement; the engine diffs two reads to attribute
-  counters per statement;
-* :meth:`MetricsRegistry.scope` — a context manager capturing the
-  named delta and wall time of a block, used by tests and benchmarks
-  instead of hand-diffing module globals.
+* ``cells()`` — every counter in a fixed order, from which each
+  :class:`~repro.db.engine.Database` compiles a flat-tuple reader (one
+  ``LOAD_ATTR`` per counter, :func:`compile_reader`) cheap enough to
+  call around *every* statement: ``Database.read_counters()`` /
+  ``counter_delta()`` / ``last_statement_metrics()`` are the one way
+  counters are attributed to a statement or a block, for the engine,
+  ``EXPLAIN ANALYZE``, tests and benchmarks alike.
 
 On top of the registry live the statement-level collectors the engine
 owns per :class:`~repro.db.engine.Database`:
@@ -112,8 +112,6 @@ class MetricsRegistry:
         self._groups: Dict[str, Tuple[object, Tuple[str, ...]]] = {}
         self._order: List[str] = []
         self.version = 0
-        self._reader: Optional[Callable[[], tuple]] = None
-        self._reader_version = -1
 
     # -- registration ---------------------------------------------------
     def register(self, name: str, group: object,
@@ -194,64 +192,6 @@ class MetricsRegistry:
                     else:
                         setattr(group, field,
                                 getattr(group, field) + values[field])
-
-    def read(self) -> tuple:
-        """The counters as a flat tuple (compiled reader, cached until
-        the registered-group set changes)."""
-        if self._reader_version != self.version:
-            self._reader = compile_reader(
-                [(group, field) for _n, field, group in self.cells()])
-            self._reader_version = self.version
-        return self._reader()
-
-    def named_delta(self, before: tuple,
-                    after: tuple) -> Dict[str, Dict[str, int]]:
-        """``{group: {field: after - before}}`` for two :meth:`read`\\ s."""
-        out: Dict[str, Dict[str, int]] = {}
-        for i, (name, field, _group) in enumerate(self.cells()):
-            out.setdefault(name, {})[field] = after[i] - before[i]
-        return out
-
-    def scope(self) -> "MetricsScope":
-        """``with REGISTRY.scope() as s: …`` — then ``s.delta`` holds
-        the named counter deltas and ``s.elapsed`` the wall seconds."""
-        return MetricsScope(self)
-
-
-class MetricsScope:
-    """Delta snapshot of a registry around a ``with`` block."""
-
-    __slots__ = ("registry", "before", "after", "elapsed", "_started",
-                 "_delta")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.before: Optional[tuple] = None
-        self.after: Optional[tuple] = None
-        self.elapsed = 0.0
-        self._started = 0.0
-        self._delta: Optional[Dict[str, Dict[str, int]]] = None
-
-    def __enter__(self) -> "MetricsScope":
-        self._delta = None
-        self.before = self.registry.read()
-        self._started = _perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = _perf_counter() - self._started
-        self.after = self.registry.read()
-
-    @property
-    def delta(self) -> Dict[str, Dict[str, int]]:
-        if self._delta is None:
-            if self.after is None:
-                raise RuntimeError("scope not finished")
-            self._delta = self.registry.named_delta(self.before, self.after)
-        return self._delta
-
-    def __getitem__(self, group: str) -> Dict[str, int]:
-        return self.delta[group]
 
 
 #: The process-wide registry.  The module singletons stay the live

@@ -160,81 +160,27 @@ def fold_constants(node: ex.Expr) -> ex.Expr:
     observe.  Expressions that raise when evaluated (e.g. ``1/0``) are
     left unfolded so the error surfaces at execution time, as before.
     """
-    if isinstance(node, (ex.Literal, ex.Param, ex.ColumnRef, ex.Star,
-                         ex.SlotRef, ex.AggSlotRef, ex.Exists, ex.InSelect,
-                         ex.ScalarSelect, ex.Aggregate)):
+    children = node.children()
+    if not children:
         return node
-    if isinstance(node, ex.And):
-        items = []
-        for item in node.items:
-            folded = fold_constants(item)
-            if _literal(folded) and folded.value is True:
-                continue
-            if _literal(folded) and folded.value is False:
-                return ex.Literal(False)
-            items.append(folded)
-        if not items:
-            return ex.Literal(True)
-        return items[0] if len(items) == 1 else ex.And(items)
-    if isinstance(node, ex.Or):
-        items = []
-        for item in node.items:
-            folded = fold_constants(item)
-            if _literal(folded) and folded.value is False:
-                continue
-            if _literal(folded) and folded.value is True:
-                return ex.Literal(True)
-            items.append(folded)
-        if not items:
-            return ex.Literal(False)
-        return items[0] if len(items) == 1 else ex.Or(items)
-    if isinstance(node, ex.Neg):
-        rebuilt = ex.Neg(fold_constants(node.operand))
-    elif isinstance(node, ex.Not):
-        rebuilt = ex.Not(fold_constants(node.operand))
-    elif isinstance(node, ex.BinOp):
-        rebuilt = ex.BinOp(node.op, fold_constants(node.left),
-                           fold_constants(node.right))
-    elif isinstance(node, ex.Compare):
-        rebuilt = ex.Compare(node.op, fold_constants(node.left),
-                             fold_constants(node.right))
-    elif isinstance(node, ex.IsNull):
-        rebuilt = ex.IsNull(fold_constants(node.operand), node.negated)
-    elif isinstance(node, ex.Between):
-        rebuilt = ex.Between(fold_constants(node.operand),
-                             fold_constants(node.low),
-                             fold_constants(node.high), node.negated)
-    elif isinstance(node, ex.Like):
-        rebuilt = ex.Like(fold_constants(node.operand),
-                          fold_constants(node.pattern), node.negated)
-    elif isinstance(node, ex.InList):
-        return ex.InList(fold_constants(node.operand),
-                         [fold_constants(i) for i in node.items],
-                         node.negated)
-    elif isinstance(node, ex.FuncCall):
-        return ex.FuncCall(node.name,
-                           [fold_constants(a) for a in node.args])
-    elif isinstance(node, ex.Case):
-        return ex.Case([(fold_constants(c), fold_constants(v))
-                        for c, v in node.whens],
-                       fold_constants(node.default)
-                       if node.default is not None else None)
-    else:
-        return node
-    if isinstance(rebuilt, _FOLDABLE) and _all_literal_children(rebuilt):
+    folded = [fold_constants(child) for child in children]
+    if isinstance(node, (ex.And, ex.Or)):
+        absorbing = isinstance(node, ex.Or)     # x OR TRUE, x AND FALSE
+        if any(_literal(item) and item.value is absorbing
+               for item in folded):
+            return ex.Literal(absorbing)
+        folded = [item for item in folded
+                  if not (_literal(item) and item.value is (not absorbing))]
+        if not folded:
+            return ex.Literal(not absorbing)
+        return folded[0] if len(folded) == 1 else node.rebuilt(folded)
+    rebuilt = node.rebuilt(folded)
+    if isinstance(node, _FOLDABLE) and all(map(_literal, folded)):
         try:
             return ex.Literal(_eval_const(rebuilt))
         except Exception:
-            return rebuilt
+            pass
     return rebuilt
-
-
-def _all_literal_children(node: ex.Expr) -> bool:
-    for attr in node.__slots__:
-        child = getattr(node, attr)
-        if isinstance(child, ex.Expr) and not _literal(child):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +271,8 @@ _FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 def _const_side(value_expr: ex.Expr, local_scope) -> bool:
     """True when the expression references no local columns and no
     subqueries, so it is constant per execution of this scan."""
-    refs: List[ex.ColumnRef] = []
-    opaque = [False]
-    collect_columns(value_expr, refs, opaque)
-    if opaque[0]:
+    refs, opaque = collect_columns(value_expr)
+    if opaque:
         return False
     for ref in refs:
         try:
@@ -486,10 +430,8 @@ def _equi_pair(conjunct, entry: SourceEntry, left_aliases: set,
             continue
         # The other side must reference only left-side aliases (or
         # outer scopes / params / literals).
-        refs: List[ex.ColumnRef] = []
-        opaque = [False]
-        collect_columns(other, refs, opaque)
-        if opaque[0]:
+        refs, opaque = collect_columns(other)
+        if opaque:
             continue
         ok = True
         for ref in refs:
@@ -737,10 +679,8 @@ class Optimizer:
         entry_index = {e.alias: i for i, e in enumerate(entries)}
         local_conjs: List[List[ex.Expr]] = [[] for _ in entries]
         for conjunct in pool:
-            refs: List[ex.ColumnRef] = []
-            opaque = [False]
-            collect_columns(conjunct, refs, opaque)
-            if opaque[0]:
+            refs, opaque = collect_columns(conjunct)
+            if opaque:
                 continue
             touched = set()
             outer_ref = False
@@ -815,9 +755,7 @@ class Optimizer:
                 # after all joins — plain SQL WHERE semantics.
                 query.residual_where.append(conjunct)
                 continue
-            refs: List[ex.ColumnRef] = []
-            opaque = [False]
-            collect_columns(conjunct, refs, opaque)
+            refs, opaque = collect_columns(conjunct)
             touched = set()
             local_only = True
             for ref in refs:
@@ -827,7 +765,7 @@ class Optimizer:
                     continue
                 alias = scope.entries[index][0]
                 touched.add(entry_index[alias])
-            if opaque[0] or not local_only:
+            if opaque or not local_only:
                 query.residual_where.append(conjunct)
             elif len(touched) == 1:
                 target = touched.pop()
@@ -896,12 +834,12 @@ class Optimizer:
 
         refs: List[ex.ColumnRef] = []
         slots: List[int] = []
-        opaque = [False]
         for expr in exprs:
-            collect_columns(expr, refs, opaque)
-            collect_slots(expr, slots)
-        if opaque[0]:
-            return
+            found, opaque = collect_columns(expr)
+            if opaque:
+                return
+            refs += found
+            slots += collect_slots(expr)
 
         starts: List[int] = []
         base = 0

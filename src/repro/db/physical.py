@@ -38,7 +38,7 @@ scan widens a columnar batch to rows.
   column-at-a-time over the label survivors only;
 * **folds** — aggregation, DISTINCT, sorting and the joins read
   :class:`RowBatch` columns directly: keys and arguments are
-  batch-compiled (:func:`repro.db.expressions.compile_batch`),
+  batch-compiled (:meth:`repro.db.expressions.ExprCompiler.compile_batch`),
   accumulators are resolved per function at plan time, and label unions
   skip on interned identity.  A row is built only to be held in a hash
   build, spooled to a spill file, or handed to the cursor.
@@ -567,7 +567,7 @@ class Scan(Plan):
     no matter what the query looks like.
 
     ``predicate`` is batch-compiled
-    (:func:`repro.db.expressions.compile_batch`) and evaluated
+    (:meth:`repro.db.expressions.ExprCompiler.compile_batch`) and evaluated
     column-at-a-time over the tuples that survived MVCC *and* the label
     check — never over a suppressed one.  ``predicate_on_values`` marks
     a predicate that references only real columns (no ``_label``, no
@@ -748,7 +748,7 @@ class IndexRangeScan(Scan):
 
 class Filter(Plan):
     """Residual predicate, batch-compiled
-    (:func:`repro.db.expressions.compile_batch`)."""
+    (:meth:`repro.db.expressions.ExprCompiler.compile_batch`)."""
 
     def __init__(self, child: Plan, predicate: Callable):
         self.child = child

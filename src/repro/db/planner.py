@@ -161,7 +161,7 @@ class Planner:
 
     def _filter(self, child: Plan, conjunct: ex.Expr,
                 compiler: ex.ExprCompiler) -> Plan:
-        plan = Filter(child, ex.compile_batch(compiler, conjunct))
+        plan = Filter(child, compiler.compile_batch(conjunct))
         plan.explain = "Filter (%s)" % ex.to_sql(conjunct)
         if child.est_rows is not None:
             plan.est_rows = child.est_rows * DEFAULT_SEL
@@ -194,13 +194,13 @@ class Planner:
         conjuncts)."""
         if not conjuncts:
             return None
-        return ex.compile_batch(
-            compiler, conjuncts[0] if len(conjuncts) == 1
+        return compiler.compile_batch(
+            conjuncts[0] if len(conjuncts) == 1
             else ex.And(list(conjuncts)))
 
     @staticmethod
     def _batch_all(compiler: ex.ExprCompiler, nodes) -> List[Callable]:
-        return [ex.compile_batch(compiler, node) for node in nodes]
+        return [compiler.compile_batch(node) for node in nodes]
 
     @staticmethod
     def _on_values(conjuncts: List[ex.Expr]) -> bool:
@@ -565,7 +565,7 @@ class Planner:
 
         specs = [AggSpec(agg.func,
                          None if agg.arg is None
-                         else ex.compile_batch(compiler, agg.arg),
+                         else compiler.compile_batch(agg.arg),
                          agg.distinct)
                  for agg in aggregates]
         node = AggregateNode(plan, self._batch_all(compiler, group_exprs),

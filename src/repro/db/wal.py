@@ -21,8 +21,8 @@ gap with the standard crash-consistency discipline:
   ``group_commit_ms`` to let stragglers accumulate), writes every
   pending record, issues a single fsync, and wakes the group.  A
   commit that arrives mid-flush waits and is absorbed by the next
-  leader.  ``Database(wal=…, group_commit_ms=…)`` / ``REPRO_WAL`` /
-  ``REPRO_GROUP_COMMIT_MS`` configure it.
+  leader.  ``Database(wal=…, group_commit_ms=…)`` / ``REPRO_WAL``
+  configure it.
 * **Checksummed, length-prefixed records.**  Each record is
   ``<u32 length><u32 crc32(payload)><payload>``; the payload reuses the
   labeled-row codec shared with :mod:`repro.db.spill` and

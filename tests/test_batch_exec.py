@@ -341,7 +341,7 @@ def test_compile_batch_and_preserves_short_circuit():
         ex.Compare("<>", x, ex.Literal(0)),
         ex.Compare(">", ex.BinOp("/", ex.Literal(100), x), ex.Literal(2)),
     ])
-    batch_fn = ex.compile_batch(compiler, node)
+    batch_fn = compiler.compile_batch(node)
     rows = [[5, None], [0, None], [2, None], [None, None]]
     batch = physical.RowBatch(rows, [None] * 4, [None] * 4)
     flags = batch_fn(batch, None)

@@ -598,3 +598,39 @@ def test_label_layout_cross_fold(layout, batch_size):
         assert got == want, (layout, batch_size, sql, got, want)
         if layout == "all_suppressed" and got[0] == "rows":
             assert all(label == () for _v, label, _i in got[1]), sql
+
+
+#: ``IN (subquery)`` above a GROUP BY — in HAVING, in ORDER BY and in
+#: the select list, over a group column and over an aggregate — with
+#: the rows each returns under the ``uniform`` layout (``f.g = id % 5``
+#: over 96 rows: 20 rows in group 0, 19 in the others; ``d.k`` is
+#: 0..11).  The operand must be rewritten to its post-aggregation slot
+#: like any other sub-expression.
+GROUPED_IN_SUBQUERY = (
+    ("SELECT f.g, COUNT(*) FROM f GROUP BY f.g "
+     "HAVING f.g IN (SELECT d.k FROM d WHERE d.k < 3) ORDER BY f.g",
+     [(0, 20), (1, 19), (2, 19)]),
+    ("SELECT f.g, COUNT(*) FROM f GROUP BY f.g "
+     "HAVING COUNT(*) IN (SELECT d.k + 8 FROM d) ORDER BY f.g",
+     [(1, 19), (2, 19), (3, 19), (4, 19)]),
+    ("SELECT f.g FROM f GROUP BY f.g "
+     "ORDER BY f.g IN (SELECT d.k FROM d WHERE d.k < 2), f.g",
+     [(2,), (3,), (4,), (0,), (1,)]),
+    ("SELECT f.g, CASE WHEN COUNT(*) IN (SELECT d.k + 8 FROM d) "
+     "THEN 1 ELSE 0 END FROM f GROUP BY f.g ORDER BY f.g",
+     [(0, 0), (1, 1), (2, 1), (3, 1), (4, 1)]),
+)
+
+
+@pytest.mark.parametrize("layout", sorted(LABEL_LAYOUTS))
+def test_grouped_in_subquery(layout):
+    optimized = _layout_universe(layout, naive=False, batch_size=None)
+    reference = _layout_universe(layout, naive=True, batch_size=None)
+    for sql, expected in GROUPED_IN_SUBQUERY:
+        got = _labeled_rows(optimized, sql)
+        assert got == _labeled_rows(reference, sql), (layout, sql, got)
+        assert got[0] == "rows", (layout, sql, got)
+        if layout == "uniform":
+            for session in (optimized, reference):
+                rows = [tuple(r) for r in session.execute(sql).rows]
+                assert rows == expected, (sql, rows)

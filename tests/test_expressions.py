@@ -2,8 +2,11 @@
 compiler's name resolution."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import expressions as ex
+from repro.db.physical import RowBatch
 from repro.errors import CatalogError, DatabaseError
 from repro.sql.parser import parse_expression
 
@@ -171,3 +174,175 @@ class TestRewriteAndCollect:
         expr = parse_expression("SUM(x)")
         with pytest.raises(DatabaseError):
             ex.rewrite(expr, {})
+
+
+# ---------------------------------------------------------------------------
+# node shape: children() / rebuilt() / walk()
+# ---------------------------------------------------------------------------
+
+_A, _B, _C, _D = (ex.ColumnRef(name) for name in "abcd")
+_SELECT = object()          # stands in for a parsed subquery
+
+#: At least one instance per node class, every slot filled — a class
+#: added to expressions.py without an entry here fails the suite.
+SHAPE_SAMPLES = {
+    ex.Literal: [ex.Literal(1)],
+    ex.Param: [ex.Param(0)],
+    ex.ColumnRef: [ex.ColumnRef("a", "t")],
+    ex.Star: [ex.Star("t")],
+    ex.SlotRef: [ex.SlotRef(2)],
+    ex.AggSlotRef: [ex.AggSlotRef(1)],
+    ex.BinOp: [ex.BinOp("+", _A, _B)],
+    ex.Compare: [ex.Compare("<", _A, _B)],
+    ex.And: [ex.And([_A, _B, _C])],
+    ex.Or: [ex.Or([_A, _B, _C])],
+    ex.Not: [ex.Not(_A)],
+    ex.Neg: [ex.Neg(_A)],
+    ex.IsNull: [ex.IsNull(_A, True)],
+    ex.InList: [ex.InList(_A, [_B, _C], True)],
+    ex.Between: [ex.Between(_A, _B, _C, True)],
+    ex.Like: [ex.Like(_A, _B, True)],
+    ex.FuncCall: [ex.FuncCall("coalesce", [_A, _B]), ex.FuncCall("now", [])],
+    ex.Aggregate: [ex.Aggregate("sum", _A, True),
+                   ex.Aggregate("count", None)],
+    ex.Case: [ex.Case([(_A, _B), (_C, _D)]), ex.Case([(_A, _B)], _C)],
+    ex.Exists: [ex.Exists(_SELECT, True)],
+    ex.InSelect: [ex.InSelect(_A, _SELECT, True)],
+    ex.ScalarSelect: [ex.ScalarSelect(_SELECT)],
+}
+
+
+def _exprs_in_slots(node):
+    """Reference answer by introspection: every Expr a slot holds,
+    directly or inside (nested) tuples, in slot order."""
+    found = []
+
+    def visit(value):
+        if isinstance(value, ex.Expr):
+            found.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                visit(item)
+
+    for slot in type(node).__slots__:
+        visit(getattr(node, slot))
+    return found
+
+
+class TestNodeShape:
+    def test_every_node_class_has_a_sample(self):
+        assert set(ex.Expr.__subclasses__()) == set(SHAPE_SAMPLES)
+
+    @pytest.mark.parametrize("cls", sorted(SHAPE_SAMPLES,
+                                           key=lambda c: c.__name__))
+    def test_children_and_rebuilt_cover_every_slot(self, cls):
+        for node in SHAPE_SAMPLES[cls]:
+            children = list(node.children())
+            assert [id(c) for c in children] \
+                == [id(c) for c in _exprs_in_slots(node)]
+            same = node.rebuilt(children)
+            assert type(same) is cls and same == node
+            # New children land where the old ones were; flags, names
+            # and the subquery are carried over.
+            fresh = [ex.Literal("new-%d" % i) for i in range(len(children))]
+            other = node.rebuilt(fresh)
+            assert type(other) is cls
+            assert list(other.children()) == fresh
+            assert other.rebuilt(children) == node
+            # walk: the node, then each child exactly once, in order.
+            assert [id(n) for n in ex.walk(node)] \
+                == [id(node)] + [id(c) for c in children]
+
+    def test_walk_is_preorder_left_to_right(self):
+        inner = ex.BinOp("+", _B, _C)
+        compare = ex.Compare("=", _A, inner)
+        negation = ex.Not(_D)
+        case = ex.Case([(compare, _A)], negation)
+        root = ex.And([case, _B])
+        assert [id(n) for n in ex.walk(root)] == [id(n) for n in (
+            root, case, compare, _A, inner, _B, _C, _A, negation, _D, _B)]
+
+    def test_subquery_operand_is_rewritten_like_any_child(self):
+        node = ex.InSelect(ex.Aggregate("count", None), _SELECT)
+        mapping = {ex.Aggregate("count", None): ex.SlotRef(1)}
+        rewritten = ex.rewrite(node, mapping)
+        assert rewritten == ex.InSelect(ex.SlotRef(1), _SELECT)
+        assert rewritten.select is _SELECT
+
+
+# ---------------------------------------------------------------------------
+# the two closure forms agree
+# ---------------------------------------------------------------------------
+
+_VALUES = st.sampled_from([None, 0, 1, -2, 3, 0.0, 1.5, -0.5, "", "a", "ab",
+                           True, False])
+_LEAVES = st.one_of(
+    st.builds(ex.Literal, _VALUES),
+    st.sampled_from([_A, _B, _C]),
+    st.builds(ex.Param, st.integers(0, 2)))     # 2 is out of range
+
+
+def _interior(children):
+    some = st.lists(children, min_size=1, max_size=3)
+    return st.one_of(
+        st.builds(ex.Compare, st.sampled_from(["=", "<>", "<", "<=", ">",
+                                               ">="]), children, children),
+        st.builds(ex.BinOp, st.sampled_from(["+", "-", "*", "/", "%", "||"]),
+                  children, children),
+        st.builds(ex.And, some),
+        st.builds(ex.Or, some),
+        st.builds(ex.Not, children),
+        st.builds(ex.Neg, children),
+        st.builds(ex.IsNull, children, st.booleans()),
+        st.builds(ex.Between, children, children, children, st.booleans()),
+        st.builds(ex.InList, children, some, st.booleans()),
+        st.builds(ex.Case,
+                  st.lists(st.tuples(children, children), min_size=1,
+                           max_size=2),
+                  st.none() | children),
+        st.builds(ex.FuncCall, st.just("COALESCE"), some))
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@given(node=st.recursive(_LEAVES, _interior, max_leaves=12),
+       rows=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1,
+                     max_size=6),
+       params=st.tuples(_VALUES, _VALUES))
+@settings(max_examples=400, deadline=None)
+def test_batch_form_agrees_with_scalar_form(node, rows, params):
+    """NULLs, mixed types, division by zero, a missing parameter: the
+    batch closure returns what the scalar closure returns row by row
+    (same values, same Python types), or raises an exception type the
+    scalar closure raises for some row — over a row-major batch and a
+    columnar one."""
+    scope = ex.Scope()
+    scope.add_table("t", ["a", "b", "c"])
+    compiler = ex.ExprCompiler(scope)
+    ctx = _Ctx(params)
+    scalar = compiler.compile(node)
+    expected, raised = [], set()
+    for row in rows:
+        try:
+            expected.append(scalar([*row, None], ctx))
+        except Exception as exc:
+            raised.add(type(exc))
+    n = len(rows)
+    batches = {
+        "rows": RowBatch([[*row, None] for row in rows],
+                         [None] * n, [None] * n),
+        "columns": RowBatch.from_columns(
+            [list(column) for column in zip(*rows)] + [None],
+            [None] * n, [None] * n),
+    }
+    batch_fn = compiler.compile_batch(node)
+    for layout, batch in batches.items():
+        try:
+            got = batch_fn(batch, ctx)
+        except Exception as exc:
+            assert type(exc) in raised, (layout, node, rows, exc)
+        else:
+            assert not raised, (layout, node, rows, raised)
+            assert _typed(got) == _typed(expected), (layout, node, rows)

@@ -10,7 +10,7 @@ benchmarks) rely on:
   copies;
 * ``Database.stats()`` reports *all* families (the pre-registry report
   silently omitted the rules and index counters);
-* scope/merge round-trips exactly — the API a parallel executor's
+* snapshot/merge round-trips exactly — the API a parallel executor's
   per-worker accumulation will use;
 * audit events fire for the paper's three observable security actions:
   suppression under the Label Confinement Rule, declassifying-view
@@ -68,14 +68,23 @@ def test_registry_reset_zeroes_the_live_singletons():
     assert indexes.COUNTERS.lookups == 0
 
 
-def test_scope_captures_named_deltas_and_nothing_else():
-    with metrics.REGISTRY.scope() as scope:
-        rules.COUNTERS.covers_calls += 2
-        physical.EXEC_COUNTERS.rows_widened += 7
-    assert scope["labels"]["covers_calls"] == 2
-    assert scope["exec"]["rows_widened"] == 7
-    assert scope["index"]["lookups"] == 0
-    assert scope.elapsed >= 0.0
+def test_counter_delta_captures_named_deltas_and_nothing_else():
+    db, public, _secret, _tag, _a, _o = _fresh()
+    before = db.read_counters()
+    rules.COUNTERS.covers_calls += 2
+    physical.EXEC_COUNTERS.rows_widened += 7
+    delta = db.counter_delta(before, db.read_counters())
+    assert delta["labels"]["covers_calls"] == 2
+    assert delta["exec"]["rows_widened"] == 7
+    assert delta["index"]["lookups"] == 0
+    assert delta["buffer"]["misses"] == 0
+    # The per-statement bracket is the same read, taken by the engine:
+    # bumps made outside the statement are not in its delta.
+    public.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+    public.execute("INSERT INTO t VALUES (1)")
+    last = db.last_statement_metrics()
+    assert last["exec"]["rows_widened"] == 0
+    assert last["elapsed_ms"] >= 0.0 and last["rows"] == 1
 
 
 def test_merge_adds_a_snapshot_into_the_live_counters():
@@ -96,11 +105,19 @@ def test_merge_adds_a_snapshot_into_the_live_counters():
 
 
 def test_compiled_reader_tracks_registration_order():
-    flat = metrics.REGISTRY.read()
+    db, _public, _secret, _tag, _a, _o = _fresh()
+    rules.COUNTERS.covers_calls += 3
+    flat = db.read_counters()
     named = metrics.REGISTRY.snapshot()
-    expected = [named[group][field]
-                for group, field, _owner in metrics.REGISTRY.cells()]
-    assert list(flat) == expected
+    registry_cells = [(group, field) for group, field, _owner
+                      in metrics.REGISTRY.cells()]
+    # Registry cells first, in registration order, then this
+    # database's buffer-cache cells.
+    assert db.metrics_cells()[:len(registry_cells)] == registry_cells
+    assert list(flat[:len(registry_cells)]) \
+        == [named[group][field] for group, field in registry_cells]
+    assert {group for group, _f in db.metrics_cells()[len(registry_cells):]} \
+        == {"buffer"}
 
 
 # ---------------------------------------------------------------------------
