@@ -195,13 +195,16 @@ def restore_database(data: bytes, db: Database) -> None:
         for index_name, columns, ordered in entry["indexes"]:
             table.create_index(index_name, columns, ordered=ordered)
 
-    txn = db.txn_manager.begin()
+    txn = db.txn_manager.begin(replay=True)
     try:
         for name in payload["table_order"]:
             table = db.catalog.get_table(name)
             for record in payload["tables"][name]["rows"]:
                 values, label, ilabel = decode_labeled_row(record)
-                table.append(tuple(values), label, ilabel, txn.xid)
+                version = table.append(tuple(values), label, ilabel,
+                                       txn.xid)
+                # So a failed restore's abort can unlink what it wrote.
+                txn.record_write(table, version.tid, label, "insert")
         db.txn_manager.commit(txn)
     except BaseException:
         db.txn_manager.abort(txn)

@@ -627,20 +627,15 @@ class Database:
         return self.stats_manager.analyze(table_name)
 
     def vacuum(self, table_name: Optional[str] = None) -> int:
-        """Garbage-collect dead versions (exempt from label rules).
+        """Garbage-collect dead versions now (exempt from label rules).
 
-        A full pass (no table name) also un-stalls the batched
-        executor's MVCC fast path: with every aborted-created version
-        reclaimed from every heap, the committed horizon may advance
-        past old rollbacks (see ``TransactionManager.committed_horizon``).
+        Never needed for correctness or speed — ``begin`` reclaims
+        incrementally — only to reclaim ahead of the next ``begin``.
         """
         if table_name is not None:
             return self.catalog.get_table(table_name).vacuum(self.txn_manager)
-        removed = 0
-        for table in self.catalog.tables.values():
-            removed += table.vacuum(self.txn_manager)
-        self.txn_manager.aborted_reclaimed()
-        return removed
+        return sum(table.vacuum(self.txn_manager)
+                   for table in self.catalog.tables.values())
 
     # ------------------------------------------------------------------
     # durability (db/wal.py)
@@ -845,6 +840,8 @@ class Database:
             "rows_deleted": self.rows_deleted,
             "commits": self.txn_manager.commits,
             "aborts": self.txn_manager.aborts,
+            "versions_reclaimed": self.txn_manager.versions_reclaimed,
+            "reclaim_pending": self.txn_manager.reclaim_pending,
             "buffer_hits": cache.hits,
             "buffer_misses": cache.misses,
             "buffer_hit_rate": cache.hit_rate,

@@ -65,12 +65,14 @@ class HashIndex:
         return self._map.get(key, [])
 
     def remove(self, values: Tuple, tid: int) -> None:
-        """Physically drop an entry (vacuum only; MVCC never needs this)."""
-        tids = self._map.get(self.key_of(values))
+        """Physically drop an entry (version reclamation only; MVCC
+        never needs this)."""
+        key = self.key_of(values)
+        tids = self._map.get(key)
         if tids and tid in tids:
             tids.remove(tid)
             if not tids:
-                del self._map[self.key_of(values)]
+                del self._map[key]
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._map.values())

@@ -428,8 +428,9 @@ def _visible_versions(chunk: list, txn, txn_manager) -> list:
     by a transaction that committed before the snapshot — the whole
     chunk is visible with zero per-row checks.  Any in-flight
     concurrent transaction old enough to matter (``min_in_progress``),
-    any aborted-but-unvacuumed creator (the horizon stalls on it), or
-    any deletion drops the chunk to per-row ``visible()``.
+    any rolled-back creator whose versions the next ``begin()`` has yet
+    to unlink (the horizon stalls on it), or any deletion drops the
+    chunk to per-row ``visible()``.
 
     The horizon is the only moving part: it advances when a concurrent
     writer commits, possibly *mid-statement* (a spilled hash join can

@@ -445,7 +445,7 @@ class Session:
                                     declassifying)
 
         version = table.append(values, label, ilabel, txn.xid)
-        txn.record_write(table.name, version.tid, version.label, "insert")
+        txn.record_write(table, version.tid, version.label, "insert")
         self.db.rows_inserted += 1
 
         fire_triggers(self.db, self, table, INSERT, AFTER, None, values,
@@ -534,7 +534,7 @@ class Session:
             version.xmax = txn.xid
             new_version = table.append(new_values, version.label,
                                        version.ilabel, txn.xid)
-            txn.record_write(table.name, new_version.tid, new_version.label,
+            txn.record_write(table, new_version.tid, new_version.label,
                              "update", prev_tid=version.tid)
             count += 1
             self.db.rows_updated += 1
@@ -592,8 +592,7 @@ class Session:
                           version.values, None, statement_label)
             version.xmax = txn.xid
             table.modifications += 1
-            txn.record_write(table.name, version.tid, version.label,
-                             "delete")
+            txn.record_write(table, version.tid, version.label, "delete")
             count += 1
             self.db.rows_deleted += 1
             fire_triggers(self.db, self, table, DELETE, AFTER,

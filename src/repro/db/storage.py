@@ -5,9 +5,10 @@ and its indexes.  All reads and writes of versions flow through
 :meth:`Table.touch`, which charges the engine's buffer cache — the hook
 the on-disk benchmark configuration (Figure 6) relies on.
 
-Vacuuming (the PostgreSQL garbage collector, which section 7.1 notes is
+Reclamation (the PostgreSQL garbage collector, which section 7.1 notes is
 exempt from the information flow rules) physically removes versions that
-are dead to every possible snapshot.
+are dead to every possible snapshot: :meth:`Table.unlink` is the one
+primitive, driven by :class:`~repro.db.transactions.TransactionManager`.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ class Table:
     @property
     def approx_rows(self) -> int:
         """Cheap (O(1)) row-count estimate for un-analyzed tables: live
-        heap versions, which overcounts deleted-but-unvacuumed rows."""
+        heap versions, which overcounts by the dead versions not yet
+        reclaimed."""
         return self._heap_count
 
     @property
@@ -184,31 +186,24 @@ class Table:
         return self._allocator.pages_allocated
 
     # ------------------------------------------------------------------
-    # vacuum
+    # version reclamation
     # ------------------------------------------------------------------
-    def vacuum(self, txn_manager) -> int:
-        """Physically remove versions invisible to every future snapshot.
+    def unlink(self, tid: int) -> None:
+        """Physically remove one version: out of every index, and its
+        heap slot emptied rather than compacted, so tids stay stable
+        for write records and the WAL tid maps.  The caller
+        (:meth:`TransactionManager.reclaim`) has established that no
+        snapshot can see it."""
+        version = self._versions[tid]
+        for index in self.indexes.values():
+            index.remove(version.values, tid)
+        self._versions[tid] = None
+        self._heap_count -= 1
 
-        A version is dead when its deleting transaction committed before
-        the oldest active xid, or its creating transaction aborted.  The
-        garbage collector is exempt from label rules (section 7.1).
-        """
-        horizon = txn_manager.oldest_active_xid()
-        removed = 0
-        for tid, version in enumerate(self._versions):
-            if version is None:
-                continue
-            dead = False
-            if txn_manager.is_aborted(version.xmin):
-                dead = True
-            elif (version.xmax is not None
-                  and txn_manager.is_committed(version.xmax)
-                  and version.xmax < horizon):
-                dead = True
-            if dead:
-                for index in self.indexes.values():
-                    index.remove(version.values, tid)
-                self._versions[tid] = None
-                self._heap_count -= 1
-                removed += 1
-        return removed
+    def vacuum(self, txn_manager) -> int:
+        """``VACUUM``: offer every version to the reclaimer instead of
+        waiting for the doomed queue to reach it.  Returns how many
+        were dead."""
+        horizon = txn_manager.horizon()
+        return sum(txn_manager.reclaim(self, tid, horizon)
+                   for tid in range(len(self._versions)))

@@ -15,7 +15,8 @@ of section 5.1 (write low, read high, then abort-or-commit).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..core.labels import Label
 from ..core.rules import may_commit
@@ -53,17 +54,19 @@ class Snapshot:
 class WriteRecord:
     """One entry in a transaction's write set.
 
-    Serves two consumers: the commit-label rule (``table``/``label``)
-    and the write-ahead log (``tid``/``prev_tid``/``kind`` describe the
+    Serves three consumers: the commit-label rule (``table``/``label``),
+    the write-ahead log (``tid``/``prev_tid``/``kind`` describe the
     heap effect so ``db/wal.py`` can serialize the transaction as one
-    replayable record).  For updates ``tid`` is the *new* version and
-    ``prev_tid`` the version whose ``xmax`` was stamped; replay needs
-    both ends of the chain.
+    replayable record) and version reclamation (``table`` is the
+    :class:`~repro.db.storage.Table` itself, so a doomed tid keeps
+    meaning the heap it was written to).  For updates ``tid`` is the
+    *new* version and ``prev_tid`` the version whose ``xmax`` was
+    stamped; replay needs both ends of the chain.
     """
 
     __slots__ = ("table", "tid", "label", "kind", "prev_tid")
 
-    def __init__(self, table: str, tid: int, label: Label, kind: str,
+    def __init__(self, table, tid: int, label: Label, kind: str,
                  prev_tid: Optional[int] = None):
         self.table = table
         self.tid = tid
@@ -94,15 +97,20 @@ class DeferredAction:
 class Transaction:
     """An open transaction."""
 
-    def __init__(self, xid: int, snapshot: Snapshot, isolation: str):
+    def __init__(self, xid: int, snapshot: Snapshot, isolation: str,
+                 replay: bool = False):
         self.xid = xid
         self.snapshot = snapshot
         self.isolation = isolation
+        #: Re-applying writes some other database already committed (WAL
+        #: replay, dump restore): the write set is kept for reclamation
+        #: but is not this database's own (``write_commits``).
+        self.replay = replay
         self.write_set: List[WriteRecord] = []
         self.deferred: List[DeferredAction] = []
         self.status = IN_PROGRESS
 
-    def record_write(self, table: str, tid: int, label: Label,
+    def record_write(self, table, tid: int, label: Label,
                      kind: str, prev_tid: Optional[int] = None) -> None:
         self.write_set.append(WriteRecord(table, tid, label, kind,
                                           prev_tid))
@@ -112,35 +120,53 @@ class Transaction:
 
 
 class TransactionManager:
-    """Assigns xids, tracks statuses, and takes snapshots."""
+    """Assigns xids, tracks statuses, takes snapshots, and reclaims the
+    versions no snapshot can see any more (see "Version lifecycle" in
+    ARCHITECTURE.md)."""
 
     def __init__(self):
         self._next_xid = 1
         self._status: Dict[int, str] = {}
-        self._active: Set[int] = set()
+        #: Active xid → its snapshot floor, ``min(in_progress ∪ {xid})``:
+        #: every xid below the floor that committed, this transaction
+        #: sees as committed.
+        self._active: Dict[int, int] = {}
         self.commits = 0
-        #: Commits whose write set was non-empty.  Replayed transactions
-        #: (``db/wal.py`` applies heap effects directly, bypassing
-        #: ``record_write``) do not count, which is what lets
+        #: Commits whose write set was non-empty.  ``replay``
+        #: transactions do not count, which is what lets
         #: ``Database.recover`` tell "fresh database, safe to replay"
         #: from "this database has written on its own".
         self.write_commits = 0
         self.aborts = 0
         self._committed_prefix = 1     # see committed_horizon()
-        #: Aborted xids whose heap versions may still exist.  A full
-        #: database vacuum removes every aborted-created version, so it
-        #: clears this set (``aborted_reclaimed``), letting the
-        #: committed horizon advance past old rollbacks.
+        #: Aborted xids whose heap versions still exist; ``begin`` drops
+        #: an xid once it has unlinked them.
         self._aborted_unreclaimed: Set[int] = set()
+        #: FIFO of ``(xid, [(table, tid), ...])``, one entry per
+        #: finished transaction with doomed versions: those a commit
+        #: superseded or deleted are dead once the horizon passes its
+        #: xid, so ``begin`` drains ``_doomed`` from the head while it
+        #: is below the horizon; those an abort created are dead at
+        #: once, so they queue apart (``_doomed_now``) and never wait
+        #: behind a commit some reader pins.  ``commit`` and ``abort``
+        #: only append — they may run outside the latch that serialises
+        #: statements.
+        self._doomed: Deque[tuple] = deque()
+        self._doomed_now: Deque[tuple] = deque()
+        self.versions_reclaimed = 0
 
     # -- lifecycle -----------------------------------------------------
-    def begin(self, isolation: str = SNAPSHOT) -> Transaction:
+    def begin(self, isolation: str = SNAPSHOT,
+              replay: bool = False) -> Transaction:
+        if self._doomed or self._doomed_now:
+            self._drain()
         xid = self._next_xid
         self._next_xid += 1
         self._status[xid] = IN_PROGRESS
         snapshot = Snapshot(xmax=xid, in_progress=frozenset(self._active))
-        self._active.add(xid)
-        return Transaction(xid, snapshot, isolation)
+        floor = snapshot.min_in_progress
+        self._active[xid] = xid if floor is None else floor
+        return Transaction(xid, snapshot, isolation, replay)
 
     def check_commit_label(self, txn: Transaction, commit_label: Label,
                            registry) -> None:
@@ -150,28 +176,90 @@ class TransactionManager:
                 raise IFCViolation(
                     "transaction commit label %r exceeds the label %r of a "
                     "tuple written to %s; the transaction may not commit"
-                    % (commit_label, record.label, record.table))
+                    % (commit_label, record.label, record.table.name))
 
     def commit(self, txn: Transaction) -> None:
-        if txn.status != IN_PROGRESS:
-            raise TransactionError("transaction %d is %s" % (txn.xid,
-                                                             txn.status))
-        txn.status = COMMITTED
-        self._status[txn.xid] = COMMITTED
-        self._active.discard(txn.xid)
+        """Acknowledge ``txn`` and doom the versions it superseded or
+        deleted."""
+        self._finish(txn, COMMITTED)
         self.commits += 1
-        if txn.write_set:
+        if txn.write_set and not txn.replay:
             self.write_commits += 1
+        superseded = [(w.table, w.prev_tid if w.kind == "update" else w.tid)
+                      for w in txn.write_set if w.kind != "insert"]
+        if superseded:
+            self._doomed.append((txn.xid, superseded))
 
     def abort(self, txn: Transaction) -> None:
+        """Roll ``txn`` back and doom the versions it created."""
+        created = [(w.table, w.tid) for w in txn.write_set
+                   if w.kind != "delete"]
+        if created and txn.status == IN_PROGRESS:
+            # Before the status flips: ``committed_horizon`` must never
+            # find this xid ABORTED and not (yet) in the set, or it
+            # moves past it for good.
+            self._aborted_unreclaimed.add(txn.xid)
+        self._finish(txn, ABORTED)
+        self.aborts += 1
+        if created:
+            self._doomed_now.append((txn.xid, created))
+
+    def _finish(self, txn: Transaction, status: str) -> None:
         if txn.status != IN_PROGRESS:
             raise TransactionError("transaction %d is %s" % (txn.xid,
                                                              txn.status))
-        txn.status = ABORTED
-        self._status[txn.xid] = ABORTED
-        self._active.discard(txn.xid)
-        self._aborted_unreclaimed.add(txn.xid)
-        self.aborts += 1
+        txn.status = status
+        self._status[txn.xid] = status
+        del self._active[txn.xid]
+
+    # -- version reclamation ---------------------------------------------
+    def horizon(self) -> int:
+        """The oldest xid some live or future snapshot could still fail
+        to see as committed: the smallest snapshot floor among active
+        transactions, or the next xid when none is active.  A version
+        whose deleter committed below it is invisible to everyone."""
+        return min(self._active.values(), default=self._next_xid)
+
+    def reclaim(self, table, tid: int, horizon: int) -> bool:
+        """Unlink version ``tid`` of ``table`` if it is dead: its
+        creator aborted, or its deleter committed below ``horizon``.
+        The one deadness test — the drain and ``VACUUM`` both come
+        through here — and, like PostgreSQL's garbage collector, exempt
+        from the label rules (section 7.1): it reads no label."""
+        version = table.version(tid)
+        if version is None:
+            return False
+        xmax = version.xmax
+        if not (self.is_aborted(version.xmin)
+                or (xmax is not None and xmax < horizon
+                    and self.is_committed(xmax))):
+            return False
+        table.unlink(tid)
+        self.versions_reclaimed += 1
+        return True
+
+    def _drain(self) -> None:
+        """Reclaim what aborts created and what the horizon has passed.
+        Runs in ``begin`` only: that is where the snapshot is taken,
+        hence inside whatever serialises statements, so no scan is
+        part-way through an index this unlinks from."""
+        horizon = self.horizon()
+        aborted, doomed = self._doomed_now, self._doomed
+        while aborted:
+            xid, versions = aborted.popleft()
+            for table, tid in versions:
+                self.reclaim(table, tid, horizon)
+            self._aborted_unreclaimed.discard(xid)
+        while doomed and doomed[0][0] < horizon:
+            for table, tid in doomed.popleft()[1]:
+                self.reclaim(table, tid, horizon)
+
+    @property
+    def reclaim_pending(self) -> int:
+        """Doomed versions still queued (a long-running transaction
+        pinning the horizon shows up here)."""
+        return sum(len(versions) for _xid, versions
+                   in list(self._doomed) + list(self._doomed_now))
 
     # -- status queries -------------------------------------------------
     def status_of(self, xid: int) -> str:
@@ -195,9 +283,8 @@ class TransactionManager:
         forward; it stalls at the oldest active xid, or at an aborted
         xid whose dead versions may still linger in a heap (the fast
         path must not reach past those — such batches fall back to
-        per-row :meth:`visible`).  A full database vacuum reclaims
-        every aborted-created version and calls
-        :meth:`aborted_reclaimed`, un-stalling the horizon.
+        per-row :meth:`visible`) — until the next :meth:`begin`
+        unlinks them.
         """
         ptr = self._committed_prefix
         status = self._status
@@ -211,19 +298,6 @@ class TransactionManager:
                 break
         self._committed_prefix = ptr
         return ptr
-
-    def aborted_reclaimed(self) -> None:
-        """Every aborted-created heap version has been vacuumed away
-        (a *full* database vacuum just finished), so aborted xids no
-        longer pin the committed horizon.  An aborted transaction can
-        never write again, and new aborts re-enter the set."""
-        self._aborted_unreclaimed.clear()
-
-    def oldest_active_xid(self) -> int:
-        """Horizon for vacuum: versions dead before this are reclaimable."""
-        if self._active:
-            return min(self._active)
-        return self._next_xid
 
     # -- MVCC visibility -------------------------------------------------
     def visible(self, version, txn: Transaction) -> bool:

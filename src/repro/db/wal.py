@@ -385,19 +385,22 @@ def build_commit_record(db, txn) -> Optional[tuple]:
     """
     ops: List[tuple] = []
     for write in txn.write_set:
-        table = db.catalog.get_table(write.table)
+        name = write.table.name
+        # By name, not ``write.table``: a table dropped since the write
+        # must fail the commit here, not at replay.
+        table = db.catalog.get_table(name)
         if write.kind == "insert":
             version = table.version(write.tid)
-            ops.append(("i", write.table, write.tid,
+            ops.append(("i", name, write.tid,
                         encode_labeled_row(version.values, version.label,
                                            version.ilabel)))
         elif write.kind == "update":
             version = table.version(write.tid)      # the new version
-            ops.append(("u", write.table, write.prev_tid, write.tid,
+            ops.append(("u", name, write.prev_tid, write.tid,
                         encode_labeled_row(version.values, version.label,
                                            version.ilabel)))
         else:                                        # "delete"
-            ops.append(("d", write.table, write.tid))
+            ops.append(("d", name, write.tid))
     seqs = db._take_wal_sequences()
     if not ops and not seqs:
         return None
@@ -449,7 +452,9 @@ def _apply_commit(db, record: tuple) -> None:
     """Replay one committed transaction under a fresh xid."""
     _kind, _orig_xid, ops, seqs = record
     tid_maps = db._wal_tid_maps
-    txn = db.txn_manager.begin()
+    # Replay writes the heap directly but still records each write, so
+    # commit and abort can read the doomed versions off the write set.
+    txn = db.txn_manager.begin(replay=True)
     try:
         for op in ops:
             table = db.catalog.get_table(op[1])
@@ -459,6 +464,7 @@ def _apply_commit(db, record: tuple) -> None:
                 version = table.append(tuple(values), label, ilabel,
                                        txn.xid)
                 tid_map[op[2]] = version.tid
+                txn.record_write(table, version.tid, label, "insert")
             elif op[0] == "u":
                 # Tids created during replay differ from the originals
                 # (aborted appends never hit the log), hence the map;
@@ -471,10 +477,13 @@ def _apply_commit(db, record: tuple) -> None:
                 version = table.append(tuple(values), label, ilabel,
                                        txn.xid)
                 tid_map[op[3]] = version.tid
+                txn.record_write(table, version.tid, label, "update",
+                                 prev_tid=old.tid)
             elif op[0] == "d":
                 old = table.version(tid_map.get(op[2], op[2]))
                 old.xmax = txn.xid
                 table.modifications += 1
+                txn.record_write(table, old.tid, old.label, "delete")
             else:
                 raise WalError("unknown WAL op %r" % (op[0],))
     except BaseException:

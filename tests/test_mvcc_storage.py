@@ -12,19 +12,27 @@ class TestVersionChains:
         session = db.connect()
         session.execute("CREATE TABLE t (x INT PRIMARY KEY, y INT)")
         session.execute("INSERT INTO t VALUES (1, 10)")
+        reader = db.connect()
+        reader.execute("BEGIN")               # pins the old version
         session.execute("UPDATE t SET y = 20 WHERE x = 1")
         table = db.catalog.get_table("t")
+        assert session.execute("SELECT y FROM t").scalar() == 20
         assert table.version_count == 2       # old + new version
+        assert reader.execute("SELECT y FROM t").scalar() == 10
 
     def test_vacuum_reclaims_dead_versions(self, db):
         session = db.connect()
         session.execute("CREATE TABLE t (x INT PRIMARY KEY, y INT)")
         session.execute("INSERT INTO t VALUES (1, 10)")
+        reader = db.connect()
+        reader.execute("BEGIN")               # the chain must survive it
         for i in range(5):
             session.execute("UPDATE t SET y = ? WHERE x = 1", (i,))
         table = db.catalog.get_table("t")
         assert table.version_count == 6
-        removed = db.vacuum("t")
+        assert db.vacuum("t") == 0
+        reader.execute("COMMIT")
+        removed = db.vacuum("t")              # ahead of the next begin()
         assert removed == 5
         assert table.version_count == 1
         # Data intact after vacuum.

@@ -276,24 +276,34 @@ class TestRecovery:
 
     def test_recovered_horizon_unstalled_by_aborts(self, authority,
                                                    wal_ids, tmp_path):
-        """Recovery × vacuum: the aborted transaction in the workload
-        stalls the crashed database's committed horizon (its dead
-        versions linger until a full vacuum), but it was never logged,
-        so the recovered database's horizon must be fully advanced —
-        the batched-MVCC fast path works immediately."""
+        """Recovery × vacuum: a rollback stalls the live database's
+        committed horizon until the next ``begin()`` reclaims what it
+        created, but it is never logged, so the recovered database's
+        horizon is fully advanced — the batched-MVCC fast path works
+        immediately."""
         _ref, db, recovered, _path = self._recovered(authority, wal_ids,
                                                      tmp_path)
         tm = db.txn_manager
-        assert tm.committed_horizon() < tm.oldest_active_xid()
+        u_abort(db, *wal_ids)
+        assert tm.committed_horizon() < tm.horizon()
         rtm = recovered.txn_manager
-        assert rtm.committed_horizon() == rtm.oldest_active_xid()
-        # Vacuuming the recovered database reclaims the update/delete
-        # chaff without changing what queries see.
-        before = recovered.connect().query(
-            "SELECT id, name, qty FROM items ORDER BY id")
-        assert recovered.vacuum() > 0
-        assert recovered.connect().query(
+        assert rtm.committed_horizon() == rtm.horizon()
+        # Vacuuming the recovered database reclaims update chaff (kept
+        # alive here by a second session's snapshot) without changing
+        # what queries see.
+        reader = recovered.connect()
+        reader.begin()
+        before = reader.query("SELECT id, name, qty FROM items ORDER BY id")
+        recovered.connect().execute("UPDATE items SET qty = 0 WHERE id = 1")
+        assert recovered.vacuum() == 0
+        assert reader.query(
             "SELECT id, name, qty FROM items ORDER BY id") == before
+        reader.commit()
+        assert recovered.vacuum() > 0
+        after = recovered.connect().query(
+            "SELECT id, name, qty FROM items ORDER BY id")
+        assert after == [row if row[0] != 1 else (1, row[1], 0)
+                         for row in before]
 
     def test_recover_refuses_after_local_writes(self, authority, wal_ids,
                                                 tmp_path):
