@@ -183,7 +183,7 @@ def test_ablation_projection_pushdown(benchmark):
     cells the plan needs."""
     import time
 
-    from repro.db.physical import EXEC_COUNTERS
+    from repro.core import counters
 
     _db, session = _wide_db()
 
@@ -197,9 +197,9 @@ def test_ablation_projection_pushdown(benchmark):
             best = elapsed if best is None else min(best, elapsed)
         return best
 
-    EXEC_COUNTERS.reset()
+    counters.reset()
     rows = len(session.execute("SELECT b, c FROM wide").rows)
-    narrow_cells = EXEC_COUNTERS.columns_materialized
+    narrow_cells = counters.tally().columns_materialized
     narrow = scan_time("SELECT b, c FROM wide")
     full = scan_time("SELECT * FROM wide")
     table = ReportTable(

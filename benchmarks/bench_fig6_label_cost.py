@@ -18,8 +18,8 @@ import time
 
 import pytest
 
-from repro.core import rules
-from repro.db import Database, metrics
+from repro.core import counters
+from repro.db import Database
 from repro.db.physical import DEFAULT_BATCH_SIZE
 from repro.bench import ReportTable
 from repro.workloads import TPCCConfig, TPCCWorkload
@@ -170,13 +170,8 @@ def _measure_label_checks(*, batch_size, naive=False):
 
 
 def _labels_snapshot():
-    """Read the rules counters *through* the unified registry, checking
-    byte-for-byte agreement with the module singleton — the two views
-    must be aliases, never copies (db/metrics.py)."""
-    through_registry = metrics.REGISTRY.snapshot()["labels"]
-    direct = rules.COUNTERS.snapshot()
-    assert through_registry == direct, (through_registry, direct)
-    return through_registry
+    """The label-rule counters (core/counters.py)."""
+    return counters.snapshot()["labels"]
 
 
 @pytest.fixture(scope="module")

@@ -22,11 +22,10 @@ import time
 import pytest
 
 from repro.bench import ReportTable, relative
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.core.labels import EMPTY_LABEL
 from repro.db import Database
-from repro.db import indexes
-from repro.db.spill import SPILL_STATS
 
 from .common import SMOKE, report, smoke, write_bench_json
 
@@ -87,11 +86,11 @@ def test_index_loop_join_probe_dedup():
         plan = [r[0] for r in session.execute("EXPLAIN " + ORDERS_JOIN)]
         assert any("IndexLoopJoin" in line for line in plan), plan
         session.execute(ORDERS_JOIN)             # warm plan/parse caches
-        before = indexes.COUNTERS.lookups
+        before = counters.tally().lookups
         start = time.perf_counter()
         row = session.execute(ORDERS_JOIN).rows[0]
         elapsed = time.perf_counter() - start
-        outcomes[mode] = {"probes": indexes.COUNTERS.lookups - before,
+        outcomes[mode] = {"probes": counters.tally().lookups - before,
                           "seconds": elapsed,
                           "result": tuple(row)}
     assert outcomes["batched"]["result"] == outcomes["row"]["result"]
@@ -139,11 +138,11 @@ def test_hash_join_spills_under_budget():
     outcomes = {}
     for mode, work_mem in (("unbounded", 0), ("64KB budget", WORK_MEM)):
         db, session = _spill_stack(work_mem)
-        before = SPILL_STATS.snapshot()
+        before = counters.snapshot()["spill"]
         start = time.perf_counter()
         rows = sorted(tuple(r) for r in session.execute(SPILL_JOIN).rows)
         elapsed = time.perf_counter() - start
-        after = SPILL_STATS.snapshot()
+        after = counters.snapshot()["spill"]
         outcomes[mode] = {
             "rows": rows, "seconds": elapsed,
             "spill": {k: after[k] - before[k] for k in after},

@@ -15,8 +15,8 @@ repo root for the artifact upload and the cross-PR perf trail.
 
 import time
 
+from repro.core import counters
 from repro.db import Database
-from repro.db.physical import EXEC_COUNTERS
 from repro.bench import ReportTable, relative
 
 from .common import SMOKE, report, smoke, write_bench_json
@@ -46,9 +46,9 @@ def _stack(batch_size=None):
 
 
 def _cells(session, sql) -> int:
-    EXEC_COUNTERS.reset()
+    counters.reset()
     session.execute(sql)
-    return EXEC_COUNTERS.columns_materialized
+    return counters.tally().columns_materialized
 
 
 def _best_time(session, sql, loops=None) -> float:

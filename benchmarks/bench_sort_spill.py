@@ -23,10 +23,10 @@ repo root; CI uploads it with the other BENCH_* artifacts.
 import time
 
 from repro.bench import ReportTable, relative
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.core.labels import EMPTY_LABEL
 from repro.db import Database
-from repro.db.spill import SPILL_STATS
 
 from .common import report, smoke, write_bench_json
 
@@ -62,11 +62,11 @@ def _stack(work_mem):
 
 
 def _timed(session, sql):
-    before = SPILL_STATS.snapshot()
+    before = counters.snapshot()["spill"]
     start = time.perf_counter()
     rows = [tuple(r) for r in session.execute(sql).rows]
     elapsed = time.perf_counter() - start
-    after = SPILL_STATS.snapshot()
+    after = counters.snapshot()["spill"]
     return {"rows": rows, "seconds": elapsed,
             "spill": {k: after[k] - before[k] for k in after}}
 

@@ -29,9 +29,9 @@ import threading
 import time
 
 from repro.bench import ReportTable, relative
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.db import Database
-from repro.db.wal import WAL_STATS
 
 from .common import report, smoke, write_bench_json
 
@@ -119,11 +119,11 @@ def test_wal_commit_throughput_and_recovery():
     # -- WAL, fsync per commit --------------------------------------------
     fsync_path = os.path.join(tmpdir, "fsync.wal")
     db_fsync, session = _stack(fsync_path)
-    before = WAL_STATS.snapshot()
+    before = counters.snapshot()["wal"]
     seconds = _serial_commits(session, N_COMMITS)
     outcomes["WAL fsync/commit"] = {
         "seconds": seconds, "commits": N_COMMITS,
-        "wal": _wal_delta(before, WAL_STATS.snapshot())}
+        "wal": _wal_delta(before, counters.snapshot()["wal"])}
     # Single session, no delay window: one flush per commit.
     delta = outcomes["WAL fsync/commit"]["wal"]
     assert delta["commits"] == N_COMMITS
@@ -133,9 +133,9 @@ def test_wal_commit_throughput_and_recovery():
     group_path = os.path.join(tmpdir, "group.wal")
     db_group, session = _stack(group_path,
                                group_commit_ms=GROUP_COMMIT_MS)
-    before = WAL_STATS.snapshot()
+    before = counters.snapshot()["wal"]
     seconds = _grouped_commits(db_group, N_COMMITS, GROUP_SESSIONS)
-    after = WAL_STATS.snapshot()
+    after = counters.snapshot()["wal"]
     outcomes["WAL group commit"] = {
         "seconds": seconds, "commits": N_COMMITS,
         "wal": _wal_delta(before, after)}

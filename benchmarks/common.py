@@ -80,11 +80,11 @@ def write_bench_json(figure: str, payload: dict) -> str:
 
 
 def _counters_snapshot() -> dict:
-    """The unified registry's snapshot (db/metrics.py): cumulative
+    """Every counter of the schema (core/counters.py): cumulative
     process-wide totals at write time, so each figure's JSON records
     how much label/index/exec/spill work the whole run performed."""
-    from repro.db import metrics
-    return metrics.snapshot()
+    from repro.core import counters
+    return counters.snapshot()
 
 
 def _update_metrics_json(figure: str, counters: dict) -> None:

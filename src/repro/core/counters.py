@@ -1,186 +1,210 @@
-"""Thread-aware counter groups.
+"""The engine's counters: one schema, one per-thread tally.
 
-The engine's counter families (label rules, index probes, executor,
-spill, stats, WAL) are process-wide singletons whose hot paths do
-``COUNTERS.field += 1``.  That was fine single-threaded, but the
-per-statement metrics bracket reads the same singletons around every
-statement: two sessions executing concurrently (threaded group commit,
-the parallel worker pool's coordinator thread) would attribute each
-other's counters to the wrong statement.
+Everything the engine counts — the label-rule invocations the paper's
+cost argument is made of (section 7.1), index probes, executor cells,
+spill traffic, statistics sweeps, WAL writes — is one row of
+:data:`SCHEMA`.  A counter is added by adding a row; storage, the
+``Database.stats()`` report, per-statement deltas, the worker merge and
+EXPLAIN ANALYZE's labels all derive from it.
 
-:class:`CounterGroup` fixes this with the same accumulate-then-merge
-shape the parallel executor uses between processes, applied between
-threads:
-
-* plain attribute reads/writes (``group.field``) go — through one
-  property per field — to a **per-thread** slotted state object, so
-  ``+=`` stays a linearizable read-modify-write of thread-private
-  storage and a statement bracket (two reads on the executing thread)
-  can only ever see its own thread's work;
-* :meth:`totals` / :meth:`snapshot` sum the per-thread states (plus a
-  base that absorbs the states of threads that have exited), so
-  whole-process views — ``Database.stats()``, benchmark snapshots —
-  still see everything every thread did;
-* fields named in :attr:`MAX_FIELDS` are high-water gauges, not
-  additive counters: totals combine them with ``max`` instead of ``+``
-  (e.g. the WAL's largest group-commit batch).
-
-Subclasses declare their counters in :attr:`FIELDS` (an ordered tuple,
-deliberately *not* ``__slots__``: real slots would be storage shared
-across threads, which is the bug this class exists to fix).
+The hot paths do ``tally().field += 1``: :func:`tally` is the calling
+thread's :class:`Tally`, one slotted object holding every counter, so
+an increment is a read-modify-write of thread-private storage (one
+function call and one thread-local lookup dearer than a bare slot) and
+a statement bracket — two :func:`read` calls on the executing thread —
+can only ever see its own thread's work, whatever other sessions
+(threaded group commit, a parallel gather) are doing.  Whole-process
+views sum the per-thread tallies: :func:`snapshot` adds every thread's
+state to a base that absorbs the tallies of threads that have exited.
+A ``MAX`` row is a high-water gauge, combined with ``max`` rather than
+``+`` wherever two tallies meet.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import weakref
-from typing import Dict, Tuple
+from operator import attrgetter
+from typing import Dict
 
-#: Every live group, so a forked child can re-arm the locks it
-#: inherited (see ``_reinit_locks_after_fork``).
-_ALL_GROUPS: list = []
+SUM, MAX = "sum", "max"
+
+#: ``(group, field, kind, EXPLAIN ANALYZE label)``, in report order.  A
+#: ``None`` label keeps the counter off operator and statement-total
+#: lines.  Field names are unique across groups (they are the slots of
+#: one object).
+SCHEMA = (
+    # -- labels: core/rules.py and the scan leaf --------------------------
+    # Invocations of the two hot-path predicates, memo hits and
+    # plain-subset fast paths included: the per-tuple call itself is
+    # what Query by Label costs, and the set-at-a-time label routine
+    # turns one call per tuple into one per distinct label per batch
+    # (fig6 reads these to prove it).  ``rows_suppressed`` counts tuples
+    # the scans rejected under the Label Confinement Rule, once per
+    # batch — a suppression does not correspond to a ``covers`` call.
+    ("labels", "covers_calls", SUM, "covers"),
+    ("labels", "strip_calls", SUM, "strip"),
+    ("labels", "rows_suppressed", SUM, "suppressed"),
+    # -- index: equality probes and ordered-range scans -------------------
+    # The batched IndexLoopJoin probes once per distinct outer key per
+    # batch.
+    ("index", "lookups", SUM, "lookups"),
+    ("index", "range_scans", SUM, "range_scans"),
+    # -- exec: db/physical.py ---------------------------------------------
+    # Cells the scans copied out of stored tuples into batch columns
+    # (projection pushdown: 2 of N columns is ``2 x rows`` cells, batch
+    # size invariant) and rows rebuilt row-major from a columnar batch
+    # (at most once per output row, at the cursor drain).
+    ("exec", "columns_materialized", SUM, "cells"),
+    ("exec", "rows_widened", SUM, "widened"),
+    # -- spill: db/spill.py -----------------------------------------------
+    # ``spills`` is top-level join build overflows (one per join that
+    # spilled, however deep the recursion), ``repartitions`` recursive
+    # splits of join partitions and aggregation state,
+    # ``partitions_created`` build spools that received rows; rows and
+    # bytes are counted as each block reaches its temp file.
+    # ``sort_*`` are external merge sorts and their runs, ``agg_*``
+    # grace aggregations (and DISTINCTs) and their partitions.
+    ("spill", "spills", SUM, "spills"),
+    ("spill", "partitions_created", SUM, "spill_partitions"),
+    ("spill", "repartitions", SUM, "repartitions"),
+    ("spill", "rows_spilled", SUM, "spill_rows"),
+    ("spill", "bytes_spilled", SUM, "spill_bytes"),
+    ("spill", "sort_spills", SUM, "sort_spills"),
+    ("spill", "sort_runs", SUM, "sort_runs"),
+    ("spill", "agg_spills", SUM, "agg_spills"),
+    ("spill", "agg_partitions", SUM, "agg_partitions"),
+    # -- stats: db/stats.py -----------------------------------------------
+    # Per-table collections from any trigger, and the automatic drift
+    # refreshes among them.  Hidden: a sweep fires during planning,
+    # outside any operator.
+    ("stats", "tables_collected", SUM, None),
+    ("stats", "drift_refreshes", SUM, None),
+    # -- wal: db/wal.py, on whichever thread led the flush ----------------
+    # Records appended (commit + ddl), record bytes incl. headers,
+    # flush batches, fsyncs, commit records made durable, flushes that
+    # covered a commit, and the most commits one flush absorbed — a
+    # gauge, hidden because a delta of it means nothing.
+    ("wal", "records", SUM, "wal_records"),
+    ("wal", "bytes", SUM, "wal_bytes"),
+    ("wal", "flushes", SUM, "wal_flushes"),
+    ("wal", "fsyncs", SUM, "wal.fsyncs"),
+    ("wal", "commits", SUM, "wal_commits"),
+    ("wal", "commit_flushes", SUM, "wal.commit_flushes"),
+    ("wal", "group_commit_size", MAX, None),
+)
+
+#: ``(group, field)`` per :func:`read` slot.
+CELLS = tuple((group, field) for group, field, _kind, _label in SCHEMA)
+_FIELDS = tuple(field for _group, field in CELLS)
+assert len(set(_FIELDS)) == len(_FIELDS), "counter fields must be unique"
 
 
-class _GroupLocal(threading.local):
-    """One slotted state object per (group, thread).
+class Tally:
+    """Every counter of the schema, zeroed."""
 
-    ``threading.local`` re-runs ``__init__`` with the original
-    constructor arguments in every thread that first touches an
-    attribute, which is exactly the hook needed to register the new
-    thread's state with the owning group.
-    """
-
-    def __init__(self, owner: "CounterGroup"):
-        state = owner._state_type()
-        self.state = state
-        with owner._lock:
-            owner._states.append((threading.current_thread(), state))
-
-
-def _state_type_for(cls) -> type:
-    """The per-thread storage type for a CounterGroup subclass: a
-    slotted class with one int slot per field, zeroed on creation
-    (cached on the subclass)."""
-    cached = cls.__dict__.get("_STATE_TYPE")
-    if cached is not None:
-        return cached
-    fields = cls.FIELDS
-
-    def _init(self, _fields=fields):
-        for field in _fields:
-            setattr(self, field, 0)
-
-    state_type = type(cls.__name__ + "State", (),
-                      {"__slots__": fields, "__init__": _init})
-    cls._STATE_TYPE = state_type
-    return state_type
-
-
-def _thread_field(name: str) -> property:
-    """``group.<name>``, routed to the calling thread's state.  Every
-    hot path's ``COUNTERS.field += 1`` is one get and one set here."""
-    return property(
-        lambda group: getattr(group._local.state, name),
-        lambda group, value: setattr(group._local.state, name, value))
-
-
-class CounterGroup:
-    """Base class for thread-aware counter families (see module doc)."""
-
-    #: Ordered counter names.  Subclasses must override.
-    FIELDS: Tuple[str, ...] = ()
-    #: Subset of FIELDS that are high-water gauges (max-combined).
-    MAX_FIELDS: Tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        for field in cls.FIELDS:
-            setattr(cls, field, _thread_field(field))
+    __slots__ = _FIELDS
 
     def __init__(self):
-        cls = type(self)
-        self._state_type = _state_type_for(cls)
-        self._lock = threading.Lock()
-        self._states: list = []
-        self._base = dict.fromkeys(cls.FIELDS, 0)
-        self._local = _GroupLocal(self)
-        _ALL_GROUPS.append(weakref.ref(self))
+        self.clear()
 
-    # -- cross-thread views ---------------------------------------------
-    def totals(self) -> Dict[str, int]:
-        """Sum of every thread's state plus the folded base, in FIELDS
-        order.  States of threads that have exited are folded into the
-        base and dropped, so the list of live states stays bounded by
-        the number of live threads."""
-        cls = type(self)
-        fields = cls.FIELDS
-        maxes = cls.MAX_FIELDS
-        current = threading.current_thread()
-        with self._lock:
-            base = self._base
-            out = dict(base)
-            live = []
-            for thread, state in self._states:
-                for field in fields:
-                    value = getattr(state, field)
-                    if field in maxes:
-                        if value > out[field]:
-                            out[field] = value
-                    else:
-                        out[field] += value
-                if thread.is_alive() or thread is current:
-                    live.append((thread, state))
-                else:
-                    for field in fields:
-                        value = getattr(state, field)
-                        if field in maxes:
-                            if value > base[field]:
-                                base[field] = value
-                        else:
-                            base[field] += value
-            self._states[:] = live
-        return out
-
-    def snapshot(self) -> Dict[str, int]:
-        return self.totals()
-
-    def reset(self) -> None:
-        """Zero the base and every thread's state.
-
-        Meant for test isolation / fresh measurement windows while no
-        *other* thread is mid-increment; a concurrent ``+=`` on another
-        thread may survive the reset (it raced it), which is the best
-        any reset of live counters can promise.
-        """
-        with self._lock:
-            for field in type(self).FIELDS:
-                self._base[field] = 0
-            for _thread, state in self._states:
-                for field in type(self).FIELDS:
-                    setattr(state, field, 0)
+    def clear(self) -> None:
+        for field in _FIELDS:
+            setattr(self, field, 0)
 
 
-def _reinit_locks_after_fork() -> None:
-    """Re-arm every group's lock in a freshly forked child.
-
-    A fork can land while another parent thread holds a group's lock
-    (a concurrent ``totals()``); that thread does not exist in the
-    child, so the inherited lock would stay held forever and the
-    child's first ``reset()``/``totals()`` would deadlock.  The child
-    is single-threaded at this point, so replacing the locks outright
-    is safe.
-    """
-    dead = []
-    for ref in _ALL_GROUPS:
-        group = ref()
-        if group is None:
-            dead.append(ref)
-            continue
-        group._lock = threading.Lock()
-    for ref in dead:
-        _ALL_GROUPS.remove(ref)
+_lock = threading.Lock()
+#: ``(thread, tally)`` of every thread that has counted and may still.
+_states: list = []
+#: What the threads that have exited counted.
+_base = Tally()
 
 
-if hasattr(os, "register_at_fork"):               # POSIX; 3.7+
-    os.register_at_fork(after_in_child=_reinit_locks_after_fork)
+class _Local(threading.local):
+    """``threading.local`` runs ``__init__`` in every thread that first
+    touches it: the hook that enrols the new thread's tally."""
+
+    def __init__(self):
+        self.state = Tally()
+        with _lock:
+            _states.append((threading.current_thread(), self.state))
+
+
+_local = _Local()
+_slots = attrgetter(*_FIELDS)
+
+
+def tally() -> Tally:
+    """The calling thread's counters."""
+    return _local.state
+
+
+def read() -> tuple:
+    """The calling thread's counters as a flat tuple in :data:`CELLS`
+    order — cheap enough to bracket every statement and every
+    EXPLAIN ANALYZE ``next()``."""
+    return _slots(_local.state)
+
+
+def _add(state: Tally, field: str, kind: str, value) -> None:
+    held = getattr(state, field)
+    setattr(state, field, max(held, value) if kind == MAX else held + value)
+
+
+def _fold(into: Tally, state: Tally) -> None:
+    for _group, field, kind, _label in SCHEMA:
+        _add(into, field, kind, getattr(state, field))
+
+
+def snapshot() -> Dict[str, Dict[str, int]]:
+    """Cross-thread totals, ``{group: {field: value}}``.  Tallies of
+    threads that have exited are folded into the base and dropped, so
+    the live list stays bounded by the number of live threads."""
+    total = Tally()
+    with _lock:
+        _fold(total, _base)
+        live = []
+        for thread, state in _states:
+            _fold(total, state)
+            if thread.is_alive():
+                live.append((thread, state))
+            else:
+                _fold(_base, state)
+        _states[:] = live
+    out: Dict[str, Dict[str, int]] = {}
+    for group, field in CELLS:
+        out.setdefault(group, {})[field] = getattr(total, field)
+    return out
+
+
+def reset() -> None:
+    """Zero every thread's tally and the base: test isolation, fresh
+    measurement windows, a worker's first act after the fork.  An
+    increment racing it on another thread may survive."""
+    with _lock:
+        _base.clear()
+        for _thread, state in _states:
+            state.clear()
+
+
+def merge(taken: Dict[str, Dict[str, int]]) -> None:
+    """Add a :func:`snapshot` onto the **calling thread's** tally — the
+    coordinator half of the worker protocol (workers reset, count
+    privately, ship their snapshot), so a statement that gathers
+    workers sees their counts inside its own bracket."""
+    state = tally()
+    for group, field, kind, _label in SCHEMA:
+        if field in taken.get(group, ()):
+            _add(state, field, kind, taken[group][field])
+
+
+def _rearm_after_fork() -> None:
+    """A fork can land while another thread holds the lock (a
+    concurrent ``snapshot()``); that thread does not exist in the
+    child, whose first ``reset()`` would wait on it forever."""
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):               # POSIX
+    os.register_at_fork(after_in_child=_rearm_after_fork)

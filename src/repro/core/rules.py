@@ -31,45 +31,11 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-from .counters import CounterGroup
+from .counters import tally
 from .labels import Label
 from .tags import TagRegistry
 
 _CACHE_CAP = 1 << 16
-
-
-class RuleCounters(CounterGroup):
-    """Process-wide invocation counters for the label rules.
-
-    ``covers_calls``/``strip_calls`` count *invocations* of the two
-    hot-path predicates — including memo hits and plain-subset fast
-    paths — because what the paper's Query-by-Label cost is made of is
-    the per-tuple call itself (section 7.1).  The set-at-a-time
-    label routine (``repro.db.physical._label_filter``) collapses one
-    call per tuple into one call per distinct label per batch —
-    ``strip`` included: under a declassifying view each distinct
-    *stored* label of a batch is stripped once and its stripped form
-    checked once — and the fig6 benchmark reads these counters to
-    prove it.  ``rows_suppressed`` counts tuples the scans rejected
-    under the Label Confinement Rule — the quantity the IFC audit
-    trail (:mod:`repro.db.metrics`) attributes per statement; it is
-    incremented in :mod:`repro.db.physical`, not here — once per
-    batch, by the number of tuples the verdict map dropped — because
-    a suppression does not correspond to a ``covers`` call.
-    Counters are global (labels and registries are
-    process-wide too) but accumulate per thread
-    (:class:`~repro.core.counters.CounterGroup`), so concurrent
-    statements cannot contaminate each other's deltas; measurements
-    should diff before/after — the metrics registry registers this
-    instance as its ``labels`` group and does exactly that around
-    every statement.
-    """
-
-    FIELDS = ("covers_calls", "strip_calls", "rows_suppressed")
-
-
-#: The module-wide counter instance (see :class:`RuleCounters`).
-COUNTERS = RuleCounters()
 
 
 class _RuleCache:
@@ -102,7 +68,7 @@ def covers(registry: TagRegistry, low: Label, high: Label) -> bool:
     "``high`` covers ``low``": every tag of ``low`` appears in ``high``
     either directly or as a member of one of ``high``'s compound tags.
     """
-    COUNTERS.covers_calls += 1
+    tally().covers_calls += 1
     low_tags = low.tags
     if not low_tags:
         return True
@@ -174,7 +140,7 @@ def strip(registry: TagRegistry, label: Label, declassified: Label) -> Label:
     declassifying view strips the same (label, declassify) pair for
     every tuple it scans.
     """
-    COUNTERS.strip_calls += 1
+    tally().strip_calls += 1
     if not label.tags or not declassified.tags:
         return label
     memo = _cache_for(registry).strip

@@ -20,8 +20,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core import counters
 from ..core.authority import AuthorityState
 from ..core.idgen import SeededIdGenerator
 from ..core.labels import EMPTY_LABEL, Label
@@ -36,8 +38,7 @@ from .catalog import (
     ViewDef,
 )
 from .expressions import Scope
-from .metrics import REGISTRY, AuditLog, SlowQueryLog, StatementStats, \
-    compile_reader, normalize_sql
+from .metrics import AuditLog, SlowQueryLog, StatementStats
 from .pages import BufferCache
 from .physical import (
     DEFAULT_BATCH_SIZE,
@@ -82,6 +83,37 @@ class PreparedInsert:
         self.defaults = defaults
         self.row_fns = row_fns
         self.select = select
+
+
+#: One ``Database.read_counters()`` slot per entry: the counter
+#: schema's cells, then the database's own buffer-cache stats.
+_BUFFER_FIELDS = ("hits", "misses", "evictions", "io_time")
+_read_buffer = attrgetter(*_BUFFER_FIELDS)
+METRICS_CELLS = counters.CELLS + tuple(
+    ("buffer", field) for field in _BUFFER_FIELDS)
+_SPILL_BYTES_CELL = METRICS_CELLS.index(("spill", "bytes_spilled"))
+_SUPPRESSED_CELL = METRICS_CELLS.index(("labels", "rows_suppressed"))
+
+#: Entries the parse cache and each plan cache may hold.  A workload of
+#: all-distinct texts (inlined literals) would otherwise grow them one
+#: entry per statement until the next DDL.
+STATEMENT_CACHE_CAP = 4096
+
+
+def _cache_put(cache: dict, key, value) -> None:
+    """Insert, clearing a full cache first: no recency bookkeeping on
+    the hit path, and the few hot texts of a real workload are back
+    after one miss each."""
+    if len(cache) >= STATEMENT_CACHE_CAP:
+        cache.clear()
+    cache[key] = value
+
+
+def _statement_key(statement) -> str:
+    """What a statement aggregates under: the fingerprint its parse
+    left on it, or its shape for programmatic statements (no text)."""
+    return getattr(statement, "fingerprint", None) \
+        or "<%s>" % type(statement).__name__
 
 
 class Database:
@@ -157,15 +189,18 @@ class Database:
                                batch_size=self.batch_size,
                                work_mem=self.work_mem,
                                workers=self.workers)
+        # Parsed statements by SQL text; each carries its fingerprint
+        # (``parse_statement``), so a text is lexed once.
         self._parse_cache: Dict[str, object] = {}
         # Prepared-plan caches, keyed by SQL text (or statement identity
         # for programmatic statements); each entry is
         # ``(statement, prepared, table_names)``.  The whole cache is
         # versioned by ``plan_cache_epoch``: any DDL or tag-registry
-        # change clears it, which both invalidates stale plans and
-        # bounds growth.  Statistics refreshes are gentler: they evict
-        # only the entries whose ``table_names`` include the refreshed
-        # table (see ``invalidate_plans_for``).
+        # change clears it, which invalidates stale plans.  Statistics
+        # refreshes are gentler: they evict only the entries whose
+        # ``table_names`` include the refreshed table (see
+        # ``invalidate_plans_for``).  All four caches hold at most
+        # ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
         self._select_cache: Dict[object, Tuple] = {}
         self._dml_cache: Dict[object, Tuple] = {}
         self._insert_cache: Dict[object, Tuple] = {}
@@ -177,14 +212,13 @@ class Database:
         self.rows_updated = 0
         self.rows_deleted = 0
         self._sequences: Dict[str, int] = {}
-        # -- observability (db/metrics.py) ------------------------------
-        # The process-wide registry plus this database's buffer-cache
-        # stats form the per-statement counter space: sessions bracket
-        # every tracked statement with two compiled flat-tuple reads
+        # -- observability (core/counters.py, db/metrics.py) -------------
+        # The counter schema plus this database's buffer-cache stats
+        # form the per-statement counter space: sessions bracket every
+        # tracked statement with two flat-tuple reads
         # (``_begin_statement``/``_finish_statement``) and the deltas
         # feed the statement aggregate, the slow-query log, and the
         # audit trail.
-        self.metrics = REGISTRY
         self.statement_stats = StatementStats()
         # Slow-query threshold in milliseconds; 0 disables the log.
         self.slow_query_ms = max(0.0, float(slow_query_ms))
@@ -230,11 +264,6 @@ class Database:
         #: ``txn_manager.commits`` has moved past this (new local
         #: commits would make the watermark meaningless).
         self._wal_replay_commits = 0
-        self._reader = None
-        self._reader_version = -1
-        self._metrics_cells: List[Tuple[str, str]] = []
-        self._spill_bytes_cell = -1
-        self._suppressed_cell = -1
         self._last_statement = None
         # Statement collectors (statement_stats / slow_queries / audit)
         # are shared by every session on this database;
@@ -260,7 +289,7 @@ class Database:
         statement = self._parse_cache.get(sql)
         if statement is None:
             statement = parse_statement(sql)
-            self._parse_cache[sql] = statement
+            _cache_put(self._parse_cache, sql, statement)
         return statement
 
     def parse_script(self, sql: str):
@@ -326,8 +355,8 @@ class Database:
         if cached is not None and cached[0] is statement:
             return cached[1]
         prepared = self.planner.plan_select(statement)
-        self._select_cache[key] = (statement, prepared,
-                                   plan_tables(prepared.plan))
+        _cache_put(self._select_cache, key,
+                   (statement, prepared, plan_tables(prepared.plan)))
         return prepared
 
     def prepare_dml(self, statement, sql: Optional[str]) -> PreparedDML:
@@ -337,8 +366,8 @@ class Database:
         if cached is not None and cached[0] is statement:
             return cached[1]
         prepared = self.planner.plan_dml(statement)
-        self._dml_cache[key] = (statement, prepared,
-                                plan_tables(prepared.plan))
+        _cache_put(self._dml_cache, key,
+                   (statement, prepared, plan_tables(prepared.plan)))
         return prepared
 
     def prepare_insert(self, statement: ast.Insert,
@@ -352,7 +381,8 @@ class Database:
         tables = {statement.table}
         if prepared.select is not None:
             tables |= plan_tables(prepared.select.plan)
-        self._insert_cache[key] = (statement, prepared, frozenset(tables))
+        _cache_put(self._insert_cache, key,
+                   (statement, prepared, frozenset(tables)))
         return prepared
 
     def _plan_insert(self, statement: ast.Insert) -> PreparedInsert:
@@ -712,76 +742,45 @@ class Database:
     # ------------------------------------------------------------------
     # metrics (db/metrics.py)
     # ------------------------------------------------------------------
-    def _rebuild_reader(self) -> None:
-        """Compile the per-statement counter reader: every registry
-        cell plus this database's buffer-cache stats (per-``Database``
-        state, so it cannot live in the process-wide registry)."""
-        cells: List[Tuple[str, str]] = []
-        owners: List[Tuple[object, str]] = []
-        for group, field, owner in self.metrics.cells():
-            cells.append((group, field))
-            owners.append((owner, field))
-        buffer_stats = self.buffer_cache.stats
-        for field in ("hits", "misses", "evictions", "io_time"):
-            cells.append(("buffer", field))
-            owners.append((buffer_stats, field))
-        self._metrics_cells = cells
-        self._reader = compile_reader(owners)
-        self._spill_bytes_cell = cells.index(("spill", "bytes_spilled"))
-        self._suppressed_cell = cells.index(("labels", "rows_suppressed"))
-        # Version last: a concurrent reader that sees the new version
-        # sees the fully-rebuilt reader state.
-        self._reader_version = self.metrics.version
-
     def metrics_cells(self) -> List[Tuple[str, str]]:
-        """``(group, field)`` names, one per :meth:`read_counters` slot."""
-        if self._reader_version != self.metrics.version:
-            self._rebuild_reader()
-        return list(self._metrics_cells)
+        """``(group, field)`` names, one per :meth:`read_counters` slot:
+        the schema's cells, then this database's buffer-cache stats
+        (per-``Database`` state, so not part of the per-thread tally)."""
+        return list(METRICS_CELLS)
 
     def read_counters(self) -> tuple:
-        """All counters (registry + this database's buffer cache) as a
-        flat tuple — the reader EXPLAIN ANALYZE probes call per row."""
-        if self._reader_version != self.metrics.version:
-            self._rebuild_reader()
-        return self._reader()
+        """The calling thread's counters plus this database's buffer
+        cache as a flat tuple — the read that brackets every statement
+        and every EXPLAIN ANALYZE ``next()``."""
+        return counters.read() + _read_buffer(self.buffer_cache.stats)
 
     def counter_delta(self, before: tuple,
                       after: tuple) -> Dict[str, Dict[str, int]]:
         """Named nested delta between two :meth:`read_counters` reads."""
         out: Dict[str, Dict[str, int]] = {}
-        for i, (group, field) in enumerate(self._metrics_cells):
-            bucket = out.get(group)
-            if bucket is None:
-                bucket = out[group] = {}
-            bucket[field] = after[i] - before[i]
+        for i, (group, field) in enumerate(METRICS_CELLS):
+            out.setdefault(group, {})[field] = after[i] - before[i]
         return out
 
     def _begin_statement(self) -> Tuple[float, tuple]:
         """Start of per-statement tracking: wall clock + counter read."""
-        if self._reader_version != self.metrics.version:
-            self._rebuild_reader()
-        return (time.perf_counter(), self._reader())
+        return (time.perf_counter(), self.read_counters())
 
     def _finish_statement(self, track: Tuple[float, tuple], statement,
-                          sql: Optional[str], rowcount: int) -> None:
+                          rowcount: int) -> None:
         """End of per-statement tracking: aggregate into the statement
         stats, the slow-query log, and the audit trail.  Hot path — a
         handful of microseconds per statement."""
-        after = self._reader()
+        after = self.read_counters()
         started, before = track
         elapsed = time.perf_counter() - started
         self._last_statement = (before, after, elapsed, rowcount)
-        if sql is not None:
-            key = normalize_sql(sql)
-        else:
-            # Programmatic statements (no SQL text) aggregate by shape.
-            key = "<%s>" % type(statement).__name__
+        key = _statement_key(statement)
         # ``before``/``after`` are this thread's own counter state, so
         # the deltas are statement-exact even with concurrent sessions;
         # the shared collectors are the only cross-thread state left.
         with self._stats_lock:
-            cell = self._spill_bytes_cell
+            cell = _SPILL_BYTES_CELL
             self.statement_stats.record(key, elapsed, rowcount,
                                         after[cell] - before[cell])
             threshold = self.slow_query_ms
@@ -790,21 +789,20 @@ class Database:
                                          self.counter_delta(before, after))
             audit = self.audit
             if audit is not None:
-                cell = self._suppressed_cell
+                cell = _SUPPRESSED_CELL
                 suppressed = after[cell] - before[cell]
                 if suppressed:
                     audit.record("rows_suppressed", statement=key,
                                  count=suppressed)
 
-    def _audit_denial(self, statement, sql: Optional[str], error) -> None:
+    def _audit_denial(self, statement, error) -> None:
         """Audit hook for write-rule / commit-label denials."""
         audit = self.audit
         if audit is None:
             return
-        key = normalize_sql(sql) if sql is not None \
-            else "<%s>" % type(statement).__name__
         with self._stats_lock:
-            audit.record("write_denied", statement=key, error=str(error))
+            audit.record("write_denied", statement=_statement_key(statement),
+                         error=str(error))
 
     def last_statement_metrics(self) -> Optional[Dict[str, object]]:
         """Named counter deltas (plus ``elapsed_ms``/``rows``) of the
@@ -823,13 +821,12 @@ class Database:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         cache = self.buffer_cache.stats
-        snapshot = self.metrics.snapshot()
-        # The registry groups (labels/index/exec/spill/stats) are
+        # The schema's groups (labels/index/exec/spill/stats/wal) are
         # process-wide: with several Database instances in one process
         # they aggregate across them — diff before/after around the
         # work of interest, or read last_statement_metrics() /
         # statement_stats for attributed numbers.
-        report: Dict[str, object] = dict(snapshot)
+        report: Dict[str, object] = dict(counters.snapshot())
         report.update({
             "statements": self.statement_stats.snapshot(),
             "statements_executed": self.statements_executed,

@@ -17,27 +17,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.counters import CounterGroup
-
-
-class IndexCounters(CounterGroup):
-    """Process-wide index-probe counters (diff before/after, like
-    ``rules.COUNTERS``).  ``lookups`` counts equality probes
-    (:meth:`HashIndex.lookup` / :meth:`OrderedIndex.lookup`),
-    ``range_scans`` ordered-range scans.  The batched
-    ``IndexLoopJoin`` dedupes duplicate outer keys to one probe per
-    distinct key per batch; the join microbenchmark diffs these
-    counters to prove it.  Registered as the ``index`` group of the
-    unified :data:`repro.db.metrics.REGISTRY` — prefer registry
-    scopes / per-statement deltas over hand-diffing this object.
-    Accumulates per thread (:class:`~repro.core.counters.CounterGroup`);
-    ``snapshot()`` sums across threads."""
-
-    FIELDS = ("lookups", "range_scans")
-
-
-#: The module-wide counter instance (see :class:`IndexCounters`).
-COUNTERS = IndexCounters()
+from ..core.counters import tally
 
 
 class HashIndex:
@@ -61,7 +41,7 @@ class HashIndex:
         self._map.setdefault(self.key_of(values), []).append(tid)
 
     def lookup(self, key: Tuple) -> List[int]:
-        COUNTERS.lookups += 1
+        tally().lookups += 1
         return self._map.get(key, [])
 
     def remove(self, values: Tuple, tid: int) -> None:
@@ -111,7 +91,7 @@ class OrderedIndex:
     def lookup(self, key: Tuple) -> List[int]:
         """All tids whose key starts with ``key`` (exact match when the
         key covers every indexed column)."""
-        COUNTERS.lookups += 1
+        tally().lookups += 1
         return list(self.scan_prefix(key))
 
     def scan_prefix(self, prefix: Tuple) -> Iterator[int]:
@@ -128,7 +108,7 @@ class OrderedIndex:
                    *, include_low: bool = True,
                    include_high: bool = True) -> Iterator[int]:
         """Tids with ``low <= key <= high`` (bounds optional), in order."""
-        COUNTERS.range_scans += 1
+        tally().range_scans += 1
         entries = self._entries
         if low is None:
             start = 0

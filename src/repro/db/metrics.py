@@ -1,30 +1,18 @@
-"""Unified metrics: one registry over the engine's counter families.
+"""Statement-level collectors and the EXPLAIN ANALYZE recorder.
 
-Before this module, observability was four disconnected process-wide
-counter singletons (``core/rules.COUNTERS``, ``db/indexes.COUNTERS``,
-``db/physical.EXEC_COUNTERS``, ``db/spill.SPILL_STATS``) — no
-per-statement attribution, no way to merge per-worker counts.  The
-:data:`REGISTRY` keeps those objects as the live storage (hot paths
-still do ``COUNTERS.field += 1`` on a slotted int; nothing slows down)
-but gives them one namespace with:
-
-* ``snapshot()`` / ``reset()`` / ``merge()`` — the API a future
-  parallel executor needs: each worker accumulates into its own
-  registry and the coordinator merges the snapshots;
-* ``cells()`` — every counter in a fixed order, from which each
-  :class:`~repro.db.engine.Database` compiles a flat-tuple reader (one
-  ``LOAD_ATTR`` per counter, :func:`compile_reader`) cheap enough to
-  call around *every* statement: ``Database.read_counters()`` /
-  ``counter_delta()`` / ``last_statement_metrics()`` are the one way
-  counters are attributed to a statement or a block, for the engine,
-  ``EXPLAIN ANALYZE``, tests and benchmarks alike.
-
-On top of the registry live the statement-level collectors the engine
-owns per :class:`~repro.db.engine.Database`:
+What the engine counts is declared once, in
+:mod:`repro.core.counters` (the schema, the per-thread tally and its
+``snapshot``/``reset``/``merge``/``read``); ``Database.read_counters()``
+appends this database's buffer-cache cells to that flat read, and
+``counter_delta()`` / ``last_statement_metrics()`` are the one way
+counters are attributed to a statement or a block, for the engine,
+``EXPLAIN ANALYZE``, tests and benchmarks alike.  On top of it live
+the collectors the engine owns per :class:`~repro.db.engine.Database`:
 
 * :class:`StatementStats` — a pg_stat_statements-style aggregate keyed
-  on :func:`normalize_sql` (calls, total/mean/max time, rows, spill
-  bytes), surfaced as ``Database.stats()["statements"]``;
+  on the statement fingerprint (:func:`repro.sql.lexer.fingerprint`:
+  calls, total/mean/max time, rows, spill bytes), surfaced as
+  ``Database.stats()["statements"]``;
 * :class:`SlowQueryLog` — a ring buffer of statements that exceeded
   ``Database(slow_query_ms=…)``, each with its counter deltas;
 * :class:`AuditLog` — the opt-in IFC audit trail: rows suppressed by
@@ -35,11 +23,6 @@ owns per :class:`~repro.db.engine.Database`:
   shallow-copies the (stateless-between-executions) plan tree, wraps
   every node in an :class:`OpProbe`, and attributes rows, batches,
   wall time, and counter deltas to each operator as the query runs.
-
-Import direction: this module imports the counter owners (``core`` and
-its ``db`` siblings); none of them import it back — ``core`` must stay
-free of ``db`` imports, and the executor hot paths keep their direct
-singleton increments.
 """
 
 from __future__ import annotations
@@ -47,207 +30,12 @@ from __future__ import annotations
 import copy
 import time
 from collections import deque
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import rules as _rules
-from ..core.counters import CounterGroup
-from . import indexes as _indexes
+from ..core.counters import SCHEMA
 from . import physical as _physical
-from . import spill as _spill
-from . import stats as _stats
-from . import wal as _wal
 
 _perf_counter = time.perf_counter
-
-
-def compile_reader(cells: List[Tuple[object, str]]) -> Callable[[], tuple]:
-    """Build a zero-argument function returning the counters as a flat
-    tuple — one attribute load per counter, no loops or dict lookups,
-    so a per-statement before/after pair costs a couple of
-    microseconds.
-
-    :class:`~repro.core.counters.CounterGroup` owners are read through
-    the **calling thread's** state (hoisted once per call, then slot
-    loads), so the per-statement bracket sees exactly the executing
-    thread's own work — the delta-isolation fix for concurrent
-    statements.  Plain owners (the per-database buffer-cache stats)
-    keep the direct attribute load.
-    """
-    namespace: Dict[str, object] = {}
-    parts = []
-    prologue = []
-    hoisted: Dict[int, str] = {}
-    for i, (obj, field) in enumerate(cells):
-        if isinstance(obj, CounterGroup):
-            state = hoisted.get(id(obj))
-            if state is None:
-                name = "g%d" % i
-                state = "s%d" % i
-                namespace[name] = obj
-                prologue.append("    %s = %s._local.state" % (state, name))
-                hoisted[id(obj)] = state
-            parts.append("%s.%s" % (state, field))
-        else:
-            name = "g%d" % i
-            namespace[name] = obj
-            parts.append("%s.%s" % (name, field))
-    source = "def read():\n%s    return (%s%s)\n" % (
-        "".join(line + "\n" for line in prologue),
-        ", ".join(parts), "," if len(parts) == 1 else "")
-    exec(source, namespace)
-    return namespace["read"]
-
-
-class MetricsRegistry:
-    """Named counter groups over the existing slotted singletons.
-
-    A *group* is any object with integer (or float) counter attributes;
-    the registered field order is its ``__slots__`` order.  Groups are
-    registered once at import time; :attr:`version` bumps on every
-    registration so cached readers (here and per ``Database``) know to
-    rebuild.
-    """
-
-    def __init__(self):
-        self._groups: Dict[str, Tuple[object, Tuple[str, ...]]] = {}
-        self._order: List[str] = []
-        self.version = 0
-
-    # -- registration ---------------------------------------------------
-    def register(self, name: str, group: object,
-                 fields: Optional[Tuple[str, ...]] = None) -> object:
-        """Register (or re-register) a counter group under ``name``."""
-        if fields is None:
-            fields = tuple(getattr(type(group), "FIELDS", ())
-                           or getattr(type(group), "__slots__", ()))
-        if not fields:
-            raise ValueError("counter group %r has no fields" % name)
-        if name not in self._groups:
-            self._order.append(name)
-        self._groups[name] = (group, fields)
-        self.version += 1
-        return group
-
-    def group(self, name: str) -> object:
-        return self._groups[name][0]
-
-    def groups(self) -> List[str]:
-        return list(self._order)
-
-    def cells(self) -> Iterator[Tuple[str, str, object]]:
-        """Every counter as ``(group_name, field, owner_object)``, in
-        deterministic registration/slot order."""
-        for name in self._order:
-            group, fields = self._groups[name]
-            for field in fields:
-                yield name, field, group
-
-    # -- whole-registry operations --------------------------------------
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Named nested snapshot ``{group: {field: value}}``.
-
-        Thread-aware groups report cross-thread **totals** (the
-        whole-process view ``Database.stats()`` and the benchmark
-        snapshots want); plain attribute reads on a group stay
-        thread-local (what the per-statement bracket wants)."""
-        out: Dict[str, Dict[str, int]] = {}
-        for name in self._order:
-            group, fields = self._groups[name]
-            if isinstance(group, CounterGroup):
-                totals = group.totals()
-                out[name] = {field: totals[field] for field in fields}
-            else:
-                out[name] = {field: getattr(group, field)
-                             for field in fields}
-        return out
-
-    def reset(self) -> None:
-        for name in self._order:
-            group, fields = self._groups[name]
-            if isinstance(group, CounterGroup):
-                group.reset()
-                continue
-            for field in fields:
-                setattr(group, field, type(getattr(group, field))())
-
-    def merge(self, snapshot: Dict[str, Dict[str, int]]) -> None:
-        """Add a named snapshot into the live counters — the
-        coordinator half of the worker protocol: workers accumulate
-        privately, then their snapshots merge here.  The merge lands
-        on the **calling thread's** state, so a statement that gathers
-        parallel workers sees their counts inside its own bracket.
-        High-water gauges (:attr:`CounterGroup.MAX_FIELDS`) combine
-        with ``max`` instead of ``+``."""
-        for name, values in snapshot.items():
-            entry = self._groups.get(name)
-            if entry is None:
-                continue
-            group, fields = entry
-            maxes = getattr(type(group), "MAX_FIELDS", ())
-            for field in fields:
-                if field in values:
-                    if field in maxes:
-                        if values[field] > getattr(group, field):
-                            setattr(group, field, values[field])
-                    else:
-                        setattr(group, field,
-                                getattr(group, field) + values[field])
-
-
-#: The process-wide registry.  The module singletons stay the live
-#: storage (and the backward-compatible aliases); registering them here
-#: is what unifies ``Database.stats()``, per-statement deltas, EXPLAIN
-#: ANALYZE, and the benchmark snapshots on one namespace.
-REGISTRY = MetricsRegistry()
-REGISTRY.register("labels", _rules.COUNTERS)
-REGISTRY.register("index", _indexes.COUNTERS)
-REGISTRY.register("exec", _physical.EXEC_COUNTERS)
-REGISTRY.register("spill", _spill.SPILL_STATS)
-REGISTRY.register("stats", _stats.COUNTERS)
-REGISTRY.register("wal", _wal.WAL_STATS)
-
-
-def reset() -> None:
-    """Reset every registered counter (test isolation)."""
-    REGISTRY.reset()
-
-
-def snapshot() -> Dict[str, Dict[str, int]]:
-    return REGISTRY.snapshot()
-
-
-# ---------------------------------------------------------------------------
-# statement-level collectors
-# ---------------------------------------------------------------------------
-
-_NORM_CACHE: Dict[str, str] = {}
-_NORM_CACHE_CAP = 4096
-
-
-def normalize_sql(sql: str) -> str:
-    """The pg_stat_statements-style fingerprint: literals (numbers,
-    strings) become ``?`` so ``…WHERE id = 7`` and ``…WHERE id = 9``
-    aggregate under one key; whitespace and comments disappear with the
-    lexer.  Unparsable text falls back to whitespace collapsing."""
-    key = _NORM_CACHE.get(sql)
-    if key is not None:
-        return key
-    from ..sql import lexer
-    try:
-        parts = []
-        for token in lexer.tokenize(sql):
-            if token.kind == lexer.EOF:
-                break
-            if token.kind in (lexer.NUMBER, lexer.STRING, lexer.PARAM):
-                parts.append("?")
-            else:
-                parts.append(str(token.value))
-        key = " ".join(parts)
-    except Exception:
-        key = " ".join(sql.split())
-    if len(_NORM_CACHE) < _NORM_CACHE_CAP:
-        _NORM_CACHE[sql] = key
-    return key
 
 
 class StatementStats:
@@ -375,39 +163,11 @@ class AuditLog:
 # EXPLAIN ANALYZE instrumentation
 # ---------------------------------------------------------------------------
 
-#: Short EXPLAIN ANALYZE labels for the counters worth showing
-#: per-operator; anything not listed renders as ``group.field``.
-#: ``buffer.hits``/``buffer.misses`` are folded into one ``touches``
-#: figure (buffer-cache accesses) at render time.
-_ANALYZE_LABELS: Dict[Tuple[str, str], str] = {
-    ("labels", "covers_calls"): "covers",
-    ("labels", "strip_calls"): "strip",
-    ("labels", "rows_suppressed"): "suppressed",
-    ("index", "lookups"): "lookups",
-    ("index", "range_scans"): "range_scans",
-    ("exec", "columns_materialized"): "cells",
-    ("exec", "rows_widened"): "widened",
-    ("spill", "spills"): "spills",
-    ("spill", "partitions_created"): "spill_partitions",
-    ("spill", "repartitions"): "repartitions",
-    ("spill", "rows_spilled"): "spill_rows",
-    ("spill", "bytes_spilled"): "spill_bytes",
-    ("spill", "sort_spills"): "sort_spills",
-    ("spill", "sort_runs"): "sort_runs",
-    ("spill", "agg_spills"): "agg_spills",
-    ("spill", "agg_partitions"): "agg_partitions",
-    ("wal", "records"): "wal_records",
-    ("wal", "bytes"): "wal_bytes",
-    ("wal", "flushes"): "wal_flushes",
-    ("wal", "commits"): "wal_commits",
-}
-
-#: Counters that never appear in per-operator EXPLAIN ANALYZE lines.
-#: The stats sweep can fire during planning, outside any operator.
-_ANALYZE_SKIP = {("stats", "tables_collected"), ("stats", "drift_refreshes"),
-                 # A high-water gauge, not a counter — deltas between
-                 # two reads of it are meaningless.
-                 ("wal", "group_commit_size")}
+#: EXPLAIN ANALYZE's name for each counter the schema shows (hidden
+#: ones are absent; the per-database ``buffer`` cells are rendered by
+#: :meth:`PlanRecorder._format_counters` itself).
+_ANALYZE = {(group, field): label
+            for group, field, _kind, label in SCHEMA if label}
 
 
 class OpStats:
@@ -480,11 +240,6 @@ class OpProbe:
         return self._wrap(self.inner.versions(ctx), count)
 
 
-#: Plan-node attributes that hold child plans (see
-#: :func:`repro.db.physical._children`).
-_CHILD_ATTRS = ("child", "left", "right", "inner")
-
-
 class PlanRecorder:
     """Builds and renders an instrumented copy of a plan tree.
 
@@ -508,10 +263,8 @@ class PlanRecorder:
     # -- instrumentation ------------------------------------------------
     def instrument(self, plan) -> OpProbe:
         clone = copy.copy(plan)
-        for attr in _CHILD_ATTRS:
-            child = getattr(plan, attr, None)
-            if isinstance(child, _physical.Plan):
-                setattr(clone, attr, self.instrument(child))
+        for attr in plan.CHILDREN:
+            setattr(clone, attr, self.instrument(getattr(plan, attr)))
         stats = OpStats(len(self.cells))
         self._stats[id(plan)] = (plan, stats)
         if isinstance(clone, _physical.Scan):
@@ -541,7 +294,7 @@ class PlanRecorder:
         """Self-only counter deltas: inclusive minus children."""
         stats = self.stats_of(plan)
         counters = list(stats.counters)
-        for child in _physical._children(plan):
+        for child in plan.children():
             child_stats = self.stats_of(child)
             if child_stats is None:
                 continue
@@ -555,18 +308,15 @@ class PlanRecorder:
         for (group, field), value in zip(self.cells, counters):
             if not value:
                 continue
-            if group == "buffer":
-                if field in ("hits", "misses"):
-                    touches += value
-                    continue
-                if field == "io_time":
-                    parts.append("io=%.3fms" % (value * 1000.0))
-                    continue
-            if (group, field) in _ANALYZE_SKIP:
-                continue
-            label = _ANALYZE_LABELS.get((group, field),
-                                        "%s.%s" % (group, field))
-            parts.append("%s=%s" % (label, value))
+            if group != "buffer":
+                if (group, field) in _ANALYZE:
+                    parts.append("%s=%s" % (_ANALYZE[group, field], value))
+            elif field == "io_time":
+                parts.append("io=%.3fms" % (value * 1000.0))
+            elif field == "evictions":
+                parts.append("buffer.evictions=%d" % value)
+            else:                          # hits + misses
+                touches += value
         if touches:
             parts.insert(0, "touches=%d" % touches)
         return "".join(" " + part for part in parts)
@@ -599,7 +349,7 @@ class PlanRecorder:
                     checks / chunks if chunks else 0.0)
             line += "  (%s)" % actual
         lines = [line]
-        for child in _physical._children(plan):
+        for child in plan.children():
             lines.extend(self.render_plan(child, indent + 1))
         return lines
 

@@ -21,13 +21,13 @@ stay columns, and labels are re-interned on arrival once per distinct
 label of the block, so a decoded label is *identical* to the live
 instance and every downstream identity-keyed memo keeps working.
 
-**Counter protocol.**  Each child resets the process-wide
-:class:`~repro.db.metrics.MetricsRegistry` right after the fork (its
-copy-on-write copy — the parent is unaffected), does its slice of the
-work, and ships its final ``REGISTRY.snapshot()`` as a pure delta with
-the end-of-stream sentinel.  The parent merges every delta through
-``REGISTRY.merge()``, which lands on the coordinating statement's own
-thread-local counters — so the per-statement bracket sees exactly the
+**Counter protocol.**  Each child resets the counters
+(:mod:`repro.core.counters`) right after the fork (its copy-on-write
+copy — the parent is unaffected), does its slice of the work, and
+ships its final ``counters.snapshot()`` as a pure delta with the
+end-of-stream sentinel.  The parent merges every delta through
+``counters.merge()``, which lands on the coordinating statement's own
+per-thread tally — so the per-statement bracket sees exactly the
 sum of serial-equivalent work, with zero slack.
 
 **Ordering.**  Ranges are contiguous and workers drain in worker
@@ -46,7 +46,7 @@ import os
 import pickle
 from typing import Callable, Iterator, List, Tuple
 
-from . import metrics
+from ..core import counters
 from .spill import decode_block, encode_block
 
 
@@ -90,7 +90,7 @@ def split_ranges(start: int, stop: int,
 def _worker_main(conn, fn: Callable[[], Iterator]) -> None:
     """Child half of the gang protocol (runs in the forked process).
 
-    Resets the inherited counter registry (pure-delta accounting),
+    Resets the inherited counters (pure-delta accounting),
     streams ``fn()``'s batches back as encoded blocks, then sends the
     ``("done", snapshot)`` sentinel.  Exits with ``os._exit`` so the
     child never runs the parent's atexit hooks or flushes inherited
@@ -98,11 +98,11 @@ def _worker_main(conn, fn: Callable[[], Iterator]) -> None:
     """
     status = 0
     try:
-        metrics.REGISTRY.reset()
+        counters.reset()
         for batch in fn():
             conn.send(("block", encode_block(
                 (), batch.columns(), batch.labels, batch.ilabels)))
-        conn.send(("done", metrics.REGISTRY.snapshot()))
+        conn.send(("done", counters.snapshot()))
     except BaseException as exc:                # noqa: BLE001 — shipped
         try:
             payload = pickle.dumps(exc)
@@ -126,7 +126,7 @@ def run_gang(tasks: List[Callable[[], Iterator]]) -> Iterator:
     """Fork one worker per task — a callable returning an iterator of
     batches; yield the decoded blocks (:func:`repro.db.spill.
     decode_block`) of task 0, then task 1, … (serial order); merge
-    every worker's counter snapshot into the calling thread's registry.
+    every worker's counter snapshot into the calling thread's tally.
 
     The pipe gives natural backpressure: later workers compute ahead
     until their pipe buffer fills, then block until the parent drains
@@ -170,7 +170,7 @@ def run_gang(tasks: List[Callable[[], Iterator]]) -> Iterator:
                 if kind == "block":
                     yield decode_block(payload)
                 elif kind == "done":
-                    metrics.REGISTRY.merge(payload)
+                    counters.merge(payload)
                     break
                 else:                                        # "err"
                     raise pickle.loads(payload)

@@ -78,9 +78,9 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add as _add, gt as _gt, itemgetter, lt as _lt
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.counters import CounterGroup
+from ..core.counters import tally
 from ..core.labels import EMPTY_LABEL, Label
-from ..core.rules import COUNTERS as RULE_COUNTERS, covers, strip
+from ..core.rules import covers, strip
 from ..errors import AuthorityError
 from .catalog import ViewDef
 from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, GroupSpill,
@@ -103,27 +103,6 @@ DEFAULT_BATCH_SIZE = 1024
 #: two cross between 3 versions (4.1 vs 4.2 µs) and 4 (5.9 vs 4.3),
 #: and on chains of dead versions they tie at every length.
 SET_AT_A_TIME_MIN = 4
-
-
-class ExecCounters(CounterGroup):
-    """Process-wide executor counters, in the ``rules.COUNTERS`` mold
-    (diff a snapshot around the work of interest).
-
-    ``columns_materialized`` counts *cells* (column values) the scans
-    copied out of stored tuples into batch columns — the observable
-    proof of projection pushdown: a scan projecting 2 of N columns
-    materializes ``2 × rows`` cells, batch-size invariant.
-    ``rows_widened`` counts rows rebuilt to row-major form from a
-    columnar batch (:attr:`RowBatch.values`).  No operator
-    widens its input — folds and joins read columns — so a statement
-    widens each output row at most once, at the cursor drain.
-    """
-
-    FIELDS = ("columns_materialized", "rows_widened")
-
-
-#: The module-wide counter instance.
-EXEC_COUNTERS = ExecCounters()
 
 
 class RowBatch:
@@ -154,9 +133,9 @@ class RowBatch:
 
     :attr:`values` is a lazy property: on a columnar batch the first
     access widens the batch back to row-major (counted in
-    ``EXEC_COUNTERS.rows_widened``) and caches the result.  Its
-    consumers sit outside the operator tree (the cursor drain, the
-    expression subqueries); operators read :meth:`column` instead.
+    ``exec.rows_widened``) and caches the result.  Its consumers sit
+    outside the operator tree (the cursor drain, the expression
+    subqueries); operators read :meth:`column` instead.
     A row producer's rows may be tuples: nothing mutates or
     concatenates a batch's rows in place.
     """
@@ -247,7 +226,7 @@ class RowBatch:
         cols = self._columns
         sel = self._sel
         n = len(self.labels)
-        EXEC_COUNTERS.rows_widened += n
+        tally().rows_widened += n
         if not n:
             return []
         if sel is None and None not in cols:
@@ -407,6 +386,13 @@ class Plan:
     #: Optimizer-estimated external-sort runs (0 = the sort is expected
     #: to run fully in memory); rendered by EXPLAIN as ``runs=N``.
     est_runs: int = 0
+    #: Names of the attributes that hold this operator's input plans,
+    #: in EXPLAIN order: the one declaration every tree walk reads
+    #: (:meth:`children`; EXPLAIN ANALYZE rewires them on its clones).
+    CHILDREN: Tuple[str, ...] = ()
+
+    def children(self) -> List["Plan"]:
+        return [getattr(self, attr) for attr in self.CHILDREN]
 
     def batches(self, ctx: ExecContext) -> Iterator[RowBatch]:
         raise NotImplementedError
@@ -488,7 +474,7 @@ def _label_filter(ctx: "ExecContext", versions: list, declass: Label,
     if hidden:
         flags = list(map(verdicts.__getitem__, labels))
         versions = list(compress(versions, flags))
-        RULE_COUNTERS.rows_suppressed += len(labels) - len(versions)
+        tally().rows_suppressed += len(labels) - len(versions)
         labels = list(compress(labels, flags))
     if declass:
         labels = list(map(stripped.__getitem__, labels))
@@ -531,7 +517,7 @@ def _visible_chunk(ctx: ExecContext, table: Table, chunk: list,
             if declass:
                 label = strip(registry, label, declass)
             if not covers(registry, label, read_label):
-                RULE_COUNTERS.rows_suppressed += 1
+                tally().rows_suppressed += 1
                 continue
         kept.append(version)
         labels.append(label)
@@ -653,9 +639,9 @@ class Scan(Plan):
         materialization.
 
         Only the ``needed`` stored columns of the surviving tuples are
-        copied into per-column arrays (``EXEC_COUNTERS.
-        columns_materialized`` counts the copied cells), with the
-        emitted labels doubling as the ``_label`` pseudo-column.
+        copied into per-column arrays (``exec.columns_materialized``
+        counts the copied cells), with the emitted labels doubling as
+        the ``_label`` pseudo-column.
         """
         if ctx.ifc_enabled and self.view_grants:
             _check_view_authority(ctx, self.view_grants)
@@ -669,7 +655,7 @@ class Scan(Plan):
             for p in positions:
                 columns[p] = [values[p] for values in tuples]
             columns[ncols] = labels           # the _label pseudo-column
-            EXEC_COUNTERS.columns_materialized += \
+            tally().columns_materialized += \
                 len(positions) * len(kept)
             yield RowBatch.from_columns(
                 columns, labels, [version.ilabel for version in kept])
@@ -750,6 +736,8 @@ class IndexRangeScan(Scan):
 class Filter(Plan):
     """Residual predicate, batch-compiled
     (:meth:`repro.db.expressions.ExprCompiler.compile_batch`)."""
+
+    CHILDREN = ("child",)
 
     def __init__(self, child: Plan, predicate: Callable):
         self.child = child
@@ -861,6 +849,8 @@ class NestedLoopJoin(Plan):
     (:func:`_join_batches`).
     """
 
+    CHILDREN = ("left", "right")
+
     def __init__(self, left: Plan, right: Plan, kind: str,
                  on: Optional[Callable], right_width: int):
         self.left = left
@@ -895,6 +885,8 @@ class IndexLoopJoin(Plan):
     duplicate-heavy foreign key stops multiplying the per-probe costs.
     Joined rows come out in outer-row order (:func:`_join_batches`).
     """
+
+    CHILDREN = ("left",)
 
     def __init__(self, left: Plan, table: Table, index,
                  key_fns: List[Callable], residual: Optional[Callable],
@@ -969,6 +961,8 @@ class HashJoin(Plan):
     #: partition range independently; gathering in range order keeps
     #: the serial output order.
     workers: int = 0
+
+    CHILDREN = ("left", "right")
 
     def __init__(self, left: Plan, right: Plan, left_key_fns: List[Callable],
                  right_key_fns: List[Callable], residual: Optional[Callable],
@@ -1323,6 +1317,8 @@ class AggregateNode(Plan):
     #: no cross-worker combine step is ever needed.
     workers: int = 0
 
+    CHILDREN = ("child",)
+
     def __init__(self, child: Plan, group_fns: List[Callable],
                  specs: List[AggSpec], global_agg: bool):
         self.child = child
@@ -1456,6 +1452,8 @@ class Project(Plan):
     columns (no per-row zip-back; widening to row-major happens lazily,
     at the cursor)."""
 
+    CHILDREN = ("child",)
+
     def __init__(self, child: Plan, fns: List[Callable]):
         self.child = child
         self.fns = fns
@@ -1552,6 +1550,8 @@ class Sort(Plan):
     orders agree, so naturally-sorted runs are correctly ordered under
     it even when *different* runs hold incomparable types.
     """
+
+    CHILDREN = ("child",)
 
     def __init__(self, child: Plan, key_fns: List[Callable],
                  descending: List[bool]):
@@ -1803,6 +1803,8 @@ class Distinct(Plan):
     holding one row per partition stream.
     """
 
+    CHILDREN = ("child",)
+
     def __init__(self, child: Plan):
         self.child = child
 
@@ -1853,6 +1855,8 @@ class Distinct(Plan):
 
 
 class Limit(Plan):
+    CHILDREN = ("child",)
+
     def __init__(self, child: Plan, limit_fn: Optional[Callable],
                  offset_fn: Optional[Callable]):
         self.child = child
@@ -1898,6 +1902,8 @@ class DeterministicOrder(Plan):
     ``deterministic_order`` flag.
     """
 
+    CHILDREN = ("child",)
+
     def __init__(self, child: Plan):
         self.child = child
 
@@ -1918,6 +1924,8 @@ class ViewPlan(Plan):
     optimizer keeps *above* this node observe post-declassification
     labels.  The optimizer never pushes a predicate through it.
     """
+
+    CHILDREN = ("inner",)
 
     def __init__(self, inner: Plan):
         self.inner = inner
@@ -1994,20 +2002,9 @@ def explain_plan(plan: Plan, indent: int = 0) -> List[str]:
     summaries, so the output always reflects the tree — and the
     costing — that execution would run under."""
     lines = ["  " * indent + _explain_line(plan)]
-    for child in _children(plan):
+    for child in plan.children():
         lines.extend(explain_plan(child, indent + 1))
     return lines
-
-
-def _children(plan: Plan) -> List[Plan]:
-    if isinstance(plan, (NestedLoopJoin, HashJoin)):
-        return [plan.left, plan.right]
-    if isinstance(plan, IndexLoopJoin):
-        return [plan.left]
-    if isinstance(plan, ViewPlan):
-        return [plan.inner]
-    child = getattr(plan, "child", None)
-    return [child] if child is not None else []
 
 
 def stamp_batch_size(plan: Plan, size: int) -> Plan:
@@ -2016,7 +2013,7 @@ def stamp_batch_size(plan: Plan, size: int) -> Plan:
     not part of the tree: they are stamped (to 1) where they are
     compiled."""
     plan.batch_size = size
-    for child in _children(plan):
+    for child in plan.children():
         stamp_batch_size(child, size)
     return plan
 
@@ -2034,7 +2031,7 @@ def plan_tables(plan: Plan) -> frozenset:
         table = getattr(node, "table", None)
         if isinstance(table, Table):
             names.add(table.name)
-        for child in _children(node):
+        for child in node.children():
             visit(child)
 
     visit(plan)

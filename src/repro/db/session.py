@@ -273,9 +273,9 @@ class Session:
                 return self._execute_other(statement, params, sql)
         except IFCViolation as error:
             # Write-rule / commit-label denial: IFC audit trail.
-            db._audit_denial(statement, sql, error)
+            db._audit_denial(statement, error)
             raise
-        db._finish_statement(track, statement, sql, result.rowcount)
+        db._finish_statement(track, statement, result.rowcount)
         return result
 
     def _execute_other(self, statement, params: Tuple,

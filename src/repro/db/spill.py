@@ -50,7 +50,7 @@ import tempfile
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.counters import CounterGroup
+from ..core.counters import tally
 from ..core.labels import Label
 from ..errors import SpillError
 
@@ -70,33 +70,6 @@ BUCKET_ENTRY_BYTES = 96
 #: grace-aggregation estimate, so they agree on what group state
 #: weighs.
 AGG_STATE_BYTES = 120
-
-
-class SpillStats(CounterGroup):
-    """Process-wide spill counters (diff before/after, like
-    ``rules.COUNTERS``).  ``spills`` counts top-level build-side
-    overflow events (one per join that spilled, however deep the
-    recursion), ``repartitions`` recursive splits — both grace-join
-    partitions and re-partitioned aggregation state — and
-    ``partitions_created`` build spools that actually received rows;
-    ``rows_spilled`` and ``bytes_spilled`` are accounted as each block
-    reaches its temp file, so a spool closed unread still counts.
-    ``sort_spills``/``sort_runs`` count external merge
-    sorts and the sorted runs they spooled; ``agg_spills``/
-    ``agg_partitions`` the grace hash aggregations (and DISTINCTs)
-    whose group state overflowed and the partitions that received
-    rows.  Registered as the ``spill`` group of the unified
-    :data:`repro.db.metrics.REGISTRY`; ``bytes_spilled`` also feeds
-    the per-statement stats (``Database.stats()["statements"]``) and
-    EXPLAIN ANALYZE's ``spill_*`` columns."""
-
-    FIELDS = ("spills", "partitions_created", "repartitions",
-              "rows_spilled", "bytes_spilled", "sort_spills",
-              "sort_runs", "agg_spills", "agg_partitions")
-
-
-#: The module-wide counter instance.
-SPILL_STATS = SpillStats()
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +355,9 @@ class SpillFile:
             raise SpillError("spill write failed: %d of %d bytes written"
                              % (written, len(data)))
         self._sizes.append(len(data))
-        SPILL_STATS.rows_spilled += len(labels)
-        SPILL_STATS.bytes_spilled += len(data)
+        counts = tally()
+        counts.rows_spilled += len(labels)
+        counts.bytes_spilled += len(data)
 
     def blocks(self) -> Iterator[tuple]:
         """Yield every block as ``(key_columns, columns, labels,
@@ -459,7 +433,7 @@ class SpilledHashBuild:
             {} if keep_resident else None
         self.resident_bytes = 0
         if depth == 0:
-            SPILL_STATS.spills += 1
+            tally().spills += 1
 
     def route(self, keys) -> List[int]:
         """The partition index of every key of a chunk."""
@@ -482,7 +456,7 @@ class SpilledHashBuild:
                 continue
             spool = partitions[index].build
             if not spool.count:
-                SPILL_STATS.partitions_created += 1
+                tally().partitions_created += 1
             spool.append(key, *row)
 
     def _add_resident(self, key: tuple, row) -> None:
@@ -583,7 +557,7 @@ class SpilledHashBuild:
                         keep_resident=False)
                     child.take_buckets(buckets)
                     buckets = {}
-                    SPILL_STATS.repartitions += 1
+                    tally().repartitions += 1
             if child is None:
                 for block in partition.probe.blocks():
                     yield block, buckets
@@ -634,7 +608,7 @@ class SortRuns:
         self.spools = spools
         self.runs: List[SpillFile] = []
         self.key_types: List[set] = [set() for _ in range(n_keys)]
-        SPILL_STATS.sort_spills += 1
+        tally().sort_spills += 1
 
     def new_run(self, key_columns) -> SpillFile:
         """Open the next run, for rows with these key columns."""
@@ -642,7 +616,7 @@ class SortRuns:
             kinds.update(map(type, column))
         run = SpillFile(self.spools)
         self.runs.append(run)
-        SPILL_STATS.sort_runs += 1
+        tally().sort_runs += 1
         return run
 
     def close(self) -> None:
@@ -677,14 +651,14 @@ class GroupSpill:
         self.spools: List[SpillFile] = [SpillFile(spools)
                                         for _ in range(fanout)]
         if depth == 0:
-            SPILL_STATS.agg_spills += 1
+            tally().agg_spills += 1
         else:
-            SPILL_STATS.repartitions += 1
+            tally().repartitions += 1
 
     def add(self, key: tuple, values, label: Label, ilabel: Label) -> None:
         spool = self.spools[hash((self.salt, key)) % len(self.spools)]
         if not spool.count:
-            SPILL_STATS.agg_partitions += 1
+            tally().agg_partitions += 1
         spool.append(key, values, label, ilabel)
 
     def partitions(self) -> Iterator[Iterator[tuple]]:

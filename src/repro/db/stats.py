@@ -37,26 +37,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.counters import CounterGroup
+from ..core.counters import tally
 from .spill import estimate_value_bytes
 
-
-class StatsCounters(CounterGroup):
-    """Process-wide statistics-subsystem counters (registered as the
-    ``stats`` group of :data:`repro.db.metrics.REGISTRY`; diff
-    before/after like the other families).  ``tables_collected`` counts
-    per-table collections from any trigger (explicit ``ANALYZE``,
-    drift refresh, stale-source recollection); ``drift_refreshes``
-    counts only the automatic ones — the background planner work that
-    can surprise a latency measurement, which is why EXPLAIN ANALYZE
-    excludes this group from per-operator attribution (a sweep fires
-    during planning, outside any operator)."""
-
-    FIELDS = ("tables_collected", "drift_refreshes")
-
-
-#: The module-wide counter instance (see :class:`StatsCounters`).
-COUNTERS = StatsCounters()
 
 # ---------------------------------------------------------------------------
 # default selectivities (used when stats are absent or bounds are
@@ -362,7 +345,7 @@ class StatsManager:
         for table in tables:
             self._stats[table.name] = collect_table_stats(
                 table, self._db.txn_manager, epoch)
-            COUNTERS.tables_collected += 1
+            tally().tables_collected += 1
             self._db.invalidate_plans_for(table.name)
         if tables:
             self.version += 1
@@ -413,8 +396,9 @@ class StatsManager:
     def _refresh(self, table) -> TableStats:
         stats = collect_table_stats(table, self._db.txn_manager,
                                     self._epoch())
-        COUNTERS.tables_collected += 1
-        COUNTERS.drift_refreshes += 1
+        counts = tally()
+        counts.tables_collected += 1
+        counts.drift_refreshes += 1
         self._stats[table.name] = stats
         self.version += 1
         self._db.invalidate_plans_for(table.name)

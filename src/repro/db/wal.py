@@ -68,7 +68,7 @@ import time
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from ..core.counters import CounterGroup
+from ..core.counters import tally
 from ..core.labels import Label
 from ..errors import DatabaseError
 from .faultinject import CrashError, FaultSpec, FaultyFile
@@ -84,31 +84,6 @@ _HEADER = struct.Struct("<II")
 class WalError(DatabaseError):
     """The WAL could not make a record durable; the commit is refused."""
 
-
-class WalStats(CounterGroup):
-    """Process-wide WAL counters, registered as the ``wal`` group of
-    the unified :data:`repro.db.metrics.REGISTRY` (so they surface in
-    ``Database.stats()``, per-statement deltas, and EXPLAIN ANALYZE's
-    statement-total line).  ``group_commit_size`` is a high-water mark
-    (largest number of commits absorbed by one flush), not an additive
-    counter — cross-thread totals max-combine it.  Increments land on
-    whichever thread led the flush; ``snapshot()`` sums across threads
-    (:class:`~repro.core.counters.CounterGroup`), which is what the
-    threaded group-commit tests read via ``Database.stats()``.
-
-    Fields: ``records`` (records appended, commit + ddl), ``bytes``
-    (record bytes written incl. headers), ``flushes`` (successful
-    flush batches), ``fsyncs``, ``commits`` (commit records made
-    durable), ``commit_flushes`` (flushes covering >= 1 commit), and
-    the ``group_commit_size`` gauge."""
-
-    FIELDS = ("records", "bytes", "flushes", "fsyncs", "commits",
-              "commit_flushes", "group_commit_size")
-    MAX_FIELDS = ("group_commit_size",)
-
-
-#: The module-wide counter instance.
-WAL_STATS = WalStats()
 
 _AUTO_COUNTER = [0]
 _AUTO_LOCK = threading.Lock()
@@ -223,10 +198,8 @@ class WriteAheadLog:
     """
 
     def __init__(self, path: str, *, group_commit_ms: float = 0.0,
-                 fault: Optional[FaultSpec] = None,
-                 stats: WalStats = WAL_STATS):
+                 fault: Optional[FaultSpec] = None):
         self.path = path
-        self._stats = stats
         self._delay = max(0.0, float(group_commit_ms)) / 1000.0
         _records, valid, tail = scan_wal(path)
         self.existing_records = len(_records)
@@ -306,7 +279,6 @@ class WriteAheadLog:
         """Write every record, then one fsync.  Returns the failure (if
         any) instead of raising so the leader can wake the group before
         propagating."""
-        stats = self._stats
         written = 0
         try:
             for entry in batch:
@@ -332,6 +304,7 @@ class WriteAheadLog:
                 "WAL fsync failed; commit refused and %d unsynced bytes "
                 "truncated: %s" % (written, exc))
         commits = sum(1 for entry in batch if entry.is_commit)
+        stats = tally()                # this thread led the flush
         stats.records += len(batch)
         stats.bytes += written
         stats.flushes += 1

@@ -229,6 +229,10 @@ class Explain:
     analyze: bool = False
 
 
+#: A statement parsed from text (``parser.parse_statement``) also
+#: carries ``fingerprint``, the literal-free form of its tokens — an
+#: instance attribute, not a field: it takes no part in equality and a
+#: statement built programmatically has none.
 Statement = Union[Select, Insert, Update, Delete, CreateTable, CreateView,
                   CreateIndex, DropTable, DropView, DropIndex, Begin, Commit,
                   Rollback, Call, Vacuum, Analyze, Explain]

@@ -130,3 +130,15 @@ def tokenize(sql: str) -> List[Token]:
             raise SQLSyntaxError("unexpected character %r at %d" % (ch, i))
     tokens.append(Token(EOF, None, n))
     return tokens
+
+
+_LITERALS = (NUMBER, STRING, PARAM)
+
+
+def fingerprint(tokens: List[Token]) -> str:
+    """The pg_stat_statements-style key of a token stream: literals
+    (numbers, strings, parameters) become ``?`` so ``…WHERE id = 7`` and
+    ``…WHERE id = 9`` aggregate under one key; whitespace and comments
+    went with the lexer; identifiers keep their case."""
+    return " ".join(["?" if token.kind in _LITERALS else str(token.value)
+                     for token in tokens[:-1]])          # all but EOF

@@ -32,7 +32,8 @@ from typing import List, Optional, Tuple
 from ..db import expressions as ex
 from ..errors import SQLSyntaxError
 from . import ast
-from .lexer import EOF, IDENT, NUMBER, OP, PARAM, STRING, Token, tokenize
+from .lexer import (EOF, IDENT, NUMBER, OP, PARAM, STRING, Token,
+                    fingerprint, tokenize)
 
 
 class Parser:
@@ -756,8 +757,13 @@ class Parser:
 
 
 def parse_statement(sql: str) -> ast.Statement:
-    """Parse a single SQL statement."""
-    return Parser(sql).parse_statement()
+    """Parse a single SQL statement.  The statement carries the
+    ``fingerprint`` of the tokens it was parsed from — what the engine
+    aggregates its executions under — so no one lexes the text again."""
+    parser = Parser(sql)
+    statement = parser.parse_statement()
+    statement.fingerprint = fingerprint(parser.tokens)
+    return statement
 
 
 def parse_script(sql: str) -> List[ast.Statement]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AuthorityState, IFCProcess, Label, SeededIdGenerator
-from repro.db import Database, metrics
+from repro.core import AuthorityState, IFCProcess, Label, \
+    SeededIdGenerator, counters
+from repro.db import Database
 
 
 @pytest.fixture(autouse=True)
@@ -14,20 +15,9 @@ def _reset_metrics():
     """Process-wide counters are shared by every Database in the process;
     start each test from zero so exact-count pins cannot bleed across
     tests (and leave a clean slate behind for the next one)."""
-    metrics.REGISTRY.reset()
+    counters.reset()
     yield
-    metrics.REGISTRY.reset()
-
-
-@pytest.fixture
-def metrics_scope():
-    """Factory for per-block counter deltas:
-
-        with metrics_scope() as scope:
-            session.execute(...)
-        assert scope["labels"]["covers_calls"] == 2
-    """
-    return metrics.REGISTRY.scope
+    counters.reset()
 
 
 @pytest.fixture

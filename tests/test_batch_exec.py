@@ -913,7 +913,7 @@ def test_stamp_reaches_every_node_through_views_and_joins():
     def walk(node):
         seen.append(type(node).__name__)
         assert node.batch_size == 17, node
-        for child in physical._children(node):
+        for child in node.children():
             walk(child)
 
     walk(prepared.plan)

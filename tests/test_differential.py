@@ -45,10 +45,10 @@ import random
 
 import pytest
 
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.db import Database
 from repro.db.physical import IndexRangeScan, IndexScan, Scan
-from repro.db.spill import SPILL_STATS
 from repro.errors import ReproError
 
 FIXED_SEED = 0x1FDB
@@ -382,7 +382,7 @@ def _run_differential(seed: int, n_statements: int,
     _populate(universes, gen)
     assert optimized.state() == reference.state(), \
         "%s populated state diverged" % tag
-    spilled_before = SPILL_STATS.snapshot()
+    spilled_before = counters.snapshot()["spill"]
 
     executed = 0
     optimized_shapes, reference_shapes = set(), set()
@@ -412,7 +412,7 @@ def _run_differential(seed: int, n_statements: int,
     # grace-spill machinery — hash joins, external sorts, AND grace
     # aggregation/distinct — or the work_mem matrix proves nothing.
     if require_spill:
-        spilled_after = SPILL_STATS.snapshot()
+        spilled_after = counters.snapshot()["spill"]
         for counter in ("spills", "sort_spills", "agg_spills"):
             assert spilled_after[counter] > spilled_before[counter], (
                 "%s no %s under work_mem=%r" % (tag, counter, work_mem))
@@ -634,3 +634,61 @@ def test_grouped_in_subquery(layout):
             for session in (optimized, reference):
                 rows = [tuple(r) for r in session.execute(sql).rows]
                 assert rows == expected, (sql, rows)
+
+
+# ---------------------------------------------------------------------------
+# plan-node shape: the children a class declares are the plans it holds
+# ---------------------------------------------------------------------------
+
+def test_plan_nodes_declare_exactly_the_plans_they_hold():
+    """``Plan.CHILDREN`` is the one declaration behind EXPLAIN, the
+    batch-size stamp, plan-cache eviction and EXPLAIN ANALYZE's
+    rewiring.  For every operator class the corpus lowers — cost-based
+    and naive, in memory and spilling — the declared attributes are
+    exactly the instance attributes holding a ``Plan``."""
+    from repro.db.physical import Plan
+
+    rng = random.Random(SEED)
+    gen = StatementGenerator(rng)
+    universes = (Universe(naive=False, work_mem=1024),
+                 Universe(naive=True, work_mem=0))
+    lowered = []
+    for universe in universes:
+        planner = universe.db.planner
+        for name in ("plan_select", "plan_dml"):
+            def recording(statement, _plan=getattr(planner, name)):
+                prepared = _plan(statement)
+                lowered.append(prepared.plan)
+                return prepared
+            setattr(planner, name, recording)
+    _populate(universes, gen)
+    universes[0].sessions["public"].execute(
+        "CREATE VIEW busy AS SELECT device, COUNT(*) AS n FROM readings "
+        "GROUP BY device")
+    universes[0].sessions["public"].execute(
+        "SELECT DISTINCT n FROM busy ORDER BY n LIMIT 3 OFFSET 1")
+    for _ in range(200):
+        op = gen.statement()
+        for universe in universes:
+            run_one(universe, op)
+
+    seen = set()
+
+    def check(node):
+        seen.add(type(node))
+        holding = [name for name, value in vars(node).items()
+                   if isinstance(value, Plan)]
+        assert sorted(holding) == sorted(node.CHILDREN), type(node)
+        children = node.children()
+        assert [id(c) for c in children] \
+            == [id(getattr(node, name)) for name in node.CHILDREN]
+        for child in children:
+            check(child)
+
+    for plan in lowered:
+        check(plan)
+    names = {cls.__name__ for cls in seen}
+    assert names >= {"Scan", "IndexScan", "IndexRangeScan", "Filter",
+                     "Project", "HashJoin", "IndexLoopJoin",
+                     "NestedLoopJoin", "AggregateNode", "Sort", "TopN",
+                     "Distinct", "Limit", "ViewPlan"}, names

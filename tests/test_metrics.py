@@ -1,17 +1,18 @@
-"""The unified metrics registry (db/metrics.py) and the statement-level
-collectors wired through it: per-statement deltas, pg_stat_statements-
-style aggregation, the slow-query log, and the IFC audit trail.
+"""The counter schema (core/counters.py) and the statement-level
+collectors wired through it (db/metrics.py): per-statement deltas,
+pg_stat_statements-style aggregation, the slow-query log, and the IFC
+audit trail.
 
 These pin the observability contracts the rest of the suite (and the
 benchmarks) rely on:
 
-* one registry spans every counter family, and the module singletons
-  (``rules.COUNTERS`` & co.) remain the live storage — aliases, not
-  copies;
-* ``Database.stats()`` reports *all* families (the pre-registry report
-  silently omitted the rules and index counters);
-* snapshot/merge round-trips exactly — the API a parallel executor's
-  per-worker accumulation will use;
+* one schema spans every counter family; the hot paths count on a
+  per-thread tally and ``snapshot()`` sums the threads, exited ones
+  included;
+* ``Database.stats()`` reports *all* families under the names the
+  tracked benchmark resolves;
+* snapshot/merge round-trips exactly — the worker protocol — with
+  ``max`` for gauges;
 * audit events fire for the paper's three observable security actions:
   suppression under the Label Confinement Rule, declassifying-view
   invocation, and write-rule denial.
@@ -19,12 +20,19 @@ benchmarks) rely on:
 
 from __future__ import annotations
 
+import os
+import re
+import sys
+import threading
+
 import pytest
 
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
-from repro.core import rules
-from repro.db import Database, indexes, metrics, physical, spill
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
+from repro.core.counters import tally
+from repro.db import Database
 from repro.errors import AuthorityError, IFCViolation
+from repro.sql import lexer
 
 
 def _fresh(**kwargs):
@@ -40,18 +48,80 @@ def _fresh(**kwargs):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the counter schema and the per-thread tally
 # ---------------------------------------------------------------------------
 
-def test_registry_groups_alias_the_module_singletons():
-    assert metrics.REGISTRY.group("labels") is rules.COUNTERS
-    assert metrics.REGISTRY.group("index") is indexes.COUNTERS
-    assert metrics.REGISTRY.group("exec") is physical.EXEC_COUNTERS
-    assert metrics.REGISTRY.group("spill") is spill.SPILL_STATS
+#: What ``Database.stats()`` nests by group and ``metrics_cells()``
+#: lists, pinned from the commit before the schema existed: the tracked
+#: benchmark resolves its per-layer metrics through these names.  A
+#: counter added to the schema is added here (and to ARCHITECTURE.md).
+PINNED_CELLS = [
+    ("labels", "covers_calls"), ("labels", "strip_calls"),
+    ("labels", "rows_suppressed"),
+    ("index", "lookups"), ("index", "range_scans"),
+    ("exec", "columns_materialized"), ("exec", "rows_widened"),
+    ("spill", "spills"), ("spill", "partitions_created"),
+    ("spill", "repartitions"), ("spill", "rows_spilled"),
+    ("spill", "bytes_spilled"), ("spill", "sort_spills"),
+    ("spill", "sort_runs"), ("spill", "agg_spills"),
+    ("spill", "agg_partitions"),
+    ("stats", "tables_collected"), ("stats", "drift_refreshes"),
+    ("wal", "records"), ("wal", "bytes"), ("wal", "flushes"),
+    ("wal", "fsyncs"), ("wal", "commits"), ("wal", "commit_flushes"),
+    ("wal", "group_commit_size"),
+]
+PINNED_BUFFER_CELLS = [("buffer", "hits"), ("buffer", "misses"),
+                       ("buffer", "evictions"), ("buffer", "io_time")]
 
 
-def test_registry_snapshot_covers_every_family_field():
-    snap = metrics.REGISTRY.snapshot()
+def test_stats_and_metrics_cells_keep_the_pinned_names():
+    db, _public, _secret, _tag, _a, _o = _fresh()
+    assert db.metrics_cells() == PINNED_CELLS + PINNED_BUFFER_CELLS
+    report = db.stats()
+    groups = dict.fromkeys(group for group, _field in PINNED_CELLS)
+    assert list(report)[:len(groups)] == list(groups)
+    assert [(group, field) for group in groups
+            for field in report[group]] == PINNED_CELLS
+    assert "buffer" not in report          # flat buffer_hits/_misses only
+    assert list(counters.CELLS) == PINNED_CELLS
+
+
+def _doc_table(name):
+    """Rows (lists of cell texts) of the ARCHITECTURE.md table between
+    the ``<!-- name:begin/end -->`` markers, header rows dropped."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "ARCHITECTURE.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    body = text.split("<!-- %s:begin -->" % name)[1] \
+        .split("<!-- %s:end -->" % name)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in body.strip().splitlines()]
+    return rows[2:]
+
+
+def test_architecture_documents_exactly_the_schema():
+    """The counter table and the EXPLAIN ANALYZE glossary are renderings
+    of the schema: a counter or a label added to one and not the other
+    fails here."""
+    documented = [(group.strip("`"), field.strip("`"), kind,
+                   None if label == "hidden" else label.strip("`"))
+                  for group, field, kind, label, _counts
+                  in _doc_table("counter-schema")]
+    assert documented == [tuple(row) for row in counters.SCHEMA]
+
+    glossary = {name for row in _doc_table("analyze-glossary")
+                for name in re.findall(r"`([^`]+)`", row[0])}
+    labels = {label for _g, _f, _kind, label in counters.SCHEMA if label}
+    # What an operator line carries besides schema counters: its own
+    # actuals, the scan's label-check rate and the buffer cells.
+    extras = {"rows", "batches", "time", "labels/batch", "touches",
+              "buffer.evictions", "io"}
+    assert glossary == labels | extras
+
+
+def test_snapshot_covers_every_family_field():
+    snap = counters.snapshot()
     assert set(snap) >= {"labels", "index", "exec", "spill", "stats"}
     assert set(snap["labels"]) == {"covers_calls", "strip_calls",
                                    "rows_suppressed"}
@@ -60,19 +130,19 @@ def test_registry_snapshot_covers_every_family_field():
     assert "bytes_spilled" in snap["spill"]
 
 
-def test_registry_reset_zeroes_the_live_singletons():
-    rules.COUNTERS.covers_calls += 5
-    indexes.COUNTERS.lookups += 3
-    metrics.REGISTRY.reset()
-    assert rules.COUNTERS.covers_calls == 0
-    assert indexes.COUNTERS.lookups == 0
+def test_reset_zeroes_the_live_tally():
+    tally().covers_calls += 5
+    tally().lookups += 3
+    counters.reset()
+    assert tally().covers_calls == 0
+    assert tally().lookups == 0
 
 
 def test_counter_delta_captures_named_deltas_and_nothing_else():
     db, public, _secret, _tag, _a, _o = _fresh()
     before = db.read_counters()
-    rules.COUNTERS.covers_calls += 2
-    physical.EXEC_COUNTERS.rows_widened += 7
+    tally().covers_calls += 2
+    tally().rows_widened += 7
     delta = db.counter_delta(before, db.read_counters())
     assert delta["labels"]["covers_calls"] == 2
     assert delta["exec"]["rows_widened"] == 7
@@ -91,41 +161,157 @@ def test_merge_adds_a_snapshot_into_the_live_counters():
     """The parallel-worker protocol: accumulate privately, snapshot,
     merge at the coordinator — merge(snapshot) after reset() restores
     every counter."""
-    rules.COUNTERS.covers_calls = 4
-    indexes.COUNTERS.range_scans = 2
-    spill.SPILL_STATS.bytes_spilled = 999
-    taken = metrics.REGISTRY.snapshot()
-    metrics.REGISTRY.reset()
-    metrics.REGISTRY.merge(taken)
-    metrics.REGISTRY.merge(taken)          # a second worker, same work
-    assert rules.COUNTERS.covers_calls == 8
-    assert indexes.COUNTERS.range_scans == 4
-    assert spill.SPILL_STATS.bytes_spilled == 1998
-    assert metrics.REGISTRY.merge({"unknown": {"x": 1}}) is None  # ignored
+    tally().covers_calls = 4
+    tally().range_scans = 2
+    tally().bytes_spilled = 999
+    taken = counters.snapshot()
+    counters.reset()
+    counters.merge(taken)
+    counters.merge(taken)                  # a second worker, same work
+    assert tally().covers_calls == 8
+    assert tally().range_scans == 4
+    assert tally().bytes_spilled == 1998
+    assert counters.merge({"unknown": {"x": 1}}) is None  # ignored
 
 
-def test_compiled_reader_tracks_registration_order():
+def test_read_is_the_calling_threads_tally_in_cell_order():
+    tally().covers_calls += 3
+    tally().fsyncs += 2
+    flat = counters.read()
+    named = counters.snapshot()
+    assert list(flat) == [named[group][field]
+                          for group, field in counters.CELLS]
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(counters.read()))
+    thread.start()
+    thread.join()
+    assert seen == [(0,) * len(counters.CELLS)]   # its own, untouched
+
+
+def _count_on_a_thread(body) -> None:
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+
+
+def test_exited_threads_stay_in_totals_and_leave_the_live_list():
+    """A thread that counted and exited is folded into the base at the
+    next snapshot: its counts stay, its state does not."""
+    def body():
+        tally().covers_calls += 7
+        tally().bytes += 11
+
+    for _ in range(40):
+        _count_on_a_thread(body)
     db, _public, _secret, _tag, _a, _o = _fresh()
-    rules.COUNTERS.covers_calls += 3
-    flat = db.read_counters()
-    named = metrics.REGISTRY.snapshot()
-    registry_cells = [(group, field) for group, field, _owner
-                      in metrics.REGISTRY.cells()]
-    # Registry cells first, in registration order, then this
-    # database's buffer-cache cells.
-    assert db.metrics_cells()[:len(registry_cells)] == registry_cells
-    assert list(flat[:len(registry_cells)]) \
-        == [named[group][field] for group, field in registry_cells]
-    assert {group for group, _f in db.metrics_cells()[len(registry_cells):]} \
-        == {"buffer"}
+    report = db.stats()
+    assert report["labels"]["covers_calls"] == 40 * 7
+    assert report["wal"]["bytes"] == 40 * 11
+    assert len(counters._states) <= threading.active_count()
+    assert db.stats()["labels"]["covers_calls"] == 40 * 7   # folded once
+
+
+def test_snapshots_racing_counting_threads_lose_nothing():
+    """More threads than cores count and exit while the main thread
+    snapshots as fast as it can: every fold (live list → base) happens
+    under the lock, so the final total is exact."""
+    threads_n, each = 8, 2000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def body():
+            for _ in range(each):
+                tally().lookups += 1
+
+        threads = [threading.Thread(target=body) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        seen = 0
+        while any(thread.is_alive() for thread in threads):
+            now = counters.snapshot()["index"]["lookups"]
+            assert now >= seen             # totals never go backwards
+            seen = now
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert counters.snapshot()["index"]["lookups"] == threads_n * each
+    assert len(counters._states) <= threading.active_count()
+
+
+def test_gauge_combines_by_max_across_threads_and_merges():
+    def flush_of(size):
+        def body():
+            tally().group_commit_size = size
+            tally().commits += size
+        return body
+
+    tally().group_commit_size = 3
+    for size in (5, 2):
+        _count_on_a_thread(flush_of(size))
+    wal = counters.snapshot()["wal"]
+    assert wal["group_commit_size"] == 5 and wal["commits"] == 7
+    # The worker merge: a smaller gauge leaves the caller's alone, a
+    # larger one replaces it — never a sum.
+    counters.merge({"wal": {"group_commit_size": 2, "commits": 1}})
+    assert tally().group_commit_size == 3 and tally().commits == 1
+    counters.merge({"wal": {"group_commit_size": 9}})
+    assert tally().group_commit_size == 9
+    assert counters.snapshot()["wal"]["group_commit_size"] == 9
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_fork_while_another_thread_holds_the_lock_does_not_deadlock():
+    """The child inherits the lock held by a thread it does not have;
+    its first reset()/snapshot() must not wait on it."""
+    held, release = threading.Event(), threading.Event()
+
+    def holder():
+        with counters._lock:
+            held.set()
+            release.wait(30)
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    assert held.wait(30)
+    try:
+        tally().covers_calls += 1
+        pid = os.fork()
+        if pid == 0:                       # the child: a worker's start
+            status = 1
+            try:
+                counters.reset()
+                tally().lookups += 2
+                if counters.snapshot()["index"]["lookups"] == 2:
+                    status = 0
+            finally:
+                os._exit(status)
+        deadline = 10.0
+        while deadline > 0:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            threading.Event().wait(0.05)
+            deadline -= 0.05
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child deadlocked on the counters lock")
+        assert os.waitstatus_to_exitcode(status) == 0
+    finally:
+        release.set()
+        thread.join()
 
 
 # ---------------------------------------------------------------------------
 # normalization + statement stats
 # ---------------------------------------------------------------------------
 
-def test_normalize_sql_fingerprints_literals():
-    norm = metrics.normalize_sql
+def test_fingerprint_replaces_literals():
+    def norm(sql):
+        return lexer.fingerprint(lexer.tokenize(sql))
+
     assert norm("SELECT * FROM t WHERE id = 7") \
         == norm("SELECT * FROM t   WHERE id = 9")
     assert norm("INSERT INTO t VALUES (1, 'a')") \
@@ -134,6 +320,46 @@ def test_normalize_sql_fingerprints_literals():
     assert norm("SELECT 1 -- trailing\n") == norm("SELECT 1")
     # identifiers are *not* folded: different shapes stay distinct
     assert norm("SELECT a FROM t") != norm("SELECT b FROM t")
+
+
+def test_each_new_text_is_lexed_once_and_caches_stay_bounded(monkeypatch):
+    from repro.db import engine
+    from repro.sql import parser
+
+    calls = []
+    real = lexer.tokenize
+
+    def counting(sql):
+        calls.append(sql)
+        return real(sql)
+
+    monkeypatch.setattr(lexer, "tokenize", counting)
+    monkeypatch.setattr(parser, "tokenize", counting)
+    db, public, _secret, _tag, _a, _o = _fresh()
+    public.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    del calls[:]
+    public.execute("INSERT INTO t VALUES (1, 10)")
+    public.execute("SELECT v FROM t WHERE id = 1")
+    assert len(calls) == 2                 # parse; the stats key rode along
+    public.execute("SELECT v FROM t WHERE id = 1")
+    assert len(calls) == 2                 # cached text: not lexed at all
+    assert db.stats()["statements"]["SELECT v FROM t WHERE id = ?"][
+        "calls"] == 2
+
+    caches = (db._parse_cache, db._select_cache, db._insert_cache,
+              db._dml_cache)
+    for i in range(2, 5002):               # 10 000 distinct texts
+        public.execute("INSERT INTO t VALUES (%d, 0)" % i)
+        public.execute("SELECT v FROM t WHERE id = %d" % i)
+        assert all(len(c) <= engine.STATEMENT_CACHE_CAP for c in caches)
+    assert len(calls) == 2 + 10000
+    assert len(db._select_cache) < 5000 and len(db._insert_cache) < 5000
+    # The UPDATE/DELETE cache goes through the same bound.
+    monkeypatch.setattr(engine, "STATEMENT_CACHE_CAP", 8)
+    for i in range(20):
+        public.execute("UPDATE t SET v = %d WHERE id = 1" % i)
+        assert len(db._dml_cache) <= 8
+    assert public.execute("SELECT v FROM t WHERE id = 1").rows[0][0] == 19
 
 
 def test_statement_stats_aggregate_under_normalized_keys():

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import random
 
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.db import Database
-from repro.db.spill import SPILL_STATS
 
 
 def _stack(work_mem, batch_size=None, naive=False, n_rows=600, seed=5):
@@ -71,9 +71,9 @@ def test_external_sort_matches_unbounded_and_counts():
     sql = "SELECT * FROM m ORDER BY v DESC, id"
     expected = _ordered(_stack(0), sql)
     session = _stack(1024)
-    before = SPILL_STATS.snapshot()
+    before = counters.snapshot()["spill"]
     got = _ordered(session, sql)
-    after = SPILL_STATS.snapshot()
+    after = counters.snapshot()["spill"]
     assert got == expected                     # ordered, labels included
     assert after["sort_spills"] > before["sort_spills"]
     assert after["sort_runs"] >= before["sort_runs"] + 2
@@ -115,9 +115,9 @@ def test_grace_aggregation_matches_unbounded_and_counts():
            "GROUP BY k ORDER BY k")
     expected = _ordered(_stack(0), sql)
     session = _stack(1024)
-    before = SPILL_STATS.snapshot()
+    before = counters.snapshot()["spill"]
     got = _ordered(session, sql)
-    after = SPILL_STATS.snapshot()
+    after = counters.snapshot()["spill"]
     assert got == expected
     assert after["agg_spills"] > before["agg_spills"]
     assert after["agg_partitions"] > before["agg_partitions"]
@@ -170,10 +170,10 @@ def test_topn_small_limit_never_spills():
     """A 5-row heap fits a 2KB budget even though the 600-row input
     (~40KB) never could: the bounded heap must not touch disk."""
     session = _stack(2048)
-    before = SPILL_STATS.sort_spills
+    before = counters.tally().sort_spills
     got = _ordered(session, "SELECT * FROM m ORDER BY v, id LIMIT 5")
     assert len(got) == 5
-    assert SPILL_STATS.sort_spills == before  # bounded heap, no runs
+    assert counters.tally().sort_spills == before  # bounded heap, no runs
     assert got == _ordered(_stack(0),
                            "SELECT * FROM m ORDER BY v, id LIMIT 5")
 
@@ -184,9 +184,9 @@ def test_topn_falls_back_to_external_sort_for_huge_limits():
     sql = "SELECT * FROM m ORDER BY v, id LIMIT 590"
     expected = _ordered(_stack(0), sql)
     session = _stack(1024)
-    before = SPILL_STATS.sort_spills
+    before = counters.tally().sort_spills
     assert _ordered(session, sql) == expected
-    assert SPILL_STATS.sort_spills > before
+    assert counters.tally().sort_spills > before
 
 
 def test_topn_parameterized_limit():
@@ -256,9 +256,9 @@ def test_distinct_spills_and_preserves_sorted_order():
     sql = "SELECT DISTINCT k, grp FROM m ORDER BY k, grp"
     expected = _ordered(_stack(0), sql)
     session = _stack(1024)
-    before = SPILL_STATS.snapshot()
+    before = counters.snapshot()["spill"]
     got = _ordered(session, sql)
-    after = SPILL_STATS.snapshot()
+    after = counters.snapshot()["spill"]
     assert got == expected                     # ordered comparison
     assert after["agg_spills"] > before["agg_spills"]
 
@@ -291,9 +291,9 @@ def test_mixed_type_order_by_does_not_raise():
 def test_mixed_type_order_by_spilled_matches_in_memory():
     expected = _ordered(_stack(0), MIXED_SQL)
     session = _stack(1024)
-    before = SPILL_STATS.sort_spills
+    before = counters.tally().sort_spills
     assert _ordered(session, MIXED_SQL) == expected
-    assert SPILL_STATS.sort_spills > before
+    assert counters.tally().sort_spills > before
     assert _ordered(_stack(1024, batch_size=1), MIXED_SQL) == expected
 
 
@@ -354,7 +354,7 @@ def test_explain_analyze_reports_sort_and_agg_counters():
 
 
 def test_snapshot_has_sort_and_agg_fields():
-    snap = SPILL_STATS.snapshot()
+    snap = counters.snapshot()["spill"]
     for field in ("sort_spills", "sort_runs", "agg_spills",
                   "agg_partitions"):
         assert field in snap
@@ -444,13 +444,13 @@ def test_spill_parity_matrix():
             expected.append(rows if ordered else sorted(rows, key=repr))
         for batch_size in (1, 7, 1024):
             session = _parity_stack(work_mem, batch_size, n_rows)
-            before = SPILL_STATS.snapshot()
+            before = counters.snapshot()["spill"]
             for (sql, ordered), want in zip(queries, expected):
                 got = _ordered(session, sql)
                 if not ordered:
                     got.sort(key=repr)
                 assert got == want, (work_mem, batch_size, sql)
-            after = SPILL_STATS.snapshot()
+            after = counters.snapshot()["spill"]
             for field in ("spills", "agg_spills", "sort_spills"):
                 assert after[field] > before[field], \
                     (work_mem, batch_size, field)

@@ -34,13 +34,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.core.labels import EMPTY_LABEL, Label
 from repro.db import Database
 from repro.db.faultinject import SpoolFaults
 from repro.db.spill import (
     MAX_RECURSION,
-    SPILL_STATS,
     SpilledHashBuild,
     SpillFile,
     Spools,
@@ -151,7 +151,7 @@ def test_spill_file_round_trips_at_every_block_size(rows, block_rows):
     spools = Spools(0, block_rows)
     spools.buffer_bytes = 1 << 30            # let max_rows decide
     spool = SpillFile(spools)
-    before = SPILL_STATS.snapshot()
+    before = counters.snapshot()["spill"]
     for row in rows:
         spool.append(*row)
     assert spool.count == len(rows)
@@ -166,7 +166,7 @@ def test_spill_file_round_trips_at_every_block_size(rows, block_rows):
     for (key, values, label, ilabel), row in zip(got, rows):
         assert (key, values) == row[:2]
         assert label is row[2] and ilabel is row[3]
-    after = SPILL_STATS.snapshot()
+    after = counters.snapshot()["spill"]
     assert after["rows_spilled"] - before["rows_spilled"] == len(rows)
 
 
@@ -333,7 +333,7 @@ def test_recursion_terminates_on_all_equal_keys():
     """A single-key build side cannot be split by re-hashing; the
     partitioner must detect that and finish in memory (over budget)
     instead of recursing forever."""
-    before = SPILL_STATS.repartitions
+    before = counters.tally().repartitions
     spill = SpilledHashBuild(256, Spools(256, 16), keep_resident=False)
     key = (7, "same")
     n = 500
@@ -345,7 +345,7 @@ def test_recursion_terminates_on_all_equal_keys():
     _row, matches = results[0]
     assert len(matches) == n
     # Recursion depth is bounded even though the budget was blown.
-    assert SPILL_STATS.repartitions - before <= MAX_RECURSION
+    assert counters.tally().repartitions - before <= MAX_RECURSION
 
 
 def test_recursion_terminates_on_skewed_keys():
@@ -419,12 +419,12 @@ def test_session_level_spilled_join_parity_and_explain():
     ``spill_partitions``/``mem`` in EXPLAIN with peak estimated memory
     within the budget, and return exactly the unbounded result."""
     _db0, unbounded = _stack(0)
-    before = SPILL_STATS.snapshot()
+    before = counters.snapshot()["spill"]
     _db1, bounded = _stack(2048)
     expected = _normalized(unbounded, JOIN_SQL)
     got = _normalized(bounded, JOIN_SQL)
     assert got == expected
-    after = SPILL_STATS.snapshot()
+    after = counters.snapshot()["spill"]
     assert after["spills"] > before["spills"]
     assert after["rows_spilled"] > before["rows_spilled"]
 

@@ -16,9 +16,8 @@ from repro.errors import CatalogError
 
 
 def walk(plan):
-    from repro.db.physical import _children
     yield plan
-    for child in _children(plan):
+    for child in plan.children():
         yield from walk(child)
 
 
