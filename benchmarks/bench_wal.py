@@ -1,23 +1,19 @@
-"""WAL commit-path microbenchmark: durability off vs fsync-per-commit
-vs group commit, plus recovery replay throughput.
+"""WAL commit-path microbenchmark: durability off vs fsync-per-commit,
+plus recovery replay throughput.
 
-Three configurations run the same seeded insert/update workload:
+Two configurations run the same seeded insert/update workload from one
+session:
 
 * **no WAL** — the seed behaviour: commits mutate the heap only;
-* **WAL, fsync per commit** — every commit is one record + one fsync
-  (``group_commit_ms=0``, single session: nothing to batch);
-* **WAL, group commit** — the same number of commits issued from
-  concurrent sessions with a commit-delay window, so one fsync covers
-  many commits.
+* **WAL** — every commit is one record + one fsync (a single session
+  has nothing to batch; what concurrent committers share is measured
+  by ``benchmarks/e2e``'s ``durable_commit`` and pinned by
+  ``tests/test_wal.py::TestGroupCommit``).
 
-Two logic-driven gates (asserted in smoke mode too, so the CI smoke
-step enforces them):
-
-* group commit must actually group — fewer commit flushes than
-  commits, with at least one flush absorbing ≥ 2 commits;
-* recovery must reproduce the workload exactly — the replayed
-  database's live row count equals the writer's, and a second replay
-  is a no-op.
+One logic-driven gate (asserted in smoke mode too, so the CI smoke
+step enforces it): recovery must reproduce the workload exactly — the
+replayed database's live row count equals the writer's, and a second
+replay is a no-op.
 
 ``BENCH_wal.json`` records commit throughput, per-commit latency,
 flush counts, WAL byte volume, and recovery replay rate.
@@ -25,7 +21,6 @@ flush counts, WAL byte volume, and recovery replay rate.
 
 import os
 import tempfile
-import threading
 import time
 
 from repro.bench import ReportTable, relative
@@ -36,16 +31,13 @@ from repro.db import Database
 from .common import report, smoke, write_bench_json
 
 N_COMMITS = smoke(2_000, 60)
-GROUP_SESSIONS = smoke(8, 4)
-GROUP_COMMIT_MS = 2.0
 
 RESULTS = {}
 
 
-def _stack(wal_path, group_commit_ms=0.0):
+def _stack(wal_path):
     authority = AuthorityState(idgen=SeededIdGenerator(99))
-    db = Database(authority, seed=99, wal=wal_path,
-                  group_commit_ms=group_commit_ms)
+    db = Database(authority, seed=99, wal=wal_path)
     session = db.connect(IFCProcess(authority,
                                     authority.create_principal("b").id))
     session.execute("CREATE TABLE ledger (id INT PRIMARY KEY, "
@@ -71,41 +63,6 @@ def _serial_commits(session, n):
     return time.perf_counter() - start
 
 
-def _grouped_commits(db, n, sessions):
-    """The same commit count, issued from concurrent sessions in waves
-    so the commit-delay window has stragglers to absorb."""
-    pool = []
-    for s in range(sessions):
-        sess = db.connect()
-        pool.append(sess)
-    done = 0
-    start = time.perf_counter()
-    wave_id = 0
-    while done < n:
-        wave = min(sessions, n - done)
-        for k in range(wave):
-            sess = pool[k]
-            sess.begin()
-            i = done + k
-            sess.execute("INSERT INTO ledger VALUES (?, ?, ?)",
-                         (1_000_000 + i, i % 10, 100))
-        barrier = threading.Barrier(wave)
-
-        def commit(sess):
-            barrier.wait()
-            sess.commit()
-
-        threads = [threading.Thread(target=commit, args=(pool[k],))
-                   for k in range(wave)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        done += wave
-        wave_id += 1
-    return time.perf_counter() - start
-
-
 def test_wal_commit_throughput_and_recovery():
     tmpdir = tempfile.mkdtemp(prefix="bench-wal-")
     outcomes = {}
@@ -124,38 +81,21 @@ def test_wal_commit_throughput_and_recovery():
     outcomes["WAL fsync/commit"] = {
         "seconds": seconds, "commits": N_COMMITS,
         "wal": _wal_delta(before, counters.snapshot()["wal"])}
-    # Single session, no delay window: one flush per commit.
+    # Single session: one flush per commit.
     delta = outcomes["WAL fsync/commit"]["wal"]
     assert delta["commits"] == N_COMMITS
     assert delta["commit_flushes"] == N_COMMITS
 
-    # -- WAL, group commit -------------------------------------------------
-    group_path = os.path.join(tmpdir, "group.wal")
-    db_group, session = _stack(group_path,
-                               group_commit_ms=GROUP_COMMIT_MS)
-    before = counters.snapshot()["wal"]
-    seconds = _grouped_commits(db_group, N_COMMITS, GROUP_SESSIONS)
-    after = counters.snapshot()["wal"]
-    outcomes["WAL group commit"] = {
-        "seconds": seconds, "commits": N_COMMITS,
-        "wal": _wal_delta(before, after)}
-    delta = outcomes["WAL group commit"]["wal"]
-    assert delta["commits"] == N_COMMITS
-    # Gate: grouping actually happened.
-    assert delta["commit_flushes"] < N_COMMITS, delta
-    assert after["group_commit_size"] >= 2, after
-
     # -- recovery ----------------------------------------------------------
-    writer_rows = len(db_group.connect().query("SELECT id FROM ledger"))
-    authority = db_group.authority
-    recovered = Database(authority)
+    writer_rows = len(db_fsync.connect().query("SELECT id FROM ledger"))
+    recovered = Database(db_fsync.authority)
     start = time.perf_counter()
-    replay = recovered.recover(group_path)
+    replay = recovered.recover(fsync_path)
     recover_seconds = time.perf_counter() - start
     recovered_rows = len(recovered.connect().query("SELECT id FROM ledger"))
     # Gate: recovery reproduces the workload and replays idempotently.
     assert recovered_rows == writer_rows, (recovered_rows, writer_rows)
-    again = recovered.recover(group_path)
+    again = recovered.recover(fsync_path)
     assert again["applied"] == 0, again
     RESULTS["recovery"] = {
         "seconds": recover_seconds,
@@ -167,19 +107,17 @@ def test_wal_commit_throughput_and_recovery():
 
     # -- report ------------------------------------------------------------
     table = ReportTable(
-        "WAL commit path — %d commits (group: %d sessions, %.1fms window)"
-        % (N_COMMITS, GROUP_SESSIONS, GROUP_COMMIT_MS),
-        ["configuration", "commits/s", "ms/commit", "flushes",
-         "max batch", "wal KB", "vs no WAL"])
+        "WAL commit path — %d commits" % N_COMMITS,
+        ["configuration", "commits/s", "ms/commit", "flushes", "wal KB",
+         "vs no WAL"])
     base = outcomes["no WAL"]["seconds"]
-    for mode in ("no WAL", "WAL fsync/commit", "WAL group commit"):
+    for mode in ("no WAL", "WAL fsync/commit"):
         entry = outcomes[mode]
         wal = entry["wal"]
         table.add(mode,
                   "%.0f" % (entry["commits"] / entry["seconds"]),
                   "%.3f" % (1000.0 * entry["seconds"] / entry["commits"]),
                   wal.get("commit_flushes", "-"),
-                  wal.get("group_commit_size", "-") if wal else "-",
                   "%.0f" % (wal.get("bytes", 0) / 1024.0) if wal else "-",
                   relative(entry["seconds"], base))
         RESULTS[mode] = {"seconds": entry["seconds"],

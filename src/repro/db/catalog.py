@@ -10,7 +10,7 @@ IFDB-specific catalog objects:
   triggers may be bound to a principal; when they run, they run with that
   principal's authority instead of the caller's.
 
-The catalog carries a version counter so prepared-plan caches can
+The catalog carries a version counter so the prepared-plan cache can
 invalidate on DDL.
 """
 

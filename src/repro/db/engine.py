@@ -42,8 +42,6 @@ from .metrics import AuditLog, SlowQueryLog, StatementStats
 from .pages import BufferCache
 from .physical import (
     DEFAULT_BATCH_SIZE,
-    PreparedDML,
-    PreparedSelect,
     explain_plan,
     plan_tables,
 )
@@ -94,7 +92,7 @@ METRICS_CELLS = counters.CELLS + tuple(
 _SPILL_BYTES_CELL = METRICS_CELLS.index(("spill", "bytes_spilled"))
 _SUPPRESSED_CELL = METRICS_CELLS.index(("labels", "rows_suppressed"))
 
-#: Entries the parse cache and each plan cache may hold.  A workload of
+#: Entries the parse cache and the plan cache may each hold.  A workload of
 #: all-distinct texts (inlined literals) would otherwise grow them one
 #: entry per statement until the next DDL.
 STATEMENT_CACHE_CAP = 4096
@@ -134,7 +132,6 @@ class Database:
                  slow_query_ms: float = 0.0,
                  audit_log: int = 0,
                  wal: Optional[str] = None,
-                 group_commit_ms: float = 0.0,
                  workers: Optional[int] = None):
         if authority is None:
             idgen = SeededIdGenerator(seed) if seed is not None else None
@@ -192,18 +189,17 @@ class Database:
         # Parsed statements by SQL text; each carries its fingerprint
         # (``parse_statement``), so a text is lexed once.
         self._parse_cache: Dict[str, object] = {}
-        # Prepared-plan caches, keyed by SQL text (or statement identity
-        # for programmatic statements); each entry is
+        # The prepared-plan cache (SELECT, UPDATE/DELETE and INSERT
+        # plans alike), keyed by SQL text (or statement identity for
+        # programmatic statements); each entry is
         # ``(statement, prepared, table_names)``.  The whole cache is
         # versioned by ``plan_cache_epoch``: any DDL or tag-registry
         # change clears it, which invalidates stale plans.  Statistics
         # refreshes are gentler: they evict only the entries whose
         # ``table_names`` include the refreshed table (see
-        # ``invalidate_plans_for``).  All four caches hold at most
-        # ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
-        self._select_cache: Dict[object, Tuple] = {}
-        self._dml_cache: Dict[object, Tuple] = {}
-        self._insert_cache: Dict[object, Tuple] = {}
+        # ``invalidate_plans_for``).  Like the parse cache it holds at
+        # most ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
+        self._plan_cache: Dict[object, Tuple] = {}
         self._plan_epoch: Optional[Tuple[int, int]] = None
         self._stats_probe = 0
         # Activity counters (read by benchmarks and tests).
@@ -231,22 +227,17 @@ class Database:
         # -- durability (db/wal.py) --------------------------------------
         # ``wal`` is a log file path; ``None`` defers to ``REPRO_WAL``,
         # which names a *directory* so every Database in the process
-        # gets its own log.  ``group_commit_ms`` is the commit-delay
-        # window leaders wait for stragglers (0 = fsync per flush
-        # leader, still batching whatever is already queued).  Unset →
-        # no WAL, the seed behaviour.
+        # gets its own log.  Unset → no WAL, the seed behaviour.
         if wal is None:
             wal_dir = os.environ.get("REPRO_WAL", "").strip()
             if wal_dir:
                 os.makedirs(wal_dir, exist_ok=True)
                 wal = wal_mod.auto_wal_path(wal_dir)
-        self.group_commit_ms = max(0.0, float(group_commit_ms))
         self.wal: Optional[wal_mod.WriteAheadLog] = None
         if isinstance(wal, wal_mod.WriteAheadLog):
             self.wal = wal                 # tests inject fault specs here
         elif wal is not None:
-            self.wal = wal_mod.WriteAheadLog(
-                wal, group_commit_ms=self.group_commit_ms)
+            self.wal = wal_mod.WriteAheadLog(wal)
         #: True while ``recover`` replays a log: suppresses re-logging
         #: of replayed DDL/sequence traffic.
         self._wal_replaying = False
@@ -301,7 +292,7 @@ class Database:
     STATS_PROBE_INTERVAL = 256
 
     def plan_cache_epoch(self) -> Tuple[int, int]:
-        """The versions the prepared-plan caches are keyed on.
+        """The versions the prepared-plan cache is keyed on.
 
         ``catalog.version`` bumps on every DDL statement — including
         ``CREATE/DROP INDEX`` and view changes — and ``tags.version``
@@ -320,9 +311,7 @@ class Database:
     def _check_plan_epoch(self) -> None:
         epoch = self.plan_cache_epoch()
         if epoch != self._plan_epoch:
-            self._select_cache.clear()
-            self._dml_cache.clear()
-            self._insert_cache.clear()
+            self._plan_cache.clear()
             self._plan_epoch = epoch
         self._stats_probe += 1
         if self._stats_probe >= self.STATS_PROBE_INTERVAL:
@@ -338,52 +327,40 @@ class Database:
         full scan → index range scan once a range predicate turns out
         to be selective).
         """
-        for cache in (self._select_cache, self._dml_cache,
-                      self._insert_cache):
-            stale = [key for key, entry in cache.items()
-                     if table_name in entry[2]]
-            for key in stale:
-                del cache[key]
+        cache = self._plan_cache
+        for key in [key for key, entry in cache.items()
+                    if table_name in entry[2]]:
+            del cache[key]
 
-    def prepare_select(self, statement: ast.Select,
-                       sql: Optional[str]) -> PreparedSelect:
+    def _prepare(self, statement, sql: Optional[str]):
+        """The plan of a SELECT (``PreparedSelect``), UPDATE/DELETE
+        (``PreparedDML``) or INSERT (:class:`PreparedInsert`) statement,
+        through the one plan cache."""
         # The cache keeps a strong reference to the statement so the
         # id()-based fallback key can never alias a recycled object.
         self._check_plan_epoch()
         key = sql if sql is not None else id(statement)
-        cached = self._select_cache.get(key)
+        cached = self._plan_cache.get(key)
         if cached is not None and cached[0] is statement:
             return cached[1]
-        prepared = self.planner.plan_select(statement)
-        _cache_put(self._select_cache, key,
-                   (statement, prepared, plan_tables(prepared.plan)))
+        if isinstance(statement, ast.Insert):
+            prepared = self._plan_insert(statement)
+            tables = frozenset((statement.table,))
+            if prepared.select is not None:
+                tables |= plan_tables(prepared.select.plan)
+        else:
+            planner = self.planner
+            prepared = (planner.plan_select(statement)
+                        if isinstance(statement, ast.Select)
+                        else planner.plan_dml(statement))
+            tables = plan_tables(prepared.plan)
+        _cache_put(self._plan_cache, key, (statement, prepared, tables))
         return prepared
 
-    def prepare_dml(self, statement, sql: Optional[str]) -> PreparedDML:
-        self._check_plan_epoch()
-        key = sql if sql is not None else id(statement)
-        cached = self._dml_cache.get(key)
-        if cached is not None and cached[0] is statement:
-            return cached[1]
-        prepared = self.planner.plan_dml(statement)
-        _cache_put(self._dml_cache, key,
-                   (statement, prepared, plan_tables(prepared.plan)))
-        return prepared
-
-    def prepare_insert(self, statement: ast.Insert,
-                       sql: Optional[str]) -> PreparedInsert:
-        self._check_plan_epoch()
-        key = sql if sql is not None else id(statement)
-        cached = self._insert_cache.get(key)
-        if cached is not None and cached[0] is statement:
-            return cached[1]
-        prepared = self._plan_insert(statement)
-        tables = {statement.table}
-        if prepared.select is not None:
-            tables |= plan_tables(prepared.select.plan)
-        _cache_put(self._insert_cache, key,
-                   (statement, prepared, frozenset(tables)))
-        return prepared
+    #: One name per statement kind, for callers and for the tracer
+    #: (``benchmarks/e2e/trace.py`` wraps each); a wrapper apiece would
+    #: put a second call on every cache hit.
+    prepare_select = prepare_dml = prepare_insert = _prepare
 
     def _plan_insert(self, statement: ast.Insert) -> PreparedInsert:
         table = self.catalog.get_table(statement.table)
@@ -407,7 +384,7 @@ class Database:
 
     def explain(self, statement, sql: Optional[str] = None) -> List[str]:
         """One line per plan operator for ``EXPLAIN`` (shares the plan
-        caches, so the rendered tree is the one execution would use)."""
+        cache, so the rendered tree is the one execution would use)."""
         if isinstance(statement, ast.Select):
             prepared = self.prepare_select(statement, sql)
             return explain_plan(prepared.plan)

@@ -112,8 +112,9 @@ def estimate_group_spill(input_rows: float, groups: float,
                          group_width: int, n_states: int,
                          work_mem: int) -> Tuple[int, float, float]:
     """Grace-aggregation estimate: ``(partitions, est_mem,
-    extra_cost)`` for hash-aggregation (or DISTINCT, ``n_states=0``)
-    group state under ``work_mem``.
+    extra_cost)`` for hash-aggregation group state under ``work_mem``
+    (``SELECT DISTINCT`` is the aggregation with ``n_states=0``: the
+    planner builds and costs both through ``Planner._aggregate``).
 
     Group state is costed like the runtime charges it: key bytes
     (:func:`estimated_tuple_bytes` over the grouping columns) plus one

@@ -36,9 +36,10 @@ scan widens a columnar batch to rows.
   per distinct label, the rest of the chunk kept or dropped through
   that verdict map at C speed.  The scan predicate then runs
   column-at-a-time over the label survivors only;
-* **folds** — aggregation, DISTINCT, sorting and the joins read
-  :class:`RowBatch` columns directly: keys and arguments are
-  batch-compiled (:meth:`repro.db.expressions.ExprCompiler.compile_batch`),
+* **folds** — aggregation (``SELECT DISTINCT`` is the aggregation
+  with no aggregates), sorting and the joins read :class:`RowBatch`
+  columns directly: keys and arguments are batch-compiled
+  (:meth:`repro.db.expressions.ExprCompiler.compile_batch`),
   accumulators are resolved per function at plan time, and label unions
   skip on interned identity.  A row is built only to be held in a hash
   build, spooled to a spill file, or handed to the cursor.
@@ -58,7 +59,8 @@ Label flow through operators:
 * scans emit the tuple's label (stripped of any enclosing declassifying
   view's tags);
 * joins emit the union of the joined rows' labels;
-* aggregation emits the union of the group's labels;
+* aggregation emits the union of the group's labels — and a DISTINCT
+  row is a group: the one collapse is :meth:`AggregateNode._fold`;
 * projection/sort/limit pass labels through.
 
 Because scans filter to ``LT ⊆ LP``, every emitted label is covered by
@@ -75,7 +77,8 @@ import heapq
 from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add as _add, gt as _gt, itemgetter, lt as _lt
+from operator import (add as _add, gt as _gt, itemgetter, lt as _lt,
+                      methodcaller)
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import tally
@@ -1222,6 +1225,8 @@ _ACCUMULATORS: Dict[str, Callable] = {
 #: that survives the spill codec).
 _STAR = True
 
+_result = methodcaller("result")
+
 
 class AggSpec:
     """One aggregate computation: function, argument, distinct flag.
@@ -1242,49 +1247,20 @@ class AggSpec:
             else lambda: _DistinctValues(make())
 
 
-class _GroupTable:
-    """Resident group state of one fold level under the ``work_mem``
-    budget, shared by aggregation and DISTINCT.
-
-    ``groups`` maps key → state in first-seen order (a dict keeps
-    it).  Once admitting one more group would overflow, ``spill`` is
-    opened and every *new* key is the caller's to spool; resident
-    groups keep absorbing their rows.
-    """
-
-    __slots__ = ("groups", "budget", "depth", "ctx", "mem", "spill")
-
-    def __init__(self, ctx: ExecContext, budget: int, depth: int):
-        self.groups: dict = {}
-        self.budget = budget
-        self.depth = depth
-        self.ctx = ctx
-        self.mem = 0
-        self.spill: Optional[GroupSpill] = None
-
-    def admit(self, values, label: Optional[Label], overhead: int) -> bool:
-        """Charge one new group of ``values`` to the budget; False when
-        the key must be spooled to :attr:`spill` instead."""
-        if self.spill is None and self.budget:
-            cost = estimate_row_bytes(values, label) + overhead
-            if (self.mem + cost > self.budget and self.groups
-                    and self.depth < MAX_RECURSION):
-                self.spill = GroupSpill(self.ctx.spools, salt=self.depth,
-                                        depth=self.depth)
-            else:
-                self.mem += cost
-        return self.spill is None
-
-    def close(self) -> None:
-        if self.spill is not None:
-            self.spill.close()
-
-
 class AggregateNode(Plan):
-    """GROUP BY + aggregate evaluation.
+    """GROUP BY + aggregate evaluation — every collapse of several
+    input rows into one result row, ``SELECT DISTINCT`` included (its
+    group keys are the select list and it has no aggregates).
 
     Output rows are ``group_key_values + aggregate_results``; downstream
     expressions were rewritten by the planner to slot references.
+
+    **Label union.**  Collapsing rows *reads* every one of them, so
+    under the tuple-granularity label model a result row carries the
+    union of all collapsed rows' labels and ilabels.  That makes this a
+    blocking operator: a late duplicate can still raise the label of a
+    group already seen, so nothing is emitted until the input is
+    drained.
 
     **One fold, two sources.**  :meth:`_fold` consumes ``(key, args,
     label, ilabel)`` — the group key, one argument value per aggregate,
@@ -1293,7 +1269,8 @@ class AggregateNode(Plan):
     *columns* (no row is ever built), and a spilled partition replays
     exactly those tuples.  A group's labels skip the union while the
     incoming label is the interned one it already holds.  A **global**
-    aggregate has no per-row loop at all (:meth:`_fold_columns`).
+    aggregate has no per-row loop at all (:meth:`_fold_columns`), and a
+    fold with no aggregates no per-row accumulator loop.
 
     **Memory bound (grace hash aggregation).**  Group state is charged
     against ``ctx.work_mem`` as groups are created (key bytes + one
@@ -1308,7 +1285,8 @@ class AggregateNode(Plan):
     counted twice.  Resident groups emit in first-seen order; spilled
     partitions follow, so *output order changes when an aggregate
     spills* — SQL makes no promise here, and ORDER BY sits above this
-    node.  Global aggregates never spill: their state is one row.
+    node (for DISTINCT too: its sort keys are functions of the distinct
+    row).  Global aggregates never spill: their state is one row.
     """
 
     #: Worker-pool size for the grace-partition phase (set by the
@@ -1328,41 +1306,52 @@ class AggregateNode(Plan):
 
     def _fold(self, ctx, source, depth: int):
         """Fold ``(key, args, label, ilabel)`` tuples into per-group
-        state — ``[label, ilabel, accumulators]`` — grace-spilling new
-        groups past the budget; yields result rows."""
-        table = _GroupTable(ctx, 0 if self.global_agg else ctx.work_mem,
-                            depth)
-        groups = table.groups
+        state — ``[label, ilabel, accumulators]``, first-seen order —
+        grace-spilling new groups past the budget; yields result rows.
+
+        This is the one place a result row comes to stand for several
+        input rows, so the one place their labels union.  Once
+        admitting one more group would overflow, ``spill`` opens and
+        every *new* key is spooled; resident groups keep absorbing
+        their rows."""
+        groups: dict = {}
         specs = self.specs
+        budget = ctx.work_mem
         overhead = AGG_STATE_BYTES * len(specs) + BUCKET_ENTRY_BYTES
+        mem = 0
+        spill: Optional[GroupSpill] = None
         try:
             for key, args, label, ilabel in source:
                 group = groups.get(key)
                 if group is None:
-                    if not table.admit(key, None, overhead):
-                        table.spill.add(key, args, label, ilabel)
+                    if spill is None and budget:
+                        mem += estimate_row_bytes(key) + overhead
+                        if mem > budget and groups and depth < MAX_RECURSION:
+                            spill = GroupSpill(ctx.spools, salt=depth,
+                                               depth=depth)
+                    if spill is not None:
+                        spill.add(key, args, label, ilabel)
                         continue
-                    group = groups[key] = [label, ilabel,
-                                           [s.make() for s in specs]]
+                    group = groups[key] = [
+                        label, ilabel,
+                        [s.make() for s in specs] if specs else ()]
                 else:
                     if label is not group[0]:
                         group[0] = group[0].union(label)
                     if ilabel is not group[1]:
                         group[1] = group[1].union(ilabel)
-                for accumulator, value in zip(group[2], args):
-                    accumulator.add(value)
-            if not groups and self.global_agg:
-                groups[()] = [EMPTY_LABEL, EMPTY_LABEL,
-                              [s.make() for s in specs]]
+                if specs:                 # DISTINCT folds no arguments
+                    for accumulator, value in zip(group[2], args):
+                        accumulator.add(value)
             for key, (label, ilabel, accumulators) in groups.items():
-                yield ([*key, *[a.result() for a in accumulators]],
-                       label, ilabel)
-            if table.spill is not None:
-                yield from self._spilled_groups(ctx, table.spill, depth)
+                yield [*key, *map(_result, accumulators)], label, ilabel
+            if spill is not None:
+                yield from self._spilled_groups(ctx, spill, depth)
         finally:
             # An accumulator TypeError (or an abandoned iterator) must
             # not leak the partition spools; close is idempotent.
-            table.close()
+            if spill is not None:
+                spill.close()
 
     def _fold_columns(self, ctx):
         """Global aggregate: every accumulator folds the
@@ -1767,91 +1756,6 @@ class TopN(Sort):
         limit = self.limit_fn([], ctx) if self.limit_fn else None
         offset = (self.offset_fn([], ctx) if self.offset_fn else 0) or 0
         return offset, None if limit is None else limit + offset
-
-
-def _unspool_seq(blocks):
-    """Replay a :class:`Distinct` partition: ``(seq, key, label,
-    ilabel)`` from blocks spooled with the row as their key columns
-    and its arrival sequence as the one value column."""
-    for key_columns, (seqs,), labels, ilabels in blocks:
-        yield from zip(seqs, zip(*key_columns), labels, ilabels)
-
-
-class Distinct(Plan):
-    """DISTINCT: collapse duplicate value tuples.
-
-    **Label union.**  Collapsing duplicates *reads* every one of them,
-    so under the tuple-granularity label model a distinct result row
-    carries the union of all collapsed rows' labels and ilabels — the
-    same semantics :class:`AggregateNode` applies to groups.  That
-    makes DISTINCT a blocking operator: a late duplicate can still
-    raise the label of an already-seen tuple, so nothing is emitted
-    until the input is drained.
-
-    **Memory bound.**  Distinct state is group state with no
-    accumulators; it grace-spills through :class:`GroupSpill` exactly
-    like aggregation (resident keys keep absorbing duplicates, new
-    keys hash-partition to disk, partitions recurse with fresh salts).
-    Unlike :class:`AggregateNode` — whose ORDER BY sits *above* it —
-    Distinct sits above the Sort in a ``SELECT DISTINCT … ORDER BY``
-    plan, so its output order is user-visible.  Each row therefore
-    carries its arrival sequence through the spill: residents were all
-    first seen before any spooled key (spilling starts mid-stream) and
-    every recursive partition stream comes back seq-ascending, so
-    chaining residents with a seq-merge of the partitions restores
-    global first-seen order — i.e. the input (sorted) order — while
-    holding one row per partition stream.
-    """
-
-    CHILDREN = ("child",)
-
-    def __init__(self, child: Plan):
-        self.child = child
-
-    def _fold(self, ctx, source, depth: int):
-        """Fold ``(seq, key, label, ilabel)`` — the key *is* the row,
-        as a tuple — into distinct state; yields ``(seq, values, label,
-        ilabel)`` in ascending seq (= global first-seen order)."""
-        table = _GroupTable(ctx, ctx.work_mem, depth)
-        groups = table.groups
-        try:
-            for seq, key, label, ilabel in source:
-                held = groups.get(key)
-                if held is not None:
-                    if label is not held[0]:
-                        held[0] = held[0].union(label)
-                    if ilabel is not held[1]:
-                        held[1] = held[1].union(ilabel)
-                elif table.admit(key, label, BUCKET_ENTRY_BYTES):
-                    groups[key] = [label, ilabel, seq]
-                else:
-                    # The key columns are the row; the seq is its value.
-                    table.spill.add(key, (seq,), label, ilabel)
-            streams = []
-            if table.spill is not None:
-                streams = [self._fold(ctx, _unspool_seq(partition),
-                                      depth + 1)
-                           for partition in table.spill.partitions()]
-            for key, (label, ilabel, seq) in groups.items():
-                yield seq, list(key), label, ilabel
-            yield from heapq.merge(*streams)       # seqs are unique
-        finally:
-            # Mid-fold error or abandoned iterator: release the
-            # partition spools deterministically (close is idempotent).
-            table.close()
-
-    def _keyed(self, ctx):
-        """The fold's input: the row tuples zipped straight out of the
-        batch's columns."""
-        seq = count()         # gaps are fine: only the order matters
-        for batch in self.child.batches(ctx):
-            columns = [batch.column(i) for i in range(batch.width)]
-            yield from zip(seq, zip(*columns), batch.labels, batch.ilabels)
-
-    def batches(self, ctx):
-        return _row_batches(
-            map(itemgetter(1, 2, 3), self._fold(ctx, self._keyed(ctx), 0)),
-            self.batch_size)
 
 
 class Limit(Plan):

@@ -20,6 +20,7 @@ layer that reads tuples, below every optimization decision.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.labels import EMPTY_LABEL
@@ -46,7 +47,6 @@ from .physical import (
     AggSpec,
     DEFAULT_BATCH_SIZE,
     DeterministicOrder,
-    Distinct,
     ExecContext,
     ExecRow,
     Filter,
@@ -71,12 +71,11 @@ from .physical import (
 from .spill import estimated_tuple_bytes
 
 __all__ = [
-    "AggregateNode", "AggSpec", "DeterministicOrder", "Distinct",
-    "ExecContext", "ExecRow", "Filter", "HashJoin",
-    "IndexLoopJoin", "IndexRangeScan", "IndexScan", "Limit",
-    "NestedLoopJoin", "Plan", "Planner", "PreparedDML",
-    "PreparedSelect", "Project", "Scan", "SingleRow", "Sort", "TopN",
-    "ViewPlan", "explain_plan",
+    "AggregateNode", "AggSpec", "DeterministicOrder", "ExecContext",
+    "ExecRow", "Filter", "HashJoin", "IndexLoopJoin", "IndexRangeScan",
+    "IndexScan", "Limit", "NestedLoopJoin", "Plan", "Planner",
+    "PreparedDML", "PreparedSelect", "Project", "Scan", "SingleRow", "Sort",
+    "TopN", "ViewPlan", "explain_plan",
 ]
 
 
@@ -364,55 +363,63 @@ class Planner:
                           or (select.having is not None
                               and ex.contains_aggregate(select.having)))
 
+        # What the select list and ORDER BY read: the input row, until a
+        # collapse (GROUP BY, then DISTINCT) replaces it with its own
+        # ``width`` slots.  An input row always ends in _label slots the
+        # select list cannot cover, so it has no width to be the
+        # identity projection of.
+        out_exprs = [expr for expr, _ in items]
+        row_compiler = compiler
+        width = None
+        rewrite_map: Dict[ex.Expr, ex.Expr] = {}
         if has_aggregates:
-            plan, post_compiler, rewrite_map = self._plan_aggregation(
-                select, plan, compiler, items)
-            # Post-aggregation row width: group keys then aggregates
-            # (used below to recognize identity projections).
-            identity_width = len(plan.group_fns) + len(plan.specs)
-            out_exprs = [ex.rewrite(expr, rewrite_map) for expr, _ in items]
-            out_compiler = post_compiler
+            plan, rewrite_map = self._plan_aggregation(select, plan,
+                                                       compiler, items)
+            row_compiler = self._slot_compiler(compiler)
+            width = len(plan.group_fns) + len(plan.specs)
+            out_exprs = [ex.rewrite(expr, rewrite_map) for expr in out_exprs]
             if select.having is not None:
                 having = ex.rewrite(select.having, rewrite_map)
-                plan = self._filter(plan, having, post_compiler)
-            order_compiler = post_compiler
-            order_rewrite = rewrite_map
-        else:
-            out_exprs = [expr for expr, _ in items]
-            out_compiler = compiler
-            if select.having is not None:
-                raise DatabaseError("HAVING requires GROUP BY or aggregates")
-            order_compiler = compiler
-            order_rewrite = {}
-            # A non-aggregated input row always ends in _label slots the
-            # select list cannot cover, so it never matches an identity
-            # projection.
-            identity_width = None
+                plan = self._filter(plan, having, row_compiler)
+        elif select.having is not None:
+            raise DatabaseError("HAVING requires GROUP BY or aggregates")
+
+        order_key = partial(ex.rewrite, mapping=rewrite_map)
+        if select.distinct:
+            # DISTINCT is GROUP BY over the select list with no
+            # aggregates: the group row is the output row, so the sort
+            # above it sees distinct rows and needs no projection.
+            plan = self._aggregate(plan, row_compiler, out_exprs, [])
+            row_compiler = self._slot_compiler(compiler)
+            width = len(items)
+            out_exprs = [ex.SlotRef(slot) for slot in range(width)]
+            order_key = partial(self._over_distinct, slots={
+                expr: ex.SlotRef(slot)
+                for slot, (expr, _) in enumerate(items)})
 
         # ORDER BY before projection (so it can reference input columns),
         # with support for output aliases and 1-based positions.
-        # ORDER BY … LIMIT (no DISTINCT between them) rewrites to a
-        # single bounded-heap TopN absorbing the Limit node: everything
-        # separating the two — Project — is 1:1, so applying the limit
-        # at the sort is semantics-preserving and a small limit never
-        # sorts (or spills) the full input.  Naive/reference plans keep
-        # the literal Sort + Limit pair.
+        # ORDER BY … LIMIT rewrites to a single bounded-heap TopN
+        # absorbing the Limit node: everything separating the two —
+        # Project — is 1:1, so applying the limit at the sort is
+        # semantics-preserving and a small limit never sorts (or
+        # spills) the full input.  Naive/reference plans keep the
+        # literal Sort + Limit pair.
         topn = None
         if select.order_by:
             key_exprs = []
             descending = []
             order_texts = []
             for order_item in select.order_by:
-                expr = order_item.expr
-                resolved = self._resolve_order_expr(expr, items, names)
-                key_exprs.append(ex.rewrite(resolved, order_rewrite))
+                resolved = self._resolve_order_expr(order_item.expr, items,
+                                                    names)
+                key_exprs.append(order_key(resolved))
                 descending.append(order_item.descending)
                 order_texts.append(ex.to_sql(resolved)
                                    + (" DESC" if order_item.descending
                                       else ""))
-            key_fns = self._batch_all(order_compiler, key_exprs)
-            if (select.limit is not None and not select.distinct
-                    and not self.optimizer.naive):
+            key_fns = self._batch_all(row_compiler, key_exprs)
+            if select.limit is not None and not self.optimizer.naive:
                 limit_fn = compiler.compile(select.limit)
                 offset_fn = (compiler.compile(select.offset)
                              if select.offset is not None else None)
@@ -424,32 +431,25 @@ class Planner:
                 sort = Sort(plan, key_fns, descending)
                 sort.explain = "Sort [%s]" % ", ".join(order_texts)
             self._passthrough(sort, plan)
-            sort_width = (identity_width if identity_width is not None
-                          else query.width)
-            self._cost_sort(sort, plan, sort_width,
+            self._cost_sort(sort, plan,
+                            query.width if width is None else width,
                             self._topn_bound(select) if topn is not None
                             else None)
             plan = sort
 
         # A projection whose every output expression is SlotRef(i), in
-        # order, covering the whole post-aggregation row is the
-        # identity (e.g. ``SELECT grp, COUNT(*) … GROUP BY grp``) —
+        # order, covering the whole collapsed row is the identity (e.g.
+        # ``SELECT grp, COUNT(*) … GROUP BY grp``, any DISTINCT) —
         # elide the no-op node; output names live in PreparedSelect.
-        identity = (identity_width is not None
-                    and len(out_exprs) == identity_width
+        identity = (len(out_exprs) == width
                     and all(isinstance(e, ex.SlotRef) and e.slot == i
                             for i, e in enumerate(out_exprs)))
         if not identity:
             project = Project(plan,
-                              self._batch_all(out_compiler, out_exprs))
+                              self._batch_all(row_compiler, out_exprs))
             project.explain = "Project [%s]" % ", ".join(names)
             self._passthrough(project, plan)
             plan = project
-        if select.distinct:
-            distinct = Distinct(plan)
-            self._passthrough(distinct, plan)
-            self._cost_distinct(distinct, plan, len(names))
-            plan = distinct
         if (select.limit is not None or select.offset is not None) \
                 and topn is None:
             limit_fn = (compiler.compile(select.limit)
@@ -459,6 +459,9 @@ class Planner:
             limit = Limit(plan, limit_fn, offset_fn)
             limit.explain = "Limit (%s)" % self._limit_text(select)
             self._passthrough(limit, plan)
+            bound = self._topn_bound(select)
+            if bound is not None and plan.est_rows is not None:
+                limit.est_rows = min(plan.est_rows, float(max(bound[0], 0)))
             plan = limit
         return PreparedSelect(plan, list(names))
 
@@ -526,20 +529,19 @@ class Planner:
         sort.est_cost = (child.est_cost or 0.0) \
             + COST_ROW * child_rows + extra
 
-    def _cost_distinct(self, distinct: Plan, child: Plan,
-                       width: int) -> None:
-        """DISTINCT is group state with no accumulators: cost it like
-        grace aggregation with zero specs (worst case, every input row
-        a distinct group)."""
-        child_rows = child.est_rows
-        if child_rows is None:
-            return
-        partitions, est_mem, extra = estimate_group_spill(
-            child_rows, child_rows, width, 0, self.optimizer.work_mem)
-        distinct.est_mem = est_mem
-        distinct.est_spill_partitions = partitions
-        distinct.est_cost = (child.est_cost or 0.0) \
-            + COST_ROW * child_rows + extra
+    @classmethod
+    def _over_distinct(cls, expr: ex.Expr,
+                       slots: Dict[ex.Expr, ex.SlotRef]) -> ex.Expr:
+        """An ORDER BY key over the distinct row: select items become
+        their ``slots``.  A column or aggregate outside every item is
+        not a function of that row — duplicates may disagree on it."""
+        if expr in slots:
+            return slots[expr]
+        if isinstance(expr, (ex.ColumnRef, ex.Aggregate)):
+            raise DatabaseError("for SELECT DISTINCT, ORDER BY expressions "
+                                "must appear in the select list")
+        return expr.rebuilt([cls._over_distinct(child, slots)
+                             for child in expr.children()])
 
     def _resolve_order_expr(self, expr, items, names):
         if isinstance(expr, ex.Literal) and isinstance(expr.value, int):
@@ -554,6 +556,8 @@ class Planner:
         return expr
 
     def _plan_aggregation(self, select, plan, compiler, items):
+        """The GROUP BY / aggregate collapse and the map from group
+        expressions and aggregate calls to its output slots."""
         group_exprs = list(select.group_by)
         aggregates: List[ex.Aggregate] = []
         for expr, _name in items:
@@ -562,7 +566,27 @@ class Planner:
             ex.collect_aggregates(select.having, aggregates)
         for order_item in select.order_by:
             ex.collect_aggregates(order_item.expr, aggregates)
+        node = self._aggregate(plan, compiler, group_exprs, aggregates)
 
+        # Post-aggregation rows: group values then aggregate results.
+        rewrite_map: Dict[ex.Expr, ex.Expr] = {}
+        for slot, group_expr in enumerate(group_exprs):
+            rewrite_map[group_expr] = ex.SlotRef(slot)
+        for slot, agg in enumerate(aggregates):
+            rewrite_map[agg] = ex.SlotRef(len(group_exprs) + slot)
+        return node, rewrite_map
+
+    def _slot_compiler(self, compiler: ex.ExprCompiler) -> ex.ExprCompiler:
+        """Compiles expressions over a collapsed row: slot references,
+        plus whatever the enclosing queries' rows supply."""
+        return self.compiler(ex.Scope(outer=compiler.scope.outer))
+
+    def _aggregate(self, plan: Plan, compiler: ex.ExprCompiler,
+                   group_exprs: List[ex.Expr],
+                   aggregates: List[ex.Aggregate]) -> AggregateNode:
+        """One :class:`AggregateNode` over ``plan`` — every collapse
+        (GROUP BY, global aggregates, DISTINCT) is built and costed
+        here."""
         specs = [AggSpec(agg.func,
                          None if agg.arg is None
                          else compiler.compile_batch(agg.arg),
@@ -591,14 +615,4 @@ class Planner:
             node.est_spill_partitions = partitions
             node.est_cost = (plan.est_cost or 0.0) \
                 + COST_ROW * child_rows + extra
-
-        # Post-aggregation rows: group values then aggregate results.
-        rewrite_map: Dict[ex.Expr, ex.Expr] = {}
-        for slot, group_expr in enumerate(group_exprs):
-            rewrite_map[group_expr] = ex.SlotRef(slot)
-        for slot, agg in enumerate(aggregates):
-            rewrite_map[agg] = ex.SlotRef(len(group_exprs) + slot)
-
-        post_scope = ex.Scope(outer=compiler.scope.outer)
-        post_compiler = self.compiler(post_scope)
-        return node, post_compiler, rewrite_map
+        return node

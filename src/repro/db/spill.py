@@ -628,8 +628,8 @@ class SortRuns:
 
 
 class GroupSpill:
-    """Grace partitioner for overflowing hash-aggregation (and
-    DISTINCT) group state.
+    """Grace partitioner for overflowing hash-aggregation group state
+    (DISTINCT is the aggregation with no aggregates).
 
     Rows whose group key is not already memory-resident are
     hash-routed by ``(salt, key)`` into ``fanout`` spools; each
@@ -660,15 +660,6 @@ class GroupSpill:
         if not spool.count:
             tally().agg_partitions += 1
         spool.append(key, values, label, ilabel)
-
-    def partitions(self) -> Iterator[Iterator[tuple]]:
-        """Yield one block iterator per non-empty partition; empty
-        spools are closed without counting."""
-        for spool in self.spools:
-            if spool.count:
-                yield spool.blocks()
-            else:
-                spool.close()
 
     def close(self) -> None:
         """Release every spool's temp file (idempotent); consumers call

@@ -8,7 +8,7 @@ equality selectivity from NDV, range selectivity from the histogram,
 and join fan-out from the inner column's NDV.
 
 **Versioning.**  Stats are stamped with the same
-``(catalog.version, tags.version)`` epoch as the prepared-plan caches
+``(catalog.version, tags.version)`` epoch as the prepared-plan cache
 and remember the identity of the table object they describe, so DDL —
 ``DROP INDEX``, ``DROP TABLE``, schema changes — can never leave a
 stale histogram behind: dropping a table forgets its stats, and a

@@ -17,12 +17,11 @@ gap with the standard crash-consistency discipline:
   prefix-atomicity structural: a torn record simply *is* an
   uncommitted transaction.
 * **Group commit.**  Concurrent committers ride one fsync: the first
-  committer becomes the flush leader (optionally sleeping
-  ``group_commit_ms`` to let stragglers accumulate), writes every
-  pending record, issues a single fsync, and wakes the group.  A
-  commit that arrives mid-flush waits and is absorbed by the next
-  leader.  ``Database(wal=…, group_commit_ms=…)`` / ``REPRO_WAL``
-  configure it.
+  committer becomes the flush leader, writes every record pending at
+  that moment, issues a single fsync, and wakes the group.  A commit
+  that arrives mid-flush waits and is absorbed by the next leader; the
+  leader never waits for company.  ``Database(wal=…)`` / ``REPRO_WAL``
+  turn the log on.
 * **Checksummed, length-prefixed records.**  Each record is
   ``<u32 length><u32 crc32(payload)><payload>``; the payload reuses the
   labeled-row codec shared with :mod:`repro.db.spill` and
@@ -64,7 +63,6 @@ import os
 import pickle
 import struct
 import threading
-import time
 import zlib
 from typing import Dict, List, Optional, Tuple
 
@@ -197,10 +195,8 @@ class WriteAheadLog:
     behind garbage a future recovery would stop at.
     """
 
-    def __init__(self, path: str, *, group_commit_ms: float = 0.0,
-                 fault: Optional[FaultSpec] = None):
+    def __init__(self, path: str, *, fault: Optional[FaultSpec] = None):
         self.path = path
-        self._delay = max(0.0, float(group_commit_ms)) / 1000.0
         _records, valid, tail = scan_wal(path)
         self.existing_records = len(_records)
         real = _RealFile(path)
@@ -256,11 +252,6 @@ class WriteAheadLog:
                     raise entry.error
                 return
             self._flushing = True           # we are the flush leader
-        if self._delay:
-            # commit_delay: let concurrent committers pile into
-            # ``_pending`` so one fsync covers them all.
-            time.sleep(self._delay)
-        with self._cond:
             batch = self._pending
             self._pending = []
         error = self._flush_batch(batch)

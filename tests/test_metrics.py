@@ -346,19 +346,17 @@ def test_each_new_text_is_lexed_once_and_caches_stay_bounded(monkeypatch):
     assert db.stats()["statements"]["SELECT v FROM t WHERE id = ?"][
         "calls"] == 2
 
-    caches = (db._parse_cache, db._select_cache, db._insert_cache,
-              db._dml_cache)
+    caches = (db._parse_cache, db._plan_cache)
     for i in range(2, 5002):               # 10 000 distinct texts
         public.execute("INSERT INTO t VALUES (%d, 0)" % i)
         public.execute("SELECT v FROM t WHERE id = %d" % i)
         assert all(len(c) <= engine.STATEMENT_CACHE_CAP for c in caches)
     assert len(calls) == 2 + 10000
-    assert len(db._select_cache) < 5000 and len(db._insert_cache) < 5000
-    # The UPDATE/DELETE cache goes through the same bound.
+    # UPDATE/DELETE plans go through the same bound.
     monkeypatch.setattr(engine, "STATEMENT_CACHE_CAP", 8)
     for i in range(20):
         public.execute("UPDATE t SET v = %d WHERE id = 1" % i)
-        assert len(db._dml_cache) <= 8
+        assert len(db._plan_cache) <= 8
     assert public.execute("SELECT v FROM t WHERE id = 1").rows[0][0] == 19
 
 

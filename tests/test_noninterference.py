@@ -1,0 +1,232 @@
+"""Noninterference of the collapse: a two-world check.
+
+The paper's claim (sections 4.2, 7.1) is stronger than "hidden rows are
+not returned": *nothing* a process can observe may depend on tuples
+whose label it does not cover.  The operator where that is easiest to
+get wrong is the one where a result row comes to stand for several
+stored tuples — DISTINCT / GROUP BY, one fold since
+``AggregateNode._fold`` — because a hidden duplicate could raise a
+visible row's label, add a group, win a Top-N cut, or change what
+spills.
+
+So: the same seeded visible tuples are loaded into several *worlds*
+that differ only in tuples labeled with a tag the reader does not hold.
+The hidden tuples are aimed at the collapse: they **duplicate** visible
+groups, **extend** the group set with keys no visible tuple has (some
+sorting before every visible key, some after), and **precede** the
+visible tuples in the heap.  For every statement, in every executor
+configuration, every world must show the reader the same rows in the
+same order, the same row labels and integrity labels, the same
+``rowcount``, the same error type and message, and the same
+``db.stats()["spill"]`` traffic — and a collapsed row's label must be
+the union over exactly its *visible* duplicates.
+
+This is the first slice of ROADMAP item 1; the statement stream, the
+other observables and the recovered-from-WAL leg are still to come.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.db import Database
+
+SEED = 1813
+
+#: Executor configurations (``Database`` keyword arguments).  The gang
+#: only ever runs spilled partitions, so it gets the tight budget too.
+CONFIGS = {
+    "default": {},
+    "batch_size=1": {"batch_size": 1},
+    "work_mem=1024": {"work_mem": 1024},
+    "workers=2": {"work_mem": 1024, "workers": 2},
+}
+
+#: World → seed of its hidden tuples (``None``: it has none).
+WORLDS = {"D": None, "D'": 7, "D''": 8}
+
+#: Visible secrecy labels, as indexes into the reader's two tags.
+VISIBLE_LABELS = ((), (0,), (1,), (0, 1))
+
+STATEMENTS = (
+    # DISTINCT, bare and under ORDER BY … LIMIT/OFFSET cuts.
+    "SELECT DISTINCT a, b FROM t",
+    "SELECT DISTINCT a, b FROM t ORDER BY a DESC, b",
+    "SELECT DISTINCT a, b FROM t ORDER BY a, b LIMIT 5 OFFSET 2",
+    "SELECT DISTINCT a FROM t ORDER BY a LIMIT 3",
+    "SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT 2 OFFSET 1",
+    "SELECT DISTINCT c, a + b AS s FROM t ORDER BY s DESC, c LIMIT 4",
+    "SELECT DISTINCT a, b FROM t LIMIT 4",
+    # GROUP BY without and with aggregates.
+    "SELECT a, b FROM t GROUP BY a, b",
+    "SELECT a, COUNT(*), SUM(b), MIN(c), COUNT(DISTINCT b) FROM t "
+    "GROUP BY a",
+    "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY COUNT(*) DESC, a "
+    "LIMIT 3",
+    "SELECT DISTINCT b, COUNT(*) FROM t GROUP BY a, b HAVING COUNT(*) > 1",
+    "SELECT COUNT(*), MAX(a), MIN(a) FROM t",
+    # The collapse inside a subquery and a derived table.
+    "SELECT k FROM u WHERE a IN (SELECT DISTINCT a FROM t WHERE b < 2) "
+    "ORDER BY k",
+    "SELECT COUNT(*) FROM (SELECT DISTINCT a, b FROM t) d",
+    # Only hidden tuples have z = 0: no world may raise.
+    "SELECT DISTINCT 12 / z FROM t",
+    # Errors are observables too.
+    "SELECT DISTINCT a FROM t ORDER BY b",
+    # rowcount of a write fed by the collapse.
+    "INSERT INTO sink SELECT DISTINCT a, b FROM t",
+)
+
+
+def _visible_tuples():
+    """``(id, a, b, c, z, label indexes, endorsed)``: 120 tuples over
+    24 ``(a, b)`` groups, each group under several labels."""
+    rng = random.Random(SEED)
+    return [(2 * i, rng.randrange(1, 7), rng.randrange(4), "c%d" % (i % 7),
+             rng.randrange(1, 4), rng.choice(VISIBLE_LABELS), i % 5 == 0)
+            for i in range(120)]
+
+
+def _hidden_tuples(seed, visible):
+    """Tuples the reader must not be able to tell are there; odd ids.
+    ``z = 0`` only ever appears here."""
+    rng = random.Random(seed)
+    hidden = []
+    for i in range(rng.randrange(50, 70)):
+        kind = rng.choice(("duplicate", "duplicate", "before", "after"))
+        if kind == "duplicate":
+            _id, a, b, c, _z, _label, _e = rng.choice(visible)
+        elif kind == "before":
+            a, b, c = -rng.randrange(1, 4), rng.randrange(4), "a0"
+        else:
+            a, b, c = rng.randrange(7, 11), rng.randrange(4, 8), "z9"
+        hidden.append((2 * i + 1, a, b, c, 0,
+                       rng.choice(((), (0,), (1,))), rng.random() < 0.3))
+    return hidden
+
+
+def _world(hidden_seed, config):
+    """One world's database and the reader's session."""
+    authority = AuthorityState(idgen=SeededIdGenerator(SEED))
+    db = Database(authority, seed=SEED, **config)
+    owner = authority.create_principal("owner")
+    low = [authority.create_tag("low-%d" % i, owner=owner.id)
+           for i in range(2)]
+    high = authority.create_tag("high", owner=owner.id)
+    vetted = authority.create_tag("vetted", owner=owner.id,
+                                  kind="integrity")
+    admin = db.connect(IFCProcess(authority, owner.id))
+    admin.execute_script(
+        "CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c TEXT, z INT);"
+        "CREATE TABLE u (k INT PRIMARY KEY, a INT);"
+        "CREATE TABLE sink (a INT, b INT);")
+    for k in range(-4, 12):                       # public, every world
+        admin.execute("INSERT INTO u VALUES (?, ?)", (k, k))
+
+    # Ten hidden tuples precede every visible one in the heap; the
+    # rest fall between them.
+    visible = _visible_tuples()
+    hidden = [] if hidden_seed is None \
+        else _hidden_tuples(hidden_seed, visible)
+    rng = random.Random(hidden_seed)
+    pending = [(row, True) for row in hidden[:10]]
+    del hidden[:10]
+    for row in visible:
+        pending.append((row, False))
+        while hidden and rng.random() < 0.4:
+            pending.append((hidden.pop(), True))
+    pending.extend((row, True) for row in hidden)
+    writers = {}
+    for (ident, a, b, c, z, labels, endorsed), secret in pending:
+        key = (labels, endorsed, secret)
+        if key not in writers:
+            process = IFCProcess(authority, owner.id)
+            for index in labels:
+                process.add_secrecy(low[index].id)
+            if secret:
+                process.add_secrecy(high.id)
+            if endorsed:
+                process.endorse(vetted.id)
+            writers[key] = db.connect(process)
+        writers[key].execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)",
+                             (ident, a, b, c, z))
+    reader = IFCProcess(authority, owner.id)
+    for tag in low:
+        reader.add_secrecy(tag.id)
+    return db.connect(reader), [tag.id for tag in low]
+
+
+def _observe(session, sql):
+    """Everything the reader can see of one statement."""
+    db = session.db
+    before = db.stats()["spill"]
+    seen = {}
+    try:
+        result = session.execute(sql)
+        seen["rows"] = [(tuple(row), tuple(sorted(row.label)))
+                        for row in result.rows]
+        seen["rowcount"] = result.rowcount
+        if sql.startswith("SELECT"):
+            # Integrity labels travel below the Row: drain the plan.
+            prepared = db.prepare_select(db.parse(sql), sql)
+            with session._autocommit():
+                seen["ilabels"] = [
+                    tuple(sorted(ilabel)) for batch in
+                    prepared.plan.batches(session._context(()))
+                    for ilabel in batch.ilabels]
+    except Exception as exc:      # whatever is raised is the observable
+        seen["error"] = (type(exc).__name__, str(exc))
+    after = db.stats()["spill"]
+    seen["spill"] = {field: after[field] - before[field] for field in after}
+    return seen
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_the_collapse_shows_the_same_in_every_world(config):
+    worlds = {name: _world(seed, CONFIGS[config])
+              for name, seed in WORLDS.items()}
+    base = worlds["D"][0]
+    spilled = dict.fromkeys(base.db.stats()["spill"], 0)
+    for sql in STATEMENTS:
+        want = _observe(base, sql)
+        for name in ("D'", "D''"):
+            got = _observe(worlds[name][0], sql)
+            for what in sorted(set(want) | set(got)):
+                assert got.get(what) == want.get(what), \
+                    (config, name, sql, what)
+        for field, count in want["spill"].items():
+            spilled[field] += count
+        if "ORDER BY b" in sql:
+            assert want["error"][0] == "DatabaseError", want
+        else:
+            assert "error" not in want, (sql, want)
+            assert want["rowcount"] == len(want["rows"]) or \
+                sql.startswith("INSERT"), (sql, want)
+    # The statements did collapse, and — under a budget — did spill.
+    assert len(_observe(base, STATEMENTS[0])["rows"]) == 24
+    if "work_mem" in CONFIGS[config]:
+        assert spilled["agg_spills"] and spilled["sort_spills"], spilled
+        assert spilled["rows_spilled"], spilled
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_collapsed_row_is_labeled_by_its_visible_duplicates(config):
+    """The union is over every visible tuple of the group — not the
+    first one met — and over none of the hidden ones."""
+    expected = {}
+    for _id, a, b, _c, _z, labels, _endorsed in _visible_tuples():
+        expected.setdefault((a, b), set()).update(labels)
+    assert any(len(labels) == 2 for labels in expected.values())
+    for name, seed in WORLDS.items():
+        session, tags = _world(seed, CONFIGS[config])
+        for sql in ("SELECT DISTINCT a, b FROM t",
+                    "SELECT a, b FROM t GROUP BY a, b",
+                    "SELECT DISTINCT a, b FROM t ORDER BY b, a DESC"):
+            got = {tuple(row): set(row.label)
+                   for row in session.execute(sql).rows}
+            want = {key: {tags[index] for index in labels}
+                    for key, labels in expected.items()}
+            assert got == want, (config, name, sql)

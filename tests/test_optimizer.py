@@ -274,9 +274,9 @@ class TestPlanCache:
         db, session = store
         sql = "UPDATE items SET price = price WHERE id = 1"
         session.execute(sql)
-        assert sql in db._dml_cache
+        assert sql in db._plan_cache
         db.invalidate_plans_for("items")
-        assert sql not in db._dml_cache
+        assert sql not in db._plan_cache
 
     def test_epoch_covers_tag_registry_mutations(self, db, authority):
         session = db.connect()
@@ -284,7 +284,7 @@ class TestPlanCache:
         sql = "SELECT body FROM notes WHERE id = 1"
         session.execute(sql)
         epoch_before = db.plan_cache_epoch()
-        assert db._select_cache
+        assert db._plan_cache
         owner = authority.create_principal("owner")
         authority.create_tag("note_tag", owner=owner.id)
         assert db.plan_cache_epoch() != epoch_before

@@ -1,6 +1,6 @@
-"""Memory-bounded Sort, Aggregate, and Distinct (external merge sort,
-grace hash aggregation, Top-N) plus the IFC label-union fix in
-duplicate-collapsing operators.
+"""Memory-bounded Sort and Aggregate — DISTINCT included, as the
+aggregation with no aggregates — (external merge sort, grace hash
+aggregation, Top-N) plus the IFC label union in the collapse.
 
 Covers the PR-8 operator family end-to-end through the session layer:
 
@@ -196,6 +196,41 @@ def test_topn_parameterized_limit():
     assert _ordered(session, sql, (0,)) == []
 
 
+def _operators(lines):
+    return [line.split("  (")[0].strip() for line in lines]
+
+
+def test_distinct_order_by_limit_plans_as_its_group_by_spelling():
+    distinct = "SELECT DISTINCT k, grp FROM m ORDER BY k LIMIT 3"
+    grouped = "SELECT k, grp FROM m GROUP BY k, grp ORDER BY k LIMIT 3"
+    session = _stack(0, n_rows=60)
+    assert _explain(session, distinct) == _explain(session, grouped)
+    assert _operators(_explain(session, distinct)) == [
+        "TopN [k] (limit 3)", "Aggregate [] group by [k, grp]", "Scan m"]
+    naive = _stack(0, naive=True, n_rows=60)
+    assert _explain(naive, distinct) == _explain(naive, grouped)
+    assert _operators(_explain(naive, distinct)) == [
+        "Limit (limit 3)", "Sort [k]", "Aggregate [] group by [k, grp]",
+        "Scan m"]
+
+
+def test_limit_estimates_its_own_rows():
+    """A literal LIMIT caps the Limit node's row estimate (as it does
+    TopN's); a parameter or a bare OFFSET leaves the child's."""
+    for naive in (False, True):
+        session = _stack(0, naive=naive, n_rows=60)
+        for sql, rows in (("SELECT id FROM m LIMIT 3", 3),
+                          ("SELECT id FROM m LIMIT 3 OFFSET 2", 3),
+                          ("SELECT DISTINCT grp FROM m LIMIT 3", 3),
+                          ("SELECT id FROM m LIMIT 1000", 60),
+                          ("SELECT id FROM m LIMIT ?", 60),
+                          ("SELECT id FROM m OFFSET 2", 60)):
+            params = (3,) if "?" in sql else ()
+            line = session.execute("EXPLAIN " + sql, params).rows[0][0]
+            assert line.startswith("Limit ("), (naive, sql, line)
+            assert " rows=%d)" % rows in line, (naive, sql, line)
+
+
 # ---------------------------------------------------------------------------
 # DISTINCT: label union + spill
 # ---------------------------------------------------------------------------
@@ -248,19 +283,30 @@ def test_distinct_label_union_matches_group_by():
     assert distinct == grouped
 
 
-def test_distinct_spills_and_preserves_sorted_order():
-    """``SELECT DISTINCT … ORDER BY`` places the Sort *below* the
-    Distinct, so a spilling Distinct must preserve its input order —
-    the arrival-sequence merge guarantees first-seen (= sorted) order
-    even when state grace-partitions to disk."""
-    sql = "SELECT DISTINCT k, grp FROM m ORDER BY k, grp"
+def test_distinct_collapses_below_its_sort():
+    """``SELECT DISTINCT … ORDER BY`` is the aggregation with no
+    aggregates *under* the sort: with both spilling, the output is the
+    unbounded run's in the order the statement fixes, and what the
+    sort buffers and spools is the distinct rows, not the table."""
+    sql = "SELECT DISTINCT grp FROM m ORDER BY grp DESC"
     expected = _ordered(_stack(0), sql)
+    values = [row[0] for row, _label in expected]
+    assert values == sorted(set(values), reverse=True) and len(values) > 40
     session = _stack(1024)
     before = counters.snapshot()["spill"]
     got = _ordered(session, sql)
     after = counters.snapshot()["spill"]
     assert got == expected                     # ordered comparison
     assert after["agg_spills"] > before["agg_spills"]
+    assert after["sort_spills"] > before["sort_spills"]
+    lines = [r[0].strip() for r in
+             session.execute("EXPLAIN ANALYZE " + sql).rows]
+    assert lines[0].startswith("Sort [grp DESC]"), lines
+    assert lines[1].startswith("Aggregate [] group by [grp]"), lines
+    assert lines[2].startswith("Scan m"), lines
+    assert "actual rows=600 " in lines[2], lines
+    assert "actual rows=%d " % len(values) in lines[1], lines
+    assert " spill_rows=%d " % len(values) in lines[0], lines
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +425,9 @@ PARITY_QUERIES = (
     # Grace aggregation with DISTINCT accumulators.
     ("SELECT g, COUNT(DISTINCT k), COUNT(*), SUM(v), MIN(s) FROM a "
      "GROUP BY g", False),
-    # DISTINCT above the sort: first-seen order through the seq merge.
-    ("SELECT DISTINCT g, k FROM a ORDER BY g", True),
+    # DISTINCT below its sort: the keys are total over the distinct
+    # rows (which duplicate a spilled collapse meets first is not).
+    ("SELECT DISTINCT g, k FROM a ORDER BY g, k", True),
     # DESC, NULLs, and ties that only arrival order breaks.
     ("SELECT id, k, g FROM a ORDER BY k DESC, g", True),
     ("SELECT id, g FROM a ORDER BY g", True),

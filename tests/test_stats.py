@@ -386,14 +386,14 @@ class TestInvalidationAndRefresh:
         sql_other = "SELECT x FROM other WHERE x = 1"
         session.execute(sql_events)
         session.execute(sql_other)
-        assert sql_events in db._select_cache
-        assert sql_other in db._select_cache
+        assert sql_events in db._plan_cache
+        assert sql_other in db._plan_cache
         self._drift(db, session)
         refreshed = db.stats_manager.refresh_drifted()
         assert refreshed == ["events"]
         # Only the plan reading the refreshed table was evicted.
-        assert sql_events not in db._select_cache
-        assert sql_other in db._select_cache
+        assert sql_events not in db._plan_cache
+        assert sql_other in db._plan_cache
 
     def test_periodic_sweep_refreshes_without_replanning(self, store):
         # Even with every hot plan cached (so no planning pass ever

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import shutil
 import threading
+import time
 
 import pytest
 
@@ -369,10 +370,31 @@ class TestFsyncGate:
 # group commit
 # ---------------------------------------------------------------------------
 
+class _HeldFsync:
+    """The log's file, except that the first ``fsync`` does not return
+    until ``queued()`` — or ten seconds, leaving ``held`` false for the
+    test to fail on."""
+
+    def __init__(self, inner, queued):
+        self._inner = inner
+        self._queued = queued
+        self.held = None
+
+    def fsync(self):
+        if self.held is None:
+            deadline = time.monotonic() + 10.0
+            while not self._queued() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            self.held = self._queued()
+        self._inner.fsync()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 class TestGroupCommit:
     def test_concurrent_commits_share_flushes(self, authority, tmp_path):
-        db = Database(authority, wal=str(tmp_path / "g.wal"),
-                      group_commit_ms=50)
+        db = Database(authority, wal=str(tmp_path / "g.wal"))
         setup = db.connect()
         setup.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         sessions = []
@@ -381,11 +403,15 @@ class TestGroupCommit:
             s.begin()
             s.execute("INSERT INTO t VALUES (?)", (i,))
             sessions.append(s)
-        barrier = threading.Barrier(len(sessions))
+        # The first committer leads a flush of its own record; hold it
+        # inside fsync until the other five have queued behind it, so
+        # the next leader's batch is theirs — no timing window.
+        wal = db.wal
+        wal._file = _HeldFsync(
+            wal._file, lambda: len(wal._pending) == len(sessions) - 1)
         errors = []
 
         def commit(sess):
-            barrier.wait()
             try:
                 sess.commit()
             except BaseException as exc:           # pragma: no cover
@@ -396,14 +422,15 @@ class TestGroupCommit:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert not errors
-        wal = db.stats()["wal"]
-        assert wal["commits"] == len(sessions)
-        # The whole point: fewer fsyncs than commits, with at least one
-        # flush absorbing several commits inside the 50ms window.
-        assert wal["commit_flushes"] < len(sessions)
-        assert wal["group_commit_size"] >= 2
+            t.join(30.0)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert wal._file.held, "followers never queued behind the leader"
+        stats = db.stats()["wal"]
+        assert stats["commits"] == len(sessions)
+        # The whole point: fewer fsyncs than commits — the leader's own
+        # flush, then one absorbing everyone who queued meanwhile.
+        assert stats["commit_flushes"] == 2
+        assert stats["group_commit_size"] == len(sessions) - 1
         recovered = Database(authority)
         recovered.recover(str(tmp_path / "g.wal"))
         assert len(recovered.connect().query("SELECT * FROM t")) == \
