@@ -51,12 +51,19 @@ SCHEMA = (
     ("index", "lookups", SUM, "lookups"),
     ("index", "range_scans", SUM, "range_scans"),
     # -- exec: db/physical.py ---------------------------------------------
-    # Cells the scans copied out of stored tuples into batch columns
-    # (projection pushdown: 2 of N columns is ``2 x rows`` cells, batch
-    # size invariant) and rows rebuilt row-major from a columnar batch
-    # (at most once per output row, at the cursor drain).
+    # Cells the scans copied into their output columns (projection
+    # pushdown: 2 of N columns is ``2 x rows`` cells; a memoized heap
+    # segment emitted whole is its own arrays, no cell copied) and rows
+    # rebuilt row-major from a columnar batch (at most once per output
+    # row, at the cursor drain; once more under a scan predicate that
+    # has no column kernel).  Candidate
+    # segments the scan leaf filtered — heap slices and index-probe
+    # chunks alike — and those among them that passed the MVCC bound
+    # check whole, with no per-row ``visible()``.
     ("exec", "columns_materialized", SUM, "cells"),
     ("exec", "rows_widened", SUM, "widened"),
+    ("exec", "segments_scanned", SUM, "segments"),
+    ("exec", "segments_frozen", SUM, "frozen"),
     # -- spill: db/spill.py -----------------------------------------------
     # ``spills`` is top-level join build overflows (one per join that
     # spilled, however deep the recursion), ``repartitions`` recursive

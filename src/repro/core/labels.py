@@ -2,9 +2,10 @@
 
 A label is a set of tags (section 3.1).  Tuple labels are immutable and
 assigned at creation; process labels are replaced wholesale by explicit
-operations on :class:`~repro.core.process.IFCProcess`.  ``Label`` is a thin
-immutable wrapper over a ``frozenset`` of integer tag ids, hashable so it
-can be interned, used as a dict key, and stored unchanged in tuples.
+operations on :class:`~repro.core.process.IFCProcess`.  ``Label`` *is* a
+``frozenset`` of integer tag ids (a stateless subclass), so it is
+hashable, can be interned, used as a dict key, and stored unchanged in
+tuples — and every hash, comparison and subset test runs in C.
 
 Subset comparisons in the presence of *compound tags* need the authority
 state to expand compounds into their member closure, so the comparison
@@ -23,72 +24,49 @@ interning.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator
+from typing import Dict, FrozenSet, Iterable
 
 _INTERNED: Dict[FrozenSet[int], "Label"] = {}
 _INTERN_CAP = 1 << 20
 
 
-class Label:
-    """An immutable, interned set of tag ids."""
+class Label(frozenset):
+    """An immutable, interned set of tag ids.
 
-    __slots__ = ("_tags", "_hash")
+    A ``frozenset`` subclass with no state of its own, so hashing (the
+    set's cached hash), equality, containment, iteration and ``<=``
+    all run in C: a label is hashed and compared millions of times by
+    a scan's label dictionary and the folds above it.  Set *operators*
+    (``|``, ``&``, ``-``, ``^``) return plain frozensets; the named
+    methods below return labels.
+    """
+
+    __slots__ = ()
 
     def __new__(cls, tags: Iterable[int] = ()):
         tags = tags if type(tags) is frozenset else frozenset(tags)
         existing = _INTERNED.get(tags)
         if existing is not None:
             return existing
-        self = super().__new__(cls)
-        object.__setattr__(self, "_tags", tags)
-        object.__setattr__(self, "_hash", hash(tags))
+        self = super().__new__(cls, tags)
         if len(_INTERNED) < _INTERN_CAP:
-            _INTERNED[tags] = self
+            _INTERNED[self] = self
         return self
-
-    # -- immutability -------------------------------------------------
-    def __setattr__(self, name, value):
-        raise AttributeError("Label instances are immutable")
 
     def __reduce__(self):
         # Rebuild through the constructor so pickling (used by the
         # dump/restore tooling) round-trips through the intern table:
         # an unpickled label is identical to the live one.
-        return (Label, (tuple(self._tags),))
+        return (Label, (tuple(self),))
 
-    # -- basic protocol -----------------------------------------------
     @property
     def tags(self) -> FrozenSet[int]:
-        return self._tags
-
-    def __contains__(self, tag: int) -> bool:
-        return tag in self._tags
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._tags)
-
-    def __len__(self) -> int:
-        return len(self._tags)
-
-    def __bool__(self) -> bool:
-        return bool(self._tags)
-
-    def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        if isinstance(other, Label):
-            return self._tags == other._tags
-        if isinstance(other, (set, frozenset)):
-            return self._tags == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+        return self
 
     def __repr__(self) -> str:
-        if not self._tags:
+        if not self:
             return "Label({})"
-        inner = ", ".join(str(t) for t in sorted(self._tags))
+        inner = ", ".join(str(t) for t in sorted(self))
         return "Label({%s})" % inner
 
     # -- set algebra (registry-free; see rules.py for compound-aware) --
@@ -96,31 +74,25 @@ class Label:
         """Return a new label containing the tags of both."""
         if other is self:           # interned: equal labels are identical
             return self
-        other_tags = other.tags if isinstance(other, Label) else frozenset(other)
-        if other_tags <= self._tags:
+        if not isinstance(other, frozenset):
+            other = frozenset(other)
+        if other <= self:
             return self
-        return Label(self._tags | other_tags)
+        return Label(self | other)
 
     def with_tag(self, tag: int) -> "Label":
         """Return a new label with ``tag`` added."""
-        if tag in self._tags:
+        if tag in self:
             return self
-        return Label(self._tags | {tag})
+        return Label(self | {tag})
 
     def without(self, tags: "Label | Iterable[int]") -> "Label":
         """Return a new label with ``tags`` removed (plain set difference)."""
-        other_tags = tags.tags if isinstance(tags, Label) else frozenset(tags)
-        if not (other_tags & self._tags):
-            return self
-        return Label(self._tags - other_tags)
+        remaining = self.difference(tags)
+        return self if len(remaining) == len(self) else Label(remaining)
 
     def intersection(self, other: "Label | Iterable[int]") -> "Label":
-        other_tags = other.tags if isinstance(other, Label) else frozenset(other)
-        return Label(self._tags & other_tags)
-
-    def issubset(self, other: "Label") -> bool:
-        """Plain subset test, ignoring compound-tag expansion."""
-        return self._tags <= other.tags
+        return Label(frozenset.intersection(self, other))
 
     def byte_size(self) -> int:
         """Storage footprint: 4 bytes per tag (section 8.3), 1 length byte.
@@ -129,7 +101,7 @@ class Label:
         byte, so an empty label costs nothing extra; each tag adds four
         bytes to the tuple.
         """
-        return 4 * len(self._tags)
+        return 4 * len(self)
 
 
 #: The empty (public) label.  The outside world has this label (section 3.2).

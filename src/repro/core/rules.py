@@ -69,17 +69,13 @@ def covers(registry: TagRegistry, low: Label, high: Label) -> bool:
     either directly or as a member of one of ``high``'s compound tags.
     """
     tally().covers_calls += 1
-    low_tags = low.tags
-    if not low_tags:
-        return True
-    high_tags = high.tags
-    if low_tags <= high_tags:           # fast path: plain subset
+    if low <= high:                     # fast path: plain subset
         return True
     memo = _cache_for(registry).covers
     key = (low, high)
     verdict = memo.get(key)
     if verdict is None:
-        verdict = low_tags <= registry.expand(high_tags)
+        verdict = low <= registry.expand(high)
         if len(memo) < _CACHE_CAP:
             memo[key] = verdict
     return verdict
@@ -91,7 +87,7 @@ def same_contamination(registry: TagRegistry, a: Label, b: Label) -> bool:
     Used by the update/delete rule ("affect only tuples with label LP"):
     equality up to compound expansion.
     """
-    if a.tags == b.tags:
+    if a == b:
         return True
     return covers(registry, a, b) and covers(registry, b, a)
 
@@ -141,16 +137,13 @@ def strip(registry: TagRegistry, label: Label, declassified: Label) -> Label:
     every tuple it scans.
     """
     tally().strip_calls += 1
-    if not label.tags or not declassified.tags:
+    if not label or not declassified:
         return label
     memo = _cache_for(registry).strip
     key = (label, declassified)
     stripped = memo.get(key)
     if stripped is None:
-        removable = registry.expand(declassified.tags)
-        remaining = [t for t in label.tags if t not in removable]
-        stripped = label if len(remaining) == len(label) \
-            else Label(remaining)
+        stripped = label.without(registry.expand(declassified))
         if len(memo) < _CACHE_CAP:
             memo[key] = stripped
     return stripped
@@ -162,4 +155,4 @@ def symmetric_difference(a: Label, b: Label) -> Label:
     The Foreign Key Rule (section 5.2.2) requires declassification
     authority over this set when inserting a referencing tuple.
     """
-    return Label(a.tags ^ b.tags)
+    return Label(a ^ b)

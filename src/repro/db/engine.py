@@ -151,7 +151,9 @@ class Database:
         # defers to the REPRO_BATCH_SIZE environment variable (CI runs
         # the whole suite at 1 to prove batch boundaries can't change
         # results), then the built-in default.  Naive mode always runs
-        # at 1 (see Optimizer.exec_batch_size).
+        # at 1 (see Optimizer.exec_batch_size).  It is also the slice
+        # length whose segment summaries the heaps memoize
+        # (Table.segments), since that is the length the scans ask for.
         if batch_size is None:
             batch_size = int(os.environ.get("REPRO_BATCH_SIZE",
                                             str(DEFAULT_BATCH_SIZE)))
@@ -409,7 +411,8 @@ class Database:
     def create_table(self, schema: TableSchema) -> Table:
         table = Table(schema, page_size=self.page_size,
                       buffer_cache=self.buffer_cache,
-                      store_labels=self.ifc_enabled)
+                      store_labels=self.ifc_enabled,
+                      segment_size=self.batch_size)
         self.catalog.add_table(table)
         self._wal_log_ddl(("ddl", "create_table", schema))
         return table

@@ -8,10 +8,9 @@ parser (:mod:`repro.sql.parser`) or programmatically.
 :meth:`Expr.children` lists them left to right and
 :meth:`Expr.rebuilt` makes the same node over new ones.  Every tree
 walk — here (:func:`walk`, :func:`contains_aggregate`,
-:func:`collect_aggregates`, :func:`reads_columns_only`,
-:func:`rewrite`), in the optimizer (constant folding) and in the
-logical layer (column and slot collection) — goes through those two
-methods; only :func:`to_sql` names node classes to reach their parts,
+:func:`collect_aggregates`, :func:`rewrite`), in the optimizer
+(constant folding) and in the logical layer (column and slot
+collection) — goes through those two methods; only :func:`to_sql` names node classes to reach their parts,
 because it prints each differently.  A subquery's ``Select`` is not a
 child: it is planned on its own.
 
@@ -1074,7 +1073,6 @@ def to_sql(node: Expr) -> str:
 #: row through ``ctx.outer_stack``, so analyses that must know every
 #: column an expression can reach treat these nodes as opaque.
 SUBQUERY_NODES = (Exists, InSelect, ScalarSelect)
-_NEEDS_FULL_ROW = SUBQUERY_NODES + (Star,)
 
 
 def walk(node: Expr) -> List[Expr]:
@@ -1107,28 +1105,6 @@ def collect_aggregates(node: Expr, out: List[Aggregate]) -> None:
         return
     for child in node.children():
         collect_aggregates(child, out)
-
-
-def reads_columns_only(node: Expr) -> bool:
-    """True when the expression can be evaluated against a bare tuple.
-
-    A scan's predicate row is ``list(version.values) + [label]`` — the
-    base columns plus the ``_label`` pseudo-column appended at the end.
-    When the predicate references only real columns (positions are
-    identical with or without the appended label), the executor can run
-    it directly on ``version.values`` and skip the per-tuple list copy
-    for rows the predicate rejects.  Conservative: any ``_label``
-    reference, ``*``, or subquery (whose correlated references receive
-    the row via ``ctx.outer_stack`` and could reach the label slot)
-    disqualifies the expression.
-    """
-    for n in walk(node):
-        if isinstance(n, ColumnRef):
-            if n.name == "_label":
-                return False
-        elif isinstance(n, _NEEDS_FULL_ROW):
-            return False
-    return True
 
 
 def rewrite(node: Expr, mapping: Dict[Expr, Expr]) -> Expr:

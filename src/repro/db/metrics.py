@@ -175,15 +175,13 @@ class OpStats:
     wall seconds, and inclusive counter deltas (one slot per recorder
     cell)."""
 
-    __slots__ = ("rows", "batches", "seconds", "counters", "chunks_seen")
+    __slots__ = ("rows", "batches", "seconds", "counters")
 
     def __init__(self, ncells: int):
         self.rows = 0
         self.batches = 0
         self.seconds = 0.0
         self.counters = [0] * ncells
-        #: Scans only: ``[candidate chunks]`` (see Scan.chunks_seen).
-        self.chunks_seen: Optional[List[int]] = None
 
 
 class OpProbe:
@@ -267,10 +265,6 @@ class PlanRecorder:
             setattr(clone, attr, self.instrument(getattr(plan, attr)))
         stats = OpStats(len(self.cells))
         self._stats[id(plan)] = (plan, stats)
-        if isinstance(clone, _physical.Scan):
-            # The scan tallies its candidate chunks on the private
-            # clone (see Scan.chunks_seen).
-            clone.chunks_seen = stats.chunks_seen = [0]
         return OpProbe(clone, stats, self.read)
 
     def stats_of(self, plan) -> Optional[OpStats]:
@@ -333,20 +327,21 @@ class PlanRecorder:
             actual += " time=%.3fms" % (stats.seconds * 1000.0)
             exclusive = self._exclusive(plan)
             actual += self._format_counters(exclusive)
-            if stats.chunks_seen is not None and stats.seconds:
+            if isinstance(plan, _physical.Scan) and stats.seconds:
                 # Every scan line that ran shows what Query by Label
                 # did: rows it suppressed (zero included — the generic
                 # counters omit zeros) and how many label checks a
-                # candidate chunk cost it — its distinct labels
+                # candidate segment cost it — its distinct labels
                 # set-at-a-time, its versions in the per-version loop.
                 if not exclusive[self.cells.index(
                         ("labels", "rows_suppressed"))]:
                     actual += " suppressed=0"
-                chunks = stats.chunks_seen[0]
+                segments = exclusive[self.cells.index(
+                    ("exec", "segments_scanned"))]
                 checks = exclusive[self.cells.index(
                     ("labels", "covers_calls"))]
                 actual += " labels/batch=%.1f" % (
-                    checks / chunks if chunks else 0.0)
+                    checks / segments if segments else 0.0)
             line += "  (%s)" % actual
         lines = [line]
         for child in plan.children():

@@ -22,34 +22,47 @@ code path.
 The path is **set-at-a-time from heap to result**: nothing above the
 scan widens a columnar batch to rows.
 
-* **scan** — the leaf decides visibility (:func:`_visible_chunk`, the
-  one routine behind ``Scan.batches``, ``Scan.versions`` and the
-  ``IndexLoopJoin`` probe).  It holds the executor's **one fork**,
-  chosen by the candidates actually found, never by an estimate or an
-  option: a chunk of fewer than :data:`SET_AT_A_TIME_MIN` versions runs
-  the per-version loop — ``touch``, ``visible()``, one
-  ``strip``/``covers`` per tuple, the paper's per-tuple ground truth —
+* **scan** — the leaf decides visibility (:func:`_visible_segment`,
+  the one routine behind ``Scan.batches``, ``Scan.versions`` and the
+  ``IndexLoopJoin`` probe) of one :class:`~repro.db.storage.Segment`
+  at a time: a heap slice, whose summary the heap memoizes between
+  statements and drops at its three mutation points (``append``,
+  ``stamp``, ``unlink`` — see :mod:`repro.db.storage`), or the
+  candidates of an index probe, summarized for the one scan.  The leaf
+  holds the executor's **one fork**, chosen by the candidates actually
+  found, never by an estimate or an option: a segment of fewer than
+  :data:`SET_AT_A_TIME_MIN` versions runs the per-version loop —
+  ``touch``, ``visible()``, one ``strip``/``covers`` per tuple, the
+  paper's per-tuple ground truth, reading the versions themselves —
   and a larger one is charged to the buffer cache by page run
-  (:meth:`~repro.db.storage.Table.touch_versions`), MVCC-filtered by
-  one bound check where possible (:func:`_visible_versions`) and
-  label-filtered by :func:`_label_filter`: ``strip``/``covers`` once
-  per distinct label, the rest of the chunk kept or dropped through
-  that verdict map at C speed.  The scan predicate then runs
-  column-at-a-time over the label survivors only;
+  (:meth:`~repro.db.storage.Table.touch_segment`), MVCC-checked by
+  three bounds against the summary's newest ``xmin`` where no ``xmax``
+  is set, and label-checked with one ``strip``/``covers`` per distinct
+  label, the rest of the segment kept or dropped through that verdict
+  map at C speed.  What the leaf returns is flag lists (:func:`_take`)
+  that cut the segment's parallel sequences — versions, labels,
+  integrity labels, column arrays — down to the survivors.  The scan
+  predicate then runs column-at-a-time over the label survivors'
+  column arrays only.  The cached cells and labels of hidden tuples
+  are no observable: what leaves the leaf is decided per statement,
+  from the reader's label and snapshot, and a rebuilt summary equals a
+  kept one (``tests/test_segments.py``);
 * **folds** — aggregation (``SELECT DISTINCT`` is the aggregation
   with no aggregates), sorting and the joins read :class:`RowBatch`
   columns directly: keys and arguments are batch-compiled
   (:meth:`repro.db.expressions.ExprCompiler.compile_batch`),
   accumulators are resolved per function at plan time, and label unions
-  skip on interned identity.  A row is built only to be held in a hash
+  are skipped (in C: a label is a ``frozenset``) wherever they add no
+  tag.  A row is built only to be held in a hash
   build, spooled to a spill file, or handed to the cursor.
 
 **The reference executor** of the differential harness is these same
 operators at batch size 1 over naive plans
 (:meth:`~repro.db.optimizer.Optimizer.exec_batch_size`): one-version
-chunks always take the per-version loop, so the label-run memo, the
-MVCC bound check and the page-run accounting are checked against
-per-tuple ``covers``/``visible``/``touch``, not against themselves.
+segments always take the per-version loop — and are never memoized —
+so the segment summaries, the label-run memo, the MVCC bound check and
+the page-run accounting are checked against per-tuple
+``covers``/``visible``/``touch``, not against themselves.
 
 Label enforcement itself never moves: visibility is decided in the
 scan, below every optimization and batching decision.
@@ -89,23 +102,13 @@ from .catalog import ViewDef
 from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, GroupSpill,
                     MAX_RECURSION, SortRuns, SpilledHashBuild, Spools,
                     column_rows, estimate_batch_bytes, estimate_row_bytes)
-from .storage import Table
+from .storage import SET_AT_A_TIME_MIN, Segment, Table
 
 ExecRow = Tuple[list, Label, Label]          # (values, label, ilabel)
 
 #: Rows per batch when no explicit size is configured (the engine reads
 #: ``REPRO_BATCH_SIZE`` and passes its own default through the planner).
 DEFAULT_BATCH_SIZE = 1024
-
-#: The leaf's fork (:func:`_visible_chunk`): a candidate chunk of at
-#: least this many versions is filtered set-at-a-time, a shorter one by
-#: the per-version loop.  The set routines cost a fixed handful of list
-#: passes per chunk whatever its length (~4 µs), which a one-row
-#: primary-key probe cannot amortize (1.6 µs in the loop) and a heap
-#: slice repays many times over; measured on all-visible chunks the
-#: two cross between 3 versions (4.1 vs 4.2 µs) and 4 (5.9 vs 4.3),
-#: and on chains of dead versions they tie at every length.
-SET_AT_A_TIME_MIN = 4
 
 
 class RowBatch:
@@ -119,12 +122,14 @@ class RowBatch:
     * **row-major** (the :meth:`__init__` constructor): ``values`` is a
       list of per-row lists — what row producers (finalized groups,
       merged sort runs) hand over;
-    * **columnar** (:meth:`from_columns`): one Python list *per
-      column*, where a ``None`` column slot means the planner proved
-      the column is never read (projection pushdown) and it was never
-      materialized; reading it yields SQL NULLs.
+    * **columnar** (:meth:`from_columns`): one sequence *per column*
+      (a list, or the tuple a heap segment keeps for every scan — so
+      nothing may mutate a batch's sequences in place), where a
+      ``None`` column slot means the planner proved the column is
+      never read (projection pushdown) and it was never materialized;
+      reading it yields SQL NULLs.
 
-    ``labels``/``ilabels`` are always per-row compact lists — label
+    ``labels``/``ilabels`` are always per-row compact sequences — label
     checks are tuple-granularity in the paper's model (a tag protects a
     row, not a cell), and the interned label objects already behave as
     a dictionary-encoded column.
@@ -138,7 +143,8 @@ class RowBatch:
     access widens the batch back to row-major (counted in
     ``exec.rows_widened``) and caches the result.  Its consumers sit
     outside the operator tree (the cursor drain, the expression
-    subqueries); operators read :meth:`column` instead.
+    subqueries) or are expression nodes without a column kernel;
+    operators read :meth:`column` instead.
     A row producer's rows may be tuples: nothing mutates or
     concatenates a batch's rows in place.
     """
@@ -226,26 +232,15 @@ class RowBatch:
         return rows
 
     def _widen(self) -> list:
-        cols = self._columns
-        sel = self._sel
         n = len(self.labels)
         tally().rows_widened += n
-        if not n:
-            return []
-        if sel is None and None not in cols:
-            return [list(row) for row in zip(*cols)]
-        width = len(cols)
-        rows = [[None] * width for _ in range(n)]
-        for j, col in enumerate(cols):
-            if col is None:
-                continue
-            if sel is None:
-                for i in range(n):
-                    rows[i][j] = col[i]
-            else:
-                for i, k in enumerate(sel):
-                    rows[i][j] = col[k]
-        return rows
+        columns = self._columns
+        if self._sel is not None or None in columns:
+            columns = [repeat(None, n) if column is None else column
+                       for column in self.columns()]
+        if not columns:
+            return [[] for _ in range(n)]
+        return [list(row) for row in zip(*columns)]
 
     def select(self, keep) -> "RowBatch":
         """The sub-batch at row indexes ``keep`` (in order).
@@ -283,11 +278,24 @@ def _chunked(iterator, size: int):
         yield chunk
 
 
-def _probe_chunks(table: Table, index, key: tuple, size: int) -> list:
-    """The candidate versions of one equality probe, in lists of up to
-    ``size``."""
+def _probe_segments(table: Table, index, key: tuple, size: int) -> list:
+    """The candidate versions of one equality probe, in segments of up
+    to ``size``."""
     versions = list(table.versions_for_tids(index.lookup(key)))
-    return [versions[lo:lo + size] for lo in range(0, len(versions), size)]
+    return [Segment(versions[lo:lo + size])
+            for lo in range(0, len(versions), size)]
+
+
+def _take(sequence, selectors: list):
+    """``sequence`` — parallel to a segment's versions — cut down by
+    each of the leaf's flag lists in turn (every list is parallel to
+    what the one before it kept), at C speed; the sequence itself when
+    nothing was dropped."""
+    if not selectors:
+        return sequence
+    for flags in selectors:
+        sequence = compress(sequence, flags)
+    return list(sequence)
 
 
 def _row_batches(rows, size: int) -> Iterator[RowBatch]:
@@ -408,18 +416,42 @@ class SingleRow(Plan):
         yield RowBatch([[]], [EMPTY_LABEL], [EMPTY_LABEL])
 
 
-def _visible_versions(chunk: list, txn, txn_manager) -> list:
-    """MVCC-filter a candidate chunk, batch-wise when possible.
+def _visible_segment(ctx: ExecContext, table: Table, segment: Segment,
+                     declass: Label, memo: Tuple[dict, dict]
+                     ) -> Tuple[list, list]:
+    """Visibility of one segment — buffer-cache charge, MVCC, Query by
+    Label: ``(selectors, labels)``, the flag lists that cut the
+    segment's parallel sequences down to its visible versions
+    (:func:`_take`; none when all are) and the labels those emit
+    (stripped of ``declass``).  Every tuple any operator reads comes
+    through here.
 
-    Fast path: if no version in the chunk has been deleted (``xmax``
-    unset) and the newest ``xmin`` is below both the snapshot and the
-    transaction manager's committed horizon, every version was created
-    by a transaction that committed before the snapshot — the whole
-    chunk is visible with zero per-row checks.  Any in-flight
-    concurrent transaction old enough to matter (``min_in_progress``),
-    any rolled-back creator whose versions the next ``begin()`` has yet
-    to unlink (the horizon stalls on it), or any deletion drops the
-    chunk to per-row ``visible()``.
+    This is the executor's one fork, and it follows the segment
+    actually found: fewer than :data:`SET_AT_A_TIME_MIN` versions run
+    the per-version loop, which reads the versions themselves and
+    consults neither the segment's summary nor ``memo`` — one
+    ``touch``, one ``visible()`` and one ``strip``/``covers`` per
+    tuple.  More are filtered set-at-a-time from the summary (built
+    here for a probe's candidates, long since for a memoized heap
+    slice): charged to the buffer cache by page run, MVCC-checked by
+    three bounds, and label-checked once per distinct label under
+    ``memo``, the caller's ``(verdicts, stripped)`` dicts keyed on the
+    stored label — every tuple is then kept or dropped through that
+    verdict map by ``map``/``compress``, whatever the layout of labels
+    in the heap, and ``rows_suppressed`` is bumped once, by the number
+    dropped.  The two sides agree on every output and every counter
+    except how often ``covers`` and ``strip`` run.
+
+    **The MVCC bound check.**  If no version of the segment has been
+    deleted (``stamped`` unset) and the newest ``xmin`` is below both
+    the snapshot and the transaction manager's committed horizon, every
+    version was created by a transaction that committed before the
+    snapshot — the segment is visible whole, with zero per-row checks
+    (``segments_frozen``).  Any in-flight concurrent transaction old
+    enough to matter (``min_in_progress``), any rolled-back creator
+    whose versions the next ``begin()`` has yet to unlink (the horizon
+    stalls on it), or any deletion drops the segment to per-row
+    ``visible()``.
 
     The horizon is the only moving part: it advances when a concurrent
     writer commits, possibly *mid-statement* (a spilled hash join can
@@ -427,104 +459,77 @@ def _visible_versions(chunk: list, txn, txn_manager) -> list:
     construction: the two snapshot-anchored bounds never move, and any
     version such a writer created fails one of them — a writer begun
     after the snapshot has ``xmin >= snapshot.xmax``, one in flight at
-    snapshot time has ``xmin >= min_in_progress`` — so the chunk drops
-    to per-row ``visible()``, which consults the immutable snapshot.
-    An advancing horizon alone can therefore never admit a
+    snapshot time has ``xmin >= min_in_progress`` — so the segment
+    drops to per-row ``visible()``, which consults the immutable
+    snapshot.  An advancing horizon alone can therefore never admit a
     snapshot-invisible version (regression:
     ``tests/test_spill.py::test_spilled_hash_join_sees_statement_snapshot``).
-    """
-    if [version.xmax for version in chunk].count(None) == len(chunk):
-        hi_xmin = max([version.xmin for version in chunk], default=0)
-        snapshot = txn.snapshot
-        if (hi_xmin < snapshot.xmax
-                and (snapshot.min_in_progress is None
-                     or hi_xmin < snapshot.min_in_progress)
-                and hi_xmin < txn_manager.committed_horizon()):
-            return chunk
-    visible = txn_manager.visible
-    return [version for version in chunk if visible(version, txn)]
-
-
-def _label_filter(ctx: "ExecContext", versions: list, declass: Label,
-                  memo: Tuple[dict, dict]) -> Tuple[list, list]:
-    """Query by Label over one chunk of MVCC-visible versions: returns
-    the covered versions and the labels they emit.
-
-    The label routine of the set-at-a-time path.  ``memo`` is the
-    caller's ``(verdicts, stripped)`` pair of dicts keyed on the stored
-    label: each *distinct* label of the chunk costs one ``covers`` —
-    after one ``strip`` under a declassifying view, whose rows emit the
-    stripped label — and every tuple is then kept or dropped through
-    that verdict map by ``map``/``compress``, whatever the layout of
-    labels in the heap.  ``rows_suppressed`` is bumped once, by the
-    number dropped.
-    """
-    labels = [version.label for version in versions]
-    if not ctx.ifc_enabled:
-        return versions, labels
-    verdicts, stripped = memo
-    registry = ctx.registry
-    read_label = ctx.read_label
-    hidden = False
-    for label in set(labels):
-        ok = verdicts.get(label)
-        if ok is None:
-            emitted = label
-            if declass:
-                emitted = stripped[label] = strip(registry, label, declass)
-            ok = verdicts[label] = covers(registry, emitted, read_label)
-        hidden = hidden or not ok
-    if hidden:
-        flags = list(map(verdicts.__getitem__, labels))
-        versions = list(compress(versions, flags))
-        tally().rows_suppressed += len(labels) - len(versions)
-        labels = list(compress(labels, flags))
-    if declass:
-        labels = list(map(stripped.__getitem__, labels))
-    return versions, labels
-
-
-def _visible_chunk(ctx: ExecContext, table: Table, chunk: list,
-                   declass: Label, memo: Tuple[dict, dict]
-                   ) -> Tuple[list, list]:
-    """Visibility of one candidate chunk — buffer-cache charge, MVCC,
-    Query by Label: the visible versions and the labels they emit
-    (stripped of ``declass``).  Every tuple any operator reads comes
-    through here.
-
-    This is the executor's one fork, and it follows the chunk actually
-    found: :data:`SET_AT_A_TIME_MIN` versions or more go through the
-    set-at-a-time routines under the caller's label ``memo``; fewer run
-    the per-version loop, which consults no memo — one ``touch``, one
-    ``visible()`` and one ``strip``/``covers`` per tuple.  The two
-    agree on every output and every counter except how often ``covers``
-    and ``strip`` run.
     """
     session = ctx.session
     txn = session.transaction
     txn_manager = session.db.txn_manager
-    if len(chunk) >= SET_AT_A_TIME_MIN:
-        table.touch_versions(chunk)
-        return _label_filter(ctx, _visible_versions(chunk, txn, txn_manager),
-                             declass, memo)
-    kept, labels = [], []
+    versions = segment.versions
     registry = ctx.registry
     read_label = ctx.read_label
-    check_labels = ctx.ifc_enabled
-    for version in chunk:
-        table.touch(version)
-        if not txn_manager.visible(version, txn):
-            continue
-        label = version.label
-        if check_labels:
-            if declass:
-                label = strip(registry, label, declass)
-            if not covers(registry, label, read_label):
-                tally().rows_suppressed += 1
-                continue
-        kept.append(version)
-        labels.append(label)
-    return kept, labels
+    counts = tally()
+    counts.segments_scanned += 1
+    if len(versions) < SET_AT_A_TIME_MIN:
+        flags, labels = [], []
+        check_labels = ctx.ifc_enabled
+        for version in versions:
+            table.touch(version)
+            keep = txn_manager.visible(version, txn)
+            if keep:
+                label = version.label
+                if check_labels:
+                    if declass:
+                        label = strip(registry, label, declass)
+                    keep = covers(registry, label, read_label)
+                if keep:
+                    labels.append(label)
+                else:
+                    counts.rows_suppressed += 1
+            flags.append(keep)
+        return ([] if len(labels) == len(flags) else [flags]), labels
+    if segment.labels is None:
+        segment.summarize()
+    table.touch_segment(segment)
+    selectors = []
+    labels, distinct = segment.labels, segment.distinct
+    snapshot = txn.snapshot
+    hi_xmin = segment.hi_xmin
+    if (not segment.stamped and hi_xmin < snapshot.xmax
+            and (snapshot.min_in_progress is None
+                 or hi_xmin < snapshot.min_in_progress)
+            and hi_xmin < txn_manager.committed_horizon()):
+        counts.segments_frozen += 1
+    else:
+        visible = txn_manager.visible
+        flags = [visible(version, txn) for version in versions]
+        if not all(flags):
+            selectors.append(flags)
+            labels = list(compress(labels, flags))
+            distinct = set(labels)
+    if ctx.ifc_enabled:
+        verdicts, stripped = memo
+        hidden = False
+        for label in distinct:
+            ok = verdicts.get(label)
+            if ok is None:
+                emitted = label
+                if declass:
+                    emitted = stripped[label] = strip(registry, label,
+                                                      declass)
+                ok = verdicts[label] = covers(registry, emitted, read_label)
+            hidden = hidden or not ok
+        if hidden:
+            flags = list(map(verdicts.__getitem__, labels))
+            selectors.append(flags)
+            counts.rows_suppressed += flags.count(False)
+            labels = list(compress(labels, flags))
+        if declass:
+            labels = list(map(stripped.__getitem__, labels))
+    return selectors, labels
 
 
 def _check_view_authority(ctx: ExecContext, view_grants) -> None:
@@ -559,69 +564,80 @@ class Scan(Plan):
     ``predicate`` is batch-compiled
     (:meth:`repro.db.expressions.ExprCompiler.compile_batch`) and evaluated
     column-at-a-time over the tuples that survived MVCC *and* the label
-    check — never over a suppressed one.  ``predicate_on_values`` marks
-    a predicate that references only real columns (no ``_label``, no
-    subqueries — see :func:`repro.db.expressions.reads_columns_only`):
-    it is evaluated directly against the stored value tuples, so no
-    ``[*values, label]`` predicate row is ever built.
+    check — never over a suppressed one: its batch is built from the
+    segment's arrays of ``predicate_columns`` (the stored-column
+    positions the predicate reads, worked out by the planner) *after*
+    they were cut down to the label survivors, with the emitted labels
+    as the ``_label`` pseudo-column.  No row is built, and no cell of a
+    hidden tuple meets an expression.
 
     ``needed`` is the projection the optimizer pushed down: the sorted
     tuple of stored-column positions anything above this scan reads
-    (``None`` = all of them).  The scan materializes *only* those
-    columns into its columnar output — the rest stay inside the stored
-    tuples and read as NULL — which is safe because the planner proved
-    no expression above the scan references them.  Predicates pushed
-    *into* the scan still see the full stored tuple, and ``versions()``
-    (DML xmax stamping) yields the stored versions themselves.
+    (``None`` = all of them).  The scan emits *only* those columns —
+    the rest read as NULL — which is safe because the planner proved
+    no expression above the scan references them.  ``versions()`` (DML
+    xmax stamping) yields the stored versions themselves.
     """
-
-    #: EXPLAIN ANALYZE's per-scan candidate-chunk tally (a one-element
-    #: list), set on the recorder's private clone of the node only.
-    chunks_seen: Optional[list] = None
 
     def __init__(self, table: Table, predicate: Optional[Callable],
                  declass: Label, view_grants: List[Tuple[ViewDef, Label]],
-                 predicate_on_values: bool = False,
+                 predicate_columns: Tuple[int, ...] = (),
                  needed: Optional[Tuple[int, ...]] = None):
         self.table = table
         self.predicate = predicate
         self.declass = declass
         self.view_grants = view_grants
-        self.predicate_on_values = predicate_on_values
+        self.predicate_columns = predicate_columns
         self.needed = needed
         #: Projected column names for EXPLAIN (``cols=…``); None when
-        #: the scan materializes full width.
+        #: the scan emits full width.
         self.needed_names = (
             None if needed is None
             else [table.schema.column_names[p] for p in needed])
 
-    def _candidate_chunks(self, ctx: ExecContext):
-        """Candidate versions in lists of up to ``batch_size``: here the
-        heap, sliced; the index scans override the access path."""
-        return self.table.all_versions_batched(self.batch_size)
+    def _segments(self, ctx: ExecContext):
+        """Candidate versions in segments of up to ``batch_size``: here
+        the heap's own (memoized) slices; the index scans override the
+        access path."""
+        return self.table.segments(self.batch_size)
 
-    def _visible(self, ctx: ExecContext, chunk: list):
+    def _columns(self, segment: Segment, positions, selectors: list,
+                 labels) -> list:
+        """A batch's columns over the segment's surviving versions:
+        the arrays at ``positions``, the rest ``None``, and the emitted
+        labels as the trailing ``_label`` pseudo-column.  A heap
+        segment's arrays are the ones it keeps, cut down; a probe's
+        candidates are scanned once, so theirs are built from the
+        survivors alone."""
+        columns: list = [None] * len(self.table.schema.columns)
+        if segment.shared:
+            for p in positions:
+                columns[p] = _take(segment.column(p), selectors)
+        else:
+            versions = _take(segment.versions, selectors)
+            for p in positions:
+                columns[p] = [version.values[p] for version in versions]
+        columns.append(labels)
+        return columns
+
+    def _visible(self, ctx: ExecContext, segment: Segment):
         """The scan core, shared by :meth:`batches` and
-        :meth:`versions`: the versions of one candidate chunk that are
-        visible (:func:`_visible_chunk`, one label memo per chunk) and
-        pass the predicate, with their stored value tuples and emitted
-        labels."""
-        kept, labels = _visible_chunk(ctx, self.table, chunk, self.declass,
-                                      ({}, {}))
-        if self.chunks_seen is not None:
-            self.chunks_seen[0] += 1
-        tuples = [version.values for version in kept]
+        :meth:`versions`: ``(selectors, labels)`` of the segment's
+        versions that are visible (:func:`_visible_segment`, one label
+        memo per segment) and pass the predicate."""
+        selectors, labels = _visible_segment(ctx, self.table, segment,
+                                             self.declass, ({}, {}))
         predicate = self.predicate
-        if predicate is not None and kept:
-            rows = tuples if self.predicate_on_values else [
-                [*values, label] for values, label in zip(tuples, labels)]
+        if predicate is not None and labels:
+            columns = self._columns(segment, self.predicate_columns,
+                                    selectors, labels)
             # Integrity labels are not part of the predicate row.
-            flags = predicate(RowBatch(rows, labels, labels), ctx)
+            flags = predicate(RowBatch.from_columns(columns, labels, labels),
+                              ctx)
             if not all(flags):
-                kept = list(compress(kept, flags))
-                tuples = list(compress(tuples, flags))
+                selectors.append(flags)
                 labels = list(compress(labels, flags))
-        return kept, tuples, labels
+        return selectors, labels
 
     def versions(self, ctx: ExecContext):
         """Target-row enumeration for UPDATE/DELETE: yields the physical
@@ -634,34 +650,36 @@ class Scan(Plan):
         session on each yielded version.  DML targets are base tables,
         never views, so no declassification applies here.
         """
-        for chunk in self._candidate_chunks(ctx):
-            yield from self._visible(ctx, chunk)[0]
+        for segment in self._segments(ctx):
+            yield from _take(segment.versions,
+                             self._visible(ctx, segment)[0])
 
     def batches(self, ctx):
-        """:meth:`_visible` per candidate chunk, then columnar
-        materialization.
-
-        Only the ``needed`` stored columns of the surviving tuples are
-        copied into per-column arrays (``exec.columns_materialized``
-        counts the copied cells), with the emitted labels doubling as
+        """:meth:`_visible` per segment, then the ``needed`` column
+        arrays of the survivors, with the emitted labels doubling as
         the ``_label`` pseudo-column.
+
+        A memoized segment that survives whole is emitted as its own
+        arrays; anything else is copied (``exec.columns_materialized``
+        counts the copied cells).
         """
         if ctx.ifc_enabled and self.view_grants:
             _check_view_authority(ctx, self.view_grants)
         ncols = len(self.table.schema.columns)
         positions = (range(ncols) if self.needed is None else self.needed)
-        for chunk in self._candidate_chunks(ctx):
-            kept, tuples, labels = self._visible(ctx, chunk)
-            if not kept:
+        for segment in self._segments(ctx):
+            selectors, labels = self._visible(ctx, segment)
+            if not labels:
                 continue
-            columns: list = [None] * (ncols + 1)
-            for p in positions:
-                columns[p] = [values[p] for values in tuples]
-            columns[ncols] = labels           # the _label pseudo-column
-            tally().columns_materialized += \
-                len(positions) * len(kept)
+            columns = self._columns(segment, positions, selectors, labels)
+            if selectors or not segment.shared:
+                tally().columns_materialized += \
+                    len(positions) * len(labels)
             yield RowBatch.from_columns(
-                columns, labels, [version.ilabel for version in kept])
+                columns, labels,
+                _take(segment.ilabels, selectors) if segment.shared
+                else [version.ilabel for version
+                      in _take(segment.versions, selectors)])
 
 
 class IndexScan(Scan):
@@ -670,18 +688,18 @@ class IndexScan(Scan):
     def __init__(self, table: Table, index, key_fns: List[Callable],
                  predicate: Optional[Callable], declass: Label,
                  view_grants: List[Tuple[ViewDef, Label]],
-                 predicate_on_values: bool = False,
+                 predicate_columns: Tuple[int, ...] = (),
                  needed: Optional[Tuple[int, ...]] = None):
         super().__init__(table, predicate, declass, view_grants,
-                         predicate_on_values, needed)
+                         predicate_columns, needed)
         self.index = index
         self.key_fns = key_fns
 
-    def _candidate_chunks(self, ctx):
+    def _segments(self, ctx):
         key = tuple(fn([], ctx) for fn in self.key_fns)
         if None in key:
             return ()
-        return _probe_chunks(self.table, self.index, key, self.batch_size)
+        return _probe_segments(self.table, self.index, key, self.batch_size)
 
 
 class IndexRangeScan(Scan):
@@ -699,10 +717,10 @@ class IndexRangeScan(Scan):
                  include_low: bool, include_high: bool,
                  predicate: Optional[Callable], declass: Label,
                  view_grants: List[Tuple[ViewDef, Label]],
-                 predicate_on_values: bool = False,
+                 predicate_columns: Tuple[int, ...] = (),
                  needed: Optional[Tuple[int, ...]] = None):
         super().__init__(table, predicate, declass, view_grants,
-                         predicate_on_values, needed)
+                         predicate_columns, needed)
         self.index = index
         self.eq_fns = eq_fns
         self.low_fn = low_fn
@@ -710,7 +728,7 @@ class IndexRangeScan(Scan):
         self.include_low = include_low
         self.include_high = include_high
 
-    def _candidate_chunks(self, ctx):
+    def _segments(self, ctx):
         prefix = tuple(fn([], ctx) for fn in self.eq_fns)
         if None in prefix:
             return ()
@@ -730,10 +748,10 @@ class IndexRangeScan(Scan):
                 return ()
             high = prefix + (value,)
             include_high = self.include_high
-        return _chunked(self.table.versions_for_tids(
+        return map(Segment, _chunked(self.table.versions_for_tids(
             self.index.scan_range(low, high, include_low=include_low,
                                   include_high=include_high)),
-            self.batch_size)
+            self.batch_size))
 
 
 class Filter(Plan):
@@ -769,8 +787,8 @@ def _gather_join(left: RowBatch, li: list, rrows: list) -> RowBatch:
     columns = [None if col is None else [col[i] for i in li]
                for col in left.columns()]
     columns.extend(map(list, zip(*rvalues)))
-    def joined(own, other):     # the union, skipped on interned identity
-        return [a if a is b else a.union(b)
+    def joined(own, other):     # the union, only where it adds a tag
+        return [a if a is b or b <= a else a.union(b)
                 for a, b in zip([own[i] for i in li], other)]
     return RowBatch.from_columns(columns, joined(left.labels, rlabels),
                                  joined(left.ilabels, rilabels))
@@ -882,7 +900,7 @@ class IndexLoopJoin(Plan):
     The probe keys of a batch of outer rows are computed
     column-at-a-time, deduped (sorted when the key type allows, for
     index locality), and the index probed **once per distinct key per
-    batch** — visibility (:func:`_visible_chunk`, one label memo per
+    batch** — visibility (:func:`_visible_segment`, one label memo per
     outer batch) and buffer-cache touches are charged once per
     candidate version per *probe*, not per duplicate outer row, so a
     duplicate-heavy foreign key stops multiplying the per-probe costs.
@@ -912,11 +930,13 @@ class IndexLoopJoin(Plan):
         appended as the ``_label`` pseudo-column."""
         table = self.table
         rows: list = []
-        for chunk in _probe_chunks(table, self.index, key, self.batch_size):
-            kept, labels = _visible_chunk(ctx, table, chunk, self.declass,
-                                          memo)
+        for segment in _probe_segments(table, self.index, key,
+                                       self.batch_size):
+            selectors, labels = _visible_segment(ctx, table, segment,
+                                                 self.declass, memo)
             rows.extend(((*version.values, label), label, version.ilabel)
-                        for version, label in zip(kept, labels))
+                        for version, label
+                        in zip(_take(segment.versions, selectors), labels))
         return rows
 
     def batches(self, ctx):
@@ -954,7 +974,7 @@ class HashJoin(Plan):
     probe row meets its matches — never which matches exist: every
     spooled row already passed the scan-level MVCC and label checks
     under the statement's snapshot, and the snapshot cannot move while
-    the statement runs (see ``_visible_versions``), so a spilled and an
+    the statement runs (see ``_visible_segment``), so a spilled and an
     in-memory execution see exactly the same rows.
     """
 
@@ -1335,11 +1355,13 @@ class AggregateNode(Plan):
                     group = groups[key] = [
                         label, ilabel,
                         [s.make() for s in specs] if specs else ()]
-                else:
-                    if label is not group[0]:
-                        group[0] = group[0].union(label)
-                    if ilabel is not group[1]:
-                        group[1] = group[1].union(ilabel)
+                else:                     # union only where it adds a tag
+                    held = group[0]
+                    if label is not held and not label <= held:
+                        group[0] = held.union(label)
+                    held = group[1]
+                    if ilabel is not held and not ilabel <= held:
+                        group[1] = held.union(ilabel)
                 if specs:                 # DISTINCT folds no arguments
                     for accumulator, value in zip(group[2], args):
                         accumulator.add(value)
@@ -1361,9 +1383,11 @@ class AggregateNode(Plan):
         label = ilabel = EMPTY_LABEL
         for batch in self.child.batches(ctx):
             for held in set(batch.labels):
-                label = label.union(held)
+                if not held <= label:
+                    label = label.union(held)
             for held in set(batch.ilabels):
-                ilabel = ilabel.union(held)
+                if not held <= ilabel:
+                    ilabel = ilabel.union(held)
             for accumulator, column in zip(accumulators,
                                            self._arg_columns(batch, ctx)):
                 accumulator.add_column(column)

@@ -29,7 +29,7 @@ from ..sql import ast
 from . import expressions as ex
 from .catalog import Catalog
 from .logical import LogicalQuery, SourceEntry, build_dml_logical, \
-    build_logical
+    build_logical, collect_columns
 from .optimizer import (
     COST_ROW,
     DEFAULT_SEL,
@@ -202,16 +202,23 @@ class Planner:
         return [compiler.compile_batch(node) for node in nodes]
 
     @staticmethod
-    def _on_values(conjuncts: List[ex.Expr]) -> bool:
-        """May the scan predicate run on the bare stored tuple?
-
-        True when every conjunct references only real columns (no
-        ``_label``, no subqueries), so the scan can evaluate it against
-        the stored tuples and never build a ``[*values, label]``
-        predicate row.
-        """
-        return bool(conjuncts) and all(ex.reads_columns_only(c)
-                                       for c in conjuncts)
+    def _predicate_columns(conjuncts: List[ex.Expr], scope: ex.Scope,
+                           ncols: int) -> Tuple[int, ...]:
+        """The stored-column positions a scan's predicate reads — what
+        the scan builds the predicate's batch from (``_label``, slot
+        ``ncols``, always rides along).  A subquery's correlated
+        references reach the row through the outer-row stack, so its
+        presence asks for every column."""
+        positions = set()
+        for conjunct in conjuncts:
+            refs, opaque = collect_columns(conjunct)
+            if opaque:
+                return tuple(range(ncols))
+            for ref in refs:
+                depth, index = scope.resolve_depth(ref.name, ref.table)
+                if depth == 0 and index < ncols:
+                    positions.add(index)
+        return tuple(sorted(positions))
 
     @staticmethod
     def _relation(entry: SourceEntry) -> str:
@@ -221,7 +228,7 @@ class Planner:
         return name
 
     def _lower_entry(self, entry: SourceEntry, scope_full: ex.Scope) -> Plan:
-        _local_scope, local_compiler = self._local_compiler(entry, scope_full)
+        local_scope, local_compiler = self._local_compiler(entry, scope_full)
         if entry.derived is not None:
             self.optimizer.optimize(entry.derived)
             inner = self._lower(entry.derived)
@@ -243,9 +250,10 @@ class Planner:
             predicate = self._conjunction(access.residual, local_compiler)
             plan = IndexScan(entry.table, access.index, key_fns, predicate,
                              entry.declass, entry.view_grants,
-                             predicate_on_values=self._on_values(
-                                 access.residual),
-                             needed=entry.needed)
+                             self._predicate_columns(
+                                 access.residual, local_scope,
+                                 len(entry.columns)),
+                             entry.needed)
             plan.explain = "IndexScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._key_text(access.key_columns, access.key_exprs),
@@ -262,9 +270,10 @@ class Planner:
                                   low_fn, high_fn, access.include_low,
                                   access.include_high, predicate,
                                   entry.declass, entry.view_grants,
-                                  predicate_on_values=self._on_values(
-                                      access.residual),
-                                  needed=entry.needed)
+                                  self._predicate_columns(
+                                      access.residual, local_scope,
+                                      len(entry.columns)),
+                                  entry.needed)
             plan.explain = "IndexRangeScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._range_key_text(access),
@@ -274,8 +283,9 @@ class Planner:
             else list(entry.pushed)
         predicate = self._conjunction(conjuncts, local_compiler)
         plan = Scan(entry.table, predicate, entry.declass, entry.view_grants,
-                    predicate_on_values=self._on_values(conjuncts),
-                    needed=entry.needed)
+                    self._predicate_columns(conjuncts, local_scope,
+                                            len(entry.columns)),
+                    entry.needed)
         plan.explain = "Scan %s%s" % (self._relation(entry),
                                       self._filter_text(conjuncts))
         return self._annotate(plan, entry.est_rows, entry.est_cost)

@@ -531,7 +531,7 @@ class Session:
                 constraints.check_fk_restrict(self.db, self, table,
                                               version.values)
 
-            version.xmax = txn.xid
+            table.stamp(version, txn.xid, superseded=True)
             new_version = table.append(new_values, version.label,
                                        version.ilabel, txn.xid)
             txn.record_write(table, new_version.tid, new_version.label,
@@ -590,8 +590,7 @@ class Session:
                                           version.values)
             fire_triggers(self.db, self, table, DELETE, BEFORE,
                           version.values, None, statement_label)
-            version.xmax = txn.xid
-            table.modifications += 1
+            table.stamp(version, txn.xid)
             txn.record_write(table, version.tid, version.label, "delete")
             count += 1
             self.db.rows_deleted += 1

@@ -5,6 +5,24 @@ and its indexes.  All reads and writes of versions flow through
 :meth:`Table.touch`, which charges the engine's buffer cache — the hook
 the on-disk benchmark configuration (Figure 6) relies on.
 
+**Segments.**  A scan reads the heap a :class:`Segment` at a time: the
+live versions of one aligned slice of the version array, plus what every
+scan of that slice would otherwise re-derive from them — the labels and
+integrity labels as parallel sequences, the distinct labels (Query by
+Label is decided once per distinct label), the newest ``xmin`` and
+whether any ``xmax`` is set (the MVCC bound check), the page runs the
+buffer cache is charged by, and per-column value arrays built on first
+use.  None of that changes between statements, so :meth:`Table.segments`
+memoizes the segments of the one slice length the database scans with,
+and the only three heap mutations drop the slice they touch with one
+``dict.pop``: :meth:`Table.append` (the tail slice), :meth:`Table.stamp`
+(a deletion, the one writer of ``xmax``) and :meth:`Table.unlink`.  A
+summary holds cells and labels of tuples a reader may not see; it is a
+cache of the heap, never an observable: what a scan emits from it is
+decided per statement by the leaf (:mod:`repro.db.physical`), and a
+rebuilt summary is equal to a kept one, so nothing a reader can see —
+rows, labels, errors, counts — depends on whether one was cached.
+
 Reclamation (the PostgreSQL garbage collector, which section 7.1 notes is
 exempt from the information flow rules) physically removes versions that
 are dead to every possible snapshot: :meth:`Table.unlink` is the one
@@ -24,14 +42,90 @@ from .schema import TableSchema
 from .tuples import TupleVersion
 
 
+#: The scan leaf's fork (:func:`repro.db.physical._visible_segment`): a
+#: segment of at least this many versions is filtered set-at-a-time
+#: from its summary, a shorter one by the per-version loop, which reads
+#: the versions themselves.  The set routines cost a fixed handful of
+#: passes per segment whatever its length (~4 µs), which a one-row
+#: primary-key probe cannot amortize (1.6 µs in the loop) and a heap
+#: slice repays many times over; measured on all-visible chunks the
+#: two cross between 3 versions (4.1 vs 4.2 µs) and 4 (5.9 vs 4.3),
+#: and on chains of dead versions they tie at every length.  A heap
+#: sliced shorter than this is never summarized, so never memoized.
+SET_AT_A_TIME_MIN = 4
+
+
+class Segment:
+    """The live versions of one heap slice — or the candidates of one
+    index probe — with the summary a scan filters them by.
+
+    ``versions`` is all a segment is built from; :meth:`summarize`
+    derives ``labels`` (parallel to ``versions``), ``distinct`` (each
+    label once), ``hi_xmin`` and ``stamped`` (is any ``xmax`` set);
+    ``page_runs`` and — for a memoized segment, whose scans share them
+    — ``ilabels`` and the per-column arrays are built by their first
+    reader.  Every sequence is a tuple: a memoized segment (``shared``)
+    hands the same arrays to every scan, so an operator that mutated
+    one in place must fail, not corrupt the next scan.
+    """
+
+    #: Not built yet (class defaults: a probe's segment is made once
+    #: per probe, so construction stores ``versions`` and nothing else).
+    labels = _ilabels = _page_runs = _columns = None
+    #: The heap keeps this segment: its arrays outlive the scan.
+    shared = False
+
+    def __init__(self, versions: Sequence[TupleVersion]):
+        self.versions = versions
+
+    def summarize(self) -> None:
+        versions = self.versions
+        self.labels = labels = tuple([v.label for v in versions])
+        self.distinct = frozenset(labels)
+        self.hi_xmin = max([v.xmin for v in versions])
+        self.stamped = \
+            [v.xmax for v in versions].count(None) < len(versions)
+
+    @property
+    def ilabels(self) -> tuple:
+        if self._ilabels is None:
+            self._ilabels = tuple([v.ilabel for v in self.versions])
+        return self._ilabels
+
+    @property
+    def page_runs(self) -> tuple:
+        """``(page id, versions on it)`` per run of heap neighbours."""
+        if self._page_runs is None:
+            self._page_runs = tuple(
+                [(page_id, len(list(run))) for page_id, run
+                 in groupby([v.page_id for v in self.versions])])
+        return self._page_runs
+
+    def column(self, position: int) -> tuple:
+        """Stored column ``position`` of every version, in order."""
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = {}
+        column = columns.get(position)
+        if column is None:
+            column = columns[position] = tuple(
+                [v.values[position] for v in self.versions])
+        return column
+
+
 class Table:
     """A stored table: schema + heap + indexes."""
 
     def __init__(self, schema: TableSchema, *, page_size: int,
-                 buffer_cache: BufferCache, store_labels: bool):
+                 buffer_cache: BufferCache, store_labels: bool,
+                 segment_size: int):
         self.schema = schema
         self.name = schema.name
         self._versions: List[Optional[TupleVersion]] = []
+        #: The slice length the database scans with, and the memoized
+        #: segment per slice index — dropped by append/stamp/unlink.
+        self._segment_size = segment_size
+        self._segments: Dict[int, Segment] = {}
         self._allocator = HeapPageAllocator(schema.name, page_size)
         self._buffer_cache = buffer_cache
         self._store_labels = store_labels
@@ -100,22 +194,21 @@ class Table:
         """Charge a page access for examining this version."""
         self._buffer_cache.touch(self.name, version.page_id)
 
-    def touch_versions(self, versions: List[TupleVersion]) -> None:
-        """Charge a candidate chunk to the buffer cache by page run.
+    def touch_segment(self, segment: Segment) -> None:
+        """Charge a segment to the buffer cache by page run.
 
         Counter for counter identical to calling :meth:`touch` on every
-        version in order (heap neighbours share pages, so a batch
+        version in order (heap neighbours share pages, so a segment
         collapses to a handful of runs — see
-        :meth:`~repro.db.pages.BufferCache.touch_run`); the runs are
-        found by ``groupby`` over the page-id column, not a per-version
-        loop.  An unbounded cache holds every page, so there the whole
-        chunk is one run of hits, however scattered its pages."""
+        :meth:`~repro.db.pages.BufferCache.touch_run`).  An unbounded
+        cache holds every page, so there the whole segment is one run
+        of hits, however scattered its pages."""
         touch_run = self._buffer_cache.touch_run
         name = self.name
         if self._buffer_cache.capacity is None:
-            return touch_run(name, 0, len(versions))
-        for page_id, run in groupby([v.page_id for v in versions]):
-            touch_run(name, page_id, len(list(run)))
+            return touch_run(name, 0, len(segment.versions))
+        for page_id, count in segment.page_runs:
+            touch_run(name, page_id, count)
 
     def append(self, values: Tuple, label: Label, ilabel: Label,
                xid: int) -> TupleVersion:
@@ -128,6 +221,7 @@ class Table:
             data_size=data_size, store_label=self._store_labels)
         version.page_id = self._allocator.place(version.size)
         self._versions.append(version)
+        self._segments.pop(version.tid // self._segment_size, None)
         self.modifications += 1
         self._heap_count += 1
         self.touch(version)
@@ -143,25 +237,45 @@ class Table:
             if version is not None:
                 yield version
 
-    def all_versions_batched(self, size: int
-                             ) -> Iterator[List[TupleVersion]]:
-        """Live heap versions in lists of up to ``size``.
+    def stamp(self, version: TupleVersion, xid: int,
+              superseded: bool = False) -> None:
+        """Mark ``version`` deleted by ``xid`` — the one writer of
+        ``xmax``.  A DELETE counts as a modification here; an UPDATE's
+        (``superseded``) is counted by the append of its new version."""
+        version.xmax = xid
+        self._segments.pop(version.tid // self._segment_size, None)
+        if not superseded:
+            self.modifications += 1
 
-        The batch granularity of the scan: slicing the version array
-        and filtering the vacuumed holes in one list comprehension is
-        markedly cheaper than driving a per-version generator, which is
-        the point of batch-at-a-time execution.  The loop re-reads
-        ``len()`` so versions appended mid-scan are still reached,
-        matching :meth:`all_versions` semantics.
+    def segments(self, size: int) -> Iterator[Segment]:
+        """The heap as one :class:`Segment` per aligned ``size``-slot
+        slice that holds a live version.
+
+        Slices of the database's own scan length are memoized (an
+        emptied slice too, so skipping it is one dict probe); any other
+        length — a subquery's one-row batches, the reference executor —
+        is sliced afresh, as is a length under
+        :data:`SET_AT_A_TIME_MIN`, whose segments no summary would ever
+        be read from.  The loop re-reads ``len()`` so versions appended
+        mid-scan are still reached, matching :meth:`all_versions`
+        semantics.
         """
         versions = self._versions
+        memo = self._segments if size == self._segment_size \
+            and size >= SET_AT_A_TIME_MIN else None
         start = 0
         while start < len(versions):
-            chunk = [v for v in versions[start:start + size]
-                     if v is not None]
+            segment = None if memo is None else memo.get(start // size)
+            if segment is None:
+                segment = Segment(
+                    tuple([v for v in versions[start:start + size]
+                           if v is not None]))
+                if memo is not None:
+                    segment.shared = True
+                    memo[start // size] = segment
             start += size
-            if chunk:
-                yield chunk
+            if segment.versions:
+                yield segment
 
     def versions_for_tids(self, tids) -> Iterator[TupleVersion]:
         versions = self._versions
@@ -198,6 +312,7 @@ class Table:
         for index in self.indexes.values():
             index.remove(version.values, tid)
         self._versions[tid] = None
+        self._segments.pop(tid // self._segment_size, None)
         self._heap_count -= 1
 
     def vacuum(self, txn_manager) -> int:

@@ -24,7 +24,11 @@ TUPLE_HEADER_BYTES = 24
 
 
 class TupleVersion:
-    """One immutable version of a row."""
+    """One version of a row.  Everything but ``xmax`` is fixed at
+    construction (``page_id`` by the heap's append, which constructs
+    it); ``xmax`` is written only by
+    :meth:`repro.db.storage.Table.stamp`, so the heap knows when a
+    segment summary built over this version has gone stale."""
 
     __slots__ = ("tid", "xmin", "xmax", "values", "label", "ilabel",
                  "page_id", "size")

@@ -436,7 +436,7 @@ def _apply_commit(db, record: tuple) -> None:
                 # was attached to a pre-populated database), where heap
                 # tids are identical by construction.
                 old = table.version(tid_map.get(op[2], op[2]))
-                old.xmax = txn.xid
+                table.stamp(old, txn.xid, superseded=True)
                 values, label, ilabel = decode_labeled_row(op[4])
                 version = table.append(tuple(values), label, ilabel,
                                        txn.xid)
@@ -445,8 +445,7 @@ def _apply_commit(db, record: tuple) -> None:
                                  prev_tid=old.tid)
             elif op[0] == "d":
                 old = table.version(tid_map.get(op[2], op[2]))
-                old.xmax = txn.xid
-                table.modifications += 1
+                table.stamp(old, txn.xid)
                 txn.record_write(table, old.tid, old.label, "delete")
             else:
                 raise WalError("unknown WAL op %r" % (op[0],))

@@ -317,16 +317,32 @@ def test_batched_scan_buffer_stats_match_row_mode():
             == getattr(db_row.buffer_cache.stats, field), field
 
 
-def test_reads_columns_only_classifier():
-    col = ex.ColumnRef("v")
-    label = ex.ColumnRef("_label")
-    assert ex.reads_columns_only(ex.Compare("<", col, ex.Literal(3)))
-    assert not ex.reads_columns_only(
-        ex.FuncCall("LABEL_SIZE", [label]))
-    assert not ex.reads_columns_only(
-        ex.And([ex.Compare("=", col, ex.Literal(1)),
-                ex.Compare("=", label, ex.Literal(None))]))
-    assert not ex.reads_columns_only(ex.Exists(object()))
+def test_scan_predicate_names_the_columns_it_reads():
+    """The planner hands a scan the stored-column positions its pushed
+    predicate reads — all the scan builds the predicate's batch from.
+    ``_label`` always rides along, so it is never listed; a subquery
+    (UPDATE/DELETE push theirs into the target scan) can reach any
+    column through the outer-row stack, so it asks for every one."""
+    db, _public, secret, _ = _stack(1024)
+
+    def scan_of(sql):
+        plan = db.prepare_select(db.parse(sql), sql).plan
+        while not isinstance(plan, physical.Scan):
+            plan = plan.children()[0]
+        return plan
+
+    assert scan_of("SELECT id FROM m WHERE v < 12").predicate_columns == (2,)
+    assert scan_of("SELECT id FROM m WHERE v < 12 AND grp + id > 3 "
+                   "AND LABEL_SIZE(_label) > 0").predicate_columns \
+        == (0, 1, 2)
+    assert scan_of("SELECT id FROM m WHERE LABEL_SIZE(_label) > 0") \
+        .predicate_columns == ()
+    assert scan_of("SELECT id FROM m").predicate_columns == ()
+    assert scan_of("DELETE FROM m WHERE EXISTS (SELECT 1 FROM m b "
+                   "WHERE b.grp = m.grp AND b.v > m.v)") \
+        .predicate_columns == (0, 1, 2)
+    assert secret.execute(
+        "SELECT id FROM m WHERE v < 12 AND LABEL_SIZE(_label) > 0").rows
 
 
 def test_compile_batch_and_preserves_short_circuit():
@@ -345,8 +361,6 @@ def test_compile_batch_and_preserves_short_circuit():
     batch = physical.RowBatch(rows, [None] * 4, [None] * 4)
     flags = batch_fn(batch, None)
     assert flags == [True, False, True, None]
-    # And the scan-level on-values path accepts this predicate shape.
-    assert ex.reads_columns_only(node)
 
 
 SELF_JOIN = ("SELECT a.id, b.id FROM m a JOIN m b ON b.grp = a.grp "
@@ -453,7 +467,8 @@ def test_leaf_routines_agree_on_everything_but_label_check_counts(
     probes alike): same rows, same emitted labels — stripped under a
     declassifying view — same suppression count, buffer traffic and
     index lookups, with a concurrent writer's uncommitted row hidden
-    by both.  Only ``covers``/``strip`` may run more often."""
+    by both.  Only ``covers``/``strip`` may run more often (and only
+    the set routine can find a segment frozen)."""
     authority = AuthorityState(idgen=SeededIdGenerator(606))
     db = Database(authority, seed=606, batch_size=n, buffer_pages=3,
                   io_penalty=0.25, page_size=256)
@@ -513,6 +528,10 @@ def test_leaf_routines_agree_on_everything_but_label_check_counts(
         assert 9999 not in [row[0] for row, _label in loop_rows]
         assert loop["labels"]["rows_suppressed"] \
             == sets["labels"]["rows_suppressed"] > 0
+        # The bound check is the set routine's alone: the loop asks
+        # visible() of every version, so it never counts a frozen one.
+        assert loop["exec"].pop("segments_frozen") == 0
+        sets["exec"].pop("segments_frozen")
         for group in ("buffer", "index", "exec"):
             assert loop[group] == sets[group], (sql, group)
         # The singleton keys repeat one label chunk after chunk, which
@@ -529,25 +548,46 @@ def test_leaf_routines_agree_on_everything_but_label_check_counts(
 
 def test_projection_pushdown_materializes_only_needed_columns():
     """m has 3 stored columns; projecting 2 must copy exactly 2 cells
-    per visible row out of the heap — the counter proof that pushdown
-    reached the storage layer, at any batch size."""
+    per visible row out of the heap's column arrays — the counter proof
+    that pushdown reached the storage layer, at any batch size.  The
+    public reader misses every third row, so every segment is cut down
+    and its survivors copied."""
     for batch_size in (5, 1024):
-        _db, _public, secret, _ = _stack(batch_size)
-        lines = [r[0] for r in secret.execute("EXPLAIN SELECT id, v FROM m")]
+        _db, public, _secret, _ = _stack(batch_size)
+        lines = [r[0] for r in public.execute("EXPLAIN SELECT id, v FROM m")]
         assert any("cols=id,v" in line for line in lines), lines
-        assert len(secret.execute("SELECT id, v FROM m").rows) == 40
+        assert len(public.execute("SELECT id, v FROM m").rows) == 26
         delta = _db.last_statement_metrics()["exec"]
-        assert delta["columns_materialized"] == 2 * 40, (batch_size, delta)
+        assert delta["columns_materialized"] == 2 * 26, (batch_size, delta)
+        table = _db.catalog.get_table("m")
+        assert {p for segment in table.segments(batch_size)
+                for p in segment._columns} == {0, 2}
 
 
 def test_projection_pushdown_select_star_full_width():
     """``*`` reads everything: no cols= annotation, all cells copied."""
-    _db, _public, secret, _ = _stack(1024)
-    lines = [r[0] for r in secret.execute("EXPLAIN SELECT * FROM m")]
+    _db, public, _secret, _ = _stack(1024)
+    lines = [r[0] for r in public.execute("EXPLAIN SELECT * FROM m")]
     assert not any("cols=" in line for line in lines), lines
-    assert len(secret.execute("SELECT * FROM m").rows) == 40
+    assert len(public.execute("SELECT * FROM m").rows) == 26
     delta = _db.last_statement_metrics()["exec"]
-    assert delta["columns_materialized"] == 3 * 40
+    assert delta["columns_materialized"] == 3 * 26
+
+
+def test_a_memoized_segment_that_survives_whole_is_emitted_uncopied():
+    """The secret reader sees all 40 rows: each heap segment is
+    emitted as its own (memoized) column arrays, no cell copied —
+    while an index probe's candidates, summarized for the one scan,
+    are counted as the copy they are."""
+    _db, _public, secret, _ = _stack(8)
+    assert len(secret.execute("SELECT id, v FROM m").rows) == 40
+    delta = _db.last_statement_metrics()["exec"]
+    assert delta["columns_materialized"] == 0
+    assert delta["segments_scanned"] == delta["segments_frozen"] == 5
+    rows = secret.execute("SELECT id, v FROM m WHERE grp = 1").rows
+    assert len(rows) == 10
+    delta = _db.last_statement_metrics()["exec"]
+    assert delta["columns_materialized"] == 2 * 10
 
 
 def test_projection_pushdown_subquery_disables_pushdown():
@@ -573,12 +613,15 @@ def test_projection_pushdown_under_declassifying_view():
         compound = authority.create_compound_tag("all_t", owner=clinic.id)
         tag = authority.create_tag("t0", owner=clinic.id,
                                    compounds=(compound.id,))
+        other = authority.create_tag("other", owner=clinic.id)
         admin = db.connect(IFCProcess(authority, clinic.id))
         admin.execute("CREATE TABLE p (id INT PRIMARY KEY, a INT, b INT,"
                       " c TEXT)")
         for i in range(30):
             proc = IFCProcess(authority, clinic.id)
-            proc.add_secrecy(tag.id)
+            # Every fourth row stays hidden under the view: each
+            # segment is cut down, so its survivors' cells are copied.
+            proc.add_secrecy(other.id if i % 4 == 3 else tag.id)
             db.connect(proc).execute(
                 "INSERT INTO p VALUES (?, ?, ?, ?)",
                 (i, i % 5, i % 7, "pad-%d" % i))
@@ -589,9 +632,9 @@ def test_projection_pushdown_under_declassifying_view():
         if mode == "batched":
             # The view body reads id and a: 2 of 4 stored columns.
             delta = db.last_statement_metrics()["exec"]
-            assert delta["columns_materialized"] == 2 * 30
+            assert delta["columns_materialized"] == 2 * 23
         assert all(label == () for _row, label in results[mode])
-        assert len(results[mode]) == 30
+        assert len(results[mode]) == 23
     assert results["batched"] == results["row"]
 
 

@@ -60,6 +60,7 @@ PINNED_CELLS = [
     ("labels", "rows_suppressed"),
     ("index", "lookups"), ("index", "range_scans"),
     ("exec", "columns_materialized"), ("exec", "rows_widened"),
+    ("exec", "segments_scanned"), ("exec", "segments_frozen"),
     ("spill", "spills"), ("spill", "partitions_created"),
     ("spill", "repartitions"), ("spill", "rows_spilled"),
     ("spill", "bytes_spilled"), ("spill", "sort_spills"),
@@ -126,7 +127,8 @@ def test_snapshot_covers_every_family_field():
     assert set(snap["labels"]) == {"covers_calls", "strip_calls",
                                    "rows_suppressed"}
     assert set(snap["index"]) == {"lookups", "range_scans"}
-    assert set(snap["exec"]) == {"columns_materialized", "rows_widened"}
+    assert set(snap["exec"]) == {"columns_materialized", "rows_widened",
+                                 "segments_scanned", "segments_frozen"}
     assert "bytes_spilled" in snap["spill"]
 
 
@@ -400,7 +402,7 @@ def test_last_statement_metrics_names_every_cell_group():
     delta = db.last_statement_metrics()
     assert delta["rows"] == 1
     assert delta["elapsed_ms"] >= 0.0
-    assert delta["exec"]["columns_materialized"] == 2
+    assert delta["exec"]["segments_scanned"] == 1
     assert "buffer" in delta               # per-Database buffer cells
 
 
@@ -418,7 +420,7 @@ def test_slow_query_log_records_threshold_crossers_with_counters():
     last = entries[-1]
     assert last["statement"] == "SELECT * FROM t WHERE v = ?"
     assert last["elapsed_ms"] > 0.0
-    assert last["counters"]["exec"]["columns_materialized"] == 2
+    assert last["counters"]["exec"]["segments_scanned"] == 1
 
 
 def test_slow_query_log_disabled_by_default():

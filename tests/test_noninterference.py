@@ -21,6 +21,16 @@ same order, the same row labels and integrity labels, the same
 ``db.stats()["spill"]`` traffic — and a collapsed row's label must be
 the union over exactly its *visible* duplicates.
 
+A second family of worlds aims at the scan leaf instead of the
+collapse: their hidden tuples carry values on which the **pushed
+predicate raises** (a divisor that hits zero, a TEXT where the visible
+rows hold NULL and the predicate compares with an INT).  An expression
+evaluated over a hidden tuple's cell would turn that tuple into an
+error the reader can see, so through every access path — heap scan,
+index scan, index-range scan, the index-loop-join probe, UPDATE and
+DELETE target enumeration — every world must answer alike, and without
+an error.
+
 This is the first slice of ROADMAP item 1; the statement stream, the
 other observables and the recovered-from-WAL leg are still to come.
 """
@@ -230,3 +240,112 @@ def test_a_collapsed_row_is_labeled_by_its_visible_duplicates(config):
             want = {key: {tags[index] for index in labels}
                     for key, labels in expected.items()}
             assert got == want, (config, name, sql)
+
+
+# ---------------------------------------------------------------------------
+# a predicate never meets a hidden cell
+# ---------------------------------------------------------------------------
+
+_DIVIDES = "100 / (amount - 7) > 0"     # amount = 7 only on hidden tuples
+_COMPARES = "note > 5"                  # note is NULL on every visible one
+
+#: ``(statement, the access path its EXPLAIN must show)``.  The DML
+#: statements run last and in this order in every world.
+POISON_STATEMENTS = (
+    ("SELECT id, amount FROM p WHERE " + _DIVIDES, "Scan p"),
+    ("SELECT id FROM p WHERE " + _COMPARES, "Scan p"),
+    ("SELECT COUNT(*), SUM(amount) FROM p WHERE amount > 20 AND "
+     + _DIVIDES, "Scan p"),
+    ("SELECT id, amount FROM p WHERE k = 3 AND " + _DIVIDES, "IndexScan"),
+    ("SELECT id FROM p WHERE k = 11 AND " + _COMPARES, "IndexScan"),
+    ("SELECT id, amount FROM p WHERE ts >= 30 AND ts < 90 AND " + _DIVIDES,
+     "IndexRangeScan"),
+    ("SELECT id FROM p WHERE ts >= 30 AND ts < 90 AND " + _COMPARES,
+     "IndexRangeScan"),
+    ("SELECT o.k, p.id FROM o JOIN p ON p.k = o.k AND 100 / (p.amount - 7) "
+     "> 0 ORDER BY o.k, p.id", "IndexLoopJoin"),
+    ("SELECT o.k, p.id FROM o JOIN p ON p.k = o.k AND p.note > 5",
+     "IndexLoopJoin"),
+    ("UPDATE p SET amount = amount + 100 WHERE k = 1 AND " + _DIVIDES,
+     "IndexScan"),
+    ("UPDATE p SET amount = amount + 100 WHERE ts >= 120 AND ts < 150 AND "
+     + _DIVIDES, "IndexRangeScan"),
+    ("UPDATE p SET amount = amount + 1 WHERE amount < 15 AND " + _DIVIDES,
+     "Scan p"),
+    ("DELETE FROM p WHERE k = 2 AND " + _COMPARES, "IndexScan"),
+    ("DELETE FROM p WHERE ts >= 200 AND ts < 230 AND " + _DIVIDES,
+     "IndexRangeScan"),
+    ("DELETE FROM p WHERE amount > 140 AND " + _DIVIDES, "Scan p"),
+    ("SELECT id, k, ts, amount FROM p ORDER BY id", "Scan p"),
+)
+
+
+def _poison_world(hidden_seed, config):
+    """90 tuples under exactly the reader's label (so its UPDATEs and
+    DELETEs pass the write rule), a third of them endorsed; the hidden
+    ones — poisoned — share their index keys and their ``ts`` ranges,
+    singly (key 11: the per-version loop) and in runs."""
+    authority = AuthorityState(idgen=SeededIdGenerator(SEED))
+    db = Database(authority, seed=SEED, **config)
+    owner = authority.create_principal("owner")
+    low = [authority.create_tag("low-%d" % i, owner=owner.id)
+           for i in range(2)]
+    high = authority.create_tag("high", owner=owner.id)
+    vetted = authority.create_tag("vetted", owner=owner.id,
+                                  kind="integrity")
+    admin = db.connect(IFCProcess(authority, owner.id))
+    admin.execute_script(
+        "CREATE TABLE p (id INT PRIMARY KEY, k INT, ts INT, amount INT, "
+        "note TEXT);"
+        "CREATE INDEX p_k ON p (k);"
+        "CREATE ORDERED INDEX p_ts ON p (ts);"
+        "CREATE TABLE o (k INT PRIMARY KEY);")
+    for k in (1, 2, 3, 11, 40):                   # public, every world
+        admin.execute("INSERT INTO o VALUES (?)", (k,))
+
+    def session(secret, endorsed):
+        process = IFCProcess(authority, owner.id)
+        for tag in low:
+            process.add_secrecy(tag.id)
+        if secret:
+            process.add_secrecy(high.id)
+        if endorsed:
+            process.endorse(vetted.id)
+        return db.connect(process)
+
+    sessions = {key: session(*key) for key in
+                ((False, False), (False, True), (True, False))}
+    rng = random.Random(hidden_seed)
+    for i in range(90):
+        k = 11 if i == 44 else i % 6
+        sessions[False, i % 3 == 0].execute(
+            "INSERT INTO p VALUES (?, ?, ?, ?, NULL)",
+            (2 * i, k, 3 * i, 10 + i % 40))
+        if hidden_seed is not None and rng.random() < 0.5:
+            poison = rng.choice(((7, None), (7, "poison"), (12, "poison")))
+            sessions[True, False].execute(
+                "INSERT INTO p VALUES (?, ?, ?, ?, ?)",
+                (2 * i + 1, rng.choice((k, 11, rng.randrange(6))),
+                 3 * i + rng.randrange(3)) + poison)
+    admin.execute("ANALYZE")
+    return session(False, False)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_predicate_never_meets_a_hidden_cell(config):
+    worlds = {name: _poison_world(seed, CONFIGS[config])
+              for name, seed in WORLDS.items()}
+    base = worlds["D"]
+    for sql, operator in POISON_STATEMENTS:
+        assert any(operator in row[0]
+                   for row in base.execute("EXPLAIN " + sql)), sql
+        want = _observe(base, sql)
+        assert "error" not in want, (config, sql, want)
+        for name in ("D'", "D''"):
+            got = _observe(worlds[name], sql)
+            for what in sorted(set(want) | set(got)):
+                assert got.get(what) == want.get(what), \
+                    (config, name, sql, what)
+        if sql.startswith(("UPDATE", "DELETE")) and _DIVIDES in sql:
+            assert want["rowcount"] > 0, sql      # the DML found targets
+    assert len(want["rows"]) > 50                 # …and left most rows

@@ -1,0 +1,320 @@
+"""Segment summaries are invisible.
+
+The heap memoizes, per slice, what every scan of that slice would
+otherwise re-derive (:class:`repro.db.storage.Segment`: labels,
+distinct labels, newest ``xmin``, any ``xmax``, page runs, column
+arrays).  A summary is a cache of the heap and nothing else, so nothing
+a reader can observe may depend on whether one was kept, rebuilt or
+never built:
+
+* one seeded stream of INSERT / UPDATE / DELETE / ROLLBACK / VACUUM —
+  a second reader holding an older snapshot open across some of it —
+  runs against a database at the default segment length and against
+  the batch-size-1 reference executor; after every step a heap scan,
+  an index scan, an index-range scan and an index-loop join are
+  answered three ways — from the summaries the writes left behind,
+  from summaries rebuilt from nothing, and by the reference — and must
+  agree on rows, labels, integrity labels and ``rows_suppressed``; the
+  kept and the rebuilt also on ``covers``/``strip`` calls and, under a
+  four-page buffer, on buffer hits and misses;
+* the invalidation points one by one: an append past the slice a scan
+  is reading is still reached, a rolled-back deleter leaves its
+  segment on the per-row path without changing a result, the last
+  version of a slice unlinked makes the slice an empty skip;
+* the reference executor cannot reach a memoized summary at all.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.db import Database
+from repro.db import physical
+from repro.db.storage import SET_AT_A_TIME_MIN, Segment
+
+SEED = 1913
+LOADED = 200                # rows before the first check
+STEPS = 120
+
+QUERIES = (
+    ("SELECT id, k, v FROM t", "Scan t"),
+    ("SELECT id, v FROM t WHERE v >= 4", "Scan t"),
+    ("SELECT id, v FROM t WHERE k = 2", "IndexScan"),
+    ("SELECT id, k FROM t WHERE v >= 2 AND v < 5 AND k <> 1",
+     "IndexRangeScan"),
+    ("SELECT u.id, t.id, t.v FROM u JOIN t ON t.k = u.k", "IndexLoopJoin"),
+)
+
+
+class World:
+    """One database under the stream: four writers (tags 0–3, the even
+    ones endorsed), a public admin, a reader holding tags 0 and 1, and
+    a second such reader whose snapshot the stream opens and closes."""
+
+    def __init__(self, **db_kwargs):
+        authority = AuthorityState(idgen=SeededIdGenerator(SEED))
+        self.db = db = Database(authority, seed=SEED, buffer_pages=4,
+                                page_size=256, **db_kwargs)
+        owner = authority.create_principal("owner")
+        tags = [authority.create_tag("tag-%d" % i, owner=owner.id)
+                for i in range(4)]
+        vetted = authority.create_tag("vetted", owner=owner.id,
+                                      kind="integrity")
+        self.admin = db.connect(IFCProcess(authority, owner.id))
+        self.admin.execute_script(
+            "CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT);"
+            "CREATE INDEX t_k ON t (k);"
+            "CREATE ORDERED INDEX t_v ON t (v);"
+            "CREATE TABLE u (id INT PRIMARY KEY, k INT);")
+        for i in range(8):          # distinct keys: one probe per row
+            self.admin.execute("INSERT INTO u VALUES (?, ?)", (i, i))
+        self.writers = []
+        for i, tag in enumerate(tags):
+            process = IFCProcess(authority, owner.id)
+            process.add_secrecy(tag.id)
+            if i % 2 == 0:
+                process.endorse(vetted.id)
+            self.writers.append(db.connect(process))
+        self.readers = []
+        for _ in range(2):
+            process = IFCProcess(authority, owner.id)
+            for tag in tags[:2]:
+                process.add_secrecy(tag.id)
+            self.readers.append(db.connect(process))
+
+    def tables(self):
+        return [self.db.catalog.get_table(name) for name in ("t", "u")]
+
+    def drop_summaries(self):
+        for table in self.tables():
+            table._segments.clear()
+
+    def apply(self, op):
+        kind, who, args = op
+        if kind == "vacuum":
+            self.admin.execute("VACUUM")
+        elif kind == "snapshot":
+            held = self.readers[1]
+            if held.transaction is None:
+                held.begin()
+            else:
+                held.commit()
+        else:
+            writer = self.writers[who]
+            sql = {"insert": "INSERT INTO t VALUES (?, ?, ?)",
+                   "update": "UPDATE t SET v = v + 1 WHERE id = ?",
+                   "delete": "DELETE FROM t WHERE id = ?"}[kind.split("!")[0]]
+            if kind.endswith("!"):          # …and take it back
+                writer.begin()
+                writer.execute(sql, args)
+                writer.rollback()
+            else:
+                assert writer.execute(sql, args).rowcount == 1, op
+
+    def observe(self, reader, sql):
+        """Rows with labels and integrity labels, and the statement's
+        counters, with the buffer cache emptied first."""
+        db = self.db
+        session = self.readers[reader]
+        prepared = db.prepare_select(db.parse(sql), sql)
+        db.buffer_cache.reset()
+        before = db.read_counters()
+        with session._autocommit():
+            rows = sorted(
+                (tuple(values), tuple(sorted(label)), tuple(sorted(ilabel)))
+                for batch in prepared.plan.batches(session._context(()))
+                for values, label, ilabel
+                in zip(batch.values, batch.labels, batch.ilabels))
+        delta = db.counter_delta(before, db.read_counters())
+        return rows, delta
+
+
+def _stream(steps):
+    """The op list, drawn once so every world applies the same one:
+    ``(kind, writer, params)``; a trailing ``!`` rolls the write back."""
+    rng = random.Random(SEED)
+    owner = {}                      # live id -> writer
+    ops, next_id = [], 0
+    for _ in range(LOADED):         # something to scan from step one
+        writer = rng.randrange(4)
+        ops.append(("insert", writer,
+                    (next_id, rng.randrange(5), rng.randrange(8))))
+        owner[next_id] = writer
+        next_id += 1
+    for _ in range(steps):
+        kind = rng.choice(("insert", "insert", "update", "update", "update",
+                           "delete", "delete", "insert!", "update!",
+                           "delete!", "vacuum", "snapshot", "snapshot"))
+        if kind in ("vacuum", "snapshot"):
+            ops.append((kind, None, ()))
+        elif kind.startswith("insert"):
+            writer = rng.randrange(4)
+            ops.append((kind, writer,
+                        (next_id, rng.randrange(5), rng.randrange(8))))
+            if kind == "insert":
+                owner[next_id] = writer
+            next_id += 1            # a rolled-back id is not reused
+        else:
+            ident = rng.choice(sorted(owner))
+            ops.append((kind, owner[ident], (ident,)))
+            if kind == "delete":
+                del owner[ident]
+    return ops
+
+
+@pytest.mark.parametrize("batch_size", [None, 16])
+def test_kept_rebuilt_and_reference_agree_after_every_write(batch_size):
+    """``batch_size=None`` takes the engine default, so the
+    ``REPRO_BATCH_SIZE=7`` CI leg re-runs this over seven-row segments
+    with a partial tail in every table."""
+    main = World(batch_size=batch_size)
+    reference = World(batch_size=1)
+    table = main.db.catalog.get_table("t")
+    frozen = thawed = suppressed = thaws_pinned = 0
+    for step, op in enumerate(_stream(STEPS)):
+        if op[0] in ("update", "delete") and main.readers[1].transaction:
+            # The case a stale summary would get wrong: a kept summary
+            # says "nothing deleted here", the write is about to stamp
+            # a version in it, and the open snapshot keeps that version
+            # from being unlinked (which would drop the summary anyway).
+            slot = max(v.tid for v in table.all_versions()
+                       if v.values[0] == op[2][0])
+            kept = table._segments.get(slot // main.db.batch_size)
+            thaws_pinned += kept is not None and kept.stamped is False
+        main.apply(op)
+        reference.apply(op)
+        if step == LOADED - 1:      # loaded: the plans under test
+            for world in (main, reference):
+                world.admin.execute("ANALYZE")
+            for sql, operator in QUERIES:
+                assert any(operator in row[0] for row in
+                           main.readers[0].execute("EXPLAIN " + sql)), sql
+        if step < LOADED - 1:
+            continue
+        checks = [(reader, sql) for reader in (0, 1)
+                  for sql, _operator in QUERIES]
+        kept = [main.observe(*check) for check in checks]
+        main.drop_summaries()
+        for check, (kept_rows, kept_delta) in zip(checks, kept):
+            rebuilt_rows, rebuilt = main.observe(*check)
+            want_rows, want = reference.observe(*check)
+            where = (step, op) + check
+            assert kept_rows == rebuilt_rows == want_rows, where
+            assert kept_delta["labels"] == rebuilt["labels"], where
+            assert kept_delta["buffer"] == rebuilt["buffer"], where
+            assert kept_delta["exec"] == rebuilt["exec"], where
+            assert kept_delta["labels"]["rows_suppressed"] \
+                == want["labels"]["rows_suppressed"], where
+            frozen += kept_delta["exec"]["segments_frozen"]
+            thawed += kept_delta["exec"]["segments_scanned"] \
+                - kept_delta["exec"]["segments_frozen"]
+            suppressed += kept_delta["labels"]["rows_suppressed"]
+    # The stream reached both sides of the bound check, and hid rows.
+    assert thawed and suppressed
+    if main.db.batch_size >= SET_AT_A_TIME_MIN:
+        assert frozen
+    if batch_size == 16:
+        assert thaws_pinned >= 5, thaws_pinned
+
+
+def _table(batch_size, rows):
+    authority = AuthorityState(idgen=SeededIdGenerator(SEED))
+    db = Database(authority, seed=SEED, batch_size=batch_size)
+    session = db.connect(IFCProcess(authority,
+                                    authority.create_principal("p").id))
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    for i in range(rows):
+        session.execute("INSERT INTO t VALUES (?, ?)", (i, i % 3))
+    return db, session, db.catalog.get_table("t")
+
+
+def _scan(db, session, sql="SELECT id FROM t"):
+    rows = sorted(row[0] for row in session.execute(sql).rows)
+    return rows, db.last_statement_metrics()["exec"]
+
+
+def test_a_version_appended_mid_scan_is_still_reached():
+    """The scan re-reads the heap's length: a version appended to a
+    later slice while an earlier one is being read is scanned, and the
+    slice it landed in is summarized afresh for the next scan."""
+    db, session, table = _table(4, 8)
+    assert _scan(db, session)[0] == list(range(8))      # both memoized
+    assert sorted(table._segments) == [0, 1]
+    seen = []
+    for segment in table.segments(4):
+        seen += [version.values[0] for version in segment.versions]
+        if len(seen) == 4:
+            session.execute("INSERT INTO t VALUES (8, 0)")
+            assert sorted(table._segments) == [0, 1]    # slice 2 is new
+    assert seen == list(range(9))
+    assert _scan(db, session)[0] == list(range(9))
+    session.execute("INSERT INTO t VALUES (9, 0)")      # drops the tail
+    assert sorted(table._segments) == [0, 1]
+    assert _scan(db, session)[0] == list(range(10))
+
+
+def test_a_rolled_back_deleter_costs_the_bound_check_not_the_rows():
+    """Its ``xmax`` stays on the version, so the segment's summary —
+    rebuilt, because ``stamp`` dropped it — says ``stamped`` and the
+    scan asks ``visible()`` row by row; the answer is what it was."""
+    db, session, table = _table(8, 16)
+    rows, before = _scan(db, session)
+    assert before["segments_frozen"] == before["segments_scanned"] == 2
+    deleter = db.connect(session.process)
+    deleter.begin()
+    assert deleter.execute("DELETE FROM t WHERE id = 3").rowcount == 1
+    assert 0 not in table._segments and 1 in table._segments
+    assert _scan(db, deleter)[0] == [i for i in range(16) if i != 3]
+    deleter.rollback()
+    again, after = _scan(db, session)
+    assert again == rows
+    assert (after["segments_frozen"], after["segments_scanned"]) == (1, 2)
+    assert table._segments[0].stamped and not table._segments[1].stamped
+
+
+def test_unlinking_a_slices_last_version_makes_it_an_empty_skip():
+    db, session, table = _table(4, 12)
+    assert session.execute("DELETE FROM t WHERE id >= 4 AND id < 8") \
+        .rowcount == 4
+    session.execute("VACUUM")
+    assert [table.version(tid) for tid in range(4, 8)] == [None] * 4
+    rows, delta = _scan(db, session)
+    assert rows == [0, 1, 2, 3, 8, 9, 10, 11]
+    assert delta["segments_scanned"] == 2
+    assert table._segments[1].versions == ()            # kept: O(1) skip
+    assert [len(segment.versions) for segment in table.segments(4)] \
+        == [4, 4]
+
+
+class _Untouchable(dict):
+    """A memo no scan may read or fill; writes still ``pop`` from it."""
+
+    def _refuse(self, *_args):
+        raise AssertionError("the reference executor reached the memo")
+
+    get = __getitem__ = __setitem__ = __contains__ = setdefault = _refuse
+
+
+@pytest.mark.parametrize("reference", [{"batch_size": 1},
+                                       {"naive_plans": True}])
+def test_the_reference_executor_cannot_reach_a_memoized_summary(
+        reference, monkeypatch):
+    """One-version segments always take the per-version loop, which
+    reads the versions themselves: nothing is summarized, nothing is
+    memoized, at ``batch_size=1`` and under the naive planner alike."""
+    world = World(**reference)
+    for op in _stream(20):
+        world.apply(op)
+    for table in world.tables():
+        table._segments = _Untouchable()
+    monkeypatch.setattr(Segment, "summarize", _Untouchable._refuse)
+    for sql, _operator in QUERIES:
+        rows, delta = world.observe(0, sql)
+        assert rows and delta["exec"]["segments_frozen"] == 0, sql
+    world.writers[0].execute("INSERT INTO t VALUES (900, 1, 1)")
+    assert world.writers[0].execute(
+        "DELETE FROM t WHERE id = 900").rowcount == 1
+    assert physical.SET_AT_A_TIME_MIN == SET_AT_A_TIME_MIN > 1
