@@ -4,11 +4,8 @@ A seeded 5000-row, 8-column table (4 ints, 4 wide TEXT pads) is scanned
 three ways — a 2-column projection, ``SELECT *``, and a narrow
 aggregation.  The ``COLUMNS_MATERIALIZED`` counter proves the pushdown
 reached the storage layer (a scan projecting 2 of 8 columns copies
-exactly ``2 × rows`` cells out of the heap's column arrays — counted
-on a filtered variant of each query, because a heap segment that
-survives whole is emitted as its own arrays, uncopied), and the
-timings show the win: the narrow scan never pays for the pad columns
-nobody reads.
+exactly ``2 × rows`` cells out of the heap), and the timings show the
+win: the narrow scan never pays for the pad columns nobody reads.
 
 The counter assertions are logic-driven, so they run in smoke mode too
 — CI's smoke step is the regression gate that keeps pushdown wired all
@@ -29,9 +26,6 @@ N_COLS = 8
 NARROW_SQL = "SELECT b, c FROM wide"
 STAR_SQL = "SELECT * FROM wide"
 AGG_SQL = "SELECT b, COUNT(*), SUM(c) FROM wide GROUP BY b"
-#: Drops one row in seven, so every segment is cut down and copied.
-FILTER = " WHERE d < 6"
-KEPT = sum(1 for i in range(ROWS) if i % 7 < 6)
 
 
 def _stack(batch_size=None):
@@ -72,16 +66,16 @@ def _best_time(session, sql, loops=None) -> float:
 def test_projection_pushdown_cells_and_timing():
     _db, session = _stack()
     cells = {
-        "narrow": _cells(session, NARROW_SQL + FILTER),
-        "star": _cells(session, STAR_SQL + FILTER),
-        "agg": _cells(session, AGG_SQL.replace(" GROUP", FILTER + " GROUP")),
+        "narrow": _cells(session, NARROW_SQL),
+        "star": _cells(session, STAR_SQL),
+        "agg": _cells(session, AGG_SQL),
     }
     # The counter gate (exact, batch-size invariant, smoke-safe): a
     # scan projecting k of 8 columns materializes exactly k cells per
-    # surviving row — any widening regression breaks the equality.
-    assert cells["narrow"] == 2 * KEPT, cells
-    assert cells["star"] == N_COLS * KEPT, cells
-    assert cells["agg"] == 2 * KEPT, cells
+    # visible row — any widening regression breaks the equality.
+    assert cells["narrow"] == 2 * ROWS, cells
+    assert cells["star"] == N_COLS * ROWS, cells
+    assert cells["agg"] == 2 * ROWS, cells
 
     timings = {
         "narrow": _best_time(session, NARROW_SQL),

@@ -5,7 +5,7 @@ assigned at creation; process labels are replaced wholesale by explicit
 operations on :class:`~repro.core.process.IFCProcess`.  ``Label`` *is* a
 ``frozenset`` of integer tag ids (a stateless subclass), so it is
 hashable, can be interned, used as a dict key, and stored unchanged in
-tuples — and every hash, comparison and subset test runs in C.
+tuples — and every hash, dict probe and subset test runs in C.
 
 Subset comparisons in the presence of *compound tags* need the authority
 state to expand compounds into their member closure, so the comparison
@@ -34,14 +34,27 @@ class Label(frozenset):
     """An immutable, interned set of tag ids.
 
     A ``frozenset`` subclass with no state of its own, so hashing (the
-    set's cached hash), equality, containment, iteration and ``<=``
-    all run in C: a label is hashed and compared millions of times by
-    a scan's label dictionary and the folds above it.  Set *operators*
+    set's cached hash), containment, iteration and ``issubset`` all
+    run in C: a label is hashed and tested millions of times by a
+    scan's label dictionary and the folds above it.  Set *operators*
     (``|``, ``&``, ``-``, ``^``) return plain frozensets; the named
     methods below return labels.
+
+    Labels have **no order**: a set's ``<`` is proper-subset, a partial
+    order that ``sorted``/``heapq``/``MIN`` would silently mis-sort
+    by, so ``<`` and ``>`` are refused (``TypeError``) and ORDER BY
+    falls back to its type-tolerant total order, as for any other
+    unorderable value.  Overriding any comparison routes the others
+    through a Python-level slot, so hot paths ask ``a.issubset(b)``
+    (a plain C method), not ``a <= b``.
     """
 
     __slots__ = ()
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __gt__ = __lt__
 
     def __new__(cls, tags: Iterable[int] = ()):
         tags = tags if type(tags) is frozenset else frozenset(tags)
@@ -50,7 +63,9 @@ class Label(frozenset):
             return existing
         self = super().__new__(cls, tags)
         if len(_INTERNED) < _INTERN_CAP:
-            _INTERNED[self] = self
+            # Keyed by the plain set: a probe compares it with a plain
+            # set, in C, not through Label's comparison slot.
+            _INTERNED[tags] = self
         return self
 
     def __reduce__(self):
@@ -76,7 +91,7 @@ class Label(frozenset):
             return self
         if not isinstance(other, frozenset):
             other = frozenset(other)
-        if other <= self:
+        if other.issubset(self):
             return self
         return Label(self | other)
 

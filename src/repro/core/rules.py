@@ -69,13 +69,13 @@ def covers(registry: TagRegistry, low: Label, high: Label) -> bool:
     either directly or as a member of one of ``high``'s compound tags.
     """
     tally().covers_calls += 1
-    if low <= high:                     # fast path: plain subset
+    if low.issubset(high):              # fast path: plain subset
         return True
     memo = _cache_for(registry).covers
     key = (low, high)
     verdict = memo.get(key)
     if verdict is None:
-        verdict = low <= registry.expand(high)
+        verdict = low.issubset(registry.expand(high))
         if len(memo) < _CACHE_CAP:
             memo[key] = verdict
     return verdict
@@ -87,7 +87,7 @@ def same_contamination(registry: TagRegistry, a: Label, b: Label) -> bool:
     Used by the update/delete rule ("affect only tuples with label LP"):
     equality up to compound expansion.
     """
-    if a == b:
+    if a is b or a == b:                # interned: equal is identical
         return True
     return covers(registry, a, b) and covers(registry, b, a)
 

@@ -39,14 +39,15 @@ scan widens a columnar batch to rows.
   three bounds against the summary's newest ``xmin`` where no ``xmax``
   is set, and label-checked with one ``strip``/``covers`` per distinct
   label, the rest of the segment kept or dropped through that verdict
-  map at C speed.  What the leaf returns is flag lists (:func:`_take`)
-  that cut the segment's parallel sequences — versions, labels,
-  integrity labels, column arrays — down to the survivors.  The scan
-  predicate then runs column-at-a-time over the label survivors'
-  column arrays only.  The cached cells and labels of hidden tuples
-  are no observable: what leaves the leaf is decided per statement,
-  from the reader's label and snapshot, and a rebuilt summary equals a
-  kept one (``tests/test_segments.py``);
+  map at C speed.  What the leaf returns is flag lists that cut the
+  segment's parallel sequences — versions, integrity labels, column
+  arrays (:meth:`~repro.db.storage.Segment.kept` and its siblings) —
+  down to the survivors.  The scan predicate then runs
+  column-at-a-time over the label survivors' column arrays only.  The
+  cached cells and labels of hidden tuples are no observable: what
+  leaves the leaf is decided per statement, from the reader's label
+  and snapshot, and a rebuilt summary equals a kept one
+  (``tests/test_segments.py``);
 * **folds** — aggregation (``SELECT DISTINCT`` is the aggregation
   with no aggregates), sorting and the joins read :class:`RowBatch`
   columns directly: keys and arguments are batch-compiled
@@ -236,7 +237,7 @@ class RowBatch:
         tally().rows_widened += n
         columns = self._columns
         if self._sel is not None or None in columns:
-            columns = [repeat(None, n) if column is None else column
+            columns = [[None] * n if column is None else column
                        for column in self.columns()]
         if not columns:
             return [[] for _ in range(n)]
@@ -284,18 +285,6 @@ def _probe_segments(table: Table, index, key: tuple, size: int) -> list:
     versions = list(table.versions_for_tids(index.lookup(key)))
     return [Segment(versions[lo:lo + size])
             for lo in range(0, len(versions), size)]
-
-
-def _take(sequence, selectors: list):
-    """``sequence`` — parallel to a segment's versions — cut down by
-    each of the leaf's flag lists in turn (every list is parallel to
-    what the one before it kept), at C speed; the sequence itself when
-    nothing was dropped."""
-    if not selectors:
-        return sequence
-    for flags in selectors:
-        sequence = compress(sequence, flags)
-    return list(sequence)
 
 
 def _row_batches(rows, size: int) -> Iterator[RowBatch]:
@@ -422,9 +411,9 @@ def _visible_segment(ctx: ExecContext, table: Table, segment: Segment,
     """Visibility of one segment — buffer-cache charge, MVCC, Query by
     Label: ``(selectors, labels)``, the flag lists that cut the
     segment's parallel sequences down to its visible versions
-    (:func:`_take`; none when all are) and the labels those emit
-    (stripped of ``declass``).  Every tuple any operator reads comes
-    through here.
+    (:meth:`~repro.db.storage.Segment.kept`; none when all are) and
+    the labels those emit (stripped of ``declass``).  Every tuple any
+    operator reads comes through here.
 
     This is the executor's one fork, and it follows the segment
     actually found: fewer than :data:`SET_AT_A_TIME_MIN` versions run
@@ -495,21 +484,21 @@ def _visible_segment(ctx: ExecContext, table: Table, segment: Segment,
         segment.summarize()
     table.touch_segment(segment)
     selectors = []
-    labels, distinct = segment.labels, segment.distinct
+    labels = segment.labels
     snapshot = txn.snapshot
-    hi_xmin = segment.hi_xmin
-    if (not segment.stamped and hi_xmin < snapshot.xmax
+    if (not segment.stamped and segment.hi_xmin < snapshot.xmax
             and (snapshot.min_in_progress is None
-                 or hi_xmin < snapshot.min_in_progress)
-            and hi_xmin < txn_manager.committed_horizon()):
+                 or segment.hi_xmin < snapshot.min_in_progress)
+            and segment.hi_xmin < txn_manager.committed_horizon()):
         counts.segments_frozen += 1
+        distinct = segment.distinct
     else:
         visible = txn_manager.visible
         flags = [visible(version, txn) for version in versions]
         if not all(flags):
             selectors.append(flags)
             labels = list(compress(labels, flags))
-            distinct = set(labels)
+        distinct = set(labels)
     if ctx.ifc_enabled:
         verdicts, stripped = memo
         hidden = False
@@ -601,25 +590,6 @@ class Scan(Plan):
         access path."""
         return self.table.segments(self.batch_size)
 
-    def _columns(self, segment: Segment, positions, selectors: list,
-                 labels) -> list:
-        """A batch's columns over the segment's surviving versions:
-        the arrays at ``positions``, the rest ``None``, and the emitted
-        labels as the trailing ``_label`` pseudo-column.  A heap
-        segment's arrays are the ones it keeps, cut down; a probe's
-        candidates are scanned once, so theirs are built from the
-        survivors alone."""
-        columns: list = [None] * len(self.table.schema.columns)
-        if segment.shared:
-            for p in positions:
-                columns[p] = _take(segment.column(p), selectors)
-        else:
-            versions = _take(segment.versions, selectors)
-            for p in positions:
-                columns[p] = [version.values[p] for version in versions]
-        columns.append(labels)
-        return columns
-
     def _visible(self, ctx: ExecContext, segment: Segment):
         """The scan core, shared by :meth:`batches` and
         :meth:`versions`: ``(selectors, labels)`` of the segment's
@@ -629,8 +599,9 @@ class Scan(Plan):
                                              self.declass, ({}, {}))
         predicate = self.predicate
         if predicate is not None and labels:
-            columns = self._columns(segment, self.predicate_columns,
-                                    selectors, labels)
+            columns = segment.columns(self.predicate_columns, selectors,
+                                      len(self.table.schema.columns))
+            columns.append(labels)       # the ``_label`` pseudo-column
             # Integrity labels are not part of the predicate row.
             flags = predicate(RowBatch.from_columns(columns, labels, labels),
                               ctx)
@@ -651,17 +622,15 @@ class Scan(Plan):
         never views, so no declassification applies here.
         """
         for segment in self._segments(ctx):
-            yield from _take(segment.versions,
-                             self._visible(ctx, segment)[0])
+            yield from segment.kept(self._visible(ctx, segment)[0])
 
     def batches(self, ctx):
         """:meth:`_visible` per segment, then the ``needed`` column
-        arrays of the survivors, with the emitted labels doubling as
-        the ``_label`` pseudo-column.
-
-        A memoized segment that survives whole is emitted as its own
-        arrays; anything else is copied (``exec.columns_materialized``
-        counts the copied cells).
+        arrays of the survivors (``exec.columns_materialized`` counts
+        their cells), with the emitted labels doubling as the
+        ``_label`` pseudo-column.  Whether the arrays are the heap's
+        own, cut down from them or built for this scan is the
+        segment's business (:mod:`repro.db.storage`).
         """
         if ctx.ifc_enabled and self.view_grants:
             _check_view_authority(ctx, self.view_grants)
@@ -671,15 +640,11 @@ class Scan(Plan):
             selectors, labels = self._visible(ctx, segment)
             if not labels:
                 continue
-            columns = self._columns(segment, positions, selectors, labels)
-            if selectors or not segment.shared:
-                tally().columns_materialized += \
-                    len(positions) * len(labels)
-            yield RowBatch.from_columns(
-                columns, labels,
-                _take(segment.ilabels, selectors) if segment.shared
-                else [version.ilabel for version
-                      in _take(segment.versions, selectors)])
+            columns = segment.columns(positions, selectors, ncols)
+            columns.append(labels)
+            tally().columns_materialized += len(positions) * len(labels)
+            yield RowBatch.from_columns(columns, labels,
+                                        segment.ilabels(selectors))
 
 
 class IndexScan(Scan):
@@ -788,7 +753,7 @@ def _gather_join(left: RowBatch, li: list, rrows: list) -> RowBatch:
                for col in left.columns()]
     columns.extend(map(list, zip(*rvalues)))
     def joined(own, other):     # the union, only where it adds a tag
-        return [a if a is b or b <= a else a.union(b)
+        return [a if a is b or b.issubset(a) else a.union(b)
                 for a, b in zip([own[i] for i in li], other)]
     return RowBatch.from_columns(columns, joined(left.labels, rlabels),
                                  joined(left.ilabels, rilabels))
@@ -936,7 +901,7 @@ class IndexLoopJoin(Plan):
                                                  self.declass, memo)
             rows.extend(((*version.values, label), label, version.ilabel)
                         for version, label
-                        in zip(_take(segment.versions, selectors), labels))
+                        in zip(segment.kept(selectors), labels))
         return rows
 
     def batches(self, ctx):
@@ -1357,10 +1322,10 @@ class AggregateNode(Plan):
                         [s.make() for s in specs] if specs else ()]
                 else:                     # union only where it adds a tag
                     held = group[0]
-                    if label is not held and not label <= held:
+                    if label is not held and not label.issubset(held):
                         group[0] = held.union(label)
                     held = group[1]
-                    if ilabel is not held and not ilabel <= held:
+                    if ilabel is not held and not ilabel.issubset(held):
                         group[1] = held.union(ilabel)
                 if specs:                 # DISTINCT folds no arguments
                     for accumulator, value in zip(group[2], args):
@@ -1383,10 +1348,10 @@ class AggregateNode(Plan):
         label = ilabel = EMPTY_LABEL
         for batch in self.child.batches(ctx):
             for held in set(batch.labels):
-                if not held <= label:
+                if not held.issubset(label):
                     label = label.union(held)
             for held in set(batch.ilabels):
-                if not held <= ilabel:
+                if not held.issubset(ilabel):
                     ilabel = ilabel.union(held)
             for accumulator, column in zip(accumulators,
                                            self._arg_columns(batch, ctx)):

@@ -5,9 +5,9 @@ and its indexes.  All reads and writes of versions flow through
 :meth:`Table.touch`, which charges the engine's buffer cache — the hook
 the on-disk benchmark configuration (Figure 6) relies on.
 
-**Segments.**  A scan reads the heap a :class:`Segment` at a time: the
-live versions of one aligned slice of the version array, plus what every
-scan of that slice would otherwise re-derive from them — the labels and
+**Segments.**  A scan reads the heap a :class:`HeapSegment` at a time:
+the live versions of one aligned slice of the version array, plus what
+every scan of that slice would otherwise re-derive from them — the labels and
 integrity labels as parallel sequences, the distinct labels (Query by
 Label is decided once per distinct label), the newest ``xmin`` and
 whether any ``xmax`` is set (the MVCC bound check), the page runs the
@@ -21,7 +21,9 @@ summary holds cells and labels of tuples a reader may not see; it is a
 cache of the heap, never an observable: what a scan emits from it is
 decided per statement by the leaf (:mod:`repro.db.physical`), and a
 rebuilt summary is equal to a kept one, so nothing a reader can see —
-rows, labels, errors, counts — depends on whether one was cached.
+rows, labels, errors, counts — depends on whether one was cached.  An
+index probe's candidates are a plain :class:`Segment`: the same
+interface, summarized for the one scan and keeping nothing.
 
 Reclamation (the PostgreSQL garbage collector, which section 7.1 notes is
 exempt from the information flow rules) physically removes versions that
@@ -31,7 +33,7 @@ primitive, driven by :class:`~repro.db.transactions.TransactionManager`.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.labels import EMPTY_LABEL, Label
@@ -55,25 +57,37 @@ from .tuples import TupleVersion
 SET_AT_A_TIME_MIN = 4
 
 
+def _take(sequence, selectors: list):
+    """``sequence`` — parallel to a segment's versions — cut down by
+    each of the scan leaf's flag lists in turn (every list is parallel
+    to what the one before it kept), at C speed; the sequence itself
+    when nothing was dropped."""
+    if not selectors:
+        return sequence
+    for flags in selectors:
+        sequence = compress(sequence, flags)
+    return list(sequence)
+
+
 class Segment:
-    """The live versions of one heap slice — or the candidates of one
-    index probe — with the summary a scan filters them by.
+    """The candidate versions of one index probe — or, as a
+    :class:`HeapSegment`, the live versions of one heap slice — with
+    the summary a scan filters them by.
 
     ``versions`` is all a segment is built from; :meth:`summarize`
-    derives ``labels`` (parallel to ``versions``), ``distinct`` (each
-    label once), ``hi_xmin`` and ``stamped`` (is any ``xmax`` set);
-    ``page_runs`` and — for a memoized segment, whose scans share them
-    — ``ilabels`` and the per-column arrays are built by their first
-    reader.  Every sequence is a tuple: a memoized segment (``shared``)
-    hands the same arrays to every scan, so an operator that mutated
-    one in place must fail, not corrupt the next scan.
+    derives ``labels`` (parallel to ``versions``), ``stamped`` (is any
+    ``xmax`` set) and — where none is, for the MVCC bound check and
+    the segment it finds frozen — ``hi_xmin`` and ``distinct`` (each
+    label once); ``page_runs`` is built by its first reader.  What a
+    scan emits of a segment it asks for by the leaf's ``selectors``
+    (:func:`_take`): :meth:`kept`, :meth:`columns`, :meth:`ilabels`.
+    A probe's segment is read by the one scan that made it, so it
+    builds those from the surviving versions and keeps nothing.
     """
 
     #: Not built yet (class defaults: a probe's segment is made once
     #: per probe, so construction stores ``versions`` and nothing else).
-    labels = _ilabels = _page_runs = _columns = None
-    #: The heap keeps this segment: its arrays outlive the scan.
-    shared = False
+    labels = _page_runs = None
 
     def __init__(self, versions: Sequence[TupleVersion]):
         self.versions = versions
@@ -81,16 +95,11 @@ class Segment:
     def summarize(self) -> None:
         versions = self.versions
         self.labels = labels = tuple([v.label for v in versions])
-        self.distinct = frozenset(labels)
-        self.hi_xmin = max([v.xmin for v in versions])
         self.stamped = \
             [v.xmax for v in versions].count(None) < len(versions)
-
-    @property
-    def ilabels(self) -> tuple:
-        if self._ilabels is None:
-            self._ilabels = tuple([v.ilabel for v in self.versions])
-        return self._ilabels
+        if not self.stamped:    # else MVCC is per row: neither is read
+            self.distinct = frozenset(labels)
+            self.hi_xmin = max([v.xmin for v in versions])
 
     @property
     def page_runs(self) -> tuple:
@@ -100,6 +109,37 @@ class Segment:
                 [(page_id, len(list(run))) for page_id, run
                  in groupby([v.page_id for v in self.versions])])
         return self._page_runs
+
+    def kept(self, selectors: list) -> Sequence[TupleVersion]:
+        """The versions ``selectors`` keep."""
+        return _take(self.versions, selectors)
+
+    def columns(self, positions, selectors: list, width: int) -> list:
+        """``width`` column slots over the versions ``selectors`` keep:
+        the value arrays of the stored columns at ``positions``, the
+        rest ``None``."""
+        columns: list = [None] * width
+        versions = self.kept(selectors)
+        for p in positions:
+            columns[p] = [version.values[p] for version in versions]
+        return columns
+
+    def ilabels(self, selectors: list) -> Sequence[Label]:
+        """Integrity labels of the versions ``selectors`` keep."""
+        return [version.ilabel for version in self.kept(selectors)]
+
+
+class HeapSegment(Segment):
+    """A heap slice the table keeps between scans
+    (:meth:`Table.segments`): its integrity labels and per-column
+    arrays are built by their first reader and cut down for every
+    later one — or handed out whole where nothing was dropped.  Every
+    sequence is a tuple: the same arrays reach every scan, so an
+    operator that mutated one in place must fail, not corrupt the next
+    scan.
+    """
+
+    _ilabels = _columns = None
 
     def column(self, position: int) -> tuple:
         """Stored column ``position`` of every version, in order."""
@@ -111,6 +151,17 @@ class Segment:
             column = columns[position] = tuple(
                 [v.values[position] for v in self.versions])
         return column
+
+    def columns(self, positions, selectors, width):
+        columns: list = [None] * width
+        for p in positions:
+            columns[p] = _take(self.column(p), selectors)
+        return columns
+
+    def ilabels(self, selectors):
+        if self._ilabels is None:
+            self._ilabels = tuple([v.ilabel for v in self.versions])
+        return _take(self._ilabels, selectors)
 
 
 class Table:
@@ -125,7 +176,7 @@ class Table:
         #: The slice length the database scans with, and the memoized
         #: segment per slice index — dropped by append/stamp/unlink.
         self._segment_size = segment_size
-        self._segments: Dict[int, Segment] = {}
+        self._segments: Dict[int, HeapSegment] = {}
         self._allocator = HeapPageAllocator(schema.name, page_size)
         self._buffer_cache = buffer_cache
         self._store_labels = store_labels
@@ -251,10 +302,11 @@ class Table:
         """The heap as one :class:`Segment` per aligned ``size``-slot
         slice that holds a live version.
 
-        Slices of the database's own scan length are memoized (an
-        emptied slice too, so skipping it is one dict probe); any other
-        length — a subquery's one-row batches, the reference executor —
-        is sliced afresh, as is a length under
+        Slices of the database's own scan length are memoized, as
+        :class:`HeapSegment` (an emptied slice too, so skipping it is
+        one dict probe); any other length — a subquery's one-row
+        batches, the reference executor — is sliced afresh into
+        segments that keep nothing, as is a length under
         :data:`SET_AT_A_TIME_MIN`, whose segments no summary would ever
         be read from.  The loop re-reads ``len()`` so versions appended
         mid-scan are still reached, matching :meth:`all_versions`
@@ -267,12 +319,12 @@ class Table:
         while start < len(versions):
             segment = None if memo is None else memo.get(start // size)
             if segment is None:
-                segment = Segment(
-                    tuple([v for v in versions[start:start + size]
-                           if v is not None]))
-                if memo is not None:
-                    segment.shared = True
-                    memo[start // size] = segment
+                live = [v for v in versions[start:start + size]
+                        if v is not None]
+                if memo is None:
+                    segment = Segment(live)
+                else:
+                    segment = memo[start // size] = HeapSegment(tuple(live))
             start += size
             if segment.versions:
                 yield segment

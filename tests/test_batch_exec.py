@@ -548,46 +548,52 @@ def test_leaf_routines_agree_on_everything_but_label_check_counts(
 
 def test_projection_pushdown_materializes_only_needed_columns():
     """m has 3 stored columns; projecting 2 must copy exactly 2 cells
-    per visible row out of the heap's column arrays — the counter proof
-    that pushdown reached the storage layer, at any batch size.  The
-    public reader misses every third row, so every segment is cut down
-    and its survivors copied."""
+    per visible row out of the heap — the counter proof that pushdown
+    reached the storage layer, at any batch size."""
     for batch_size in (5, 1024):
-        _db, public, _secret, _ = _stack(batch_size)
-        lines = [r[0] for r in public.execute("EXPLAIN SELECT id, v FROM m")]
+        _db, _public, secret, _ = _stack(batch_size)
+        lines = [r[0] for r in secret.execute("EXPLAIN SELECT id, v FROM m")]
         assert any("cols=id,v" in line for line in lines), lines
-        assert len(public.execute("SELECT id, v FROM m").rows) == 26
+        assert len(secret.execute("SELECT id, v FROM m").rows) == 40
         delta = _db.last_statement_metrics()["exec"]
-        assert delta["columns_materialized"] == 2 * 26, (batch_size, delta)
-        table = _db.catalog.get_table("m")
-        assert {p for segment in table.segments(batch_size)
-                for p in segment._columns} == {0, 2}
+        assert delta["columns_materialized"] == 2 * 40, (batch_size, delta)
 
 
 def test_projection_pushdown_select_star_full_width():
     """``*`` reads everything: no cols= annotation, all cells copied."""
-    _db, public, _secret, _ = _stack(1024)
-    lines = [r[0] for r in public.execute("EXPLAIN SELECT * FROM m")]
+    _db, _public, secret, _ = _stack(1024)
+    lines = [r[0] for r in secret.execute("EXPLAIN SELECT * FROM m")]
     assert not any("cols=" in line for line in lines), lines
-    assert len(public.execute("SELECT * FROM m").rows) == 26
+    assert len(secret.execute("SELECT * FROM m").rows) == 40
     delta = _db.last_statement_metrics()["exec"]
-    assert delta["columns_materialized"] == 3 * 26
+    assert delta["columns_materialized"] == 3 * 40
 
 
-def test_a_memoized_segment_that_survives_whole_is_emitted_uncopied():
+def test_a_heap_segment_that_survives_whole_is_emitted_uncopied():
     """The secret reader sees all 40 rows: each heap segment is
-    emitted as its own (memoized) column arrays, no cell copied —
-    while an index probe's candidates, summarized for the one scan,
-    are counted as the copy they are."""
-    _db, _public, secret, _ = _stack(8)
-    assert len(secret.execute("SELECT id, v FROM m").rows) == 40
-    delta = _db.last_statement_metrics()["exec"]
-    assert delta["columns_materialized"] == 0
+    emitted as the very column arrays the heap keeps (tuples — an
+    operator that mutated one would fail), and ``columns_materialized``
+    counts the emitted cells all the same, so it does not tell a kept
+    summary from a rebuilt one — nor a hidden row's presence."""
+    db, public, secret, _ = _stack(8)
+    table = db.catalog.get_table("m")
+    sql = "SELECT id, v FROM m"
+    prepared = db.prepare_select(db.parse(sql), sql)
+    with secret._autocommit():
+        batches = list(prepared.plan.batches(secret._context(())))
+    kept = list(table.segments(8))
+    assert len(batches) == len(kept) == 5
+    for batch, segment in zip(batches, kept):
+        assert batch.column(0) is segment.column(0)     # through Project
+        assert batch.column(1) is segment.column(2)
+        assert type(batch.column(1)) is tuple
+    assert len(secret.execute(sql).rows) == 40
+    delta = db.last_statement_metrics()["exec"]
+    assert delta["columns_materialized"] == 2 * 40
     assert delta["segments_scanned"] == delta["segments_frozen"] == 5
-    rows = secret.execute("SELECT id, v FROM m WHERE grp = 1").rows
-    assert len(rows) == 10
-    delta = _db.last_statement_metrics()["exec"]
-    assert delta["columns_materialized"] == 2 * 10
+    assert len(public.execute(sql).rows) == 26       # every segment cut
+    assert db.last_statement_metrics()["exec"]["columns_materialized"] \
+        == 2 * 26
 
 
 def test_projection_pushdown_subquery_disables_pushdown():
@@ -613,15 +619,12 @@ def test_projection_pushdown_under_declassifying_view():
         compound = authority.create_compound_tag("all_t", owner=clinic.id)
         tag = authority.create_tag("t0", owner=clinic.id,
                                    compounds=(compound.id,))
-        other = authority.create_tag("other", owner=clinic.id)
         admin = db.connect(IFCProcess(authority, clinic.id))
         admin.execute("CREATE TABLE p (id INT PRIMARY KEY, a INT, b INT,"
                       " c TEXT)")
         for i in range(30):
             proc = IFCProcess(authority, clinic.id)
-            # Every fourth row stays hidden under the view: each
-            # segment is cut down, so its survivors' cells are copied.
-            proc.add_secrecy(other.id if i % 4 == 3 else tag.id)
+            proc.add_secrecy(tag.id)
             db.connect(proc).execute(
                 "INSERT INTO p VALUES (?, ?, ?, ?)",
                 (i, i % 5, i % 7, "pad-%d" % i))
@@ -632,9 +635,9 @@ def test_projection_pushdown_under_declassifying_view():
         if mode == "batched":
             # The view body reads id and a: 2 of 4 stored columns.
             delta = db.last_statement_metrics()["exec"]
-            assert delta["columns_materialized"] == 2 * 23
+            assert delta["columns_materialized"] == 2 * 30
         assert all(label == () for _row, label in results[mode])
-        assert len(results[mode]) == 23
+        assert len(results[mode]) == 30
     assert results["batched"] == results["row"]
 
 
@@ -731,6 +734,18 @@ def test_skewed_join_output_batches_are_bounded(indexed):
                 "ON a.k = b.k AND b.v > 99"):
         assert [tuple(r) for r in batched.execute(sql).rows] \
             == [tuple(r) for r in by_row.execute(sql).rows], sql
+
+
+def test_a_batch_of_only_projected_away_columns_widens_to_null_rows():
+    """Nothing bounds the widening but the batch's length: a columnar
+    batch with no materialized column (a spool block, a worker's
+    block) is that many rows of NULLs, with or without a selection."""
+    labels = [EMPTY_LABEL] * 3
+    batch = physical.RowBatch.from_columns([None, None], labels, labels)
+    assert batch.values == [[None, None]] * 3
+    assert batch.select([2, 0]).values == [[None, None]] * 2
+    mixed = physical.RowBatch.from_columns([None, (7, 8, 9)], labels, labels)
+    assert mixed.values == [[None, 7], [None, 8], [None, 9]]
 
 
 def test_batches_widen_rows_exactly_once():

@@ -32,6 +32,20 @@ class TestLabelBasics:
         assert Label([1]) != Label([2])
         assert Label([1, 2]) == {1, 2}
 
+    def test_labels_have_no_order(self):
+        """A set's ``<`` is proper-subset — a partial order a sort
+        would silently mis-sort by — so labels refuse ``<`` and ``>``
+        (even where one is a subset of the other) and keep ``<=``."""
+        low, high, other = Label([1]), Label([1, 2]), Label([3])
+        for a, b in ((low, high), (high, low), (low, other)):
+            with pytest.raises(TypeError):
+                a < b
+            with pytest.raises(TypeError):
+                a > b
+        with pytest.raises(TypeError):
+            sorted([other, low, high])
+        assert low <= high and low.issubset(high) and not high <= low
+
     def test_repr_is_sorted_and_stable(self):
         assert repr(Label([3, 1])) == "Label({1, 3})"
         assert repr(EMPTY_LABEL) == "Label({})"

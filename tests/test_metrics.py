@@ -402,6 +402,7 @@ def test_last_statement_metrics_names_every_cell_group():
     delta = db.last_statement_metrics()
     assert delta["rows"] == 1
     assert delta["elapsed_ms"] >= 0.0
+    assert delta["exec"]["columns_materialized"] == 2
     assert delta["exec"]["segments_scanned"] == 1
     assert "buffer" in delta               # per-Database buffer cells
 
@@ -420,7 +421,7 @@ def test_slow_query_log_records_threshold_crossers_with_counters():
     last = entries[-1]
     assert last["statement"] == "SELECT * FROM t WHERE v = ?"
     assert last["elapsed_ms"] > 0.0
-    assert last["counters"]["exec"]["segments_scanned"] == 1
+    assert last["counters"]["exec"]["columns_materialized"] == 2
 
 
 def test_slow_query_log_disabled_by_default():
