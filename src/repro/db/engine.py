@@ -107,6 +107,19 @@ def _cache_put(cache: dict, key, value) -> None:
     cache[key] = value
 
 
+def _env(name: str, parse: Callable, default):
+    """The one reading of a ``REPRO_*`` configuration variable: unset
+    or blank is ``default``, anything else must ``parse``."""
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError("%s=%r is not a valid %s"
+                         % (name, text, parse.__name__)) from None
+
+
 def _statement_key(statement) -> str:
     """What a statement aggregates under: the fingerprint its parse
     left on it, or its shape for programmatic statements (no text)."""
@@ -155,8 +168,7 @@ class Database:
         # length whose segment summaries the heaps memoize
         # (Table.segments), since that is the length the scans ask for.
         if batch_size is None:
-            batch_size = int(os.environ.get("REPRO_BATCH_SIZE",
-                                            str(DEFAULT_BATCH_SIZE)))
+            batch_size = _env("REPRO_BATCH_SIZE", int, DEFAULT_BATCH_SIZE)
         self.batch_size = max(1, int(batch_size))
         # Per-operator memory budget in bytes for memory-bounded
         # operators (hash-join builds): ``None`` defers to the
@@ -165,7 +177,7 @@ class Database:
         # unbounded (0).  The executor reads the live value per
         # statement; the optimizer costs expected spilling with it.
         if work_mem is None:
-            work_mem = int(os.environ.get("REPRO_WORK_MEM", "0"))
+            work_mem = _env("REPRO_WORK_MEM", int, 0)
         self.work_mem = max(0, int(work_mem))
         #: Spill-file fault schedule (``faultinject.SpoolFaults``);
         #: tests install one here, like a fault spec on the WAL.
@@ -176,7 +188,7 @@ class Database:
         # joins and aggregates for their spilled-partition phase; 0 and
         # 1 both mean serial.
         if workers is None:
-            workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
+            workers = _env("REPRO_WORKERS", int, 0)
         self.workers = max(0, int(workers))
         # ``naive_plans`` forces reference plans (full scans, nested
         # loops, no pushdown, one-row batches) — the
@@ -231,7 +243,7 @@ class Database:
         # which names a *directory* so every Database in the process
         # gets its own log.  Unset → no WAL, the seed behaviour.
         if wal is None:
-            wal_dir = os.environ.get("REPRO_WAL", "").strip()
+            wal_dir = _env("REPRO_WAL", str, None)
             if wal_dir:
                 os.makedirs(wal_dir, exist_ok=True)
                 wal = wal_mod.auto_wal_path(wal_dir)

@@ -635,19 +635,19 @@ class ExprCompiler:
 
     def compile_batch(self, node: Expr) -> Callable:
         """The kernels are **column-at-a-time**: leaves pull whole
-        column arrays (``batch.column(i)`` — zero-copy on a columnar
-        batch with no selection) and the common shapes (comparisons,
-        arithmetic, ``AND``, ``IS NULL``) combine those arrays
-        element-wise, so an expression only ever touches the columns
-        it reads.  A node class without a kernel maps its scalar
-        closure over ``batch.values`` (widening the batch) — here and
-        nowhere else — so the batch form can never change semantics,
-        only the loop shape."""
+        column arrays (``batch.column(i)``, the stored sequence itself)
+        and the common shapes (comparisons, arithmetic, ``AND``,
+        ``IS NULL``) combine those arrays element-wise, so an
+        expression only ever touches the columns it reads.  A node
+        class without a kernel maps its scalar closure over
+        ``batch.rows()`` (building the rows) — here and nowhere else —
+        so the batch form can never change semantics, only the loop
+        shape."""
         method = getattr(self, "_b_" + type(node).__name__.lower(), None)
         if method is not None:
             return method(node)
         row_fn = self.compile(node)
-        return lambda batch, ctx: [row_fn(row, ctx) for row in batch.values]
+        return lambda batch, ctx: [row_fn(row, ctx) for row in batch.rows()]
 
     # -- leaves ----------------------------------------------------------
     def _c_literal(self, node: Literal):
@@ -754,12 +754,11 @@ class ExprCompiler:
     _c_or = _c_and
 
     def _b_and(self, node: And):
-        """Keeps the scalar form's short-circuit contract via a
-        selection mask: later conjuncts are evaluated only for rows
-        still alive (not yet FALSE) by selecting the alive sub-batch —
-        columnar batches compose the selection vector without copying
-        column data — so ``x <> 0 AND 10 / x > 2`` raises for exactly
-        the rows the scalar closure would have raised for."""
+        """Keeps the scalar form's short-circuit contract: later
+        conjuncts are evaluated only for rows still alive (not yet
+        FALSE), over the sub-batch ``select`` gathers of them, so
+        ``x <> 0 AND 10 / x > 2`` raises for exactly the rows the
+        scalar closure would have raised for."""
         parts = [self.compile_batch(item) for item in node.items]
         def conjunction(batch, ctx):
             n = len(batch)

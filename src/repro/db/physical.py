@@ -19,8 +19,10 @@ expression subqueries drain batches like any other consumer.
 (:func:`stamp_batch_size`) and always at least 1 — it never selects a
 code path.
 
-The path is **set-at-a-time from heap to result**: nothing above the
-scan widens a columnar batch to rows.
+The path is **set-at-a-time from heap to result**: a batch has one
+layout (:class:`RowBatch` — its columns and its two label sequences)
+and no operator builds its rows (:meth:`RowBatch.rows` is called by the
+cursor, ``INSERT … SELECT`` and a kernel-less expression only).
 
 * **scan** — the leaf decides visibility (:func:`_visible_segment`,
   the one routine behind ``Scan.batches``, ``Scan.versions`` and the
@@ -54,8 +56,10 @@ scan widens a columnar batch to rows.
   (:meth:`repro.db.expressions.ExprCompiler.compile_batch`),
   accumulators are resolved per function at plan time, and label unions
   are skipped (in C: a label is a ``frozenset``) wherever they add no
-  tag.  A row is built only to be held in a hash
-  build, spooled to a spill file, or handed to the cursor.
+  tag.  An operator zips rows out of columns (:func:`_batch_rows`)
+  only to hold them in a hash build or spool them to a spill file, and
+  a row producer (finalized groups, merged sort runs) transposes its
+  rows back into columns a chunk at a time (:func:`_row_batches`).
 
 **The reference executor** of the differential harness is these same
 operators at batch size 1 over naive plans
@@ -113,160 +117,83 @@ DEFAULT_BATCH_SIZE = 1024
 
 
 class RowBatch:
-    """A batch of execution rows, stored row-major or columnar.
+    """A batch of execution rows: its columns and its two label
+    sequences.
 
-    Logically a batch is three parallel sequences: execution rows,
-    interned secrecy :class:`Label` objects, and integrity labels — row
-    ``i`` is the ``(values[i], labels[i], ilabels[i])`` triple of the
-    paper's tuple model.  Physically the value side has two layouts:
+    Row ``i`` is the ``(values[i], labels[i], ilabels[i])`` triple of
+    the paper's tuple model, stored as three parallel things:
 
-    * **row-major** (the :meth:`__init__` constructor): ``values`` is a
-      list of per-row lists — what row producers (finalized groups,
-      merged sort runs) hand over;
-    * **columnar** (:meth:`from_columns`): one sequence *per column*
-      (a list, or the tuple a heap segment keeps for every scan — so
-      nothing may mutate a batch's sequences in place), where a
-      ``None`` column slot means the planner proved the column is
-      never read (projection pushdown) and it was never materialized;
-      reading it yields SQL NULLs.
+    * ``columns[j]`` is column ``j``'s value sequence — a list, or the
+      tuple a heap segment keeps for every scan, so nothing may mutate
+      a batch's sequences in place — or ``None``: the planner proved
+      the column is never read (projection pushdown) and it was never
+      materialized; reading it yields SQL NULLs;
+    * ``labels``/``ilabels`` are per-row sequences — label checks are
+      tuple-granularity in the paper's model (a tag protects a row, not
+      a cell), and the interned label objects already behave as a
+      dictionary-encoded column.  They give the batch its length, so a
+      batch keeps its width when it has no rows and its rows when it
+      has no columns.
 
-    ``labels``/``ilabels`` are always per-row compact sequences — label
-    checks are tuple-granularity in the paper's model (a tag protects a
-    row, not a cell), and the interned label objects already behave as
-    a dictionary-encoded column.
-
-    A columnar batch may additionally carry a **selection vector**
-    (``_sel``): row ``i`` of the batch reads column cells at physical
-    index ``_sel[i]``.  :meth:`select` composes selections instead of
-    copying column data, so Filter never copies surviving rows.
-
-    :attr:`values` is a lazy property: on a columnar batch the first
-    access widens the batch back to row-major (counted in
-    ``exec.rows_widened``) and caches the result.  Its consumers sit
-    outside the operator tree (the cursor drain, the expression
-    subqueries) or are expression nodes without a column kernel;
-    operators read :meth:`column` instead.
-    A row producer's rows may be tuples: nothing mutates or
-    concatenates a batch's rows in place.
+    Operators read :meth:`column` / :meth:`filled` and cut a batch
+    down with :meth:`select`.  :meth:`rows` is the one place a row is
+    built from a batch; its callers sit outside the operator tree (the
+    cursor, ``INSERT … SELECT``) or are expression nodes without a
+    column kernel.
     """
 
-    __slots__ = ("labels", "ilabels", "_rows", "_columns", "_sel")
+    __slots__ = ("_columns", "labels", "ilabels")
 
-    def __init__(self, values: list, labels: list, ilabels: list):
-        self._rows = values
-        self._columns = None
-        self._sel = None
+    def __init__(self, columns: list, labels: list, ilabels: list):
+        self._columns = columns
         self.labels = labels
         self.ilabels = ilabels
-
-    @classmethod
-    def from_columns(cls, columns: list, labels: list,
-                     ilabels: list) -> "RowBatch":
-        """Columnar batch: ``columns[j]`` is column ``j``'s value list,
-        or ``None`` for a projected-away (never-materialized) column."""
-        batch = cls.__new__(cls)
-        batch._rows = None
-        batch._columns = columns
-        batch._sel = None
-        batch.labels = labels
-        batch.ilabels = ilabels
-        return batch
 
     def __len__(self) -> int:
         return len(self.labels)
 
     @property
     def width(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return len(cols)
-        rows = self._rows
-        return len(rows[0]) if rows else 0
+        return len(self._columns)
 
     def column(self, index: int) -> list:
-        """Column ``index`` as a compact list (selection applied).
-
-        On a row-major batch the extraction is computed once and
-        cached; on a columnar batch with no selection this is the
-        stored array itself, zero-copy.  A projected-away column reads
-        as all-NULL.
-        """
-        cols = self._columns
-        if cols is None:
-            rows = self._rows
-            width = len(rows[0]) if rows else 0
-            cols = self._columns = [None] * width
-        col = cols[index] if index < len(cols) else None
-        if col is None:
-            rows = self._rows
-            if rows is None or self._sel is not None:
-                return [None] * len(self.labels)
-            col = [row[index] for row in rows]
-            cols[index] = col
-            return col
-        sel = self._sel
-        if sel is None:
-            return col
-        return [col[i] for i in sel]
+        """Column ``index`` — the stored sequence itself; a
+        projected-away column reads as all-NULL."""
+        column = self._columns[index]
+        return [None] * len(self.labels) if column is None else column
 
     def columns(self) -> list:
-        """All columns as compact lists; ``None`` marks a column that
-        was projected away (so consumers can keep not materializing
-        it)."""
-        cols = self._columns
-        if cols is None or self._rows is not None:
-            # Row-major (or already widened): extract per column.
-            return [self.column(i) for i in range(self.width)]
-        if self._sel is None:
-            return list(cols)
-        sel = self._sel
-        return [None if col is None else [col[i] for i in sel]
-                for col in cols]
+        """All columns, ``None`` marking one that was projected away
+        (so consumers can keep not materializing it)."""
+        return list(self._columns)
 
-    @property
-    def values(self) -> list:
-        """Row-major view (one list per row), widened lazily from a
-        columnar batch and cached."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._widen()
-        return rows
+    def filled(self) -> list:
+        """Every column, the projected-away ones filled in as NULLs."""
+        nulls = [None] * len(self.labels)
+        return [nulls if column is None else column
+                for column in self._columns]
 
-    def _widen(self) -> list:
+    def rows(self) -> list:
+        """The value tuple of every row (counted in
+        ``exec.rows_widened``)."""
         n = len(self.labels)
         tally().rows_widened += n
-        columns = self._columns
-        if self._sel is not None or None in columns:
-            columns = [[None] * n if column is None else column
-                       for column in self.columns()]
-        if not columns:
-            return [[] for _ in range(n)]
-        return [list(row) for row in zip(*columns)]
+        return list(column_rows(self.filled(), n))
 
     def select(self, keep) -> "RowBatch":
-        """The sub-batch at row indexes ``keep`` (in order).
-
-        Columnar batches share their column arrays with the parent and
-        only compose the selection vector — this is the no-copy path
-        Filter relies on.  Labels compact eagerly (they are per-row
-        state either way).
-        """
-        labels = self.labels
-        ilabels = self.ilabels
-        out_labels = [labels[i] for i in keep]
-        out_ilabels = [ilabels[i] for i in keep]
-        if self._rows is None:
-            batch = RowBatch.__new__(RowBatch)
-            batch._rows = None
-            batch._columns = self._columns
-            sel = self._sel
-            batch._sel = (list(keep) if sel is None
-                          else [sel[i] for i in keep])
-            batch.labels = out_labels
-            batch.ilabels = out_ilabels
-            return batch
-        rows = self._rows
-        return RowBatch([rows[i] for i in keep], out_labels, out_ilabels)
+        """The sub-batch at row indexes ``keep`` (in order): every
+        materialized column and both label sequences gathered — sliced,
+        when ``keep`` is a unit-step ``range``."""
+        if type(keep) is range and keep.step == 1 and keep.start >= 0:
+            cut = slice(keep.start, keep.start + len(keep))
+            def take(sequence):
+                return sequence[cut]
+        else:
+            def take(sequence):
+                return [sequence[i] for i in keep]
+        return RowBatch([None if column is None else take(column)
+                         for column in self._columns],
+                        take(self.labels), take(self.ilabels))
 
 
 def _chunked(iterator, size: int):
@@ -288,31 +215,28 @@ def _probe_segments(table: Table, index, key: tuple, size: int) -> list:
 
 
 def _row_batches(rows, size: int) -> Iterator[RowBatch]:
-    """Row-major batches of up to ``size`` from ``(values, label,
-    ilabel)`` rows — how a row-producing source (finalized groups, a
-    merge of spilled runs) feeds batch consumers."""
+    """Batches of up to ``size`` from ``(values, label, ilabel)`` rows,
+    each chunk transposed once — how a row-producing source (finalized
+    groups, a merge of spilled runs) feeds batch consumers."""
     for chunk in _chunked(rows, size):
         values, labels, ilabels = zip(*chunk)
-        yield RowBatch(list(values), list(labels), list(ilabels))
+        yield RowBatch(list(zip(*values)), list(labels), list(ilabels))
 
 
 def _block_batches(blocks) -> Iterator[RowBatch]:
     """Batches out of decoded blocks (:func:`repro.db.spill.
     decode_block`): what a spool or a worker's pipe hands back."""
     for _key_columns, columns, labels, ilabels in blocks:
-        yield RowBatch.from_columns(columns, labels, ilabels)
+        yield RowBatch(columns, labels, ilabels)
 
 
 def _batch_rows(batch: RowBatch) -> Iterator[ExecRow]:
     """``(values, label, ilabel)`` per row of a batch, the value tuples
-    zipped straight from its columns at C speed — how the joins hold a
-    build side and spool a probe row without widening the batch."""
-    if batch._rows is not None:
-        values = map(tuple, batch._rows)
-    else:
-        columns = [batch.column(i) for i in range(batch.width)]
-        values = zip(*columns) if columns else repeat(())
-    return zip(values, batch.labels, batch.ilabels)
+    zipped straight from its columns at C speed — how an operator holds
+    rows (a join's build side, a spooled probe row, a gang's groups)
+    without counting them as widened."""
+    return zip(column_rows(batch.filled(), len(batch)), batch.labels,
+               batch.ilabels)
 
 
 class ExecContext:
@@ -338,7 +262,7 @@ class ExecContext:
         #: execution time so a cached plan honours the database's
         #: current ``work_mem`` — spilling is a runtime overflow
         #: reaction, not a plan property (the optimizer only *costs* it).
-        self.work_mem = getattr(session.db, "work_mem", 0) or 0
+        self.work_mem = session.db.work_mem
         self._spools: Optional[Spools] = None
         #: Set inside a forked parallel worker, which must not fork a
         #: nested gang.
@@ -402,7 +326,7 @@ class SingleRow(Plan):
     """SELECT without FROM: one empty input row."""
 
     def batches(self, ctx):
-        yield RowBatch([[]], [EMPTY_LABEL], [EMPTY_LABEL])
+        yield RowBatch([], [EMPTY_LABEL], [EMPTY_LABEL])
 
 
 def _visible_segment(ctx: ExecContext, table: Table, segment: Segment,
@@ -603,8 +527,7 @@ class Scan(Plan):
                                       len(self.table.schema.columns))
             columns.append(labels)       # the ``_label`` pseudo-column
             # Integrity labels are not part of the predicate row.
-            flags = predicate(RowBatch.from_columns(columns, labels, labels),
-                              ctx)
+            flags = predicate(RowBatch(columns, labels, labels), ctx)
             if not all(flags):
                 selectors.append(flags)
                 labels = list(compress(labels, flags))
@@ -643,8 +566,7 @@ class Scan(Plan):
             columns = segment.columns(positions, selectors, ncols)
             columns.append(labels)
             tally().columns_materialized += len(positions) * len(labels)
-            yield RowBatch.from_columns(columns, labels,
-                                        segment.ilabels(selectors))
+            yield RowBatch(columns, labels, segment.ilabels(selectors))
 
 
 class IndexScan(Scan):
@@ -740,8 +662,6 @@ class Filter(Plan):
                 continue
             keep = [i for i, flag in enumerate(flags) if flag]
             if keep:
-                # select() composes the selection vector on columnar
-                # batches: surviving rows are never copied.
                 yield batch.select(keep)
 
 
@@ -755,8 +675,8 @@ def _gather_join(left: RowBatch, li: list, rrows: list) -> RowBatch:
     def joined(own, other):     # the union, only where it adds a tag
         return [a if a is b or b.issubset(a) else a.union(b)
                 for a, b in zip([own[i] for i in li], other)]
-    return RowBatch.from_columns(columns, joined(left.labels, rlabels),
-                                 joined(left.ilabels, rilabels))
+    return RowBatch(columns, joined(left.labels, rlabels),
+                    joined(left.ilabels, rilabels))
 
 
 def _join_batch(ctx, left: RowBatch, li: list, rrows: list,
@@ -968,9 +888,9 @@ class HashJoin(Plan):
     def _keyed_build(self, ctx):
         """The right side a batch at a time, NULL keys dropped:
         ``(keys, rows, weights)`` — parallel lists of key tuples and
-        ``(values, label, ilabel)`` rows zipped straight out of the
-        batch's columns, plus each row's bucket footprint (weighed a
-        column at a time) when a budget is set."""
+        ``(values, label, ilabel)`` rows (:func:`_batch_rows`), plus
+        each row's bucket footprint (weighed a column at a time) when a
+        budget is set."""
         budget = ctx.work_mem
         for batch in self.right.batches(ctx):
             key_columns = [fn(batch, ctx) for fn in self.right_key_fns]
@@ -980,11 +900,8 @@ class HashJoin(Plan):
                 batch = batch.select(keep)
                 key_columns = [[column[i] for i in keep]
                                for column in key_columns]
-            columns = [batch.column(i) for i in range(batch.width)]
-            rows = zip(column_rows(columns, len(batch)), batch.labels,
-                       batch.ilabels)
-            yield (list(zip(*key_columns)), list(rows),
-                   estimate_batch_bytes(columns, batch.labels,
+            yield (list(zip(*key_columns)), list(_batch_rows(batch)),
+                   estimate_batch_bytes(batch.columns(), batch.labels,
                                         BUCKET_ENTRY_BYTES)
                    if budget else None)
 
@@ -1040,7 +957,7 @@ class HashJoin(Plan):
         for (key_columns, columns, labels, ilabels), buckets \
                 in spill.joined(lo, hi):
             yield from _join_batches(
-                ctx, RowBatch.from_columns(columns, labels, ilabels),
+                ctx, RowBatch(columns, labels, ilabels),
                 map(buckets.get, zip(*key_columns), repeat(())),
                 self.batch_size, self.residual, null_row)
 
@@ -1393,8 +1310,7 @@ class AggregateNode(Plan):
                 for batch in _block_batches(parallel.run_gang(
                         [self._group_task(ctx, spill, lo, hi, depth)
                          for lo, hi in ranges])):
-                    yield from zip(batch.values, batch.labels,
-                                   batch.ilabels)
+                    yield from _batch_rows(batch)
                 return
         yield from self._partition_rows(ctx, spill, 0, total, depth)
 
@@ -1427,8 +1343,7 @@ class Project(Plan):
     """Output projection: ``fns`` are the batch-compiled column
     evaluators (one per output column) — each runs over the whole
     batch, columnar style, and the results *are* the output batch's
-    columns (no per-row zip-back; widening to row-major happens lazily,
-    at the cursor)."""
+    columns (no per-row zip-back; rows are built at the cursor)."""
 
     CHILDREN = ("child",)
 
@@ -1439,9 +1354,8 @@ class Project(Plan):
     def batches(self, ctx):
         fns = self.fns
         for batch in self.child.batches(ctx):
-            yield RowBatch.from_columns(
-                [fn(batch, ctx) for fn in fns], batch.labels,
-                batch.ilabels)
+            yield RowBatch([fn(batch, ctx) for fn in fns], batch.labels,
+                           batch.ilabels)
 
 
 class _MixedKey:
@@ -1658,7 +1572,7 @@ class Sort(Plan):
             for batch in self.child.batches(ctx):
                 if not len(batch):
                     continue
-                incoming = [batch.column(i) for i in range(batch.width)]
+                incoming = batch.filled()
                 incoming += [batch.labels, batch.ilabels]
                 incoming += [fn(batch, ctx) for fn in self.key_fns]
                 if buffer is None:
@@ -1713,7 +1627,7 @@ class Sort(Plan):
             chunk = order[lo:lo + size]
             *columns, labels, ilabels = [[column[i] for i in chunk]
                                          for column in emit]
-            yield RowBatch.from_columns(columns, labels, ilabels)
+            yield RowBatch(columns, labels, ilabels)
 
     def batches(self, ctx):
         return self._sorted_columns(ctx, *self._bounds(ctx))
@@ -1802,7 +1716,7 @@ class DeterministicOrder(Plan):
 
     def batches(self, ctx):
         rows = [row for batch in self.child.batches(ctx)
-                for row in zip(batch.values, batch.labels, batch.ilabels)]
+                for row in _batch_rows(batch)]
         rows.sort(key=lambda row: tuple(
             (v is None, str(type(v).__name__), str(v)) for v in row[0]))
         return _row_batches(rows, self.batch_size)
@@ -1830,7 +1744,7 @@ class ViewPlan(Plan):
             # unmaterialized).
             cols = batch.columns()
             cols.append(batch.labels)
-            yield RowBatch.from_columns(cols, batch.labels, batch.ilabels)
+            yield RowBatch(cols, batch.labels, batch.ilabels)
 
 
 class PreparedSelect:

@@ -386,7 +386,7 @@ class Session:
             columns = {name: i for i, name in enumerate(prepared.columns)}
             rows = [Row(values, columns, label)
                     for batch in plan.batches(ctx)
-                    for values, label in zip(batch.values, batch.labels)]
+                    for values, label in zip(batch.rows(), batch.labels)]
         return Result(list(prepared.columns), rows, len(rows))
 
     # -- INSERT -----------------------------------------------------------
@@ -402,7 +402,7 @@ class Session:
         if prepared.select is not None:
             source_rows = [values
                            for batch in prepared.select.plan.batches(ctx)
-                           for values in batch.values]
+                           for values in batch.rows()]
         else:
             source_rows = [[fn([], ctx) for fn in row]
                            for row in prepared.row_fns]

@@ -17,8 +17,9 @@ and the scan leaf runs its per-version loop.  These tests pin:
   ``Database.last_statement_metrics``), declassifying views included,
   and the other scan counters exactly what the per-tuple loop charges
   (mid-heap LIMIT included);
-* the column-native folds: aggregates, DISTINCT, sorts and joins never
-  widen their input (``rows_widened``);
+* the one batch layout — :class:`RowBatch` against a list-of-rows
+  model — and the one rule of ``rows_widened``: result rows, plus the
+  label survivors a kernel-less expression was evaluated over;
 * the MVCC whole-batch fast path, and its mandatory fallback when a
   concurrent transaction is in flight or a version was deleted;
 * page-run buffer accounting (``touch_run``) producing counters
@@ -30,8 +31,11 @@ and the scan leaf runs its per-version loop.  These tests pin:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core.counters import tally
 from repro.core.labels import EMPTY_LABEL
 from repro.db import Database
 from repro.db import expressions as ex
@@ -93,6 +97,9 @@ def test_every_operator_speaks_batches_and_nothing_else():
         assert cls.batches is not physical.Plan.batches, cls
         assert not hasattr(cls, "rows"), cls
     assert not hasattr(physical.Plan, "rows")
+    # ... and one batch layout: the columns and the two label sequences.
+    assert sorted(physical.RowBatch.__slots__) \
+        == ["_columns", "ilabels", "labels"]
 
 
 def test_batch_size_is_a_chunk_size_of_at_least_one():
@@ -357,10 +364,20 @@ def test_compile_batch_and_preserves_short_circuit():
         ex.Compare(">", ex.BinOp("/", ex.Literal(100), x), ex.Literal(2)),
     ])
     batch_fn = compiler.compile_batch(node)
-    rows = [[5, None], [0, None], [2, None], [None, None]]
-    batch = physical.RowBatch(rows, [None] * 4, [None] * 4)
+    batch = physical.RowBatch([[5, 0, 2, None], None], [None] * 4,
+                              [None] * 4)
     flags = batch_fn(batch, None)
     assert flags == [True, False, True, None]
+
+
+def test_a_slot_past_the_batch_is_an_error_not_nulls():
+    """A planner slot-numbering bug must fail, not read as a column of
+    NULLs — a projected-away slot inside the batch is what reads NULL."""
+    compiler = ex.ExprCompiler(ex.Scope())
+    batch = physical.RowBatch([[1, 2], None], [None] * 2, [None] * 2)
+    assert compiler.compile_batch(ex.SlotRef(1))(batch, None) == [None, None]
+    with pytest.raises(IndexError):
+        compiler.compile_batch(ex.SlotRef(2))(batch, None)
 
 
 SELF_JOIN = ("SELECT a.id, b.id FROM m a JOIN m b ON b.grp = a.grp "
@@ -736,16 +753,55 @@ def test_skewed_join_output_batches_are_bounded(indexed):
             == [tuple(r) for r in by_row.execute(sql).rows], sql
 
 
-def test_a_batch_of_only_projected_away_columns_widens_to_null_rows():
-    """Nothing bounds the widening but the batch's length: a columnar
-    batch with no materialized column (a spool block, a worker's
-    block) is that many rows of NULLs, with or without a selection."""
-    labels = [EMPTY_LABEL] * 3
-    batch = physical.RowBatch.from_columns([None, None], labels, labels)
-    assert batch.values == [[None, None]] * 3
-    assert batch.select([2, 0]).values == [[None, None]] * 2
-    mixed = physical.RowBatch.from_columns([None, (7, 8, 9)], labels, labels)
-    assert mixed.values == [[None, 7], [None, 8], [None, 9]]
+_CELLS = st.none() | st.integers(-3, 3) | st.sampled_from(["a", "b"])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_row_batch_agrees_with_a_list_of_rows_model(data):
+    """The one layout against the obvious model — a list of rows and
+    two lists of labels — under random chains of ``select`` (index
+    lists and ranges, empty ones included): the length comes from the
+    labels, so a batch of only projected-away columns still has its
+    rows and a zero-row batch still has its width; a projected-away
+    column reads NULL, is never materialized by ``select``, and both
+    label sequences follow the rows."""
+    n = data.draw(st.integers(0, 8))
+    columns = data.draw(st.lists(
+        st.none() | st.lists(_CELLS, min_size=n, max_size=n), max_size=4))
+    width = len(columns)
+    away = [column is None for column in columns]
+    model = [tuple(None if column is None else column[i]
+                   for column in columns) for i in range(n)]
+    labels = ["L%d" % i for i in range(n)]
+    ilabels = ["I%d" % i for i in range(n)]
+    batch = physical.RowBatch(columns, list(labels), list(ilabels))
+    for _step in range(data.draw(st.integers(0, 3)) + 1):
+        assert len(batch) == len(model)
+        assert batch.width == width
+        assert [column is None for column in batch.columns()] == away
+        for i in range(width):
+            assert list(batch.column(i)) == [row[i] for row in model]
+        assert [list(column) for column in batch.filled()] \
+            == [[row[i] for row in model] for i in range(width)]
+        before = tally().rows_widened
+        assert batch.rows() == model
+        assert tally().rows_widened - before == len(model)
+        assert list(batch.labels) == labels
+        assert list(batch.ilabels) == ilabels
+        with pytest.raises(IndexError):
+            batch.column(width)
+        if data.draw(st.booleans()):
+            lo = data.draw(st.integers(0, len(model)))
+            keep = range(lo, data.draw(st.integers(lo, len(model))))
+        else:
+            keep = data.draw(st.lists(
+                st.integers(0, len(model) - 1), max_size=6)
+                if model else st.just([]))
+        batch = batch.select(keep)
+        model = [model[i] for i in keep]
+        labels = [labels[i] for i in keep]
+        ilabels = [ilabels[i] for i in keep]
 
 
 def test_batches_widen_rows_exactly_once():
@@ -873,32 +929,42 @@ def test_limit_abandons_the_scan_after_whole_chunks():
         == 2 * PIN_BATCH
 
 
-@pytest.mark.parametrize("sql", [
-    "SELECT COUNT(*), SUM(v) FROM pin WHERE v >= 3 AND grp < 4",
-    "SELECT grp, COUNT(*), SUM(v), MIN(v) FROM pin GROUP BY grp",
-    "SELECT DISTINCT grp FROM pin WHERE v >= 3",
+@pytest.mark.parametrize("sql, scans, kernel_less", [
+    ("SELECT id, v FROM pin", 1, False),
+    ("SELECT COUNT(*), SUM(v) FROM pin WHERE v >= 3 AND grp < 4", 1, False),
+    ("SELECT grp, COUNT(*), SUM(v), MIN(v) FROM pin GROUP BY grp", 1, False),
+    ("SELECT DISTINCT grp FROM pin WHERE v >= 3", 1, False),
+    ("SELECT id, v FROM pin ORDER BY v DESC, id", 1, False),
+    ("SELECT a.id, b.id FROM pin a JOIN pin b ON b.v = a.v "
+     "WHERE a.grp = 1 AND b.grp = 2", 2, False),
+    ("SELECT id FROM pin LIMIT 12", None, False),
+    ("SELECT id FROM pin WHERE v IN (3, 5, 8)", 1, True),
+    ("SELECT grp, COUNT(*) FROM pin WHERE v IN (3, 5, 8) GROUP BY grp",
+     1, True),
 ])
-def test_folds_never_widen_their_input(sql):
-    """Aggregates and DISTINCT read the scan's columns directly: no
-    input row is rebuilt, and their own output is row-major already."""
+def test_rows_are_built_for_the_result_and_for_kernel_less_expressions(
+        sql, scans, kernel_less):
+    """The one rule of ``rows_widened``: a statement builds its result
+    rows at the cursor, plus — where a scan predicate has no column
+    kernel (``IN``) — one row per *label survivor* the predicate was
+    evaluated over.  Scans, folds, sorts, joins and LIMIT build no
+    other row, whichever operator produced the batch, spilled or not;
+    the folds still read every chunk's labels exactly once."""
     db, reader = _pin_stack(PIN_BATCH)
-    row_db, row_reader = _pin_stack(1)
+    _row_db, row_reader = _pin_stack(1)
     rows, delta = _pin_delta(db, reader, sql)
-    assert sorted(map(tuple, rows)) \
-        == sorted(map(tuple, row_reader.execute(sql).rows))
-    assert delta["exec"]["rows_widened"] == 0
-    assert delta["labels"]["covers_calls"] \
-        == sum(c[0] for c in _pin_chunks())
-
-
-def test_sort_and_join_widen_only_at_the_cursor():
-    db, reader = _pin_stack(PIN_BATCH, work_mem=0)
-    for sql in ("SELECT id, v FROM pin ORDER BY v DESC, id",
-                "SELECT a.id, b.id FROM pin a JOIN pin b ON b.v = a.v "
-                "WHERE a.grp = 1 AND b.grp = 2"):
-        rows, delta = _pin_delta(db, reader, sql)
-        assert len(rows) > 0
-        assert delta["exec"]["rows_widened"] == len(rows), sql
+    assert len(rows) > 0
+    expected = list(map(tuple, row_reader.execute(sql).rows))
+    if "ORDER BY" in sql or "LIMIT" in sql:
+        assert list(map(tuple, rows)) == expected
+    else:
+        assert sorted(map(tuple, rows)) == sorted(expected)
+    chunks = _pin_chunks()
+    survivors = sum(c[1] for c in chunks) if kernel_less else 0
+    assert delta["exec"]["rows_widened"] == len(rows) + survivors
+    if scans is not None:
+        assert delta["labels"]["covers_calls"] \
+            == scans * sum(c[0] for c in chunks)
 
 
 def test_declassifying_view_strips_once_per_distinct_label_per_chunk():

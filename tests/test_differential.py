@@ -579,7 +579,7 @@ def _labeled_rows(session, sql):
         with session._autocommit():
             rows = [row for batch in
                     prepared.plan.batches(session._context(()))
-                    for row in zip(batch.values, batch.labels,
+                    for row in zip(batch.rows(), batch.labels,
                                    batch.ilabels)]
     except ReproError as exc:
         return ("error", type(exc).__name__)

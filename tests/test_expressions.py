@@ -316,8 +316,9 @@ def test_batch_form_agrees_with_scalar_form(node, rows, params):
     """NULLs, mixed types, division by zero, a missing parameter: the
     batch closure returns what the scalar closure returns row by row
     (same values, same Python types), or raises an exception type the
-    scalar closure raises for some row — over a row-major batch and a
-    columnar one."""
+    scalar closure raises for some row — over a batch of exactly the
+    rows and over one ``select``ed out of a longer batch, both carrying
+    a projected-away column the expression does not read."""
     scope = ex.Scope()
     scope.add_table("t", ["a", "b", "c"])
     compiler = ex.ExprCompiler(scope)
@@ -330,12 +331,13 @@ def test_batch_form_agrees_with_scalar_form(node, rows, params):
         except Exception as exc:
             raised.add(type(exc))
     n = len(rows)
+    decoyed = [cell for row in rows for cell in (("decoy", 0, None), row)]
     batches = {
-        "rows": RowBatch([[*row, None] for row in rows],
-                         [None] * n, [None] * n),
-        "columns": RowBatch.from_columns(
-            [list(column) for column in zip(*rows)] + [None],
-            [None] * n, [None] * n),
+        "whole": RowBatch([list(column) for column in zip(*rows)] + [None],
+                          [None] * n, [None] * n),
+        "selected": RowBatch(
+            [list(column) for column in zip(*decoyed)] + [None],
+            [None] * 2 * n, [None] * 2 * n).select(range(1, 2 * n, 2)),
     }
     batch_fn = compiler.compile_batch(node)
     for layout, batch in batches.items():

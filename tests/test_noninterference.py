@@ -17,9 +17,12 @@ sorting before every visible key, some after), and **precede** the
 visible tuples in the heap.  For every statement, in every executor
 configuration, every world must show the reader the same rows in the
 same order, the same row labels and integrity labels, the same
-``rowcount``, the same error type and message, and the same
-``db.stats()["spill"]`` traffic — and a collapsed row's label must be
-the union over exactly its *visible* duplicates.
+``rowcount``, the same error type and message, the same
+``db.stats()["spill"]`` traffic and the same ``exec.rows_widened`` (the
+first execution counter in the low set: rows are built for the result
+and, by a predicate without a column kernel, for label survivors —
+never for a hidden tuple) — and a collapsed row's label must be the
+union over exactly its *visible* duplicates.
 
 A second family of worlds aims at the scan leaf instead of the
 collapse: their hidden tuples carry values on which the **pushed
@@ -70,6 +73,8 @@ STATEMENTS = (
     "SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT 2 OFFSET 1",
     "SELECT DISTINCT c, a + b AS s FROM t ORDER BY s DESC, c LIMIT 4",
     "SELECT DISTINCT a, b FROM t LIMIT 4",
+    # IN has no column kernel: the scan builds a row per label survivor.
+    "SELECT DISTINCT a FROM t WHERE b IN (0, 1, 3)",
     # GROUP BY without and with aggregates.
     "SELECT a, b FROM t GROUP BY a, b",
     "SELECT a, COUNT(*), SUM(b), MIN(c), COUNT(DISTINCT b) FROM t "
@@ -179,6 +184,8 @@ def _observe(session, sql):
         seen["rows"] = [(tuple(row), tuple(sorted(row.label)))
                         for row in result.rows]
         seen["rowcount"] = result.rowcount
+        seen["rows_widened"] = \
+            db.last_statement_metrics()["exec"]["rows_widened"]
         if sql.startswith("SELECT"):
             # Integrity labels travel below the Row: drain the plan.
             prepared = db.prepare_select(db.parse(sql), sql)
@@ -256,7 +263,9 @@ POISON_STATEMENTS = (
     ("SELECT id FROM p WHERE " + _COMPARES, "Scan p"),
     ("SELECT COUNT(*), SUM(amount) FROM p WHERE amount > 20 AND "
      + _DIVIDES, "Scan p"),
+    ("SELECT id FROM p WHERE amount IN (7, 12, 30)", "Scan p"),  # no kernel
     ("SELECT id, amount FROM p WHERE k = 3 AND " + _DIVIDES, "IndexScan"),
+    ("SELECT id FROM p WHERE k = 3 AND amount IN (7, 12, 30)", "IndexScan"),
     ("SELECT id FROM p WHERE k = 11 AND " + _COMPARES, "IndexScan"),
     ("SELECT id, amount FROM p WHERE ts >= 30 AND ts < 90 AND " + _DIVIDES,
      "IndexRangeScan"),

@@ -111,6 +111,16 @@ JOIN_SQL = ("SELECT a.id, b.id FROM t a JOIN t b ON a.g = b.g "
 AGG_SQL = "SELECT g, COUNT(*), MIN(x), MAX(note) FROM t GROUP BY g"
 
 
+def _assert_counts_match(serial_db, gang_db):
+    """A gang and a serial run do the same work: the workers' deltas
+    merge into the coordinating statement, so every counter group
+    about execution reads the same — no field is exempt."""
+    serial = serial_db.last_statement_metrics()
+    gang = gang_db.last_statement_metrics()
+    for group in ("exec", "labels", "index", "spill"):
+        assert gang[group] == serial[group], group
+
+
 def test_parallel_spilled_join_matches_serial():
     db0, s0, _ = _stack(0, work_mem=4096)
     db2, s2, _ = _stack(2, work_mem=4096)
@@ -118,9 +128,9 @@ def test_parallel_spilled_join_matches_serial():
     parallel = _rows(s2, JOIN_SQL)
     assert db0.last_statement_metrics()["spill"]["spills"] >= 1
     assert serial == parallel                     # rows AND order
-    # Byte-identical spill work: same partitions, same spooled rows.
-    assert db2.last_statement_metrics()["spill"] \
-        == db0.last_statement_metrics()["spill"]
+    # Byte-identical spill work (same partitions, same spooled rows),
+    # and the same rows built, labels checked and indexes probed.
+    _assert_counts_match(db0, db2)
 
 
 def test_parallel_spilled_aggregate_matches_serial():
@@ -130,8 +140,7 @@ def test_parallel_spilled_aggregate_matches_serial():
     parallel = _rows(s2, AGG_SQL)
     assert db0.last_statement_metrics()["spill"]["agg_spills"] >= 1
     assert serial == parallel
-    assert db2.last_statement_metrics()["spill"] \
-        == db0.last_statement_metrics()["spill"]
+    _assert_counts_match(db0, db2)
 
 
 def test_explain_renders_join_and_aggregate_workers():

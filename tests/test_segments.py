@@ -131,7 +131,7 @@ class World:
                 (tuple(values), tuple(sorted(label)), tuple(sorted(ilabel)))
                 for batch in prepared.plan.batches(session._context(()))
                 for values, label, ilabel
-                in zip(batch.values, batch.labels, batch.ilabels)]
+                in zip(batch.rows(), batch.labels, batch.ilabels)]
         if "ORDER BY" not in sql:
             rows.sort()
         delta = db.counter_delta(before, db.read_counters())

@@ -508,9 +508,9 @@ def test_spilled_hash_join_sees_statement_snapshot():
         batches = prepared.plan.batches(ctx)
         first = next(batches)                # build consumed, probing...
         writer.commit()                      # ...commits mid-statement
-        rows = [tuple(values) for values in first.values]
+        rows = first.rows()
         for batch in batches:
-            rows.extend(tuple(values) for values in batch.values)
+            rows.extend(batch.rows())
         session.commit()
         results[label] = sorted(rows)
         # Neither the writer's build rows (fact.k >= 9000) nor its
