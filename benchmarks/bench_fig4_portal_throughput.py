@@ -81,15 +81,7 @@ def results(demands):
     return rows
 
 
-def test_fig4_throughput(benchmark, results):
-    # Benchmark the simulator itself (one fixed-load run).
-    sim_demands = {path: ServiceDemand(0.02, 0.01)
-                   for path in ("/get_cars.php", "/cars.php",
-                                "/drives.php", "/drives_top.php",
-                                "/friends.php", "/edit_account.php")}
-    sim = ClosedLoopSimulator(sim_demands, n_web_servers=2, seed=1)
-    benchmark(lambda: sim.run(50, 200.0))
-
+def test_fig4_throughput(results):
     table = ReportTable(
         "Figure 4 — CarTel portal peak WIPS (p90 < 3 s)",
         ["configuration", "paper pg", "paper ifdb", "meas base",

@@ -42,23 +42,8 @@ def stacks():
     return ifdb, base
 
 
-@pytest.mark.parametrize("path", SCRIPTS)
-def test_fig5_latency(benchmark, stacks, path):
-    """pytest-benchmark timing of each script on the IFDB stack."""
-    import random
-    ifdb, _base = stacks
-    rng = random.Random(3)
-    request = ifdb.request(rng, path)
-    ifdb.web.handle(request)                     # warm caches
-    result = benchmark(lambda: ifdb.web.handle(request))
-
-
-def test_fig5_report(benchmark, stacks):
+def test_fig5_report(stacks):
     ifdb, base = stacks
-    import random
-    rng = random.Random(9)
-    request = ifdb.request(rng, "/cars.php")
-    benchmark(lambda: ifdb.web.handle(request))
     table = ReportTable(
         "Figure 5 — request latency, idle system "
         "(paper: ms on 2008 hardware; measured: ms on this engine)",

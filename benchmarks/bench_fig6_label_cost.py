@@ -74,7 +74,7 @@ def sweep():
     return results
 
 
-def test_fig6_label_cost(benchmark, sweep):
+def test_fig6_label_cost(sweep):
     table = ReportTable(
         "Figure 6 — DBT-2 NOTPM vs tags/label "
         "(paper slope: ~-0.6%/tag memory, ~-1%/tag disk)",
@@ -191,8 +191,7 @@ def test_fig6_label_check_amortization(label_checks, sweep):
     versus the size-1 reference legs (one check per tuple), and must
     collapse it on scan-shaped work.  These assertions run in
     smoke mode too (the counts are logic-driven, not timing-driven), so
-    CI's smoke step is the regression gate; the JSON lands at the repo
-    root for the artifact upload and the cross-PR perf trail.
+    tier-1's ``tests/test_bench_smoke.py`` is the regression gate.
     """
     table = ReportTable(
         "Figure 6 companion — Query-by-Label checks, same seeded DBT-2 "
@@ -256,11 +255,3 @@ def _fit_per_tag_cost(points) -> float:
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var = sum((x - mean_x) ** 2 for x in xs)
     return -(cov / var)
-
-    # pytest-benchmark: one labelled new-order transaction.
-    db = Database(seed=14)
-    workload = TPCCWorkload(db, TPCCConfig(
-        warehouses=1, districts_per_warehouse=2, customers_per_district=10,
-        items=50, initial_orders_per_district=5, tags_per_label=2, seed=14))
-    workload.load()
-    benchmark(workload.txn_new_order)

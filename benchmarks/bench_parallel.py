@@ -17,8 +17,7 @@ recorded, and with >= 2 cores in measured mode it must not fall below
 1.0 (smoke row counts are IPC-dominated by design).
 
 ``BENCH_parallel.json`` records timings, the speedup, and the
-statement counter deltas at the repo root; CI uploads it with the
-other BENCH_* artifacts.
+statement counter deltas at the repo root.
 """
 
 import os

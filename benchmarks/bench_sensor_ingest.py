@@ -15,7 +15,7 @@ PAPER_IFDB = 2439.0
 N_MEASUREMENTS = smoke(3000, 300)
 
 
-def test_sensor_ingest_throughput(benchmark):
+def test_sensor_ingest_throughput():
     base, ifdb = measure_ingest_pair(measurements=N_MEASUREMENTS)
 
     table = ReportTable(
@@ -33,22 +33,3 @@ def test_sensor_ingest_throughput(benchmark):
     if not SMOKE:
         assert ifdb < base * 1.02        # labels are never free
         assert ifdb > base * 0.85
-
-    # pytest-benchmark: time one 200-insert batch on the IFDB stack.
-    from repro.bench import build_cartel_stack
-    from repro.apps.cartel import SensorProcessor, TraceGenerator
-    from repro.core.process import IFCProcess
-    stack = build_cartel_stack(ifc_enabled=True, n_users=3,
-                               cars_per_user=1, measurements=100, seed=55)
-    probe = IFCProcess(stack.app.authority, stack.app.ingestd.id)
-    probe.add_secrecy(stack.app.all_drives.id)
-    car_ids = [r[0] for r in stack.db.connect(probe).query(
-        "SELECT carid FROM Cars")]
-    generator = TraceGenerator(car_ids, seed=56, start_ts=9_000_000.0)
-    processor = SensorProcessor(stack.app)
-    batches = iter(lambda: list(generator.measurements(200)), None)
-
-    def one_batch():
-        processor.process_measurements(next(batches))
-
-    benchmark.pedantic(one_batch, rounds=5, iterations=1)

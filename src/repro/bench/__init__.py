@@ -6,9 +6,7 @@ from .harness import (
     ReportTable,
     build_cartel_stack,
     db_time_meter,
-    mean,
     measure_ingest_pair,
-    measure_ingest_throughput,
     measure_request_latency,
     measure_service_demands,
     percentile,
@@ -21,9 +19,7 @@ __all__ = [
     "ReportTable",
     "build_cartel_stack",
     "db_time_meter",
-    "mean",
     "measure_ingest_pair",
-    "measure_ingest_throughput",
     "measure_request_latency",
     "measure_service_demands",
     "percentile",

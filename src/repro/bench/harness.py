@@ -19,7 +19,7 @@ import contextlib
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..apps.cartel import (
     CarTelApp,
@@ -48,26 +48,14 @@ def percentile(values: Sequence[float], p: float) -> float:
     return ordered[index]
 
 
-def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
 @dataclass
 class Measurement:
     name: str
     samples: List[float]
 
     @property
-    def mean(self) -> float:
-        return mean(self.samples)
-
-    @property
     def median(self) -> float:
         return percentile(self.samples, 0.5)
-
-    @property
-    def p90(self) -> float:
-        return percentile(self.samples, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +111,11 @@ class CarTelStack:
 
 def build_cartel_stack(*, ifc_enabled: bool = True, n_users: int = 8,
                        cars_per_user: int = 2, measurements: int = 1200,
-                       friends_per_user: int = 2, seed: int = 1234,
-                       buffer_pages: Optional[int] = None,
-                       io_penalty: float = 0.0,
-                       page_size: int = 8192) -> CarTelStack:
+                       friends_per_user: int = 2,
+                       seed: int = 1234) -> CarTelStack:
     """Assemble CarTel with accounts, friendships, and GPS history."""
     authority = AuthorityState(idgen=SeededIdGenerator(seed))
-    db = Database(authority, ifc_enabled=ifc_enabled,
-                  buffer_pages=buffer_pages, io_penalty=io_penalty,
-                  page_size=page_size, seed=seed)
+    db = Database(authority, ifc_enabled=ifc_enabled, seed=seed)
     runtime = IFRuntime(authority, ifc_enabled=ifc_enabled)
     app = CarTelApp(db, runtime)
     install_driveupdate_trigger(app)
@@ -258,27 +242,12 @@ def _ingest_round(generator, processor, measurements: int) -> float:
     return measurements / (time.perf_counter() - start)
 
 
-def measure_ingest_throughput(*, ifc_enabled: bool, measurements: int = 2000,
-                              n_users: int = 6, cars_per_user: int = 2,
-                              seed: int = 99, best_of: int = 3) -> float:
-    """Sensor-processing throughput in measurements/second (section 8.2.2).
-
-    Runs ``best_of`` replay rounds and reports the fastest — the
-    standard way to strip scheduler/GC interference from a CPU-bound
-    measurement.
-    """
-    _stack, generator, processor = _ingest_rig(
-        ifc_enabled=ifc_enabled, n_users=n_users,
-        cars_per_user=cars_per_user, seed=seed)
-    return max(_ingest_round(generator, processor, measurements)
-               for _ in range(best_of))
-
-
 def measure_ingest_pair(*, measurements: int = 2000, n_users: int = 6,
                         cars_per_user: int = 2, seed: int = 99,
                         rounds: int = 4) -> Tuple[float, float]:
-    """(baseline, IFDB) ingest throughput, rounds interleaved so ambient
-    machine noise hits both systems equally."""
+    """(baseline, IFDB) sensor-processing throughput in measurements/s
+    (section 8.2.2): the best of ``rounds`` replay rounds each, rounds
+    interleaved so ambient machine noise hits both systems equally."""
     _b_stack, b_gen, b_proc = _ingest_rig(
         ifc_enabled=False, n_users=n_users, cars_per_user=cars_per_user,
         seed=seed)
@@ -331,9 +300,6 @@ class ReportTable:
             lines.append("  ".join(cell.ljust(widths[i])
                                    for i, cell in enumerate(row)))
         return "\n".join(lines)
-
-    def show(self) -> None:
-        print(self.render())
 
 
 def relative(a: float, b: float) -> str:

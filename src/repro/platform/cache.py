@@ -8,8 +8,8 @@ would dominate request latency.
 
 This cache memoizes ``has_authority`` lookups, invalidated wholesale
 whenever the authority state's version counter moves (delegations,
-revocations, or new tags).  Hit/miss statistics feed the ablation
-benchmark that reproduces the paper's claim that the cache matters.
+revocations, or new tags).  Hit/miss statistics feed the benchmark
+gate's ``platform.cache.authority_hit_rate`` (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import Dict, Tuple
 class AuthorityCache:
     """Version-validated memo of (principal, tag) -> bool."""
 
-    def __init__(self, authority, enabled: bool = True):
+    def __init__(self, authority):
         self.authority = authority
-        self.enabled = enabled
         self._entries: Dict[Tuple[int, int], bool] = {}
         self._version = authority.version
         self.hits = 0
@@ -36,9 +35,6 @@ class AuthorityCache:
             self.invalidations += 1
 
     def has_authority(self, principal: int, tag: int) -> bool:
-        if not self.enabled:
-            self.misses += 1
-            return self.authority.has_authority(principal, tag)
         self._validate()
         key = (principal, tag)
         cached = self._entries.get(key)

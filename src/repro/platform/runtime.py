@@ -102,11 +102,10 @@ class AppProcess(IFCProcess):
 class IFRuntime:
     """Factory and shared state for application processes."""
 
-    def __init__(self, authority, *, ifc_enabled: bool = True,
-                 cache_enabled: bool = True):
+    def __init__(self, authority, *, ifc_enabled: bool = True):
         self.authority = authority
         self.ifc_enabled = ifc_enabled
-        self.cache = AuthorityCache(authority, enabled=cache_enabled)
+        self.cache = AuthorityCache(authority)
         self.outbox: List[Tuple[AppProcess, object, Label]] = []
         self.processes_spawned = 0
 

@@ -574,6 +574,10 @@ def test_projection_pushdown_materializes_only_needed_columns():
         assert len(secret.execute("SELECT id, v FROM m").rows) == 40
         delta = _db.last_statement_metrics()["exec"]
         assert delta["columns_materialized"] == 2 * 40, (batch_size, delta)
+        # A fold copies its key and argument columns, nothing more.
+        secret.execute("SELECT grp, COUNT(*), SUM(v) FROM m GROUP BY grp")
+        delta = _db.last_statement_metrics()["exec"]
+        assert delta["columns_materialized"] == 2 * 40, (batch_size, delta)
 
 
 def test_projection_pushdown_select_star_full_width():

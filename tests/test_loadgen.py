@@ -19,7 +19,12 @@ class TestRequestMix:
         assert sum(w for _p, w in REQUEST_MIX) == pytest.approx(1.0)
 
     def test_empirical_matches_figure3(self):
-        """Regenerates Figure 3: the sampled mix matches the spec."""
+        """Regenerates Figure 3: the spec is the paper's table and the
+        sampled mix matches it."""
+        assert dict(REQUEST_MIX) == {
+            "/get_cars.php": 0.50, "/cars.php": 0.30, "/drives.php": 0.08,
+            "/drives_top.php": 0.08, "/friends.php": 0.03,
+            "/edit_account.php": 0.01}
         for (path, expected), (path2, observed) in zip(
                 REQUEST_MIX, empirical_mix(40000, seed=3)):
             assert path == path2

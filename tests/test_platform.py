@@ -129,10 +129,3 @@ class TestAuthorityCache:
         assert cache.has_authority(bob.id, tag.id)
         authority.revoke(tag.id, alice.id, bob.id)
         assert not cache.has_authority(bob.id, tag.id)
-
-    def test_disabled_cache_always_misses(self, world):
-        authority, _db, _runtime, alice, tag = world
-        cache = AuthorityCache(authority, enabled=False)
-        cache.has_authority(alice.id, tag.id)
-        cache.has_authority(alice.id, tag.id)
-        assert cache.hits == 0 and cache.misses == 2

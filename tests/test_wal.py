@@ -180,7 +180,7 @@ def _check_recovery(authority, path, ref, coordinate):
         assert dump_database(recovered) == want, (
             "recovered state diverges from acknowledged prefix at %s"
             % coordinate)
-        recovered.recover(path)
+        assert recovered.recover(path)["applied"] == 0, coordinate
         assert dump_database(recovered) == want, (
             "second recovery is not a no-op at %s" % coordinate)
         assert recovered._sequences == ref._sequences, coordinate
@@ -463,6 +463,7 @@ class TestConfig:
         wal = db.stats()["wal"]
         assert wal["records"] == 2           # one DDL + one commit
         assert wal["commits"] == 1
+        assert wal["commit_flushes"] == 1    # one session: a flush a commit
         assert wal["bytes"] > 0
         assert wal["flushes"] == 2
         assert wal["group_commit_size"] == 1
