@@ -4,8 +4,9 @@ Everything the engine counts — the label-rule invocations the paper's
 cost argument is made of (section 7.1), index probes, executor cells,
 spill traffic, statistics sweeps, WAL writes — is one row of
 :data:`SCHEMA`.  A counter is added by adding a row; storage, the
-``Database.stats()`` report, per-statement deltas, the worker merge and
-EXPLAIN ANALYZE's labels all derive from it.
+``Database.stats()`` report, per-statement deltas, EXPLAIN ANALYZE's
+labels and the noninterference test's low set (:data:`LOW`) all derive
+from it.
 
 The hot paths do ``tally().field += 1``: :func:`tally` is the calling
 thread's :class:`Tally`, one slotted object holding every counter, so
@@ -13,11 +14,18 @@ an increment is a read-modify-write of thread-private storage (one
 function call and one thread-local lookup dearer than a bare slot) and
 a statement bracket — two :func:`read` calls on the executing thread —
 can only ever see its own thread's work, whatever other sessions
-(threaded group commit, a parallel gather) are doing.  Whole-process
-views sum the per-thread tallies: :func:`snapshot` adds every thread's
-state to a base that absorbs the tallies of threads that have exited.
-A ``MAX`` row is a high-water gauge, combined with ``max`` rather than
-``+`` wherever two tallies meet.
+(threaded group commit) are doing.  Whole-process views sum the
+per-thread tallies: :func:`snapshot` adds every thread's state to a
+base that absorbs the tallies of threads that have exited.  A ``MAX``
+row is a high-water gauge, combined with ``max`` rather than ``+``
+wherever two tallies meet.
+
+Every row is marked ``"low"`` or ``"high"``.  A low counter's
+per-statement delta may not depend on tuples the reader cannot see:
+it is an observable of Query by Label like the rows themselves, and
+``tests/test_noninterference.py`` asserts every one of them equal
+across worlds that differ only in hidden tuples.  A high counter may,
+and the comment above its row says how.
 """
 
 from __future__ import annotations
@@ -29,10 +37,10 @@ from typing import Dict
 
 SUM, MAX = "sum", "max"
 
-#: ``(group, field, kind, EXPLAIN ANALYZE label)``, in report order.  A
-#: ``None`` label keeps the counter off operator and statement-total
-#: lines.  Field names are unique across groups (they are the slots of
-#: one object).
+#: ``(group, field, kind, EXPLAIN ANALYZE label, low/high)``, in report
+#: order.  A ``None`` label keeps the counter off operator and
+#: statement-total lines.  Field names are unique across groups (they
+#: are the slots of one object).
 SCHEMA = (
     # -- labels: core/rules.py and the scan leaf --------------------------
     # Invocations of the two hot-path predicates, memo hits and
@@ -42,28 +50,34 @@ SCHEMA = (
     # (fig6 reads these to prove it).  ``rows_suppressed`` counts tuples
     # the scans rejected under the Label Confinement Rule, once per
     # batch — a suppression does not correspond to a ``covers`` call.
-    ("labels", "covers_calls", SUM, "covers"),
-    ("labels", "strip_calls", SUM, "strip"),
-    ("labels", "rows_suppressed", SUM, "suppressed"),
+    # All three high: a hidden tuple's label is checked like any other,
+    # and counting the tuples the reader may not see is the point.
+    ("labels", "covers_calls", SUM, "covers", "high"),
+    ("labels", "strip_calls", SUM, "strip", "high"),
+    ("labels", "rows_suppressed", SUM, "suppressed", "high"),
     # -- index: equality probes and ordered-range scans -------------------
     # The batched IndexLoopJoin probes once per distinct outer key per
-    # batch.
-    ("index", "lookups", SUM, "lookups"),
-    ("index", "range_scans", SUM, "range_scans"),
+    # batch — high, since a scan's batches end where heap segments do,
+    # hidden versions included.  A range scan runs once per execution
+    # of its operator, so its count follows the plan alone.
+    ("index", "lookups", SUM, "lookups", "high"),
+    ("index", "range_scans", SUM, "range_scans", "low"),
     # -- exec: db/physical.py ---------------------------------------------
-    # Cells the scans copied into their output columns (projection
-    # pushdown: 2 of N columns is ``2 x rows`` cells; a memoized heap
-    # segment emitted whole is its own arrays, no cell copied) and rows
-    # rebuilt row-major from a columnar batch (at most once per output
-    # row, at the cursor drain; once more under a scan predicate that
-    # has no column kernel).  Candidate
-    # segments the scan leaf filtered — heap slices and index-probe
-    # chunks alike — and those among them that passed the MVCC bound
-    # check whole, with no per-row ``visible()``.
-    ("exec", "columns_materialized", SUM, "cells"),
-    ("exec", "rows_widened", SUM, "widened"),
-    ("exec", "segments_scanned", SUM, "segments"),
-    ("exec", "segments_frozen", SUM, "frozen"),
+    # Cells of the scans' output columns — needed columns × emitted
+    # rows, whether or not the arrays were copied (projection pushdown:
+    # 2 of N columns is ``2 x rows`` cells) — and rows rebuilt
+    # row-major from a columnar batch (at most once per output row, at
+    # the cursor drain; once more under a scan predicate that has no
+    # column kernel): both low, counted over label survivors only.
+    # Candidate segments the scan leaf filtered — heap slices and
+    # index-probe chunks alike — and those among them that passed the
+    # MVCC bound check whole, with no per-row ``visible()``: both high,
+    # since hidden tuples add segments and a hidden version's
+    # ``xmin``/``xmax`` can thaw one.
+    ("exec", "columns_materialized", SUM, "cells", "low"),
+    ("exec", "rows_widened", SUM, "widened", "low"),
+    ("exec", "segments_scanned", SUM, "segments", "high"),
+    ("exec", "segments_frozen", SUM, "frozen", "high"),
     # -- spill: db/spill.py -----------------------------------------------
     # ``spills`` is top-level join build overflows (one per join that
     # spilled, however deep the recursion), ``repartitions`` recursive
@@ -71,38 +85,43 @@ SCHEMA = (
     # ``partitions_created`` build spools that received rows; rows and
     # bytes are counted as each block reaches its temp file.
     # ``sort_*`` are external merge sorts and their runs, ``agg_*``
-    # grace aggregations (and DISTINCTs) and their partitions.
-    ("spill", "spills", SUM, "spills"),
-    ("spill", "partitions_created", SUM, "spill_partitions"),
-    ("spill", "repartitions", SUM, "repartitions"),
-    ("spill", "rows_spilled", SUM, "spill_rows"),
-    ("spill", "bytes_spilled", SUM, "spill_bytes"),
-    ("spill", "sort_spills", SUM, "sort_spills"),
-    ("spill", "sort_runs", SUM, "sort_runs"),
-    ("spill", "agg_spills", SUM, "agg_spills"),
-    ("spill", "agg_partitions", SUM, "agg_partitions"),
+    # grace aggregations (and DISTINCTs) and their partitions.  All
+    # low: only label survivors reach an operator's budget.
+    ("spill", "spills", SUM, "spills", "low"),
+    ("spill", "partitions_created", SUM, "spill_partitions", "low"),
+    ("spill", "repartitions", SUM, "repartitions", "low"),
+    ("spill", "rows_spilled", SUM, "spill_rows", "low"),
+    ("spill", "bytes_spilled", SUM, "spill_bytes", "low"),
+    ("spill", "sort_spills", SUM, "sort_spills", "low"),
+    ("spill", "sort_runs", SUM, "sort_runs", "low"),
+    ("spill", "agg_spills", SUM, "agg_spills", "low"),
+    ("spill", "agg_partitions", SUM, "agg_partitions", "low"),
     # -- stats: db/stats.py -----------------------------------------------
     # Per-table collections from any trigger, and the automatic drift
     # refreshes among them.  Hidden: a sweep fires during planning,
-    # outside any operator.
-    ("stats", "tables_collected", SUM, None),
-    ("stats", "drift_refreshes", SUM, None),
+    # outside any operator.  High: drift is every writer's
+    # modifications, and ANALYZE reads every live version.
+    ("stats", "tables_collected", SUM, None, "high"),
+    ("stats", "drift_refreshes", SUM, None, "high"),
     # -- wal: db/wal.py, on whichever thread led the flush ----------------
     # Records appended (commit + ddl), record bytes incl. headers,
     # flush batches, fsyncs, commit records made durable, flushes that
     # covered a commit, and the most commits one flush absorbed — a
-    # gauge, hidden because a delta of it means nothing.
-    ("wal", "records", SUM, "wal_records"),
-    ("wal", "bytes", SUM, "wal_bytes"),
-    ("wal", "flushes", SUM, "wal_flushes"),
-    ("wal", "fsyncs", SUM, "wal.fsyncs"),
-    ("wal", "commits", SUM, "wal_commits"),
-    ("wal", "commit_flushes", SUM, "wal.commit_flushes"),
-    ("wal", "group_commit_size", MAX, None),
+    # gauge, hidden because a delta of it means nothing.  All high: a
+    # flush leader counts its followers' records, whatever their label.
+    ("wal", "records", SUM, "wal_records", "high"),
+    ("wal", "bytes", SUM, "wal_bytes", "high"),
+    ("wal", "flushes", SUM, "wal_flushes", "high"),
+    ("wal", "fsyncs", SUM, "wal.fsyncs", "high"),
+    ("wal", "commits", SUM, "wal_commits", "high"),
+    ("wal", "commit_flushes", SUM, "wal.commit_flushes", "high"),
+    ("wal", "group_commit_size", MAX, None, "high"),
 )
 
 #: ``(group, field)`` per :func:`read` slot.
-CELLS = tuple((group, field) for group, field, _kind, _label in SCHEMA)
+CELLS = tuple(row[:2] for row in SCHEMA)
+#: The cells marked low, in :data:`CELLS` order.
+LOW = tuple(row[:2] for row in SCHEMA if row[4] == "low")
 _FIELDS = tuple(field for _group, field in CELLS)
 assert len(set(_FIELDS)) == len(_FIELDS), "counter fields must be unique"
 
@@ -153,14 +172,11 @@ def read() -> tuple:
     return _slots(_local.state)
 
 
-def _add(state: Tally, field: str, kind: str, value) -> None:
-    held = getattr(state, field)
-    setattr(state, field, max(held, value) if kind == MAX else held + value)
-
-
 def _fold(into: Tally, state: Tally) -> None:
-    for _group, field, kind, _label in SCHEMA:
-        _add(into, field, kind, getattr(state, field))
+    for _group, field, kind, _label, _level in SCHEMA:
+        held, value = getattr(into, field), getattr(state, field)
+        setattr(into, field, max(held, value) if kind == MAX
+                else held + value)
 
 
 def snapshot() -> Dict[str, Dict[str, int]]:
@@ -185,30 +201,21 @@ def snapshot() -> Dict[str, Dict[str, int]]:
 
 
 def reset() -> None:
-    """Zero every thread's tally and the base: test isolation, fresh
-    measurement windows, a worker's first act after the fork.  An
-    increment racing it on another thread may survive."""
+    """Zero every thread's tally and the base: test isolation and fresh
+    measurement windows.  An increment racing it on another thread may
+    survive."""
     with _lock:
         _base.clear()
         for _thread, state in _states:
             state.clear()
 
 
-def merge(taken: Dict[str, Dict[str, int]]) -> None:
-    """Add a :func:`snapshot` onto the **calling thread's** tally — the
-    coordinator half of the worker protocol (workers reset, count
-    privately, ship their snapshot), so a statement that gathers
-    workers sees their counts inside its own bracket."""
-    state = tally()
-    for group, field, kind, _label in SCHEMA:
-        if field in taken.get(group, ()):
-            _add(state, field, kind, taken[group][field])
-
-
 def _rearm_after_fork() -> None:
-    """A fork can land while another thread holds the lock (a
-    concurrent ``snapshot()``); that thread does not exist in the
-    child, whose first ``reset()`` would wait on it forever."""
+    """Lock safety for an embedder that forks: the fork can land while
+    another thread holds the lock (a concurrent ``snapshot()``); that
+    thread does not exist in the child, whose first ``reset()`` or
+    ``snapshot()`` would wait on it forever.  The engine itself never
+    forks."""
     global _lock
     _lock = threading.Lock()
 

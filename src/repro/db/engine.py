@@ -13,6 +13,13 @@ Two construction-time switches drive the benchmarks:
 * ``buffer_pages``/``io_penalty`` configure the storage model: unbounded
   cache ≈ the paper's in-memory DBT-2 database, a small cache with a
   per-miss penalty ≈ the disk-bound 150-warehouse database.
+
+The package reads exactly two environment variables, both here through
+:func:`_env` and both only as the default of a keyword:
+``REPRO_BATCH_SIZE`` and ``REPRO_WORK_MEM`` (CI re-runs tier-1 under
+each).  Durability and fault injection are keywords only
+(``wal=``, ``WriteAheadLog(fault=…)``).  A statement runs on its
+caller's thread, in this process.
 """
 
 from __future__ import annotations
@@ -144,8 +151,7 @@ class Database:
                  work_mem: Optional[int] = None,
                  slow_query_ms: float = 0.0,
                  audit_log: int = 0,
-                 wal: Optional[str] = None,
-                 workers: Optional[int] = None):
+                 wal: Optional[str] = None):
         if authority is None:
             idgen = SeededIdGenerator(seed) if seed is not None else None
             authority = AuthorityState(idgen=idgen)
@@ -182,14 +188,6 @@ class Database:
         #: Spill-file fault schedule (``faultinject.SpoolFaults``);
         #: tests install one here, like a fault spec on the WAL.
         self.spill_faults = None
-        # Parallel worker-pool size: ``None`` defers to the
-        # ``REPRO_WORKERS`` environment variable (CI runs a tier-1 job
-        # at 2), then serial (0).  The planner hands the pool to hash
-        # joins and aggregates for their spilled-partition phase; 0 and
-        # 1 both mean serial.
-        if workers is None:
-            workers = _env("REPRO_WORKERS", int, 0)
-        self.workers = max(0, int(workers))
         # ``naive_plans`` forces reference plans (full scans, nested
         # loops, no pushdown, one-row batches) — the
         # differential harness's known-good executor; see
@@ -198,8 +196,7 @@ class Database:
                                stats=self.stats_manager,
                                naive=naive_plans,
                                batch_size=self.batch_size,
-                               work_mem=self.work_mem,
-                               workers=self.workers)
+                               work_mem=self.work_mem)
         # Parsed statements by SQL text; each carries its fingerprint
         # (``parse_statement``), so a text is lexed once.
         self._parse_cache: Dict[str, object] = {}
@@ -239,14 +236,7 @@ class Database:
         # processes.
         self.audit = AuditLog(audit_log) if audit_log else None
         # -- durability (db/wal.py) --------------------------------------
-        # ``wal`` is a log file path; ``None`` defers to ``REPRO_WAL``,
-        # which names a *directory* so every Database in the process
-        # gets its own log.  Unset → no WAL, the seed behaviour.
-        if wal is None:
-            wal_dir = _env("REPRO_WAL", str, None)
-            if wal_dir:
-                os.makedirs(wal_dir, exist_ok=True)
-                wal = wal_mod.auto_wal_path(wal_dir)
+        # ``wal`` is a log file path (or an open log); ``None`` → no WAL.
         self.wal: Optional[wal_mod.WriteAheadLog] = None
         if isinstance(wal, wal_mod.WriteAheadLog):
             self.wal = wal                 # tests inject fault specs here

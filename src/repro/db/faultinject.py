@@ -37,25 +37,21 @@ released, and the session carries on.  Its coordinates are blocks, the
 spool's unit of I/O: ``write:N`` fails the statement's ``N``-th block
 write with ``ENOSPC``, ``read:N`` its ``N``-th block read with ``EIO``.
 
-WAL specs come either from the ``REPRO_CRASH_POINT`` environment variable
-(the CI sweep) or programmatically via :meth:`FaultSpec.parse` (the
-in-process crash matrix).  After a crash fires, the wrapped file is
-dead: every further operation raises :class:`CrashError`, modelling a
-process that no longer exists.  The bytes already written remain on
-disk for recovery to find, which is the point.
+A WAL spec is handed to the log that should fail
+(``WriteAheadLog(path, fault=FaultSpec(mode, n))``); no environment
+variable installs one, so a log opened without a spec never faults.
+After a crash fires, the wrapped file is dead: every further operation
+raises :class:`CrashError`, modelling a process that no longer exists.
+The bytes already written remain on disk for recovery to find, which
+is the point.
 """
 
 from __future__ import annotations
 
 import errno
-import os
 from typing import Optional
 
 from ..errors import DatabaseError
-
-#: Environment variable holding the active crash point, e.g.
-#: ``REPRO_CRASH_POINT=torn:12``.
-ENV_VAR = "REPRO_CRASH_POINT"
 
 #: Injection modes that simulate power loss at/inside a write.
 CRASH_MODES = ("record", "torn", "short")
@@ -74,7 +70,7 @@ class CrashError(DatabaseError):
 
 
 class FaultSpec:
-    """A parsed injection point: ``(mode, n)``."""
+    """An injection point: ``(mode, n)``."""
 
     __slots__ = ("mode", "n")
 
@@ -85,24 +81,6 @@ class FaultSpec:
             raise ValueError("fault ordinal must be >= 0, got %d" % n)
         self.mode = mode
         self.n = n
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultSpec":
-        """Parse ``"<mode>:<n>"`` (the ``REPRO_CRASH_POINT`` syntax)."""
-        try:
-            mode, _, ordinal = text.partition(":")
-            return cls(mode.strip(), int(ordinal))
-        except (ValueError, AttributeError):
-            raise ValueError(
-                "bad crash point %r; expected <mode>:<n> with mode one of "
-                "%s" % (text, ", ".join(CRASH_MODES + (FSYNC_MODE,)))
-            ) from None
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultSpec"]:
-        """The spec in ``REPRO_CRASH_POINT``, or ``None`` when unset."""
-        text = os.environ.get(ENV_VAR, "").strip()
-        return cls.parse(text) if text else None
 
     def __repr__(self):
         return "FaultSpec(%s:%d)" % (self.mode, self.n)

@@ -167,7 +167,7 @@ class AuditLog:
 #: ones are absent; the per-database ``buffer`` cells are rendered by
 #: :meth:`PlanRecorder._format_counters` itself).
 _ANALYZE = {(group, field): label
-            for group, field, _kind, label in SCHEMA if label}
+            for group, field, _kind, label, _level in SCHEMA if label}
 
 
 class OpStats:

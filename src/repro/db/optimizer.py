@@ -43,7 +43,9 @@ Every annotation carries estimated rows and cost (``est_rows`` /
 ``est_cost``), which the planner copies onto the physical operators so
 ``EXPLAIN`` can show them.  The annotations are plain data
 (``AccessPath``/``JoinChoice``); the lowering to physical operators
-lives in :mod:`repro.db.planner`.
+lives in :mod:`repro.db.planner`.  Costs are for one process: a
+spilled join, aggregate or sort is charged its spill traffic once,
+since its partitions and runs are drained one after another.
 """
 
 from __future__ import annotations
@@ -473,20 +475,6 @@ class Optimizer:
         #: optimizer only *costs* spilling with it — the executor reads
         #: the live budget from the database at run time.
         self.work_mem = work_mem
-
-    def exec_workers(self, requested: int) -> int:
-        """Worker-pool size for plans this optimizer produces.
-
-        Naive mode pins serial execution — the reference executor of
-        the differential harness must stay a single-process per-tuple
-        ground truth — and platforms without ``fork`` cannot run the
-        gang at all, so the planner never advertises a pool it could
-        not honour.
-        """
-        if self.naive or requested < 2:
-            return 0
-        from .parallel import FORK_AVAILABLE
-        return requested if FORK_AVAILABLE else 0
 
     def exec_batch_size(self, requested: int) -> int:
         """Execution batch size for plans this optimizer produces.

@@ -72,6 +72,10 @@ the page-run accounting are checked against per-tuple
 Label enforcement itself never moves: visibility is decided in the
 scan, below every optimization and batching decision.
 
+A plan runs on the thread that executes its statement, as the paper's
+prototype runs a query inside one backend: a spilled join or
+aggregate drains its grace partitions one after another.
+
 Label flow through operators:
 
 * scans emit the tuple's label (stripped of any enclosing declassifying
@@ -223,18 +227,11 @@ def _row_batches(rows, size: int) -> Iterator[RowBatch]:
         yield RowBatch(list(zip(*values)), list(labels), list(ilabels))
 
 
-def _block_batches(blocks) -> Iterator[RowBatch]:
-    """Batches out of decoded blocks (:func:`repro.db.spill.
-    decode_block`): what a spool or a worker's pipe hands back."""
-    for _key_columns, columns, labels, ilabels in blocks:
-        yield RowBatch(columns, labels, ilabels)
-
-
 def _batch_rows(batch: RowBatch) -> Iterator[ExecRow]:
     """``(values, label, ilabel)`` per row of a batch, the value tuples
     zipped straight from its columns at C speed — how an operator holds
-    rows (a join's build side, a spooled probe row, a gang's groups)
-    without counting them as widened."""
+    rows (a join's build side, a spooled probe row) without counting
+    them as widened."""
     return zip(column_rows(batch.filled(), len(batch)), batch.labels,
                batch.ilabels)
 
@@ -244,8 +241,7 @@ class ExecContext:
 
     __slots__ = ("session", "params", "outer_stack", "read_label",
                  "read_ilabel", "principal", "registry", "authority",
-                 "ifc_enabled", "work_mem", "_spools", "in_worker",
-                 "audited_views")
+                 "ifc_enabled", "work_mem", "_spools", "audited_views")
 
     def __init__(self, session, params: tuple, read_label: Label,
                  read_ilabel: Label, principal: Optional[int]):
@@ -264,9 +260,6 @@ class ExecContext:
         #: reaction, not a plan property (the optimizer only *costs* it).
         self.work_mem = session.db.work_mem
         self._spools: Optional[Spools] = None
-        #: Set inside a forked parallel worker, which must not fork a
-        #: nested gang.
-        self.in_worker = False
         #: Names of the declassifying views this statement already
         #: audited.
         self.audited_views: set = set()
@@ -863,13 +856,6 @@ class HashJoin(Plan):
     in-memory execution see exactly the same rows.
     """
 
-    #: Worker-pool size for the spilled partition phase (set by the
-    #: planner from ``Database(workers=…)``; 0/1 = serial).  Grace
-    #: partitions are key-disjoint, so each worker joins a contiguous
-    #: partition range independently; gathering in range order keeps
-    #: the serial output order.
-    workers: int = 0
-
     CHILDREN = ("left", "right")
 
     def __init__(self, left: Plan, right: Plan, left_key_fns: List[Callable],
@@ -947,48 +933,6 @@ class HashJoin(Plan):
             raise
         return buckets, spill
 
-    def _partition_batches(self, ctx, spill, lo, hi):
-        """Joined output of partitions ``[lo, hi)`` — the per-partition
-        work unit, shared verbatim by the serial loop and the parallel
-        gang so counter totals cannot depend on the worker count.  A
-        spooled probe block is a batch again, joined by the streaming
-        phase's :func:`_join_batches`."""
-        null_row = _null_row(self.kind, self.right_width)
-        for (key_columns, columns, labels, ilabels), buckets \
-                in spill.joined(lo, hi):
-            yield from _join_batches(
-                ctx, RowBatch(columns, labels, ilabels),
-                map(buckets.get, zip(*key_columns), repeat(())),
-                self.batch_size, self.residual, null_row)
-
-    def _spilled_batches(self, ctx, spill):
-        """Partition phase: join every spooled probe row.
-
-        With ``workers`` configured (and not already inside a worker),
-        the key-disjoint partitions fan out to a forked gang — each
-        child inherits the spool descriptors, reads only its range,
-        and ships joined batches back in the spool's block form.
-        """
-        # Resident probes were answered online; nothing spooled.
-        start = 0 if spill.resident is None else 1
-        total = len(spill.partitions)
-        if self.workers >= 2 and total - start >= 2 \
-                and not ctx.in_worker:
-            from . import parallel
-            if parallel.FORK_AVAILABLE:
-                ranges = parallel.split_ranges(start, total,
-                                               self.workers)
-                return _block_batches(parallel.run_gang(
-                    [self._partition_task(ctx, spill, lo, hi)
-                     for lo, hi in ranges]))
-        return self._partition_batches(ctx, spill, 0, total)
-
-    def _partition_task(self, ctx, spill, lo, hi):
-        def task():
-            ctx.in_worker = True          # the child's COW copy only
-            return self._partition_batches(ctx, spill, lo, hi)
-        return task
-
     def batches(self, ctx):
         buckets, spill = self._build(ctx)
         null_row = _null_row(self.kind, self.right_width)
@@ -1003,8 +947,17 @@ class HashJoin(Plan):
                 yield from _join_batches(
                     ctx, batch, found, self.batch_size, self.residual,
                     null_row)
-            if spill is not None:
-                yield from self._spilled_batches(ctx, spill)
+            if spill is None:
+                return
+            # Partition phase: a spooled probe block is a batch again,
+            # joined against its partition's build rows like a
+            # streamed one.
+            for (key_columns, columns, labels, ilabels), buckets \
+                    in spill.joined():
+                yield from _join_batches(
+                    ctx, RowBatch(columns, labels, ilabels),
+                    map(buckets.get, zip(*key_columns), repeat(())),
+                    self.batch_size, self.residual, null_row)
         finally:
             # Mid-iteration error or abandoned iterator: release the
             # partition spools deterministically (close is idempotent).
@@ -1191,12 +1144,6 @@ class AggregateNode(Plan):
     row).  Global aggregates never spill: their state is one row.
     """
 
-    #: Worker-pool size for the grace-partition phase (set by the
-    #: planner; 0/1 = serial).  Spilled partitions are key-disjoint, so
-    #: a worker folds and finalizes its partition range completely —
-    #: no cross-worker combine step is ever needed.
-    workers: int = 0
-
     CHILDREN = ("child",)
 
     def __init__(self, child: Plan, group_fns: List[Callable],
@@ -1279,13 +1226,12 @@ class AggregateNode(Plan):
         return [[_STAR] * len(batch) if spec.arg_fn is None
                 else spec.arg_fn(batch, ctx) for spec in self.specs]
 
-    def _partition_rows(self, ctx, spill, lo, hi, depth):
-        """Finalized result rows of spill partitions ``[lo, hi)`` — the
-        per-partition work unit shared by the serial loop and the
-        parallel gang (identical code, identical counters).  A
+    def _spilled_groups(self, ctx, spill, depth):
+        """Finalized result rows of every grace partition, each folded
+        on its own (its keys are disjoint from every other's).  A
         partition replays as the zipped key/argument columns of its
         blocks, the form :meth:`_keyed` feeds the fold."""
-        for spool in spill.spools[lo:hi]:
+        for spool in spill.spools:
             if spool.count:
                 replay = chain.from_iterable(
                     zip(column_rows(key_columns, len(labels)),
@@ -1295,32 +1241,6 @@ class AggregateNode(Plan):
                 yield from self._fold(ctx, replay, depth + 1)
             else:
                 spool.close()
-
-    def _spilled_groups(self, ctx, spill, depth):
-        """Drain the grace partitions, fanning out to a forked gang
-        when workers are configured (top level only — recursive
-        re-spills stay inside their worker)."""
-        total = len(spill.spools)
-        if depth == 0 and self.workers >= 2 \
-                and sum(1 for s in spill.spools if s.count) >= 2 \
-                and not ctx.in_worker:
-            from . import parallel
-            if parallel.FORK_AVAILABLE:
-                ranges = parallel.split_ranges(0, total, self.workers)
-                for batch in _block_batches(parallel.run_gang(
-                        [self._group_task(ctx, spill, lo, hi, depth)
-                         for lo, hi in ranges])):
-                    yield from _batch_rows(batch)
-                return
-        yield from self._partition_rows(ctx, spill, 0, total, depth)
-
-    def _group_task(self, ctx, spill, lo, hi, depth):
-        def task():
-            ctx.in_worker = True          # the child's COW copy only
-            return _row_batches(
-                self._partition_rows(ctx, spill, lo, hi, depth),
-                self.batch_size)
-        return task
 
     def _keyed(self, ctx):
         """The fold's input, straight from columns."""
@@ -1785,11 +1705,6 @@ def _explain_line(plan: Plan) -> str:
     needed_names = getattr(plan, "needed_names", None)
     if needed_names is not None:
         line += "  cols=%s" % ",".join(needed_names)
-    # Parallel fan-out: joins/aggregates advertise the pool their
-    # grace-partition phase would use if they spill.
-    workers = getattr(plan, "workers", 0)
-    if workers >= 2:
-        line += "  workers=%d" % workers
     # Memory estimates for materializing operators: expected grace
     # partitions (0 omitted — the build fits work_mem) and the peak
     # resident bytes (per-partition share when spilling).

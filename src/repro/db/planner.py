@@ -16,6 +16,11 @@ Query by Label stays enforced in the physical scan operators (the
 paper's section 7.1 invariant): nothing in this pipeline can surface a
 tuple the process may not see, because the label check happens at the
 layer that reads tuples, below every optimization decision.
+
+The one execution setting lowering stamps onto a tree is its batch
+size (:func:`~repro.db.physical.stamp_batch_size`).  A plan runs in
+the process that executes the statement, so no operator carries a
+degree of parallelism.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class Planner:
 
     def __init__(self, catalog: Catalog, registry, stats=None,
                  naive: bool = False, batch_size: int = DEFAULT_BATCH_SIZE,
-                 work_mem: int = 0, workers: int = 0):
+                 work_mem: int = 0):
         self.catalog = catalog
         self.registry = registry
         self.optimizer = Optimizer(catalog, stats=stats, naive=naive,
@@ -98,9 +103,6 @@ class Planner:
         #: optimizer pins it to 1 in naive mode so the differential
         #: harness's reference executor stays per-tuple.
         self.batch_size = self.optimizer.exec_batch_size(batch_size)
-        #: Worker-pool size for spilled join/aggregate partitions (0 =
-        #: serial; naive mode and fork-less platforms pin 0).
-        self.workers = self.optimizer.exec_workers(workers)
 
     # -- public entry points ----------------------------------------------
     def plan_select(self, select: ast.Select,
@@ -343,7 +345,6 @@ class Planner:
                                  for c in choice.right_columns]),
                 self._conjunction(choice.residual, compiler), kind,
                 entry.width)
-            plan.workers = self.workers
             plan.explain = "HashJoin (%s) on (%s)%s" % (
                 kind,
                 ", ".join("%s.%s = %s" % (entry.alias, col, ex.to_sql(e))
@@ -604,7 +605,6 @@ class Planner:
                  for agg in aggregates]
         node = AggregateNode(plan, self._batch_all(compiler, group_exprs),
                              specs, global_agg=not group_exprs)
-        node.workers = self.workers
         node.explain = "Aggregate [%s]%s" % (
             ", ".join(ex.to_sql(a) for a in aggregates),
             " group by [%s]" % ", ".join(ex.to_sql(g) for g in group_exprs)

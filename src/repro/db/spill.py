@@ -28,13 +28,15 @@ per block.  A block read back *is* a columnar batch plus its key
 columns, and its labels re-enter the intern table once per distinct
 label of the block, so a reloaded label is *identical* (``is``) to the
 live one and the scan-level label memos keep working across a spill.
-The same block form carries a parallel worker's batches over its pipe
-(:mod:`repro.db.parallel`).  Write buffers are sized out of the budget
-(:class:`Spools`): a statement's ``fanout`` open spools together
-buffer at most one partition's share of ``work_mem``, so at a budget
-of a few rows the blocks degenerate to one row.  The durable formats
-(:mod:`repro.db.wal`, :mod:`repro.db.dump`) keep the per-row
-:func:`encode_labeled_row`.
+Write buffers are sized out of the budget (:class:`Spools`): a
+statement's ``fanout`` open spools together buffer at most one
+partition's share of ``work_mem``, so at a budget of a few rows the
+blocks degenerate to one row.  The durable formats (:mod:`repro.db.wal`,
+:mod:`repro.db.dump`) keep the per-row :func:`encode_labeled_row`.
+
+Partitions are drained one after another on the statement's own
+thread: the engine runs a query in one process, as the paper's
+prototype runs it in one backend.
 
 Spilling never moves enforcement: every spooled row already passed the
 scan-level MVCC and Query-by-Label checks under the statement's
@@ -96,7 +98,7 @@ def decode_labeled_row(record: tuple):
 
 
 # ---------------------------------------------------------------------------
-# the block codec (spools, and rows leaving a parallel worker)
+# the block codec (spools)
 # ---------------------------------------------------------------------------
 
 def _distinct(labels):
@@ -504,12 +506,10 @@ class SpilledHashBuild:
             partitions[index].probe.append(key, *row)
 
     # -- partition phase ------------------------------------------------
-    def joined(self, lo: int = 0, hi: Optional[int] = None
-               ) -> Iterator[Tuple[tuple, Dict[tuple, list]]]:
-        """Join partitions ``[lo, hi)``: yields ``(probe_block,
-        buckets)`` — a spooled probe block and the build rows of its
-        partition by key — re-partitioning build sides that still
-        exceed the budget.
+    def joined(self) -> Iterator[Tuple[tuple, Dict[tuple, list]]]:
+        """Join every partition: yields ``(probe_block, buckets)`` — a
+        spooled probe block and the build rows of its partition by key
+        — re-partitioning build sides that still exceed the budget.
 
         Each partition's spools close as soon as that partition is
         done *or dies* (the inner ``finally``); consumers should still
@@ -517,7 +517,7 @@ class SpilledHashBuild:
         — so an exception raised between partitions, or an abandoned
         iterator, cannot leak the remaining descriptors.
         """
-        for index, partition in enumerate(self.partitions[lo:hi], lo):
+        for index, partition in enumerate(self.partitions):
             try:
                 # Resident probes were answered online; nothing spooled.
                 if index or self.resident is None:

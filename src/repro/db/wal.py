@@ -20,8 +20,8 @@ gap with the standard crash-consistency discipline:
   committer becomes the flush leader, writes every record pending at
   that moment, issues a single fsync, and wakes the group.  A commit
   that arrives mid-flush waits and is absorbed by the next leader; the
-  leader never waits for company.  ``Database(wal=…)`` / ``REPRO_WAL``
-  turn the log on.
+  leader never waits for company.  ``Database(wal=path)`` turns the
+  log on; no environment variable does.
 * **Checksummed, length-prefixed records.**  Each record is
   ``<u32 length><u32 crc32(payload)><payload>``; the payload reuses the
   labeled-row codec shared with :mod:`repro.db.spill` and
@@ -52,9 +52,10 @@ job is to restore high tuples a confined process could never see.  The
 log file therefore carries every label in the clear and must be
 protected like the heap itself.
 
-Fault injection (:mod:`repro.db.faultinject`, ``REPRO_CRASH_POINT``)
-wraps the file so ``tests/test_wal.py`` can prove all of the above at
-every injection point rather than assume it.
+Fault injection (:mod:`repro.db.faultinject`, passed as
+``WriteAheadLog(path, fault=…)``) wraps the file so
+``tests/test_wal.py`` can prove all of the above at every injection
+point rather than assume it.
 """
 
 from __future__ import annotations
@@ -81,19 +82,6 @@ _HEADER = struct.Struct("<II")
 
 class WalError(DatabaseError):
     """The WAL could not make a record durable; the commit is refused."""
-
-
-_AUTO_COUNTER = [0]
-_AUTO_LOCK = threading.Lock()
-
-
-def auto_wal_path(directory: str) -> str:
-    """A unique WAL path inside ``directory`` (the ``REPRO_WAL=<dir>``
-    mode, where every ``Database`` in the process gets its own log)."""
-    with _AUTO_LOCK:
-        _AUTO_COUNTER[0] += 1
-        n = _AUTO_COUNTER[0]
-    return os.path.join(directory, "wal-%d-%d.log" % (os.getpid(), n))
 
 
 class _RealFile:
@@ -203,8 +191,6 @@ class WriteAheadLog:
         if tail not in (None, "missing") or real.size() > valid:
             # Torn/corrupt tail (or bad magic): keep the valid prefix.
             real.truncate(valid if tail != "bad-magic" else 0)
-        if fault is None:
-            fault = FaultSpec.from_env()
         self.fault = FaultyFile(real, fault)
         self._file = self.fault
         self._durable = self._file.size()

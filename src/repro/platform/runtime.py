@@ -72,8 +72,9 @@ class AppProcess(IFCProcess):
         """Release ``data`` to a destination (default: the outside world).
 
         Raises :class:`ReleaseError` if the process is contaminated above
-        the destination's label.  Delivered data lands in the runtime's
-        outbox so tests can observe exactly what escaped.
+        the destination's label.  Delivered data is recorded in
+        ``outputs``, the one record of what this process let escape; it
+        lives and dies with the process.
         """
         if self.runtime.ifc_enabled and not self.can_release(
                 destination_label):
@@ -82,7 +83,6 @@ class AppProcess(IFCProcess):
                 "process contaminated with %r cannot release to a "
                 "destination labelled %r" % (names, destination_label))
         self.outputs.append((data, destination_label))
-        self.runtime.outbox.append((self, data, destination_label))
 
     def try_send(self, data,
                  destination_label: Label = EMPTY_LABEL) -> bool:
@@ -106,7 +106,6 @@ class IFRuntime:
         self.authority = authority
         self.ifc_enabled = ifc_enabled
         self.cache = AuthorityCache(authority)
-        self.outbox: List[Tuple[AppProcess, object, Label]] = []
         self.processes_spawned = 0
 
     def spawn(self, principal: int, label: Label = EMPTY_LABEL) -> AppProcess:

@@ -207,11 +207,11 @@ class TestCatalogDDL:
 
 
 class TestEnvironmentSettings:
-    """``REPRO_BATCH_SIZE``, ``REPRO_WORK_MEM`` and ``REPRO_WORKERS``
-    are read by one rule: blank means unset, anything else must be an
-    integer, and the error names the variable and the text."""
+    """``REPRO_BATCH_SIZE`` and ``REPRO_WORK_MEM`` are read by one
+    rule: blank means unset, anything else must be an integer, and the
+    error names the variable and the text."""
 
-    VARIABLES = ("REPRO_BATCH_SIZE", "REPRO_WORK_MEM", "REPRO_WORKERS")
+    VARIABLES = ("REPRO_BATCH_SIZE", "REPRO_WORK_MEM")
 
     def test_blank_is_unset(self, monkeypatch):
         for name in self.VARIABLES:
@@ -220,9 +220,8 @@ class TestEnvironmentSettings:
         for name in self.VARIABLES:
             monkeypatch.setenv(name, " ")
         blank = Database()
-        assert (blank.batch_size, blank.work_mem, blank.workers) \
-            == (unset.batch_size, unset.work_mem, unset.workers) \
-            == (1024, 0, 0)
+        assert (blank.batch_size, blank.work_mem) \
+            == (unset.batch_size, unset.work_mem) == (1024, 0)
 
     @pytest.mark.parametrize("name", VARIABLES)
     def test_malformed_names_the_variable(self, monkeypatch, name):
@@ -233,8 +232,7 @@ class TestEnvironmentSettings:
     def test_values_are_clamped_and_keywords_win(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
         monkeypatch.setenv("REPRO_WORK_MEM", "-5")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
         db = Database()
-        assert (db.batch_size, db.work_mem, db.workers) == (1, 0, 3)
-        db = Database(batch_size=7, work_mem=2048, workers=0)
-        assert (db.batch_size, db.work_mem, db.workers) == (7, 2048, 0)
+        assert (db.batch_size, db.work_mem) == (1, 0)
+        db = Database(batch_size=7, work_mem=2048)
+        assert (db.batch_size, db.work_mem) == (7, 2048)

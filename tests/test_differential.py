@@ -77,12 +77,10 @@ class Universe:
     ``REPRO_BATCH_SIZE`` environment override.
     """
 
-    def __init__(self, *, naive: bool, batch_size=None, work_mem=None,
-                 workers=None):
+    def __init__(self, *, naive: bool, batch_size=None, work_mem=None):
         authority = AuthorityState(idgen=SeededIdGenerator(777))
         self.db = Database(authority, naive_plans=naive, seed=777,
-                           batch_size=batch_size, work_mem=work_mem,
-                           workers=workers)
+                           batch_size=batch_size, work_mem=work_mem)
         owner = authority.create_principal("owner")
         self.tag = authority.create_tag("diff-secret", owner=owner.id)
         secret = IFCProcess(authority, owner.id)
@@ -366,13 +364,12 @@ def _plan_shapes(db) -> set:
 
 def _run_differential(seed: int, n_statements: int,
                       batch_size=None, work_mem=None,
-                      require_spill: bool = False,
-                      workers=None) -> None:
+                      require_spill: bool = False) -> None:
     tag = "[REPRO_DIFF_SEED=%d]" % seed
     rng = random.Random(seed)
     gen = StatementGenerator(rng)
     optimized = Universe(naive=False, batch_size=batch_size,
-                         work_mem=work_mem, workers=workers)
+                         work_mem=work_mem)
     reference = Universe(naive=True, work_mem=0)
     # The reference is per-tuple whatever REPRO_BATCH_SIZE says.
     assert reference.db.planner.batch_size == 1, tag
@@ -445,22 +442,10 @@ def test_differential_batch_size_two():
     _run_differential(SEED ^ 0xBA7C2, 150, batch_size=2)
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_differential_workers(workers):
-    """The same adversarial stream with a worker pool configured.
-    Nothing spills here, so the pool must change nothing at all —
-    scans stay serial — at a batch size (32) that cuts the ~250-row
-    tables into several chunks."""
-    _run_differential(SEED ^ 0x70C5 ^ workers, 150,
-                      batch_size=32, workers=workers)
-
-
-def test_differential_workers_spilled():
-    """Parallel grace partitions under a tight budget: spilled hash
-    joins and aggregates fan their partitions out to the gang while
-    the naive reference replays everything serially in memory."""
-    _run_differential(SEED ^ 0x70C5 ^ 0x53A1, 120, batch_size=32,
-                      work_mem=1024, workers=2, require_spill=True)
+def test_differential_batch_size_32():
+    """A batch size (32) that cuts the ~250-row tables into several
+    chunks, each holding a mix of labels and versions."""
+    _run_differential(SEED ^ 0x70C5, 150, batch_size=32)
 
 
 @pytest.mark.parametrize("work_mem,batch_size", [
@@ -596,8 +581,8 @@ def test_label_layout_cross_fold(layout, batch_size):
     """Every blocking operator of the batched path, over every label
     layout the label routine treats differently: optimized ≡ naive on
     rows, labels *and* integrity labels.  ``batch_size=None`` takes the
-    engine default, so the ``REPRO_BATCH_SIZE`` / ``REPRO_WORK_MEM`` /
-    ``REPRO_WORKERS`` CI legs re-run this matrix spilled and forked."""
+    engine default, so the ``REPRO_BATCH_SIZE`` / ``REPRO_WORK_MEM`` CI
+    legs re-run this matrix at one-row batches and spilled."""
     optimized = _layout_universe(layout, naive=False, batch_size=batch_size)
     reference = _layout_universe(layout, naive=True, batch_size=None)
     for sql in FOLD_QUERIES:

@@ -11,8 +11,8 @@ benchmarks) rely on:
   included;
 * ``Database.stats()`` reports *all* families under the names the
   tracked benchmark resolves;
-* snapshot/merge round-trips exactly — the worker protocol — with
-  ``max`` for gauges;
+* ARCHITECTURE.md's counter table, low/high marks included, is a
+  rendering of the schema;
 * audit events fire for the paper's three observable security actions:
   suppression under the Label Confinement Rule, declassifying-view
   invocation, and write-rule denial.
@@ -103,17 +103,20 @@ def _doc_table(name):
 
 def test_architecture_documents_exactly_the_schema():
     """The counter table and the EXPLAIN ANALYZE glossary are renderings
-    of the schema: a counter or a label added to one and not the other
-    fails here."""
+    of the schema: a counter, a label or a low/high mark added to one
+    and not the other fails here."""
     documented = [(group.strip("`"), field.strip("`"), kind,
-                   None if label == "hidden" else label.strip("`"))
-                  for group, field, kind, label, _counts
+                   None if label == "hidden" else label.strip("`"),
+                   level.strip("*"))
+                  for group, field, kind, label, level, _counts
                   in _doc_table("counter-schema")]
     assert documented == [tuple(row) for row in counters.SCHEMA]
+    assert counters.LOW == tuple((group, field) for group, field, *_k,
+                                 level in documented if level == "low")
 
     glossary = {name for row in _doc_table("analyze-glossary")
                 for name in re.findall(r"`([^`]+)`", row[0])}
-    labels = {label for _g, _f, _kind, label in counters.SCHEMA if label}
+    labels = {row[3] for row in counters.SCHEMA if row[3]}
     # What an operator line carries besides schema counters: its own
     # actuals, the scan's label-check rate and the buffer cells.
     extras = {"rows", "batches", "time", "labels/batch", "touches",
@@ -157,23 +160,6 @@ def test_counter_delta_captures_named_deltas_and_nothing_else():
     last = db.last_statement_metrics()
     assert last["exec"]["rows_widened"] == 0
     assert last["elapsed_ms"] >= 0.0 and last["rows"] == 1
-
-
-def test_merge_adds_a_snapshot_into_the_live_counters():
-    """The parallel-worker protocol: accumulate privately, snapshot,
-    merge at the coordinator — merge(snapshot) after reset() restores
-    every counter."""
-    tally().covers_calls = 4
-    tally().range_scans = 2
-    tally().bytes_spilled = 999
-    taken = counters.snapshot()
-    counters.reset()
-    counters.merge(taken)
-    counters.merge(taken)                  # a second worker, same work
-    assert tally().covers_calls == 8
-    assert tally().range_scans == 4
-    assert tally().bytes_spilled == 1998
-    assert counters.merge({"unknown": {"x": 1}}) is None  # ignored
 
 
 def test_read_is_the_calling_threads_tally_in_cell_order():
@@ -254,13 +240,6 @@ def test_gauge_combines_by_max_across_threads_and_merges():
         _count_on_a_thread(flush_of(size))
     wal = counters.snapshot()["wal"]
     assert wal["group_commit_size"] == 5 and wal["commits"] == 7
-    # The worker merge: a smaller gauge leaves the caller's alone, a
-    # larger one replaces it — never a sum.
-    counters.merge({"wal": {"group_commit_size": 2, "commits": 1}})
-    assert tally().group_commit_size == 3 and tally().commits == 1
-    counters.merge({"wal": {"group_commit_size": 9}})
-    assert tally().group_commit_size == 9
-    assert counters.snapshot()["wal"]["group_commit_size"] == 9
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -280,7 +259,7 @@ def test_fork_while_another_thread_holds_the_lock_does_not_deadlock():
     try:
         tally().covers_calls += 1
         pid = os.fork()
-        if pid == 0:                       # the child: a worker's start
+        if pid == 0:                       # the child: an embedder's fork
             status = 1
             try:
                 counters.reset()

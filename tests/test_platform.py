@@ -1,12 +1,16 @@
 """Platform tests (section 7.2): output interposition, the label-sync
 protocol's lazy coalescing, and the authority cache."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import IFCProcess, Label
 from repro.db import Database
 from repro.errors import AuthorityError, ReleaseError
 from repro.platform import AuthorityCache, IFRuntime
+from repro.platform.web import Request, WebApp
 
 
 @pytest.fixture
@@ -22,7 +26,7 @@ class TestOutputInterposition:
         _a, _db, runtime, alice, _tag = world
         process = runtime.spawn(alice.id)
         process.send("hello")
-        assert runtime.outbox[-1][1] == "hello"
+        assert process.outputs[-1][0] == "hello"
 
     def test_contaminated_process_blocked(self, world):
         _a, _db, runtime, alice, tag = world
@@ -30,8 +34,27 @@ class TestOutputInterposition:
         process.add_secrecy(tag.id)
         with pytest.raises(ReleaseError):
             process.send("secret")
-        assert not runtime.outbox
+        assert not process.outputs
         assert not process.try_send("secret")
+
+    def test_a_served_request_keeps_nothing_of_its_process(self, world):
+        """What a request let escape lives on its process alone: once
+        ``handle`` returns, nothing holds the process or its response
+        body, so serving requests does not grow the runtime."""
+        _a, db, runtime, alice, _tag = world
+        app = WebApp(runtime, db, authenticator=lambda user, pw: alice.id)
+        seen = []
+
+        def page(ctx):
+            seen.append(weakref.ref(ctx.process))
+            return "body"
+
+        app.add_route("/page", page)
+        response = app.handle(Request("/page", session_token=app.login(
+            "alice", "pw")))
+        assert response.ok and response.body == "body"
+        gc.collect()
+        assert seen[0]() is None
 
     def test_send_to_labelled_destination(self, world):
         _a, _db, runtime, alice, tag = world

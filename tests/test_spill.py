@@ -656,14 +656,9 @@ def test_spill_io_faults_are_typed_and_release_everything(name, sql):
     db.spill_faults = clean = SpoolFaults()
     assert _normalized(session, sql) == expected
     assert clean.writes > 1
-    if db.workers < 2:
-        assert clean.reads == clean.writes
-    # A gang's workers read their partitions against forked copies of
-    # the schedule: the parent then counts none, and read #0 fires in
-    # every worker.
+    assert clean.reads == clean.writes
     baseline = _open_fds()
-    for mode, total in (("write", clean.writes),
-                        ("read", max(1, clean.reads))):
+    for mode, total in (("write", clean.writes), ("read", clean.reads)):
         for n in sorted({0, 1, total // 3, total // 2, total - 1}):
             db.spill_faults = SpoolFaults(mode, n)
             with pytest.raises(SpillError):

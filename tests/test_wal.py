@@ -9,17 +9,10 @@ log and must be dump-identical — rows, labels, ilabels, sequences,
 schema — to a reference database that applied exactly the acknowledged
 prefix of the workload.  Recovery must also be idempotent (recovering
 twice changes nothing).
-
-The same driver backs the CI sweep: ``REPRO_CRASH_POINT=<mode>:<n>``
-runs one externally-chosen coordinate (``test_env_crash_point_sweep``),
-and on failure the offending WAL file is copied into
-``$REPRO_WAL_ARTIFACTS`` for upload.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
 import threading
 import time
 
@@ -28,23 +21,8 @@ import pytest
 from repro.core import IFCProcess
 from repro.db import Database
 from repro.db.dump import dump_database
-from repro.db.faultinject import (
-    CRASH_MODES,
-    ENV_VAR,
-    CrashError,
-    FaultSpec,
-)
+from repro.db.faultinject import CRASH_MODES, CrashError, FaultSpec
 from repro.db.wal import WalError, WriteAheadLog, scan_wal
-
-
-@pytest.fixture(autouse=True)
-def _ambient_crash_point(monkeypatch):
-    """Capture and clear any externally-set ``REPRO_CRASH_POINT`` so the
-    in-process matrix controls its own fault specs; the env-sweep test
-    re-reads the captured value to honour the CI coordinate."""
-    ambient = os.environ.get(ENV_VAR)
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    return ambient
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +149,17 @@ def _run_workload(authority, ids, path, spec):
 
 def _check_recovery(authority, path, ref, coordinate):
     """Recover ``path`` into a fresh database and require it to be
-    dump-identical to the acknowledged prefix, twice (idempotency).
-    On failure, stash the WAL for CI artifact upload."""
-    try:
-        recovered = Database(authority)
-        recovered.recover(path)
-        want = dump_database(ref)
-        assert dump_database(recovered) == want, (
-            "recovered state diverges from acknowledged prefix at %s"
-            % coordinate)
-        assert recovered.recover(path)["applied"] == 0, coordinate
-        assert dump_database(recovered) == want, (
-            "second recovery is not a no-op at %s" % coordinate)
-        assert recovered._sequences == ref._sequences, coordinate
-    except BaseException:
-        artifacts = os.environ.get("REPRO_WAL_ARTIFACTS")
-        if artifacts and os.path.exists(path):
-            os.makedirs(artifacts, exist_ok=True)
-            shutil.copy(path, os.path.join(
-                artifacts, coordinate.replace(":", "-") + ".wal"))
-        raise
+    dump-identical to the acknowledged prefix, twice (idempotency)."""
+    recovered = Database(authority)
+    recovered.recover(path)
+    want = dump_database(ref)
+    assert dump_database(recovered) == want, (
+        "recovered state diverges from acknowledged prefix at %s"
+        % coordinate)
+    assert recovered.recover(path)["applied"] == 0, coordinate
+    assert dump_database(recovered) == want, (
+        "second recovery is not a no-op at %s" % coordinate)
+    assert recovered._sequences == ref._sequences, coordinate
 
 
 class TestCrashMatrix:
@@ -203,7 +172,9 @@ class TestCrashMatrix:
         _check_recovery(authority, path, ref, "clean")
 
     def test_every_injection_point(self, authority, wal_ids, tmp_path):
-        # Clean run first, to enumerate the write/fsync coordinates.
+        # Clean run first, to enumerate the write/fsync coordinates
+        # (twelve of each: n = 0…11 in every mode).  A coordinate past
+        # the last one never fires: that is the clean run above.
         probe = str(tmp_path / "probe.wal")
         _ref, db, crashed, _acked = _run_workload(authority, wal_ids,
                                                   probe, None)
@@ -221,28 +192,6 @@ class TestCrashMatrix:
             assert crashed, "fault %s never fired" % coordinate
             assert acked < len(UNITS)
             _check_recovery(authority, path, ref, coordinate)
-
-    def test_env_crash_point_sweep(self, authority, wal_ids, tmp_path,
-                                   monkeypatch, _ambient_crash_point):
-        """The CI sweep entry point: honours an externally-set
-        ``REPRO_CRASH_POINT`` coordinate (falls back to a mid-workload
-        torn write when run as part of the normal suite)."""
-        point = _ambient_crash_point or "torn:5"
-        monkeypatch.setenv(ENV_VAR, point)
-        path = str(tmp_path / "env.wal")
-        # spec=None: WriteAheadLog picks the env coordinate up itself,
-        # exactly as a production process would.
-        ref, _db, crashed, _acked = _run_workload(authority, wal_ids,
-                                                  path, None)
-        spec = FaultSpec.parse(point)
-        monkeypatch.delenv(ENV_VAR)
-        _check_recovery(authority, path, ref, point)
-        # The workload issues one write per record plus the magic; a
-        # coordinate safely inside that range must actually fire.  A
-        # coordinate past the end is still a valid sweep entry — the
-        # workload completes and recovery must equal the *full* state.
-        if spec.mode in CRASH_MODES and spec.n < 10:
-            assert crashed
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +391,6 @@ class TestGroupCommit:
 # ---------------------------------------------------------------------------
 
 class TestConfig:
-    def test_repro_wal_env_enables_logging(self, authority, tmp_path,
-                                           monkeypatch):
-        waldir = str(tmp_path / "wals")
-        monkeypatch.setenv("REPRO_WAL", waldir)
-        db = Database(authority)
-        assert db.wal is not None
-        db.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
-        db.connect().execute("INSERT INTO t VALUES (1)")
-        assert os.path.getsize(db.wal.path) > 0
-        monkeypatch.delenv("REPRO_WAL")
-        recovered = Database(authority)
-        recovered.recover(db.wal.path)
-        assert recovered.connect().query("SELECT * FROM t") == [(1,)]
-
     def test_wal_counters_in_stats(self, authority, tmp_path):
         db = Database(authority, wal=str(tmp_path / "w.wal"))
         db.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
