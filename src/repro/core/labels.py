@@ -24,10 +24,14 @@ interning.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 _INTERNED: Dict[FrozenSet[int], "Label"] = {}
 _INTERN_CAP = 1 << 20
+#: ``Label.union`` answers by operand pair; like the ``covers``/``strip``
+#: memos in :mod:`repro.core.rules` it stops inserting at its cap.
+_UNIONS: Dict[Tuple["Label", "Label"], "Label"] = {}
+_UNION_CAP = 1 << 16
 
 
 class Label(frozenset):
@@ -86,14 +90,22 @@ class Label(frozenset):
 
     # -- set algebra (registry-free; see rules.py for compound-aware) --
     def union(self, other: "Label | Iterable[int]") -> "Label":
-        """Return a new label containing the tags of both."""
-        if other is self:           # interned: equal labels are identical
-            return self
-        if not isinstance(other, frozenset):
-            other = frozenset(other)
+        """Return the label containing the tags of both: an operand
+        that already covers the other is the answer itself, and any
+        other pair is remembered (bounded like the rule caches), so a
+        fold that meets the same two labels again builds no set."""
+        other = other if isinstance(other, Label) else Label(other)
+        joined = _UNIONS.get((self, other))
+        if joined is not None:
+            return joined
         if other.issubset(self):
             return self
-        return Label(self | other)
+        if self.issubset(other):
+            return other
+        joined = Label(frozenset.union(self, other))
+        if len(_UNIONS) < _UNION_CAP:
+            _UNIONS[self, other] = joined
+        return joined
 
     def with_tag(self, tag: int) -> "Label":
         """Return a new label with ``tag`` added."""

@@ -119,9 +119,10 @@ def estimate_group_spill(input_rows: float, groups: float,
     planner builds and costs both through ``Planner._aggregate``).
 
     Group state is costed like the runtime charges it: key bytes
-    (:func:`estimated_tuple_bytes` over the grouping columns) plus one
-    :data:`AGG_STATE_BYTES` accumulator per aggregate spec plus
-    hash-entry overhead, times the expected group count.  Overflow
+    (:func:`estimated_tuple_bytes` over the grouping columns) plus
+    :data:`AGG_STATE_BYTES` per aggregate spec — the group's slot in
+    that aggregate's state lists — plus hash-entry overhead, times the
+    expected group count.  Overflow
     partitions the *state* via :func:`estimate_spill_plan`; each level
     re-spools the input rows routed past the resident groups, so the
     cost charge is per input row per level.

@@ -53,13 +53,17 @@ cursor, ``INSERT … SELECT`` and a kernel-less expression only).
 * **folds** — aggregation (``SELECT DISTINCT`` is the aggregation
   with no aggregates), sorting and the joins read :class:`RowBatch`
   columns directly: keys and arguments are batch-compiled
-  (:meth:`repro.db.expressions.ExprCompiler.compile_batch`),
-  accumulators are resolved per function at plan time, and label unions
-  are skipped (in C: a label is a ``frozenset``) wherever they add no
-  tag.  An operator zips rows out of columns (:func:`_batch_rows`)
-  only to hold them in a hash build or spool them to a spill file, and
-  a row producer (finalized groups, merged sort runs) transposes its
-  rows back into columns a chunk at a time (:func:`_row_batches`).
+  (:meth:`repro.db.expressions.ExprCompiler.compile_batch`), and label
+  unions are skipped (in C: a label is a ``frozenset``) wherever they
+  add no tag.  Aggregation works a batch at a time: a dense group id
+  per row, one state list per aggregate indexed by it (the kernel table
+  :data:`_KERNELS`, resolved per function at plan time), one label
+  union per distinct ``(group, label)`` pair, and finished groups
+  sliced from the state lists into batches.  An operator zips rows out
+  of columns (:func:`_batch_rows`) only to hold them in a hash build
+  or spool them to a spill file, and a row producer (merged sort runs,
+  the deterministic order) transposes its rows back into columns a
+  chunk at a time (:func:`_row_batches`).
 
 **The reference executor** of the differential harness is these same
 operators at batch size 1 over naive plans
@@ -97,10 +101,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from functools import reduce
-from itertools import accumulate, chain, compress, count, islice, repeat
+from collections import defaultdict
+from functools import partial, reduce
+from itertools import (accumulate, compress, count, filterfalse, islice,
+                       repeat)
 from operator import (add as _add, gt as _gt, itemgetter, lt as _lt,
-                      methodcaller)
+                      not_ as _not)
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import tally
@@ -665,8 +671,8 @@ def _gather_join(left: RowBatch, li: list, rrows: list) -> RowBatch:
     columns = [None if col is None else [col[i] for i in li]
                for col in left.columns()]
     columns.extend(map(list, zip(*rvalues)))
-    def joined(own, other):     # the union, only where it adds a tag
-        return [a if a is b or b.issubset(a) else a.union(b)
+    def joined(own, other):     # a side that covers the other is the union
+        return [a if b.issubset(a) else b if a.issubset(b) else a.union(b)
                 for a, b in zip([own[i] for i in li], other)]
     return RowBatch(columns, joined(left.labels, rlabels),
                     joined(left.ilabels, rilabels))
@@ -965,141 +971,195 @@ class HashJoin(Plan):
                 spill.close()
 
 
-class _Count:
-    """COUNT: the non-NULL arguments seen (``COUNT(*)`` feeds
-    :data:`_STAR` for every row)."""
+class _Kernel:
+    """One aggregate's state over a fold: ``held[gid]``, one slot per
+    group id, grown as groups are created (:meth:`grow`).
 
-    __slots__ = ("n",)
+    A kernel only ever sees non-NULL arguments.  :meth:`fold` folds a
+    batch of them into the groups ``gids`` names, pairwise, in input
+    order; :meth:`whole` folds a whole column into group 0 (the global
+    aggregate); :meth:`results` is every group's final value."""
+
+    __slots__ = ("held",)
+    #: What a new group's slot holds.
+    start = None
 
     def __init__(self):
-        self.n = 0
+        self.held: list = []
 
-    def add(self, value) -> None:
-        if value is not None:
-            self.n += 1
+    def grow(self, size: int) -> None:
+        self.held.extend(repeat(self.start, size - len(self.held)))
 
-    def add_column(self, column: list) -> None:
-        self.n += len(column) - column.count(None)
-
-    def result(self):
-        return self.n
+    def results(self) -> list:
+        return self.held
 
 
-class _Sum:
-    """SUM, and AVG (``mean`` set): a left fold with ``+`` in input
-    order — ``reduce`` over a column is that same fold at C speed, so
-    results (and errors) are identical to adding row by row."""
+class _CountKernel(_Kernel):
+    """COUNT: the arguments seen (``COUNT(*)`` feeds :data:`_STAR` for
+    every row); a whole column counts by its length."""
 
-    __slots__ = ("n", "total", "mean")
+    __slots__ = ()
+    start = 0
 
-    def __init__(self, mean: bool):
-        self.n = 0
-        self.total = None
-        self.mean = mean
+    def fold(self, gids, values) -> None:
+        held = self.held
+        for gid in gids:
+            held[gid] += 1
 
-    def add(self, value) -> None:
-        if value is not None:
-            self.total = value if not self.n else self.total + value
-            self.n += 1
-
-    def add_column(self, column: list) -> None:
-        if None in column:
-            column = [v for v in column if v is not None]
-        if column:
-            self.total = reduce(_add, column) if not self.n \
-                else reduce(_add, column, self.total)
-            self.n += len(column)
-
-    def result(self):
-        if self.mean:
-            return None if not self.n else self.total / self.n
-        return self.total
+    def whole(self, values) -> None:
+        self.held[0] += len(values)
 
 
-class _Best:
-    """MIN/MAX: ``pick`` is ``min``/``max``, ``beats`` the matching
-    strict comparison; ties keep the value seen first."""
+class _SumKernel(_Kernel):
+    """SUM: a left fold with ``+`` in input order from each group's
+    first value (never from 0), so results and errors are exactly
+    those of adding row by row; ``reduce`` over a whole column is that
+    same fold at C speed."""
 
-    __slots__ = ("best", "pick", "beats")
+    __slots__ = ()
+
+    def fold(self, gids, values) -> None:
+        held = self.held
+        for gid, value in zip(gids, values):
+            total = held[gid]
+            held[gid] = value if total is None else total + value
+
+    def whole(self, values) -> None:
+        if values:
+            total = self.held[0]
+            self.held[0] = reduce(_add, values) if total is None \
+                else reduce(_add, values, total)
+
+
+class _AvgKernel(_SumKernel):
+    """AVG: the SUM fold beside a COUNT of the same arguments."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self):
+        super().__init__()
+        self.counts = _CountKernel()
+
+    def grow(self, size: int) -> None:
+        super().grow(size)
+        self.counts.grow(size)
+
+    def fold(self, gids, values) -> None:
+        super().fold(gids, values)
+        self.counts.fold(gids, values)
+
+    def whole(self, values) -> None:
+        super().whole(values)
+        self.counts.whole(values)
+
+    def results(self) -> list:
+        return [None if not n else total / n
+                for total, n in zip(self.held, self.counts.held)]
+
+
+class _ExtremeKernel(_Kernel):
+    """MIN/MAX: ``beats`` is the strict comparison, so ties keep the
+    value seen first; a whole column is one ``pick`` (``min``/``max``,
+    which keep the first of equals too)."""
+
+    __slots__ = ("pick", "beats")
 
     def __init__(self, pick: Callable, beats: Callable):
-        self.best = None
+        super().__init__()
         self.pick = pick
         self.beats = beats
 
-    def add(self, value) -> None:
-        if value is not None and (self.best is None
-                                  or self.beats(value, self.best)):
-            self.best = value
+    def fold(self, gids, values) -> None:
+        held, beats = self.held, self.beats
+        for gid, value in zip(gids, values):
+            best = held[gid]
+            if best is None or beats(value, best):
+                held[gid] = value
 
-    def add_column(self, column: list) -> None:
-        if None in column:
-            column = [v for v in column if v is not None]
-        if column:
-            self.add(self.pick(column))
-
-    def result(self):
-        return self.best
+    def whole(self, values) -> None:
+        if values:
+            self.fold((0,), (self.pick(values),))
 
 
-class _DistinctValues:
-    """``AGG(DISTINCT x)``: forwards each distinct non-NULL value
-    once, in first-seen order."""
+class _DistinctKernel:
+    """``AGG(DISTINCT x)``: hands ``inner`` each group's distinct
+    values once, in first-seen order; ``seen`` holds the ``(group id,
+    value)`` pairs already handed on."""
 
-    __slots__ = ("seen", "inner")
+    __slots__ = ("inner", "seen")
 
-    def __init__(self, inner):
-        self.seen: set = set()
+    def __init__(self, inner: _Kernel):
         self.inner = inner
+        self.seen: set = set()
 
-    def add(self, value) -> None:
-        if value is not None and value not in self.seen:
-            self.seen.add(value)
-            self.inner.add(value)
+    def grow(self, size: int) -> None:
+        self.inner.grow(size)
 
-    def add_column(self, column: list) -> None:
-        fresh = [v for v in dict.fromkeys(column)
-                 if v is not None and v not in self.seen]
-        self.seen.update(fresh)
-        self.inner.add_column(fresh)
+    def fold(self, gids, values) -> None:
+        fresh = list(filterfalse(self.seen.__contains__,
+                                 dict.fromkeys(zip(gids, values))))
+        if fresh:
+            self.seen.update(fresh)
+            self.inner.fold(*zip(*fresh))
 
-    def result(self):
-        return self.inner.result()
+    def whole(self, values) -> None:
+        self.fold([0] * len(values), values)
+
+    def results(self) -> list:
+        return self.inner.results()
 
 
-#: Accumulator factory per aggregate function.
-_ACCUMULATORS: Dict[str, Callable] = {
-    "COUNT": _Count,
-    "SUM": lambda: _Sum(False),
-    "AVG": lambda: _Sum(True),
-    "MIN": lambda: _Best(min, _lt),
-    "MAX": lambda: _Best(max, _gt),
-}
+#: The aggregate kernels, by function; ``AGG(DISTINCT x)`` wraps one in
+#: :class:`_DistinctKernel` (:class:`AggSpec`).
+_KERNELS: Dict[str, Callable] = {
+    "COUNT": _CountKernel, "SUM": _SumKernel, "AVG": _AvgKernel,
+    "MIN": partial(_ExtremeKernel, min, _lt),
+    "MAX": partial(_ExtremeKernel, max, _gt)}
 
 #: The argument every row feeds a ``COUNT(*)`` (any non-NULL constant
 #: that survives the spill codec).
 _STAR = True
 
-_result = methodcaller("result")
+
+def _union_labels(held: list, gids: list, labels, size: int) -> None:
+    """Union every row's label into ``held[gid]``, its group's, grown
+    to ``size`` groups: a group new to the batch starts from its first
+    row's label, a batch of public rows adds nothing, the rows whose
+    label their group's already covers are dropped at C speed (a label
+    is a ``frozenset``), and the rest union once per distinct ``(gid,
+    label)`` pair (:meth:`Label.union` answers a repeated pair from its
+    memo)."""
+    distinct = set(labels)
+    if len(held) < size:
+        if len(distinct) == 1:
+            held.extend(repeat(*distinct, size - len(held)))
+        else:
+            first = dict(zip(reversed(gids), reversed(labels)))
+            held.extend(map(first.__getitem__, range(len(held), size)))
+    if not any(distinct):
+        return
+    covered = list(map(Label.issubset, labels, map(held.__getitem__, gids)))
+    for gid, label in set(compress(zip(gids, labels), map(_not, covered))):
+        held[gid] = held[gid].union(label)
 
 
 class AggSpec:
     """One aggregate computation: function, argument, distinct flag.
 
     ``arg_fn`` is the batch-compiled argument (None for ``COUNT(*)``);
-    ``make`` — resolved here, once per plan — builds the accumulator
-    for one group.
+    ``kernel`` — resolved here from :data:`_KERNELS`, once per plan —
+    makes the aggregate's state for one fold.
     """
 
-    __slots__ = ("func", "arg_fn", "distinct", "make")
+    __slots__ = ("func", "arg_fn", "distinct", "kernel")
 
     def __init__(self, func: str, arg_fn: Optional[Callable], distinct: bool):
         self.func = func
         self.arg_fn = arg_fn
         self.distinct = distinct
-        make = _ACCUMULATORS[func]
-        self.make = make if not (distinct and arg_fn is not None) \
-            else lambda: _DistinctValues(make())
+        kernel = _KERNELS[func]
+        self.kernel = kernel if not (distinct and arg_fn is not None) \
+            else lambda: _DistinctKernel(kernel())
 
 
 class AggregateNode(Plan):
@@ -1117,24 +1177,32 @@ class AggregateNode(Plan):
     group already seen, so nothing is emitted until the input is
     drained.
 
-    **One fold, two sources.**  :meth:`_fold` consumes ``(key, args,
-    label, ilabel)`` — the group key, one argument value per aggregate,
-    the row's labels — which is all aggregation needs of a row:
-    :meth:`_keyed` zips them out of the batch-compiled key and argument
-    *columns* (no row is ever built), and a spilled partition replays
-    exactly those tuples.  A group's labels skip the union while the
-    incoming label is the interned one it already holds.  A **global**
-    aggregate has no per-row loop at all (:meth:`_fold_columns`), and a
-    fold with no aggregates no per-row accumulator loop.
+    **One fold, two sources, a batch at a time.**  :meth:`_fold`
+    consumes ``(keys, args, labels, ilabels)`` per batch — every row's
+    group key, one argument column per aggregate, the rows' labels —
+    which is all aggregation needs of a row: :meth:`_keyed` reads them
+    from the batch-compiled key and argument columns (no row is ever
+    built), and a spilled partition replays each block's key and value
+    columns as exactly that.  Every row gets a dense group id in
+    first-seen order (one ``map`` per batch over a dict whose misses
+    number the next group, in C); each aggregate keeps one state list
+    indexed by group id (:data:`_KERNELS`) and folds the batch's
+    argument column into it; labels and ilabels union once per distinct
+    ``(group id, label)`` pair of the batch.  The resident groups leave
+    as batches sliced from the key columns and the state lists.  A
+    **global** aggregate is the same kernels' whole-column forms over
+    one group (:meth:`_fold_columns`).
 
     **Memory bound (grace hash aggregation).**  Group state is charged
-    against ``ctx.work_mem`` as groups are created (key bytes + one
-    :data:`AGG_STATE_BYTES` accumulator per spec + hash-entry
-    overhead).  When creating one more group would overflow, already-
-    resident groups keep accumulating in memory — they absorb their
-    remaining input rows at full speed — while rows for *new* keys
-    hash-partition to disk through :class:`GroupSpill`; each partition
-    is then re-aggregated recursively (fresh salt per level, same
+    against ``ctx.work_mem`` as groups are created, in row order (key
+    bytes + :data:`AGG_STATE_BYTES` per spec — a slot in each state
+    list — + hash-entry overhead): a batch's new keys are charged
+    through running totals, and the first whose charge overflows is
+    found by ``bisect`` (:meth:`_admit`).  From there, already-resident
+    groups keep accumulating in memory — they absorb their remaining
+    input rows at full speed — while rows for *new* keys hash-partition
+    to disk through :class:`GroupSpill`; each partition is then
+    re-aggregated recursively (fresh salt per level, same
     fanout/termination scheme as the grace join).  A key is therefore
     either entirely resident or entirely spooled, so no group is ever
     counted twice.  Resident groups emit in first-seen order; spilled
@@ -1154,109 +1222,126 @@ class AggregateNode(Plan):
         self.global_agg = global_agg
 
     def _fold(self, ctx, source, depth: int):
-        """Fold ``(key, args, label, ilabel)`` tuples into per-group
-        state — ``[label, ilabel, accumulators]``, first-seen order —
-        grace-spilling new groups past the budget; yields result rows.
+        """Fold ``(key_columns, args, labels, ilabels)`` batches into
+        per-group state — ids in first-seen order, a label and an
+        ilabel per group, one kernel per aggregate — grace-spilling
+        new groups past the budget; yields the result batches.
 
         This is the one place a result row comes to stand for several
         input rows, so the one place their labels union.  Once
         admitting one more group would overflow, ``spill`` opens and
-        every *new* key is spooled; resident groups keep absorbing
-        their rows."""
-        groups: dict = {}
-        specs = self.specs
-        budget = ctx.work_mem
-        overhead = AGG_STATE_BYTES * len(specs) + BUCKET_ENTRY_BYTES
-        mem = 0
-        spill: Optional[GroupSpill] = None
+        every row of a *new* key is spooled, in input order; resident
+        groups keep absorbing their rows."""
+        groups: dict = defaultdict()
+        groups.default_factory = groups.__len__    # a miss is a new group
+        kernels = [spec.kernel() for spec in self.specs]
+        labels, ilabels = [], []
+        mem, spill = 0, None
         try:
-            for key, args, label, ilabel in source:
-                group = groups.get(key)
-                if group is None:
-                    if spill is None and budget:
-                        mem += estimate_row_bytes(key) + overhead
-                        if mem > budget and groups and depth < MAX_RECURSION:
-                            spill = GroupSpill(ctx.spools, salt=depth,
-                                               depth=depth)
-                    if spill is not None:
-                        spill.add(key, args, label, ilabel)
-                        continue
-                    group = groups[key] = [
-                        label, ilabel,
-                        [s.make() for s in specs] if specs else ()]
-                else:                     # union only where it adds a tag
-                    held = group[0]
-                    if label is not held and not label.issubset(held):
-                        group[0] = held.union(label)
-                    held = group[1]
-                    if ilabel is not held and not ilabel.issubset(held):
-                        group[1] = held.union(ilabel)
-                if specs:                 # DISTINCT folds no arguments
-                    for accumulator, value in zip(group[2], args):
-                        accumulator.add(value)
-            for key, (label, ilabel, accumulators) in groups.items():
-                yield [*key, *map(_result, accumulators)], label, ilabel
+            for key_columns, args, row_labels, row_ilabels in source:
+                keys = list(column_rows(key_columns, len(row_labels)))
+                if ctx.work_mem and spill is None:
+                    mem, spill = self._admit(ctx, groups, keys, mem, depth)
+                if spill is None:
+                    gids = list(map(groups.__getitem__, keys))
+                else:
+                    gids = list(map(groups.get, keys))
+                    resident = [gid is not None for gid in gids]
+                    if not all(resident):
+                        rows = zip(keys, column_rows(args, len(keys)),
+                                   row_labels, row_ilabels)
+                        spill.add(compress(rows, map(_not, resident)))
+                        gids, row_labels, row_ilabels, *args = [
+                            list(compress(column, resident)) for column
+                            in (gids, row_labels, row_ilabels, *args)]
+                size = len(groups)
+                _union_labels(labels, gids, row_labels, size)
+                _union_labels(ilabels, gids, row_ilabels, size)
+                for kernel, column in zip(kernels, args):
+                    kernel.grow(size)
+                    if None in column:
+                        keep = [value is not None for value in column]
+                        column = list(compress(column, keep))
+                        kernel.fold(list(compress(gids, keep)), column)
+                    else:
+                        kernel.fold(gids, column)
+            done = RowBatch([*zip(*groups), *(k.results() for k in kernels)],
+                            labels, ilabels)
+            for lo in range(0, len(done), self.batch_size):
+                yield done.select(range(lo, lo + self.batch_size))
             if spill is not None:
                 yield from self._spilled_groups(ctx, spill, depth)
         finally:
-            # An accumulator TypeError (or an abandoned iterator) must
-            # not leak the partition spools; close is idempotent.
+            # A kernel's TypeError (or an abandoned iterator) must not
+            # leak the partition spools; close is idempotent.
             if spill is not None:
                 spill.close()
 
+    def _admit(self, ctx, groups: dict, keys: list, mem: int, depth: int):
+        """Give a batch's new keys group ids, in first-seen order, while
+        the budget holds: ``(mem, spill)`` after charging each
+        ``estimate_row_bytes(key)`` + :data:`AGG_STATE_BYTES` per spec
+        + :data:`BUCKET_ENTRY_BYTES`.  The first key whose charge takes
+        the running total past ``ctx.work_mem`` opens ``spill`` and gets
+        no id, nor does any key after it — unless it would be the first
+        group, or the fold is :data:`MAX_RECURSION` deep."""
+        fresh = list(filterfalse(groups.__contains__, dict.fromkeys(keys)))
+        overhead = AGG_STATE_BYTES * len(self.specs) + BUCKET_ENTRY_BYTES
+        totals = list(accumulate([estimate_row_bytes(key) + overhead
+                                  for key in fresh], initial=mem))
+        admitted = len(fresh)
+        if totals[-1] > ctx.work_mem and depth < MAX_RECURSION:
+            # The first group is admitted whatever it weighs.
+            overflow = bisect_right(totals, ctx.work_mem) - 1
+            admitted = max(overflow, 0 if groups else 1)
+        groups.update(zip(fresh[:admitted], count(len(groups))))
+        return totals[admitted], None if admitted == len(fresh) \
+            else GroupSpill(ctx.spools, salt=depth, depth=depth)
+
     def _fold_columns(self, ctx):
-        """Global aggregate: every accumulator folds the
-        whole argument column (``COUNT(*)`` is the batch length) and
-        labels union once per distinct label per batch."""
-        accumulators = [s.make() for s in self.specs]
+        """Global aggregate: the kernels' whole-column forms over one
+        group (``COUNT`` is the batch length, ``SUM`` a ``reduce``,
+        ``MIN``/``MAX`` one ``min``/``max``), labels unioned once per
+        distinct label per batch."""
+        kernels = [spec.kernel() for spec in self.specs]
+        for kernel in kernels:
+            kernel.grow(1)
         label = ilabel = EMPTY_LABEL
         for batch in self.child.batches(ctx):
-            for held in set(batch.labels):
-                if not held.issubset(label):
-                    label = label.union(held)
-            for held in set(batch.ilabels):
-                if not held.issubset(ilabel):
-                    ilabel = ilabel.union(held)
-            for accumulator, column in zip(accumulators,
-                                           self._arg_columns(batch, ctx)):
-                accumulator.add_column(column)
-        yield [a.result() for a in accumulators], label, ilabel
+            label = reduce(Label.union, set(batch.labels), label)
+            ilabel = reduce(Label.union, set(batch.ilabels), ilabel)
+            for kernel, column in zip(kernels, self._arg_columns(batch, ctx)):
+                kernel.whole([value for value in column if value is not None]
+                             if None in column else column)
+        yield RowBatch([k.results() for k in kernels], [label], [ilabel])
 
     def _arg_columns(self, batch: RowBatch, ctx) -> List[list]:
         return [[_STAR] * len(batch) if spec.arg_fn is None
                 else spec.arg_fn(batch, ctx) for spec in self.specs]
 
     def _spilled_groups(self, ctx, spill, depth):
-        """Finalized result rows of every grace partition, each folded
-        on its own (its keys are disjoint from every other's).  A
-        partition replays as the zipped key/argument columns of its
-        blocks, the form :meth:`_keyed` feeds the fold."""
+        """Result batches of every grace partition, each folded on its
+        own (its keys are disjoint from every other's).  A partition
+        replays its blocks as they are: a block's key columns are the
+        group key columns and its value columns the argument columns
+        :meth:`_keyed` fed the fold."""
         for spool in spill.spools:
             if spool.count:
-                replay = chain.from_iterable(
-                    zip(column_rows(key_columns, len(labels)),
-                        column_rows(columns, len(labels)), labels, ilabels)
-                    for key_columns, columns, labels, ilabels
-                    in spool.blocks())
-                yield from self._fold(ctx, replay, depth + 1)
+                yield from self._fold(ctx, spool.blocks(), depth + 1)
             else:
                 spool.close()
 
     def _keyed(self, ctx):
-        """The fold's input, straight from columns."""
+        """The fold's input, straight from columns: the key and
+        argument columns and the labels, a batch at a time."""
         for batch in self.child.batches(ctx):
-            keys = [fn(batch, ctx) for fn in self.group_fns]
-            args = self._arg_columns(batch, ctx)
-            yield from zip(zip(*keys) if keys else repeat(()),
-                           zip(*args) if args else repeat(()),
-                           batch.labels, batch.ilabels)
+            yield ([fn(batch, ctx) for fn in self.group_fns],
+                   self._arg_columns(batch, ctx), batch.labels, batch.ilabels)
 
     def batches(self, ctx):
         if self.global_agg:
-            rows = self._fold_columns(ctx)
-        else:
-            rows = self._fold(ctx, self._keyed(ctx), 0)
-        return _row_batches(rows, self.batch_size)
+            return self._fold_columns(ctx)
+        return self._fold(ctx, self._keyed(ctx), 0)
 
 
 class Project(Plan):

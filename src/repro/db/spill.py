@@ -65,12 +65,13 @@ MAX_RECURSION = 6
 #: Estimated dict-entry overhead per build row (bucket list slot, key
 #: tuple, hash-table share), on top of :func:`estimate_row_bytes`.
 BUCKET_ENTRY_BYTES = 96
-#: Estimated footprint of one per-group aggregate accumulator
-#: (``physical._Count``/``_Sum``/``_Best``: a slotted object plus a few
-#: boxed fields, or a distinct-tracking set seed).  Charged per aggregate spec per
-#: group by both the runtime budget check and the optimizer's
-#: grace-aggregation estimate, so they agree on what group state
-#: weighs.
+#: Estimated footprint of one aggregate's state for one group: its slot
+#: in each of the aggregate's per-group state lists (a pointer and the
+#: boxed value it holds — a count, a running sum, a best value), plus a
+#: share of the ``(group, value)`` set of a DISTINCT aggregate.  Charged
+#: per aggregate spec per group by both the runtime budget check and
+#: the optimizer's grace-aggregation estimate, so they agree on what
+#: group state weighs.
 AGG_STATE_BYTES = 120
 
 
@@ -655,11 +656,13 @@ class GroupSpill:
         else:
             tally().repartitions += 1
 
-    def add(self, key: tuple, values, label: Label, ilabel: Label) -> None:
-        spool = self.spools[hash((self.salt, key)) % len(self.spools)]
-        if not spool.count:
-            tally().agg_partitions += 1
-        spool.append(key, values, label, ilabel)
+    def add(self, rows) -> None:
+        """Spool ``(key, values, label, ilabel)`` rows, in order."""
+        for key, values, label, ilabel in rows:
+            spool = self.spools[hash((self.salt, key)) % len(self.spools)]
+            if not spool.count:
+                tally().agg_partitions += 1
+            spool.append(key, values, label, ilabel)
 
     def close(self) -> None:
         """Release every spool's temp file (idempotent); consumers call

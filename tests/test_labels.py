@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import labels
 from repro.core.labels import EMPTY_LABEL, Label, as_label
 
 tag_sets = st.sets(st.integers(min_value=1, max_value=40), max_size=8)
@@ -64,6 +65,54 @@ class TestLabelAlgebra:
 
     def test_union_combines(self):
         assert Label([1]).union(Label([2])) == Label([1, 2])
+
+    def test_union_returns_the_operand_that_covers_the_other(self):
+        low, high = Label([1]), Label([1, 2])
+        assert low.union(high) is high
+        assert high.union(low) is high
+        assert EMPTY_LABEL.union(low) is low
+        assert low.union(EMPTY_LABEL) is low
+        assert low.union(low) is low
+
+    def test_union_memo_stops_inserting_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(labels, "_UNIONS", {})
+        monkeypatch.setattr(labels, "_UNION_CAP", 3)
+        pairs = [(Label([100 + i]), Label([200 + i])) for i in range(5)]
+        for a, b in pairs:
+            assert a.union(b) == Label(a | b)
+        assert list(labels._UNIONS) == pairs[:3]
+        # Past the cap a pair is still answered, just not remembered;
+        # a remembered pair is answered from the memo.
+        a, b = pairs[0]
+        assert a.union(b) is labels._UNIONS[(a, b)]
+        assert pairs[4][0].union(pairs[4][1]) == Label([104, 204])
+        assert len(labels._UNIONS) == 3
+        # Covering operands never reach the memo.
+        assert a.union(a.union(b)) is labels._UNIONS[(a, b)]
+        assert len(labels._UNIONS) == 3
+
+    def test_equal_labels_that_are_not_identical_union_equally(
+            self, monkeypatch):
+        """Past ``_INTERN_CAP`` equal labels are distinct objects: the
+        unions (and the memo keyed on them) still agree."""
+        monkeypatch.setattr(labels, "_INTERNED", {})
+        monkeypatch.setattr(labels, "_INTERN_CAP", 0)
+        monkeypatch.setattr(labels, "_UNIONS", {})
+        a1, a2 = Label([301, 302]), Label([302, 301])
+        b1, b2 = Label([303]), Label([303])
+        assert a1 == a2 and a1 is not a2 and b1 is not b2
+        assert a1.union(b1) == a2.union(b2) == a1.union(b2) \
+            == Label([301, 302, 303])
+        assert a1.union(a2) == a1
+        assert type(a2.union(b1)) is Label
+
+    def test_union_with_a_plain_iterable(self):
+        label = Label([1, 2])
+        assert label.union([3, 1]) == Label([1, 2, 3])
+        assert type(label.union([3])) is Label
+        assert label.union((2,)) is label
+        assert EMPTY_LABEL.union({4}) is Label([4])
+        assert label.union(frozenset([1, 2, 5])) == Label([1, 2, 5])
 
     def test_with_tag_idempotent(self):
         label = Label([1])

@@ -22,12 +22,16 @@ Covers the PR-8 operator family end-to-end through the session layer:
   across spilled runs;
 * LIMIT/OFFSET edges (LIMIT 0, OFFSET beyond the input, a limit
   exactly on a batch boundary) agree across the row and batch
-  executors.
+  executors;
+* a spilled, re-partitioning fold returns the rows, labels, ilabels
+  and spill counters recorded for it, at every batch size.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
     counters
@@ -426,7 +430,7 @@ PARITY_QUERIES = (
     ("SELECT a.id, b.id, b.w FROM a JOIN b ON a.k = b.k", False),
     ("SELECT a.id, a.s, b.id FROM a LEFT JOIN b ON a.k = b.k "
      "AND b.id > 3", False),
-    # Grace aggregation with DISTINCT accumulators.
+    # Grace aggregation with DISTINCT aggregates.
     ("SELECT g, COUNT(DISTINCT k), COUNT(*), SUM(v), MIN(s) FROM a "
      "GROUP BY g", False),
     # DISTINCT below its sort: the keys are total over the distinct
@@ -505,6 +509,119 @@ def test_spill_parity_matrix():
             for field in ("spills", "agg_spills", "sort_spills"):
                 assert after[field] > before[field], \
                     (work_mem, batch_size, field)
+
+
+# ---------------------------------------------------------------------------
+# the spilled fold, pinned: rows, labels, ilabels and counters
+# ---------------------------------------------------------------------------
+
+def _pinned_stack(batch_size):
+    """48 rows over 16 groups, written under five (secrecy, integrity)
+    label pairs, read by a session that covers every secrecy tag.
+    Group keys are ints only, so partition routing does not depend on
+    the process's string or ``None`` hashes."""
+    authority = AuthorityState(idgen=SeededIdGenerator(59))
+    db = Database(authority, seed=59, work_mem=512, batch_size=batch_size)
+    owner = authority.create_principal("owner").id
+    secret = [authority.create_tag("s%d" % i, owner=owner).id
+              for i in range(3)]
+    vouch = [authority.create_tag("i%d" % i, owner=owner,
+                                  kind="integrity").id for i in range(2)]
+    names = {tag: "s%d" % i for i, tag in enumerate(secret)}
+    names.update((tag, "i%d" % i) for i, tag in enumerate(vouch))
+    writers = []
+    for s, i in ((None, None), (0, None), (1, 0), (2, 1), (0, 1)):
+        process = IFCProcess(authority, owner)
+        if s is not None:
+            process.add_secrecy(secret[s])
+        if i is not None:
+            process.endorse(vouch[i])
+        writers.append(db.connect(process))
+    writers[0].execute("CREATE TABLE a (id INT PRIMARY KEY, g INT, k INT,"
+                       " v INT)")
+    rng = random.Random(59)
+    for n in range(48):
+        writers[rng.randrange(len(writers))].execute(
+            "INSERT INTO a VALUES (?, ?, ?, ?)",
+            (n, rng.randrange(16), None if n % 7 == 0 else rng.randrange(5),
+             rng.randrange(100)))
+    reader = IFCProcess(authority, owner)
+    for tag in secret:
+        reader.add_secrecy(tag)
+    return db.connect(reader), names
+
+
+#: (statement, rows in output order as (values, label, ilabel) with tags
+#: by name, the statement's spill counters), recorded from the per-row
+#: fold this engine had before the fold went batch-at-a-time.
+PINNED_SPILLS = (
+    ("SELECT g, COUNT(*), SUM(v), COUNT(DISTINCT k) FROM a GROUP BY g",
+     [((2, 3, 199, 2), ("s0",), ()),
+      ((10, 6, 362, 4), ("s0", "s1"), ("i0", "i1")),
+      ((7, 6, 292, 4), ("s0",), ("i1",)),
+      ((1, 2, 160, 1), ("s0", "s1"), ("i0",)),
+      ((13, 3, 99, 2), ("s0", "s1"), ("i0", "i1")),
+      ((4, 2, 109, 1), ("s0",), ()),
+      ((15, 3, 144, 2), ("s1", "s2"), ("i0", "i1")),
+      ((6, 1, 95, 0), (), ()),
+      ((3, 3, 163, 1), ("s1",), ("i0",)),
+      ((12, 2, 156, 2), ("s0",), ("i1",)),
+      ((0, 6, 238, 4), ("s1", "s2"), ("i0", "i1")),
+      ((9, 3, 276, 3), ("s0", "s2"), ("i1",)),
+      ((14, 2, 83, 2), ("s0",), ()),
+      ((11, 3, 98, 2), ("s0", "s1"), ("i0", "i1")),
+      ((5, 3, 143, 2), ("s0", "s1", "s2"), ("i0", "i1"))],
+     {"agg_spills": 1, "agg_partitions": 14, "repartitions": 7,
+      "rows_spilled": 68, "bytes_spilled": 3991}),
+    ("SELECT DISTINCT g % 4, v % 5 FROM a",
+     [((2, 3), ("s0",), ()),
+      ((0, 3), ("s2",), ("i1",)),
+      ((1, 4), ("s1", "s2"), ("i0", "i1")),
+      ((3, 4), (), ()),
+      ((2, 0), ("s0",), ()),
+      ((3, 1), ("s0",), ("i1",)),
+      ((1, 1), ("s0",), ()),
+      ((1, 3), ("s1", "s2"), ("i0", "i1")),
+      ((3, 3), ("s0", "s1"), ("i0",)),
+      ((2, 2), ("s0", "s1"), ("i0", "i1")),
+      ((3, 0), ("s0", "s1", "s2"), ("i0", "i1")),
+      ((0, 0), ("s0", "s1"), ("i0",)),
+      ((1, 0), ("s0", "s1"), ("i0", "i1")),
+      ((0, 2), ("s0", "s2"), ("i1",)),
+      ((2, 1), (), ()),
+      ((2, 4), ("s0",), ("i1",)),
+      ((3, 2), (), ()),
+      ((0, 4), ("s0",), ())],
+     {"agg_spills": 1, "agg_partitions": 11, "repartitions": 2,
+      "rows_spilled": 47, "bytes_spilled": 2435}),
+)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 1024])
+def test_spilled_fold_is_pinned(batch_size):
+    """A GROUP BY with two aggregates and a DISTINCT one, and a SELECT
+    DISTINCT, under a 512-byte budget that spills and re-partitions:
+    the rows in output order (resident groups first-seen, then the
+    partitions), their labels and integrity labels, and every spill
+    counter are what they were recorded as, at every batch size."""
+    session, names = _pinned_stack(batch_size)
+    db = session.db
+
+    def named(label):
+        return tuple(sorted(names[tag] for tag in label))
+
+    for sql, rows, spilled in PINNED_SPILLS:
+        before = counters.snapshot()["spill"]
+        prepared = db.prepare_select(db.parse(sql), sql)
+        with session._autocommit():
+            got = [(tuple(values), named(label), named(ilabel))
+                   for batch in prepared.plan.batches(session._context(()))
+                   for values, label, ilabel
+                   in zip(batch.rows(), batch.labels, batch.ilabels)]
+        after = counters.snapshot()["spill"]
+        assert got == rows, sql
+        assert {field: after[field] - before[field]
+                for field in spilled} == spilled, sql
 
 
 def test_merge_compares_tagged_when_runs_disagree_on_key_types():
