@@ -50,10 +50,12 @@ def _notpm(*, ifc_enabled: bool, tags: int, storage: dict) -> float:
         db.buffer_cache.reset()
         commits_before = workload.stats.new_order_commits
         gc.collect()
+        io_before = counters.snapshot()["simulated_io_time"]
         start = time.perf_counter()
         workload.run(TXNS)
         wall = time.perf_counter() - start
-        effective = wall + db.buffer_cache.stats.io_time
+        io_time = counters.snapshot()["simulated_io_time"] - io_before
+        effective = wall + io_time
         commits = workload.stats.new_order_commits - commits_before
         best = max(best, commits / (effective / 60.0))
     return best

@@ -28,6 +28,7 @@ from ..apps.cartel import (
     build_portal,
     install_driveupdate_trigger,
 )
+from ..core import counters
 from ..core.authority import AuthorityState
 from ..core.idgen import SeededIdGenerator
 from ..db import session as dbsession
@@ -203,13 +204,13 @@ def measure_service_demands(stack: CarTelStack, repeats: int = 20,
         db_samples = []
         for _ in range(repeats):
             request = stack.request(rng, path)
-            io_before = stack.db.buffer_cache.stats.io_time
+            io_before = counters.snapshot()["simulated_io_time"]
             with db_time_meter() as meter:
                 start = time.perf_counter()
                 response = stack.web.handle(request)
                 elapsed = time.perf_counter() - start
             assert response.status == 200, (path, response.status)
-            io_delta = stack.db.buffer_cache.stats.io_time - io_before
+            io_delta = counters.snapshot()["simulated_io_time"] - io_before
             db_samples.append(meter["time"] + io_delta)
             web_samples.append(max(0.0, elapsed - meter["time"]))
         # Medians: request handling is microseconds-scale, where GC and

@@ -2,11 +2,14 @@
 
 Everything the engine counts — the label-rule invocations the paper's
 cost argument is made of (section 7.1), index probes, executor cells,
-spill traffic, statistics sweeps, WAL writes — is one row of
+spill traffic, statistics sweeps, WAL writes, statements and rows
+written, buffer-cache page traffic (section 8.3) — is one row of
 :data:`SCHEMA`.  A counter is added by adding a row; storage, the
-``Database.stats()`` report, per-statement deltas, EXPLAIN ANALYZE's
-labels and the noninterference test's low set (:data:`LOW`) all derive
-from it.
+``Database.stats()`` report, per-statement deltas (:func:`delta`),
+EXPLAIN ANALYZE's labels and the noninterference test's low set
+(:data:`LOW`) all derive from it.  Named views nest a counter under its
+group; a row whose group is ``None`` sits at the top level under its
+field.
 
 The hot paths do ``tally().field += 1``: :func:`tally` is the calling
 thread's :class:`Tally`, one slotted object holding every counter, so
@@ -32,15 +35,16 @@ from __future__ import annotations
 
 import os
 import threading
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Dict
 
 SUM, MAX = "sum", "max"
 
 #: ``(group, field, kind, EXPLAIN ANALYZE label, low/high)``, in report
-#: order.  A ``None`` label keeps the counter off operator and
-#: statement-total lines.  Field names are unique across groups (they
-#: are the slots of one object).
+#: order.  A ``None`` group puts the counter at the top level of every
+#: named view, its field being its report name; a ``None`` label keeps
+#: it off operator and statement-total lines.  Field names are unique
+#: across groups (they are the slots of one object).
 SCHEMA = (
     # -- labels: core/rules.py and the scan leaf --------------------------
     # Invocations of the two hot-path predicates, memo hits and
@@ -116,6 +120,26 @@ SCHEMA = (
     ("wal", "commits", SUM, "wal_commits", "high"),
     ("wal", "commit_flushes", SUM, "wal.commit_flushes", "high"),
     ("wal", "group_commit_size", MAX, None, "high"),
+    # -- top level: db/session.py -----------------------------------------
+    # Statements run through ``Session.execute_statement`` — a tracked
+    # one is counted before its bracket opens, so its own delta holds
+    # only the statements its triggers and functions ran — and rows
+    # written by INSERT, UPDATE and DELETE.  All low: UPDATE and DELETE
+    # reach only tuples the scans let through, INSERT writes the rows
+    # its source produced, and triggers fire per row written.
+    (None, "statements_executed", SUM, "statements", "low"),
+    (None, "rows_inserted", SUM, "inserted", "low"),
+    (None, "rows_updated", SUM, "updated", "low"),
+    (None, "rows_deleted", SUM, "deleted", "low"),
+    # -- top level: db/pages.py -------------------------------------------
+    # Buffer-cache page hits and misses, LRU evictions, and the
+    # simulated I/O seconds the misses charged (the one float counter;
+    # EXPLAIN ANALYZE prints it in milliseconds).  All high: a hidden
+    # tuple's page is touched like any other.
+    (None, "buffer_hits", SUM, "buffer.hits", "high"),
+    (None, "buffer_misses", SUM, "buffer.misses", "high"),
+    (None, "buffer_evictions", SUM, "buffer.evictions", "high"),
+    (None, "simulated_io_time", SUM, "io", "high"),
 )
 
 #: ``(group, field)`` per :func:`read` slot.
@@ -179,8 +203,26 @@ def _fold(into: Tally, state: Tally) -> None:
                 else held + value)
 
 
-def snapshot() -> Dict[str, Dict[str, int]]:
-    """Cross-thread totals, ``{group: {field: value}}``.  Tallies of
+def _named(values) -> Dict[str, object]:
+    """Values in :data:`CELLS` order as ``{group: {field: value}}``,
+    with a ``None`` group's counters as top-level ``{field: value}``."""
+    out: Dict[str, object] = {}
+    for (group, field), value in zip(CELLS, values):
+        if group is None:
+            out[field] = value
+        else:
+            out.setdefault(group, {})[field] = value
+    return out
+
+
+def delta(before: tuple, after: tuple) -> Dict[str, object]:
+    """What was counted between two :func:`read` calls, named like
+    :func:`snapshot`: a statement's, a block's or an operator's counts."""
+    return _named(map(sub, after, before))
+
+
+def snapshot() -> Dict[str, object]:
+    """Cross-thread totals, named (see :func:`_named`).  Tallies of
     threads that have exited are folded into the base and dropped, so
     the live list stays bounded by the number of live threads."""
     total = Tally()
@@ -194,10 +236,7 @@ def snapshot() -> Dict[str, Dict[str, int]]:
             else:
                 _fold(_base, state)
         _states[:] = live
-    out: Dict[str, Dict[str, int]] = {}
-    for group, field in CELLS:
-        out.setdefault(group, {})[field] = getattr(total, field)
-    return out
+    return _named(_slots(total))
 
 
 def reset() -> None:

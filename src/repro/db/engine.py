@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import counters
@@ -45,7 +44,7 @@ from .catalog import (
     ViewDef,
 )
 from .expressions import Scope
-from .metrics import AuditLog, SlowQueryLog, StatementStats
+from .metrics import Ring, StatementStats
 from .pages import BufferCache
 from .physical import (
     DEFAULT_BATCH_SIZE,
@@ -90,14 +89,8 @@ class PreparedInsert:
         self.select = select
 
 
-#: One ``Database.read_counters()`` slot per entry: the counter
-#: schema's cells, then the database's own buffer-cache stats.
-_BUFFER_FIELDS = ("hits", "misses", "evictions", "io_time")
-_read_buffer = attrgetter(*_BUFFER_FIELDS)
-METRICS_CELLS = counters.CELLS + tuple(
-    ("buffer", field) for field in _BUFFER_FIELDS)
-_SPILL_BYTES_CELL = METRICS_CELLS.index(("spill", "bytes_spilled"))
-_SUPPRESSED_CELL = METRICS_CELLS.index(("labels", "rows_suppressed"))
+_SPILL_BYTES_CELL = counters.CELLS.index(("spill", "bytes_spilled"))
+_SUPPRESSED_CELL = counters.CELLS.index(("labels", "rows_suppressed"))
 
 #: Entries the parse cache and the plan cache may each hold.  A workload of
 #: all-distinct texts (inlined literals) would otherwise grow them one
@@ -213,28 +206,22 @@ class Database:
         self._plan_cache: Dict[object, Tuple] = {}
         self._plan_epoch: Optional[Tuple[int, int]] = None
         self._stats_probe = 0
-        # Activity counters (read by benchmarks and tests).
-        self.statements_executed = 0
-        self.rows_inserted = 0
-        self.rows_updated = 0
-        self.rows_deleted = 0
         self._sequences: Dict[str, int] = {}
         # -- observability (core/counters.py, db/metrics.py) -------------
-        # The counter schema plus this database's buffer-cache stats
-        # form the per-statement counter space: sessions bracket every
-        # tracked statement with two flat-tuple reads
+        # Sessions bracket every tracked statement with two reads of
+        # the calling thread's counters
         # (``_begin_statement``/``_finish_statement``) and the deltas
         # feed the statement aggregate, the slow-query log, and the
         # audit trail.
         self.statement_stats = StatementStats()
         # Slow-query threshold in milliseconds; 0 disables the log.
         self.slow_query_ms = max(0.0, float(slow_query_ms))
-        self.slow_queries = SlowQueryLog()
+        self.slow_queries = Ring(128)
         # IFC audit trail: opt-in ring buffer (capacity in events;
         # 0 disables).  Off by default — it records facts (e.g.
         # suppressed-row counts) that must not flow back to confined
         # processes.
-        self.audit = AuditLog(audit_log) if audit_log else None
+        self.audit = Ring(audit_log) if audit_log else None
         # -- durability (db/wal.py) --------------------------------------
         # ``wal`` is a log file path (or an open log); ``None`` → no WAL.
         self.wal: Optional[wal_mod.WriteAheadLog] = None
@@ -255,10 +242,6 @@ class Database:
         #: the next commit record (sequences are non-transactional, so
         #: they ride along rather than get their own records).
         self._wal_dirty_seqs: Dict[str, int] = {}
-        #: Commits applied by replay; ``recover`` refuses to run once
-        #: ``txn_manager.commits`` has moved past this (new local
-        #: commits would make the watermark meaningless).
-        self._wal_replay_commits = 0
         self._last_statement = None
         # Statement collectors (statement_stats / slow_queries / audit)
         # are shared by every session on this database;
@@ -724,36 +707,16 @@ class Database:
     # ------------------------------------------------------------------
     # metrics (db/metrics.py)
     # ------------------------------------------------------------------
-    def metrics_cells(self) -> List[Tuple[str, str]]:
-        """``(group, field)`` names, one per :meth:`read_counters` slot:
-        the schema's cells, then this database's buffer-cache stats
-        (per-``Database`` state, so not part of the per-thread tally)."""
-        return list(METRICS_CELLS)
-
-    def read_counters(self) -> tuple:
-        """The calling thread's counters plus this database's buffer
-        cache as a flat tuple — the read that brackets every statement
-        and every EXPLAIN ANALYZE ``next()``."""
-        return counters.read() + _read_buffer(self.buffer_cache.stats)
-
-    def counter_delta(self, before: tuple,
-                      after: tuple) -> Dict[str, Dict[str, int]]:
-        """Named nested delta between two :meth:`read_counters` reads."""
-        out: Dict[str, Dict[str, int]] = {}
-        for i, (group, field) in enumerate(METRICS_CELLS):
-            out.setdefault(group, {})[field] = after[i] - before[i]
-        return out
-
     def _begin_statement(self) -> Tuple[float, tuple]:
         """Start of per-statement tracking: wall clock + counter read."""
-        return (time.perf_counter(), self.read_counters())
+        return (time.perf_counter(), counters.read())
 
     def _finish_statement(self, track: Tuple[float, tuple], statement,
                           rowcount: int) -> None:
         """End of per-statement tracking: aggregate into the statement
         stats, the slow-query log, and the audit trail.  Hot path — a
         handful of microseconds per statement."""
-        after = self.read_counters()
+        after = counters.read()
         started, before = track
         elapsed = time.perf_counter() - started
         self._last_statement = (before, after, elapsed, rowcount)
@@ -767,14 +730,15 @@ class Database:
                                         after[cell] - before[cell])
             threshold = self.slow_query_ms
             if threshold and elapsed * 1000.0 >= threshold:
-                self.slow_queries.record(key, elapsed * 1000.0, rowcount,
-                                         self.counter_delta(before, after))
+                self.slow_queries.record(
+                    statement=key, elapsed_ms=elapsed * 1000.0,
+                    rows=rowcount, counters=counters.delta(before, after))
             audit = self.audit
             if audit is not None:
                 cell = _SUPPRESSED_CELL
                 suppressed = after[cell] - before[cell]
                 if suppressed:
-                    audit.record("rows_suppressed", statement=key,
+                    audit.record(kind="rows_suppressed", statement=key,
                                  count=suppressed)
 
     def _audit_denial(self, statement, error) -> None:
@@ -783,7 +747,8 @@ class Database:
         if audit is None:
             return
         with self._stats_lock:
-            audit.record("write_denied", statement=_statement_key(statement),
+            audit.record(kind="write_denied",
+                         statement=_statement_key(statement),
                          error=str(error))
 
     def last_statement_metrics(self) -> Optional[Dict[str, object]]:
@@ -793,7 +758,7 @@ class Database:
         if self._last_statement is None:
             return None
         before, after, elapsed, rowcount = self._last_statement
-        named: Dict[str, object] = self.counter_delta(before, after)
+        named = counters.delta(before, after)
         named["elapsed_ms"] = elapsed * 1000.0
         named["rows"] = rowcount
         return named
@@ -802,29 +767,39 @@ class Database:
     # statistics
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        cache = self.buffer_cache.stats
-        # The schema's groups (labels/index/exec/spill/stats/wal) are
-        # process-wide: with several Database instances in one process
-        # they aggregate across them — diff before/after around the
-        # work of interest, or read last_statement_metrics() /
-        # statement_stats for attributed numbers.
-        report: Dict[str, object] = dict(counters.snapshot())
+        """Every counter of the schema (``counters.snapshot()``: a dict
+        per group, a ``None``-group counter at the top level under its
+        field — ``statements_executed``, ``rows_inserted``/``_updated``/
+        ``_deleted``, ``buffer_hits``/``_misses``/``_evictions``,
+        ``simulated_io_time``), then what this database holds now:
+
+        * ``statements`` — the per-fingerprint aggregate, and
+          ``statements_dropped``, statements it refused once full;
+        * ``slow_queries`` — the slow-query log's entries;
+          ``audit_events`` — audit events ever recorded (0 when off);
+        * ``commits``, ``aborts``, ``versions_reclaimed``,
+          ``reclaim_pending`` — the transaction manager's;
+        * ``tables_analyzed`` — the tables that have statistics;
+          ``polyinstantiated`` — per table, inserts that went in beside
+          an invisible duplicate key.
+
+        The counters are process-wide and per-thread: with several
+        ``Database`` instances in one process they aggregate across
+        them — diff two reports around the work of interest, or read
+        ``last_statement_metrics()`` / ``statements`` for attributed
+        numbers.
+        """
+        txns = self.txn_manager
+        report = counters.snapshot()
         report.update({
             "statements": self.statement_stats.snapshot(),
-            "statements_executed": self.statements_executed,
+            "statements_dropped": self.statement_stats.dropped,
             "slow_queries": self.slow_queries.snapshot(),
             "audit_events": self.audit.total if self.audit else 0,
-            "rows_inserted": self.rows_inserted,
-            "rows_updated": self.rows_updated,
-            "rows_deleted": self.rows_deleted,
-            "commits": self.txn_manager.commits,
-            "aborts": self.txn_manager.aborts,
-            "versions_reclaimed": self.txn_manager.versions_reclaimed,
-            "reclaim_pending": self.txn_manager.reclaim_pending,
-            "buffer_hits": cache.hits,
-            "buffer_misses": cache.misses,
-            "buffer_hit_rate": cache.hit_rate,
-            "simulated_io_time": cache.io_time,
+            "commits": txns.commits,
+            "aborts": txns.aborts,
+            "versions_reclaimed": txns.versions_reclaimed,
+            "reclaim_pending": txns.reclaim_pending,
             "tables_analyzed": self.stats_manager.analyzed(),
             "polyinstantiated": {
                 t.name: t.polyinstantiation_count

@@ -1,24 +1,23 @@
 """Statement-level collectors and the EXPLAIN ANALYZE recorder.
 
 What the engine counts is declared once, in
-:mod:`repro.core.counters` (the schema, the per-thread tally and its
-``snapshot``/``reset``/``merge``/``read``); ``Database.read_counters()``
-appends this database's buffer-cache cells to that flat read, and
-``counter_delta()`` / ``last_statement_metrics()`` are the one way
-counters are attributed to a statement or a block, for the engine,
-``EXPLAIN ANALYZE``, tests and benchmarks alike.  On top of it live
-the collectors the engine owns per :class:`~repro.db.engine.Database`:
+:mod:`repro.core.counters`: the schema, the per-thread tally, and
+``read()`` / ``delta(before, after)``, the one way counters are
+attributed to a statement or a block — by the engine
+(``Database.last_statement_metrics()``), ``EXPLAIN ANALYZE``, tests and
+benchmarks alike.  On top of it live the collectors the engine owns per
+:class:`~repro.db.engine.Database`:
 
 * :class:`StatementStats` — a pg_stat_statements-style aggregate keyed
   on the statement fingerprint (:func:`repro.sql.lexer.fingerprint`:
   calls, total/mean/max time, rows, spill bytes), surfaced as
   ``Database.stats()["statements"]``;
-* :class:`SlowQueryLog` — a ring buffer of statements that exceeded
-  ``Database(slow_query_ms=…)``, each with its counter deltas;
-* :class:`AuditLog` — the opt-in IFC audit trail: rows suppressed by
-  the Label Confinement Rule, declassifying-view invocations, and
-  write-rule denials (``IFCViolation``), so the paper's security
-  semantics are observable, not just enforced;
+* :class:`Ring` — a bounded log, twice over: the slow-query log
+  (statements that exceeded ``Database(slow_query_ms=…)``, each with
+  its counter deltas) and the opt-in IFC audit trail (rows suppressed
+  by the Label Confinement Rule, declassifying-view invocations, and
+  write-rule denials), so the paper's security semantics are
+  observable, not just enforced;
 * :class:`PlanRecorder` — the ``EXPLAIN ANALYZE`` instrumentation: it
   shallow-copies the (stateless-between-executions) plan tree, wraps
   every node in an :class:`OpProbe`, and attributes rows, batches,
@@ -32,7 +31,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.counters import SCHEMA
+from ..core.counters import CELLS, SCHEMA, read
 from . import physical as _physical
 
 _perf_counter = time.perf_counter
@@ -43,7 +42,9 @@ class StatementStats:
 
     Entries are mutable 5-lists ``[calls, total_s, max_s, rows,
     spill_bytes]`` so the per-statement record is a dict hit plus five
-    in-place adds; :meth:`snapshot` shapes them for consumption.
+    in-place adds; :meth:`snapshot` shapes them for consumption.  Once
+    ``capacity`` keys are held, a statement under a new key is not
+    recorded but counted in ``dropped``.
     """
 
     __slots__ = ("entries", "capacity", "dropped")
@@ -83,105 +84,70 @@ class StatementStats:
             }
         return out
 
-    def reset(self) -> None:
-        self.entries.clear()
-        self.dropped = 0
 
+class Ring:
+    """A bounded log: the last ``capacity`` entries, each a flat dict,
+    and ``total``, every entry ever recorded.
 
-class SlowQueryLog:
-    """Ring buffer of statements that exceeded the slow-query
-    threshold, each carrying its per-statement counter deltas."""
+    A slow-query entry is ``statement`` (the fingerprint),
+    ``elapsed_ms``, ``rows`` and ``counters`` (the statement's named
+    counter deltas).  An audit event carries a ``kind``:
 
-    __slots__ = ("entries", "total")
-
-    def __init__(self, capacity: int = 128):
-        self.entries: deque = deque(maxlen=capacity)
-        self.total = 0
-
-    def record(self, statement: str, elapsed_ms: float, rows: int,
-               delta: Dict[str, Dict[str, int]]) -> None:
-        self.total += 1
-        self.entries.append({
-            "statement": statement,
-            "elapsed_ms": elapsed_ms,
-            "rows": rows,
-            "counters": delta,
-        })
-
-    def snapshot(self) -> List[dict]:
-        return list(self.entries)
-
-    def reset(self) -> None:
-        self.entries.clear()
-        self.total = 0
-
-
-class AuditLog:
-    """Opt-in IFC audit trail (ring buffer).
-
-    Event kinds and fields:
-
-    * ``rows_suppressed`` — ``statement`` (normalized SQL), ``count``:
-      tuples the statement's scans rejected under the Label
-      Confinement Rule (section 4.2);
+    * ``rows_suppressed`` — ``statement``, ``count``: tuples the
+      statement's scans rejected under the Label Confinement Rule
+      (section 4.2);
     * ``declassify_view`` — ``view``, ``tags``: a declassifying view's
       scan ran (its authority re-validated) for one execution
       (section 4.3);
     * ``write_denied`` — ``statement``, ``error``: a write-rule or
       commit-label denial (``IFCViolation``, sections 4.2/5.1).
 
-    The log is observability for the *trusted* embedder — it records
-    facts (suppressed-row counts) that must not flow back to the
-    confined process that triggered them, which is why it is off by
-    default and never surfaced through SQL.
+    The audit trail is observability for the *trusted* embedder — it
+    records facts (suppressed-row counts) that must not flow back to
+    the confined process that triggered them, which is why it is off
+    by default and never surfaced through SQL.
     """
 
-    __slots__ = ("events", "total")
+    __slots__ = ("entries", "total")
 
-    def __init__(self, capacity: int = 1024):
-        self.events: deque = deque(maxlen=capacity)
+    def __init__(self, capacity: int):
+        self.entries: deque = deque(maxlen=capacity)
         self.total = 0
 
-    def record(self, kind: str, **fields) -> None:
+    def record(self, **fields) -> None:
         self.total += 1
-        event = {"kind": kind}
-        event.update(fields)
-        self.events.append(event)
+        self.entries.append(fields)
 
     def of_kind(self, kind: str) -> List[dict]:
-        return [e for e in self.events if e["kind"] == kind]
+        return [e for e in self.entries if e.get("kind") == kind]
 
     def snapshot(self) -> List[dict]:
-        return list(self.events)
-
-    def reset(self) -> None:
-        self.events.clear()
-        self.total = 0
+        return list(self.entries)
 
 
 # ---------------------------------------------------------------------------
 # EXPLAIN ANALYZE instrumentation
 # ---------------------------------------------------------------------------
 
-#: EXPLAIN ANALYZE's name for each counter the schema shows (hidden
-#: ones are absent; the per-database ``buffer`` cells are rendered by
-#: :meth:`PlanRecorder._format_counters` itself).
-_ANALYZE = {(group, field): label
-            for group, field, _kind, label, _level in SCHEMA if label}
+#: EXPLAIN ANALYZE's name for each counter slot (``None``: hidden).
+_LABELS = tuple(label for _group, _field, _kind, label, _level in SCHEMA)
+_SUPPRESSED = CELLS.index(("labels", "rows_suppressed"))
+_SEGMENTS = CELLS.index(("exec", "segments_scanned"))
+_COVERS = CELLS.index(("labels", "covers_calls"))
 
 
 class OpStats:
     """Actuals for one plan operator: rows/batches emitted, inclusive
-    wall seconds, and inclusive counter deltas (one slot per recorder
+    wall seconds, and inclusive counter deltas (one slot per schema
     cell)."""
 
     __slots__ = ("rows", "batches", "seconds", "counters")
 
-    def __init__(self, ncells: int):
+    def __init__(self):
         self.rows = 0
         self.batches = 0
         self.seconds = 0.0
-        self.counters = [0] * ncells
+        self.counters = [0] * len(CELLS)
 
 
 class OpProbe:
@@ -195,16 +161,14 @@ class OpProbe:
     figures.
     """
 
-    __slots__ = ("inner", "stats", "read")
+    __slots__ = ("inner", "stats")
 
-    def __init__(self, inner, stats: OpStats, read: Callable[[], tuple]):
+    def __init__(self, inner, stats: OpStats):
         self.inner = inner
         self.stats = stats
-        self.read = read
 
     def _wrap(self, iterator, per_item: Callable[[OpStats, object], None]):
         stats = self.stats
-        read = self.read
         counters = stats.counters
         while True:
             started = _perf_counter()
@@ -249,10 +213,7 @@ class PlanRecorder:
     rendering walks the original (cached) tree.
     """
 
-    def __init__(self, db):
-        self.db = db
-        self.cells: List[Tuple[str, str]] = db.metrics_cells()
-        self.read: Callable[[], tuple] = db.read_counters
+    def __init__(self):
         self._stats: Dict[int, Tuple[object, OpStats]] = {}
         self.total: Optional[List] = None
         self._started = 0.0
@@ -263,9 +224,9 @@ class PlanRecorder:
         clone = copy.copy(plan)
         for attr in plan.CHILDREN:
             setattr(clone, attr, self.instrument(getattr(plan, attr)))
-        stats = OpStats(len(self.cells))
+        stats = OpStats()
         self._stats[id(plan)] = (plan, stats)
-        return OpProbe(clone, stats, self.read)
+        return OpProbe(clone, stats)
 
     def stats_of(self, plan) -> Optional[OpStats]:
         entry = self._stats.get(id(plan))
@@ -273,12 +234,12 @@ class PlanRecorder:
 
     # -- statement-total bracket ---------------------------------------
     def start(self) -> None:
-        self._before = self.read()
+        self._before = read()
         self._started = _perf_counter()
 
     def finish(self) -> None:
         elapsed = _perf_counter() - self._started
-        after = self.read()
+        after = read()
         before = self._before
         self.total = [elapsed,
                       [after[i] - before[i] for i in range(len(before))]]
@@ -296,24 +257,14 @@ class PlanRecorder:
                 counters[i] -= value
         return counters
 
-    def _format_counters(self, counters: List) -> str:
-        parts = []
-        touches = 0
-        for (group, field), value in zip(self.cells, counters):
-            if not value:
-                continue
-            if group != "buffer":
-                if (group, field) in _ANALYZE:
-                    parts.append("%s=%s" % (_ANALYZE[group, field], value))
-            elif field == "io_time":
-                parts.append("io=%.3fms" % (value * 1000.0))
-            elif field == "evictions":
-                parts.append("buffer.evictions=%d" % value)
-            else:                          # hits + misses
-                touches += value
-        if touches:
-            parts.insert(0, "touches=%d" % touches)
-        return "".join(" " + part for part in parts)
+    @staticmethod
+    def _format_counters(counters: List) -> str:
+        """`` label=value`` per shown, non-zero counter; the one float
+        counter (simulated I/O seconds) in milliseconds."""
+        return "".join(
+            " %s=%.3fms" % (label, value * 1000.0)
+            if isinstance(value, float) else " %s=%d" % (label, value)
+            for label, value in zip(_LABELS, counters) if label and value)
 
     def render_plan(self, plan, indent: int = 0) -> List[str]:
         """The original tree's EXPLAIN lines, each annotated with the
@@ -333,15 +284,11 @@ class PlanRecorder:
                 # counters omit zeros) and how many label checks a
                 # candidate segment cost it — its distinct labels
                 # set-at-a-time, its versions in the per-version loop.
-                if not exclusive[self.cells.index(
-                        ("labels", "rows_suppressed"))]:
+                if not exclusive[_SUPPRESSED]:
                     actual += " suppressed=0"
-                segments = exclusive[self.cells.index(
-                    ("exec", "segments_scanned"))]
-                checks = exclusive[self.cells.index(
-                    ("labels", "covers_calls"))]
+                segments = exclusive[_SEGMENTS]
                 actual += " labels/batch=%.1f" % (
-                    checks / segments if segments else 0.0)
+                    exclusive[_COVERS] / segments if segments else 0.0)
             line += "  (%s)" % actual
         lines = [line]
         for child in plan.children():
@@ -349,7 +296,7 @@ class PlanRecorder:
         return lines
 
     def render_summary(self) -> List[str]:
-        """Statement-total lines (the registry's per-statement delta —
+        """Statement-total lines (the statement's counter delta —
         per-operator exclusive figures sum to exactly this)."""
         if self.total is None:
             return []

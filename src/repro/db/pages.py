@@ -10,7 +10,7 @@ number of tuples per page and increasing I/O and buffer-cache pressure
 * reads go through a global LRU :class:`BufferCache` with a bounded
   number of page frames;
 * each cache miss charges a configurable *I/O penalty* (simulated
-  seconds) to the engine's I/O clock.
+  seconds) to the ``simulated_io_time`` counter.
 
 Benchmarks compute throughput against ``wall_time + simulated_io_time``,
 so the in-memory configuration (cache larger than the database) and the
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Optional, Tuple
+
+from ..core.counters import tally
 
 PageKey = Tuple[str, int]
 
@@ -46,36 +48,14 @@ class HeapPageAllocator:
         return self._current_page
 
 
-class BufferCacheStats:
-    """Hit/miss counters plus the simulated I/O clock."""
-
-    __slots__ = ("hits", "misses", "evictions", "io_time")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.io_time = 0.0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.accesses
-        return self.hits / total if total else 1.0
-
-
 class BufferCache:
     """A global LRU cache of page frames.
 
     ``capacity=None`` models a database that fits in memory: every page
-    is resident, no misses are charged after first touch is also free
-    (the paper's in-memory DBT-2 configuration is fully cached).
+    is resident and every access a hit (the paper's in-memory DBT-2
+    configuration is fully cached).  Hits, misses, evictions and the
+    simulated I/O seconds the misses charge are counted on the calling
+    thread's tally (``core/counters.py``).
     """
 
     def __init__(self, capacity: Optional[int] = None,
@@ -83,68 +63,42 @@ class BufferCache:
         self.capacity = capacity
         self.io_penalty = io_penalty
         self._frames: "OrderedDict[PageKey, None]" = OrderedDict()
-        self.stats = BufferCacheStats()
 
-    def touch(self, table: str, page_id: int) -> bool:
-        """Access a page; returns True on a hit.
-
-        With unbounded capacity the access is free (always a hit): the
-        point of the unbounded mode is an in-memory database where page
-        residency never changes behaviour.
-        """
-        if self.capacity is None:
-            self.stats.hits += 1
-            return True
-        key = (table, page_id)
-        frames = self._frames
-        if key in frames:
-            frames.move_to_end(key)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        self.stats.io_time += self.io_penalty
-        frames[key] = None
-        if len(frames) > self.capacity:
-            frames.popitem(last=False)
-            self.stats.evictions += 1
-        return False
-
-    def touch_run(self, table: str, page_id: int, count: int) -> bool:
+    def touch_run(self, table: str, page_id: int, count: int) -> None:
         """Access the same page ``count`` times with one frame operation.
 
         Heap tuples are laid out consecutively, so a scan batch touches
         each page in a *run*; this charges the run with exactly the
-        counters ``count`` sequential :meth:`touch` calls would have
-        produced — a resident page yields ``count`` hits, an absent page
+        counters ``count`` one-page accesses would have produced — a
+        resident page yields ``count`` hits, an absent page
         one miss (with its I/O penalty) followed by ``count - 1`` hits,
         and at most one insertion/eviction — while doing a single dict
-        probe.  ``hit_rate()`` is therefore identical whichever way
-        the scan leaf charges a chunk.
+        probe.  The hit rate is therefore identical whichever way the
+        scan leaf charges a chunk.
         """
         if count <= 0:
-            return True
+            return
+        counts = tally()
         if self.capacity is None:
-            self.stats.hits += count
-            return True
+            counts.buffer_hits += count
+            return
         key = (table, page_id)
         frames = self._frames
         if key in frames:
             frames.move_to_end(key)
-            self.stats.hits += count
-            return True
-        self.stats.misses += 1
-        self.stats.io_time += self.io_penalty
-        self.stats.hits += count - 1
+            counts.buffer_hits += count
+            return
+        counts.buffer_misses += 1
+        counts.buffer_hits += count - 1
+        counts.simulated_io_time += self.io_penalty
         frames[key] = None
         if len(frames) > self.capacity:
             frames.popitem(last=False)
-            self.stats.evictions += 1
-        return False
+            counts.buffer_evictions += 1
 
     def reset(self) -> None:
-        """Drop all frames and zero the statistics."""
+        """Drop every frame: the next access to any page misses."""
         self._frames.clear()
-        self.stats.reset()
 
     def __len__(self) -> int:
         return len(self._frames)

@@ -449,7 +449,7 @@ def _check_view_authority(ctx: ExecContext, view_grants) -> None:
     declassifying view enclosing a scan or an index-join probe (it may
     have been revoked since planning), and record the IFC audit trail's
     one ``declassify_view`` event per view per statement (see
-    :class:`repro.db.metrics.AuditLog`)."""
+    :class:`repro.db.metrics.Ring`)."""
     audit = ctx.session.db.audit
     for view, tags in view_grants:
         for tag_id in tags:
@@ -459,7 +459,7 @@ def _check_view_authority(ctx: ExecContext, view_grants) -> None:
                     "(revoked?)" % (view.name, tag_id))
         if audit is not None and view.name not in ctx.audited_views:
             ctx.audited_views.add(view.name)
-            audit.record("declassify_view", view=view.name,
+            audit.record(kind="declassify_view", view=view.name,
                          tags=tuple(sorted(tags)))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..core.counters import tally
 from ..core.labels import EMPTY_LABEL, Label
 from ..core.rules import covers, same_contamination
 from ..errors import (
@@ -119,8 +120,6 @@ class Session:
             process.attach_session(self)
         self._acting_stack: List[ActingContext] = [ProcessActing(process)]
         self.transaction = None
-        self._autocommit_depth = 0
-        self.statements_executed = 0
 
     # ------------------------------------------------------------------
     # acting context
@@ -246,9 +245,8 @@ class Session:
 
     def execute_statement(self, statement, params: Tuple,
                           sql: Optional[str] = None) -> Result:
-        self.statements_executed += 1
+        tally().statements_executed += 1
         db = self.db
-        db.statements_executed += 1
         # SELECT/INSERT/UPDATE/DELETE are *tracked*: the engine diffs a
         # counter read around each one (statement stats, slow-query
         # log, per-statement audit attribution).  Everything else —
@@ -335,7 +333,7 @@ class Session:
         """
         from .metrics import PlanRecorder
         db = self.db
-        recorder = PlanRecorder(db)
+        recorder = PlanRecorder()
         if isinstance(inner, ast.Select):
             prepared = db.prepare_select(inner, None)
             plan = recorder.instrument(prepared.plan)
@@ -446,7 +444,7 @@ class Session:
 
         version = table.append(values, label, ilabel, txn.xid)
         txn.record_write(table, version.tid, version.label, "insert")
-        self.db.rows_inserted += 1
+        tally().rows_inserted += 1
 
         fire_triggers(self.db, self, table, INSERT, AFTER, None, values,
                       statement_label)
@@ -537,7 +535,7 @@ class Session:
             txn.record_write(table, new_version.tid, new_version.label,
                              "update", prev_tid=version.tid)
             count += 1
-            self.db.rows_updated += 1
+            tally().rows_updated += 1
             fire_triggers(self.db, self, table, UPDATE, AFTER,
                           version.values, new_values, statement_label)
             fire_triggers(self.db, self, table, UPDATE, DEFERRED,
@@ -593,7 +591,7 @@ class Session:
             table.stamp(version, txn.xid)
             txn.record_write(table, version.tid, version.label, "delete")
             count += 1
-            self.db.rows_deleted += 1
+            tally().rows_deleted += 1
             fire_triggers(self.db, self, table, DELETE, AFTER,
                           version.values, None, statement_label)
             fire_triggers(self.db, self, table, DELETE, DEFERRED,

@@ -243,7 +243,7 @@ class Table:
     # ------------------------------------------------------------------
     def touch(self, version: TupleVersion) -> None:
         """Charge a page access for examining this version."""
-        self._buffer_cache.touch(self.name, version.page_id)
+        self._buffer_cache.touch_run(self.name, version.page_id, 1)
 
     def touch_segment(self, segment: Segment) -> None:
         """Charge a segment to the buffer cache by page run.

@@ -439,7 +439,6 @@ def _apply_commit(db, record: tuple) -> None:
         db.txn_manager.abort(txn)
         raise
     db.txn_manager.commit(txn)
-    db._wal_replay_commits += 1
     for name, value in seqs.items():
         if value > db._sequences.get(name, 0):
             db._sequences[name] = value

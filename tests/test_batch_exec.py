@@ -37,7 +37,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.core.counters import tally
 from repro.core.labels import EMPTY_LABEL, Label
 from repro.db import Database
@@ -45,6 +46,20 @@ from repro.db import expressions as ex
 from repro.db import physical
 from repro.db.pages import BufferCache
 from repro.db.spill import Spools
+
+
+#: The buffer cache's counters: top-level cells of a counter delta.
+BUFFER = ("buffer_hits", "buffer_misses", "buffer_evictions",
+          "simulated_io_time")
+
+
+def _buffer(delta):
+    return tuple(delta[field] for field in BUFFER)
+
+
+def _accesses(delta):
+    """Pages the buffer cache was asked for, hits and misses."""
+    return delta["buffer_hits"] + delta["buffer_misses"]
 
 
 def _stack(batch_size, **db_kwargs):
@@ -255,14 +270,12 @@ def test_exists_over_a_big_table_stops_at_the_first_row():
     many rows the subquery could return."""
     db, session = _big_table()
     assert db.catalog.get_table("big").pages > 100
-    db.buffer_cache.reset()
     rows = session.execute(
         "SELECT 1 WHERE EXISTS (SELECT id FROM big WHERE v >= 0)").rows
     assert len(rows) == 1
-    assert db.buffer_cache.stats.accesses <= 2
-    db.buffer_cache.reset()
+    assert _accesses(db.last_statement_metrics()) <= 2
     assert session.execute("SELECT 1 WHERE 3 IN (SELECT id FROM big)").rows
-    assert db.buffer_cache.stats.accesses <= 8
+    assert _accesses(db.last_statement_metrics()) <= 8
 
 
 def test_scalar_subquery_raises_on_its_second_row():
@@ -272,10 +285,10 @@ def test_scalar_subquery_raises_on_its_second_row():
         "SELECT (SELECT v FROM big WHERE id = 9)").scalar() == 2
     assert session.execute(
         "SELECT (SELECT v FROM big WHERE id = -1)").scalar() is None
-    db.buffer_cache.reset()
+    before = counters.read()
     with pytest.raises(DatabaseError, match="more than one row"):
         session.execute("SELECT (SELECT v FROM big)")
-    assert db.buffer_cache.stats.accesses == 2
+    assert _accesses(counters.delta(before, counters.read())) == 2
 
 
 def test_mvcc_fast_path_falls_back_after_delete():
@@ -291,13 +304,15 @@ def test_mvcc_fast_path_falls_back_after_delete():
 
 def test_touch_run_counters_identical_to_per_version_touch():
     """The batched buffer accounting charges page runs; counter for
-    counter it must equal the per-version sequence (hit_rate pins)."""
+    counter it must equal the per-version sequence."""
     sequence = ([("a", 0)] * 5 + [("a", 1)] * 3 + [("b", 0)] * 4
                 + [("a", 0)] * 2 + [("a", 2)] + [("b", 0)] * 6)
     for capacity in (None, 2, 8):
+        before = counters.read()
         per_touch = BufferCache(capacity=capacity, io_penalty=0.5)
         for table, page in sequence:
-            per_touch.touch(table, page)
+            per_touch.touch_run(table, page, 1)
+        middle = counters.read()
         runs = BufferCache(capacity=capacity, io_penalty=0.5)
         run_key, run_len = None, 0
         for key in sequence:
@@ -308,10 +323,9 @@ def test_touch_run_counters_identical_to_per_version_touch():
                     runs.touch_run(run_key[0], run_key[1], run_len)
                 run_key, run_len = key, 1
         runs.touch_run(run_key[0], run_key[1], run_len)
-        for field in ("hits", "misses", "evictions", "io_time"):
-            assert getattr(runs.stats, field) \
-                == getattr(per_touch.stats, field), (capacity, field)
-        assert runs.stats.hit_rate == per_touch.stats.hit_rate
+        charged = _buffer(counters.delta(middle, counters.read()))
+        assert charged == _buffer(counters.delta(before, middle)), capacity
+        assert charged[0] + charged[1] == len(sequence)     # hits + misses
         assert len(runs) == len(per_touch)
 
 
@@ -320,12 +334,13 @@ def test_batched_scan_buffer_stats_match_row_mode():
                                         page_size=256)
     db_bat, _p2, secret_bat, _ = _stack(16, buffer_pages=4, io_penalty=0.25,
                                         page_size=256)
+    charged = []
     for db, session in ((db_row, secret_row), (db_bat, secret_bat)):
         db.buffer_cache.reset()
         session.execute("SELECT * FROM m WHERE v < 10")
-    for field in ("hits", "misses", "evictions", "io_time"):
-        assert getattr(db_bat.buffer_cache.stats, field) \
-            == getattr(db_row.buffer_cache.stats, field), field
+        charged.append(_buffer(db.last_statement_metrics()))
+    assert charged[0] == charged[1]
+    assert charged[0][1] > 0                 # the cold cache missed
 
 
 def test_scan_predicate_names_the_columns_it_reads():
@@ -394,12 +409,11 @@ def _join_counters(batch_size):
     db, _public, secret, _ = _stack(batch_size, work_mem=0)
     plan_lines = [r[0] for r in secret.execute("EXPLAIN " + SELF_JOIN)]
     assert any("IndexLoopJoin" in line for line in plan_lines), plan_lines
-    db.buffer_cache.reset()
     rows = secret.execute(SELF_JOIN).rows
     delta = db.last_statement_metrics()
     return (rows,
             delta["index"]["lookups"],
-            db.buffer_cache.stats.accesses,
+            _accesses(delta),
             delta["labels"]["covers_calls"])
 
 
@@ -553,8 +567,9 @@ def test_leaf_routines_agree_on_everything_but_label_check_counts(
         # visible() of every version, so it never counts a frozen one.
         assert loop["exec"].pop("segments_frozen") == 0
         sets["exec"].pop("segments_frozen")
-        for group in ("buffer", "index", "exec"):
+        for group in ("index", "exec"):
             assert loop[group] == sets[group], (sql, group)
+        assert _buffer(loop) == _buffer(sets), sql
         # The singleton keys repeat one label chunk after chunk, which
         # only the per-version loop checks every time.
         assert loop["labels"]["covers_calls"] \
@@ -914,7 +929,7 @@ def test_plain_scan_counts_are_sums_over_chunks():
     # page-run accounting, evictions and simulated I/O included.
     row_db, row_reader = _pin_stack(1)
     _rows, row_delta = _pin_delta(row_db, row_reader, "SELECT id, v FROM pin")
-    assert delta["buffer"] == row_delta["buffer"]
+    assert _buffer(delta) == _buffer(row_delta)
     assert row_delta["labels"]["covers_calls"] == PIN_ROWS
     assert row_delta["labels"]["rows_suppressed"] \
         == delta["labels"]["rows_suppressed"]
@@ -933,8 +948,7 @@ def test_limit_abandons_the_scan_after_whole_chunks():
     assert delta["labels"]["rows_suppressed"] == sum(c[2] for c in consumed)
     assert delta["exec"]["columns_materialized"] \
         == sum(c[1] for c in consumed)
-    assert delta["buffer"]["hits"] + delta["buffer"]["misses"] \
-        == 2 * PIN_BATCH
+    assert _accesses(delta) == 2 * PIN_BATCH
 
 
 @pytest.mark.parametrize("sql, scans, kernel_less", [

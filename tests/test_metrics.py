@@ -51,10 +51,11 @@ def _fresh(**kwargs):
 # the counter schema and the per-thread tally
 # ---------------------------------------------------------------------------
 
-#: What ``Database.stats()`` nests by group and ``metrics_cells()``
-#: lists, pinned from the commit before the schema existed: the tracked
-#: benchmark resolves its per-layer metrics through these names.  A
-#: counter added to the schema is added here (and to ARCHITECTURE.md).
+#: ``counters.CELLS``: what ``Database.stats()`` nests by group, and
+#: its top-level counters (group ``None``), pinned from the commit
+#: before the schema existed: the tracked benchmark resolves its
+#: per-layer metrics through these names.  A counter added to the
+#: schema is added here (and to ARCHITECTURE.md).
 PINNED_CELLS = [
     ("labels", "covers_calls"), ("labels", "strip_calls"),
     ("labels", "rows_suppressed"),
@@ -70,21 +71,36 @@ PINNED_CELLS = [
     ("wal", "records"), ("wal", "bytes"), ("wal", "flushes"),
     ("wal", "fsyncs"), ("wal", "commits"), ("wal", "commit_flushes"),
     ("wal", "group_commit_size"),
+    (None, "statements_executed"), (None, "rows_inserted"),
+    (None, "rows_updated"), (None, "rows_deleted"),
+    (None, "buffer_hits"), (None, "buffer_misses"),
+    (None, "buffer_evictions"), (None, "simulated_io_time"),
 ]
-PINNED_BUFFER_CELLS = [("buffer", "hits"), ("buffer", "misses"),
-                       ("buffer", "evictions"), ("buffer", "io_time")]
+
+#: What ``Database.stats()`` reports beside the counters: state the
+#: database holds, not events it counted.
+STATE = {"statements", "statements_dropped", "slow_queries",
+         "audit_events", "commits", "aborts", "versions_reclaimed",
+         "reclaim_pending", "tables_analyzed", "polyinstantiated"}
 
 
-def test_stats_and_metrics_cells_keep_the_pinned_names():
+def test_stats_and_schema_cells_keep_the_pinned_names():
     db, _public, _secret, _tag, _a, _o = _fresh()
-    assert db.metrics_cells() == PINNED_CELLS + PINNED_BUFFER_CELLS
-    report = db.stats()
-    groups = dict.fromkeys(group for group, _field in PINNED_CELLS)
-    assert list(report)[:len(groups)] == list(groups)
-    assert [(group, field) for group in groups
-            for field in report[group]] == PINNED_CELLS
-    assert "buffer" not in report          # flat buffer_hits/_misses only
     assert list(counters.CELLS) == PINNED_CELLS
+    report = db.stats()
+    groups = [group for group in dict.fromkeys(
+        group for group, _field in PINNED_CELLS) if group]
+    assert list(report)[:len(groups)] == groups
+    cells = []
+    for key, value in report.items():
+        if key in groups:
+            cells.extend((key, field) for field in value)
+        elif key not in STATE:
+            cells.append((None, key))
+    assert cells == PINNED_CELLS
+    assert set(report) == set(groups) | STATE | {
+        field for group, field in PINNED_CELLS if group is None}
+    assert "buffer" not in report          # flat buffer_hits/_misses only
 
 
 def _doc_table(name):
@@ -105,7 +121,8 @@ def test_architecture_documents_exactly_the_schema():
     """The counter table and the EXPLAIN ANALYZE glossary are renderings
     of the schema: a counter, a label or a low/high mark added to one
     and not the other fails here."""
-    documented = [(group.strip("`"), field.strip("`"), kind,
+    documented = [(None if group == "—" else group.strip("`"),
+                   field.strip("`"), kind,
                    None if label == "hidden" else label.strip("`"),
                    level.strip("*"))
                   for group, field, kind, label, level, _counts
@@ -118,9 +135,8 @@ def test_architecture_documents_exactly_the_schema():
                 for name in re.findall(r"`([^`]+)`", row[0])}
     labels = {row[3] for row in counters.SCHEMA if row[3]}
     # What an operator line carries besides schema counters: its own
-    # actuals, the scan's label-check rate and the buffer cells.
-    extras = {"rows", "batches", "time", "labels/batch", "touches",
-              "buffer.evictions", "io"}
+    # actuals and the scan's label-check rate.
+    extras = {"rows", "batches", "time", "labels/batch"}
     assert glossary == labels | extras
 
 
@@ -145,30 +161,31 @@ def test_reset_zeroes_the_live_tally():
 
 def test_counter_delta_captures_named_deltas_and_nothing_else():
     db, public, _secret, _tag, _a, _o = _fresh()
-    before = db.read_counters()
+    before = counters.read()
     tally().covers_calls += 2
     tally().rows_widened += 7
-    delta = db.counter_delta(before, db.read_counters())
+    tally().buffer_hits += 3
+    delta = counters.delta(before, counters.read())
     assert delta["labels"]["covers_calls"] == 2
     assert delta["exec"]["rows_widened"] == 7
     assert delta["index"]["lookups"] == 0
-    assert delta["buffer"]["misses"] == 0
+    assert delta["buffer_hits"] == 3 and delta["buffer_misses"] == 0
     # The per-statement bracket is the same read, taken by the engine:
     # bumps made outside the statement are not in its delta.
     public.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-    public.execute("INSERT INTO t VALUES (1)")
+    public.execute("INSERT INTO t VALUES (1), (2)")
     last = db.last_statement_metrics()
     assert last["exec"]["rows_widened"] == 0
-    assert last["elapsed_ms"] >= 0.0 and last["rows"] == 1
+    assert last["elapsed_ms"] >= 0.0 and last["rows"] == 2
+    assert last["rows_inserted"] == 2
+    assert last["statements_executed"] == 0   # counted before the bracket
 
 
 def test_read_is_the_calling_threads_tally_in_cell_order():
     tally().covers_calls += 3
     tally().fsyncs += 2
     flat = counters.read()
-    named = counters.snapshot()
-    assert list(flat) == [named[group][field]
-                          for group, field in counters.CELLS]
+    assert counters.delta((0,) * len(flat), flat) == counters.snapshot()
     seen = []
     thread = threading.Thread(target=lambda: seen.append(counters.read()))
     thread.start()
@@ -359,6 +376,20 @@ def test_statement_stats_aggregate_under_normalized_keys():
     assert not any(key.startswith("CREATE") for key in statements)
 
 
+def test_statements_past_the_aggregates_capacity_are_reported_dropped():
+    db, public, _secret, _tag, _a, _o = _fresh()
+    db.statement_stats.capacity = 2
+    public.execute("CREATE TABLE t (id INT PRIMARY KEY)")     # untracked
+    public.execute("INSERT INTO t VALUES (1)")
+    public.execute("SELECT id FROM t")
+    for i in range(3):                     # a third key, never admitted
+        public.execute("SELECT id FROM t WHERE id = %d" % i)
+    report = db.stats()
+    assert sorted(report["statements"]) == ["INSERT INTO t VALUES ( ? )",
+                                            "SELECT id FROM t"]
+    assert report["statements_dropped"] == 3
+
+
 def test_stats_report_includes_all_counter_families():
     """Satellite fix: the old report omitted rules/index counters."""
     db, public, secret, _tag, _a, _o = _fresh()
@@ -383,7 +414,7 @@ def test_last_statement_metrics_names_every_cell_group():
     assert delta["elapsed_ms"] >= 0.0
     assert delta["exec"]["columns_materialized"] == 2
     assert delta["exec"]["segments_scanned"] == 1
-    assert "buffer" in delta               # per-Database buffer cells
+    assert delta["buffer_hits"] == 1 and delta["buffer_misses"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +513,7 @@ def test_audit_declassify_view_is_one_event_whatever_the_join(indexed):
     plan = [r[0] for r in reader.execute("EXPLAIN SELECT * FROM pq")]
     assert any(("IndexLoopJoin" if indexed else "HashJoin") in line
                for line in plan), plan
-    db.audit.reset()
+    db.audit.entries.clear()
     assert len(reader.execute("SELECT * FROM pq").rows) == 40
     assert [e["view"] for e in db.audit.of_kind("declassify_view")] == ["pq"]
     # Once per statement, not once per database.
@@ -521,7 +552,7 @@ def test_audit_off_by_default_and_capacity_bounded():
     for i in range(5):
         secret2.execute("INSERT INTO t VALUES (?)", (i,))
         public2.execute("SELECT * FROM t")
-    assert len(db2.audit.events) == 2          # ring buffer capacity
+    assert len(db2.audit.entries) == 2         # ring buffer capacity
     assert db2.audit.total == 5                # but every event counted
 
 
@@ -594,3 +625,37 @@ def test_statement_metrics_isolated_across_threads():
         thread.join(60)
     if failures:
         raise failures[0]
+
+
+def test_a_statements_buffer_delta_leaves_out_other_threads_scans():
+    """Regression: buffer-cache counts were per-``Database`` state that
+    every statement bracket read whole, so a one-row point read whose
+    SQL function made another thread scan the table (and waited for
+    it) reported that scan's page hits as its own — 201 instead of 1.
+    As schema counters they are per-thread like every other cell."""
+    db, public, _secret, _tag, authority, owner = _fresh()
+    public.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    for i in range(200):
+        public.execute("INSERT INTO t VALUES (?, ?)", (i, i))
+    scanner = db.connect(IFCProcess(authority, owner.id))
+
+    def scan_elsewhere(value):
+        thread = threading.Thread(target=scanner.execute,
+                                  args=("SELECT v FROM t",))
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive()
+        return value
+
+    db.create_function("scan_elsewhere", scan_elsewhere)
+    buffer = ("buffer_hits", "buffer_misses", "buffer_evictions",
+              "simulated_io_time")
+    public.execute("SELECT v FROM t WHERE id = 7")
+    alone = db.last_statement_metrics()
+    assert alone["buffer_hits"] == 1
+    assert public.execute(
+        "SELECT scan_elsewhere(v) FROM t WHERE id = 7").rows[0][0] == 7
+    together = db.last_statement_metrics()
+    assert [together[cell] for cell in buffer] \
+        == [alone[cell] for cell in buffer]
+    assert db.stats()["buffer_hits"] >= 200 + 2   # the scan still counts

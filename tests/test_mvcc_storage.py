@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import IFCProcess, Label
+from repro.core import IFCProcess, Label, counters
 from repro.db import Database
 from repro.db.pages import BufferCache, HeapPageAllocator
 
@@ -96,24 +96,29 @@ class TestPageModel:
         assert versions[0].size == versions[1].size
 
 
+def _charged(touches):
+    """The counter delta of touching ``(cache, page)`` pairs in order."""
+    before = counters.read()
+    for cache, page in touches:
+        cache.touch_run("t", page, 1)
+    return counters.delta(before, counters.read())
+
+
 class TestBufferCache:
     def test_unbounded_cache_never_misses(self):
         cache = BufferCache(capacity=None)
-        for i in range(100):
-            cache.touch("t", i)
-        assert cache.stats.misses == 0
+        delta = _charged((cache, i) for i in range(100))
+        assert delta["buffer_misses"] == 0
+        assert delta["buffer_hits"] == 100
 
     def test_lru_eviction_and_penalty(self):
         cache = BufferCache(capacity=2, io_penalty=0.5)
-        cache.touch("t", 1)
-        cache.touch("t", 2)
-        cache.touch("t", 1)          # hit
-        cache.touch("t", 3)          # evicts 2 (LRU)
-        cache.touch("t", 2)          # miss again
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 4
-        assert cache.stats.evictions == 2
-        assert cache.stats.io_time == pytest.approx(2.0)
+        # 1, 2, 1 (hit), 3 (evicts 2, the LRU page), 2 (a miss again)
+        delta = _charged((cache, page) for page in (1, 2, 1, 3, 2))
+        assert delta["buffer_hits"] == 1
+        assert delta["buffer_misses"] == 4
+        assert delta["buffer_evictions"] == 2
+        assert delta["simulated_io_time"] == pytest.approx(2.0)
 
     def test_small_cache_causes_io_in_engine(self, authority):
         db_disk = Database(authority, buffer_pages=4, io_penalty=0.001,
@@ -124,8 +129,9 @@ class TestBufferCache:
             session.execute("INSERT INTO t VALUES (?, ?)",
                             (i, "p" * 64))
         session.query("SELECT * FROM t WHERE pad LIKE 'q%'")   # full scan
-        assert db_disk.buffer_cache.stats.misses > 0
-        assert db_disk.buffer_cache.stats.io_time > 0
+        delta = db_disk.last_statement_metrics()
+        assert delta["buffer_misses"] > 0
+        assert delta["simulated_io_time"] > 0
 
 
 class TestDeterministicOrder:

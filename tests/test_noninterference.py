@@ -19,8 +19,9 @@ configuration, every world must show the reader the same rows in the
 same order, the same row labels and integrity labels, the same
 ``rowcount``, the same error type and message and the same delta of
 every counter the schema marks low (``counters.LOW``: the spill
-traffic, the range scans, the cells the scans emit and the rows built
-from batches — for the result and, by a predicate without a column
+traffic, the range scans, the statements run and the rows written, the
+cells the scans emit and the rows built from batches — for the result
+and, by a predicate without a column
 kernel, for label survivors, never for a hidden tuple) — and a
 collapsed row's label must be the union over exactly its *visible*
 duplicates.
@@ -184,7 +185,8 @@ def _observe(session, sql):
                         for row in result.rows]
         seen["rowcount"] = result.rowcount
         metrics = db.last_statement_metrics()
-        seen["low"] = {group + "." + field: metrics[group][field]
+        seen["low"] = {"%s.%s" % (group, field):
+                       (metrics[group] if group else metrics)[field]
                        for group, field in counters.LOW}
         if sql.startswith("SELECT"):
             # Integrity labels travel below the Row: drain the plan.

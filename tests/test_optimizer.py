@@ -3,7 +3,7 @@ fidelity, and prepared-plan cache invalidation under concurrent DDL."""
 
 import pytest
 
-from repro.core import IFCProcess
+from repro.core import IFCProcess, counters
 from repro.db import Database
 from repro.db.physical import (
     Filter,
@@ -217,19 +217,19 @@ class TestExplain:
 
     def test_explain_does_not_execute(self, store):
         db, session = store
-        before = db.rows_updated
+        before = counters.read()
         session.execute("EXPLAIN UPDATE items SET price = 0")
-        assert db.rows_updated == before
+        assert counters.delta(before, counters.read())["rows_updated"] == 0
         assert session.query("SELECT COUNT(*) FROM items "
                              "WHERE price = 0")[0][0] == 1   # only id 0
 
     def test_explain_delete_does_not_execute(self, store):
         db, session = store
-        before_deleted = db.rows_deleted
         before_count = session.query(
             "SELECT COUNT(*) FROM items")[0][0]
+        before = counters.read()
         session.execute("EXPLAIN DELETE FROM items WHERE id >= 0")
-        assert db.rows_deleted == before_deleted
+        assert counters.delta(before, counters.read())["rows_deleted"] == 0
         assert session.query(
             "SELECT COUNT(*) FROM items")[0][0] == before_count
 
