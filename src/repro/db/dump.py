@@ -3,18 +3,27 @@ pg_restore, section 7.2), plus psql-style debugging views.
 
 The paper notes that the command-line clients were modified "mainly to
 provide debugging capabilities and backups that include labels" — a
-stock dump would silently drop every tuple's security metadata.  This
-module serializes:
+stock dump would silently drop every tuple's security metadata.
 
-* the catalog (schemas, constraints, views with their declassification
-  labels, index definitions);
-* every *live, committed* tuple version together with its secrecy and
-  integrity labels;
-* sequences.
+**A dump is a WAL image.**  :func:`dump_database` writes the log's own
+container (:mod:`repro.db.wal`: its magic, then length-prefixed,
+checksummed records) holding, in order: a ``create_table`` DDL record
+per table (foreign-key parents first), a ``create_index`` record per
+index the table did not create itself, a ``create_view`` record per
+view (with its declassification tags and backing principal), ONE
+``("commit", 0, ops, sequences)`` record with an ``("i", table,
+ordinal, row)`` op per live tuple — secrecy and integrity labels
+included — and a closing ``("dump", omitted)`` record.  The op names
+the row's *ordinal* in its table, not its heap tid, so dumps of equal
+states are byte-identical; restoring into fresh tables makes ordinal
+and tid coincide.  The closing record marks the image complete.
 
-Restores load into a fresh :class:`~repro.db.engine.Database` attached
-to the *same* authority state (tag ids must resolve); enforcement picks
-up exactly where it left off.
+:func:`restore_database` is recovery: the log's scanner validates the
+image and its apply loop (:func:`~repro.db.wal.apply_records`) loads
+it, so ``Database.recover(dump_path)`` reads a dump too.  Restores load
+into an empty :class:`~repro.db.engine.Database` attached to the *same*
+authority state (tag ids must resolve); enforcement picks up exactly
+where it left off.
 
 Like the real pg_dump, dumping bypasses Query by Label: it is a trusted
 maintenance operation (the paper's garbage collector enjoys the same
@@ -23,27 +32,22 @@ exemption, section 7.1).
 
 from __future__ import annotations
 
-import pickle
-import struct
 import warnings
-import zlib
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-from ..core.labels import Label
 from ..errors import DatabaseError
-from .catalog import ViewDef
 from .engine import Database
 from .indexes import OrderedIndex
-from .spill import decode_labeled_row, encode_labeled_row
+from .spill import encode_labeled_row
+from .wal import MAGIC, apply_records, encode_record, scan_records
 
-FORMAT = "ifdb-dump-v2"
-#: Dump container: magic, then ``<u32 payload length><u32 crc32>``,
-#: then the pickled payload.  The checksum turns a truncated download
-#: or a flipped bit into a clear :class:`DatabaseError` instead of an
-#: arbitrary mid-``pickle`` exception (or, worse, a quietly wrong
-#: object graph).
-MAGIC = b"IFDBDMP2"
-_HEADER = struct.Struct("<II")
+#: Why :func:`restore_database` refuses an image, by scanner tail.
+_REFUSED = {
+    "bad-magic": "not an IFDB dump (bad magic)",
+    "bad-checksum": "corrupted IFDB dump: record checksum mismatch",
+    "undecodable": "corrupted IFDB dump: undecodable record",
+}
 
 
 class DumpIncompleteWarning(UserWarning):
@@ -68,54 +72,50 @@ def _unserializable(db: Database) -> List[str]:
     return omitted
 
 
+@contextmanager
+def _fresh_snapshot(db: Database):
+    """Yield ``live(table)``: the versions a fresh snapshot sees."""
+    manager = db.txn_manager
+    txn = manager.begin()
+    try:
+        yield lambda table: [version for version in table.all_versions()
+                             if manager.visible(version, txn)]
+    finally:
+        manager.abort(txn)
+
+
 def dump_database(db: Database) -> bytes:
     """Serialize schemas, views, indexes, and live tuples with labels."""
-    txn = db.txn_manager.begin()
-    try:
-        tables = {}
-        for name, table in db.catalog.tables.items():
-            rows = []
-            for version in table.all_versions():
-                if not db.txn_manager.visible(version, txn):
-                    continue
-                # The labeled-row codec is shared with the hash-join
-                # spill files (repro.db.spill).
-                rows.append(encode_labeled_row(version.values,
-                                               version.label,
-                                               version.ilabel))
-            extra_indexes = []
-            auto = {index.name for _u, index in table.unique_indexes}
-            for index_name, index in table.indexes.items():
-                if index_name in auto:
-                    continue
-                extra_indexes.append((index_name, index.columns,
-                                      isinstance(index, OrderedIndex)))
-            tables[name] = {
-                "schema": table.schema,
-                "rows": rows,
-                "indexes": extra_indexes,
-            }
-        views = {name: (view.select, view.columns,
-                        tuple(view.declassify.tags), view.principal)
-                 for name, view in db.catalog.views.items()}
-        omitted = _unserializable(db)
-        if omitted:
-            warnings.warn(DumpIncompleteWarning(
-                "dump omits %d catalog object(s) that cannot be "
-                "serialized: %s" % (len(omitted), ", ".join(omitted))),
-                stacklevel=2)
-        payload = {
-            "format": FORMAT,
-            "tables": tables,
-            "views": views,
-            "table_order": _dependency_order(db),
-            "sequences": dict(db._sequences),
-            "omitted": omitted,
-        }
-        body = pickle.dumps(payload)
-        return MAGIC + _HEADER.pack(len(body), zlib.crc32(body)) + body
-    finally:
-        db.txn_manager.abort(txn)
+    order = _dependency_order(db)
+    records = [("ddl", "create_table", db.catalog.get_table(name).schema)
+               for name in order]
+    for name, table in db.catalog.tables.items():
+        auto = {index.name for _u, index in table.unique_indexes}
+        records.extend(("ddl", "create_index", name, index_name,
+                        tuple(index.columns), isinstance(index, OrderedIndex))
+                       for index_name, index in table.indexes.items()
+                       if index_name not in auto)
+    records.extend(("ddl", "create_view", name, view.select,
+                    tuple(view.columns), tuple(view.declassify.tags),
+                    view.principal)
+                   for name, view in db.catalog.views.items())
+    ops = []
+    with _fresh_snapshot(db) as live:
+        for name in order:
+            # The labeled-row codec is shared with the WAL.
+            ops.extend(("i", name, ordinal, encode_labeled_row(
+                version.values, version.label, version.ilabel))
+                for ordinal, version in enumerate(
+                    live(db.catalog.get_table(name))))
+        records.append(("commit", 0, ops, dict(db._sequences)))
+    omitted = _unserializable(db)
+    if omitted:
+        warnings.warn(DumpIncompleteWarning(
+            "dump omits %d catalog object(s) that cannot be "
+            "serialized: %s" % (len(omitted), ", ".join(omitted))),
+            stacklevel=2)
+    records.append(("dump", omitted))
+    return MAGIC + b"".join(map(encode_record, records))
 
 
 def _dependency_order(db: Database) -> List[str]:
@@ -137,86 +137,37 @@ def _dependency_order(db: Database) -> List[str]:
     return ordered
 
 
-def _check_and_load(data: bytes) -> dict:
-    """Validate the dump container before touching ``pickle``.
-
-    Every corruption mode gets a precise :class:`DatabaseError`:
-    wrong/old format (bad magic), truncation (length mismatch), and
-    bit rot (checksum mismatch).  Only a byte-exact payload reaches
-    ``pickle.loads`` — and even that is wrapped, so a hostile or
-    mangled payload cannot surface an arbitrary unpickling exception.
-    """
-    if len(data) < len(MAGIC) + _HEADER.size or not data.startswith(MAGIC):
-        raise DatabaseError(
-            "not an IFDB dump (bad magic; expected a %s-format file)"
-            % FORMAT)
-    length, crc = _HEADER.unpack_from(data, len(MAGIC))
-    body = data[len(MAGIC) + _HEADER.size:]
-    if len(body) != length:
-        raise DatabaseError(
-            "truncated IFDB dump: header promises %d payload bytes, "
-            "found %d" % (length, len(body)))
-    if zlib.crc32(body) != crc:
-        raise DatabaseError(
-            "corrupted IFDB dump: payload checksum mismatch "
-            "(expected %08x, got %08x)" % (crc, zlib.crc32(body)))
-    try:
-        payload = pickle.loads(body)
-    except Exception as exc:
-        raise DatabaseError("undecodable IFDB dump payload: %s" % exc)
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
-        raise DatabaseError("not an IFDB dump (format %r, expected %r)"
-                            % (payload.get("format") if
-                               isinstance(payload, dict) else None, FORMAT))
-    return payload
-
-
 def restore_database(data: bytes, db: Database) -> None:
     """Load a dump into an empty database sharing the authority state.
 
+    Only a complete image is applied: one that scans cleanly to its
+    closing ``dump`` record (a bad magic, a checksum mismatch or a cut
+    — even one at a record boundary — is a :class:`DatabaseError`).
     Tuples are written physically (labels restored verbatim), bypassing
-    Query by Label like the dump did; constraints are re-validated by
-    construction since the dump came from a consistent database.
-    Finishes with ``ANALYZE`` so post-restore queries plan on real
-    statistics instead of defaults until drift catches up, and
-    re-emits :class:`DumpIncompleteWarning` when the dump recorded
-    omitted catalog objects (functions/procedures/triggers the
-    operator must re-register).
+    Query by Label like the dump did.  On a WAL-backed database the
+    image's records are then appended to the log, so a crash after
+    restore recovers what it loaded.  Finishes with ``ANALYZE`` so
+    post-restore queries plan on real statistics, and re-emits
+    :class:`DumpIncompleteWarning` when the dump recorded omitted
+    catalog objects (functions/procedures/triggers the operator must
+    re-register).
     """
-    payload = _check_and_load(data)
-    if db.catalog.tables:
+    records, _valid, tail = scan_records(data)
+    if tail is not None or not records or records[-1][0] != "dump":
+        raise DatabaseError(_REFUSED.get(
+            tail, "truncated IFDB dump: no closing record after %d "
+            "record(s)" % len(records)))
+    if db.catalog.tables or db._wal_applied or \
+            (db.wal is not None and not db.wal.empty):
         raise DatabaseError("restore requires an empty database")
-
-    for name in payload["table_order"]:
-        entry = payload["tables"][name]
-        db.create_table(entry["schema"])
-    for name, entry in payload["tables"].items():
-        table = db.catalog.get_table(name)
-        for index_name, columns, ordered in entry["indexes"]:
-            table.create_index(index_name, columns, ordered=ordered)
-
-    txn = db.txn_manager.begin(replay=True)
     try:
-        for name in payload["table_order"]:
-            table = db.catalog.get_table(name)
-            for record in payload["tables"][name]["rows"]:
-                values, label, ilabel = decode_labeled_row(record)
-                version = table.append(tuple(values), label, ilabel,
-                                       txn.xid)
-                # So a failed restore's abort can unlink what it wrote.
-                txn.record_write(table, version.tid, label, "insert")
-        db.txn_manager.commit(txn)
-    except BaseException:
-        db.txn_manager.abort(txn)
-        raise
-
-    for name, (select, columns, declassify_tags, principal) in \
-            payload["views"].items():
-        db.catalog.add_view(ViewDef(
-            name=name, select=select, columns=list(columns),
-            declassify=Label(declassify_tags), principal=principal))
-    db._sequences.update(payload["sequences"])
-    omitted = payload.get("omitted") or []
+        apply_records(db, records)
+    finally:
+        # Ordinals name the fresh heaps' own tids: nothing to map.
+        db._wal_tid_maps.clear()
+    if db.wal is not None:
+        db.wal.log_image(data, len(records))
+    omitted = records[-1][1]
     if omitted:
         warnings.warn(DumpIncompleteWarning(
             "restored database lacks %d catalog object(s) the dump could "
@@ -268,17 +219,15 @@ def describe(db: Database, table_name: Optional[str] = None) -> str:
                          % (", ".join(fk.columns), fk.ref_table,
                             ", ".join(fk.ref_columns), suffix))
         histogram: Dict[tuple, int] = {}
-        live = 0
-        for version in table.all_versions():
-            if version.xmax is not None:
-                continue
-            live += 1
+        with _fresh_snapshot(db) as live:
+            versions = live(table)
+        for version in versions:
             try:
                 key = registry.names(version.label.tags)
             except Exception:
                 key = tuple(sorted(str(t) for t in version.label.tags))
             histogram[key] = histogram.get(key, 0) + 1
-        lines.append("  live tuples: %d" % live)
+        lines.append("  live tuples: %d" % len(versions))
         for key, count in sorted(histogram.items(),
                                  key=lambda item: -item[1]):
             label_text = "{%s}" % ", ".join(key) if key else "{}"

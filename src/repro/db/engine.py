@@ -229,8 +229,8 @@ class Database:
             self.wal = wal                 # tests inject fault specs here
         elif wal is not None:
             self.wal = wal_mod.WriteAheadLog(wal)
-        #: True while ``recover`` replays a log: suppresses re-logging
-        #: of replayed DDL/sequence traffic.
+        #: True while ``wal.apply_records`` runs (recovery, restore):
+        #: suppresses re-logging of applied DDL/sequence traffic.
         self._wal_replaying = False
         #: Replay watermark: log records below this index are already
         #: applied to this database (makes ``recover`` idempotent).
@@ -672,7 +672,8 @@ class Database:
     def recover(self, path: Optional[str] = None) -> Dict[str, object]:
         """Replay a WAL into this database (trusted maintenance op).
 
-        ``path`` defaults to this database's own log.  Must run before
+        ``path`` defaults to this database's own log; a dump file is a
+        log image too (:mod:`repro.db.dump`).  Must run before
         the database commits anything of its own — the usual shape is
         a fresh ``Database`` sharing the crashed instance's authority
         state (tag ids must resolve identically).  Idempotent: records
@@ -685,19 +686,15 @@ class Database:
                 raise wal_mod.WalError("no WAL configured and no path given")
             path = self.wal.path
         if self.txn_manager.write_commits != 0:
-            # Replayed transactions bypass ``record_write``, so any
-            # write commit here is the database's own — its heap tids
+            # Replayed and restored transactions are not counted, so
+            # any write commit here is the database's own — its heap tids
             # are unknown to the replay tid maps and replaying over
             # them could double-apply.  (Read-only commits are fine.)
             raise wal_mod.WalError(
                 "recover() must run before this database commits its own "
                 "writes (%d write commits present)"
                 % self.txn_manager.write_commits)
-        self._wal_replaying = True
-        try:
-            return wal_mod.replay(self, path)
-        finally:
-            self._wal_replaying = False
+        return wal_mod.replay(self, path)
 
     def close(self) -> None:
         """Release the WAL file (the engine itself needs no teardown)."""

@@ -31,8 +31,9 @@ live one and the scan-level label memos keep working across a spill.
 Write buffers are sized out of the budget (:class:`Spools`): a
 statement's ``fanout`` open spools together buffer at most one
 partition's share of ``work_mem``, so at a budget of a few rows the
-blocks degenerate to one row.  The durable formats (:mod:`repro.db.wal`,
-:mod:`repro.db.dump`) keep the per-row :func:`encode_labeled_row`.
+blocks degenerate to one row.  The durable format — the WAL
+(:mod:`repro.db.wal`), whose images are also the dumps
+(:mod:`repro.db.dump`) — keeps the per-row :func:`encode_labeled_row`.
 
 Partitions are drained one after another on the statement's own
 thread: the engine runs a query in one process, as the paper's
@@ -76,16 +77,16 @@ AGG_STATE_BYTES = 120
 
 
 # ---------------------------------------------------------------------------
-# the labeled-row codec (the durable formats: db.wal, db.dump)
+# the labeled-row codec (the durable format: db.wal records and dumps)
 # ---------------------------------------------------------------------------
 
 def encode_labeled_row(values, label: Label, ilabel: Label) -> tuple:
     """Serialize one labeled row as ``(values, label_tags, ilabel_tags)``.
 
-    The representation the write-ahead log and the label-preserving
-    dump format store per tuple (:mod:`repro.db.wal`,
-    :mod:`repro.db.dump`): labels flatten to plain tag tuples so
-    the payload is stable pickle regardless of intern-table state.
+    The representation write-ahead log records store per tuple
+    (:mod:`repro.db.wal`; a :mod:`repro.db.dump` image is such a log):
+    labels flatten to plain tag tuples so the payload is stable pickle
+    regardless of intern-table state.
     """
     return values, tuple(label.tags), tuple(ilabel.tags)
 

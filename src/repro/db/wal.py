@@ -2,10 +2,10 @@
 
 Until this module, the engine's durability story was a lie told
 politely: commits mutated the in-process heap and the only persistence
-was a trusted :mod:`repro.db.dump` snapshot, so a crash lost every
-transaction since the last dump — *including its labels*, which makes
-it an IFC hole, not just a data-loss one (a recovery path that drops or
-garbles labels is a declassification channel).  The WAL closes that
+was a trusted dump, so a crash lost every transaction since the last
+one — *including its labels*, which makes it an IFC hole, not just a
+data-loss one (a recovery path that drops or garbles labels is a
+declassification channel).  The WAL closes that
 gap with the standard crash-consistency discipline:
 
 * **Logged before acknowledged.**  ``Session.commit`` serializes the
@@ -24,10 +24,10 @@ gap with the standard crash-consistency discipline:
   log on; no environment variable does.
 * **Checksummed, length-prefixed records.**  Each record is
   ``<u32 length><u32 crc32(payload)><payload>``; the payload reuses the
-  labeled-row codec shared with :mod:`repro.db.spill` and
-  :mod:`repro.db.dump` (labels flatten to plain tag tuples and
-  **re-intern on replay**, so a recovered label is ``is``-identical to
-  the live interned one and the scan-level label memos keep working).
+  labeled-row codec of :mod:`repro.db.spill` (labels flatten to plain
+  tag tuples and **re-intern on replay**, so a recovered label is
+  ``is``-identical to the live interned one and the scan-level label
+  memos keep working).
 * **Recovery** (:func:`replay`, surfaced as ``Database.recover``)
   scans the log, stops at the first torn/corrupt record (the tail a
   crash leaves), and re-applies each committed transaction under a
@@ -36,6 +36,12 @@ gap with the standard crash-consistency discipline:
   transactions were never logged, so they cannot stall the recovered
   committed horizon.  Replay is idempotent: a per-database watermark
   skips already-applied records, so recovering twice is a no-op.
+* **One container.**  A dump (:mod:`repro.db.dump`) is an image in
+  this format — DDL records, one commit record holding every live
+  tuple, and a closing ``dump`` record replay ignores — so
+  :func:`scan_records` validates it and :func:`apply_records`, the one
+  apply loop, restores it; a restore into a logged database appends
+  the image to the log.
 * **The fsync gate.**  If fsync *fails* (as opposed to the machine
   dying), the kernel has refused to promise durability, and the bytes
   may or may not be on disk.  Acknowledging would be unsound;
@@ -122,18 +128,24 @@ def encode_record(record: tuple) -> bytes:
 
 
 def scan_wal(path: str) -> Tuple[List[tuple], int, Optional[str]]:
-    """Read every valid record; stop at the first torn/corrupt one.
-
-    Returns ``(records, valid_bytes, tail)`` where ``valid_bytes`` is
-    the offset of the last well-formed record boundary (what an
-    appender should truncate to) and ``tail`` names why scanning
-    stopped early (``None`` for a clean end-of-file).
-    """
+    """:func:`scan_records` of the file at ``path`` (tail ``"missing"``
+    when there is none)."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except FileNotFoundError:
         return [], 0, "missing"
+    return scan_records(data)
+
+
+def scan_records(data: bytes) -> Tuple[List[tuple], int, Optional[str]]:
+    """Decode every valid record; stop at the first torn/corrupt one.
+
+    Returns ``(records, valid_bytes, tail)`` where ``valid_bytes`` is
+    the offset of the last well-formed record boundary (what an
+    appender should truncate to) and ``tail`` names why scanning
+    stopped early (``None`` for a clean end of data).
+    """
     if not data:
         return [], 0, None
     if len(data) < len(MAGIC) or data[:len(MAGIC)] != MAGIC:
@@ -163,13 +175,15 @@ def scan_wal(path: str) -> Tuple[List[tuple], int, Optional[str]]:
 
 
 class _Entry:
-    """One record waiting in the group-commit queue."""
+    """Record images waiting in the group-commit queue (one, unless a
+    restored dump image is appended whole)."""
 
-    __slots__ = ("data", "is_commit", "done", "error")
+    __slots__ = ("data", "is_commit", "records", "done", "error")
 
-    def __init__(self, data: bytes, is_commit: bool):
+    def __init__(self, data: bytes, is_commit: bool, records: int = 1):
         self.data = data
         self.is_commit = is_commit
+        self.records = records
         self.done = False
         self.error = None
 
@@ -223,6 +237,16 @@ class WriteAheadLog:
         loss) — either way the commit did not happen.
         """
         self._submit(_Entry(encode_record(record), is_commit=True))
+
+    def log_image(self, image: bytes, records: int) -> None:
+        """Append the ``records`` frames of a scanned image (a dump:
+        :mod:`repro.db.dump`) as one write, durable on return."""
+        self._submit(_Entry(image[len(MAGIC):], False, records))
+
+    @property
+    def empty(self) -> bool:
+        """No record has been made durable: the file is just the magic."""
+        return self._durable <= len(MAGIC)
 
     def _submit(self, entry: _Entry) -> None:
         with self._cond:
@@ -282,7 +306,7 @@ class WriteAheadLog:
                 "truncated: %s" % (written, exc))
         commits = sum(1 for entry in batch if entry.is_commit)
         stats = tally()                # this thread led the flush
-        stats.records += len(batch)
+        stats.records += sum(entry.records for entry in batch)
         stats.bytes += written
         stats.flushes += 1
         stats.fsyncs += 1
@@ -375,27 +399,40 @@ def replay(db, path: str) -> Dict[str, object]:
     transactions since — ``Database.recover`` enforces that.
     """
     records, valid_bytes, tail = scan_wal(path)
-    applied = transactions = ddl = 0
-    skipped = db._wal_applied
-    for index, record in enumerate(records):
-        if index < db._wal_applied:
-            continue
-        kind = record[0]
-        if kind == "commit":
-            _apply_commit(db, record)
-            transactions += 1
-        elif kind == "ddl":
-            _apply_ddl(db, record)
-            ddl += 1
-        else:
-            raise WalError("unknown WAL record kind %r at index %d"
-                           % (kind, index))
-        applied += 1
-        db._wal_applied = index + 1
-    return {"records": len(records), "applied": applied,
-            "skipped": min(skipped, len(records)),
-            "transactions": transactions, "ddl": ddl,
+    skipped = min(db._wal_applied, len(records))
+    transactions, ddl = apply_records(db, records)
+    return {"records": len(records), "applied": len(records) - skipped,
+            "skipped": skipped, "transactions": transactions, "ddl": ddl,
             "valid_bytes": valid_bytes, "tail": tail}
+
+
+def apply_records(db, records: List[tuple]) -> Tuple[int, int]:
+    """Apply ``records`` from ``db``'s watermark on, advancing it per
+    record — the one apply loop of recovery and of dump restore.
+
+    While it runs, the database logs none of what it applies.  Returns
+    ``(transactions, ddl)`` applied; a ``dump`` record (an image's
+    closing record) is a no-op.
+    """
+    transactions = ddl = 0
+    db._wal_replaying = True
+    try:
+        for index in range(db._wal_applied, len(records)):
+            record = records[index]
+            kind = record[0]
+            if kind == "commit":
+                _apply_commit(db, record)
+                transactions += 1
+            elif kind == "ddl":
+                _apply_ddl(db, record)
+                ddl += 1
+            elif kind != "dump":
+                raise WalError("unknown WAL record kind %r at index %d"
+                               % (kind, index))
+            db._wal_applied = index + 1
+    finally:
+        db._wal_replaying = False
+    return transactions, ddl
 
 
 def _apply_commit(db, record: tuple) -> None:
@@ -456,9 +493,9 @@ def _apply_ddl(db, record: tuple) -> None:
     elif verb == "drop_index":
         db.drop_index(record[2])
     elif verb == "create_view":
-        # Direct catalog write, mirroring restore_database: the view's
-        # backing authority was checked when the view was created and
-        # recovery is a trusted operation — re-checking here could make
+        # Direct catalog write: the view's backing authority was
+        # checked when the view was created and recovery (or restore)
+        # is a trusted operation — re-checking here could make
         # an otherwise-valid log unreplayable after a later revocation
         # (uses re-validate authority regardless, so enforcement is
         # unchanged).

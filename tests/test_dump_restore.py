@@ -11,6 +11,7 @@ from repro.db.dump import (
     restore_database,
     restore_from_file,
 )
+from repro.db.wal import encode_record, scan_records
 from repro.errors import DatabaseError
 
 
@@ -26,6 +27,7 @@ def populated(medical):
     admin.execute(
         "CREATE VIEW PatientCount AS SELECT COUNT(*) AS n "
         "FROM HIVPatients WITH DECLASSIFYING (all_medical)")
+    medical.db.next_sequence("vid")
     return medical
 
 
@@ -97,6 +99,25 @@ class TestDumpRestore:
         with pytest.raises(Exception):
             restore_database(b"not a dump", Database(populated.authority))
 
+    def test_restore_leaves_no_tid_map(self, populated):
+        fresh = Database(populated.authority, seed=11)
+        restore_database(dump_database(populated.db), fresh)
+        assert fresh._wal_tid_maps == {}
+
+    def test_recover_reads_a_dump_like_restore(self, populated, tmp_path):
+        """A dump is a WAL image: recovering it is restoring it, apart
+        from the ANALYZE restore finishes with."""
+        path = str(tmp_path / "backup.ifdb")
+        dump_to_file(populated.db, path)
+        restored = Database(populated.authority, seed=12)
+        restore_from_file(path, restored)
+        recovered = Database(populated.authority, seed=12)
+        report = recovered.recover(path)
+        assert report["tail"] is None and report["transactions"] == 1
+        assert dump_database(recovered) == dump_database(restored)
+        assert recovered.stats_manager.analyzed() == []
+        assert "Visits" in restored.stats_manager.analyzed()
+
     def test_restore_runs_analyze(self, populated):
         """Restored tables plan on real statistics immediately, not on
         defaults until drift forces a refresh."""
@@ -115,6 +136,16 @@ class TestDumpIntegrity:
         with pytest.raises(DatabaseError, match="truncated"):
             restore_database(data[:-20], Database(populated.authority))
 
+    def test_cut_at_a_record_boundary_rejected(self, populated):
+        """A cut that leaves only whole records is still incomplete: the
+        closing record is missing."""
+        data = dump_database(populated.db)
+        cut = data[:-len(encode_record(("dump", [])))]
+        _records, valid, tail = scan_records(cut)
+        assert tail is None and valid == len(cut)
+        with pytest.raises(DatabaseError, match="truncated"):
+            restore_database(cut, Database(populated.authority))
+
     def test_bit_flip_rejected(self, populated):
         data = bytearray(dump_database(populated.db))
         data[-10] ^= 0x40
@@ -130,6 +161,70 @@ class TestDumpIntegrity:
     def test_header_shorter_than_magic_rejected(self, populated):
         with pytest.raises(DatabaseError, match="magic"):
             restore_database(b"IF", Database(populated.authority))
+
+
+class TestRestoreIsLogged:
+    """A restore into a WAL-backed database is acknowledged work: a
+    crash after it must not undo it."""
+
+    def test_restore_into_logged_database_survives_recovery(
+            self, populated, tmp_path):
+        data = dump_database(populated.db)
+        path = str(tmp_path / "restored.wal")
+        logged = Database(populated.authority, wal=path)
+        restore_database(data, logged)
+        logged.close()
+        recovered = Database(populated.authority)
+        recovered.recover(path)
+        assert dump_database(recovered) == data
+        assert recovered.catalog.get_table("Visits").find_index(
+            ("patient_name",)) is not None
+        assert "PatientCount" in recovered.catalog.views
+        assert recovered._sequences == {"vid": 1}
+        clinic = recovered.connect(
+            IFCProcess(populated.authority, populated.clinic.id))
+        assert clinic.query("SELECT vid FROM Visits") == [(1,)]
+
+    def test_restored_log_keeps_logging(self, populated, tmp_path):
+        """Commits after a restore name the restored heap's tids, which
+        are the image's ordinals, so the log replays as one history."""
+        path = str(tmp_path / "restored.wal")
+        logged = Database(populated.authority, wal=path)
+        restore_database(dump_database(populated.db), logged)
+        admin = logged.connect(
+            IFCProcess(populated.authority, populated.clinic.id))
+        admin.execute("INSERT INTO Visits VALUES (2, 'Bob')")
+        admin.execute("UPDATE Visits SET patient_name = 'Al' WHERE vid = 1")
+        want = dump_database(logged)
+        logged.close()
+        recovered = Database(populated.authority)
+        recovered.recover(path)
+        assert dump_database(recovered) == want
+
+    def test_failed_restore_logs_nothing(self, populated, tmp_path,
+                                         monkeypatch):
+        from repro.db import wal
+
+        def failing(record):
+            raise RuntimeError("disk on fire")
+
+        data = dump_database(populated.db)
+        monkeypatch.setattr(wal, "decode_labeled_row", failing)
+        logged = Database(populated.authority,
+                          wal=str(tmp_path / "restored.wal"))
+        with pytest.raises(RuntimeError):
+            restore_database(data, logged)
+        assert "Visits" in logged.catalog.tables     # the apply began
+        assert logged.wal.empty
+
+    def test_restore_refuses_a_nonempty_log(self, populated, tmp_path):
+        path = str(tmp_path / "restored.wal")
+        logged = Database(populated.authority, wal=path)
+        session = logged.connect()
+        session.execute("CREATE TABLE scratch (x INT)")
+        session.execute("DROP TABLE scratch")
+        with pytest.raises(DatabaseError, match="empty database"):
+            restore_database(dump_database(populated.db), logged)
 
 
 class TestDumpCompleteness:
@@ -173,3 +268,19 @@ class TestDescribe:
             "INSERT INTO HIVPatients VALUES ('Alice', '2/1/60', 'x')")
         text = describe(medical.db, "HIVPatients")
         assert "polyinstantiated inserts: 1" in text
+
+    def test_describe_counts_what_a_snapshot_sees(self, medical):
+        """Neither a rolled-back insert nor another session's
+        uncommitted one is a live tuple; the dump would skip both."""
+        clinic = IFCProcess(medical.authority, medical.clinic.id)
+        session = medical.db.connect(clinic)
+        session.execute("CREATE TABLE notes (id INT PRIMARY KEY)")
+        session.execute("INSERT INTO notes VALUES (1)")
+        session.begin()
+        session.execute("INSERT INTO notes VALUES (2)")
+        session.rollback()
+        pending = medical.db.connect(clinic)
+        pending.begin()
+        pending.execute("INSERT INTO notes VALUES (3)")
+        assert "live tuples: 1" in describe(medical.db, "notes")
+        pending.rollback()

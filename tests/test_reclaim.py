@@ -221,7 +221,7 @@ def test_failed_restore_leaves_no_visible_or_lingering_version(monkeypatch):
     """Regression: restore appends to the heap directly; when it failed
     part-way its abort named no versions, the horizon ran past the
     aborted xid and the fast path showed the half-restored rows."""
-    from repro.db import dump
+    from repro.db import dump, wal
 
     source, connect, _tag = _world()
     session = connect()
@@ -229,7 +229,7 @@ def test_failed_restore_leaves_no_visible_or_lingering_version(monkeypatch):
         session.execute("INSERT INTO t VALUES (?, ?)", (k, k))
     data = dump.dump_database(source)
 
-    decode, seen = dump.decode_labeled_row, []
+    decode, seen = wal.decode_labeled_row, []
 
     def failing(record):
         seen.append(record)
@@ -237,7 +237,7 @@ def test_failed_restore_leaves_no_visible_or_lingering_version(monkeypatch):
             raise RuntimeError("disk on fire")
         return decode(record)
 
-    monkeypatch.setattr(dump, "decode_labeled_row", failing)
+    monkeypatch.setattr(wal, "decode_labeled_row", failing)
     target = Database(source.authority, seed=78)
     with pytest.raises(RuntimeError):
         dump.restore_database(data, target)
