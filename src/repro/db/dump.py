@@ -160,11 +160,7 @@ def restore_database(data: bytes, db: Database) -> None:
     if db.catalog.tables or db._wal_applied or \
             (db.wal is not None and not db.wal.empty):
         raise DatabaseError("restore requires an empty database")
-    try:
-        apply_records(db, records)
-    finally:
-        # Ordinals name the fresh heaps' own tids: nothing to map.
-        db._wal_tid_maps.clear()
+    apply_records(db, records)
     if db.wal is not None:
         db.wal.log_image(data, len(records))
     omitted = records[-1][1]

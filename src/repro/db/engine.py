@@ -235,9 +235,6 @@ class Database:
         #: Replay watermark: log records below this index are already
         #: applied to this database (makes ``recover`` idempotent).
         self._wal_applied = 0
-        #: Per-table original-tid → recovered-tid maps (replayed heaps
-        #: are denser than the originals: aborted appends are absent).
-        self._wal_tid_maps: Dict[str, Dict[int, int]] = {}
         #: Sequences bumped since the last logged commit; attached to
         #: the next commit record (sequences are non-transactional, so
         #: they ride along rather than get their own records).
@@ -687,9 +684,9 @@ class Database:
             path = self.wal.path
         if self.txn_manager.write_commits != 0:
             # Replayed and restored transactions are not counted, so
-            # any write commit here is the database's own — its heap tids
-            # are unknown to the replay tid maps and replaying over
-            # them could double-apply.  (Read-only commits are fine.)
+            # any write commit here is the database's own — its
+            # versions occupy tids the log names, which replay must
+            # find empty.  (Read-only commits are fine.)
             raise wal_mod.WalError(
                 "recover() must run before this database commits its own "
                 "writes (%d write commits present)"

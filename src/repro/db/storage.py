@@ -262,26 +262,35 @@ class Table:
             touch_run(name, page_id, count)
 
     def append(self, values: Tuple, label: Label, ilabel: Label,
-               xid: int) -> TupleVersion:
-        """Write a new version into the heap and all indexes."""
+               xid: int, tid: Optional[int] = None) -> TupleVersion:
+        """Write a new version into the heap and all indexes, at the end
+        of the heap or — replay naming the tid it was logged at — in
+        the empty slot ``tid``, padding the heap with empty slots up to
+        it (as :meth:`unlink` leaves them)."""
+        versions = self._versions
+        tid = len(versions) if tid is None else tid
+        while len(versions) <= tid:
+            versions.append(None)
         data_size = self.schema.row_data_size(values)
         version = TupleVersion(
-            tid=len(self._versions), xmin=xid, values=values,
+            tid=tid, xmin=xid, values=values,
             label=label if self._store_labels else EMPTY_LABEL,
             ilabel=ilabel if self._store_labels else EMPTY_LABEL,
             data_size=data_size, store_label=self._store_labels)
         version.page_id = self._allocator.place(version.size)
-        self._versions.append(version)
-        self._segments.pop(version.tid // self._segment_size, None)
+        versions[tid] = version
+        self._segments.pop(tid // self._segment_size, None)
         self.modifications += 1
         self._heap_count += 1
         self.touch(version)
         for index in self.indexes.values():
-            index.insert(values, version.tid)
+            index.insert(values, tid)
         return version
 
     def version(self, tid: int) -> Optional[TupleVersion]:
-        return self._versions[tid]
+        """The version in slot ``tid``; ``None`` for an empty slot or
+        one past the end of the heap."""
+        return self._versions[tid] if 0 <= tid < len(self._versions) else None
 
     def all_versions(self) -> Iterator[TupleVersion]:
         for version in self._versions:
@@ -357,7 +366,8 @@ class Table:
     def unlink(self, tid: int) -> None:
         """Physically remove one version: out of every index, and its
         heap slot emptied rather than compacted, so tids stay stable
-        for write records and the WAL tid maps.  The caller
+        for write records and for the log, whose replay writes every
+        version at the tid it was logged at.  The caller
         (:meth:`TransactionManager.reclaim`) has established that no
         snapshot can see it."""
         version = self._versions[tid]

@@ -32,10 +32,15 @@ gap with the standard crash-consistency discipline:
   scans the log, stops at the first torn/corrupt record (the tail a
   crash leaves), and re-applies each committed transaction under a
   fresh xid: heap versions, ``xmax`` stamps, indexes (rebuilt by
-  ``Table.append``), labels, sequences, and logged DDL.  Aborted
-  transactions were never logged, so they cannot stall the recovered
-  committed horizon.  Replay is idempotent: a per-database watermark
-  skips already-applied records, so recovering twice is a no-op.
+  ``Table.append``), labels, sequences, and logged DDL.  A row has one
+  address: every version is written at the tid its record names, so
+  the recovered heap has the logging heap's tids, and the slots of
+  aborted appends stay empty.  Aborted transactions were never logged,
+  so they cannot stall the recovered committed horizon.  Replay is
+  idempotent: a per-database watermark skips already-applied records,
+  so recovering twice is a no-op.  A record whose op stamps an empty
+  slot or writes into an occupied one is malformed: replay raises
+  :class:`WalError` and its transaction aborts.
 * **One container.**  A dump (:mod:`repro.db.dump`) is an image in
   this format — DDL records, one commit record holding every live
   tuple, and a closing ``dump`` record replay ignores — so
@@ -87,7 +92,8 @@ _HEADER = struct.Struct("<II")
 
 
 class WalError(DatabaseError):
-    """The WAL could not make a record durable; the commit is refused."""
+    """The WAL could not make a record durable (the commit is refused),
+    or a log holds a record replay cannot apply."""
 
 
 class _RealFile:
@@ -200,7 +206,6 @@ class WriteAheadLog:
     def __init__(self, path: str, *, fault: Optional[FaultSpec] = None):
         self.path = path
         _records, valid, tail = scan_wal(path)
-        self.existing_records = len(_records)
         real = _RealFile(path)
         if tail not in (None, "missing") or real.size() > valid:
             # Torn/corrupt tail (or bad magic): keep the valid prefix.
@@ -345,11 +350,12 @@ def build_commit_record(db, txn) -> Optional[tuple]:
     ``("commit", xid, ops, seqs)`` where each op is
 
     * ``("i", table, tid, (values, label_tags, ilabel_tags))`` — an
-      inserted version (tid is the *original* heap tid; replay maps it
-      to the recovered heap through a per-table tid map);
+      inserted version at heap tid ``tid``, where replay writes it too,
+      so a recovered heap has the logging heap's tids;
     * ``("u", table, old_tid, new_tid, row)`` — an update: stamp
-      ``xmax`` on the mapped old version, append the new one;
-    * ``("d", table, tid)`` — a delete: stamp ``xmax``.
+      ``xmax`` on the version at ``old_tid``, write the new one at
+      ``new_tid``;
+    * ``("d", table, tid)`` — a delete: stamp ``xmax`` at ``tid``.
 
     ``seqs`` carries the sequences this database bumped since the last
     logged commit (name → value at commit time), so sequence state
@@ -421,7 +427,7 @@ def apply_records(db, records: List[tuple]) -> Tuple[int, int]:
             record = records[index]
             kind = record[0]
             if kind == "commit":
-                _apply_commit(db, record)
+                _apply_commit(db, record, index)
                 transactions += 1
             elif kind == "ddl":
                 _apply_ddl(db, record)
@@ -435,43 +441,47 @@ def apply_records(db, records: List[tuple]) -> Tuple[int, int]:
     return transactions, ddl
 
 
-def _apply_commit(db, record: tuple) -> None:
-    """Replay one committed transaction under a fresh xid."""
+#: A commit record's op letters, as the write kinds replay records.
+_OPS = {"i": "insert", "u": "update", "d": "delete"}
+
+
+def _apply_commit(db, record: tuple, index: int) -> None:
+    """Replay commit record ``index`` under a fresh xid.
+
+    Every op names the slot it acts on, so nothing is translated: an
+    update or delete stamps the version at ``old_tid``, and an insert
+    or an update's new version is written at the tid the op names.
+    Commit order is not append order, so a later tid may be filled
+    before an earlier one.  An op that stamps an empty slot or writes
+    into an occupied one aborts the whole transaction."""
     _kind, _orig_xid, ops, seqs = record
-    tid_maps = db._wal_tid_maps
     # Replay writes the heap directly but still records each write, so
     # commit and abort can read the doomed versions off the write set.
     txn = db.txn_manager.begin(replay=True)
     try:
         for op in ops:
-            table = db.catalog.get_table(op[1])
-            tid_map = tid_maps.setdefault(op[1], {})
-            if op[0] == "i":
-                values, label, ilabel = decode_labeled_row(op[3])
-                version = table.append(tuple(values), label, ilabel,
-                                       txn.xid)
-                tid_map[op[2]] = version.tid
-                txn.record_write(table, version.tid, label, "insert")
-            elif op[0] == "u":
-                # Tids created during replay differ from the originals
-                # (aborted appends never hit the log), hence the map;
-                # a tid absent from it predates WAL logging (the log
-                # was attached to a pre-populated database), where heap
-                # tids are identical by construction.
-                old = table.version(tid_map.get(op[2], op[2]))
-                table.stamp(old, txn.xid, superseded=True)
-                values, label, ilabel = decode_labeled_row(op[4])
-                version = table.append(tuple(values), label, ilabel,
-                                       txn.xid)
-                tid_map[op[3]] = version.tid
-                txn.record_write(table, version.tid, label, "update",
-                                 prev_tid=old.tid)
-            elif op[0] == "d":
-                old = table.version(tid_map.get(op[2], op[2]))
-                table.stamp(old, txn.xid)
-                txn.record_write(table, old.tid, old.label, "delete")
-            else:
-                raise WalError("unknown WAL op %r" % (op[0],))
+            kind, table = _OPS.get(op[0]), db.catalog.get_table(op[1])
+            if kind is None:
+                raise WalError("unknown WAL op %r in record %d"
+                               % (op[0], index))
+            old = None
+            if kind != "insert":
+                old = table.version(op[2])
+                if old is None:
+                    raise WalError("WAL record %d stamps %s tid %r, an empty "
+                                   "slot" % (index, table.name, op[2]))
+                table.stamp(old, txn.xid, superseded=kind == "update")
+            if kind == "delete":
+                txn.record_write(table, old.tid, old.label, kind)
+                continue
+            tid = op[-2]        # an insert's tid, an update's new_tid
+            if tid < 0 or table.version(tid) is not None:
+                raise WalError("WAL record %d writes %s tid %r, not an "
+                               "empty slot" % (index, table.name, tid))
+            values, label, ilabel = decode_labeled_row(op[-1])
+            table.append(tuple(values), label, ilabel, txn.xid, tid)
+            txn.record_write(table, tid, label, kind,
+                             None if old is None else old.tid)
     except BaseException:
         db.txn_manager.abort(txn)
         raise

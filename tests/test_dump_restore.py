@@ -99,11 +99,6 @@ class TestDumpRestore:
         with pytest.raises(Exception):
             restore_database(b"not a dump", Database(populated.authority))
 
-    def test_restore_leaves_no_tid_map(self, populated):
-        fresh = Database(populated.authority, seed=11)
-        restore_database(dump_database(populated.db), fresh)
-        assert fresh._wal_tid_maps == {}
-
     def test_recover_reads_a_dump_like_restore(self, populated, tmp_path):
         """A dump is a WAL image: recovering it is restoring it, apart
         from the ANALYZE restore finishes with."""

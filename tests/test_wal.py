@@ -19,10 +19,13 @@ import time
 import pytest
 
 from repro.core import IFCProcess
+from repro.core.labels import EMPTY_LABEL
 from repro.db import Database
 from repro.db.dump import dump_database
 from repro.db.faultinject import CRASH_MODES, CrashError, FaultSpec
-from repro.db.wal import WalError, WriteAheadLog, scan_wal
+from repro.db.spill import encode_labeled_row
+from repro.db.wal import MAGIC, WalError, WriteAheadLog, encode_record, \
+    scan_wal
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +271,134 @@ class TestRecovery:
                                                tmp_path):
         """The real restart flow: reopen the same log (tail repair),
         recover from it, keep committing into it — a later recovery
-        sees the old and new transactions as one history."""
+        sees the old and new transactions as one history.  Rows 102 and
+        200 sit past ``u_abort``'s empty slot, so the restarted
+        database's update and delete name tids the log named before the
+        restart; a second recovery must address the same rows."""
         path = str(tmp_path / "w.wal")
         _ref, db, crashed, _ = _run_workload(authority, wal_ids, path, None)
         assert not crashed
+        db.connect().execute("INSERT INTO items VALUES (200, 'late', 4)")
         db.close()
         with open(path, "ab") as handle:
             handle.write(b"\x03garbage-torn-tail")
         restarted = Database(authority, wal=WriteAheadLog(path))
         restarted.recover()
-        restarted.connect().execute(
-            "INSERT INTO items VALUES (300, 'after-restart', 1)")
+        session = restarted.connect()
+        session.execute("UPDATE items SET qty = qty + 1 WHERE id = 102")
+        session.execute("DELETE FROM items WHERE id = 200")
+        session.execute("INSERT INTO items VALUES (300, 'after-restart', 1)")
         restarted.close()
         records, _bytes, tail = scan_wal(path)
         assert tail is None          # reopen truncated the garbage
         audit = Database(authority)
         audit.recover(path)
         assert dump_database(audit) == dump_database(restarted)
+        assert audit.connect().query(
+            "SELECT id, qty FROM items WHERE id >= 100 ORDER BY id") == \
+            [(101, 0), (102, 8), (300, 1)]
+
+    def test_recovered_heap_has_the_logged_tids(self, authority, wal_ids,
+                                                tmp_path):
+        """Heap equality, not just dump equality.  The history has
+        aborted inserts, a slot VACUUM reclaimed, two transactions that
+        commit in the opposite order to their appends, an update and a
+        delete; the recovered heap holds a version at exactly the
+        original's tids, with the same values, labels, integrity labels
+        and ``xmax`` state, and every index the same ``(key, tid)``
+        entries."""
+        owner_id, tag_id = wal_ids
+        vetted = authority.create_tag("wal_vetted", owner=owner_id,
+                                      kind="integrity")
+        path = str(tmp_path / "w.wal")
+        db = Database(authority, wal=path)
+        u_create_table(db, *wal_ids)
+        u_create_index(db, *wal_ids)
+        db.connect().execute("CREATE ORDERED INDEX items_qty ON items (qty)")
+        u_insert_batch(db, *wal_ids)
+        u_abort(db, *wal_ids)
+        u_secret_insert(db, *wal_ids)
+        u_abort(db, *wal_ids)
+        endorser = IFCProcess(authority, owner_id)
+        endorser.endorse(vetted.id)
+        early = db.connect(endorser)
+        late = _secret_session(db, owner_id, tag_id)
+        early.begin()
+        early.execute("INSERT INTO items VALUES (5, 'early', 5)")
+        late.begin()
+        late.execute("INSERT INTO items VALUES (6, 'late', 6)")
+        late.commit()
+        early.commit()
+        reader = db.connect()
+        reader.begin()
+        reader.query("SELECT id FROM items")
+        u_delete(db, *wal_ids)              # row 3's version, pinned…
+        reader.commit()
+        assert db.vacuum() == 1             # …until VACUUM reclaims it
+        u_update(db, *wal_ids)
+        db.connect().execute("DELETE FROM items WHERE id = 5")
+
+        recovered = Database(authority)
+        recovered.recover(path)
+        original = db.catalog.get_table("items")
+        replayed = recovered.catalog.get_table("items")
+
+        def heap(table):
+            return {v.tid: (v.values, v.label, v.ilabel, v.xmax is None)
+                    for v in table.all_versions()}
+
+        def entries(index):
+            if hasattr(index, "_entries"):
+                return sorted(index._entries)
+            return sorted((key, tid) for key, tids in index._map.items()
+                          for tid in tids)
+
+        want = heap(original)
+        assert heap(replayed) == want
+        # VACUUM emptied slot 2 and aborted inserts held 3 and 5; the
+        # early transaction's row (tid 6: endorsed, deleted since) was
+        # logged after the late one's (tid 7: secret).
+        assert sorted(want) == [4, 6, 7, 8, 9]
+        assert want[6][0][0] == 5 and want[6][2] and not want[6][3]
+        assert want[7][0][0] == 6 and want[7][1]
+        assert sorted(original.indexes) == sorted(replayed.indexes)
+        for name, index in original.indexes.items():
+            assert entries(replayed.indexes[name]) == entries(index), name
+
+    @pytest.mark.parametrize("bad_ops, complaint", [
+        (lambda row: [("i", "t", 1, row(2)), ("d", "t", 5)],
+         "stamps t tid 5, an empty slot"),
+        (lambda row: [("i", "t", 1, row(2)), ("i", "t", 0, row(3))],
+         "writes t tid 0, not an empty slot"),
+        (lambda row: [("i", "t", 1, row(2)), ("u", "t", 0, 1, row(3))],
+         "writes t tid 1, not an empty slot"),
+    ], ids=["stamp-empty", "insert-occupied", "update-occupied"])
+    def test_malformed_op_is_a_typed_error(self, authority, tmp_path,
+                                           bad_ops, complaint):
+        """A log built the way a dump is — the magic, then encoded
+        records — whose third record names a slot replay cannot use:
+        ``WalError`` naming record, table and tid; the transaction
+        aborts, so its first op's row stays invisible; the watermark
+        stays at the record."""
+        scratch = Database(authority)
+        scratch.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
+
+        def row(ident):
+            return encode_labeled_row((ident,), EMPTY_LABEL, EMPTY_LABEL)
+
+        records = [("ddl", "create_table", scratch.catalog.get_table("t")
+                    .schema),
+                   ("commit", 1, [("i", "t", 0, row(1))], {}),
+                   ("commit", 2, bad_ops(row), {})]
+        path = tmp_path / "hand.wal"
+        path.write_bytes(MAGIC + b"".join(map(encode_record, records)))
+        recovered = Database(authority)
+        with pytest.raises(WalError, match="WAL record 2 " + complaint):
+            recovered.recover(str(path))
+        assert recovered._wal_applied == 2
+        assert recovered.connect().query("SELECT id FROM t") == [(1,)]
+        with pytest.raises(WalError, match="WAL record 2 " + complaint):
+            recovered.recover(str(path))
 
 
 # ---------------------------------------------------------------------------
