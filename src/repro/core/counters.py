@@ -2,8 +2,9 @@
 
 Everything the engine counts — the label-rule invocations the paper's
 cost argument is made of (section 7.1), index probes, executor cells,
-spill traffic, statistics sweeps, WAL writes, statements and rows
-written, buffer-cache page traffic (section 8.3) — is one row of
+spill traffic, statistics sweeps, WAL writes, statement-cache hits and
+parses, statements and rows written, buffer-cache page traffic
+(section 8.3) — is one row of
 :data:`SCHEMA`.  A counter is added by adding a row; storage, the
 ``Database.stats()`` report, per-statement deltas (:func:`delta`),
 EXPLAIN ANALYZE's labels and the noninterference test's low set
@@ -120,6 +121,16 @@ SCHEMA = (
     ("wal", "commits", SUM, "wal_commits", "high"),
     ("wal", "commit_flushes", SUM, "wal.commit_flushes", "high"),
     ("wal", "group_commit_size", MAX, None, "high"),
+    # -- parse: Database.parse, db/engine.py -------------------------------
+    # Texts found in the statement cache, new texts bound into the
+    # template of a shape seen before, and parses (a new shape, or a
+    # raw value the template does not fit).  Hidden: parsing happens
+    # before a statement's bracket opens.  All high: both caches are
+    # shared by every session, so whether a text or a shape hits
+    # depends on what other processes ran, whatever their labels.
+    ("parse", "text_hits", SUM, None, "high"),
+    ("parse", "shape_hits", SUM, None, "high"),
+    ("parse", "parses", SUM, None, "high"),
     # -- top level: db/session.py -----------------------------------------
     # Statements run through ``Session.execute_statement`` — a tracked
     # one is counted before its bracket opens, so its own delta holds

@@ -31,11 +31,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import counters
 from ..core.authority import AuthorityState
+from ..core.counters import tally
 from ..core.idgen import SeededIdGenerator
 from ..core.labels import EMPTY_LABEL, Label
 from ..errors import AuthorityError, CatalogError, DatabaseError
 from ..sql import ast
+from ..sql.lexer import tokenize
 from ..sql.parser import parse_script, parse_statement
+from ..sql.template import Template, shape
 from .catalog import (
     Catalog,
     FunctionDef,
@@ -92,9 +95,9 @@ class PreparedInsert:
 _SPILL_BYTES_CELL = counters.CELLS.index(("spill", "bytes_spilled"))
 _SUPPRESSED_CELL = counters.CELLS.index(("labels", "rows_suppressed"))
 
-#: Entries the parse cache and the plan cache may each hold.  A workload of
-#: all-distinct texts (inlined literals) would otherwise grow them one
-#: entry per statement until the next DDL.
+#: Entries the statement cache and the shape cache may each hold.  A
+#: workload of all-distinct texts (inlined literals) would otherwise grow
+#: the statement cache one entry per statement until the next DDL.
 STATEMENT_CACHE_CAP = 4096
 
 
@@ -102,7 +105,7 @@ def _cache_put(cache: dict, key, value) -> None:
     """Insert, clearing a full cache first: no recency bookkeeping on
     the hit path, and the few hot texts of a real workload are back
     after one miss each."""
-    if len(cache) >= STATEMENT_CACHE_CAP:
+    if len(cache) >= STATEMENT_CACHE_CAP and key not in cache:
         cache.clear()
     cache[key] = value
 
@@ -190,20 +193,21 @@ class Database:
                                naive=naive_plans,
                                batch_size=self.batch_size,
                                work_mem=self.work_mem)
-        # Parsed statements by SQL text; each carries its fingerprint
-        # (``parse_statement``), so a text is lexed once.
-        self._parse_cache: Dict[str, object] = {}
-        # The prepared-plan cache (SELECT, UPDATE/DELETE and INSERT
-        # plans alike), keyed by SQL text (or statement identity for
-        # programmatic statements); each entry is
-        # ``(statement, prepared, table_names)``.  The whole cache is
-        # versioned by ``plan_cache_epoch``: any DDL or tag-registry
-        # change clears it, which invalidates stale plans.  Statistics
-        # refreshes are gentler: they evict only the entries whose
-        # ``table_names`` include the refreshed table (see
-        # ``invalidate_plans_for``).  Like the parse cache it holds at
-        # most ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
+        # The one statement cache, keyed by SQL text (or statement
+        # identity for programmatic statements); each entry is
+        # ``(statement, prepared or None, table_names)``.  ``parse``
+        # adds a text's statement with no plan; ``_prepare`` plans
+        # SELECT, UPDATE/DELETE and INSERT statements into it.  Plans
+        # are versioned by ``plan_cache_epoch``: any DDL or
+        # tag-registry change drops them all, a statistics refresh
+        # only those whose ``table_names`` include the refreshed table
+        # (``invalidate_plans_for``); either way the statement stays.
+        # At most ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
         self._plan_cache: Dict[object, Tuple] = {}
+        # Statement shapes (``sql.template.shape``) → their
+        # ``Template``: what a new text of a known shape is bound from
+        # instead of parsed.  Bounded like the statement cache.
+        self._shape_cache: Dict[tuple, Template] = {}
         self._plan_epoch: Optional[Tuple[int, int]] = None
         self._stats_probe = 0
         self._sequences: Dict[str, int] = {}
@@ -261,10 +265,27 @@ class Database:
     # parsing and preparation (cached)
     # ------------------------------------------------------------------
     def parse(self, sql: str):
-        statement = self._parse_cache.get(sql)
-        if statement is None:
-            statement = parse_statement(sql)
-            _cache_put(self._parse_cache, sql, statement)
+        """The statement of ``sql``: for a text seen before, the very
+        statement it gave then (its plan is cached with it); for a new
+        text, lexed once, a copy of its shape's template with the text's
+        literals bound in.  Only a new shape is parsed."""
+        entry = self._plan_cache.get(sql)
+        if entry is not None:
+            tally().text_hits += 1
+            return entry[0]
+        tokens = tokenize(sql)
+        key = shape(tokens)
+        template = self._shape_cache.get(key)
+        if template is not None and template.fits(tokens):
+            tally().shape_hits += 1
+        else:
+            slots: dict = {}
+            template = Template(parse_statement(sql, tokens, slots),
+                                tokens, slots)
+            _cache_put(self._shape_cache, key, template)
+            tally().parses += 1
+        statement = template.bind(tokens)
+        _cache_put(self._plan_cache, sql, (statement, None, ()))
         return statement
 
     def parse_script(self, sql: str):
@@ -295,15 +316,17 @@ class Database:
     def _check_plan_epoch(self) -> None:
         epoch = self.plan_cache_epoch()
         if epoch != self._plan_epoch:
-            self._plan_cache.clear()
+            self.invalidate_plans_for(None)
             self._plan_epoch = epoch
         self._stats_probe += 1
         if self._stats_probe >= self.STATS_PROBE_INTERVAL:
             self._stats_probe = 0
             self.stats_manager.refresh_drifted()
 
-    def invalidate_plans_for(self, table_name: str) -> None:
-        """Evict cached plans that read ``table_name`` (stats refresh).
+    def invalidate_plans_for(self, table_name: Optional[str]) -> None:
+        """Drop the cached plans that read ``table_name`` (stats
+        refresh) — every plan for ``None`` (an epoch change) — keeping
+        each text's statement, so the text is replanned, not reparsed.
 
         DML plans participate too: UPDATE/DELETE target scans come out
         of the same cost-based access-path enumeration as SELECT, so a
@@ -312,20 +335,24 @@ class Database:
         to be selective).
         """
         cache = self._plan_cache
-        for key in [key for key, entry in cache.items()
-                    if table_name in entry[2]]:
-            del cache[key]
+        for key, (statement, prepared, tables) in list(cache.items()):
+            if prepared is not None and (table_name is None
+                                         or table_name in tables):
+                cache[key] = (statement, None, ())
 
     def _prepare(self, statement, sql: Optional[str]):
         """The plan of a SELECT (``PreparedSelect``), UPDATE/DELETE
         (``PreparedDML``) or INSERT (:class:`PreparedInsert`) statement,
-        through the one plan cache."""
-        # The cache keeps a strong reference to the statement so the
-        # id()-based fallback key can never alias a recycled object.
+        through the one statement cache."""
+        # A text's entry holds the statement ``parse`` returned for it.
+        # The identity check is for the id()-based key of programmatic
+        # statements (the entry's strong reference keeps the id from
+        # being recycled) and for a caller that parsed the text itself.
         self._check_plan_epoch()
         key = sql if sql is not None else id(statement)
         cached = self._plan_cache.get(key)
-        if cached is not None and cached[0] is statement:
+        if cached is not None and cached[1] is not None \
+                and cached[0] is statement:
             return cached[1]
         if isinstance(statement, ast.Insert):
             prepared = self._plan_insert(statement)

@@ -297,14 +297,17 @@ class Table:
             if version is not None:
                 yield version
 
-    def stamp(self, version: TupleVersion, xid: int,
+    def stamp(self, version: TupleVersion, xid: Optional[int],
               superseded: bool = False) -> None:
         """Mark ``version`` deleted by ``xid`` — the one writer of
         ``xmax``.  A DELETE counts as a modification here; an UPDATE's
-        (``superseded``) is counted by the append of its new version."""
+        (``superseded``) is counted by the append of its new version.
+        ``xid=None`` clears the mark of a deleter that rolled back: no
+        modification, and no change in visibility (an aborted ``xmax``
+        hides nothing), but the slice's summary is rebuilt unstamped."""
         version.xmax = xid
         self._segments.pop(version.tid // self._segment_size, None)
-        if not superseded:
+        if xid is not None and not superseded:
             self.modifications += 1
 
     def segments(self, size: int) -> Iterator[Segment]:

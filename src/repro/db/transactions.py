@@ -150,7 +150,8 @@ class TransactionManager:
         #: once, so they queue apart (``_doomed_now``) and never wait
         #: behind a commit some reader pins.  ``commit`` and ``abort``
         #: only append — they may run outside the latch that serialises
-        #: statements.
+        #: statements (``abort`` clearing its own ``xmax`` changes no
+        #: scan's answer).
         self._doomed: Deque[tuple] = deque()
         self._doomed_now: Deque[tuple] = deque()
         self.versions_reclaimed = 0
@@ -191,7 +192,10 @@ class TransactionManager:
             self._doomed.append((txn.xid, superseded))
 
     def abort(self, txn: Transaction) -> None:
-        """Roll ``txn`` back and doom the versions it created."""
+        """Roll ``txn`` back, doom the versions it created and clear
+        its ``xmax`` from the versions it deleted or superseded — left
+        set, it would keep their heap slice off the frozen path until
+        the row was next written."""
         created = [(w.table, w.tid) for w in txn.write_set
                    if w.kind != "delete"]
         if created and txn.status == IN_PROGRESS:
@@ -201,6 +205,12 @@ class TransactionManager:
             self._aborted_unreclaimed.add(txn.xid)
         self._finish(txn, ABORTED)
         self.aborts += 1
+        for w in txn.write_set:
+            if w.kind != "insert":
+                version = w.table.version(
+                    w.prev_tid if w.kind == "update" else w.tid)
+                if version is not None and version.xmax == txn.xid:
+                    w.table.stamp(version, None)
         if created:
             self._doomed_now.append((txn.xid, created))
 

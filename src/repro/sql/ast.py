@@ -229,10 +229,12 @@ class Explain:
     analyze: bool = False
 
 
-#: A statement parsed from text (``parser.parse_statement``) also
+#: A statement made from text — parsed (``parser.parse_statement``) or
+#: bound from its shape's template (``template.Template``) — also
 #: carries ``fingerprint``, the literal-free form of its tokens — an
 #: instance attribute, not a field: it takes no part in equality and a
-#: statement built programmatically has none.
+#: statement built programmatically has none.  Bound statements share
+#: their literal-free subtrees, so nothing may mutate a parsed tree.
 Statement = Union[Select, Insert, Update, Delete, CreateTable, CreateView,
                   CreateIndex, DropTable, DropView, DropIndex, Begin, Commit,
                   Rollback, Call, Vacuum, Analyze, Explain]

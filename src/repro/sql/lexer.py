@@ -132,7 +132,7 @@ def tokenize(sql: str) -> List[Token]:
     return tokens
 
 
-_LITERALS = (NUMBER, STRING, PARAM)
+LITERALS = (NUMBER, STRING, PARAM)
 
 
 def fingerprint(tokens: List[Token]) -> str:
@@ -140,5 +140,5 @@ def fingerprint(tokens: List[Token]) -> str:
     (numbers, strings, parameters) become ``?`` so ``…WHERE id = 7`` and
     ``…WHERE id = 9`` aggregate under one key; whitespace and comments
     went with the lexer; identifiers keep their case."""
-    return " ".join(["?" if token.kind in _LITERALS else str(token.value)
+    return " ".join(["?" if token.kind in LITERALS else str(token.value)
                      for token in tokens[:-1]])          # all but EOF

@@ -27,7 +27,7 @@ literals (tags like ``'alice-drives'`` contain hyphens).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..db import expressions as ex
 from ..errors import SQLSyntaxError
@@ -37,11 +37,17 @@ from .lexer import (EOF, IDENT, NUMBER, OP, PARAM, STRING, Token,
 
 
 class Parser:
-    def __init__(self, sql: str):
+    def __init__(self, sql: str, tokens: Optional[List[Token]] = None):
         self.sql = sql
-        self.tokens = tokenize(sql)
+        self.tokens = tokenize(sql) if tokens is None else tokens
         self.position = 0
         self.param_counter = 0
+        #: Token index → the ``Literal`` node parsed from that number or
+        #: string token: the slots a template rebinds
+        #: (:mod:`repro.sql.template`).  A literal read as a raw value —
+        #: a type length, a DEFAULT, a tag name — makes no node, so it
+        #: is never a slot.
+        self.slots: Dict[int, ex.Literal] = {}
 
     # ------------------------------------------------------------------
     # token utilities
@@ -674,8 +680,9 @@ class Parser:
     def _primary(self) -> ex.Expr:
         token = self.peek()
         if token.kind == NUMBER or token.kind == STRING:
+            literal = self.slots[self.position] = ex.Literal(token.value)
             self.advance()
-            return ex.Literal(token.value)
+            return literal
         if token.kind == PARAM:
             self.advance()
             param = ex.Param(self.param_counter)
@@ -756,13 +763,19 @@ class Parser:
         return ex.Case(whens, default)
 
 
-def parse_statement(sql: str) -> ast.Statement:
-    """Parse a single SQL statement.  The statement carries the
+def parse_statement(sql: str, tokens: Optional[List[Token]] = None,
+                    slots: Optional[dict] = None) -> ast.Statement:
+    """Parse a single SQL statement, from ``tokens`` when the caller
+    has already lexed ``sql``.  The statement carries the
     ``fingerprint`` of the tokens it was parsed from — what the engine
-    aggregates its executions under — so no one lexes the text again."""
-    parser = Parser(sql)
+    aggregates its executions under — so no one lexes the text again.
+    A ``slots`` dict receives :attr:`Parser.slots`, which a template
+    is compiled from."""
+    parser = Parser(sql, tokens)
     statement = parser.parse_statement()
     statement.fingerprint = fingerprint(parser.tokens)
+    if slots is not None:
+        slots.update(parser.slots)
     return statement
 
 

@@ -71,6 +71,7 @@ PINNED_CELLS = [
     ("wal", "records"), ("wal", "bytes"), ("wal", "flushes"),
     ("wal", "fsyncs"), ("wal", "commits"), ("wal", "commit_flushes"),
     ("wal", "group_commit_size"),
+    ("parse", "text_hits"), ("parse", "shape_hits"), ("parse", "parses"),
     (None, "statements_executed"), (None, "rows_inserted"),
     (None, "rows_updated"), (None, "rows_deleted"),
     (None, "buffer_hits"), (None, "buffer_misses"),
@@ -333,6 +334,7 @@ def test_each_new_text_is_lexed_once_and_caches_stay_bounded(monkeypatch):
 
     monkeypatch.setattr(lexer, "tokenize", counting)
     monkeypatch.setattr(parser, "tokenize", counting)
+    monkeypatch.setattr(engine, "tokenize", counting)
     db, public, _secret, _tag, _a, _o = _fresh()
     public.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     del calls[:]
@@ -343,19 +345,41 @@ def test_each_new_text_is_lexed_once_and_caches_stay_bounded(monkeypatch):
     assert len(calls) == 2                 # cached text: not lexed at all
     assert db.stats()["statements"]["SELECT v FROM t WHERE id = ?"][
         "calls"] == 2
+    public.execute("SELECT v FROM t WHERE id = 2")
+    assert len(calls) == 3                 # a known shape: lexed, not parsed
+    public.execute("CREATE TABLE u (id INT PRIMARY KEY)")
+    assert len(calls) == 4                 # a new shape: lexed once, parsed
 
-    caches = (db._parse_cache, db._plan_cache)
-    for i in range(2, 5002):               # 10 000 distinct texts
+    caches = (db._plan_cache, db._shape_cache)
+    for i in range(3, 5003):               # 10 000 distinct texts
         public.execute("INSERT INTO t VALUES (%d, 0)" % i)
         public.execute("SELECT v FROM t WHERE id = %d" % i)
         assert all(len(c) <= engine.STATEMENT_CACHE_CAP for c in caches)
-    assert len(calls) == 2 + 10000
+    assert len(calls) == 4 + 10000
+    # A stream of new shapes is bounded the same way.
+    monkeypatch.setattr(engine, "STATEMENT_CACHE_CAP", 8)
+    for i in range(20):
+        public.execute("SELECT v FROM t WHERE id = 1" + " OR id = 1" * i)
+        assert all(len(c) <= 8 for c in caches)
     # UPDATE/DELETE plans go through the same bound.
     monkeypatch.setattr(engine, "STATEMENT_CACHE_CAP", 8)
     for i in range(20):
         public.execute("UPDATE t SET v = %d WHERE id = 1" % i)
         assert len(db._plan_cache) <= 8
     assert public.execute("SELECT v FROM t WHERE id = 1").rows[0][0] == 19
+
+
+def test_parse_counters_tell_text_hits_shape_hits_and_parses_apart():
+    db, public, _secret, _tag, _a, _o = _fresh()
+    public.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    counters.reset()
+    for sql in ("SELECT v FROM t WHERE id = 1",
+                "SELECT v FROM t WHERE id = 2",
+                "SELECT  v FROM t\n WHERE id = 3  -- same shape",
+                "SELECT v FROM t WHERE id = 1"):
+        public.execute(sql)
+    assert db.stats()["parse"] == {"text_hits": 1, "shape_hits": 2,
+                                   "parses": 1}
 
 
 def test_statement_stats_aggregate_under_normalized_keys():

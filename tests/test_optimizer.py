@@ -274,9 +274,9 @@ class TestPlanCache:
         db, session = store
         sql = "UPDATE items SET price = price WHERE id = 1"
         session.execute(sql)
-        assert sql in db._plan_cache
+        assert db._plan_cache[sql][1] is not None
         db.invalidate_plans_for("items")
-        assert sql not in db._plan_cache
+        assert db._plan_cache[sql][1] is None
 
     def test_epoch_covers_tag_registry_mutations(self, db, authority):
         session = db.connect()

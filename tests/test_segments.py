@@ -267,23 +267,39 @@ def test_a_version_appended_mid_scan_is_still_reached():
     assert _scan(db, session)[0] == list(range(10))
 
 
-def test_a_rolled_back_deleter_costs_the_bound_check_not_the_rows():
-    """Its ``xmax`` stays on the version, so the segment's summary —
-    rebuilt, because ``stamp`` dropped it — says ``stamped`` and the
-    scan asks ``visible()`` row by row; the answer is what it was."""
-    db, session, table = _table(8, 16)
+def _roll_back(db, session, table, sql):
+    """Run ``sql`` on row 3 and roll it back: the abort clears the
+    writer's ``xmax`` through ``Table.stamp`` — no modification — so
+    the slice's rebuilt summary is unstamped and both slices pass the
+    bound check whole again; the answer is what it was, and another
+    transaction can then delete the row."""
     rows, before = _scan(db, session)
     assert before["segments_frozen"] == before["segments_scanned"] == 2
-    deleter = db.connect(session.process)
-    deleter.begin()
-    assert deleter.execute("DELETE FROM t WHERE id = 3").rowcount == 1
+    writer = db.connect(session.process)
+    writer.begin()
+    assert writer.execute(sql).rowcount == 1
     assert 0 not in table._segments and 1 in table._segments
-    assert _scan(db, deleter)[0] == [i for i in range(16) if i != 3]
-    deleter.rollback()
+    assert table.version(3).xmax == writer.transaction.xid
+    modifications = table.modifications
+    writer.rollback()
+    assert table.version(3).xmax is None
+    assert table.modifications == modifications
     again, after = _scan(db, session)
     assert again == rows
-    assert (after["segments_frozen"], after["segments_scanned"]) == (1, 2)
-    assert table._segments[0].stamped and not table._segments[1].stamped
+    assert (after["segments_frozen"], after["segments_scanned"]) == (2, 2)
+    assert not table._segments[0].stamped and not table._segments[1].stamped
+    assert session.execute("DELETE FROM t WHERE id = 3").rowcount == 1
+    assert _scan(db, session)[0] == [i for i in range(16) if i != 3]
+
+
+def test_a_rolled_back_deleter_leaves_the_segment_frozen():
+    db, session, table = _table(8, 16)
+    _roll_back(db, session, table, "DELETE FROM t WHERE id = 3")
+
+
+def test_a_rolled_back_updater_leaves_the_segment_frozen():
+    db, session, table = _table(8, 16)
+    _roll_back(db, session, table, "UPDATE t SET v = 9 WHERE id = 3")
 
 
 def test_unlinking_a_slices_last_version_makes_it_an_empty_skip():

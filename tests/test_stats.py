@@ -386,14 +386,16 @@ class TestInvalidationAndRefresh:
         sql_other = "SELECT x FROM other WHERE x = 1"
         session.execute(sql_events)
         session.execute(sql_other)
-        assert sql_events in db._plan_cache
-        assert sql_other in db._plan_cache
+        assert db._plan_cache[sql_events][1] is not None
+        assert db._plan_cache[sql_other][1] is not None
+        statement = db._plan_cache[sql_events][0]
         self._drift(db, session)
         refreshed = db.stats_manager.refresh_drifted()
         assert refreshed == ["events"]
-        # Only the plan reading the refreshed table was evicted.
-        assert sql_events not in db._plan_cache
-        assert sql_other in db._plan_cache
+        # Only the plan reading the refreshed table was evicted; the
+        # text keeps its statement.
+        assert db._plan_cache[sql_events] == (statement, None, ())
+        assert db._plan_cache[sql_other][1] is not None
 
     def test_periodic_sweep_refreshes_without_replanning(self, store):
         # Even with every hot plan cached (so no planning pass ever
