@@ -148,17 +148,19 @@ def _flatten_from(items: List[ast.FromItem]) -> List[Tuple]:
     is valid for inner and left joins in a left-deep evaluation.
     """
     sequence: List[Tuple] = []
-
-    def walk(item, kind="inner", on=None):
-        if isinstance(item, ast.Join):
-            walk(item.left, kind, on)
-            walk(item.right, item.kind, item.on)
-        else:
-            sequence.append((item, kind, on))
-
     for item in items:
-        walk(item, "inner", None)
+        _walk_join(item, "inner", None, sequence)
     return sequence
+
+
+def _walk_join(item, kind: str, on, sequence: List[Tuple]) -> None:
+    """Append ``item``'s leaves to ``sequence`` left to right, each
+    with the kind and ON condition of the join that brought it in."""
+    if isinstance(item, ast.Join):
+        _walk_join(item.left, kind, on, sequence)
+        _walk_join(item.right, item.kind, item.on, sequence)
+    else:
+        sequence.append((item, kind, on))
 
 
 def _entry_for(item, catalog: Catalog, declass_in: Label,

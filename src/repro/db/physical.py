@@ -59,11 +59,13 @@ cursor, ``INSERT … SELECT`` and a kernel-less expression only).
   per row, one state list per aggregate indexed by it (the kernel table
   :data:`_KERNELS`, resolved per function at plan time), one label
   union per distinct ``(group, label)`` pair, and finished groups
-  sliced from the state lists into batches.  An operator zips rows out
-  of columns (:func:`_batch_rows`) only to hold them in a hash build
-  or spool them to a spill file, and a row producer (merged sort runs,
-  the deterministic order) transposes its rows back into columns a
-  chunk at a time (:func:`_row_batches`).
+  sliced from the state lists into batches.  A join holds its right
+  side as columns too (:class:`~repro.db.spill.JoinSide`): a key's
+  matches are row numbers, and the output is gathered by left index
+  and right row number.  Rows are zipped out of columns only to spool
+  them to a spill file, and the one row producer left (the merge of
+  spilled sort runs) transposes its rows back into columns a chunk at
+  a time (:func:`_row_batches`).
 
 **The reference executor** of the differential harness is these same
 operators at batch size 1 over naive plans
@@ -106,20 +108,19 @@ from functools import partial, reduce
 from itertools import (accumulate, compress, count, filterfalse, islice,
                        repeat)
 from operator import (add as _add, gt as _gt, itemgetter, lt as _lt,
-                      not_ as _not)
+                      neg as _neg, not_ as _not)
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import tally
 from ..core.labels import EMPTY_LABEL, Label
 from ..core.rules import covers, strip
-from ..errors import AuthorityError
+from ..errors import AuthorityError, DatabaseError
 from .catalog import ViewDef
-from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, GroupSpill,
-                    MAX_RECURSION, SortRuns, SpilledHashBuild, Spools,
-                    column_rows, estimate_batch_bytes, estimate_row_bytes)
+from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, NULL_ROW,
+                    GroupSpill, JoinSide, MAX_RECURSION, SortRuns,
+                    SpilledHashBuild, Spools, column_rows,
+                    estimate_batch_bytes, estimate_row_bytes, take_rows)
 from .storage import SET_AT_A_TIME_MIN, Segment, Table
-
-ExecRow = Tuple[list, Label, Label]          # (values, label, ilabel)
 
 #: Rows per batch when no explicit size is configured (the engine reads
 #: ``REPRO_BATCH_SIZE`` and passes its own default through the planner).
@@ -188,22 +189,14 @@ class RowBatch:
         ``exec.rows_widened``)."""
         n = len(self.labels)
         tally().rows_widened += n
-        return list(column_rows(self.filled(), n))
+        return list(column_rows(self._columns, n))
 
     def select(self, keep) -> "RowBatch":
         """The sub-batch at row indexes ``keep`` (in order): every
         materialized column and both label sequences gathered — sliced,
         when ``keep`` is a unit-step ``range``."""
-        if type(keep) is range and keep.step == 1 and keep.start >= 0:
-            cut = slice(keep.start, keep.start + len(keep))
-            def take(sequence):
-                return sequence[cut]
-        else:
-            def take(sequence):
-                return [sequence[i] for i in keep]
-        return RowBatch([None if column is None else take(column)
-                         for column in self._columns],
-                        take(self.labels), take(self.ilabels))
+        return RowBatch(*take_rows(self._columns, self.labels, self.ilabels,
+                                   keep))
 
 
 def _chunked(iterator, size: int):
@@ -226,20 +219,31 @@ def _probe_segments(table: Table, index, key: tuple, size: int) -> list:
 
 def _row_batches(rows, size: int) -> Iterator[RowBatch]:
     """Batches of up to ``size`` from ``(values, label, ilabel)`` rows,
-    each chunk transposed once — how a row-producing source (finalized
-    groups, a merge of spilled runs) feeds batch consumers."""
+    each chunk transposed once — how the merge of spilled sort runs
+    feeds batch consumers."""
     for chunk in _chunked(rows, size):
         values, labels, ilabels = zip(*chunk)
         yield RowBatch(list(zip(*values)), list(labels), list(ilabels))
 
 
-def _batch_rows(batch: RowBatch) -> Iterator[ExecRow]:
-    """``(values, label, ilabel)`` per row of a batch, the value tuples
-    zipped straight from its columns at C speed — how an operator holds
-    rows (a join's build side, a spooled probe row) without counting
-    them as widened."""
-    return zip(column_rows(batch.filled(), len(batch)), batch.labels,
-               batch.ilabels)
+def _buffered(held: Optional[list], parts: list) -> list:
+    """``parts`` (parallel columns) appended to the column buffer
+    ``held`` — copied, when there is none yet."""
+    if held is None:
+        return [list(part) for part in parts]
+    for column, part in zip(held, parts):
+        column.extend(part)
+    return held
+
+
+def _permuted(held: list, order, size: int) -> Iterator[RowBatch]:
+    """Batches of up to ``size`` gathered from a buffer of value
+    columns followed by the label and ilabel columns, in the row order
+    ``order``."""
+    *columns, labels, ilabels = held
+    for lo in range(0, len(order), size):
+        yield RowBatch(*take_rows(columns, labels, ilabels,
+                                  order[lo:lo + size]))
 
 
 class ExecContext:
@@ -664,94 +668,112 @@ class Filter(Plan):
                 yield batch.select(keep)
 
 
-def _gather_join(left: RowBatch, li: list, rrows: list) -> RowBatch:
-    """The columnar join of left rows ``li`` with right rows ``rrows``
-    (``(values, label, ilabel)`` triples, pairwise)."""
-    rvalues, rlabels, rilabels = zip(*rrows)
-    columns = [None if col is None else [col[i] for i in li]
-               for col in left.columns()]
-    columns.extend(map(list, zip(*rvalues)))
-    def joined(own, other):     # a side that covers the other is the union
-        return [a if b.issubset(a) else b if a.issubset(b) else a.union(b)
-                for a, b in zip([own[i] for i in li], other)]
-    return RowBatch(columns, joined(left.labels, rlabels),
-                    joined(left.ilabels, rilabels))
+class _Join:
+    """What the three joins share (a mixin, not an operator): the join
+    ``kind``, the batch-compiled ``residual`` evaluated over the
+    combined batch, and the tail that turns one left batch and its
+    candidate right rows into output batches (:meth:`_join_batches`).
 
-
-def _join_batch(ctx, left: RowBatch, li: list, rrows: list,
-                residual: Optional[Callable], null_row, owed,
-                skip) -> Optional[RowBatch]:
-    """Finish one slice of a left batch: ``li[k]``/``rrows[k]`` are its
-    candidate pairs (left row index, right row) in left-row order.  The
-    batch-compiled ``residual`` is evaluated once over the combined
-    batch; for a LEFT join (``null_row`` set) every ``owed`` left row
-    left without a match — and not in ``skip`` — is NULL-extended in
-    place, so rows come out in left-row order whatever the batch size.
-    Returns None for no output.
+    A join's right side is a :class:`~repro.db.spill.JoinSide` —
+    columns plus row numbers, never a row object per build row — and
+    a candidate is a right *row number*; the output columns are
+    gathered by left row index and right row number
+    (:func:`_gather_join`).
     """
-    out = None
-    if li and residual is not None:
-        out = _gather_join(left, li, rrows)
-        keep = [k for k, flag in enumerate(residual(out, ctx)) if flag]
-        if len(keep) < len(li):
-            li = [li[k] for k in keep]
-            rrows = [rrows[k] for k in keep]
-            out = out.select(keep)
-    if null_row is not None:
-        missing = set(owed).difference(li, skip)
-        if missing:
-            li = li + sorted(missing)
-            rrows = rrows + [null_row] * len(missing)
-            order = sorted(range(len(li)), key=li.__getitem__)   # stable
-            li = [li[k] for k in order]
-            rrows = [rrows[k] for k in order]
-            out = None
-    if not li:
-        return None
-    return out if out is not None else _gather_join(left, li, rrows)
+
+    def _join_batches(self, ctx, left: RowBatch, found,
+                      side: JoinSide) -> Iterator[RowBatch]:
+        """One left batch's join output, column-native.  ``found``
+        yields each left row's candidate row numbers in ``side`` (None:
+        the row was spooled for the partition phase).  Pairs are
+        flushed (:meth:`_join_batch`) at the first left-row boundary
+        past ``batch_size``, so an output batch — and the memory a
+        ``LIMIT`` above can leave unread — is bounded by ``batch_size``
+        plus one row's fanout, however skewed the key.
+        """
+        size = self.batch_size
+        li, ri, skip, lo, last = [], [], [], 0, len(left)
+        for i, matches in enumerate(found, 1):
+            if matches is None:
+                skip.append(i - 1)
+            elif matches:
+                li.extend(repeat(i - 1, len(matches)))
+                ri.extend(matches)
+            if len(li) >= size or i == last:
+                out = self._join_batch(ctx, left, li, side, ri,
+                                       range(lo, i), skip)
+                if out is not None:
+                    yield out
+                li, ri, skip, lo = [], [], [], i
+
+    def _join_batch(self, ctx, left: RowBatch, li: list, side: JoinSide,
+                    ri: list, owed, skip) -> Optional[RowBatch]:
+        """Finish one slice of a left batch: ``li[k]``/``ri[k]`` are its
+        candidate pairs (left row index, right row number) in left-row
+        order.  The ``residual`` is evaluated once over the combined
+        batch; for a LEFT join every ``owed`` left row left without a
+        match — and not in ``skip`` — is paired in place with the
+        side's all-NULL row (:data:`~repro.db.spill.NULL_ROW`), so rows
+        come out in left-row order whatever the batch size.  Returns
+        None for no output.
+        """
+        out = None
+        if li and self.residual is not None:
+            out = _gather_join(left, li, side, ri)
+            keep = [k for k, flag in enumerate(self.residual(out, ctx))
+                    if flag]
+            if len(keep) < len(li):
+                li = [li[k] for k in keep]
+                ri = [ri[k] for k in keep]
+                out = out.select(keep)
+        if self.kind == "left":
+            missing = set(owed).difference(li, skip)
+            if missing:
+                li = li + sorted(missing)
+                ri = ri + [NULL_ROW] * len(missing)
+                order = sorted(range(len(li)), key=li.__getitem__)  # stable
+                li = [li[k] for k in order]
+                ri = [ri[k] for k in order]
+                out = None
+        if not li:
+            return None
+        return out if out is not None else _gather_join(left, li, side, ri)
 
 
-def _join_batches(ctx, left: RowBatch, found, size: int,
-                  residual: Optional[Callable],
-                  null_row=None) -> Iterator[RowBatch]:
-    """One left batch's join output, column-native: the shared tail of
-    every join.  ``found`` yields each left row's candidate
-    right rows (None: the row was spooled for the partition phase).
-    Pairs are flushed (:func:`_join_batch`) at the first left-row
-    boundary past ``size``, so an output batch — and the memory a
-    ``LIMIT`` above can leave unread — is bounded by ``size`` plus one
-    row's fanout, however skewed the key.
-    """
-    li, rrows, skip, lo, last = [], [], [], 0, len(left)
-    for i, matches in enumerate(found, 1):
-        if matches is None:
-            skip.append(i - 1)
-        elif matches:
-            li.extend(repeat(i - 1, len(matches)))
-            rrows.extend(matches)
-        if len(li) >= size or i == last:
-            out = _join_batch(ctx, left, li, rrows, residual, null_row,
-                              range(lo, i), skip)
-            if out is not None:
-                yield out
-            li, rrows, skip, lo = [], [], [], i
+def _gather_join(left: RowBatch, li: list, side: JoinSide,
+                 ri: list) -> RowBatch:
+    """The columnar join of left rows ``li`` with ``side``'s rows
+    ``ri``, pairwise: every column gathered by row index (a
+    projected-away one stays ``None``), and each pair's labels
+    unioned (:func:`_union_pairs`)."""
+    columns, labels, ilabels = take_rows(left.columns(), left.labels,
+                                         left.ilabels, li)
+    right, rlabels, rilabels = take_rows(side.columns, side.labels,
+                                         side.ilabels, ri)
+    return RowBatch(columns + right, _union_pairs(labels, rlabels),
+                    _union_pairs(ilabels, rilabels))
 
 
-def _null_row(kind: str, right_width: int):
-    """The all-NULL right row a LEFT join extends unmatched rows with
-    (None for inner joins)."""
-    if kind != "left":
-        return None
-    return (None,) * right_width, EMPTY_LABEL, EMPTY_LABEL
+def _union_pairs(a: list, b: list) -> list:
+    """Pair by pair, the union of two label columns: a column of empty
+    labels adds nothing (checked at C speed — a label is a
+    ``frozenset``), and otherwise a side that covers the other is the
+    union."""
+    if not any(b):
+        return a
+    if not any(a):
+        return b
+    return [x if y.issubset(x) else y if x.issubset(y) else x.union(y)
+            for x, y in zip(a, b)]
 
 
-class NestedLoopJoin(Plan):
+class NestedLoopJoin(_Join, Plan):
     """Generic join; materializes the right side once per execution.
 
-    ``on`` is the batch-compiled join predicate: the cross product of a
-    slice of outer rows with the materialized inner side is built as
-    one columnar batch and the predicate evaluated over it in one call
-    (:func:`_join_batches`).
+    ``on``, the batch-compiled join predicate, is the join's residual:
+    the cross product of a slice of outer rows with the materialized
+    inner side is built as one columnar batch and the predicate
+    evaluated over it in one call (:meth:`_Join._join_batches`).
     """
 
     CHILDREN = ("left", "right")
@@ -761,20 +783,20 @@ class NestedLoopJoin(Plan):
         self.left = left
         self.right = right
         self.kind = kind
-        self.on = on
+        self.residual = on
         self.right_width = right_width
 
     def batches(self, ctx):
-        right_rows = [row for batch in self.right.batches(ctx)
-                      for row in _batch_rows(batch)]
-        null_row = _null_row(self.kind, self.right_width)
+        side = JoinSide(self.right_width)
+        for batch in self.right.batches(ctx):
+            side.add((), batch.columns(), batch.labels, batch.ilabels)
+        rows = range(NULL_ROW + 1, len(side.labels))
         for batch in self.left.batches(ctx):
-            yield from _join_batches(
-                ctx, batch, repeat(right_rows, len(batch)),
-                self.batch_size, self.on, null_row)
+            yield from self._join_batches(ctx, batch,
+                                          repeat(rows, len(batch)), side)
 
 
-class IndexLoopJoin(Plan):
+class IndexLoopJoin(_Join, Plan):
     """Join where the inner side is a base-table index lookup.
 
     The key functions reference only left-side columns (checked at plan
@@ -788,7 +810,9 @@ class IndexLoopJoin(Plan):
     outer batch) and buffer-cache touches are charged once per
     candidate version per *probe*, not per duplicate outer row, so a
     duplicate-heavy foreign key stops multiplying the per-probe costs.
-    Joined rows come out in outer-row order (:func:`_join_batches`).
+    A batch's probe results become one right side, a key's matches
+    the range of row numbers its probe took.  Joined rows
+    come out in outer-row order (:meth:`_Join._join_batches`).
     """
 
     CHILDREN = ("left",)
@@ -808,25 +832,10 @@ class IndexLoopJoin(Plan):
         self.view_grants = view_grants
         self.right_width = right_width
 
-    def _probe(self, ctx, key, memo: Tuple[dict, dict]) -> list:
-        """One index probe: the visible, label-covered inner rows for
-        ``key``, as ``(values, label, ilabel)`` with the emitted label
-        appended as the ``_label`` pseudo-column."""
-        table = self.table
-        rows: list = []
-        for segment in _probe_segments(table, self.index, key,
-                                       self.batch_size):
-            selectors, labels = _visible_segment(ctx, table, segment,
-                                                 self.declass, memo)
-            rows.extend(((*version.values, label), label, version.ilabel)
-                        for version, label
-                        in zip(segment.kept(selectors), labels))
-        return rows
-
     def batches(self, ctx):
         if ctx.ifc_enabled and self.view_grants:
             _check_view_authority(ctx, self.view_grants)
-        null_row = _null_row(self.kind, self.right_width)
+        table = self.table
         for batch in self.left.batches(ctx):
             keys = list(zip(*[fn(batch, ctx) for fn in self.key_fns]))
             matches_of = dict.fromkeys(key for key in keys
@@ -837,18 +846,39 @@ class IndexLoopJoin(Plan):
             except TypeError:
                 pass                  # incomparable key mix: keep order
             memo: Tuple[dict, dict] = ({}, {})
+            side = JoinSide(self.right_width)
+            base = len(side.labels)
+            versions, labels = [], []
             for key in ordered:
-                matches_of[key] = self._probe(ctx, key, memo)
-            yield from _join_batches(
-                ctx, batch, map(matches_of.get, keys, repeat(())),
-                self.batch_size, self.residual, null_row)
+                # One probe: the visible, label-covered inner versions.
+                start = len(labels)
+                for segment in _probe_segments(table, self.index, key,
+                                               self.batch_size):
+                    selectors, emitted = _visible_segment(
+                        ctx, table, segment, self.declass, memo)
+                    versions.extend(segment.kept(selectors))
+                    labels.extend(emitted)
+                matches_of[key] = range(base + start, base + len(labels))
+            if versions:
+                # The stored columns, then the emitted label as the
+                # ``_label`` pseudo-column.
+                columns = list(zip(*[version.values for version in versions]))
+                columns.append(labels)
+                side.add((), columns, labels,
+                         [version.ilabel for version in versions])
+            yield from self._join_batches(
+                ctx, batch, map(matches_of.get, keys, repeat(())), side)
 
 
-class HashJoin(Plan):
+class HashJoin(_Join, Plan):
     """Equi-join: hash the right side, probe with left rows.
 
+    The build is a :class:`~repro.db.spill.JoinSide`: the right
+    batches' columns and labels appended as they arrive, and each key's
+    row numbers in a bucket.
+
     **Memory bound.**  The build is byte-estimated as it grows
-    (:func:`repro.db.spill.estimate_row_bytes`); when it exceeds the
+    (:func:`repro.db.spill.estimate_batch_bytes`); when it exceeds the
     execution budget (``ctx.work_mem``, from ``Database(work_mem=…)`` /
     ``REPRO_WORK_MEM``; 0 = unbounded) the join switches to hybrid
     grace spilling (:class:`repro.db.spill.SpilledHashBuild`): build
@@ -877,93 +907,77 @@ class HashJoin(Plan):
         self.kind = kind
         self.right_width = right_width
 
-    def _keyed_build(self, ctx):
-        """The right side a batch at a time, NULL keys dropped:
-        ``(keys, rows, weights)`` — parallel lists of key tuples and
-        ``(values, label, ilabel)`` rows (:func:`_batch_rows`), plus
-        each row's bucket footprint (weighed a column at a time) when a
-        budget is set."""
-        budget = ctx.work_mem
-        for batch in self.right.batches(ctx):
-            key_columns = [fn(batch, ctx) for fn in self.right_key_fns]
-            if any(None in column for column in key_columns):
-                keep = [i for i, key in enumerate(zip(*key_columns))
-                        if None not in key]
-                batch = batch.select(keep)
-                key_columns = [[column[i] for i in keep]
-                               for column in key_columns]
-            yield (list(zip(*key_columns)), list(_batch_rows(batch)),
-                   estimate_batch_bytes(batch.columns(), batch.labels,
-                                        BUCKET_ENTRY_BYTES)
-                   if budget else None)
+    def _keyed(self, ctx, batch: RowBatch) -> Tuple[list, RowBatch]:
+        """A build batch's key tuples, and the batch — both without the
+        rows whose key holds a NULL, which can never match."""
+        key_columns = [fn(batch, ctx) for fn in self.right_key_fns]
+        keys = list(zip(*key_columns))
+        if any(None in column for column in key_columns):
+            keep = [i for i, key in enumerate(keys) if None not in key]
+            batch = batch.select(keep)
+            keys = [keys[i] for i in keep]
+        return keys, batch
 
-    def _build(self, ctx):
+    def _build(self, ctx) -> Tuple[JoinSide, Optional[SpilledHashBuild]]:
         """Hash the right side under the byte budget.
 
-        Returns ``(buckets, spill)``: ``spill`` is None while the build
-        fits in memory, otherwise a
-        :class:`~repro.db.spill.SpilledHashBuild` that absorbed every
-        build row (and ``buckets`` is empty).  The build overflows at
-        the row whose weight takes it past the budget — found in the
-        chunk's running totals, not by a per-row check.
+        Returns ``(side, spill)``: ``spill`` is None while the build
+        fits in memory, and ``side`` holds it.  Otherwise ``spill`` is
+        a :class:`~repro.db.spill.SpilledHashBuild` that absorbed every
+        build row, and ``side`` is its resident partition (an empty
+        side once that was demoted too).  The build overflows at the
+        row whose weight takes it past the budget
+        (:meth:`~repro.db.spill.JoinSide.fill`), and the rows built up
+        to it move to the partitions bucket by bucket.
         """
-        budget = ctx.work_mem
-        buckets: Dict[tuple, list] = {}
-        setdefault = buckets.setdefault
+        side = JoinSide(self.right_width)
         spill = None
-        mem = 0
         try:
-            for keys, rows, weights in self._keyed_build(ctx):
-                if spill is not None:
-                    spill.add_build(keys, rows)
-                    continue
-                overflow = None
-                if budget:
-                    totals = list(accumulate(weights, initial=mem))
-                    mem = totals[-1]
-                    if mem > budget:
-                        overflow = bisect_right(totals, budget)
-                        rest = keys[overflow:], rows[overflow:]
-                        keys, rows = keys[:overflow], rows[:overflow]
-                for key, row in zip(keys, rows):
-                    setdefault(key, []).append(row)
-                if overflow is not None:
-                    spill = SpilledHashBuild(budget, ctx.spools)
-                    spill.take_buckets(buckets)
-                    buckets = {}
-                    spill.add_build(*rest)
+            for batch in self.right.batches(ctx):
+                keys, batch = self._keyed(ctx, batch)
+                block = batch.columns(), batch.labels, batch.ilabels
+                if spill is None:
+                    cut = side.fill(keys, *block, ctx.work_mem)
+                    if cut is None:
+                        continue
+                    spill = SpilledHashBuild(ctx.work_mem, ctx.spools,
+                                             self.right_width)
+                    spill.take(side)
+                    side = None                 # its rows live in spill
+                    block = take_rows(*block, range(cut, len(keys)))
+                    keys = keys[cut:]
+                spill.add_build(keys, *block)
         except BaseException:
             # The spill never reaches a caller who could close it.
             if spill is not None:
                 spill.close()
             raise
-        return buckets, spill
+        if spill is not None:
+            side = spill.resident or JoinSide(self.right_width)
+        return side, spill
 
     def batches(self, ctx):
-        buckets, spill = self._build(ctx)
-        null_row = _null_row(self.kind, self.right_width)
+        side, spill = self._build(ctx)
         try:
             for batch in self.left.batches(ctx):
                 keys = zip(*[fn(batch, ctx) for fn in self.left_key_fns])
                 if spill is None:
                     # A key holding a NULL was never built: it misses.
-                    found = map(buckets.get, keys, repeat(()))
+                    found = map(side.buckets.get, keys, repeat(()))
                 else:
-                    found = spill.probe(list(keys), _batch_rows(batch))
-                yield from _join_batches(
-                    ctx, batch, found, self.batch_size, self.residual,
-                    null_row)
+                    found = spill.probe(list(keys), batch.columns(),
+                                        batch.labels, batch.ilabels)
+                yield from self._join_batches(ctx, batch, found, side)
             if spill is None:
                 return
             # Partition phase: a spooled probe block is a batch again,
-            # joined against its partition's build rows like a
-            # streamed one.
-            for (key_columns, columns, labels, ilabels), buckets \
+            # joined against its partition's side like a streamed one.
+            for (key_columns, columns, labels, ilabels), side \
                     in spill.joined():
-                yield from _join_batches(
+                yield from self._join_batches(
                     ctx, RowBatch(columns, labels, ilabels),
-                    map(buckets.get, zip(*key_columns), repeat(())),
-                    self.batch_size, self.residual, null_row)
+                    map(side.buckets.get, zip(*key_columns), repeat(())),
+                    side)
         finally:
             # Mid-iteration error or abandoned iterator: release the
             # partition spools deterministically (close is idempotent).
@@ -1232,8 +1246,9 @@ class AggregateNode(Plan):
         admitting one more group would overflow, ``spill`` opens and
         every row of a *new* key is spooled, in input order; resident
         groups keep absorbing their rows."""
-        groups: dict = defaultdict()
-        groups.default_factory = groups.__len__    # a miss is a new group
+        # A miss is the next group (a counter, not the dict's own size:
+        # a factory bound to the dict would make it a cycle).
+        groups: dict = defaultdict(count().__next__)
         kernels = [spec.kernel() for spec in self.specs]
         labels, ilabels = [], []
         mem, spill = 0, None
@@ -1294,7 +1309,8 @@ class AggregateNode(Plan):
             # The first group is admitted whatever it weighs.
             overflow = bisect_right(totals, ctx.work_mem) - 1
             admitted = max(overflow, 0 if groups else 1)
-        groups.update(zip(fresh[:admitted], count(len(groups))))
+        for key in fresh[:admitted]:
+            groups[key]                      # numbered by the factory
         return totals[admitted], None if admitted == len(fresh) \
             else GroupSpill(ctx.spools, salt=depth, depth=depth)
 
@@ -1402,7 +1418,8 @@ class _MixedKey:
 class _Desc:
     """Inverts comparisons for one DESC component of a composite sort
     key (tuple comparison probes ``==`` before ``<``, so both must
-    flip through to the wrapped key)."""
+    flip through to the wrapped key) — for the DESC columns negation
+    cannot key: text, NULL-bearing and mixed ones."""
 
     __slots__ = ("key",)
     __hash__ = None
@@ -1417,9 +1434,11 @@ class _Desc:
         return other.key == self.key
 
 
-#: Key-column type sets whose values all compare with each other, so a
-#: merge across runs may compare them plainly.
-_NULL_NUMERIC = frozenset((type(None), int, float, bool))
+#: Key-column type sets whose values all compare with each other (so
+#: they need no type-tagged order), and the numeric ones, whose DESC
+#: key is the negated value.
+_NUMERIC = frozenset((int, float, bool))
+_NULL_NUMERIC = _NUMERIC | {type(None)}
 _NULL_TEXT = frozenset((type(None), str))
 
 
@@ -1436,16 +1455,22 @@ class Sort(Plan):
     stored keys instead of re-evaluating them.  Unbounded
     (``work_mem=0``) sorts fully in memory.
 
-    **Mixed-type keys.**  Sorting tries the natural per-column key
-    ``(value is None, value)`` first; if the column mixes incomparable
-    types (legal in untyped storage — ``DeterministicOrder`` already
-    handles it) the chunk retries under :class:`_MixedKey`'s
-    type-tagged total order instead of raising.  A merge compares
-    plainly only when no run needed the fallback *and* every key column
-    holds one family of comparable types across all runs; otherwise it
-    uses the tagged order — wherever values compare naturally the two
-    orders agree, so naturally-sorted runs are correctly ordered under
-    it even when *different* runs hold incomparable types.
+    **Keys follow the value types.**  Each ORDER BY column is keyed by
+    the set of types its values hold, decided before any comparison
+    (:meth:`_keys`): a NULL-free ascending column is its own key
+    and a NULL-free numeric DESC column its negation; any other column
+    of one comparable family (numbers or text, with NULLs) is keyed by
+    ``(value is None, value)`` pairs — :class:`_Desc`-wrapped for DESC,
+    as is a NULL-free text DESC value — and a column mixing
+    incomparable types (legal in untyped storage —
+    ``DeterministicOrder`` already handles it) by :class:`_MixedKey`'s
+    type-tagged total order instead of raising.  A buffer is ordered a
+    column at a time (:meth:`_order`) and keyed by its own types; a
+    merge compares one key per row, the columns' keys zipped, each
+    keyed by the types of all its runs
+    (``SortRuns.key_types``), so every run of one merge gets the same
+    encoding — and a run ordered under its own types is in order under
+    the merge's, because wherever values compare the encodings agree.
     """
 
     CHILDREN = ("child",)
@@ -1456,50 +1481,41 @@ class Sort(Plan):
         self.key_fns = key_fns               # batch-compiled
         self.descending = descending
 
-    def _composite(self, key_columns: list, mixed: bool, nullable: list):
-        """One comparable sort key per row from the key *columns*: a
-        ``(value is None, value)`` pair per ORDER BY column — NULLs
-        last ascending — except that an ascending column with no NULL
-        (``nullable``) is its own key; wrapped in :class:`_Desc` for
-        DESC columns and (with ``mixed``) in :class:`_MixedKey` for
-        type-tolerant comparison."""
-        parts = []
-        for column, desc, null in zip(key_columns, self.descending,
-                                      nullable):
-            if mixed:
+    def _keys(self, key_columns: list, kinds: list) -> list:
+        """Per ORDER BY column, one comparable key per row, chosen by
+        the column's value types in ``kinds`` (see the class
+        docstring)."""
+        keys = []
+        for column, desc, types in zip(key_columns, self.descending, kinds):
+            if not (types <= _NULL_NUMERIC or types <= _NULL_TEXT):
                 part = [(v is None, _MixedKey(v)) for v in column]
-            elif desc or null:
+            elif type(None) in types:
                 part = [(v is None, v) for v in column]
+            elif desc and types <= _NUMERIC:
+                keys.append(list(map(_neg, column)))
+                continue
             else:
                 part = column
-            parts.append([_Desc(p) for p in part] if desc else part)
-        return parts[0] if len(parts) == 1 else list(zip(*parts))
+            keys.append([_Desc(p) for p in part] if desc else part)
+        return keys
 
-    def _order(self, key_columns: list, mixed: bool, top: Optional[int]):
+    def _order(self, key_columns: list, top: Optional[int]) -> list:
         """The stable ORDER BY permutation of buffered rows from their
-        key columns (the best ``top`` only, when given).  Returns
-        ``(order, mixed)``, ``mixed`` latched once any call needed the
-        type-tolerant fallback."""
-        keys = self._composite(key_columns, mixed,
-                               [None in column for column in key_columns])
-        try:
-            if top is None:
-                order = sorted(range(len(keys)), key=keys.__getitem__)
-            else:
-                order = heapq.nsmallest(top, range(len(keys)),
-                                        key=keys.__getitem__)
-        except TypeError:
-            if mixed:
-                raise
-            return self._order(key_columns, True, top)
-        return order, mixed
+        key columns (the best ``top`` only, when given): one stable
+        sort of the row indexes per column, the last column first — so
+        each column only reorders rows the columns before it tie on —
+        and no key tuple per row."""
+        order = range(len(key_columns[0]))
+        for keys in reversed(self._keys(key_columns, [
+                set(map(type, column)) for column in key_columns])):
+            order = sorted(order, key=keys.__getitem__)
+        return order[:top]
 
-    def _spool_run(self, runs: SortRuns, buffer: list, width: int,
-                   mixed: bool) -> bool:
+    def _spool_run(self, runs: SortRuns, buffer: list, width: int) -> None:
         """Order the buffered columns (``width`` value columns, the two
         label columns, then the key columns) and spool them as one run
-        of blocks, each carrying its rows' keys.  Returns ``mixed``."""
-        order, mixed = self._order(buffer[width + 2:], mixed, None)
+        of blocks, each carrying its rows' keys."""
+        order = self._order(buffer[width + 2:], None)
         run = runs.new_run(buffer[width + 2:])
         first = order[0]
         step = runs.spools.block_rows(estimate_row_bytes(
@@ -1510,28 +1526,22 @@ class Sort(Plan):
             block = [[column[i] for i in chunk] for column in buffer]
             run.write_block(block[width + 2:], block[:width],
                             block[width], block[width + 1])
-        return mixed
 
-    def _merged(self, runs: SortRuns, mixed: bool):
+    def _merged(self, runs: SortRuns):
         """K-way merge of the spooled runs on their stored keys, as
-        ``(values, label, ilabel)`` rows.  Keys compare plainly when
-        every run sorted naturally and each key column holds one family
-        of mutually comparable types across *all* runs; otherwise under
-        :class:`_MixedKey`, with which naturally sorted runs agree
-        wherever values compare.  Heap entries are ``(key, run,
+        ``(values, label, ilabel)`` rows, every run's keys encoded from
+        the key types of all of them.  Heap entries are ``(key, run,
         position, row)``: ties resolve to the earlier run, then the
         earlier row, so the merge is stable and never compares rows.
         """
-        if not mixed:
-            mixed = not all(kinds <= _NULL_NUMERIC or kinds <= _NULL_TEXT
-                            for kinds in runs.key_types)
-        nullable = [type(None) in kinds for kinds in runs.key_types]
+        kinds = runs.key_types
 
         def entries(index, run):
             positions = count()
             for key_columns, columns, labels, ilabels in run.blocks():
+                keys = self._keys(key_columns, kinds)
                 yield from zip(
-                    self._composite(key_columns, mixed, nullable),
+                    keys[0] if len(keys) == 1 else zip(*keys),
                     repeat(index), positions,
                     zip(column_rows(columns, len(labels)), labels, ilabels))
 
@@ -1571,7 +1581,6 @@ class Sort(Plan):
         top = stop
         buffer: Optional[list] = None
         width = mem = 0
-        mixed = False
         runs = None
         try:
             for batch in self.child.batches(ctx):
@@ -1582,18 +1591,14 @@ class Sort(Plan):
                 incoming += [fn(batch, ctx) for fn in self.key_fns]
                 if buffer is None:
                     width = batch.width
-                    buffer = [list(column) for column in incoming]
                     if top and budget and top * estimate_row_bytes(
-                            [column[0] for column in buffer[:width]],
+                            [column[0] for column in incoming[:width]],
                             batch.labels[0]) > budget:
                         top = None        # the heap cannot fit: full sort
-                else:
-                    for held, column in zip(buffer, incoming):
-                        held.extend(column)
+                buffer = _buffered(buffer, incoming)
                 if top:
                     if len(buffer[width]) > 2 * top + size:
-                        order, mixed = self._order(buffer[width + 2:],
-                                                   mixed, top)
+                        order = self._order(buffer[width + 2:], top)
                         buffer = [[column[i] for i in order]
                                   for column in buffer]
                 elif budget:
@@ -1605,15 +1610,14 @@ class Sort(Plan):
                         cut = len(buffer[width]) - len(totals) + 1 + over
                         runs = runs or SortRuns(ctx.spools,
                                                 len(self.key_fns))
-                        mixed = self._spool_run(
-                            runs, [column[:cut] for column in buffer],
-                            width, mixed)
+                        self._spool_run(
+                            runs, [column[:cut] for column in buffer], width)
                         buffer = [column[cut:] for column in buffer]
                         totals = [total - totals[over]
                                   for total in totals[over:]]
                     mem = totals[-1]
             if runs is not None and buffer[width]:
-                mixed = self._spool_run(runs, buffer, width, mixed)
+                self._spool_run(runs, buffer, width)
         except BaseException:
             # The runs never reach the merge that would close them.
             if runs is not None:
@@ -1621,29 +1625,43 @@ class Sort(Plan):
             raise
         if runs is not None:
             yield from _row_batches(
-                islice(self._merged(runs, mixed), offset, stop), size)
+                islice(self._merged(runs), offset, stop), size)
             return
         if buffer is None:
             return
-        order, mixed = self._order(buffer[width + 2:], mixed, top)
-        order = order[offset:stop]
-        emit = buffer[:width + 2]
-        for lo in range(0, len(order), size):
-            chunk = order[lo:lo + size]
-            *columns, labels, ilabels = [[column[i] for i in chunk]
-                                         for column in emit]
-            yield RowBatch(columns, labels, ilabels)
+        yield from _permuted(buffer[:width + 2],
+                             self._order(buffer[width + 2:], top)[offset:stop],
+                             size)
 
     def batches(self, ctx):
         return self._sorted_columns(ctx, *self._bounds(ctx))
 
 
+def _limits(ctx, limit_fn: Optional[Callable],
+            offset_fn: Optional[Callable]) -> Tuple[Optional[int], int]:
+    """``(limit, offset)``, evaluated once per execution: an absent or
+    NULL LIMIT is no limit (a negative one returns no rows), an absent,
+    NULL or negative OFFSET skips nothing.  A value that is not an
+    integer raises :class:`~repro.errors.DatabaseError` naming its
+    clause and the value."""
+    bounds = []
+    for clause, fn in (("LIMIT", limit_fn), ("OFFSET", offset_fn)):
+        value = None if fn is None else fn([], ctx)
+        if value is not None and type(value) is not int:
+            raise DatabaseError("%s must be an integer, not %r"
+                                % (clause, value))
+        bounds.append(value)
+    limit, offset = bounds
+    return limit, max(offset or 0, 0)
+
+
 class TopN(Sort):
-    """ORDER BY … LIMIT as a bounded heap (optimizer rewrite).
+    """ORDER BY … LIMIT as a bounded buffer (optimizer rewrite).
 
     Streams the input keeping only the best ``limit + offset`` rows
-    (``heapq.nsmallest`` — stable, so ties keep arrival order exactly
-    like the stable full sort), then discards the offset prefix.  A
+    (the buffer is ordered and cut back whenever it doubles — a stable
+    order, so ties keep arrival order exactly like the full sort),
+    then discards the offset prefix.  A
     small limit thus never materializes, sorts, or spills the full
     input: this is ``Sort._sorted_columns`` under :meth:`_bounds`.
 
@@ -1661,8 +1679,7 @@ class TopN(Sort):
         self.offset_fn = offset_fn
 
     def _bounds(self, ctx):
-        limit = self.limit_fn([], ctx) if self.limit_fn else None
-        offset = (self.offset_fn([], ctx) if self.offset_fn else 0) or 0
+        limit, offset = _limits(ctx, self.limit_fn, self.offset_fn)
         return offset, None if limit is None else limit + offset
 
 
@@ -1676,8 +1693,7 @@ class Limit(Plan):
         self.offset_fn = offset_fn
 
     def batches(self, ctx):
-        limit = self.limit_fn([], ctx) if self.limit_fn else None
-        offset = (self.offset_fn([], ctx) if self.offset_fn else 0) or 0
+        limit, offset = _limits(ctx, self.limit_fn, self.offset_fn)
         skipped = 0
         produced = 0
         for batch in self.child.batches(ctx):
@@ -1711,7 +1727,8 @@ class DeterministicOrder(Plan):
     Orders rows by a deterministic function of their values so heap
     placement cannot leak the relative order of modifications.  The
     prototype leaves this off by default; the engine exposes it as the
-    ``deterministic_order`` flag.
+    ``deterministic_order`` flag.  The input is buffered as columns and
+    emitted through a permutation, as :class:`Sort` does.
     """
 
     CHILDREN = ("child",)
@@ -1720,11 +1737,18 @@ class DeterministicOrder(Plan):
         self.child = child
 
     def batches(self, ctx):
-        rows = [row for batch in self.child.batches(ctx)
-                for row in _batch_rows(batch)]
-        rows.sort(key=lambda row: tuple(
-            (v is None, str(type(v).__name__), str(v)) for v in row[0]))
-        return _row_batches(rows, self.batch_size)
+        held = None
+        for batch in self.child.batches(ctx):
+            held = _buffered(held, batch.filled() + [batch.labels,
+                                                     batch.ilabels])
+        if held is None:
+            return
+        n = len(held[-1])
+        keys = list(column_rows(
+            [[(v is None, type(v).__name__, str(v)) for v in column]
+             for column in held[:-2]], n))
+        yield from _permuted(held, sorted(range(n), key=keys.__getitem__),
+                             self.batch_size)
 
 
 class ViewPlan(Plan):
@@ -1833,13 +1857,11 @@ def plan_tables(plan: Plan) -> frozenset:
     its *estimates*; DDL still invalidates every plan via the catalog
     version."""
     names = set()
-
-    def visit(node: Plan) -> None:
+    pending = [plan]
+    while pending:
+        node = pending.pop()
         table = getattr(node, "table", None)
         if isinstance(table, Table):
             names.add(table.name)
-        for child in node.children():
-            visit(child)
-
-    visit(plan)
+        pending.extend(node.children())
     return frozenset(names)

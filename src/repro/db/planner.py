@@ -53,7 +53,6 @@ from .physical import (
     DEFAULT_BATCH_SIZE,
     DeterministicOrder,
     ExecContext,
-    ExecRow,
     Filter,
     HashJoin,
     IndexLoopJoin,
@@ -77,7 +76,7 @@ from .spill import estimated_tuple_bytes
 
 __all__ = [
     "AggregateNode", "AggSpec", "DeterministicOrder", "ExecContext",
-    "ExecRow", "Filter", "HashJoin", "IndexLoopJoin", "IndexRangeScan",
+    "Filter", "HashJoin", "IndexLoopJoin", "IndexRangeScan",
     "IndexScan", "Limit", "NestedLoopJoin", "Plan", "Planner",
     "PreparedDML", "PreparedSelect", "Project", "Scan", "SingleRow", "Sort",
     "TopN", "ViewPlan", "explain_plan",

@@ -50,11 +50,14 @@ from __future__ import annotations
 
 import pickle
 import tempfile
-from itertools import repeat
+from bisect import bisect_right
+from collections import defaultdict, deque
+from itertools import accumulate, count, repeat
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import tally
-from ..core.labels import Label
+from ..core.labels import EMPTY_LABEL, Label
 from ..errors import SpillError
 
 #: Partitions per spill level (the grace-join fanout).
@@ -165,8 +168,98 @@ def decode_block(record: tuple):
 
 
 def column_rows(columns, n: int):
-    """Row tuples zipped out of ``n``-row columns at C speed."""
-    return zip(*columns) if columns else repeat((), n)
+    """Row tuples zipped out of ``n``-row columns at C speed (a
+    ``None`` column was projected away and reads NULL)."""
+    if not columns:
+        return repeat((), n)
+    return zip(*[repeat(None, n) if column is None else column
+                 for column in columns])
+
+
+def take_rows(columns, labels, ilabels, rows) -> tuple:
+    """``(columns, labels, ilabels)`` of the rows at positions ``rows``,
+    in order, each gathered in C — sliced, when ``rows`` is a
+    unit-step ``range``; a ``None`` column stays ``None``.  A gathered
+    sequence may be a tuple: a batch's sequences are never mutated."""
+    if type(rows) is range and rows.step == 1 and rows.start >= 0:
+        take = itemgetter(slice(rows.start, rows.start + len(rows)))
+    elif len(rows) > 1:
+        take = itemgetter(*rows)
+    else:                                  # itemgetter(i) is not a tuple
+        def take(sequence):
+            return [sequence[i] for i in rows]
+    return ([None if column is None else take(column) for column in columns],
+            take(labels), take(ilabels))
+
+
+#: The row number of a :class:`JoinSide`'s all-NULL row.
+NULL_ROW = 0
+
+
+class JoinSide:
+    """A join's right side, held as columns: what a hash build, a
+    nested loop's materialized inner side, an index join's probe
+    results and a grace partition are, in memory.
+
+    ``columns`` are the value columns (a ``None`` slot was projected
+    away and reads NULL), ``labels``/``ilabels`` the per-row labels,
+    all appended a block at a time (:meth:`add`); ``buckets`` maps a
+    join key to the row numbers holding it, in arrival order.  Row
+    :data:`NULL_ROW` is the all-NULL, unlabelled row a LEFT join
+    extends its unmatched rows with, so every side has one and no key
+    names it.  A joined row is gathered by row number: nothing is
+    built per build row but its slot in each column and its number in
+    its bucket.  ``bytes`` is what the rows added under a budget
+    (:meth:`fill`) weigh.
+    """
+
+    __slots__ = ("columns", "labels", "ilabels", "buckets", "bytes")
+
+    def __init__(self, width: int):
+        self.columns: list = [None] * width
+        self.labels: list = [EMPTY_LABEL]
+        self.ilabels: list = [EMPTY_LABEL]
+        self.buckets: Dict[tuple, list] = defaultdict(list)
+        self.bytes = 0
+
+    def add(self, keys, columns, labels, ilabels) -> None:
+        """Append a block of rows; ``keys`` (one per row, or empty for
+        an unkeyed side) enter the buckets."""
+        base, n = len(self.labels), len(labels)
+        held = self.columns
+        for j, column in enumerate(columns):
+            if held[j] is not None:
+                held[j].extend(repeat(None, n) if column is None else column)
+            elif column is not None:       # read from here on: backfill
+                held[j] = [None] * base
+                held[j].extend(column)
+        self.labels.extend(labels)
+        self.ilabels.extend(ilabels)
+        # ``buckets[key].append(row)`` per row, driven at C speed.
+        deque(map(list.append, map(self.buckets.__getitem__, keys),
+                  count(base)), 0)
+
+    def fill(self, keys, columns, labels, ilabels, budget: int
+             ) -> Optional[int]:
+        """:meth:`add` a keyed block under a byte budget (0: none), each
+        row weighing :func:`estimate_row_bytes` plus
+        :data:`BUCKET_ENTRY_BYTES` (a column at a time,
+        :func:`estimate_batch_bytes`).  Returns None when every row
+        fit; otherwise the number of rows added, the last of which took
+        the side past the budget — found in the block's running totals,
+        not by a per-row check."""
+        cut = None
+        if budget:
+            totals = list(accumulate(estimate_batch_bytes(
+                columns, labels, BUCKET_ENTRY_BYTES), initial=self.bytes))
+            if totals[-1] > budget:
+                cut = bisect_right(totals, budget)
+                keys = keys[:cut]
+                columns, labels, ilabels = take_rows(columns, labels,
+                                                     ilabels, range(cut))
+            self.bytes = totals[-1 if cut is None else cut]
+        self.add(keys, columns, labels, ilabels)
+        return cut
 
 
 # ---------------------------------------------------------------------------
@@ -412,30 +505,32 @@ class _Partition:
 class SpilledHashBuild:
     """Partitioned overflow state for one hash-join build side.
 
-    Both sides arrive a chunk at a time — parallel lists of keys and of
-    ``(values, label, ilabel)`` rows — and only the key participates in
-    routing.  With ``keep_resident`` (the top level) partition 0 lives
-    as an in-memory bucket dict so probes against it stream with no
-    extra I/O; recursion levels disable it — their input is already a
-    single partition's worth of rows.
+    Both sides arrive a keyed block at a time — the rows' key tuples
+    beside their ``(columns, labels, ilabels)`` — and only the key
+    participates in routing.  With ``keep_resident`` (the top level)
+    partition 0 is a :class:`JoinSide` of ``width`` columns held in
+    memory, so probes against it stream with no extra I/O; recursion
+    levels disable it — their input is already a single partition's
+    worth of rows.  Every partition is joined through a
+    :class:`JoinSide` loaded from its build spool.
     """
 
-    __slots__ = ("budget", "spools", "fanout", "salt", "depth",
-                 "partitions", "resident", "resident_bytes")
+    __slots__ = ("budget", "spools", "width", "fanout", "salt", "depth",
+                 "partitions", "resident")
 
-    def __init__(self, budget: int, spools: Spools, *, salt: int = 0,
-                 depth: int = 0, keep_resident: bool = True,
+    def __init__(self, budget: int, spools: Spools, width: int, *,
+                 salt: int = 0, depth: int = 0, keep_resident: bool = True,
                  fanout: int = SPILL_FANOUT):
         self.budget = budget
         self.spools = spools
+        self.width = width
         self.fanout = fanout
         self.salt = salt
         self.depth = depth
         self.partitions: List[_Partition] = [_Partition(spools)
                                              for _ in range(fanout)]
-        self.resident: Optional[Dict[tuple, list]] = \
-            {} if keep_resident else None
-        self.resident_bytes = 0
+        self.resident: Optional[JoinSide] = \
+            JoinSide(width) if keep_resident else None
         if depth == 0:
             tally().spills += 1
 
@@ -446,40 +541,58 @@ class SpilledHashBuild:
                 for h in map(hash, zip(repeat(self.salt), keys))]
 
     # -- build side ----------------------------------------------------
-    def take_buckets(self, buckets: Dict[tuple, list]) -> None:
-        """Migrate the in-memory buckets accumulated before overflow."""
-        keys = [key for key, rows in buckets.items() for _ in rows]
-        self.add_build(keys, [row for rows in buckets.values()
-                              for row in rows])
+    def take(self, side: JoinSide) -> None:
+        """Route the rows of an in-memory side built before overflow:
+        bucket by bucket, each bucket's rows in arrival order."""
+        buckets = side.buckets
+        self.add_build([key for key, rows in buckets.items() for _ in rows],
+                       *take_rows(side.columns, side.labels, side.ilabels,
+                                  [row for rows in buckets.values()
+                                   for row in rows]))
 
-    def add_build(self, keys, rows) -> None:
+    def add_build(self, keys, columns, labels, ilabels) -> None:
+        routes = self.route(keys)
+        # Rows routed to partition 0 before ``resident_end`` joined the
+        # resident side; every other row spools.
+        resident_end = 0
+        if self.resident is not None:
+            resident_end = self._add_resident(routes, keys, columns, labels,
+                                              ilabels)
         partitions = self.partitions
-        for index, key, row in zip(self.route(keys), keys, rows):
-            if index == 0 and self.resident is not None:
-                self._add_resident(key, row)
+        for i, (index, key, values, label, ilabel) in enumerate(zip(
+                routes, keys, column_rows(columns, len(labels)), labels,
+                ilabels)):
+            if index == 0 and i < resident_end:
                 continue
             spool = partitions[index].build
             if not spool.count:
                 tally().partitions_created += 1
-            spool.append(key, *row)
+            spool.append(key, values, label, ilabel)
 
-    def _add_resident(self, key: tuple, row) -> None:
-        self.resident.setdefault(key, []).append(row)
-        self.resident_bytes += (estimate_row_bytes(row[0], row[1])
-                                + BUCKET_ENTRY_BYTES)
-        if self.resident_bytes > self.budget:
-            # The hybrid partition alone overflows: demote it to a
-            # spool like the others (build phase only — by probe
-            # time the resident dict is frozen).
-            buckets, self.resident = self.resident, None
-            self.take_buckets(buckets)
+    def _add_resident(self, routes, keys, columns, labels, ilabels) -> int:
+        """Add a block's partition-0 rows to the resident side while it
+        fits the budget (:meth:`JoinSide.fill`); the row that takes it
+        past is the last one added, and the hybrid partition alone
+        overflowing is demoted to a spool like the others (build phase
+        only — by probe time the resident side is frozen).  Returns the
+        block position after the last row the resident side took."""
+        here = [i for i, index in enumerate(routes) if not index]
+        cut = self.resident.fill([keys[i] for i in here],
+                                 *take_rows(columns, labels, ilabels, here),
+                                 self.budget)
+        if cut is None:
+            return len(routes)
+        side, self.resident = self.resident, None
+        self.take(side)
+        return here[cut - 1] + 1
 
     # -- probe side ----------------------------------------------------
-    def probe(self, keys, rows) -> list:
-        """Per probe row of a chunk: its immediate matches when the key
-        routes to the resident partition (possibly empty — a definitive
-        miss, as is a key holding a NULL), else ``None`` after spooling
-        the row for the partition phase.
+    def probe(self, keys, columns, labels, ilabels) -> list:
+        """Per probe row of a block: the resident side's row numbers
+        matching it when the key routes to the resident partition
+        (possibly none — a definitive miss, as is a key holding a
+        NULL), else ``None`` after spooling the row for the partition
+        phase.
 
         The build side is always complete before probing starts, so a
         partition whose build spool is empty is also a definitive miss
@@ -490,28 +603,33 @@ class SpilledHashBuild:
         resident = self.resident
         partitions = self.partitions
         found = []
-        for index, key, row in zip(self.route(keys), keys, rows):
+        for index, key, values, label, ilabel in zip(
+                self.route(keys), keys, column_rows(columns, len(labels)),
+                labels, ilabels):
             if None in key:
                 found.append(())
             elif index == 0 and resident is not None:
-                found.append(resident.get(key, ()))
+                found.append(resident.buckets.get(key, ()))
             elif not partitions[index].build.count:
                 found.append(())
             else:
-                partitions[index].probe.append(key, *row)
+                partitions[index].probe.append(key, values, label, ilabel)
                 found.append(None)
         return found
 
-    def spool_probe(self, keys, rows) -> None:
+    def spool_probe(self, keys, columns, labels, ilabels) -> None:
         partitions = self.partitions
-        for index, key, row in zip(self.route(keys), keys, rows):
-            partitions[index].probe.append(key, *row)
+        for index, key, values, label, ilabel in zip(
+                self.route(keys), keys, column_rows(columns, len(labels)),
+                labels, ilabels):
+            partitions[index].probe.append(key, values, label, ilabel)
 
     # -- partition phase ------------------------------------------------
-    def joined(self) -> Iterator[Tuple[tuple, Dict[tuple, list]]]:
-        """Join every partition: yields ``(probe_block, buckets)`` — a
-        spooled probe block and the build rows of its partition by key
-        — re-partitioning build sides that still exceed the budget.
+    def joined(self) -> Iterator[Tuple[tuple, JoinSide]]:
+        """Join every partition: yields ``(probe_block, side)`` — a
+        spooled probe block and its partition's build rows loaded into
+        a :class:`JoinSide` — re-partitioning build sides that still
+        exceed the budget.
 
         Each partition's spools close as soon as that partition is
         done *or dies* (the inner ``finally``); consumers should still
@@ -530,43 +648,44 @@ class SpilledHashBuild:
     def _join_partition(self, partition: _Partition):
         """Join one partition's spooled build and probe blocks.
 
-        Loads the build side into buckets under the byte budget; if a
-        block leaves it over budget *and* holding more than one
-        distinct key *and* the recursion cap is not reached, the
-        partition is split again with a fresh salt (both sides
+        Loads the build blocks into a :class:`JoinSide` under the byte
+        budget; if a block leaves it over budget *and* holding more
+        than one distinct key *and* the recursion cap is not reached,
+        the partition is split again with a fresh salt (both sides
         re-spooled) — otherwise it finishes in memory over budget,
         which is the termination guarantee for all-equal-key
         (unsplittable) partitions.
         """
         depth = self.depth + 1
-        buckets: Dict[tuple, list] = {}
+        side = JoinSide(self.width)
         mem = 0
         child: Optional[SpilledHashBuild] = None
         try:
-            for keys, rows, columns, labels in _keyed_rows(
-                    partition.build.blocks()):
+            for key_columns, columns, labels, ilabels in \
+                    partition.build.blocks():
+                keys = list(column_rows(key_columns, len(labels)))
                 if child is not None:
-                    child.add_build(keys, rows)
+                    child.add_build(keys, columns, labels, ilabels)
                     continue
-                for key, row in zip(keys, rows):
-                    buckets.setdefault(key, []).append(row)
+                side.add(keys, columns, labels, ilabels)
                 mem += sum(estimate_batch_bytes(columns, labels,
                                                 BUCKET_ENTRY_BYTES))
-                if (mem > self.budget and len(buckets) > 1
+                if (mem > self.budget and len(side.buckets) > 1
                         and depth < MAX_RECURSION):
                     child = SpilledHashBuild(
-                        self.budget, self.spools, salt=depth, depth=depth,
-                        keep_resident=False)
-                    child.take_buckets(buckets)
-                    buckets = {}
+                        self.budget, self.spools, self.width, salt=depth,
+                        depth=depth, keep_resident=False)
+                    child.take(side)
+                    side = None
                     tally().repartitions += 1
             if child is None:
                 for block in partition.probe.blocks():
-                    yield block, buckets
+                    yield block, side
                 return
-            for keys, rows, _columns, _labels in _keyed_rows(
-                    partition.probe.blocks()):
-                child.spool_probe(keys, rows)
+            for key_columns, columns, labels, ilabels in \
+                    partition.probe.blocks():
+                child.spool_probe(list(column_rows(key_columns, len(labels))),
+                                  columns, labels, ilabels)
             yield from child.joined()
         finally:
             if child is not None:
@@ -576,17 +695,6 @@ class SpilledHashBuild:
         """Release every partition's temp files (idempotent)."""
         for partition in self.partitions:
             partition.close()
-
-
-def _keyed_rows(blocks):
-    """``(keys, rows, columns, labels)`` per spooled block: the key
-    tuples and ``(values, label, ilabel)`` rows a partitioner routes,
-    zipped back out of the block's columns."""
-    for key_columns, columns, labels, ilabels in blocks:
-        n = len(labels)
-        yield (list(column_rows(key_columns, n)),
-               list(zip(column_rows(columns, n), labels, ilabels)),
-               columns, labels)
 
 
 class SortRuns:

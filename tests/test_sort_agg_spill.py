@@ -22,7 +22,10 @@ Covers the PR-8 operator family end-to-end through the session layer:
   across spilled runs;
 * LIMIT/OFFSET edges (LIMIT 0, OFFSET beyond the input, a limit
   exactly on a batch boundary) agree across the row and batch
-  executors;
+  executors, and a bound that is not an integer is a typed error;
+* DESC keys — negated numbers, wrapped text, NULLs, NaN, signed zeros,
+  int/float mixes, and runs that differ in whether they hold a NULL —
+  order as a plain-Python oracle sort does;
 * a spilled, re-partitioning fold returns the rows, labels, ilabels
   and spill counters recorded for it, at every batch size.
 """
@@ -30,12 +33,14 @@ Covers the PR-8 operator family end-to-end through the session layer:
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 
 import pytest
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
     counters
 from repro.db import Database
+from repro.errors import DatabaseError
 
 
 def _stack(work_mem, batch_size=None, naive=False, n_rows=600, seed=5):
@@ -395,6 +400,188 @@ def test_limit_zero_and_far_offset_return_nothing():
         "SELECT * FROM m ORDER BY id LIMIT 3 OFFSET 10000").rows == []
 
 
+def _limit_operator(session, sql):
+    """The operator that applies a statement's LIMIT/OFFSET."""
+    lines = " ".join(_explain(session, sql))
+    return "TopN" if "TopN" in lines else "Limit"
+
+
+#: ``(clause, parameters, the value named in the error)``.
+BAD_BOUNDS = (
+    ("LIMIT 2.0", (), "2.0"),
+    ("LIMIT ?", ("x",), "'x'"),
+    ("LIMIT 2 OFFSET ?", (1.5,), "1.5"),
+)
+
+
+@pytest.mark.parametrize("clause,params,shown", BAD_BOUNDS,
+                         ids=[clause for clause, _, _ in BAD_BOUNDS])
+def test_a_non_integer_limit_or_offset_is_a_typed_error(clause, params,
+                                                        shown):
+    """A LIMIT or OFFSET that is not an integer raises DatabaseError
+    naming the clause and the value — from the Limit node and from
+    TopN alike — rather than a TypeError from deep in the operator."""
+    session = _stack(0, n_rows=20)
+    name = clause.split()[-2]
+    seen = set()
+    for order in ("", "ORDER BY v DESC "):
+        sql = "SELECT id FROM m " + order + clause
+        seen.add(_limit_operator(session, sql))
+        with pytest.raises(DatabaseError) as caught:
+            session.execute(sql, params)
+        assert name in str(caught.value) and shown in str(caught.value)
+    assert seen == {"Limit", "TopN"}
+
+
+def test_negative_limit_returns_nothing_and_negative_offset_skips_none():
+    """Pinned: a negative LIMIT returns no rows, with or without an
+    OFFSET; a negative OFFSET skips nothing — in both operators."""
+    session = _stack(0, n_rows=20)
+    for order in ("", "ORDER BY id "):
+        sql = "SELECT id FROM m " + order + "LIMIT ? OFFSET ?"
+        assert session.execute(sql, (-1, 0)).rows == []
+        assert session.execute(sql, (-3, 5)).rows == []
+        assert [r[0] for r in session.execute(sql, (3, -2)).rows] \
+            == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# DESC keys: negated numbers, wrapped text, NULLs and mixes
+# ---------------------------------------------------------------------------
+
+def _sql_order(rows, keys):
+    """The plain-Python ORDER BY oracle: a stable sort of ``rows`` by
+    ``keys`` — ``(key function, descending)`` pairs — with NULLs last
+    ascending and first descending, and values that compare neither
+    way tied (so NaN ties with everything)."""
+    def compare(a, b):
+        for key, desc in keys:
+            x, y = key(a), key(b)
+            if x is None or y is None:
+                if x is None and y is None:
+                    continue
+                sign = 1 if x is None else -1
+            elif x < y:
+                sign = -1
+            elif y < x:
+                sign = 1
+            else:
+                continue
+            return -sign if desc else sign
+        return 0
+    return sorted(rows, key=cmp_to_key(compare))
+
+
+def _hazards(work_mem=None, batch_size=None, n_rows=240):
+    """Table ``h``: an INT with ties, a FLOAT of signed zeros and ties,
+    a BOOL, a TEXT and an INT whose NULLs all sit in the second half
+    of the heap (so the early runs of an external sort hold none);
+    returns the session and the rows in heap order."""
+    authority = AuthorityState(idgen=SeededIdGenerator(61))
+    db = Database(authority, seed=61, work_mem=work_mem,
+                  batch_size=batch_size)
+    session = db.connect()
+    session.execute("CREATE TABLE h (id INT PRIMARY KEY, i INT, f FLOAT,"
+                    " b BOOL, t TEXT, n INT)")
+    rng = random.Random(61)
+    rows = []
+    for id_ in range(n_rows):
+        row = (id_, rng.randrange(-5, 6),
+               rng.choice((-0.0, 0.0, 1.5, -2.25, 7.0, 1e300)),
+               rng.random() < 0.5, "t%02d" % rng.randrange(12),
+               None if id_ >= n_rows // 2 and rng.random() < 0.3
+               else rng.randrange(9))
+        session.execute("INSERT INTO h VALUES (?, ?, ?, ?, ?, ?)", row)
+        rows.append(row)
+    return session, rows
+
+
+def _mixed(row):
+    """``CASE WHEN id % 3 = 0 THEN i ELSE f END``: an INT or a FLOAT."""
+    return row[1] if row[0] % 3 == 0 else row[2]
+
+
+def _at(i):
+    return lambda row: row[i]
+
+
+#: ``(ORDER BY, oracle keys)``; every statement selects ``id`` first.
+DESC_ORDERS = (
+    ("f DESC", [(_at(2), True)]),                     # -0.0 ties 0.0
+    ("i DESC", [(_at(1), True)]),                     # ties keep arrival
+    ("b DESC, i", [(_at(3), True), (_at(1), False)]),
+    ("CASE WHEN id % 3 = 0 THEN i ELSE f END DESC",   # int and float
+     [(_mixed, True)]),
+    ("t DESC", [(_at(4), True)]),                     # text: wrapped
+    ("n DESC, id", [(_at(5), True), (_at(0), False)]),
+    ("n DESC, f DESC, t", [(_at(5), True), (_at(2), True),
+                           (_at(4), False)]),
+)
+
+
+@pytest.mark.parametrize("order,keys", DESC_ORDERS,
+                         ids=[order for order, _ in DESC_ORDERS])
+def test_desc_keys_match_the_oracle(order, keys):
+    """At the suite's settings (whatever ``REPRO_BATCH_SIZE`` and
+    ``REPRO_WORK_MEM`` say), as a full sort and as a Top-N."""
+    session, rows = _hazards()
+    expected = [row[0] for row in _sql_order(rows, keys)]
+    got = [r[0] for r in session.execute(
+        "SELECT id FROM h ORDER BY %s" % order).rows]
+    assert got == expected
+    got = [r[0] for r in session.execute(
+        "SELECT id FROM h ORDER BY %s LIMIT 9 OFFSET 2" % order).rows]
+    assert got == expected[2:11]
+
+
+@pytest.mark.parametrize("work_mem,batch_size",
+                         [(1024, None), (1024, 1), (4096, 7)])
+def test_external_sort_runs_that_differ_in_nulls_merge_in_order(
+        work_mem, batch_size):
+    """The early runs hold no NULL ``n`` and the late ones do, so a run
+    alone would key ``n DESC`` by negation and the merge must not:
+    every run of one merge is keyed from the types of all of them."""
+    session, rows = _hazards(work_mem, batch_size)
+    before = counters.tally().sort_runs
+    got = [r[0] for r in session.execute(
+        "SELECT id FROM h ORDER BY n DESC, i DESC").rows]
+    assert counters.tally().sort_runs - before > 2
+    assert got == [row[0] for row in _sql_order(
+        rows, [(_at(5), True), (_at(1), True)])]
+
+
+def test_nan_desc_matches_the_oracle_in_memory():
+    """NaN compares neither way with anything, so only a single
+    comparison sort over the whole input has a defined result: in
+    memory, a NaN-bearing DESC column orders exactly as the oracle's
+    stable sort under the same comparisons."""
+    authority = AuthorityState(idgen=SeededIdGenerator(67))
+    session = Database(authority, seed=67, work_mem=0).connect()
+    session.execute("CREATE TABLE z (id INT PRIMARY KEY, f FLOAT)")
+    rng = random.Random(67)
+    rows = [(i, rng.choice((float("nan"), 2.5, -1.0, 0.0, 9.75)))
+            for i in range(60)]
+    for row in rows:
+        session.execute("INSERT INTO z VALUES (?, ?)", row)
+    got = [r[0] for r in session.execute(
+        "SELECT id FROM z ORDER BY f DESC").rows]
+    assert got == [row[0] for row in _sql_order(rows, [(_at(1), True)])]
+
+
+def test_numeric_desc_keys_are_negated_not_wrapped():
+    """A NULL-free numeric DESC column is keyed by its negation — no
+    object per row; text, NULL-bearing and mixed columns keep the
+    wrapper."""
+    from repro.db.physical import Sort, _Desc
+
+    sort = Sort(None, [None], [True])
+    assert sort._keys([[3, 1.5, True]], [{int, float, bool}]) \
+        == [[-3, -1.5, -1]]
+    for column in (["b", "a"], [2, None], [2, "a"]):
+        (keys,) = sort._keys([column], [set(map(type, column))])
+        assert all(type(key) is _Desc for key in keys), column
+
+
 # ---------------------------------------------------------------------------
 # metrics wiring
 # ---------------------------------------------------------------------------
@@ -626,9 +813,9 @@ def test_spilled_fold_is_pinned(batch_size):
 
 def test_merge_compares_tagged_when_runs_disagree_on_key_types():
     """Two runs, each sorted naturally — INT keys in one, TEXT in the
-    other, so neither latched ``mixed`` — must still merge: the stored
-    keys' type sets disagree, so the merge compares under the tagged
-    order (numbers before strings) instead of raising."""
+    other, so neither needed the tagged order — must still merge: the
+    stored keys' type sets disagree, so the merge compares under the
+    tagged order (numbers before strings) instead of raising."""
     from repro.core.labels import EMPTY_LABEL
     from repro.db.physical import Sort
     from repro.db.spill import SortRuns, Spools
@@ -637,10 +824,10 @@ def test_merge_compares_tagged_when_runs_disagree_on_key_types():
     runs = SortRuns(Spools(4096, 3), 1)
     for keys in ([5, 1, 3, 1], ["b", "a", "c"]):
         n = len(keys)
-        mixed = sort._spool_run(
+        sort._spool_run(
             runs, [list(range(n)), [EMPTY_LABEL] * n, [EMPTY_LABEL] * n,
-                   keys], 1, False)
-        assert mixed is False
-    merged = [values for values, _label, _ilabel in sort._merged(runs, False)]
+                   keys], 1)
+    assert runs.key_types == [{int, str}]
+    merged = [values for values, _label, _ilabel in sort._merged(runs)]
     # Run 0's rows by key (ties in arrival order), then run 1's.
     assert merged == [(1,), (3,), (2,), (0,), (1,), (0,), (2,)]

@@ -252,19 +252,34 @@ def _chunks(pairs, rng):
         yield [key for key, _ in chunk], [row for _, row in chunk]
 
 
+def _block(rows):
+    """The ``(columns, labels, ilabels)`` block of ``(values, label,
+    ilabel)`` rows of one width."""
+    values, labels, ilabels = zip(*rows)
+    return [list(column) for column in zip(*values)], list(labels), \
+        list(ilabels)
+
+
+def _rows_of(side, numbers):
+    """The ``(values, label, ilabel)`` rows numbered ``numbers`` of a
+    join side."""
+    return [(tuple(column[r] for column in side.columns), side.labels[r],
+             side.ilabels[r]) for r in numbers]
+
+
 def _joined(spill):
     """``(probe_row, matches)`` per spooled probe row."""
-    for (key_columns, columns, labels, ilabels), buckets in spill.joined():
+    for (key_columns, columns, labels, ilabels), side in spill.joined():
         rows = zip(zip(*columns), labels, ilabels)
         for key, row in zip(zip(*key_columns), rows):
-            yield row, buckets.get(key, [])
+            yield row, _rows_of(side, side.buckets.get(key, ()))
 
 
 def test_every_row_lands_in_exactly_one_partition():
     rng = random.Random(0x5B13)
     for _round in range(10):
         spill = SpilledHashBuild(512, Spools(512, rng.choice((1, 7, 64))),
-                                 keep_resident=False)
+                                 1, keep_resident=False)
         keys = [(rng.randint(0, 20),) for _ in range(300)]
         # Routing is a pure function of the key.
         assert spill.route(keys) == spill.route(keys)
@@ -272,7 +287,7 @@ def test_every_row_lands_in_exactly_one_partition():
         for chunk_keys, rows in _chunks(
                 ((key, ([i], EMPTY_LABEL, EMPTY_LABEL))
                  for i, key in enumerate(keys)), rng):
-            spill.add_build(chunk_keys, rows)
+            spill.add_build(chunk_keys, *_block(rows))
         counts = [p.build.count for p in spill.partitions]
         assert sum(counts) == len(keys)
         # Same key, same partition.
@@ -308,14 +323,15 @@ def test_spilled_join_matches_dict_join():
             reference.setdefault(key, []).append(row)
 
         spill = SpilledHashBuild(budget, Spools(budget,
-                                                rng.choice((1, 7, 1024))))
+                                                rng.choice((1, 7, 1024))),
+                                 len(build[0][1][0]))
         for keys, rows in _chunks(build, rng):
-            spill.add_build(keys, rows)
+            spill.add_build(keys, *_block(rows))
         results = []
         for keys, rows in _chunks(probe, rng):
-            for row, matches in zip(rows, spill.probe(keys, rows)):
+            for row, matches in zip(rows, spill.probe(keys, *_block(rows))):
                 if matches is not None:
-                    results.append((row, matches))
+                    results.append((row, _rows_of(spill.resident, matches)))
         results.extend(_joined(spill))
         spill.close()
         # Every probe row surfaces exactly once...
@@ -334,12 +350,13 @@ def test_recursion_terminates_on_all_equal_keys():
     partitioner must detect that and finish in memory (over budget)
     instead of recursing forever."""
     before = counters.tally().repartitions
-    spill = SpilledHashBuild(256, Spools(256, 16), keep_resident=False)
+    spill = SpilledHashBuild(256, Spools(256, 16), 2, keep_resident=False)
     key = (7, "same")
     n = 500
-    spill.add_build([key] * n, [((i, "payload"), EMPTY_LABEL, EMPTY_LABEL)
-                                for i in range(n)])
-    spill.spool_probe([key], [(("probe",), EMPTY_LABEL, EMPTY_LABEL)])
+    spill.add_build([key] * n, *_block(
+        [((i, "payload"), EMPTY_LABEL, EMPTY_LABEL) for i in range(n)]))
+    spill.spool_probe([key], *_block([(("probe",), EMPTY_LABEL,
+                                       EMPTY_LABEL)]))
     results = list(_joined(spill))
     assert len(results) == 1
     _row, matches = results[0]
@@ -351,13 +368,13 @@ def test_recursion_terminates_on_all_equal_keys():
 def test_recursion_terminates_on_skewed_keys():
     """One dominant key plus a long tail: recursion isolates the heavy
     key and stops, returning complete matches for both."""
-    spill = SpilledHashBuild(512, Spools(512, 16), keep_resident=False)
+    spill = SpilledHashBuild(512, Spools(512, 16), 1, keep_resident=False)
     keys = [(1,)] * 400 + [(1000 + i,) for i in range(40)]
-    spill.add_build(keys, [((i,), EMPTY_LABEL, EMPTY_LABEL)
-                           for i in range(len(keys))])
+    spill.add_build(keys, *_block([((i,), EMPTY_LABEL, EMPTY_LABEL)
+                                   for i in range(len(keys))]))
     spill.spool_probe([(1,), (1005,), (9999,)],
-                      [((name,), EMPTY_LABEL, EMPTY_LABEL)
-                       for name in ("hot", "cold", "miss")])
+                      *_block([((name,), EMPTY_LABEL, EMPTY_LABEL)
+                               for name in ("hot", "cold", "miss")]))
     by_row = {row[0][0]: matches for row, matches in _joined(spill)}
     assert len(by_row["hot"]) == 400
     assert len(by_row["cold"]) == 1
