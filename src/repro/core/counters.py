@@ -52,14 +52,19 @@ SCHEMA = (
     # plain-subset fast paths included: the per-tuple call itself is
     # what Query by Label costs, and the set-at-a-time label routine
     # turns one call per tuple into one per distinct label per batch
-    # (fig6 reads these to prove it).  ``rows_suppressed`` counts tuples
+    # (fig6 reads these to prove it) — per cut build for a frozen heap
+    # segment, whose cut the next scan under the same reader key reuses
+    # (``cuts_reused``).  ``rows_suppressed`` counts tuples
     # the scans rejected under the Label Confinement Rule, once per
     # batch — a suppression does not correspond to a ``covers`` call.
-    # All three high: a hidden tuple's label is checked like any other,
-    # and counting the tuples the reader may not see is the point.
+    # All four high: a hidden tuple's label is checked like any other,
+    # counting the tuples the reader may not see is the point, and
+    # whether a segment's kept cut has this reader's key depends on
+    # which reader scanned it last, whatever that reader's label.
     ("labels", "covers_calls", SUM, "covers", "high"),
     ("labels", "strip_calls", SUM, "strip", "high"),
     ("labels", "rows_suppressed", SUM, "suppressed", "high"),
+    ("labels", "cuts_reused", SUM, "cuts_reused", "high"),
     # -- index: equality probes and ordered-range scans -------------------
     # The batched IndexLoopJoin probes once per distinct outer key per
     # batch — high, since a scan's batches end where heap segments do,

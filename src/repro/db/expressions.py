@@ -24,7 +24,10 @@ closure ``fn(batch, ctx) -> list`` (:meth:`ExprCompiler.compile_batch`)
 for the physical operators, which evaluate a
 :class:`~repro.db.physical.RowBatch` a column at a time.  Both are
 dispatched per node class by the same compiler; a node class without a
-column kernel gets its scalar closure mapped over the batch's rows.
+column kernel gets its scalar closure mapped over the batch's rows.  A
+comparison or arithmetic operator that meets operands it is not defined
+on (a zero divisor, TEXT against INT) raises
+:class:`~repro.errors.ExpressionError` in either form.
 
 SQL three-valued logic is approximated with ``None`` as UNKNOWN:
 comparisons involving NULL yield None, ``AND``/``OR`` propagate it, and
@@ -38,11 +41,13 @@ registry through the execution context.
 
 from __future__ import annotations
 
-from itertools import compress
+import operator
+from itertools import compress, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import Label
-from ..errors import CatalogError, DatabaseError, SQLSyntaxError
+from ..errors import (CatalogError, DatabaseError, ExpressionError,
+                      SQLSyntaxError)
 
 # ---------------------------------------------------------------------------
 # AST nodes
@@ -584,24 +589,55 @@ def like_match(value: Optional[str], pattern: Optional[str]) -> Optional[bool]:
 # Compilation
 # ---------------------------------------------------------------------------
 
-_CMP_FUNCS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-_BIN_FUNCS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
+#: The comparison and arithmetic operators, on two non-NULL values.
+_OPERATORS = {
+    "=": operator.eq, "<>": operator.ne, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
     "||": lambda a, b: str(a) + str(b),
 }
+
+#: Column-versus-constant kernels, one per operator, the operator
+#: written inline so a value costs no call: ``kernel(column, c)`` for a
+#: non-NULL constant ``c``, NULL where the value is NULL.  Picked at
+#: compile time, like :data:`repro.db.physical._KERNELS`.
+_CONSTANT_KERNELS = {
+    "=": lambda column, c: [None if v is None else v == c for v in column],
+    "<>": lambda column, c: [None if v is None else v != c for v in column],
+    "<": lambda column, c: [None if v is None else v < c for v in column],
+    "<=": lambda column, c: [None if v is None else v <= c for v in column],
+    ">": lambda column, c: [None if v is None else v > c for v in column],
+    ">=": lambda column, c: [None if v is None else v >= c for v in column],
+    "+": lambda column, c: [None if v is None else v + c for v in column],
+    "-": lambda column, c: [None if v is None else v - c for v in column],
+    "*": lambda column, c: [None if v is None else v * c for v in column],
+    "/": lambda column, c: [None if v is None else v / c for v in column],
+    "%": lambda column, c: [None if v is None else v % c for v in column],
+    "||": lambda column, c: [None if v is None else str(v) + str(c)
+                             for v in column],
+}
+_CONSTANT_KERNELS["!="] = _CONSTANT_KERNELS["<>"]
+
+#: What an operator raises on operands SQL gives it no meaning for.
+_VALUE_ERRORS = (TypeError, ZeroDivisionError)
+_TYPE_NAMES = {bool: "BOOLEAN", int: "INT", float: "REAL", str: "TEXT",
+               Label: "LABEL"}
+
+
+def _operator_error(op: str, pairs) -> ExpressionError:
+    """The typed error for the first ``(left, right)`` operand pair
+    operator ``op`` fails on — what every kernel raises instead of the
+    Python exception."""
+    for lv, rv in pairs:
+        if lv is not None and rv is not None:
+            try:
+                _OPERATORS[op](lv, rv)
+            except _VALUE_ERRORS as exc:
+                return ExpressionError("cannot evaluate %s %s %s: %s" % (
+                    _TYPE_NAMES.get(type(lv), type(lv).__name__), op,
+                    _TYPE_NAMES.get(type(rv), type(rv).__name__), exc))
+    return ExpressionError("cannot evaluate operator %s" % op)
 
 
 class ExprCompiler:
@@ -639,13 +675,16 @@ class ExprCompiler:
         and the common shapes (comparisons, arithmetic, ``AND``,
         ``IS NULL``) combine those arrays element-wise, so an
         expression only ever touches the columns it reads.  A node
-        class without a kernel maps its scalar closure over
-        ``batch.rows()`` (building the rows) — here and nowhere else —
-        so the batch form can never change semantics, only the loop
+        without a kernel maps its scalar closure over ``batch.rows()``
+        (building the rows) — :meth:`_over_rows` and nowhere else — so
+        the batch form can never change semantics, only the loop
         shape."""
         method = getattr(self, "_b_" + type(node).__name__.lower(), None)
         if method is not None:
             return method(node)
+        return self._over_rows(node)
+
+    def _over_rows(self, node: Expr) -> Callable:
         row_fn = self.compile(node)
         return lambda batch, ctx: [row_fn(row, ctx) for row in batch.rows()]
 
@@ -701,8 +740,8 @@ class ExprCompiler:
 
     # -- operators ---------------------------------------------------------
     def _c_binop(self, node):
-        fn = (_CMP_FUNCS if isinstance(node, Compare)
-              else _BIN_FUNCS)[node.op]
+        op = node.op
+        fn = _OPERATORS[op]
         left = self.compile(node.left)
         right = self.compile(node.right)
         def run(row, ctx):
@@ -710,29 +749,40 @@ class ExprCompiler:
             rv = right(row, ctx)
             if lv is None or rv is None:
                 return None
-            return fn(lv, rv)
+            try:
+                return fn(lv, rv)
+            except _VALUE_ERRORS:
+                raise _operator_error(op, ((lv, rv),)) from None
         return run
 
     def _b_binop(self, node):
-        fn = (_CMP_FUNCS if isinstance(node, Compare)
-              else _BIN_FUNCS)[node.op]
+        op = node.op
         left = self.compile_batch(node.left)
         if isinstance(node.right, (Literal, Param)):
             # Column-versus-constant, the common predicate shape: one
-            # pass over the column, no second array to zip against.
+            # pass over the column with the operator inline.
+            kernel = _CONSTANT_KERNELS[op]
             constant = self.compile(node.right)
             def against_constant(batch, ctx):
                 column = left(batch, ctx)
                 rv = constant([], ctx)
                 if rv is None:
                     return [None] * len(column)
-                return [None if lv is None else fn(lv, rv)
-                        for lv in column]
+                try:
+                    return kernel(column, rv)
+                except _VALUE_ERRORS:
+                    raise _operator_error(op, zip(column, repeat(rv))) \
+                        from None
             return against_constant
+        fn = _OPERATORS[op]
         right = self.compile_batch(node.right)
         def elementwise(batch, ctx):
-            return [None if lv is None or rv is None else fn(lv, rv)
-                    for lv, rv in zip(left(batch, ctx), right(batch, ctx))]
+            lefts, rights = left(batch, ctx), right(batch, ctx)
+            try:
+                return [None if lv is None or rv is None else fn(lv, rv)
+                        for lv, rv in zip(lefts, rights)]
+            except _VALUE_ERRORS:
+                raise _operator_error(op, zip(lefts, rights)) from None
         return elementwise
 
     _c_compare, _b_compare = _c_binop, _b_binop
@@ -836,6 +886,32 @@ class ExprCompiler:
                 return None
             return (not found) if negated else found
         return run
+
+    def _b_inlist(self, node: InList):
+        """``x IN (literals and parameters)``: the items are evaluated
+        once per batch and each value is looked up in the set of the
+        non-NULL ones, with the scalar form's equality (an item unequal
+        to itself, NaN, matches nothing) and its NULL rule (a miss is
+        UNKNOWN when an item is NULL).  Other item lists — and a batch
+        whose items raise (a missing parameter), since the scalar form
+        raises only for a row it reaches — go row by row."""
+        by_rows = self._over_rows(node)
+        if not all(isinstance(item, (Literal, Param)) for item in node.items):
+            return by_rows
+        operand = self.compile_batch(node.operand)
+        items = [self.compile(item) for item in node.items]
+        hit = not node.negated
+        def membership(batch, ctx):
+            try:
+                values = [item([], ctx) for item in items]
+            except DatabaseError:
+                return by_rows(batch, ctx)
+            members = frozenset([v for v in values
+                                 if v is not None and v == v])
+            miss = None if any(v is None for v in values) else not hit
+            return [None if v is None else hit if v in members else miss
+                    for v in operand(batch, ctx)]
+        return membership
 
     def _c_between(self, node: Between):
         operand = self.compile(node.operand)

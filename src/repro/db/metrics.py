@@ -134,6 +134,7 @@ _LABELS = tuple(label for _group, _field, _kind, label, _level in SCHEMA)
 _SUPPRESSED = CELLS.index(("labels", "rows_suppressed"))
 _SEGMENTS = CELLS.index(("exec", "segments_scanned"))
 _COVERS = CELLS.index(("labels", "covers_calls"))
+_REUSED = CELLS.index(("labels", "cuts_reused"))
 
 
 class OpStats:
@@ -283,9 +284,13 @@ class PlanRecorder:
                 # did: rows it suppressed (zero included — the generic
                 # counters omit zeros) and how many label checks a
                 # candidate segment cost it — its distinct labels
-                # set-at-a-time, its versions in the per-version loop.
+                # set-at-a-time, its versions in the per-version loop,
+                # none for a frozen heap segment whose kept label cut
+                # it reused (``cuts_reused``).
                 if not exclusive[_SUPPRESSED]:
                     actual += " suppressed=0"
+                if not exclusive[_REUSED]:
+                    actual += " cuts_reused=0"
                 segments = exclusive[_SEGMENTS]
                 actual += " labels/batch=%.1f" % (
                     exclusive[_COVERS] / segments if segments else 0.0)

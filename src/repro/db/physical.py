@@ -120,7 +120,8 @@ from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, NULL_ROW,
                     GroupSpill, JoinSide, MAX_RECURSION, SortRuns,
                     SpilledHashBuild, Spools, column_rows,
                     estimate_batch_bytes, estimate_row_bytes, take_rows)
-from .storage import SET_AT_A_TIME_MIN, Segment, Table
+from .storage import (SET_AT_A_TIME_MIN, HeapSegment, LabelCut, Segment,
+                      Table)
 
 #: Rows per batch when no explicit size is configured (the engine reads
 #: ``REPRO_BATCH_SIZE`` and passes its own default through the planner).
@@ -355,8 +356,12 @@ def _visible_segment(ctx: ExecContext, table: Table, segment: Segment,
     stored label — every tuple is then kept or dropped through that
     verdict map by ``map``/``compress``, whatever the layout of labels
     in the heap, and ``rows_suppressed`` is bumped once, by the number
-    dropped.  The two sides agree on every output and every counter
-    except how often ``covers`` and ``strip`` run.
+    dropped.  A heap segment found frozen keeps that answer for the
+    reader key it was built for (:func:`_kept_cut`), so the next scan
+    under the same key runs no ``covers`` or ``strip`` for it at all
+    (``cuts_reused``).  The two sides agree on every output and every
+    counter except how often ``covers`` and ``strip`` run and how many
+    cuts were reused.
 
     **The MVCC bound check.**  If no version of the segment has been
     deleted (``stamped`` unset) and the newest ``xmin`` is below both
@@ -419,6 +424,10 @@ def _visible_segment(ctx: ExecContext, table: Table, segment: Segment,
             and segment.hi_xmin < txn_manager.committed_horizon()):
         counts.segments_frozen += 1
         distinct = segment.distinct
+        if ctx.ifc_enabled and isinstance(segment, HeapSegment):
+            cut = _kept_cut(ctx, segment, declass, memo)
+            counts.rows_suppressed += cut.suppressed
+            return ([] if cut.flags is None else [cut.flags]), cut.labels
     else:
         visible = txn_manager.visible
         flags = [visible(version, txn) for version in versions]
@@ -427,25 +436,62 @@ def _visible_segment(ctx: ExecContext, table: Table, segment: Segment,
             labels = list(compress(labels, flags))
         distinct = set(labels)
     if ctx.ifc_enabled:
-        verdicts, stripped = memo
-        hidden = False
-        for label in distinct:
-            ok = verdicts.get(label)
-            if ok is None:
-                emitted = label
-                if declass:
-                    emitted = stripped[label] = strip(registry, label,
-                                                      declass)
-                ok = verdicts[label] = covers(registry, emitted, read_label)
-            hidden = hidden or not ok
-        if hidden:
-            flags = list(map(verdicts.__getitem__, labels))
+        flags, labels, suppressed = _label_verdicts(ctx, labels, distinct,
+                                                    declass, memo)
+        if flags is not None:
             selectors.append(flags)
-            counts.rows_suppressed += flags.count(False)
-            labels = list(compress(labels, flags))
-        if declass:
-            labels = list(map(stripped.__getitem__, labels))
+            counts.rows_suppressed += suppressed
     return selectors, labels
+
+
+def _label_verdicts(ctx: ExecContext, labels, distinct, declass: Label,
+                    memo: Tuple[dict, dict]):
+    """Query by Label over a segment's MVCC survivors, once per distinct
+    label: ``labels`` (``distinct``: each of them once) to ``(flags,
+    emitted, suppressed)`` — the flags that keep the covered ones
+    (``None`` when all are), the labels those emit (stripped of
+    ``declass``) and how many were dropped.  ``strip``/``covers`` run
+    for a label ``memo``'s ``(verdicts, stripped)`` dicts do not hold
+    yet."""
+    registry = ctx.registry
+    read_label = ctx.read_label
+    verdicts, stripped = memo
+    hidden = False
+    for label in distinct:
+        ok = verdicts.get(label)
+        if ok is None:
+            emitted = label
+            if declass:
+                emitted = stripped[label] = strip(registry, label, declass)
+            ok = verdicts[label] = covers(registry, emitted, read_label)
+        hidden = hidden or not ok
+    flags, suppressed = None, 0
+    if hidden:
+        flags = tuple(map(verdicts.__getitem__, labels))
+        suppressed = flags.count(False)
+        labels = tuple(compress(labels, flags))
+    if declass:
+        labels = tuple(map(stripped.__getitem__, labels))
+    return flags, labels, suppressed
+
+
+def _kept_cut(ctx: ExecContext, segment: HeapSegment, declass: Label,
+              memo: Tuple[dict, dict]) -> LabelCut:
+    """The label cut of a heap segment found frozen: the one the
+    segment keeps, when the last reader it was built for had this
+    reader's key — label, declassified tags and registry version, all a
+    verdict depends on once MVCC has nothing to drop — or one built now
+    by :func:`_label_verdicts`, replacing it."""
+    key = (ctx.read_label, declass, ctx.registry.version)
+    cut = segment.cut
+    if cut is not None and cut.key == key:
+        tally().cuts_reused += 1
+        if cut.columns is None:
+            cut.columns = {}
+        return cut
+    cut = segment.cut = LabelCut(key, *_label_verdicts(
+        ctx, segment.labels, segment.distinct, declass, memo))
+    return cut
 
 
 def _check_view_authority(ctx: ExecContext, view_grants) -> None:

@@ -19,9 +19,12 @@ and the only three heap mutations drop the slice they touch with one
 (a deletion, the one writer of ``xmax``) and :meth:`Table.unlink`.  A
 summary holds cells and labels of tuples a reader may not see; it is a
 cache of the heap, never an observable: what a scan emits from it is
-decided per statement by the leaf (:mod:`repro.db.physical`), and a
-rebuilt summary is equal to a kept one, so nothing a reader can see —
-rows, labels, errors, counts — depends on whether one was cached.  An
+decided by the leaf (:mod:`repro.db.physical`) from the reader's
+snapshot and label — for a segment the snapshot finds frozen, kept as
+one :class:`LabelCut` per segment, a function of the heap and the
+reader's key alone — and a rebuilt summary or cut is equal to a kept
+one, so nothing a reader can see — rows, labels, errors, low counts —
+depends on whether one was cached.  An
 index probe's candidates are a plain :class:`Segment`: the same
 interface, summarized for the one scan and keeping nothing.
 
@@ -129,6 +132,29 @@ class Segment:
         return [version.ilabel for version in self.kept(selectors)]
 
 
+class LabelCut:
+    """Query by Label's answer for a frozen heap segment under one
+    reader ``key`` — ``(read label, declassified tags, registry
+    version)``: the ``flags`` that keep the covered versions (``None``
+    when all are), the ``labels`` those emit, how many were
+    ``suppressed``, and the segment's column arrays and integrity labels
+    cut down by ``flags`` — kept only once a scan has reused the cut
+    (``columns`` is ``None`` until then), so a cut no scan reuses, on a
+    heap being written, costs no copy."""
+
+    __slots__ = ("key", "flags", "labels", "suppressed", "columns",
+                 "ilabels")
+
+    def __init__(self, key: tuple, flags: Optional[tuple], labels: tuple,
+                 suppressed: int):
+        self.key = key
+        self.flags = flags
+        self.labels = labels
+        self.suppressed = suppressed
+        self.columns: Optional[Dict[int, tuple]] = None
+        self.ilabels: Optional[tuple] = None
+
+
 class HeapSegment(Segment):
     """A heap slice the table keeps between scans
     (:meth:`Table.segments`): its integrity labels and per-column
@@ -137,9 +163,24 @@ class HeapSegment(Segment):
     sequence is a tuple: the same arrays reach every scan, so an
     operator that mutated one in place must fail, not corrupt the next
     scan.
+
+    ``cut`` is one slot: the :class:`LabelCut` of the last reader the
+    scan leaf found the segment frozen for.  Once it has been reused,
+    selectors that start with its ``flags`` (by identity) are answered
+    from its arrays; another reader's key replaces it whole, in one
+    assignment.
     """
 
-    _ilabels = _columns = None
+    _ilabels = _columns = cut = None
+
+    def _cut_of(self, selectors: list):
+        """The reused cut ``selectors`` start with, or ``None``, and the
+        selectors left after it."""
+        cut = self.cut
+        if (cut is not None and cut.columns is not None and selectors
+                and selectors[0] is cut.flags):
+            return cut, selectors[1:]
+        return None, selectors
 
     def column(self, position: int) -> tuple:
         """Stored column ``position`` of every version, in order."""
@@ -154,14 +195,27 @@ class HeapSegment(Segment):
 
     def columns(self, positions, selectors, width):
         columns: list = [None] * width
+        cut, rest = self._cut_of(selectors)
         for p in positions:
-            columns[p] = _take(self.column(p), selectors)
+            if cut is None:
+                columns[p] = _take(self.column(p), selectors)
+                continue
+            column = cut.columns.get(p)
+            if column is None:
+                column = cut.columns[p] = tuple(compress(self.column(p),
+                                                         cut.flags))
+            columns[p] = _take(column, rest)
         return columns
 
     def ilabels(self, selectors):
         if self._ilabels is None:
             self._ilabels = tuple([v.ilabel for v in self.versions])
-        return _take(self._ilabels, selectors)
+        cut, rest = self._cut_of(selectors)
+        if cut is None:
+            return _take(self._ilabels, selectors)
+        if cut.ilabels is None:
+            cut.ilabels = tuple(compress(self._ilabels, cut.flags))
+        return _take(cut.ilabels, rest)
 
 
 class Table:

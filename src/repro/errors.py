@@ -72,6 +72,12 @@ class TypeError_(DatabaseError):
     """A value could not be coerced to the declared column type."""
 
 
+class ExpressionError(DatabaseError):
+    """A comparison or arithmetic operator met operands it is not
+    defined on — a divisor of zero, TEXT against INT — in a statement's
+    expression; the message names the operator and the operand types."""
+
+
 class IntegrityError(DatabaseError):
     """Base class for constraint violations."""
 

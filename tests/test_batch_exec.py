@@ -923,7 +923,14 @@ def test_plain_scan_counts_are_sums_over_chunks():
     assert len(rows) == sum(c[1] for c in chunks) == 102
     assert delta["labels"] == {
         "covers_calls": sum(c[0] for c in chunks), "strip_calls": 0,
-        "rows_suppressed": sum(c[2] for c in chunks)}
+        "rows_suppressed": sum(c[2] for c in chunks), "cuts_reused": 0}
+    # Scanned again, every chunk's kept label cut answers: no label
+    # check runs, and the reader sees and is charged the same.
+    again, warm = _pin_delta(db, reader, "SELECT id, v FROM pin")
+    assert again == rows
+    assert warm["labels"] == dict(delta["labels"], covers_calls=0,
+                                  cuts_reused=len(chunks))
+    assert warm["exec"] == delta["exec"] and _buffer(warm) == _buffer(delta)
     assert delta["exec"]["columns_materialized"] == 2 * len(rows)
     # Size 1 touches one version at a time: the reference for the
     # page-run accounting, evictions and simulated I/O included.
@@ -960,18 +967,22 @@ def test_limit_abandons_the_scan_after_whole_chunks():
     ("SELECT a.id, b.id FROM pin a JOIN pin b ON b.v = a.v "
      "WHERE a.grp = 1 AND b.grp = 2", 2, False),
     ("SELECT id FROM pin LIMIT 12", None, False),
-    ("SELECT id FROM pin WHERE v IN (3, 5, 8)", 1, True),
+    # IN over constants has a column kernel: no row per survivor.
+    ("SELECT id FROM pin WHERE v IN (3, 5, 8)", 1, False),
     ("SELECT grp, COUNT(*) FROM pin WHERE v IN (3, 5, 8) GROUP BY grp",
-     1, True),
+     1, False),
+    ("SELECT id FROM pin WHERE v BETWEEN 3 AND 8", 1, True),
 ])
 def test_rows_are_built_for_the_result_and_for_kernel_less_expressions(
         sql, scans, kernel_less):
     """The one rule of ``rows_widened``: a statement builds its result
     rows at the cursor, plus — where a scan predicate has no column
-    kernel (``IN``) — one row per *label survivor* the predicate was
-    evaluated over.  Scans, folds, sorts, joins and LIMIT build no
+    kernel (``BETWEEN``) — one row per *label survivor* the predicate
+    was evaluated over.  Scans, folds, sorts, joins and LIMIT build no
     other row, whichever operator produced the batch, spilled or not;
-    the folds still read every chunk's labels exactly once."""
+    the folds still read every chunk's labels exactly once — the first
+    scan of a chunk builds its label cut (one ``covers`` per distinct
+    label), a second scan of it under the same reader reuses it."""
     db, reader = _pin_stack(PIN_BATCH)
     _row_db, row_reader = _pin_stack(1)
     rows, delta = _pin_delta(db, reader, sql)
@@ -985,8 +996,8 @@ def test_rows_are_built_for_the_result_and_for_kernel_less_expressions(
     survivors = sum(c[1] for c in chunks) if kernel_less else 0
     assert delta["exec"]["rows_widened"] == len(rows) + survivors
     if scans is not None:
-        assert delta["labels"]["covers_calls"] \
-            == scans * sum(c[0] for c in chunks)
+        assert delta["labels"]["covers_calls"] == sum(c[0] for c in chunks)
+        assert delta["labels"]["cuts_reused"] == (scans - 1) * len(chunks)
 
 
 def test_declassifying_view_strips_once_per_distinct_label_per_chunk():
@@ -1015,7 +1026,8 @@ def test_declassifying_view_strips_once_per_distinct_label_per_chunk():
         for start in range(0, 30, 8))
     assert db.last_statement_metrics()["labels"] == {
         "covers_calls": distinct_per_chunk,
-        "strip_calls": distinct_per_chunk, "rows_suppressed": 0}
+        "strip_calls": distinct_per_chunk, "rows_suppressed": 0,
+        "cuts_reused": 0}
 
 
 # ---------------------------------------------------------------------------

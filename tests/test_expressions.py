@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.db import expressions as ex
 from repro.db.physical import RowBatch
-from repro.errors import CatalogError, DatabaseError
+from repro.errors import CatalogError, DatabaseError, ExpressionError
 from repro.sql.parser import parse_expression
 
 
@@ -348,3 +348,83 @@ def test_batch_form_agrees_with_scalar_form(node, rows, params):
         else:
             assert not raised, (layout, node, rows, raised)
             assert _typed(got) == _typed(expected), (layout, node, rows)
+
+
+# ---------------------------------------------------------------------------
+# IN over constants has a column kernel
+# ---------------------------------------------------------------------------
+
+_NAN = float("nan")
+#: Every value meets the items by ``==``: ``True == 1 == 1.0``, ``"1"``
+#: equals no number, and NaN — the very object a parameter may pass —
+#: equals nothing, itself included.
+_IN_COLUMN = [None, 0, 1, 1.0, 2, 2.5, 3, True, "1", _NAN]
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("items, params", [
+    ([ex.Literal(1), ex.Literal(2.0), ex.Literal(3)], ()),
+    ([ex.Literal(1), ex.Literal(None), ex.Literal(2.5)], ()),
+    ([ex.Param(0), ex.Literal(2)], (_NAN,)),
+    ([ex.Param(0), ex.Param(1)], (None, 1.0)),
+], ids=["int-float", "null-item", "nan-param", "params"])
+def test_in_list_kernel_agrees_with_the_scalar_form(items, params, negated):
+    """The set lookup answers what the scalar closure answers row by row
+    — value and type — and builds no row."""
+    from repro.core.counters import tally
+    scope = ex.Scope()
+    scope.add_table("t", ["a"])
+    compiler = ex.ExprCompiler(scope)
+    node = ex.InList(_A, items, negated)
+    ctx = _Ctx(params)
+    scalar = compiler.compile(node)
+    expected = [scalar([value, None], ctx) for value in _IN_COLUMN]
+    n = len(_IN_COLUMN)
+    widened = tally().rows_widened
+    got = compiler.compile_batch(node)(
+        RowBatch([list(_IN_COLUMN), None], [None] * n, [None] * n), ctx)
+    assert _typed(got) == _typed(expected)
+    assert tally().rows_widened == widened
+    if params == (_NAN,):
+        assert got[-1] is negated            # NaN is not in (NaN, 2)
+
+
+# ---------------------------------------------------------------------------
+# an operator on operands it is not defined on raises a typed error
+# ---------------------------------------------------------------------------
+
+class TestTypedOperatorErrors:
+    """Division by zero and TEXT against INT raise ``ExpressionError``
+    naming the operator and the operand types — from the scalar kernels
+    (a constant select item, an UPDATE assignment) and the batch ones
+    (column against a constant, elementwise), through SELECT, UPDATE
+    and DELETE — and the failed statement writes nothing."""
+
+    @pytest.fixture
+    def session(self):
+        from repro.core import AuthorityState, SeededIdGenerator
+        from repro.db import Database
+        db = Database(AuthorityState(idgen=SeededIdGenerator(5)), seed=5)
+        session = db.connect()
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, w TEXT)")
+        for i in range(6):
+            session.execute("INSERT INTO t VALUES (?, ?)", (i, "w%d" % i))
+        return session
+
+    @pytest.mark.parametrize("sql, operation", [
+        ("SELECT 1/0", "INT / INT"),
+        ("SELECT id % 0 FROM t", "INT % INT"),
+        ("SELECT id FROM t WHERE w > 3", "TEXT > INT"),
+        ("SELECT id FROM t WHERE 3 < w", "INT < TEXT"),
+        ("SELECT id FROM t WHERE id / (id - id) > 1", "INT / INT"),
+        ("UPDATE t SET id = id + 10 WHERE w > 3", "TEXT > INT"),
+        ("UPDATE t SET w = w + 1", "TEXT + INT"),
+        ("DELETE FROM t WHERE w > 3", "TEXT > INT"),
+    ])
+    def test_raises_expression_error(self, session, sql, operation):
+        before = session.execute("SELECT id, w FROM t").rows
+        with pytest.raises(ExpressionError) as raised:
+            session.execute(sql)
+        assert isinstance(raised.value, DatabaseError)
+        assert str(raised.value).startswith("cannot evaluate " + operation)
+        assert session.execute("SELECT id, w FROM t").rows == before

@@ -58,7 +58,7 @@ def _fresh(**kwargs):
 #: schema is added here (and to ARCHITECTURE.md).
 PINNED_CELLS = [
     ("labels", "covers_calls"), ("labels", "strip_calls"),
-    ("labels", "rows_suppressed"),
+    ("labels", "rows_suppressed"), ("labels", "cuts_reused"),
     ("index", "lookups"), ("index", "range_scans"),
     ("exec", "columns_materialized"), ("exec", "rows_widened"),
     ("exec", "segments_scanned"), ("exec", "segments_frozen"),
@@ -145,7 +145,7 @@ def test_snapshot_covers_every_family_field():
     snap = counters.snapshot()
     assert set(snap) >= {"labels", "index", "exec", "spill", "stats"}
     assert set(snap["labels"]) == {"covers_calls", "strip_calls",
-                                   "rows_suppressed"}
+                                   "rows_suppressed", "cuts_reused"}
     assert set(snap["index"]) == {"lookups", "range_scans"}
     assert set(snap["exec"]) == {"columns_materialized", "rows_widened",
                                  "segments_scanned", "segments_frozen"}
@@ -592,10 +592,11 @@ def test_statement_metrics_isolated_across_threads():
     StatementStats rows, wrong slow-query counters).
 
     Two threads run barrier-synced statements with *different*,
-    exactly known per-statement covers counts (different batch sizes
-    → different chunk counts → different per-batch label-memo probes).
-    Every single delta must be exact — any bleed from the other
-    thread's concurrent statement shows up as a wrong count.
+    exactly known per-statement label-cut counts (different batch
+    sizes → different chunk counts): the first scan builds every
+    chunk's cut — one ``covers`` each — and every later one reuses
+    them all.  Every single delta must be exact — any bleed from the
+    other thread's concurrent statement shows up as a wrong count.
     """
     import threading
 
@@ -603,7 +604,7 @@ def test_statement_metrics_isolated_across_threads():
     barrier = threading.Barrier(2)
     failures: list = []
 
-    def worker(seed, rows, batch_size, expected_covers):
+    def worker(seed, rows, batch_size, chunks):
         try:
             authority = AuthorityState(idgen=SeededIdGenerator(seed))
             db = Database(authority, seed=seed, batch_size=batch_size,
@@ -614,24 +615,25 @@ def test_statement_metrics_isolated_across_threads():
                 "CREATE TABLE t (id INT PRIMARY KEY, x INT)")
             for i in range(rows):
                 session.execute("INSERT INTO t VALUES (?, ?)", (i, i))
-            for _ in range(iterations):
+            expected = []
+            for iteration in range(iterations):
                 barrier.wait()
                 session.execute("SELECT x FROM t")
                 delta = db.last_statement_metrics()
                 assert delta["rows"] == rows
-                # One covers per (batch, distinct label): all rows are
-                # public, so exactly one memo probe per chunk.
-                assert delta["labels"]["covers_calls"] \
-                    == expected_covers, delta["labels"]
-                assert delta["labels"]["rows_suppressed"] == 0
+                # All rows are public: a cut build is one covers per
+                # chunk, and every chunk is built or reused.
+                built = chunks if iteration == 0 else 0
+                expected.append({"covers_calls": built, "strip_calls": 0,
+                                 "rows_suppressed": 0,
+                                 "cuts_reused": chunks - built})
+                assert delta["labels"] == expected[-1], delta["labels"]
             # The slow-query log (threshold 1e-9: every statement
             # records) captured the same exact deltas.
             selects = [e for e in db.stats()["slow_queries"]
                        if e["statement"] == "SELECT x FROM t"]
-            assert len(selects) == iterations
-            for entry in selects:
-                assert entry["counters"]["labels"]["covers_calls"] \
-                    == expected_covers
+            assert [entry["counters"]["labels"] for entry in selects] \
+                == expected
             agg = db.stats()["statements"]["SELECT x FROM t"]
             assert agg["calls"] == iterations
             assert agg["rows"] == rows * iterations

@@ -55,6 +55,7 @@ import pytest
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
     counters
 from repro.db import Database
+from repro.db.storage import SET_AT_A_TIME_MIN
 
 SEED = 1813
 
@@ -80,8 +81,10 @@ STATEMENTS = (
     "SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT 2 OFFSET 1",
     "SELECT DISTINCT c, a + b AS s FROM t ORDER BY s DESC, c LIMIT 4",
     "SELECT DISTINCT a, b FROM t LIMIT 4",
-    # IN has no column kernel: the scan builds a row per label survivor.
+    # IN over constants, a set lookup per label survivor; BETWEEN has no
+    # column kernel: the scan builds a row per label survivor.
     "SELECT DISTINCT a FROM t WHERE b IN (0, 1, 3)",
+    "SELECT DISTINCT a FROM t WHERE b BETWEEN 1 AND 2",
     # GROUP BY without and with aggregates.
     "SELECT a, b FROM t GROUP BY a, b",
     "SELECT a, COUNT(*), SUM(b), MIN(c), COUNT(DISTINCT b) FROM t "
@@ -270,7 +273,7 @@ POISON_STATEMENTS = (
     ("SELECT id FROM p WHERE " + _COMPARES, "Scan p"),
     ("SELECT COUNT(*), SUM(amount) FROM p WHERE amount > 20 AND "
      + _DIVIDES, "Scan p"),
-    ("SELECT id FROM p WHERE amount IN (7, 12, 30)", "Scan p"),  # no kernel
+    ("SELECT id FROM p WHERE amount IN (7, 12, 30)", "Scan p"),
     ("SELECT id, amount FROM p WHERE k = 3 AND " + _DIVIDES, "IndexScan"),
     ("SELECT id FROM p WHERE k = 3 AND amount IN (7, 12, 30)", "IndexScan"),
     ("SELECT id FROM p WHERE k = 11 AND " + _COMPARES, "IndexScan"),
@@ -395,6 +398,29 @@ FAMILIES = {
     "poison": (_poison_world, [sql for sql, _path in POISON_STATEMENTS],
                True),
 }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_second_pass_shows_what_the_first_did(config, family):
+    """The label cuts heap segments keep between statements are no
+    observable: each world's reads run twice in one process — the
+    second pass answered from the cuts the first one left — and every
+    observable repeats (rows, labels, integrity labels, rowcount,
+    errors, every low counter).  The DML that ends the poison stream
+    is left out: it changes what a second pass would read."""
+    build, statements, _analyzed = FAMILIES[family]
+    reads = [sql for sql in statements
+             if not sql.startswith(("UPDATE", "DELETE"))]
+    reused = counters.snapshot()["labels"]["cuts_reused"]
+    for name, seed in WORLDS.items():
+        session = build(seed, CONFIGS[config], None)
+        first = [_observe(session, sql) for sql in reads]
+        assert [_observe(session, sql) for sql in reads] == first, \
+            (config, family, name)
+    reused = counters.snapshot()["labels"]["cuts_reused"] - reused
+    # One-version segments take the per-version loop and keep nothing.
+    assert bool(reused) == (session.db.batch_size >= SET_AT_A_TIME_MIN)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

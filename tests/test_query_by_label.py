@@ -9,7 +9,7 @@ import pytest
 from repro.core import (AuthorityState, IFCProcess, Label,
                         SeededIdGenerator)
 from repro.db import Database
-from repro.errors import IFCViolation
+from repro.errors import ExpressionError, IFCViolation
 
 
 class TestLabelConfinement:
@@ -192,17 +192,17 @@ class TestBaselineMode:
 #: and the only one with a non-NULL ``note`` (TEXT compared with INT).
 POISON_STATEMENTS = (
     ("SELECT id, amount FROM ledger WHERE 100 / (amount - ?) > 1", (7,),
-     ZeroDivisionError),
+     ExpressionError),
     ("SELECT COUNT(*), SUM(amount) FROM ledger "
-     "WHERE 100 / (amount - ?) > 1", (7,), ZeroDivisionError),
+     "WHERE 100 / (amount - ?) > 1", (7,), ExpressionError),
     ("SELECT id FROM ledger WHERE amount > 20 AND 100 / (amount - ?) > 1 "
      "ORDER BY amount DESC, id LIMIT 5", (7,), None),   # AND short-circuits
     ("UPDATE ledger SET amount = amount + 100 "
-     "WHERE 100 / (amount - ?) > 50", (7,), ZeroDivisionError),
-    ("SELECT id FROM ledger WHERE note > ?", (5,), TypeError),
+     "WHERE 100 / (amount - ?) > 50", (7,), ExpressionError),
+    ("SELECT id FROM ledger WHERE note > ?", (5,), ExpressionError),
     ("SELECT grp, COUNT(*) FROM ledger WHERE note > ? GROUP BY grp", (5,),
-     TypeError),
-    ("DELETE FROM ledger WHERE note > ?", (5,), TypeError),
+     ExpressionError),
+    ("DELETE FROM ledger WHERE note > ?", (5,), ExpressionError),
 )
 
 

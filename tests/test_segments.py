@@ -1,22 +1,27 @@
-"""Segment summaries are invisible.
+"""Segment summaries and kept label cuts are invisible.
 
 The heap memoizes, per slice, what every scan of that slice would
 otherwise re-derive (:class:`repro.db.storage.Segment`: labels,
 distinct labels, newest ``xmin``, any ``xmax``, page runs, column
-arrays).  A summary is a cache of the heap and nothing else, so nothing
-a reader can observe may depend on whether one was kept, rebuilt or
-never built:
+arrays) and, for a slice a scan found frozen, the label cut of the last
+reader key (:class:`repro.db.storage.LabelCut`).  Both are caches of
+the heap and nothing else, so nothing a reader can observe may depend
+on whether one was kept, rebuilt or never built:
 
 * one seeded stream of INSERT / UPDATE / DELETE / ROLLBACK / VACUUM —
   a second reader holding an older snapshot open across some of it —
   runs against a database at the default segment length and against
   the batch-size-1 reference executor; after every step a heap scan,
   an index scan, an index-range scan and an index-loop join are
-  answered three ways — from the summaries the writes left behind,
-  from summaries rebuilt from nothing, and by the reference — and must
-  agree on rows, labels, integrity labels and ``rows_suppressed``; the
-  kept and the rebuilt also on ``covers``/``strip`` calls and, under a
-  four-page buffer, on buffer hits and misses;
+  answered four ways — from the summaries and cuts the writes left
+  behind, from both rebuilt from nothing (cold), again from those
+  (warm), and by the reference — and must agree on rows, labels,
+  integrity labels, ``rows_suppressed`` and every low counter; the
+  first three also, under a four-page buffer, on buffer hits and
+  misses, and differ only in how many cuts were built or reused;
+* the cut's key one part at a time: two readers alternating, a new
+  member of a compound tag, a declassifying view beside a plain scan,
+  a snapshot the slice is not frozen for, the audit trail;
 * the invalidation points one by one: an append past the slice a scan
   is reading is still reached, a rolled-back deleter leaves its
   segment on the per-row path without changing a result, the last
@@ -139,6 +144,11 @@ class World:
         return rows, delta
 
 
+def _cell(delta, cell):
+    group, field = cell
+    return (delta[group] if group else delta)[field]
+
+
 def _stream(steps):
     """The op list, drawn once so every world applies the same one:
     ``(kind, writer, params)``; a trailing ``!`` rolls the write back."""
@@ -204,21 +214,40 @@ def test_kept_rebuilt_and_reference_agree_after_every_write(batch_size):
         checks = [(reader, sql) for reader in (0, 1)
                   for sql, _operator in QUERIES]
         kept = [main.observe(*check) for check in checks]
-        main.drop_summaries()
         for check, (kept_rows, kept_delta) in zip(checks, kept):
-            rebuilt_rows, rebuilt = main.observe(*check)
+            main.drop_summaries()
+            rebuilt_rows, rebuilt = main.observe(*check)    # cold cuts
+            warm_rows, warm = main.observe(*check)
             want_rows, want = reference.observe(*check)
             where = (step, op) + check
-            assert kept_rows == rebuilt_rows == want_rows, where
+            assert kept_rows == rebuilt_rows == warm_rows == want_rows, where
             if "ORDER BY _label" in check[1]:   # a total order: grouped
                 labels = [label for _values, label, _ilabel in kept_rows]
                 assert sum(a != b for a, b in zip(labels, labels[1:])) \
                     == len(set(labels)) - 1, where
-            for cell in ("labels", "exec", "buffer_hits", "buffer_misses",
+            for cell in ("exec", "buffer_hits", "buffer_misses",
                          "buffer_evictions", "simulated_io_time"):
-                assert kept_delta[cell] == rebuilt[cell], (where, cell)
-            assert kept_delta["labels"]["rows_suppressed"] \
-                == want["labels"]["rows_suppressed"], where
+                assert kept_delta[cell] == rebuilt[cell] == warm[cell], \
+                    (where, cell)
+            for delta in (kept_delta, rebuilt, warm):
+                assert delta["labels"]["rows_suppressed"] \
+                    == want["labels"]["rows_suppressed"], where
+                assert [_cell(delta, c) for c in counters.LOW] \
+                    == [_cell(want, c) for c in counters.LOW], where
+            # Only the label checks move: the rebuilt scan builds every
+            # cut it takes, the warm one reuses every frozen heap slice's.
+            checked = [d["labels"] for d in (rebuilt, kept_delta, warm)]
+            assert [d["cuts_reused"] for d in checked] \
+                == sorted(d["cuts_reused"] for d in checked), where
+            assert [d["covers_calls"] for d in checked] \
+                == sorted((d["covers_calls"] for d in checked),
+                          reverse=True), where
+            assert checked[0]["cuts_reused"] == 0, where
+            if " WHERE " not in check[1] and " JOIN " not in check[1]:
+                # A heap scan and nothing else: every frozen segment is
+                # a heap slice.
+                assert warm["labels"]["cuts_reused"] \
+                    == warm["exec"]["segments_frozen"], where
             frozen += kept_delta["exec"]["segments_frozen"]
             thawed += kept_delta["exec"]["segments_scanned"] \
                 - kept_delta["exec"]["segments_frozen"]
@@ -345,3 +374,144 @@ def test_the_reference_executor_cannot_reach_a_memoized_summary(
     assert world.writers[0].execute(
         "DELETE FROM t WHERE id = 900").rowcount == 1
     assert physical.SET_AT_A_TIME_MIN == SET_AT_A_TIME_MIN > 1
+
+
+# ---------------------------------------------------------------------------
+# the kept label cut, one part of its key at a time
+# ---------------------------------------------------------------------------
+
+class Cuts:
+    """40 rows in five eight-row slices, row ``i`` under tag ``i % 4``
+    (every slice holds all four labels); the tags are members of the
+    compound ``all``, which the view ``cv`` declassifies."""
+
+    PREDICATED = "SELECT id, v FROM c WHERE v >= 2"
+
+    def __init__(self, **db_kwargs):
+        self.authority = authority = AuthorityState(
+            idgen=SeededIdGenerator(SEED))
+        self.db = Database(authority, seed=SEED, batch_size=8, **db_kwargs)
+        self.owner = authority.create_principal("owner")
+        self.compound = authority.create_compound_tag("all",
+                                                      owner=self.owner.id)
+        self.tags = [authority.create_tag("c%d" % i, owner=self.owner.id,
+                                          compounds=(self.compound.id,))
+                     for i in range(4)]
+        self.session().execute_script(
+            "CREATE TABLE c (id INT PRIMARY KEY, v INT);"
+            "CREATE VIEW cv AS SELECT id, v FROM c WITH DECLASSIFYING (all);")
+        self.writers = [self.session(tag) for tag in self.tags]
+        for i in range(40):
+            self.writers[i % 4].execute("INSERT INTO c VALUES (?, ?)",
+                                        (i, i % 7))
+        self.table = self.db.catalog.get_table("c")
+
+    def session(self, *tags):
+        process = IFCProcess(self.authority, self.owner.id)
+        for tag in tags:
+            process.add_secrecy(tag.id)
+        return self.db.connect(process)
+
+    def scan(self, session, sql=PREDICATED, cold=False):
+        """Rows with their labels, sorted, and the statement's label
+        counters; ``cold`` drops every summary and cut first."""
+        if cold:
+            self.table._segments.clear()
+        rows = sorted((tuple(row), tuple(sorted(row.label)))
+                      for row in session.execute(sql).rows)
+        return rows, self.db.last_statement_metrics()["labels"]
+
+
+def test_two_readers_alternating_replace_each_others_cut():
+    """One slot per segment: each reader's scan replaces the other's
+    cut, so two readers alternating reuse nothing and see what a cold
+    scan shows them; a reader repeating itself reuses every slice."""
+    world = Cuts()
+    a, b = world.session(*world.tags[:2]), world.session(world.tags[2])
+    want = {a: world.scan(a, cold=True), b: world.scan(b, cold=True)}
+    assert want[a][1]["covers_calls"] == 5 * 4
+    for session in (a, b, a, b):
+        assert world.scan(session) == want[session]
+    rows, labels = world.scan(b)
+    assert rows == want[b][0]
+    assert labels == dict(want[b][1], covers_calls=0, cuts_reused=5)
+
+
+def test_a_new_compound_member_rebuilds_the_cut_without_a_heap_write():
+    """Registering a tag into a compound bumps the registry's version,
+    part of the key: the next scan rebuilds the cut of every slice —
+    the same slices, nothing written — and answers as before."""
+    world = Cuts()
+    reader = world.session(world.compound)
+    rows, cold = world.scan(reader, cold=True)
+    assert rows and cold["rows_suppressed"] == 0 and cold["cuts_reused"] == 0
+    assert world.scan(reader)[1]["cuts_reused"] == 5
+    kept = dict(world.table._segments)
+    world.authority.create_tag("c-late", owner=world.owner.id,
+                               compounds=(world.compound.id,))
+    assert world.scan(reader) == (rows, cold)
+    assert world.table._segments.keys() == kept.keys()
+    assert all(world.table._segments[k] is kept[k] for k in kept)
+    assert world.scan(reader)[1]["cuts_reused"] == 5
+
+
+def test_a_declassifying_view_and_a_plain_scan_keep_apart():
+    """The declassified tags are part of the key: one reader
+    alternating between the table and the view over it rebuilds every
+    time, and only the view's rows lose their labels; repeating either
+    reuses every slice."""
+    world = Cuts()
+    reader = world.session(world.tags[0])
+    plain, view = Cuts.PREDICATED, "SELECT id, v FROM cv WHERE v >= 2"
+    want = {sql: world.scan(reader, sql, cold=True) for sql in (plain, view)}
+    assert all(label == () for _row, label in want[view][0])
+    assert all(label != () for _row, label in want[plain][0])
+    assert len(want[view][0]) > len(want[plain][0])
+    for sql in (plain, view, plain, view):
+        assert world.scan(reader, sql) == want[sql], sql
+    rows, labels = world.scan(reader, view)
+    assert rows == want[view][0]
+    assert labels == dict(want[view][1], covers_calls=0, strip_calls=0,
+                          cuts_reused=5)
+
+
+def test_a_slice_not_frozen_for_the_snapshot_skips_its_cut():
+    """The cut is read only where the statement's snapshot finds the
+    slice frozen.  With the same key warm in every slot, a snapshot
+    older than a slice's rows and a writer's uncommitted update both
+    send the slices they touch through per-row MVCC, and each reader
+    sees exactly its snapshot."""
+    world = Cuts()
+    reader, old = world.session(*world.tags), world.session(*world.tags)
+    old.begin()                     # before rows 40–47 (slice 5) exist
+    for i in range(40, 48):
+        world.writers[i % 4].execute("INSERT INTO c VALUES (?, ?)",
+                                     (i, i % 7))
+    sql = "SELECT id, v FROM c"
+    rows, _labels = world.scan(reader, sql, cold=True)
+    assert [row[0] for row, _label in rows] == list(range(48))
+    # ``old`` is still in flight, so slice 5 is frozen for nobody yet.
+    assert world.scan(reader, sql)[1]["cuts_reused"] == 5
+    old_rows, labels = world.scan(old, sql)
+    assert old_rows == rows[:40] and labels["cuts_reused"] == 5
+    old.commit()
+    assert world.scan(reader, sql) == (rows, dict(labels, covers_calls=4))
+    assert world.scan(reader, sql)[1]["cuts_reused"] == 6
+    writer = world.writers[3]       # row 3 is under its label
+    writer.begin()
+    assert writer.execute("UPDATE c SET v = 99 WHERE id = 3").rowcount == 1
+    # Slice 0 holds the stamped version (four labels checked per row's
+    # MVCC survivors), slice 6 the uncommitted one.
+    assert world.scan(reader, sql) == (rows, dict(labels, covers_calls=4))
+    writer.rollback()
+    assert world.scan(reader, sql) == (rows, dict(labels, covers_calls=4))
+
+
+def test_rows_suppressed_audit_events_are_equal_warm_and_cold():
+    world = Cuts(audit_log=8)
+    reader = world.session(world.tags[1])
+    cold = world.scan(reader, cold=True)
+    warm = world.scan(reader)
+    assert warm[0] == cold[0] and warm[1]["cuts_reused"] == 5
+    first, second = world.db.audit.of_kind("rows_suppressed")[-2:]
+    assert first == second and first["count"] == 30
