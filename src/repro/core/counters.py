@@ -25,11 +25,15 @@ row is a high-water gauge, combined with ``max`` rather than ``+``
 wherever two tallies meet.
 
 Every row is marked ``"low"`` or ``"high"``.  A low counter's
-per-statement delta may not depend on tuples the reader cannot see:
-it is an observable of Query by Label like the rows themselves, and
-``tests/test_noninterference.py`` asserts every one of them equal
-across worlds that differ only in hidden tuples.  A high counter may,
-and the comment above its row says how.
+per-statement delta may not depend on tuples the reader cannot see,
+*for a given plan*: it is an observable of Query by Label like the rows
+themselves, and ``tests/test_noninterference.py`` asserts every one of
+them equal across worlds that differ only in hidden tuples and plan
+alike.  Plan choice itself is high (ARCHITECTURE.md, "Low and high").
+A high counter may depend on hidden tuples, and the comment above its
+row says how.  SQL shows only what is low: a high row has no EXPLAIN
+ANALYZE name, so only ``Database.stats()`` and
+``last_statement_metrics()`` — the embedder's — report it.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ SUM, MAX = "sum", "max"
 #: ``(group, field, kind, EXPLAIN ANALYZE label, low/high)``, in report
 #: order.  A ``None`` group puts the counter at the top level of every
 #: named view, its field being its report name; a ``None`` label keeps
-#: it off operator and statement-total lines.  Field names are unique
-#: across groups (they are the slots of one object).
+#: it off operator and statement-total lines, and every high row has
+#: one.  Field names are unique across groups (they are the slots of
+#: one object).
 SCHEMA = (
     # -- labels: core/rules.py and the scan leaf --------------------------
     # Invocations of the two hot-path predicates, memo hits and
@@ -57,20 +62,22 @@ SCHEMA = (
     # (``cuts_reused``).  ``rows_suppressed`` counts tuples
     # the scans rejected under the Label Confinement Rule, once per
     # batch — a suppression does not correspond to a ``covers`` call.
-    # All four high: a hidden tuple's label is checked like any other,
-    # counting the tuples the reader may not see is the point, and
-    # whether a segment's kept cut has this reader's key depends on
-    # which reader scanned it last, whatever that reader's label.
-    ("labels", "covers_calls", SUM, "covers", "high"),
-    ("labels", "strip_calls", SUM, "strip", "high"),
-    ("labels", "rows_suppressed", SUM, "suppressed", "high"),
-    ("labels", "cuts_reused", SUM, "cuts_reused", "high"),
+    # All four high, so EXPLAIN ANALYZE prints none of them: a hidden
+    # tuple's label is checked like any other, counting the tuples the
+    # reader may not see is the point, and whether a segment's kept cut
+    # has this reader's key depends on which reader scanned it last,
+    # whatever that reader's label.  Label diversity per segment is
+    # ``covers_calls / segments_scanned`` of a statement's metrics.
+    ("labels", "covers_calls", SUM, None, "high"),
+    ("labels", "strip_calls", SUM, None, "high"),
+    ("labels", "rows_suppressed", SUM, None, "high"),
+    ("labels", "cuts_reused", SUM, None, "high"),
     # -- index: equality probes and ordered-range scans -------------------
     # The batched IndexLoopJoin probes once per distinct outer key per
     # batch — high, since a scan's batches end where heap segments do,
     # hidden versions included.  A range scan runs once per execution
     # of its operator, so its count follows the plan alone.
-    ("index", "lookups", SUM, "lookups", "high"),
+    ("index", "lookups", SUM, None, "high"),
     ("index", "range_scans", SUM, "range_scans", "low"),
     # -- exec: db/physical.py ---------------------------------------------
     # Cells of the scans' output columns — needed columns × emitted
@@ -86,8 +93,8 @@ SCHEMA = (
     # ``xmin``/``xmax`` can thaw one.
     ("exec", "columns_materialized", SUM, "cells", "low"),
     ("exec", "rows_widened", SUM, "widened", "low"),
-    ("exec", "segments_scanned", SUM, "segments", "high"),
-    ("exec", "segments_frozen", SUM, "frozen", "high"),
+    ("exec", "segments_scanned", SUM, None, "high"),
+    ("exec", "segments_frozen", SUM, None, "high"),
     # -- spill: db/spill.py -----------------------------------------------
     # ``spills`` is top-level join build overflows (one per join that
     # spilled, however deep the recursion), ``repartitions`` recursive
@@ -119,12 +126,12 @@ SCHEMA = (
     # covered a commit, and the most commits one flush absorbed — a
     # gauge, hidden because a delta of it means nothing.  All high: a
     # flush leader counts its followers' records, whatever their label.
-    ("wal", "records", SUM, "wal_records", "high"),
-    ("wal", "bytes", SUM, "wal_bytes", "high"),
-    ("wal", "flushes", SUM, "wal_flushes", "high"),
-    ("wal", "fsyncs", SUM, "wal.fsyncs", "high"),
-    ("wal", "commits", SUM, "wal_commits", "high"),
-    ("wal", "commit_flushes", SUM, "wal.commit_flushes", "high"),
+    ("wal", "records", SUM, None, "high"),
+    ("wal", "bytes", SUM, None, "high"),
+    ("wal", "flushes", SUM, None, "high"),
+    ("wal", "fsyncs", SUM, None, "high"),
+    ("wal", "commits", SUM, None, "high"),
+    ("wal", "commit_flushes", SUM, None, "high"),
     ("wal", "group_commit_size", MAX, None, "high"),
     # -- parse: Database.parse, db/engine.py -------------------------------
     # Texts found in the statement cache, new texts bound into the
@@ -149,13 +156,12 @@ SCHEMA = (
     (None, "rows_deleted", SUM, "deleted", "low"),
     # -- top level: db/pages.py -------------------------------------------
     # Buffer-cache page hits and misses, LRU evictions, and the
-    # simulated I/O seconds the misses charged (the one float counter;
-    # EXPLAIN ANALYZE prints it in milliseconds).  All high: a hidden
-    # tuple's page is touched like any other.
-    (None, "buffer_hits", SUM, "buffer.hits", "high"),
-    (None, "buffer_misses", SUM, "buffer.misses", "high"),
-    (None, "buffer_evictions", SUM, "buffer.evictions", "high"),
-    (None, "simulated_io_time", SUM, "io", "high"),
+    # simulated I/O seconds the misses charged (the one float counter).
+    # All high: a hidden tuple's page is touched like any other.
+    (None, "buffer_hits", SUM, None, "high"),
+    (None, "buffer_misses", SUM, None, "high"),
+    (None, "buffer_evictions", SUM, None, "high"),
+    (None, "simulated_io_time", SUM, None, "high"),
 )
 
 #: ``(group, field)`` per :func:`read` slot.
@@ -164,6 +170,8 @@ CELLS = tuple(row[:2] for row in SCHEMA)
 LOW = tuple(row[:2] for row in SCHEMA if row[4] == "low")
 _FIELDS = tuple(field for _group, field in CELLS)
 assert len(set(_FIELDS)) == len(_FIELDS), "counter fields must be unique"
+assert all(row[4] == "low" for row in SCHEMA if row[3]), \
+    "SQL shows only low counters: a high row has no EXPLAIN ANALYZE name"
 
 
 class Tally:

@@ -24,10 +24,11 @@ closure ``fn(batch, ctx) -> list`` (:meth:`ExprCompiler.compile_batch`)
 for the physical operators, which evaluate a
 :class:`~repro.db.physical.RowBatch` a column at a time.  Both are
 dispatched per node class by the same compiler; a node class without a
-column kernel gets its scalar closure mapped over the batch's rows.  A
-comparison or arithmetic operator that meets operands it is not defined
-on (a zero divisor, TEXT against INT) raises
-:class:`~repro.errors.ExpressionError` in either form.
+column kernel gets its scalar closure mapped over the batch's rows.  An
+operator, builtin or aggregate that meets operands it is not defined
+on (a zero divisor, TEXT against INT, an order on labels) raises
+:class:`~repro.errors.ExpressionError` in either form
+(:func:`evaluation_error`).
 
 SQL three-valued logic is approximated with ``None`` as UNKNOWN:
 comparisons involving NULL yield None, ``AND``/``OR`` propagate it, and
@@ -625,18 +626,25 @@ _TYPE_NAMES = {bool: "BOOLEAN", int: "INT", float: "REAL", str: "TEXT",
                Label: "LABEL"}
 
 
+def evaluation_error(form: str, values, exc) -> ExpressionError:
+    """The typed error for an operation failing on ``values`` with
+    Python's ``exc``: ``form`` names the operator or function, one
+    ``{}`` per operand, and each is filled with its operand's SQL type.
+    What every kernel, builtin and aggregate fold raises instead of the
+    Python exception — caught once per call or batch, never per row."""
+    return ExpressionError("cannot evaluate %s: %s" % (form.format(*(
+        _TYPE_NAMES.get(type(v), type(v).__name__) for v in values)), exc))
+
+
 def _operator_error(op: str, pairs) -> ExpressionError:
     """The typed error for the first ``(left, right)`` operand pair
-    operator ``op`` fails on — what every kernel raises instead of the
-    Python exception."""
+    operator ``op`` fails on."""
     for lv, rv in pairs:
         if lv is not None and rv is not None:
             try:
                 _OPERATORS[op](lv, rv)
             except _VALUE_ERRORS as exc:
-                return ExpressionError("cannot evaluate %s %s %s: %s" % (
-                    _TYPE_NAMES.get(type(lv), type(lv).__name__), op,
-                    _TYPE_NAMES.get(type(rv), type(rv).__name__), exc))
+                return evaluation_error("{} %s {}" % op, (lv, rv), exc)
     return ExpressionError("cannot evaluate operator %s" % op)
 
 
@@ -849,7 +857,12 @@ class ExprCompiler:
         operand = self.compile(node.operand)
         def run(row, ctx):
             value = operand(row, ctx)
-            return None if value is None else -value
+            if value is None:
+                return None
+            try:
+                return -value
+            except TypeError as exc:
+                raise evaluation_error("-{}", (value,), exc) from None
         return run
 
     def _c_isnull(self, node: IsNull):
@@ -924,7 +937,11 @@ class ExprCompiler:
             hi = high(row, ctx)
             if value is None or lo is None or hi is None:
                 return None
-            result = lo <= value <= hi
+            try:
+                result = lo <= value <= hi
+            except TypeError as exc:
+                raise evaluation_error("{} BETWEEN {} AND {}",
+                                       (value, lo, hi), exc) from None
             return (not result) if negated else result
         return run
 
@@ -933,7 +950,12 @@ class ExprCompiler:
         pattern = self.compile(node.pattern)
         negated = node.negated
         def run(row, ctx):
-            result = like_match(operand(row, ctx), pattern(row, ctx))
+            value, against = operand(row, ctx), pattern(row, ctx)
+            try:
+                result = like_match(value, against)
+            except TypeError as exc:
+                raise evaluation_error("{} LIKE {}", (value, against),
+                                       exc) from None
             if result is None:
                 return None
             return (not result) if negated else result
@@ -990,7 +1012,14 @@ class ExprCompiler:
             return lambda row, ctx: ctx.now()
         if name in _BUILTINS:
             fn = _BUILTINS[name]
-            return lambda row, ctx: fn(*(a(row, ctx) for a in args))
+            form = "%s(%s)" % (name, ", ".join(["{}"] * len(args)))
+            def call(row, ctx):
+                values = [a(row, ctx) for a in args]
+                try:
+                    return fn(*values)
+                except _VALUE_ERRORS as exc:
+                    raise evaluation_error(form, values, exc) from None
+            return call
         # User-defined scalar function from the catalog.
         if self.catalog is not None and self.catalog.has_function(node.name):
             udf = self.catalog.get_function(node.name)

@@ -20,8 +20,9 @@ benchmarks alike.  On top of it live the collectors the engine owns per
   observable, not just enforced;
 * :class:`PlanRecorder` — the ``EXPLAIN ANALYZE`` instrumentation: it
   shallow-copies the (stateless-between-executions) plan tree, wraps
-  every node in an :class:`OpProbe`, and attributes rows, batches,
-  wall time, and counter deltas to each operator as the query runs.
+  every node in an :class:`OpProbe`, and attributes rows, wall time
+  and counter deltas to each operator as the query runs; it prints
+  only the counters the schema marks low.
 """
 
 from __future__ import annotations
@@ -129,24 +130,21 @@ class Ring:
 # EXPLAIN ANALYZE instrumentation
 # ---------------------------------------------------------------------------
 
-#: EXPLAIN ANALYZE's name for each counter slot (``None``: hidden).
+#: EXPLAIN ANALYZE's name for each counter slot (``None``: hidden — a
+#: high counter, which SQL never shows).
 _LABELS = tuple(label for _group, _field, _kind, label, _level in SCHEMA)
-_SUPPRESSED = CELLS.index(("labels", "rows_suppressed"))
-_SEGMENTS = CELLS.index(("exec", "segments_scanned"))
-_COVERS = CELLS.index(("labels", "covers_calls"))
-_REUSED = CELLS.index(("labels", "cuts_reused"))
+#: What a drained iterator's ``next`` returns.
+_DONE = object()
 
 
 class OpStats:
-    """Actuals for one plan operator: rows/batches emitted, inclusive
-    wall seconds, and inclusive counter deltas (one slot per schema
-    cell)."""
+    """Actuals for one plan operator: rows emitted, inclusive wall
+    seconds, and inclusive counter deltas (one slot per schema cell)."""
 
-    __slots__ = ("rows", "batches", "seconds", "counters")
+    __slots__ = ("rows", "seconds", "counters")
 
     def __init__(self):
         self.rows = 0
-        self.batches = 0
         self.seconds = 0.0
         self.counters = [0] * len(CELLS)
 
@@ -168,39 +166,30 @@ class OpProbe:
         self.inner = inner
         self.stats = stats
 
-    def _wrap(self, iterator, per_item: Callable[[OpStats, object], None]):
+    def _wrap(self, iterator, rows: Callable[[object], int]):
+        """``iterator``'s items, each ``next()`` timed and its counter
+        delta added; ``rows(item)`` is how many rows an item is."""
         stats = self.stats
         counters = stats.counters
         while True:
             started = _perf_counter()
             before = read()
-            try:
-                item = next(iterator)
-            except StopIteration:
-                after = read()
-                stats.seconds += _perf_counter() - started
-                if after != before:
-                    for i in range(len(counters)):
-                        counters[i] += after[i] - before[i]
-                return
+            item = next(iterator, _DONE)
             after = read()
             stats.seconds += _perf_counter() - started
             if after != before:
                 for i in range(len(counters)):
                     counters[i] += after[i] - before[i]
-            per_item(stats, item)
+            if item is _DONE:
+                return
+            stats.rows += rows(item)
             yield item
 
     def batches(self, ctx):
-        def count(stats, batch):
-            stats.batches += 1
-            stats.rows += len(batch)
-        return self._wrap(self.inner.batches(ctx), count)
+        return self._wrap(self.inner.batches(ctx), len)
 
     def versions(self, ctx):
-        def count(stats, _version):
-            stats.rows += 1
-        return self._wrap(self.inner.versions(ctx), count)
+        return self._wrap(self.inner.versions(ctx), lambda _version: 1)
 
 
 class PlanRecorder:
@@ -260,41 +249,20 @@ class PlanRecorder:
 
     @staticmethod
     def _format_counters(counters: List) -> str:
-        """`` label=value`` per shown, non-zero counter; the one float
-        counter (simulated I/O seconds) in milliseconds."""
-        return "".join(
-            " %s=%.3fms" % (label, value * 1000.0)
-            if isinstance(value, float) else " %s=%d" % (label, value)
-            for label, value in zip(_LABELS, counters) if label and value)
+        """`` label=value`` per named, non-zero counter: the low ones."""
+        return "".join(" %s=%d" % (label, value)
+                       for label, value in zip(_LABELS, counters)
+                       if label and value)
 
     def render_plan(self, plan, indent: int = 0) -> List[str]:
         """The original tree's EXPLAIN lines, each annotated with the
-        operator's actuals: ``(actual rows=… batches=… time=…ms …)``."""
+        operator's actuals: ``(actual rows=… time=…ms …)``."""
         stats = self.stats_of(plan)
         line = "  " * indent + _physical._explain_line(plan)
         if stats is not None:
-            actual = "actual rows=%d" % stats.rows
-            if stats.batches:
-                actual += " batches=%d" % stats.batches
-            actual += " time=%.3fms" % (stats.seconds * 1000.0)
-            exclusive = self._exclusive(plan)
-            actual += self._format_counters(exclusive)
-            if isinstance(plan, _physical.Scan) and stats.seconds:
-                # Every scan line that ran shows what Query by Label
-                # did: rows it suppressed (zero included — the generic
-                # counters omit zeros) and how many label checks a
-                # candidate segment cost it — its distinct labels
-                # set-at-a-time, its versions in the per-version loop,
-                # none for a frozen heap segment whose kept label cut
-                # it reused (``cuts_reused``).
-                if not exclusive[_SUPPRESSED]:
-                    actual += " suppressed=0"
-                if not exclusive[_REUSED]:
-                    actual += " cuts_reused=0"
-                segments = exclusive[_SEGMENTS]
-                actual += " labels/batch=%.1f" % (
-                    exclusive[_COVERS] / segments if segments else 0.0)
-            line += "  (%s)" % actual
+            line += "  (actual rows=%d time=%.3fms%s)" % (
+                stats.rows, stats.seconds * 1000.0,
+                self._format_counters(self._exclusive(plan)))
         lines = [line]
         for child in plan.children():
             lines.extend(self.render_plan(child, indent + 1))

@@ -116,6 +116,7 @@ from ..core.labels import EMPTY_LABEL, Label
 from ..core.rules import covers, strip
 from ..errors import AuthorityError, DatabaseError
 from .catalog import ViewDef
+from .expressions import evaluation_error
 from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, NULL_ROW,
                     GroupSpill, JoinSide, MAX_RECURSION, SortRuns,
                     SpilledHashBuild, Spools, column_rows,
@@ -1038,7 +1039,13 @@ class _Kernel:
     A kernel only ever sees non-NULL arguments.  :meth:`fold` folds a
     batch of them into the groups ``gids`` names, pairwise, in input
     order; :meth:`whole` folds a whole column into group 0 (the global
-    aggregate); :meth:`results` is every group's final value."""
+    aggregate); :meth:`results` is every group's final value.
+
+    A step SQL gives no meaning raises the ``ExpressionError`` naming
+    the first failing ``(held, value)`` pair in row order, through the
+    kernel's ``form``; :meth:`whole` redoes a failing column by
+    :meth:`fold`, so where batches end — which hidden tuples move —
+    never changes the message."""
 
     __slots__ = ("held",)
     #: What a new group's slot holds.
@@ -1077,24 +1084,32 @@ class _SumKernel(_Kernel):
     same fold at C speed."""
 
     __slots__ = ()
+    form = "SUM({} + {})"
 
     def fold(self, gids, values) -> None:
         held = self.held
-        for gid, value in zip(gids, values):
-            total = held[gid]
-            held[gid] = value if total is None else total + value
+        try:
+            for gid, value in zip(gids, values):
+                total = held[gid]
+                held[gid] = value if total is None else total + value
+        except TypeError as exc:
+            raise evaluation_error(self.form, (total, value), exc) from None
 
     def whole(self, values) -> None:
         if values:
             total = self.held[0]
-            self.held[0] = reduce(_add, values) if total is None \
-                else reduce(_add, values, total)
+            try:
+                self.held[0] = reduce(_add, values) if total is None \
+                    else reduce(_add, values, total)
+            except TypeError:
+                self.fold(repeat(0), values)
 
 
 class _AvgKernel(_SumKernel):
     """AVG: the SUM fold beside a COUNT of the same arguments."""
 
     __slots__ = ("counts",)
+    form = "AVG({} + {})"
 
     def __init__(self):
         super().__init__()
@@ -1113,8 +1128,13 @@ class _AvgKernel(_SumKernel):
         self.counts.whole(values)
 
     def results(self) -> list:
-        return [None if not n else total / n
-                for total, n in zip(self.held, self.counts.held)]
+        out = []
+        try:
+            for total, n in zip(self.held, self.counts.held):
+                out.append(None if not n else total / n)
+        except TypeError as exc:
+            raise evaluation_error("AVG({} / {})", (total, n), exc) from None
+        return out
 
 
 class _ExtremeKernel(_Kernel):
@@ -1122,23 +1142,33 @@ class _ExtremeKernel(_Kernel):
     value seen first; a whole column is one ``pick`` (``min``/``max``,
     which keep the first of equals too)."""
 
-    __slots__ = ("pick", "beats")
+    __slots__ = ("pick", "beats", "form")
 
-    def __init__(self, pick: Callable, beats: Callable):
+    def __init__(self, pick: Callable, beats: Callable, form: str):
         super().__init__()
         self.pick = pick
         self.beats = beats
+        self.form = form
 
     def fold(self, gids, values) -> None:
         held, beats = self.held, self.beats
-        for gid, value in zip(gids, values):
-            best = held[gid]
-            if best is None or beats(value, best):
-                held[gid] = value
+        try:
+            for gid, value in zip(gids, values):
+                best = held[gid]
+                if best is None or beats(value, best):
+                    held[gid] = value
+        except TypeError as exc:
+            raise evaluation_error(self.form, (value, best), exc) from None
 
     def whole(self, values) -> None:
         if values:
-            self.fold((0,), (self.pick(values),))
+            held = self.held
+            try:
+                best = self.pick(values)
+                if held[0] is None or self.beats(best, held[0]):
+                    held[0] = best
+            except TypeError:
+                self.fold(repeat(0), values)
 
 
 class _DistinctKernel:
@@ -1173,8 +1203,8 @@ class _DistinctKernel:
 #: :class:`_DistinctKernel` (:class:`AggSpec`).
 _KERNELS: Dict[str, Callable] = {
     "COUNT": _CountKernel, "SUM": _SumKernel, "AVG": _AvgKernel,
-    "MIN": partial(_ExtremeKernel, min, _lt),
-    "MAX": partial(_ExtremeKernel, max, _gt)}
+    "MIN": partial(_ExtremeKernel, min, _lt, "MIN({} < {})"),
+    "MAX": partial(_ExtremeKernel, max, _gt, "MAX({} > {})")}
 
 #: The argument every row feeds a ``COUNT(*)`` (any non-NULL constant
 #: that survives the spill codec).
@@ -1333,8 +1363,8 @@ class AggregateNode(Plan):
             if spill is not None:
                 yield from self._spilled_groups(ctx, spill, depth)
         finally:
-            # A kernel's TypeError (or an abandoned iterator) must not
-            # leak the partition spools; close is idempotent.
+            # A kernel's error (or an abandoned iterator) must not leak
+            # the partition spools; close is idempotent.
             if spill is not None:
                 spill.close()
 

@@ -306,14 +306,16 @@ class Session:
         """EXPLAIN [ANALYZE]: render the plan the engine would execute,
         one operator per row.
 
-        Plain EXPLAIN runs nothing, so results carry empty labels; the
-        plan *shape* only reveals schema facts (indexes, views) the
-        catalog already exposes.  EXPLAIN ANALYZE executes the
-        statement (discarding its rows; DML applies its writes exactly
-        once) and annotates each operator with measured actuals —
-        physical execution facts (timings, buffer touches) that, like
-        any timing channel (section 7.3), belong to trusted principals;
-        see the Observability notes in ARCHITECTURE.md."""
+        Plain EXPLAIN runs nothing, so results carry empty labels.  The
+        plan's shape and its estimates are declared high: statistics
+        count every live version, whatever its label, so a plan may
+        differ between databases that differ only in hidden tuples — a
+        documented channel, like timing (section 7.3; ARCHITECTURE.md,
+        "Low and high").  EXPLAIN ANALYZE executes the statement
+        (discarding its rows; DML applies its writes exactly once) and
+        annotates each operator with its rows, its time and its low
+        counters only: for a given plan, nothing else it prints depends
+        on hidden tuples."""
         if statement.analyze:
             lines = self._explain_analyze(statement.statement, params)
         else:
@@ -336,15 +338,10 @@ class Session:
         recorder = PlanRecorder()
         if isinstance(inner, ast.Select):
             prepared = db.prepare_select(inner, None)
-            plan = recorder.instrument(prepared.plan)
-            if db.deterministic_order:
-                plan = DeterministicOrder(plan)
-            with self._autocommit():
-                ctx = self._context(params)
-                recorder.start()
-                for _batch in plan.batches(ctx):
-                    pass
-                recorder.finish()
+            probe = recorder.instrument(prepared.plan)
+            recorder.start()
+            self._execute_select(inner, params, None, plan=probe)
+            recorder.finish()
             return recorder.render(prepared.plan)
         if isinstance(inner, (ast.Update, ast.Delete)):
             prepared = db.prepare_dml(inner, None)
@@ -374,9 +371,12 @@ class Session:
 
     # -- SELECT -----------------------------------------------------------
     def _execute_select(self, statement: ast.Select, params: Tuple,
-                        sql: Optional[str]) -> Result:
+                        sql: Optional[str], plan=None) -> Result:
+        # ``plan`` overrides the prepared plan (EXPLAIN ANALYZE passes
+        # the instrumented copy), as for UPDATE and DELETE.
         prepared = self.db.prepare_select(statement, sql)
-        plan = prepared.plan
+        if plan is None:
+            plan = prepared.plan
         if self.db.deterministic_order:
             plan = DeterministicOrder(plan)
         with self._autocommit():

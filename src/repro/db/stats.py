@@ -7,30 +7,30 @@ equi-depth histogram.  The cost-based optimizer
 equality selectivity from NDV, range selectivity from the histogram,
 and join fan-out from the inner column's NDV.
 
-**Versioning.**  Stats are stamped with the same
-``(catalog.version, tags.version)`` epoch as the prepared-plan cache
-and remember the identity of the table object they describe, so DDL —
-``DROP INDEX``, ``DROP TABLE``, schema changes — can never leave a
-stale histogram behind: dropping a table forgets its stats, and a
-table recreated under the same name (the only way a schema can change;
-there is no ALTER TABLE) fails the identity check and is re-collected.
-Unrelated DDL merely re-stamps the epoch — other relations' DDL cannot
-change this table's data distribution.  On top of that, each table
-carries a modification counter (inserts, updates, deletes); once it
-drifts past a threshold relative to the analyzed row count, the stats
-are refreshed automatically — on the next planning pass that consults
-them, and by a periodic sweep the engine runs every few hundred
-statements.  A refresh changes plan *optimality*, never correctness,
-so instead of clearing the whole prepared-plan cache (which measurably
-stalls steady-state workloads like DBT-2 with replan storms) it evicts
-only the cached plans that read the refreshed table
+**Freshness.**  Stats are keyed by table name and hold nothing else to
+check: both paths that drop a table — ``DROP TABLE``
+(``engine.execute_ddl``) and its replay from the WAL — call
+:meth:`StatsManager.forget`, so a table recreated under the same name
+(the only way a schema can change; there is no ALTER TABLE) starts
+with none, and other DDL cannot change this table's data
+distribution.  Each table carries a modification counter (inserts,
+updates, deletes); once it drifts past a threshold relative to the
+analyzed row count, the stats are refreshed automatically — on the
+next planning pass that consults them, and by a periodic sweep the
+engine runs every few hundred statements.  A refresh changes plan
+*optimality*, never correctness, so instead of clearing the whole
+prepared-plan cache (which measurably stalls steady-state workloads
+like DBT-2 with replan storms) it evicts only the cached plans that
+read the refreshed table
 (:meth:`repro.db.engine.Database.invalidate_plans_for`).
 
 **Information flow.**  Statistics collection reads every live tuple
-version regardless of label, like the vacuum garbage collector, which
-the paper exempts from the flow rules (section 7.1).  Stats influence
-only plan *shape* — which EXPLAIN already exposes — never which tuples
-a query may return; Query by Label stays enforced in the scans.
+version regardless of label.  The paper exempts the vacuum from the
+flow rules (section 7.1), not the planner: what statistics steer —
+plan shape and EXPLAIN's estimates — may depend on hidden tuples, and
+is declared high (ARCHITECTURE.md, "Low and high").  They never decide
+which tuples a query may return; Query by Label stays enforced in the
+scans.
 """
 
 from __future__ import annotations
@@ -210,21 +210,16 @@ class ColumnStats:
 
 class TableStats:
     """Everything ANALYZE collected for one table, plus its freshness
-    anchors (the catalog/tag epoch, the modification counter, and the
-    identity of the table object the numbers describe)."""
+    anchor: the table's modification counter at collection."""
 
-    __slots__ = ("table_name", "row_count", "columns", "epoch",
-                 "mods_at_collect", "source")
+    __slots__ = ("table_name", "row_count", "columns", "mods_at_collect")
 
     def __init__(self, table_name: str, row_count: int,
-                 columns: Dict[str, ColumnStats], epoch: Tuple[int, int],
-                 mods_at_collect: int, source=None):
+                 columns: Dict[str, ColumnStats], mods_at_collect: int):
         self.table_name = table_name
         self.row_count = row_count
         self.columns = columns
-        self.epoch = epoch
         self.mods_at_collect = mods_at_collect
-        self.source = source
 
     def avg_row_bytes(self, columns=None) -> Optional[float]:
         """Measured average bytes of one execution row built from the
@@ -249,8 +244,7 @@ class TableStats:
         return total
 
     def __repr__(self):
-        return ("TableStats(%s, rows=%d, epoch=%r)"
-                % (self.table_name, self.row_count, self.epoch))
+        return "TableStats(%s, rows=%d)" % (self.table_name, self.row_count)
 
 
 def _live(version, txn_manager) -> bool:
@@ -263,7 +257,7 @@ def _live(version, txn_manager) -> bool:
     return version.xmax is None or txn_manager.is_aborted(version.xmax)
 
 
-def collect_table_stats(table, txn_manager, epoch: Tuple[int, int],
+def collect_table_stats(table, txn_manager,
                         buckets: int = HISTOGRAM_BUCKETS) -> TableStats:
     """Scan a table's live versions and build its statistics.
 
@@ -310,30 +304,24 @@ def collect_table_stats(table, txn_manager, epoch: Tuple[int, int],
         histogram = Histogram.build(ordered, buckets)
         columns[name] = ColumnStats(ndv, null_frac, min_value, max_value,
                                     histogram, avg_width)
-    return TableStats(table.name, row_count, columns, epoch,
-                      table.modifications, source=table)
+    return TableStats(table.name, row_count, columns, table.modifications)
 
 
 class StatsManager:
     """Holds per-table statistics and keeps them fresh.
 
-    ``version`` bumps on every collection, refresh, or forget (it is
-    observable introspection state); each (re)collection also evicts
-    the cached plans reading that table so they are replanned against
-    the new estimates.  Only tables that were ANALYZEd at least once
-    participate in auto-refresh — an un-analyzed table simply has no
-    stats and the optimizer uses its default selectivities.
+    Each (re)collection evicts the cached plans reading that table so
+    they are replanned against the new estimates.  Only tables that
+    were ANALYZEd at least once participate in auto-refresh — an
+    un-analyzed table simply has no stats and the optimizer uses its
+    default selectivities.
     """
 
     def __init__(self, db):
         self._db = db
         self._stats: Dict[str, TableStats] = {}
-        self.version = 0
 
     # ------------------------------------------------------------------
-    def _epoch(self) -> Tuple[int, int]:
-        return (self._db.catalog.version, self._db.authority.tags.version)
-
     def analyze(self, table_name: Optional[str] = None) -> List[str]:
         """Collect statistics for one table (or every table)."""
         catalog = self._db.catalog
@@ -341,36 +329,22 @@ class StatsManager:
             tables = [catalog.get_table(table_name)]
         else:
             tables = list(catalog.tables.values())
-        epoch = self._epoch()
         for table in tables:
             self._stats[table.name] = collect_table_stats(
-                table, self._db.txn_manager, epoch)
+                table, self._db.txn_manager)
             tally().tables_collected += 1
             self._db.invalidate_plans_for(table.name)
-        if tables:
-            self.version += 1
         return [t.name for t in tables]
 
     def get(self, table) -> Optional[TableStats]:
         """Fresh statistics for ``table``, or ``None`` if never analyzed.
 
-        Stale stats — collected from a *different* table object (the
-        name was dropped and recreated; this engine has no ALTER TABLE,
-        so a schema can only change that way) or past the modification
-        drift threshold — are re-collected on the spot, evicting the
-        cached plans built from the old numbers.  Unrelated DDL or tag
-        registration merely re-stamps the epoch: the histograms
-        describe table *data*, which other relations' DDL cannot touch,
-        and re-collecting every analyzed table after each DDL would be
-        its own replan storm.
+        Stats past the modification drift threshold are re-collected on
+        the spot, evicting the cached plans built from the old numbers.
         """
         stats = self._stats.get(table.name)
-        if stats is None:
-            return None
-        if stats.source is not table or self._drifted(table, stats):
+        if stats is not None and self._drifted(table, stats):
             return self._refresh(table)
-        if stats.epoch != self._epoch():
-            stats.epoch = self._epoch()
         return stats
 
     def refresh_drifted(self) -> List[str]:
@@ -378,12 +352,14 @@ class StatsManager:
         drifted past the threshold (the engine's periodic sweep; cheap
         when nothing drifted: one counter compare per analyzed table)."""
         refreshed = []
-        for name in list(self._stats):
+        for name, stats in list(self._stats.items()):
             table = self._db.catalog.tables.get(name)
             if table is None:
+                # Dropped on another thread between the catalog and
+                # forget(): the sweep must not fail a statement for it.
                 self.forget(name)
                 continue
-            if self._drifted(table, self._stats[name]):
+            if self._drifted(table, stats):
                 self._refresh(table)
                 refreshed.append(name)
         return refreshed
@@ -394,20 +370,19 @@ class StatsManager:
                           REFRESH_FRACTION * stats.row_count)
 
     def _refresh(self, table) -> TableStats:
-        stats = collect_table_stats(table, self._db.txn_manager,
-                                    self._epoch())
+        stats = collect_table_stats(table, self._db.txn_manager)
         counts = tally()
         counts.tables_collected += 1
         counts.drift_refreshes += 1
-        self._stats[table.name] = stats
-        self.version += 1
+        if self._db.catalog.tables.get(table.name) is table:
+            # A planner still holding a dropped table keeps no entry.
+            self._stats[table.name] = stats
         self._db.invalidate_plans_for(table.name)
         return stats
 
     def forget(self, table_name: str) -> None:
-        """Drop a table's statistics (``DROP TABLE``)."""
-        if self._stats.pop(table_name, None) is not None:
-            self.version += 1
+        """Drop a table's statistics (``DROP TABLE``, live or replayed)."""
+        self._stats.pop(table_name, None)
 
     def analyzed(self) -> List[str]:
         return sorted(self._stats)

@@ -12,6 +12,9 @@ The contract under test (db/metrics.py ``PlanRecorder`` + the session's
   spills;
 * ANALYZE of DML applies its writes exactly once (the instrumented
   plan replaces, not precedes, the normal execution);
+* SQL shows only what is low: the statement-total line is exactly the
+  low counters the plain statement counts, and no line names a counter
+  the schema marks high;
 * plain EXPLAIN is unchanged: no actuals, nothing executed.
 """
 
@@ -21,7 +24,8 @@ import re
 
 import pytest
 
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
+    counters
 from repro.db import Database
 from repro.errors import DatabaseError
 
@@ -36,10 +40,6 @@ def _parse_pairs(text):
             continue
         if key == "time":
             out[key] = float(value[:-2])          # strip "ms"
-        elif key == "io":
-            out[key] = value
-        elif key == "labels/batch":               # a ratio, not a count
-            out[key] = float(value)
         else:
             out[key] = int(value)
     return out
@@ -54,8 +54,8 @@ def _actuals(line):
 def _analyze(session, sql):
     lines = [row[0] for row in session.execute("EXPLAIN ANALYZE " + sql)]
     ops = [a for a in map(_actuals, lines) if a is not None]
-    summary = next(line for line in lines
-                   if line.startswith("Statement counters:"))
+    summary = next((line for line in lines
+                    if line.startswith("Statement counters:")), "")
     totals = _parse_pairs(summary[len("Statement counters:"):])
     return lines, ops, totals
 
@@ -105,10 +105,9 @@ def test_root_actual_rows_match_the_real_result(variant):
         assert ops[0]["rows"] == expected, (variant, sql, lines)
 
 
-def test_per_operator_counters_sum_exactly_to_statement_totals():
-    """The acceptance pin: a spilling aggregate-over-join, every
-    counter family in motion, per-operator exclusive figures summing
-    to the statement's registry delta with zero slack."""
+def _aggregate_over_join():
+    """A spilling aggregate-over-join: the database, a confined session
+    on it (empty label, nothing hidden from it) and the statement."""
     authority = AuthorityState(idgen=SeededIdGenerator(7))
     db = Database(authority, seed=7, work_mem=2048)
     owner = authority.create_principal("o")
@@ -120,8 +119,15 @@ def test_per_operator_counters_sum_exactly_to_statement_totals():
                         (i, i % 25, "pad-%06d" % i))
         session.execute("INSERT INTO s VALUES (?, ?, ?)",
                         (i, i % 25, i * 3))
-    sql = ("SELECT r.k, COUNT(*), SUM(s.v) FROM r JOIN s ON s.k = r.k "
-           "GROUP BY r.k")
+    return db, session, ("SELECT r.k, COUNT(*), SUM(s.v) FROM r JOIN s "
+                         "ON s.k = r.k GROUP BY r.k")
+
+
+def test_per_operator_counters_sum_exactly_to_statement_totals():
+    """The acceptance pin: a spilling aggregate-over-join, every
+    counter family in motion, per-operator exclusive figures summing
+    to the statement's registry delta with zero slack."""
+    _db, session, sql = _aggregate_over_join()
     lines, ops, totals = _analyze(session, sql)
     assert any("HashJoin" in line for line in lines), lines
     # The join really spilled, and EXPLAIN ANALYZE attributed it there.
@@ -131,18 +137,15 @@ def test_per_operator_counters_sum_exactly_to_statement_totals():
     assert join_actuals["spill_partitions"] > 0
     assert join_actuals["spill_bytes"] > 0
     # Zero-slack attribution: every counter key, summed over operators,
-    # equals the statement-total delta (time/io excluded — wall time
-    # nests, it does not partition).
+    # equals the statement-total delta (time excluded — wall time
+    # nests, it does not partition) — but for the rows the cursor
+    # widens, one per result row, which no operator built.
     summed = {}
     for op in ops:
         for key, value in op.items():
-            # labels/batch is a per-scan ratio; a scan line prints
-            # suppressed=0 where the summary omits a zero counter.
-            if key in ("rows", "batches", "time", "io", "labels/batch") \
-                    or not value:
-                continue
-            summed[key] = summed.get(key, 0) + value
-    totals.pop("io", None)
+            if key not in ("rows", "time"):
+                summed[key] = summed.get(key, 0) + value
+    assert totals.pop("widened") - summed.pop("widened", 0) == 25, lines
     assert summed == totals, (summed, totals, lines)
     # And the statement's answer is unchanged by instrumentation.
     assert ops[0]["rows"] == len(session.execute(sql).rows) == 25
@@ -212,24 +215,65 @@ def test_analyze_row_counts_per_operator_make_sense():
     assert by_line["Scan"]["rows"] == 40
 
 
-def test_every_scan_line_shows_suppression_and_label_diversity():
-    """Label diversity — the variable fig6 sweeps — is visible per
-    statement: every scan line carries ``suppressed=N`` (zero included)
-    and ``labels/batch`` = label checks per candidate chunk (its
-    distinct labels set-at-a-time, its versions in the per-version
-    loop)."""
+def test_suppression_and_label_diversity_reach_only_the_embedder():
+    """What Query by Label did is high: the statement's metrics carry
+    the suppressed tuples and the label checks per candidate segment
+    (its distinct labels set-at-a-time, its versions in the per-version
+    loop), and no EXPLAIN ANALYZE line does."""
     # 40 rows, every third one secret, batches of 10: each chunk mixes
-    # the two labels → 2.0 labels per batch.
-    _db, public, secret = _stack(10)
-    _lines, ops, _totals = _analyze(secret, "SELECT id FROM m WHERE v < 12")
-    scan = ops[-1]
-    assert scan["suppressed"] == 0 and scan["labels/batch"] == 2.0
-    assert scan["covers"] == 2 * 4              # the same sum, un-averaged
-    lines, ops, _totals = _analyze(public, "SELECT id FROM m WHERE v < 12")
-    scan = ops[-1]
-    assert scan["suppressed"] == 14 and scan["labels/batch"] == 2.0, lines
+    # the two labels → 2 label checks per segment.
+    db, public, secret = _stack(10)
+
+    def labels(session, sql):
+        session.execute(sql)
+        metrics = db.last_statement_metrics()
+        lines, _ops, _totals = _analyze(session, sql)
+        assert not any("suppressed" in line or "covers" in line
+                       for line in lines), lines
+        return (metrics["labels"]["rows_suppressed"],
+                metrics["labels"]["covers_calls"],
+                metrics["exec"]["segments_scanned"])
+
+    assert labels(secret, "SELECT id FROM m WHERE v < 12") == (0, 8, 4)
+    assert labels(public, "SELECT id FROM m WHERE v < 12") == (14, 8, 4)
     # Index scans are scans too: a one-candidate probe runs the
     # per-version loop, one check for its one version.
-    lines, ops, _totals = _analyze(public, "SELECT v FROM m WHERE id = 3")
-    assert "IndexScan" in lines[-3] and ops[-1]["suppressed"] == 1, lines
-    assert ops[-1]["labels/batch"] == 1.0
+    assert labels(public, "SELECT v FROM m WHERE id = 3") == (1, 1, 1)
+
+
+#: What an operator line may carry besides the schema's named counters.
+_ACTUALS = {"rows", "time"}
+_LOW_NAMES = {label for _group, _field, _kind, label, _level
+              in counters.SCHEMA if label}
+
+
+@pytest.mark.parametrize("reader", ["confined", "connect"])
+def test_statement_totals_are_the_low_counts_of_the_plain_statement(reader):
+    """The ``Statement counters:`` line of an analyzed SELECT equals the
+    low cells of ``last_statement_metrics()`` after the plain statement
+    ran — the cursor's widened rows included — and every pair on every
+    line is an actual or a low counter: a counter marked high is never
+    printed, for a confined session and for ``db.connect()`` alike
+    (each has 14 of the 40 rows hidden from it)."""
+    db, public, _secret = _stack()
+    spilled_db, spilled, spilled_sql = _aggregate_over_join()
+    if reader == "connect":
+        public, spilled = db.connect(), spilled_db.connect()
+    runs = [(db, public, sql) for sql in QUERIES]
+    runs.append((spilled_db, spilled, spilled_sql))
+    suppressed = 0
+    for database, session, sql in runs:
+        session.execute(sql)
+        metrics = database.last_statement_metrics()
+        suppressed += metrics["labels"]["rows_suppressed"]
+        want = {}
+        for group, field, _kind, label, level in counters.SCHEMA:
+            value = (metrics[group] if group else metrics)[field]
+            if level == "low" and value:
+                want[label] = value
+        lines, ops, totals = _analyze(session, sql)
+        assert totals == want, (sql, lines)
+        assert want["widened"] == len(session.execute(sql).rows)
+        for op in ops:
+            assert set(op) <= _ACTUALS | _LOW_NAMES, (sql, lines)
+    assert suppressed           # there were hidden tuples to count

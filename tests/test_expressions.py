@@ -394,11 +394,13 @@ def test_in_list_kernel_agrees_with_the_scalar_form(items, params, negated):
 # ---------------------------------------------------------------------------
 
 class TestTypedOperatorErrors:
-    """Division by zero and TEXT against INT raise ``ExpressionError``
-    naming the operator and the operand types — from the scalar kernels
-    (a constant select item, an UPDATE assignment) and the batch ones
-    (column against a constant, elementwise), through SELECT, UPDATE
-    and DELETE — and the failed statement writes nothing."""
+    """Division by zero, TEXT against INT and an order on labels raise
+    ``ExpressionError`` naming the operator, function or aggregate and
+    the operand types — from the scalar kernels (a constant select
+    item, an UPDATE assignment), the batch ones (column against a
+    constant, elementwise), the builtins and the aggregate folds
+    (global and grouped), through SELECT, UPDATE and DELETE — and the
+    failed statement writes nothing."""
 
     @pytest.fixture
     def session(self):
@@ -420,6 +422,19 @@ class TestTypedOperatorErrors:
         ("UPDATE t SET id = id + 10 WHERE w > 3", "TEXT > INT"),
         ("UPDATE t SET w = w + 1", "TEXT + INT"),
         ("DELETE FROM t WHERE w > 3", "TEXT > INT"),
+        ("SELECT MIN(_label) FROM t", "MIN(LABEL < LABEL)"),
+        ("SELECT id % 2, MAX(_label) FROM t GROUP BY id % 2",
+         "MAX(LABEL > LABEL)"),
+        ("SELECT AVG(w) FROM t", "AVG(TEXT / INT)"),
+        ("SELECT SUM(CASE WHEN id < 3 THEN id ELSE w END) FROM t",
+         "SUM(INT + TEXT)"),
+        ("SELECT id % 2, MIN(CASE WHEN id < 3 THEN id ELSE w END) FROM t "
+         "GROUP BY id % 2", "MIN(TEXT < INT)"),
+        ("SELECT id FROM t WHERE w BETWEEN 1 AND 2",
+         "TEXT BETWEEN INT AND INT"),
+        ("SELECT -w FROM t", "-TEXT"),
+        ("SELECT id FROM t WHERE id LIKE 'a%'", "INT LIKE TEXT"),
+        ("SELECT MOD(id, 0) FROM t", "MOD(INT, INT)"),
     ])
     def test_raises_expression_error(self, session, sql, operation):
         before = session.execute("SELECT id, w FROM t").rows

@@ -136,8 +136,8 @@ def test_architecture_documents_exactly_the_schema():
                 for name in re.findall(r"`([^`]+)`", row[0])}
     labels = {row[3] for row in counters.SCHEMA if row[3]}
     # What an operator line carries besides schema counters: its own
-    # actuals and the scan's label-check rate.
-    extras = {"rows", "batches", "time", "labels/batch"}
+    # actuals.
+    extras = {"rows", "time"}
     assert glossary == labels | extras
 
 

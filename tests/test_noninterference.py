@@ -17,14 +17,22 @@ sorting before every visible key, some after), and **precede** the
 visible tuples in the heap.  For every statement, in every executor
 configuration, every world must show the reader the same rows in the
 same order, the same row labels and integrity labels, the same
-``rowcount``, the same error type and message and the same delta of
-every counter the schema marks low (``counters.LOW``: the spill
-traffic, the range scans, the statements run and the rows written, the
-cells the scans emit and the rows built from batches — for the result
-and, by a predicate without a column
-kernel, for label survivors, never for a hidden tuple) — and a
-collapsed row's label must be the union over exactly its *visible*
-duplicates.
+``rowcount`` and the same error type and message — and a collapsed
+row's label must be the union over exactly its *visible* duplicates.
+
+Plan shape is declared high (ARCHITECTURE.md, "Low and high"): the
+optimizer's estimates count every live version, so a hidden tuple may
+change a plan.  What is low is what a *given* plan does: so wherever
+two worlds plan a statement alike (EXPLAIN, estimates removed), they
+must also show the same delta of every counter the schema marks low
+(``counters.LOW``: the spill traffic, the range scans, the statements
+run and the rows written, the cells the scans emit and the rows built
+from batches — for the result and, by a predicate without a column
+kernel, for label survivors, never for a hidden tuple) and, for a
+SELECT, the same EXPLAIN ANALYZE lines once time and estimates are
+removed.  One rule, no allowlist: hidden seed 7 does flip one poison
+join from an index-loop join to a hash join, and there the low
+counters are rightly not compared.
 
 A second family of worlds aims at the scan leaf instead of the
 collapse: their hidden tuples carry values on which the **pushed
@@ -49,6 +57,7 @@ the other observables are still to come.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -59,10 +68,13 @@ from repro.db.storage import SET_AT_A_TIME_MIN
 
 SEED = 1813
 
-#: Executor configurations (``Database`` keyword arguments).
+#: Executor configurations (``Database`` keyword arguments).  At batch
+#: size 7 a scan's batches end where heap segments do, so hidden tuples
+#: move the boundaries between visible rows.
 CONFIGS = {
     "default": {},
     "batch_size=1": {"batch_size": 1},
+    "batch_size=7": {"batch_size": 7},
     "work_mem=1024": {"work_mem": 1024},
 }
 
@@ -71,6 +83,17 @@ WORLDS = {"D": None, "D'": 7, "D''": 8}
 
 #: Visible secrecy labels, as indexes into the reader's two tags.
 VISIBLE_LABELS = ((), (0,), (1,), (0, 1))
+
+#: Statements every world must fail alike → the error's type.  A fold's
+#: message names its first failing pair in row order, wherever batches
+#: end.
+FAILING = {
+    "SELECT DISTINCT a FROM t ORDER BY b": "DatabaseError",
+    "SELECT SUM(CASE WHEN id < 30 THEN a ELSE c END) FROM t":
+        "ExpressionError",
+    "SELECT a, MIN(CASE WHEN id < 30 THEN b ELSE c END) FROM t GROUP BY a":
+        "ExpressionError",
+}
 
 STATEMENTS = (
     # DISTINCT, bare and under ORDER BY … LIMIT/OFFSET cuts.
@@ -99,8 +122,12 @@ STATEMENTS = (
     "SELECT COUNT(*) FROM (SELECT DISTINCT a, b FROM t) d",
     # Only hidden tuples have z = 0: no world may raise.
     "SELECT DISTINCT 12 / z FROM t",
+    # A plain scan and an index point lookup: hidden tuples sit between
+    # the visible ones, and EXPLAIN ANALYZE must not tell.
+    "SELECT id, a FROM t",
+    "SELECT a, c FROM t WHERE id = 40",
     # Errors are observables too.
-    "SELECT DISTINCT a FROM t ORDER BY b",
+    *FAILING,
     # rowcount of a write fed by the collapse.
     "INSERT INTO sink SELECT DISTINCT a, b FROM t",
 )
@@ -185,11 +212,28 @@ def _world(hidden_seed, config, wal=None):
     return db.connect(reader), [tag.id for tag in low]
 
 
+#: What EXPLAIN and EXPLAIN ANALYZE print that is declared high: the
+#: optimizer's estimates (two spaces before each) and wall time.
+_HIGH_TEXT = re.compile(
+    r"  \(cost=[^)]*\)|  (?:spill_partitions|runs)=\d+|  mem=\d+B"
+    r"| time=[\d.]+ms")
+
+
+def _low_lines(lines):
+    """A plan's lines with what is high removed."""
+    return [_HIGH_TEXT.sub("", line) for line in lines
+            if not line.startswith("Execution time:")]
+
+
 def _observe(session, sql):
-    """Everything the reader can see of one statement."""
+    """Everything the reader can see of one statement, and its plan
+    (an INSERT's is its source query's)."""
     db = session.db
+    statement = db.parse(sql)
     seen = {}
     try:
+        seen["plan"] = _low_lines(db.explain(
+            getattr(statement, "select", None) or statement))
         result = session.execute(sql)
         seen["rows"] = [(tuple(row), tuple(sorted(row.label)))
                         for row in result.rows]
@@ -200,15 +244,28 @@ def _observe(session, sql):
                        for group, field in counters.LOW}
         if sql.startswith("SELECT"):
             # Integrity labels travel below the Row: drain the plan.
-            prepared = db.prepare_select(db.parse(sql), sql)
+            prepared = db.prepare_select(statement, sql)
             with session._autocommit():
                 seen["ilabels"] = [
                     tuple(sorted(ilabel)) for batch in
                     prepared.plan.batches(session._context(()))
                     for ilabel in batch.ilabels]
+            seen["analyze"] = _low_lines(
+                row[0] for row in session.execute("EXPLAIN ANALYZE " + sql))
     except Exception as exc:      # whatever is raised is the observable
         seen["error"] = (type(exc).__name__, str(exc))
     return seen
+
+
+def _assert_alike(want, got, where):
+    """Rows, labels, ilabels, rowcount and errors always; the low
+    counters and EXPLAIN ANALYZE between equal plans only.  Whether the
+    plans were equal."""
+    same_plan = got.get("plan") == want.get("plan")
+    for what in sorted(set(want) | set(got)):
+        if same_plan or what not in ("plan", "low", "analyze"):
+            assert got.get(what) == want.get(what), where + (what,)
+    return same_plan
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -221,14 +278,14 @@ def test_the_collapse_shows_the_same_in_every_world(config):
     for sql in STATEMENTS:
         want = _observe(base, sql)
         for name in ("D'", "D''"):
-            got = _observe(worlds[name][0], sql)
-            for what in sorted(set(want) | set(got)):
-                assert got.get(what) == want.get(what), \
-                    (config, name, sql, what)
+            # No hidden tuple changes a plan here: every low counter
+            # and EXPLAIN ANALYZE line is compared.
+            assert _assert_alike(want, _observe(worlds[name][0], sql),
+                                 (config, name, sql)), (config, name, sql)
         for what in spilled:
             spilled[what] += want.get("low", {}).get(what, 0)
-        if "ORDER BY b" in sql:
-            assert want["error"][0] == "DatabaseError", want
+        if sql in FAILING:
+            assert want["error"][0] == FAILING[sql], want
         else:
             assert "error" not in want, (sql, want)
             assert want["rowcount"] == len(want["rows"]) or \
@@ -298,17 +355,6 @@ POISON_STATEMENTS = (
     ("SELECT id, k, ts, amount FROM p ORDER BY id", "Scan p"),
 )
 
-#: ROADMAP 2(b)'s counter-example, recorded rather than fixed: plan
-#: choice reads statistics over every live version, so world D''s
-#: hidden tuples (seed 7) turn this statement's IndexLoopJoin into a
-#: HashJoin that scans ``o`` in every configuration — and the low
-#: counters count that plan's work (``exec.columns_materialized`` 5,
-#: not 0).  Rows, labels and errors still agree.  ``(world, statement)``
-#: pairs whose plan avoids the expected access path.
-PLAN_FLIPS = {("D'", "SELECT o.k, p.id FROM o JOIN p ON p.k = o.k AND "
-                     "p.note > 5")}
-
-
 def _poison_world(hidden_seed, config, wal=None):
     """90 tuples under exactly the reader's label (so its UPDATEs and
     DELETEs pass the write rule), a third of them endorsed; the hidden
@@ -365,24 +411,20 @@ def test_a_predicate_never_meets_a_hidden_cell(config):
     worlds = {name: _poison_world(seed, CONFIGS[config])
               for name, seed in WORLDS.items()}
     base = worlds["D"]
+    unequal = 0
     for sql, operator in POISON_STATEMENTS:
-        for name, session in worlds.items():
-            flipped = (name, sql) in PLAN_FLIPS
-            assert flipped != any(operator in row[0] for row in
-                                  session.execute("EXPLAIN " + sql)), \
-                (config, name, sql)
         want = _observe(base, sql)
         assert "error" not in want, (config, sql, want)
+        assert any(operator in line for line in want["plan"]), \
+            (config, sql, want["plan"])
         for name in ("D'", "D''"):
-            got = _observe(worlds[name], sql)
-            for what in sorted(set(want) | set(got)):
-                if what == "low" and (name, sql) in PLAN_FLIPS:
-                    continue
-                assert got.get(what) == want.get(what), \
-                    (config, name, sql, what)
+            unequal += not _assert_alike(want, _observe(worlds[name], sql),
+                                         (config, name, sql))
         if sql.startswith(("UPDATE", "DELETE")) and _DIVIDES in sql:
             assert want["rowcount"] > 0, sql      # the DML found targets
     assert len(want["rows"]) > 50                 # …and left most rows
+    # Hidden seed 7 turns one join's plan; a second flip is news.
+    assert unequal <= 1, unequal
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +487,7 @@ def test_a_recovered_world_shows_what_the_live_one_does(config, family,
             recovered.analyze()
         worlds[name] = recovered.connect(session.process)
     live = build(None, CONFIGS[config], None)
+    unequal = 0
     for sql in statements:
         want = _observe(worlds["D"], sql)
         seen = _observe(live, sql)
@@ -452,9 +495,7 @@ def test_a_recovered_world_shows_what_the_live_one_does(config, family,
             assert seen.get(what) == want.get(what), \
                 (config, "live D", sql, what)
         for name in ("D'", "D''"):
-            got = _observe(worlds[name], sql)
-            for what in sorted(set(want) | set(got)):
-                if what == "low" and (name, sql) in PLAN_FLIPS:
-                    continue
-                assert got.get(what) == want.get(what), \
-                    (config, name, sql, what)
+            unequal += not _assert_alike(want, _observe(worlds[name], sql),
+                                         (config, name, sql))
+    # As live: only the poison family's one join may plan differently.
+    assert unequal <= (family == "poison"), unequal

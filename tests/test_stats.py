@@ -294,40 +294,42 @@ class TestExplainEstimates:
 
 
 class TestInvalidationAndRefresh:
-    def test_ddl_restamps_stats_epoch(self, store):
+    def test_index_ddl_keeps_stats(self, store):
         db, session = store
         session.execute("ANALYZE events")
         before = db.stats_manager.peek("events")
-        # DROP INDEX bumps the catalog version; the next planning pass
-        # re-validates the stats against the live table object and
-        # re-stamps them (the histograms describe data, which index DDL
-        # cannot change) instead of re-collecting.
+        # DROP INDEX replans, but the histograms describe data, which
+        # index DDL cannot change: the next planning pass reads them
+        # as they are.
         session.execute("DROP INDEX events_by_ts")
-        assert before.epoch != (db.catalog.version,
-                                db.authority.tags.version)
         session.execute("SELECT id FROM events WHERE ts < 10")
-        after = db.stats_manager.peek("events")
-        assert after is before                   # no re-collection
-        assert after.epoch == (db.catalog.version,
-                               db.authority.tags.version)
+        assert db.stats_manager.peek("events") is before
 
-    def test_recreated_table_fails_identity_check(self, store):
-        db, session = store
+    def test_recreated_table_starts_without_stats(self, tmp_path):
+        """Both paths that drop a table forget its stats — the SQL
+        statement, and its replay from the log — so a table recreated
+        under the same name never plans from the old one's numbers."""
+        path = str(tmp_path / "phoenix.wal")
+        db = Database(ifc_enabled=False, wal=path)
+        session = db.connect()
         session.execute("CREATE TABLE phoenix (x INT PRIMARY KEY)")
         session.execute("INSERT INTO phoenix VALUES (1)")
-        session.execute("ANALYZE phoenix")
-        stale = db.stats_manager.peek("phoenix")
-        # Simulate a drop+recreate that bypassed the engine's forget
-        # hook: stats keyed on the name must not describe the new table.
-        db.catalog.drop_table("phoenix")
-        db.stats_manager._stats["phoenix"] = stale
+        recovered = Database(db.authority, ifc_enabled=False)
+        recovered.recover(path)
+        for database in (db, recovered):
+            database.analyze("phoenix")
+            assert database.stats_manager.peek("phoenix").row_count == 1
+        session.execute("DROP TABLE phoenix")
         session.execute("CREATE TABLE phoenix (x INT PRIMARY KEY)")
         for i in range(40):
             session.execute("INSERT INTO phoenix VALUES (?)", (i,))
-        session.execute("SELECT x FROM phoenix WHERE x = 1")
-        fresh = db.stats_manager.peek("phoenix")
-        assert fresh is not stale
-        assert fresh.row_count == 40
+        recovered.recover(path)                  # the rest of the log
+        for database in (db, recovered):
+            reader = database.connect()
+            assert len(reader.execute(
+                "SELECT x FROM phoenix WHERE x < 50").rows) == 40
+            assert database.stats_manager.peek("phoenix") is None
+        db.close()
 
     def test_rolled_back_delete_keeps_stats_rows(self, store):
         # An aborted DELETE stamps xmax with an aborted xid; those
