@@ -1,6 +1,8 @@
 """Constraint enforcement under information flow control (section 5.2).
 
-The interesting cases are the ones where naive enforcement would leak:
+:func:`check_write` is the one entry point: everything a row write must
+satisfy, for an INSERT, an UPDATE and a DELETE alike.  The interesting
+cases are the ones where naive enforcement would leak:
 
 * **Uniqueness** (5.2.1): a conflict with a tuple the inserter *can see*
   raises; a conflict with an invisible higher-labelled tuple must NOT
@@ -11,7 +13,10 @@ The interesting cases are the ones where naive enforcement would leak:
   parent's existence, and deletes of parents reveal referencing tuples.
   The Foreign Key Rule requires the inserter to hold declassification
   authority for the symmetric difference of the two labels and to name
-  those tags explicitly in a ``DECLASSIFYING`` clause.
+  those tags explicitly in a ``DECLASSIFYING`` clause.  A parent whose
+  label holds a tag beyond the child's that the inserter cannot
+  declassify could never satisfy the rule, so it is no parent at all:
+  the insert fails exactly as if the row were not there.
 * **Label constraints** (5.2.4): ``MATCH LABEL`` foreign keys pin a
   tuple's label to its parent's label (preventing polyinstantiation when
   combined with a uniqueness constraint), and ``LABEL CHECK`` expressions
@@ -20,10 +25,11 @@ The interesting cases are the ones where naive enforcement would leak:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.labels import Label
-from ..core.rules import covers, same_contamination, symmetric_difference
+from ..core.rules import covers, same_contamination, strip, \
+    symmetric_difference
 from ..errors import (
     AuthorityError,
     CheckViolation,
@@ -33,222 +39,190 @@ from ..errors import (
     UniqueViolation,
 )
 from .expressions import ExprCompiler, Scope
-from .schema import ForeignKeyConstraint, TableSchema
 from .storage import Table
 
 
-def _table_row_compiler(db, table: Table) -> ExprCompiler:
-    """Compiler for expressions over one table's row (plus ``_label``)."""
-    scope = Scope()
-    scope.add_table(table.name, table.schema.column_names)
-    return ExprCompiler(scope, catalog=db.catalog, planner=db.planner)
-
-
-def compiled_checks(db, table: Table) -> List[Tuple[str, object]]:
-    """Lazily compile and cache the table's CHECK constraint expressions."""
-    cache = getattr(table, "_check_fns", None)
-    if cache is None or getattr(table, "_check_version", -1) != \
-            db.catalog.version:
-        compiler = _table_row_compiler(db, table)
-        cache = [(c.name, compiler.compile(c.expr))
-                 for c in table.schema.checks]
-        table._check_fns = cache
-        table._check_version = db.catalog.version
+def _compiled_checks(db, table: Table):
+    """``(catalog version, CHECKs, LABEL CHECKs)`` of the table, each a
+    list of ``(name, compiled expression)``, compiled once per catalog
+    version and kept on the table."""
+    cache = getattr(table, "_compiled_checks", None)
+    if cache is None or cache[0] != db.catalog.version:
+        scope = Scope()
+        scope.add_table(table.name, table.schema.column_names)
+        compiler = ExprCompiler(scope, catalog=db.catalog,
+                                planner=db.planner)
+        schema = table.schema
+        cache = table._compiled_checks = (
+            db.catalog.version,
+            [(c.name, compiler.compile(c.expr)) for c in schema.checks],
+            [(c.name, compiler.compile(c.expr))
+             for c in schema.label_checks])
     return cache
 
 
-def compiled_label_checks(db, table: Table) -> List[Tuple[str, object]]:
-    cache = getattr(table, "_label_check_fns", None)
-    if cache is None or getattr(table, "_label_check_version", -1) != \
-            db.catalog.version:
-        compiler = _table_row_compiler(db, table)
-        cache = [(c.name, compiler.compile(c.expr))
-                 for c in table.schema.label_checks]
-        table._label_check_fns = cache
-        table._label_check_version = db.catalog.version
-    return cache
+def _key(values: Tuple, positions) -> Optional[Tuple]:
+    """The key at ``positions``; ``None`` if it holds a NULL (SQL: a
+    NULL key neither conflicts nor references)."""
+    key = tuple([values[p] for p in positions])
+    return None if None in key else key
 
 
-def check_checks(db, ctx, table: Table, values: Tuple, label: Label) -> None:
-    """CHECK constraints: NULL (unknown) passes, false fails (SQL rule)."""
-    fns = compiled_checks(db, table)
-    if not fns:
-        return
-    row = list(values) + [label]
-    for name, fn in fns:
-        result = fn(row, ctx)
-        if result is not None and not result:
-            raise CheckViolation(
-                "row violates CHECK constraint %r on table %s"
-                % (name, table.name))
-
-
-def check_label_constraints(db, ctx, table: Table, values: Tuple,
-                            label: Label) -> None:
-    """LABEL CHECK constraints (section 5.2.4)."""
-    fns = compiled_label_checks(db, table)
-    if not fns:
-        return
-    row = list(values) + [label]
-    for name, fn in fns:
-        result = fn(row, ctx)
-        if not result:           # NULL here is a constraint bug; fail closed
-            raise LabelConstraintViolation(
-                "label %r violates label constraint %r on table %s"
-                % (label, name, table.name))
-
-
-def check_unique(db, session, table: Table, values: Tuple, label: Label,
-                 *, exclude_tid: Optional[int] = None) -> None:
-    """Uniqueness with polyinstantiation (section 5.2.1).
-
-    A conflicting tuple that is visible to the acting context (MVCC-live
-    and label-covered) raises :class:`UniqueViolation`.  Conflicts hidden
-    by labels are permitted silently; the table records how often this
-    happened so tests and operators can observe polyinstantiation.
-    """
-    txn = session.transaction
-    txn_manager = db.txn_manager
-    acting = session.acting
-    registry = db.authority.tags
-    ifc = db.ifc_enabled
-    for unique, index in table.unique_indexes:
-        key = index.key_of(values)
-        if any(k is None for k in key):       # SQL: NULLs never conflict
-            continue
-        for version in table.versions_for_tids(index.lookup(key)):
-            if version.tid == exclude_tid:
-                continue
-            table.touch(version)
-            if not txn_manager.visible(version, txn):
-                continue
-            if not ifc:
-                raise UniqueViolation(
-                    "duplicate key %r violates unique constraint %r"
-                    % (key, unique.name))
-            if covers(registry, version.label, acting.label):
-                raise UniqueViolation(
-                    "duplicate key %r violates unique constraint %r"
-                    % (key, unique.name))
-            # Invisible conflict: polyinstantiate rather than leak.
-            table.polyinstantiation_count += 1
-
-
-def _parent_candidates(db, session, fk: ForeignKeyConstraint,
-                       key: Tuple) -> List:
-    """MVCC-visible parent tuples matching the key, *ignoring labels*.
-
-    The FK rule deliberately looks through labels: the whole point is to
-    decide whether the inserter may learn of the parent's existence.
-    """
-    parent = db.catalog.get_table(fk.ref_table)
-    index = parent.find_index(fk.ref_columns)
-    txn = session.transaction
-    txn_manager = db.txn_manager
-    candidates = []
+def _live_matches(ctx, table: Table, index, positions, key: Tuple,
+                  skip=None):
+    """The versions of ``table`` visible to ``ctx``'s transaction whose
+    columns at ``positions`` hold ``key`` — *ignoring labels*, through
+    ``index`` (on exactly those columns) or, if it is ``None``, a full
+    scan — other than the version ``skip``."""
     if index is not None:
-        versions = parent.versions_for_tids(index.lookup(key))
+        versions = table.versions_for_tids(index.lookup(key))
     else:
-        positions = parent.schema.positions_of(fk.ref_columns)
-        versions = (v for v in parent.all_versions()
+        versions = (v for v in table.all_versions()
                     if tuple(v.values[p] for p in positions) == key)
+    visible = ctx.session.db.txn_manager.visible
+    txn = ctx.session.transaction
     for version in versions:
-        parent.touch(version)
-        if txn_manager.visible(version, txn):
-            candidates.append(version)
-    return candidates
+        if version is not skip:
+            table.touch(version)
+            if visible(version, txn):
+                yield version
 
 
-def check_fk_insert(db, session, table: Table, values: Tuple, label: Label,
-                    declassifying: Label) -> None:
-    """The Foreign Key Rule (section 5.2.2) for inserts/updated children.
+def _verb(old, values) -> str:
+    if old is None:
+        return "insert into"
+    return "delete from" if values is None else "update of"
 
-    For each foreign key: a parent must exist; and unless the child and
-    parent labels carry the same contamination, the acting principal must
-    have authority for every tag named in the DECLASSIFYING clause and
-    the clause must cover the symmetric difference ``LA △ LB``.
-    """
-    if not table.schema.foreign_keys:
-        return
-    acting = session.acting
+
+def _lookup(ctx, table: Table, columns, key: Tuple):
+    """:func:`_live_matches` on ``columns``, through an index on exactly
+    those columns if there is one."""
+    return _live_matches(ctx, table, table.find_index(columns),
+                         table.schema.positions_of(columns), key)
+
+
+def check_write(ctx, table: Table, old, values: Optional[Tuple],
+                declassifying: Label) -> None:
+    """Everything the write of ``values`` (``None`` for a DELETE) over
+    the version ``old`` (``None`` for an INSERT), under the label of
+    ``ctx``'s statement, must satisfy, in order:
+    authority for every tag ``declassifying`` names, LABEL CHECK (IFC
+    on; NULL fails closed), CHECK (NULL passes), UNIQUE, the Foreign
+    Key Rule for each new or changed key, and RESTRICT for each
+    referencing key deleted or changed."""
+    session = ctx.session
+    db = session.db
+    label = ctx.read_label
+    ifc = db.ifc_enabled
     registry = db.authority.tags
-    authority = db.authority
-    for fk in table.schema.foreign_keys:
-        positions = table.schema.positions_of(fk.columns)
-        key = tuple(values[p] for p in positions)
-        if any(k is None for k in key):       # SQL: NULL FK is not checked
-            continue
-        candidates = _parent_candidates(db, session, fk, key)
-        if not candidates:
-            raise ForeignKeyViolation(
-                "insert into %s violates foreign key %r: no row %r in %s"
-                % (table.name, fk.name, key, fk.ref_table))
-        if not db.ifc_enabled:
-            continue
-        last_error: Optional[Exception] = None
-        satisfied = False
-        for parent in candidates:
+    if ifc and declassifying:
+        # Before any parent lookup: whether the clause is honoured may
+        # not depend on which parents exist.
+        missing = [t for t in declassifying if not
+                   db.authority.has_authority(session.acting.principal, t)]
+        if missing:
+            raise AuthorityError(
+                "DECLASSIFYING clause names tags %r but the acting "
+                "principal lacks authority for them"
+                % (registry.names(missing),))
+    schema = table.schema
+    if values is not None:
+        _, checks, label_checks = _compiled_checks(db, table)
+        if checks or label_checks:
+            row = list(values) + [label]
+            for name, fn in label_checks if ifc else ():
+                if not fn(row, ctx):
+                    raise LabelConstraintViolation(
+                        "label %r violates label constraint %r on table %s"
+                        % (label, name, table.name))
+            for name, fn in checks:
+                result = fn(row, ctx)
+                if result is not None and not result:
+                    raise CheckViolation(
+                        "row violates CHECK constraint %r on table %s"
+                        % (name, table.name))
+        for unique, index in table.unique_indexes:
+            key = _key(values, index.positions)
+            if key is None:
+                continue
+            for version in _live_matches(ctx, table, index,
+                                         index.positions, key, old):
+                if ifc and not covers(registry, version.label, label):
+                    # Invisible conflict: polyinstantiate rather than leak.
+                    table.polyinstantiation_count += 1
+                    continue
+                raise UniqueViolation(
+                    "duplicate key %r violates unique constraint %r"
+                    % (key, unique.name))
+        for fk in schema.foreign_keys:
+            positions = schema.positions_of(fk.columns)
+            key = _key(values, positions)
+            if key is not None and (old is None
+                                    or key != _key(old.values, positions)):
+                _check_parent(ctx, table, fk, key, declassifying,
+                              _verb(old, values))
+    if old is not None:
+        for child_name, fk in db.catalog.referencing_foreign_keys(
+                table.name):
+            positions = schema.positions_of(fk.ref_columns)
+            key = _key(old.values, positions)
+            if key is None or (values is not None
+                               and key == _key(values, positions)):
+                continue
+            child = db.catalog.get_table(child_name)
+            # Referencing rows are found *ignoring labels*: the failure
+            # may reveal them, which the Foreign Key Rule made
+            # acceptable by charging their inserter for the
+            # declassification (section 5.2.2's deletion discussion).
+            for _version in _lookup(ctx, child, fk.columns, key):
+                raise ForeignKeyViolation(
+                    "%s %s would orphan rows in %s (foreign key %r)"
+                    % (_verb(old, values), table.name, child_name, fk.name))
+
+
+def _check_parent(ctx, table: Table, fk, key: Tuple, declassifying: Label,
+                  verb: str) -> None:
+    """The Foreign Key Rule (section 5.2.2) for one referencing key.
+
+    A parent must exist; and unless the child and parent labels carry
+    the same contamination, ``declassifying`` (whose authority the
+    caller checked) must cover the symmetric difference ``LA △ LB``.
+    """
+    db = ctx.session.db
+    label = ctx.read_label
+    parents = _lookup(ctx, db.catalog.get_table(fk.ref_table),
+                      fk.ref_columns, key)
+    error = None
+    if not db.ifc_enabled:
+        if next(parents, None) is not None:
+            return
+    else:
+        registry = db.authority.tags
+        authority = db.authority
+        principal = ctx.session.acting.principal
+        for parent in parents:
+            if not parent.label.issubset(label) and not all(
+                    authority.has_authority(principal, t)
+                    for t in strip(registry, parent.label, label)):
+                # A tag the writer may neither see nor declassify: this
+                # parent can never satisfy the rule, and failing on it
+                # would tell of it.  It is skipped, as if absent.
+                continue
             if fk.match_label and not same_contamination(
                     registry, label, parent.label):
-                last_error = LabelConstraintViolation(
+                error = LabelConstraintViolation(
                     "foreign key %r requires MATCH LABEL: child label %r "
                     "does not match parent label %r"
                     % (fk.name, label, parent.label))
                 continue
             difference = symmetric_difference(label, parent.label)
-            if not difference:
-                satisfied = True
-                break
-            if not covers(registry, difference, declassifying):
-                last_error = IFCViolation(
-                    "foreign key %r links labels %r and %r; the tags in "
-                    "their symmetric difference must be named in a "
-                    "DECLASSIFYING clause (section 5.2.2)"
-                    % (fk.name, label, parent.label))
-                continue
-            missing = [t for t in declassifying
-                       if not authority.has_authority(acting.principal, t)]
-            if missing:
-                last_error = AuthorityError(
-                    "DECLASSIFYING clause names tags %r but the acting "
-                    "principal lacks authority for them"
-                    % (registry.names(missing),))
-                continue
-            satisfied = True
-            break
-        if not satisfied:
-            raise last_error if last_error is not None else \
-                ForeignKeyViolation(
-                    "foreign key %r could not be satisfied" % fk.name)
-
-
-def check_fk_restrict(db, session, table: Table, old_values: Tuple) -> None:
-    """RESTRICT semantics for deletes (and key updates) of parent rows.
-
-    Referencing rows are found *ignoring labels*: the resulting failure
-    may reveal their existence, which the Foreign Key Rule already made
-    acceptable by charging the original inserter for the declassification
-    (section 5.2.2's deletion discussion).
-    """
-    referencing = db.catalog.referencing_foreign_keys(table.name)
-    if not referencing:
-        return
-    txn = session.transaction
-    txn_manager = db.txn_manager
-    for child_name, fk in referencing:
-        child = db.catalog.get_table(child_name)
-        parent_positions = table.schema.positions_of(fk.ref_columns)
-        key = tuple(old_values[p] for p in parent_positions)
-        index = child.find_index(fk.columns)
-        if index is not None:
-            versions = child.versions_for_tids(index.lookup(key))
-        else:
-            child_positions = child.schema.positions_of(fk.columns)
-            versions = (v for v in child.all_versions()
-                        if tuple(v.values[p] for p in child_positions) == key)
-        for version in versions:
-            child.touch(version)
-            if txn_manager.visible(version, txn):
-                raise ForeignKeyViolation(
-                    "delete from %s would orphan rows in %s (foreign key %r)"
-                    % (table.name, child_name, fk.name))
+            if not difference or covers(registry, difference, declassifying):
+                return
+            error = IFCViolation(
+                "foreign key %r links labels %r and %r; the tags in "
+                "their symmetric difference must be named in a "
+                "DECLASSIFYING clause (section 5.2.2)"
+                % (fk.name, label, parent.label))
+    raise error or ForeignKeyViolation(
+        "%s %s violates foreign key %r: no row %r in %s"
+        % (verb, table.name, fk.name, key, fk.ref_table))

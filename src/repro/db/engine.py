@@ -40,6 +40,12 @@ from ..sql.lexer import tokenize
 from ..sql.parser import parse_script, parse_statement
 from ..sql.template import Template, shape
 from .catalog import (
+    AFTER,
+    BEFORE,
+    DEFERRED,
+    DELETE,
+    INSERT,
+    UPDATE,
     Catalog,
     FunctionDef,
     ProcedureDef,
@@ -66,7 +72,7 @@ from .schema import (
 from .session import Session
 from .stats import StatsManager
 from .storage import Table
-from .transactions import SNAPSHOT, TransactionManager
+from .transactions import TransactionManager
 from .types import type_by_name
 from . import wal as wal_mod
 
@@ -139,9 +145,7 @@ class Database:
                  buffer_pages: Optional[int] = None,
                  io_penalty: float = 0.0,
                  deterministic_order: bool = False,
-                 default_isolation: str = SNAPSHOT,
                  seed: Optional[int] = None,
-                 clock: Optional[Callable[[], float]] = None,
                  naive_plans: bool = False,
                  batch_size: Optional[int] = None,
                  work_mem: Optional[int] = None,
@@ -155,8 +159,8 @@ class Database:
         self.ifc_enabled = ifc_enabled
         self.page_size = page_size
         self.deterministic_order = deterministic_order
-        self.default_isolation = default_isolation
-        self.clock = clock or time.time
+        #: What ``NOW()`` and ``ExecContext.now`` read; assignable.
+        self.clock = time.time
         self.catalog = Catalog()
         self.txn_manager = TransactionManager()
         self.buffer_cache = BufferCache(capacity=buffer_pages,
@@ -495,10 +499,15 @@ class Database:
     def create_trigger(self, name: str, table: str, events, timing: str,
                        fn: Callable, *,
                        closure_principal: Optional[int] = None) -> None:
-        if isinstance(events, str):
-            events = (events,)
+        events = frozenset((events,) if isinstance(events, str) else events)
+        if not events or not events <= {INSERT, UPDATE, DELETE} \
+                or timing not in (BEFORE, AFTER, DEFERRED):
+            raise CatalogError(
+                "trigger %r: events %r at %r; events are insert, update "
+                "and delete, timings before, after and deferred"
+                % (name, sorted(events), timing))
         self.catalog.add_trigger(TriggerDef(
-            name=name, table=table, events=frozenset(events), timing=timing,
+            name=name, table=table, events=events, timing=timing,
             fn=fn, closure_principal=closure_principal))
 
     # ------------------------------------------------------------------
@@ -593,8 +602,7 @@ class Database:
                     columns=constraint.columns,
                     ref_table=constraint.ref_table,
                     ref_columns=constraint.ref_columns,
-                    match_label=constraint.match_label,
-                    deferred=constraint.deferred))
+                    match_label=constraint.match_label))
             elif constraint.kind == "check":
                 checks.append(CheckConstraint(
                     name=constraint.name or "%s_check%d"

@@ -56,7 +56,6 @@ class ForeignKeyConstraint:
     ref_table: str
     ref_columns: Tuple[str, ...]
     match_label: bool = False      # label constraint variant (section 5.2.4)
-    deferred: bool = False         # checked at commit with statement label
 
 
 @dataclass

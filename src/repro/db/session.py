@@ -14,16 +14,22 @@ process itself; triggers may push isolated contexts, see
 * COMMIT checks the transaction commit label against the write set
   (section 5.1), after running deferred triggers with their statement
   labels (section 5.2.3).
+
+Every row an INSERT, UPDATE or DELETE writes goes through one method,
+:meth:`Session._write`: the write rule and the first-committer check,
+BEFORE triggers, type coercion, :func:`repro.db.constraints.check_write`
+(everything section 5.2 asks of the row), the heap write, and AFTER and
+DEFERRED triggers — in that order, whatever the statement.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.counters import tally
 from ..core.labels import EMPTY_LABEL, Label
-from ..core.rules import covers, same_contamination
+from ..core.rules import same_contamination
 from ..errors import (
     CatalogError,
     DatabaseError,
@@ -35,6 +41,7 @@ from ..sql import ast
 from . import constraints
 from .catalog import AFTER, BEFORE, DEFERRED, DELETE, INSERT, UPDATE
 from .physical import DeterministicOrder, ExecContext
+from .transactions import SERIALIZABLE, SNAPSHOT
 from .triggers import ActingContext, ProcessActing, fire_triggers
 
 
@@ -150,7 +157,6 @@ class Session:
 
     def requires_clearance(self) -> bool:
         """Does the clearance rule (section 5.1) currently apply?"""
-        from .transactions import SERIALIZABLE
         return (self.db.ifc_enabled and self.transaction is not None
                 and self.transaction.isolation == SERIALIZABLE)
 
@@ -160,8 +166,7 @@ class Session:
     def begin(self, isolation: Optional[str] = None) -> None:
         if self.transaction is not None:
             raise TransactionError("a transaction is already open")
-        self.transaction = self.db.txn_manager.begin(
-            isolation or self.db.default_isolation)
+        self.transaction = self.db.txn_manager.begin(isolation or SNAPSHOT)
 
     def commit(self) -> None:
         """Run deferred actions, check the commit label, log, and commit.
@@ -259,14 +264,10 @@ class Session:
                 track = db._begin_statement()
                 with self._autocommit():
                     result = self._execute_insert(statement, params, sql)
-            elif isinstance(statement, ast.Update):
+            elif isinstance(statement, (ast.Update, ast.Delete)):
                 track = db._begin_statement()
                 with self._autocommit():
-                    result = self._execute_update(statement, params, sql)
-            elif isinstance(statement, ast.Delete):
-                track = db._begin_statement()
-                with self._autocommit():
-                    result = self._execute_delete(statement, params, sql)
+                    result = self._execute_dml(statement, params, sql)
             else:
                 return self._execute_other(statement, params, sql)
         except IFCViolation as error:
@@ -346,19 +347,12 @@ class Session:
         if isinstance(inner, (ast.Update, ast.Delete)):
             prepared = db.prepare_dml(inner, None)
             probe = recorder.instrument(prepared.plan)
-            update = isinstance(inner, ast.Update)
             with self._autocommit():
                 recorder.start()
-                if update:
-                    result = self._execute_update(inner, params, None,
-                                                  plan=probe)
-                else:
-                    result = self._execute_delete(inner, params, None,
-                                                  plan=probe)
+                result = self._execute_dml(inner, params, None, plan=probe)
                 recorder.finish()
             head = "%s %s  (actual rows=%d)" % (
-                "Update" if update else "Delete", inner.table,
-                result.rowcount)
+                type(inner).__name__, inner.table, result.rowcount)
             return ([head] + recorder.render_plan(prepared.plan, indent=1)
                     + recorder.render_summary())
         raise DatabaseError(
@@ -396,17 +390,14 @@ class Session:
         declassifying = self.db.resolve_tag_label(statement.declassifying)
         ctx = self._context(params)
 
-        source_rows: Iterable[Sequence]
         if prepared.select is not None:
-            source_rows = [values
-                           for batch in prepared.select.plan.batches(ctx)
-                           for values in batch.rows()]
+            sources = [values
+                       for batch in prepared.select.plan.batches(ctx)
+                       for values in batch.rows()]
         else:
-            source_rows = [[fn([], ctx) for fn in row]
-                           for row in prepared.row_fns]
-
-        count = 0
-        for source in source_rows:
+            sources = [[fn([], ctx) for fn in row]
+                       for row in prepared.row_fns]
+        for source in sources:
             if len(source) != len(positions):
                 raise DatabaseError(
                     "INSERT expects %d values, got %d"
@@ -414,42 +405,8 @@ class Session:
             full = list(prepared.defaults)
             for position, value in zip(positions, source):
                 full[position] = value
-            self.insert_row(table, tuple(full), declassifying, ctx)
-            count += 1
-        return Result(rowcount=count)
-
-    def insert_row(self, table, values: Tuple, declassifying: Label,
-                   ctx: Optional[ExecContext] = None) -> None:
-        """The INSERT pipeline: triggers, constraints, heap write."""
-        if ctx is None:
-            ctx = self._context(())
-        txn = self.transaction
-        if txn is None:
-            raise TransactionError("insert_row requires an open transaction")
-        label = self.label
-        ilabel = self.ilabel
-        statement_label = label
-
-        values = fire_triggers(self.db, self, table, INSERT, BEFORE, None,
-                               values, statement_label)
-        values = table.schema.coerce_row(values)
-
-        if self.db.ifc_enabled:
-            constraints.check_label_constraints(self.db, ctx, table, values,
-                                                label)
-        constraints.check_checks(self.db, ctx, table, values, label)
-        constraints.check_unique(self.db, self, table, values, label)
-        constraints.check_fk_insert(self.db, self, table, values, label,
-                                    declassifying)
-
-        version = table.append(values, label, ilabel, txn.xid)
-        txn.record_write(table, version.tid, version.label, "insert")
-        tally().rows_inserted += 1
-
-        fire_triggers(self.db, self, table, INSERT, AFTER, None, values,
-                      statement_label)
-        fire_triggers(self.db, self, table, INSERT, DEFERRED, None, values,
-                      statement_label)
+            self._write(table, None, tuple(full), ctx, declassifying)
+        return Result(rowcount=len(sources))
 
     def insert(self, table_name: str, declassifying: Sequence[str] = (),
                **column_values) -> None:
@@ -468,135 +425,92 @@ class Session:
             raise CatalogError("unknown columns %r for table %s"
                                % (sorted(column_values), table_name))
         with self._autocommit():
-            self.insert_row(table, tuple(full),
-                            self.db.resolve_tag_label(declassifying))
+            self._write(table, None, tuple(full), self._context(()),
+                        self.db.resolve_tag_label(declassifying))
 
-    # -- UPDATE -----------------------------------------------------------
-    def _execute_update(self, statement: ast.Update, params: Tuple,
-                        sql: Optional[str], plan=None) -> Result:
-        # ``plan`` overrides the target enumeration (EXPLAIN ANALYZE
-        # passes the instrumented copy); everything else — write rule,
-        # constraints, triggers, version stamping — is identical, so
-        # an analyzed DML statement applies its writes exactly once.
+    # -- UPDATE and DELETE ------------------------------------------------
+    def _execute_dml(self, statement, params: Tuple, sql: Optional[str],
+                     plan=None) -> Result:
+        """UPDATE, and DELETE — a DML statement with no assignments.
+
+        ``plan`` overrides the target enumeration (EXPLAIN ANALYZE
+        passes the instrumented copy); every row still goes through
+        :meth:`_write`, so an analyzed statement applies its writes
+        exactly once."""
         table = self.db.catalog.get_table(statement.table)
         prepared = self.db.prepare_dml(statement, sql)
         if plan is None:
             plan = prepared.plan
         ctx = self._context(params)
-        txn = self.transaction
-        registry = self.db.authority.tags
-        acting_label = self.label
-        statement_label = acting_label
-        schema = table.schema
-        ifc = self.db.ifc_enabled
-
+        delete = isinstance(statement, ast.Delete)
         targets = list(plan.versions(ctx))
-        count = 0
-        key_positions = self._referenced_key_positions(table)
         for version in targets:
-            if ifc and not same_contamination(registry, version.label,
-                                              acting_label):
-                raise IFCViolation(
-                    "UPDATE on %s would modify a tuple with label %r; the "
-                    "acting label is %r (write rule, section 4.2)"
-                    % (table.name, version.label, acting_label))
-            if self.db.txn_manager.delete_conflicts(version, txn):
-                raise SerializationError(
-                    "concurrent update detected on %s (first committer wins)"
-                    % table.name)
-            row = list(version.values) + [version.label]
-            new_values = list(version.values)
-            for position, fn in prepared.assignments:
-                new_values[position] = fn(row, ctx)
-            new_values = fire_triggers(self.db, self, table, UPDATE, BEFORE,
-                                       version.values, tuple(new_values),
-                                       statement_label)
-            new_values = schema.coerce_row(new_values)
+            values = None
+            if not delete:
+                row = list(version.values) + [version.label]
+                new = list(version.values)
+                for position, fn in prepared.assignments:
+                    new[position] = fn(row, ctx)
+                values = tuple(new)
+            self._write(table, version, values, ctx, EMPTY_LABEL)
+        return Result(rowcount=len(targets))
 
-            if ifc:
-                constraints.check_label_constraints(self.db, ctx, table,
-                                                    new_values, acting_label)
-            constraints.check_checks(self.db, ctx, table, new_values,
-                                     acting_label)
-            constraints.check_unique(self.db, self, table, new_values,
-                                     acting_label, exclude_tid=version.tid)
-            if self._fk_columns_changed(table, version.values, new_values):
-                constraints.check_fk_insert(self.db, self, table, new_values,
-                                            acting_label, EMPTY_LABEL)
-            if key_positions and any(
-                    version.values[p] != new_values[p]
-                    for p in key_positions):
-                constraints.check_fk_restrict(self.db, self, table,
-                                              version.values)
+    # -- the one row write ------------------------------------------------
+    def _write(self, table, old, values: Optional[Tuple], ctx: ExecContext,
+               declassifying: Label) -> None:
+        """Write one row: ``old`` is the version an UPDATE replaces or a
+        DELETE removes (``None`` for an INSERT), ``values`` the row an
+        INSERT or UPDATE writes (``None`` for a DELETE).
 
-            table.stamp(version, txn.xid, superseded=True)
-            new_version = table.append(new_values, version.label,
-                                       version.ilabel, txn.xid)
-            txn.record_write(table, new_version.tid, new_version.label,
-                             "update", prev_tid=version.tid)
-            count += 1
-            tally().rows_updated += 1
-            fire_triggers(self.db, self, table, UPDATE, AFTER,
-                          version.values, new_values, statement_label)
-            fire_triggers(self.db, self, table, UPDATE, DEFERRED,
-                          version.values, new_values, statement_label)
-        return Result(rowcount=count)
-
-    def _fk_columns_changed(self, table, old_values, new_values) -> bool:
-        for fk in table.schema.foreign_keys:
-            for position in table.schema.positions_of(fk.columns):
-                if old_values[position] != new_values[position]:
-                    return True
-        return False
-
-    def _referenced_key_positions(self, table):
-        referencing = self.db.catalog.referencing_foreign_keys(table.name)
-        positions = set()
-        for _child, fk in referencing:
-            positions.update(table.schema.positions_of(fk.ref_columns))
-        return positions
-
-    # -- DELETE -----------------------------------------------------------
-    def _execute_delete(self, statement: ast.Delete, params: Tuple,
-                        sql: Optional[str], plan=None) -> Result:
-        # ``plan`` override: see ``_execute_update``.
-        table = self.db.catalog.get_table(statement.table)
-        prepared = self.db.prepare_dml(statement, sql)
-        if plan is None:
-            plan = prepared.plan
-        ctx = self._context(params)
+        In order: the write rule and the first-committer check on
+        ``old``; BEFORE triggers; ``coerce_row``;
+        :func:`constraints.check_write`; the heap write; the write set
+        and the ``rows_*`` tally; AFTER and DEFERRED triggers.  The row
+        is written under the statement's label (``ctx``), which is
+        also the label its triggers run with (section 5.2.3)."""
+        db = self.db
         txn = self.transaction
-        registry = self.db.authority.tags
-        acting_label = self.label
-        statement_label = acting_label
-        ifc = self.db.ifc_enabled
-
-        targets = list(plan.versions(ctx))
-        count = 0
-        for version in targets:
-            if ifc and not same_contamination(registry, version.label,
-                                              acting_label):
+        label = ctx.read_label
+        if old is None:
+            event = INSERT
+        else:
+            event = UPDATE if values is not None else DELETE
+            if db.ifc_enabled and not same_contamination(
+                    db.authority.tags, old.label, label):
                 raise IFCViolation(
-                    "DELETE on %s would remove a tuple with label %r; the "
-                    "acting label is %r (write rule, section 4.2)"
-                    % (table.name, version.label, acting_label))
-            if self.db.txn_manager.delete_conflicts(version, txn):
+                    "%s on %s would %s a tuple with label %r; the acting "
+                    "label is %r (write rule, section 4.2)"
+                    % (event.upper(), table.name,
+                       "modify" if values is not None else "remove",
+                       old.label, label))
+            if db.txn_manager.delete_conflicts(old, txn):
                 raise SerializationError(
-                    "concurrent delete detected on %s (first committer wins)"
-                    % table.name)
-            constraints.check_fk_restrict(self.db, self, table,
-                                          version.values)
-            fire_triggers(self.db, self, table, DELETE, BEFORE,
-                          version.values, None, statement_label)
-            table.stamp(version, txn.xid)
-            txn.record_write(table, version.tid, version.label, "delete")
-            count += 1
+                    "concurrent %s detected on %s (first committer wins)"
+                    % (event, table.name))
+        old_values = None if old is None else old.values
+        values = fire_triggers(db, self, table, event, BEFORE, old_values,
+                               values, label)
+        if values is not None:
+            values = table.schema.coerce_row(values)
+        constraints.check_write(ctx, table, old, values, declassifying)
+        if values is None:
+            table.stamp(old, txn.xid)
+            txn.record_write(table, old.tid, old.label, event)
             tally().rows_deleted += 1
-            fire_triggers(self.db, self, table, DELETE, AFTER,
-                          version.values, None, statement_label)
-            fire_triggers(self.db, self, table, DELETE, DEFERRED,
-                          version.values, None, statement_label)
-        return Result(rowcount=count)
+        elif old is None:
+            version = table.append(values, label, ctx.read_ilabel, txn.xid)
+            txn.record_write(table, version.tid, version.label, event)
+            tally().rows_inserted += 1
+        else:
+            table.stamp(old, txn.xid, superseded=True)
+            version = table.append(values, old.label, old.ilabel, txn.xid)
+            txn.record_write(table, version.tid, version.label, event,
+                             prev_tid=old.tid)
+            tally().rows_updated += 1
+        fire_triggers(db, self, table, event, AFTER, old_values, values,
+                      label)
+        fire_triggers(db, self, table, event, DEFERRED, old_values, values,
+                      label)
 
     # -- stored procedures ---------------------------------------------------
     def _execute_call(self, statement: ast.Call, params: Tuple) -> Result:

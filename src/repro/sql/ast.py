@@ -134,7 +134,6 @@ class TableConstraintDef:
     ref_columns: Tuple[str, ...] = ()
     expr: Optional[Expr] = None
     match_label: bool = False
-    deferred: bool = False
 
 
 @dataclass

@@ -421,12 +421,10 @@ class Parser:
             self.expect_keyword("REFERENCES")
             ref_table = self.expect_ident()
             ref_columns = self._column_list()
-            match_label = self._match_label()
-            deferred = self.accept_keyword("DEFERRABLE")
             return ast.TableConstraintDef(
                 kind="foreign_key", name=name, columns=columns,
                 ref_table=ref_table, ref_columns=ref_columns,
-                match_label=match_label, deferred=deferred)
+                match_label=self._match_label())
         if self.accept_keyword("CHECK"):
             self.expect_op("(")
             expr = self.expr()

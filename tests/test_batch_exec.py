@@ -259,10 +259,9 @@ def _big_table(rows=10000):
     db = Database(authority, seed=5, page_size=256)
     session = db.connect()
     session.execute("CREATE TABLE big (id INT PRIMARY KEY, v INT)")
-    table = db.catalog.get_table("big")
     with session.atomic():
         for i in range(rows):
-            session.insert_row(table, (i, i % 7), EMPTY_LABEL)
+            session.insert("big", id=i, v=i % 7)
     return db, session
 
 
@@ -451,14 +450,13 @@ def _probe_stack(keys, late_keys=()):
     session = db.connect()
     session.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT)")
     session.execute("CREATE INDEX t_k ON t (k)")
-    table = db.catalog.get_table("t")
     with session.atomic():
         for i, k in enumerate(keys):
-            session.insert_row(table, (i, k), EMPTY_LABEL)
+            session.insert("t", id=i, k=k)
     session.execute("ANALYZE")
     with session.atomic():
         for i, k in enumerate(late_keys, len(keys)):
-            session.insert_row(table, (i, k), EMPTY_LABEL)
+            session.insert("t", id=i, k=k)
     return db, session
 
 

@@ -4,6 +4,7 @@ Key Rule, label constraints, and plain CHECKs."""
 import pytest
 
 from repro.core import IFCProcess, Label
+from repro.db.catalog import BEFORE
 from repro.errors import (
     AuthorityError,
     CheckViolation,
@@ -160,6 +161,64 @@ class TestForeignKeyRule:
         process.add_secrecy(t_cars.id)
         with pytest.raises(ForeignKeyViolation):
             session.execute("UPDATE Cars SET carid = 9 WHERE carid = 1")
+
+    @pytest.mark.parametrize("clause", ["", " DECLASSIFYING (alice_cars)"])
+    def test_a_parent_the_writer_may_not_learn_of_is_no_parent(
+            self, fk_world, clause):
+        """Car 1 is under alice_cars, which bob can neither see nor
+        declassify: referencing it fails exactly as referencing a car
+        that does not exist — the same error type and message, key
+        aside — so the failure tells bob nothing about car 1 or its
+        label.  A clause naming a tag he cannot declassify is refused
+        before any parent is looked up."""
+        authority, db, *_ = fk_world
+        bob = db.connect(IFCProcess(authority,
+                                    authority.create_principal("bob").id))
+
+        def attempt(carid):
+            with pytest.raises(Exception) as info:
+                bob.execute("INSERT INTO Drives VALUES (7, ?)" + clause,
+                            (carid,))
+            return (type(info.value),
+                    str(info.value).replace("(%d,)" % carid, "(K,)"))
+
+        assert attempt(1) == attempt(99)
+        assert attempt(1)[0] is (AuthorityError if clause
+                                 else ForeignKeyViolation)
+
+
+@pytest.mark.parametrize("statement, event, verb", [
+    ("DELETE FROM p WHERE id = 1", "delete", "delete from"),
+    ("UPDATE p SET id = 2 WHERE id = 1", "update", "update of"),
+])
+class TestRestrict:
+    """UPDATE and DELETE run one pipeline: RESTRICT is checked after the
+    BEFORE triggers for both, and names the statement that failed."""
+
+    @pytest.fixture
+    def family(self, db):
+        session = db.connect()
+        session.execute_script(
+            "CREATE TABLE p (id INT PRIMARY KEY);"
+            "CREATE TABLE c (cid INT PRIMARY KEY, pid INT REFERENCES p(id));"
+            "INSERT INTO p VALUES (1); INSERT INTO c VALUES (10, 1);")
+        return session
+
+    def test_restrict_names_the_statement(self, family, statement, event,
+                                          verb):
+        with pytest.raises(ForeignKeyViolation,
+                           match="^%s p would orphan rows in c" % verb):
+            family.execute(statement)
+
+    def test_a_before_trigger_can_clear_the_children(self, family, db,
+                                                     statement, event, verb):
+        def clear(ctx):
+            ctx.session.execute("DELETE FROM c WHERE pid = ?",
+                                (ctx.old["id"],))
+
+        db.create_trigger("clear", "p", event, BEFORE, clear)
+        assert family.execute(statement).rowcount == 1
+        assert family.query("SELECT cid FROM c") == []
 
 
 class TestLabelConstraints:

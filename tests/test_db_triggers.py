@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import IFCProcess, Label
 from repro.db.catalog import AFTER, BEFORE, DEFERRED
-from repro.errors import CheckViolation, IFCViolation
+from repro.errors import CatalogError, CheckViolation, IFCViolation
 
 
 @pytest.fixture
@@ -190,3 +190,18 @@ class TestDeferredTriggers:
         with pytest.raises(CheckViolation):
             session.commit()
         assert session.execute("SELECT COUNT(*) FROM Data").scalar() == 0
+
+
+@pytest.mark.parametrize("events, timing", [
+    ("UPDATE", BEFORE),            # events are lowercase
+    ("update", "BEFORE"),
+    ("truncate", AFTER),
+    (("insert", "upsert"), AFTER),
+    ((), AFTER),
+])
+def test_unknown_event_or_timing_is_rejected(world, events, timing):
+    """A trigger that could never fire is refused when it is created."""
+    _authority, db, _alice, _tag = world
+    with pytest.raises(CatalogError):
+        db.create_trigger("never", "Data", events, timing, lambda ctx: None)
+    assert "never" not in db.catalog.triggers

@@ -44,7 +44,14 @@ index scan, index-range scan, the index-loop-join probe, UPDATE and
 DELETE target enumeration — every world must answer alike, and without
 an error.
 
-Both families also run recovered from the WAL: each world is logged,
+A third family aims at the constraints (section 5.2): hidden parents,
+children and unique codes under a tag the reader's principal does not
+own.  A child of a key only a hidden parent has must fail as if no
+parent existed, a duplicate of a hidden key or code must polyinstantiate
+(by INSERT and by UPDATE), and RESTRICT must answer alike — every world
+raises the same error with the same message, or writes the same rows.
+
+Every family also runs recovered from the WAL: each world is logged,
 and the reader queries a fresh ``Database.recover()`` of its log.
 Replay is a trusted operation that writes hidden tuples back, so the
 recovered worlds must agree like the live ones, and recovered D must
@@ -227,13 +234,15 @@ def _low_lines(lines):
 
 def _observe(session, sql):
     """Everything the reader can see of one statement, and its plan
-    (an INSERT's is its source query's)."""
+    where EXPLAIN applies (an INSERT's is its source query's; an
+    ``INSERT … VALUES`` has none)."""
     db = session.db
     statement = db.parse(sql)
+    explained = getattr(statement, "select", statement)
     seen = {}
     try:
-        seen["plan"] = _low_lines(db.explain(
-            getattr(statement, "select", None) or statement))
+        if explained is not None:
+            seen["plan"] = _low_lines(db.explain(explained))
         result = session.execute(sql)
         seen["rows"] = [(tuple(row), tuple(sorted(row.label)))
                         for row in result.rows]
@@ -428,8 +437,156 @@ def test_a_predicate_never_meets_a_hidden_cell(config):
 
 
 # ---------------------------------------------------------------------------
-# recovered from the WAL
+# a constraint never tells of a hidden row
 # ---------------------------------------------------------------------------
+
+#: The statements run in this order in every world.  Keys 201–206 and
+#: codes ``h201``–``h206`` belong only to hidden rows.  Each write
+#: names the error every world must raise, or ``None``.
+CONSTRAINT_STATEMENTS = (
+    # The Foreign Key Rule: a child of a key only a hidden parent has —
+    # bare, declassifying the hidden tag (no authority), declassifying
+    # the reader's own, and under MATCH LABEL.
+    ("INSERT INTO child VALUES (100, 201)", "ForeignKeyViolation"),
+    ("INSERT INTO child VALUES (101, 202) DECLASSIFYING (secret)",
+     "AuthorityError"),
+    ("INSERT INTO child VALUES (102, 203) DECLASSIFYING (low)",
+     "ForeignKeyViolation"),
+    ("INSERT INTO pinned VALUES (1, 204)", "ForeignKeyViolation"),
+    ("UPDATE child SET pid = 205 WHERE cid = 1", "ForeignKeyViolation"),
+    # A visible parent that may share its key with a hidden one.
+    ("INSERT INTO child VALUES (103, 3)", None),
+    ("INSERT INTO pinned VALUES (2, 3)", None),
+    # Uniqueness: duplicates of a hidden key and a hidden code
+    # polyinstantiate, by INSERT and by UPDATE.
+    ("INSERT INTO parent VALUES (206, 'v206')", None),
+    ("INSERT INTO parent VALUES (20, 'h201')", None),
+    ("UPDATE parent SET id = 202 WHERE id = 9", None),
+    ("UPDATE parent SET code = 'h203' WHERE id = 10", None),
+    ("SELECT id, code FROM parent ORDER BY id", None),
+    # RESTRICT: a visible parent with visible children, and one without.
+    ("UPDATE parent SET id = 204 WHERE id = 2", "ForeignKeyViolation"),
+    ("DELETE FROM parent WHERE id = 1", "ForeignKeyViolation"),
+    ("DELETE FROM parent WHERE id = 11", None),
+    ("SELECT cid, pid FROM child ORDER BY cid", None),
+    ("SELECT k, pid FROM pinned ORDER BY k", None),
+    ("SELECT COUNT(*), MIN(code), MAX(id) FROM parent", None),
+)
+
+
+def _constraint_world(hidden_seed, config, wal=None):
+    """Twelve parents, ten children and a MATCH LABEL child, all under
+    exactly the reader's label; the hidden rows sit under ``secret``,
+    owned by a principal other than the reader's.  Hidden parents hold
+    keys 201–206 (and the seed's others), some share a visible parent's
+    key, and hidden children reference hidden-only keys: a hidden child
+    of a *visible* key would block that parent's DELETE, the channel
+    section 5.2.2 charges to the child's inserter."""
+    authority = AuthorityState(idgen=SeededIdGenerator(SEED))
+    db = Database(authority, seed=SEED, wal=wal, **config)
+    owner = authority.create_principal("owner")
+    other = authority.create_principal("other")
+    low = authority.create_tag("low", owner=owner.id)
+    secret = authority.create_tag("secret", owner=other.id)
+    admin = db.connect(IFCProcess(authority, owner.id))
+    admin.execute_script(
+        "CREATE TABLE parent (id INT PRIMARY KEY, code TEXT UNIQUE);"
+        "CREATE TABLE child (cid INT PRIMARY KEY, "
+        "pid INT REFERENCES parent(id));"
+        "CREATE TABLE pinned (k INT PRIMARY KEY, "
+        "pid INT REFERENCES parent(id) MATCH LABEL);")
+
+    def session(principal, *tags):
+        process = IFCProcess(authority, principal.id)
+        for tag in tags:
+            process.add_secrecy(tag.id)
+        return db.connect(process)
+
+    reader = session(owner, low)
+    pending = [(reader, "INSERT INTO parent VALUES (?, ?)", (i, "v%d" % i))
+               for i in range(1, 13)]
+    pending += [(reader, "INSERT INTO child VALUES (?, ?)", (i, i % 6 + 1))
+                for i in range(10)]
+    pending.append((reader, "INSERT INTO pinned VALUES (0, 5)", ()))
+    if hidden_seed is not None:
+        rng = random.Random(hidden_seed)
+        writers = (session(other, secret), session(other, low, secret))
+        for key in [201, 202, 203, 204, 205, 206] \
+                + rng.sample(range(207, 260), 6) + rng.sample(range(1, 13), 3):
+            # One that shares a visible key must not see it.
+            writer = rng.choice(writers) if key > 200 else writers[0]
+            rows = [(writer, "INSERT INTO parent VALUES (?, ?)",
+                     (key, "h%d" % key))]
+            if key > 200:
+                rows.append((writer, "INSERT INTO child VALUES (?, ?)",
+                             (300 + key, key)))
+            at = rng.randrange(len(pending) + 1)
+            pending[at:at] = rows
+    for writer, sql, params in pending:
+        writer.execute(sql, params)
+    return reader
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_constraint_never_tells_of_a_hidden_row(config):
+    """Every world answers every write alike — the same error type and
+    message, or the same rowcount — and every read after it: a hidden
+    parent is no parent to a writer who may not learn of it, a hidden
+    duplicate is polyinstantiated, and RESTRICT finds only visible
+    children here."""
+    worlds = {name: _constraint_world(seed, CONFIGS[config])
+              for name, seed in WORLDS.items()}
+    parent = worlds["D'"].db.catalog.get_table("parent")
+    before = parent.polyinstantiation_count
+    for sql, error in CONSTRAINT_STATEMENTS:
+        want = _observe(worlds["D"], sql)
+        for name in ("D'", "D''"):
+            assert _assert_alike(want, _observe(worlds[name], sql),
+                                 (config, name, sql)), (config, name, sql)
+        assert want.get("error", (None,))[0] == error, (config, sql, want)
+    # The five parent writes aimed at a hidden key or code collided
+    # (the key UPDATE that RESTRICT then refuses among them).
+    assert parent.polyinstantiation_count - before == 5
+
+
+def _restrict_world(hidden):
+    """A visible parent with key 3 and no children; with ``hidden``, a
+    parent polyinstantiated on key 3 and its child, both under
+    ``secret``, which the reader's principal does not own."""
+    authority = AuthorityState(idgen=SeededIdGenerator(SEED))
+    db = Database(authority, seed=SEED)
+    owner = authority.create_principal("owner")
+    other = authority.create_principal("other")
+    low = authority.create_tag("low", owner=owner.id)
+    secret = authority.create_tag("secret", owner=other.id)
+    sessions = []
+    for principal, tag in ((owner, low), (other, secret)):
+        process = IFCProcess(authority, principal.id)
+        process.add_secrecy(tag.id)
+        sessions.append(db.connect(process))
+    reader, writer = sessions
+    reader.execute_script(
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (cid INT PRIMARY KEY, "
+        "pid INT REFERENCES parent(id));"
+        "INSERT INTO parent VALUES (3);")
+    if hidden:
+        writer.execute_script("INSERT INTO parent VALUES (3);"
+                              "INSERT INTO child VALUES (300, 3);")
+    return reader
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 2(c) RESTRICT under polyinstantiation")
+def test_restrict_never_tells_of_a_hidden_child():
+    """The known channel, pinned: RESTRICT finds referencing rows
+    ignoring labels, so the hidden child of a hidden parent that shares
+    the visible parent's key blocks the visible parent's DELETE, which
+    goes through when no hidden rows exist."""
+    sql = "DELETE FROM parent WHERE id = 3"
+    want = _observe(_restrict_world(False), sql)
+    assert "error" not in want, want
+    _assert_alike(want, _observe(_restrict_world(True), sql), (sql,))
 
 #: Family → ``(build(hidden seed, config, wal), its statements, whether
 #: the live world ends ANALYZEd)``.  Statistics are not logged, so a
@@ -439,6 +596,8 @@ FAMILIES = {
                  STATEMENTS, False),
     "poison": (_poison_world, [sql for sql, _path in POISON_STATEMENTS],
                True),
+    "constraints": (_constraint_world,
+                    [sql for sql, _error in CONSTRAINT_STATEMENTS], False),
 }
 
 
@@ -449,11 +608,13 @@ def test_a_second_pass_shows_what_the_first_did(config, family):
     observable: each world's reads run twice in one process — the
     second pass answered from the cuts the first one left — and every
     observable repeats (rows, labels, integrity labels, rowcount,
-    errors, every low counter).  The DML that ends the poison stream
-    is left out: it changes what a second pass would read."""
+    errors, every low counter).  The writes that change what a second
+    pass would read — UPDATE, DELETE, ``INSERT … VALUES`` — are left
+    out."""
     build, statements, _analyzed = FAMILIES[family]
     reads = [sql for sql in statements
-             if not sql.startswith(("UPDATE", "DELETE"))]
+             if not sql.startswith(("UPDATE", "DELETE"))
+             and " VALUES " not in sql]
     reused = counters.snapshot()["labels"]["cuts_reused"]
     for name, seed in WORLDS.items():
         session = build(seed, CONFIGS[config], None)

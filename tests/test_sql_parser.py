@@ -134,7 +134,7 @@ class TestDDLParsing:
                 parent INT REFERENCES p(id) MATCH LABEL,
                 amount NUMERIC(12, 2) DEFAULT 0,
                 UNIQUE (name, parent),
-                FOREIGN KEY (parent) REFERENCES p(id) DEFERRABLE,
+                FOREIGN KEY (parent) REFERENCES p(id),
                 CHECK (amount >= 0),
                 LABEL CHECK (LABEL_CONTAINS(_label, 'secret'))
             )""")
@@ -145,7 +145,13 @@ class TestDDLParsing:
         assert statement.columns[3].has_default
         kinds = [c.kind for c in statement.constraints]
         assert kinds == ["unique", "foreign_key", "check", "label_check"]
-        assert statement.constraints[1].deferred
+
+    def test_deferrable_foreign_key_is_rejected(self):
+        """No deferred constraint checking exists, so the keyword is not
+        accepted and then ignored."""
+        with pytest.raises(SQLSyntaxError):
+            parse_statement("CREATE TABLE t (a INT, "
+                            "FOREIGN KEY (a) REFERENCES p(id) DEFERRABLE)")
 
     def test_create_view_with_declassifying(self):
         statement = parse_statement(
