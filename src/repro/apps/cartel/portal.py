@@ -175,9 +175,7 @@ def _install_traffic_stats(app: CarTelApp) -> None:
     all_drives_id = app.all_drives.id
 
     def traffic_stats(session):
-        process = session.process
-        if process is not None:
-            process.add_secrecy(all_drives_id)
+        session.acting.add_secrecy(all_drives_id)
         rows = session.query(
             "SELECT c.userid, COUNT(*), AVG(d.distance), SUM(d.npoints) "
             "FROM Drives d JOIN Cars c ON c.carid = d.carid "
@@ -186,8 +184,7 @@ def _install_traffic_stats(app: CarTelApp) -> None:
         total_drives = sum(r[1] for r in rows)
         avg_km = (sum((r[2] or 0.0) * r[1] for r in rows) / total_drives
                   if total_drives else 0.0)
-        if process is not None:
-            process.declassify(all_drives_id)
+        session.acting.declassify(all_drives_id)
         return {"drivers": len(rows), "drives": total_drives,
                 "avg_km": round(avg_km, 3)}
 

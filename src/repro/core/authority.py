@@ -93,6 +93,20 @@ class AuthorityState:
         creates user tags with ``owner=user`` (section 6.4's authority
         schema instantiation).
         """
+        return self._create_tag(name, owner, compounds, kind, creator,
+                                is_compound=False)
+
+    def create_compound_tag(self, name: str, owner: int, *,
+                            compounds: Iterable[int] = (),
+                            kind: str = SECRECY,
+                            creator: Optional[int] = None) -> Tag:
+        """Create a compound tag (a group usable as a unit, section 3.1)."""
+        return self._create_tag(name, owner, compounds, kind, creator,
+                                is_compound=True)
+
+    def _create_tag(self, name: str, owner: int, compounds: Iterable[int],
+                    kind: str, creator: Optional[int],
+                    is_compound: bool) -> Tag:
         self.principals.get(owner)
         acting = owner if creator is None else creator
         compound_ids = tuple(compounds)
@@ -102,26 +116,7 @@ class AuthorityState:
                     "principal %d lacks authority for compound tag %d and so "
                     "cannot add members to it" % (acting, compound_id))
         tag = Tag(id=self._fresh_id(), name=name, owner=owner, kind=kind,
-                  compounds=frozenset(compound_ids))
-        self.tags.add(tag)
-        self._bump()
-        return tag
-
-    def create_compound_tag(self, name: str, owner: int, *,
-                            compounds: Iterable[int] = (),
-                            kind: str = SECRECY,
-                            creator: Optional[int] = None) -> Tag:
-        """Create a compound tag (a group usable as a unit, section 3.1)."""
-        self.principals.get(owner)
-        acting = owner if creator is None else creator
-        compound_ids = tuple(compounds)
-        for compound_id in compound_ids:
-            if not self.has_authority(acting, compound_id):
-                raise AuthorityError(
-                    "principal %d lacks authority for compound tag %d"
-                    % (acting, compound_id))
-        tag = Tag(id=self._fresh_id(), name=name, owner=owner, kind=kind,
-                  is_compound=True, compounds=frozenset(compound_ids))
+                  is_compound=is_compound, compounds=frozenset(compound_ids))
         self.tags.add(tag)
         self._bump()
         return tag

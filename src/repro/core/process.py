@@ -7,6 +7,11 @@ principal whose authority it currently wields.  Label changes are always
 Query by Label filters instead — so the only ways a label changes are
 ``add_secrecy`` and ``declassify``.
 
+It is also the one label holder of the database: a session's statements,
+its triggers, its authority closures and the per-tuple label iterator all
+run under an ``IFCProcess`` (see :mod:`repro.db.triggers`).  A holder
+with no principal (``principal=None``) has no authority at all.
+
 Authority closures (section 3.3) bind authority to code: the closure runs
 with the authority of the principal bound at creation time, and the
 creator must hold that authority.  Reduced-authority calls run code with
@@ -46,11 +51,12 @@ class IFCProcess:
     transactions can be enforced at the moment the label is raised.
     """
 
-    def __init__(self, authority: AuthorityState, principal: int,
+    def __init__(self, authority: AuthorityState, principal: Optional[int],
                  label: Label = EMPTY_LABEL,
                  integrity_label: Label = EMPTY_LABEL):
         self.authority = authority
-        authority.principals.get(principal)     # validate
+        if principal is not None:
+            authority.principals.get(principal)     # validate
         self._principal = principal
         self._label = label
         self._ilabel = integrity_label
@@ -61,7 +67,7 @@ class IFCProcess:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def principal(self) -> int:
+    def principal(self) -> Optional[int]:
         return self._principal
 
     @property
@@ -120,7 +126,7 @@ class IFCProcess:
         Requires authority for the tag (section 3.2).  Declassifying a
         compound tag strips the compound and all of its members.
         """
-        self.authority.check_authority(self._principal, tag_id)
+        self._require_authority(tag_id)
         new_label = strip(self.authority.tags, self._label, Label((tag_id,)))
         if tag_id in self._label and new_label == self._label:
             new_label = self._label.without((tag_id,))
@@ -149,7 +155,7 @@ class IFCProcess:
         tag = self.authority.tags.get(tag_id)
         if tag.kind != INTEGRITY:
             raise IFCViolation("tag %r is not an integrity tag" % tag.name)
-        self.authority.check_authority(self._principal, tag_id)
+        self._require_authority(tag_id)
         if tag_id not in self._ilabel:
             self._ilabel = self._ilabel.with_tag(tag_id)
             self._bump()
@@ -187,6 +193,20 @@ class IFCProcess:
     # ------------------------------------------------------------------
     def has_authority(self, tag_id: int) -> bool:
         return self.authority.has_authority(self._principal, tag_id)
+
+    def _require_authority(self, tag_id: int) -> None:
+        """The one authority check behind ``declassify`` and ``endorse``;
+        subclasses answer ``has_authority`` (the platform from its
+        cache)."""
+        if not self.has_authority(tag_id):
+            raise AuthorityError(
+                "principal %r has no authority for tag %r"
+                % (self._name(), self.authority.tags.get(tag_id).name))
+
+    def _name(self) -> Optional[str]:
+        if self._principal is None:
+            return None
+        return self.authority.principals.get(self._principal).name
 
     def with_reduced_authority(self, principal: int, fn: Callable, *args,
                                **kwargs):
@@ -248,5 +268,5 @@ class IFCProcess:
         self.authority.revoke(tag_id, self._principal, grantee, process=self)
 
     def __repr__(self) -> str:
-        name = self.authority.principals.get(self._principal).name
-        return "IFCProcess(principal=%r, label=%r)" % (name, self._label)
+        return "IFCProcess(principal=%r, label=%r)" % (self._name(),
+                                                        self._label)

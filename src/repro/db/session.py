@@ -1,8 +1,9 @@
 """Database sessions: statement execution under Query by Label.
 
 A :class:`Session` binds a database to an :class:`~repro.core.process.IFCProcess`.
-Every statement runs under the session's *acting context* (normally the
-process itself; triggers may push isolated contexts, see
+Every statement runs under the process on top of the session's acting
+stack (normally the session's own process; closure and deferred triggers
+and the per-tuple label iterator push isolated ones, see
 :mod:`repro.db.triggers`).  The session enforces, per section 4.2:
 
 * SELECT returns only tuples whose labels are covered by the acting label
@@ -29,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.counters import tally
 from ..core.labels import EMPTY_LABEL, Label
+from ..core.process import IFCProcess
 from ..core.rules import same_contamination
 from ..errors import (
     CatalogError,
@@ -42,7 +44,7 @@ from . import constraints
 from .catalog import AFTER, BEFORE, DEFERRED, DELETE, INSERT, UPDATE
 from .physical import DeterministicOrder, ExecContext
 from .transactions import SERIALIZABLE, SNAPSHOT
-from .triggers import ActingContext, ProcessActing, fire_triggers
+from .triggers import fire_triggers
 
 
 class Row:
@@ -123,20 +125,21 @@ class Session:
     def __init__(self, db, process=None):
         self.db = db
         self.process = process
-        if process is not None:
-            process.attach_session(self)
-        self._acting_stack: List[ActingContext] = [ProcessActing(process)]
+        # The root holder: the process, or a detached one with no authority.
+        root = IFCProcess(db.authority, None) if process is None else process
+        root.attach_session(self)
+        self._acting_stack: List[IFCProcess] = [root]
         self.transaction = None
 
     # ------------------------------------------------------------------
-    # acting context
+    # the acting holder
     # ------------------------------------------------------------------
     @property
-    def acting(self) -> ActingContext:
+    def acting(self) -> IFCProcess:
         return self._acting_stack[-1]
 
     @contextlib.contextmanager
-    def acting_as(self, acting: ActingContext):
+    def acting_as(self, acting: IFCProcess):
         self._acting_stack.append(acting)
         try:
             yield
@@ -153,7 +156,7 @@ class Session:
     def ilabel(self) -> Label:
         if not self.db.ifc_enabled:
             return EMPTY_LABEL
-        return self.acting.ilabel
+        return self.acting.integrity_label
 
     def requires_clearance(self) -> bool:
         """Does the clearance rule (section 5.1) currently apply?"""
@@ -184,7 +187,7 @@ class Session:
             raise TransactionError("no transaction to commit")
         try:
             for action in txn.deferred:
-                action.fn()
+                action()
             if self.db.ifc_enabled:
                 self.db.txn_manager.check_commit_label(
                     txn, self.label, self.db.authority.tags)
@@ -527,20 +530,15 @@ class Session:
         """Invoke a stored procedure (section 4.3).
 
         Ordinary procedures run with the caller's authority; stored
-        authority closures run with their bound principal's authority
-        (the label context stays the process's either way).
+        authority closures run with their bound principal's authority.
+        Either way the label is the acting holder's: a label change
+        inside the call stays on it.
         """
         proc = self.db.catalog.get_procedure(procedure_name)
-        if proc.closure_principal is not None:
-            if self.process is not None:
-                return self.process.with_reduced_authority(
-                    proc.closure_principal, proc.fn, self, *args)
-            from .triggers import FixedActing
-            acting = FixedActing(self.db.authority, self.label, self.ilabel,
-                                 proc.closure_principal)
-            with self.acting_as(acting):
-                return proc.fn(self, *args)
-        return proc.fn(self, *args)
+        if proc.closure_principal is None:
+            return proc.fn(self, *args)
+        return self.acting.with_reduced_authority(
+            proc.closure_principal, proc.fn, self, *args)
 
     # -- the per-tuple label iterator (paper section 10, future work) -----
     def for_each_with_label(self, sql: str, fn, params: Sequence = (),
@@ -551,25 +549,26 @@ class Session:
         The paper's future-work iterator: a computation over many users'
         data often wants to *write back* per-user results under each
         user's own label, without ever mixing contaminations.  The query
-        runs in a probe context whose label is raised by ``cover_tags``
-        (typically a compound tag the caller is authoritative for); then
-        ``fn(row, scoped_session)`` runs once per row in an isolated
-        acting context carrying exactly that row's label — its writes
-        are labelled per-tuple, and nothing contaminates the caller.
+        runs under a probe process whose label is raised by
+        ``cover_tags`` (typically a compound tag the caller is
+        authoritative for); then ``fn(row, scoped_session)`` runs once
+        per row under a fresh process carrying exactly that row's label
+        and the caller's principal — its writes are labelled per-tuple,
+        and nothing contaminates the caller.
 
         Returns the list of ``fn`` results.
         """
-        from .triggers import FixedActing
         acting = self.acting
-        probe = FixedActing(self.db.authority,
-                            acting.label.union(Label(cover_tags)),
-                            acting.ilabel, acting.principal)
+        authority = self.db.authority
+        probe = IFCProcess(authority, acting.principal,
+                           acting.label.union(Label(cover_tags)),
+                           acting.integrity_label)
         with self.acting_as(probe):
             result = self.execute(sql, params)
         outputs = []
         for row in result.rows:
-            scoped = FixedActing(self.db.authority, row.label,
-                                 acting.ilabel, acting.principal)
+            scoped = IFCProcess(authority, acting.principal, row.label,
+                                acting.integrity_label)
             with self.acting_as(scoped):
                 outputs.append(fn(row, self))
         return outputs

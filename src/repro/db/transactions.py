@@ -75,25 +75,6 @@ class WriteRecord:
         self.prev_tid = prev_tid       # updates: the superseded version
 
 
-class DeferredAction:
-    """A trigger or constraint check postponed to commit time.
-
-    Per section 5.2.3, deferred triggers must run with the label (and
-    principal) of the *statement* that queued them, not the commit label,
-    so both are captured here.
-    """
-
-    __slots__ = ("fn", "label", "ilabel", "principal", "description")
-
-    def __init__(self, fn: Callable, label: Label, ilabel: Label,
-                 principal: int, description: str = ""):
-        self.fn = fn
-        self.label = label
-        self.ilabel = ilabel
-        self.principal = principal
-        self.description = description
-
-
 class Transaction:
     """An open transaction."""
 
@@ -107,7 +88,9 @@ class Transaction:
         #: but is not this database's own (``write_commits``).
         self.replay = replay
         self.write_set: List[WriteRecord] = []
-        self.deferred: List[DeferredAction] = []
+        #: Deferred triggers, run at commit (each has captured the label
+        #: and principal of the statement that queued it, section 5.2.3).
+        self.deferred: List[Callable[[], None]] = []
         self.status = IN_PROGRESS
 
     def record_write(self, table, tid: int, label: Label,
@@ -115,7 +98,7 @@ class Transaction:
         self.write_set.append(WriteRecord(table, tid, label, kind,
                                           prev_tid))
 
-    def defer(self, action: DeferredAction) -> None:
+    def defer(self, action: Callable[[], None]) -> None:
         self.deferred.append(action)
 
 

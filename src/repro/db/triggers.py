@@ -1,109 +1,37 @@
-"""Trigger invocation and acting contexts (section 5.2.3).
+"""Trigger invocation (section 5.2.3).
 
-Statements run under an *acting context*: the label, integrity label, and
-principal governing reads and writes.  Normally this proxies the session's
-IFC process, so explicit label changes on the process are seen live.  Two
-other contexts exist:
+Statements run under the session's acting holder: an
+:class:`~repro.core.process.IFCProcess` on top of the session's stack,
+whose label, integrity label and principal govern reads and writes.  The
+root of the stack is the session's process (a detached one with no
+authority for ``db.connect()``).  An ordinary trigger runs under the
+firing holder itself, so its label changes are the caller's.  Two kinds
+of trigger push a fresh, *isolated* holder instead — seeded with the
+statement's label and never written back into the caller:
 
-* **Closure triggers** run with the bound principal's authority in an
-  *isolated, mutable* label context seeded with the statement's label —
-  their contamination does not flow back into the firing process (the
-  paper's CarTel triggers read raw locations and write drives "without
+* **Closure triggers** run with the bound principal's authority — their
+  contamination does not flow back into the firing process (the paper's
+  CarTel triggers read raw locations and write drives "without
   contaminating the process performing the insert", section 8.2.2).
 * **Deferred triggers** run at commit time but with the label of the
-  *statement* that queued them, never the commit label (section 5.2.3) —
-  captured in a frozen context when the action is queued.
+  *statement* that queued them, never the commit label (section 5.2.3).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..core.labels import EMPTY_LABEL, Label
-from ..core.rules import strip
-from ..errors import DatabaseError, IFCViolation
-from .catalog import AFTER, BEFORE, DEFERRED, TriggerDef
-
-
-class ActingContext:
-    """Base: what label/authority statements currently run under."""
-
-    @property
-    def label(self) -> Label:
-        raise NotImplementedError
-
-    @property
-    def ilabel(self) -> Label:
-        raise NotImplementedError
-
-    @property
-    def principal(self) -> Optional[int]:
-        raise NotImplementedError
-
-
-class ProcessActing(ActingContext):
-    """Proxies the session's IFC process (the normal case)."""
-
-    def __init__(self, process):
-        self.process = process
-
-    @property
-    def label(self) -> Label:
-        return self.process.label if self.process is not None else EMPTY_LABEL
-
-    @property
-    def ilabel(self) -> Label:
-        return (self.process.integrity_label if self.process is not None
-                else EMPTY_LABEL)
-
-    @property
-    def principal(self) -> Optional[int]:
-        return self.process.principal if self.process is not None else None
-
-
-class FixedActing(ActingContext):
-    """A mutable, isolated context (closure and deferred triggers)."""
-
-    def __init__(self, authority, label: Label, ilabel: Label,
-                 principal: Optional[int]):
-        self._authority = authority
-        self._label = label
-        self._ilabel = ilabel
-        self._principal = principal
-
-    @property
-    def label(self) -> Label:
-        return self._label
-
-    @property
-    def ilabel(self) -> Label:
-        return self._ilabel
-
-    @property
-    def principal(self) -> Optional[int]:
-        return self._principal
-
-    # Label changes inside the isolated context: same rules as a process,
-    # but nothing propagates to the firing process.
-    def add_secrecy(self, tag_id: int) -> None:
-        self._authority.tags.get(tag_id)
-        self._label = self._label.with_tag(tag_id)
-
-    def declassify(self, tag_id: int) -> None:
-        if self._principal is None:
-            raise IFCViolation("no principal bound; cannot declassify")
-        self._authority.check_authority(self._principal, tag_id)
-        self._label = strip(self._authority.tags, self._label,
-                            Label((tag_id,)))
-        if tag_id in self._label:
-            self._label = self._label.without((tag_id,))
+from ..core.labels import Label
+from ..core.process import IFCProcess
+from ..errors import DatabaseError
+from .catalog import BEFORE, DEFERRED, TriggerDef
 
 
 class TriggerContext:
     """Handed to trigger functions.
 
-    ``session`` is the live session with the trigger's acting context
-    already pushed, so any SQL the trigger runs is governed by the right
+    ``session`` is the live session with the trigger's holder already
+    pushed, so any SQL the trigger runs is governed by the right
     label and authority.  ``old``/``new`` are column-name dicts; BEFORE
     triggers may mutate ``new`` (or return a dict of changes) to adjust
     the row being written.
@@ -124,18 +52,10 @@ class TriggerContext:
         return self.session.acting
 
     def add_secrecy(self, tag_id: int) -> None:
-        acting = self.session.acting
-        if isinstance(acting, FixedActing):
-            acting.add_secrecy(tag_id)
-        else:
-            acting.process.add_secrecy(tag_id)
+        self.session.acting.add_secrecy(tag_id)
 
     def declassify(self, tag_id: int) -> None:
-        acting = self.session.acting
-        if isinstance(acting, FixedActing):
-            acting.declassify(tag_id)
-        else:
-            acting.process.declassify(tag_id)
+        self.session.acting.declassify(tag_id)
 
 
 def fire_triggers(db, session, table, event: str, timing: str,
@@ -173,13 +93,10 @@ def fire_triggers(db, session, table, event: str, timing: str,
 
 
 def _run_trigger(db, session, trigger: TriggerDef, event, table, old_dict,
-                 new_dict, statement_label, firing_acting):
+                 new_dict, statement_label, acting):
     if trigger.closure_principal is not None:
-        acting = FixedActing(db.authority, statement_label,
-                             firing_acting.ilabel,
-                             trigger.closure_principal)
-    else:
-        acting = firing_acting
+        acting = IFCProcess(db.authority, trigger.closure_principal,
+                            statement_label, acting.integrity_label)
     ctx = TriggerContext(session, event, table.name, old_dict, new_dict,
                          statement_label)
     with session.acting_as(acting):
@@ -188,8 +105,6 @@ def _run_trigger(db, session, trigger: TriggerDef, event, table, old_dict,
 
 def _queue_deferred(db, session, trigger: TriggerDef, table, event, old_dict,
                     new_dict, statement_label):
-    from .transactions import DeferredAction
-
     txn = session.transaction
     if txn is None:
         raise DatabaseError("deferred trigger outside a transaction")
@@ -197,19 +112,16 @@ def _queue_deferred(db, session, trigger: TriggerDef, table, event, old_dict,
     principal = (trigger.closure_principal
                  if trigger.closure_principal is not None
                  else acting.principal)
+    ilabel = acting.integrity_label
     # Freeze the row images now; the heap may move on before commit.
     old_copy = dict(old_dict) if old_dict is not None else None
     new_copy = dict(new_dict) if new_dict is not None else None
 
     def run():
-        deferred_acting = FixedActing(db.authority, statement_label,
-                                      acting.ilabel, principal)
         ctx = TriggerContext(session, event, table.name, old_copy, new_copy,
                              statement_label)
-        with session.acting_as(deferred_acting):
+        with session.acting_as(IFCProcess(db.authority, principal,
+                                          statement_label, ilabel)):
             trigger.fn(ctx)
 
-    txn.defer(DeferredAction(
-        fn=run, label=statement_label, ilabel=acting.ilabel,
-        principal=principal or 0,
-        description="deferred trigger %s on %s" % (trigger.name, table.name)))
+    txn.defer(run)

@@ -6,9 +6,7 @@ the platform authority cache, and a small IFC-aware web framework.
 """
 
 from .cache import AuthorityCache
-from .connection import IFConnection
-from .protocol import LabelUpdate, ProtocolStats, ResultMessage, \
-    StatementMessage
+from .connection import IFConnection, ProtocolStats
 from .runtime import AppProcess, IFRuntime
 from .web import Request, Response, WebApp, WebContext
 
@@ -17,12 +15,9 @@ __all__ = [
     "AuthorityCache",
     "IFConnection",
     "IFRuntime",
-    "LabelUpdate",
     "ProtocolStats",
     "Request",
     "Response",
-    "ResultMessage",
-    "StatementMessage",
     "WebApp",
     "WebContext",
 ]

@@ -13,12 +13,11 @@ and release checks consult it instead of the raw authority state.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.labels import EMPTY_LABEL, Label
 from ..core.process import IFCProcess
-from ..core.rules import strip
-from ..errors import AuthorityError, ReleaseError
+from ..errors import ReleaseError
 from .cache import AuthorityCache
 from .connection import IFConnection
 
@@ -32,40 +31,26 @@ class AppProcess(IFCProcess):
         self.runtime = runtime
         self.outputs: List[Tuple[object, Label]] = []
 
-    # -- cached authority paths ------------------------------------------
+    # -- baseline guards and cached authority -----------------------------
     # When the runtime has IFC disabled (the "plain PHP" baseline of the
     # benchmarks), label operations are no-ops: the original applications
     # contain none of these calls, so the baseline must not pay for them.
     def add_secrecy(self, tag_id: int) -> None:
-        if not self.runtime.ifc_enabled:
-            return
-        super().add_secrecy(tag_id)
-
-    def delegate(self, tag_id: int, grantee: int) -> None:
-        if not self.runtime.ifc_enabled:
-            return
-        super().delegate(tag_id, grantee)
-
-    def has_authority(self, tag_id: int) -> bool:
-        return self.runtime.cache.has_authority(self.principal, tag_id)
+        if self.runtime.ifc_enabled:
+            super().add_secrecy(tag_id)
 
     def declassify(self, tag_id: int) -> None:
-        """Declassify via the platform cache (hot path in PHP-IF)."""
-        if not self.runtime.ifc_enabled:
-            return
-        if not self.runtime.cache.has_authority(self.principal, tag_id):
-            tag = self.authority.tags.get(tag_id)
-            principal = self.authority.principals.get(self.principal)
-            raise AuthorityError(
-                "principal %r has no authority for tag %r"
-                % (principal.name, tag.name))
-        new_label = strip(self.authority.tags, self.label,
-                          Label((tag_id,)))
-        if tag_id in self.label and new_label == self.label:
-            new_label = self.label.without((tag_id,))
-        if new_label != self.label:
-            self._label = new_label
-            self._bump()
+        if self.runtime.ifc_enabled:
+            super().declassify(tag_id)
+
+    def delegate(self, tag_id: int, grantee: int) -> None:
+        if self.runtime.ifc_enabled:
+            super().delegate(tag_id, grantee)
+
+    def has_authority(self, tag_id: int) -> bool:
+        """Answered from the platform cache (hot path in PHP-IF): every
+        ``declassify`` and ``endorse`` asks here."""
+        return self.runtime.cache.has_authority(self.principal, tag_id)
 
     # -- output interposition -----------------------------------------------
     def send(self, data, destination_label: Label = EMPTY_LABEL) -> None:

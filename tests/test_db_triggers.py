@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import IFCProcess, Label
+from repro.core import INTEGRITY, IFCProcess, Label
 from repro.db.catalog import AFTER, BEFORE, DEFERRED
 from repro.errors import CatalogError, CheckViolation, IFCViolation
 
@@ -190,6 +190,74 @@ class TestDeferredTriggers:
         with pytest.raises(CheckViolation):
             session.commit()
         assert session.execute("SELECT COUNT(*) FROM Data").scalar() == 0
+
+
+class TestOneLabelHolder:
+    """Statements, triggers, closures and the label iterator all run
+    under one kind of holder, an ``IFCProcess``."""
+
+    def test_closure_procedure_sees_its_principal_wherever_called(
+            self, world):
+        """A stored authority closure runs with its bound principal —
+        called directly, from a closure trigger, or from inside the
+        per-tuple label iterator."""
+        authority, db, alice, _tag = world
+        bound = authority.create_principal("procedure")
+        seen = []
+        db.create_procedure(
+            "whoami", lambda session: seen.append(session.acting.principal),
+            closure_principal=bound.id)
+        db.create_trigger(
+            "call_whoami", "Data", "insert", AFTER,
+            lambda ctx: ctx.session.call("whoami"),
+            closure_principal=authority.create_principal("trigger").id)
+        process = IFCProcess(authority, alice.id)
+        session = db.connect(process)
+        session.call("whoami")
+        session.execute("INSERT INTO Data VALUES (1, 1)")
+        session.for_each_with_label("SELECT x FROM Data",
+                                    lambda row, s: s.call("whoami"))
+        assert seen == [bound.id] * 3
+        assert process.principal == alice.id     # restored afterwards
+
+    def test_plain_trigger_on_internal_session_raises_its_label(self, world):
+        """An internal session's holder has a label like any process:
+        an ordinary trigger's ``add_secrecy`` lands on it."""
+        _authority, db, _alice, tag = world
+        db.create_trigger("taint", "Data", "insert", AFTER,
+                          lambda ctx: ctx.add_secrecy(tag.id))
+        session = db.connect()
+        session.execute("BEGIN")
+        session.execute("INSERT INTO Data VALUES (1, 1)")
+        assert session.label == Label([tag.id])
+        assert session.acting.principal is None
+        session.rollback()
+
+    def test_closure_trigger_refuses_an_integrity_tag_as_secrecy(
+            self, world):
+        authority, db, alice, _tag = world
+        vouched = authority.create_tag("vouched", owner=alice.id,
+                                       kind=INTEGRITY)
+        db.create_trigger(
+            "mislabel", "Data", "insert", AFTER,
+            lambda ctx: ctx.add_secrecy(vouched.id),
+            closure_principal=authority.create_principal("closure").id)
+        session = db.connect(IFCProcess(authority, alice.id))
+        with pytest.raises(IFCViolation):
+            session.execute("INSERT INTO Data VALUES (1, 1)")
+        assert session.execute("SELECT COUNT(*) FROM Data").scalar() == 0
+
+    def test_closure_on_internal_session_keeps_its_label_change(self, world):
+        """The label is shared with the caller, as for a process session;
+        only the principal is swapped and restored."""
+        _authority, db, alice, tag = world
+        db.create_procedure(
+            "taint", lambda session: session.acting.add_secrecy(tag.id),
+            closure_principal=alice.id)
+        session = db.connect()
+        session.call("taint")
+        assert session.label == Label([tag.id])
+        assert session.acting.principal is None
 
 
 @pytest.mark.parametrize("events, timing", [
