@@ -212,10 +212,6 @@ class AuthorityState:
                 "principal %r has no authority for tag %r"
                 % (principal.name, tag.name))
 
-    def authority_for_all(self, principal_id: int,
-                          tag_ids: Iterable[int]) -> bool:
-        return all(self.has_authority(principal_id, t) for t in tag_ids)
-
     # ------------------------------------------------------------------
     # label helpers that need compound expansion
     # ------------------------------------------------------------------

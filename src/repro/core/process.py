@@ -116,10 +116,6 @@ class IFCProcess:
         self._label = self._label.with_tag(tag_id)
         self._bump()
 
-    def add_secrecy_label(self, label: Label) -> None:
-        for tag_id in label:
-            self.add_secrecy(tag_id)
-
     def declassify(self, tag_id: int) -> None:
         """Remove ``tag_id`` (or a compound's members) from the label.
 
@@ -133,10 +129,6 @@ class IFCProcess:
         if new_label != self._label:
             self._label = new_label
             self._bump()
-
-    def declassify_all(self, tag_ids: Iterable[int]) -> None:
-        for tag_id in tag_ids:
-            self.declassify(tag_id)
 
     def set_label(self, label: Label) -> None:
         """Replace the label, checking each direction tag-by-tag.

@@ -419,65 +419,8 @@ class Database:
         return Label(self.authority.tags.lookup(n).id for n in names)
 
     # ------------------------------------------------------------------
-    # DDL (programmatic API)
+    # DDL
     # ------------------------------------------------------------------
-    def create_table(self, schema: TableSchema) -> Table:
-        table = Table(schema, page_size=self.page_size,
-                      buffer_cache=self.buffer_cache,
-                      store_labels=self.ifc_enabled,
-                      segment_size=self.batch_size)
-        self.catalog.add_table(table)
-        self._wal_log_ddl(("ddl", "create_table", schema))
-        return table
-
-    def create_index(self, name: str, table_name: str,
-                     columns: Sequence[str], *, ordered: bool = False):
-        table = self.catalog.get_table(table_name)
-        index = table.create_index(name, columns, ordered=ordered)
-        self.catalog._bump()
-        self._wal_log_ddl(("ddl", "create_index", table_name, name,
-                           tuple(columns), ordered))
-        return index
-
-    def drop_index(self, name: str) -> None:
-        owners = [table for table in self.catalog.tables.values()
-                  if name in table.indexes]
-        if not owners:
-            raise CatalogError("index %r does not exist" % name)
-        if len(owners) > 1:
-            raise CatalogError(
-                "index name %r is ambiguous (tables: %s)"
-                % (name, ", ".join(sorted(t.name for t in owners))))
-        owners[0].drop_index(name)
-        self.catalog._bump()
-        self._wal_log_ddl(("ddl", "drop_index", name))
-
-    def create_view(self, name: str, select: ast.Select, *,
-                    declassify: Label = EMPTY_LABEL,
-                    principal: Optional[int] = None) -> ViewDef:
-        """Create a (possibly declassifying) view.
-
-        For declassifying views the backing ``principal`` must hold
-        authority for every declassified tag at creation time — "the user
-        must have whatever authority is being given to the view"
-        (section 4.3) — and the authority is re-checked on every use.
-        """
-        prepared = self.planner.plan_select(select)
-        if declassify and self.ifc_enabled:
-            if principal is None:
-                raise AuthorityError(
-                    "a declassifying view needs a backing principal")
-            for tag_id in declassify:
-                self.authority.check_authority(principal, tag_id)
-        view = ViewDef(name=name, select=select,
-                       columns=list(prepared.columns),
-                       declassify=declassify, principal=principal)
-        self.catalog.add_view(view)
-        self._wal_log_ddl(("ddl", "create_view", name, select,
-                           tuple(view.columns), tuple(declassify),
-                           principal))
-        return view
-
     def create_function(self, name: str, fn: Callable, *,
                         needs_context: bool = False) -> None:
         """Register a scalar function callable from SQL expressions."""
@@ -510,116 +453,144 @@ class Database:
             name=name, table=table, events=events, timing=timing,
             fn=fn, closure_principal=closure_principal))
 
-    # ------------------------------------------------------------------
-    # DDL via SQL
-    # ------------------------------------------------------------------
     def execute_ddl(self, session: Session, statement):
+        """Run a DDL statement: the checks that belong to live execution
+        only, then :meth:`apply_ddl` of the record the log keeps."""
         from .session import Result
         if isinstance(statement, ast.CreateTable):
             if statement.if_not_exists and \
                     self.catalog.relation_exists(statement.name):
                 return Result()
-            self.create_table(self._schema_from_ast(statement))
-            return Result()
-        if isinstance(statement, ast.CreateView):
+            record = ("ddl", "create_table", self._schema_from_ast(statement))
+        elif isinstance(statement, ast.CreateView):
+            columns = self.planner.plan_select(statement.select).columns
             declassify = self.resolve_tag_label(statement.declassifying)
             principal = session.acting.principal if declassify else None
-            self.create_view(statement.name, statement.select,
-                             declassify=declassify, principal=principal)
-            return Result()
-        if isinstance(statement, ast.CreateIndex):
-            self.create_index(statement.name, statement.table,
-                              statement.columns, ordered=statement.ordered)
-            return Result()
-        if isinstance(statement, ast.DropTable):
+            if declassify and self.ifc_enabled:
+                # "The user must have whatever authority is being given
+                # to the view" (section 4.3); every use re-checks it.
+                if principal is None:
+                    raise AuthorityError(
+                        "a declassifying view needs a backing principal")
+                for tag_id in declassify:
+                    self.authority.check_authority(principal, tag_id)
+            record = ("ddl", "create_view", statement.name, statement.select,
+                      tuple(columns), tuple(declassify), principal)
+        elif isinstance(statement, ast.CreateIndex):
+            record = ("ddl", "create_index", statement.table, statement.name,
+                      tuple(statement.columns), statement.ordered)
+        elif isinstance(statement, ast.DropTable):
             if statement.if_exists and not \
                     self.catalog.relation_exists(statement.name):
                 return Result()
-            self.catalog.drop_table(statement.name)
-            self.stats_manager.forget(statement.name)
-            self._wal_log_ddl(("ddl", "drop_table", statement.name))
-            return Result()
-        if isinstance(statement, ast.DropView):
-            self.catalog.drop_view(statement.name)
-            self._wal_log_ddl(("ddl", "drop_view", statement.name))
-            return Result()
-        if isinstance(statement, ast.DropIndex):
-            self.drop_index(statement.name)
-            return Result()
-        raise DatabaseError("unsupported statement %r" % (statement,))
+            record = ("ddl", "drop_table", statement.name)
+        elif isinstance(statement, ast.DropView):
+            record = ("ddl", "drop_view", statement.name)
+        elif isinstance(statement, ast.DropIndex):
+            record = ("ddl", "drop_index", statement.name)
+        else:
+            raise DatabaseError("unsupported statement %r" % (statement,))
+        self.apply_ddl(record)
+        return Result()
+
+    def apply_ddl(self, record: tuple) -> None:
+        """Apply one catalog change, ``("ddl", verb, …)``: the one place
+        each verb changes the catalog, for a statement run now and for
+        a log or dump replayed.  Unless replaying, the record is then
+        logged (DDL is durable at once, not transactional).
+
+        A replayed view is not re-checked against its principal's
+        authority: a later revocation must not make a valid log
+        unreplayable, and every use of the view re-checks it anyway."""
+        verb, args = record[1], record[2:]
+        if verb == "create_table":
+            self.catalog.add_table(Table(
+                args[0], page_size=self.page_size,
+                buffer_cache=self.buffer_cache,
+                store_labels=self.ifc_enabled,
+                segment_size=self.batch_size))
+        elif verb == "create_index":
+            table_name, name, columns, ordered = args
+            self.catalog.get_table(table_name).create_index(
+                name, columns, ordered=ordered)
+            self.catalog._bump()
+        elif verb == "drop_index":
+            name = args[0]
+            owners = [table for table in self.catalog.tables.values()
+                      if name in table.indexes]
+            if not owners:
+                raise CatalogError("index %r does not exist" % name)
+            if len(owners) > 1:
+                raise CatalogError(
+                    "index name %r is ambiguous (tables: %s)"
+                    % (name, ", ".join(sorted(t.name for t in owners))))
+            owners[0].drop_index(name)
+            self.catalog._bump()
+        elif verb == "create_view":
+            name, select, columns, declassify, principal = args
+            self.catalog.add_view(ViewDef(
+                name=name, select=select, columns=list(columns),
+                declassify=Label(declassify), principal=principal))
+        elif verb == "drop_table":
+            self.catalog.drop_table(args[0])
+            self.stats_manager.forget(args[0])
+        elif verb == "drop_view":
+            self.catalog.drop_view(args[0])
+        else:
+            raise wal_mod.WalError("unknown WAL DDL verb %r" % (verb,))
+        if self.wal is not None and not self._wal_replaying:
+            self.wal.log(record)
 
     def _schema_from_ast(self, statement: ast.CreateTable) -> TableSchema:
-        columns: List[Column] = []
-        primary_key: Optional[Tuple[str, ...]] = None
+        """``CREATE TABLE``'s schema.  Its constraint list holds the
+        column-level constraints ahead of the table-level ones, so a
+        generated name numbers column-level ones first; every column of
+        the primary key is NOT NULL."""
+        name = statement.name
+        primary_key: Tuple[str, ...] = ()
         uniques: List[UniqueConstraint] = []
         fks: List[ForeignKeyConstraint] = []
         checks: List[CheckConstraint] = []
         label_checks: List[LabelCheckConstraint] = []
-        fk_counter = 0
-
-        for col_def in statement.columns:
-            sql_type = type_by_name(col_def.type_name, col_def.type_length)
-            columns.append(Column(name=col_def.name, type=sql_type,
-                                  not_null=col_def.not_null,
-                                  default=col_def.default))
-            if col_def.has_default and col_def.default is None:
-                columns[-1].has_default = True
-            if col_def.primary_key:
-                if primary_key is not None:
-                    raise CatalogError("multiple primary keys for table %r"
-                                       % statement.name)
-                primary_key = (col_def.name,)
-                columns[-1].not_null = True
-            if col_def.unique:
-                uniques.append(UniqueConstraint(
-                    name="%s_%s_key" % (statement.name, col_def.name),
-                    columns=(col_def.name,)))
-            if col_def.references is not None:
-                fk_counter += 1
-                ref_table, ref_column = col_def.references
-                fks.append(ForeignKeyConstraint(
-                    name="%s_fk%d" % (statement.name, fk_counter),
-                    columns=(col_def.name,), ref_table=ref_table,
-                    ref_columns=(ref_column,),
-                    match_label=col_def.match_label))
-
         for constraint in statement.constraints:
-            if constraint.kind == "primary_key":
-                if primary_key is not None:
+            kind, given = constraint.kind, constraint.name
+            if kind == "primary_key":
+                if primary_key:
                     raise CatalogError("multiple primary keys for table %r"
-                                       % statement.name)
+                                       % name)
                 primary_key = constraint.columns
-            elif constraint.kind == "unique":
+            elif kind == "unique":
                 uniques.append(UniqueConstraint(
-                    name=constraint.name or "%s_unique%d"
-                    % (statement.name, len(uniques) + 1),
+                    name=given or "%s_unique%d" % (name, len(uniques) + 1),
                     columns=constraint.columns))
-            elif constraint.kind == "foreign_key":
-                fk_counter += 1
+            elif kind == "foreign_key":
                 fks.append(ForeignKeyConstraint(
-                    name=constraint.name or "%s_fk%d" % (statement.name,
-                                                         fk_counter),
+                    name=given or "%s_fk%d" % (name, len(fks) + 1),
                     columns=constraint.columns,
                     ref_table=constraint.ref_table,
                     ref_columns=constraint.ref_columns,
                     match_label=constraint.match_label))
-            elif constraint.kind == "check":
+            elif kind == "check":
                 checks.append(CheckConstraint(
-                    name=constraint.name or "%s_check%d"
-                    % (statement.name, len(checks) + 1),
+                    name=given or "%s_check%d" % (name, len(checks) + 1),
                     expr=constraint.expr))
-            elif constraint.kind == "label_check":
+            elif kind == "label_check":
                 label_checks.append(LabelCheckConstraint(
-                    name=constraint.name or "%s_label_check%d"
-                    % (statement.name, len(label_checks) + 1),
+                    name=given or "%s_label_check%d"
+                    % (name, len(label_checks) + 1),
                     expr=constraint.expr))
             else:
-                raise CatalogError("unknown constraint kind %r"
-                                   % constraint.kind)
-
-        return TableSchema(statement.name, columns,
-                           primary_key=primary_key, uniques=uniques,
-                           foreign_keys=fks, checks=checks,
+                raise CatalogError("unknown constraint kind %r" % kind)
+        columns = [Column(name=column.name,
+                          type=type_by_name(column.type_name,
+                                            column.type_length),
+                          not_null=column.not_null
+                          or column.name in primary_key,
+                          default=column.default,
+                          has_default=column.has_default)
+                   for column in statement.columns]
+        return TableSchema(name, columns, primary_key=primary_key,
+                           uniques=uniques, foreign_keys=fks, checks=checks,
                            label_checks=label_checks)
 
     def next_sequence(self, name: str) -> int:
@@ -687,11 +658,6 @@ class Database:
                 if value > self._wal_dirty_seqs.get(name, 0):
                     self._wal_dirty_seqs[name] = value
             raise
-
-    def _wal_log_ddl(self, record: tuple) -> None:
-        """Log a DDL effect (immediately durable, non-transactional)."""
-        if self.wal is not None and not self._wal_replaying:
-            self.wal.log(record)
 
     def _take_wal_sequences(self) -> Dict[str, int]:
         """Detach the sequences bumped since the last logged commit."""

@@ -32,7 +32,8 @@ gap with the standard crash-consistency discipline:
   scans the log, stops at the first torn/corrupt record (the tail a
   crash leaves), and re-applies each committed transaction under a
   fresh xid: heap versions, ``xmax`` stamps, indexes (rebuilt by
-  ``Table.append``), labels, sequences, and logged DDL.  A row has one
+  ``Table.append``), labels, sequences, and logged DDL (through
+  ``Database.apply_ddl``, the function live DDL runs).  A row has one
   address: every version is written at the tid its record names, so
   the recovered heap has the logging heap's tids, and the slots of
   aborted appends stay empty.  Aborted transactions were never logged,
@@ -79,7 +80,6 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..core.counters import tally
-from ..core.labels import Label
 from ..errors import DatabaseError
 from .faultinject import CrashError, FaultSpec, FaultyFile
 from .spill import decode_labeled_row, encode_labeled_row
@@ -430,7 +430,7 @@ def apply_records(db, records: List[tuple]) -> Tuple[int, int]:
                 _apply_commit(db, record, index)
                 transactions += 1
             elif kind == "ddl":
-                _apply_ddl(db, record)
+                db.apply_ddl(record)
                 ddl += 1
             elif kind != "dump":
                 raise WalError("unknown WAL record kind %r at index %d"
@@ -489,34 +489,3 @@ def _apply_commit(db, record: tuple, index: int) -> None:
     for name, value in seqs.items():
         if value > db._sequences.get(name, 0):
             db._sequences[name] = value
-
-
-def _apply_ddl(db, record: tuple) -> None:
-    """Replay one DDL record (logged at execution, non-transactional)."""
-    from .catalog import ViewDef
-    verb = record[1]
-    if verb == "create_table":
-        db.create_table(record[2])
-    elif verb == "create_index":
-        db.create_index(record[3], record[2], record[4],
-                        ordered=record[5])
-    elif verb == "drop_index":
-        db.drop_index(record[2])
-    elif verb == "create_view":
-        # Direct catalog write: the view's backing authority was
-        # checked when the view was created and recovery (or restore)
-        # is a trusted operation — re-checking here could make
-        # an otherwise-valid log unreplayable after a later revocation
-        # (uses re-validate authority regardless, so enforcement is
-        # unchanged).
-        _v, _n, name, select, columns, declassify_tags, principal = record
-        db.catalog.add_view(ViewDef(
-            name=name, select=select, columns=list(columns),
-            declassify=Label(declassify_tags), principal=principal))
-    elif verb == "drop_table":
-        db.catalog.drop_table(record[2])
-        db.stats_manager.forget(record[2])
-    elif verb == "drop_view":
-        db.catalog.drop_view(record[2])
-    else:
-        raise WalError("unknown WAL DDL verb %r" % (verb,))

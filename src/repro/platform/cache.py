@@ -45,8 +45,3 @@ class AuthorityCache:
         result = self.authority.has_authority(principal, tag)
         self._entries[key] = result
         return result
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -95,9 +95,6 @@ class WebApp:
         self._sessions[token] = (username, principal)
         return token
 
-    def logout(self, token: str) -> None:
-        self._sessions.pop(token, None)
-
     # -- request lifecycle -----------------------------------------------
     def handle(self, request: Request) -> Response:
         """Serve one request under information flow control."""

@@ -78,7 +78,6 @@ class Select:
     limit: Optional[Expr] = None
     offset: Optional[Expr] = None
     distinct: bool = False
-    for_update: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +116,8 @@ class ColumnDef:
     type_name: str
     type_length: Optional[int] = None
     not_null: bool = False
-    primary_key: bool = False
-    unique: bool = False
     default: object = None
     has_default: bool = False
-    references: Optional[Tuple[str, str]] = None   # (table, column)
-    match_label: bool = False
 
 
 @dataclass
@@ -156,7 +151,6 @@ class CreateIndex:
     name: str
     table: str
     columns: List[str]
-    unique: bool = False
     ordered: bool = False
 
 

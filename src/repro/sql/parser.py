@@ -200,14 +200,10 @@ class Parser:
             limit = self.expr()
         if self.accept_keyword("OFFSET"):
             offset = self.expr()
-        for_update = False
-        if self.accept_keyword("FOR"):
-            self.expect_keyword("UPDATE")
-            for_update = True
         return ast.Select(items=items, from_items=from_items, where=where,
                           group_by=group_by, having=having,
                           order_by=order_by, limit=limit, offset=offset,
-                          distinct=distinct, for_update=for_update)
+                          distinct=distinct)
 
     def _select_item(self) -> ast.SelectItem:
         if self.accept_op("*"):
@@ -372,10 +368,14 @@ class Parser:
             return self._create_table()
         if self.accept_keyword("VIEW"):
             return self._create_view()
-        unique = self.accept_keyword("UNIQUE")
+        if self.at_keyword("UNIQUE"):
+            # Uniqueness is declared with the table, where a write
+            # polyinstantiates it (section 5.2.1); an index only finds.
+            self.error("no CREATE UNIQUE INDEX: declare UNIQUE (...) in "
+                       "CREATE TABLE")
         ordered = self.accept_keyword("ORDERED")
         if self.accept_keyword("INDEX"):
-            return self._create_index(unique, ordered)
+            return self._create_index(ordered)
         self.error("expected TABLE, VIEW, or INDEX")
 
     def _create_table(self) -> ast.CreateTable:
@@ -387,18 +387,21 @@ class Parser:
         name = self.expect_ident()
         self.expect_op("(")
         columns: List[ast.ColumnDef] = []
+        # A column's own constraints go ahead of the table's, so that
+        # generated names number column-level ones first.
+        on_columns: List[ast.TableConstraintDef] = []
         constraints: List[ast.TableConstraintDef] = []
         while True:
             constraint = self._table_constraint()
             if constraint is not None:
                 constraints.append(constraint)
             else:
-                columns.append(self._column_def())
+                columns.append(self._column_def(name, on_columns))
             if not self.accept_op(","):
                 break
         self.expect_op(")")
         return ast.CreateTable(name=name, columns=columns,
-                               constraints=constraints,
+                               constraints=on_columns + constraints,
                                if_not_exists=if_not_exists)
 
     def _table_constraint(self) -> Optional[ast.TableConstraintDef]:
@@ -456,7 +459,11 @@ class Parser:
             return True
         return False
 
-    def _column_def(self) -> ast.ColumnDef:
+    def _column_def(self, table: str,
+                    constraints: List[ast.TableConstraintDef]
+                    ) -> ast.ColumnDef:
+        """One column; its PRIMARY KEY, UNIQUE and REFERENCES are
+        appended to ``constraints`` in their table-level form."""
         name = self.expect_ident()
         type_name = self.expect_ident()
         type_length = None
@@ -479,9 +486,12 @@ class Parser:
                 col.not_null = True
             elif self.accept_keyword("PRIMARY"):
                 self.expect_keyword("KEY")
-                col.primary_key = True
+                constraints.append(ast.TableConstraintDef(
+                    kind="primary_key", columns=(name,)))
             elif self.accept_keyword("UNIQUE"):
-                col.unique = True
+                constraints.append(ast.TableConstraintDef(
+                    kind="unique", name="%s_%s_key" % (table, name),
+                    columns=(name,)))
             elif self.accept_keyword("DEFAULT"):
                 col.default = self._literal_value()
                 col.has_default = True
@@ -490,8 +500,10 @@ class Parser:
                 self.expect_op("(")
                 ref_column = self.expect_ident()
                 self.expect_op(")")
-                col.references = (ref_table, ref_column)
-                col.match_label = self._match_label()
+                constraints.append(ast.TableConstraintDef(
+                    kind="foreign_key", columns=(name,),
+                    ref_table=ref_table, ref_columns=(ref_column,),
+                    match_label=self._match_label()))
             else:
                 break
         return col
@@ -529,13 +541,13 @@ class Parser:
         return ast.CreateView(name=name, select=select,
                               declassifying=declassifying)
 
-    def _create_index(self, unique: bool, ordered: bool) -> ast.CreateIndex:
+    def _create_index(self, ordered: bool) -> ast.CreateIndex:
         name = self.expect_ident()
         self.expect_keyword("ON")
         table = self.expect_ident()
         columns = list(self._column_list())
         return ast.CreateIndex(name=name, table=table, columns=columns,
-                               unique=unique, ordered=ordered)
+                               ordered=ordered)
 
     def _drop(self) -> ast.Statement:
         self.expect_keyword("DROP")

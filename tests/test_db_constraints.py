@@ -11,6 +11,7 @@ from repro.errors import (
     ForeignKeyViolation,
     IFCViolation,
     LabelConstraintViolation,
+    TypeError_,
     UniqueViolation,
 )
 
@@ -66,6 +67,20 @@ class TestUniquenessAndPolyinstantiation:
         session.execute("CREATE TABLE u (a INT, b INT, UNIQUE (a, b))")
         session.execute("INSERT INTO u VALUES (1, NULL)")
         session.execute("INSERT INTO u VALUES (1, NULL)")   # ok: SQL nulls
+
+    @pytest.mark.parametrize("ddl", (
+        "CREATE TABLE t (a INT PRIMARY KEY, b INT)",
+        "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b))"))
+    def test_every_key_column_is_not_null(self, db, ddl):
+        """A key declared with the table is NOT NULL as the column-level
+        form is: no NULL key, and so no two ``(NULL, 1)`` rows."""
+        session = db.connect()
+        session.execute(ddl)
+        for _attempt in range(2):
+            with pytest.raises(TypeError_, match="null value in column 'a' "
+                               "of table 't' violates NOT NULL"):
+                session.execute("INSERT INTO t VALUES (NULL, 1)")
+        assert session.query("SELECT a, b FROM t") == []
 
 
 @pytest.fixture

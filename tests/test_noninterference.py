@@ -51,6 +51,11 @@ parent existed, a duplicate of a hidden key or code must polyinstantiate
 (by INSERT and by UPDATE), and RESTRICT must answer alike — every world
 raises the same error with the same message, or writes the same rows.
 
+A fourth family reads through a declassifying view (section 4.3):
+rows under the tag it declassifies come through stripped, and hidden
+rows under a tag the reader's principal does not own must stay hidden
+under every collapse, cut, join and ``IN (subquery)`` over the view.
+
 Every family also runs recovered from the WAL: each world is logged,
 and the reader queries a fresh ``Database.recover()`` of its log.
 Replay is a trusted operation that writes hidden tuples back, so the
@@ -588,6 +593,125 @@ def test_restrict_never_tells_of_a_hidden_child():
     assert "error" not in want, want
     _assert_alike(want, _observe(_restrict_world(True), sql), (sql,))
 
+
+# ---------------------------------------------------------------------------
+# a declassifying view never tells of a hidden row
+# ---------------------------------------------------------------------------
+
+#: The statements run in this order in every world; the reader holds no
+#: tag, so only a declassifying view shows it ``{a}`` rows.
+VIEW_STATEMENTS = (
+    # Reads through the view: what it declassifies leaves the label.
+    "SELECT id, g, v, w, _label FROM pub ORDER BY id",
+    "SELECT id, g FROM pub WHERE LABEL_CONTAINS(_label, 'a') ORDER BY id",
+    "SELECT id FROM pub WHERE v > 2 AND g < 4 ORDER BY id",
+    # Collapses under ORDER BY … LIMIT cuts.
+    "SELECT g, COUNT(*), SUM(v), MIN(w) FROM pub GROUP BY g ORDER BY g",
+    "SELECT DISTINCT g FROM pub ORDER BY g LIMIT 3",
+    "SELECT DISTINCT g FROM pub ORDER BY g DESC LIMIT 2 OFFSET 1",
+    "SELECT g, COUNT(*) FROM pub GROUP BY g ORDER BY COUNT(*) DESC, g "
+    "LIMIT 3",
+    "SELECT DISTINCT w FROM pub ORDER BY w LIMIT 2",
+    # A self-join and a derived table.
+    "SELECT x.id, y.id FROM pub x JOIN pub y ON x.g = y.g AND x.id < y.id "
+    "ORDER BY x.id, y.id LIMIT 40",
+    "SELECT COUNT(*), MAX(s), MIN(g) FROM "
+    "(SELECT g, SUM(v) AS s FROM pub GROUP BY g) d",
+    # IN (subquery) under GROUP BY, in WHERE and in HAVING.
+    "SELECT g, COUNT(*) FROM k WHERE g IN (SELECT g FROM pub WHERE v > 2) "
+    "GROUP BY g ORDER BY g",
+    "SELECT g, COUNT(*) FROM k GROUP BY g HAVING g IN (SELECT g FROM pub) "
+    "ORDER BY g",
+    # A plain view declassifies nothing.
+    "SELECT g, COUNT(*) FROM open GROUP BY g ORDER BY g",
+    # A write fed by the view.
+    "INSERT INTO sink SELECT g, v FROM pub WHERE v > 1",
+)
+
+
+def _view_world(hidden_seed, config, wal=None):
+    """Sixty rows of ``r`` under ``{}`` and ``{a}``, where ``a`` is owned
+    by the creator of ``pub``, a view declassifying ``a``; the hidden
+    rows sit under ``{secret}`` and ``{a, secret}``, and ``secret`` is
+    owned by a principal other than the reader's, so stripping ``a``
+    leaves them hidden.  They duplicate visible groups, extend the group
+    keys before and after, and ten of them precede every visible row in
+    the heap.  ``k`` is public: eight groups of three."""
+    authority = AuthorityState(idgen=SeededIdGenerator(SEED))
+    db = Database(authority, seed=SEED, wal=wal, **config)
+    creator = authority.create_principal("creator")
+    other = authority.create_principal("other")
+    reader = authority.create_principal("reader")
+    a = authority.create_tag("a", owner=creator.id)
+    secret = authority.create_tag("secret", owner=other.id)
+    admin = db.connect(IFCProcess(authority, creator.id))
+    admin.execute_script(
+        "CREATE TABLE r (id INT PRIMARY KEY, g INT, v INT, w TEXT);"
+        "CREATE TABLE k (id INT PRIMARY KEY, g INT);"
+        "CREATE TABLE sink (g INT, v INT);"
+        "CREATE VIEW pub AS SELECT id, g, v, w FROM r "
+        "WITH DECLASSIFYING (a);"
+        "CREATE VIEW open AS SELECT id, g, v FROM r WHERE v > 1;")
+    for i in range(24):
+        admin.execute("INSERT INTO k VALUES (?, ?)", (i, i % 8 - 1))
+
+    def session(principal, *tags):
+        process = IFCProcess(authority, principal.id)
+        for tag in tags:
+            process.add_secrecy(tag.id)
+        return db.connect(process)
+
+    rng = random.Random(SEED)
+    visible = [(2 * i, rng.randrange(1, 7), rng.randrange(1, 5),
+                "w%d" % rng.randrange(5), rng.random() < 0.5)
+               for i in range(60)]
+    hidden = []
+    if hidden_seed is not None:
+        rng = random.Random(hidden_seed)
+        for i in range(rng.randrange(30, 40)):
+            kind = rng.choice(("duplicate", "duplicate", "before", "after"))
+            g = {"duplicate": rng.choice(visible)[1],
+                 "before": -rng.randrange(1, 4),
+                 "after": rng.randrange(7, 10)}[kind]
+            hidden.append((2 * i + 1, g, rng.randrange(1, 6),
+                           rng.choice(("a0", "w2", "z9")),
+                           rng.random() < 0.5))
+    writers = {(False, False): session(creator),
+               (False, True): session(creator, a),
+               (True, False): session(other, secret),
+               (True, True): session(other, a, secret)}
+    pending = [(row, True) for row in hidden[:10]]
+    del hidden[:10]
+    for row in visible:
+        pending.append((row, False))
+        while hidden and rng.random() < 0.4:
+            pending.append((hidden.pop(), True))
+    pending.extend((row, True) for row in hidden)
+    for (ident, g, v, w, labeled), is_hidden in pending:
+        writers[is_hidden, labeled].execute(
+            "INSERT INTO r VALUES (?, ?, ?, ?)", (ident, g, v, w))
+    return session(reader)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_declassifying_view_never_tells_of_a_hidden_row(config):
+    """Every world answers every statement through ``pub`` and ``open``
+    alike, the rows the view fed to ``sink`` among them: what ``pub``
+    declassifies shows the ``{a}`` rows and no hidden one."""
+    worlds = {name: _view_world(seed, CONFIGS[config])
+              for name, seed in WORLDS.items()}
+    for sql in VIEW_STATEMENTS + ("SELECT g, v, _label FROM sink "
+                                  "ORDER BY g, v",):
+        want = _observe(worlds["D"], sql)
+        assert "error" not in want, (config, sql, want)
+        for name in ("D'", "D''"):
+            assert _assert_alike(want, _observe(worlds[name], sql),
+                                 (config, name, sql)), (config, name, sql)
+    # The view did declassify: both visible labels came through, bare.
+    rows = _observe(worlds["D"], VIEW_STATEMENTS[0])["rows"]
+    assert len(rows) == 60 and {label for _row, label in rows} == {()}
+
+
 #: Family → ``(build(hidden seed, config, wal), its statements, whether
 #: the live world ends ANALYZEd)``.  Statistics are not logged, so a
 #: recovered world of an analyzed family is analyzed after replay.
@@ -598,6 +722,7 @@ FAMILIES = {
                True),
     "constraints": (_constraint_world,
                     [sql for sql, _error in CONSTRAINT_STATEMENTS], False),
+    "views": (_view_world, VIEW_STATEMENTS, False),
 }
 
 

@@ -139,12 +139,24 @@ class TestDDLParsing:
                 LABEL CHECK (LABEL_CONTAINS(_label, 'secret'))
             )""")
         assert isinstance(statement, ast.CreateTable)
-        assert statement.columns[0].primary_key
         assert statement.columns[1].type_length == 20
-        assert statement.columns[2].match_label
+        assert statement.columns[1].not_null
         assert statement.columns[3].has_default
-        kinds = [c.kind for c in statement.constraints]
-        assert kinds == ["unique", "foreign_key", "check", "label_check"]
+        assert statement.columns[3].default == 0
+        # A column's constraints come first, in their table-level form.
+        kinds = [(c.kind, c.name, c.columns)
+                 for c in statement.constraints]
+        assert kinds == [("primary_key", None, ("id",)),
+                         ("unique", "t_name_key", ("name",)),
+                         ("foreign_key", None, ("parent",)),
+                         ("unique", None, ("name", "parent")),
+                         ("foreign_key", None, ("parent",)),
+                         ("check", None, ()),
+                         ("label_check", None, ())]
+        references = [(c.ref_table, c.ref_columns, c.match_label)
+                      for c in statement.constraints
+                      if c.kind == "foreign_key"]
+        assert references == [("p", ("id",), True), ("p", ("id",), False)]
 
     def test_deferrable_foreign_key_is_rejected(self):
         """No deferred constraint checking exists, so the keyword is not
@@ -152,6 +164,19 @@ class TestDDLParsing:
         with pytest.raises(SQLSyntaxError):
             parse_statement("CREATE TABLE t (a INT, "
                             "FOREIGN KEY (a) REFERENCES p(id) DEFERRABLE)")
+
+    def test_unique_index_is_rejected(self):
+        """Nothing would make the index unique: uniqueness is declared
+        with the table, where a write polyinstantiates it."""
+        with pytest.raises(SQLSyntaxError, match=r"UNIQUE \(\.\.\.\) in "
+                           "CREATE TABLE"):
+            parse_statement("CREATE UNIQUE INDEX i ON t (b)")
+
+    def test_a_row_locking_clause_is_rejected(self):
+        """No row is locked, so the clause is not accepted and then
+        ignored."""
+        with pytest.raises(SQLSyntaxError):
+            parse_statement("SELECT a FROM t FOR UPDATE")
 
     def test_create_view_with_declassifying(self):
         statement = parse_statement(

@@ -26,6 +26,7 @@ from repro.db.faultinject import CRASH_MODES, CrashError, FaultSpec
 from repro.db.spill import encode_labeled_row
 from repro.db.wal import MAGIC, WalError, WriteAheadLog, encode_record, \
     scan_wal
+from repro.sql import parse_statement
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +400,98 @@ class TestRecovery:
         assert recovered.connect().query("SELECT id FROM t") == [(1,)]
         with pytest.raises(WalError, match="WAL record 2 " + complaint):
             recovered.recover(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the DDL record format
+# ---------------------------------------------------------------------------
+
+def _schema_of(schema):
+    """A ``TableSchema`` by what a log must keep: columns with their
+    NOT NULL, the key, and every constraint by name."""
+    return (schema.name, [(c.name, c.not_null) for c in schema.columns],
+            schema.primary_key, [(u.name, u.columns) for u in schema.uniques],
+            [(f.name, f.columns, f.ref_table, f.ref_columns, f.match_label)
+             for f in schema.foreign_keys],
+            [c.name for c in schema.checks],
+            [c.name for c in schema.label_checks])
+
+
+def _catalog_of(db):
+    return ({name: (_schema_of(table.schema),
+                    {index: (tuple(table.indexes[index].columns),
+                             type(table.indexes[index]).__name__)
+                     for index in table.indexes})
+             for name, table in db.catalog.tables.items()},
+            {name: (view.select, view.columns, view.declassify,
+                    view.principal)
+             for name, view in db.catalog.views.items()})
+
+
+def test_every_catalog_change_is_one_record(authority, tmp_path):
+    """Each DDL statement logs exactly the ``("ddl", …)`` tuple replay
+    applies — the format a log or dump written earlier is read in — and
+    a recovered database holds the same catalog."""
+    owner = authority.create_principal("creator")
+    secret = authority.create_tag("secret", owner=owner.id)
+    path = str(tmp_path / "ddl.wal")
+    db = Database(authority, wal=path)
+    session = db.connect(IFCProcess(authority, owner.id))
+    view_sql = "SELECT id, code FROM parent WHERE id > 2"
+    session.execute_script(
+        "CREATE TABLE parent (id INT PRIMARY KEY, code TEXT UNIQUE, "
+        "tag TEXT NOT NULL);"
+        "CREATE TABLE child (a INT NOT NULL, b INT NOT NULL, "
+        "pid INT REFERENCES parent(id) MATCH LABEL, note TEXT UNIQUE, "
+        "PRIMARY KEY (a, b), UNIQUE (a, note), "
+        "FOREIGN KEY (pid) REFERENCES parent(id), CHECK (a > 0), "
+        "LABEL CHECK (LABEL_CONTAINS(_label, 'secret')));"
+        "CREATE INDEX child_note ON child (note);"
+        "CREATE ORDERED INDEX child_b ON child (b);"
+        "CREATE VIEW pub AS " + view_sql + " WITH DECLASSIFYING (secret);"
+        "CREATE VIEW plain AS SELECT a FROM child;"
+        "CREATE TABLE scratch (x INT);"
+        "DROP INDEX child_note;"
+        "DROP VIEW plain;"
+        "DROP TABLE scratch;")
+    db.close()
+    records, _valid, tail = scan_wal(path)
+    assert tail is None
+    shown = [(verb, _schema_of(args[0])) if verb == "create_table"
+             else (verb, *args) for _ddl, verb, *args in records]
+    assert {record[0] for record in records} == {"ddl"}
+    assert shown == [
+        ("create_table", ("parent", [("id", True), ("code", False),
+                                     ("tag", True)], ("id",),
+                          [("parent_pkey", ("id",)),
+                           ("parent_code_key", ("code",))], [], [], [])),
+        ("create_table", ("child", [("a", True), ("b", True),
+                                    ("pid", False), ("note", False)],
+                          ("a", "b"),
+                          [("child_pkey", ("a", "b")),
+                           ("child_note_key", ("note",)),
+                           ("child_unique2", ("a", "note"))],
+                          [("child_fk1", ("pid",), "parent", ("id",), True),
+                           ("child_fk2", ("pid",), "parent", ("id",),
+                            False)],
+                          ["child_check1"], ["child_label_check1"])),
+        ("create_index", "child", "child_note", ("note",), False),
+        ("create_index", "child", "child_b", ("b",), True),
+        ("create_view", "pub", parse_statement(view_sql), ("id", "code"),
+         (secret.id,), owner.id),
+        ("create_view", "plain", parse_statement("SELECT a FROM child"),
+         ("a",), (), None),
+        ("create_table", ("scratch", [("x", False)], None, [], [], [], [])),
+        ("drop_index", "child_note"),
+        ("drop_view", "plain"),
+        ("drop_table", "scratch"),
+    ]
+    recovered = Database(authority)
+    recovered.recover(path)
+    assert _catalog_of(recovered) == _catalog_of(db)
+    indexes = _catalog_of(recovered)[0]["child"][1]
+    assert "child_b" in indexes and "child_note" not in indexes
+    assert sorted(_catalog_of(recovered)[1]) == ["pub"]
 
 
 # ---------------------------------------------------------------------------
