@@ -42,6 +42,7 @@ registry through the execution context.
 
 from __future__ import annotations
 
+import math
 import operator
 from itertools import compress, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -563,8 +564,8 @@ _BUILTINS: Dict[str, Callable] = {
     "SUBSTR": _null_guard(_substr),
     "SUBSTRING": _null_guard(_substr),
     "ROUND": _null_guard(lambda x, n=0: round(x, int(n))),
-    "FLOOR": _null_guard(lambda x: float(int(x // 1))),
-    "CEIL": _null_guard(lambda x: float(-((-x) // 1))),
+    "FLOOR": _null_guard(lambda x: float(math.floor(x))),
+    "CEIL": _null_guard(lambda x: float(math.ceil(x))),
     "MOD": _null_guard(lambda a, b: a % b),
     "TRIM": _null_guard(str.strip),
     "CONCAT": lambda *args: "".join(str(a) for a in args if a is not None),
@@ -622,6 +623,9 @@ _CONSTANT_KERNELS["!="] = _CONSTANT_KERNELS["<>"]
 
 #: What an operator raises on operands SQL gives it no meaning for.
 _VALUE_ERRORS = (TypeError, ZeroDivisionError)
+#: ... and a builtin, which also converts (``SUBSTR(w, 'a')``) and
+#: rounds to an integer (``FLOOR`` of NaN or infinity).
+_BUILTIN_ERRORS = _VALUE_ERRORS + (ValueError, OverflowError)
 _TYPE_NAMES = {bool: "BOOLEAN", int: "INT", float: "REAL", str: "TEXT",
                Label: "LABEL"}
 
@@ -1017,7 +1021,7 @@ class ExprCompiler:
                 values = [a(row, ctx) for a in args]
                 try:
                     return fn(*values)
-                except _VALUE_ERRORS as exc:
+                except _BUILTIN_ERRORS as exc:
                     raise evaluation_error(form, values, exc) from None
             return call
         # User-defined scalar function from the catalog.

@@ -119,8 +119,9 @@ from .catalog import ViewDef
 from .expressions import evaluation_error
 from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, NULL_ROW,
                     GroupSpill, JoinSide, MAX_RECURSION, SortRuns,
-                    SpilledHashBuild, Spools, column_rows,
-                    estimate_batch_bytes, estimate_row_bytes, take_rows)
+                    SpilledHashBuild, Spools, column_keys, column_rows,
+                    estimate_batch_bytes, estimate_row_bytes,
+                    key_columns_of, take_rows)
 from .storage import (SET_AT_A_TIME_MIN, HeapSegment, LabelCut, Segment,
                       Table)
 
@@ -922,7 +923,10 @@ class HashJoin(_Join, Plan):
 
     The build is a :class:`~repro.db.spill.JoinSide`: the right
     batches' columns and labels appended as they arrive, and each key's
-    row numbers in a bucket.
+    row numbers in a bucket.  Build, probe and a spilled partition's
+    replay all key rows by :func:`~repro.db.spill.column_keys`: a
+    one-column equality's key is the column's value, not a 1-tuple
+    per row; a wider key is the row's tuple.
 
     **Memory bound.**  The build is byte-estimated as it grows
     (:func:`repro.db.spill.estimate_batch_bytes`); when it exceeds the
@@ -955,15 +959,16 @@ class HashJoin(_Join, Plan):
         self.right_width = right_width
 
     def _keyed(self, ctx, batch: RowBatch) -> Tuple[list, RowBatch]:
-        """A build batch's key tuples, and the batch — both without the
+        """A build batch's key columns, and the batch — both without the
         rows whose key holds a NULL, which can never match."""
         key_columns = [fn(batch, ctx) for fn in self.right_key_fns]
-        keys = list(zip(*key_columns))
         if any(None in column for column in key_columns):
-            keep = [i for i, key in enumerate(keys) if None not in key]
+            keep = [i for i, row in enumerate(zip(*key_columns))
+                    if None not in row]
             batch = batch.select(keep)
-            keys = [keys[i] for i in keep]
-        return keys, batch
+            key_columns = [[column[i] for i in keep]
+                           for column in key_columns]
+        return key_columns, batch
 
     def _build(self, ctx) -> Tuple[JoinSide, Optional[SpilledHashBuild]]:
         """Hash the right side under the byte budget.
@@ -981,19 +986,20 @@ class HashJoin(_Join, Plan):
         spill = None
         try:
             for batch in self.right.batches(ctx):
-                keys, batch = self._keyed(ctx, batch)
+                key_columns, batch = self._keyed(ctx, batch)
                 block = batch.columns(), batch.labels, batch.ilabels
                 if spill is None:
-                    cut = side.fill(keys, *block, ctx.work_mem)
+                    cut = side.fill(column_keys(key_columns, len(batch)),
+                                    *block, ctx.work_mem)
                     if cut is None:
                         continue
                     spill = SpilledHashBuild(ctx.work_mem, ctx.spools,
                                              self.right_width)
-                    spill.take(side)
+                    spill.take(side, len(key_columns))
                     side = None                 # its rows live in spill
-                    block = take_rows(*block, range(cut, len(keys)))
-                    keys = keys[cut:]
-                spill.add_build(keys, *block)
+                    block = take_rows(*block, range(cut, len(batch)))
+                    key_columns = [column[cut:] for column in key_columns]
+                spill.add_build(key_columns, *block)
         except BaseException:
             # The spill never reaches a caller who could close it.
             if spill is not None:
@@ -1007,12 +1013,14 @@ class HashJoin(_Join, Plan):
         side, spill = self._build(ctx)
         try:
             for batch in self.left.batches(ctx):
-                keys = zip(*[fn(batch, ctx) for fn in self.left_key_fns])
+                key_columns = [fn(batch, ctx) for fn in self.left_key_fns]
                 if spill is None:
                     # A key holding a NULL was never built: it misses.
-                    found = map(side.buckets.get, keys, repeat(()))
+                    found = map(side.buckets.get,
+                                column_keys(key_columns, len(batch)),
+                                repeat(()))
                 else:
-                    found = spill.probe(list(keys), batch.columns(),
+                    found = spill.probe(key_columns, batch.columns(),
                                         batch.labels, batch.ilabels)
                 yield from self._join_batches(ctx, batch, found, side)
             if spill is None:
@@ -1023,7 +1031,9 @@ class HashJoin(_Join, Plan):
                     in spill.joined():
                 yield from self._join_batches(
                     ctx, RowBatch(columns, labels, ilabels),
-                    map(side.buckets.get, zip(*key_columns), repeat(())),
+                    map(side.buckets.get, column_keys(key_columns,
+                                                      len(labels)),
+                        repeat(())),
                     side)
         finally:
             # Mid-iteration error or abandoned iterator: release the
@@ -1211,26 +1221,59 @@ _KERNELS: Dict[str, Callable] = {
 _STAR = True
 
 
-def _union_labels(held: list, gids: list, labels, size: int) -> None:
-    """Union every row's label into ``held[gid]``, its group's, grown
-    to ``size`` groups: a group new to the batch starts from its first
-    row's label, a batch of public rows adds nothing, the rows whose
-    label their group's already covers are dropped at C speed (a label
-    is a ``frozenset``), and the rest union once per distinct ``(gid,
-    label)`` pair (:meth:`Label.union` answers a repeated pair from its
-    memo)."""
-    distinct = set(labels)
-    if len(held) < size:
-        if len(distinct) == 1:
-            held.extend(repeat(*distinct, size - len(held)))
-        else:
-            first = dict(zip(reversed(gids), reversed(labels)))
-            held.extend(map(first.__getitem__, range(len(held), size)))
-    if not any(distinct):
-        return
-    covered = list(map(Label.issubset, labels, map(held.__getitem__, gids)))
-    for gid, label in set(compress(zip(gids, labels), map(_not, covered))):
-        held[gid] = held[gid].union(label)
+class _GroupLabels:
+    """One label column of a fold — its labels or its ilabels — unioned
+    per group.
+
+    ``held`` is each group's label, by group id: an interned
+    :class:`Label`, so groups that met the same labels share one object
+    and the state is one pointer per group, however many distinct
+    labels the fold meets.  ``unions`` remembers the union of every
+    distinct ``(group label, row label)`` pair the fold has formed, so
+    a pair met again costs one dict probe, not a :meth:`Label.union`
+    call; it grows with the distinct pairs, never with the rows that
+    repeat one.  :meth:`fold` drops, at C speed, every row whose label
+    its group's already covers (a label is a ``frozenset``), so only a
+    label new to its group costs a Python step — and a batch whose
+    every row opens a group of its own (a DISTINCT's) costs none."""
+
+    __slots__ = ("held", "unions")
+
+    def __init__(self):
+        self.held: List[Label] = []
+        self.unions: Dict[Tuple[Label, Label], Label] = {}
+
+    def fold(self, gids: list, labels, size: int) -> None:
+        """Union each row's label into its group's (``gids``), the
+        groups grown to ``size``."""
+        held = self.held
+        if size - len(held) == len(gids):
+            # Every row opened a group of its own (``gids`` is the range
+            # of new ids, as in a DISTINCT): each group is its row's
+            # label, and nothing is left to screen.
+            held.extend(labels)
+            return
+        distinct = set(labels)
+        if len(held) < size:
+            # A group new to the batch starts from its first row's label.
+            if len(distinct) == 1:
+                held.extend(repeat(*distinct, size - len(held)))
+            else:
+                first = dict(zip(reversed(gids), reversed(labels)))
+                held.extend(map(first.__getitem__, range(len(held), size)))
+        if not any(distinct):
+            return                           # a batch of public rows
+        # Lazily screened, so a row reads its group's label as the rows
+        # before it left it: a label is added once per group.
+        new = map(_not, map(Label.issubset, labels,
+                            map(held.__getitem__, gids)))
+        unions = self.unions
+        for gid, label in compress(zip(gids, labels), new):
+            pair = held[gid], label
+            joined = unions.get(pair)
+            if joined is None:
+                unions[pair] = joined = pair[0].union(label)
+            held[gid] = joined
 
 
 class AggSpec:
@@ -1277,10 +1320,15 @@ class AggregateNode(Plan):
     first-seen order (one ``map`` per batch over a dict whose misses
     number the next group, in C); each aggregate keeps one state list
     indexed by group id (:data:`_KERNELS`) and folds the batch's
-    argument column into it; labels and ilabels union once per distinct
-    ``(group id, label)`` pair of the batch.  The resident groups leave
-    as batches sliced from the key columns and the state lists.  A
-    **global** aggregate is the same kernels' whole-column forms over
+    argument column into it.  A group key is
+    :func:`~repro.db.spill.column_keys`' — a one-column key is the
+    column's value, a wider one the row's tuple — live and replayed
+    alike.  Labels and ilabels fold into a :class:`_GroupLabels` each:
+    a group holds its interned label, a row its group's label already
+    covers is dropped at C speed, and each distinct ``(group label, row
+    label)`` pair is unioned once per fold.  The resident groups
+    leave as batches sliced from the key columns and the state lists.
+    A **global** aggregate is the same kernels' whole-column forms over
     one group (:meth:`_fold_columns`).
 
     **Memory bound (grace hash aggregation).**  Group state is charged
@@ -1326,11 +1374,12 @@ class AggregateNode(Plan):
         # a factory bound to the dict would make it a cycle).
         groups: dict = defaultdict(count().__next__)
         kernels = [spec.kernel() for spec in self.specs]
-        labels, ilabels = [], []
+        labels, ilabels = _GroupLabels(), _GroupLabels()
         mem, spill = 0, None
         try:
             for key_columns, args, row_labels, row_ilabels in source:
-                keys = list(column_rows(key_columns, len(row_labels)))
+                n = len(row_labels)
+                keys = column_keys(key_columns, n)
                 if ctx.work_mem and spill is None:
                     mem, spill = self._admit(ctx, groups, keys, mem, depth)
                 if spill is None:
@@ -1339,15 +1388,16 @@ class AggregateNode(Plan):
                     gids = list(map(groups.get, keys))
                     resident = [gid is not None for gid in gids]
                     if not all(resident):
-                        rows = zip(keys, column_rows(args, len(keys)),
-                                   row_labels, row_ilabels)
+                        rows = zip(column_rows(key_columns, n),
+                                   column_rows(args, n), row_labels,
+                                   row_ilabels)
                         spill.add(compress(rows, map(_not, resident)))
                         gids, row_labels, row_ilabels, *args = [
                             list(compress(column, resident)) for column
                             in (gids, row_labels, row_ilabels, *args)]
                 size = len(groups)
-                _union_labels(labels, gids, row_labels, size)
-                _union_labels(ilabels, gids, row_ilabels, size)
+                labels.fold(gids, row_labels, size)
+                ilabels.fold(gids, row_ilabels, size)
                 for kernel, column in zip(kernels, args):
                     kernel.grow(size)
                     if None in column:
@@ -1356,8 +1406,9 @@ class AggregateNode(Plan):
                         kernel.fold(list(compress(gids, keep)), column)
                     else:
                         kernel.fold(gids, column)
-            done = RowBatch([*zip(*groups), *(k.results() for k in kernels)],
-                            labels, ilabels)
+            done = RowBatch([*key_columns_of(groups, len(self.group_fns)),
+                             *(k.results() for k in kernels)],
+                            labels.held, ilabels.held)
             for lo in range(0, len(done), self.batch_size):
                 yield done.select(range(lo, lo + self.batch_size))
             if spill is not None:
@@ -1378,8 +1429,11 @@ class AggregateNode(Plan):
         group, or the fold is :data:`MAX_RECURSION` deep."""
         fresh = list(filterfalse(groups.__contains__, dict.fromkeys(keys)))
         overhead = AGG_STATE_BYTES * len(self.specs) + BUCKET_ENTRY_BYTES
-        totals = list(accumulate([estimate_row_bytes(key) + overhead
-                                  for key in fresh], initial=mem))
+        rows = column_rows(key_columns_of(fresh, len(self.group_fns)),
+                           len(fresh))
+        totals = list(accumulate(
+            [estimate_row_bytes(key) + overhead for key in rows],
+            initial=mem))
         admitted = len(fresh)
         if totals[-1] > ctx.work_mem and depth < MAX_RECURSION:
             # The first group is admitted whatever it weighs.

@@ -176,6 +176,22 @@ def column_rows(columns, n: int):
                  for column in columns])
 
 
+def column_keys(key_columns, n: int):
+    """The join or group key of each of ``n`` rows, from its key
+    columns: a one-column key is the column's value itself, a wider
+    one the row's tuple of values (:func:`column_rows`).  What every
+    hash build, probe and fold keys by, live or replayed from a spool."""
+    if len(key_columns) == 1:
+        return key_columns[0]
+    return list(column_rows(key_columns, n))
+
+
+def key_columns_of(keys, width: int) -> list:
+    """The ``width`` key columns of :func:`column_keys`' ``keys`` — its
+    inverse (no column when there is no key of several columns)."""
+    return [list(keys)] if width == 1 else list(zip(*keys))
+
+
 def take_rows(columns, labels, ilabels, rows) -> tuple:
     """``(columns, labels, ilabels)`` of the rows at positions ``rows``,
     in order, each gathered in C — sliced, when ``rows`` is a
@@ -204,12 +220,12 @@ class JoinSide:
     ``columns`` are the value columns (a ``None`` slot was projected
     away and reads NULL), ``labels``/``ilabels`` the per-row labels,
     all appended a block at a time (:meth:`add`); ``buckets`` maps a
-    join key to the row numbers holding it, in arrival order.  Row
-    :data:`NULL_ROW` is the all-NULL, unlabelled row a LEFT join
-    extends its unmatched rows with, so every side has one and no key
-    names it.  A joined row is gathered by row number: nothing is
-    built per build row but its slot in each column and its number in
-    its bucket.  ``bytes`` is what the rows added under a budget
+    join key (:func:`column_keys`) to the row numbers holding it, in
+    arrival order.  Row :data:`NULL_ROW` is the all-NULL, unlabelled
+    row a LEFT join extends its unmatched rows with, so every side has
+    one and no key names it.  A joined row is gathered by row number:
+    nothing is built per build row but its slot in each column and its
+    number in its bucket.  ``bytes`` is what the rows added under a budget
     (:meth:`fill`) weigh.
     """
 
@@ -219,7 +235,7 @@ class JoinSide:
         self.columns: list = [None] * width
         self.labels: list = [EMPTY_LABEL]
         self.ilabels: list = [EMPTY_LABEL]
-        self.buckets: Dict[tuple, list] = defaultdict(list)
+        self.buckets: dict = defaultdict(list)
         self.bytes = 0
 
     def add(self, keys, columns, labels, ilabels) -> None:
@@ -317,20 +333,28 @@ def estimate_batch_bytes(columns, labels, extra: int = 0) -> List[int]:
     """:func:`estimate_row_bytes` (plus ``extra``) for every row of a
     columnar batch, a column at a time: a column of one fixed width
     weighs by table lookup, strings by ``len``, labels by tag count
-    (once per distinct label).  Byte-identical, row for row, to the
-    per-row estimate.  ``labels`` is the batch's label column (always
-    charged, and what gives the row count)."""
+    (once per distinct label — the ``labels`` argument and a column of
+    labels, such as the ``_label`` pseudo-column, alike).
+    Byte-identical, row for row, to the per-row estimate.  ``labels``
+    is the batch's label column (always charged, and what gives the
+    row count)."""
     n = len(labels)
     if not n:
         return []
     fixed = 64 + extra
     varying = []
-    ids, by_id = _distinct(labels)
-    sizes = {ident: 16 + 4 * len(label) for ident, label in by_id.items()}
-    if len(sizes) == 1:
-        fixed += sizes[ids[0]]
-    else:
-        varying.append(map(sizes.__getitem__, ids))
+
+    def weigh_labels(column, overhead: int) -> None:
+        nonlocal fixed
+        ids, by_id = _distinct(column)
+        sizes = {ident: overhead + 4 * len(label)
+                 for ident, label in by_id.items()}
+        if len(sizes) == 1:
+            fixed += sizes[ids[0]]
+        else:
+            varying.append(map(sizes.__getitem__, ids))
+
+    weigh_labels(labels, 16)
     for column in columns:
         if column is None:                   # projected away: NULLs
             fixed += 8
@@ -341,6 +365,8 @@ def estimate_batch_bytes(columns, labels, extra: int = 0) -> List[int]:
             fixed += widths.pop()
         elif kinds == {str}:
             varying.append([49 + size for size in map(len, column)])
+        elif kinds == {Label}:
+            weigh_labels(column, 64)
         else:
             varying.append(map(estimate_value_bytes, column))
     if not varying:
@@ -505,9 +531,11 @@ class _Partition:
 class SpilledHashBuild:
     """Partitioned overflow state for one hash-join build side.
 
-    Both sides arrive a keyed block at a time — the rows' key tuples
+    Both sides arrive a keyed block at a time — the rows' key columns
     beside their ``(columns, labels, ilabels)`` — and only the key
-    participates in routing.  With ``keep_resident`` (the top level)
+    participates in routing.  A row routes by, and a spool writes, its
+    key's row tuple; a side's buckets are keyed by :func:`column_keys`,
+    as the join probes them.  With ``keep_resident`` (the top level)
     partition 0 is a :class:`JoinSide` of ``width`` columns held in
     memory, so probes against it stream with no extra I/O; recursion
     levels disable it — their input is already a single partition's
@@ -535,33 +563,36 @@ class SpilledHashBuild:
             tally().spills += 1
 
     def route(self, keys) -> List[int]:
-        """The partition index of every key of a chunk."""
+        """The partition index of every key (row tuple) of a chunk."""
         fanout = self.fanout
         return [h % fanout
                 for h in map(hash, zip(repeat(self.salt), keys))]
 
     # -- build side ----------------------------------------------------
-    def take(self, side: JoinSide) -> None:
-        """Route the rows of an in-memory side built before overflow:
-        bucket by bucket, each bucket's rows in arrival order."""
+    def take(self, side: JoinSide, key_width: int) -> None:
+        """Route the rows of an in-memory side built before overflow,
+        keyed by ``key_width`` columns: bucket by bucket, each bucket's
+        rows in arrival order."""
         buckets = side.buckets
-        self.add_build([key for key, rows in buckets.items() for _ in rows],
+        keys = [key for key, rows in buckets.items() for _ in rows]
+        self.add_build(key_columns_of(keys, key_width),
                        *take_rows(side.columns, side.labels, side.ilabels,
                                   [row for rows in buckets.values()
                                    for row in rows]))
 
-    def add_build(self, keys, columns, labels, ilabels) -> None:
-        routes = self.route(keys)
+    def add_build(self, key_columns, columns, labels, ilabels) -> None:
+        n = len(labels)
+        rows = list(column_rows(key_columns, n))
+        routes = self.route(rows)
         # Rows routed to partition 0 before ``resident_end`` joined the
         # resident side; every other row spools.
         resident_end = 0
         if self.resident is not None:
-            resident_end = self._add_resident(routes, keys, columns, labels,
-                                              ilabels)
+            resident_end = self._add_resident(
+                routes, key_columns, columns, labels, ilabels)
         partitions = self.partitions
         for i, (index, key, values, label, ilabel) in enumerate(zip(
-                routes, keys, column_rows(columns, len(labels)), labels,
-                ilabels)):
+                routes, rows, column_rows(columns, n), labels, ilabels)):
             if index == 0 and i < resident_end:
                 continue
             spool = partitions[index].build
@@ -569,7 +600,8 @@ class SpilledHashBuild:
                 tally().partitions_created += 1
             spool.append(key, values, label, ilabel)
 
-    def _add_resident(self, routes, keys, columns, labels, ilabels) -> int:
+    def _add_resident(self, routes, key_columns, columns, labels,
+                      ilabels) -> int:
         """Add a block's partition-0 rows to the resident side while it
         fits the budget (:meth:`JoinSide.fill`); the row that takes it
         past is the last one added, and the hybrid partition alone
@@ -577,17 +609,18 @@ class SpilledHashBuild:
         only — by probe time the resident side is frozen).  Returns the
         block position after the last row the resident side took."""
         here = [i for i, index in enumerate(routes) if not index]
+        keys = column_keys(key_columns, len(routes))
         cut = self.resident.fill([keys[i] for i in here],
                                  *take_rows(columns, labels, ilabels, here),
                                  self.budget)
         if cut is None:
             return len(routes)
         side, self.resident = self.resident, None
-        self.take(side)
+        self.take(side, len(key_columns))
         return here[cut - 1] + 1
 
     # -- probe side ----------------------------------------------------
-    def probe(self, keys, columns, labels, ilabels) -> list:
+    def probe(self, key_columns, columns, labels, ilabels) -> list:
         """Per probe row of a block: the resident side's row numbers
         matching it when the key routes to the resident partition
         (possibly none — a definitive miss, as is a key holding a
@@ -602,27 +635,31 @@ class SpilledHashBuild:
         JOIN NULL extension.)"""
         resident = self.resident
         partitions = self.partitions
+        n = len(labels)
+        rows = list(column_rows(key_columns, n))
         found = []
-        for index, key, values, label, ilabel in zip(
-                self.route(keys), keys, column_rows(columns, len(labels)),
-                labels, ilabels):
-            if None in key:
+        for index, key, row, values, label, ilabel in zip(
+                self.route(rows), column_keys(key_columns, n), rows,
+                column_rows(columns, n), labels, ilabels):
+            if None in row:
                 found.append(())
             elif index == 0 and resident is not None:
                 found.append(resident.buckets.get(key, ()))
             elif not partitions[index].build.count:
                 found.append(())
             else:
-                partitions[index].probe.append(key, values, label, ilabel)
+                partitions[index].probe.append(row, values, label, ilabel)
                 found.append(None)
         return found
 
-    def spool_probe(self, keys, columns, labels, ilabels) -> None:
+    def spool_probe(self, key_columns, columns, labels, ilabels) -> None:
         partitions = self.partitions
-        for index, key, values, label, ilabel in zip(
-                self.route(keys), keys, column_rows(columns, len(labels)),
-                labels, ilabels):
-            partitions[index].probe.append(key, values, label, ilabel)
+        n = len(labels)
+        rows = list(column_rows(key_columns, n))
+        for index, row, values, label, ilabel in zip(
+                self.route(rows), rows, column_rows(columns, n), labels,
+                ilabels):
+            partitions[index].probe.append(row, values, label, ilabel)
 
     # -- partition phase ------------------------------------------------
     def joined(self) -> Iterator[Tuple[tuple, JoinSide]]:
@@ -663,11 +700,11 @@ class SpilledHashBuild:
         try:
             for key_columns, columns, labels, ilabels in \
                     partition.build.blocks():
-                keys = list(column_rows(key_columns, len(labels)))
                 if child is not None:
-                    child.add_build(keys, columns, labels, ilabels)
+                    child.add_build(key_columns, columns, labels, ilabels)
                     continue
-                side.add(keys, columns, labels, ilabels)
+                side.add(column_keys(key_columns, len(labels)), columns,
+                         labels, ilabels)
                 mem += sum(estimate_batch_bytes(columns, labels,
                                                 BUCKET_ENTRY_BYTES))
                 if (mem > self.budget and len(side.buckets) > 1
@@ -675,17 +712,15 @@ class SpilledHashBuild:
                     child = SpilledHashBuild(
                         self.budget, self.spools, self.width, salt=depth,
                         depth=depth, keep_resident=False)
-                    child.take(side)
+                    child.take(side, len(key_columns))
                     side = None
                     tally().repartitions += 1
             if child is None:
                 for block in partition.probe.blocks():
                     yield block, side
                 return
-            for key_columns, columns, labels, ilabels in \
-                    partition.probe.blocks():
-                child.spool_probe(list(column_rows(key_columns, len(labels))),
-                                  columns, labels, ilabels)
+            for block in partition.probe.blocks():
+                child.spool_probe(*block)
             yield from child.joined()
         finally:
             if child is not None:

@@ -31,6 +31,9 @@ and the scan leaf runs its per-version loop.  These tests pin:
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -1225,6 +1228,156 @@ def test_the_fold_agrees_with_a_row_by_row_model(data):
                 got = _exact(_drain(node, work_mem))
                 assert sorted(got, key=repr) == sorted(expected, key=repr), \
                     (keys, size, work_mem)
+
+
+def _group_label_checks(got, expected):
+    """Each emitted row's label and ilabel is the very interned
+    ``Label`` of the model's union (``is``, not ``==``)."""
+    for (values, label, ilabel), (_, union, iunion) in zip(got, expected):
+        assert label is Label(union) and ilabel is Label(iunion), values
+
+
+@pytest.mark.parametrize("keys", [(0,), (0, 1)])
+def test_a_fold_over_many_distinct_labels(keys):
+    """A fold that meets the public label and more than 64 distinct
+    labels (and ilabels) — one group meets every one of them, one only
+    the public label — gives every group the interned label of its
+    labels' union, at batch sizes 1, 7 and the default, in memory (in
+    first-seen order) and spilled (in some order)."""
+    rng = random.Random(0xB175)
+    pool = [EMPTY_LABEL] + [Label((100 + i, 300 + i % 5)) for i in range(90)]
+    ipool = [EMPTY_LABEL] + [Label((500 + i,)) for i in range(70)]
+    rows = [(0, 0, EMPTY_LABEL, EMPTY_LABEL)]
+    rows += [(1, 0, label, ipool[i % len(ipool)])
+             for i, label in enumerate(pool)]
+    rows += [(rng.randrange(2, 12), rng.randrange(3), rng.choice(pool),
+              rng.choice(ipool)) for _ in range(400)]
+    rows += [(0, 1, EMPTY_LABEL, EMPTY_LABEL)] * 3
+    rng.shuffle(rows)
+    columns = [[row[0] for row in rows], [row[1] for row in rows],
+               [rng.randrange(-5, 5) for _ in rows], [rng.randrange(3)
+                                                      for _ in rows]]
+    labels = [row[2] for row in rows]
+    ilabels = [row[3] for row in rows]
+    expected = _fold_model(columns, labels, ilabels, keys)
+    # Group (1, 0) met 90 labels, each with a tag of its own below 300.
+    assert max(sum(tag < 300 for tag in label)
+               for _, label, _ in expected) == 90
+    assert any(not label for _, label, _ in expected)
+    by_key = sorted(expected, key=lambda row: row[0])
+    for size in (1, 7, physical.DEFAULT_BATCH_SIZE):
+        node = _fold_node(columns, labels, ilabels, keys, size)
+        got = _drain(node, 0)
+        assert _exact(got) == _exact(expected), size
+        _group_label_checks(got, expected)
+        for work_mem in (700, 2500):
+            got = sorted(_drain(node, work_mem), key=lambda row: row[0])
+            assert _exact(got) == _exact(by_key), (size, work_mem)
+            _group_label_checks(got, by_key)
+
+
+@pytest.mark.parametrize("key", [0, 1], ids=["distinct", "one group"])
+def test_a_fold_stays_linear_in_the_distinct_labels_it_meets(key,
+                                                             monkeypatch):
+    """12 000 rows, each under a label of its own (two of 156 tags),
+    folded by DISTINCT (a group per row) and by GROUP BY into one
+    group.  Every group's label is the interned union of its rows';
+    DISTINCT calls :meth:`Label.union` not once, the one group only
+    for a row that adds a tag to it; and the fold's peak allocation
+    stays a few MB, the size of its groups — not the square of the
+    distinct labels."""
+    pool = [Label(pair) for pair in combinations(range(5000, 5156), 2)]
+    pool = pool[:12000]
+    n = len(pool)
+    calls = []
+    union = Label.union
+
+    def counted(self, other):
+        calls.append(other)
+        return union(self, other)
+
+    monkeypatch.setattr(Label, "union", counted)
+    node = physical.stamp_batch_size(physical.AggregateNode(
+        _Rows([list(range(n)), [0] * n], pool, pool),
+        [lambda batch, ctx: batch.column(key)],
+        [physical.AggSpec("COUNT", None, False)], global_agg=False),
+        physical.DEFAULT_BATCH_SIZE)
+    ctx = SimpleNamespace(work_mem=0, spools=Spools(0, node.batch_size))
+    tracemalloc.start()
+    try:
+        labels, ilabels = [], []
+        for batch in node.batches(ctx):
+            labels.extend(batch.labels)
+            ilabels.extend(batch.ilabels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if key == 0:
+        assert len(labels) == len(ilabels) == n
+        assert all(got is label for got, label in zip(labels, pool))
+        assert all(got is label for got, label in zip(ilabels, pool))
+        assert not calls
+    else:
+        everything = Label(range(5000, 5156))
+        assert labels == [everything] and labels[0] is everything
+        assert ilabels[0] is everything
+        assert 0 < len(calls) <= 2 * 154        # labels and ilabels
+    assert peak < 4 << 20, peak
+
+
+#: One-column key values whose equality a key tuple and a bare value
+#: must agree on: NULL, one NaN object met twice and another NaN, the
+#: equal ``1``/``1.0``/``True`` (and ``0``/``0.0``/``False``), and text
+#: beside the numbers it spells.
+_NAN, _OTHER_NAN = float("nan"), float("nan")
+ONE_COLUMN_KEYS = (None, _NAN, _NAN, _OTHER_NAN, 1, 1.0, True, "1", "a",
+                   0, False, 0.0, 2, "a", None, _OTHER_NAN)
+
+
+def _is_nan(value) -> bool:
+    return isinstance(value, float) and value != value
+
+
+def test_one_column_group_keys():
+    """GROUP BY (and DISTINCT, the fold with no aggregates) over one
+    column whose values are NULL, NaN (the same object, and distinct
+    objects), ``1``/``1.0``/``True`` and text beside numbers: the
+    groups are the model's, in first-seen order and first-seen
+    spelling, at batch sizes 1, 7 and the default.  Spilled, every
+    group but a NaN's is the model's in some order; a NaN read back
+    from a spill file is a new object, so a NaN group may come back
+    split, but never loses or gains a row."""
+    rng = random.Random(0x1C01)
+    keys = [rng.choice(ONE_COLUMN_KEYS) for _ in range(150)]
+    n = len(keys)
+    columns = [keys, [0] * n, [rng.randrange(-5, 5) for _ in range(n)],
+               [rng.randrange(3) for _ in range(n)]]
+    labels = [rng.choice(_LABELS) for _ in range(n)]
+    ilabels = [rng.choice(_ILABELS) for _ in range(n)]
+    expected = _fold_model(columns, labels, ilabels, (0,))
+    assert len(expected) == 8          # NULL, two NaNs, 1, "1", "a", 0, 2
+    distinct = [((values[0],), label, ilabel)
+                for values, label, ilabel in expected]
+    for size in (1, 7, physical.DEFAULT_BATCH_SIZE):
+        node = _fold_node(columns, labels, ilabels, (0,), size)
+        got = _drain(node, 0)
+        assert _exact(got) == _exact(expected), size
+        _group_label_checks(got, expected)
+        distinct_node = physical.stamp_batch_size(physical.AggregateNode(
+            _Rows(columns, labels, ilabels),
+            [lambda batch, ctx: batch.column(0)], [], global_agg=False),
+            size)
+        got = _drain(distinct_node, 0)
+        assert _exact(got) == _exact(distinct), size
+        _group_label_checks(got, distinct)
+        for work_mem in (700, 2500):
+            got = _drain(node, work_mem)
+            assert sorted(_exact(row for row in got
+                                 if not _is_nan(row[0][0])), key=repr) \
+                == sorted(_exact(row for row in expected
+                                 if not _is_nan(row[0][0])), key=repr)
+            nan_count = sum(row[0][1] for row in got if _is_nan(row[0][0]))
+            assert nan_count == keys.count(_NAN) + keys.count(_OTHER_NAN)
 
 
 @pytest.mark.parametrize("keys", [(0,), ()])

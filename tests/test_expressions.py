@@ -435,6 +435,16 @@ class TestTypedOperatorErrors:
         ("SELECT -w FROM t", "-TEXT"),
         ("SELECT id FROM t WHERE id LIKE 'a%'", "INT LIKE TEXT"),
         ("SELECT MOD(id, 0) FROM t", "MOD(INT, INT)"),
+        ("SELECT SUBSTR(w, 'a') FROM t", "SUBSTR(TEXT, TEXT)"),
+        ("SELECT ROUND(id, 'a') FROM t", "ROUND(INT, TEXT)"),
+        ("SELECT FLOOR(id * 1e308 * 10) FROM t", "FLOOR(REAL)"),
+        ("SELECT CEIL(id * 1e308 * 10) FROM t", "CEIL(REAL)"),
+        ("SELECT CEIL(id * 1e308 * 10 - id * 1e308 * 10) FROM t",
+         "CEIL(REAL)"),
+        ("UPDATE t SET w = SUBSTR(w, 'a')", "SUBSTR(TEXT, TEXT)"),
+        ("UPDATE t SET w = 'x' WHERE ROUND(id, w) > 0", "ROUND(INT, TEXT)"),
+        ("UPDATE t SET id = FLOOR(id * 1e308 * 10) + 10", "FLOOR(REAL)"),
+        ("UPDATE t SET id = CEIL(id * 1e308 * 10) + 10", "CEIL(REAL)"),
     ])
     def test_raises_expression_error(self, session, sql, operation):
         before = session.execute("SELECT id, w FROM t").rows

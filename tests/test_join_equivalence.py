@@ -7,20 +7,26 @@ duplicate and NULL keys are joined INNER and LEFT, with a residual ON
 conjunct, through ``NestedLoopJoin``, ``IndexLoopJoin`` and
 ``HashJoin`` (unspilled, and spilled at a small ``work_mem``); every
 run must return the same rows, labels and integrity labels, and widen
-exactly its result rows.
+exactly its result rows.  A hash join on one column keys its table by
+the column's values, not 1-tuples: it must find the matches a table of
+1-tuples finds, for NULL, NaN, ``1``/``1.0``/``True`` and text keys.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
     counters
 from repro.core.counters import tally
+from repro.core.labels import Label
 from repro.db import Database
 from repro.db import physical
+from repro.db.spill import Spools
 
 #: The same join through each operator: ``r`` has no index (a hash
 #: join), ``ri`` holds the same rows under an index on ``k`` (an index
@@ -130,3 +136,119 @@ def test_every_join_operator_agrees(seed, kind):
                                           "NULL, NULL FROM l")[0]}
     for name, result in results.items():
         assert result == reference, (seed, kind, name)
+
+
+# ---------------------------------------------------------------------------
+# a one-column equality keys its hash table by the value itself
+# ---------------------------------------------------------------------------
+
+class _Leaf(physical.Plan):
+    """Given columns and labels, in batches of the plan's size."""
+
+    def __init__(self, columns, labels, ilabels):
+        self.data = columns, labels, ilabels
+
+    def batches(self, ctx):
+        columns, labels, ilabels = self.data
+        for lo in range(0, len(labels), self.batch_size):
+            cut = slice(lo, lo + self.batch_size)
+            yield physical.RowBatch([column[cut] for column in columns],
+                                    labels[cut], ilabels[cut])
+
+
+_NAN, _OTHER_NAN = float("nan"), float("nan")
+#: NULL, one NaN object met twice and another NaN, the equal
+#: ``1``/``1.0``/``True`` (and ``0``/``0.0``/``False``), and text beside
+#: the numbers it spells.
+ONE_COLUMN_KEYS = (None, _NAN, _NAN, _OTHER_NAN, 1, 1.0, True, "1", "a",
+                   0, False, 0.0, 2, "a", None, _OTHER_NAN)
+
+
+def _is_nan(value) -> bool:
+    return isinstance(value, float) and value != value
+
+
+def _side(rng, n: int, name: str):
+    """``(columns, labels, ilabels)`` of ``n`` labelled rows: a key
+    drawn from :data:`ONE_COLUMN_KEYS`, and the row's name."""
+    tags = range(len(name) * 10, len(name) * 10 + 6)
+    labels = [Label(rng.sample(tags, rng.randrange(3))) for _ in range(n)]
+    ilabels = [Label(rng.sample(range(90, 93), rng.randrange(2)))
+               for _ in range(n)]
+    return ([[rng.choice(ONE_COLUMN_KEYS) for _ in range(n)],
+             ["%s%d" % (name, i) for i in range(n)]], labels, ilabels)
+
+
+def _join_model(left, right, kind: str) -> list:
+    """The join a hash table keyed by 1-tuples computes: for each left
+    row in order, the right rows whose key tuple equals its own
+    (identity, then ``==``) in right order; NULL matches nothing; LEFT
+    extends an unmatched row with NULLs.  Labels are each pair's
+    union."""
+    (lkeys, lnames), llabels, lilabels = left
+    (rkeys, rnames), rlabels, rilabels = right
+    out = []
+    for i, key in enumerate(lkeys):
+        matches = [j for j, other in enumerate(rkeys)
+                   if key is not None and (other,) == (key,)]
+        out += [((key, lnames[i], rkeys[j], rnames[j]),
+                 Label(llabels[i] | rlabels[j]),
+                 Label(lilabels[i] | rilabels[j])) for j in matches]
+        if not matches and kind == "left":
+            out.append(((key, lnames[i], None, None), llabels[i],
+                        lilabels[i]))
+    return out
+
+
+@pytest.mark.parametrize("kind", ("inner", "left"))
+def test_one_column_hash_key(kind):
+    """A hash join on one column whose values are NULL, NaN (the same
+    object, and distinct objects), ``1``/``1.0``/``True`` and text
+    beside numbers finds exactly the matches of a table keyed by
+    1-tuples — rows in left order, labels the interned unions — at
+    batch sizes 1, 7 and the default.  Spilled, every left row keyed by
+    anything but NaN gets exactly those matches in some order; a NaN
+    read back from a spill file is a new object, so a NaN-keyed row
+    gets some of them (or, LEFT, its NULL extension)."""
+    rng = random.Random(0x1C02)
+    left, right = _side(rng, 40, "l"), _side(rng, 120, "rr")
+    expected = _join_model(left, right, kind)
+    assert any(_is_nan(values[0]) and values[2] is not None
+               for values, _, _ in expected)
+    by_name = defaultdict(Counter)
+    for values, label, ilabel in expected:
+        by_name[values[1]][repr(values), label, ilabel] += 1
+    key = [lambda batch, ctx: batch.column(0)]
+    for size in (1, 7, physical.DEFAULT_BATCH_SIZE):
+        node = physical.stamp_batch_size(physical.HashJoin(
+            _Leaf(*left), _Leaf(*right), key, key, None, kind, 2), size)
+        for work_mem in (0, 256, 2048):
+            spills = counters.snapshot()["spill"]["spills"]
+            ctx = SimpleNamespace(work_mem=work_mem,
+                                  spools=Spools(work_mem, size))
+            got = [(tuple(values), label, ilabel)
+                   for batch in node.batches(ctx)
+                   for values, label, ilabel
+                   in zip(batch.rows(), batch.labels, batch.ilabels)]
+            if not work_mem:
+                assert got == expected, size
+                assert all(label is expected_label and ilabel is expected_i
+                           for (_, label, ilabel), (_, expected_label,
+                                                    expected_i)
+                           in zip(got, expected))
+                continue
+            assert counters.snapshot()["spill"]["spills"] > spills
+            found = defaultdict(Counter)
+            for values, label, ilabel in got:
+                assert label is Label(label) and ilabel is Label(ilabel)
+                found[values[1]][repr(values), label, ilabel] += 1
+            for i, lkey in enumerate(left[0][0]):
+                name = left[0][1][i]
+                if not _is_nan(lkey):
+                    assert found[name] == by_name[name], (size, work_mem)
+                    continue
+                allowed = by_name[name] + Counter(
+                    [(repr((lkey, name, None, None)), left[1][i],
+                      left[2][i])] if kind == "left" else [])
+                assert not found[name] - allowed, (size, work_mem, name)
+                assert kind == "inner" or found[name], (size, work_mem)

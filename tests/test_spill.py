@@ -44,6 +44,7 @@ from repro.db.spill import (
     SpilledHashBuild,
     SpillFile,
     Spools,
+    column_keys,
     decode_block,
     decode_labeled_row,
     encode_block,
@@ -220,6 +221,28 @@ def test_batch_accounting_equals_per_row_estimates():
     assert estimate_batch_bytes([[1, 2]], []) == []
 
 
+@pytest.mark.parametrize("label_column", [
+    [Label((4, 5))] * 9,                                  # one label
+    [Label((4, 5)), Label((6,)), EMPTY_LABEL] * 3,        # several
+    [EMPTY_LABEL] * 9,                                    # public
+], ids=["one label", "several labels", "public"])
+def test_a_column_of_labels_weighs_as_its_rows_do(label_column):
+    """A column of labels — the ``_label`` pseudo-column a scan appends
+    — is weighed once per distinct label, and the batch estimate stays
+    ``estimate_row_bytes`` row for row, beside the row labels and
+    other columns."""
+    n = len(label_column)
+    labels = [Label((4,)), Label((7, 8, 9)), EMPTY_LABEL] * (n // 3)
+    for columns in ([label_column], [list(range(n)), label_column],
+                    [label_column, ["x" * i for i in range(n)], None,
+                     label_column[::-1]]):
+        rows = list(zip(*[column or [None] * n for column in columns]))
+        for row_labels in (labels, [EMPTY_LABEL] * n):
+            assert estimate_batch_bytes(columns, row_labels, 96) == [
+                estimate_row_bytes(values, label) + 96
+                for values, label in zip(rows, row_labels)]
+
+
 def test_analyze_widths_agree_with_the_executor_accounting():
     authority = AuthorityState(idgen=SeededIdGenerator(5))
     db = Database(authority, seed=5)
@@ -243,13 +266,14 @@ def test_analyze_widths_agree_with_the_executor_accounting():
 # -- the grace partitioner ----------------------------------------------------
 
 def _chunks(pairs, rng):
-    """Split ``(key, row)`` pairs into the ``(keys, rows)`` chunks the
-    partitioner takes, at random chunk sizes."""
+    """Split ``(key, row)`` pairs of one-column keys into the
+    ``(key_columns, rows)`` chunks the partitioner takes, at random
+    chunk sizes."""
     pairs = list(pairs)
     while pairs:
         n = rng.randint(1, 40)
         chunk, pairs = pairs[:n], pairs[n:]
-        yield [key for key, _ in chunk], [row for _, row in chunk]
+        yield [[key for key, _ in chunk]], [row for _, row in chunk]
 
 
 def _block(rows):
@@ -268,10 +292,11 @@ def _rows_of(side, numbers):
 
 
 def _joined(spill):
-    """``(probe_row, matches)`` per spooled probe row."""
+    """``(probe_row, matches)`` per spooled probe row: a side's buckets
+    are keyed as the join keys them (``column_keys``)."""
     for (key_columns, columns, labels, ilabels), side in spill.joined():
         rows = zip(zip(*columns), labels, ilabels)
-        for key, row in zip(zip(*key_columns), rows):
+        for key, row in zip(column_keys(key_columns, len(labels)), rows):
             yield row, _rows_of(side, side.buckets.get(key, ()))
 
 
@@ -280,14 +305,15 @@ def test_every_row_lands_in_exactly_one_partition():
     for _round in range(10):
         spill = SpilledHashBuild(512, Spools(512, rng.choice((1, 7, 64))),
                                  1, keep_resident=False)
-        keys = [(rng.randint(0, 20),) for _ in range(300)]
+        keys = [rng.randint(0, 20) for _ in range(300)]
         # Routing is a pure function of the key.
-        assert spill.route(keys) == spill.route(keys)
-        assert all(0 <= index < spill.fanout for index in spill.route(keys))
-        for chunk_keys, rows in _chunks(
+        rows = [(key,) for key in keys]
+        assert spill.route(rows) == spill.route(rows)
+        assert all(0 <= index < spill.fanout for index in spill.route(rows))
+        for key_columns, rows in _chunks(
                 ((key, ([i], EMPTY_LABEL, EMPTY_LABEL))
                  for i, key in enumerate(keys)), rng):
-            spill.add_build(chunk_keys, *_block(rows))
+            spill.add_build(key_columns, *_block(rows))
         counts = [p.build.count for p in spill.partitions]
         assert sum(counts) == len(keys)
         # Same key, same partition.
@@ -311,7 +337,7 @@ def test_spilled_join_matches_dict_join():
         def side(n_rows, n_keys, tag):
             # One row width per side; slot 0 makes every row distinct.
             width = rng.randint(1, 5)
-            return [((rng.randint(0, n_keys),),
+            return [(rng.randint(0, n_keys),
                      ((tag, i, *[_random_values(rng)[0]
                                  for _ in range(width)]),
                       _random_label(rng), _random_label(rng)))
@@ -325,11 +351,12 @@ def test_spilled_join_matches_dict_join():
         spill = SpilledHashBuild(budget, Spools(budget,
                                                 rng.choice((1, 7, 1024))),
                                  len(build[0][1][0]))
-        for keys, rows in _chunks(build, rng):
-            spill.add_build(keys, *_block(rows))
+        for key_columns, rows in _chunks(build, rng):
+            spill.add_build(key_columns, *_block(rows))
         results = []
-        for keys, rows in _chunks(probe, rng):
-            for row, matches in zip(rows, spill.probe(keys, *_block(rows))):
+        for key_columns, rows in _chunks(probe, rng):
+            for row, matches in zip(rows, spill.probe(key_columns,
+                                                      *_block(rows))):
                 if matches is not None:
                     results.append((row, _rows_of(spill.resident, matches)))
         results.extend(_joined(spill))
@@ -351,12 +378,11 @@ def test_recursion_terminates_on_all_equal_keys():
     instead of recursing forever."""
     before = counters.tally().repartitions
     spill = SpilledHashBuild(256, Spools(256, 16), 2, keep_resident=False)
-    key = (7, "same")
     n = 500
-    spill.add_build([key] * n, *_block(
+    spill.add_build([[7] * n, ["same"] * n], *_block(
         [((i, "payload"), EMPTY_LABEL, EMPTY_LABEL) for i in range(n)]))
-    spill.spool_probe([key], *_block([(("probe",), EMPTY_LABEL,
-                                       EMPTY_LABEL)]))
+    spill.spool_probe([[7], ["same"]], *_block([(("probe",), EMPTY_LABEL,
+                                                 EMPTY_LABEL)]))
     results = list(_joined(spill))
     assert len(results) == 1
     _row, matches = results[0]
@@ -369,10 +395,10 @@ def test_recursion_terminates_on_skewed_keys():
     """One dominant key plus a long tail: recursion isolates the heavy
     key and stops, returning complete matches for both."""
     spill = SpilledHashBuild(512, Spools(512, 16), 1, keep_resident=False)
-    keys = [(1,)] * 400 + [(1000 + i,) for i in range(40)]
-    spill.add_build(keys, *_block([((i,), EMPTY_LABEL, EMPTY_LABEL)
-                                   for i in range(len(keys))]))
-    spill.spool_probe([(1,), (1005,), (9999,)],
+    keys = [1] * 400 + [1000 + i for i in range(40)]
+    spill.add_build([keys], *_block([((i,), EMPTY_LABEL, EMPTY_LABEL)
+                                     for i in range(len(keys))]))
+    spill.spool_probe([[1, 1005, 9999]],
                       *_block([((name,), EMPTY_LABEL, EMPTY_LABEL)
                                for name in ("hot", "cold", "miss")]))
     by_row = {row[0][0]: matches for row, matches in _joined(spill)}
