@@ -143,6 +143,10 @@ SCHEMA = (
     ("parse", "text_hits", SUM, None, "high"),
     ("parse", "shape_hits", SUM, None, "high"),
     ("parse", "parses", SUM, None, "high"),
+    # -- plans: Database._prepare, db/engine.py ---------------------------
+    # Texts that ran the plan another text of their plan key made
+    # (``sql.template``).  High, like the parse counters.
+    ("plans", "key_hits", SUM, None, "high"),
     # -- top level: db/session.py -----------------------------------------
     # Statements run through ``Session.execute_statement`` — a tracked
     # one is counted before its bracket opens, so its own delta holds

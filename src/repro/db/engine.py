@@ -24,6 +24,7 @@ caller's thread, in this process.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 import time
@@ -87,7 +88,7 @@ class PreparedInsert:
     """
 
     __slots__ = ("table", "target_positions", "defaults", "row_fns",
-                 "select")
+                 "select", "slot_values")
 
     def __init__(self, table: Table, target_positions: List[int],
                  defaults: List, row_fns, select):
@@ -96,6 +97,7 @@ class PreparedInsert:
         self.defaults = defaults
         self.row_fns = row_fns
         self.select = select
+        self.slot_values = ()
 
 
 _SPILL_BYTES_CELL = counters.CELLS.index(("spill", "bytes_spilled"))
@@ -197,14 +199,17 @@ class Database:
                                naive=naive_plans,
                                batch_size=self.batch_size,
                                work_mem=self.work_mem)
-        # The one statement cache, keyed by SQL text (or statement
-        # identity for programmatic statements); each entry is
-        # ``(statement, prepared or None, table_names)``.  ``parse``
-        # adds a text's statement with no plan; ``_prepare`` plans
-        # SELECT, UPDATE/DELETE and INSERT statements into it.  Plans
-        # are versioned by ``plan_cache_epoch``: any DDL or
-        # tag-registry change drops them all, a statistics refresh
-        # only those whose ``table_names`` include the refreshed table
+        # The one statement cache.  Every entry is ``(statement,
+        # prepared or None, table_names)``, under one of three keys:
+        # a SQL text (``parse`` adds its statement with no plan), a
+        # plan key (``sql.template``: the statement every text of the
+        # key is planned as, and the plan they share) or the identity
+        # of a programmatic statement.  ``_prepare`` plans into it; a
+        # text's entry then holds its plan key's plan with the text's
+        # own literals (``slot_values``).  Plans are versioned by
+        # ``plan_cache_epoch``: any DDL or tag-registry change drops
+        # them all, a statistics refresh only those whose
+        # ``table_names`` include the refreshed table
         # (``invalidate_plans_for``); either way the statement stays.
         # At most ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
         self._plan_cache: Dict[object, Tuple] = {}
@@ -272,7 +277,9 @@ class Database:
         """The statement of ``sql``: for a text seen before, the very
         statement it gave then (its plan is cached with it); for a new
         text, lexed once, a copy of its shape's template with the text's
-        literals bound in.  Only a new shape is parsed."""
+        literals bound in.  Only a new shape is parsed.  A statement
+        planned by key also carries its ``plan_key`` and the values of
+        its literal slots (``slot_values``)."""
         entry = self._plan_cache.get(sql)
         if entry is not None:
             tally().text_hits += 1
@@ -289,8 +296,22 @@ class Database:
             _cache_put(self._shape_cache, key, template)
             tally().parses += 1
         statement = template.bind(tokens)
+        keyed = template.plan_key(tokens)
+        if keyed is not None:
+            statement.plan_key, statement.slot_values = keyed
         _cache_put(self._plan_cache, sql, (statement, None, ()))
         return statement
+
+    @staticmethod
+    def generic(statement):
+        """What ``statement`` is planned as: for one parsed from a text
+        planned by key, the statement of its plan key showing the
+        text's own literals (:meth:`Template.generic`); any other is
+        planned as it is."""
+        key = getattr(statement, "plan_key", None)
+        if key is None:
+            return statement
+        return key[0].generic(key, statement.slot_values)
 
     def parse_script(self, sql: str):
         return parse_script(sql)
@@ -347,29 +368,66 @@ class Database:
     def _prepare(self, statement, sql: Optional[str]):
         """The plan of a SELECT (``PreparedSelect``), UPDATE/DELETE
         (``PreparedDML``) or INSERT (:class:`PreparedInsert`) statement,
-        through the one statement cache."""
+        through the one statement cache.
+
+        A statement parsed from a text runs its plan key's plan, which
+        the first text of the key planned; a later text of the key
+        adds only its own literals to it.  Planning reads a literal's
+        value only where the key pins it, so the plan is the one the
+        text would get by itself, except that a literal in a range
+        predicate is estimated like a ``?`` parameter."""
         # A text's entry holds the statement ``parse`` returned for it.
         # The identity check is for the id()-based key of programmatic
         # statements (the entry's strong reference keeps the id from
         # being recycled) and for a caller that parsed the text itself.
         self._check_plan_epoch()
+        cache = self._plan_cache
         key = sql if sql is not None else id(statement)
-        cached = self._plan_cache.get(key)
+        cached = cache.get(key)
         if cached is not None and cached[1] is not None \
                 and cached[0] is statement:
             return cached[1]
+        plan_key = getattr(statement, "plan_key", None)
+        if plan_key is None:
+            prepared, tables = self._plan(statement)
+        else:
+            entry = cache.get(plan_key)
+            if entry is not None and entry[1] is not None:
+                tally().key_hits += 1
+                _generic, prepared, tables = entry
+            else:
+                generic = self.generic(statement) if entry is None \
+                    else entry[0]
+                prepared, tables = self._plan(generic)
+                _cache_put(cache, plan_key, (generic, prepared, tables))
+            if statement.slot_values:
+                prepared = copy.copy(prepared)
+                prepared.slot_values = statement.slot_values
+        _cache_put(cache, key, (statement, prepared, tables))
+        return prepared
+
+    def _plan(self, statement) -> Tuple[object, frozenset]:
+        """A new plan of ``statement`` and the tables it reads."""
         if isinstance(statement, ast.Insert):
             prepared = self._plan_insert(statement)
             tables = frozenset((statement.table,))
             if prepared.select is not None:
                 tables |= plan_tables(prepared.select.plan)
-        else:
-            planner = self.planner
-            prepared = (planner.plan_select(statement)
-                        if isinstance(statement, ast.Select)
-                        else planner.plan_dml(statement))
-            tables = plan_tables(prepared.plan)
-        _cache_put(self._plan_cache, key, (statement, prepared, tables))
+            return prepared, tables
+        planner = self.planner
+        prepared = (planner.plan_select(statement)
+                    if isinstance(statement, ast.Select)
+                    else planner.plan_dml(statement))
+        return prepared, plan_tables(prepared.plan)
+
+    def plan_afresh(self, statement):
+        """A plan of ``statement`` made now, outside the cache, as a
+        text's statement is planned (:meth:`generic`) and carrying its
+        literals: what EXPLAIN shows and EXPLAIN ANALYZE runs, each
+        operator printing the text's own literals."""
+        self._check_plan_epoch()
+        prepared, _tables = self._plan(self.generic(statement))
+        prepared.slot_values = getattr(statement, "slot_values", ())
         return prepared
 
     #: One name per statement kind, for callers and for the tracer
@@ -397,21 +455,19 @@ class Database:
                        for row in statement.rows]
         return PreparedInsert(table, positions, defaults, row_fns, select)
 
-    def explain(self, statement, sql: Optional[str] = None) -> List[str]:
-        """One line per plan operator for ``EXPLAIN`` (shares the plan
-        cache, so the rendered tree is the one execution would use)."""
+    def explain(self, statement) -> List[str]:
+        """One line per plan operator for ``EXPLAIN``: the tree the
+        statement's text runs (:meth:`plan_afresh`), with its own
+        literals."""
+        if not isinstance(statement, (ast.Select, ast.Update, ast.Delete)):
+            raise DatabaseError(
+                "EXPLAIN supports SELECT, UPDATE, and DELETE, not %s"
+                % type(statement).__name__)
+        plan = self.plan_afresh(statement).plan
         if isinstance(statement, ast.Select):
-            prepared = self.prepare_select(statement, sql)
-            return explain_plan(prepared.plan)
-        if isinstance(statement, (ast.Update, ast.Delete)):
-            prepared = self.prepare_dml(statement, sql)
-            verb = "Update" if isinstance(statement, ast.Update) \
-                else "Delete"
-            return (["%s %s" % (verb, statement.table)]
-                    + explain_plan(prepared.plan, indent=1))
-        raise DatabaseError(
-            "EXPLAIN supports SELECT, UPDATE, and DELETE, not %s"
-            % type(statement).__name__)
+            return explain_plan(plan)
+        return (["%s %s" % (type(statement).__name__, statement.table)]
+                + explain_plan(plan, indent=1))
 
     def resolve_tag_label(self, names: Sequence[str]) -> Label:
         if not names:

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import Label
 from ..errors import (CatalogError, DatabaseError, ExpressionError,
-                      SQLSyntaxError)
+                      ReproError, SQLSyntaxError)
 
 # ---------------------------------------------------------------------------
 # AST nodes
@@ -108,6 +108,33 @@ class Param(Expr):
 
     def key(self):
         return ("param", self.index)
+
+
+class LiteralSlot(Expr):
+    """A literal of a statement planned for every text of its plan key
+    (:mod:`repro.sql.template`): evaluated like a ``?`` parameter, from
+    the executing text's own literals, ``ctx.slot_values[index]``.
+
+    Its key is ``cls``, the class of the literals of its text equal to
+    it, so equal literals still match each other (a select item and its
+    GROUP BY expression) and no slot ever equals a ``?`` or a literal.
+    ``value`` is the literal of the text the node was built from; only
+    EXPLAIN prints it."""
+
+    __slots__ = ("index", "cls", "value")
+
+    def __init__(self, index: int, cls: int, value):
+        self.index = index
+        self.cls = cls
+        self.value = value
+
+    def key(self):
+        return ("literal slot", self.cls)
+
+
+#: What is fixed for one execution of a statement: a literal, a ``?``
+#: parameter or a literal slot.
+CONSTANTS = (Literal, Param, LiteralSlot)
 
 
 class ColumnRef(Expr):
@@ -307,6 +334,13 @@ class Like(Expr):
 
     def rebuilt(self, children):
         return Like(*children, self.negated)
+
+
+#: Operators evaluated at plan time once every operand is a literal —
+#: deterministic, context-free and free of side effects
+#: (``optimizer.fold_constants``; :mod:`repro.sql.template` keeps the
+#: literals under one in the plan key).
+FOLDABLE = (Neg, Not, BinOp, Compare, IsNull, Between, Like)
 
 
 class FuncCall(Expr):
@@ -724,6 +758,14 @@ class ExprCompiler:
         row_fn = self._c_param(node)
         return lambda batch, ctx: [row_fn([], ctx)] * len(batch)
 
+    def _c_literalslot(self, node: LiteralSlot):
+        index = node.index
+        return lambda row, ctx: ctx.slot_values[index]
+
+    def _b_literalslot(self, node: LiteralSlot):
+        index = node.index
+        return lambda batch, ctx: [ctx.slot_values[index]] * len(batch)
+
     def _c_columnref(self, node: ColumnRef):
         depth, index = self.scope.resolve_depth(node.name, node.table)
         if depth == 0:
@@ -770,7 +812,7 @@ class ExprCompiler:
     def _b_binop(self, node):
         op = node.op
         left = self.compile_batch(node.left)
-        if isinstance(node.right, (Literal, Param)):
+        if isinstance(node.right, CONSTANTS):
             # Column-versus-constant, the common predicate shape: one
             # pass over the column with the operator inline.
             kernel = _CONSTANT_KERNELS[op]
@@ -913,7 +955,7 @@ class ExprCompiler:
         whose items raise (a missing parameter), since the scalar form
         raises only for a row it reaches — go row by row."""
         by_rows = self._over_rows(node)
-        if not all(isinstance(item, (Literal, Param)) for item in node.items):
+        if not all(isinstance(item, CONSTANTS) for item in node.items):
             return by_rows
         operand = self.compile_batch(node.operand)
         items = [self.compile(item) for item in node.items]
@@ -1024,15 +1066,24 @@ class ExprCompiler:
                 except _BUILTIN_ERRORS as exc:
                     raise evaluation_error(form, values, exc) from None
             return call
-        # User-defined scalar function from the catalog.
-        if self.catalog is not None and self.catalog.has_function(node.name):
-            udf = self.catalog.get_function(node.name)
-            if udf.needs_context:
-                return lambda row, ctx: udf.fn(ctx,
-                                               *(a(row, ctx) for a in args))
-            inner = udf.fn
-            return lambda row, ctx: inner(*(a(row, ctx) for a in args))
-        raise CatalogError("unknown function %r" % node.name)
+        # User-defined scalar function from the catalog.  Whatever it
+        # raises becomes an ExpressionError, except the engine's own
+        # errors: a ``needs_context`` function may refuse on purpose
+        # (an IFC or authority error) and that must reach the caller.
+        if self.catalog is not None and self.catalog.has_function(name):
+            udf = self.catalog.get_function(name)
+            fn, with_context = udf.fn, udf.needs_context
+            form = "%s(%s)" % (name, ", ".join(["{}"] * len(args)))
+            def call_udf(row, ctx):
+                values = [a(row, ctx) for a in args]
+                try:
+                    return fn(ctx, *values) if with_context else fn(*values)
+                except ReproError:
+                    raise
+                except Exception as exc:      # the function's own code
+                    raise evaluation_error(form, values, exc) from exc
+            return call_udf
+        raise CatalogError("unknown function %r" % name)
 
     # -- subqueries ----------------------------------------------------------
     def _plan_subquery(self, select):
@@ -1103,9 +1154,10 @@ class ExprCompiler:
 def to_sql(node: Expr) -> str:
     """Render an expression AST as SQL-ish text (EXPLAIN output).
 
-    The rendering is for humans: parameters print as ``?``, subqueries
-    collapse to ``(subquery)``, and internal slot references print as
-    ``#n`` (their position in the execution row).
+    The rendering is for humans: parameters print as ``?``, a literal
+    slot as the literal it was built from, subqueries collapse to
+    ``(subquery)``, and internal slot references print as ``#n`` (their
+    position in the execution row).
     """
     if isinstance(node, Literal):
         if node.value is None:
@@ -1115,6 +1167,8 @@ def to_sql(node: Expr) -> str:
         return str(node.value)
     if isinstance(node, Param):
         return "?"
+    if isinstance(node, LiteralSlot):
+        return to_sql(Literal(node.value))
     if isinstance(node, ColumnRef):
         return "%s.%s" % (node.table, node.name) if node.table else node.name
     if isinstance(node, Star):

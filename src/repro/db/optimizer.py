@@ -142,11 +142,6 @@ def estimate_group_spill(input_rows: float, groups: float,
 
 _FOLD_SCOPE = ex.Scope()
 
-#: Node types that are safe to evaluate at plan time once every child is
-#: a literal: deterministic, context-free, and side-effect free.
-_FOLDABLE = (ex.Neg, ex.Not, ex.BinOp, ex.Compare, ex.IsNull, ex.Between,
-             ex.Like)
-
 
 def _eval_const(node: ex.Expr):
     return ex.ExprCompiler(_FOLD_SCOPE).compile(node)([], None)
@@ -179,7 +174,7 @@ def fold_constants(node: ex.Expr) -> ex.Expr:
             return ex.Literal(not absorbing)
         return folded[0] if len(folded) == 1 else node.rebuilt(folded)
     rebuilt = node.rebuilt(folded)
-    if isinstance(node, _FOLDABLE) and all(map(_literal, folded)):
+    if isinstance(node, ex.FOLDABLE) and all(map(_literal, folded)):
         try:
             return ex.Literal(_eval_const(rebuilt))
         except Exception:

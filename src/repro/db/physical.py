@@ -252,14 +252,19 @@ def _permuted(held: list, order, size: int) -> Iterator[RowBatch]:
 class ExecContext:
     """Per-execution state threaded through plan nodes and expressions."""
 
-    __slots__ = ("session", "params", "outer_stack", "read_label",
-                 "read_ilabel", "principal", "registry", "authority",
-                 "ifc_enabled", "work_mem", "_spools", "audited_views")
+    __slots__ = ("session", "params", "slot_values", "outer_stack",
+                 "read_label", "read_ilabel", "principal", "registry",
+                 "authority", "ifc_enabled", "work_mem", "_spools",
+                 "audited_views")
 
     def __init__(self, session, params: tuple, read_label: Label,
-                 read_ilabel: Label, principal: Optional[int]):
+                 read_ilabel: Label, principal: Optional[int],
+                 slot_values: tuple = ()):
         self.session = session
         self.params = params
+        #: The values of the executing text's literal slots
+        #: (``ex.LiteralSlot``), apart from its ``?`` parameters.
+        self.slot_values = slot_values
         self.outer_stack: list = []
         self.read_label = read_label
         self.read_ilabel = read_ilabel
@@ -1907,11 +1912,17 @@ class ViewPlan(Plan):
 
 
 class PreparedSelect:
-    """A planned SELECT: the plan tree plus output column names."""
+    """A planned SELECT: the plan tree plus output column names.
+
+    Every prepared statement also carries ``slot_values``, the literals
+    its plan's literal slots read (``ExecContext.slot_values``): empty
+    for a plan of literals, a text's own for a plan shared by every
+    text of its plan key (``Database._prepare``)."""
 
     def __init__(self, plan: Plan, columns: List[str]):
         self.plan = plan
         self.columns = columns
+        self.slot_values = ()
 
 
 class PreparedDML:
@@ -1919,11 +1930,12 @@ class PreparedDML:
     subclass whose ``versions()`` drives execution) plus the compiled
     ``SET`` assignments (UPDATE only; empty for DELETE)."""
 
-    __slots__ = ("plan", "assignments")
+    __slots__ = ("plan", "assignments", "slot_values")
 
     def __init__(self, plan: Scan, assignments: List[Tuple[int, Callable]]):
         self.plan = plan
         self.assignments = assignments
+        self.slot_values = ()
 
 
 def _explain_line(plan: Plan) -> str:

@@ -262,15 +262,18 @@ class Session:
         try:
             if isinstance(statement, ast.Select):
                 track = db._begin_statement()
-                result = self._execute_select(statement, params, sql)
+                result = self._execute_select(
+                    db.prepare_select(statement, sql), params)
             elif isinstance(statement, ast.Insert):
                 track = db._begin_statement()
                 with self._autocommit():
-                    result = self._execute_insert(statement, params, sql)
+                    result = self._execute_insert(
+                        statement, db.prepare_insert(statement, sql), params)
             elif isinstance(statement, (ast.Update, ast.Delete)):
                 track = db._begin_statement()
                 with self._autocommit():
-                    result = self._execute_dml(statement, params, sql)
+                    result = self._execute_dml(
+                        statement, db.prepare_dml(statement, sql), params)
             else:
                 return self._execute_other(statement, params, sql)
         except IFCViolation as error:
@@ -319,65 +322,68 @@ class Session:
         (discarding its rows; DML applies its writes exactly once) and
         annotates each operator with its rows, its time and its low
         counters only: for a given plan, nothing else it prints depends
-        on hidden tuples."""
+        on hidden tuples.
+
+        Both plan the text the way it runs, as every text of its plan
+        key (``Database.generic``), and print its own literals."""
+        inner = self.db.generic(statement).statement
         if statement.analyze:
-            lines = self._explain_analyze(statement.statement, params)
+            lines = self._explain_analyze(
+                inner, getattr(statement, "slot_values", ()), params)
         else:
-            lines = self.db.explain(statement.statement)
+            lines = self.db.explain(inner)
         columns = {"QUERY PLAN": 0}
         rows = [Row([line], columns, EMPTY_LABEL) for line in lines]
         return Result(["QUERY PLAN"], rows, len(rows))
 
-    def _explain_analyze(self, inner, params: Tuple) -> List[str]:
-        """Execute ``inner`` under per-operator instrumentation.
+    def _explain_analyze(self, inner, slot_values: Tuple,
+                         params: Tuple) -> List[str]:
+        """Execute ``inner`` — with the literals ``slot_values`` in its
+        slots — under per-operator instrumentation.
 
-        The recorder clones the cached plan tree and wraps each node in
-        a probe (the cached original is never mutated), executes the
-        statement through the probes — the *same* session code paths as
-        a plain execution, so DML side effects happen exactly once —
-        and renders the original tree annotated with actuals.
+        The recorder clones the plan tree and wraps each node in a
+        probe (the original is never mutated), executes the statement
+        through the probes — the *same* session code paths as a plain
+        execution, so DML side effects happen exactly once — and
+        renders the original tree annotated with actuals.
         """
         from .metrics import PlanRecorder
-        db = self.db
         recorder = PlanRecorder()
+        if not isinstance(inner, (ast.Select, ast.Update, ast.Delete)):
+            raise DatabaseError(
+                "EXPLAIN ANALYZE supports SELECT, UPDATE, and DELETE, "
+                "not %s" % type(inner).__name__)
+        prepared = self.db.plan_afresh(inner)
+        prepared.slot_values = slot_values
+        probe = recorder.instrument(prepared.plan)
         if isinstance(inner, ast.Select):
-            prepared = db.prepare_select(inner, None)
-            probe = recorder.instrument(prepared.plan)
             recorder.start()
-            self._execute_select(inner, params, None, plan=probe)
+            self._execute_select(prepared, params, plan=probe)
             recorder.finish()
             return recorder.render(prepared.plan)
-        if isinstance(inner, (ast.Update, ast.Delete)):
-            prepared = db.prepare_dml(inner, None)
-            probe = recorder.instrument(prepared.plan)
-            with self._autocommit():
-                recorder.start()
-                result = self._execute_dml(inner, params, None, plan=probe)
-                recorder.finish()
-            head = "%s %s  (actual rows=%d)" % (
-                type(inner).__name__, inner.table, result.rowcount)
-            return ([head] + recorder.render_plan(prepared.plan, indent=1)
-                    + recorder.render_summary())
-        raise DatabaseError(
-            "EXPLAIN ANALYZE supports SELECT, UPDATE, and DELETE, not %s"
-            % type(inner).__name__)
+        with self._autocommit():
+            recorder.start()
+            result = self._execute_dml(inner, prepared, params, plan=probe)
+            recorder.finish()
+        head = "%s %s  (actual rows=%d)" % (
+            type(inner).__name__, inner.table, result.rowcount)
+        return ([head] + recorder.render_plan(prepared.plan, indent=1)
+                + recorder.render_summary())
 
-    def _context(self, params: Tuple) -> ExecContext:
+    def _context(self, params: Tuple, slot_values: Tuple = ()) -> ExecContext:
         return ExecContext(self, params, self.label, self.ilabel,
-                           self.acting.principal)
+                           self.acting.principal, slot_values)
 
     # -- SELECT -----------------------------------------------------------
-    def _execute_select(self, statement: ast.Select, params: Tuple,
-                        sql: Optional[str], plan=None) -> Result:
+    def _execute_select(self, prepared, params: Tuple, plan=None) -> Result:
         # ``plan`` overrides the prepared plan (EXPLAIN ANALYZE passes
         # the instrumented copy), as for UPDATE and DELETE.
-        prepared = self.db.prepare_select(statement, sql)
         if plan is None:
             plan = prepared.plan
         if self.db.deterministic_order:
             plan = DeterministicOrder(plan)
         with self._autocommit():
-            ctx = self._context(params)
+            ctx = self._context(params, prepared.slot_values)
             columns = {name: i for i, name in enumerate(prepared.columns)}
             rows = [Row(values, columns, label)
                     for batch in plan.batches(ctx)
@@ -385,13 +391,12 @@ class Session:
         return Result(list(prepared.columns), rows, len(rows))
 
     # -- INSERT -----------------------------------------------------------
-    def _execute_insert(self, statement: ast.Insert, params: Tuple,
-                        sql: Optional[str] = None) -> Result:
-        prepared = self.db.prepare_insert(statement, sql)
+    def _execute_insert(self, statement: ast.Insert, prepared,
+                        params: Tuple) -> Result:
         table = prepared.table
         positions = prepared.target_positions
         declassifying = self.db.resolve_tag_label(statement.declassifying)
-        ctx = self._context(params)
+        ctx = self._context(params, prepared.slot_values)
 
         if prepared.select is not None:
             sources = [values
@@ -432,7 +437,7 @@ class Session:
                         self.db.resolve_tag_label(declassifying))
 
     # -- UPDATE and DELETE ------------------------------------------------
-    def _execute_dml(self, statement, params: Tuple, sql: Optional[str],
+    def _execute_dml(self, statement, prepared, params: Tuple,
                      plan=None) -> Result:
         """UPDATE, and DELETE — a DML statement with no assignments.
 
@@ -441,10 +446,9 @@ class Session:
         :meth:`_write`, so an analyzed statement applies its writes
         exactly once."""
         table = self.db.catalog.get_table(statement.table)
-        prepared = self.db.prepare_dml(statement, sql)
         if plan is None:
             plan = prepared.plan
-        ctx = self._context(params)
+        ctx = self._context(params, prepared.slot_values)
         delete = isinstance(statement, ast.Delete)
         targets = list(plan.versions(ctx))
         for version in targets:

@@ -21,18 +21,36 @@ A literal token the parser read as a raw value — a type length, a
 ``DEFAULT``, a ``DECLASSIFYING`` tag name — made no node, so it is no
 slot: the template keeps its value (:attr:`Template.raw`), and a text
 that differs there does not fit and is parsed afresh.
+
+**Plan keys.**  A SELECT, INSERT, UPDATE or DELETE (or an EXPLAIN of
+one) is planned once per *plan key* (:meth:`Template.plan_key`), not
+once per text.  The key is the template, the values of the literals
+the planner reads itself — an ORDER BY ordinal, a LIMIT or OFFSET
+count, an operand of an operator it folds (``id = 3 + 4``) — with
+their types, and which of the other literals are equal.  Each of those
+others becomes a :class:`~repro.db.expressions.LiteralSlot` of the
+statement the key is planned from (:meth:`Template.generic`), read at
+execution time from the text's own values like a ``?`` parameter.
+Equal literals get equal slots, so a select item still matches its
+GROUP BY expression.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..db import expressions as ex
+from . import ast
 from .lexer import LITERALS, NUMBER, STRING, Token, fingerprint
 
-#: ``bind(tokens)`` → a node built with the literals of ``tokens``.
-Binder = Callable[[List[Token]], object]
+#: ``bind(leaves)`` → a node built with the leaves in its slots:
+#: literals made from the tokens of a text, or the nodes of a
+#: statement planned for a plan key.
+Binder = Callable[[object], object]
+
+#: The statements planned once per plan key.
+PLANNED = (ast.Select, ast.Insert, ast.Update, ast.Delete)
 
 
 def shape(tokens: List[Token]) -> tuple:
@@ -45,7 +63,7 @@ def shape(tokens: List[Token]) -> tuple:
 class Template:
     """The parse of one statement shape, ready to bind any text of it."""
 
-    __slots__ = ("bind", "raw")
+    __slots__ = ("bind", "raw", "pinned", "free", "_generic")
 
     def __init__(self, statement, tokens: List[Token],
                  slots: Dict[int, ex.Literal]):
@@ -53,13 +71,53 @@ class Template:
         #: The statement of a text of this shape: a copy of ``statement``
         #: with the text's literals in its slots — a copy even with no
         #: slot, so the parsed tree is never handed out.
-        self.bind: Binder = (_binder(statement, index_of)
-                             or _copier(statement, []))
+        self.bind: Binder = _copier_of(statement, index_of, _literal)
         #: ``(token index, value)`` of each literal read as a raw value.
         self.raw = tuple((index, token.value)
                          for index, token in enumerate(tokens)
                          if token.kind in (NUMBER, STRING)
                          and index not in slots)
+        #: Token indices of the literals whose values go into the plan
+        #: key, and of the literals that become slots; ``None`` for a
+        #: statement not planned by key.
+        self.pinned = self.free = self._generic = None
+        inner = statement.statement if isinstance(statement, ast.Explain) \
+            else statement
+        if isinstance(inner, PLANNED):
+            read = set()
+            _read_by_planner(statement, read)
+            self.pinned = tuple(sorted(index for index, node in slots.items()
+                                       if id(node) in read))
+            self.free = tuple(sorted(set(slots) - set(self.pinned)))
+            self._generic = _copier_of(statement, index_of, _node)
+
+    def plan_key(self, tokens: List[Token]) -> Optional[Tuple[tuple, tuple]]:
+        """``(plan key, slot values)`` of a text of this template — the
+        key ``(template, (value, type) of each pinned literal, the
+        equality class of each slot)`` and the slots' values in token
+        order — or ``None`` for a statement not planned by key.  An
+        ``int`` and a ``float`` of one value are one class (they match
+        as expressions), and each slot keeps its own type."""
+        if self.free is None:
+            return None
+        pinned = tuple([(tokens[i].value, type(tokens[i].value))
+                        for i in self.pinned])
+        values = tuple([tokens[i].value for i in self.free])
+        classes: dict = {}
+        return (self, pinned, tuple([classes.setdefault(value, len(classes))
+                                     for value in values])), values
+
+    def generic(self, key: tuple, values: tuple):
+        """The statement every text of ``key`` is planned as: the
+        pinned literals in place and a ``LiteralSlot`` for each other
+        literal, showing ``values`` (the text it is built for)."""
+        _template, pinned, classes = key
+        nodes = {index: ex.Literal(value)
+                 for index, (value, _type) in zip(self.pinned, pinned)}
+        for slot, (index, cls, value) in enumerate(
+                zip(self.free, classes, values)):
+            nodes[index] = ex.LiteralSlot(slot, cls, value)
+        return self._generic(nodes)
 
     def fits(self, tokens: List[Token]) -> bool:
         """Do ``tokens``, of this shape, carry the raw values the
@@ -83,29 +141,71 @@ def _attributes(node) -> list:
     return []
 
 
-def _binder(node, index_of: Dict[int, int]) -> Optional[Binder]:
-    """What rebuilds ``node`` with its slots bound, or ``None`` when it
-    holds no slot and is shared as it is."""
+def _literal(index: int) -> Binder:
+    """The slot at token ``index`` bound from a text's tokens."""
+    return lambda tokens: ex.Literal(tokens[index].value)
+
+
+def _node(index: int) -> Binder:
+    """The slot at token ``index`` bound from ``{token index: node}``."""
+    return lambda nodes: nodes[index]
+
+
+def _folds(node) -> bool:
+    """Is ``node`` a literal, or an operator the optimizer folds over
+    operands that fold?"""
+    return type(node) is ex.Literal or (
+        isinstance(node, ex.FOLDABLE) and all(map(_folds, node.children())))
+
+
+def _read_by_planner(node, read: set) -> None:
+    """Add to ``read`` the ids of the nodes under ``node`` whose value
+    the planner reads if they are literals: an ORDER BY item (an
+    ordinal is a position), a LIMIT and an OFFSET (they size the Limit
+    and TopN estimates), and every literal of an operator the optimizer
+    folds."""
+    if isinstance(node, ex.Expr) and node.children() and _folds(node):
+        read.update(id(leaf) for leaf in ex.walk(node))
+        return
+    if isinstance(node, ast.OrderItem):
+        read.add(id(node.expr))
+    elif isinstance(node, ast.Select):
+        read.update((id(node.limit), id(node.offset)))
+    items = node if type(node) in (list, tuple) \
+        else [value for _name, value in _attributes(node)]
+    for item in items:
+        _read_by_planner(item, read)
+
+
+def _copier_of(node, index_of: Dict[int, int], leaf) -> Binder:
+    """A binder for a copy of the statement ``node`` — even with no
+    slot, so the parsed tree is never handed out — whose slots are
+    bound by ``leaf(token index)``."""
+    return _binder(node, index_of, leaf) or _copier(node, [])
+
+
+def _binder(node, index_of: Dict[int, int], leaf) -> Optional[Binder]:
+    """What rebuilds ``node`` with its slots bound by ``leaf``, or
+    ``None`` when it holds no slot and is shared as it is."""
     if type(node) is ex.Literal:
         index = index_of.get(id(node))
-        if index is None:
-            return None
-        return lambda tokens: ex.Literal(tokens[index].value)
+        return None if index is None else leaf(index)
     if type(node) in (list, tuple):
         parts = [(i, part) for i, part in enumerate(
-            [_binder(item, index_of) for item in node]) if part is not None]
+            [_binder(item, index_of, leaf) for item in node])
+            if part is not None]
         if not parts:
             return None
         as_list = type(node) is list
 
-        def bind_items(tokens):
+        def bind_items(leaves):
             items = list(node)
             for i, part in parts:
-                items[i] = part(tokens)
+                items[i] = part(leaves)
             return items if as_list else tuple(items)
         return bind_items
     parts = [(name, part) for name, value in _attributes(node)
-             for part in [_binder(value, index_of)] if part is not None]
+             for part in [_binder(value, index_of, leaf)] if part is not None]
     return _copier(node, parts) if parts else None
 
 
@@ -118,9 +218,9 @@ def _copier(node, parts: list) -> Binder:
               for name, value in _attributes(node)]
     new = object.__new__
 
-    def bind_node(tokens):
+    def bind_node(leaves):
         copy = new(cls)
         for name, part, value in fields:
-            setattr(copy, name, value if part is None else part(tokens))
+            setattr(copy, name, value if part is None else part(leaves))
         return copy
     return bind_node

@@ -33,6 +33,12 @@ LEFT JOIN NULL extension — must agree with the naive executor; the
 row-for-row (rows, labels, rowcounts, error types) against both the
 in-memory optimized and the naive execution.
 
+A third leg, ``test_differential_inlined_literals``, runs the stream
+on two optimized databases, one of them with every ``?`` written into
+its text as a literal: a text's plan is then the one its plan key's
+first text made (``repro.sql.template``), and nothing it returns or
+writes may differ from the parameterized run.
+
 Seeds come from the environment so CI can rotate them
 (``REPRO_DIFF_SEED``; on failure every assertion message carries the
 seed for reproduction).  ``REPRO_DIFF_STATEMENTS`` scales the run.
@@ -77,7 +83,11 @@ class Universe:
     ``REPRO_BATCH_SIZE`` environment override.
     """
 
-    def __init__(self, *, naive: bool, batch_size=None, work_mem=None):
+    def __init__(self, *, naive: bool, batch_size=None, work_mem=None,
+                 inline: bool = False):
+        #: Run every statement with its ``?`` parameters written into
+        #: the text as SQL literals (:func:`inline_params`).
+        self.inline = inline
         authority = AuthorityState(idgen=SeededIdGenerator(777))
         self.db = Database(authority, naive_plans=naive, seed=777,
                            batch_size=batch_size, work_mem=work_mem)
@@ -104,11 +114,26 @@ class Universe:
         return out
 
 
+def inline_params(sql: str, params) -> str:
+    """``sql`` with each ``?`` replaced by its parameter written as a
+    SQL literal — ``repr`` of a float reads back as the same float, and
+    a negative number is a minus applied to a literal."""
+    pieces = sql.split("?")
+    assert len(pieces) == len(params) + 1, (sql, params)
+    literals = ["'%s'" % value.replace("'", "''") if isinstance(value, str)
+                else repr(value) for value in params]
+    return "".join(piece + literal for piece, literal
+                   in zip(pieces, literals)) + pieces[-1]
+
+
 def run_one(universe: Universe, op: dict):
     """Execute one generated statement; normalize the outcome."""
     session = universe.sessions[op["session"]]
+    sql, params = op["sql"], op.get("params", ())
+    if universe.inline:
+        sql, params = inline_params(sql, params), ()
     try:
-        result = session.execute(op["sql"], op.get("params", ()))
+        result = session.execute(sql, params)
     except ReproError as exc:
         return ("error", type(exc).__name__)
     if op["kind"] == "select":
@@ -466,6 +491,38 @@ def test_differential_work_mem(work_mem, batch_size):
                       require_spill=(work_mem <= 1024))
 
 
+def test_differential_inlined_literals():
+    """The seeded stream twice on optimized databases: once with its
+    ``?`` parameters, once with every parameter written into the text
+    as a SQL literal — so nearly every statement is a new text, run by
+    the plan its plan key's first text made (``sql.template``).  Rows,
+    labels, rowcounts, error types and, after every write, the table
+    state must agree statement by statement, and some texts must run a
+    plan another text made (most are of a shape new to the run)."""
+    seed = SEED ^ 0x11E7
+    tag = "[REPRO_DIFF_SEED=%d]" % seed
+    gen = StatementGenerator(random.Random(seed))
+    parameterized = Universe(naive=False)
+    inlined = Universe(naive=False, inline=True)
+    universes = (parameterized, inlined)
+    _populate(universes, gen)
+    assert parameterized.state() == inlined.state(), \
+        "%s populated state diverged" % tag
+    before = counters.snapshot()["plans"]["key_hits"]
+    for i in range(max(N_STATEMENTS // 2, 300)):
+        op = gen.statement()
+        want = run_one(parameterized, op)
+        got = run_one(inlined, op)
+        assert got == want, (
+            "%s statement %d diverged\n  op: %r\n  inlined: %r\n"
+            "  parameterized: %r" % (tag, i, op, got, want))
+        if op["kind"] in ("update", "delete", "insert"):
+            assert inlined.state() == parameterized.state(), (
+                "%s table state diverged after statement %d: %r"
+                % (tag, i, op))
+    assert counters.snapshot()["plans"]["key_hits"] - before > i // 10, tag
+
+
 # ---------------------------------------------------------------------------
 # label layout × fold: the set-at-a-time executor against the reference
 # ---------------------------------------------------------------------------
@@ -562,8 +619,8 @@ def _labeled_rows(session, sql):
     prepared = db.prepare_select(db.parse(sql), sql)
     try:
         with session._autocommit():
-            rows = [row for batch in
-                    prepared.plan.batches(session._context(()))
+            ctx = session._context((), prepared.slot_values)
+            rows = [row for batch in prepared.plan.batches(ctx)
                     for row in zip(batch.rows(), batch.labels,
                                    batch.ilabels)]
     except ReproError as exc:

@@ -209,6 +209,7 @@ SHAPE_SAMPLES = {
     ex.Exists: [ex.Exists(_SELECT, True)],
     ex.InSelect: [ex.InSelect(_A, _SELECT, True)],
     ex.ScalarSelect: [ex.ScalarSelect(_SELECT)],
+    ex.LiteralSlot: [ex.LiteralSlot(0, 0, 1)],
 }
 
 
@@ -452,4 +453,43 @@ class TestTypedOperatorErrors:
             session.execute(sql)
         assert isinstance(raised.value, DatabaseError)
         assert str(raised.value).startswith("cannot evaluate " + operation)
+        assert session.execute("SELECT id, w FROM t").rows == before
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT INV(id) FROM t",
+        "SELECT id FROM t WHERE INV(id) > 0",
+        "SELECT id FROM t WHERE id > 2 OR INV(id) > 0",
+        "UPDATE t SET w = 'x' WHERE INV(id) > 0",
+        "UPDATE t SET w = w || INV(id - 5)",
+        "DELETE FROM t WHERE INV(id) > 0",
+    ])
+    def test_a_user_defined_function_raises_expression_error(self, session,
+                                                              sql):
+        """A UDF's own exception (here ``ZeroDivisionError``) becomes an
+        ``ExpressionError`` naming the function and its operand types,
+        in a select item, a WHERE clause and an UPDATE assignment."""
+        session.db.create_function("INV", lambda x: 1 / x)
+        before = session.execute("SELECT id, w FROM t").rows
+        with pytest.raises(ExpressionError) as raised:
+            session.execute(sql)
+        assert str(raised.value).startswith("cannot evaluate INV(INT)")
+        assert "division by zero" in str(raised.value)
+        assert session.execute("SELECT id, w FROM t").rows == before
+
+    def test_a_user_defined_function_keeps_the_engines_own_errors(
+            self, session):
+        """A ``needs_context`` function may refuse on purpose: the
+        engine's own errors reach the caller as they were raised."""
+        from repro.errors import AuthorityError, IFCViolation
+
+        def refuse(ctx, value):
+            if value == 3:
+                raise AuthorityError("no authority over row %d" % value)
+            raise IFCViolation("row %d may not flow here" % value)
+        session.db.create_function("GUARD", refuse, needs_context=True)
+        before = session.execute("SELECT id, w FROM t").rows
+        with pytest.raises(AuthorityError, match="no authority over row 3"):
+            session.execute("UPDATE t SET w = 'x' WHERE GUARD(id) AND id = 3")
+        with pytest.raises(IFCViolation, match="row 0 may not flow here"):
+            session.execute("SELECT GUARD(id) FROM t")
         assert session.execute("SELECT id, w FROM t").rows == before

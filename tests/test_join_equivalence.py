@@ -103,8 +103,9 @@ def _run(db, session, sql):
     spills = counters.snapshot()["spill"]["spills"]
     widened = tally().rows_widened
     with session._autocommit():
+        ctx = session._context((), prepared.slot_values)
         rows = [(tuple(values), tuple(sorted(label)), tuple(sorted(ilabel)))
-                for batch in prepared.plan.batches(session._context(()))
+                for batch in prepared.plan.batches(ctx)
                 for values, label, ilabel
                 in zip(batch.rows(), batch.labels, batch.ilabels)]
     return (sorted(rows, key=repr), tally().rows_widened - widened,

@@ -72,6 +72,7 @@ PINNED_CELLS = [
     ("wal", "fsyncs"), ("wal", "commits"), ("wal", "commit_flushes"),
     ("wal", "group_commit_size"),
     ("parse", "text_hits"), ("parse", "shape_hits"), ("parse", "parses"),
+    ("plans", "key_hits"),
     (None, "statements_executed"), (None, "rows_inserted"),
     (None, "rows_updated"), (None, "rows_deleted"),
     (None, "buffer_hits"), (None, "buffer_misses"),

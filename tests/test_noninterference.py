@@ -260,9 +260,10 @@ def _observe(session, sql):
             # Integrity labels travel below the Row: drain the plan.
             prepared = db.prepare_select(statement, sql)
             with session._autocommit():
+                ctx = session._context((), prepared.slot_values)
                 seen["ilabels"] = [
                     tuple(sorted(ilabel)) for batch in
-                    prepared.plan.batches(session._context(()))
+                    prepared.plan.batches(ctx)
                     for ilabel in batch.ilabels]
             seen["analyze"] = _low_lines(
                 row[0] for row in session.execute("EXPLAIN ANALYZE " + sql))

@@ -274,9 +274,12 @@ class TestPlanCache:
         db, session = store
         sql = "UPDATE items SET price = price WHERE id = 1"
         session.execute(sql)
+        key = db.parse(sql).plan_key
         assert db._plan_cache[sql][1] is not None
+        assert db._plan_cache[key][1] is not None
         db.invalidate_plans_for("items")
         assert db._plan_cache[sql][1] is None
+        assert db._plan_cache[key][1] is None
 
     def test_epoch_covers_tag_registry_mutations(self, db, authority):
         session = db.connect()

@@ -133,9 +133,10 @@ class World:
         db.buffer_cache.reset()
         before = counters.read()
         with session._autocommit():
+            ctx = session._context((), prepared.slot_values)
             rows = [
                 (tuple(values), tuple(sorted(label)), tuple(sorted(ilabel)))
-                for batch in prepared.plan.batches(session._context(()))
+                for batch in prepared.plan.batches(ctx)
                 for values, label, ilabel
                 in zip(batch.rows(), batch.labels, batch.ilabels)]
         if "ORDER BY" not in sql:

@@ -801,8 +801,9 @@ def test_spilled_fold_is_pinned(batch_size):
         before = counters.snapshot()["spill"]
         prepared = db.prepare_select(db.parse(sql), sql)
         with session._autocommit():
+            ctx = session._context((), prepared.slot_values)
             got = [(tuple(values), named(label), named(ilabel))
-                   for batch in prepared.plan.batches(session._context(()))
+                   for batch in prepared.plan.batches(ctx)
                    for values, label, ilabel
                    in zip(batch.rows(), batch.labels, batch.ilabels)]
         after = counters.snapshot()["spill"]

@@ -349,3 +349,275 @@ def test_whitespace_and_comment_variants_share_one_shape():
     assert len({s.fingerprint for s in statements.values()}) == 1
     assert [_outcome(session, text) for text in texts] == [
         [(2,)], [(3,)], [(1,)]]
+
+
+# ---------------------------------------------------------------------------
+# plan keys: one plan per key, each text with its own literals
+# ---------------------------------------------------------------------------
+
+def _key(db, text):
+    return db.parse(text).plan_key
+
+
+def _literal_outcome(text, params=()):
+    """What ``text`` gives planned with its own literal values: parsed
+    on its own and run with no text, so no plan key is involved."""
+    _fresh, session = _db()
+    try:
+        result = session.execute_statement(parse_statement(text),
+                                           tuple(params))
+    except Exception as error:                    # compared, not hidden
+        return type(error).__name__
+    return [tuple(row) for row in result.rows]
+
+
+def _typed(outcome):
+    """An outcome with each value's type beside it: ``1`` is not
+    ``1.0``."""
+    if isinstance(outcome, str):
+        return outcome
+    return [tuple((type(value), value) for value in row) for row in outcome]
+
+
+def _check_key_texts(texts, params=()):
+    """Run ``texts`` in order on one database: each gives what it gives
+    planned with its own literals, value for value and type for type."""
+    db, session = _db()
+    for text in texts:
+        assert _typed(_outcome(session, text, params)) \
+            == _typed(_literal_outcome(text, params)), text
+    return db, session
+
+
+def test_an_order_by_ordinal_is_part_of_the_plan_key():
+    texts = ["SELECT a, b, c FROM t WHERE c > 100 ORDER BY 2",
+             "SELECT a, b, c FROM t WHERE c > 150 ORDER BY 2",
+             "SELECT a, b, c FROM t WHERE c > 100 ORDER BY 3",
+             "SELECT a, b, c FROM t WHERE c > 100 ORDER BY 2.0"]
+    db, session = _check_key_texts(texts)
+    keys = [_key(db, text) for text in texts]
+    assert keys[0] == keys[1]
+    assert len({keys[0], keys[2], keys[3]}) == 3
+    assert _outcome(session, texts[0]) != _outcome(session, texts[2])
+
+
+def test_limit_and_offset_values_are_part_of_the_plan_key():
+    """A LIMIT and an OFFSET size the TopN estimate, so each count is
+    planned on its own; the other literals still share the plan."""
+    from repro.db.physical import TopN
+    texts = ["SELECT a FROM t WHERE c > 90 ORDER BY b LIMIT 2 OFFSET 1",
+             "SELECT a FROM t WHERE c > 150 ORDER BY b LIMIT 2 OFFSET 1",
+             "SELECT a FROM t WHERE c > 90 ORDER BY b LIMIT 3 OFFSET 1",
+             "SELECT a FROM t WHERE c > 90 ORDER BY b LIMIT 2 OFFSET 2",
+             "SELECT a FROM t WHERE c > 90 ORDER BY b LIMIT 2.0 OFFSET 1"]
+    db, _session = _check_key_texts(texts)
+    keys = [_key(db, text) for text in texts]
+    assert keys[0] == keys[1] and len(set(keys)) == 4
+    for text, rows in zip(texts[:3], (2, 2, 3)):
+        plan = db.prepare_select(db.parse(text), text).plan
+        (top,) = [node for node in _operators(plan) if type(node) is TopN]
+        assert top.est_rows == rows, text
+
+
+def _operators(plan):
+    found = [plan]
+    for child in plan.children():
+        found += _operators(child)
+    return found
+
+
+@pytest.mark.parametrize("texts", [
+    ["SELECT CASE WHEN a < 5 THEN 'lo' ELSE 'hi' END, COUNT(*) FROM t "
+     "GROUP BY CASE WHEN a < 5 THEN 'lo' ELSE 'hi' END",
+     "SELECT CASE WHEN a < 3 THEN 'lo' ELSE 'hi' END, COUNT(*) FROM t "
+     "GROUP BY CASE WHEN a < 3 THEN 'lo' ELSE 'hi' END",
+     "SELECT CASE WHEN a < 3 THEN 'lo' ELSE 'hi' END, COUNT(*) FROM t "
+     "GROUP BY CASE WHEN a < 5 THEN 'lo' ELSE 'hi' END"],
+    ["SELECT a % 2, COUNT(*) FROM t GROUP BY a % 2",
+     "SELECT a % 3, COUNT(*) FROM t GROUP BY a % 3",
+     "SELECT a % 3, COUNT(*) FROM t GROUP BY a % 3.0",
+     "SELECT a % 2, COUNT(*) FROM t GROUP BY a % 3"],
+], ids=["case", "modulo"])
+def test_equal_literals_share_one_slot(texts):
+    """A select item matches its GROUP BY expression only if their
+    literals are equal — as a fresh parse compares them, ``3`` equal to
+    ``3.0`` — so which literals are equal is part of the key."""
+    db, _session = _check_key_texts(texts)
+    keys = [_key(db, text) for text in texts]
+    assert keys[0] == keys[1] == keys[-2] != keys[-1]
+    assert isinstance(_literal_outcome(texts[-1]), str)    # an error
+
+
+def test_a_slot_never_equals_a_parameter():
+    text = "SELECT a % 2, COUNT(*) FROM t GROUP BY a % ?"
+    db, _session = _check_key_texts([text], (2,))
+    assert isinstance(_literal_outcome(text, (2,)), str)
+    slot = ex.LiteralSlot(0, 0, 0)
+    assert slot != ex.Param(0) and slot != ex.Literal(0)
+    assert slot == ex.LiteralSlot(1, 0, 7) != ex.LiteralSlot(0, 1, 0)
+
+
+def test_slot_values_travel_apart_from_the_parameters():
+    from repro.errors import DatabaseError
+    db, session = _db()
+    texts = ["SELECT a FROM t WHERE b > 15 AND c > ? ORDER BY a",
+             "SELECT a FROM t WHERE b > 25 AND c > ? ORDER BY a"]
+    assert _outcome(session, texts[0], (150,)) == [(1,), (4,), (5,)]
+    for text in texts:
+        with pytest.raises(DatabaseError,
+                           match="requires at least 1 parameters, got 0"):
+            session.execute(text)
+    assert _outcome(session, texts[1], (150,)) == [(1,), (4,), (5,)]
+    assert _key(db, texts[0]) == _key(db, texts[1])
+    assert db.parse(texts[1]).slot_values == (25,)
+
+
+def _holds_a_slot(node) -> bool:
+    parts = _parts(node)
+    if parts is None:
+        return isinstance(node, ex.LiteralSlot)
+    return isinstance(node, ex.LiteralSlot) or any(map(_holds_a_slot, parts))
+
+
+def test_what_the_catalog_stores_keeps_its_literals(tmp_path):
+    """View bodies, CHECK constraints, the statements a trigger runs and
+    the DDL log record hold literal values, never slots — however many
+    texts of their shapes ran first."""
+    from repro.db import wal as wal_mod
+    from repro.db.catalog import AFTER, INSERT
+    db = Database(seed=1, wal=str(tmp_path / "log"))
+    session = db.connect()
+    session.execute("CREATE TABLE u (a INT PRIMARY KEY, b INT, "
+                    "CHECK (b < 90))")
+    session.execute("CREATE TABLE audit (a INT PRIMARY KEY, note TEXT)")
+    for b in (5, 6):
+        session.execute("SELECT a FROM u WHERE b = %d" % b)
+    session.execute("CREATE VIEW v AS SELECT a FROM u WHERE b = 7")
+    def log(ctx):
+        ctx.session.execute("INSERT INTO audit VALUES (%d, 'b=%d')"
+                            % (ctx.new["a"], ctx.new["b"]))
+    db.create_trigger("log", "u", INSERT, AFTER, log)
+    for a, b in ((1, 7), (2, 8), (3, 7)):
+        session.execute("INSERT INTO u VALUES (%d, %d)" % (a, b))
+    view = db.catalog.get_view("v")
+    assert not _holds_a_slot(view.select)
+    assert view.select.where.right.value == 7
+    (check,) = db.catalog.get_table("u").schema.checks
+    assert not _holds_a_slot(check.expr) and check.expr.right.value == 90
+    records, _end, _tail = wal_mod.scan_wal(str(tmp_path / "log"))
+    ddl = [record for record in records if record[0] == "ddl"]
+    assert ddl and not any(_holds_a_slot(list(record)) for record in ddl)
+    assert [tuple(row) for row in session.execute(
+        "SELECT a, note FROM audit ORDER BY a").rows] == [
+        (1, "b=7"), (2, "b=8"), (3, "b=7")]
+    assert [tuple(row) for row in session.execute(
+        "SELECT a FROM v ORDER BY a").rows] == [(1,), (3,)]
+    db.close()
+
+
+def test_an_int_and_a_float_in_matching_positions():
+    """``1`` and ``1.0`` are one equality class, so two texts of the
+    shape share a key, and each reads its own literal: value and type."""
+    texts = ["SELECT a, 1 FROM t WHERE a = 2",
+             "SELECT a, 1.0 FROM t WHERE a = 2",
+             "SELECT a, 2 FROM t WHERE a = 2.0",
+             "SELECT a, 2.0 FROM t WHERE a = 2"]
+    db, session = _check_key_texts(texts)
+    keys = [_key(db, text) for text in texts]
+    assert keys[0] == keys[1] != keys[2] == keys[3]
+    assert _typed(_outcome(session, texts[1])) == [((int, 2), (float, 1.0))]
+    assert _typed(_outcome(session, texts[2])) == [((int, 2), (int, 2))]
+
+
+_ESTIMATES = re.compile(r"\(cost=[^)]*\)|mem=\d+B|time=[\d.]+ms")
+
+
+def test_explain_shows_one_tree_with_each_texts_literals():
+    """EXPLAIN and EXPLAIN ANALYZE plan a text as its plan key is
+    planned: two texts of one key show one operator tree, each with its
+    own literals — the tree each text runs."""
+    db, session = _db()
+    texts = ["SELECT a FROM t WHERE b > 15 AND c < 450 ORDER BY a LIMIT 3",
+             "SELECT a FROM t WHERE b > 26 AND c < 350 ORDER BY a LIMIT 3"]
+    assert _key(db, texts[0]) == _key(db, texts[1])
+    shapes = []
+    for text, literals in zip(texts, (("15", "450"), ("26", "350"))):
+        lines = [row[0] for row in session.execute("EXPLAIN " + text).rows]
+        analyzed = [row[0] for row in
+                    session.execute("EXPLAIN ANALYZE " + text).rows]
+        for shown in ("\n".join(lines), "\n".join(analyzed)):
+            assert "b > %s" % literals[0] in shown
+            assert "c < %s" % literals[1] in shown
+        shapes.append([_ESTIMATES.sub("", line).replace(literals[0], "B")
+                       .replace(literals[1], "C") for line in lines])
+        runs = db.prepare_select(db.parse(text), text).plan
+        assert [type(node).__name__ for node in _operators(runs)] == [
+            line.split()[0] for line in lines]
+    assert shapes[0] == shapes[1]
+    for text in texts:
+        assert _outcome(session, text) == _literal_outcome(text)
+
+
+def _adhoc_db():
+    from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
+    db = Database(seed=3)
+    TPCCWorkload(db, TPCCConfig(warehouses=2, districts_per_warehouse=4,
+                                customers_per_district=8, items=40,
+                                initial_orders_per_district=6)).load()
+    return db
+
+
+def test_adhoc_texts_are_optimized_once_per_plan_key(monkeypatch):
+    """``adhoc_sql``-style texts — every one new, literals drawn at
+    random — run the optimizer once per plan key, and each key's plan
+    is the tree a text gets planned with its own literals, and the tree
+    planned with a ``?`` in place of each slot literal."""
+    import random
+    from repro.db.optimizer import Optimizer
+    db = _adhoc_db()
+    session = db.connect()
+    calls = []
+    optimize = Optimizer.optimize
+    monkeypatch.setattr(Optimizer, "optimize",
+                        lambda self, query: calls.append(query)
+                        or optimize(self, query))
+    rng = random.Random(5)
+    keys, optimized, texts = set(), 0, 0
+    for template in ADHOC:
+        trees = set()
+        for _ in range(12):
+            text = _substitute(template, [
+                (token, rng.randint(1, 8) if type(token.value) is int
+                 else round(rng.uniform(0, 100), 2))
+                for token in _literals(template)])
+            keys.add(_key(db, text))
+            before = len(calls)
+            session.execute(text)
+            optimized += len(calls) - before
+            texts += 1
+            generic = db.prepare_select(db.parse(text), text).plan
+            literal = db.prepare_select(parse_statement(text), None).plan
+            assert _tree_of(literal) == _tree_of(generic), text
+            trees.add(_tree_of(generic))
+        marked = _parameterized(template, db.parse(template).plan_key)
+        assert trees == {_tree_of(db.prepare_select(
+            parse_statement(marked), None).plan)}, marked
+    assert optimized == len(keys) < texts / 2
+
+
+def _parameterized(text, key) -> str:
+    """``text`` with a ``?`` written over each literal that is a slot
+    of its plan key."""
+    tokens = [token for token in tokenize(text)]
+    for index in sorted(key[0].free, reverse=True):
+        token = tokens[index]
+        end = _NUMBER_TEXT.match(text, token.position).end()
+        text = text[:token.position] + "?" + text[end:]
+    return text
+
+
+def _tree_of(plan) -> tuple:
+    """A plan's operator classes, with the access path of each scan."""
+    return tuple((type(node).__name__,
+                  getattr(getattr(node, "index", None), "name", None))
+                 for node in _operators(plan))

@@ -395,9 +395,11 @@ class TestInvalidationAndRefresh:
         refreshed = db.stats_manager.refresh_drifted()
         assert refreshed == ["events"]
         # Only the plan reading the refreshed table was evicted; the
-        # text keeps its statement.
+        # text keeps its statement, and so does its plan key.
         assert db._plan_cache[sql_events] == (statement, None, ())
         assert db._plan_cache[sql_other][1] is not None
+        assert db._plan_cache[statement.plan_key][1] is None
+        assert db._plan_cache[db.parse(sql_other).plan_key][1] is not None
 
     def test_periodic_sweep_refreshes_without_replanning(self, store):
         # Even with every hot plan cached (so no planning pass ever
