@@ -37,9 +37,9 @@ from ..core.idgen import SeededIdGenerator
 from ..core.labels import EMPTY_LABEL, Label
 from ..errors import AuthorityError, CatalogError, DatabaseError
 from ..sql import ast
-from ..sql.lexer import tokenize
+from ..sql.lexer import lexemes, shape_key, tokenize
 from ..sql.parser import parse_script, parse_statement
-from ..sql.template import Template, shape
+from ..sql.template import Template
 from .catalog import (
     AFTER,
     BEFORE,
@@ -213,7 +213,7 @@ class Database:
         # (``invalidate_plans_for``); either way the statement stays.
         # At most ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
         self._plan_cache: Dict[object, Tuple] = {}
-        # Statement shapes (``sql.template.shape``) → their
+        # Statement shape keys (``sql.lexer.shape_key``) → their
         # ``Template``: what a new text of a known shape is bound from
         # instead of parsed.  Bounded like the statement cache.
         self._shape_cache: Dict[tuple, Template] = {}
@@ -276,27 +276,30 @@ class Database:
     def parse(self, sql: str):
         """The statement of ``sql``: for a text seen before, the very
         statement it gave then (its plan is cached with it); for a new
-        text, lexed once, a copy of its shape's template with the text's
-        literals bound in.  Only a new shape is parsed.  A statement
-        planned by key also carries its ``plan_key`` and the values of
-        its literal slots (``slot_values``)."""
+        text, lexed once (``sql.lexer.lexemes``), a copy of its shape's
+        template with the text's literals bound in.  Only a new shape is
+        tokenized and parsed.  A statement planned by key also carries
+        its ``plan_key`` and the values of its literal slots
+        (``slot_values``)."""
         entry = self._plan_cache.get(sql)
         if entry is not None:
             tally().text_hits += 1
             return entry[0]
-        tokens = tokenize(sql)
-        key = shape(tokens)
+        found = lexemes(sql)
+        key = shape_key(found)
         template = self._shape_cache.get(key)
-        if template is not None and template.fits(tokens):
+        values = None if template is None else template.values(found)
+        if values is not None:
             tally().shape_hits += 1
         else:
             slots: dict = {}
-            template = Template(parse_statement(sql, tokens, slots),
-                                tokens, slots)
+            template = Template(parse_statement(sql, tokenize(sql), slots),
+                                key, found, slots)
             _cache_put(self._shape_cache, key, template)
             tally().parses += 1
-        statement = template.bind(tokens)
-        keyed = template.plan_key(tokens)
+            values = template.values(found)
+        statement = template.bind(values)
+        keyed = template.plan_key(values)
         if keyed is not None:
             statement.plan_key, statement.slot_values = keyed
         _cache_put(self._plan_cache, sql, (statement, None, ()))

@@ -777,13 +777,14 @@ def parse_statement(sql: str, tokens: Optional[List[Token]] = None,
                     slots: Optional[dict] = None) -> ast.Statement:
     """Parse a single SQL statement, from ``tokens`` when the caller
     has already lexed ``sql``.  The statement carries the
-    ``fingerprint`` of the tokens it was parsed from — what the engine
+    ``fingerprint`` of the lexemes it was parsed from — what the engine
     aggregates its executions under — so no one lexes the text again.
     A ``slots`` dict receives :attr:`Parser.slots`, which a template
     is compiled from."""
     parser = Parser(sql, tokens)
     statement = parser.parse_statement()
-    statement.fingerprint = fingerprint(parser.tokens)
+    statement.fingerprint = fingerprint(
+        [token.text for token in parser.tokens[:-1]])
     if slots is not None:
         slots.update(parser.slots)
     return statement

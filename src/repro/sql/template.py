@@ -1,14 +1,17 @@
 """Statement templates: each statement shape is parsed once.
 
 Texts that differ only in their literals — an application that inlines
-``WHERE id = 7`` here and ``WHERE id = 9`` there — share a *shape*
-(:func:`shape`): the token stream's fingerprint plus each literal
-token's kind, so ``'1'`` and ``1`` are different shapes.  The first
-text of a shape is parsed, and its parse records which ``Literal`` node
-came from which token (``Parser.slots``); a :class:`Template` compiles
-that tree into a binder.  Every later text of the shape is only lexed:
-the binder builds its statement from the template and the text's own
-tokens, and the result equals a fresh parse of the text.
+``WHERE id = 7`` here and ``WHERE id = 9`` there — share a *shape key*
+(:func:`repro.sql.lexer.shape_key`): the text's lexemes with each
+number and string literal replaced by a marker of its kind, so ``'1'``
+and ``1`` are different shapes, and so are ``"a b"`` and ``a b``.  The
+first text of a shape is parsed, and its parse records which
+``Literal`` node came from which token (``Parser.slots``); a
+:class:`Template` compiles that tree into a binder.  Every later text
+of the shape is only lexed: the template reads the text's literal
+values from its lexemes (:meth:`Template.values`), the binder builds
+its statement from the template and those values, and the result
+equals a fresh parse of the text.
 
 The binder rebuilds the *spine* — the root, and every node on a path
 from it to a slot — and shares each subtree that holds no slot with the
@@ -42,42 +45,39 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..db import expressions as ex
 from . import ast
-from .lexer import LITERALS, NUMBER, STRING, Token, fingerprint
 
-#: ``bind(leaves)`` → a node built with the leaves in its slots:
-#: literals made from the tokens of a text, or the nodes of a
-#: statement planned for a plan key.
+#: ``bind(leaves)`` → a node built with the leaves in its slots: the
+#: literal values of a text, or the nodes of a statement planned for a
+#: plan key, each by lexeme index.
 Binder = Callable[[object], object]
 
 #: The statements planned once per plan key.
 PLANNED = (ast.Select, ast.Insert, ast.Update, ast.Delete)
 
 
-def shape(tokens: List[Token]) -> tuple:
-    """What a template is keyed on: the fingerprint of ``tokens`` and
-    the kind of each literal in them."""
-    return (fingerprint(tokens),
-            tuple([token.kind for token in tokens if token.kind in LITERALS]))
-
-
 class Template:
     """The parse of one statement shape, ready to bind any text of it."""
 
-    __slots__ = ("bind", "raw", "pinned", "free", "_generic")
+    __slots__ = ("bind", "literals", "raw", "pinned", "free", "_generic")
 
-    def __init__(self, statement, tokens: List[Token],
+    def __init__(self, statement, key: tuple, found: List[str],
                  slots: Dict[int, ex.Literal]):
+        """``statement`` parsed from the lexemes ``found``, of shape
+        ``key``, with ``slots`` from its parse."""
         index_of = {id(node): index for index, node in slots.items()}
         #: The statement of a text of this shape: a copy of ``statement``
         #: with the text's literals in its slots — a copy even with no
         #: slot, so the parsed tree is never handed out.
         self.bind: Binder = _copier_of(statement, index_of, _literal)
-        #: ``(token index, value)`` of each literal read as a raw value.
-        self.raw = tuple((index, token.value)
-                         for index, token in enumerate(tokens)
-                         if token.kind in (NUMBER, STRING)
-                         and index not in slots)
-        #: Token indices of the literals whose values go into the plan
+        #: ``(lexeme index, reader)`` of each literal: where a text's
+        #: literal values are and how each is read.
+        self.literals = tuple((index, read) for index, read in enumerate(key)
+                              if not isinstance(read, str))
+        #: ``(lexeme index, value)`` of each literal read as a raw value.
+        self.raw = tuple((index, read(found[index]))
+                         for index, read in self.literals
+                         if index not in slots)
+        #: Lexeme indices of the literals whose values go into the plan
         #: key, and of the literals that become slots; ``None`` for a
         #: statement not planned by key.
         self.pinned = self.free = self._generic = None
@@ -91,21 +91,34 @@ class Template:
             self.free = tuple(sorted(set(slots) - set(self.pinned)))
             self._generic = _copier_of(statement, index_of, _node)
 
-    def plan_key(self, tokens: List[Token]) -> Optional[Tuple[tuple, tuple]]:
-        """``(plan key, slot values)`` of a text of this template — the
-        key ``(template, (value, type) of each pinned literal, the
-        equality class of each slot)`` and the slots' values in token
-        order — or ``None`` for a statement not planned by key.  An
-        ``int`` and a ``float`` of one value are one class (they match
-        as expressions), and each slot keeps its own type."""
+    def values(self, found: List[str]) -> Optional[Dict[int, object]]:
+        """``{lexeme index: value}`` of the literals of the lexemes
+        ``found``, of this shape — or ``None`` when they do not carry
+        the raw values the template was parsed with.  Types count:
+        ``DEFAULT 1`` is not ``DEFAULT 1.0``."""
+        values = {index: read(found[index]) for index, read in self.literals}
+        for index, value in self.raw:
+            other = values[index]
+            if other != value or type(other) is not type(value):
+                return None
+        return values
+
+    def plan_key(self, values: Dict[int, object]
+                 ) -> Optional[Tuple[tuple, tuple]]:
+        """``(plan key, slot values)`` of a text of this template, from
+        its literal ``values`` — the key ``(template, (value, type) of
+        each pinned literal, the equality class of each slot)`` and the
+        slots' values in lexeme order — or ``None`` for a statement not
+        planned by key.  An ``int`` and a ``float`` of one value are
+        one class (they match as expressions), and each slot keeps its
+        own type."""
         if self.free is None:
             return None
-        pinned = tuple([(tokens[i].value, type(tokens[i].value))
-                        for i in self.pinned])
-        values = tuple([tokens[i].value for i in self.free])
+        pinned = tuple([(values[i], type(values[i])) for i in self.pinned])
+        free = tuple([values[i] for i in self.free])
         classes: dict = {}
         return (self, pinned, tuple([classes.setdefault(value, len(classes))
-                                     for value in values])), values
+                                     for value in free])), free
 
     def generic(self, key: tuple, values: tuple):
         """The statement every text of ``key`` is planned as: the
@@ -118,16 +131,6 @@ class Template:
                 zip(self.free, classes, values)):
             nodes[index] = ex.LiteralSlot(slot, cls, value)
         return self._generic(nodes)
-
-    def fits(self, tokens: List[Token]) -> bool:
-        """Do ``tokens``, of this shape, carry the raw values the
-        template was parsed with?  Types count: ``DEFAULT 1`` is not
-        ``DEFAULT 1.0``."""
-        for index, value in self.raw:
-            other = tokens[index].value
-            if other != value or type(other) is not type(value):
-                return False
-        return True
 
 
 def _attributes(node) -> list:
@@ -142,12 +145,12 @@ def _attributes(node) -> list:
 
 
 def _literal(index: int) -> Binder:
-    """The slot at token ``index`` bound from a text's tokens."""
-    return lambda tokens: ex.Literal(tokens[index].value)
+    """The slot at lexeme ``index`` bound from a text's literal values."""
+    return lambda values: ex.Literal(values[index])
 
 
 def _node(index: int) -> Binder:
-    """The slot at token ``index`` bound from ``{token index: node}``."""
+    """The slot at lexeme ``index`` bound from ``{lexeme index: node}``."""
     return lambda nodes: nodes[index]
 
 
@@ -180,7 +183,7 @@ def _read_by_planner(node, read: set) -> None:
 def _copier_of(node, index_of: Dict[int, int], leaf) -> Binder:
     """A binder for a copy of the statement ``node`` — even with no
     slot, so the parsed tree is never handed out — whose slots are
-    bound by ``leaf(token index)``."""
+    bound by ``leaf(lexeme index)``."""
     return _binder(node, index_of, leaf) or _copier(node, [])
 
 

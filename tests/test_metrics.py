@@ -310,7 +310,7 @@ def test_fork_while_another_thread_holds_the_lock_does_not_deadlock():
 
 def test_fingerprint_replaces_literals():
     def norm(sql):
-        return lexer.fingerprint(lexer.tokenize(sql))
+        return lexer.fingerprint(lexer.lexemes(sql))
 
     assert norm("SELECT * FROM t WHERE id = 7") \
         == norm("SELECT * FROM t   WHERE id = 9")
@@ -320,36 +320,60 @@ def test_fingerprint_replaces_literals():
     assert norm("SELECT 1 -- trailing\n") == norm("SELECT 1")
     # identifiers are *not* folded: different shapes stay distinct
     assert norm("SELECT a FROM t") != norm("SELECT b FROM t")
+    # a quoted identifier keeps its quotes
+    assert norm('SELECT "a b" FROM t') == 'SELECT "a b" FROM t'
+    assert norm('SELECT "a b" FROM t') != norm("SELECT a b FROM t")
+
+
+def test_statement_stats_keep_quoted_identifiers_apart():
+    """``"a b"`` (one column) and ``a b`` (column ``a`` as ``b``)
+    aggregate under two keys."""
+    db, public, _secret, _tag, _a, _o = _fresh()
+    public.execute('CREATE TABLE t (a INT, "a b" INT)')
+    public.execute('INSERT INTO t VALUES (1, 2)')
+    assert public.execute('SELECT "a b" FROM t').rows == [(2,)]
+    assert public.execute("SELECT a b FROM t").rows == [(1,)]
+    statements = db.stats()["statements"]
+    assert statements['SELECT "a b" FROM t']["calls"] == 1
+    assert statements["SELECT a b FROM t"]["calls"] == 1
 
 
 def test_each_new_text_is_lexed_once_and_caches_stay_bounded(monkeypatch):
+    """``lexer.lexemes`` is the one lexing entry point of a text: once
+    per new text, never for a cached one; only a new shape goes on to
+    ``tokenize`` and the parser."""
     from repro.db import engine
-    from repro.sql import parser
 
-    calls = []
-    real = lexer.tokenize
+    calls, parses = [], []
+    real_lexemes, real_parse = engine.lexemes, engine.parse_statement
 
     def counting(sql):
         calls.append(sql)
-        return real(sql)
+        return real_lexemes(sql)
 
-    monkeypatch.setattr(lexer, "tokenize", counting)
-    monkeypatch.setattr(parser, "tokenize", counting)
-    monkeypatch.setattr(engine, "tokenize", counting)
+    def parsing(sql, *args):
+        parses.append(sql)
+        return real_parse(sql, *args)
+
+    monkeypatch.setattr(engine, "lexemes", counting)
+    monkeypatch.setattr(engine, "parse_statement", parsing)
     db, public, _secret, _tag, _a, _o = _fresh()
     public.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-    del calls[:]
+    del calls[:], parses[:]
     public.execute("INSERT INTO t VALUES (1, 10)")
     public.execute("SELECT v FROM t WHERE id = 1")
     assert len(calls) == 2                 # parse; the stats key rode along
+    assert len(parses) == 2
     public.execute("SELECT v FROM t WHERE id = 1")
     assert len(calls) == 2                 # cached text: not lexed at all
     assert db.stats()["statements"]["SELECT v FROM t WHERE id = ?"][
         "calls"] == 2
     public.execute("SELECT v FROM t WHERE id = 2")
     assert len(calls) == 3                 # a known shape: lexed, not parsed
+    assert len(parses) == 2
     public.execute("CREATE TABLE u (id INT PRIMARY KEY)")
     assert len(calls) == 4                 # a new shape: lexed once, parsed
+    assert len(parses) == 3
 
     caches = (db._plan_cache, db._shape_cache)
     for i in range(3, 5003):               # 10 000 distinct texts
@@ -357,6 +381,7 @@ def test_each_new_text_is_lexed_once_and_caches_stay_bounded(monkeypatch):
         public.execute("SELECT v FROM t WHERE id = %d" % i)
         assert all(len(c) <= engine.STATEMENT_CACHE_CAP for c in caches)
     assert len(calls) == 4 + 10000
+    assert len(parses) == 3
     # A stream of new shapes is bounded the same way.
     monkeypatch.setattr(engine, "STATEMENT_CACHE_CAP", 8)
     for i in range(20):

@@ -31,6 +31,20 @@ class TestLexer:
         with pytest.raises(SQLSyntaxError):
             tokenize("SELECT 'oops")
 
+    @pytest.mark.parametrize("text, position", [
+        ("SELECT 1e FROM t", 7), ("SELECT 2E+", 7), ("SELECT x, 1.5e- 2", 10),
+        ("SELECT 1.e5x, .5E", 14), ("SELECT \u00b2", 7),
+        ("SELECT \u0663 FROM t", 7)])
+    def test_malformed_numbers_are_syntax_errors(self, text, position):
+        """Numbers are ASCII digits with a digit in any exponent; a
+        text breaking that is a syntax error at the number, also
+        through ``Database.parse``."""
+        from repro.db import Database
+        for lex in (tokenize, Database(seed=1).parse):
+            with pytest.raises(SQLSyntaxError) as error:
+                lex(text)
+            assert str(error.value).endswith("at %d" % position)
+
     def test_params(self):
         tokens = tokenize("a = ? AND b = ?")
         assert sum(1 for t in tokens if t.kind == "param") == 2

@@ -250,6 +250,31 @@ def test_a_string_one_and_a_number_one_are_two_shapes():
     assert values == ["1", 1] and type(values[1]) is int
 
 
+@pytest.mark.parametrize("setup, texts", [
+    (["CREATE TABLE q (a INT, b INT)", "INSERT INTO q VALUES (1, 2)"],
+     ["SELECT a b FROM q", 'SELECT "a b" FROM q']),
+    (['CREATE TABLE q ("?" TEXT)', "INSERT INTO q VALUES ('x')"],
+     ['SELECT 3, "?" FROM q', 'SELECT "?", 3 FROM q']),
+], ids=["alias_or_quoted_name", "quoted_question_mark"])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_a_quoted_identifier_is_its_own_shape(setup, texts, order):
+    """Quotes are part of the shape key: a quoted name never binds a
+    template of the unquoted words, nor a ``"?"`` one of a parameter.
+    Each text gives on one database, after the other, what it gives on
+    a fresh one — rows or error type."""
+    def fresh():
+        session = Database(seed=1).connect()
+        for sql in setup:
+            session.execute(sql)
+        return session
+
+    session = fresh()
+    texts = texts[::order]
+    outcomes = [_outcome(session, text) for text in texts]
+    assert outcomes == [_outcome(fresh(), text) for text in texts]
+    assert len(set(map(str, outcomes))) == 2
+
+
 @pytest.mark.parametrize("texts", [
     ["SELECT a, b, c FROM t ORDER BY 2", "SELECT a, b, c FROM t ORDER BY 3",
      "SELECT a, b, c FROM t ORDER BY 2.0", "SELECT a FROM t ORDER BY 2"],
