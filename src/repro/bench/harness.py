@@ -140,8 +140,8 @@ def build_cartel_stack(*, ifc_enabled: bool = True, n_users: int = 8,
     generator = TraceGenerator(car_ids, seed=seed)
     processor = SensorProcessor(app)
     processor.process_measurements(generator.measurements(measurements))
-    # Optimizer statistics over the populated tables (ANALYZE): the
-    # request handlers are then planned from real cardinalities.
+    # ANALYZE: plans cached while the tables were filling are dropped,
+    # so the request handlers plan from the populated row counts.
     db.analyze()
 
     tokens = [web.login(name, "pw-" + name) for name in usernames]

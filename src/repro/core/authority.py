@@ -22,7 +22,7 @@ The state carries a monotonically increasing ``version`` so that caches
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..errors import AuthorityError, IFCViolation, UnknownTagError
 from .idgen import IdGenerator
@@ -213,12 +213,8 @@ class AuthorityState:
                 % (principal.name, tag.name))
 
     # ------------------------------------------------------------------
-    # label helpers that need compound expansion
+    # label helpers
     # ------------------------------------------------------------------
-    def expand(self, label: Label) -> FrozenSet[int]:
-        """Tag-id closure of a label with compounds expanded."""
-        return self.tags.expand(label.tags)
-
     def resolve_tags(self, names: Iterable[str]) -> Tuple[int, ...]:
         """Map tag names to ids (convenience for SQL and tests)."""
         return tuple(self.tags.lookup(n).id for n in names)

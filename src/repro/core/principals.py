@@ -44,12 +44,6 @@ class PrincipalRegistry:
             raise UnknownPrincipalError(
                 "no principal with id %d" % principal_id) from None
 
-    def lookup(self, name: str) -> Principal:
-        try:
-            return self._principals[self._by_name[name]]
-        except KeyError:
-            raise UnknownPrincipalError("no principal named %r" % name) from None
-
     def __contains__(self, principal_id: int) -> bool:
         return principal_id in self._principals
 

@@ -10,7 +10,9 @@ cases are the ones where naive enforcement would leak:
   and the table is *polyinstantiated*.  Readers with higher labels see
   both tuples and treat the duplication as a mistake to clean up.
 * **Foreign keys** (5.2.2): inserting a referencing tuple reveals the
-  parent's existence, and deletes of parents reveal referencing tuples.
+  parent's existence, and deletes of parents reveal referencing tuples
+  — unless another parent of the key with the child's contamination
+  remains, as under polyinstantiation.
   The Foreign Key Rule requires the inserter to hold declassification
   authority for the symmetric difference of the two labels and to name
   those tags explicitly in a ``DECLASSIFYING`` clause.  A parent whose
@@ -174,7 +176,23 @@ def check_write(ctx, table: Table, old, values: Optional[Tuple],
             # may reveal them, which the Foreign Key Rule made
             # acceptable by charging their inserter for the
             # declassification (section 5.2.2's deletion discussion).
-            for _version in _lookup(ctx, child, fk.columns, key):
+            # But a child that another parent of the key still serves,
+            # one it could link to with nothing declassified (the same
+            # contamination), is not orphaned: the hidden child of a
+            # polyinstantiated key must not block its visible twin's
+            # delete.  A parent it would need a DECLASSIFYING clause to
+            # reach does not count, or deleting a hidden twin would
+            # re-anchor its child on the visible parent for free.
+            others = None
+            for version in _lookup(ctx, child, fk.columns, key):
+                if others is None:
+                    others = [p.label for p in _live_matches(
+                        ctx, table, table.find_index(fk.ref_columns),
+                        positions, key, old)]
+                if any(not ifc or same_contamination(
+                        registry, parent, version.label)
+                       for parent in others):
+                    continue
                 raise ForeignKeyViolation(
                     "%s %s would orphan rows in %s (foreign key %r)"
                     % (_verb(old, values), table.name, child_name, fk.name))

@@ -146,8 +146,8 @@ def restore_database(data: bytes, db: Database) -> None:
     Tuples are written physically (labels restored verbatim), bypassing
     Query by Label like the dump did.  On a WAL-backed database the
     image's records are then appended to the log, so a crash after
-    restore recovers what it loaded.  Finishes with ``ANALYZE`` so
-    post-restore queries plan on real statistics, and re-emits
+    restore recovers what it loaded.  Replay caches no plan, so the
+    first queries plan from the loaded row counts.  Re-emits
     :class:`DumpIncompleteWarning` when the dump recorded omitted
     catalog objects (functions/procedures/triggers the operator must
     re-register).
@@ -169,7 +169,6 @@ def restore_database(data: bytes, db: Database) -> None:
             "restored database lacks %d catalog object(s) the dump could "
             "not serialize: %s" % (len(omitted), ", ".join(omitted))),
             stacklevel=2)
-    db.analyze()
 
 
 def dump_to_file(db: Database, path: str) -> None:

@@ -71,7 +71,6 @@ from .schema import (
     UniqueConstraint,
 )
 from .session import Session
-from .stats import StatsManager
 from .storage import Table
 from .transactions import TransactionManager
 from .types import type_by_name
@@ -167,7 +166,6 @@ class Database:
         self.txn_manager = TransactionManager()
         self.buffer_cache = BufferCache(capacity=buffer_pages,
                                         io_penalty=io_penalty)
-        self.stats_manager = StatsManager(self)
         # Execution batch size — a chunk size, at least 1: ``None``
         # defers to the REPRO_BATCH_SIZE environment variable (CI runs
         # the whole suite at 1 to prove batch boundaries can't change
@@ -195,7 +193,6 @@ class Database:
         # differential harness's known-good executor; see
         # Optimizer.naive.
         self.planner = Planner(self.catalog, self.authority.tags,
-                               stats=self.stats_manager,
                                naive=naive_plans,
                                batch_size=self.batch_size,
                                work_mem=self.work_mem)
@@ -208,9 +205,9 @@ class Database:
         # text's entry then holds its plan key's plan with the text's
         # own literals (``slot_values``).  Plans are versioned by
         # ``plan_cache_epoch``: any DDL or tag-registry change drops
-        # them all, a statistics refresh only those whose
-        # ``table_names`` include the refreshed table
-        # (``invalidate_plans_for``); either way the statement stays.
+        # them all, ``ANALYZE`` only those whose ``table_names`` include
+        # the analyzed table (``invalidate_plans_for``); either way the
+        # statement stays.
         # At most ``STATEMENT_CACHE_CAP`` entries (``_cache_put``).
         self._plan_cache: Dict[object, Tuple] = {}
         # Statement shape keys (``sql.lexer.shape_key``) → their
@@ -218,7 +215,6 @@ class Database:
         # instead of parsed.  Bounded like the statement cache.
         self._shape_cache: Dict[tuple, Template] = {}
         self._plan_epoch: Optional[Tuple[int, int]] = None
-        self._stats_probe = 0
         self._sequences: Dict[str, int] = {}
         # -- observability (core/counters.py, db/metrics.py) -------------
         # Sessions bracket every tracked statement with two reads of
@@ -319,23 +315,18 @@ class Database:
     def parse_script(self, sql: str):
         return parse_script(sql)
 
-    #: Every this many plan-cache probes, sweep the analyzed tables for
-    #: modification drift and refresh their statistics (evicting only
-    #: the cached plans that touch them).
-    STATS_PROBE_INTERVAL = 256
-
     def plan_cache_epoch(self) -> Tuple[int, int]:
         """The versions the prepared-plan cache is keyed on.
 
         ``catalog.version`` bumps on every DDL statement — including
         ``CREATE/DROP INDEX`` and view changes — and ``tags.version``
         bumps on every tag-registry mutation (new tags, compound-tag
-        membership).  Statistics refreshes are deliberately *not* part
-        of the epoch: new histograms change plan optimality, never plan
-        correctness, so a refresh evicts only the cached plans reading
-        the refreshed table (``invalidate_plans_for``) instead of
-        clearing everything.  Declassifying-view *authority* is also
-        not part of the epoch: cached plans re-validate the view
+        membership).  Row counts are deliberately *not* part of the
+        epoch: a table's growth changes plan optimality, never plan
+        correctness, so a cached plan keeps the counts it was costed
+        with until ``ANALYZE`` evicts the plans reading that table
+        (``invalidate_plans_for``).  Declassifying-view *authority* is
+        also not part of the epoch: cached plans re-validate the view
         principal's authority on every execution, so revocation takes
         effect without a replan.
         """
@@ -346,21 +337,14 @@ class Database:
         if epoch != self._plan_epoch:
             self.invalidate_plans_for(None)
             self._plan_epoch = epoch
-        self._stats_probe += 1
-        if self._stats_probe >= self.STATS_PROBE_INTERVAL:
-            self._stats_probe = 0
-            self.stats_manager.refresh_drifted()
 
     def invalidate_plans_for(self, table_name: Optional[str]) -> None:
-        """Drop the cached plans that read ``table_name`` (stats
-        refresh) — every plan for ``None`` (an epoch change) — keeping
-        each text's statement, so the text is replanned, not reparsed.
+        """Drop the cached plans that read ``table_name`` (``ANALYZE``)
+        — every plan for ``None`` (an epoch change) — keeping each
+        text's statement, so the text is replanned, not reparsed.
 
         DML plans participate too: UPDATE/DELETE target scans come out
-        of the same cost-based access-path enumeration as SELECT, so a
-        refreshed histogram can legitimately flip their plan (e.g.
-        full scan → index range scan once a range predicate turns out
-        to be selective).
+        of the same cost-based access-path enumeration as SELECT.
         """
         cache = self._plan_cache
         for key, (statement, prepared, tables) in list(cache.items()):
@@ -592,7 +576,6 @@ class Database:
                 declassify=Label(declassify), principal=principal))
         elif verb == "drop_table":
             self.catalog.drop_table(args[0])
-            self.stats_manager.forget(args[0])
         elif verb == "drop_view":
             self.catalog.drop_view(args[0])
         else:
@@ -675,13 +658,24 @@ class Database:
     # maintenance
     # ------------------------------------------------------------------
     def analyze(self, table_name: Optional[str] = None) -> List[str]:
-        """Collect optimizer statistics (``ANALYZE [table]``).
+        """``ANALYZE [table]``: evict the cached plans that read the
+        table (every cached plan for ``None``), so they are re-costed
+        against the current row counts; returns the tables' names.
 
-        Like vacuum, statistics collection reads the heap outside the
-        label rules (section 7.1 exempts maintenance); the numbers only
-        steer plan choice, never tuple visibility.
+        Nothing is collected: the optimizer reads each heap's version
+        count (``Table.approx_rows``) whenever it plans, and a cached
+        plan keeps the counts it was costed with until this (or DDL)
+        runs.  Growth alone never re-costs a cached plan: a caller
+        whose tables keep growing must call this itself.
         """
-        return self.stats_manager.analyze(table_name)
+        if table_name is None:
+            tables = list(self.catalog.tables.values())
+            self.invalidate_plans_for(None)
+        else:
+            tables = [self.catalog.get_table(table_name)]
+            self.invalidate_plans_for(tables[0].name)
+        tally().tables_collected += len(tables)
+        return [t.name for t in tables]
 
     def vacuum(self, table_name: Optional[str] = None) -> int:
         """Garbage-collect dead versions now (exempt from label rules).
@@ -833,8 +827,7 @@ class Database:
           ``audit_events`` — audit events ever recorded (0 when off);
         * ``commits``, ``aborts``, ``versions_reclaimed``,
           ``reclaim_pending`` — the transaction manager's;
-        * ``tables_analyzed`` — the tables that have statistics;
-          ``polyinstantiated`` — per table, inserts that went in beside
+        * ``polyinstantiated`` — per table, inserts that went in beside
           an invisible duplicate key.
 
         The counters are process-wide and per-thread: with several
@@ -854,7 +847,6 @@ class Database:
             "aborts": txns.aborts,
             "versions_reclaimed": txns.versions_reclaimed,
             "reclaim_pending": txns.reclaim_pending,
-            "tables_analyzed": self.stats_manager.analyzed(),
             "polyinstantiated": {
                 t.name: t.polyinstantiation_count
                 for t in self.catalog.tables.values()

@@ -124,7 +124,7 @@ class LogicalQuery:
 class LogicalDML:
     """A resolved UPDATE/DELETE: the target table as a single
     :class:`SourceEntry` so the optimizer's access-path enumeration —
-    equality probes, ordered-index range scans, stats-driven costing —
+    equality probes, ordered-index range scans, row-count costing —
     applies to DML target selection exactly as it does to SELECT scans.
 
     DML targets are always base tables (the catalog rejects views), so

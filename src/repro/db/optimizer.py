@@ -10,9 +10,11 @@ execution strategy, applying these rule families in order:
    into one pool and the entries are greedily reordered by *estimated
    filtered cardinality*: the smallest entry leads, and each next pick
    prefers an entry equi-joinable to what is already placed (avoiding
-   cross products), smallest first.  Cardinalities come from the
-   :mod:`repro.db.stats` subsystem when the table was ``ANALYZE``\\ d and
-   from default selectivities over a cheap heap count otherwise.
+   cross products), smallest first.  A table's cardinality is its
+   heap's version count (:attr:`~repro.db.storage.Table.approx_rows`,
+   O(1)) scaled by a default selectivity per predicate; there are no
+   collected statistics, so one count per table is all that a hidden
+   tuple can move a plan through.
    Queries with LEFT JOINs keep their written order (reordering would
    change NULL-extension semantics), and an unqualified ``*`` pins the
    order too, because its output columns follow entry order.
@@ -59,13 +61,6 @@ from .logical import LogicalDML, LogicalQuery, SourceEntry, \
     collect_columns, collect_slots, relayout, split_conjuncts
 from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES,
                     estimate_spill_plan, estimated_tuple_bytes)
-from .stats import (
-    DEFAULT_DERIVED_ROWS,
-    DEFAULT_EQ_SEL,
-    DEFAULT_LIKE_SEL,
-    DEFAULT_RANGE_SEL,
-    DEFAULT_SEL,
-)
 from .storage import Table
 
 # ---------------------------------------------------------------------------
@@ -88,6 +83,24 @@ COST_SPILL_ROW = 0.4
 #: table is still empty must not lock in a full scan that a few inserts
 #: later would be wrong (inserts do not bump the plan-cache epoch).
 ROW_FLOOR = 10.0
+
+# ---------------------------------------------------------------------------
+# default selectivities: the only per-predicate estimates there are
+# ---------------------------------------------------------------------------
+
+#: ``col = constant`` (per item of an ``IN`` list).
+DEFAULT_EQ_SEL = 0.005
+#: One-sided inequality (``col > constant``); ``BETWEEN`` is its square.
+DEFAULT_RANGE_SEL = 1.0 / 3.0
+#: ``col LIKE pattern``.
+DEFAULT_LIKE_SEL = 0.15
+#: ``col IS NULL``.
+DEFAULT_NULL_SEL = 0.05
+#: Any predicate the estimator cannot classify.
+DEFAULT_SEL = 0.25
+#: Output-row guess for a derived (view/subquery) FROM entry whose
+#: inner query could not be estimated.
+DEFAULT_DERIVED_ROWS = 100.0
 
 
 def estimate_sort_spill(input_rows: float, input_bytes: float,
@@ -450,7 +463,8 @@ def _equi_pair(conjunct, entry: SourceEntry, left_aliases: set,
 
 class Optimizer:
     """Annotates logical queries with access paths and join strategies,
-    costing the alternatives from table statistics when available.
+    costing the alternatives from heap row counts and default
+    selectivities.
 
     ``naive=True`` disables every optimization: full heap scans, no
     join reordering, no predicate pushdown, nested-loop joins only,
@@ -462,10 +476,8 @@ class Optimizer:
     or touches, only how fast it finds it.
     """
 
-    def __init__(self, catalog, stats=None, naive: bool = False,
-                 work_mem: int = 0):
+    def __init__(self, catalog, naive: bool = False, work_mem: int = 0):
         self.catalog = catalog
-        self.stats = stats                   # StatsManager or None
         self.naive = naive
         #: Per-operator memory budget in bytes (0 = unbounded).  The
         #: optimizer only *costs* spilling with it — the executor reads
@@ -544,69 +556,31 @@ class Optimizer:
         query.est_cost = cum_cost
         return query
 
-    # -- statistics plumbing ----------------------------------------------
-    def _stats_for(self, table: Table):
-        if self.stats is None or table is None:
-            return None
-        return self.stats.get(table)
+    # -- cardinality ---------------------------------------------------------
+    def _base_rows(self, table: Table) -> float:
+        """The heap's version count (:attr:`Table.approx_rows`), floored."""
+        return max(float(table.approx_rows), ROW_FLOOR)
 
-    def _base_rows(self, table: Table, stats) -> float:
-        rows = stats.row_count if stats is not None else table.approx_rows
-        return max(float(rows), ROW_FLOOR)
-
-    def _column_stats(self, stats, column: str):
-        if stats is None:
-            return None
-        return stats.columns.get(column)
-
-    def _conjunct_selectivity(self, conjunct, alias, local_scope,
-                              stats) -> float:
+    def _conjunct_selectivity(self, conjunct, alias, local_scope) -> float:
         """Estimated fraction of rows satisfying one pushed conjunct."""
-        col, op, value = constant_comparison(conjunct, alias, local_scope)
+        col, op, _value = constant_comparison(conjunct, alias, local_scope)
         if col is not None:
-            cs = self._column_stats(stats, col)
-            if op == "=":
-                return cs.eq_selectivity() if cs is not None \
-                    else DEFAULT_EQ_SEL
-            bound = value.value if isinstance(value, ex.Literal) else None
-            if cs is not None and bound is not None:
-                if op in (">", ">="):
-                    return cs.range_selectivity(bound, None,
-                                                include_low=(op == ">="))
-                return cs.range_selectivity(None, bound,
-                                            include_high=(op == "<="))
-            return DEFAULT_RANGE_SEL
-        between = _between_bounds(conjunct, alias, local_scope)
-        if between is not None:
-            col, low, high = between
-            cs = self._column_stats(stats, col)
-            if cs is not None and isinstance(low, ex.Literal) \
-                    and isinstance(high, ex.Literal):
-                return cs.range_selectivity(low.value, high.value)
+            return DEFAULT_EQ_SEL if op == "=" else DEFAULT_RANGE_SEL
+        if _between_bounds(conjunct, alias, local_scope) is not None:
             return DEFAULT_RANGE_SEL ** 2
         if isinstance(conjunct, ex.IsNull):
-            cs = None
-            if isinstance(conjunct.operand, ex.ColumnRef):
-                cs = self._column_stats(stats, conjunct.operand.name)
-            null_frac = cs.null_frac if cs is not None else 0.05
-            return (1.0 - null_frac) if conjunct.negated else null_frac
+            return (1.0 - DEFAULT_NULL_SEL) if conjunct.negated \
+                else DEFAULT_NULL_SEL
         if isinstance(conjunct, ex.InList) and not conjunct.negated:
-            eq = DEFAULT_EQ_SEL
-            if isinstance(conjunct.operand, ex.ColumnRef):
-                cs = self._column_stats(stats, conjunct.operand.name)
-                if cs is not None:
-                    eq = cs.eq_selectivity()
-            return min(1.0, eq * len(conjunct.items))
+            return min(1.0, DEFAULT_EQ_SEL * len(conjunct.items))
         if isinstance(conjunct, ex.Like) and not conjunct.negated:
             return DEFAULT_LIKE_SEL
         return DEFAULT_SEL
 
-    def _filtered_selectivity(self, conjuncts, alias, local_scope,
-                              stats) -> float:
+    def _filtered_selectivity(self, conjuncts, alias, local_scope) -> float:
         sel = 1.0
         for conjunct in conjuncts:
-            sel *= self._conjunct_selectivity(conjunct, alias, local_scope,
-                                              stats)
+            sel *= self._conjunct_selectivity(conjunct, alias, local_scope)
         return sel
 
     def _local_scope(self, entry: SourceEntry, scope_full: ex.Scope):
@@ -624,7 +598,7 @@ class Optimizer:
             entry.derived.est_cost is not None else DEFAULT_DERIVED_ROWS
         local_scope = self._local_scope(entry, scope_full)
         sel = self._filtered_selectivity(entry.pushed, entry.alias,
-                                         local_scope, None)
+                                         local_scope)
         entry.est_rows = inner_rows * sel
         entry.est_cost = inner_cost + COST_ROW * inner_rows
 
@@ -682,12 +656,10 @@ class Optimizer:
         estimates: List[float] = []
         for i, entry in enumerate(entries):
             if entry.table is not None:
-                stats = self._stats_for(entry.table)
                 local_scope = self._local_scope(entry, query.scope)
                 sel = self._filtered_selectivity(local_conjs[i],
-                                                 entry.alias, local_scope,
-                                                 stats)
-                estimates.append(self._base_rows(entry.table, stats) * sel)
+                                                 entry.alias, local_scope)
+                estimates.append(self._base_rows(entry.table) * sel)
             else:
                 inner = entry.derived.est_rows \
                     if entry.derived is not None and \
@@ -695,8 +667,7 @@ class Optimizer:
                     else DEFAULT_DERIVED_ROWS
                 local_scope = self._local_scope(entry, query.scope)
                 sel = self._filtered_selectivity(local_conjs[i],
-                                                 entry.alias, local_scope,
-                                                 None)
+                                                 entry.alias, local_scope)
                 estimates.append(inner * sel)
 
         def joinable(j: int, placed_aliases: set) -> bool:
@@ -866,10 +837,9 @@ class Optimizer:
         from .indexes import OrderedIndex
         local_scope = self._local_scope(entry, scope_full)
         bounds = _PredBounds(entry.pushed, entry.alias, local_scope)
-        stats = self._stats_for(entry.table)
-        rows = self._base_rows(entry.table, stats)
+        rows = self._base_rows(entry.table)
         total_sel = self._filtered_selectivity(entry.pushed, entry.alias,
-                                               local_scope, stats)
+                                               local_scope)
         pushed = entry.pushed
         # Projection pushdown makes a narrow scan cheaper per row: it
         # copies fewer cells out of the heap.  The factor is applied
@@ -895,7 +865,7 @@ class Optimizer:
                 covered = set(key_columns)
                 key_sel = self._filtered_selectivity(
                     [bounds.eq[c][0] for c in key_columns],
-                    entry.alias, local_scope, stats)
+                    entry.alias, local_scope)
                 residual = [c for c in pushed
                             if not _covered_by(c, covered, entry.alias,
                                                local_scope, eq_cols)]
@@ -934,14 +904,14 @@ class Optimizer:
                 range_conjs.append(high[0])
             key_sel = self._filtered_selectivity(
                 [bounds.eq[c][0] for c in prefix], entry.alias,
-                local_scope, stats)
+                local_scope)
             seen = set()
             for conjunct in range_conjs:
                 if id(conjunct) in seen:
                     continue
                 seen.add(id(conjunct))
                 key_sel *= self._conjunct_selectivity(
-                    conjunct, entry.alias, local_scope, stats)
+                    conjunct, entry.alias, local_scope)
             residual = [c for c in pushed if id(c) not in consumed]
             cost = COST_PROBE + COST_ROW * rows * key_sel * width_factor
             candidates.append((cost, 1, IndexRangeAccess(
@@ -964,36 +934,26 @@ class Optimizer:
         return access
 
     # -- rule 5: join-strategy selection -----------------------------------
-    def _row_bytes(self, entry: SourceEntry, stats) -> float:
+    def _row_bytes(self, entry: SourceEntry) -> float:
         """Expected in-memory bytes of one execution row from this entry.
 
-        Prefers per-column widths measured at ANALYZE time
-        (:attr:`~repro.db.stats.TableStats.avg_row_bytes`) over the
-        synthetic width-only formula, and restricts the sum to the
-        projected column set when pushdown narrowed the entry —
-        projected-away slots ride along as ``None`` at 8 bytes each, so
-        a narrow build side earns a matching memory-budget credit here
-        and at run time (:func:`~repro.db.spill.estimate_row_bytes`).
+        Counts only the projected columns when pushdown narrowed the
+        entry — projected-away slots ride along as ``None`` at 8 bytes
+        each, so a narrow build side earns a matching memory-budget
+        credit here and at run time
+        (:func:`~repro.db.spill.estimate_row_bytes`).
         """
-        if entry.table is None:
+        if entry.needed is None:
             return estimated_tuple_bytes(len(entry.columns))
-        names = entry.columns if entry.needed is None \
-            else [entry.columns[p] for p in entry.needed]
-        stripped = len(entry.columns) - len(names)
-        measured = stats.avg_row_bytes(names) if stats is not None else None
-        if measured is not None:
-            return measured + 8.0 * stripped
-        return estimated_tuple_bytes(len(names)) + 8.0 * stripped
+        stripped = len(entry.columns) - len(entry.needed)
+        return estimated_tuple_bytes(len(entry.needed)) + 8.0 * stripped
 
-    def _join_pair_selectivity(self, table: Table, column: str,
-                               stats) -> float:
-        """P(right.col = probe value) per right row."""
-        cs = self._column_stats(stats, column)
-        if cs is not None and cs.ndv > 0:
-            return cs.eq_selectivity()
+    def _join_pair_selectivity(self, table: Table, column: str) -> float:
+        """P(right.col = probe value) per right row: one row in the
+        table when a unique index covers exactly ``column``."""
         for _unique, index in table.unique_indexes:
             if index.columns == (column,):
-                return 1.0 / self._base_rows(table, stats)
+                return 1.0 / self._base_rows(table)
         return DEFAULT_EQ_SEL
 
     def _choose_join(self, query: LogicalQuery, i: int,
@@ -1027,7 +987,6 @@ class Optimizer:
                     residual.append(conjunct)
 
         table = entry.table
-        stats = self._stats_for(table) if table is not None else None
         right_rows = entry.est_rows if entry.est_rows is not None \
             else DEFAULT_DERIVED_ROWS
         right_cost = entry.est_cost if entry.est_cost is not None \
@@ -1035,7 +994,7 @@ class Optimizer:
         pair_sel = 1.0
         if table is not None:
             for col, _expr in eq_pairs:
-                pair_sel *= self._join_pair_selectivity(table, col, stats)
+                pair_sel *= self._join_pair_selectivity(table, col)
         elif eq_pairs:
             pair_sel = min(1.0, 1.0 / max(right_rows, 1.0)) \
                 if right_rows else DEFAULT_EQ_SEL
@@ -1050,7 +1009,7 @@ class Optimizer:
         # *and* probe rows — which is exactly what makes the optimizer
         # prefer an index join (no build memory) or a smaller build
         # side when the budget is tight.
-        row_bytes = self._row_bytes(entry, stats)
+        row_bytes = self._row_bytes(entry)
         build_bytes = right_rows * row_bytes
         spill_partitions, part_bytes, spill_levels = estimate_spill_plan(
             build_bytes, self.work_mem)
@@ -1083,11 +1042,10 @@ class Optimizer:
                         "internal: predicates pushed below a left join")
                 # Probes hit the base table (pushed predicates filter
                 # per probe), so fan-out uses the unfiltered row count.
-                base = self._base_rows(table, stats)
+                base = self._base_rows(table)
                 key_sel = 1.0
                 for col in key_columns:
-                    key_sel *= self._join_pair_selectivity(table, col,
-                                                           stats)
+                    key_sel *= self._join_pair_selectivity(table, col)
                 matches = max(base * key_sel, 0.0)
                 index_cost = left_cost + left_rows * (COST_PROBE
                                                       + COST_ROW * matches)

@@ -1993,8 +1993,8 @@ def stamp_batch_size(plan: Plan, size: int) -> Plan:
 
 def plan_tables(plan: Plan) -> frozenset:
     """Names of the base tables a plan tree reads (scans and index-join
-    inner sides).  Used to selectively evict cached plans when a table's
-    statistics are refreshed.  Subqueries compiled into expressions are
+    inner sides).  Used to evict only the cached plans reading a table
+    ``ANALYZE`` names.  Subqueries compiled into expressions are
     not walked — a plan missing from an eviction stays merely stale in
     its *estimates*; DDL still invalidates every plan via the catalog
     version."""

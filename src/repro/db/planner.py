@@ -91,13 +91,11 @@ class Planner:
     harness uses it as the known-good executor.
     """
 
-    def __init__(self, catalog: Catalog, registry, stats=None,
-                 naive: bool = False, batch_size: int = DEFAULT_BATCH_SIZE,
-                 work_mem: int = 0):
+    def __init__(self, catalog: Catalog, registry, naive: bool = False,
+                 batch_size: int = DEFAULT_BATCH_SIZE, work_mem: int = 0):
         self.catalog = catalog
         self.registry = registry
-        self.optimizer = Optimizer(catalog, stats=stats, naive=naive,
-                                   work_mem=work_mem)
+        self.optimizer = Optimizer(catalog, naive=naive, work_mem=work_mem)
         #: Execution batch size stamped onto lowered plans; the
         #: optimizer pins it to 1 in naive mode so the differential
         #: harness's reference executor stays per-tuple.
@@ -119,7 +117,7 @@ class Planner:
 
         The target scan comes out of the identical logical →
         access-path-selection → lowering pipeline (so equality probes,
-        ``IndexRangeScan`` for range predicates, and stats-driven
+        ``IndexRangeScan`` for range predicates, and row-count
         costing all apply), but execution pulls ``versions()`` instead
         of ``batches()``: the session needs the physical tuple versions
         to stamp ``xmax`` and to run the write-rule equality check.
@@ -610,7 +608,7 @@ class Planner:
             if group_exprs else "")
         child_rows = plan.est_rows
         if child_rows is not None:
-            # Without NDV stats on the grouping expressions the group
+            # Nothing estimates the distinct grouping values, so the group
             # count defaults to the input cardinality — the worst case
             # for memory, which is what the spill estimate must plan
             # for.  Global aggregates hold exactly one group and never

@@ -314,8 +314,8 @@ class Session:
         one operator per row.
 
         Plain EXPLAIN runs nothing, so results carry empty labels.  The
-        plan's shape and its estimates are declared high: statistics
-        count every live version, whatever its label, so a plan may
+        plan's shape and its estimates are declared high: a heap's row
+        count counts every version, whatever its label, so a plan may
         differ between databases that differ only in hidden tuples — a
         documented channel, like timing (section 7.3; ARCHITECTURE.md,
         "Low and high").  EXPLAIN ANALYZE executes the statement
@@ -509,7 +509,7 @@ class Session:
             txn.record_write(table, version.tid, version.label, event)
             tally().rows_inserted += 1
         else:
-            table.stamp(old, txn.xid, superseded=True)
+            table.stamp(old, txn.xid)
             version = table.append(values, old.label, old.ilabel, txn.xid)
             txn.record_write(table, version.tid, version.label, event,
                              prev_tid=old.tid)

@@ -288,13 +288,11 @@ _FIXED_BYTES = {type(None): 8, int: 28, float: 28, bool: 28}
 
 def estimate_value_bytes(value) -> int:
     """Approximate in-memory footprint of one column value — the
-    per-value half of :func:`estimate_row_bytes`.  ANALYZE uses the
-    same accounting to measure average column widths
-    (:attr:`~repro.db.stats.ColumnStats.avg_width`), so the optimizer's
-    planning-time byte estimates and the executor's runtime budget
-    checks agree on what a row weighs.  Note a projected-away column
-    rides along as ``None`` at 8 bytes, which is why a narrow build
-    side earns a real memory credit."""
+    per-value half of :func:`estimate_row_bytes`, which the executor's
+    runtime budget checks charge (the optimizer plans with the
+    width-only :func:`estimated_tuple_bytes`).  Note a projected-away
+    column rides along as ``None`` at 8 bytes, which is why a narrow
+    build side earns a real memory credit."""
     fixed = _FIXED_BYTES.get(type(value))
     if fixed is not None:
         return fixed

@@ -237,10 +237,6 @@ class Table:
         self.indexes: Dict[str, object] = {}
         self.unique_indexes: List[Tuple] = []   # (constraint, index)
         self.polyinstantiation_count = 0
-        #: Monotonic write counter (inserts, update versions, deletes);
-        #: the statistics subsystem compares it against the value seen
-        #: at ANALYZE time to decide when histograms have gone stale.
-        self.modifications = 0
         self._heap_count = 0                    # non-None versions, O(1)
         # Auto-create a unique hash index per uniqueness constraint.
         for unique in schema.uniques:
@@ -334,7 +330,6 @@ class Table:
         version.page_id = self._allocator.place(version.size)
         versions[tid] = version
         self._segments.pop(tid // self._segment_size, None)
-        self.modifications += 1
         self._heap_count += 1
         self.touch(version)
         for index in self.indexes.values():
@@ -351,18 +346,13 @@ class Table:
             if version is not None:
                 yield version
 
-    def stamp(self, version: TupleVersion, xid: Optional[int],
-              superseded: bool = False) -> None:
-        """Mark ``version`` deleted by ``xid`` — the one writer of
-        ``xmax``.  A DELETE counts as a modification here; an UPDATE's
-        (``superseded``) is counted by the append of its new version.
-        ``xid=None`` clears the mark of a deleter that rolled back: no
-        modification, and no change in visibility (an aborted ``xmax``
+    def stamp(self, version: TupleVersion, xid: Optional[int]) -> None:
+        """Mark ``version`` deleted (or superseded) by ``xid`` — the one
+        writer of ``xmax``.  ``xid=None`` clears the mark of a deleter
+        that rolled back: no change in visibility (an aborted ``xmax``
         hides nothing), but the slice's summary is rebuilt unstamped."""
         version.xmax = xid
         self._segments.pop(version.tid // self._segment_size, None)
-        if xid is not None and not superseded:
-            self.modifications += 1
 
     def segments(self, size: int) -> Iterator[Segment]:
         """The heap as one :class:`Segment` per aligned ``size``-slot
@@ -408,9 +398,9 @@ class Table:
 
     @property
     def approx_rows(self) -> int:
-        """Cheap (O(1)) row-count estimate for un-analyzed tables: live
-        heap versions, which overcounts by the dead versions not yet
-        reclaimed."""
+        """The optimizer's one cardinality source, O(1): the heap's
+        versions, which overcounts live rows by the dead versions not
+        yet reclaimed."""
         return self._heap_count
 
     @property

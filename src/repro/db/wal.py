@@ -470,7 +470,7 @@ def _apply_commit(db, record: tuple, index: int) -> None:
                 if old is None:
                     raise WalError("WAL record %d stamps %s tid %r, an empty "
                                    "slot" % (index, table.name, op[2]))
-                table.stamp(old, txn.xid, superseded=kind == "update")
+                table.stamp(old, txn.xid)
             if kind == "delete":
                 txn.record_write(table, old.tid, old.label, kind)
                 continue

@@ -204,7 +204,7 @@ class Vacuum:
 
 @dataclass
 class Analyze:
-    """ANALYZE [table] — collect optimizer statistics (db/stats.py)."""
+    """ANALYZE [table] — re-cost the cached plans that read the table."""
 
     table: Optional[str] = None
 

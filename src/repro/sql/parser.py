@@ -16,10 +16,11 @@ applications and benchmarks exercise, plus IFDB's extensions:
 * ``EXPLAIN ANALYZE <statement>`` — executes the statement and returns
   the plan annotated with per-operator actuals (rows, batches, wall
   time, counter deltas; see :mod:`repro.db.metrics`).  Disambiguated
-  from ``EXPLAIN ANALYZE`` *the statistics statement* by one token of
+  from ``EXPLAIN ANALYZE`` *the re-costing statement* by one token of
   lookahead: ``ANALYZE`` followed by a statement head keyword;
-* ``ANALYZE [table]`` — collects the optimizer statistics
-  (:mod:`repro.db.stats`) the cost model estimates cardinalities from.
+* ``ANALYZE [table]`` — evicts the cached plans that read the table
+  (every table without one), so they are re-costed against the current
+  heap row counts (:meth:`repro.db.engine.Database.analyze`).
 
 Tag names in DECLASSIFYING clauses may be identifiers or string
 literals (tags like ``'alice-drives'`` contain hyphens).
@@ -122,7 +123,7 @@ class Parser:
     def _statement(self) -> ast.Statement:
         if self.accept_keyword("EXPLAIN"):
             # ``EXPLAIN ANALYZE <stmt>`` vs ``EXPLAIN ANALYZE [table]``
-            # (the statistics statement): one token of lookahead —
+            # (the re-costing statement): one token of lookahead —
             # ANALYZE followed by a statement head is the analyzing
             # EXPLAIN, anything else is EXPLAIN over ANALYZE.
             analyze = False

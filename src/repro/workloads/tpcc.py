@@ -222,8 +222,8 @@ class TPCCWorkload:
                 self._load_customers(w_id, d_id)
                 self._load_orders(w_id, d_id)
         session.commit()
-        # Collect optimizer statistics over the freshly loaded tables so
-        # the cost model plans the transaction mix from real cardinalities.
+        # Re-cost any plan cached while the tables were still filling, so
+        # the transaction mix runs plans made from the loaded row counts.
         self.db.analyze()
 
     def _load_customers(self, w_id: int, d_id: int) -> None:

@@ -443,10 +443,14 @@ def test_index_loop_join_dedups_probes_per_batch():
     assert bat_covers < row_covers
 
 
+PROBE_SQL = "SELECT id FROM t WHERE k = ?"
+
+
 def _probe_stack(keys, late_keys=()):
-    """``t.k`` indexed, holding ``keys`` when ANALYZE runs and
-    ``late_keys`` only afterwards: the optimizer's per-key estimate
-    (rows / distinct keys, as of ANALYZE) against what a probe finds."""
+    """``t.k`` indexed, holding ``keys`` when the probe is planned and
+    its plan cached, and ``late_keys`` only afterwards: the optimizer's
+    per-key estimate (the heap's rows × the default equality
+    selectivity, as of planning) against what a probe finds."""
     authority = AuthorityState(idgen=SeededIdGenerator(808))
     db = Database(authority, seed=808,
                   batch_size=physical.DEFAULT_BATCH_SIZE)
@@ -456,18 +460,19 @@ def _probe_stack(keys, late_keys=()):
     with session.atomic():
         for i, k in enumerate(keys):
             session.insert("t", id=i, k=k)
-    session.execute("ANALYZE")
+    session.execute(PROBE_SQL, (keys[0],))
     with session.atomic():
         for i, k in enumerate(late_keys, len(keys)):
             session.insert("t", id=i, k=k)
     return db, session
 
 
-def _estimated_rows(session, sql):
-    import re
-    line = next(r[0] for r in session.execute("EXPLAIN " + sql)
-                if "IndexScan" in r[0])
-    return int(re.search(r"rows=(\d+)", line).group(1))
+def _estimated_rows(db):
+    """The cached probe plan's row estimate for its index scan."""
+    plan = db._plan_cache[PROBE_SQL][1].plan
+    while not isinstance(plan, physical.IndexScan):
+        plan, = plan.children()
+    return plan.est_rows
 
 
 def test_leaf_choice_follows_the_candidates_found_not_the_estimate():
@@ -476,18 +481,19 @@ def test_leaf_choice_follows_the_candidates_found_not_the_estimate():
     label), the probe that finds a handful checks each (one ``covers``
     per version) — whatever the optimizer expected."""
     few = physical.SET_AT_A_TIME_MIN - 1
-    sql = "SELECT id FROM t WHERE k = ?"
-    # Estimated at one row per key, finding 500 (and a handful).
-    db, session = _probe_stack(
-        [1000 + i for i in range(1000)] + [7] * 500 + [8] * few)
-    assert _estimated_rows(session, sql) <= 2
+    sql = PROBE_SQL
+    # Planned on three rows (estimated well under one row per key),
+    # finding 500 (and a handful).
+    db, session = _probe_stack([1000, 1001, 1002], [7] * 500 + [8] * few)
+    assert _estimated_rows(db) <= 2
     assert len(session.execute(sql, (7,)).rows) == 500
     assert db.last_statement_metrics()["labels"]["covers_calls"] == 1
     assert len(session.execute(sql, (8,)).rows) == few
     assert db.last_statement_metrics()["labels"]["covers_calls"] == few
-    # Estimated (stale) at 64 rows per key, finding a handful.
+    assert _estimated_rows(db) <= 2              # still the one plan
+    # Planned on 3 200 rows (estimated at 16 per key), finding a handful.
     db, session = _probe_stack([i % 50 for i in range(3200)], [999] * few)
-    assert _estimated_rows(session, sql) >= 32
+    assert _estimated_rows(db) >= 16
     assert len(session.execute(sql, (999,)).rows) == few
     assert db.last_statement_metrics()["labels"]["covers_calls"] == few
 

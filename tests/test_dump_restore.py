@@ -100,8 +100,7 @@ class TestDumpRestore:
             restore_database(b"not a dump", Database(populated.authority))
 
     def test_recover_reads_a_dump_like_restore(self, populated, tmp_path):
-        """A dump is a WAL image: recovering it is restoring it, apart
-        from the ANALYZE restore finishes with."""
+        """A dump is a WAL image: recovering it is restoring it."""
         path = str(tmp_path / "backup.ifdb")
         dump_to_file(populated.db, path)
         restored = Database(populated.authority, seed=12)
@@ -110,17 +109,16 @@ class TestDumpRestore:
         report = recovered.recover(path)
         assert report["tail"] is None and report["transactions"] == 1
         assert dump_database(recovered) == dump_database(restored)
-        assert recovered.stats_manager.analyzed() == []
-        assert "Visits" in restored.stats_manager.analyzed()
 
-    def test_restore_runs_analyze(self, populated):
-        """Restored tables plan on real statistics immediately, not on
-        defaults until drift forces a refresh."""
+    def test_restore_caches_no_plan(self, populated):
+        """Replay plans nothing, so a restored table's first query is
+        costed from its loaded row count: restore needs no ANALYZE."""
         fresh = Database(populated.authority, seed=8)
         restore_database(dump_database(populated.db), fresh)
-        assert "Visits" in fresh.stats_manager.analyzed()
-        stats = fresh.stats_manager.peek("HIVPatients")
-        assert stats is not None and stats.row_count == 3
+        assert all(prepared is None
+                   for _statement, prepared, _tables
+                   in fresh._plan_cache.values())
+        assert fresh.catalog.get_table("HIVPatients").approx_rows == 3
 
 
 class TestDumpIntegrity:

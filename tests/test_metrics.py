@@ -83,7 +83,7 @@ PINNED_CELLS = [
 #: database holds, not events it counted.
 STATE = {"statements", "statements_dropped", "slow_queries",
          "audit_events", "commits", "aborts", "versions_reclaimed",
-         "reclaim_pending", "tables_analyzed", "polyinstantiated"}
+         "reclaim_pending", "polyinstantiated"}
 
 
 def test_stats_and_schema_cells_keep_the_pinned_names():

@@ -11,7 +11,7 @@ that must hold for *all* of them —
   the live interned instance, so the scan-level label memos keep
   working across a spill;
 * batch byte accounting equals the per-row estimate row for row, and
-  ANALYZE's measured widths agree with both;
+  on average a row container plus its mean value widths;
 * partitioning is a function: every input row lands in exactly one
   partition, nothing is lost or duplicated, and a probe row meets
   exactly the build rows that share its key (cross-checked against a
@@ -194,8 +194,7 @@ def test_spill_write_after_read_is_a_typed_error():
 
 def test_batch_accounting_equals_per_row_estimates():
     """``estimate_batch_bytes`` is ``estimate_row_bytes`` row for row —
-    for every column shape it special-cases and for ragged ones — and
-    the per-value half is what ANALYZE's ``avg_width`` averages."""
+    for every column shape it special-cases and for ragged ones."""
     rng = random.Random(0x5B15)
     shapes = (lambda: rng.randint(-10**9, 10**9),
               lambda: rng.choice((1, 2.5, True)),
@@ -243,21 +242,13 @@ def test_a_column_of_labels_weighs_as_its_rows_do(label_column):
                 for values, label in zip(rows, row_labels)]
 
 
-def test_analyze_widths_agree_with_the_executor_accounting():
-    authority = AuthorityState(idgen=SeededIdGenerator(5))
-    db = Database(authority, seed=5)
-    session = db.connect()
-    session.execute("CREATE TABLE w (k INT PRIMARY KEY, t TEXT, f FLOAT)")
+def test_a_batch_weighs_its_row_containers_plus_its_values():
+    """On average a row of a batch weighs its container and label slot
+    plus the mean ``estimate_value_bytes`` of each of its columns."""
     rows = [(i, "x" * (i % 9), None if i % 4 == 0 else i / 3)
             for i in range(120)]
-    for row in rows:
-        session.execute("INSERT INTO w VALUES (?, ?, ?)", row)
-    session.execute("ANALYZE w")
-    stats = db.stats_manager.peek("w")
-    widths = [stats.columns[name].avg_width for name in ("k", "t", "f")]
-    for width, column in zip(widths, zip(*rows)):
-        assert width == pytest.approx(
-            sum(map(estimate_value_bytes, column)) / len(rows))
+    widths = [sum(map(estimate_value_bytes, column)) / len(rows)
+              for column in zip(*rows)]
     weights = estimate_batch_bytes([list(c) for c in zip(*rows)],
                                    [EMPTY_LABEL] * len(rows))
     assert sum(weights) / len(rows) == pytest.approx(64 + 16 + sum(widths))
@@ -485,23 +476,22 @@ def test_session_level_spilled_join_parity_and_explain():
     assert "spill_partitions=" not in free_line
 
 
-def test_measured_row_widths_drive_spill_estimates():
-    """ANALYZE measures per-column byte widths (sampled with the spill
-    estimator's own accounting), so the optimizer budgets the build
-    side from what rows actually weigh: wide padding columns the
-    synthetic column-count guess undercounts push the plan into a
-    predicted spill — and a projection that never reads them earns the
-    memory credit back."""
+def test_a_projection_earns_its_build_side_memory_back():
+    """The optimizer weighs a hash join's build rows by the columns the
+    plan reads (``spill.estimated_tuple_bytes``, 8 bytes per
+    projected-away slot, as the executor charges): 300 rows of four
+    read columns blow a 50 KB budget, and a projection that reads only
+    the join key fits it."""
     authority = AuthorityState(idgen=SeededIdGenerator(77))
-    db = Database(authority, seed=77, work_mem=60_000)
+    db = Database(authority, seed=77, work_mem=50_000)
     session = db.connect(IFCProcess(authority,
                                     authority.create_principal("q").id))
     session.execute("CREATE TABLE wide (k INT PRIMARY KEY, g INT,"
-                    " pad TEXT)")
+                    " a TEXT, b TEXT, c TEXT)")
     session.execute("CREATE TABLE slim (id INT PRIMARY KEY, g INT)")
     for i in range(300):
-        session.execute("INSERT INTO wide VALUES (?, ?, ?)",
-                        (i, i % 50, "x" * 300))
+        session.execute("INSERT INTO wide VALUES (?, ?, 'x', 'y', 'z')",
+                        (i, i % 50))
     for i in range(40):
         session.execute("INSERT INTO slim VALUES (?, ?)", (i, i % 50))
 
@@ -509,16 +499,11 @@ def test_measured_row_widths_drive_spill_estimates():
         return next(r[0] for r in session.execute("EXPLAIN " + sql)
                     if "HashJoin" in r[0])
 
-    wide_sql = "SELECT s.id, w.pad FROM slim s JOIN wide w ON w.g = s.g"
-    narrow_sql = "SELECT s.id FROM slim s JOIN wide w ON w.g = s.g"
-    # Un-analyzed: the synthetic per-column guess (~40KB build) fits.
-    assert "spill_partitions=" not in join_line(wide_sql)
-    session.execute("ANALYZE")
-    # Measured: ~450B × 300 rows blows the 60KB budget.
-    assert "spill_partitions=" in join_line(wide_sql)
-    # Projection pushdown drops pad from the build; measured narrow
-    # rows (~110B incl. the None placeholders) fit again.
-    assert "spill_partitions=" not in join_line(narrow_sql)
+    wide = join_line("SELECT s.id, w.a, w.b, w.c FROM slim s "
+                     "JOIN wide w ON w.g = s.g")
+    narrow = join_line("SELECT s.id FROM slim s JOIN wide w ON w.g = s.g")
+    assert "spill_partitions=" in wide, wide
+    assert "spill_partitions=" not in narrow, narrow
 
 
 def test_spilled_hash_join_sees_statement_snapshot():
