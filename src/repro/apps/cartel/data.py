@@ -20,6 +20,8 @@ from typing import Iterator, List, Sequence
 SAMPLE_INTERVAL = 20.0
 #: Gap (seconds) that splits two measurements into separate drives.
 DRIVE_GAP = 300.0
+#: Timestamp around which every car's first drive starts.
+START_TS = 1_000_000.0
 
 
 @dataclass(frozen=True)
@@ -43,18 +45,16 @@ def euclid_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 class TraceGenerator:
     """Seeded generator of interleaved measurements for many cars."""
 
-    def __init__(self, car_ids: Sequence[int], seed: int = 1234,
-                 start_ts: float = 1_000_000.0):
+    def __init__(self, car_ids: Sequence[int], seed: int = 1234):
         self.car_ids = list(car_ids)
         self.rng = random.Random(seed)
-        self.start_ts = start_ts
         # Per-car state: home position and clock.
         self._state = {}
         for carid in self.car_ids:
             self._state[carid] = {
                 "lat": 42.36 + self.rng.uniform(-0.1, 0.1),
                 "lon": -71.06 + self.rng.uniform(-0.1, 0.1),
-                "ts": start_ts + self.rng.uniform(0, 60.0),
+                "ts": START_TS + self.rng.uniform(0, 60.0),
             }
 
     def drive(self, carid: int, n_points: int) -> List[Measurement]:

@@ -84,9 +84,16 @@ class IFCProcess:
         client/server protocol to piggyback updates lazily."""
         return self._label_epoch
 
-    def attach_session(self, session) -> None:
-        """Register a database session for clearance-rule callbacks."""
+    def attach_session(self, session) -> bool:
+        """Register a database session for clearance-rule callbacks;
+        False if it was registered already."""
+        if session in self._sessions:
+            return False
         self._sessions.add(session)
+        return True
+
+    def detach_session(self, session) -> None:
+        self._sessions.discard(session)
 
     # ------------------------------------------------------------------
     # label changes (always explicit)

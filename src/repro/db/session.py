@@ -140,11 +140,16 @@ class Session:
 
     @contextlib.contextmanager
     def acting_as(self, acting: IFCProcess):
+        # A pushed holder answers to this session's clearance rule while
+        # it acts, like the root: its raises land in this transaction.
+        attached = acting.attach_session(self)
         self._acting_stack.append(acting)
         try:
             yield
         finally:
             self._acting_stack.pop()
+            if attached:
+                acting.detach_session(self)
 
     @property
     def label(self) -> Label:
@@ -564,10 +569,11 @@ class Session:
         """
         acting = self.acting
         authority = self.db.authority
-        probe = IFCProcess(authority, acting.principal,
-                           acting.label.union(Label(cover_tags)),
+        probe = IFCProcess(authority, acting.principal, acting.label,
                            acting.integrity_label)
         with self.acting_as(probe):
+            for tag_id in cover_tags:
+                probe.add_secrecy(tag_id)
             result = self.execute(sql, params)
         outputs = []
         for row in result.rows:

@@ -1,28 +1,15 @@
-"""Benchmark workloads: TPC-C (Figure 6), the CarTel request mix
-(Figure 3), and the TPC-W-style closed-loop load generator (Figure 4)."""
+"""Benchmark workloads: TPC-C (Figure 6) and the CarTel request mix
+(Figure 3)."""
 
-from .cartel_mix import (
-    REQUEST_MIX,
-    empirical_mix,
-    sample_request,
-    sample_session_length,
-    sample_think_time,
-)
-from .loadgen import ClosedLoopSimulator, ServiceDemand, SimResult
+from .cartel_mix import REQUEST_MIX, sample_request
 from .tpcc import MIX, TPCCConfig, TPCCStats, TPCCWorkload, customer_last_name
 
 __all__ = [
-    "ClosedLoopSimulator",
     "MIX",
     "REQUEST_MIX",
-    "ServiceDemand",
-    "SimResult",
     "TPCCConfig",
     "TPCCStats",
     "TPCCWorkload",
     "customer_last_name",
-    "empirical_mix",
     "sample_request",
-    "sample_session_length",
-    "sample_think_time",
 ]

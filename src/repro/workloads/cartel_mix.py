@@ -1,15 +1,9 @@
-"""The CarTel web benchmark request mix (Figure 3) and the TPC-W-style
-client behaviour model (section 8.2.1).
-
-* Requests follow the Figure 3 distribution (login excluded).
-* Think times: truncated negative exponential on [0, 70] seconds.
-* Session lengths: truncated negative exponential, up to ~60 minutes.
-"""
+"""The CarTel web benchmark request mix (Figure 3, login excluded)."""
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Tuple
 
 #: Figure 3 — distribution of HTTP requests (excluding login).
 REQUEST_MIX: Tuple[Tuple[str, float], ...] = (
@@ -21,12 +15,6 @@ REQUEST_MIX: Tuple[Tuple[str, float], ...] = (
     ("/edit_account.php", 0.01),
 )
 
-#: TPC-W think-time parameters (section 8.2.1).
-THINK_TIME_MAX = 70.0
-THINK_TIME_MEAN = 7.0
-SESSION_MAX = 3600.0          # "up to about 60 minutes"
-SESSION_MEAN = 900.0
-
 
 def sample_request(rng: random.Random) -> str:
     """Draw one request path from the Figure 3 distribution."""
@@ -37,28 +25,3 @@ def sample_request(rng: random.Random) -> str:
         if roll < acc:
             return path
     return REQUEST_MIX[-1][0]
-
-
-def sample_think_time(rng: random.Random) -> float:
-    """Truncated negative exponential on [0, THINK_TIME_MAX]."""
-    while True:
-        value = rng.expovariate(1.0 / THINK_TIME_MEAN)
-        if value <= THINK_TIME_MAX:
-            return value
-
-
-def sample_session_length(rng: random.Random) -> float:
-    """Truncated negative exponential session duration (seconds)."""
-    while True:
-        value = rng.expovariate(1.0 / SESSION_MEAN)
-        if value <= SESSION_MAX:
-            return value
-
-
-def empirical_mix(samples: int, seed: int = 0) -> List[Tuple[str, float]]:
-    """Sampled request frequencies (used to regenerate Figure 3)."""
-    rng = random.Random(seed)
-    counts = {path: 0 for path, _ in REQUEST_MIX}
-    for _ in range(samples):
-        counts[sample_request(rng)] += 1
-    return [(path, counts[path] / samples) for path, _ in REQUEST_MIX]

@@ -1,9 +1,12 @@
 """End-to-end CarTel tests (section 6.1): tag scheme, ingest pipeline,
 portal behaviour, and the attacks IFDB neutralizes."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, Label, SeededIdGenerator
 from repro.db import Database
 from repro.platform import IFRuntime, Request
 from repro.apps.cartel import (
@@ -15,6 +18,7 @@ from repro.apps.cartel import (
     install_driveupdate_trigger,
     location_tag_name,
 )
+from repro.workloads import REQUEST_MIX, sample_request
 
 
 @pytest.fixture
@@ -172,3 +176,88 @@ class TestPortal:
         from repro.errors import AuthenticationError
         with pytest.raises(AuthenticationError):
             web.login("alice", "wrong")
+
+
+class TestRequestMix:
+    def test_mix_is_figure_3(self):
+        assert dict(REQUEST_MIX) == {
+            "/get_cars.php": 0.50, "/cars.php": 0.30, "/drives.php": 0.08,
+            "/drives_top.php": 0.08, "/friends.php": 0.03,
+            "/edit_account.php": 0.01}
+        assert sum(weight for _path, weight in REQUEST_MIX) \
+            == pytest.approx(1.0)
+
+    def test_sampled_requests_follow_the_mix(self):
+        rng = random.Random(3)
+        samples = 40000
+        drawn = Counter(sample_request(rng) for _ in range(samples))
+        assert set(drawn) == set(dict(REQUEST_MIX))
+        for path, weight in REQUEST_MIX:
+            assert drawn[path] / samples == pytest.approx(weight, abs=0.01)
+
+
+USERS = 6
+
+
+def _populated_stack(ifc_enabled, seed=21):
+    """Six users with two cars each, each sharing drives with the next
+    two, and 300 replayed GPS points: the stack the benchmarks build,
+    at a small size.  ``ifc_enabled=False`` is their baseline."""
+    authority = AuthorityState(idgen=SeededIdGenerator(seed))
+    db = Database(authority, ifc_enabled=ifc_enabled, seed=seed)
+    app = CarTelApp(db, IFRuntime(authority, ifc_enabled=ifc_enabled))
+    install_driveupdate_trigger(app)
+    web = build_portal(app)
+    names = ["user%d" % i for i in range(1, USERS + 1)]
+    userids = [app.signup(name, "pw-" + name) for name in names]
+    car_ids = [app.add_car(userid) for userid in userids for _ in range(2)]
+    for i, userid in enumerate(userids):
+        for k in (1, 2):
+            app.befriend(userid, userids[(i + k) % USERS])
+    SensorProcessor(app).process_measurements(
+        TraceGenerator(car_ids, seed=seed).measurements(300))
+    tokens = [web.login(name, "pw-" + name) for name in names]
+    return db, web, tokens
+
+
+@pytest.fixture(scope="module")
+def stacks():
+    return {ifc: _populated_stack(ifc) for ifc in (True, False)}
+
+
+class TestBaseline:
+    """Every IFC-versus-baseline measurement assumes the baseline (the
+    same engine and platform with IFC disabled) does the same work: it
+    ingests the same rows and answers every Figure 3 script alike."""
+
+    @pytest.mark.parametrize("path", [path for path, _w in REQUEST_MIX])
+    def test_every_script_answers_as_with_ifc(self, stacks, path):
+        for user in range(USERS):
+            ifdb, base = (
+                web.handle(Request(path, session_token=tokens[user]))
+                for _db, web, tokens in (stacks[True], stacks[False]))
+            assert ifdb.status == base.status == 200
+            assert ifdb.body == base.body
+
+    def test_ingest_derives_the_same_rows(self, stacks):
+        for name in ("Cars", "Locations", "LocationsLatest", "Drives"):
+            ifdb, base = (
+                sorted(version.values for version in
+                       db.catalog.get_table(name).all_versions())
+                for db, _web, _tokens in (stacks[True], stacks[False]))
+            assert ifdb and ifdb == base, name
+        drives = stacks[False][0].catalog.get_table("Drives")
+        assert all(version.label == Label()
+                   for version in drives.all_versions())
+
+    def test_only_ifc_blocks_the_coerced_url(self, stacks):
+        """user2 shares drives with user3 and user4, not with user1:
+        the baseline's handler releases them, IFDB's cannot."""
+        responses = {
+            ifc: web.handle(Request("/drives.php", params={"user": "user2"},
+                                    session_token=tokens[0]))
+            for ifc, (_db, web, tokens) in stacks.items()}
+        assert responses[True].status == 403
+        assert responses[True].body is None
+        assert responses[False].status == 200
+        assert responses[False].body["drives"]

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.core import INTEGRITY, IFCProcess, Label
+from repro.db import SERIALIZABLE
 from repro.db.catalog import AFTER, BEFORE, DEFERRED
-from repro.errors import CatalogError, CheckViolation, IFCViolation
+from repro.errors import (
+    CatalogError,
+    CheckViolation,
+    ClearanceError,
+    IFCViolation,
+)
 
 
 @pytest.fixture
@@ -273,3 +279,87 @@ def test_unknown_event_or_timing_is_rejected(world, events, timing):
     with pytest.raises(CatalogError):
         db.create_trigger("never", "Data", events, timing, lambda ctx: None)
     assert "never" not in db.catalog.triggers
+
+
+class TestClearanceInPushedHolders:
+    """Section 5.1's clearance rule covers every holder a session pushes,
+    not only its root: inside a SERIALIZABLE transaction a closure
+    trigger, a deferred trigger or the label iterator may raise a label
+    only with a tag its principal has authority for."""
+
+    @pytest.fixture
+    def secret(self, world):
+        authority = world[0]
+        bob = authority.create_principal("bob")
+        return authority.create_tag("bob_tag", owner=bob.id)
+
+    def test_closure_trigger(self, world, secret):
+        authority, db, alice, _tag = world
+        db.create_trigger("taint", "Data", "insert", AFTER,
+                          lambda ctx: ctx.add_secrecy(secret.id),
+                          closure_principal=authority.create_principal(
+                              "trigger").id)
+        session = db.connect(IFCProcess(authority, alice.id))
+        session.begin(SERIALIZABLE)
+        with pytest.raises(ClearanceError):
+            session.execute("INSERT INTO Data VALUES (1, 1)")
+        session.rollback()
+        session.begin()                         # snapshot isolation
+        session.execute("INSERT INTO Data VALUES (1, 1)")
+        session.commit()
+        assert session.label == Label()
+
+    def test_deferred_trigger(self, world, secret):
+        authority, db, alice, _tag = world
+        db.create_trigger("taint_at_commit", "Data", "insert", DEFERRED,
+                          lambda ctx: ctx.add_secrecy(secret.id))
+        session = db.connect(IFCProcess(authority, alice.id))
+        session.begin(SERIALIZABLE)
+        session.execute("INSERT INTO Data VALUES (1, 1)")
+        with pytest.raises(ClearanceError):
+            session.commit()
+        assert session.transaction is None      # the commit aborted
+        assert session.execute("SELECT COUNT(*) FROM Data").scalar() == 0
+        session.begin()
+        session.execute("INSERT INTO Data VALUES (1, 1)")
+        session.commit()
+        assert session.execute("SELECT COUNT(*) FROM Data").scalar() == 1
+
+    def test_label_iterator(self, world, secret):
+        authority, db, alice, tag = world
+        session = db.connect(IFCProcess(authority, alice.id))
+        session.execute("INSERT INTO Data VALUES (1, 1)")
+        session.begin(SERIALIZABLE)
+        with pytest.raises(ClearanceError):
+            session.for_each_with_label(
+                "SELECT x FROM Data",
+                lambda row, scoped: scoped.acting.add_secrecy(secret.id))
+        with pytest.raises(ClearanceError):
+            session.for_each_with_label("SELECT x FROM Data",
+                                        lambda row, scoped: None,
+                                        cover_tags=(secret.id,))
+        assert session.for_each_with_label(
+            "SELECT x FROM Data", lambda row, scoped: row["x"],
+            cover_tags=(tag.id,)) == [1]        # alice's own tag
+        session.rollback()
+
+    def test_a_holder_answers_only_while_it_acts(self, world, secret):
+        """The root stays attached after a trigger pushes it again; a
+        fresh holder is detached once its push ends."""
+        authority, db, alice, _tag = world
+        held = []
+        db.create_trigger("keep", "Data", "insert", AFTER,
+                          lambda ctx: held.append(ctx.acting))
+        db.create_trigger("keep_closure", "Data", "insert", AFTER,
+                          lambda ctx: held.append(ctx.acting),
+                          closure_principal=alice.id)
+        process = IFCProcess(authority, alice.id)
+        session = db.connect(process)
+        session.begin(SERIALIZABLE)
+        session.execute("INSERT INTO Data VALUES (1, 1)")
+        root, pushed = held
+        assert root is process and pushed is not process
+        with pytest.raises(ClearanceError):
+            process.add_secrecy(secret.id)
+        pushed.add_secrecy(secret.id)
+        session.rollback()

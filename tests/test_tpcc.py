@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import counters
 from repro.db import Database
+from repro.db.physical import DEFAULT_BATCH_SIZE
 from repro.workloads import TPCCConfig, TPCCWorkload, customer_last_name
 
 
@@ -131,3 +132,97 @@ class TestLabelledTPCC:
         stats = workload.run(30)
         assert sum(stats.transactions.values()) + \
             stats.serialization_aborts == 30
+
+
+def _seeded_config(tags_per_label):
+    """The small seeded load the counter tests below run on."""
+    return TPCCConfig(warehouses=1, districts_per_warehouse=2,
+                      customers_per_district=10, items=50,
+                      initial_orders_per_district=5,
+                      tags_per_label=tags_per_label, seed=13)
+
+
+def _label_checks(**db_options):
+    """``covers`` calls over two phases of one seeded stream.
+
+    The transaction phase is the TPC-C mix: index probes that find a few
+    candidate versions each.  The scan phase is full-table aggregates
+    over OrderLine and Stock, where label-run batching checks each
+    distinct label once per batch instead of once per tuple.  Equal
+    seeds give equal statements, so the executors differ only in loop
+    shape and, for naive plans, in the plans.
+    """
+    db = Database(ifc_enabled=True, seed=13, **db_options)
+    workload = TPCCWorkload(db, _seeded_config(4))
+    workload.load()
+    workload.run(5)                                # warm the plan caches
+    before = counters.tally().covers_calls
+    workload.run(20)
+    mid = counters.tally().covers_calls
+    for _ in range(2):
+        workload.session.execute(
+            "SELECT COUNT(*), SUM(ol_amount) FROM OrderLine")
+        workload.session.execute(
+            "SELECT COUNT(*) FROM Stock WHERE s_quantity >= 0")
+    return {"transactions": mid - before,
+            "scan": counters.tally().covers_calls - mid}
+
+
+@pytest.fixture(scope="module")
+def label_checks():
+    # Batch sizes are passed explicitly, so REPRO_BATCH_SIZE does not
+    # move these counts.
+    return {"batched": _label_checks(batch_size=DEFAULT_BATCH_SIZE),
+            "size_1": _label_checks(batch_size=1),
+            "naive": _label_checks(batch_size=1, naive_plans=True)}
+
+
+class TestLabelCheckCounts:
+    """Figure 6's Query-by-Label checks: batching never checks more
+    than the one-check-per-tuple legs, and collapses the scans."""
+
+    def test_transaction_mix_never_checks_more(self, label_checks):
+        batched = label_checks["batched"]["transactions"]
+        assert batched <= label_checks["size_1"]["transactions"]
+        assert batched <= label_checks["naive"]["transactions"]
+        # Probes that find four or more candidate versions check each
+        # distinct label once.
+        assert batched == 805
+        assert label_checks["size_1"]["transactions"] == 1000
+
+    def test_scans_collapse_to_one_check_per_label_run(self, label_checks):
+        batched = label_checks["batched"]["scan"]
+        size_1 = label_checks["size_1"]["scan"]
+        assert batched <= size_1
+        assert batched < size_1 * 0.1, (batched, size_1)
+        assert batched == 2
+
+
+def _simulated_io(*, ifc_enabled, tags_per_label):
+    """Simulated I/O seconds of one seeded 30-transaction stream, from
+    an empty bounded buffer."""
+    db = Database(ifc_enabled=ifc_enabled, seed=13, buffer_pages=96,
+                  page_size=2048, io_penalty=0.0005)
+    workload = TPCCWorkload(db, _seeded_config(tags_per_label))
+    workload.load()
+    db.buffer_cache.reset()
+    before = counters.tally().simulated_io_time
+    workload.run(30)
+    return counters.tally().simulated_io_time - before
+
+
+class TestLabelsOnDisk:
+    """Figure 6's on-disk slope comes from the page model (section
+    8.3): a label adds bytes to every tuple, so fewer tuples fit on a
+    page and a bounded buffer misses more."""
+
+    def test_each_tag_costs_pages(self):
+        io = {tags: _simulated_io(ifc_enabled=True, tags_per_label=tags)
+              for tags in (0, 4, 8)}
+        assert io[0] < io[4] < io[8]
+        assert (io[0], io[4], io[8]) == pytest.approx((0.018, 0.0205,
+                                                       0.0235))
+
+    def test_no_tags_cost_what_no_ifc_costs(self):
+        assert _simulated_io(ifc_enabled=False, tags_per_label=0) \
+            == _simulated_io(ifc_enabled=True, tags_per_label=0)
