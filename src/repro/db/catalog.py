@@ -214,6 +214,10 @@ class Catalog:
         self._triggers_by_table.setdefault(trigger.table, []).append(trigger)
         self._bump()
 
+    def triggers_on(self, table: str) -> Sequence[TriggerDef]:
+        """Every trigger on ``table`` (empty when it has none)."""
+        return self._triggers_by_table.get(table, ())
+
     def triggers_for(self, table: str, event: str,
                      timing: str) -> List[TriggerDef]:
         return [t for t in self._triggers_by_table.get(table, ())

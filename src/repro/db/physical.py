@@ -1917,24 +1917,29 @@ class PreparedSelect:
     Every prepared statement also carries ``slot_values``, the literals
     its plan's literal slots read (``ExecContext.slot_values``): empty
     for a plan of literals, a text's own for a plan shared by every
-    text of its plan key (``Database._prepare``)."""
+    text of its plan key (``Database._prepare``).  ``column_map`` is
+    the rows' ``{column: position}`` map, built once here so every
+    text's copy of a shared plan shares it."""
 
     def __init__(self, plan: Plan, columns: List[str]):
         self.plan = plan
         self.columns = columns
+        self.column_map = {name: i for i, name in enumerate(columns)}
         self.slot_values = ()
 
 
 class PreparedDML:
     """A planned UPDATE/DELETE: the target scan (a :class:`Scan`
     subclass whose ``versions()`` drives execution) plus the compiled
-    ``SET`` assignments (UPDATE only; empty for DELETE)."""
+    ``SET`` assignments (UPDATE only; empty for DELETE) and the
+    positions they assign."""
 
-    __slots__ = ("plan", "assignments", "slot_values")
+    __slots__ = ("plan", "assignments", "assigned", "slot_values")
 
     def __init__(self, plan: Scan, assignments: List[Tuple[int, Callable]]):
         self.plan = plan
         self.assignments = assignments
+        self.assigned = tuple(position for position, _fn in assignments)
         self.slot_values = ()
 
 

@@ -153,6 +153,24 @@ class TableSchema:
                 out.append(column.type.coerce(value))
         return tuple(out)
 
+    def coerce_at(self, values: Sequence,
+                  positions: Sequence[int]) -> Tuple:
+        """Type-check and coerce only the columns at ``positions`` of a
+        full-width row whose other values already passed
+        :meth:`coerce_row` (an UPDATE's stored version with its SET
+        columns replaced); enforce NOT NULL on those columns."""
+        out = list(values)
+        columns = self.columns
+        for position in positions:
+            value = out[position]
+            if value is not None:
+                out[position] = columns[position].type.coerce(value)
+            elif columns[position].not_null:
+                raise TypeError_(
+                    "null value in column %r of table %r violates "
+                    "NOT NULL" % (columns[position].name, self.name))
+        return tuple(out)
+
     def row_data_size(self, values: Sequence) -> int:
         """Byte size of the data payload (labels accounted separately)."""
         total = 0

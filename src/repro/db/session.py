@@ -46,6 +46,9 @@ from .physical import DeterministicOrder, ExecContext
 from .transactions import SERIALIZABLE, SNAPSHOT
 from .triggers import fire_triggers
 
+#: What ``Session._autocommit`` returns inside an open transaction.
+_IN_TRANSACTION = contextlib.nullcontext()
+
 
 class Row:
     """One result row: positional and by-name access, plus its label."""
@@ -157,12 +160,6 @@ class Session:
             return EMPTY_LABEL
         return self.acting.label
 
-    @property
-    def ilabel(self) -> Label:
-        if not self.db.ifc_enabled:
-            return EMPTY_LABEL
-        return self.acting.integrity_label
-
     def requires_clearance(self) -> bool:
         """Does the clearance rule (section 5.1) currently apply?"""
         return (self.db.ifc_enabled and self.transaction is not None
@@ -211,25 +208,19 @@ class Session:
         self.db.txn_manager.abort(txn)
         self.transaction = None
 
-    @contextlib.contextmanager
     def _autocommit(self):
-        """Wrap a statement in an implicit transaction when none is open."""
+        """Wrap a statement in an implicit transaction when none is open.
+
+        Inside an open transaction this is the one shared no-op context:
+        an in-transaction statement enters no generator."""
         if self.transaction is not None:
-            yield
-            return
-        self.begin()
-        try:
-            yield
-        except BaseException:
-            if self.transaction is not None:
-                self.rollback()
-            raise
-        else:
-            self.commit()
+            return _IN_TRANSACTION
+        return self.atomic()
 
     @contextlib.contextmanager
     def atomic(self, isolation: Optional[str] = None):
-        """Explicit transaction as a context manager."""
+        """A transaction as a context manager: commit on exit, roll back
+        on an exception."""
         self.begin(isolation)
         try:
             yield self
@@ -376,8 +367,13 @@ class Session:
                 + recorder.render_summary())
 
     def _context(self, params: Tuple, slot_values: Tuple = ()) -> ExecContext:
-        return ExecContext(self, params, self.label, self.ilabel,
-                           self.acting.principal, slot_values)
+        acting = self._acting_stack[-1]
+        if self.db.ifc_enabled:
+            label, ilabel = acting.label, acting.integrity_label
+        else:
+            label = ilabel = EMPTY_LABEL
+        return ExecContext(self, params, label, ilabel, acting.principal,
+                           slot_values)
 
     # -- SELECT -----------------------------------------------------------
     def _execute_select(self, prepared, params: Tuple, plan=None) -> Result:
@@ -389,7 +385,7 @@ class Session:
             plan = DeterministicOrder(plan)
         with self._autocommit():
             ctx = self._context(params, prepared.slot_values)
-            columns = {name: i for i, name in enumerate(prepared.columns)}
+            columns = prepared.column_map
             rows = [Row(values, columns, label)
                     for batch in plan.batches(ctx)
                     for values, label in zip(batch.rows(), batch.labels)]
@@ -464,22 +460,30 @@ class Session:
                 for position, fn in prepared.assignments:
                     new[position] = fn(row, ctx)
                 values = tuple(new)
-            self._write(table, version, values, ctx, EMPTY_LABEL)
+            self._write(table, version, values, ctx, EMPTY_LABEL,
+                        prepared.assigned)
         return Result(rowcount=len(targets))
 
     # -- the one row write ------------------------------------------------
     def _write(self, table, old, values: Optional[Tuple], ctx: ExecContext,
-               declassifying: Label) -> None:
+               declassifying: Label, assigned: Optional[Tuple] = None
+               ) -> None:
         """Write one row: ``old`` is the version an UPDATE replaces or a
         DELETE removes (``None`` for an INSERT), ``values`` the row an
-        INSERT or UPDATE writes (``None`` for a DELETE).
+        INSERT or UPDATE writes (``None`` for a DELETE), ``assigned``
+        the positions an UPDATE's SET list assigns.
 
         In order: the write rule and the first-committer check on
-        ``old``; BEFORE triggers; ``coerce_row``;
-        :func:`constraints.check_write`; the heap write; the write set
-        and the ``rows_*`` tally; AFTER and DEFERRED triggers.  The row
-        is written under the statement's label (``ctx``), which is
-        also the label its triggers run with (section 5.2.3)."""
+        ``old``; BEFORE triggers; coercion; :func:`constraints.check_write`;
+        the heap write; the write set and the ``rows_*`` tally; AFTER
+        and DEFERRED triggers.  The row is written under the
+        statement's label (``ctx``), which is also the label its
+        triggers run with (section 5.2.3).
+
+        A table with no triggers (read from the live catalog, not the
+        plan) runs no trigger code at all.  An UPDATE no BEFORE trigger
+        rewrote coerces only its ``assigned`` columns: the rest of the
+        row is a stored version that already passed ``coerce_row``."""
         db = self.db
         txn = self.transaction
         label = ctx.read_label
@@ -499,11 +503,17 @@ class Session:
                 raise SerializationError(
                     "concurrent %s detected on %s (first committer wins)"
                     % (event, table.name))
-        old_values = None if old is None else old.values
-        values = fire_triggers(db, self, table, event, BEFORE, old_values,
-                               values, label)
+        triggers = db.catalog.triggers_on(table.name)
+        if triggers:
+            old_values = None if old is None else old.values
+            row = values
+            values = fire_triggers(db, self, table, event, BEFORE,
+                                   old_values, values, label)
+            if values is not row:       # a BEFORE trigger rewrote it
+                assigned = None
         if values is not None:
-            values = table.schema.coerce_row(values)
+            values = (table.schema.coerce_row(values) if assigned is None
+                      else table.schema.coerce_at(values, assigned))
         constraints.check_write(ctx, table, old, values, declassifying)
         if values is None:
             table.stamp(old, txn.xid)
@@ -519,10 +529,11 @@ class Session:
             txn.record_write(table, version.tid, version.label, event,
                              prev_tid=old.tid)
             tally().rows_updated += 1
-        fire_triggers(db, self, table, event, AFTER, old_values, values,
-                      label)
-        fire_triggers(db, self, table, event, DEFERRED, old_values, values,
-                      label)
+        if triggers:
+            fire_triggers(db, self, table, event, AFTER, old_values, values,
+                          label)
+            fire_triggers(db, self, table, event, DEFERRED, old_values,
+                          values, label)
 
     # -- stored procedures ---------------------------------------------------
     def _execute_call(self, statement: ast.Call, params: Tuple) -> Result:

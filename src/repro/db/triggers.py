@@ -64,7 +64,9 @@ def fire_triggers(db, session, table, event: str, timing: str,
     """Run (or queue) all matching triggers.
 
     Returns possibly-updated new values (BEFORE triggers may modify the
-    row).  DEFERRED triggers are queued on the open transaction with the
+    row): a new tuple when a BEFORE trigger ran, ``new_values`` itself
+    otherwise (``Session._write`` tells the two apart by identity).
+    DEFERRED triggers are queued on the open transaction with the
     statement's label and the appropriate principal.
     """
     triggers = db.catalog.triggers_for(table.name, event, timing)

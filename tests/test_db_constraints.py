@@ -4,6 +4,7 @@ Key Rule, label constraints, and plain CHECKs."""
 import pytest
 
 from repro.core import IFCProcess, Label
+from repro.db import Database
 from repro.db.catalog import BEFORE
 from repro.errors import (
     AuthorityError,
@@ -289,3 +290,43 @@ class TestCheckConstraints:
         session = db.connect()
         session.execute("CREATE TABLE c (x INT, CHECK (x > 0))")
         session.execute("INSERT INTO c VALUES (NULL)")   # unknown passes
+
+
+@pytest.fixture(params=[None, 7], ids=["default", "batch7"])
+def typed(request, authority):
+    """A table with a NOT NULL and an INT column, at the default batch
+    size and at 7."""
+    kwargs = {} if request.param is None else {"batch_size": request.param}
+    session = Database(authority, seed=12345, **kwargs).connect()
+    session.execute(
+        "CREATE TABLE u (id INT PRIMARY KEY, name TEXT NOT NULL, n INT)")
+    session.execute("INSERT INTO u VALUES (1, 'a', 1)")
+    return session
+
+
+class TestUpdateCoercion:
+    """An UPDATE on a table without BEFORE triggers coerces only its SET
+    columns; every check on those columns still holds."""
+
+    def test_null_into_a_not_null_column_is_refused(self, typed):
+        with pytest.raises(TypeError_) as inserted:
+            typed.execute("INSERT INTO u VALUES (2, NULL, 1)")
+        with pytest.raises(TypeError_) as updated:
+            typed.execute("UPDATE u SET name = NULL WHERE id = 1")
+        assert str(updated.value) == str(inserted.value) == (
+            "null value in column 'name' of table 'u' violates NOT NULL")
+        assert typed.execute("SELECT name FROM u").scalar() == "a"
+
+    def test_an_assigned_value_is_coerced(self, typed):
+        typed.execute("UPDATE u SET n = '7' WHERE id = 1")
+        value = typed.execute("SELECT n FROM u WHERE id = 1").scalar()
+        assert value == 7 and type(value) is int
+
+    def test_an_assigned_value_of_the_wrong_type_is_refused(self, typed):
+        with pytest.raises(TypeError_):
+            typed.execute("UPDATE u SET n = 'seven' WHERE id = 1")
+        assert typed.execute("SELECT n FROM u").scalar() == 1
+
+    def test_unassigned_columns_keep_their_stored_values(self, typed):
+        typed.execute("UPDATE u SET n = n + 1 WHERE id = 1")
+        assert typed.execute("SELECT * FROM u").first() == [1, "a", 2]

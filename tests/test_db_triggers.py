@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core import INTEGRITY, IFCProcess, Label
-from repro.db import SERIALIZABLE
+from repro.db import SERIALIZABLE, Database
 from repro.db.catalog import AFTER, BEFORE, DEFERRED
 from repro.errors import (
     CatalogError,
     CheckViolation,
     ClearanceError,
     IFCViolation,
+    TypeError_,
 )
 
 
@@ -363,3 +364,63 @@ class TestClearanceInPushedHolders:
             process.add_secrecy(secret.id)
         pushed.add_secrecy(secret.id)
         session.rollback()
+
+
+@pytest.fixture(params=[None, 7], ids=["default", "batch7"])
+def typed(request, authority):
+    """A trigger-less table with a NOT NULL and an INT column, at the
+    default batch size and at 7."""
+    kwargs = {} if request.param is None else {"batch_size": request.param}
+    db = Database(authority, seed=12345, **kwargs)
+    session = db.connect()
+    session.execute(
+        "CREATE TABLE Typed (x INT PRIMARY KEY, name TEXT NOT NULL, n INT)")
+    session.execute("INSERT INTO Typed VALUES (1, 'a', 1)")
+    return db, session
+
+
+class TestTriggersAndTheWriteShortcuts:
+    """A write probes the live catalog for triggers, and an UPDATE a
+    BEFORE trigger rewrote is coerced in full."""
+
+    @pytest.mark.parametrize("rewrite", [{"name": None},
+                                         {"n": "not a number"}],
+                             ids=["null", "wrong_type"])
+    def test_a_before_trigger_rewriting_an_unassigned_column_is_checked(
+            self, typed, rewrite):
+        db, session = typed
+        db.create_trigger("rewrite", "Typed", "update", BEFORE,
+                          lambda ctx: rewrite)
+        with pytest.raises(TypeError_):
+            session.execute("UPDATE Typed SET x = 1 WHERE x = 1")
+        assert session.execute("SELECT * FROM Typed").first() == [1, "a", 1]
+
+    def test_a_before_trigger_rewriting_an_unassigned_column_is_coerced(
+            self, typed):
+        db, session = typed
+        db.create_trigger("rewrite", "Typed", "update", BEFORE,
+                          lambda ctx: {"n": "5"})
+        session.execute("UPDATE Typed SET name = 'b' WHERE x = 1")
+        value = session.execute("SELECT n FROM Typed").scalar()
+        assert value == 5 and type(value) is int
+
+    @pytest.mark.parametrize("event, sql", [
+        ("insert", "INSERT INTO Typed VALUES (?, 'b', 0)"),
+        ("update", "UPDATE Typed SET n = ? WHERE x = 1"),
+    ])
+    def test_a_trigger_created_after_the_plan_fires_on_its_next_run(
+            self, typed, event, sql):
+        db, session = typed
+        statement = db.parse(sql)
+        session.execute(sql, (2,))
+        prepared = db._prepare(statement, sql)      # the cached plan
+        fired = []
+        db.create_trigger("seen", "Typed", event, AFTER,
+                          lambda ctx: fired.append(ctx.event))
+        with session.atomic():
+            if event == "insert":
+                session._execute_insert(statement, prepared, (3,))
+            else:
+                session._execute_dml(statement, prepared, (3,))
+        session.execute(sql, (4,))                  # and through execute
+        assert fired == [event, event]

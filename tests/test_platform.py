@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from repro.core import IFCProcess, Label
-from repro.db import Database
+from repro.db import SERIALIZABLE, SNAPSHOT, Database
 from repro.errors import AuthorityError, ReleaseError
 from repro.platform import AuthorityCache, IFRuntime
 from repro.platform.web import Request, WebApp
@@ -152,3 +152,37 @@ class TestAuthorityCache:
         assert cache.has_authority(bob.id, tag.id)
         authority.revoke(tag.id, alice.id, bob.id)
         assert not cache.has_authority(bob.id, tag.id)
+
+
+class TestConnectionTransactions:
+    """``IFConnection.begin``/``commit``/``rollback``: each one round
+    trip, and the statements between share one transaction."""
+
+    @pytest.mark.parametrize("isolation", [None, SERIALIZABLE, SNAPSHOT])
+    def test_a_transaction_through_the_connection(self, world, isolation):
+        _a, db, runtime, alice, _tag = world
+        conn = runtime.spawn(alice.id).connect(db)
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        stats = conn.stats
+
+        def round_trip(call, *args):
+            sent, received = stats.statements_sent, stats.results_received
+            call(*args)
+            assert (stats.statements_sent, stats.results_received) == (
+                sent + 1, received + 1)
+
+        round_trip(conn.begin, isolation)
+        txn = conn.session.transaction
+        assert txn.isolation == (isolation or SNAPSHOT)
+        conn.execute("INSERT INTO t VALUES (1)")
+        assert conn.session.transaction is txn
+        assert conn.query("SELECT id FROM t") == [[1]]
+        round_trip(conn.rollback)
+        assert conn.session.transaction is None
+        assert conn.query("SELECT id FROM t") == []
+
+        round_trip(conn.begin, isolation)
+        conn.execute("INSERT INTO t VALUES (2)")
+        round_trip(conn.commit)
+        assert conn.session.transaction is None
+        assert db.connect().query("SELECT id FROM t") == [[2]]
