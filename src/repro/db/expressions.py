@@ -4,15 +4,26 @@ Expressions appear in WHERE/HAVING clauses, select lists, CHECK and label
 constraints, and view definitions.  The AST is built either by the SQL
 parser (:mod:`repro.sql.parser`) or programmatically.
 
-**Shape.**  Every node class says once what its sub-expressions are:
-:meth:`Expr.children` lists them left to right and
-:meth:`Expr.rebuilt` makes the same node over new ones.  Every tree
-walk — here (:func:`walk`, :func:`contains_aggregate`,
+**Shape.**  A node class declares its shape once, as its
+``__slots__``: its sub-expressions are the :class:`Expr` values those
+slots hold, directly or inside (nested) tuples, in slot order.
+:meth:`Expr.children` lists them, :meth:`Expr.rebuilt` makes the same
+node over new ones and :meth:`Expr.key` — what nodes compare and hash
+by — is the class, then every slot; no subclass restates any of the
+three.  Four classes key on something other than their slots:
+:class:`LiteralSlot` on the equality class of its literal (not its
+index or value), so every text of a plan key matches its GROUP BY
+items alike; :class:`Exists`, :class:`InSelect` and
+:class:`ScalarSelect` on the identity of their ``Select`` (a
+dataclass: it compares by value and does not hash), which is planned
+on its own and is not a child.  Every tree walk — here
+(:func:`walk`, :func:`contains_aggregate`,
 :func:`collect_aggregates`, :func:`rewrite`), in the optimizer
 (constant folding) and in the logical layer (column and slot
-collection) — goes through those two methods; only :func:`to_sql` names node classes to reach their parts,
-because it prints each differently.  A subquery's ``Select`` is not a
-child: it is planned on its own.
+collection) — goes through ``children`` and ``rebuilt``; only
+:func:`to_sql` names node classes to reach their parts, because it
+prints each differently.  :mod:`repro.sql.template` copies a node by
+the same slots.
 
 **Evaluation.**  :class:`ExprCompiler` turns an AST into a Python
 closure against a :class:`Scope` that maps column references to
@@ -58,25 +69,44 @@ from ..errors import (CatalogError, DatabaseError, ExpressionError,
 class Expr:
     """Base class for expression nodes.
 
-    Nodes compare equal structurally (via :meth:`key`), which the planner
-    uses to match GROUP BY expressions against select-list expressions.
+    A node's shape is its ``__slots__``: its sub-expressions are the
+    :class:`Expr` values its slots hold, directly or inside (nested)
+    tuples, in slot order.  :meth:`key`, :meth:`children` and
+    :meth:`rebuilt` read that one declaration.  Nodes compare equal
+    structurally (via :meth:`key`), which the planner uses to match
+    GROUP BY expressions against select-list expressions.
     """
 
     __slots__ = ()
 
     def key(self) -> Tuple:
-        raise NotImplementedError
+        """The class, then every slot, a sub-expression standing in as
+        its own key."""
+        key = [type(self)]
+        for name in self.__slots__:
+            key.append(_key(getattr(self, name)))
+        return tuple(key)
 
-    def children(self) -> Sequence["Expr"]:
+    def children(self) -> List["Expr"]:
         """The direct sub-expressions, left to right (the order they
         are evaluated and printed in).  Leaves have none; a subquery's
         ``Select`` AST is not a child."""
-        return ()
+        found: List[Expr] = []
+        for name in self.__slots__:
+            _gather(getattr(self, name), found)
+        return found
 
     def rebuilt(self, children: Sequence["Expr"]) -> "Expr":
         """This node over new children — as many, in the same order, as
-        :meth:`children` returns.  Everything else is carried over."""
-        return self
+        :meth:`children` returns, each put back where its old one was.
+        Everything else is carried over."""
+        if not children:
+            return self
+        fresh = iter(children)
+        copy = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(copy, name, _placed(getattr(self, name), fresh))
+        return copy
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self.key() == other.key()
@@ -85,7 +115,32 @@ class Expr:
         return hash(self.key())
 
     def __repr__(self):
-        return "%s%r" % (type(self).__name__, self.key()[1:])
+        return "%s%r" % (type(self).__name__,
+                         tuple([getattr(self, n) for n in self.__slots__]))
+
+
+def _key(value):
+    if isinstance(value, Expr):
+        return value.key()
+    return tuple(map(_key, value)) if type(value) is tuple else value
+
+
+def _gather(value, found: List[Expr]) -> None:
+    if isinstance(value, Expr):
+        found.append(value)
+    elif type(value) is tuple:
+        for item in value:
+            _gather(item, found)
+
+
+def _placed(value, fresh):
+    """``value`` with each expression in it replaced by the next of
+    ``fresh``."""
+    if isinstance(value, Expr):
+        return next(fresh)
+    if type(value) is tuple:
+        return tuple([_placed(item, fresh) for item in value])
+    return value
 
 
 class Literal(Expr):
@@ -93,9 +148,6 @@ class Literal(Expr):
 
     def __init__(self, value):
         self.value = value
-
-    def key(self):
-        return ("lit", self.value)
 
 
 class Param(Expr):
@@ -105,9 +157,6 @@ class Param(Expr):
 
     def __init__(self, index: int):
         self.index = index
-
-    def key(self):
-        return ("param", self.index)
 
 
 class LiteralSlot(Expr):
@@ -129,7 +178,7 @@ class LiteralSlot(Expr):
         self.value = value
 
     def key(self):
-        return ("literal slot", self.cls)
+        return (LiteralSlot, self.cls)
 
 
 #: What is fixed for one execution of a statement: a literal, a ``?``
@@ -144,9 +193,6 @@ class ColumnRef(Expr):
         self.table = table
         self.name = name
 
-    def key(self):
-        return ("col", self.table, self.name)
-
 
 class Star(Expr):
     """``*`` or ``alias.*`` in a select list."""
@@ -155,9 +201,6 @@ class Star(Expr):
 
     def __init__(self, table: Optional[str] = None):
         self.table = table
-
-    def key(self):
-        return ("star", self.table)
 
 
 class BinOp(Expr):
@@ -168,15 +211,6 @@ class BinOp(Expr):
         self.left = left
         self.right = right
 
-    def key(self):
-        return ("bin", self.op, self.left.key(), self.right.key())
-
-    def children(self):
-        return (self.left, self.right)
-
-    def rebuilt(self, children):
-        return BinOp(self.op, *children)
-
 
 class Compare(Expr):
     __slots__ = ("op", "left", "right")
@@ -186,30 +220,12 @@ class Compare(Expr):
         self.left = left
         self.right = right
 
-    def key(self):
-        return ("cmp", self.op, self.left.key(), self.right.key())
-
-    def children(self):
-        return (self.left, self.right)
-
-    def rebuilt(self, children):
-        return Compare(self.op, *children)
-
 
 class And(Expr):
     __slots__ = ("items",)
 
     def __init__(self, items: Sequence[Expr]):
         self.items = tuple(items)
-
-    def key(self):
-        return ("and",) + tuple(i.key() for i in self.items)
-
-    def children(self):
-        return self.items
-
-    def rebuilt(self, children):
-        return And(children)
 
 
 class Or(Expr):
@@ -218,30 +234,12 @@ class Or(Expr):
     def __init__(self, items: Sequence[Expr]):
         self.items = tuple(items)
 
-    def key(self):
-        return ("or",) + tuple(i.key() for i in self.items)
-
-    def children(self):
-        return self.items
-
-    def rebuilt(self, children):
-        return Or(children)
-
 
 class Not(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr):
         self.operand = operand
-
-    def key(self):
-        return ("not", self.operand.key())
-
-    def children(self):
-        return (self.operand,)
-
-    def rebuilt(self, children):
-        return Not(*children)
 
 
 class Neg(Expr):
@@ -250,15 +248,6 @@ class Neg(Expr):
     def __init__(self, operand: Expr):
         self.operand = operand
 
-    def key(self):
-        return ("neg", self.operand.key())
-
-    def children(self):
-        return (self.operand,)
-
-    def rebuilt(self, children):
-        return Neg(*children)
-
 
 class IsNull(Expr):
     __slots__ = ("operand", "negated")
@@ -266,15 +255,6 @@ class IsNull(Expr):
     def __init__(self, operand: Expr, negated: bool = False):
         self.operand = operand
         self.negated = negated
-
-    def key(self):
-        return ("isnull", self.operand.key(), self.negated)
-
-    def children(self):
-        return (self.operand,)
-
-    def rebuilt(self, children):
-        return IsNull(*children, self.negated)
 
 
 class InList(Expr):
@@ -285,16 +265,6 @@ class InList(Expr):
         self.operand = operand
         self.items = tuple(items)
         self.negated = negated
-
-    def key(self):
-        return (("in", self.operand.key(), self.negated)
-                + tuple(i.key() for i in self.items))
-
-    def children(self):
-        return (self.operand, *self.items)
-
-    def rebuilt(self, children):
-        return InList(children[0], children[1:], self.negated)
 
 
 class Between(Expr):
@@ -307,16 +277,6 @@ class Between(Expr):
         self.high = high
         self.negated = negated
 
-    def key(self):
-        return ("between", self.operand.key(), self.low.key(),
-                self.high.key(), self.negated)
-
-    def children(self):
-        return (self.operand, self.low, self.high)
-
-    def rebuilt(self, children):
-        return Between(*children, self.negated)
-
 
 class Like(Expr):
     __slots__ = ("operand", "pattern", "negated")
@@ -325,15 +285,6 @@ class Like(Expr):
         self.operand = operand
         self.pattern = pattern
         self.negated = negated
-
-    def key(self):
-        return ("like", self.operand.key(), self.pattern.key(), self.negated)
-
-    def children(self):
-        return (self.operand, self.pattern)
-
-    def rebuilt(self, children):
-        return Like(*children, self.negated)
 
 
 #: Operators evaluated at plan time once every operand is a literal —
@@ -352,15 +303,6 @@ class FuncCall(Expr):
         self.name = name.upper()
         self.args = tuple(args)
 
-    def key(self):
-        return ("func", self.name) + tuple(a.key() for a in self.args)
-
-    def children(self):
-        return self.args
-
-    def rebuilt(self, children):
-        return FuncCall(self.name, children)
-
 
 class Aggregate(Expr):
     """COUNT/SUM/AVG/MIN/MAX, resolved by the aggregation operator."""
@@ -374,18 +316,6 @@ class Aggregate(Expr):
         self.arg = arg          # None means COUNT(*)
         self.distinct = distinct
 
-    def key(self):
-        return ("agg", self.func,
-                self.arg.key() if self.arg is not None else None,
-                self.distinct)
-
-    def children(self):
-        return () if self.arg is None else (self.arg,)
-
-    def rebuilt(self, children):
-        return Aggregate(self.func, children[0] if children else None,
-                         self.distinct)
-
 
 class Case(Expr):
     __slots__ = ("whens", "default")
@@ -394,23 +324,6 @@ class Case(Expr):
                  default: Optional[Expr] = None):
         self.whens = tuple(whens)
         self.default = default
-
-    def key(self):
-        return (("case",)
-                + tuple((c.key(), v.key()) for c, v in self.whens)
-                + (self.default.key() if self.default else None,))
-
-    def children(self):
-        """cond, value, cond, value, …, then the ELSE branch if any."""
-        flat = [part for when in self.whens for part in when]
-        if self.default is not None:
-            flat.append(self.default)
-        return flat
-
-    def rebuilt(self, children):
-        n = 2 * len(self.whens)
-        return Case(zip(children[0:n:2], children[1:n:2]),
-                    children[n] if self.default is not None else None)
 
 
 class Exists(Expr):
@@ -423,7 +336,7 @@ class Exists(Expr):
         self.negated = negated
 
     def key(self):
-        return ("exists", id(self.select), self.negated)
+        return (Exists, id(self.select), self.negated)
 
 
 class InSelect(Expr):
@@ -437,13 +350,8 @@ class InSelect(Expr):
         self.negated = negated
 
     def key(self):
-        return ("insel", self.operand.key(), id(self.select), self.negated)
-
-    def children(self):
-        return (self.operand,)
-
-    def rebuilt(self, children):
-        return InSelect(*children, self.select, self.negated)
+        return (InSelect, self.operand.key(), id(self.select),
+                self.negated)
 
 
 class ScalarSelect(Expr):
@@ -455,7 +363,7 @@ class ScalarSelect(Expr):
         self.select = select
 
     def key(self):
-        return ("scalarsel", id(self.select))
+        return (ScalarSelect, id(self.select))
 
 
 class AggSlotRef(Expr):
@@ -466,9 +374,6 @@ class AggSlotRef(Expr):
     def __init__(self, slot: int):
         self.slot = slot
 
-    def key(self):
-        return ("aggslot", self.slot)
-
 
 class SlotRef(Expr):
     """Internal: direct reference to a position in the execution row."""
@@ -477,9 +382,6 @@ class SlotRef(Expr):
 
     def __init__(self, slot: int):
         self.slot = slot
-
-    def key(self):
-        return ("slot", self.slot)
 
 
 # ---------------------------------------------------------------------------

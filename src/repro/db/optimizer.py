@@ -185,7 +185,7 @@ def fold_constants(node: ex.Expr) -> ex.Expr:
                   if not (_literal(item) and item.value is (not absorbing))]
         if not folded:
             return ex.Literal(not absorbing)
-        return folded[0] if len(folded) == 1 else node.rebuilt(folded)
+        return folded[0] if len(folded) == 1 else type(node)(folded)
     rebuilt = node.rebuilt(folded)
     if isinstance(node, ex.FOLDABLE) and all(map(_literal, folded)):
         try:

@@ -67,7 +67,9 @@ class FloatType(SQLType):
     name = "REAL"
 
     def coerce(self, value):
-        if isinstance(value, bool):
+        if type(value) is float:
+            return value
+        if isinstance(value, int):      # a bool too; no ABC check
             return float(value)
         if isinstance(value, numbers.Real):
             return float(value)

@@ -135,10 +135,11 @@ class Template:
 
 def _attributes(node) -> list:
     """``(name, value)`` of every attribute of a statement or an
-    expression node; none for anything else (a name, a flag, a value)."""
+    expression node; none for anything else (a name, a flag, a value).
+    A node's attributes are its ``__slots__``, the declaration its
+    ``key``, ``children`` and ``rebuilt`` read too."""
     if isinstance(node, ex.Expr):
-        return [(name, getattr(node, name)) for cls in type(node).__mro__
-                for name in cls.__dict__.get("__slots__", ())]
+        return [(name, getattr(node, name)) for name in node.__slots__]
     if dataclasses.is_dataclass(node):
         return list(vars(node).items())
     return []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.db import expressions as ex
 from repro.db.physical import RowBatch
 from repro.errors import CatalogError, DatabaseError, ExpressionError
-from repro.sql.parser import parse_expression
+from repro.sql.parser import parse_expression, parse_statement
 
 
 class _Ctx:
@@ -177,70 +177,82 @@ class TestRewriteAndCollect:
 
 
 # ---------------------------------------------------------------------------
-# node shape: children() / rebuilt() / walk()
+# node shape: key() / children() / rebuilt() / walk()
 # ---------------------------------------------------------------------------
 
 _A, _B, _C, _D = (ex.ColumnRef(name) for name in "abcd")
 _SELECT = object()          # stands in for a parsed subquery
 
-#: At least one instance per node class, every slot filled — a class
-#: added to expressions.py without an entry here fails the suite.
-SHAPE_SAMPLES = {
-    ex.Literal: [ex.Literal(1)],
-    ex.Param: [ex.Param(0)],
-    ex.ColumnRef: [ex.ColumnRef("a", "t")],
-    ex.Star: [ex.Star("t")],
-    ex.SlotRef: [ex.SlotRef(2)],
-    ex.AggSlotRef: [ex.AggSlotRef(1)],
-    ex.BinOp: [ex.BinOp("+", _A, _B)],
-    ex.Compare: [ex.Compare("<", _A, _B)],
-    ex.And: [ex.And([_A, _B, _C])],
-    ex.Or: [ex.Or([_A, _B, _C])],
-    ex.Not: [ex.Not(_A)],
-    ex.Neg: [ex.Neg(_A)],
-    ex.IsNull: [ex.IsNull(_A, True)],
-    ex.InList: [ex.InList(_A, [_B, _C], True)],
-    ex.Between: [ex.Between(_A, _B, _C, True)],
-    ex.Like: [ex.Like(_A, _B, True)],
-    ex.FuncCall: [ex.FuncCall("coalesce", [_A, _B]), ex.FuncCall("now", [])],
-    ex.Aggregate: [ex.Aggregate("sum", _A, True),
-                   ex.Aggregate("count", None)],
-    ex.Case: [ex.Case([(_A, _B), (_C, _D)]), ex.Case([(_A, _B)], _C)],
-    ex.Exists: [ex.Exists(_SELECT, True)],
-    ex.InSelect: [ex.InSelect(_A, _SELECT, True)],
-    ex.ScalarSelect: [ex.ScalarSelect(_SELECT)],
-    ex.LiteralSlot: [ex.LiteralSlot(0, 0, 1)],
-}
+
+def _samples(a, b, c, d):
+    """At least one instance per node class, every slot filled, each
+    with its children written out by hand — a class added to
+    expressions.py without an entry here fails the suite."""
+    return {
+        ex.Literal: [(ex.Literal(1), [])],
+        ex.Param: [(ex.Param(0), [])],
+        ex.ColumnRef: [(ex.ColumnRef("a", "t"), [])],
+        ex.Star: [(ex.Star("t"), [])],
+        ex.SlotRef: [(ex.SlotRef(2), [])],
+        ex.AggSlotRef: [(ex.AggSlotRef(1), [])],
+        ex.BinOp: [(ex.BinOp("+", a, b), [a, b])],
+        ex.Compare: [(ex.Compare("<", a, b), [a, b])],
+        ex.And: [(ex.And([a, b, c]), [a, b, c])],
+        ex.Or: [(ex.Or([a, b, c]), [a, b, c])],
+        ex.Not: [(ex.Not(a), [a])],
+        ex.Neg: [(ex.Neg(a), [a])],
+        ex.IsNull: [(ex.IsNull(a, True), [a])],
+        ex.InList: [(ex.InList(a, [b, c], True), [a, b, c])],
+        ex.Between: [(ex.Between(a, b, c, True), [a, b, c])],
+        ex.Like: [(ex.Like(a, b, True), [a, b])],
+        ex.FuncCall: [(ex.FuncCall("coalesce", [a, b]), [a, b]),
+                      (ex.FuncCall("now", []), [])],
+        ex.Aggregate: [(ex.Aggregate("sum", a, True), [a]),
+                       (ex.Aggregate("count", None), [])],
+        ex.Case: [(ex.Case([(a, b), (c, d)]), [a, b, c, d]),
+                  (ex.Case([(a, b)], c), [a, b, c])],
+        ex.Exists: [(ex.Exists(_SELECT, True), [])],
+        ex.InSelect: [(ex.InSelect(a, _SELECT, True), [a])],
+        ex.ScalarSelect: [(ex.ScalarSelect(_SELECT), [])],
+        ex.LiteralSlot: [(ex.LiteralSlot(0, 0, 1), [])],
+    }
 
 
-def _exprs_in_slots(node):
-    """Reference answer by introspection: every Expr a slot holds,
-    directly or inside (nested) tuples, in slot order."""
-    found = []
+SHAPE_SAMPLES = _samples(_A, _B, _C, _D)
+_ALL_SAMPLES = [node for pairs in SHAPE_SAMPLES.values()
+                for node, _children in pairs]
 
-    def visit(value):
-        if isinstance(value, ex.Expr):
-            found.append(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                visit(item)
-
-    for slot in type(node).__slots__:
-        visit(getattr(node, slot))
-    return found
+#: Nodes of different classes whose slots hold the same values: the
+#: class is part of the key, so no two are equal.
+_SAME_SLOTS = [
+    (ex.BinOp("<", _A, _B), ex.Compare("<", _A, _B)),
+    (ex.Not(_A), ex.Neg(_A)),
+    (ex.And([_A, _B]), ex.Or([_A, _B])),
+    (ex.SlotRef(1), ex.AggSlotRef(1)),
+    (ex.Literal(0), ex.Param(0)),
+    (ex.Star("t"), ex.Literal("t")),
+]
 
 
 class TestNodeShape:
     def test_every_node_class_has_a_sample(self):
         assert set(ex.Expr.__subclasses__()) == set(SHAPE_SAMPLES)
 
+    def test_only_four_classes_key_on_something_other_than_their_slots(self):
+        defined = {method: sorted(cls.__name__
+                                  for cls in ex.Expr.__subclasses__()
+                                  if method in vars(cls))
+                   for method in ("key", "children", "rebuilt")}
+        assert defined == {
+            "key": ["Exists", "InSelect", "LiteralSlot", "ScalarSelect"],
+            "children": [], "rebuilt": []}
+
     @pytest.mark.parametrize("cls", sorted(SHAPE_SAMPLES,
                                            key=lambda c: c.__name__))
     def test_children_and_rebuilt_cover_every_slot(self, cls):
-        for node in SHAPE_SAMPLES[cls]:
+        for node, expected in SHAPE_SAMPLES[cls]:
             children = list(node.children())
-            assert [id(c) for c in children] \
-                == [id(c) for c in _exprs_in_slots(node)]
+            assert [id(c) for c in children] == [id(c) for c in expected]
             same = node.rebuilt(children)
             assert type(same) is cls and same == node
             # New children land where the old ones were; flags, names
@@ -253,6 +265,37 @@ class TestNodeShape:
             # walk: the node, then each child exactly once, in order.
             assert [id(n) for n in ex.walk(node)] \
                 == [id(node)] + [id(c) for c in children]
+
+    def test_each_sample_equals_its_copy_and_a_fresh_construction(self):
+        again = _samples(*(ex.ColumnRef(name) for name in "abcd"))
+        for cls, pairs in SHAPE_SAMPLES.items():
+            for (node, _children), (fresh, _) in zip(pairs, again[cls]):
+                copy = node.rebuilt(node.children())
+                for same in (copy, fresh):
+                    assert same == node and hash(same) == hash(node)
+                assert fresh is not node
+
+    def test_no_two_nodes_of_different_classes_are_equal(self):
+        pairs = [(a, b) for a in _ALL_SAMPLES for b in _ALL_SAMPLES
+                 if type(a) is not type(b)] + _SAME_SLOTS
+        for a, b in pairs:
+            assert a != b and b != a, (a, b)
+
+    def test_a_literal_slot_keys_on_its_equality_class(self):
+        slot = ex.LiteralSlot(0, 0, 1)
+        same_class = ex.LiteralSlot(3, 0, 9)
+        assert slot == same_class and hash(slot) == hash(same_class)
+        assert slot != ex.LiteralSlot(0, 1, 1)
+        for other in (ex.Literal(1), ex.Param(0)):
+            assert slot != other and same_class != other
+
+    def test_a_subquery_node_keys_on_the_identity_of_its_select(self):
+        first, second = (parse_statement("SELECT 1") for _ in range(2))
+        assert first == second and first is not second
+        for make in (ex.Exists, ex.ScalarSelect,
+                     lambda select: ex.InSelect(_A, select)):
+            assert make(first) == make(first)
+            assert make(first) != make(second)
 
     def test_walk_is_preorder_left_to_right(self):
         inner = ex.BinOp("+", _B, _C)

@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 spec = importlib.util.spec_from_file_location(
@@ -40,3 +42,17 @@ def test_table_covers_every_module_under_src(capsys):
     assert any(line.split()[0].endswith("db/physical.py") for line in out)
     total = out[-1].split()
     assert total[0] == "total" and 0 < int(total[1]) < int(total[2])
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_tool_quietly():
+    # Closing the only read end before the tool prints makes its first
+    # write fail, as ``python tools/loc.py src | head -1`` can.
+    tool = subprocess.Popen(
+        [sys.executable, os.path.join(ROOT, "tools", "loc.py"),
+         os.path.join(ROOT, "src")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    tool.stdout.close()
+    stderr = tool.stderr.read()
+    tool.stderr.close()
+    assert tool.wait(timeout=60) == 0
+    assert stderr == b""

@@ -18,6 +18,7 @@ from repro.db.optimizer import (
     DEFAULT_RANGE_SEL,
     DEFAULT_SEL,
     ROW_FLOOR,
+    fold_constants,
 )
 from repro.db.physical import (
     Filter,
@@ -57,6 +58,41 @@ def store():
         session.execute("INSERT INTO sales VALUES (?, ?, ?)",
                         (100 + i, i % 10, i))
     return db, session
+
+
+class TestConstantFolding:
+    """A TRUE item of an AND (a FALSE item of an OR) is dropped, and the
+    operator keeps the items that remain, however many."""
+
+    CASES = [
+        ("a = 1 OR 1 = 0 OR b = 2", "a = 1 OR b = 2",
+         lambda a, b, c: a == 1 or b == 2),
+        ("(a = 1 AND TRUE AND b = 2) OR c = 3", "a = 1 AND b = 2 OR c = 3",
+         lambda a, b, c: (a == 1 and b == 2) or c == 3),
+        ("a = 1 AND 1 = 1 AND b = 2 AND c = 3", "a = 1 AND b = 2 AND c = 3",
+         lambda a, b, c: a == 1 and b == 2 and c == 3),
+    ]
+
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    @pytest.mark.parametrize("where, folded, model", CASES,
+                             ids=["or", "and-under-or", "and"])
+    def test_a_dropped_item_leaves_the_rest(self, batch_size, where, folded,
+                                            model):
+        kwargs = {} if batch_size is None else {"batch_size": batch_size}
+        db = Database(ifc_enabled=False, **kwargs)
+        session = db.connect()
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT,"
+                        " c INT)")
+        rows = [(i, i % 3, i % 5, i % 7) for i in range(40)]
+        for row in rows:
+            session.execute("INSERT INTO t VALUES (?, ?, ?, ?)", row)
+        select = "SELECT id FROM t WHERE "
+        assert fold_constants(db.parse(select + where).where) \
+            == db.parse(select + folded).where
+        got = [r["id"] for r in session.execute(select + where).rows]
+        assert sorted(got) == [i for i, a, b, c in rows if model(a, b, c)]
+        plan = session.execute("EXPLAIN " + select + where).rows
+        assert any("(%s)" % folded in r["QUERY PLAN"] for r in plan)
 
 
 class TestAccessPaths:

@@ -22,7 +22,7 @@ from repro.core import IFCProcess
 BUDGET = {
     "select_1": 40,
     "select_by_key": 74,
-    "insert": 66,
+    "insert": 64,
     "update_by_key": 89,
 }
 
