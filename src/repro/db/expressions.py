@@ -11,8 +11,9 @@ slots hold, directly or inside (nested) tuples, in slot order.
 node over new ones and :meth:`Expr.key` — what nodes compare and hash
 by — is the class, then every slot; no subclass restates any of the
 three.  Four classes key on something other than their slots:
-:class:`LiteralSlot` on the equality class of its literal (not its
-index or value), so every text of a plan key matches its GROUP BY
+:class:`LiteralSlot` on the equality class of its literal (the
+literals of its text equal to it in value and type; not its index or
+value), so every text of a plan key matches its GROUP BY
 items alike; :class:`Exists`, :class:`InSelect` and
 :class:`ScalarSelect` on the identity of their ``Select`` (a
 dataclass: it compares by value and does not hash), which is planned
@@ -48,15 +49,18 @@ filters treat None as false.
 The ``_label`` system column (section 4.2) is exposed to expressions like
 any other column; label predicates use the builtins ``LABEL(...)``,
 ``LABEL_CONTAINS``, ``LABEL_SUBSET`` and friends, which consult the tag
-registry through the execution context.
+registry through the execution context.  Every builtin is one entry of
+:data:`_BUILTINS`, with the record shape of a catalog function, and
+every function call is compiled by one path.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from itertools import compress, repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.labels import Label
 from ..errors import (CatalogError, DatabaseError, ExpressionError,
@@ -81,7 +85,7 @@ class Expr:
 
     def key(self) -> Tuple:
         """The class, then every slot, a sub-expression standing in as
-        its own key."""
+        its own key and any other value as ``(type, value)``."""
         key = [type(self)]
         for name in self.__slots__:
             key.append(_key(getattr(self, name)))
@@ -120,9 +124,13 @@ class Expr:
 
 
 def _key(value):
+    """An expression's key, a tuple's keys, or any other value with its
+    type: the literals ``1``, ``1.0`` and ``TRUE`` are three nodes."""
     if isinstance(value, Expr):
         return value.key()
-    return tuple(map(_key, value)) if type(value) is tuple else value
+    if type(value) is tuple:
+        return tuple(map(_key, value))
+    return type(value), value
 
 
 def _gather(value, found: List[Expr]) -> None:
@@ -165,7 +173,7 @@ class LiteralSlot(Expr):
     the executing text's own literals, ``ctx.slot_values[index]``.
 
     Its key is ``cls``, the class of the literals of its text equal to
-    it, so equal literals still match each other (a select item and its
+    it in value and type, so equal literals still match each other (a select item and its
     GROUP BY expression) and no slot ever equals a ``?`` or a literal.
     ``value`` is the literal of the text the node was built from; only
     EXPLAIN prints it."""
@@ -293,6 +301,25 @@ class Like(Expr):
 #: literals under one in the plan key).
 FOLDABLE = (Neg, Not, BinOp, Compare, IsNull, Between, Like)
 
+#: Binding strength of the operators, loosest first, which
+#: :func:`to_sql` parenthesizes by.  OR and AND chain n-ary; NOT takes
+#: an operand of its own level; a comparison — one per operand pair —
+#: and IS, IN, BETWEEN and LIKE take arithmetic operands; each
+#: arithmetic level is left-associative, and unary minus
+#: (:data:`UNARY`) binds tighter than every level.  The parser
+#: (:mod:`repro.sql.parser`) reads the comparison operators and the
+#: arithmetic levels from here; its OR, AND and NOT levels and the
+#: keyword operators are its rule chain, which the round-trip test of
+#: :func:`to_sql` holds to this table.
+PRECEDENCE = (("OR",), ("AND",), ("NOT",),
+              ("=", "<>", "!=", "<", "<=", ">", ">=",
+               "IS", "IN", "BETWEEN", "LIKE"),
+              ("+", "-", "||"), ("*", "/", "%"))
+#: Each operator's level in :data:`PRECEDENCE`.
+LEVEL = {word: level for level, words in enumerate(PRECEDENCE)
+         for word in words}
+UNARY = len(PRECEDENCE)
+
 
 class FuncCall(Expr):
     """Builtin or catalog-registered scalar function call."""
@@ -393,9 +420,9 @@ class Scope:
 
     Each FROM item contributes its columns in order, then a ``_label``
     pseudo-column holding that item's per-row label.  An optional
-    ``outer`` scope supports correlated subqueries: references that fail
-    to resolve locally are looked up in the enclosing query's scope and
-    read from ``ctx.outer_stack`` at execution time.
+    ``outer`` scope supports correlated subqueries: references to a name
+    the local scope lacks are looked up in the enclosing query's scope
+    and read from ``ctx.outer_stack`` at execution time.
     """
 
     def __init__(self, outer: Optional["Scope"] = None):
@@ -443,16 +470,18 @@ class Scope:
         """Resolve through the outer-scope chain: (depth, index).
 
         Depth 0 is the local row; depth ``d`` reads from the ``d``-th
-        enclosing query's current row.
+        enclosing query's current row.  A name is looked for outside
+        only when a scope has no column of that name, so one that is
+        ambiguous in the innermost scope naming it is an error there.
         """
         scope: Optional[Scope] = self
         depth = 0
         while scope is not None:
-            try:
+            if (name in scope._by_name if table is None
+                    else (table, name) in scope._by_qualified):
                 return depth, scope.resolve(name, table)
-            except CatalogError:
-                scope = scope.outer
-                depth += 1
+            scope = scope.outer
+            depth += 1
         raise CatalogError("column %r does not exist in any enclosing scope"
                            % name)
 
@@ -476,15 +505,6 @@ class Scope:
 # Builtin scalar functions
 # ---------------------------------------------------------------------------
 
-def _null_guard(fn):
-    """Wrap a builtin so any NULL argument yields NULL (SQL convention)."""
-    def guarded(*args):
-        if any(a is None for a in args):
-            return None
-        return fn(*args)
-    return guarded
-
-
 def _substr(s, start, length=None):
     start = int(start) - 1          # SQL is 1-based
     if length is None:
@@ -492,21 +512,50 @@ def _substr(s, start, length=None):
     return s[start:start + int(length)]
 
 
-_BUILTINS: Dict[str, Callable] = {
-    "ABS": _null_guard(abs),
-    "LENGTH": _null_guard(len),
-    "LOWER": _null_guard(str.lower),
-    "UPPER": _null_guard(str.upper),
-    "SUBSTR": _null_guard(_substr),
-    "SUBSTRING": _null_guard(_substr),
-    "ROUND": _null_guard(lambda x, n=0: round(x, int(n))),
-    "FLOOR": _null_guard(lambda x: float(math.floor(x))),
-    "CEIL": _null_guard(lambda x: float(math.ceil(x))),
-    "MOD": _null_guard(lambda a, b: a % b),
-    "TRIM": _null_guard(str.strip),
-    "CONCAT": lambda *args: "".join(str(a) for a in args if a is not None),
-    "MIN2": _null_guard(min),
-    "MAX2": _null_guard(max),
+def _first_non_null(*arguments):
+    """COALESCE: the first argument that is not NULL, evaluating none
+    after it."""
+    return next((value for value in (argument() for argument in arguments)
+                 if value is not None), None)
+
+
+#: The ``strict`` mode of a function called on its arguments unevaluated.
+LAZY = "lazy"
+
+#: Every builtin scalar function: ``name → (fn, strict, needs_context)``,
+#: the shape of a catalog function's record
+#: (:class:`~repro.db.catalog.FunctionDef`), whose functions are never
+#: strict.  A *strict* (``True``) function is not called when an
+#: argument is NULL: its result is NULL.  A :data:`LAZY` one is called
+#: on one zero-argument callable per argument and evaluates only those
+#: it needs, as SQL's COALESCE must.  A ``needs_context`` one gets the
+#: execution context (the tag registry, the clock) ahead of its
+#: arguments.  A builtin shadows a catalog function of its name.
+_BUILTINS: Dict[str, Tuple[Callable, Union[bool, str], bool]] = {
+    "ABS": (abs, True, False),
+    "LENGTH": (len, True, False),
+    "LOWER": (str.lower, True, False),
+    "UPPER": (str.upper, True, False),
+    "SUBSTR": (_substr, True, False),
+    "SUBSTRING": (_substr, True, False),
+    "ROUND": (lambda x, n=0: round(x, int(n)), True, False),
+    "FLOOR": (lambda x: float(math.floor(x)), True, False),
+    "CEIL": (lambda x: float(math.ceil(x)), True, False),
+    "MOD": (lambda a, b: a % b, True, False),
+    "TRIM": (str.strip, True, False),
+    "CONCAT": (lambda *args: "".join(str(a) for a in args if a is not None),
+               False, False),
+    "COALESCE": (_first_non_null, LAZY, False),
+    "MIN2": (min, True, False),
+    "MAX2": (max, True, False),
+    "NOW": (lambda ctx: ctx.now(), True, True),
+    "LABEL": (lambda ctx, *names: Label(ctx.registry.lookup(name).id
+                                        for name in names), True, True),
+    "LABEL_CONTAINS": (lambda ctx, label, tag: ctx.registry.lookup(tag).id
+                       in label, True, True),
+    "LABEL_SUBSET": (lambda ctx, low, high: low.tags
+                     <= ctx.registry.expand(high.tags), True, True),
+    "LABEL_SIZE": (len, True, False),
 }
 
 
@@ -559,9 +608,6 @@ _CONSTANT_KERNELS["!="] = _CONSTANT_KERNELS["<>"]
 
 #: What an operator raises on operands SQL gives it no meaning for.
 _VALUE_ERRORS = (TypeError, ZeroDivisionError)
-#: ... and a builtin, which also converts (``SUBSTR(w, 'a')``) and
-#: rounds to an integer (``FLOOR`` of NaN or infinity).
-_BUILTIN_ERRORS = _VALUE_ERRORS + (ValueError, OverflowError)
 _TYPE_NAMES = {bool: "BOOLEAN", int: "INT", float: "REAL", str: "TEXT",
                Label: "LABEL"}
 
@@ -921,71 +967,37 @@ class ExprCompiler:
 
     # -- functions ---------------------------------------------------------
     def _c_funccall(self, node: FuncCall):
+        """A builtin (:data:`_BUILTINS`) or catalog function, called one
+        way.  Whatever its code raises becomes an ``ExpressionError``
+        naming it and its operand types — except the engine's own
+        errors: a ``needs_context`` function may refuse on purpose (an
+        IFC or authority error, an unknown tag) and that must reach the
+        caller as it was raised."""
         args = [self.compile(a) for a in node.args]
         name = node.name
-        # Label builtins need the execution context (tag registry).
-        if name == "LABEL":
-            def make_label(row, ctx):
-                names = [a(row, ctx) for a in args]
-                return Label(ctx.registry.lookup(n).id for n in names)
-            return make_label
-        if name == "LABEL_CONTAINS":
-            def contains(row, ctx):
-                label, tag_name = args[0](row, ctx), args[1](row, ctx)
-                if label is None:
-                    return None
-                return ctx.registry.lookup(tag_name).id in label
-            return contains
-        if name == "LABEL_SUBSET":
-            def subset(row, ctx):
-                low, high = args[0](row, ctx), args[1](row, ctx)
-                if low is None or high is None:
-                    return None
-                return low.tags <= ctx.registry.expand(high.tags)
-            return subset
-        if name == "LABEL_SIZE":
-            def size(row, ctx):
-                label = args[0](row, ctx)
-                return None if label is None else len(label)
-            return size
-        if name == "COALESCE":
-            def coalesce(row, ctx):
-                for arg in args:
-                    value = arg(row, ctx)
-                    if value is not None:
-                        return value
-                return None
-            return coalesce
-        if name == "NOW":
-            return lambda row, ctx: ctx.now()
         if name in _BUILTINS:
-            fn = _BUILTINS[name]
-            form = "%s(%s)" % (name, ", ".join(["{}"] * len(args)))
-            def call(row, ctx):
-                values = [a(row, ctx) for a in args]
-                try:
-                    return fn(*values)
-                except _BUILTIN_ERRORS as exc:
-                    raise evaluation_error(form, values, exc) from None
-            return call
-        # User-defined scalar function from the catalog.  Whatever it
-        # raises becomes an ExpressionError, except the engine's own
-        # errors: a ``needs_context`` function may refuse on purpose
-        # (an IFC or authority error) and that must reach the caller.
-        if self.catalog is not None and self.catalog.has_function(name):
+            fn, strict, with_context = _BUILTINS[name]
+        elif self.catalog is not None and self.catalog.has_function(name):
             udf = self.catalog.get_function(name)
-            fn, with_context = udf.fn, udf.needs_context
-            form = "%s(%s)" % (name, ", ".join(["{}"] * len(args)))
-            def call_udf(row, ctx):
+            fn, strict, with_context = udf.fn, False, udf.needs_context
+        else:
+            raise CatalogError("unknown function %r" % name)
+        form = "%s(%s)" % (name, ", ".join(["{}"] * len(args)))
+        lazy = strict is LAZY
+        def call(row, ctx):
+            if lazy:
+                values = [partial(a, row, ctx) for a in args]
+            else:
                 values = [a(row, ctx) for a in args]
-                try:
-                    return fn(ctx, *values) if with_context else fn(*values)
-                except ReproError:
-                    raise
-                except Exception as exc:      # the function's own code
-                    raise evaluation_error(form, values, exc) from exc
-            return call_udf
-        raise CatalogError("unknown function %r" % name)
+                if strict and None in values:
+                    return None
+            try:
+                return fn(ctx, *values) if with_context else fn(*values)
+            except ReproError:
+                raise
+            except Exception as exc:
+                raise evaluation_error(form, values, exc) from exc
+        return call
 
     # -- subqueries ----------------------------------------------------------
     def _plan_subquery(self, select):
@@ -1059,7 +1071,9 @@ def to_sql(node: Expr) -> str:
     The rendering is for humans: parameters print as ``?``, a literal
     slot as the literal it was built from, subqueries collapse to
     ``(subquery)``, and internal slot references print as ``#n`` (their
-    position in the execution row).
+    position in the execution row).  An operand is parenthesized where
+    :data:`PRECEDENCE` would otherwise bind it differently, so the text
+    of a parsed expression parses back to the same tree.
     """
     if isinstance(node, Literal):
         if node.value is None:
@@ -1077,32 +1091,38 @@ def to_sql(node: Expr) -> str:
         return "%s.*" % node.table if node.table else "*"
     if isinstance(node, (SlotRef, AggSlotRef)):
         return "#%d" % node.slot
-    if isinstance(node, (BinOp, Compare)):
-        return "%s %s %s" % (to_sql(node.left), node.op, to_sql(node.right))
-    if isinstance(node, And):
-        return " AND ".join("(%s)" % to_sql(i) if isinstance(i, Or)
-                            else to_sql(i) for i in node.items)
-    if isinstance(node, Or):
-        return " OR ".join(to_sql(i) for i in node.items)
+    if isinstance(node, BinOp):
+        level = LEVEL[node.op]          # left-associative
+        return "%s %s %s" % (_operand(node.left, level), node.op,
+                             _operand(node.right, level + 1))
+    if isinstance(node, Compare):
+        return "%s %s %s" % (_operand(node.left, _ARITHMETIC), node.op,
+                             _operand(node.right, _ARITHMETIC))
+    if isinstance(node, (And, Or)):
+        word = _SPELLED[type(node)]
+        return (" %s " % word).join(_operand(item, LEVEL[word] + 1)
+                                    for item in node.items)
     if isinstance(node, Not):
         return "NOT (%s)" % to_sql(node.operand)
     if isinstance(node, Neg):
-        return "-%s" % to_sql(node.operand)
+        text = _operand(node.operand, UNARY)
+        return ("- " if text.startswith("-") else "-") + text
     if isinstance(node, IsNull):
-        return "%s IS %sNULL" % (to_sql(node.operand),
+        return "%s IS %sNULL" % (_operand(node.operand, _ARITHMETIC),
                                  "NOT " if node.negated else "")
     if isinstance(node, InList):
-        return "%s %sIN (%s)" % (to_sql(node.operand),
+        return "%s %sIN (%s)" % (_operand(node.operand, _ARITHMETIC),
                                  "NOT " if node.negated else "",
                                  ", ".join(to_sql(i) for i in node.items))
     if isinstance(node, Between):
         return "%s %sBETWEEN %s AND %s" % (
-            to_sql(node.operand), "NOT " if node.negated else "",
-            to_sql(node.low), to_sql(node.high))
+            _operand(node.operand, _ARITHMETIC),
+            "NOT " if node.negated else "",
+            _operand(node.low, _ARITHMETIC), _operand(node.high, _ARITHMETIC))
     if isinstance(node, Like):
-        return "%s %sLIKE %s" % (to_sql(node.operand),
+        return "%s %sLIKE %s" % (_operand(node.operand, _ARITHMETIC),
                                  "NOT " if node.negated else "",
-                                 to_sql(node.pattern))
+                                 _operand(node.pattern, _ARITHMETIC))
     if isinstance(node, FuncCall):
         return "%s(%s)" % (node.name,
                            ", ".join(to_sql(a) for a in node.args))
@@ -1121,11 +1141,33 @@ def to_sql(node: Expr) -> str:
     if isinstance(node, Exists):
         return "%sEXISTS (subquery)" % ("NOT " if node.negated else "")
     if isinstance(node, InSelect):
-        return "%s %sIN (subquery)" % (to_sql(node.operand),
+        return "%s %sIN (subquery)" % (_operand(node.operand, _ARITHMETIC),
                                        "NOT " if node.negated else "")
     if isinstance(node, ScalarSelect):
         return "(subquery)"
     return repr(node)
+
+
+_ARITHMETIC = LEVEL["+"]
+#: The :data:`PRECEDENCE` word of each node class printed as one; an
+#: operator node not here is a ``BinOp`` or a ``Compare`` (its ``op``)
+#: or unary minus, and every other node is atomic.
+_SPELLED = {Or: "OR", And: "AND", Not: "NOT", IsNull: "IS", InList: "IN",
+            InSelect: "IN", Between: "BETWEEN", Like: "LIKE"}
+
+
+def _operand(node: Expr, level: int) -> str:
+    """``node`` printed where the parser reads an operand of ``level``
+    of :data:`PRECEDENCE` or tighter: parenthesized when it binds more
+    loosely."""
+    if isinstance(node, (BinOp, Compare)):
+        binds = LEVEL[node.op]
+    elif type(node) in _SPELLED:
+        binds = LEVEL[_SPELLED[type(node)]]
+    else:
+        binds = UNARY if isinstance(node, Neg) else UNARY + 1
+    text = to_sql(node)
+    return "(%s)" % text if binds < level else text
 
 
 # ---------------------------------------------------------------------------

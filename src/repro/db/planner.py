@@ -312,8 +312,8 @@ class Planner:
     def _filter_text(conjuncts: List[ex.Expr]) -> str:
         if not conjuncts:
             return ""
-        return " filter (%s)" % " AND ".join(ex.to_sql(c)
-                                             for c in conjuncts)
+        return " filter (%s)" % ex.to_sql(
+            conjuncts[0] if len(conjuncts) == 1 else ex.And(conjuncts))
 
     def _lower_join(self, left: Plan, entry: SourceEntry,
                     scope: ex.Scope, compiler: ex.ExprCompiler) -> Plan:

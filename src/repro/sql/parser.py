@@ -24,17 +24,43 @@ applications and benchmarks exercise, plus IFDB's extensions:
 
 Tag names in DECLASSIFYING clauses may be identifiers or string
 literals (tags like ``'alice-drives'`` contain hyphens).
+
+**Declared once.**  Every comma-separated list of the grammar — the
+select list, FROM, GROUP BY, ORDER BY, SET, VALUES and its rows, column
+and tag lists, call arguments, IN lists — is one rule,
+:meth:`Parser._list` (``item (, item)*``), and
+:meth:`Parser._parenthesized` around it where the list is in
+parentheses.  Operator precedence is the table
+:data:`repro.db.expressions.PRECEDENCE`, loosest first.  The parser
+reads the comparison operators and the arithmetic levels from it: the
+arithmetic levels are one left-associative rule climbing the table
+(:meth:`Parser._arithmetic`).  The looser levels are the rule chain
+``expr`` (OR) → ``_conjunction`` (AND) → ``_not_expr`` →
+``_comparison`` (the comparisons and IS, IN, BETWEEN, LIKE), where OR
+and AND are one n-ary chain rule (:meth:`Parser._chain`).
+:func:`repro.db.expressions.to_sql` parenthesizes by the whole table,
+and a round-trip test holds the chain to it: a printed expression
+parses back to the same tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..db import expressions as ex
 from ..errors import SQLSyntaxError
 from . import ast
 from .lexer import (EOF, IDENT, NUMBER, OP, PARAM, STRING, Token,
                     fingerprint, tokenize)
+
+T = TypeVar("T")
+
+#: Where the comparison level and the first arithmetic level sit in
+#: :data:`~repro.db.expressions.PRECEDENCE`.
+_COMPARISON, _ARITHMETIC = ex.LEVEL["="], ex.LEVEL["+"]
+
+#: The keywords that are literals.
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 class Parser:
@@ -76,6 +102,10 @@ class Parser:
         if not self.accept_keyword(word):
             self.error("expected %s" % word)
 
+    def at_op(self, op: str, ahead: int = 0) -> bool:
+        token = self.peek(ahead)
+        return token.kind == OP and token.value == op
+
     def accept_op(self, op: str) -> bool:
         token = self.peek()
         if token.kind == OP and token.value == op:
@@ -93,6 +123,25 @@ class Parser:
             self.error("expected identifier")
         self.advance()
         return token.value
+
+    def _list(self, item: Callable[[], T]) -> List[T]:
+        """``item (, item)*``: the grammar's one list rule (a type's
+        ``(length, scale)`` is a fixed pair, not a list)."""
+        items = [item()]
+        while self.accept_op(","):
+            items.append(item())
+        return items
+
+    def _parenthesized(self, item: Callable[[], T],
+                       empty: bool = False) -> List[T]:
+        """``( item (, item)* )``, or ``()`` where the list may be
+        ``empty`` (a call's arguments)."""
+        self.expect_op("(")
+        if empty and self.accept_op(")"):
+            return []
+        items = self._list(item)
+        self.expect_op(")")
+        return items
 
     def error(self, message: str) -> None:
         token = self.peek()
@@ -156,16 +205,10 @@ class Parser:
             return ast.Rollback()
         if self.at_keyword("CALL"):
             return self._call()
-        if self.accept_keyword("VACUUM"):
-            table = None
-            if self.peek().kind == IDENT:
-                table = self.expect_ident()
-            return ast.Vacuum(table)
-        if self.accept_keyword("ANALYZE"):
-            table = None
-            if self.peek().kind == IDENT:
-                table = self.expect_ident()
-            return ast.Analyze(table)
+        for word, node in (("VACUUM", ast.Vacuum), ("ANALYZE", ast.Analyze)):
+            if self.accept_keyword(word):
+                return node(self.expect_ident()
+                            if self.peek().kind == IDENT else None)
         self.error("unrecognized statement")
 
     # -- SELECT -----------------------------------------------------------
@@ -173,47 +216,39 @@ class Parser:
         self.expect_keyword("SELECT")
         distinct = self.accept_keyword("DISTINCT")
         self.accept_keyword("ALL")
-        items = [self._select_item()]
-        while self.accept_op(","):
-            items.append(self._select_item())
-        from_items: List[ast.FromItem] = []
-        if self.accept_keyword("FROM"):
-            from_items.append(self._from_item())
-            while self.accept_op(","):
-                from_items.append(self._from_item())
+        items = self._list(self._select_item)
+        from_items = self._list(self._from_item) \
+            if self.accept_keyword("FROM") else []
         where = self.expr() if self.accept_keyword("WHERE") else None
-        group_by: List[ex.Expr] = []
-        if self.accept_keyword("GROUP"):
-            self.expect_keyword("BY")
-            group_by.append(self.expr())
-            while self.accept_op(","):
-                group_by.append(self.expr())
+        group_by = self._by_list(self.expr, "GROUP")
         having = self.expr() if self.accept_keyword("HAVING") else None
-        order_by: List[ast.OrderItem] = []
-        if self.accept_keyword("ORDER"):
-            self.expect_keyword("BY")
-            order_by.append(self._order_item())
-            while self.accept_op(","):
-                order_by.append(self._order_item())
-        limit = None
-        offset = None
-        if self.accept_keyword("LIMIT"):
-            limit = self.expr()
-        if self.accept_keyword("OFFSET"):
-            offset = self.expr()
+        order_by = self._by_list(self._order_item, "ORDER")
+        limit = self.expr() if self.accept_keyword("LIMIT") else None
+        offset = self.expr() if self.accept_keyword("OFFSET") else None
         return ast.Select(items=items, from_items=from_items, where=where,
                           group_by=group_by, having=having,
                           order_by=order_by, limit=limit, offset=offset,
                           distinct=distinct)
+
+    def _by_list(self, item: Callable[[], T], word: str) -> List[T]:
+        """``word BY item (, item)*``, or no items without ``word``."""
+        if not self.accept_keyword(word):
+            return []
+        self.expect_keyword("BY")
+        return self._list(item)
+
+    def _subquery(self) -> ast.Select:
+        """``SELECT … )``: a subquery whose ``(`` has been read."""
+        select = self._select()
+        self.expect_op(")")
+        return select
 
     def _select_item(self) -> ast.SelectItem:
         if self.accept_op("*"):
             return ast.SelectItem(ex.Star())
         # alias.* form
         token = self.peek()
-        if (token.kind == IDENT and self.peek(1).kind == OP
-                and self.peek(1).value == "."
-                and self.peek(2).kind == OP and self.peek(2).value == "*"):
+        if token.kind == IDENT and self.at_op(".", 1) and self.at_op("*", 2):
             self.advance()
             self.advance()
             self.advance()
@@ -241,36 +276,24 @@ class Parser:
 
     def _from_item(self) -> ast.FromItem:
         item = self._from_primary()
-        while True:
-            if self.at_keyword("JOIN", "INNER", "CROSS"):
-                kind = "inner"
-                self.accept_keyword("INNER")
-                cross = self.accept_keyword("CROSS")
-                self.expect_keyword("JOIN")
-                right = self._from_primary()
-                on = None
-                if not cross:
-                    self.expect_keyword("ON")
-                    on = self.expr()
-                item = ast.Join(item, right, kind, on)
-            elif self.at_keyword("LEFT"):
-                self.advance()
-                self.accept_keyword("OUTER")
-                self.expect_keyword("JOIN")
-                right = self._from_primary()
+        while self.at_keyword("JOIN", "INNER", "CROSS", "LEFT"):
+            left = self.accept_keyword("LEFT")
+            self.accept_keyword("OUTER" if left else "INNER")
+            cross = not left and self.accept_keyword("CROSS")
+            self.expect_keyword("JOIN")
+            right = self._from_primary()
+            on = None
+            if not cross:
                 self.expect_keyword("ON")
                 on = self.expr()
-                item = ast.Join(item, right, "left", on)
-            else:
-                return item
+            item = ast.Join(item, right, "left" if left else "inner", on)
+        return item
 
     def _from_primary(self) -> ast.FromItem:
         if self.accept_op("("):
-            select = self._select()
-            self.expect_op(")")
+            select = self._subquery()
             self.accept_keyword("AS")
-            alias = self.expect_ident()
-            return ast.SubqueryRef(select, alias)
+            return ast.SubqueryRef(select, self.expect_ident())
         name = self.expect_ident()
         alias = None
         if self.accept_keyword("AS"):
@@ -294,43 +317,24 @@ class Parser:
         self.expect_keyword("INSERT")
         self.expect_keyword("INTO")
         table = self.expect_ident()
-        columns = None
-        if self.accept_op("("):
-            columns = [self.expect_ident()]
-            while self.accept_op(","):
-                columns.append(self.expect_ident())
-            self.expect_op(")")
+        columns = self._parenthesized(self.expect_ident) \
+            if self.at_op("(") else None
         rows = None
         select = None
         if self.accept_keyword("VALUES"):
-            rows = [self._value_row()]
-            while self.accept_op(","):
-                rows.append(self._value_row())
+            rows = self._list(lambda: self._parenthesized(self.expr))
         elif self.at_keyword("SELECT"):
             select = self._select()
         else:
             self.error("expected VALUES or SELECT")
-        declassifying = self._declassifying_clause()
+        declassifying = self._declassifying() \
+            if self.at_keyword("DECLASSIFYING") else []
         return ast.Insert(table=table, columns=columns, rows=rows,
                           select=select, declassifying=declassifying)
 
-    def _value_row(self) -> List[ex.Expr]:
-        self.expect_op("(")
-        row = [self.expr()]
-        while self.accept_op(","):
-            row.append(self.expr())
-        self.expect_op(")")
-        return row
-
-    def _declassifying_clause(self) -> List[str]:
-        if not self.accept_keyword("DECLASSIFYING"):
-            return []
-        self.expect_op("(")
-        tags = [self._tag_name()]
-        while self.accept_op(","):
-            tags.append(self._tag_name())
-        self.expect_op(")")
-        return tags
+    def _declassifying(self) -> List[str]:
+        self.expect_keyword("DECLASSIFYING")
+        return self._parenthesized(self._tag_name)
 
     def _tag_name(self) -> str:
         token = self.peek()
@@ -344,9 +348,7 @@ class Parser:
         self.expect_keyword("UPDATE")
         table = self.expect_ident()
         self.expect_keyword("SET")
-        assignments = [self._assignment()]
-        while self.accept_op(","):
-            assignments.append(self._assignment())
+        assignments = self._list(self._assignment)
         where = self.expr() if self.accept_keyword("WHERE") else None
         return ast.Update(table=table, assignments=assignments, where=where)
 
@@ -386,24 +388,17 @@ class Parser:
             self.expect_keyword("EXISTS")
             if_not_exists = True
         name = self.expect_ident()
-        self.expect_op("(")
-        columns: List[ast.ColumnDef] = []
         # A column's own constraints go ahead of the table's, so that
         # generated names number column-level ones first.
         on_columns: List[ast.TableConstraintDef] = []
-        constraints: List[ast.TableConstraintDef] = []
-        while True:
-            constraint = self._table_constraint()
-            if constraint is not None:
-                constraints.append(constraint)
-            else:
-                columns.append(self._column_def(name, on_columns))
-            if not self.accept_op(","):
-                break
-        self.expect_op(")")
-        return ast.CreateTable(name=name, columns=columns,
-                               constraints=on_columns + constraints,
-                               if_not_exists=if_not_exists)
+        elements = self._parenthesized(
+            lambda: self._table_constraint()
+            or self._column_def(name, on_columns))
+        columns = [e for e in elements if isinstance(e, ast.ColumnDef)]
+        return ast.CreateTable(
+            name=name, columns=columns, if_not_exists=if_not_exists,
+            constraints=on_columns + [e for e in elements
+                                      if not isinstance(e, ast.ColumnDef)])
 
     def _table_constraint(self) -> Optional[ast.TableConstraintDef]:
         name = None
@@ -414,8 +409,7 @@ class Parser:
             self.expect_keyword("KEY")
             return ast.TableConstraintDef(kind="primary_key", name=name,
                                           columns=self._column_list())
-        if self.at_keyword("UNIQUE") and self.peek(1).kind == OP \
-                and self.peek(1).value == "(":
+        if self.at_keyword("UNIQUE") and self.at_op("(", 1):
             self.advance()
             return ast.TableConstraintDef(kind="unique", name=name,
                                           columns=self._column_list())
@@ -447,12 +441,7 @@ class Parser:
         return None
 
     def _column_list(self) -> Tuple[str, ...]:
-        self.expect_op("(")
-        columns = [self.expect_ident()]
-        while self.accept_op(","):
-            columns.append(self.expect_ident())
-        self.expect_op(")")
-        return tuple(columns)
+        return tuple(self._parenthesized(self.expect_ident))
 
     def _match_label(self) -> bool:
         if self.accept_keyword("MATCH"):
@@ -514,12 +503,9 @@ class Parser:
         if token.kind == NUMBER or token.kind == STRING:
             self.advance()
             return token.value
-        if self.accept_keyword("NULL"):
-            return None
-        if self.accept_keyword("TRUE"):
-            return True
-        if self.accept_keyword("FALSE"):
-            return False
+        if token.kind == IDENT and token.value.upper() in _KEYWORD_LITERALS:
+            self.advance()
+            return _KEYWORD_LITERALS[token.value.upper()]
         if self.accept_op("-"):
             number = self.advance()
             if number.kind != NUMBER:
@@ -531,14 +517,8 @@ class Parser:
         name = self.expect_ident()
         self.expect_keyword("AS")
         select = self._select()
-        declassifying: List[str] = []
-        if self.accept_keyword("WITH"):
-            self.expect_keyword("DECLASSIFYING")
-            self.expect_op("(")
-            declassifying.append(self._tag_name())
-            while self.accept_op(","):
-                declassifying.append(self._tag_name())
-            self.expect_op(")")
+        declassifying = self._declassifying() \
+            if self.accept_keyword("WITH") else []
         return ast.CreateView(name=name, select=select,
                               declassifying=declassifying)
 
@@ -582,38 +562,25 @@ class Parser:
     def _call(self) -> ast.Call:
         self.expect_keyword("CALL")
         name = self.expect_ident()
-        args: List[ex.Expr] = []
-        self.expect_op("(")
-        if not self.accept_op(")"):
-            args.append(self.expr())
-            while self.accept_op(","):
-                args.append(self.expr())
-            self.expect_op(")")
-        return ast.Call(name=name, args=args)
+        return ast.Call(name=name, args=self._parenthesized(self.expr, True))
 
     # ------------------------------------------------------------------
     # expressions (precedence climbing)
     # ------------------------------------------------------------------
     def expr(self) -> ex.Expr:
-        return self._or_expr()
+        return self._chain("OR", ex.Or, self._conjunction)
 
-    def _or_expr(self) -> ex.Expr:
-        left = self._and_expr()
-        if not self.at_keyword("OR"):
-            return left
-        items = [left]
-        while self.accept_keyword("OR"):
-            items.append(self._and_expr())
-        return ex.Or(items)
+    def _conjunction(self) -> ex.Expr:
+        return self._chain("AND", ex.And, self._not_expr)
 
-    def _and_expr(self) -> ex.Expr:
-        left = self._not_expr()
-        if not self.at_keyword("AND"):
-            return left
-        items = [left]
-        while self.accept_keyword("AND"):
-            items.append(self._not_expr())
-        return ex.And(items)
+    def _chain(self, word: str, node, item: Callable[[], ex.Expr]
+               ) -> ex.Expr:
+        """``item (word item)*``: one n-ary ``node`` for a run of OR or
+        of AND; a single item is itself."""
+        items = [item()]
+        while self.accept_keyword(word):
+            items.append(item())
+        return items[0] if len(items) == 1 else node(items)
 
     def _not_expr(self) -> ex.Expr:
         if self.accept_keyword("NOT"):
@@ -621,13 +588,11 @@ class Parser:
         return self._comparison()
 
     def _comparison(self) -> ex.Expr:
-        left = self._additive()
+        left = self._arithmetic()
         token = self.peek()
-        if token.kind == OP and token.value in ("=", "<>", "!=", "<", "<=",
-                                                ">", ">="):
+        if token.kind == OP and token.value in ex.PRECEDENCE[_COMPARISON]:
             self.advance()
-            right = self._additive()
-            return ex.Compare(token.value, left, right)
+            return ex.Compare(token.value, left, self._arithmetic())
         if self.accept_keyword("IS"):
             negated = self.accept_keyword("NOT")
             self.expect_keyword("NULL")
@@ -640,44 +605,31 @@ class Parser:
         if self.accept_keyword("IN"):
             self.expect_op("(")
             if self.at_keyword("SELECT"):
-                select = self._select()
-                self.expect_op(")")
-                return ex.InSelect(left, select, negated)
-            items = [self.expr()]
-            while self.accept_op(","):
-                items.append(self.expr())
+                return ex.InSelect(left, self._subquery(), negated)
+            items = self._list(self.expr)
             self.expect_op(")")
             return ex.InList(left, items, negated)
         if self.accept_keyword("BETWEEN"):
-            low = self._additive()
+            low = self._arithmetic()
             self.expect_keyword("AND")
-            high = self._additive()
-            return ex.Between(left, low, high, negated)
+            return ex.Between(left, low, self._arithmetic(), negated)
         if self.accept_keyword("LIKE"):
-            return ex.Like(left, self._additive(), negated)
+            return ex.Like(left, self._arithmetic(), negated)
         return left
 
-    def _additive(self) -> ex.Expr:
-        left = self._multiplicative()
-        while True:
-            token = self.peek()
-            if token.kind == OP and token.value in ("+", "-", "||"):
-                self.advance()
-                right = self._multiplicative()
-                left = ex.BinOp(token.value, left, right)
-            else:
-                return left
-
-    def _multiplicative(self) -> ex.Expr:
+    def _arithmetic(self, level: int = _ARITHMETIC) -> ex.Expr:
+        """Precedence climbing over the arithmetic levels of
+        :data:`~repro.db.expressions.PRECEDENCE`: an operand, then each
+        binary operator of ``level`` or tighter with a right side of
+        the next tighter level, so every level is left-associative."""
         left = self._unary()
         while True:
             token = self.peek()
-            if token.kind == OP and token.value in ("*", "/", "%"):
-                self.advance()
-                right = self._unary()
-                left = ex.BinOp(token.value, left, right)
-            else:
+            binds = ex.LEVEL.get(token.value, -1) if token.kind == OP else -1
+            if binds < level:
                 return left
+            self.advance()
+            left = ex.BinOp(token.value, left, self._arithmetic(binds + 1))
 
     def _unary(self) -> ex.Expr:
         if self.accept_op("-"):
@@ -685,8 +637,6 @@ class Parser:
         if self.accept_op("+"):
             return self._unary()
         return self._primary()
-
-    _AGG_FUNCS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
     def _primary(self) -> ex.Expr:
         token = self.peek()
@@ -701,55 +651,34 @@ class Parser:
             return param
         if self.accept_op("("):
             if self.at_keyword("SELECT"):
-                select = self._select()
-                self.expect_op(")")
-                return ex.ScalarSelect(select)
+                return ex.ScalarSelect(self._subquery())
             inner = self.expr()
             self.expect_op(")")
             return inner
         if token.kind != IDENT:
             self.error("expected expression")
         word = token.value.upper()
-        if word == "NULL":
+        if word in _KEYWORD_LITERALS:
             self.advance()
-            return ex.Literal(None)
-        if word == "TRUE":
-            self.advance()
-            return ex.Literal(True)
-        if word == "FALSE":
-            self.advance()
-            return ex.Literal(False)
+            return ex.Literal(_KEYWORD_LITERALS[word])
         if word == "CASE":
             return self._case()
         if word == "EXISTS":
             self.advance()
             self.expect_op("(")
-            select = self._select()
-            self.expect_op(")")
-            return ex.Exists(select)
+            return ex.Exists(self._subquery())
         if word == "NOT":
             self.advance()
             return ex.Not(self._primary())
-        # function call?
-        if self.peek(1).kind == OP and self.peek(1).value == "(":
+        if self.at_op("(", 1):          # a function call
             name = self.expect_ident()
-            self.expect_op("(")
-            upper = name.upper()
-            if upper in self._AGG_FUNCS:
+            if name.upper() in ex.Aggregate.FUNCS:
+                self.expect_op("(")
                 distinct = self.accept_keyword("DISTINCT")
-                if self.accept_op("*"):
-                    self.expect_op(")")
-                    return ex.Aggregate(upper, None, distinct)
-                arg = self.expr()
+                arg = None if self.accept_op("*") else self.expr()
                 self.expect_op(")")
-                return ex.Aggregate(upper, arg, distinct)
-            args: List[ex.Expr] = []
-            if not self.accept_op(")"):
-                args.append(self.expr())
-                while self.accept_op(","):
-                    args.append(self.expr())
-                self.expect_op(")")
-            return ex.FuncCall(name, args)
+                return ex.Aggregate(name, arg, distinct)
+            return ex.FuncCall(name, self._parenthesized(self.expr, True))
         # column reference (possibly qualified)
         name = self.expect_ident()
         if self.accept_op("."):

@@ -30,7 +30,8 @@ one) is planned once per *plan key* (:meth:`Template.plan_key`), not
 once per text.  The key is the template, the values of the literals
 the planner reads itself — an ORDER BY ordinal, a LIMIT or OFFSET
 count, an operand of an operator it folds (``id = 3 + 4``) — with
-their types, and which of the other literals are equal.  Each of those
+their types, and which of the other literals are equal in value and
+type.  Each of those
 others becomes a :class:`~repro.db.expressions.LiteralSlot` of the
 statement the key is planned from (:meth:`Template.generic`), read at
 execution time from the text's own values like a ``?`` parameter.
@@ -109,16 +110,16 @@ class Template:
         its literal ``values`` — the key ``(template, (value, type) of
         each pinned literal, the equality class of each slot)`` and the
         slots' values in lexeme order — or ``None`` for a statement not
-        planned by key.  An ``int`` and a ``float`` of one value are
-        one class (they match as expressions), and each slot keeps its
-        own type."""
+        planned by key.  A class is a value and its type, as literals
+        match as expressions: ``1``, ``1.0`` and ``TRUE`` are three."""
         if self.free is None:
             return None
         pinned = tuple([(values[i], type(values[i])) for i in self.pinned])
         free = tuple([values[i] for i in self.free])
         classes: dict = {}
-        return (self, pinned, tuple([classes.setdefault(value, len(classes))
-                                     for value in free])), free
+        return (self, pinned, tuple([
+            classes.setdefault((type(value), value), len(classes))
+            for value in free])), free
 
     def generic(self, key: tuple, values: tuple):
         """The statement every text of ``key`` is planned as: the

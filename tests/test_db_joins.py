@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import CatalogError
+
 
 @pytest.fixture
 def session(db):
@@ -92,6 +94,23 @@ class TestSubqueries:
             "(SELECT dept_id FROM emp WHERE dept_id IS NOT NULL) "
             "ORDER BY name")
         assert [r[0] for r in rows] == ["empty"]
+
+    def test_a_name_ambiguous_in_a_subquery_binds_no_outer_column(
+            self, session):
+        """``id`` is ambiguous inside the subquery (emp and dept both
+        have one): an error there, not ``d.id`` of the outer query."""
+        with pytest.raises(CatalogError,
+                           match="column reference 'id' is ambiguous"):
+            session.query(
+                "SELECT d.name FROM dept d WHERE EXISTS (SELECT 1 FROM "
+                "emp e JOIN dept x ON x.id = e.dept_id WHERE id = 1)")
+
+    def test_a_name_ambiguous_at_top_level_is_reported_as_ambiguous(
+            self, session):
+        with pytest.raises(CatalogError,
+                           match="column reference 'id' is ambiguous"):
+            session.query("SELECT id FROM emp e JOIN dept d "
+                          "ON d.id = e.dept_id")
 
     def test_correlated_exists(self, session):
         rows = session.query(

@@ -536,3 +536,96 @@ class TestTypedOperatorErrors:
         with pytest.raises(IFCViolation, match="row 0 may not flow here"):
             session.execute("SELECT GUARD(id) FROM t")
         assert session.execute("SELECT id, w FROM t").rows == before
+
+
+#: Arguments each builtin is defined on, as SQL: every ``_BUILTINS``
+#: entry has a row, so a new builtin is checked for strictness too.
+BUILTIN_ARGS = {
+    "ABS": ["-3"], "LENGTH": ["'abc'"], "LOWER": ["'Ab'"],
+    "UPPER": ["'Ab'"], "SUBSTR": ["'hello'", "2", "3"],
+    "SUBSTRING": ["'hello'", "2", "3"], "ROUND": ["2.567", "1"],
+    "FLOOR": ["2.5"], "CEIL": ["2.5"], "MOD": ["7", "3"],
+    "TRIM": ["' a '"], "CONCAT": ["'a'", "'b'"], "COALESCE": ["1", "2"],
+    "MIN2": ["1", "2"], "MAX2": ["1", "2"], "NOW": [],
+    "LABEL": ["'red'", "'blue'"],
+    "LABEL_CONTAINS": ["LABEL('red')", "'red'"],
+    "LABEL_SUBSET": ["LABEL('red')", "LABEL('red', 'blue')"],
+    "LABEL_SIZE": ["LABEL('red')"],
+}
+
+
+class TestBuiltins:
+    """The builtins are one table, ``name → (fn, strict, needs_context)``,
+    called one way: a strict function is NULL on any NULL argument
+    without being called, and what its code raises is an
+    ``ExpressionError`` (the engine's own errors pass)."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        from repro.core import AuthorityState, SeededIdGenerator
+        from repro.db import Database
+        authority = AuthorityState(idgen=SeededIdGenerator(3))
+        owner = authority.create_principal("owner")
+        for name in ("red", "blue"):
+            authority.create_tag(name, owner=owner.id)
+        session = Database(authority, seed=3).connect()
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        session.execute("INSERT INTO t VALUES (1)")
+        return session
+
+    @staticmethod
+    def call(session, name, args):
+        return session.execute(
+            "SELECT %s(%s)" % (name, ", ".join(args))).rows[0][0]
+
+    def test_every_builtin_has_sample_arguments(self):
+        assert set(BUILTIN_ARGS) == set(ex._BUILTINS)
+
+    def test_only_coalesce_and_concat_are_not_strict(self):
+        assert {name for name, (_fn, strict, _context)
+                in ex._BUILTINS.items() if strict is not True} \
+            == {"COALESCE", "CONCAT"}
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ARGS))
+    def test_a_strict_builtin_is_null_on_any_null_argument(self, session,
+                                                           name):
+        args = BUILTIN_ARGS[name]
+        _fn, strict, _context = ex._BUILTINS[name]
+        assert self.call(session, name, args) is not None
+        for position in range(len(args)):
+            nulled = args[:position] + ["NULL"] + args[position + 1:]
+            result = self.call(session, name, nulled)
+            assert (result is None) is (strict is True), (name, position)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT COALESCE(1, id / 0) FROM t",
+        "SELECT COALESCE(id, LABEL_SIZE(5)) FROM t",
+        "SELECT COALESCE(NULL, 1, (SELECT id / 0 FROM t)) FROM t"])
+    def test_coalesce_evaluates_no_argument_after_the_first_non_null(
+            self, session, sql):
+        assert session.execute(sql).rows == [(1,)]
+
+    def test_coalesce_still_evaluates_the_arguments_it_reaches(self,
+                                                               session):
+        with pytest.raises(ExpressionError, match="division by zero"):
+            session.execute("SELECT COALESCE(NULL, id / 0) FROM t")
+
+    @pytest.mark.parametrize("sql", ["SELECT LABEL_SIZE(5)",
+                                     "SELECT LABEL_SIZE(id) FROM t",
+                                     "SELECT LABEL_SUBSET(1, 2)"])
+    def test_a_label_builtin_on_a_non_label_raises_expression_error(
+            self, session, sql):
+        with pytest.raises(ExpressionError, match="cannot evaluate LABEL_"):
+            session.execute(sql)
+
+    def test_a_null_tag_name_is_null_not_an_unknown_tag(self, session):
+        from repro.errors import UnknownTagError
+        assert session.execute("SELECT LABEL_CONTAINS(_label, NULL) "
+                               "FROM t").rows[0][0] is None
+        assert self.call(session, "LABEL", ["'red'", "NULL"]) is None
+        with pytest.raises(UnknownTagError):
+            self.call(session, "LABEL", ["'green'"])
+
+    def test_a_catalog_function_sees_its_null_arguments(self, session):
+        session.db.create_function("IS_MISSING", lambda x: x is None)
+        assert self.call(session, "IS_MISSING", ["NULL"]) is True

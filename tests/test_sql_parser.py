@@ -258,3 +258,182 @@ class TestOperatorPrecedence:
         expr = parse_expression("-a * 2")
         assert expr.op == "*"
         assert isinstance(expr.left, ex.Neg)
+
+
+#: Malformed texts, at least one per list, precedence and join rule — a
+#: missing ``)``, a trailing comma, an empty list, ``WITH`` without
+#: ``DECLASSIFYING``, ``CALL f(1,)`` — with the exact error each gave
+#: when every list and level was written out by hand.
+MALFORMED = [
+    ('SELECT a,',
+     "expected expression at position 9 (near '<end>') in: SELECT a,"),
+    ('SELECT a FROM t,',
+     "expected identifier at position 16 (near '<end>') in: SELECT a FROM t,"),
+    ('SELECT a FROM',
+     "expected identifier at position 13 (near '<end>') in: SELECT a FROM"),
+    ('SELECT a FROM t GROUP BY a,',
+     "expected expression at position 27 (near '<end>') in: SELECT a FROM t GROUP BY a,"),
+    ('SELECT a FROM t GROUP BY',
+     "expected expression at position 24 (near '<end>') in: SELECT a FROM t GROUP BY"),
+    ('SELECT a FROM t ORDER BY a,',
+     "expected expression at position 27 (near '<end>') in: SELECT a FROM t ORDER BY a,"),
+    ('SELECT a FROM t ORDER BY',
+     "expected expression at position 24 (near '<end>') in: SELECT a FROM t ORDER BY"),
+    ('INSERT INTO t (a, b VALUES (1, 2)',
+     "expected ')' at position 20 (near 'VALUES') in: INSERT INTO t (a, b VALUES (1, 2)"),
+    ('INSERT INTO t () VALUES (1)',
+     "expected identifier at position 15 (near ')') in: INSERT INTO t () VALUES (1)"),
+    ('INSERT INTO t (a,) VALUES (1)',
+     "expected identifier at position 17 (near ')') in: INSERT INTO t (a,) VALUES (1)"),
+    ('INSERT INTO t VALUES (1, 2',
+     "expected ')' at position 26 (near '<end>') in: INSERT INTO t VALUES (1, 2"),
+    ('INSERT INTO t VALUES (1),',
+     "expected '(' at position 25 (near '<end>') in: INSERT INTO t VALUES (1),"),
+    ('INSERT INTO t VALUES ()',
+     "expected expression at position 22 (near ')') in: INSERT INTO t VALUES ()"),
+    ('INSERT INTO t VALUES (1,)',
+     "expected expression at position 24 (near ')') in: INSERT INTO t VALUES (1,)"),
+    ('UPDATE t SET a = 1,',
+     "expected identifier at position 19 (near '<end>') in: UPDATE t SET a = 1,"),
+    ('UPDATE t SET',
+     "expected identifier at position 12 (near '<end>') in: UPDATE t SET"),
+    ('CREATE INDEX i ON t (a,)',
+     "expected identifier at position 23 (near ')') in: CREATE INDEX i ON t (a,)"),
+    ('CREATE INDEX i ON t ()',
+     "expected identifier at position 21 (near ')') in: CREATE INDEX i ON t ()"),
+    ('CREATE INDEX i ON t (a',
+     "expected ')' at position 22 (near '<end>') in: CREATE INDEX i ON t (a"),
+    ('CREATE TABLE t (a INT, PRIMARY KEY (a)',
+     "expected ')' at position 38 (near '<end>') in: CREATE TABLE t (a INT, PRIMARY KEY (a)"),
+    ('CREATE TABLE t (a INT, UNIQUE ())',
+     "expected identifier at position 31 (near ')') in: CREATE TABLE t (a INT, UNIQUE ())"),
+    ('CREATE TABLE t (a INT,)',
+     "expected identifier at position 22 (near ')') in: CREATE TABLE t (a INT,)"),
+    ('CREATE TABLE t ()',
+     "expected identifier at position 16 (near ')') in: CREATE TABLE t ()"),
+    ('CREATE TABLE t (a INT, FOREIGN KEY (a) REFERENCES u (b,))',
+     "expected identifier at position 55 (near ')') in: CREATE TABLE t (a INT, FOREIGN KEY (a) REFERENCES u (b,))"),
+    ('INSERT INTO t VALUES (1) DECLASSIFYING (a,)',
+     "expected tag name at position 42 (near ')') in: INSERT INTO t VALUES (1) DECLASSIFYING (a,)"),
+    ('INSERT INTO t VALUES (1) DECLASSIFYING ()',
+     "expected tag name at position 40 (near ')') in: INSERT INTO t VALUES (1) DECLASSIFYING ()"),
+    ('INSERT INTO t VALUES (1) DECLASSIFYING (a b)',
+     "expected ')' at position 42 (near 'b') in: INSERT INTO t VALUES (1) DECLASSIFYING (a b)"),
+    ('INSERT INTO t VALUES (1) DECLASSIFYING a',
+     "expected '(' at position 39 (near 'a') in: INSERT INTO t VALUES (1) DECLASSIFYING a"),
+    ('CREATE VIEW v AS SELECT a FROM t WITH (a)',
+     "expected DECLASSIFYING at position 38 (near '(') in: CREATE VIEW v AS SELECT a FROM t WITH (a)"),
+    ('CREATE VIEW v AS SELECT a FROM t WITH DECLASSIFYING (a,)',
+     "expected tag name at position 55 (near ')') in: CREATE VIEW v AS SELECT a FROM t WITH DECLASSIFYING (a,)"),
+    ('CREATE VIEW v AS SELECT a FROM t WITH DECLASSIFYING ()',
+     "expected tag name at position 53 (near ')') in: CREATE VIEW v AS SELECT a FROM t WITH DECLASSIFYING ()"),
+    ('CREATE VIEW v AS SELECT a FROM t WITH DECLASSIFYING (a',
+     "expected ')' at position 54 (near '<end>') in: CREATE VIEW v AS SELECT a FROM t WITH DECLASSIFYING (a"),
+    ('CALL f(1,)',
+     "expected expression at position 9 (near ')') in: CALL f(1,)"),
+    ('CALL f(1',
+     "expected ')' at position 8 (near '<end>') in: CALL f(1"),
+    ('CALL f',
+     "expected '(' at position 6 (near '<end>') in: CALL f"),
+    ('CALL f(,)',
+     "expected expression at position 7 (near ',') in: CALL f(,)"),
+    ('SELECT f(1,)',
+     "expected expression at position 11 (near ')') in: SELECT f(1,)"),
+    ('SELECT f(1 FROM t',
+     "expected ')' at position 11 (near 'FROM') in: SELECT f(1 FROM t"),
+    ('SELECT f(,)',
+     "expected expression at position 9 (near ',') in: SELECT f(,)"),
+    ('SELECT COUNT(a, b) FROM t',
+     "expected ')' at position 14 (near ',') in: SELECT COUNT(a, b) FROM t"),
+    ('SELECT a FROM t WHERE a IN ()',
+     "expected expression at position 28 (near ')') in: SELECT a FROM t WHERE a IN ()"),
+    ('SELECT a FROM t WHERE a IN (1, 2',
+     "expected ')' at position 32 (near '<end>') in: SELECT a FROM t WHERE a IN (1, 2"),
+    ('SELECT a FROM t WHERE a IN (1,)',
+     "expected expression at position 30 (near ')') in: SELECT a FROM t WHERE a IN (1,)"),
+    ('SELECT a FROM t WHERE a NOT IN (SELECT b FROM u',
+     "expected ')' at position 47 (near '<end>') in: SELECT a FROM t WHERE a NOT IN (SELECT b FROM u"),
+    ('SELECT 1 + * 2',
+     "expected expression at position 11 (near '*') in: SELECT 1 + * 2"),
+    ('SELECT 1 * / 2',
+     "expected expression at position 11 (near '/') in: SELECT 1 * / 2"),
+    ('SELECT a FROM t WHERE a = 1 AND',
+     "expected expression at position 31 (near '<end>') in: SELECT a FROM t WHERE a = 1 AND"),
+    ('SELECT a FROM t WHERE a = 1 OR',
+     "expected expression at position 30 (near '<end>') in: SELECT a FROM t WHERE a = 1 OR"),
+    ('SELECT a FROM t WHERE NOT',
+     "expected expression at position 25 (near '<end>') in: SELECT a FROM t WHERE NOT"),
+    ('SELECT (1 + 2',
+     "expected ')' at position 13 (near '<end>') in: SELECT (1 + 2"),
+    ('SELECT a = b = c',
+     "unexpected trailing input at position 13 (near '=') in: SELECT a = b = c"),
+    ('SELECT a FROM t WHERE a BETWEEN 1 2',
+     'expected AND at position 34 (near 2) in: SELECT a FROM t WHERE a BETWEEN 1 2'),
+    ('SELECT a FROM t JOIN u',
+     "expected ON at position 22 (near '<end>') in: SELECT a FROM t JOIN u"),
+    ('SELECT a FROM t WHERE a IS 1',
+     'expected NULL at position 27 (near 1) in: SELECT a FROM t WHERE a IS 1'),
+    ('SELECT a FROM t LEFT CROSS JOIN u',
+     "expected JOIN at position 21 (near 'CROSS') in: SELECT a FROM t LEFT CROSS JOIN u"),
+    ('SELECT a FROM t LEFT OUTER JOIN u',
+     "expected ON at position 33 (near '<end>') in: SELECT a FROM t LEFT OUTER JOIN u"),
+    ('SELECT a FROM t INNER u',
+     "expected JOIN at position 22 (near 'u') in: SELECT a FROM t INNER u"),
+    ('SELECT a FROM (SELECT b FROM u',
+     "expected ')' at position 30 (near '<end>') in: SELECT a FROM (SELECT b FROM u"),
+    ('SELECT a FROM (SELECT b FROM u)',
+     "expected identifier at position 31 (near '<end>') in: SELECT a FROM (SELECT b FROM u)"),
+    ('SELECT EXISTS (SELECT 1',
+     "expected ')' at position 23 (near '<end>') in: SELECT EXISTS (SELECT 1"),
+    ('SELECT (SELECT 1',
+     "expected ')' at position 16 (near '<end>') in: SELECT (SELECT 1"),
+    ('VACUUM 1',
+     'unexpected trailing input at position 7 (near 1) in: VACUUM 1'),
+    ('ANALYZE t u',
+     "unexpected trailing input at position 10 (near 'u') in: ANALYZE t u"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED,
+                         ids=[text for text, _ in MALFORMED])
+def test_a_malformed_statement_reports_where_it_breaks(text, message):
+    with pytest.raises(SQLSyntaxError) as error:
+        parse_statement(text)
+    assert str(error.value) == message
+
+
+#: Texts whose trees need parentheses (or a space) to print back:
+#: nested arithmetic on either side, ``-(…)``, ``- -x``, a comparison
+#: of a comparison, AND in OR and OR in AND, and the operands of IN,
+#: BETWEEN, LIKE and CASE.
+ROUND_TRIPS = [
+    "(x + 1) * 2 = 8", "-(x - 3) = 1", "- -x", "- - -(x * y)",
+    "a - (b - c)", "(a - b) - c", "a / (b * c) % (d || e)",
+    "(a || b) * (c - d) / -(e + f)", "(a = b) = c", "a = (b <> c)",
+    "(x IS NULL) = (y IS NOT NULL)", "a AND (b OR c)", "(a OR b) AND c",
+    "a OR b AND c", "a OR (b OR c)", "(a AND b) AND c",
+    "NOT (a OR b) AND NOT c", "(x + 1) IN (y - 1, (z = 2) OR w)",
+    "(x * 2) BETWEEN (y - 1) AND -(z + 1)",
+    "(a || b) NOT LIKE (c || '%')",
+    "CASE WHEN a OR b THEN x + 1 ELSE (y - z) * 2 END * (p + q)",
+    "(CASE WHEN a = 1 THEN 2 END + 1) * 3", "-ABS(x - 1) * COUNT(y + 1)",
+]
+
+
+@pytest.mark.parametrize("text", ROUND_TRIPS)
+def test_a_printed_expression_parses_back_to_itself(text):
+    expr = parse_expression(text)
+    printed = ex.to_sql(expr)
+    assert parse_expression(printed) == expr, printed
+
+
+@pytest.mark.parametrize("where", [
+    "(x + 1) * 2 = 8", "-(x - 3) = 1",
+    "(x = 1 OR x = 2) AND (x = 2 OR x = 3)"])
+def test_explain_keeps_the_parentheses(where):
+    from repro.db import Database
+    session = Database(seed=1).connect()
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+    plan = "\n".join(row[0] for row in session.execute(
+        "EXPLAIN SELECT id FROM t WHERE " + where).rows)
+    assert "(%s)" % where in plan, plan

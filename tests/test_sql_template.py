@@ -27,7 +27,7 @@ from repro.db import Database
 from repro.db import expressions as ex
 from repro.errors import SQLSyntaxError
 from repro.sql.lexer import NUMBER, STRING, tokenize
-from repro.sql.parser import parse_statement
+from repro.sql.parser import parse_expression, parse_statement
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SOURCES = ["tests/test_sql_parser.py", "tests/test_sql_surface.py",
@@ -460,17 +460,39 @@ def _operators(plan):
      "GROUP BY CASE WHEN a < 5 THEN 'lo' ELSE 'hi' END"],
     ["SELECT a % 2, COUNT(*) FROM t GROUP BY a % 2",
      "SELECT a % 3, COUNT(*) FROM t GROUP BY a % 3",
-     "SELECT a % 3, COUNT(*) FROM t GROUP BY a % 3.0",
-     "SELECT a % 2, COUNT(*) FROM t GROUP BY a % 3"],
+     "SELECT a % 3.0, COUNT(*) FROM t GROUP BY a % 3.0",
+     "SELECT a % 3, COUNT(*) FROM t GROUP BY a % 3.0"],
 ], ids=["case", "modulo"])
 def test_equal_literals_share_one_slot(texts):
     """A select item matches its GROUP BY expression only if their
-    literals are equal — as a fresh parse compares them, ``3`` equal to
-    ``3.0`` — so which literals are equal is part of the key."""
+    literals are equal — as a fresh parse compares them, in value and
+    type: ``3`` is not ``3.0`` — so which literals are equal is part of
+    the key."""
     db, _session = _check_key_texts(texts)
     keys = [_key(db, text) for text in texts]
     assert keys[0] == keys[1] == keys[-2] != keys[-1]
     assert isinstance(_literal_outcome(texts[-1]), str)    # an error
+
+
+def test_one_one_point_zero_and_true_are_three_literals():
+    """``1``, ``1.0`` and ``TRUE`` are three literals, in a fresh parse
+    and in a plan key: ``x + 1.0`` does not match ``GROUP BY x + 1``
+    (the error ``x + 2`` gives), and ``x + 1.0`` still matches
+    ``GROUP BY x + 1.0`` — REAL — on the first text of its key and on
+    a later one."""
+    assert parse_expression("x + 1.0") != parse_expression("x + 1")
+    assert parse_expression("x = TRUE") != parse_expression("x = 1")
+    db, session = _db()
+    for text in ("SELECT a + 1.0 FROM t GROUP BY a + 1",
+                 "SELECT a + 2 FROM t GROUP BY a + 1"):
+        assert _outcome(session, text) == _literal_outcome(text) \
+            == "CatalogError", text
+    texts = ["SELECT a + 1.0 FROM t WHERE a = 1 GROUP BY a + 1.0",
+             "SELECT a + 2.0 FROM t WHERE a = 1 GROUP BY a + 2.0"]
+    _check_key_texts(texts)
+    assert _key(db, texts[0]) == _key(db, texts[1])
+    for text, total in zip(texts, (2.0, 3.0)):
+        assert _typed(_outcome(session, text)) == [((float, total),)]
 
 
 def test_a_slot_never_equals_a_parameter():
@@ -541,15 +563,17 @@ def test_what_the_catalog_stores_keeps_its_literals(tmp_path):
 
 
 def test_an_int_and_a_float_in_matching_positions():
-    """``1`` and ``1.0`` are one equality class, so two texts of the
-    shape share a key, and each reads its own literal: value and type."""
+    """``2`` and ``2.0`` are two equality classes, so a text holding
+    both keys like one whose literals differ in value, not like one
+    holding ``2`` twice, and each text reads its own literal: value and
+    type."""
     texts = ["SELECT a, 1 FROM t WHERE a = 2",
              "SELECT a, 1.0 FROM t WHERE a = 2",
              "SELECT a, 2 FROM t WHERE a = 2.0",
-             "SELECT a, 2.0 FROM t WHERE a = 2"]
+             "SELECT a, 2 FROM t WHERE a = 2"]
     db, session = _check_key_texts(texts)
     keys = [_key(db, text) for text in texts]
-    assert keys[0] == keys[1] != keys[2] == keys[3]
+    assert keys[0] == keys[1] == keys[2] != keys[3]
     assert _typed(_outcome(session, texts[1])) == [((int, 2), (float, 1.0))]
     assert _typed(_outcome(session, texts[2])) == [((int, 2), (int, 2))]
 
