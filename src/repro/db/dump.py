@@ -5,25 +5,29 @@ The paper notes that the command-line clients were modified "mainly to
 provide debugging capabilities and backups that include labels" — a
 stock dump would silently drop every tuple's security metadata.
 
-**A dump is a WAL image.**  :func:`dump_database` writes the log's own
-container (:mod:`repro.db.wal`: its magic, then length-prefixed,
-checksummed records) holding, in order: a ``create_table`` DDL record
-per table (foreign-key parents first), a ``create_index`` record per
-index the table did not create itself, a ``create_view`` record per
-view (with its declassification tags and backing principal), ONE
-``("commit", 0, ops, sequences)`` record with an ``("i", table,
-ordinal, row)`` op per live tuple — secrecy and integrity labels
-included — and a closing ``("dump", omitted)`` record.  The op names
-the row's *ordinal* in its table, not its heap tid, so dumps of equal
-states are byte-identical; restoring into fresh tables makes ordinal
-and tid coincide.  The closing record marks the image complete.
+**A dump is the database's image.**  :func:`image_records` lists, in
+order: a ``create_table`` DDL record per table in catalog order (a
+valid restore order: a table is created after its foreign-key parents
+and a referenced table cannot be dropped), a ``create_index`` record
+per index the table did not create itself, a ``create_view`` record
+per view (with its declassification tags and backing principal), ONE
+``("commit", 0, ops, sequences)`` record with an ``("i", table, tid,
+row)`` op per version a fresh snapshot sees — at its heap tid, the
+address every log record uses, secrecy and integrity labels included
+— and a closing ``("dump", omitted)`` record that marks the image
+complete.  :func:`dump_database` writes them in the log's own container
+(:mod:`repro.db.wal`: its magic, then length-prefixed, checksummed
+records); ``Database.checkpoint`` writes the same image over the log.
+Equal heaps dump byte-identically; equal contents reached by different
+histories (other tids) need not.
 
 :func:`restore_database` is recovery: the log's scanner validates the
 image and its apply loop (:func:`~repro.db.wal.apply_records`) loads
 it, so ``Database.recover(dump_path)`` reads a dump too.  Restores load
 into an empty :class:`~repro.db.engine.Database` attached to the *same*
 authority state (tag ids must resolve); enforcement picks up exactly
-where it left off.
+where it left off.  A restore writes every row at its source tid, so
+it keeps the source heap's empty slots.
 
 Like the real pg_dump, dumping bypasses Query by Label: it is a trusted
 maintenance operation (the paper's garbage collector enjoys the same
@@ -32,6 +36,7 @@ exemption, section 7.1).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from contextlib import contextmanager
 from typing import Dict, List, Optional
@@ -72,6 +77,13 @@ def _unserializable(db: Database) -> List[str]:
     return omitted
 
 
+def _warn_omitted(omitted: List[str], what: str) -> None:
+    if omitted:
+        warnings.warn(DumpIncompleteWarning(
+            "%s %d catalog object(s) a dump cannot serialize: %s"
+            % (what, len(omitted), ", ".join(omitted))), stacklevel=3)
+
+
 @contextmanager
 def _fresh_snapshot(db: Database):
     """Yield ``live(table)``: the versions a fresh snapshot sees."""
@@ -84,12 +96,14 @@ def _fresh_snapshot(db: Database):
         manager.abort(txn)
 
 
-def dump_database(db: Database) -> bytes:
-    """Serialize schemas, views, indexes, and live tuples with labels."""
-    order = _dependency_order(db)
-    records = [("ddl", "create_table", db.catalog.get_table(name).schema)
-               for name in order]
-    for name, table in db.catalog.tables.items():
+def image_records(db: Database) -> List[tuple]:
+    """The records of ``db``'s image: schemas, indexes, views, every
+    live tuple with its labels at its tid, sequences, then the closing
+    record naming what the image omits."""
+    tables = db.catalog.tables
+    records = [("ddl", "create_table", table.schema)
+               for table in tables.values()]
+    for name, table in tables.items():
         auto = {index.name for _u, index in table.unique_indexes}
         records.extend(("ddl", "create_index", name, index_name,
                         tuple(index.columns), isinstance(index, OrderedIndex))
@@ -99,42 +113,25 @@ def dump_database(db: Database) -> bytes:
                     tuple(view.columns), tuple(view.declassify.tags),
                     view.principal)
                    for name, view in db.catalog.views.items())
-    ops = []
     with _fresh_snapshot(db) as live:
-        for name in order:
-            # The labeled-row codec is shared with the WAL.
-            ops.extend(("i", name, ordinal, encode_labeled_row(
-                version.values, version.label, version.ilabel))
-                for ordinal, version in enumerate(
-                    live(db.catalog.get_table(name))))
-        records.append(("commit", 0, ops, dict(db._sequences)))
-    omitted = _unserializable(db)
-    if omitted:
-        warnings.warn(DumpIncompleteWarning(
-            "dump omits %d catalog object(s) that cannot be "
-            "serialized: %s" % (len(omitted), ", ".join(omitted))),
-            stacklevel=2)
-    records.append(("dump", omitted))
+        # The labeled-row codec is shared with the WAL.  Strings are
+        # interned so that pickle's memo sees equal ones as one object
+        # whichever statements made them: equal heaps, equal bytes.
+        ops = [("i", name, version.tid, encode_labeled_row(
+                    tuple([sys.intern(v) if type(v) is str else v
+                           for v in version.values]),
+                    version.label, version.ilabel))
+               for name, table in tables.items() for version in live(table)]
+    records.append(("commit", 0, ops, dict(db._sequences)))
+    records.append(("dump", _unserializable(db)))
+    return records
+
+
+def dump_database(db: Database) -> bytes:
+    """Serialize schemas, views, indexes, and live tuples with labels."""
+    records = image_records(db)
+    _warn_omitted(records[-1][1], "dump omits")
     return MAGIC + b"".join(map(encode_record, records))
-
-
-def _dependency_order(db: Database) -> List[str]:
-    """Tables sorted so that FK parents restore before children."""
-    remaining = dict(db.catalog.tables)
-    ordered: List[str] = []
-    while remaining:
-        progressed = False
-        for name, table in list(remaining.items()):
-            deps = {fk.ref_table for fk in table.schema.foreign_keys
-                    if fk.ref_table != name}
-            if deps <= set(ordered):
-                ordered.append(name)
-                del remaining[name]
-                progressed = True
-        if not progressed:
-            raise DatabaseError("circular foreign-key dependencies: %r"
-                                % sorted(remaining))
-    return ordered
 
 
 def restore_database(data: bytes, db: Database) -> None:
@@ -143,10 +140,10 @@ def restore_database(data: bytes, db: Database) -> None:
     Only a complete image is applied: one that scans cleanly to its
     closing ``dump`` record (a bad magic, a checksum mismatch or a cut
     — even one at a record boundary — is a :class:`DatabaseError`).
-    Tuples are written physically (labels restored verbatim), bypassing
-    Query by Label like the dump did.  On a WAL-backed database the
-    image's records are then appended to the log, so a crash after
-    restore recovers what it loaded.  Replay caches no plan, so the
+    Tuples are written physically at their source tids (labels restored
+    verbatim), bypassing Query by Label like the dump did.  On a
+    WAL-backed database the restore ends with ``db.checkpoint()``, so a
+    crash after it recovers what it loaded.  Replay caches no plan, so the
     first queries plan from the loaded row counts.  Re-emits
     :class:`DumpIncompleteWarning` when the dump recorded omitted
     catalog objects (functions/procedures/triggers the operator must
@@ -162,23 +159,8 @@ def restore_database(data: bytes, db: Database) -> None:
         raise DatabaseError("restore requires an empty database")
     apply_records(db, records)
     if db.wal is not None:
-        db.wal.log_image(data, len(records))
-    omitted = records[-1][1]
-    if omitted:
-        warnings.warn(DumpIncompleteWarning(
-            "restored database lacks %d catalog object(s) the dump could "
-            "not serialize: %s" % (len(omitted), ", ".join(omitted))),
-            stacklevel=2)
-
-
-def dump_to_file(db: Database, path: str) -> None:
-    with open(path, "wb") as handle:
-        handle.write(dump_database(db))
-
-
-def restore_from_file(path: str, db: Database) -> None:
-    with open(path, "rb") as handle:
-        restore_database(handle.read(), db)
+        db.checkpoint()
+    _warn_omitted(records[-1][1], "restored database lacks")
 
 
 # ---------------------------------------------------------------------------

@@ -747,6 +747,29 @@ class Database:
                 % self.txn_manager.write_commits)
         return wal_mod.replay(self, path)
 
+    def checkpoint(self) -> None:
+        """Replace the log with this database's image (the dump's,
+        :mod:`repro.db.dump`), so recovery replays the current state
+        plus what is logged after it, not the whole history.  Trusted
+        maintenance like dump.  Refused (:class:`WalError`) without a
+        WAL; over a log whose records this database has not recovered
+        (the image would drop them); and while any transaction is open:
+        the image holds only committed versions, and an open
+        transaction's commit could otherwise land in the old log.
+        Concurrent DDL is not excluded (there is no engine latch)."""
+        if self.wal is None or self._wal_applied < self.wal.inherited:
+            raise wal_mod.WalError("checkpoint refused: no WAL, or a log "
+                                   "not yet recovered into this database")
+        self._wal_applied = self.wal.checkpoint(self._image_records)
+
+    def _image_records(self) -> List[tuple]:
+        """:func:`~repro.db.dump.image_records`, once no transaction is
+        open (run under the WAL's flush gate)."""
+        from .dump import image_records
+        if self.txn_manager._active:
+            raise wal_mod.WalError("checkpoint refused: a transaction is open")
+        return image_records(self)
+
     def close(self) -> None:
         """Release the WAL file (the engine itself needs no teardown)."""
         if self.wal is not None:

@@ -83,12 +83,14 @@ class Expr:
 
     __slots__ = ()
 
-    def key(self) -> Tuple:
+    def key(self, below=None) -> Tuple:
         """The class, then every slot, a sub-expression standing in as
-        its own key and any other value as ``(type, value)``."""
+        its own key and any other value as ``(type, value)``.  A caller
+        that has the children's keys passes them as the iterator
+        ``below``, in :meth:`children` order."""
         key = [type(self)]
         for name in self.__slots__:
-            key.append(_key(getattr(self, name)))
+            key.append(_key(getattr(self, name), below))
         return tuple(key)
 
     def children(self) -> List["Expr"]:
@@ -123,13 +125,14 @@ class Expr:
                          tuple([getattr(self, n) for n in self.__slots__]))
 
 
-def _key(value):
-    """An expression's key, a tuple's keys, or any other value with its
-    type: the literals ``1``, ``1.0`` and ``TRUE`` are three nodes."""
+def _key(value, below=None):
+    """An expression's key (the next of ``below``, if given), a tuple's
+    keys, or any other value with its type: the literals ``1``, ``1.0``
+    and ``TRUE`` are three nodes."""
     if isinstance(value, Expr):
-        return value.key()
+        return value.key() if below is None else next(below)
     if type(value) is tuple:
-        return tuple(map(_key, value))
+        return tuple([_key(item, below) for item in value])
     return type(value), value
 
 
@@ -1218,11 +1221,25 @@ def rewrite(node: Expr, mapping: Dict[Expr, Expr]) -> Expr:
 
     Used by the planner to replace aggregate calls and group-by
     expressions with slot references into the post-aggregation row.
+    Every subtree's key is computed once, bottom-up, so matching is
+    linear in the tree's size (hashing a node would rebuild its key).
     """
-    if node in mapping:
-        return mapping[node]
+    keys: Dict[int, Tuple] = {}
+    for sub in reversed(walk(node)):        # every child before its parent
+        below = iter([keys[id(child)] for child in sub.children()])
+        keys[id(sub)] = sub.key(below) if type(sub).key is Expr.key \
+            else sub.key()
+    wanted = {expr.key(): new for expr, new in mapping.items()}
+    return _rewrite(node, wanted, keys)
+
+
+def _rewrite(node: Expr, wanted: Dict[Tuple, Expr],
+             keys: Dict[int, Tuple]) -> Expr:
+    found = wanted.get(keys[id(node)])
+    if found is not None:
+        return found
     if isinstance(node, Aggregate):
         raise DatabaseError(
             "aggregate %r used outside an aggregation context" % (node,))
-    return node.rebuilt([rewrite(child, mapping)
+    return node.rebuilt([_rewrite(child, wanted, keys)
                          for child in node.children()])

@@ -10,8 +10,10 @@ gate — and then assert that :meth:`repro.db.engine.Database.recover`
 reconstructs exactly the acknowledged-commit prefix, labels included.
 
 Injection points are counted over the raw ``write``/``fsync`` calls the
-WAL issues (the WAL writes exactly one call per record, plus one for
-the file magic, so "write #N" is a stable, enumerable coordinate):
+WAL issues (the WAL writes exactly one call per record, one for the
+file magic and one for a checkpoint's whole image, which goes to its
+temp file before the rename, so "write #N" is a stable, enumerable
+coordinate):
 
 ``record:N``
     Simulated power loss immediately *before* write ``N``: nothing of
@@ -90,19 +92,20 @@ class FaultyFile:
     """A counting, optionally-faulting wrapper around a WAL file.
 
     Wraps any object exposing ``write(bytes)``, ``fsync()``,
-    ``truncate(n)``, ``size()``, and ``close()`` (the
+    ``truncate(n)`` and ``close()`` (the
     :class:`repro.db.wal._RealFile` adapter).  With ``spec=None`` it is
     a pure pass-through that counts calls — the crash matrix first does
     a clean run to enumerate ``writes``/``fsyncs``, then replays the
-    workload once per coordinate with a live spec.
+    workload once per coordinate with a live spec.  A checkpoint swaps
+    ``inner`` for its temp file; the counts run on.
     """
 
-    __slots__ = ("_inner", "spec", "writes", "fsyncs", "dead")
+    __slots__ = ("inner", "spec", "writes", "fsyncs", "dead")
 
     def __init__(self, inner, spec: Optional[FaultSpec] = None):
-        self._inner = inner
+        self.inner = inner
         self.spec = spec
-        self.writes = 0          # write calls seen (== records + magic)
+        self.writes = 0          # write calls seen
         self.fsyncs = 0          # fsync calls seen
         self.dead = False
 
@@ -110,7 +113,7 @@ class FaultyFile:
     def _die(self, partial: bytes = b"") -> None:
         """Write the surviving prefix (if any), then die for good."""
         if partial:
-            self._inner.write(partial)
+            self.inner.write(partial)
         self.dead = True
         raise CrashError(
             "simulated crash at %r (write #%d, fsync #%d)"
@@ -134,7 +137,7 @@ class FaultyFile:
                 self._die(data[:max(1, len(data) // 2)])
             self._die(data[:3])                    # "short": mid-header
         self.writes += 1
-        self._inner.write(data)
+        self.inner.write(data)
 
     def fsync(self) -> None:
         self._check_alive()
@@ -144,20 +147,17 @@ class FaultyFile:
             self.fsyncs += 1
             raise OSError("simulated fsync failure (fsync #%d)" % spec.n)
         self.fsyncs += 1
-        self._inner.fsync()
+        self.inner.fsync()
 
     def truncate(self, n: int) -> None:
         # Truncation is the WAL's *reaction* to an fsync failure, not a
         # durability promise, so it stays available after an OSError —
         # but not after a simulated power loss.
         self._check_alive()
-        self._inner.truncate(n)
-
-    def size(self) -> int:
-        return self._inner.size()
+        self.inner.truncate(n)
 
     def close(self) -> None:
-        self._inner.close()
+        self.inner.close()
 
 
 class SpoolFaults:

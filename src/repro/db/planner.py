@@ -511,27 +511,16 @@ class Planner:
         if child_rows is None:
             return
         row_bytes = estimated_tuple_bytes(width)
-        input_bytes = child_rows * row_bytes
         work_mem = self.optimizer.work_mem
+        runs, est_mem, extra = estimate_sort_spill(
+            child_rows, child_rows * row_bytes, work_mem)
         if topn_bound is not None:
             limit, offset = topn_bound
-            n = max(limit + offset, 0)
-            held = min(child_rows, float(n))
+            heap_bytes = min(child_rows, float(max(limit + offset, 0))) \
+                * row_bytes
             sort.est_rows = min(child_rows, float(max(limit, 0)))
-            heap_bytes = held * row_bytes
-            if work_mem and heap_bytes > work_mem:
-                runs, est_mem, extra = estimate_sort_spill(
-                    child_rows, input_bytes, work_mem)
-                sort.est_runs = runs
-                sort.est_mem = est_mem
-            else:
-                extra = 0.0
-                sort.est_mem = heap_bytes
-            sort.est_cost = (child.est_cost or 0.0) \
-                + COST_ROW * child_rows + extra
-            return
-        runs, est_mem, extra = estimate_sort_spill(
-            child_rows, input_bytes, work_mem)
+            if not work_mem or heap_bytes <= work_mem:
+                runs, est_mem, extra = 0, heap_bytes, 0.0
         sort.est_runs = runs
         sort.est_mem = est_mem
         sort.est_cost = (child.est_cost or 0.0) \

@@ -42,12 +42,14 @@ gap with the standard crash-consistency discipline:
   so recovering twice is a no-op.  A record whose op stamps an empty
   slot or writes into an occupied one is malformed: replay raises
   :class:`WalError` and its transaction aborts.
-* **One container.**  A dump (:mod:`repro.db.dump`) is an image in
-  this format — DDL records, one commit record holding every live
-  tuple, and a closing ``dump`` record replay ignores — so
+* **One image.**  A dump (:mod:`repro.db.dump`) is an image in this
+  format — DDL records, one commit record holding every live tuple at
+  its tid, and a closing ``dump`` record replay ignores — so
   :func:`scan_records` validates it and :func:`apply_records`, the one
-  apply loop, restores it; a restore into a logged database appends
-  the image to the log.
+  apply loop, restores it.  :meth:`WriteAheadLog.checkpoint` replaces
+  the log with that image (``Database.checkpoint``), so recovery
+  replays the state at the checkpoint plus what was logged after it,
+  not the whole history.
 * **The fsync gate.**  If fsync *fails* (as opposed to the machine
   dying), the kernel has refused to promise durability, and the bytes
   may or may not be on disk.  Acknowledging would be unsound;
@@ -77,7 +79,7 @@ import pickle
 import struct
 import threading
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.counters import tally
 from ..errors import DatabaseError
@@ -181,15 +183,13 @@ def scan_records(data: bytes) -> Tuple[List[tuple], int, Optional[str]]:
 
 
 class _Entry:
-    """Record images waiting in the group-commit queue (one, unless a
-    restored dump image is appended whole)."""
+    """A record image waiting in the group-commit queue."""
 
-    __slots__ = ("data", "is_commit", "records", "done", "error")
+    __slots__ = ("data", "is_commit", "done", "error")
 
-    def __init__(self, data: bytes, is_commit: bool, records: int = 1):
+    def __init__(self, data: bytes, is_commit: bool):
         self.data = data
         self.is_commit = is_commit
-        self.records = records
         self.done = False
         self.error = None
 
@@ -205,14 +205,17 @@ class WriteAheadLog:
 
     def __init__(self, path: str, *, fault: Optional[FaultSpec] = None):
         self.path = path
-        _records, valid, tail = scan_wal(path)
+        records, valid, tail = scan_wal(path)
+        #: Records the file held when opened: the database must recover
+        #: them before it may checkpoint over them.
+        self.inherited = len(records)
         real = _RealFile(path)
         if tail not in (None, "missing") or real.size() > valid:
             # Torn/corrupt tail (or bad magic): keep the valid prefix.
             real.truncate(valid if tail != "bad-magic" else 0)
         self.fault = FaultyFile(real, fault)
         self._file = self.fault
-        self._durable = self._file.size()
+        self._durable = real.size()
         self._failed: Optional[BaseException] = None
         self._cond = threading.Condition()
         self._pending: List[_Entry] = []
@@ -242,11 +245,6 @@ class WriteAheadLog:
         loss) — either way the commit did not happen.
         """
         self._submit(_Entry(encode_record(record), is_commit=True))
-
-    def log_image(self, image: bytes, records: int) -> None:
-        """Append the ``records`` frames of a scanned image (a dump:
-        :mod:`repro.db.dump`) as one write, durable on return."""
-        self._submit(_Entry(image[len(MAGIC):], False, records))
 
     @property
     def empty(self) -> bool:
@@ -311,7 +309,7 @@ class WriteAheadLog:
                 "truncated: %s" % (written, exc))
         commits = sum(1 for entry in batch if entry.is_commit)
         stats = tally()                # this thread led the flush
-        stats.records += sum(entry.records for entry in batch)
+        stats.records += len(batch)
         stats.bytes += written
         stats.flushes += 1
         stats.fsyncs += 1
@@ -322,6 +320,63 @@ class WriteAheadLog:
                 stats.group_commit_size = commits
         self._durable = self._durable + written
         return None
+
+    def checkpoint(self, image: Callable[[], List[tuple]]) -> int:
+        """Replace the log with the records ``image()`` returns (a
+        database's image, :mod:`repro.db.dump`); returns their count.
+
+        ``image`` runs, and the file is swapped, while this thread holds
+        the flush gate, so no commit becomes durable in the old log in
+        between.  The image goes to ``<log>.checkpoint`` (emptied first:
+        a stale one a crash left is never read), is fsynced and renamed
+        over the log, and the directory is fsynced.  Its write and fsync
+        pass the fault injector like a record's.  A crash before the
+        rename leaves the old log whole.  A refused fsync deletes the
+        temp file and raises :class:`WalError`; the old log stays in
+        use and the log does not fail, since no unsynced byte reached
+        it.
+        """
+        with self._cond:
+            while self._flushing:
+                self._cond.wait()
+            if self._failed is not None or self._pending:
+                raise WalError("WAL %s refuses a checkpoint: %s" % (
+                    self.path, self._failed or "records are queued"))
+            self._flushing = True
+        try:
+            records = image()
+            data = MAGIC + b"".join(map(encode_record, records))
+            temp, old = self.path + ".checkpoint", self.fault.inner
+            self.fault.inner = fresh = _RealFile(temp)
+            try:
+                fresh.truncate(0)
+                self._file.write(data)
+                self._file.fsync()
+            except OSError as exc:
+                fresh.close()
+                os.unlink(temp)
+                self.fault.inner = old
+                raise WalError("checkpoint fsync refused: %s" % exc) from exc
+            os.replace(temp, self.path)
+            old.close()
+            self._durable, self.inherited = len(data), 0
+            directory = os.open(os.path.dirname(self.path) or ".",
+                                os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            except OSError as exc:
+                # The rename may not survive a crash, and with it every
+                # record appended from now on: fail the log for good.
+                self._failed = WalError("checkpoint rename not durable: "
+                                        "%s" % exc)
+                raise self._failed from exc
+            finally:
+                os.close(directory)
+            return len(records)
+        finally:
+            with self._cond:
+                self._flushing = False
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # lifecycle

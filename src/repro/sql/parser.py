@@ -118,8 +118,9 @@ class Parser:
             self.error("expected %r" % op)
 
     def expect_ident(self) -> str:
+        """An identifier; an unquoted clause word is not one."""
         token = self.peek()
-        if token.kind != IDENT:
+        if token.kind != IDENT or self._is_clause_keyword(token):
             self.error("expected identifier")
         self.advance()
         return token.value
@@ -271,8 +272,9 @@ class Parser:
     }
 
     def _is_clause_keyword(self, token: Token) -> bool:
+        # ``text`` keeps a quoted identifier's quotes: "from" is a name.
         return (token.kind == IDENT
-                and token.value.upper() in self._CLAUSE_WORDS)
+                and token.text.upper() in self._CLAUSE_WORDS)
 
     def _from_item(self) -> ast.FromItem:
         item = self._from_primary()

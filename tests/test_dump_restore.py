@@ -7,9 +7,7 @@ from repro.db import Database
 from repro.db.dump import (
     describe,
     dump_database,
-    dump_to_file,
     restore_database,
-    restore_from_file,
 )
 from repro.db.wal import encode_record, scan_records
 from repro.errors import DatabaseError
@@ -89,10 +87,10 @@ class TestDumpRestore:
             restore_database(data, occupied)
 
     def test_file_roundtrip(self, populated, tmp_path):
-        path = str(tmp_path / "backup.ifdb")
-        dump_to_file(populated.db, path)
+        path = tmp_path / "backup.ifdb"
+        path.write_bytes(dump_database(populated.db))
         fresh = Database(populated.authority, seed=7)
-        restore_from_file(path, fresh)
+        restore_database(path.read_bytes(), fresh)
         assert "HIVPatients" in fresh.catalog.tables
 
     def test_garbage_rejected(self, populated):
@@ -101,12 +99,12 @@ class TestDumpRestore:
 
     def test_recover_reads_a_dump_like_restore(self, populated, tmp_path):
         """A dump is a WAL image: recovering it is restoring it."""
-        path = str(tmp_path / "backup.ifdb")
-        dump_to_file(populated.db, path)
+        path = tmp_path / "backup.ifdb"
+        path.write_bytes(dump_database(populated.db))
         restored = Database(populated.authority, seed=12)
-        restore_from_file(path, restored)
+        restore_database(path.read_bytes(), restored)
         recovered = Database(populated.authority, seed=12)
-        report = recovered.recover(path)
+        report = recovered.recover(str(path))
         assert report["tail"] is None and report["transactions"] == 1
         assert dump_database(recovered) == dump_database(restored)
 
@@ -180,7 +178,7 @@ class TestRestoreIsLogged:
 
     def test_restored_log_keeps_logging(self, populated, tmp_path):
         """Commits after a restore name the restored heap's tids, which
-        are the image's ordinals, so the log replays as one history."""
+        are the source heap's, so the log replays as one history."""
         path = str(tmp_path / "restored.wal")
         logged = Database(populated.authority, wal=path)
         restore_database(dump_database(populated.db), logged)

@@ -175,6 +175,33 @@ class TestRewriteAndCollect:
         with pytest.raises(DatabaseError):
             ex.rewrite(expr, {})
 
+    def test_rewrite_keys_each_node_once(self, monkeypatch):
+        """Matching hashes nodes, and a node's key is its whole
+        subtree's: keyed bottom-up once, a rewrite of ``SUM(x) + y + …
+        + y`` costs a key() call per node, not per node per level."""
+        key, calls = ex.Expr.key, [0]
+
+        def counting(node, *below):
+            calls[0] += 1
+            return key(node, *below)
+
+        monkeypatch.setattr(ex.Expr, "key", counting)
+        per_node = []
+        for ys in (10, 20, 40):
+            expr = parse_expression("SUM(x)" + " + y" * ys)
+            nodes = len(ex.walk(expr))
+            aggregates = []
+            ex.collect_aggregates(expr, aggregates)
+            mapping = {aggregates[0]: ex.SlotRef(0)}
+            calls[0] = 0
+            rewritten = ex.rewrite(expr, mapping)
+            per_node.append(calls[0] / nodes)
+            assert [type(n) for n in ex.walk(rewritten)].count(
+                ex.SlotRef) == 1
+        assert nodes == 82
+        assert per_node == sorted(per_node, reverse=True), per_node
+        assert per_node[-1] <= 1.1, per_node
+
 
 # ---------------------------------------------------------------------------
 # node shape: key() / children() / rebuilt() / walk()

@@ -391,7 +391,24 @@ MALFORMED = [
      'unexpected trailing input at position 7 (near 1) in: VACUUM 1'),
     ('ANALYZE t u',
      "unexpected trailing input at position 10 (near 'u') in: ANALYZE t u"),
+    # A clause word is not a name: not a column, not a table.
+    ('SELECT a, FROM t',
+     "expected identifier at position 10 (near 'FROM') in: "
+     "SELECT a, FROM t"),
+    ('SELECT a FROM WHERE a = 1',
+     "expected identifier at position 14 (near 'WHERE') in: "
+     "SELECT a FROM WHERE a = 1"),
 ]
+
+
+def test_a_quoted_clause_word_is_a_name():
+    statement = parse_statement(
+        'SELECT "from", x "where" FROM "order" WHERE "group" = 1')
+    assert [(item.expr, item.alias) for item in statement.items] == [
+        (ex.ColumnRef("from"), None), (ex.ColumnRef("x"), "where")]
+    assert statement.from_items[0].name == "order"
+    assert statement.where == ex.Compare("=", ex.ColumnRef("group"),
+                                         ex.Literal(1))
 
 
 @pytest.mark.parametrize("text, message", MALFORMED,

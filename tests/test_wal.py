@@ -13,6 +13,7 @@ twice changes nothing).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -32,9 +33,10 @@ from repro.sql import parse_statement
 # ---------------------------------------------------------------------------
 # the seeded workload
 # ---------------------------------------------------------------------------
-# Each unit performs EXACTLY one WAL record's worth of work (one
-# transaction, one DDL statement, or — for the abort — none), so "the
-# acknowledged prefix" is well-defined at every crash coordinate.
+# Each unit performs EXACTLY one WAL write's worth of work (one
+# transaction, one DDL statement, the checkpoint's image, or — for the
+# abort — none), so "the acknowledged prefix" is well-defined at every
+# crash coordinate.
 
 def _secret_session(db, owner_id, tag_id):
     process = IFCProcess(db.authority, owner_id)
@@ -77,6 +79,13 @@ def u_delete(db, o, t):
     db.connect().execute("DELETE FROM items WHERE id = 3")
 
 
+def u_checkpoint(db, o, t):
+    # The log becomes the image of everything acknowledged so far; the
+    # reference database has no log, so nothing changes there.
+    if db.wal is not None:
+        db.checkpoint()
+
+
 def u_seq_insert(db, o, t):
     s = db.connect()
     with s.atomic():
@@ -110,8 +119,8 @@ def u_final_insert(db, o, t):
 
 
 UNITS = [u_create_table, u_create_index, u_insert_batch, u_secret_insert,
-         u_update, u_secret_update, u_delete, u_seq_insert, u_abort,
-         u_create_view, u_drop_index, u_final_insert]
+         u_update, u_secret_update, u_delete, u_checkpoint, u_seq_insert,
+         u_abort, u_create_view, u_drop_index, u_final_insert]
 
 
 @pytest.fixture
@@ -177,7 +186,8 @@ class TestCrashMatrix:
 
     def test_every_injection_point(self, authority, wal_ids, tmp_path):
         # Clean run first, to enumerate the write/fsync coordinates
-        # (twelve of each: n = 0…11 in every mode).  A coordinate past
+        # (thirteen of each: n = 0…12 in every mode; n = 8 is the
+        # checkpoint's image, before its rename).  A coordinate past
         # the last one never fires: that is the clean run above.
         probe = str(tmp_path / "probe.wal")
         _ref, db, crashed, _acked = _run_workload(authority, wal_ids,
@@ -520,6 +530,202 @@ class TestFsyncGate:
         report = recovered.recover(path)
         assert report["transactions"] == 0 and report["ddl"] == 1
         assert recovered.connect().query("SELECT * FROM t") == []
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint: the log replaced by the database's image
+# ---------------------------------------------------------------------------
+
+class TestCheckpoint:
+    def test_recovery_is_the_image_plus_later_records(self, authority,
+                                                      wal_ids, tmp_path):
+        path = str(tmp_path / "w.wal")
+        _ref, db, crashed, _ = _run_workload(authority, wal_ids, path, None)
+        assert not crashed
+        db.checkpoint()
+        session = db.connect()
+        session.execute("UPDATE items SET qty = qty * 2 WHERE id <= 2")
+        session.execute("DELETE FROM items WHERE id = 101")
+        session.execute("CREATE ORDERED INDEX items_qty ON items (qty)")
+        u_final_insert(db, *wal_ids)            # a sequence bump
+        records, _valid, tail = scan_wal(path)
+        assert tail is None and records[0][1] == "create_table"
+        assert [r[0] for r in records].count("dump") == 1
+        want = dump_database(db)
+        recovered = Database(authority)
+        recovered.recover(path)
+        assert dump_database(recovered) == want
+        assert recovered._sequences == db._sequences == {"item_id": 3}
+        assert recovered.recover(path)["applied"] == 0
+        assert dump_database(recovered) == want
+
+    def test_log_size_does_not_grow_with_history(self, authority, tmp_path):
+        sizes = []
+        for updates in (10, 1000):
+            path = str(tmp_path / ("u%d.wal" % updates))
+            db = Database(authority, wal=path)
+            session = db.connect()
+            session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            session.execute("INSERT INTO t VALUES (1, 0)")
+            for _ in range(updates):
+                session.execute("UPDATE t SET v = v + 1 WHERE id = 1")
+            history = os.path.getsize(path)
+            db.checkpoint()
+            sizes.append(os.path.getsize(path))
+            assert sizes[-1] < history
+            db.close()
+        assert abs(sizes[0] - sizes[1]) <= 64, sizes
+
+    def test_refused_with_an_open_transaction_or_no_wal(self, authority,
+                                                        tmp_path):
+        path = str(tmp_path / "w.wal")
+        db = Database(authority, wal=path)
+        db.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        session = db.connect()
+        session.begin()
+        session.execute("INSERT INTO t VALUES (1)")
+        with pytest.raises(WalError, match="a transaction is open"):
+            db.checkpoint()
+        session.commit()
+        db.checkpoint()
+        db.connect().execute("INSERT INTO t VALUES (2)")
+        recovered = Database(authority)
+        recovered.recover(path)
+        assert recovered.connect().query("SELECT id FROM t ORDER BY id") \
+            == [(1,), (2,)]
+        with pytest.raises(WalError, match="no WAL"):
+            Database(authority).checkpoint()
+
+    def test_refused_over_a_log_not_yet_recovered(self, authority, tmp_path):
+        """A database opened on a log holds none of its records until
+        it recovers them; its image would replace them with nothing."""
+        path = str(tmp_path / "w.wal")
+        db = Database(authority, wal=path)
+        db.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        db.connect().execute("INSERT INTO t VALUES (1)")
+        db.close()
+        reopened = Database(authority, wal=WriteAheadLog(path))
+        with pytest.raises(WalError, match="not yet recovered"):
+            reopened.checkpoint()
+        reopened.recover()
+        reopened.checkpoint()
+        assert reopened.recover()["applied"] == 0
+        reopened.connect().execute("INSERT INTO t VALUES (2)")
+        reopened.checkpoint()
+        recovered = Database(authority)
+        recovered.recover(path)
+        assert recovered.connect().query("SELECT id FROM t ORDER BY id") \
+            == [(1,), (2,)]
+
+    def test_refused_fsync_keeps_the_old_log(self, authority, tmp_path):
+        """fsync #0 is the magic, #1 the DDL, #2 the commit, #3 the
+        image.  A stale temp file a crash left is overwritten, never
+        read; after the refusal it is gone, the old log recovers and
+        the next commit succeeds."""
+        path = str(tmp_path / "w.wal")
+        with open(path + ".checkpoint", "wb") as stale:
+            stale.write(b"stale bytes of an earlier crash")
+        db = Database(authority,
+                      wal=WriteAheadLog(path, fault=FaultSpec("fsync", 3)))
+        session = db.connect()
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        session.execute("INSERT INTO t VALUES (1)")
+        old = open(path, "rb").read()
+        with pytest.raises(WalError, match="checkpoint fsync refused"):
+            db.checkpoint()
+        assert open(path, "rb").read() == old
+        assert not os.path.exists(path + ".checkpoint")
+        assert not db.wal.failed
+        before = Database(authority)
+        before.recover(path)
+        assert before.connect().query("SELECT id FROM t") == [(1,)]
+        session.execute("INSERT INTO t VALUES (2)")
+        with open(path + ".checkpoint", "wb") as stale:
+            stale.write(MAGIC + b"\x05stale frame")
+        db.checkpoint()
+        assert not os.path.exists(path + ".checkpoint")
+        session.execute("INSERT INTO t VALUES (3)")
+        recovered = Database(authority)
+        recovered.recover(path)
+        assert recovered.connect().query("SELECT id FROM t ORDER BY id") \
+            == [(1,), (2,), (3,)]
+
+    def test_racing_commits_all_recover(self, authority, tmp_path):
+        """One thread commits while another checkpoints.  Like the
+        durable_commit benchmark's clients, both take one latch for
+        ``begin`` and statements (the engine has none) and the commit
+        runs outside it, so a checkpoint can meet a commit at any point
+        of its flush; it is refused while that transaction is open."""
+        path = str(tmp_path / "race.wal")
+        db = Database(authority, wal=path)
+        db.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        latch, acked, errors = threading.Lock(), [], []
+
+        def committer():
+            session = db.connect()
+            try:
+                for i in range(150):
+                    with latch:
+                        session.begin()
+                        session.execute("INSERT INTO t VALUES (?)", (i,))
+                    session.commit()
+                    acked.append(i)
+            except BaseException as exc:           # pragma: no cover
+                errors.append(exc)
+
+        thread = threading.Thread(target=committer)
+        thread.start()
+        done = refused = 0
+        while thread.is_alive():
+            with latch:
+                try:
+                    db.checkpoint()
+                    done += 1
+                except WalError:
+                    refused += 1
+            time.sleep(0.0005)
+        thread.join()
+        assert not errors and len(acked) == 150
+        assert done + refused > 0
+        recovered = Database(authority)
+        recovered.recover(path)
+        assert recovered.connect().query("SELECT id FROM t ORDER BY id") \
+            == [(i,) for i in acked]
+
+    def test_commit_during_the_image_lands_in_the_new_log(
+            self, authority, tmp_path, monkeypatch):
+        """A transaction that begins once the image is built cannot
+        become durable in the old log: its commit waits at the flush
+        gate until the rename, then lands in the new log.  (Built
+        before the gate, the image would miss a commit the old log
+        acknowledged and the rename then dropped.)"""
+        from repro.db import dump
+        path = str(tmp_path / "w.wal")
+        db = Database(authority, wal=path)
+        db.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        acked, errors = threading.Event(), []
+
+        def commit():
+            try:
+                db.connect().execute("INSERT INTO t VALUES (1)")
+                acked.set()
+            except BaseException as exc:           # pragma: no cover
+                errors.append(exc)
+
+        build = dump.image_records
+
+        def slow_image(database):
+            records = build(database)
+            threading.Thread(target=commit).start()
+            assert not acked.wait(0.5), "a commit passed the gate"
+            return records
+
+        monkeypatch.setattr(dump, "image_records", slow_image)
+        db.checkpoint()
+        assert acked.wait(10.0) and not errors
+        recovered = Database(authority)
+        recovered.recover(path)
+        assert recovered.connect().query("SELECT id FROM t") == [(1,)]
 
 
 # ---------------------------------------------------------------------------
