@@ -500,6 +500,8 @@ class Database:
         """Run a DDL statement: the checks that belong to live execution
         only, then :meth:`apply_ddl` of the record the log keeps."""
         from .session import Result
+        if self.wal is not None:
+            self._refuse_unrecovered("DDL")
         if isinstance(statement, ast.CreateTable):
             if statement.if_not_exists and \
                     self.catalog.relation_exists(statement.name):
@@ -702,6 +704,7 @@ class Database:
         if record is None:
             return                       # read-only: nothing to log
         try:
+            self._refuse_unrecovered("commit")
             self.wal.log_commit(record)
         except BaseException:
             # Put the un-logged sequence bumps back so a later commit
@@ -757,10 +760,20 @@ class Database:
         the image holds only committed versions, and an open
         transaction's commit could otherwise land in the old log.
         Concurrent DDL is not excluded (there is no engine latch)."""
-        if self.wal is None or self._wal_applied < self.wal.inherited:
-            raise wal_mod.WalError("checkpoint refused: no WAL, or a log "
-                                   "not yet recovered into this database")
+        if self.wal is None:
+            raise wal_mod.WalError("checkpoint refused: no WAL")
+        self._refuse_unrecovered("checkpoint")
         self._wal_applied = self.wal.checkpoint(self._image_records)
+
+    def _refuse_unrecovered(self, action: str) -> None:
+        """Refuse (:class:`WalError`) to ``action`` over a log holding
+        records this database has not recovered: a DDL or commit record
+        would follow records it never applied, so the next recovery
+        replays it against the wrong state, and a checkpoint's image
+        would drop them."""
+        if self._wal_applied < self.wal.inherited:
+            raise wal_mod.WalError("%s refused: a log not yet recovered "
+                                   "into this database" % action)
 
     def _image_records(self) -> List[tuple]:
         """:func:`~repro.db.dump.image_records`, once no transaction is

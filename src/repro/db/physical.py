@@ -118,7 +118,7 @@ from ..errors import AuthorityError, DatabaseError
 from .catalog import ViewDef
 from .expressions import evaluation_error
 from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, NULL_ROW,
-                    GroupSpill, JoinSide, MAX_RECURSION, SortRuns,
+                    JoinSide, MAX_RECURSION, Partitions, SortRuns,
                     SpilledHashBuild, Spools, column_keys, column_rows,
                     estimate_batch_bytes, estimate_row_bytes,
                     key_columns_of, take_rows)
@@ -1344,9 +1344,10 @@ class AggregateNode(Plan):
     found by ``bisect`` (:meth:`_admit`).  From there, already-resident
     groups keep accumulating in memory — they absorb their remaining
     input rows at full speed — while rows for *new* keys hash-partition
-    to disk through :class:`GroupSpill`; each partition is then
-    re-aggregated recursively (fresh salt per level, same
-    fanout/termination scheme as the grace join).  A key is therefore
+    to disk through a :class:`~repro.db.spill.Partitions` — the grace
+    join's partitioner, so one key routes alike in both; each partition
+    is then re-aggregated recursively (fresh salt per level, the grace
+    join's termination scheme).  A key is therefore
     either entirely resident or entirely spooled, so no group is ever
     counted twice.  Resident groups emit in first-seen order; spilled
     partitions follow, so *output order changes when an aggregate
@@ -1393,10 +1394,10 @@ class AggregateNode(Plan):
                     gids = list(map(groups.get, keys))
                     resident = [gid is not None for gid in gids]
                     if not all(resident):
-                        rows = zip(column_rows(key_columns, n),
-                                   column_rows(args, n), row_labels,
-                                   row_ilabels)
-                        spill.add(compress(rows, map(_not, resident)))
+                        tally().agg_partitions += spill.write(
+                            spill.route(key_columns, n),
+                            list(compress(range(n), map(_not, resident))),
+                            key_columns, args, row_labels, row_ilabels)
                         gids, row_labels, row_ilabels, *args = [
                             list(compress(column, resident)) for column
                             in (gids, row_labels, row_ilabels, *args)]
@@ -1446,8 +1447,13 @@ class AggregateNode(Plan):
             admitted = max(overflow, 0 if groups else 1)
         for key in fresh[:admitted]:
             groups[key]                      # numbered by the factory
-        return totals[admitted], None if admitted == len(fresh) \
-            else GroupSpill(ctx.spools, salt=depth, depth=depth)
+        if admitted == len(fresh):
+            return totals[admitted], None
+        if depth:
+            tally().repartitions += 1
+        else:
+            tally().agg_spills += 1
+        return totals[admitted], Partitions(ctx.spools, depth)
 
     def _fold_columns(self, ctx):
         """Global aggregate: the kernels' whole-column forms over one
@@ -1648,19 +1654,13 @@ class Sort(Plan):
 
     def _spool_run(self, runs: SortRuns, buffer: list, width: int) -> None:
         """Order the buffered columns (``width`` value columns, the two
-        label columns, then the key columns) and spool them as one run
-        of blocks, each carrying its rows' keys."""
-        order = self._order(buffer[width + 2:], None)
-        run = runs.new_run(buffer[width + 2:])
-        first = order[0]
-        step = runs.spools.block_rows(estimate_row_bytes(
-            [column[first] for column in buffer[:width]],
-            buffer[width][first]))
-        for lo in range(0, len(order), step):
-            chunk = order[lo:lo + step]
-            block = [[column[i] for i in chunk] for column in buffer]
-            run.write_block(block[width + 2:], block[:width],
-                            block[width], block[width + 1])
+        label columns, then the key columns) and spool them as one run:
+        one write of the buffer in sort order, each block carrying its
+        rows' keys."""
+        keys = buffer[width + 2:]
+        runs.new_run(keys).write(self._order(keys, None), keys,
+                                 buffer[:width], buffer[width],
+                                 buffer[width + 1])
 
     def _merged(self, runs: SortRuns):
         """K-way merge of the spooled runs on their stored keys, as

@@ -28,12 +28,18 @@ per block.  A block read back *is* a columnar batch plus its key
 columns, and its labels re-enter the intern table once per distinct
 label of the block, so a reloaded label is *identical* (``is``) to the
 live one and the scan-level label memos keep working across a spill.
-Write buffers are sized out of the budget (:class:`Spools`): a
-statement's ``fanout`` open spools together buffer at most one
-partition's share of ``work_mem``, so at a budget of a few rows the
-blocks degenerate to one row.  The durable format — the WAL
-(:mod:`repro.db.wal`), whose images are also the dumps
-(:mod:`repro.db.dump`) — keeps the per-row :func:`encode_labeled_row`.
+A spool is written one way (:meth:`SpillFile.write`): the caller's
+columns and the positions of the rows to spool, gathered a block at a
+time — a sort run in its sort order, a partition's rows as routed
+(:class:`Partitions`, the one partitioner of the grace join and the
+grace aggregate).  Nothing is buffered between writes, so a block
+never spans two of them.  Block sizes come out of the budget
+(:class:`Spools`): a block weighs at most ``work_mem / SPILL_FANOUT²``,
+one block from each spool of a level together one partition's share,
+so at a budget of a few rows every block is one row.  The durable
+format — the WAL (:mod:`repro.db.wal`), whose images are also the
+dumps (:mod:`repro.db.dump`) — keeps the per-row
+:func:`encode_labeled_row`.
 
 Partitions are drained one after another on the statement's own
 thread: the engine runs a query in one process, as the paper's
@@ -383,82 +389,81 @@ def estimated_tuple_bytes(n_columns: int) -> int:
 # ---------------------------------------------------------------------------
 
 class Spools:
-    """What one statement's spill files share: how big their write
-    buffers may grow, and the fault schedule.
+    """What one statement's spill files share: how many rows a block
+    may hold, and the fault schedule.
 
-    The buffers are charged to the budget rather than configured: the
-    ``fanout`` spools a partitioner holds open share one partition's
-    worth of ``work_mem``, so one buffer gets ``work_mem / fanout²``
-    bytes — never more than a batch of rows, never less than one row
-    (at ``REPRO_WORK_MEM=1024`` every block is a single row).
-    ``faults`` is the fault-injection schedule
+    Block sizes are charged to the budget rather than configured: the
+    ``SPILL_FANOUT`` spools a partitioner holds open share one
+    partition's worth of ``work_mem``, so one block gets ``work_mem /
+    SPILL_FANOUT²`` bytes — never more than a batch of rows, never less
+    than one row (at ``REPRO_WORK_MEM=1024`` every block is a single
+    row).  ``faults`` is the fault-injection schedule
     (:class:`repro.db.faultinject.SpoolFaults`), None outside tests.
     """
 
-    __slots__ = ("buffer_bytes", "max_rows", "faults")
+    __slots__ = ("block_bytes", "max_rows", "faults")
 
     def __init__(self, work_mem: int, batch_size: int, faults=None):
-        self.buffer_bytes = work_mem // (SPILL_FANOUT * SPILL_FANOUT)
+        self.block_bytes = work_mem // (SPILL_FANOUT * SPILL_FANOUT)
         self.max_rows = max(1, batch_size)
         self.faults = faults
 
     def block_rows(self, row_bytes: int) -> int:
         """Rows per block for rows of about ``row_bytes``."""
         return max(1, min(self.max_rows,
-                          self.buffer_bytes // max(1, row_bytes)))
+                          self.block_bytes // max(1, row_bytes)))
 
 
 class SpillFile:
     """Append-only spool of pickled blocks on an anonymous temp file.
 
-    Rows arrive one at a time (:meth:`append`, buffered and transposed
-    into a block every ``block_rows`` rows) or as ready columns
-    (:meth:`write_block`); :meth:`blocks` reads them back exactly once.
-    The backing ``TemporaryFile`` is opened lazily on the first block
-    — a grace join creates ``2 × fanout`` spools per level and many
-    (the hybrid resident pair, lightly-hit partitions) are never
-    written — unbuffered, since every block is one ``write`` (so a
-    full disk surfaces at the block that hit it), and is unlinked by
-    the OS, so an abandoned spool cannot outlive the process.  I/O
-    failures raise :class:`~repro.errors.SpillError`.
+    Rows arrive as positions into the caller's columns (:meth:`write`)
+    and are gathered a block at a time; :meth:`blocks` reads them back
+    exactly once.  The backing ``TemporaryFile`` is opened lazily on
+    the first block — a grace join creates ``2 × SPILL_FANOUT`` spools
+    per level and many (the hybrid resident pair, lightly-hit
+    partitions) are never written — unbuffered, since every block is
+    one ``write`` (so a full disk surfaces at the block that hit it),
+    and is unlinked by the OS, so an abandoned spool cannot outlive the
+    process.  I/O failures raise :class:`~repro.errors.SpillError`.
     """
 
-    __slots__ = ("_spools", "_file", "_pending", "_block_rows", "_sizes",
-                 "_reading", "count")
+    __slots__ = ("_spools", "_file", "_block_rows", "_sizes", "_reading",
+                 "count")
 
     def __init__(self, spools: Spools):
         self._spools = spools
         self._file = None
-        self._pending: list = []
         self._block_rows = 0             # sized from the first row
         self._sizes: List[int] = []      # bytes of each block written
         self._reading = False
-        #: Rows appended or written so far.
+        #: Rows written so far.
         self.count = 0
 
-    def append(self, key: tuple, values, label: Label, ilabel: Label) -> None:
-        """Spool one keyed execution row."""
-        if not self.count:               # first row: size the buffer
-            self._block_rows = self._spools.block_rows(
-                estimate_row_bytes(values, label))
-        self._pending.append((key, values, label, ilabel))
-        self.count += 1
-        if len(self._pending) >= self._block_rows:
-            self._write_pending()
-
-    def _write_pending(self) -> None:
-        keys, values, labels, ilabels = zip(*self._pending)
-        self._pending = []
-        self._write(list(zip(*keys)), list(zip(*values)), labels, ilabels)
-
-    def write_block(self, key_columns, columns, labels, ilabels) -> None:
-        """Spool one block of ready columns (the sort-run path)."""
-        self._write(key_columns, columns, labels, ilabels)
-        self.count += len(labels)
-
-    def _write(self, key_columns, columns, labels, ilabels) -> None:
+    def write(self, rows, key_columns, columns, labels, ilabels) -> None:
+        """Spool the rows at positions ``rows`` (in that order) of a
+        keyed block — its key columns beside its ``(columns, labels,
+        ilabels)`` — gathered (:func:`take_rows`) in blocks of at most
+        :meth:`Spools.block_rows` rows, sized from the first row this
+        spool ever receives.  A block never spans two calls."""
         if self._reading:
             raise SpillError("spill file already switched to reading")
+        if not rows:
+            return
+        if not self.count:
+            first = rows[0]
+            self._block_rows = self._spools.block_rows(estimate_row_bytes(
+                [None if column is None else column[first]
+                 for column in columns], labels[first]))
+        step, split = self._block_rows, len(key_columns)
+        for lo in range(0, len(rows), step):
+            gathered, block_labels, block_ilabels = take_rows(
+                [*key_columns, *columns], labels, ilabels, rows[lo:lo + step])
+            self._write(gathered[:split], gathered[split:], block_labels,
+                        block_ilabels)
+        self.count += len(rows)
+
+    def _write(self, key_columns, columns, labels, ilabels) -> None:
         data = pickle.dumps(
             encode_block(key_columns, columns, labels, ilabels),
             pickle.HIGHEST_PROTOCOL)
@@ -482,10 +487,7 @@ class SpillFile:
 
     def blocks(self) -> Iterator[tuple]:
         """Yield every block as ``(key_columns, columns, labels,
-        ilabels)`` in write order — the partial tail block last — then
-        close the file."""
-        if self._pending:
-            self._write_pending()
+        ilabels)`` in write order, then close the file."""
         self._reading = True
         if self._file is None:
             return
@@ -512,18 +514,50 @@ class SpillFile:
             self._file.close()
 
 
-class _Partition:
-    """One grace partition: a build spool and a probe spool."""
+class Partitions:
+    """One level of a grace partitioning: ``SPILL_FANOUT`` spools and
+    the salt (the level's depth) that routes a row to one of them by
+    its key row — ``hash((salt, key row))``, so at one depth a grace
+    join and a grace aggregate send a key to the same spool index, and
+    a fresh salt per level splits what the level above could not.  What
+    the hash join's build and probe sides and the aggregate's overflow
+    rows are spooled through."""
 
-    __slots__ = ("build", "probe")
+    __slots__ = ("spools", "salt")
 
-    def __init__(self, spools: Spools):
-        self.build = SpillFile(spools)
-        self.probe = SpillFile(spools)
+    def __init__(self, spools: Spools, salt: int):
+        self.spools: List[SpillFile] = [SpillFile(spools)
+                                        for _ in range(SPILL_FANOUT)]
+        self.salt = salt
+
+    def route(self, key_columns, n: int) -> List[int]:
+        """The spool index of each of a block's ``n`` rows."""
+        return [h % SPILL_FANOUT for h in map(
+            hash, zip(repeat(self.salt), column_rows(key_columns, n)))]
+
+    def write(self, routes, rows, key_columns, columns, labels,
+              ilabels) -> int:
+        """Spool the rows at positions ``rows`` of a keyed block, in
+        order, each to the spool ``routes[row]`` names — one gathered
+        write per spool.  Returns how many spools this opened (received
+        their first rows)."""
+        chosen: List[list] = [[] for _ in self.spools]
+        # ``chosen[routes[row]].append(row)`` per row, driven at C speed.
+        deque(map(list.append, map(chosen.__getitem__,
+                                   map(routes.__getitem__, rows)), rows), 0)
+        opened = 0
+        for spool, positions in zip(self.spools, chosen):
+            if positions:
+                opened += not spool.count
+                spool.write(positions, key_columns, columns, labels, ilabels)
+        return opened
 
     def close(self) -> None:
-        self.build.close()
-        self.probe.close()
+        """Release every spool's temp file (idempotent); consumers call
+        this in a ``finally`` so a mid-statement error cannot leak the
+        unread spools' descriptors."""
+        for spool in self.spools:
+            spool.close()
 
 
 class SpilledHashBuild:
@@ -531,40 +565,31 @@ class SpilledHashBuild:
 
     Both sides arrive a keyed block at a time — the rows' key columns
     beside their ``(columns, labels, ilabels)`` — and only the key
-    participates in routing.  A row routes by, and a spool writes, its
-    key's row tuple; a side's buckets are keyed by :func:`column_keys`,
-    as the join probes them.  With ``keep_resident`` (the top level)
-    partition 0 is a :class:`JoinSide` of ``width`` columns held in
-    memory, so probes against it stream with no extra I/O; recursion
-    levels disable it — their input is already a single partition's
-    worth of rows.  Every partition is joined through a
-    :class:`JoinSide` loaded from its build spool.
+    participates in routing: each side is one :class:`Partitions`
+    (``builds``, ``probes``) salted with the level's ``depth``; a
+    side's buckets are keyed by :func:`column_keys`, as the join probes
+    them.  At the top level (``depth`` 0) partition 0 is a
+    :class:`JoinSide` of ``width`` columns held in memory, so probes
+    against it stream with no extra I/O; recursion levels have none —
+    their input is already a single partition's worth of rows.  Every
+    partition is joined through a :class:`JoinSide` loaded from its
+    build spool.
     """
 
-    __slots__ = ("budget", "spools", "width", "fanout", "salt", "depth",
-                 "partitions", "resident")
+    __slots__ = ("budget", "spools", "width", "depth", "builds", "probes",
+                 "resident")
 
-    def __init__(self, budget: int, spools: Spools, width: int, *,
-                 salt: int = 0, depth: int = 0, keep_resident: bool = True,
-                 fanout: int = SPILL_FANOUT):
+    def __init__(self, budget: int, spools: Spools, width: int,
+                 depth: int = 0):
         self.budget = budget
         self.spools = spools
         self.width = width
-        self.fanout = fanout
-        self.salt = salt
         self.depth = depth
-        self.partitions: List[_Partition] = [_Partition(spools)
-                                             for _ in range(fanout)]
-        self.resident: Optional[JoinSide] = \
-            JoinSide(width) if keep_resident else None
-        if depth == 0:
+        self.builds = Partitions(spools, depth)
+        self.probes = Partitions(spools, depth)
+        self.resident = None if depth else JoinSide(width)
+        if not depth:
             tally().spills += 1
-
-    def route(self, keys) -> List[int]:
-        """The partition index of every key (row tuple) of a chunk."""
-        fanout = self.fanout
-        return [h % fanout
-                for h in map(hash, zip(repeat(self.salt), keys))]
 
     # -- build side ----------------------------------------------------
     def take(self, side: JoinSide, key_width: int) -> None:
@@ -580,42 +605,34 @@ class SpilledHashBuild:
 
     def add_build(self, key_columns, columns, labels, ilabels) -> None:
         n = len(labels)
-        rows = list(column_rows(key_columns, n))
-        routes = self.route(rows)
-        # Rows routed to partition 0 before ``resident_end`` joined the
-        # resident side; every other row spools.
-        resident_end = 0
+        routes = self.builds.route(key_columns, n)
+        rows = range(n)
         if self.resident is not None:
-            resident_end = self._add_resident(
-                routes, key_columns, columns, labels, ilabels)
-        partitions = self.partitions
-        for i, (index, key, values, label, ilabel) in enumerate(zip(
-                routes, rows, column_rows(columns, n), labels, ilabels)):
-            if index == 0 and i < resident_end:
-                continue
-            spool = partitions[index].build
-            if not spool.count:
-                tally().partitions_created += 1
-            spool.append(key, values, label, ilabel)
+            rows = self._add_resident(routes, key_columns, columns, labels,
+                                      ilabels)
+        tally().partitions_created += self.builds.write(
+            routes, rows, key_columns, columns, labels, ilabels)
 
     def _add_resident(self, routes, key_columns, columns, labels,
-                      ilabels) -> int:
+                      ilabels) -> list:
         """Add a block's partition-0 rows to the resident side while it
         fits the budget (:meth:`JoinSide.fill`); the row that takes it
         past is the last one added, and the hybrid partition alone
         overflowing is demoted to a spool like the others (build phase
         only — by probe time the resident side is frozen).  Returns the
-        block position after the last row the resident side took."""
+        block positions left to spool: every other partition's, and
+        partition 0's after the last row the resident side took."""
         here = [i for i, index in enumerate(routes) if not index]
         keys = column_keys(key_columns, len(routes))
         cut = self.resident.fill([keys[i] for i in here],
                                  *take_rows(columns, labels, ilabels, here),
                                  self.budget)
-        if cut is None:
-            return len(routes)
-        side, self.resident = self.resident, None
-        self.take(side, len(key_columns))
-        return here[cut - 1] + 1
+        end = len(routes)
+        if cut is not None:
+            side, self.resident = self.resident, None
+            self.take(side, len(key_columns))
+            end = here[cut - 1] + 1
+        return [i for i, index in enumerate(routes) if index or i >= end]
 
     # -- probe side ----------------------------------------------------
     def probe(self, key_columns, columns, labels, ilabels) -> list:
@@ -632,32 +649,31 @@ class SpilledHashBuild:
         row must surface in the partition phase regardless, for LEFT
         JOIN NULL extension.)"""
         resident = self.resident
-        partitions = self.partitions
+        built = [spool.count for spool in self.builds.spools]
         n = len(labels)
-        rows = list(column_rows(key_columns, n))
+        routes = self.probes.route(key_columns, n)
         found = []
-        for index, key, row, values, label, ilabel in zip(
-                self.route(rows), column_keys(key_columns, n), rows,
-                column_rows(columns, n), labels, ilabels):
+        spooled = []
+        for i, index, key, row in zip(count(), routes,
+                                      column_keys(key_columns, n),
+                                      column_rows(key_columns, n)):
             if None in row:
                 found.append(())
             elif index == 0 and resident is not None:
                 found.append(resident.buckets.get(key, ()))
-            elif not partitions[index].build.count:
+            elif not built[index]:
                 found.append(())
             else:
-                partitions[index].probe.append(row, values, label, ilabel)
+                spooled.append(i)
                 found.append(None)
+        self.probes.write(routes, spooled, key_columns, columns, labels,
+                          ilabels)
         return found
 
     def spool_probe(self, key_columns, columns, labels, ilabels) -> None:
-        partitions = self.partitions
         n = len(labels)
-        rows = list(column_rows(key_columns, n))
-        for index, row, values, label, ilabel in zip(
-                self.route(rows), rows, column_rows(columns, n), labels,
-                ilabels):
-            partitions[index].probe.append(row, values, label, ilabel)
+        self.probes.write(self.probes.route(key_columns, n), range(n),
+                          key_columns, columns, labels, ilabels)
 
     # -- partition phase ------------------------------------------------
     def joined(self) -> Iterator[Tuple[tuple, JoinSide]]:
@@ -672,23 +688,25 @@ class SpilledHashBuild:
         — so an exception raised between partitions, or an abandoned
         iterator, cannot leak the remaining descriptors.
         """
-        for index, partition in enumerate(self.partitions):
+        for index, (build, probe) in enumerate(zip(self.builds.spools,
+                                                   self.probes.spools)):
             try:
                 # Resident probes were answered online; nothing spooled.
                 if index or self.resident is None:
-                    yield from self._join_partition(partition)
+                    yield from self._join_partition(build, probe)
             finally:
-                partition.close()
+                build.close()
+                probe.close()
 
-    def _join_partition(self, partition: _Partition):
+    def _join_partition(self, build: SpillFile, probe: SpillFile):
         """Join one partition's spooled build and probe blocks.
 
         Loads the build blocks into a :class:`JoinSide` under the byte
         budget; if a block leaves it over budget *and* holding more
         than one distinct key *and* the recursion cap is not reached,
-        the partition is split again with a fresh salt (both sides
-        re-spooled) — otherwise it finishes in memory over budget,
-        which is the termination guarantee for all-equal-key
+        the partition is split again one level down, with a fresh salt
+        (both sides re-spooled) — otherwise it finishes in memory over
+        budget, which is the termination guarantee for all-equal-key
         (unsplittable) partitions.
         """
         depth = self.depth + 1
@@ -696,8 +714,7 @@ class SpilledHashBuild:
         mem = 0
         child: Optional[SpilledHashBuild] = None
         try:
-            for key_columns, columns, labels, ilabels in \
-                    partition.build.blocks():
+            for key_columns, columns, labels, ilabels in build.blocks():
                 if child is not None:
                     child.add_build(key_columns, columns, labels, ilabels)
                     continue
@@ -707,17 +724,16 @@ class SpilledHashBuild:
                                                 BUCKET_ENTRY_BYTES))
                 if (mem > self.budget and len(side.buckets) > 1
                         and depth < MAX_RECURSION):
-                    child = SpilledHashBuild(
-                        self.budget, self.spools, self.width, salt=depth,
-                        depth=depth, keep_resident=False)
+                    child = SpilledHashBuild(self.budget, self.spools,
+                                             self.width, depth)
                     child.take(side, len(key_columns))
                     side = None
                     tally().repartitions += 1
             if child is None:
-                for block in partition.probe.blocks():
+                for block in probe.blocks():
                     yield block, side
                 return
-            for block in partition.probe.blocks():
+            for block in probe.blocks():
                 child.spool_probe(*block)
             yield from child.joined()
         finally:
@@ -726,23 +742,23 @@ class SpilledHashBuild:
 
     def close(self) -> None:
         """Release every partition's temp files (idempotent)."""
-        for partition in self.partitions:
-            partition.close()
+        self.builds.close()
+        self.probes.close()
 
 
 class SortRuns:
     """Spooled sorted runs for one external merge sort.
 
     Each run is a :class:`SpillFile` of blocks in sorted order whose
-    key columns are the rows' sort keys (:meth:`SpillFile.write_block`),
-    so the merge compares stored keys and never re-evaluates one; the
-    sort operator k-way merges ``runs`` with a heap, so the merge
-    fan-in is unbounded — every run is merged in a single pass
-    regardless of how many the input produced.  ``key_types`` collects,
-    per key column, every value type any run holds (what decides
-    whether the merge may compare keys plainly).  Constructing the
-    object marks the sort as spilled (``sort_spills``); each spooled
-    run bumps ``sort_runs``.
+    key columns are the rows' sort keys (the run's one
+    :meth:`SpillFile.write`, in sort order), so the merge compares
+    stored keys and never re-evaluates one; the sort operator k-way
+    merges ``runs`` with a heap, so the merge fan-in is unbounded —
+    every run is merged in a single pass regardless of how many the
+    input produced.  ``key_types`` collects, per key column, every
+    value type any run holds (what decides whether the merge may
+    compare keys plainly).  Constructing the object marks the sort as
+    spilled (``sort_spills``); each spooled run bumps ``sort_runs``.
     """
 
     __slots__ = ("spools", "runs", "key_types")
@@ -770,75 +786,31 @@ class SortRuns:
             run.close()
 
 
-class GroupSpill:
-    """Grace partitioner for overflowing hash-aggregation group state
-    (DISTINCT is the aggregation with no aggregates).
-
-    Rows whose group key is not already memory-resident are
-    hash-routed by ``(salt, key)`` into ``fanout`` spools; each
-    partition is later re-aggregated independently, and a partition
-    that *still* overflows is split again with a fresh salt — the same
-    fanout/salt/recursion scheme as :class:`SpilledHashBuild`, with
-    the same termination guarantee (a partition holding one distinct
-    key never creates a second group, so it never re-spills).  The
-    top-level overflow counts as ``agg_spills``; recursive splits as
-    ``repartitions``; a spool counts toward ``agg_partitions`` when it
-    first receives a row.
-    """
-
-    __slots__ = ("salt", "spools")
-
-    def __init__(self, spools: Spools, *, salt: int = 0, depth: int = 0,
-                 fanout: int = SPILL_FANOUT):
-        self.salt = salt
-        self.spools: List[SpillFile] = [SpillFile(spools)
-                                        for _ in range(fanout)]
-        if depth == 0:
-            tally().agg_spills += 1
-        else:
-            tally().repartitions += 1
-
-    def add(self, rows) -> None:
-        """Spool ``(key, values, label, ilabel)`` rows, in order."""
-        for key, values, label, ilabel in rows:
-            spool = self.spools[hash((self.salt, key)) % len(self.spools)]
-            if not spool.count:
-                tally().agg_partitions += 1
-            spool.append(key, values, label, ilabel)
-
-    def close(self) -> None:
-        """Release every spool's temp file (idempotent); consumers call
-        this in a ``finally`` so a mid-aggregation error cannot leak
-        the unread partitions' descriptors."""
-        for spool in self.spools:
-            spool.close()
-
-
-def estimate_spill_plan(build_bytes: float, work_mem: int,
-                        fanout: int = SPILL_FANOUT
+def estimate_spill_plan(build_bytes: float, work_mem: int
                         ) -> Tuple[int, float, int]:
     """Planning-time estimate:
     ``(leaf_partitions, bytes_per_partition, levels)``.
 
     Zero partitions means the build is expected to fit.  Partition
-    counts grow by whole levels of ``fanout`` (the runtime splits a
-    level at a time), so the estimated per-partition memory — what
-    EXPLAIN reports as the operator's peak — is ``build_bytes /
-    fanout**levels``, the first level count that fits the budget.
+    counts grow by whole levels of :data:`SPILL_FANOUT` (the runtime
+    splits a level at a time), so the estimated per-partition memory —
+    what EXPLAIN reports as the operator's peak — is ``build_bytes /
+    SPILL_FANOUT**levels``, the first level count that fits the budget.
     ``levels`` is how many times each spilled row is expected to be
     written and re-read, which is what the optimizer charges.
 
     Past :data:`MAX_RECURSION` levels (a build estimated beyond
-    ``work_mem × fanout**MAX_RECURSION``) the estimate stops splitting,
-    mirroring the runtime's recursion cap: the returned per-partition
-    bytes then honestly exceed the budget, and EXPLAIN shows the
-    over-budget peak the capped execution would actually reach.
+    ``work_mem × SPILL_FANOUT**MAX_RECURSION``) the estimate stops
+    splitting, mirroring the runtime's recursion cap: the returned
+    per-partition bytes then honestly exceed the budget, and EXPLAIN
+    shows the over-budget peak the capped execution would actually
+    reach.
     """
     if not work_mem or build_bytes <= work_mem:
         return 0, build_bytes, 0
     partitions = 1
     levels = 0
     while build_bytes / partitions > work_mem and levels < MAX_RECURSION:
-        partitions *= fanout
+        partitions *= SPILL_FANOUT
         levels += 1
     return partitions, build_bytes / partitions, levels

@@ -17,8 +17,10 @@ sorting before every visible key, some after), and **precede** the
 visible tuples in the heap.  For every statement, in every executor
 configuration, every world must show the reader the same rows in the
 same order, the same row labels and integrity labels, the same
-``rowcount`` and the same error type and message — and a collapsed
-row's label must be the union over exactly its *visible* duplicates.
+``rowcount``, the same ``calls`` and ``rows`` added to the statement's
+``Database.stats()["statements"]`` entry, and the same error type and
+message — and a collapsed row's label must be the union over exactly
+its *visible* duplicates.
 
 Plan shape is declared high (ARCHITECTURE.md, "Low and high"): the
 optimizer's one cardinality, a heap's version count, counts hidden
@@ -242,15 +244,24 @@ def _low_lines(lines):
 def _observe(session, sql):
     """Everything the reader can see of one statement, and its plan
     where EXPLAIN applies (an INSERT's is its source query's; an
-    ``INSERT … VALUES`` has none)."""
+    ``INSERT … VALUES`` has none).  ``stats`` is what the statement
+    added to its entry in ``Database.stats()["statements"]``."""
     db = session.db
     statement = db.parse(sql)
     explained = getattr(statement, "select", statement)
     seen = {}
+
+    def statement_stats():
+        entry = db.stats()["statements"].get(statement.fingerprint, {})
+        return [entry.get(field, 0) for field in ("calls", "rows")]
+
     try:
         if explained is not None:
             seen["plan"] = _low_lines(db.explain(explained))
+        before = statement_stats()
         result = session.execute(sql)
+        seen["stats"] = [after - was for after, was
+                         in zip(statement_stats(), before)]
         seen["rows"] = [(tuple(row), tuple(sorted(row.label)))
                         for row in result.rows]
         seen["rowcount"] = result.rowcount
@@ -834,7 +845,7 @@ def test_a_recovered_world_shows_what_the_live_one_does(config, family,
     for sql in statements:
         want = _observe(worlds["D"], sql)
         seen = _observe(live, sql)
-        for what in ("rows", "ilabels", "rowcount", "error"):
+        for what in ("rows", "ilabels", "rowcount", "error", "stats"):
             assert seen.get(what) == want.get(what), \
                 (config, "live D", sql, what)
         for name in ("D'", "D''"):

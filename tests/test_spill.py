@@ -5,17 +5,19 @@ test draws many random inputs from a fixed seed and asserts invariants
 that must hold for *all* of them —
 
 * the block codec and the spool files round-trip arbitrary execution
-  rows exactly, at every block size and with a partial tail block —
-  ``None``, strings with newlines/quotes/unicode, floats, and labels —
-  and a label read back from a spill file is *identical* (``is``) to
-  the live interned instance, so the scan-level label memos keep
-  working across a spill;
+  rows exactly, in the order of the positions written, at every block
+  size and with a partial tail block — ``None``, strings with
+  newlines/quotes/unicode, floats, and labels — and a label read back
+  from a spill file is *identical* (``is``) to the live interned
+  instance, so the scan-level label memos keep working across a spill;
+  no block any spilling operator writes exceeds its ``block_rows``;
 * batch byte accounting equals the per-row estimate row for row, and
   on average a row container plus its mean value widths;
 * partitioning is a function: every input row lands in exactly one
   partition, nothing is lost or duplicated, and a probe row meets
   exactly the build rows that share its key (cross-checked against a
-  plain dict join);
+  plain dict join); the grace join and the grace aggregate route a key
+  to the same spool;
 * recursive re-partitioning terminates — in particular on an
   all-equal-key build side, which no amount of re-hashing can split;
 * a spilled HashJoin observes the statement's snapshot: a writer
@@ -38,9 +40,12 @@ from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
     counters
 from repro.core.labels import EMPTY_LABEL, Label
 from repro.db import Database
+from repro.db import spill as spill_module
 from repro.db.faultinject import SpoolFaults
 from repro.db.spill import (
     MAX_RECURSION,
+    SPILL_FANOUT,
+    Partitions,
     SpilledHashBuild,
     SpillFile,
     Spools,
@@ -144,17 +149,22 @@ def test_block_codec_round_trips_and_reinterns(block):
 @given(st.lists(st.tuples(st.tuples(st.integers(0, 9)),
                           st.tuples(_VALUES, _VALUES), _LABELS, _LABELS),
                 max_size=60),
-       st.integers(1, 17))
+       st.integers(1, 17), st.data())
 @settings(max_examples=100, deadline=None)
-def test_spill_file_round_trips_at_every_block_size(rows, block_rows):
-    """Rows appended one at a time come back in order whatever the
-    block size: full blocks first, the partial tail block last."""
+def test_spill_file_round_trips_at_every_block_size(rows, block_rows, data):
+    """Rows written as columns and a permuted list of their positions
+    come back in that order whatever the block size: full blocks
+    first, the partial tail block last."""
     spools = Spools(0, block_rows)
-    spools.buffer_bytes = 1 << 30            # let max_rows decide
+    spools.block_bytes = 1 << 30            # let max_rows decide
     spool = SpillFile(spools)
+    order = data.draw(st.permutations(range(len(rows))))
+    keys, values, labels, ilabels = (list(part) for part in zip(*rows)) \
+        if rows else ([], [], [], [])
     before = counters.snapshot()["spill"]
-    for row in rows:
-        spool.append(*row)
+    spool.write(order, [list(column) for column in zip(*keys)] or [[]],
+                [list(column) for column in zip(*values)] or [[], []],
+                labels, ilabels)
     assert spool.count == len(rows)
     got = []
     sizes = []
@@ -164,15 +174,15 @@ def test_spill_file_round_trips_at_every_block_size(rows, block_rows):
     assert sizes == ([block_rows] * (len(rows) // block_rows)
                      + [len(rows) % block_rows] * bool(len(rows) % block_rows))
     assert len(got) == len(rows)
-    for (key, values, label, ilabel), row in zip(got, rows):
-        assert (key, values) == row[:2]
-        assert label is row[2] and ilabel is row[3]
+    for (key, values, label, ilabel), i in zip(got, order):
+        assert (key, values) == rows[i][:2]
+        assert label is rows[i][2] and ilabel is rows[i][3]
     after = counters.snapshot()["spill"]
     assert after["rows_spilled"] - before["rows_spilled"] == len(rows)
 
 
 def test_block_rows_derive_from_the_budget():
-    """No knob: a write buffer gets ``work_mem / fanout²`` bytes, at
+    """No knob: a block gets ``work_mem / SPILL_FANOUT²`` bytes, at
     most a batch of rows and at least one — so the 1 KB CI leg spools
     row by row, as before blocks existed."""
     assert Spools(1024, 1024).block_rows(200) == 1
@@ -184,10 +194,10 @@ def test_block_rows_derive_from_the_budget():
 
 def test_spill_write_after_read_is_a_typed_error():
     spool = SpillFile(Spools(1024, 4))
-    spool.append((1,), (1, "x"), EMPTY_LABEL, EMPTY_LABEL)
+    spool.write([0], [[1]], [[1], ["x"]], [EMPTY_LABEL], [EMPTY_LABEL])
     assert len(list(spool.blocks())) == 1
     with pytest.raises(SpillError):
-        spool.append((2,), (2, "y"), EMPTY_LABEL, EMPTY_LABEL)
+        spool.write([0], [[2]], [[2], ["y"]], [EMPTY_LABEL], [EMPTY_LABEL])
 
 
 # -- byte accounting ----------------------------------------------------------
@@ -295,22 +305,22 @@ def test_every_row_lands_in_exactly_one_partition():
     rng = random.Random(0x5B13)
     for _round in range(10):
         spill = SpilledHashBuild(512, Spools(512, rng.choice((1, 7, 64))),
-                                 1, keep_resident=False)
+                                 1, depth=1)
         keys = [rng.randint(0, 20) for _ in range(300)]
         # Routing is a pure function of the key.
-        rows = [(key,) for key in keys]
-        assert spill.route(rows) == spill.route(rows)
-        assert all(0 <= index < spill.fanout for index in spill.route(rows))
+        routes = spill.builds.route([keys], len(keys))
+        assert routes == spill.builds.route([keys], len(keys))
+        assert all(0 <= index < SPILL_FANOUT for index in routes)
         for key_columns, rows in _chunks(
                 ((key, ([i], EMPTY_LABEL, EMPTY_LABEL))
                  for i, key in enumerate(keys)), rng):
             spill.add_build(key_columns, *_block(rows))
-        counts = [p.build.count for p in spill.partitions]
+        counts = [spool.count for spool in spill.builds.spools]
         assert sum(counts) == len(keys)
         # Same key, same partition.
         landed = {}
-        for index, partition in enumerate(spill.partitions):
-            for key_columns, _c, _l, _i in partition.build.blocks():
+        for index, spool in enumerate(spill.builds.spools):
+            for key_columns, _c, _l, _i in spool.blocks():
                 for key in zip(*key_columns):
                     assert landed.setdefault(key, index) == index
         spill.close()
@@ -368,7 +378,7 @@ def test_recursion_terminates_on_all_equal_keys():
     partitioner must detect that and finish in memory (over budget)
     instead of recursing forever."""
     before = counters.tally().repartitions
-    spill = SpilledHashBuild(256, Spools(256, 16), 2, keep_resident=False)
+    spill = SpilledHashBuild(256, Spools(256, 16), 2, depth=1)
     n = 500
     spill.add_build([[7] * n, ["same"] * n], *_block(
         [((i, "payload"), EMPTY_LABEL, EMPTY_LABEL) for i in range(n)]))
@@ -385,7 +395,7 @@ def test_recursion_terminates_on_all_equal_keys():
 def test_recursion_terminates_on_skewed_keys():
     """One dominant key plus a long tail: recursion isolates the heavy
     key and stops, returning complete matches for both."""
-    spill = SpilledHashBuild(512, Spools(512, 16), 1, keep_resident=False)
+    spill = SpilledHashBuild(512, Spools(512, 16), 1, depth=1)
     keys = [1] * 400 + [1000 + i for i in range(40)]
     spill.add_build([keys], *_block([((i,), EMPTY_LABEL, EMPTY_LABEL)
                                      for i in range(len(keys))]))
@@ -396,6 +406,70 @@ def test_recursion_terminates_on_skewed_keys():
     assert len(by_row["hot"]) == 400
     assert len(by_row["cold"]) == 1
     assert by_row["miss"] == []
+
+
+def test_join_and_aggregate_route_a_key_alike(monkeypatch):
+    """One partitioner: at the same depth, a grace join and a grace
+    aggregate send the same key row to the same spool index."""
+    routed = {"join": {}, "aggregate": {}}
+    current = []
+    real = Partitions.write
+
+    def recording(self, routes, rows, key_columns, *block):
+        landed = routed[current[0]]
+        for row in rows:
+            key = (self.salt, tuple(column[row] for column in key_columns))
+            assert landed.setdefault(key, routes[row]) == routes[row]
+        return real(self, routes, rows, key_columns, *block)
+
+    monkeypatch.setattr(Partitions, "write", recording)
+    _db, session = _stack(1024)
+    for name, sql in (("join", JOIN_SQL),
+                      ("aggregate", "SELECT g, COUNT(*) FROM fact "
+                                    "GROUP BY g")):
+        current[:] = [name]
+        session.execute(sql)
+    join, aggregate = routed["join"], routed["aggregate"]
+    shared = join.keys() & aggregate.keys()
+    assert len(shared) > SPILL_FANOUT
+    assert all(join[key] == aggregate[key] for key in shared)
+
+
+@pytest.mark.parametrize("work_mem,batch_size", [(1024, 16), (262144, 64),
+                                                 (65536, 7)])
+def test_no_block_exceeds_block_rows(monkeypatch, work_mem, batch_size):
+    """Every block a spilling join, aggregate, DISTINCT or sort writes
+    holds at most ``Spools.block_rows`` of the first row its spool
+    received — never more than a batch — and a block never spans two
+    writes."""
+    spools = Spools(work_mem, batch_size)
+    blocks = []
+
+    class Recorded(SpillFile):
+        __slots__ = ("limit",)
+
+        def write(self, rows, key_columns, columns, labels, ilabels):
+            if not self.count:
+                first = rows[0]
+                self.limit = spools.block_rows(estimate_row_bytes(
+                    [None if column is None else column[first]
+                     for column in columns], labels[first]))
+            blocks.append([])
+            super().write(rows, key_columns, columns, labels, ilabels)
+            assert sum(blocks[-1]) == len(rows)
+
+        def _write(self, key_columns, columns, labels, ilabels):
+            blocks[-1].append(len(labels))
+            assert len(labels) <= min(self.limit, batch_size)
+            super()._write(key_columns, columns, labels, ilabels)
+
+    monkeypatch.setattr(spill_module, "SpillFile", Recorded)
+    _db, session = _stack(work_mem, batch_size)
+    for _name, sql in FAULT_SWEEP:
+        session.execute(sql)
+    # At 1 KB a block is one row; a larger budget writes some wider.
+    widest = max(map(max, filter(None, blocks)))
+    assert (widest > 1) == (work_mem > 1024)
 
 
 def test_estimate_row_bytes_monotone():
@@ -594,7 +668,7 @@ def test_abandoned_spilled_join_iterator_releases_descriptors():
 def test_mid_aggregate_error_releases_group_spill_descriptors():
     """Same contract for grace-spilled aggregation: an error while the
     fold is emitting resident groups (partitions still spooled) must
-    close every GroupSpill spool."""
+    close every partition spool."""
     db, session = _stack(1024, batch_size=4)
     sql = "SELECT g, COUNT(*) FROM fact GROUP BY g"
     session.begin()

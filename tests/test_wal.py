@@ -14,6 +14,7 @@ twice changes nothing).
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 import time
 
@@ -616,6 +617,41 @@ class TestCheckpoint:
         recovered.recover(path)
         assert recovered.connect().query("SELECT id FROM t ORDER BY id") \
             == [(1,), (2,)]
+
+    def test_an_unrecovered_log_refuses_ddl_and_commits(self, authority,
+                                                        tmp_path):
+        """A database opened on a log refuses DDL and write commits
+        until it has recovered every record: either would be logged
+        after records it never applied, and the next recovery would
+        replay it against the wrong state.  Each refusal leaves the log
+        as it was; after recover() both are accepted."""
+        path = str(tmp_path / "w.wal")
+        early = str(tmp_path / "early.wal")
+        db = Database(authority, wal=path)
+        db.connect().execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        shutil.copy(path, early)             # the log's first record only
+        db.connect().execute("INSERT INTO t VALUES (1)")
+        db.close()
+        old = open(path, "rb").read()
+        reopened = Database(authority, wal=WriteAheadLog(path))
+        session = reopened.connect()
+        with pytest.raises(WalError, match="DDL refused"):
+            session.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        reopened.recover(early)              # table t, but not its row
+        with pytest.raises(WalError, match="commit refused"):
+            session.execute("INSERT INTO t VALUES (2)")
+        with pytest.raises(WalError, match="DDL refused"):
+            session.execute("CREATE TABLE u (id INT PRIMARY KEY)")
+        assert session.transaction is None
+        assert open(path, "rb").read() == old
+        assert reopened.recover()["applied"] == 1
+        session.execute("INSERT INTO t VALUES (2)")
+        session.execute("CREATE TABLE u (id INT PRIMARY KEY)")
+        recovered = Database(authority)
+        recovered.recover(path)
+        assert recovered.connect().query("SELECT id FROM t ORDER BY id") \
+            == [(1,), (2,)]
+        assert "u" in recovered.catalog.tables
 
     def test_refused_fsync_keeps_the_old_log(self, authority, tmp_path):
         """fsync #0 is the magic, #1 the DDL, #2 the commit, #3 the
