@@ -9,13 +9,17 @@ index may legitimately hold several live tids for one key, distinguished
 only by label.
 
 The paper notes (section 7.1) that IFDB does *not* provide label-inverted
-indexes; neither do we, and scans filter labels tuple-by-tuple.
+indexes; neither do we: a lookup returns every candidate's tid as a
+list, and the scan leaf filters the candidates' labels afterwards
+(:func:`repro.db.physical._visible_segment`) — for an index join, all
+of an outer batch's candidates in one pass.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter, ne
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.counters import tally
 
@@ -59,10 +63,15 @@ class HashIndex:
 
 
 class OrderedIndex:
-    """Sorted index supporting range scans (B-tree stand-in).
+    """Sorted index supporting prefix and range lookups (B-tree
+    stand-in).
 
     Entries are ``(key, tid)`` kept sorted; inserts use bisection.  Keys
-    must be homogeneous per column so Python comparison is total.
+    must be homogeneous per column so Python comparison is total; a NaN,
+    which compares false with everything, is held as :data:`_NAN_KEY`,
+    which sorts after every number.  A lookup or range scan is two
+    bisections and a slice: the first entry at or past the lower bound,
+    the first past the upper one, and the tids between them as a list.
     """
 
     def __init__(self, name: str, columns: Sequence[str],
@@ -76,8 +85,13 @@ class OrderedIndex:
     def key_of(self, values: Tuple) -> Tuple:
         positions = self.positions
         if len(positions) == 1:
-            return (values[positions[0]],)
-        return tuple(values[p] for p in positions)
+            key = (values[positions[0]],)
+        else:
+            key = tuple(values[p] for p in positions)
+        if any(map(ne, key, key)):         # a NaN: unequal to itself
+            return tuple(_NAN_KEY if value != value else value
+                         for value in key)
+        return key
 
     def insert(self, values: Tuple, tid: int) -> None:
         bisect.insort(self._entries, (self.key_of(values), tid))
@@ -88,48 +102,54 @@ class OrderedIndex:
         if idx < len(self._entries) and self._entries[idx] == entry:
             del self._entries[idx]
 
-    def lookup(self, key: Tuple) -> List[int]:
-        """All tids whose key starts with ``key`` (exact match when the
-        key covers every indexed column)."""
+    def lookup(self, prefix: Tuple) -> List[int]:
+        """Tids whose key starts with ``prefix``, in key order (an exact
+        match when the prefix covers every indexed column).  A NaN in
+        the prefix matches nothing: every entry it meets compares
+        false, so both bisections stop at the same place."""
         tally().lookups += 1
-        return list(self.scan_prefix(key))
-
-    def scan_prefix(self, prefix: Tuple) -> Iterator[int]:
-        """Tids whose key starts with ``prefix``, in key order."""
         entries = self._entries
-        lo = bisect.bisect_left(entries, (prefix,))
-        for i in range(lo, len(entries)):
-            key, tid = entries[i]
-            if key[:len(prefix)] != prefix:
-                break
-            yield tid
+        start = bisect.bisect_left(entries, (prefix,))
+        end = bisect.bisect_left(entries, (prefix + (_SENTINEL,),), start)
+        return list(map(_TID, entries[start:end]))
 
-    def scan_range(self, low: Optional[Tuple], high: Optional[Tuple],
-                   *, include_low: bool = True,
-                   include_high: bool = True) -> Iterator[int]:
-        """Tids with ``low <= key <= high`` (bounds optional), in order."""
+    def scan_range(self, prefix: Tuple, low=None, high=None, *,
+                   include_low: bool = True,
+                   include_high: bool = True) -> List[int]:
+        """Tids whose key starts with ``prefix`` and whose next column
+        lies between ``low`` and ``high``, in key order.  A bound is
+        optional (``None``) and exclusive when its ``include_`` flag is
+        unset; as in SQL, a NaN bound admits nothing and a NaN in the
+        column meets no bound (it sorts last, so a lower bound alone
+        stops at ``_NAN_KEY``)."""
         tally().range_scans += 1
+        if low != low or high != high:
+            return []
         entries = self._entries
         if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(entries, (low,))
+            start = bisect.bisect_left(entries, (prefix,))
         else:
-            start = bisect.bisect_right(entries, (low + (_SENTINEL,),))
-        for i in range(start, len(entries)):
-            key, tid = entries[i]
-            if high is not None:
-                trimmed = key[:len(high)]
-                if trimmed > high or (trimmed == high and not include_high):
-                    break
-            yield tid
+            start = bisect.bisect_left(entries, (
+                prefix + (low,) if include_low
+                else prefix + (low, _SENTINEL),))
+        if high is not None:
+            upper = prefix + (high, _SENTINEL) if include_high \
+                else prefix + (high,)
+        elif low is not None:
+            upper = prefix + (_NAN_KEY,)
+        else:
+            upper = prefix + (_SENTINEL,)
+        end = bisect.bisect_left(entries, (upper,), start)
+        return list(map(_TID, entries[start:end]))
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
 class _Sentinel:
-    """Compares greater than everything (for exclusive lower bounds)."""
+    """Compares greater than everything: ``bound + (_SENTINEL,)`` sorts
+    after every key that starts with ``bound`` — past an exclusive lower
+    bound or an inclusive upper one, or a lookup's prefix."""
 
     def __lt__(self, other):
         return False
@@ -138,4 +158,18 @@ class _Sentinel:
         return True
 
 
+class _NaNKey:
+    """A NaN as an ordered index holds it: equal only to itself, after
+    every number and before :data:`_SENTINEL`, so insertion and removal
+    bisect one total order."""
+
+    def __lt__(self, other):
+        return other is _SENTINEL
+
+    def __gt__(self, other):
+        return other is not self and other is not _SENTINEL
+
+
 _SENTINEL = _Sentinel()
+_NAN_KEY = _NaNKey()
+_TID = itemgetter(1)

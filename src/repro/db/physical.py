@@ -102,13 +102,13 @@ attached by the planner during lowering and rendered by ``EXPLAIN``.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import partial, reduce
 from itertools import (accumulate, compress, count, filterfalse, islice,
                        repeat)
-from operator import (add as _add, gt as _gt, itemgetter, lt as _lt,
-                      neg as _neg, not_ as _not)
+from operator import (add as _add, attrgetter, gt as _gt, itemgetter,
+                      lt as _lt, neg as _neg, not_ as _not)
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import tally
@@ -123,7 +123,7 @@ from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, NULL_ROW,
                     estimate_batch_bytes, estimate_row_bytes,
                     key_columns_of, take_rows)
 from .storage import (SET_AT_A_TIME_MIN, HeapSegment, LabelCut, Segment,
-                      Table)
+                      Table, _take)
 
 #: Rows per batch when no explicit size is configured (the engine reads
 #: ``REPRO_BATCH_SIZE`` and passes its own default through the planner).
@@ -212,12 +212,16 @@ def _chunked(iterator, size: int):
         yield chunk
 
 
-def _probe_segments(table: Table, index, key: tuple, size: int) -> list:
-    """The candidate versions of one equality probe, in segments of up
-    to ``size``."""
-    versions = list(table.versions_for_tids(index.lookup(key)))
-    return [Segment(versions[lo:lo + size])
-            for lo in range(0, len(versions), size)]
+def _segments_of(table: Table, tids: list, size: int):
+    """The versions an index's ``tids`` name, gathered a segment of up
+    to ``size`` at a time, so a consumer that stops early (a ``LIMIT``
+    over a wide range) gathers no more than it read."""
+    for lo in range(0, len(tids), size):
+        yield Segment(table.versions_for_tids(tids[lo:lo + size]))
+
+
+#: A version's stored values and its integrity label.
+_VALUES, _ILABEL = attrgetter("values"), attrgetter("ilabel")
 
 
 def _row_batches(rows, size: int) -> Iterator[RowBatch]:
@@ -642,7 +646,8 @@ class IndexScan(Scan):
         key = tuple(fn([], ctx) for fn in self.key_fns)
         if None in key:
             return ()
-        return _probe_segments(self.table, self.index, key, self.batch_size)
+        return _segments_of(self.table, self.index.lookup(key),
+                            self.batch_size)
 
 
 class IndexRangeScan(Scan):
@@ -652,7 +657,8 @@ class IndexRangeScan(Scan):
     bounds on the next index column, all computed per execution; the
     candidate tids come from ``OrderedIndex.scan_range``.  A bound
     expression evaluating to NULL yields no rows (a SQL comparison
-    against NULL is UNKNOWN), matching what the filter would do.
+    against NULL is UNKNOWN), matching what the filter would do; the
+    index itself answers a NaN bound, or a NaN key, as SQL does.
     """
 
     def __init__(self, table: Table, index, eq_fns: List[Callable],
@@ -675,26 +681,18 @@ class IndexRangeScan(Scan):
         prefix = tuple(fn([], ctx) for fn in self.eq_fns)
         if None in prefix:
             return ()
-        low = prefix if prefix else None
-        include_low = True
+        low = high = None
         if self.low_fn is not None:
-            value = self.low_fn([], ctx)
-            if value is None:
+            low = self.low_fn([], ctx)
+            if low is None:
                 return ()
-            low = prefix + (value,)
-            include_low = self.include_low
-        high = prefix if prefix else None
-        include_high = True
         if self.high_fn is not None:
-            value = self.high_fn([], ctx)
-            if value is None:
+            high = self.high_fn([], ctx)
+            if high is None:
                 return ()
-            high = prefix + (value,)
-            include_high = self.include_high
-        return map(Segment, _chunked(self.table.versions_for_tids(
-            self.index.scan_range(low, high, include_low=include_low,
-                                  include_high=include_high)),
-            self.batch_size))
+        return _segments_of(self.table, self.index.scan_range(
+            prefix, low, high, include_low=self.include_low,
+            include_high=self.include_high), self.batch_size)
 
 
 class Filter(Plan):
@@ -859,13 +857,17 @@ class IndexLoopJoin(_Join, Plan):
     The probe keys of a batch of outer rows are computed
     column-at-a-time, deduped (sorted when the key type allows, for
     index locality), and the index probed **once per distinct key per
-    batch** — visibility (:func:`_visible_segment`, one label memo per
-    outer batch) and buffer-cache touches are charged once per
-    candidate version per *probe*, not per duplicate outer row, so a
-    duplicate-heavy foreign key stops multiplying the per-probe costs.
-    A batch's probe results become one right side, a key's matches
-    the range of row numbers its probe took.  Joined rows
-    come out in outer-row order (:meth:`_Join._join_batches`).
+    batch**, so a duplicate-heavy foreign key stops multiplying the
+    per-probe costs.  The candidates of all of a batch's keys are then
+    gathered into one list and run through **one visibility pass per
+    outer batch** (:meth:`_probe`): the leaf (:func:`_visible_segment`,
+    one label memo per outer batch) sees them a ``batch_size`` chunk at
+    a time, not a probe at a time, and charges the buffer cache once
+    per candidate version in key order, as probing key by key would.
+    A batch's survivors become one right side, a key's matches the
+    range of row numbers its candidates kept — its lookup's boundaries
+    themselves when the leaf dropped nothing.  Joined rows come out in
+    outer-row order (:meth:`_Join._join_batches`).
     """
 
     CHILDREN = ("left",)
@@ -888,7 +890,7 @@ class IndexLoopJoin(_Join, Plan):
     def batches(self, ctx):
         if ctx.ifc_enabled and self.view_grants:
             _check_view_authority(ctx, self.view_grants)
-        table = self.table
+        lookup = self.index.lookup
         for batch in self.left.batches(ctx):
             keys = list(zip(*[fn(batch, ctx) for fn in self.key_fns]))
             matches_of = dict.fromkeys(key for key in keys
@@ -898,29 +900,55 @@ class IndexLoopJoin(_Join, Plan):
                 ordered.sort()
             except TypeError:
                 pass                  # incomparable key mix: keep order
-            memo: Tuple[dict, dict] = ({}, {})
-            side = JoinSide(self.right_width)
-            base = len(side.labels)
-            versions, labels = [], []
+            # One lookup per distinct key: the candidates of
+            # ``ordered[i]`` end at ``tids[ends[i]]``.
+            tids, ends = [], []
             for key in ordered:
-                # One probe: the visible, label-covered inner versions.
-                start = len(labels)
-                for segment in _probe_segments(table, self.index, key,
-                                               self.batch_size):
-                    selectors, emitted = _visible_segment(
-                        ctx, table, segment, self.declass, memo)
-                    versions.extend(segment.kept(selectors))
-                    labels.extend(emitted)
-                matches_of[key] = range(base + start, base + len(labels))
-            if versions:
-                # The stored columns, then the emitted label as the
-                # ``_label`` pseudo-column.
-                columns = list(zip(*[version.values for version in versions]))
-                columns.append(labels)
-                side.add((), columns, labels,
-                         [version.ilabel for version in versions])
+                tids += lookup(key)
+                ends.append(len(tids))
+            side = JoinSide(self.right_width)
+            if tids:
+                ends = self._probe(ctx, side, tids, ends)
+            start = NULL_ROW + 1
+            for key, end in zip(ordered, ends):
+                matches_of[key] = range(start, NULL_ROW + 1 + end)
+                start = NULL_ROW + 1 + end
             yield from self._join_batches(
                 ctx, batch, map(matches_of.get, keys, repeat(())), side)
+
+    def _probe(self, ctx, side: JoinSide, tids: list, ends: list) -> list:
+        """The visible versions among one outer batch's candidate
+        ``tids`` added to ``side`` — with their emitted label as the
+        ``_label`` pseudo-column — and ``ends`` (each key's end in
+        ``tids``) counted in those survivors.  The leaf
+        (:func:`_visible_segment`) runs once per ``batch_size`` chunk
+        under one label memo; the survivors' positions are tracked only
+        from the first chunk that dropped a version."""
+        table = self.table
+        size = self.batch_size
+        memo: Tuple[dict, dict] = ({}, {})
+        versions: list = []
+        labels: list = []
+        survivors = None
+        for lo, segment in zip(count(0, size),
+                               _segments_of(table, tids, size)):
+            selectors, emitted = _visible_segment(ctx, table, segment,
+                                                  self.declass, memo)
+            labels += emitted
+            if selectors and survivors is None:
+                survivors = list(range(lo))
+            if survivors is not None:
+                survivors += _take(range(lo, lo + len(segment.versions)),
+                                   selectors)
+            versions += segment.versions
+        if survivors is not None:
+            versions = list(map(versions.__getitem__, survivors))
+            ends = list(map(bisect_left, repeat(survivors), ends))
+        if versions:
+            columns = list(zip(*map(_VALUES, versions)))
+            columns.append(labels)
+            side.add((), columns, labels, list(map(_ILABEL, versions)))
+        return ends
 
 
 class HashJoin(_Join, Plan):

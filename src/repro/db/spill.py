@@ -61,6 +61,7 @@ from collections import defaultdict, deque
 from itertools import accumulate, count, repeat
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
+from zlib import crc32
 
 from ..core.counters import tally
 from ..core.labels import EMPTY_LABEL, Label
@@ -514,14 +515,32 @@ class SpillFile:
             self._file.close()
 
 
+#: The key values whose ``hash`` differs between processes: a ``str``'s
+#: is salted per process, NULL's (before Python 3.12) is its address.
+_UNSTABLE_TYPES = frozenset((str, type(None)))
+
+
+def _routed(column):
+    """A key column as :meth:`Partitions.route` hashes it: each TEXT
+    value as its CRC-32 and each NULL as 0, every other value — an
+    int, float, bool or label, whose hash is the same in every process
+    — as itself; the column itself when it holds neither (one type test
+    per value)."""
+    if _UNSTABLE_TYPES.isdisjoint(set(map(type, column))):
+        return column
+    return [crc32(v.encode("utf-8", "surrogatepass")) if type(v) is str
+            else 0 if v is None else v for v in column]
+
+
 class Partitions:
     """One level of a grace partitioning: ``SPILL_FANOUT`` spools and
     the salt (the level's depth) that routes a row to one of them by
-    its key row — ``hash((salt, key row))``, so at one depth a grace
-    join and a grace aggregate send a key to the same spool index, and
-    a fresh salt per level splits what the level above could not.  What
-    the hash join's build and probe sides and the aggregate's overflow
-    rows are spooled through."""
+    its key row — ``hash((salt, key row))`` over :func:`_routed` key
+    columns, so at one depth a grace join and a grace aggregate send a
+    key to the same spool index in every process, and a fresh salt per
+    level splits what the level above could not.  What the hash join's
+    build and probe sides and the aggregate's overflow rows are spooled
+    through."""
 
     __slots__ = ("spools", "salt")
 
@@ -533,7 +552,8 @@ class Partitions:
     def route(self, key_columns, n: int) -> List[int]:
         """The spool index of each of a block's ``n`` rows."""
         return [h % SPILL_FANOUT for h in map(
-            hash, zip(repeat(self.salt), column_rows(key_columns, n)))]
+            hash, zip(repeat(self.salt), column_rows(
+                list(map(_routed, key_columns)), n)))]
 
     def write(self, routes, rows, key_columns, columns, labels,
               ilabels) -> int:

@@ -1,0 +1,252 @@
+"""An ordered index answers a prefix or a range with two bisections and
+a slice; these properties hold it to a brute-force filter over its
+entries.
+
+Keys are composites of INT, TEXT and REAL columns drawn from small
+pools, so duplicate keys (one key, several tids) are common; some
+entries are removed again before the index is read.  Every prefix
+length is asked for (none, part of the key, all of it), and every bound
+shape on the column after a prefix — absent, inclusive, exclusive,
+outside the keys' values, and a low bound above the high one.
+
+A NaN compares false with everything, so the index holds it as a key
+that sorts after every number, and answers as SQL compares: a NaN in a
+prefix or a bound matches nothing, and a NaN key meets no bound.
+Whatever order NaNs and numbers arrive in, removal finds each entry and
+a range scan answers as a full scan does.  A ``LIMIT`` over a wide
+range gathers only the segments it reads.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+from operator import eq
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import AuthorityState, SeededIdGenerator
+from repro.core.counters import tally
+from repro.db import Database
+from repro.db.indexes import OrderedIndex
+from repro.db.storage import Table
+
+NAN = float("nan")
+
+#: Values the keys hold, per column type, and the wider pools bounds
+#: are drawn from (values below, between and above the keys').
+KEY_VALUES = {"INT": st.integers(-3, 3),
+              "TEXT": st.sampled_from(["", "a", "ab", "b", "ba"]),
+              "REAL": st.sampled_from([-1.5, 0.0, 0.5, 2.0, NAN])}
+BOUND_VALUES = {"INT": st.integers(-6, 6),
+                "TEXT": st.sampled_from(["", "0", "a", "aa", "ab", "b",
+                                         "bb", "zz"]),
+                "REAL": st.sampled_from([-3.0, 0.0, 0.25, 0.5, 3.0, NAN])}
+
+
+@st.composite
+def _indexes(draw):
+    """``(index, types, entries)``: an index over 1–3 columns after its
+    inserts and removes, and the ``(key, tid)`` entries it holds."""
+    types = draw(st.lists(st.sampled_from(sorted(KEY_VALUES)),
+                          min_size=1, max_size=3))
+    keys = draw(st.lists(st.tuples(*[KEY_VALUES[t] for t in types]),
+                         max_size=40))
+    index = OrderedIndex("ix", ["c%d" % i for i in range(len(types))],
+                         range(len(types)))
+    entries = list(zip(keys, range(len(keys))))
+    for key, tid in draw(st.permutations(entries)):
+        index.insert(key, tid)
+    removed = draw(st.sets(st.sampled_from(entries))) if entries else set()
+    for key, tid in removed:
+        index.remove(key, tid)
+    return index, types, [entry for entry in entries
+                          if entry not in removed]
+
+
+def _prefix(data, types, keys, width) -> tuple:
+    """A prefix of a held key, or one drawn from the wider pools."""
+    if keys and data.draw(st.booleans()):
+        return data.draw(st.sampled_from(keys))[:width]
+    return tuple(data.draw(BOUND_VALUES[t]) for t in types[:width])
+
+
+def _starts_with(key, prefix) -> bool:
+    """``key`` starts with ``prefix`` as SQL compares: NaN equals
+    nothing, itself included."""
+    return all(map(eq, key, prefix))
+
+
+def _in_order(entries, keep) -> list:
+    """The kept tids in index order: by key, a NaN after every number,
+    then by tid."""
+    def order(entry):
+        key, tid = entry
+        return tuple((1, 0) if v != v else (0, v) for v in key), tid
+    return [tid for key, tid in sorted(entries, key=order) if keep(key)]
+
+
+@given(_indexes(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_lookup_is_a_prefix_filter(built, data):
+    index, types, entries = built
+    keys = [key for key, _tid in entries]
+    for width in range(len(types) + 1):
+        prefix = _prefix(data, types, keys, width)
+        before = tally().lookups
+        got = index.lookup(prefix)
+        assert tally().lookups == before + 1
+        assert type(got) is list
+        assert got == _in_order(
+            entries, lambda key: _starts_with(key, prefix)), prefix
+
+
+@given(_indexes(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_scan_range_is_a_bounds_filter(built, data):
+    index, types, entries = built
+    keys = [key for key, _tid in entries]
+    for _ in range(4):
+        width = data.draw(st.integers(0, len(types) - 1))
+        prefix = _prefix(data, types, keys, width)
+        pool = st.none() | BOUND_VALUES[types[width]]
+        low, high = data.draw(pool), data.draw(pool)
+        include_low, include_high = data.draw(st.booleans()), \
+            data.draw(st.booleans())
+
+        def keep(key):
+            value = key[width]
+            return _starts_with(key, prefix) and (
+                low is None
+                or (low <= value if include_low else low < value)) and (
+                high is None
+                or (value <= high if include_high else value < high))
+
+        before = tally().range_scans
+        got = index.scan_range(prefix, low, high, include_low=include_low,
+                               include_high=include_high)
+        assert tally().range_scans == before + 1
+        assert type(got) is list
+        assert got == _in_order(entries, keep), (prefix, low, high,
+                                                 include_low, include_high)
+
+
+def test_empty_index_and_low_above_high():
+    index = OrderedIndex("ix", ["a", "b"], (0, 1))
+    assert index.lookup((1,)) == []
+    assert index.lookup(()) == []
+    assert index.scan_range(()) == []
+    assert index.scan_range((), 1, 0) == []
+    for tid, key in enumerate([(0, "x"), (1, "y"), (1, "y"), (2, "z")]):
+        index.insert(key, tid)
+    assert index.scan_range((), 2, 1) == []
+    assert index.scan_range((1,), "y", "y", include_low=False) == []
+    assert index.scan_range((), 1, 1) == [1, 2]
+    assert index.scan_range((), 1, 1, include_high=False) == []
+    assert index.lookup((1, "y")) == [1, 2]
+    index.remove((1, "y"), 1)
+    assert index.lookup((1,)) == [2]
+    for key, tid in [((0, "x"), 0), ((1, "y"), 2), ((2, "z"), 3)]:
+        index.remove(key, tid)
+    assert len(index) == 0
+    assert index.scan_range(()) == [] == index.lookup((1,))
+
+
+
+def test_nan_keys_keep_one_order_and_are_removed():
+    """Whatever order they arrive in, the NaNs sort after the numbers
+    (``[1.0, NaN, 0.5]`` compared as floats would stay unsorted, and
+    removing ``0.5`` would bisect past its entry), and a NaN in a
+    prefix matches nothing."""
+    values = [1.0, NAN, 0.5, float("nan"), 2.0]
+    for order in permutations(range(len(values))):
+        index = OrderedIndex("ix", ["g", "x"], (0, 1))
+        for tid in order:
+            index.insert((7, values[tid]), tid)
+        assert index.lookup((7,)) == [2, 0, 4, 1, 3]
+        assert index.scan_range((7,)) == [2, 0, 4, 1, 3]
+        assert index.scan_range((7,), 0.5) == [2, 0, 4]
+        assert index.scan_range((7,), 0.5, 2.0, include_low=False) == [0, 4]
+        assert index.scan_range((7,), NAN) == []
+        assert index.lookup((7, NAN)) == []
+        for tid in reversed(order):
+            index.remove((7, values[tid]), tid)
+        assert len(index) == 0, order
+
+
+#: Predicates on ``x`` (a REAL under the ordered indexes) and the plan
+#: node each must take on ``t``; every one is asked with a number and
+#: with a NaN.
+NAN_PREDICATES = (
+    ("g = 1 AND x >= ?", "IndexRangeScan t using t_gx"),
+    ("g = 1 AND x > ?", "IndexRangeScan t using t_gx"),
+    ("g = 1 AND x < ?", "IndexRangeScan t using t_gx"),
+    ("g = 1 AND x <= ? AND x > 0.1", "IndexRangeScan t using t_gx"),
+    ("g = 1 AND x = ?", "IndexScan t using t_gx"),
+    ("g = 1 AND x <> ?", "IndexScan t using t_gx"),
+    ("x >= ?", "IndexRangeScan s using s_x"),
+    ("x < ?", "IndexRangeScan s using s_x"),
+)
+
+
+def test_nan_under_an_ordered_index_answers_like_a_full_scan():
+    """NaNs and numbers inserted in every order, one of each deleted and
+    vacuumed away, then every predicate through an index and through a
+    full scan of an unindexed twin."""
+    values = [1.0, NAN, 0.5, 2.0]
+    for order in permutations(values):
+        authority = AuthorityState(idgen=SeededIdGenerator(7))
+        session = Database(authority, seed=7).connect()
+        for table, index in (("t", "CREATE ORDERED INDEX t_gx ON t (g, x)"),
+                             ("s", "CREATE ORDERED INDEX s_x ON s (x)"),
+                             ("u", None)):
+            session.execute("CREATE TABLE %s (id INT PRIMARY KEY, g INT, "
+                            "x REAL)" % table)
+            if index:
+                session.execute(index)
+            for i, x in enumerate(order):
+                for g in (1, 2):
+                    session.execute("INSERT INTO %s (id, g, x) VALUES "
+                                    "(?, ?, ?)" % table, (2 * i + g, g, x))
+            session.execute("DELETE FROM %s WHERE g = 1 AND id IN (?, ?)"
+                            % table, (2 * order.index(0.5) + 1,
+                                      2 * order.index(NAN) + 1))
+        session.execute("VACUUM")
+        for predicate, node in NAN_PREDICATES:
+            for param in (0.7, 0.5, 3.0, NAN):
+                got = {}
+                for table in ("t", "s", "u"):
+                    sql = "SELECT id FROM %s WHERE %s" % (table, predicate)
+                    got[table] = sorted(row[0] for row in session.execute(
+                        sql, (param,)).rows)
+                    plan = "\n".join(row[0] for row in session.execute(
+                        "EXPLAIN " + sql, (param,)).rows)
+                    if node.split()[1] == table:
+                        assert node in plan, plan
+                assert got["t"] == got["s"] == got["u"], (
+                    order, predicate, param, got)
+
+
+def test_a_limit_over_a_range_gathers_only_the_segments_it_reads(
+        monkeypatch):
+    authority = AuthorityState(idgen=SeededIdGenerator(7))
+    session = Database(authority, seed=7, batch_size=8).connect()
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT)")
+    session.execute("CREATE ORDERED INDEX t_k ON t (k)")
+    for i in range(100):
+        session.execute("INSERT INTO t (id, k) VALUES (?, ?)", (i, i))
+    gathered = []
+    versions_for_tids = Table.versions_for_tids
+
+    def counting(table, tids):
+        gathered.append(len(tids))
+        return versions_for_tids(table, tids)
+
+    monkeypatch.setattr(Table, "versions_for_tids", counting)
+    sql = "SELECT id FROM t WHERE k >= ? LIMIT 3"
+    assert "IndexRangeScan t using t_k" in "\n".join(
+        row[0] for row in session.execute("EXPLAIN " + sql, (10,)).rows)
+    gathered.clear()
+    assert [row[0] for row in session.execute(sql, (10,)).rows] \
+        == [10, 11, 12]
+    assert gathered == [8]

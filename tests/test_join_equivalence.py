@@ -10,6 +10,10 @@ run must return the same rows, labels and integrity labels, and widen
 exactly its result rows.  A hash join on one column keys its table by
 the column's values, not 1-tuples: it must find the matches a table of
 1-tuples finds, for NULL, NaN, ``1``/``1.0``/``True`` and text keys.
+The index join, which runs one visibility pass over all of an outer
+batch's candidates, is held to the other two over the probe shapes that
+pass must get right: more candidates than a chunk, only hidden or only
+dead ones, and a version chain grown inside the open transaction.
 """
 
 from __future__ import annotations
@@ -137,6 +141,105 @@ def test_every_join_operator_agrees(seed, kind):
                                           "NULL, NULL FROM l")[0]}
     for name, result in results.items():
         assert result == reference, (seed, kind, name)
+
+
+# ---------------------------------------------------------------------------
+# the index join's one visibility pass per outer batch
+# ---------------------------------------------------------------------------
+
+#: ``r``/``ri`` row ids by what the reader's join may find of them.
+CROWDED = range(0, 20)       # key 0: more candidates than a 7-row chunk
+HIDDEN = range(20, 26)       # key 1: every candidate under an uncovered tag
+DEAD = range(26, 31)         # key 2: deleted, held by an older snapshot
+CHAIN = 40                   # key 3: updated thrice in the open transaction
+
+
+def _probe_world(batch_size: int):
+    """``(db, reader, holder)``: ``l`` joined to ``r``/``ri`` (``ri``
+    indexed on ``k``) where one key has more candidates than a chunk,
+    some hidden, one key only hidden ones, one only dead versions a
+    second session's snapshot keeps from reclamation, and one a row the
+    reader's open transaction updated three times."""
+    authority = AuthorityState(idgen=SeededIdGenerator(47))
+    db = Database(authority, seed=47, batch_size=batch_size)
+    owner = authority.create_principal("owner").id
+    secret = [authority.create_tag("s%d" % i, owner=owner).id
+              for i in range(3)]
+    vouch = authority.create_tag("i0", owner=owner, kind="integrity").id
+    writers = []
+    for s, endorsed in ((None, False), (0, False), (1, True), (2, False)):
+        process = IFCProcess(authority, owner)
+        if s is not None:
+            process.add_secrecy(secret[s])
+        if endorsed:
+            process.endorse(vouch)
+        writers.append(db.connect(process))
+    admin = writers[0]
+    admin.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT, v INT)")
+    for table in ("r", "ri"):
+        admin.execute("CREATE TABLE %s (id INT PRIMARY KEY, k INT, w INT)"
+                      % table)
+    admin.execute("CREATE INDEX ri_k ON ri (k)")
+    process = IFCProcess(authority, owner)
+    for tag in secret[:2]:
+        process.add_secrecy(tag)
+    reader = db.connect(process)
+    # Key 0's first ten candidates are visible, so the leaf drops a
+    # version only from its second 7-row chunk on.
+    rows = ([(i, 0, i % 5, writers[i % 3 if i < 10 else i % 4])
+             for i in CROWDED]
+            + [(i, 1, 3, writers[3]) for i in HIDDEN]
+            + [(i, 2, 4, admin) for i in DEAD]
+            + [(CHAIN, 3, 0, reader), (41, 4, 2, writers[1])])
+    for row_id, key, w, writer in rows:
+        for table in ("r", "ri"):
+            writer.execute("INSERT INTO %s VALUES (?, ?, ?)" % table,
+                           (row_id, key, w))
+    for i, key in enumerate((0, 0, 1, 2, 3, 3, 4, 5, None, 0, 2, 1, 4)):
+        writers[i % 3].execute("INSERT INTO l VALUES (?, ?, ?)",
+                               (i, key, i % 3))
+    holder = db.connect()
+    holder.begin()
+    for table in ("r", "ri"):
+        admin.execute("DELETE FROM %s WHERE k = 2" % table)
+    reader.execute("ANALYZE")
+    reader.begin()
+    for _ in range(3):
+        for table in ("r", "ri"):
+            reader.execute("UPDATE %s SET w = w + 1 WHERE id = ?" % table,
+                           (CHAIN,))
+    return db, reader, holder
+
+
+@pytest.mark.parametrize("batch_size", (1, 7))
+@pytest.mark.parametrize("kind", ("", "LEFT"))
+def test_index_join_probe_shapes(batch_size, kind):
+    """At chunk sizes 7 and 1, the index join's pass over a whole outer
+    batch's candidates agrees with the hash join and the nested loop —
+    rows, labels, integrity labels and rows widened — over a key with
+    more candidates than a chunk, keys whose only candidates are hidden
+    or dead but not yet reclaimed, and a version chain grown three
+    times inside the reader's open transaction."""
+    db, reader, holder = _probe_world(batch_size)
+    index = db.catalog.get_table("ri").indexes["ri_k"]
+    assert len(index.lookup((2,))) == len(DEAD)       # not reclaimed
+    assert len(index.lookup((3,))) == 4               # the chain
+    results = {}
+    for name, operator, clause in JOINS:
+        rows, widened, operators, _ = _run(
+            db, reader, SELECT + clause.format(kind=kind))
+        assert operator in operators, (name, operators)
+        results[name] = rows, widened
+    reader.rollback()
+    holder.rollback()
+    reference = results["nested"]
+    assert reference[1] == len(reference[0])
+    found = {values[2]: values[3] for values, _, _ in reference[0]}
+    assert found[CHAIN] == 3                          # the newest version
+    assert not set(found) & (set(HIDDEN) | set(DEAD))
+    assert set(found) & set(CROWDED)
+    for name, result in results.items():
+        assert result == reference, (batch_size, kind, name)
 
 
 # ---------------------------------------------------------------------------

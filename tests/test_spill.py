@@ -28,9 +28,12 @@ that must hold for *all* of them —
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -743,6 +746,46 @@ FAULT_SWEEP = (
     ("distinct", "SELECT DISTINCT g, t FROM fact"),
     ("sort", "SELECT k, t FROM fact ORDER BY t, k"),
 )
+
+
+#: Runs one statement on :func:`_stack` (4 KB, 16-row batches) and
+#: prints the spill counters it moved, as JSON.
+_SPILL_COUNTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_spill import _stack
+from repro.core import counters
+_db, session = _stack(4096, batch_size=16)
+before = counters.snapshot()["spill"]
+session.execute(sys.argv[2])
+after = counters.snapshot()["spill"]
+print(json.dumps({name: after[name] - before[name] for name in after}))
+"""
+
+
+def _spill_counts_in_process(sql: str, hash_seed: str) -> dict:
+    import repro
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPILL_COUNTS, os.path.dirname(__file__),
+         sql], env=env, capture_output=True, text=True, timeout=300,
+        check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("sql", (
+    "SELECT t, COUNT(*), SUM(g) FROM fact GROUP BY t",
+    "SELECT CASE WHEN g = 7 THEN NULL ELSE t END, COUNT(*) FROM fact "
+    "GROUP BY CASE WHEN g = 7 THEN NULL ELSE t END"))
+def test_text_keys_spill_alike_in_every_process(sql):
+    """A grace aggregate over a TEXT key routes each row by a hash that
+    no per-process salt moves (``str`` hashes are salted by
+    ``PYTHONHASHSEED``, and NULL's by its address before Python 3.12):
+    two processes spill it into the same partitions."""
+    first = _spill_counts_in_process(sql, "1")
+    assert first["agg_spills"] and first["repartitions"]
+    assert _spill_counts_in_process(sql, "2") == first
 
 
 @pytest.mark.parametrize("name,sql", FAULT_SWEEP, ids=[n for n, _ in

@@ -185,9 +185,12 @@ class TestLabelCheckCounts:
         batched = label_checks["batched"]["transactions"]
         assert batched <= label_checks["size_1"]["transactions"]
         assert batched <= label_checks["naive"]["transactions"]
-        # Probes that find four or more candidate versions check each
-        # distinct label once.
-        assert batched == 805
+        # A scan or probe segment of four or more candidate versions
+        # checks each distinct label once; an index join gathers all of
+        # an outer batch's candidates into such segments, so
+        # stock_level's one-probe-per-item join checks each label once
+        # per outer batch, not once per probe.
+        assert batched == 765
         assert label_checks["size_1"]["transactions"] == 1000
 
     def test_scans_collapse_to_one_check_per_label_run(self, label_checks):
