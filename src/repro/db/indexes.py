@@ -18,14 +18,19 @@ of an outer batch's candidates in one pass.
 from __future__ import annotations
 
 import bisect
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.counters import tally
 
 
 class HashIndex:
-    """Equality index: key tuple -> list of tids."""
+    """Equality index: key tuple -> list of tids.
+
+    A key holding a NaN is held with :data:`_NAN_KEY` in its place, so
+    no lookup meets it — as ``x = NaN`` matches nothing in a filter —
+    even asked with the very NaN object the row holds (a dict compares
+    keys by identity first)."""
 
     def __init__(self, name: str, columns: Sequence[str],
                  positions: Sequence[int], unique: bool = False):
@@ -38,8 +43,13 @@ class HashIndex:
     def key_of(self, values: Tuple) -> Tuple:
         positions = self.positions
         if len(positions) == 1:
-            return (values[positions[0]],)
-        return tuple(values[p] for p in positions)
+            key = (values[positions[0]],)
+        else:
+            key = tuple(values[p] for p in positions)
+        for value in key:
+            if value != value:             # a NaN: unequal to itself
+                return tuple(_NAN_KEY if v != v else v for v in key)
+        return key
 
     def insert(self, values: Tuple, tid: int) -> None:
         self._map.setdefault(self.key_of(values), []).append(tid)
@@ -67,11 +77,14 @@ class OrderedIndex:
     stand-in).
 
     Entries are ``(key, tid)`` kept sorted; inserts use bisection.  Keys
-    must be homogeneous per column so Python comparison is total; a NaN,
-    which compares false with everything, is held as :data:`_NAN_KEY`,
-    which sorts after every number.  A lookup or range scan is two
-    bisections and a slice: the first entry at or past the lower bound,
-    the first past the upper one, and the tids between them as a list.
+    must be homogeneous per column so Python comparison is total; a
+    NULL is held as :data:`_NULL_KEY`, which sorts before every value,
+    and a NaN, which compares false with everything, as
+    :data:`_NAN_KEY`, which sorts after every number.  A lookup or
+    range scan is two bisections and a slice: the first entry at or
+    past the lower bound, the first past the upper one, and the tids
+    between them as a list.  Neither ever matches a NULL, as no SQL
+    comparison does.
     """
 
     def __init__(self, name: str, columns: Sequence[str],
@@ -88,9 +101,10 @@ class OrderedIndex:
             key = (values[positions[0]],)
         else:
             key = tuple(values[p] for p in positions)
-        if any(map(ne, key, key)):         # a NaN: unequal to itself
-            return tuple(_NAN_KEY if value != value else value
-                         for value in key)
+        for value in key:
+            if value is None or value != value:   # NULL, or a NaN
+                return tuple(_NULL_KEY if v is None
+                             else _NAN_KEY if v != v else v for v in key)
         return key
 
     def insert(self, values: Tuple, tid: int) -> None:
@@ -104,10 +118,12 @@ class OrderedIndex:
 
     def lookup(self, prefix: Tuple) -> List[int]:
         """Tids whose key starts with ``prefix``, in key order (an exact
-        match when the prefix covers every indexed column).  A NaN in
-        the prefix matches nothing: every entry it meets compares
-        false, so both bisections stop at the same place."""
+        match when the prefix covers every indexed column).  A NULL in
+        the prefix matches nothing; nor does a NaN: every entry it meets
+        compares false, so both bisections stop at the same place."""
         tally().lookups += 1
+        if None in prefix:
+            return []
         entries = self._entries
         start = bisect.bisect_left(entries, (prefix,))
         end = bisect.bisect_left(entries, (prefix + (_SENTINEL,),), start)
@@ -119,15 +135,18 @@ class OrderedIndex:
         """Tids whose key starts with ``prefix`` and whose next column
         lies between ``low`` and ``high``, in key order.  A bound is
         optional (``None``) and exclusive when its ``include_`` flag is
-        unset; as in SQL, a NaN bound admits nothing and a NaN in the
+        unset; as in SQL, a NaN bound admits nothing, a NaN in the
         column meets no bound (it sorts last, so a lower bound alone
-        stops at ``_NAN_KEY``)."""
+        stops at ``_NAN_KEY``), and a NULL in the column meets none
+        either (it sorts first, so a range without a lower bound starts
+        past the NULLs), nor does a NULL in the prefix."""
         tally().range_scans += 1
-        if low != low or high != high:
+        if low != low or high != high or None in prefix:
             return []
         entries = self._entries
         if low is None:
-            start = bisect.bisect_left(entries, (prefix,))
+            start = bisect.bisect_left(entries,
+                                       (prefix + (_NULL_KEY, _SENTINEL),))
         else:
             start = bisect.bisect_left(entries, (
                 prefix + (low,) if include_low
@@ -158,6 +177,18 @@ class _Sentinel:
         return True
 
 
+class _NullKey:
+    """A NULL as an ordered index holds it: equal only to itself and
+    before every other key, so insertion and removal bisect one total
+    order and a range starts past it."""
+
+    def __lt__(self, other):
+        return other is not self
+
+    def __gt__(self, other):
+        return False
+
+
 class _NaNKey:
     """A NaN as an ordered index holds it: equal only to itself, after
     every number and before :data:`_SENTINEL`, so insertion and removal
@@ -171,5 +202,6 @@ class _NaNKey:
 
 
 _SENTINEL = _Sentinel()
+_NULL_KEY = _NullKey()
 _NAN_KEY = _NaNKey()
 _TID = itemgetter(1)

@@ -59,7 +59,7 @@ from ..errors import CatalogError, DatabaseError
 from . import expressions as ex
 from .logical import LogicalDML, LogicalQuery, SourceEntry, \
     collect_columns, collect_slots, relayout, split_conjuncts
-from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES,
+from .spill import (AGG_STATE_BYTES, BUCKET_ENTRY_BYTES, SPILL_FANOUT,
                     estimate_spill_plan, estimated_tuple_bytes)
 from .storage import Table
 
@@ -111,16 +111,23 @@ def estimate_sort_spill(input_rows: float, input_bytes: float,
     ``est_mem`` is the full materialized input; otherwise the input
     spools in budget-sized sorted runs (``ceil(bytes / work_mem)``),
     the peak resident footprint is one chunk (the budget itself — the
-    k-way heap merge holds one row per run), and every row is charged
-    one :data:`COST_SPILL_ROW` write+read cycle: the merge fan-in is
-    unbounded, so a single merge pass always suffices.
+    merge holds one block of ``work_mem / SPILL_FANOUT`` per run, at
+    most :data:`SPILL_FANOUT` runs at a time), and every row is charged
+    one :data:`COST_SPILL_ROW` write+read cycle per merge pass: the
+    fan-in is bounded, so more than :data:`SPILL_FANOUT` runs cascade
+    through ``ceil(log_F runs)`` passes
+    (:meth:`~repro.db.spill.SortRuns.merged`).
     """
     partitions, _part_bytes, _levels = estimate_spill_plan(
         input_bytes, work_mem)
     if not partitions:
         return 0, input_bytes, 0.0
     runs = max(2, -int(-input_bytes // work_mem))
-    return runs, float(work_mem), COST_SPILL_ROW * input_rows
+    passes, merging = 1, runs
+    while merging > SPILL_FANOUT:
+        merging = -(-merging // SPILL_FANOUT)
+        passes += 1
+    return runs, float(work_mem), COST_SPILL_ROW * input_rows * passes
 
 
 def estimate_group_spill(input_rows: float, groups: float,

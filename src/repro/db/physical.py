@@ -63,9 +63,8 @@ cursor, ``INSERT … SELECT`` and a kernel-less expression only).
   side as columns too (:class:`~repro.db.spill.JoinSide`): a key's
   matches are row numbers, and the output is gathered by left index
   and right row number.  Rows are zipped out of columns only to spool
-  them to a spill file, and the one row producer left (the merge of
-  spilled sort runs) transposes its rows back into columns a chunk at
-  a time (:func:`_row_batches`).
+  them to a spill file; the merge of spilled sort runs works on the
+  runs' columnar blocks (:meth:`~repro.db.spill.SortRuns.merged`).
 
 **The reference executor** of the differential harness is these same
 operators at batch size 1 over naive plans
@@ -101,14 +100,12 @@ attached by the planner during lowering and rendered by ``EXPLAIN``.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import partial, reduce
-from itertools import (accumulate, compress, count, filterfalse, islice,
-                       repeat)
-from operator import (add as _add, attrgetter, gt as _gt, itemgetter,
-                      lt as _lt, neg as _neg, not_ as _not)
+from itertools import accumulate, compress, count, filterfalse, repeat
+from operator import (add as _add, attrgetter, gt as _gt, lt as _lt,
+                      neg as _neg, not_ as _not)
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.counters import tally
@@ -202,16 +199,6 @@ class RowBatch:
                                    keep))
 
 
-def _chunked(iterator, size: int):
-    """Chunk an iterator into lists of up to ``size``."""
-    iterator = iter(iterator)
-    while True:
-        chunk = list(islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def _segments_of(table: Table, tids: list, size: int):
     """The versions an index's ``tids`` name, gathered a segment of up
     to ``size`` at a time, so a consumer that stops early (a ``LIMIT``
@@ -224,15 +211,6 @@ def _segments_of(table: Table, tids: list, size: int):
 _VALUES, _ILABEL = attrgetter("values"), attrgetter("ilabel")
 
 
-def _row_batches(rows, size: int) -> Iterator[RowBatch]:
-    """Batches of up to ``size`` from ``(values, label, ilabel)`` rows,
-    each chunk transposed once — how the merge of spilled sort runs
-    feeds batch consumers."""
-    for chunk in _chunked(rows, size):
-        values, labels, ilabels = zip(*chunk)
-        yield RowBatch(list(zip(*values)), list(labels), list(ilabels))
-
-
 def _buffered(held: Optional[list], parts: list) -> list:
     """``parts`` (parallel columns) appended to the column buffer
     ``held`` — copied, when there is none yet."""
@@ -241,6 +219,44 @@ def _buffered(held: Optional[list], parts: list) -> list:
     for column, part in zip(held, parts):
         column.extend(part)
     return held
+
+
+def _windowed(pieces, offset: int, stop: Optional[int], size: int
+              ) -> Iterator[RowBatch]:
+    """Batches of ``size`` rows (the last one shorter) of rows
+    ``[offset, stop)`` of a stream of ``(columns, labels, ilabels)``
+    pieces — how the merge of spilled sort runs feeds batch consumers.
+    Consecutive pieces are coalesced (fewer than ``size`` rows are ever
+    held back), so a batch's length does not follow the merge's
+    rounds; reading stops at ``stop``."""
+    seen = 0
+    held: Optional[list] = None
+    for columns, labels, ilabels in pieces:
+        n = len(labels)
+        lo, hi = max(offset - seen, 0), n
+        if stop is not None:
+            hi = min(hi, stop - seen)
+        seen += n
+        if lo < hi:
+            part = [*columns, labels, ilabels]
+            if hi - lo < n:
+                part = [column[lo:hi] for column in part]
+            if held is not None:
+                part = _buffered(held, part)
+            *columns, labels, ilabels = part
+            full = len(labels) - len(labels) % size
+            for start in range(0, full, size):
+                yield RowBatch(*take_rows(columns, labels, ilabels,
+                                          range(start, start + size)))
+            if full == len(labels):
+                held = None
+            elif full or held is None:
+                held = [list(column[full:]) for column in part]
+        if stop is not None and seen >= stop:
+            break
+    if held is not None:
+        *columns, labels, ilabels = held
+        yield RowBatch(columns, labels, ilabels)
 
 
 def _permuted(held: list, order, size: int) -> Iterator[RowBatch]:
@@ -1457,16 +1473,18 @@ class AggregateNode(Plan):
         """Give a batch's new keys group ids, in first-seen order, while
         the budget holds: ``(mem, spill)`` after charging each
         ``estimate_row_bytes(key)`` + :data:`AGG_STATE_BYTES` per spec
-        + :data:`BUCKET_ENTRY_BYTES`.  The first key whose charge takes
-        the running total past ``ctx.work_mem`` opens ``spill`` and gets
-        no id, nor does any key after it — unless it would be the first
-        group, or the fold is :data:`MAX_RECURSION` deep."""
+        + :data:`BUCKET_ENTRY_BYTES`, weighed a key column at a time
+        (:func:`~repro.db.spill.estimate_batch_bytes`, no label).  The
+        first key whose charge takes the running total past
+        ``ctx.work_mem`` opens ``spill`` and gets no id, nor does any
+        key after it — unless it would be the first group, or the fold
+        is :data:`MAX_RECURSION` deep."""
         fresh = list(filterfalse(groups.__contains__, dict.fromkeys(keys)))
+        if not fresh:
+            return mem, None
         overhead = AGG_STATE_BYTES * len(self.specs) + BUCKET_ENTRY_BYTES
-        rows = column_rows(key_columns_of(fresh, len(self.group_fns)),
-                           len(fresh))
-        totals = list(accumulate(
-            [estimate_row_bytes(key) + overhead for key in rows],
+        totals = list(accumulate(estimate_batch_bytes(
+            key_columns_of(fresh, len(self.group_fns)), None, overhead),
             initial=mem))
         admitted = len(fresh)
         if totals[-1] > ctx.work_mem and depth < MAX_RECURSION:
@@ -1619,9 +1637,11 @@ class Sort(Plan):
     ordered in memory and spooled as one run of columnar blocks that
     carry the rows' sort keys (:class:`~repro.db.spill.SortRuns`;
     labels re-intern on reload, so the covers/strip memos survive),
-    then all runs k-way merge through a heap in a single pass — the
-    merge holds one block per run, never the input, and compares the
-    stored keys instead of re-evaluating them.  Unbounded
+    then the runs merge a block at a time, at most ``SPILL_FANOUT`` of
+    them at once (:meth:`~repro.db.spill.SortRuns.merged`, cascading
+    when there are more) — the merge holds one block per run, never
+    the input, and compares the stored keys instead of re-evaluating
+    them.  Unbounded
     (``work_mem=0``) sorts fully in memory.
 
     **Keys follow the value types.**  Each ORDER BY column is keyed by
@@ -1690,32 +1710,12 @@ class Sort(Plan):
                                  buffer[:width], buffer[width],
                                  buffer[width + 1])
 
-    def _merged(self, runs: SortRuns):
-        """K-way merge of the spooled runs on their stored keys, as
-        ``(values, label, ilabel)`` rows, every run's keys encoded from
-        the key types of all of them.  Heap entries are ``(key, run,
-        position, row)``: ties resolve to the earlier run, then the
-        earlier row, so the merge is stable and never compares rows.
-        """
-        kinds = runs.key_types
-
-        def entries(index, run):
-            positions = count()
-            for key_columns, columns, labels, ilabels in run.blocks():
-                keys = self._keys(key_columns, kinds)
-                yield from zip(
-                    keys[0] if len(keys) == 1 else zip(*keys),
-                    repeat(index), positions,
-                    zip(column_rows(columns, len(labels)), labels, ilabels))
-
-        try:
-            yield from map(itemgetter(3), heapq.merge(
-                *[entries(index, run)
-                  for index, run in enumerate(runs.runs)]))
-        finally:
-            # A consumer that stops early (LIMIT above the sort) or
-            # dies mid-merge must not leak the run descriptors.
-            runs.close()
+    def _row_keys(self, kinds: list, key_columns: list) -> list:
+        """One comparable key per row of a spooled block — the
+        columns' keys (:meth:`_keys`, under every run's value types
+        ``kinds``) zipped — what the merge of the runs compares."""
+        keys = self._keys(key_columns, kinds)
+        return keys[0] if len(keys) == 1 else list(zip(*keys))
 
     def _bounds(self, ctx) -> Tuple[int, Optional[int]]:
         """``(offset, stop)`` of the sorted rows to emit (all of them)."""
@@ -1787,8 +1787,15 @@ class Sort(Plan):
                 runs.close()
             raise
         if runs is not None:
-            yield from _row_batches(
-                islice(self._merged(runs), offset, stop), size)
+            buffer = incoming = batch = None   # the merge holds blocks only
+            try:
+                # Runs close when a LIMIT above stops early or a
+                # comparison raises mid-merge.
+                yield from _windowed(runs.merged(
+                    partial(self._row_keys, runs.key_types)),
+                    offset, stop, size)
+            finally:
+                runs.close()
             return
         if buffer is None:
             return

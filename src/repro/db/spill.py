@@ -34,9 +34,10 @@ time — a sort run in its sort order, a partition's rows as routed
 (:class:`Partitions`, the one partitioner of the grace join and the
 grace aggregate).  Nothing is buffered between writes, so a block
 never spans two of them.  Block sizes come out of the budget
-(:class:`Spools`): a block weighs at most ``work_mem / SPILL_FANOUT²``,
-one block from each spool of a level together one partition's share,
-so at a budget of a few rows every block is one row.  The durable
+(:class:`Spools`): a block weighs at most ``work_mem / SPILL_FANOUT``,
+since what is resident is one block per stream being read and at most
+``SPILL_FANOUT`` runs are merged at once (:meth:`SortRuns.merged`), so
+at a budget of a few rows every block is one row.  The durable
 format — the WAL (:mod:`repro.db.wal`), whose images are also the
 dumps (:mod:`repro.db.dump`) — keeps the per-row
 :func:`encode_labeled_row`.
@@ -56,10 +57,11 @@ from __future__ import annotations
 
 import pickle
 import tempfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
+from functools import partial, reduce
 from itertools import accumulate, count, repeat
-from operator import itemgetter
+from operator import add, is_, itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 from zlib import crc32
 
@@ -113,26 +115,19 @@ def decode_labeled_row(record: tuple):
 # the block codec (spools)
 # ---------------------------------------------------------------------------
 
-def _distinct(labels):
-    """``(ids, by_id)``: the identity of every label of a column and
-    the distinct labels by identity — labels are interned, and ``id``
-    is C speed where a label's own hash is a Python method."""
-    ids = list(map(id, labels))
-    return ids, dict(zip(ids, labels))
-
-
-def _code_labels(labels, codes: Dict[int, int], tags: list):
+def _code_labels(labels, codes: Dict[Label, int], tags: list):
     """Dictionary-code one label column against the block's table
-    (``tags``, indexed through ``codes`` by label identity): a bare
+    (``tags``, indexed through ``codes`` by label — a ``frozenset``'s
+    cached hash, and an interned label meets itself first): a bare
     code when the column holds one label, else one code per row."""
-    ids, by_id = _distinct(labels)
-    for ident, label in by_id.items():
-        if ident not in codes:
-            codes[ident] = len(tags)
+    distinct = dict.fromkeys(labels)
+    for label in distinct:
+        if label not in codes:
+            codes[label] = len(tags)
             tags.append(tuple(label.tags))
-    if len(by_id) == 1:
-        return codes[ids[0]]
-    column = list(map(codes.__getitem__, ids))
+    if len(distinct) == 1:
+        return codes[labels[0]]
+    column = list(map(codes.__getitem__, labels))
     return bytes(column) if len(tags) <= 256 else column
 
 
@@ -142,12 +137,12 @@ def encode_block(key_columns, columns, labels, ilabels) -> tuple:
     ``key_columns`` and ``columns`` are sequences of equally long
     column sequences (a ``None`` value column was projected away and
     stays ``None``).  The two label columns share one per-block table
-    of tag tuples — labels are interned, so coding them is a lookup by
-    identity — and the payload is stable pickle regardless of
+    of tag tuples — coding them is one dict lookup per row, in C — and
+    the payload is stable pickle regardless of
     intern-table state.
     """
     tags: list = []
-    codes: Dict[int, int] = {}
+    codes: Dict[Label, int] = {}
     label_codes = _code_labels(labels, codes, tags)
     ilabel_codes = _code_labels(ilabels, codes, tags)
     return (tuple(map(tuple, key_columns)),
@@ -334,49 +329,73 @@ def estimate_row_bytes(values, label: Optional[Label] = None) -> int:
     return total
 
 
+#: A TEXT-or-NULL column's value as its length is read: NULL as "".
+_NULL_TEXT = {None: ""}
+_TEXT_KINDS = frozenset((str, type(None)))
+
+
 def estimate_batch_bytes(columns, labels, extra: int = 0) -> List[int]:
     """:func:`estimate_row_bytes` (plus ``extra``) for every row of a
-    columnar batch, a column at a time: a column of one fixed width
-    weighs by table lookup, strings by ``len``, labels by tag count
-    (once per distinct label — the ``labels`` argument and a column of
-    labels, such as the ``_label`` pseudo-column, alike).
+    columnar batch, a column at a time and with no Python call per row:
+    a column of one fixed width weighs by table lookup, fixed widths
+    that vary by a type lookup per value, TEXT (with or without NULLs)
+    by ``len``, and labels by tag count once per distinct label, looked
+    up by the label (a ``frozenset``'s cached hash; an interned label
+    meets itself first).  A column that holds the batch's own labels — the
+    ``_label`` pseudo-column, the same object or an equal sequence, as
+    after a spool round trip — shares the ``labels`` lookup.  The parts
+    that vary by row are summed by nested C-level ``map`` calls.
     Byte-identical, row for row, to the per-row estimate.  ``labels``
-    is the batch's label column (always charged, and what gives the
-    row count)."""
-    n = len(labels)
+    is the batch's label column (always charged, and what gives the row
+    count); ``None`` charges no label and counts the first column."""
+    n = len(columns[0]) if labels is None else len(labels)
     if not n:
         return []
     fixed = 64 + extra
     varying = []
+    copies = 0                            # columns equal to ``labels``
 
-    def weigh_labels(column, overhead: int) -> None:
+    def weigh_labels(column, overhead: int, per_tag: int) -> None:
         nonlocal fixed
-        ids, by_id = _distinct(column)
-        sizes = {ident: overhead + 4 * len(label)
-                 for ident, label in by_id.items()}
+        sizes = {label: overhead + per_tag * len(label)
+                 for label in set(column)}
         if len(sizes) == 1:
-            fixed += sizes[ids[0]]
+            fixed += sizes[column[0]]
         else:
-            varying.append(map(sizes.__getitem__, ids))
+            varying.append(map(sizes.__getitem__, column))
 
-    weigh_labels(labels, 16)
     for column in columns:
         if column is None:                   # projected away: NULLs
             fixed += 8
             continue
         kinds = set(map(type, column))
         widths = set(map(_FIXED_BYTES.get, kinds))
-        if len(widths) == 1 and None not in widths:
-            fixed += widths.pop()
+        if None not in widths:
+            if len(widths) == 1:
+                fixed += widths.pop()
+            else:
+                varying.append(map(_FIXED_BYTES.__getitem__,
+                                   map(type, column)))
         elif kinds == {str}:
-            varying.append([49 + size for size in map(len, column)])
+            fixed += 49
+            varying.append(map(len, column))
+        elif kinds <= _TEXT_KINDS:           # TEXT and NULLs: 8 or 49+len
+            varying.append(map(_FIXED_BYTES.get, map(type, column),
+                               repeat(49)))
+            varying.append(map(len, map(_NULL_TEXT.get, column, column)))
         elif kinds == {Label}:
-            weigh_labels(column, 64)
+            if labels is not None and (column is labels or all(
+                    map(is_, column, labels))):
+                copies += 1
+            else:
+                weigh_labels(column, 64, 4)
         else:
             varying.append(map(estimate_value_bytes, column))
+    if labels is not None:
+        weigh_labels(labels, 16 + 64 * copies, 4 + 4 * copies)
     if not varying:
         return [fixed] * n
-    return [fixed + weight for weight in map(sum, zip(*varying))]
+    return list(reduce(partial(map, add), varying, repeat(fixed, n)))
 
 
 def estimated_tuple_bytes(n_columns: int) -> int:
@@ -393,19 +412,22 @@ class Spools:
     """What one statement's spill files share: how many rows a block
     may hold, and the fault schedule.
 
-    Block sizes are charged to the budget rather than configured: the
-    ``SPILL_FANOUT`` spools a partitioner holds open share one
-    partition's worth of ``work_mem``, so one block gets ``work_mem /
-    SPILL_FANOUT²`` bytes — never more than a batch of rows, never less
-    than one row (at ``REPRO_WORK_MEM=1024`` every block is a single
-    row).  ``faults`` is the fault-injection schedule
-    (:class:`repro.db.faultinject.SpoolFaults`), None outside tests.
+    Block sizes are charged to the budget rather than configured.  A
+    spool buffers nothing (:meth:`SpillFile.write` gathers a block and
+    writes it at once), so what is resident is one block per stream
+    being read — a partition's, or one per run in a sort's merge, which
+    reads at most ``SPILL_FANOUT`` runs at a time — and one block gets
+    ``work_mem / SPILL_FANOUT`` bytes: never more than a batch of rows,
+    never less than one row (at ``REPRO_WORK_MEM=1024`` a block gets
+    128 bytes, so every block is a single row).  ``faults`` is the
+    fault-injection schedule (:class:`repro.db.faultinject.SpoolFaults`),
+    None outside tests.
     """
 
     __slots__ = ("block_bytes", "max_rows", "faults")
 
     def __init__(self, work_mem: int, batch_size: int, faults=None):
-        self.block_bytes = work_mem // (SPILL_FANOUT * SPILL_FANOUT)
+        self.block_bytes = work_mem // SPILL_FANOUT
         self.max_rows = max(1, batch_size)
         self.faults = faults
 
@@ -772,13 +794,18 @@ class SortRuns:
     Each run is a :class:`SpillFile` of blocks in sorted order whose
     key columns are the rows' sort keys (the run's one
     :meth:`SpillFile.write`, in sort order), so the merge compares
-    stored keys and never re-evaluates one; the sort operator k-way
-    merges ``runs`` with a heap, so the merge fan-in is unbounded —
-    every run is merged in a single pass regardless of how many the
-    input produced.  ``key_types`` collects, per key column, every
-    value type any run holds (what decides whether the merge may
-    compare keys plainly).  Constructing the object marks the sort as
-    spilled (``sort_spills``); each spooled run bumps ``sort_runs``.
+    stored keys and never re-evaluates one.  :meth:`merged` merges
+    them a block at a time with fan-in at most :data:`SPILL_FANOUT`:
+    with more runs than that, each pass first merges consecutive groups
+    of :data:`SPILL_FANOUT` runs into longer runs (a cascade —
+    ``ceil(log_F runs)`` passes in all, each writing and reading every
+    row once), so no more than :data:`SPILL_FANOUT` blocks, one per run
+    being read, are ever held (a round adds one transient copy of the
+    rows it emits, see :func:`_merge`).  ``key_types`` collects, per key
+    column, every value type any run holds (what decides whether the
+    merge may compare keys plainly).  Constructing the object marks the
+    sort as spilled (``sort_spills``); each spooled run, a cascade's
+    too, bumps ``sort_runs``.
     """
 
     __slots__ = ("spools", "runs", "key_types")
@@ -798,12 +825,119 @@ class SortRuns:
         tally().sort_runs += 1
         return run
 
+    def merged(self, encode) -> Iterator[tuple]:
+        """Every run's rows in ``(key, run, position)`` order — stable —
+        as ``(columns, labels, ilabels)`` pieces; ``encode(key_columns)``
+        is a block's list of comparable row keys."""
+        split = len(self.key_types)
+        runs = list(self.runs)
+        while len(runs) > SPILL_FANOUT:
+            cascaded = []
+            for lo in range(0, len(runs), SPILL_FANOUT):
+                group = runs[lo:lo + SPILL_FANOUT]
+                if len(group) > 1:
+                    run = self.new_run(())
+                    for columns, labels, ilabels in _merge(group, encode):
+                        run.write(range(len(labels)), columns[:split],
+                                  columns[split:], labels, ilabels)
+                    for merged in group:         # its temp file is spent
+                        merged.close()
+                    group = [run]
+                cascaded += group
+            runs = cascaded
+        for columns, labels, ilabels in _merge(runs, encode):
+            yield columns[split:], labels, ilabels
+
     def close(self) -> None:
         """Release every run's temp file (idempotent); the merge phase
         calls this in a ``finally`` so a comparison TypeError mid-merge
         cannot leak the remaining run descriptors."""
         for run in self.runs:
             run.close()
+
+
+def _merge(runs: List[SpillFile], encode) -> Iterator[tuple]:
+    """Merge sorted runs a block at a time, as ``(columns, labels,
+    ilabels)`` pieces in ``(key, run, position)`` order, each block's
+    key columns leading its value columns.
+
+    One block per run is held.  A round's fence is the smallest ``(last
+    key, run)`` of the held blocks, and every held row at or below it
+    is emitted — the fence run's whole block, an earlier run's rows
+    through the fence key, a later run's only below it — by one stable
+    ``sorted`` over the runs' concatenated key prefixes (so ties keep
+    run order, then row order) and a gather (:func:`take_rows`); the
+    concatenation is the round's one transient copy of the rows it
+    emits.  The fence run, its block spent, is refilled.  No unread row
+    can precede an emitted one: a run's later blocks hold keys at or
+    past its held block's last.  The fence block is taken whole, not
+    bisected, so a run that a NaN leaves out of order (``sorted`` gives
+    NaN no place) loses no row.  Keys are bisected as the ``encode``
+    lists they are (no ``bisect(key=)``, which Python 3.9 lacks)."""
+    held = [entry for entry in (_Held(run, encode) for run in runs)
+            if entry.keys is not None]
+    while len(held) > 1:
+        at, fence = 0, held[0].keys[-1]
+        for i in range(1, len(held)):
+            if held[i].keys[-1] < fence:
+                at, fence = i, held[i].keys[-1]
+        parts = []
+        for i, entry in enumerate(held):
+            pos = entry.pos
+            entry.pos = len(entry.keys) if i == at else (
+                bisect_right if i < at else bisect_left)(
+                    entry.keys, fence, pos)
+            if entry.pos > pos:
+                parts.append((entry, pos, entry.pos))
+        if len(parts) == 1:
+            entry, pos, cut = parts[0]
+            yield take_rows(entry.columns, entry.labels, entry.ilabels,
+                            range(pos, cut))
+        else:
+            keys, labels, ilabels = [], [], []
+            columns = [[] for _ in held[0].columns]
+            for entry, pos, cut in parts:
+                keys += entry.keys[pos:cut]
+                for column, part in zip(columns, entry.columns):
+                    column += part[pos:cut]
+                labels += entry.labels[pos:cut]
+                ilabels += entry.ilabels[pos:cut]
+            yield take_rows(columns, labels, ilabels,
+                            sorted(range(len(keys)), key=keys.__getitem__))
+        if not held[at].refill():
+            del held[at]
+    for entry in held:                       # the last run, as it is
+        while True:
+            yield take_rows(entry.columns, entry.labels, entry.ilabels,
+                            range(entry.pos, len(entry.labels)))
+            if not entry.refill():
+                break
+
+
+class _Held:
+    """The block a merge holds of one run: its rows' encoded ``keys``,
+    its key columns then its value columns, its labels, and ``pos``, the
+    first row not yet emitted; ``keys`` is None once the run is done."""
+
+    __slots__ = ("blocks", "encode", "keys", "columns", "labels",
+                 "ilabels", "pos")
+
+    def __init__(self, run: SpillFile, encode):
+        self.blocks = run.blocks()
+        self.encode = encode
+        self.refill()
+
+    def refill(self) -> bool:
+        """Hold the run's next block; False when there is none."""
+        block = next(self.blocks, None)
+        if block is None:
+            self.keys = None
+            return False
+        key_columns, columns, self.labels, self.ilabels = block
+        self.keys = self.encode(key_columns)
+        self.columns = key_columns + columns
+        self.pos = 0
+        return True
 
 
 def estimate_spill_plan(build_bytes: float, work_mem: int

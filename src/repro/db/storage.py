@@ -36,7 +36,7 @@ primitive, driven by :class:`~repro.db.transactions.TransactionManager`.
 
 from __future__ import annotations
 
-from itertools import compress, groupby
+from itertools import compress, groupby, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.labels import EMPTY_LABEL, Label
@@ -316,24 +316,34 @@ class Table:
         """Write a new version into the heap and all indexes, at the end
         of the heap or — replay naming the tid it was logged at — in
         the empty slot ``tid``, padding the heap with empty slots up to
-        it (as :meth:`unlink` leaves them)."""
+        it (as :meth:`unlink` leaves them).  Atomic: the index entries
+        go in before the version is published, and when an index raises
+        the indexes that took the entry drop it again, so a failed write
+        leaves nothing a scan, a probe or a later write could meet."""
         versions = self._versions
         tid = len(versions) if tid is None else tid
-        while len(versions) <= tid:
-            versions.append(None)
         data_size = self.schema.row_data_size(values)
         version = TupleVersion(
             tid=tid, xmin=xid, values=values,
             label=label if self._store_labels else EMPTY_LABEL,
             ilabel=ilabel if self._store_labels else EMPTY_LABEL,
             data_size=data_size, store_label=self._store_labels)
+        indexed = 0
+        try:
+            for index in self.indexes.values():
+                index.insert(values, tid)
+                indexed += 1
+        except BaseException:
+            for index in islice(self.indexes.values(), indexed):
+                index.remove(values, tid)
+            raise
+        while len(versions) <= tid:
+            versions.append(None)
         version.page_id = self._allocator.place(version.size)
         versions[tid] = version
         self._segments.pop(tid // self._segment_size, None)
         self._heap_count += 1
         self.touch(version)
-        for index in self.indexes.values():
-            index.insert(values, tid)
         return version
 
     def version(self, tid: int) -> Optional[TupleVersion]:

@@ -10,10 +10,12 @@ shape on the column after a prefix — absent, inclusive, exclusive,
 outside the keys' values, and a low bound above the high one.
 
 A NaN compares false with everything, so the index holds it as a key
-that sorts after every number, and answers as SQL compares: a NaN in a
-prefix or a bound matches nothing, and a NaN key meets no bound.
-Whatever order NaNs and numbers arrive in, removal finds each entry and
-a range scan answers as a full scan does.  A ``LIMIT`` over a wide
+that sorts after every number, and a NULL compares with nothing, so
+it is held as a key that sorts before every value; the index answers
+as SQL compares: a NULL or a NaN in a prefix or a bound matches
+nothing, a NaN key meets no bound and a NULL key no range at all.
+Whatever order NULLs, NaNs and numbers arrive in, removal finds each
+entry and a range scan answers as a full scan does.  A ``LIMIT`` over a wide
 range gathers only the segments it reads.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 from itertools import permutations
 from operator import eq
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,15 +32,15 @@ from repro.core import AuthorityState, SeededIdGenerator
 from repro.core.counters import tally
 from repro.db import Database
 from repro.db.indexes import OrderedIndex
-from repro.db.storage import Table
+from repro.db.storage import SET_AT_A_TIME_MIN, Table
 
 NAN = float("nan")
 
 #: Values the keys hold, per column type, and the wider pools bounds
 #: are drawn from (values below, between and above the keys').
-KEY_VALUES = {"INT": st.integers(-3, 3),
-              "TEXT": st.sampled_from(["", "a", "ab", "b", "ba"]),
-              "REAL": st.sampled_from([-1.5, 0.0, 0.5, 2.0, NAN])}
+KEY_VALUES = {"INT": st.none() | st.integers(-3, 3),
+              "TEXT": st.sampled_from([None, "", "a", "ab", "b", "ba"]),
+              "REAL": st.sampled_from([-1.5, 0.0, 0.5, 2.0, NAN, None])}
 BOUND_VALUES = {"INT": st.integers(-6, 6),
                 "TEXT": st.sampled_from(["", "0", "a", "aa", "ab", "b",
                                          "bb", "zz"]),
@@ -72,17 +75,18 @@ def _prefix(data, types, keys, width) -> tuple:
 
 
 def _starts_with(key, prefix) -> bool:
-    """``key`` starts with ``prefix`` as SQL compares: NaN equals
-    nothing, itself included."""
-    return all(map(eq, key, prefix))
+    """``key`` starts with ``prefix`` as SQL compares: NULL and NaN
+    equal nothing, themselves included."""
+    return None not in prefix and all(map(eq, key, prefix))
 
 
 def _in_order(entries, keep) -> list:
-    """The kept tids in index order: by key, a NaN after every number,
-    then by tid."""
+    """The kept tids in index order: by key, a NULL before every value
+    and a NaN after every number, then by tid."""
     def order(entry):
         key, tid = entry
-        return tuple((1, 0) if v != v else (0, v) for v in key), tid
+        return tuple((-1, 0) if v is None else (1, 0) if v != v else (0, v)
+                     for v in key), tid
     return [tid for key, tid in sorted(entries, key=order) if keep(key)]
 
 
@@ -116,7 +120,7 @@ def test_scan_range_is_a_bounds_filter(built, data):
 
         def keep(key):
             value = key[width]
-            return _starts_with(key, prefix) and (
+            return _starts_with(key, prefix) and value is not None and (
                 low is None
                 or (low <= value if include_low else low < value)) and (
                 high is None
@@ -190,10 +194,10 @@ NAN_PREDICATES = (
 
 
 def test_nan_under_an_ordered_index_answers_like_a_full_scan():
-    """NaNs and numbers inserted in every order, one of each deleted and
-    vacuumed away, then every predicate through an index and through a
-    full scan of an unindexed twin."""
-    values = [1.0, NAN, 0.5, 2.0]
+    """NULLs, NaNs and numbers inserted in every order, a number and a
+    NaN deleted and vacuumed away, then every predicate through an
+    index and through a full scan of an unindexed twin."""
+    values = [1.0, NAN, 0.5, None, 2.0]
     for order in permutations(values):
         authority = AuthorityState(idgen=SeededIdGenerator(7))
         session = Database(authority, seed=7).connect()
@@ -250,3 +254,92 @@ def test_a_limit_over_a_range_gathers_only_the_segments_it_reads(
     assert [row[0] for row in session.execute(sql, (10,)).rows] \
         == [10, 11, 12]
     assert gathered == [8]
+
+
+def test_null_keys_sort_first_and_match_nothing():
+    """Whatever order they arrive in, NULLs sort before every value
+    (``bisect.insort`` of a NULL among numbers used to raise a bare
+    TypeError), removal finds them, and no lookup or range meets one —
+    a range without a lower bound starts past them."""
+    values = [1.0, None, 0.5, None, NAN]
+    for order in permutations(range(len(values))):
+        index = OrderedIndex("ix", ["g", "x"], (0, 1))
+        for tid in order:
+            index.insert((7, values[tid]), tid)
+        assert index.lookup((7,)) == [1, 3, 2, 0, 4]
+        assert index.lookup((7, None)) == [] == index.lookup((None,))
+        assert index.scan_range((7,), None, 1.0) == [2, 0]
+        assert index.scan_range((7,)) == [2, 0, 4]
+        assert index.scan_range((None,), 0.0) == []
+        for tid in reversed(order):
+            index.remove((7, values[tid]), tid)
+        assert len(index) == 0, order
+
+
+def test_a_nan_matches_nothing_through_a_hash_index():
+    """``x = ?`` with a NaN returns what the unindexed twin's filter
+    returns — nothing — through a hash index and a UNIQUE one, even
+    asked with the very NaN object the row holds (a dict compares keys
+    by identity first)."""
+    session = Database(AuthorityState(idgen=SeededIdGenerator(7)),
+                       seed=7).connect()
+    session.execute("CREATE TABLE h (id INT PRIMARY KEY, x REAL, y REAL, "
+                    "UNIQUE (y))")
+    session.execute("CREATE INDEX h_x ON h (x)")
+    session.execute("CREATE TABLE u (id INT PRIMARY KEY, x REAL, y REAL)")
+    nan = float("nan")
+    for table in ("h", "u"):
+        for i, value in enumerate((nan, 1.5, nan, 2.5)):
+            session.execute("INSERT INTO %s VALUES (?, ?, ?)" % table,
+                            (i, value, value if i != 2 else 9.0))
+    for column, node in (("x", "IndexScan h using h_x"),
+                         ("y", "IndexScan h using h_h_unique1_idx")):
+        for param in (nan, float("nan"), 1.5, 9.0):
+            got = {}
+            for table in ("h", "u"):
+                sql = "SELECT id FROM %s WHERE %s = ?" % (table, column)
+                got[table] = sorted(row[0] for row in session.execute(
+                    sql, (param,)).rows)
+            assert node in "\n".join(row[0] for row in session.execute(
+                "EXPLAIN SELECT id FROM h WHERE %s = ?" % column,
+                (param,)).rows)
+            assert got["h"] == got["u"], (column, param, got)
+
+
+@pytest.mark.parametrize("batch_size", [1024, 1])
+def test_a_write_an_index_refuses_publishes_nothing(monkeypatch, batch_size):
+    """An index that raises inside ``Table.append`` leaves no trace: the
+    entries made before it come back out and the version is never
+    published, so afterwards a full scan, a primary-key probe, an
+    ordered-index range, ``COUNT(*)`` and a re-insert of the same key
+    agree that the row does not exist — on a table of at least
+    ``SET_AT_A_TIME_MIN`` versions, whose segments are summarized."""
+    session = Database(AuthorityState(idgen=SeededIdGenerator(7)), seed=7,
+                       batch_size=batch_size).connect()
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT)")
+    session.execute("CREATE ORDERED INDEX t_a ON t (a)")
+    for i in (1, 2, 3):
+        session.execute("INSERT INTO t VALUES (?, ?)", (i, i))
+    table = session.db.catalog.get_table("t")
+    refusing = table.indexes["t_a"]
+
+    def refuse(values, tid):
+        raise RuntimeError("index full")
+
+    monkeypatch.setattr(refusing, "insert", refuse)
+    with pytest.raises(RuntimeError):
+        session.execute("INSERT INTO t VALUES (99, 99)")
+    monkeypatch.undo()
+    for i in range(4, 4 + SET_AT_A_TIME_MIN):
+        session.execute("INSERT INTO t VALUES (?, ?)", (i, i))
+    rows = 3 + SET_AT_A_TIME_MIN
+    assert sorted(row[0] for row in session.execute(
+        "SELECT id FROM t").rows) == list(range(1, rows + 1))
+    assert session.execute("SELECT COUNT(*) FROM t").rows[0][0] == rows
+    assert session.execute("SELECT a FROM t WHERE id = 99").rows == []
+    assert session.execute("SELECT id FROM t WHERE a >= 50").rows == []
+    assert all(len(index) == rows for index in table.indexes.values())
+    session.execute("INSERT INTO t VALUES (99, 1)")
+    assert session.execute(
+        "SELECT a FROM t WHERE id = 99").rows[0][0] == 1
+    assert session.execute("SELECT COUNT(*) FROM t").rows[0][0] == rows + 1

@@ -33,13 +33,16 @@ Covers the PR-8 operator family end-to-end through the session layer:
 from __future__ import annotations
 
 import random
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator, \
     counters
 from repro.db import Database
+from repro.db.spill import SPILL_FANOUT
 from repro.errors import DatabaseError
 
 
@@ -568,6 +571,34 @@ def test_nan_desc_matches_the_oracle_in_memory():
     assert got == [row[0] for row in _sql_order(rows, [(_at(1), True)])]
 
 
+
+@pytest.mark.parametrize("work_mem,batch_size", [(65536, 7),
+                                                 (262144, 1024)])
+def test_spilled_nan_sort_loses_no_row(work_mem, batch_size):
+    """A NaN leaves a run out of order (``sorted`` gives it no place),
+    so a block's last key need not be its largest; the merge must still
+    emit every row, in multi-row blocks too.  Where NaN only breaks
+    ties — ``ORDER BY g, f DESC`` — the primary column keeps the
+    oracle's order."""
+    authority = AuthorityState(idgen=SeededIdGenerator(71))
+    session = Database(authority, seed=71, work_mem=work_mem,
+                       batch_size=batch_size).connect()
+    session.execute("CREATE TABLE z (id INT PRIMARY KEY, g INT, f FLOAT,"
+                    " pad TEXT)")
+    rng = random.Random(71)
+    rows = [(i, rng.randrange(5), rng.choice(
+        (float("nan"), 2.5, -1.0, 0.0, 9.75, 1.0, 5.0)), "p" * 40)
+        for i in range(3000)]
+    for row in rows:
+        session.execute("INSERT INTO z VALUES (?, ?, ?, ?)", row)
+    for order in ("f", "f DESC", "g, f DESC"):
+        before = counters.tally().sort_runs
+        got = session.execute("SELECT id, g FROM z ORDER BY " + order).rows
+        assert counters.tally().sort_runs - before >= 2, order
+        assert sorted(r[0] for r in got) == list(range(len(rows))), order
+    assert [r[1] for r in got] == sorted(row[1] for row in rows)
+
+
 def test_numeric_desc_keys_are_negated_not_wrapped():
     """A NULL-free numeric DESC column is keyed by its negation — no
     object per row; text, NULL-bearing and mixed columns keep the
@@ -829,6 +860,155 @@ def test_merge_compares_tagged_when_runs_disagree_on_key_types():
             runs, [list(range(n)), [EMPTY_LABEL] * n, [EMPTY_LABEL] * n,
                    keys], 1)
     assert runs.key_types == [{int, str}]
-    merged = [values for values, _label, _ilabel in sort._merged(runs)]
+    merged = [row for columns, _labels, _ilabels
+              in runs.merged(partial(sort._row_keys, runs.key_types))
+              for row in zip(*columns)]
     # Run 0's rows by key (ties in arrival order), then run 1's.
     assert merged == [(1,), (3,), (2,), (0,), (1,), (0,), (2,)]
+
+
+# ---------------------------------------------------------------------------
+# the block merge: stable, bounded fan-in, cascaded
+# ---------------------------------------------------------------------------
+
+#: Sort-key columns for the merge property: ties, DESC text, NULLs and
+#: a mix of INT and TEXT (the type-tagged order).
+_KEY_COLUMNS = st.sampled_from((
+    st.integers(0, 4),
+    st.text("ab", max_size=2),
+    st.one_of(st.none(), st.integers(-3, 3)),
+    st.one_of(st.none(), st.text("xy", max_size=2)),
+    st.one_of(st.integers(0, 3), st.text("pq", max_size=1)),
+))
+
+
+@st.composite
+def _spooled_runs(draw):
+    """``(descending, runs)``: one DESC flag per key column, and runs of
+    key rows — 1 to 20 runs, so below and above ``SPILL_FANOUT``."""
+    kinds = draw(st.lists(_KEY_COLUMNS, min_size=1, max_size=2))
+    descending = draw(st.lists(st.booleans(), min_size=len(kinds),
+                               max_size=len(kinds)))
+    row = st.tuples(*kinds)
+    runs = draw(st.lists(st.lists(row, min_size=1, max_size=12),
+                         min_size=1, max_size=20))
+    return descending, runs
+
+
+@given(_spooled_runs(), st.sampled_from((1, 7, 1024)),
+       st.sampled_from((1024, 4096, 65536)), st.integers(0, 8),
+       st.one_of(st.none(), st.integers(0, 40)))
+@settings(max_examples=150, deadline=None)
+def test_merge_is_a_stable_sort_of_every_spooled_row(
+        drawn, batch_size, work_mem, offset, limit):
+    """The merge of spooled runs — each ordered under its own key
+    types — is the stable sort of all their rows in run order, keyed
+    under the types of all of them: ties go to the earlier run, then
+    the earlier row.  At every block size, at run counts below and
+    above the fan-in (a cascade), and windowed as OFFSET/LIMIT cut it."""
+    from repro.core.labels import EMPTY_LABEL
+    from repro.db.physical import Sort, _windowed
+    from repro.db.spill import SortRuns, Spools
+
+    descending, run_rows = drawn
+    width = len(descending)
+    sort = Sort(None, [None] * width, descending)
+    runs = SortRuns(Spools(work_mem, batch_size), width)
+    ident = iter(range(10 ** 6))
+    spooled = []                    # (id, key row), each run in its order
+    for rows in run_rows:
+        n = len(rows)
+        ids = [next(ident) for _ in rows]
+        keys = [list(column) for column in zip(*rows)]
+        sort._spool_run(runs, [ids, [EMPTY_LABEL] * n, [EMPTY_LABEL] * n,
+                               *keys], 1)
+        order = sort._order(keys, None)
+        spooled += [(ids[i], rows[i]) for i in order]
+    every = [list(column) for column in zip(*[row for _, row in spooled])]
+    expected = [spooled[i][0] for i in sort._order(every, None)]
+    stop = None if limit is None else offset + limit
+    try:
+        batches = list(_windowed(
+            runs.merged(partial(sort._row_keys, runs.key_types)),
+            offset, stop, batch_size))
+    finally:
+        runs.close()
+    assert [value for batch in batches for value in batch.column(0)] \
+        == expected[offset:stop]
+    # Merge rounds are coalesced: every batch but the last is full.
+    assert all(len(batch) == batch_size for batch in batches[:-1])
+    assert all(len(batch) for batch in batches)
+    cascades = 0
+    count = len(run_rows)
+    while count > SPILL_FANOUT:
+        cascades += count // SPILL_FANOUT + (count % SPILL_FANOUT > 1)
+        count = -(-count // SPILL_FANOUT)
+    assert len(runs.runs) == len(run_rows) + cascades
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 1024])
+@pytest.mark.parametrize("work_mem", [1024, 16384],
+                         ids=["cascaded", "one pass"])
+def test_spilled_order_by_matches_the_oracle_below_and_above_fanin(
+        work_mem, batch_size):
+    """End to end: an ORDER BY over DESC text, a NULL-bearing column and
+    ties, spilled to more runs than the fan-in (a cascade) or fewer,
+    equals the oracle's stable sort — whole, and under OFFSET/LIMIT
+    (a limit too large for a Top-N heap external-sorts and windows the
+    merge)."""
+    session, rows = _hazards(work_mem, batch_size)
+    expected = [row[0] for row in _sql_order(
+        rows, [(_at(4), True), (_at(5), False), (_at(1), False)])]
+    sql = "SELECT id FROM h ORDER BY t DESC, n, i"
+    before = counters.tally().sort_runs
+    assert [r[0] for r in session.execute(sql).rows] == expected
+    runs = counters.tally().sort_runs - before
+    assert runs > SPILL_FANOUT if work_mem == 1024 else 2 <= runs <= 8
+    for limit, offset in ((200, 0), (150, 37), (3, 230), (50, 300)):
+        got = [r[0] for r in session.execute(
+            sql + " LIMIT ? OFFSET ?", (limit, offset)).rows]
+        assert got == expected[offset:offset + limit]
+
+
+def test_the_merge_never_holds_more_than_fanin_blocks(monkeypatch):
+    """However many runs a sort spools, no more than ``SPILL_FANOUT``
+    of them are being read at once — one held block each — and the
+    cascade's runs count in ``sort_runs`` and in the rows spilled."""
+    from repro.db.spill import SpillFile
+
+    reading = [0, 0]                          # now, most at once
+    blocks = SpillFile.blocks
+
+    def counted(self):
+        reading[0] += 1
+        reading[1] = max(reading)
+        try:
+            yield from blocks(self)
+        finally:
+            reading[0] -= 1
+
+    monkeypatch.setattr(SpillFile, "blocks", counted)
+    session, rows = _hazards(1024, 7, n_rows=600)
+    before = counters.snapshot()["spill"]
+    got = [r[0] for r in session.execute(
+        "SELECT id FROM h ORDER BY t DESC, id").rows]
+    after = counters.snapshot()["spill"]
+    assert got == [row[0] for row in _sql_order(
+        rows, [(_at(4), True), (_at(0), False)])]
+    runs = after["sort_runs"] - before["sort_runs"]
+    assert runs > SPILL_FANOUT ** 2           # two cascade passes
+    assert reading == [0, SPILL_FANOUT]
+    # Every row is written once as a run and once more per cascade pass.
+    assert after["rows_spilled"] - before["rows_spilled"] == 3 * len(rows)
+
+
+def test_the_sort_estimate_charges_one_pass_per_cascade_level():
+    """``estimate_sort_spill`` charges ``ceil(log_F runs)`` write+read
+    cycles per row: one up to ``SPILL_FANOUT`` runs, two up to its
+    square, three past it."""
+    from repro.db.optimizer import COST_SPILL_ROW, estimate_sort_spill
+
+    for runs, passes in ((2, 1), (8, 1), (9, 2), (64, 2), (65, 3)):
+        got_runs, mem, cost = estimate_sort_spill(1000, runs * 4096.0, 4096)
+        assert (got_runs, mem) == (runs, 4096.0)
+        assert cost == COST_SPILL_ROW * 1000 * passes

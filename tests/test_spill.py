@@ -185,13 +185,14 @@ def test_spill_file_round_trips_at_every_block_size(rows, block_rows, data):
 
 
 def test_block_rows_derive_from_the_budget():
-    """No knob: a block gets ``work_mem / SPILL_FANOUT²`` bytes, at
-    most a batch of rows and at least one — so the 1 KB CI leg spools
+    """No knob: a block gets ``work_mem / SPILL_FANOUT`` bytes — the
+    merge holds at most ``SPILL_FANOUT`` of them — at most a batch of
+    rows and at least one, so the 1 KB CI leg (128-byte blocks) spools
     row by row, as before blocks existed."""
     assert Spools(1024, 1024).block_rows(200) == 1
-    assert Spools(65536, 7).block_rows(200) == 5
+    assert Spools(65536, 7).block_rows(200) == 7
     assert Spools(65536, 7).block_rows(100) == 7
-    assert Spools(1 << 20, 1024).block_rows(160) == 102
+    assert Spools(1 << 20, 1024).block_rows(160) == 819
     assert Spools(1 << 30, 1024).block_rows(160) == 1024
 
 
@@ -253,6 +254,61 @@ def test_a_column_of_labels_weighs_as_its_rows_do(label_column):
             assert estimate_batch_bytes(columns, row_labels, 96) == [
                 estimate_row_bytes(values, label) + 96
                 for values, label in zip(rows, row_labels)]
+
+
+#: Column strategies for the weigher property, one value kind each or
+#: mixed: what typed storage, a projection and untyped storage hold.
+_WEIGHED = st.sampled_from((
+    st.integers(-10**12, 10**12), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=6), _LABELS,
+    st.one_of(st.none(), st.integers()),
+    st.one_of(st.none(), st.text(max_size=6)),
+    st.one_of(st.integers(), st.floats(), st.booleans()),
+    st.one_of(st.none(), _LABELS),
+    _VALUES,
+))
+
+
+@st.composite
+def _weighed_batches(draw):
+    """``(columns, labels)``: columns of one kind each (or mixed, or
+    projected away), and sometimes the batch's own labels as a column —
+    the same list, or an equal copy as a spool round trip leaves it.
+    Without labels (a group key's weight) the first column gives the
+    row count, so it holds values."""
+    n = draw(st.integers(1, 30))
+    labels = draw(st.one_of(
+        st.lists(_LABELS, min_size=n, max_size=n),
+        _LABELS.map(lambda label: [label] * n)))
+    charged = draw(st.booleans())
+    columns = []
+    for i in range(draw(st.integers(0 if charged else 1, 5))):
+        kind = draw(st.sampled_from(("values", "projected", "own",
+                                     "own copy")))
+        if kind == "values" or not (i or charged):
+            columns.append(draw(st.lists(draw(_WEIGHED), min_size=n,
+                                         max_size=n)))
+        else:
+            columns.append({"projected": None, "own": labels,
+                            "own copy": list(labels)}[kind])
+    return columns, labels if charged else None
+
+
+@given(_weighed_batches(), st.integers(0, 200))
+@settings(max_examples=300, deadline=None)
+def test_batch_weigher_equals_the_per_row_estimate(batch, extra):
+    """``estimate_batch_bytes`` is ``estimate_row_bytes`` (plus
+    ``extra``) row for row over ints, floats, bools, NULLs, TEXT and
+    labels, mixed columns, projected-away columns, ``labels=None`` (a
+    group key, no label charged) and the ``_label`` column by identity
+    and as an equal copy."""
+    columns, labels = batch
+    n = len(labels) if labels is not None else len(columns[0])
+    rows = zip(*[column or [None] * n for column in columns]) \
+        if columns else [()] * n
+    assert estimate_batch_bytes(columns, labels, extra) == [
+        estimate_row_bytes(values, label) + extra for values, label
+        in zip(rows, labels if labels is not None else [None] * n)]
 
 
 def test_a_batch_weighs_its_row_containers_plus_its_values():
