@@ -39,13 +39,14 @@ class HashIndex:
         self.positions = tuple(positions)
         self.unique = unique
         self._map: Dict[Tuple, List[int]] = {}
+        self._gather = itemgetter(*positions)
 
     def key_of(self, values: Tuple) -> Tuple:
         positions = self.positions
-        if len(positions) == 1:
+        if len(positions) == 1:            # itemgetter(p) is not a tuple
             key = (values[positions[0]],)
         else:
-            key = tuple(values[p] for p in positions)
+            key = self._gather(values)
         for value in key:
             if value != value:             # a NaN: unequal to itself
                 return tuple(_NAN_KEY if v != v else v for v in key)
@@ -94,13 +95,14 @@ class OrderedIndex:
         self.positions = tuple(positions)
         self.unique = unique
         self._entries: List[Tuple[Tuple, int]] = []
+        self._gather = itemgetter(*positions)
 
     def key_of(self, values: Tuple) -> Tuple:
         positions = self.positions
-        if len(positions) == 1:
+        if len(positions) == 1:            # itemgetter(p) is not a tuple
             key = (values[positions[0]],)
         else:
-            key = tuple(values[p] for p in positions)
+            key = self._gather(values)
         for value in key:
             if value is None or value != value:   # NULL, or a NaN
                 return tuple(_NULL_KEY if v is None
@@ -120,13 +122,19 @@ class OrderedIndex:
         """Tids whose key starts with ``prefix``, in key order (an exact
         match when the prefix covers every indexed column).  A NULL in
         the prefix matches nothing; nor does a NaN: every entry it meets
-        compares false, so both bisections stop at the same place."""
+        compares false, so both bisections stop at the same place; nor
+        does a value that does not compare with the column's (TEXT
+        against INT), which SQL's ``=`` finds equal to none of them."""
         tally().lookups += 1
         if None in prefix:
             return []
         entries = self._entries
-        start = bisect.bisect_left(entries, (prefix,))
-        end = bisect.bisect_left(entries, (prefix + (_SENTINEL,),), start)
+        try:
+            start = bisect.bisect_left(entries, (prefix,))
+            end = bisect.bisect_left(entries, (prefix + (_SENTINEL,),),
+                                     start)
+        except TypeError:
+            return []
         return list(map(_TID, entries[start:end]))
 
     def scan_range(self, prefix: Tuple, low=None, high=None, *,
@@ -139,7 +147,11 @@ class OrderedIndex:
         column meets no bound (it sorts last, so a lower bound alone
         stops at ``_NAN_KEY``), and a NULL in the column meets none
         either (it sorts first, so a range without a lower bound starts
-        past the NULLs), nor does a NULL in the prefix."""
+        past the NULLs), nor does a NULL in the prefix.  A prefix or
+        bound that does not compare with the keys a bisection meets
+        raises ``TypeError``: whether SQL raises for it or matches
+        nothing depends on which rows are visible, which only the scan
+        knows (:class:`~repro.db.physical.IndexRangeScan`)."""
         tally().range_scans += 1
         if low != low or high != high or None in prefix:
             return []

@@ -30,7 +30,9 @@ execution strategy, applying these rule families in order:
    labels only.
 4. **Access-path selection** — for each base-table entry the optimizer
    enumerates a full heap scan, the best equality-index probe
-   (``col = constant`` conjuncts against hash or ordered indexes), and
+   (``col = constant`` conjuncts against hash or ordered indexes),
+   **IN-list probes** (``col IN (constants)`` completing an index key
+   with those equalities: one lookup per listed value), and
    ordered-index **range scans** (an equality prefix plus ``<``, ``<=``,
    ``>``, ``>=`` or ``BETWEEN`` bounds on the next index column, served
    by :meth:`~repro.db.indexes.OrderedIndex.scan_range`), then picks
@@ -215,7 +217,11 @@ class FullScanAccess:
 
 @dataclass
 class IndexEqAccess:
-    """Index probe on ``key_columns``; the rest filters the result."""
+    """Index probe on ``key_columns``; the rest filters the result.
+
+    One key expression may be the pushed ``col IN (…)`` conjunct itself
+    (an :class:`~repro.db.expressions.InList`): the probe then looks up
+    one key per listed value."""
 
     index: object
     key_columns: Tuple[str, ...]
@@ -315,18 +321,9 @@ def constant_comparison(conjunct, alias, local_scope):
              (conjunct.right, conjunct.left,
               _FLIP_OP.get(conjunct.op, conjunct.op)))
     for col_side, val_side, op in sides:
-        if not isinstance(col_side, ex.ColumnRef):
-            continue
-        if col_side.name == "_label":
-            continue
-        if col_side.table is not None and col_side.table != alias:
-            continue
-        try:
-            local_scope.resolve(col_side.name, col_side.table)
-        except CatalogError:
-            continue
-        if _const_side(val_side, local_scope):
-            return col_side.name, op, val_side
+        column = _local_column(col_side, alias, local_scope)
+        if column is not None and _const_side(val_side, local_scope):
+            return column, op, val_side
     return None, None, None
 
 
@@ -344,19 +341,35 @@ def _between_bounds(conjunct, alias, local_scope):
     (column, low_expr, high_expr) or None."""
     if not isinstance(conjunct, ex.Between) or conjunct.negated:
         return None
-    operand = conjunct.operand
-    if not isinstance(operand, ex.ColumnRef) or operand.name == "_label":
+    column = _local_column(conjunct.operand, alias, local_scope)
+    if column is not None and _const_side(conjunct.low, local_scope) and \
+            _const_side(conjunct.high, local_scope):
+        return column, conjunct.low, conjunct.high
+    return None
+
+
+def _listed_column(conjunct, alias, local_scope) -> Optional[str]:
+    """The column of a non-negated ``col IN (items)`` whose every item
+    is constant per execution (a literal, a ``?`` parameter or a
+    literal slot), or ``None``."""
+    if not isinstance(conjunct, ex.InList) or conjunct.negated or \
+            not all(isinstance(item, ex.CONSTANTS)
+                    for item in conjunct.items):
         return None
-    if operand.table is not None and operand.table != alias:
+    return _local_column(conjunct.operand, alias, local_scope)
+
+
+def _local_column(operand, alias, local_scope) -> Optional[str]:
+    """The name of ``operand`` when it is a stored column of the entry
+    ``alias`` (not ``_label``), or ``None``."""
+    if not isinstance(operand, ex.ColumnRef) or operand.name == "_label" \
+            or operand.table not in (None, alias):
         return None
     try:
         local_scope.resolve(operand.name, operand.table)
     except CatalogError:
         return None
-    if _const_side(conjunct.low, local_scope) and \
-            _const_side(conjunct.high, local_scope):
-        return operand.name, conjunct.low, conjunct.high
-    return None
+    return operand.name
 
 
 class _PredBounds:
@@ -420,6 +433,23 @@ def best_index(table: Table, available: set):
             best = index
             best_len = n
     return best, best_len
+
+
+def _listed_key(index, eq_cols, column: str) -> Optional[Tuple[str, ...]]:
+    """The key columns an IN-list on ``column`` probes ``index`` by,
+    with equalities on ``eq_cols``: all of a hash index's columns, or
+    an ordered index's prefix that ends at ``column`` — ``None`` when
+    the two do not complete such a key."""
+    from .indexes import OrderedIndex
+    if not isinstance(index, OrderedIndex):
+        if column in index.columns and all(
+                c == column or c in eq_cols for c in index.columns):
+            return index.columns
+        return None
+    for n, c in enumerate(index.columns):
+        if c not in eq_cols:
+            return index.columns[:n + 1] if c == column else None
+    return None
 
 
 def _covered_by(conjunct, covered_cols, alias, local_scope, eq_cols) -> bool:
@@ -881,6 +911,31 @@ class Optimizer:
                 candidates.append((cost, 0, IndexEqAccess(
                     index=index, key_columns=key_columns,
                     key_exprs=[eq_cols[c] for c in key_columns],
+                    residual=residual)))
+
+        # Candidate 2b: IN-list probes, one lookup per listed value, the
+        # list's column completing an index key with the equalities.
+        for conjunct in pushed:
+            column = _listed_column(conjunct, entry.alias, local_scope)
+            if column is None or column in eq_cols:
+                continue
+            for index in entry.table.indexes.values():
+                key_columns = _listed_key(index, eq_cols, column)
+                if key_columns is None:
+                    continue
+                covered = set(key_columns)
+                key_sel = DEFAULT_EQ_SEL * self._filtered_selectivity(
+                    [bounds.eq[c][0] for c in key_columns if c != column],
+                    entry.alias, local_scope)
+                residual = [c for c in pushed if c is not conjunct
+                            and not _covered_by(c, covered, entry.alias,
+                                                local_scope, eq_cols)]
+                cost = len(conjunct.items) * (
+                    COST_PROBE + COST_ROW * rows * key_sel * width_factor)
+                candidates.append((cost, 0, IndexEqAccess(
+                    index=index, key_columns=key_columns,
+                    key_exprs=[conjunct if c == column else eq_cols[c]
+                               for c in key_columns],
                     residual=residual)))
 
         # Candidate 3: ordered-index range scans (eq prefix + bounds on

@@ -646,24 +646,55 @@ class Scan(Plan):
 
 
 class IndexScan(Scan):
-    """Scan driven by an index lookup; key computed per execution."""
+    """Scan driven by an index lookup; key computed per execution.
+
+    ``listed`` (set at plan time, ``None`` for a point probe) is an
+    IN-list's ``(position, item_fns)``: the key column at ``position``
+    takes each listed value in turn, so the scan looks up one key per
+    member of the list — the items' values less NULLs and NaNs,
+    deduplicated by equality, as the IN filter's own kernel
+    (``ExprCompiler._b_inlist``) keeps them — in key order where the
+    keys compare (as given where they do not), and runs all of their
+    candidates through one visibility pass, as
+    :meth:`IndexLoopJoin._probe` does an outer batch's."""
 
     def __init__(self, table: Table, index, key_fns: List[Callable],
                  predicate: Optional[Callable], declass: Label,
                  view_grants: List[Tuple[ViewDef, Label]],
                  predicate_columns: Tuple[int, ...] = (),
-                 needed: Optional[Tuple[int, ...]] = None):
+                 needed: Optional[Tuple[int, ...]] = None,
+                 listed: Optional[Tuple[int, List[Callable]]] = None):
         super().__init__(table, predicate, declass, view_grants,
                          predicate_columns, needed)
         self.index = index
         self.key_fns = key_fns
+        self.listed = listed
 
     def _segments(self, ctx):
         key = tuple(fn([], ctx) for fn in self.key_fns)
         if None in key:
             return ()
-        return _segments_of(self.table, self.index.lookup(key),
-                            self.batch_size)
+        if self.listed is None:
+            tids = self.index.lookup(key)
+        else:
+            tids = self._listed_tids(ctx, key)
+        return _segments_of(self.table, tids, self.batch_size)
+
+    def _listed_tids(self, ctx, key: tuple) -> list:
+        at, item_fns = self.listed
+        members = dict.fromkeys([fn([], ctx) for fn in item_fns])
+        members.pop(None, None)       # NULL matches nothing; nor does NaN
+        keys = [key[:at] + (value,) + key[at:] for value in members
+                if value == value]
+        try:
+            keys.sort()
+        except TypeError:
+            pass                      # incomparable key mix: keep order
+        lookup = self.index.lookup
+        tids: list = []
+        for key in keys:              # distinct keys share no tid
+            tids += lookup(key)
+        return tids
 
 
 class IndexRangeScan(Scan):
@@ -675,6 +706,15 @@ class IndexRangeScan(Scan):
     expression evaluating to NULL yields no rows (a SQL comparison
     against NULL is UNKNOWN), matching what the filter would do; the
     index itself answers a NaN bound, or a NaN key, as SQL does.
+
+    A prefix or bound the index cannot place — it does not compare
+    with the keys (TEXT against INT) — is answered by the heap scan
+    this one stands for: ``heap()`` builds that scan's ``(predicate,
+    predicate_columns)``, every pushed conjunct in written order, so
+    the comparison raises the filter's typed error exactly when a
+    visible row reaches it, and matches nothing otherwise.  It is
+    compiled only when needed: a plan cache holds many range scans
+    that never fall back.
     """
 
     def __init__(self, table: Table, index, eq_fns: List[Callable],
@@ -683,7 +723,9 @@ class IndexRangeScan(Scan):
                  predicate: Optional[Callable], declass: Label,
                  view_grants: List[Tuple[ViewDef, Label]],
                  predicate_columns: Tuple[int, ...] = (),
-                 needed: Optional[Tuple[int, ...]] = None):
+                 needed: Optional[Tuple[int, ...]] = None, *,
+                 heap: Callable[[], Tuple[Optional[Callable],
+                                          Tuple[int, ...]]]):
         super().__init__(table, predicate, declass, view_grants,
                          predicate_columns, needed)
         self.index = index
@@ -692,6 +734,7 @@ class IndexRangeScan(Scan):
         self.high_fn = high_fn
         self.include_low = include_low
         self.include_high = include_high
+        self.heap = heap
 
     def _segments(self, ctx):
         prefix = tuple(fn([], ctx) for fn in self.eq_fns)
@@ -706,9 +749,24 @@ class IndexRangeScan(Scan):
             high = self.high_fn([], ctx)
             if high is None:
                 return ()
-        return _segments_of(self.table, self.index.scan_range(
-            prefix, low, high, include_low=self.include_low,
-            include_high=self.include_high), self.batch_size)
+        try:
+            tids = self.index.scan_range(
+                prefix, low, high, include_low=self.include_low,
+                include_high=self.include_high)
+        except TypeError:
+            return self._from_heap(ctx)
+        return _segments_of(self.table, tids, self.batch_size)
+
+    def _from_heap(self, ctx):
+        """The heap's versions that pass the heap scan's predicate, for
+        the caller to run through this scan's own (residual) one."""
+        predicate, columns = self.heap()
+        heap = Scan(self.table, predicate, self.declass, self.view_grants,
+                    columns)
+        for segment in self.table.segments(self.batch_size):
+            kept = segment.kept(heap._visible(ctx, segment)[0])
+            if kept:
+                yield Segment(kept)
 
 
 class Filter(Plan):

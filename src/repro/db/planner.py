@@ -245,14 +245,20 @@ class Planner:
             return plan
         access = entry.access
         if isinstance(access, IndexEqAccess):
-            key_fns = [local_compiler.compile(e) for e in access.key_exprs]
+            key_fns, listed = [], None
+            for at, expr in enumerate(access.key_exprs):
+                if isinstance(expr, ex.InList):
+                    listed = (at, [local_compiler.compile(item)
+                                   for item in expr.items])
+                else:
+                    key_fns.append(local_compiler.compile(expr))
             predicate = self._conjunction(access.residual, local_compiler)
             plan = IndexScan(entry.table, access.index, key_fns, predicate,
                              entry.declass, entry.view_grants,
                              self._predicate_columns(
                                  access.residual, local_scope,
                                  len(entry.columns)),
-                             entry.needed)
+                             entry.needed, listed)
             plan.explain = "IndexScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._key_text(access.key_columns, access.key_exprs),
@@ -272,7 +278,11 @@ class Planner:
                                   self._predicate_columns(
                                       access.residual, local_scope,
                                       len(entry.columns)),
-                                  entry.needed)
+                                  entry.needed,
+                                  heap=partial(
+                                      self._heap_filter, entry.pushed,
+                                      local_compiler, local_scope,
+                                      len(entry.columns)))
             plan.explain = "IndexRangeScan %s using %s (%s)%s" % (
                 self._relation(entry), access.index.name,
                 self._range_key_text(access),
@@ -289,10 +299,24 @@ class Planner:
                                       self._filter_text(conjuncts))
         return self._annotate(plan, entry.est_rows, entry.est_cost)
 
+    @classmethod
+    def _heap_filter(cls, conjuncts: List[ex.Expr],
+                     compiler: ex.ExprCompiler, scope: ex.Scope,
+                     ncols: int) -> Tuple[Optional[Callable],
+                                          Tuple[int, ...]]:
+        """The ``(predicate, predicate_columns)`` of a heap scan under
+        ``conjuncts`` — what an :class:`IndexRangeScan` falls back to,
+        compiled only if it ever does."""
+        return (cls._conjunction(conjuncts, compiler),
+                cls._predicate_columns(conjuncts, scope, ncols))
+
     @staticmethod
     def _key_text(key_columns, key_exprs) -> str:
-        return ", ".join("%s = %s" % (col, ex.to_sql(expr))
-                         for col, expr in zip(key_columns, key_exprs))
+        return ", ".join(
+            "%s IN (%s)" % (col, ", ".join(map(ex.to_sql, expr.items)))
+            if isinstance(expr, ex.InList)
+            else "%s = %s" % (col, ex.to_sql(expr))
+            for col, expr in zip(key_columns, key_exprs))
 
     @staticmethod
     def _range_key_text(access: IndexRangeAccess) -> str:

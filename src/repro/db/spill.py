@@ -190,8 +190,12 @@ def column_keys(key_columns, n: int):
 
 def key_columns_of(keys, width: int) -> list:
     """The ``width`` key columns of :func:`column_keys`' ``keys`` — its
-    inverse (no column when there is no key of several columns)."""
-    return [list(keys)] if width == 1 else list(zip(*keys))
+    inverse (no column when there is no key of several columns), one
+    C-level gather per column."""
+    if width == 1:
+        return [list(keys)]
+    return [list(map(itemgetter(j), keys)) for j in range(width)] \
+        if keys else []
 
 
 def take_rows(columns, labels, ilabels, rows) -> tuple:

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AuthorityState, SeededIdGenerator
+from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
 from repro.core.counters import tally
 from repro.db import Database
 from repro.db.indexes import OrderedIndex
@@ -343,3 +343,90 @@ def test_a_write_an_index_refuses_publishes_nothing(monkeypatch, batch_size):
     assert session.execute(
         "SELECT a FROM t WHERE id = 99").rows[0][0] == 1
     assert session.execute("SELECT COUNT(*) FROM t").rows[0][0] == rows + 1
+
+
+#: Predicates on ``{c}`` — ``ts`` under an ordered index, or ``u``, its
+#: unindexed twin holding the same values — with what each is asked
+#: with, and the access path the indexed one must take.  Every value
+#: is TEXT against an INT column, so no comparison can place it.
+UNPLACEABLE = (
+    ("SELECT id FROM t WHERE {c} = 'a'", (), "IndexScan t using t_ts"),
+    ("SELECT id FROM t WHERE {c} = ?", ("a",), "IndexScan t using t_ts"),
+    ("SELECT id FROM t WHERE {c} IN (3, 'a')", (), "IndexScan t using t_ts"),
+    ("SELECT id FROM t WHERE {c} < 'a'", (), "IndexRangeScan"),
+    ("SELECT id FROM t WHERE {c} <= ?", ("a",), "IndexRangeScan"),
+    ("SELECT id FROM t WHERE {c} > 'a'", (), "IndexRangeScan"),
+    ("SELECT id FROM t WHERE {c} >= ?", ("a",), "IndexRangeScan"),
+    ("SELECT id FROM t WHERE {c} >= 3 AND {c} < 'a'", (), "IndexRangeScan"),
+    ("SELECT id FROM t WHERE {c} BETWEEN 'a' AND 'b'", (), "IndexRangeScan"),
+    ("SELECT id FROM t WHERE id > 100 AND {c} >= 'a'", (), "IndexRangeScan"),
+    ("SELECT id FROM t WHERE {c} >= 'a' AND id > 100", (), "IndexRangeScan"),
+    ("UPDATE t SET id = id + 100 WHERE {c} > ?", ("a",), "IndexRangeScan"),
+    ("DELETE FROM t WHERE {c} <= 'a'", (), "IndexRangeScan"),
+    ("SELECT s.id, t.id FROM s JOIN t ON t.{c} = s.name", (),
+     "IndexLoopJoin (inner) t using t_ts"),
+)
+
+
+def _unplaceable_world(batch_size, reader_sees_rows):
+    """``t`` (``ts`` under an ordered index, ``u`` unindexed, the same
+    values in both, NULL in one row) and ``s`` (one TEXT key per row);
+    the reader sees ``t``'s rows, or none of them when they were all
+    written under a tag it does not hold."""
+    authority = AuthorityState(idgen=SeededIdGenerator(7))
+    db = Database(authority, seed=7, batch_size=batch_size)
+    owner = authority.create_principal("owner")
+    hidden = authority.create_tag("hidden", owner=owner.id)
+    admin = db.connect(IFCProcess(authority, owner.id))
+    admin.execute_script(
+        "CREATE TABLE t (id INT PRIMARY KEY, ts INT, u INT);"
+        "CREATE ORDERED INDEX t_ts ON t (ts);"
+        "CREATE TABLE s (id INT PRIMARY KEY, name TEXT);"
+        "INSERT INTO s VALUES (1, 'a');")
+    writer = IFCProcess(authority, owner.id)
+    if not reader_sees_rows:
+        writer.add_secrecy(hidden.id)
+    writer = db.connect(writer)
+    for i in range(10):
+        value = None if i == 4 else i
+        writer.execute("INSERT INTO t VALUES (?, ?, ?)", (i, value, value))
+    admin.execute("ANALYZE")
+    return admin
+
+
+def _outcome(session, sql, params):
+    try:
+        result = session.execute(sql, params)
+    except Exception as exc:                    # noqa: BLE001 — observed
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", result.rowcount, sorted(tuple(row) for row in result.rows))
+
+
+@pytest.mark.parametrize("reader_sees_rows", [True, False])
+@pytest.mark.parametrize("batch_size", [1, 1024])
+def test_a_value_the_index_cannot_place_answers_as_the_filter_does(
+        batch_size, reader_sees_rows):
+    """A key or bound that does not compare with an ordered index's
+    column (TEXT against INT) used to raise a bare ``TypeError`` from
+    the bisection.  Now an equality matches nothing, as the filter's
+    ``=`` does, and a bound raises the filter's typed error and message
+    exactly when a visible row reaches it — never because a bisection
+    met a hidden version's key: with every row hidden, nothing raises.
+    Each statement runs on a fresh pair, since the writes change it."""
+    for sql, params, node in UNPLACEABLE:
+        indexed, twin = (sql.format(c=c) for c in ("ts", "u"))
+        session = _unplaceable_world(batch_size, reader_sees_rows)
+        plan = "\n".join(row[0] for row in session.execute(
+            "EXPLAIN " + indexed, params).rows)
+        assert node in plan, (sql, plan)
+        got = _outcome(session, indexed, params)
+        want = _outcome(_unplaceable_world(batch_size, reader_sees_rows),
+                        twin, params)
+        assert got == want, (sql, got, want)
+        if not reader_sees_rows:
+            assert got[0] == "ok", (sql, got)
+    assert want[0] == "ok"
+    session = _unplaceable_world(batch_size, True)
+    assert _outcome(session, "SELECT id FROM t WHERE ts >= 'a'", ()) == (
+        "error", "ExpressionError", "cannot evaluate INT >= TEXT: '>=' not "
+        "supported between instances of 'int' and 'str'")

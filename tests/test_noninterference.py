@@ -362,6 +362,9 @@ POISON_STATEMENTS = (
     ("SELECT id, amount FROM p WHERE k = 3 AND " + _DIVIDES, "IndexScan"),
     ("SELECT id FROM p WHERE k = 3 AND amount IN (7, 12, 30)", "IndexScan"),
     ("SELECT id FROM p WHERE k = 11 AND " + _COMPARES, "IndexScan"),
+    # Odd ids belong only to hidden tuples: most of this list's keys.
+    ("SELECT id, amount FROM p WHERE id IN (1, 3, 4, 5, 7, 9, 10) AND "
+     + _DIVIDES, "IndexScan p using p_p_pkey_idx (id IN ("),
     ("SELECT id, amount FROM p WHERE ts >= 30 AND ts < 90 AND " + _DIVIDES,
      "IndexRangeScan"),
     ("SELECT id FROM p WHERE ts >= 30 AND ts < 90 AND " + _COMPARES,
@@ -372,6 +375,8 @@ POISON_STATEMENTS = (
      "IndexLoopJoin"),
     ("UPDATE p SET amount = amount + 100 WHERE k = 1 AND " + _DIVIDES,
      "IndexScan"),
+    ("UPDATE p SET amount = amount + 100 WHERE id IN (3, 6, 9, 12) AND "
+     + _DIVIDES, "IndexScan p using p_p_pkey_idx (id IN ("),
     ("UPDATE p SET amount = amount + 100 WHERE ts >= 120 AND ts < 150 AND "
      + _DIVIDES, "IndexRangeScan"),
     ("UPDATE p SET amount = amount + 1 WHERE amount < 15 AND " + _DIVIDES,

@@ -10,16 +10,18 @@ column map, a trigger lookup on a table with none, a full-row coercion
 for a one-column UPDATE — raises a count and fails here.  Lower a
 bound when a change lowers the count; raise one only with a reason.
 
-Three more (:data:`PROBE_BUDGET`) pin the index probe path over 24
+Four more (:data:`PROBE_BUDGET`) pin the index probe path over 24
 parents of 10 children each, ``c`` under an ordered index on
 ``(pid, ts)``: a 24-key index join (one lookup per key, one visibility
 pass per outer batch), a prefix probe and a range scan (two bisections
-and a slice each).  Their database has the default chunk size and no
+and a slice each), and a four-key IN list on ``c``'s primary key (one
+lookup per key, one visibility pass).  Their database has the default chunk size and no
 memory budget whatever the environment asks for, since a probe's count
 depends on both; the one-row statements run on the environment-sized
 database.
 """
 
+import gc
 import sys
 
 import pytest
@@ -42,10 +44,15 @@ PROBE_BUDGET = {
     "index_join_group_by": 285,
     "ordered_prefix_top_5": 106,
     "ordered_range": 78,
+    "in_list_probe": 90,
 }
 
 
 def _calls(fn) -> int:
+    """The Python calls ``fn`` makes, with the collector held off: a
+    collection would also count the ``gc.callbacks`` other libraries
+    install (Hypothesis has one), whenever earlier tests' allocations
+    happen to trigger it mid-statement."""
     count = 0
 
     def profile(_frame, event, _arg):
@@ -53,11 +60,15 @@ def _calls(fn) -> int:
         if event == "call":
             count += 1
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return count
 
 
@@ -115,6 +126,8 @@ def _probes(session):
         "ordered_range": lambda: session.execute(
             "SELECT id FROM c WHERE pid = ? AND ts >= ? AND ts < ?",
             (7, 2, 6)),
+        "in_list_probe": lambda: session.execute(
+            "SELECT id, v FROM c WHERE id IN (?, ?, ?, ?)", (78, 72, 75, 73)),
     }
 
 
@@ -123,7 +136,7 @@ INDEX_JOIN_GROUP_BY = ("SELECT p.id, COUNT(*), MAX(c.ts) FROM p "
 
 
 def test_probe_statements_plan_the_index_paths(probe_session):
-    """The three probe budgets measure the index paths they name."""
+    """The probe budgets measure the index paths they name."""
     def plan(sql):
         return "\n".join(row[0] for row
                          in probe_session.execute("EXPLAIN " + sql))
@@ -133,12 +146,16 @@ def test_probe_statements_plan_the_index_paths(probe_session):
         "SELECT ts, v FROM c WHERE pid = 7 ORDER BY ts DESC LIMIT 5")
     assert "IndexRangeScan c using c_by_p" in plan(
         "SELECT id FROM c WHERE pid = 7 AND ts >= 2 AND ts < 6")
+    assert "IndexScan c using c_c_pkey_idx (id IN (78, 72, 75, 73))" in plan(
+        "SELECT id, v FROM c WHERE id IN (78, 72, 75, 73)")
     statements = _probes(probe_session)
     assert len(statements["index_join_group_by"]().rows) == 24
     assert [tuple(row) for row in statements["ordered_prefix_top_5"]().rows] \
         == [(9, 9), (8, 8), (7, 7), (6, 6), (5, 5)]
     assert sorted(row[0] for row in statements["ordered_range"]().rows) \
         == [72, 73, 74, 75]
+    assert [tuple(row) for row in statements["in_list_probe"]().rows] \
+        == [(72, 2), (73, 3), (75, 5), (78, 8)]
 
 
 def _within_budget(session, statements, budget, name):
